@@ -576,22 +576,14 @@ func BenchmarkProfOverhead(b *testing.B) {
 // so BenchmarkRHSWorkers times one full right-hand-side evaluation — the
 // unit of work an RK stage schedules across the worker pool.
 func rhsBlock(b *testing.B, pool *par.Pool) *solver.Block {
-	return rhsBlockBackend(b, pool, "")
-}
-
-// rhsBlockBackend is rhsBlock with an explicit kernel-backend spec, so the
-// per-backend sub-benchmarks time the same problem through each set of
-// tile kernels.
-func rhsBlockBackend(b *testing.B, pool *par.Pool, backend string) *solver.Block {
 	b.Helper()
 	mech := chem.H2Air()
 	cfg := &solver.Config{
-		Mech:    mech,
-		Trans:   transport.MustNew(mech.Set),
-		Grid:    grid.New(grid.Spec{Nx: 32, Ny: 32, Nz: 32, Lx: 0.008, Ly: 0.008, Lz: 0.008}),
-		PInf:    101325,
-		Pool:    pool,
-		Backend: backend,
+		Mech:  mech,
+		Trans: transport.MustNew(mech.Set),
+		Grid:  grid.New(grid.Spec{Nx: 32, Ny: 32, Nz: 32, Lx: 0.008, Ly: 0.008, Lz: 0.008}),
+		PInf:  101325,
+		Pool:  pool,
 	}
 	blk, err := solver.NewSerial(cfg)
 	if err != nil {
@@ -680,41 +672,17 @@ func BenchmarkRHSWorkersWeighted(b *testing.B) {
 
 // BenchmarkAssembleFluxesFused times the fused flux-assembly kernel alone:
 // one pass per tile over all gradient fields with per-worker enthalpy
-// scratch (the satellite optimisation riding on the tile refactor), once
-// per kernel backend. Solutions are bitwise identical across sub-benchmarks
-// (the kernels contract); only the addressing differs.
+// scratch (the satellite optimisation riding on the tile refactor).
 func BenchmarkAssembleFluxesFused(b *testing.B) {
-	for _, backend := range []string{"generic", "blocked"} {
-		b.Run(backend, func(b *testing.B) {
-			pool := par.NewPool(1)
-			defer pool.Close()
-			blk := rhsBlockBackend(b, pool, backend)
-			blk.PrepareAssembleInputs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blk.AssembleFluxesOnly()
-			}
-			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(32*32*32)*1e6, "us/gp")
-		})
+	pool := par.NewPool(1)
+	defer pool.Close()
+	blk := rhsBlock(b, pool)
+	blk.PrepareAssembleInputs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk.AssembleFluxesOnly()
 	}
-}
-
-// BenchmarkRHSBackends times one full right-hand-side evaluation per kernel
-// backend on a single worker — the headline figure-2 hot path through every
-// backend-selectable kernel at once.
-func BenchmarkRHSBackends(b *testing.B) {
-	for _, backend := range []string{"generic", "blocked"} {
-		b.Run(backend, func(b *testing.B) {
-			pool := par.NewPool(1)
-			defer pool.Close()
-			blk := rhsBlockBackend(b, pool, backend)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blk.EvalRHS(0)
-			}
-			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(32*32*32)*1e6, "us/gp")
-		})
-	}
+	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(32*32*32)*1e6, "us/gp")
 }
 
 // --- Registry-backed field arena (DESIGN.md, "Field storage & registry") ---
@@ -723,21 +691,17 @@ func BenchmarkRHSBackends(b *testing.B) {
 // bank: with Q, dQ and rhs carved as contiguous per-register runs of the
 // FieldSet arena, the update is nvar stride-1 sweeps over full storage
 // (ghosts included — rhs ghosts are identically zero, so dQ and Q ghosts
-// never move; see step.go). One sub-benchmark per kernel backend.
+// never move; see step.go).
 func BenchmarkRKUpdateBank(b *testing.B) {
-	for _, backend := range []string{"generic", "blocked"} {
-		b.Run(backend, func(b *testing.B) {
-			pool := par.NewPool(1)
-			defer pool.Close()
-			blk := rhsBlockBackend(b, pool, backend)
-			blk.EvalRHS(0) // populate rhs so the sweep runs over live data
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blk.RKUpdateBankOnly(1e-9)
-			}
-			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(32*32*32)*1e6, "us/gp")
-		})
+	pool := par.NewPool(1)
+	defer pool.Close()
+	blk := rhsBlock(b, pool)
+	blk.EvalRHS(0) // populate rhs so the sweep runs over live data
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk.RKUpdateBankOnly(1e-9)
 	}
+	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(32*32*32)*1e6, "us/gp")
 }
 
 // BenchmarkHaloPackGroup times packing one ghost-depth face slab of a

@@ -64,16 +64,8 @@ func main() {
 	critEvery := flag.Int("critpath-every", 1, "critical-path analysis cadence in steps")
 	lbOn := flag.Bool("lb", false, "enable dynamic load balancing per case: cost-weighted tile planning (bitwise identical to the unbalanced run)")
 	lbEvery := flag.Int("lb-every", 10, "load-balance re-plan cadence in steps")
-	backend := flag.String("backend", "", "kernel backend: generic | blocked | auto | per-kernel list (bitwise interchangeable)")
-	precision := flag.String("precision", "", "per-field storage policy: strict | mixed")
 	flag.Parse()
 
-	if err := s3d.SetBackend(*backend); err != nil {
-		log.Fatal(err)
-	}
-	if err := s3d.SetPrecision(*precision); err != nil {
-		log.Fatal(err)
-	}
 	s3d.SetWorkers(*workers)
 	if *healthOn && *flightRec == "" {
 		*flightRec = filepath.Join(*outDir, "health")

@@ -66,8 +66,6 @@ func main() {
 	straggle := flag.Duration("straggle", 0, "slow one rank's chemistry by this much per RK stage (the highest rank in decomposed runs; critpath/cost validation hook)")
 	lbOn := flag.Bool("lb", false, "enable dynamic load balancing: cost-weighted tile planning plus cross-rank chemistry work-sharing in decomposed runs (bitwise identical to the unbalanced run)")
 	lbEvery := flag.Int("lb-every", 10, "load-balance re-plan cadence in steps")
-	backend := flag.String("backend", "", "kernel backend: generic | blocked | auto | per-kernel list (e.g. rk_update=blocked,diff=generic); bitwise interchangeable")
-	precision := flag.String("precision", "", "per-field storage policy: strict (all float64) | mixed (float32 gradients/transport, float64 compute)")
 	flag.Parse()
 
 	if *injectNaN > 0 {
@@ -75,12 +73,6 @@ func main() {
 	}
 	if *healthOn && *flightRec == "" {
 		*flightRec = filepath.Join(*outDir, "health")
-	}
-	if err := s3d.SetBackend(*backend); err != nil {
-		log.Fatal(err)
-	}
-	if err := s3d.SetPrecision(*precision); err != nil {
-		log.Fatal(err)
 	}
 	s3d.SetWorkers(*workers)
 	prob := buildProblem(*problem, *nx, *ny, *nz)

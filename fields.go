@@ -35,10 +35,7 @@ type FieldInfo struct {
 	// Checkpoint is the on-disk restart-file variable name, "" if the
 	// field is not checkpointed.
 	Checkpoint string `json:"checkpoint,omitempty"`
-	// Storage is the field's resolved storage class under the simulation's
-	// precision policy: "float64" or "float32" ("" for derived fields).
-	Storage string `json:"storage,omitempty"`
-	// Width is the storage width in bytes (8 or 4; 0 for derived fields).
+	// Width is the storage width in bytes (8; 0 for derived fields).
 	Width int `json:"width,omitempty"`
 	// Derived marks diagnostics computed on demand (e.g. "hrr") rather
 	// than resolved from registry storage.
@@ -56,14 +53,12 @@ func (s *Simulation) Fields() []FieldInfo {
 	out := make([]FieldInfo, 0, fs.Len()+1)
 	for id := 0; id < fs.Len(); id++ {
 		m := fs.Meta(id)
-		st := fs.Storage(id)
 		fi := FieldInfo{
 			Name:       m.Name,
 			Role:       m.Role.String(),
 			HaloGroup:  m.Group,
 			Checkpoint: m.Ckpt,
-			Storage:    st.String(),
-			Width:      st.Width(),
+			Width:      8, // float64
 		}
 		if m.Species >= 0 && m.Species < len(names) {
 			fi.Species = names[m.Species]
@@ -77,12 +72,10 @@ func (s *Simulation) Fields() []FieldInfo {
 // FieldsDocument is the JSON document served at /fields by the telemetry
 // monitor and written as fields.json by the workflow production driver.
 type FieldsDocument struct {
-	Grid      [3]int      `json:"grid"`
-	Ghost     int         `json:"ghost"`
-	Count     int         `json:"count"`
-	Precision string      `json:"precision"`
-	Backend   string      `json:"backend"`
-	Fields    []FieldInfo `json:"fields"`
+	Grid   [3]int      `json:"grid"`
+	Ghost  int         `json:"ghost"`
+	Count  int         `json:"count"`
+	Fields []FieldInfo `json:"fields"`
 }
 
 // FieldsDocument assembles the full inventory document.
@@ -90,21 +83,17 @@ func (s *Simulation) FieldsDocument() FieldsDocument {
 	nx, ny, nz := s.Dims()
 	fields := s.Fields()
 	return FieldsDocument{
-		Grid:      [3]int{nx, ny, nz},
-		Ghost:     grid.Ghost,
-		Count:     len(fields),
-		Precision: s.blk.PrecisionPolicy(),
-		Backend:   s.blk.BackendSpec(),
-		Fields:    fields,
+		Grid:   [3]int{nx, ny, nz},
+		Ghost:  grid.Ghost,
+		Count:  len(fields),
+		Fields: fields,
 	}
 }
 
 // FieldRows resolves a registered field and returns a streaming row source
 // over its interior (contiguous per-row arena views, k-then-j order) for
-// sdf.AddVarFunc write paths. Float64 fields emit arena views, copying each
-// value exactly once into the encoder buffer; float32 fields (mixed policy)
-// widen row by row through a single reused buffer — the on-disk format is
-// float64 under every policy.
+// sdf.AddVarFunc write paths: each value is copied exactly once, arena
+// view → encoder buffer.
 func (s *Simulation) FieldRows(name string) (sdf.RowSource, [3]int, error) {
 	nx, ny, nz := s.Dims()
 	dims := [3]int{nx, ny, nz}
@@ -112,14 +101,10 @@ func (s *Simulation) FieldRows(name string) (sdf.RowSource, [3]int, error) {
 	if f == nil {
 		return nil, dims, fmt.Errorf("s3d: unknown field %q", name)
 	}
-	var buf []float64
-	if f.Data32 != nil {
-		buf = make([]float64, nx)
-	}
 	return func(emit func(chunk []float64) error) error {
 		for k := 0; k < nz; k++ {
 			for j := 0; j < ny; j++ {
-				if err := emit(f.RowInto(buf, j, k)); err != nil {
+				if err := emit(f.Row(j, k)); err != nil {
 					return err
 				}
 			}

@@ -34,10 +34,10 @@ func TestFieldsInventory(t *testing.T) {
 		byName[fi.Name] = fi
 	}
 	for name, want := range map[string]FieldInfo{
-		"rho":    {Name: "rho", Role: "primitive", Storage: "float64", Width: 8},
-		"T":      {Name: "T", Role: "primitive", Checkpoint: "T_guess", Storage: "float64", Width: 8},
-		"Y_OH":   {Name: "Y_OH", Role: "primitive", Species: "OH", Storage: "float64", Width: 8},
-		"Q_rhoE": {Name: "Q_rhoE", Role: "conserved", HaloGroup: "conserved", Checkpoint: "rhoE", Storage: "float64", Width: 8},
+		"rho":    {Name: "rho", Role: "primitive", Width: 8},
+		"T":      {Name: "T", Role: "primitive", Checkpoint: "T_guess", Width: 8},
+		"Y_OH":   {Name: "Y_OH", Role: "primitive", Species: "OH", Width: 8},
+		"Q_rhoE": {Name: "Q_rhoE", Role: "conserved", HaloGroup: "conserved", Checkpoint: "rhoE", Width: 8},
 		"hrr":    {Name: "hrr", Role: "derived", Derived: true},
 	} {
 		got, ok := byName[name]

@@ -8,11 +8,8 @@
 // physical space through the per-line metric dξ/dx provided by the grid, so
 // the same operators serve uniform and algebraically stretched directions.
 //
-// The interior stencil spans — the hot loops — are executed by a
-// kernels.Impl backend (generic or blocked, see internal/kernels); the
-// reduced-order boundary closures, which touch at most four or five points
-// per line end, stay here. Diff and Filter are the whole-field forms; they
-// delegate to DiffRange/FilterRange over the full interior box, which the
+// Diff and Filter are the whole-field forms; they delegate to
+// DiffRange/FilterRange over the full interior box, which the
 // tiling-invariance guarantee makes bitwise-identical to a dedicated
 // whole-field sweep.
 package deriv
@@ -34,9 +31,14 @@ const (
 	OneSided
 )
 
+// Eighth-order centred first-derivative weights for offsets ±1..±4
+// (antisymmetric; the weight of offset −m is −c8[m−1]).
+var c8 = [4]float64{4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0}
+
+// filter10 holds (−1)^l·C(10,5+l) for offsets l = −5..5.
+var filter10 = [11]float64{-1, 10, -45, 120, -210, 252, -210, 120, -45, 10, -1}
+
 // Sixth- and fourth-order centred weights used by the boundary closures.
-// The interior 8th-order and filter weights live in internal/kernels, which
-// owns the interior-span contract.
 var (
 	c6 = [3]float64{3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0}
 	c4 = [2]float64{2.0 / 3.0, -1.0 / 12.0}

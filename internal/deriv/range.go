@@ -1,9 +1,6 @@
 package deriv
 
-import (
-	"github.com/s3dgo/s3d/internal/grid"
-	"github.com/s3dgo/s3d/internal/kernels"
-)
+import "github.com/s3dgo/s3d/internal/grid"
 
 // Op selects how a ranged operator writes its result into dst.
 type Op int
@@ -22,19 +19,7 @@ const (
 //
 // With op == OpAdd the derivative is accumulated into dst instead of stored,
 // fusing the AXPY that a divergence would otherwise need into the sweep.
-//
-// DiffRange runs on the generic backend; DiffRangeOn selects one explicitly.
 func DiffRange(dst, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, boxLo, boxHi [3]int, op Op) {
-	DiffRangeOn(kernels.Generic(), dst, f, a, met, lo, hi, boxLo, boxHi, op)
-}
-
-// DiffRangeOn is DiffRange with the interior-span stencil executed by an
-// explicit kernel backend. The backend only changes addressing, never
-// arithmetic, so every backend yields bitwise-identical results; the choice
-// is a performance policy. dst may have float32 storage (a demoted gradient
-// under the mixed precision policy): the stencil is still evaluated in
-// float64 and rounded once on store.
-func DiffRangeOn(im kernels.Impl, dst, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, boxLo, boxHi [3]int, op Op) {
 	n := dimOf(f, a)
 	ax := int(a)
 	s0, s1 := boxLo[ax], boxHi[ax]
@@ -43,16 +28,16 @@ func DiffRangeOn(im kernels.Impl, dst, f *grid.Field3, a grid.Axis, met []float6
 		return
 	}
 	stride := strideOf(f, a)
-	src := f.Data
+	dd, src := dst.Data, f.Data
 	eachLineRange(f, a, boxLo, boxHi, func(base int) {
-		diffLineRangeOn(im, dst, src, base, stride, n, met, lo, hi, s0, s1, op)
+		diffLineRange(dd, src, base, stride, n, met, lo, hi, s0, s1, op)
 	})
 }
 
-// diffLineRangeOn differentiates the span [s0, s1) of one grid line: the
-// full-stencil interior through the backend, the reduced-order ends through
+// diffLineRange differentiates the span [s0, s1) of one grid line: the
+// full-stencil interior through diffInterior, the reduced-order ends through
 // the closures below.
-func diffLineRangeOn(im kernels.Impl, dst *grid.Field3, src []float64, base, stride, n int, met []float64, lo, hi BC, s0, s1 int, op Op) {
+func diffLineRange(dst, src []float64, base, stride, n int, met []float64, lo, hi BC, s0, s1 int, op Op) {
 	i0, i1 := 0, n
 	if lo == OneSided {
 		i0 = 4
@@ -65,32 +50,38 @@ func diffLineRangeOn(im kernels.Impl, dst *grid.Field3, src []float64, base, str
 	}
 	c0, c1 := max(i0, s0), min(i1, s1)
 	if c1 > c0 {
-		if dst.Data32 != nil {
-			im.DiffInterior32(dst.Data32, src, base, stride, c0, c1, met, op == OpAdd)
-		} else {
-			im.DiffInterior(dst.Data, src, base, stride, c0, c1, met, op == OpAdd)
-		}
+		diffInterior(dst, src, base, stride, c0, c1, met, op == OpAdd)
 	}
 	if lo == OneSided {
-		if dst.Data32 != nil {
-			closeLowRange(dst.Data32, src, base, stride, n, met, min(i0, s1), s0, op)
-		} else {
-			closeLowRange(dst.Data, src, base, stride, n, met, min(i0, s1), s0, op)
-		}
+		closeLowRange(dst, src, base, stride, n, met, min(i0, s1), s0, op)
 	}
 	if hi == OneSided {
-		if dst.Data32 != nil {
-			closeHighRange(dst.Data32, src, base, stride, n, met, max(i1, s0), s1, op)
+		closeHighRange(dst, src, base, stride, n, met, max(i1, s0), s1, op)
+	}
+}
+
+// diffInterior applies the 8th-order interior stencil along one grid line
+// for indices i in [c0, c1): p = base + i·stride,
+// d = Σ c8[m-1]·(src[p+m·stride] − src[p−m·stride]), writing d·met[i]
+// (add=false) or accumulating it (add=true) into dst[p].
+func diffInterior(dst, src []float64, base, stride, c0, c1 int, met []float64, add bool) {
+	for i := c0; i < c1; i++ {
+		p := base + i*stride
+		d := c8[0]*(src[p+stride]-src[p-stride]) +
+			c8[1]*(src[p+2*stride]-src[p-2*stride]) +
+			c8[2]*(src[p+3*stride]-src[p-3*stride]) +
+			c8[3]*(src[p+4*stride]-src[p-4*stride])
+		if add {
+			dst[p] += d * met[i]
 		} else {
-			closeHighRange(dst.Data, src, base, stride, n, met, max(i1, s0), s1, op)
+			dst[p] = d * met[i]
 		}
 	}
 }
 
 // closeLowRange applies the low-boundary closure over [from, upto) — the
-// closure points clamped into the span. The stencil is evaluated in float64
-// for either destination width.
-func closeLowRange[F grid.Float](dst []F, src []float64, base, stride, n int, met []float64, upto, from int, op Op) {
+// closure points clamped into the span.
+func closeLowRange(dst, src []float64, base, stride, n int, met []float64, upto, from int, op Op) {
 	for i := max(from, 0); i < upto && i < n; i++ {
 		p := base + i*stride
 		var d float64
@@ -115,7 +106,7 @@ func closeLowRange[F grid.Float](dst []F, src []float64, base, stride, n int, me
 }
 
 // closeHighRange mirrors closeLowRange at the high end, for [from, upto).
-func closeHighRange[F grid.Float](dst []F, src []float64, base, stride, n int, met []float64, from, upto int, op Op) {
+func closeHighRange(dst, src []float64, base, stride, n int, met []float64, from, upto int, op Op) {
 	for i := max(from, 0); i < n && i < upto; i++ {
 		r := n - 1 - i // distance from the high boundary
 		p := base + i*stride
@@ -143,14 +134,7 @@ func closeHighRange[F grid.Float](dst []F, src []float64, base, stride, n int, m
 // FilterRange is Filter restricted to the interior index box [boxLo, boxHi),
 // with the same tiling-invariance guarantee as DiffRange. Only OpSet makes
 // physical sense for a filter, but the op parameter is kept for symmetry.
-// The filter round-trips conserved state, so dst must be float64 storage.
 func FilterRange(dst, f *grid.Field3, a grid.Axis, sigma float64, lo, hi BC, boxLo, boxHi [3]int, op Op) {
-	FilterRangeOn(kernels.Generic(), dst, f, a, sigma, lo, hi, boxLo, boxHi, op)
-}
-
-// FilterRangeOn is FilterRange with the interior span executed by an
-// explicit kernel backend (same bitwise guarantee as DiffRangeOn).
-func FilterRangeOn(im kernels.Impl, dst, f *grid.Field3, a grid.Axis, sigma float64, lo, hi BC, boxLo, boxHi [3]int, op Op) {
 	n := dimOf(f, a)
 	ax := int(a)
 	s0, s1 := boxLo[ax], boxHi[ax]
@@ -161,11 +145,11 @@ func FilterRangeOn(im kernels.Impl, dst, f *grid.Field3, a grid.Axis, sigma floa
 	stride := strideOf(f, a)
 	dd, src := dst.Data, f.Data
 	eachLineRange(f, a, boxLo, boxHi, func(base int) {
-		filterLineRangeOn(im, dd, src, base, stride, n, sigma, lo, hi, s0, s1, op)
+		filterLineRange(dd, src, base, stride, n, sigma, lo, hi, s0, s1, op)
 	})
 }
 
-func filterLineRangeOn(im kernels.Impl, dst, src []float64, base, stride, n int, sigma float64, lo, hi BC, s0, s1 int, op Op) {
+func filterLineRange(dst, src []float64, base, stride, n int, sigma float64, lo, hi BC, s0, s1 int, op Op) {
 	i0, i1 := 0, n
 	if lo == OneSided {
 		i0 = 5
@@ -178,7 +162,7 @@ func filterLineRangeOn(im kernels.Impl, dst, src []float64, base, stride, n int,
 	}
 	c0, c1 := max(i0, s0), min(i1, s1)
 	if c1 > c0 {
-		im.FilterInterior(dst, src, base, stride, c0, c1, sigma/1024.0, op == OpAdd)
+		filterInterior(dst, src, base, stride, c0, c1, sigma/1024.0, op == OpAdd)
 	}
 	if lo == OneSided {
 		for i := max(0, s0); i < i0 && i < n && i < s1; i++ {
@@ -191,6 +175,23 @@ func filterLineRangeOn(im kernels.Impl, dst, src []float64, base, stride, n int,
 				continue
 			}
 			filterBoundaryPointOp(dst, src, base, stride, i, n-1-i, sigma, op)
+		}
+	}
+}
+
+// filterInterior applies the 10th-order interior filter along one grid line
+// for i in [c0, c1): dst[p] = src[p] − scale·Σ filter10[l+5]·src[p+l·stride].
+func filterInterior(dst, src []float64, base, stride, c0, c1 int, scale float64, add bool) {
+	for i := c0; i < c1; i++ {
+		p := base + i*stride
+		var acc float64
+		for l := -5; l <= 5; l++ {
+			acc += filter10[l+5] * src[p+l*stride]
+		}
+		if add {
+			dst[p] += src[p] - scale*acc
+		} else {
+			dst[p] = src[p] - scale*acc
 		}
 	}
 }
@@ -216,14 +217,12 @@ func filterBoundaryPointOp(dst, src []float64, base, stride, i, d int, sigma flo
 	store(dst, p, src[p]-scale*acc, op)
 }
 
-// store writes v into dst[p] under op, widening any existing narrow value
-// for the accumulation and rounding once on store. For float64 destinations
-// the conversions are identities and the code is the original dst[p] += v.
-func store[F grid.Float](dst []F, p int, v float64, op Op) {
+// store writes v into dst[p] under op.
+func store(dst []float64, p int, v float64, op Op) {
 	if op == OpAdd {
-		dst[p] = F(float64(dst[p]) + v)
+		dst[p] += v
 	} else {
-		dst[p] = F(v)
+		dst[p] = v
 	}
 }
 
@@ -237,14 +236,8 @@ func rangeFill(dst *grid.Field3, boxLo, boxHi [3]int, op Op) {
 	for k := boxLo[2]; k < boxHi[2]; k++ {
 		for j := boxLo[1]; j < boxHi[1]; j++ {
 			row := dst.Idx(boxLo[0], j, k)
-			if dst.Data32 != nil {
-				for i := 0; i < n; i++ {
-					dst.Data32[row+i] = 0
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					dst.Data[row+i] = 0
-				}
+			for i := 0; i < n; i++ {
+				dst.Data[row+i] = 0
 			}
 		}
 	}

@@ -26,35 +26,73 @@ func metric(n int) []float64 {
 	return m
 }
 
+// stretchedMetric returns the metric line of a genuinely stretched grid
+// direction (the algebraic transverse stretching of paper §2.6), so the
+// parity tests run the per-point metric multiply with non-trivial values.
+func stretchedMetric(n int) []float64 {
+	g := grid.New(grid.Spec{Nx: 4, Ny: n, Nz: 1, Lx: 1, Ly: 1, Lz: 1,
+		StretchY: true, Beta: 1.8})
+	return g.Metric(grid.Y)
+}
+
+// tilings returns decompositions of the interior box for an operator along
+// axis ax: one-plane tiles along each of the three axes, then a split along
+// ax itself whose cuts land inside the one-sided closure regions (width 4
+// for the derivative, 5 for the filter) — [0,2), [2,n-3), [n-3,n) — so
+// individual tiles straddle the closure/interior seam at both BC ends.
+func tilings(dims [3]int, ax int) [][][2][3]int {
+	var out [][][2][3]int
+	for tileAx := 0; tileAx < 3; tileAx++ {
+		var tiles [][2][3]int
+		for c := 0; c < dims[tileAx]; c++ {
+			lo, hi := [3]int{}, dims
+			lo[tileAx], hi[tileAx] = c, c+1
+			tiles = append(tiles, [2][3]int{lo, hi})
+		}
+		out = append(out, tiles)
+	}
+	n := dims[ax]
+	var straddle [][2][3]int
+	for _, cut := range [][2]int{{0, 2}, {2, n - 3}, {n - 3, n}} {
+		lo, hi := [3]int{}, dims
+		lo[ax], hi[ax] = cut[0], cut[1]
+		straddle = append(straddle, [2][3]int{lo, hi})
+	}
+	return append(out, straddle)
+}
+
+// sameBits fails the test at the first flat index where the fields differ.
+func sameBits(t *testing.T, got, want *grid.Field3, format string, args ...any) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
+			t.Fatalf(format+": flat %d = %x want %x", append(args, i,
+				math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))...)
+		}
+	}
+}
+
 // TestDiffRangeTilesMatchDiff: covering the interior with tiles along every
-// axis — including the derivative axis itself — must reproduce a full Diff
-// bitwise, for every axis and boundary-closure combination.
+// axis — including the derivative axis itself, with cuts inside the closure
+// regions — must reproduce a full Diff bitwise, for every axis,
+// boundary-closure combination and a linear as well as a stretched metric.
 func TestDiffRangeTilesMatchDiff(t *testing.T) {
-	nx, ny, nz := 12, 10, 9
+	nx, ny, nz := 14, 12, 11
 	f := randomField(nx, ny, nz, 1)
 	dims := [3]int{nx, ny, nz}
+	bcs := [][2]BC{{UseGhosts, UseGhosts}, {OneSided, OneSided}, {UseGhosts, OneSided}, {OneSided, UseGhosts}}
 	for _, a := range []grid.Axis{grid.X, grid.Y, grid.Z} {
-		met := metric(dims[int(a)])
-		for _, bc := range [][2]BC{{UseGhosts, UseGhosts}, {OneSided, OneSided}, {UseGhosts, OneSided}} {
-			want := grid.NewField3Ghost(nx, ny, nz, grid.Ghost)
-			Diff(want, f, a, met, bc[0], bc[1])
-			for tileAx := 0; tileAx < 3; tileAx++ {
-				got := grid.NewField3Ghost(nx, ny, nz, grid.Ghost)
-				for c := 0; c < dims[tileAx]; c++ {
-					lo, hi := [3]int{0, 0, 0}, dims
-					lo[tileAx], hi[tileAx] = c, c+1
-					DiffRange(got, f, a, met, bc[0], bc[1], lo, hi, OpSet)
-				}
-				for k := 0; k < nz; k++ {
-					for j := 0; j < ny; j++ {
-						for i := 0; i < nx; i++ {
-							w, g := want.At(i, j, k), got.At(i, j, k)
-							if math.Float64bits(w) != math.Float64bits(g) {
-								t.Fatalf("axis %v bc %v tileAx %d: (%d,%d,%d) = %x want %x",
-									a, bc, tileAx, i, j, k, g, w)
-							}
-						}
+		n := dims[int(a)]
+		for mi, met := range [][]float64{metric(n), stretchedMetric(n)} {
+			for _, bc := range bcs {
+				want := grid.NewField3Ghost(nx, ny, nz, grid.Ghost)
+				Diff(want, f, a, met, bc[0], bc[1])
+				for ti, tiles := range tilings(dims, int(a)) {
+					got := grid.NewField3Ghost(nx, ny, nz, grid.Ghost)
+					for _, box := range tiles {
+						DiffRange(got, f, a, met, bc[0], bc[1], box[0], box[1], OpSet)
 					}
+					sameBits(t, got, want, "axis %v metric %d bc %v tiling %d", a, mi, bc, ti)
 				}
 			}
 		}
@@ -120,23 +158,12 @@ func TestFilterRangeTilesMatchFilter(t *testing.T) {
 		for _, bc := range [][2]BC{{UseGhosts, UseGhosts}, {OneSided, OneSided}} {
 			want := grid.NewField3Ghost(nx, ny, nz, grid.Ghost)
 			Filter(want, f, a, 0.5, bc[0], bc[1])
-			for tileAx := 0; tileAx < 3; tileAx++ {
+			for ti, tiles := range tilings(dims, int(a)) {
 				got := grid.NewField3Ghost(nx, ny, nz, grid.Ghost)
-				for c := 0; c < dims[tileAx]; c++ {
-					lo, hi := [3]int{0, 0, 0}, dims
-					lo[tileAx], hi[tileAx] = c, c+1
-					FilterRange(got, f, a, 0.5, bc[0], bc[1], lo, hi, OpSet)
+				for _, box := range tiles {
+					FilterRange(got, f, a, 0.5, bc[0], bc[1], box[0], box[1], OpSet)
 				}
-				for k := 0; k < nz; k++ {
-					for j := 0; j < ny; j++ {
-						for i := 0; i < nx; i++ {
-							w, g := want.At(i, j, k), got.At(i, j, k)
-							if math.Float64bits(w) != math.Float64bits(g) {
-								t.Fatalf("axis %v bc %v tileAx %d: (%d,%d,%d) differ", a, bc, tileAx, i, j, k)
-							}
-						}
-					}
-				}
+				sameBits(t, got, want, "axis %v bc %v tiling %d", a, bc, ti)
 			}
 		}
 	}

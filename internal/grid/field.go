@@ -8,23 +8,10 @@ import "fmt"
 // layers cover both.
 const Ghost = 5
 
-// Float constrains the storage element widths a field may use. Kernels that
-// must serve both widths are written once, generic over Float, and always
-// compute in float64 regardless of the storage width.
-type Float interface {
-	~float32 | ~float64
-}
-
 // Field3 is a scalar field on a 3-D structured block, stored flat with
 // ghost layers on every side. The innermost (fastest) index is i, matching
 // the memory layout of the original Fortran code transposed — unit-stride
 // inner loops are preserved.
-//
-// Storage is either float64 (Data non-nil) or float32 (Data32 non-nil),
-// decided by the owning FieldSet's precision policy; exactly one of the two
-// backing slices is set. Float32 fields store narrow but are always read and
-// accumulated at float64: every accessor below widens on load and rounds
-// exactly once on store.
 type Field3 struct {
 	Nx, Ny, Nz int // interior extents
 	G          int // ghost width
@@ -32,16 +19,15 @@ type Field3 struct {
 	sj, sk int // strides for j and k
 	off    int // offset of interior point (0,0,0)
 
-	Data   []float64 // float64 storage; nil for float32 fields
-	Data32 []float32 // float32 storage; nil for float64 fields
+	Data []float64
 }
 
-// NewField3 allocates a zeroed float64 field with the solver-wide ghost
-// width for the interior extents of g.
+// NewField3 allocates a zeroed field with the solver-wide ghost width for
+// the interior extents of g.
 func NewField3(g *Grid) *Field3 { return NewField3Ghost(g.Nx, g.Ny, g.Nz, Ghost) }
 
-// NewField3Ghost allocates a zeroed float64 field with explicit extents and
-// ghost width.
+// NewField3Ghost allocates a zeroed field with explicit extents and ghost
+// width.
 func NewField3Ghost(nx, ny, nz, ghost int) *Field3 {
 	f := &Field3{Nx: nx, Ny: ny, Nz: nz, G: ghost}
 	f.sj = nx + 2*ghost
@@ -51,22 +37,6 @@ func NewField3Ghost(nx, ny, nz, ghost int) *Field3 {
 	return f
 }
 
-// Storage reports the field's storage width.
-func (f *Field3) Storage() Storage {
-	if f.Data32 != nil {
-		return StorageFloat32
-	}
-	return StorageFloat64
-}
-
-// Len returns the full storage length (interior plus ghosts).
-func (f *Field3) Len() int {
-	if f.Data32 != nil {
-		return len(f.Data32)
-	}
-	return len(f.Data)
-}
-
 // Idx returns the flat index of point (i, j, k); ghost points are addressed
 // with negative indices or indices ≥ the interior extent.
 func (f *Field3) Idx(i, j, k int) int { return f.off + k*f.sk + j*f.sj + i }
@@ -74,80 +44,45 @@ func (f *Field3) Idx(i, j, k int) int { return f.off + k*f.sk + j*f.sj + i }
 // Strides returns the flat-index strides (di, dj, dk) = (1, sj, sk).
 func (f *Field3) Strides() (int, int, int) { return 1, f.sj, f.sk }
 
-// At returns the value at (i, j, k), widened to float64 for narrow storage.
+// At returns the value at (i, j, k).
 func (f *Field3) At(i, j, k int) float64 {
-	if f.Data32 != nil {
-		return float64(f.Data32[f.Idx(i, j, k)])
-	}
 	return f.Data[f.Idx(i, j, k)]
 }
 
-// Set stores v at (i, j, k), rounding once for narrow storage.
+// Set stores v at (i, j, k).
 func (f *Field3) Set(i, j, k int, v float64) {
-	if f.Data32 != nil {
-		f.Data32[f.Idx(i, j, k)] = float32(v)
-		return
-	}
 	f.Data[f.Idx(i, j, k)] = v
 }
 
-// Add accumulates v at (i, j, k); narrow storage promotes to float64 for the
-// addition and rounds once on store.
+// Add accumulates v at (i, j, k).
 func (f *Field3) Add(i, j, k int, v float64) {
-	if f.Data32 != nil {
-		p := f.Idx(i, j, k)
-		f.Data32[p] = float32(float64(f.Data32[p]) + v)
-		return
-	}
 	f.Data[f.Idx(i, j, k)] += v
 }
 
 // Fill sets every value (including ghosts) to v.
 func (f *Field3) Fill(v float64) {
-	if f.Data32 != nil {
-		w := float32(v)
-		for i := range f.Data32 {
-			f.Data32[i] = w
-		}
-		return
-	}
 	for i := range f.Data {
 		f.Data[i] = v
 	}
 }
 
 // CopyFrom copies the full contents (including ghosts) of src, which must
-// have identical shape and storage width.
+// have identical shape.
 func (f *Field3) CopyFrom(src *Field3) {
 	f.mustMatch(src)
-	if f.Data32 != nil {
-		copy(f.Data32, src.Data32)
-		return
-	}
 	copy(f.Data, src.Data)
 }
 
-// Clone returns a deep copy of the field, preserving storage width.
+// Clone returns a deep copy of the field.
 func (f *Field3) Clone() *Field3 {
 	c := &Field3{Nx: f.Nx, Ny: f.Ny, Nz: f.Nz, G: f.G, sj: f.sj, sk: f.sk, off: f.off}
-	if f.Data32 != nil {
-		c.Data32 = append([]float32(nil), f.Data32...)
-	} else {
-		c.Data = append([]float64(nil), f.Data...)
-	}
+	c.Data = append([]float64(nil), f.Data...)
 	return c
 }
 
 // AXPY computes f += a*x over the whole storage (interior and ghosts).
 func (f *Field3) AXPY(a float64, x *Field3) {
 	f.mustMatch(x)
-	if f.Data32 != nil {
-		fd, xd := f.Data32, x.Data32
-		for i := range fd {
-			fd[i] = float32(float64(fd[i]) + a*float64(xd[i]))
-		}
-		return
-	}
 	fd, xd := f.Data, x.Data
 	for i := range fd {
 		fd[i] += a * xd[i]
@@ -156,12 +91,6 @@ func (f *Field3) AXPY(a float64, x *Field3) {
 
 // Scale multiplies the whole storage by a.
 func (f *Field3) Scale(a float64) {
-	if f.Data32 != nil {
-		for i := range f.Data32 {
-			f.Data32[i] = float32(float64(f.Data32[i]) * a)
-		}
-		return
-	}
 	for i := range f.Data {
 		f.Data[i] *= a
 	}
@@ -169,44 +98,10 @@ func (f *Field3) Scale(a float64) {
 
 // Row returns the contiguous slice of Nx values for interior row (·, j, k):
 // Row(j, k)[i] aliases At(i, j, k). The unit-stride access path for tiled
-// kernels; the slice is a view into the field's storage. Row is only valid
-// for float64 fields — narrow fields must go through RowInto, which widens.
+// kernels; the slice is a view into the field's storage.
 func (f *Field3) Row(j, k int) []float64 {
-	if f.Data == nil {
-		panic("grid: Field3.Row on float32 storage (use RowInto)")
-	}
 	base := f.Idx(0, j, k)
 	return f.Data[base : base+f.Nx]
-}
-
-// RowInto returns interior row (·, j, k) as float64 values. For float64
-// storage it returns the live view (no copy, identical to Row); for float32
-// storage it widens into buf, which must hold at least Nx values.
-func (f *Field3) RowInto(buf []float64, j, k int) []float64 {
-	base := f.Idx(0, j, k)
-	if f.Data != nil {
-		return f.Data[base : base+f.Nx]
-	}
-	buf = buf[:f.Nx]
-	src := f.Data32[base : base+f.Nx]
-	for i := range buf {
-		buf[i] = float64(src[i])
-	}
-	return buf
-}
-
-// SetRow stores src (length ≥ Nx) into interior row (·, j, k), rounding
-// once per value for narrow storage.
-func (f *Field3) SetRow(j, k int, src []float64) {
-	base := f.Idx(0, j, k)
-	if f.Data != nil {
-		copy(f.Data[base:base+f.Nx], src)
-		return
-	}
-	dst := f.Data32[base : base+f.Nx]
-	for i := range dst {
-		dst[i] = float32(src[i])
-	}
 }
 
 // AXPYRange computes f += a*x over the index box [lo, hi) (exclusive),
@@ -217,18 +112,6 @@ func (f *Field3) SetRow(j, k int, src []float64) {
 func (f *Field3) AXPYRange(a float64, x *Field3, lo, hi [3]int) {
 	f.mustMatch(x)
 	n := hi[0] - lo[0]
-	if f.Data32 != nil {
-		fd, xd := f.Data32, x.Data32
-		for k := lo[2]; k < hi[2]; k++ {
-			for j := lo[1]; j < hi[1]; j++ {
-				row := f.Idx(lo[0], j, k)
-				for i := 0; i < n; i++ {
-					fd[row+i] = float32(float64(fd[row+i]) + a*float64(xd[row+i]))
-				}
-			}
-		}
-		return
-	}
 	fd, xd := f.Data, x.Data
 	for k := lo[2]; k < hi[2]; k++ {
 		for j := lo[1]; j < hi[1]; j++ {
@@ -243,18 +126,6 @@ func (f *Field3) AXPYRange(a float64, x *Field3, lo, hi [3]int) {
 // ScaleRange multiplies the index box [lo, hi) by a.
 func (f *Field3) ScaleRange(a float64, lo, hi [3]int) {
 	n := hi[0] - lo[0]
-	if f.Data32 != nil {
-		fd := f.Data32
-		for k := lo[2]; k < hi[2]; k++ {
-			for j := lo[1]; j < hi[1]; j++ {
-				row := f.Idx(lo[0], j, k)
-				for i := 0; i < n; i++ {
-					fd[row+i] = float32(float64(fd[row+i]) * a)
-				}
-			}
-		}
-		return
-	}
 	fd := f.Data
 	for k := lo[2]; k < hi[2]; k++ {
 		for j := lo[1]; j < hi[1]; j++ {
@@ -266,23 +137,11 @@ func (f *Field3) ScaleRange(a float64, lo, hi [3]int) {
 	}
 }
 
-// SumRange returns the sum over the index box [lo, hi), accumulated in
-// float64 in the same i-fastest order as SumInterior restricted to the box.
+// SumRange returns the sum over the index box [lo, hi), accumulated in the
+// same i-fastest order as SumInterior restricted to the box.
 func (f *Field3) SumRange(lo, hi [3]int) float64 {
 	n := hi[0] - lo[0]
 	var s float64
-	if f.Data32 != nil {
-		fd := f.Data32
-		for k := lo[2]; k < hi[2]; k++ {
-			for j := lo[1]; j < hi[1]; j++ {
-				row := f.Idx(lo[0], j, k)
-				for i := 0; i < n; i++ {
-					s += float64(fd[row+i])
-				}
-			}
-		}
-		return s
-	}
 	fd := f.Data
 	for k := lo[2]; k < hi[2]; k++ {
 		for j := lo[1]; j < hi[1]; j++ {
@@ -295,21 +154,10 @@ func (f *Field3) SumRange(lo, hi [3]int) float64 {
 	return s
 }
 
-// CopyRange copies the index box [lo, hi) from src (same shape and storage
-// width required).
+// CopyRange copies the index box [lo, hi) from src (same shape required).
 func (f *Field3) CopyRange(src *Field3, lo, hi [3]int) {
 	f.mustMatch(src)
 	n := hi[0] - lo[0]
-	if f.Data32 != nil {
-		fd, sd := f.Data32, src.Data32
-		for k := lo[2]; k < hi[2]; k++ {
-			for j := lo[1]; j < hi[1]; j++ {
-				row := f.Idx(lo[0], j, k)
-				copy(fd[row:row+n], sd[row:row+n])
-			}
-		}
-		return
-	}
 	fd, sd := f.Data, src.Data
 	for k := lo[2]; k < hi[2]; k++ {
 		for j := lo[1]; j < hi[1]; j++ {
@@ -319,19 +167,8 @@ func (f *Field3) CopyRange(src *Field3, lo, hi [3]int) {
 	}
 }
 
-// Each calls fn for every interior point, widening narrow storage.
+// Each calls fn for every interior point.
 func (f *Field3) Each(fn func(i, j, k int, v float64)) {
-	if f.Data32 != nil {
-		for k := 0; k < f.Nz; k++ {
-			for j := 0; j < f.Ny; j++ {
-				row := f.Idx(0, j, k)
-				for i := 0; i < f.Nx; i++ {
-					fn(i, j, k, float64(f.Data32[row+i]))
-				}
-			}
-		}
-		return
-	}
 	for k := 0; k < f.Nz; k++ {
 		for j := 0; j < f.Ny; j++ {
 			row := f.Idx(0, j, k)
@@ -344,17 +181,6 @@ func (f *Field3) Each(fn func(i, j, k int, v float64)) {
 
 // Map replaces every interior value by fn(i, j, k, v).
 func (f *Field3) Map(fn func(i, j, k int, v float64) float64) {
-	if f.Data32 != nil {
-		for k := 0; k < f.Nz; k++ {
-			for j := 0; j < f.Ny; j++ {
-				row := f.Idx(0, j, k)
-				for i := 0; i < f.Nx; i++ {
-					f.Data32[row+i] = float32(fn(i, j, k, float64(f.Data32[row+i])))
-				}
-			}
-		}
-		return
-	}
 	for k := 0; k < f.Nz; k++ {
 		for j := 0; j < f.Ny; j++ {
 			row := f.Idx(0, j, k)
@@ -373,12 +199,7 @@ func (f *Field3) MinMax() (min, max float64) {
 		for j := 0; j < f.Ny; j++ {
 			row := f.Idx(0, j, k)
 			for i := 0; i < f.Nx; i++ {
-				var v float64
-				if f.Data32 != nil {
-					v = float64(f.Data32[row+i])
-				} else {
-					v = f.Data[row+i]
-				}
+				v := f.Data[row+i]
 				if first {
 					min, max, first = v, v, false
 					continue
@@ -395,20 +216,14 @@ func (f *Field3) MinMax() (min, max float64) {
 	return min, max
 }
 
-// SumInterior returns the sum over interior points, accumulated in float64.
+// SumInterior returns the sum over interior points.
 func (f *Field3) SumInterior() float64 {
 	var s float64
 	for k := 0; k < f.Nz; k++ {
 		for j := 0; j < f.Ny; j++ {
 			row := f.Idx(0, j, k)
-			if f.Data32 != nil {
-				for i := 0; i < f.Nx; i++ {
-					s += float64(f.Data32[row+i])
-				}
-			} else {
-				for i := 0; i < f.Nx; i++ {
-					s += f.Data[row+i]
-				}
+			for i := 0; i < f.Nx; i++ {
+				s += f.Data[row+i]
 			}
 		}
 	}
@@ -498,8 +313,5 @@ func (f *Field3) mustMatch(x *Field3) {
 	if f.Nx != x.Nx || f.Ny != x.Ny || f.Nz != x.Nz || f.G != x.G {
 		panic(fmt.Sprintf("grid: field shape mismatch %dx%dx%d/g%d vs %dx%dx%d/g%d",
 			f.Nx, f.Ny, f.Nz, f.G, x.Nx, x.Ny, x.Nz, x.G))
-	}
-	if f.Storage() != x.Storage() {
-		panic(fmt.Sprintf("grid: field storage mismatch %s vs %s", f.Storage(), x.Storage()))
 	}
 }

@@ -2,130 +2,35 @@ package grid
 
 import "fmt"
 
-// Storage is a field's storage class. Narrow storage is storage only: every
-// consumer computes and accumulates in float64, loading wide and rounding
-// exactly once per store.
-type Storage int
-
-const (
-	// StorageAuto defers the choice to the FieldSet's precision policy,
-	// which resolves by role at registration time.
-	StorageAuto Storage = iota
-	// StorageFloat64 pins full-width storage regardless of policy.
-	StorageFloat64
-	// StorageFloat32 pins narrow storage regardless of policy.
-	StorageFloat32
-)
-
-// String returns the storage class name as reported by /fields.
-func (st Storage) String() string {
-	switch st {
-	case StorageAuto:
-		return "auto"
-	case StorageFloat64:
-		return "float64"
-	case StorageFloat32:
-		return "float32"
-	}
-	return fmt.Sprintf("storage(%d)", int(st))
-}
-
-// Width returns the storage width in bytes per value (0 for StorageAuto).
-func (st Storage) Width() int {
-	switch st {
-	case StorageFloat64:
-		return 8
-	case StorageFloat32:
-		return 4
-	}
-	return 0
-}
-
-// Policy names a per-field precision policy: a role→storage mapping applied
-// to StorageAuto registrations.
-type Policy int
-
-const (
-	// PolicyStrict stores every field in float64 — the reference policy the
-	// solution-hash baselines are pinned against.
-	PolicyStrict Policy = iota
-	// PolicyMixed demotes transport coefficients (μ, λ, D_k) and stored
-	// gradients to float32 storage. Conserved registers (Q, dQ, rhs),
-	// primitives, fluxes and scratch stay float64, so the RK bank update and
-	// checkpoint state keep full width; the demoted fields are exactly the
-	// large read-mostly operand sets of the fused flux kernels.
-	PolicyMixed
-)
-
-// ParsePolicy resolves a -precision flag value ("" and "strict" are the
-// reference policy; "mixed" demotes by role).
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "strict":
-		return PolicyStrict, nil
-	case "mixed":
-		return PolicyMixed, nil
-	}
-	return 0, fmt.Errorf("grid: unknown precision policy %q (valid: strict, mixed)", s)
-}
-
-// String returns the policy's flag-spec name.
-func (p Policy) String() string {
-	switch p {
-	case PolicyStrict:
-		return "strict"
-	case PolicyMixed:
-		return "mixed"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
-// StorageFor resolves the storage class the policy assigns to a role.
-func (p Policy) StorageFor(r Role) Storage {
-	if p == PolicyMixed && (r == RoleTransport || r == RoleGradient) {
-		return StorageFloat32
-	}
-	return StorageFloat64
-}
-
 // FieldSet is a registry-plus-arena owning every field of a solver block.
 // S3D's Fortran core keeps all solution registers in a handful of contiguous
 // arrays with a fixed variable ordering (paper §2, §4), which is what makes
 // its halo packing, RK 2N register updates and restart I/O cheap and uniform.
 // FieldSet recovers that property: each field is registered exactly once with
 // metadata (stable name, role, species index, halo-exchange group, checkpoint
-// inclusion, storage class), and Build carves every Field3's backing storage
-// out of one contiguous arena per storage width in registration order. Fields
-// registered consecutively with the same width therefore occupy consecutive
-// arena runs — a bank — and bank-wide operations (the RK register update,
-// conservation sums) become single stride-1 loops over Span instead of
-// per-field calls.
+// inclusion), and Build carves every Field3's backing storage out of one
+// contiguous arena in registration order. Fields registered consecutively
+// therefore occupy consecutive arena runs — a bank — and bank-wide operations
+// (the RK register update, conservation sums) become single stride-1 loops
+// over Span instead of per-field calls.
 //
 // Registration order is ABI: it fixes the arena layout, the halo-group pack
-// order and the checkpoint variable order — the latter two irrespective of
-// storage width, so switching precision policy never reorders a checkpoint
-// or a halo message. Consumers resolve fields by name or group; nothing
-// outside the registry re-derives field identity.
+// order and the checkpoint variable order. Consumers resolve fields by name
+// or group; nothing outside the registry re-derives field identity.
 type FieldSet struct {
 	nx, ny, nz, ghost int
 	perField          int // arena values per field
-	policy            Policy
 
-	metas   []FieldMeta
-	storage []Storage // resolved (never StorageAuto) per field
-	slot    []int     // index within the field's same-width arena
-	fields  []*Field3
-	byName  map[string]int
-	groups  map[string][]int // halo group → ids in registration order
+	metas  []FieldMeta
+	fields []*Field3
+	byName map[string]int
+	groups map[string][]int // halo group → ids in registration order
 
-	arena   []float64 // float64 arena; non-nil once Build has run
-	arena32 []float32 // float32 arena; may be empty under strict policy
-	built   bool
+	arena []float64 // non-nil once Build has run
+	built bool
 }
 
-// Role classifies a registered field. The precision policy resolves
-// StorageAuto registrations by role, so beyond inventory metadata the role
-// now also selects storage width.
+// Role classifies a registered field.
 type Role int
 
 const (
@@ -145,8 +50,7 @@ const (
 	RoleScratch
 	// RoleCost marks an observability cost-density field (per-cell attributed
 	// kernel cost). Cost fields are diagnostics: never checkpointed, never
-	// halo-exchanged, and always full-width so cost records stay bitwise
-	// reproducible under every precision policy.
+	// halo-exchanged.
 	RoleCost
 )
 
@@ -188,37 +92,24 @@ type FieldMeta struct {
 	// Ckpt is the on-disk checkpoint variable name ("" when the field is
 	// not checkpointed). Checkpoint order is registration order.
 	Ckpt string
-	// Storage is the requested storage class; StorageAuto (the zero value)
-	// defers to the set's precision policy, resolved by Role.
-	Storage Storage
 }
 
-// NewFieldSet creates an empty registry under the strict (all-float64)
-// policy for blocks of the given interior extents and ghost width.
+// NewFieldSet creates an empty registry for blocks of the given interior
+// extents and ghost width.
 func NewFieldSet(nx, ny, nz, ghost int) *FieldSet {
-	return NewFieldSetPolicy(nx, ny, nz, ghost, PolicyStrict)
-}
-
-// NewFieldSetPolicy creates an empty registry under an explicit precision
-// policy.
-func NewFieldSetPolicy(nx, ny, nz, ghost int, pol Policy) *FieldSet {
 	sj := nx + 2*ghost
 	sk := sj * (ny + 2*ghost)
 	return &FieldSet{
 		nx: nx, ny: ny, nz: nz, ghost: ghost,
 		perField: sk * (nz + 2*ghost),
-		policy:   pol,
 		byName:   map[string]int{},
 		groups:   map[string][]int{},
 	}
 }
 
-// Policy returns the set's precision policy.
-func (s *FieldSet) Policy() Policy { return s.policy }
-
 // Register records one field and returns its id. Ids are dense and assigned
-// in call order; consecutive same-width registrations share a contiguous
-// arena run. Register panics on a duplicate name or after Build.
+// in call order; consecutive registrations share a contiguous arena run.
+// Register panics on a duplicate name or after Build.
 func (s *FieldSet) Register(m FieldMeta) int {
 	if s.built {
 		panic("grid: FieldSet.Register after Build")
@@ -229,58 +120,33 @@ func (s *FieldSet) Register(m FieldMeta) int {
 	if _, dup := s.byName[m.Name]; dup {
 		panic("grid: FieldSet duplicate field name " + m.Name)
 	}
-	st := m.Storage
-	if st == StorageAuto {
-		st = s.policy.StorageFor(m.Role)
-	}
-	slot := 0
-	for _, prev := range s.storage {
-		if prev == st {
-			slot++
-		}
-	}
 	id := len(s.metas)
 	s.byName[m.Name] = id
 	s.metas = append(s.metas, m)
-	s.storage = append(s.storage, st)
-	s.slot = append(s.slot, slot)
 	if m.Group != "" {
 		s.groups[m.Group] = append(s.groups[m.Group], id)
 	}
 	return id
 }
 
-// Build allocates one arena per storage width and carves one zeroed Field3
-// per registered field, in registration order. Each Field3's backing slice
-// is a length- and capacity-limited view of its arena, so per-field
-// operations cannot overrun into a neighbour while bank operations over Span
-// see the underlying contiguous run.
+// Build allocates the arena and carves one zeroed Field3 per registered
+// field, in registration order. Each Field3's backing slice is a length- and
+// capacity-limited view of the arena, so per-field operations cannot overrun
+// into a neighbour while bank operations over Span see the underlying
+// contiguous run.
 func (s *FieldSet) Build() {
 	if s.built {
 		panic("grid: FieldSet.Build called twice")
 	}
-	n64, n32 := 0, 0
-	for _, st := range s.storage {
-		if st == StorageFloat32 {
-			n32++
-		} else {
-			n64++
-		}
-	}
-	s.arena = make([]float64, s.perField*n64)
-	s.arena32 = make([]float32, s.perField*n32)
+	s.arena = make([]float64, s.perField*len(s.metas))
 	s.fields = make([]*Field3, len(s.metas))
 	for id := range s.metas {
 		f := &Field3{Nx: s.nx, Ny: s.ny, Nz: s.nz, G: s.ghost}
 		f.sj = s.nx + 2*s.ghost
 		f.sk = f.sj * (s.ny + 2*s.ghost)
 		f.off = s.ghost*f.sk + s.ghost*f.sj + s.ghost
-		lo := s.slot[id] * s.perField
-		if s.storage[id] == StorageFloat32 {
-			f.Data32 = s.arena32[lo : lo+s.perField : lo+s.perField]
-		} else {
-			f.Data = s.arena[lo : lo+s.perField : lo+s.perField]
-		}
+		lo := id * s.perField
+		f.Data = s.arena[lo : lo+s.perField : lo+s.perField]
 		s.fields[id] = f
 	}
 	s.built = true
@@ -300,10 +166,6 @@ func (s *FieldSet) Field(id int) *Field3 {
 
 // Meta returns the metadata of the field with the given id.
 func (s *FieldSet) Meta(id int) FieldMeta { return s.metas[id] }
-
-// Storage returns the resolved storage class of the field with the given id
-// (never StorageAuto).
-func (s *FieldSet) Storage(id int) Storage { return s.storage[id] }
 
 // ID returns the id of the named field, or -1 when absent.
 func (s *FieldSet) ID(name string) int {
@@ -334,34 +196,25 @@ func (s *FieldSet) Group(name string) []*Field3 {
 	return out
 }
 
-// Span returns the contiguous float64 arena run backing count consecutively
+// Span returns the contiguous arena run backing count consecutively
 // registered fields starting at firstID — a bank. Bank-wide stride-1 loops
 // over the span are bitwise-equivalent to per-field full-storage loops in
-// registration order. Every field in the range must be float64 storage, and
-// under any policy the conserved/register banks are: a policy that demoted
-// one would panic here at startup, not corrupt a bank silently.
+// registration order.
 func (s *FieldSet) Span(firstID, count int) []float64 {
 	s.mustBuilt()
 	if firstID < 0 || count < 0 || firstID+count > len(s.metas) {
 		panic(fmt.Sprintf("grid: FieldSet.Span(%d,%d) outside %d fields", firstID, count, len(s.metas)))
 	}
-	for id := firstID; id < firstID+count; id++ {
-		if s.storage[id] != StorageFloat64 {
-			panic(fmt.Sprintf("grid: FieldSet.Span(%d,%d) crosses float32 field %q",
-				firstID, count, s.metas[id].Name))
-		}
-	}
 	if count == 0 {
 		return nil
 	}
-	lo := s.slot[firstID] * s.perField
+	lo := firstID * s.perField
 	hi := lo + count*s.perField
 	return s.arena[lo:hi:hi]
 }
 
 // Checkpointed returns the ids of checkpoint-included fields (Ckpt != "")
-// in registration order — the on-disk variable order, independent of each
-// field's storage width.
+// in registration order — the on-disk variable order.
 func (s *FieldSet) Checkpointed() []int {
 	var ids []int
 	for id, m := range s.metas {

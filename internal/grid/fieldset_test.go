@@ -39,6 +39,9 @@ func TestFieldSetArenaLayout(t *testing.T) {
 	if span[idx] != 42 {
 		t.Fatalf("bank aliasing broken: span[%d] = %g, want 42", idx, span[idx])
 	}
+	if got := s.Span(0, 0); got != nil {
+		t.Fatal("empty span must be nil")
+	}
 	// Per-field slices are capacity-limited: appending to one must not
 	// be able to scribble on its neighbour via the shared arena.
 	if cap(f1.Data) != len(f1.Data) {
@@ -71,6 +74,19 @@ func TestFieldSetLookup(t *testing.T) {
 	names := s.Names()
 	if names[0] != "rho" || names[4] != "mu" {
 		t.Fatalf("Names = %v", names)
+	}
+}
+
+// TestFieldSetZeroHaloGroup: the empty group name is never a halo group —
+// ungrouped fields must not leak into Group("") — and an unknown group is
+// empty rather than an error.
+func TestFieldSetZeroHaloGroup(t *testing.T) {
+	s := buildTestSet(t)
+	if g := s.Group(""); len(g) != 0 {
+		t.Fatalf("Group(\"\") = %d fields, want 0 (ungrouped fields are not a group)", len(g))
+	}
+	if g := s.Group("nope"); len(g) != 0 {
+		t.Fatalf("unknown group = %d fields, want 0", len(g))
 	}
 }
 

@@ -40,7 +40,7 @@ func Export(dir string, p *Profiler, shape RunShape, machines []perf.Machine) er
 	}
 	if shape.PointsPerRank > 0 {
 		rows := Roofline(rep, shape, machines)
-		txt := FormatRoofline(rows, shape, machines)
+		txt := FormatRoofline(rows, machines)
 		if err := os.WriteFile(filepath.Join(dir, "roofline.txt"), []byte(txt), 0o644); err != nil {
 			return err
 		}
@@ -77,7 +77,7 @@ func Handler(p *Profiler, shape RunShape, machines []perf.Machine) http.Handler 
 			return
 		}
 		rows := Roofline(Build(p), shape, machines)
-		_, _ = w.Write([]byte(FormatRoofline(rows, shape, machines)))
+		_, _ = w.Write([]byte(FormatRoofline(rows, machines)))
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

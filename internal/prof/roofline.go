@@ -9,20 +9,11 @@ import (
 	"github.com/s3dgo/s3d/internal/perf"
 )
 
-// RunShape carries the grid parameters the kernel demand model needs — the
-// per-rank interior point count and the mechanism's species count — plus the
-// run's kernel-backend and precision-policy labels, so a roofline table
-// states which implementation produced each measured rate.
+// RunShape carries the grid parameters the kernel demand model needs: the
+// per-rank interior point count and the mechanism's species count.
 type RunShape struct {
 	PointsPerRank int
 	NumSpecies    int
-	// Policy is the storage policy the run was built under ("strict",
-	// "mixed"); empty when the caller predates the policy layer.
-	Policy string
-	// KernelImpl maps a profiled region name to the backend implementation
-	// serving it ("generic", "blocked"); regions absent from the map show
-	// "-" in the table.
-	KernelImpl map[string]string
 }
 
 // Demand is the analytic per-grid-point cost of one call of a kernel.
@@ -109,7 +100,6 @@ type MachineFrac struct {
 // machine models.
 type RooflineRow struct {
 	Kernel    string
-	Impl      string  // backend implementation serving the kernel ("-" if n/a)
 	Calls     int64   // per rank (mean)
 	Sec       float64 // exclusive seconds per rank (mean)
 	TimePerPt float64 // measured seconds per grid point per call
@@ -138,12 +128,8 @@ func Roofline(rep *Report, shape RunShape, machines []perf.Machine) []RooflineRo
 		callsPerRank := float64(ks.Calls) / nRanks
 		secPerRank := ks.Sec / nRanks
 		tpp := secPerRank / (callsPerRank * float64(shape.PointsPerRank))
-		impl := shape.KernelImpl[name]
-		if impl == "" {
-			impl = "-"
-		}
 		row := RooflineRow{
-			Kernel: name, Impl: impl, Calls: int64(callsPerRank + 0.5), Sec: secPerRank,
+			Kernel: name, Calls: int64(callsPerRank + 0.5), Sec: secPerRank,
 			TimePerPt: tpp, Flops: d.Flops, Bytes: d.Bytes,
 			GFlopS: d.Flops / tpp / 1e9, GBS: d.Bytes / tpp / 1e9,
 		}
@@ -163,30 +149,20 @@ func Roofline(rep *Report, shape RunShape, machines []perf.Machine) []RooflineRo
 	return rows
 }
 
-// FormatRoofline renders the rows as the figure-2-style text table, headed
-// by the run's precision policy and with each kernel's serving backend.
-func FormatRoofline(rows []RooflineRow, shape RunShape, machines []perf.Machine) string {
+// FormatRoofline renders the rows as the figure-2-style text table.
+func FormatRoofline(rows []RooflineRow, machines []perf.Machine) string {
 	var sb strings.Builder
 	sb.WriteString("measured-vs-modelled roofline (per kernel, per grid point per call)\n")
-	sb.WriteString("attained% = roofline-model time / measured time on that machine model\n")
-	pol := shape.Policy
-	if pol == "" {
-		pol = "strict"
-	}
-	fmt.Fprintf(&sb, "precision policy: %s\n\n", pol)
-	fmt.Fprintf(&sb, "%-24s %-8s %8s %10s %10s %9s %9s %9s",
-		"kernel", "impl", "calls/rk", "excl s/rk", "ns/pt", "flops/pt", "bytes/pt", "Gflop/s")
+	sb.WriteString("attained% = roofline-model time / measured time on that machine model\n\n")
+	fmt.Fprintf(&sb, "%-24s %8s %10s %10s %9s %9s %9s",
+		"kernel", "calls/rk", "excl s/rk", "ns/pt", "flops/pt", "bytes/pt", "Gflop/s")
 	for _, m := range machines {
 		fmt.Fprintf(&sb, "  %13s", m.Name+" att%")
 	}
 	sb.WriteString("\n")
 	for _, r := range rows {
-		impl := r.Impl
-		if impl == "" {
-			impl = "-"
-		}
-		fmt.Fprintf(&sb, "%-24s %-8s %8d %10.4f %10.1f %9.0f %9.0f %9.2f",
-			r.Kernel, impl, r.Calls, r.Sec, r.TimePerPt*1e9, r.Flops, r.Bytes, r.GFlopS)
+		fmt.Fprintf(&sb, "%-24s %8d %10.4f %10.1f %9.0f %9.0f %9.2f",
+			r.Kernel, r.Calls, r.Sec, r.TimePerPt*1e9, r.Flops, r.Bytes, r.GFlopS)
 		for _, mf := range r.Machines {
 			fmt.Fprintf(&sb, "  %6.1f (%s)", 100*mf.Frac, mf.Bound[:3])
 		}

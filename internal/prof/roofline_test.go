@@ -51,11 +51,7 @@ func TestRooflineFromSyntheticRun(t *testing.T) {
 		s.End()
 	}
 	rep := Build(p)
-	shape := RunShape{
-		PointsPerRank: 16 * 16 * 16, NumSpecies: 9,
-		Policy:     "mixed",
-		KernelImpl: map[string]string{"RK_UPDATE": "blocked"},
-	}
+	shape := RunShape{PointsPerRank: 16 * 16 * 16, NumSpecies: 9}
 	machines := []perf.Machine{perf.XT3, perf.XT4}
 	rows := Roofline(rep, shape, machines)
 	if len(rows) != 2 {
@@ -64,16 +60,6 @@ func TestRooflineFromSyntheticRun(t *testing.T) {
 	for _, r := range rows {
 		if r.Calls != 2 {
 			t.Fatalf("%s calls = %d", r.Kernel, r.Calls)
-		}
-		switch r.Kernel {
-		case "RK_UPDATE":
-			if r.Impl != "blocked" {
-				t.Fatalf("RK_UPDATE impl = %q, want blocked", r.Impl)
-			}
-		default:
-			if r.Impl != "-" {
-				t.Fatalf("%s impl = %q, want -", r.Kernel, r.Impl)
-			}
 		}
 		if r.TimePerPt <= 0 || r.GFlopS <= 0 || r.GBS <= 0 {
 			t.Fatalf("%s rates: %+v", r.Kernel, r)
@@ -90,10 +76,9 @@ func TestRooflineFromSyntheticRun(t *testing.T) {
 			}
 		}
 	}
-	txt := FormatRoofline(rows, shape, machines)
+	txt := FormatRoofline(rows, machines)
 	for _, want := range []string{
 		"REACTION_RATE_BOUNDS", "RK_UPDATE", "XT3", "XT4", "flops/pt",
-		"precision policy: mixed", "blocked", "impl",
 	} {
 		if !strings.Contains(txt, want) {
 			t.Fatalf("roofline table missing %q:\n%s", want, txt)

@@ -20,6 +20,9 @@ var magic = [4]byte{'S', '3', 'D', 'F'}
 
 const version = 1
 
+// maxValues caps the element count Decode accepts for one variable.
+const maxValues = 1 << 28
+
 // Variable is one named array with its dimensions. Data holds the values
 // for materialised variables; a streamed variable (AddVarFunc) carries a
 // Rows source instead and produces its values only at Encode time.
@@ -211,6 +214,7 @@ func Decode(r io.Reader) (*File, error) {
 		return string(b), nil
 	}
 	f := New()
+	chunk := make([]byte, 1<<16)
 	nAttrs, err := readU32()
 	if err != nil {
 		return nil, err
@@ -249,15 +253,25 @@ func Decode(r io.Reader) (*File, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Checked before multiplying: up to eight uint32 dims overflow
+			// an int, and a wrapped product can pass any check made after.
+			if v > maxValues || (v != 0 && size > maxValues/int(v)) {
+				return nil, fmt.Errorf("sdf: variable %q implausibly large (dim %d = %d)", name, d, v)
+			}
 			dims[d] = int(v)
 			size *= int(v)
 		}
-		if size > 1<<28 {
-			return nil, fmt.Errorf("sdf: variable %q implausibly large (%d)", name, size)
-		}
-		data := make([]float64, size)
-		if err := binary.Read(br, binary.LittleEndian, data); err != nil {
-			return nil, err
+		// Data grows as values arrive, so a truncated or hostile stream has
+		// allocated what it delivered, not what its header declared.
+		data := make([]float64, 0, min(size, 1<<20))
+		for len(data) < size {
+			n := min(size-len(data), len(chunk)/8)
+			if _, err := io.ReadFull(br, chunk[:8*n]); err != nil {
+				return nil, err
+			}
+			for i := 0; i < n; i++ {
+				data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*i:])))
+			}
 		}
 		f.Vars = append(f.Vars, Variable{Name: name, Dims: dims, Data: data})
 	}

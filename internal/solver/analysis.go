@@ -127,16 +127,11 @@ type fieldBinder struct{ b *Block }
 // NewBinder returns an insitu.Binder over the block's registered fields.
 func (b *Block) NewBinder() insitu.Binder { return fieldBinder{b} }
 
-// Source implements insitu.Binder. Narrow-storage fields (mixed policy)
-// widen on read; analysis arithmetic stays float64 either way.
+// Source implements insitu.Binder.
 func (fb fieldBinder) Source(name string) (insitu.Source, error) {
 	f := fb.b.FieldByName(name)
 	if f == nil {
 		return nil, &UnknownFieldError{Name: name}
-	}
-	if f.Data32 != nil {
-		data := f.Data32
-		return func(idx int) float64 { return float64(data[idx]) }, nil
 	}
 	data := f.Data
 	return func(idx int) float64 { return data[idx] }, nil

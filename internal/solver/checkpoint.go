@@ -20,19 +20,13 @@ import (
 // T_guess, the Newton seed that keeps a restarted trajectory bit-identical.
 
 // interiorRows streams a field's interior as contiguous per-row slices in
-// k-then-j order. Checkpoints are always float64 regardless of the storage
-// policy: float64 fields emit views straight into the arena (one copy, field
-// row → encoder buffer); float32 fields widen each row through a single
-// reused buffer.
+// k-then-j order: views straight into the arena (one copy, field row →
+// encoder buffer).
 func interiorRows(q *grid.Field3) sdf.RowSource {
-	var buf []float64
-	if q.Data32 != nil {
-		buf = make([]float64, q.Nx)
-	}
 	return func(emit func(chunk []float64) error) error {
 		for k := 0; k < q.Nz; k++ {
 			for j := 0; j < q.Ny; j++ {
-				if err := emit(q.RowInto(buf, j, k)); err != nil {
+				if err := emit(q.Row(j, k)); err != nil {
 					return err
 				}
 			}
@@ -122,7 +116,7 @@ func (b *Block) LoadCheckpoint(r io.Reader) error {
 		idx := 0
 		for k := 0; k < b.G.Nz; k++ {
 			for j := 0; j < b.G.Ny; j++ {
-				q.SetRow(j, k, vr.Data[idx:idx+b.G.Nx])
+				copy(q.Row(j, k), vr.Data[idx:idx+b.G.Nx])
 				idx += b.G.Nx
 			}
 		}

@@ -86,17 +86,8 @@ func (b *Block) naiveSweep(fn func(row int)) {
 // Each array statement re-reads its operands from memory; every 50³ slice
 // of the 5-D diffFlux array "almost completely fills the 1 MB secondary
 // cache", so nothing is reused between sweeps (paper §4.1, figure 4).
-// Generic over the storage width of the gradient/transport operands (the
-// fields the mixed policy demotes); the arithmetic is float64 throughout.
 func (b *Block) computeDiffFluxNaive() {
-	if b.g32 != nil {
-		diffFluxNaive(b, b.g32)
-	} else {
-		diffFluxNaive(b, b.g64)
-	}
-}
-
-func diffFluxNaive[F grid.Float](b *Block, g *gradView[F]) {
+	g := b.g
 	ns := b.ns
 	t1, t2 := b.naiveScratch()
 	nx := b.G.Nx
@@ -112,19 +103,19 @@ func diffFluxNaive[F grid.Float](b *Block, g *gradView[F]) {
 			// tmp1 = Y_n/W · dW_m        (array statement 1)
 			b.naiveSweep(func(row int) {
 				for i := row; i < row+nx; i++ {
-					t1.Data[i] = yn[i] / wmix[i] * float64(dw[i])
+					t1.Data[i] = yn[i] / wmix[i] * dw[i]
 				}
 			})
 			// tmp2 = dY_nm + tmp1        (array statement 2)
 			b.naiveSweep(func(row int) {
 				for i := row; i < row+nx; i++ {
-					t2.Data[i] = float64(dy[i]) + t1.Data[i]
+					t2.Data[i] = dy[i] + t1.Data[i]
 				}
 			})
 			// J*_nm = −ρ·D_n·tmp2        (array statement 3)
 			b.naiveSweep(func(row int) {
 				for i := row; i < row+nx; i++ {
-					jmn[i] = -rho[i] * float64(dn[i]) * t2.Data[i]
+					jmn[i] = -rho[i] * dn[i] * t2.Data[i]
 				}
 			})
 		}
@@ -161,15 +152,12 @@ func diffFluxNaive[F grid.Float](b *Block, g *gradView[F]) {
 func (b *Block) computeDiffFluxOptimized() {
 	r := par.Interior(b.G.Nx, b.G.Ny, b.G.Nz)
 	b.plan.Run("COMPUTESPECIESDIFFFLUX", r, func(t par.Tile, worker int) {
-		if b.g32 != nil {
-			diffFluxOptimizedTile(b, b.g32, t, &b.ws[worker])
-		} else {
-			diffFluxOptimizedTile(b, b.g64, t, &b.ws[worker])
-		}
+		b.diffFluxOptimizedTile(t, &b.ws[worker])
 	})
 }
 
-func diffFluxOptimizedTile[F grid.Float](b *Block, g *gradView[F], t par.Tile, ws *kernScratch) {
+func (b *Block) diffFluxOptimizedTile(t par.Tile, ws *kernScratch) {
+	g := b.g
 	ns := b.ns
 	rhoD := ws.hw // per-point scratch: ρ·D_n
 	jstar := ws.cw
@@ -183,24 +171,24 @@ func diffFluxOptimizedTile[F grid.Float](b *Block, g *gradView[F], t par.Tile, w
 				// ρDₙ loaded once, reused across the three directions.
 				nEven := ns - ns%2
 				for n := 0; n < nEven; n += 2 {
-					rhoD[n] = rho * float64(g.d[n][rowRho+i])
-					rhoD[n+1] = rho * float64(g.d[n+1][rowRho+i])
+					rhoD[n] = rho * g.d[n][rowRho+i]
+					rhoD[n+1] = rho * g.d[n+1][rowRho+i]
 				}
 				for n := nEven; n < ns; n++ {
-					rhoD[n] = rho * float64(g.d[n][rowRho+i])
+					rhoD[n] = rho * g.d[n][rowRho+i]
 				}
 				for m := 0; m < 3; m++ {
-					dw := float64(g.dW[m][rowW+i]) * invW
+					dw := g.dW[m][rowW+i] * invW
 					var sum float64
 					for n := 0; n < nEven; n += 2 {
-						j0 := -rhoD[n] * (float64(g.dY[n][m][rowRho+i]) + b.Y[n].Data[rowRho+i]*dw)
-						j1 := -rhoD[n+1] * (float64(g.dY[n+1][m][rowRho+i]) + b.Y[n+1].Data[rowRho+i]*dw)
+						j0 := -rhoD[n] * (g.dY[n][m][rowRho+i] + b.Y[n].Data[rowRho+i]*dw)
+						j1 := -rhoD[n+1] * (g.dY[n+1][m][rowRho+i] + b.Y[n+1].Data[rowRho+i]*dw)
 						jstar[n], jstar[n+1] = j0, j1
 						sum += j0
 						sum += j1
 					}
 					for n := nEven; n < ns; n++ {
-						j0 := -rhoD[n] * (float64(g.dY[n][m][rowRho+i]) + b.Y[n].Data[rowRho+i]*dw)
+						j0 := -rhoD[n] * (g.dY[n][m][rowRho+i] + b.Y[n].Data[rowRho+i]*dw)
 						jstar[n] = j0
 						sum += j0
 					}

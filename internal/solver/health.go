@@ -177,27 +177,15 @@ func (b *Block) healthSample(dt float64) health.Sample {
 	ns, nvar := b.ns, b.nvar
 	// Hoist the per-variable data slices out of the per-cell loops: the
 	// sweep reads every conserved field at every cell, and the armed
-	// watchdog budget is 2% of a full step. The transport fields (μ, D) may
-	// be float32 under the mixed policy, so both widths are hoisted and the
-	// diffusion-CFL block branches once per cell on narrowTr.
+	// watchdog budget is 2% of a full step.
 	qd := make([][]float64, nvar)
 	for v := 0; v < nvar; v++ {
 		qd[v] = b.Q[v].Data
 	}
-	narrowTr := b.Mu.Data32 != nil
-	mur, mur32 := b.Mu.Data, b.Mu.Data32
-	var dd [][]float64
-	var dd32 [][]float32
-	if narrowTr {
-		dd32 = make([][]float32, ns)
-		for nsp := 0; nsp < ns; nsp++ {
-			dd32[nsp] = b.D[nsp].Data32
-		}
-	} else {
-		dd = make([][]float64, ns)
-		for nsp := 0; nsp < ns; nsp++ {
-			dd[nsp] = b.D[nsp].Data
-		}
+	mur := b.Mu.Data
+	dd := make([][]float64, ns)
+	for nsp := 0; nsp < ns; nsp++ {
+		dd[nsp] = b.D[nsp].Data
 	}
 	wx, wy, wz := b.volW[0], b.volW[1], b.volW[2]
 	b.plan.Run("HEALTH", r, func(t par.Tile, _ int) {
@@ -266,20 +254,10 @@ func (b *Block) healthSample(dt float64) health.Sample {
 							s := math.Abs(ur[idx]) + math.Abs(vr[idx]) + math.Abs(wr[idx]) +
 								math.Sqrt(gamma*p*inv)
 							a.speed.take(s, gc, s > a.speed.v)
-							var d float64
-							if narrowTr {
-								d = float64(mur32[idx]) * inv
-								for nsp := 0; nsp < ns; nsp++ {
-									if dv := float64(dd32[nsp][idx]); dv > d {
-										d = dv
-									}
-								}
-							} else {
-								d = mur[idx] * inv
-								for nsp := 0; nsp < ns; nsp++ {
-									if dv := dd[nsp][idx]; dv > d {
-										d = dv
-									}
+							d := mur[idx] * inv
+							for nsp := 0; nsp < ns; nsp++ {
+								if dv := dd[nsp][idx]; dv > d {
+									d = dv
 								}
 							}
 							a.diff.take(d, gc, d > a.diff.v)

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/s3dgo/s3d/internal/grid"
-	"github.com/s3dgo/s3d/internal/kernels"
 	"github.com/s3dgo/s3d/internal/par"
 )
 
@@ -42,14 +41,7 @@ func (b *Block) computePrimitives() {
 	defer b.beginRegion("COMPUTE_PRIMITIVES").End()
 
 	lo, hi := b.extent()
-	blocked := b.sel.Blocked(kernels.Primitives)
-	b.plan.Run("COMPUTE_PRIMITIVES", par.Box(lo, hi), func(t par.Tile, worker int) {
-		if blocked {
-			b.primitivesTileBlocked(t, worker)
-		} else {
-			b.primitivesTile(t, worker)
-		}
-	})
+	b.plan.Run("COMPUTE_PRIMITIVES", par.Box(lo, hi), b.primitivesTile)
 	// The WaitGroup barrier inside plan.Run orders every worker's fault
 	// write before this read — no atomics on the healthy path.
 	if b.fault != nil && !b.watchArmed() {
@@ -57,7 +49,7 @@ func (b *Block) computePrimitives() {
 	}
 }
 
-// primitivesTile is the reference (generic-backend) recovery tile.
+// primitivesTile recovers the primitives over one tile.
 func (b *Block) primitivesTile(t par.Tile, worker int) {
 	set := b.mech.Set
 	ns := b.ns
@@ -114,81 +106,6 @@ func (b *Block) primitivesTile(t par.Tile, worker int) {
 				b.Wmix.Set(i, j, k, Wm)
 				for n := 0; n < ns; n++ {
 					b.Y[n].Set(i, j, k, yw[n])
-				}
-			}
-		}
-	}
-}
-
-// primitivesTileBlocked is the hand-tiled recovery: every field's backing
-// slice is hoisted out of the cell loops and addressed through one flat
-// index per cell instead of an At/Set header walk per operand (~20 of them).
-// The per-point arithmetic — including the clip/renormalise control flow and
-// the Newton warm start — is exactly primitivesTile's, so results (and
-// recorded faults) are bitwise identical.
-func (b *Block) primitivesTileBlocked(t par.Tile, worker int) {
-	set := b.mech.Set
-	ns := b.ns
-	yw := b.ws[worker].yw
-	rhoQ, ruQ, rvQ, rwQ, reQ := b.qD[iRho], b.qD[iRhoU], b.qD[iRhoV], b.qD[iRhoW], b.qD[iRhoE]
-	rhoP, uP, vP, wP := b.Rho.Data, b.U.Data, b.V.Data, b.W.Data
-	tP, pP, wmP := b.T.Data, b.P.Data, b.Wmix.Data
-	qD, yD := b.qD, b.yD
-	n0 := t.Hi[0] - t.Lo[0]
-	if n0 <= 0 {
-		return
-	}
-	for k := t.Lo[2]; k < t.Hi[2]; k++ {
-		for j := t.Lo[1]; j < t.Hi[1]; j++ {
-			row := b.Rho.Idx(t.Lo[0], j, k)
-			for x := 0; x < n0; x++ {
-				p0 := row + x
-				rho := rhoQ[p0]
-				if !(rho > 0) || math.IsNaN(rho) {
-					b.recordFault("density", "rho", rho, t.Lo[0]+x, j, k, "non-positive density")
-					continue
-				}
-				inv := 1 / rho
-				u := ruQ[p0] * inv
-				v := rvQ[p0] * inv
-				w := rwQ[p0] * inv
-				var sum float64
-				for n := 0; n < ns-1; n++ {
-					y := qD[iY0+n][p0] * inv
-					if y < 0 {
-						y = 0
-					}
-					yw[n] = y
-					sum += y
-				}
-				yLast := 1 - sum
-				if yLast < 0 {
-					scale := 1 / sum
-					for n := 0; n < ns-1; n++ {
-						yw[n] *= scale
-					}
-					yLast = 0
-				}
-				yw[ns-1] = yLast
-
-				e0 := reQ[p0] * inv
-				eInt := e0 - 0.5*(u*u+v*v+w*w)
-				T, ok := set.TFromE(eInt, yw, tP[p0])
-				if !ok {
-					b.recordFault("temperature_inversion", "e_int", eInt, t.Lo[0]+x, j, k,
-						"temperature inversion failed")
-					continue
-				}
-				Wm := set.MeanW(yw)
-				rhoP[p0] = rho
-				uP[p0] = u
-				vP[p0] = v
-				wP[p0] = w
-				tP[p0] = T
-				pP[p0] = rho * gasR * T / Wm
-				wmP[p0] = Wm
-				for n := 0; n < ns; n++ {
-					yD[n][p0] = yw[n]
 				}
 			}
 		}

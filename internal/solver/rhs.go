@@ -6,7 +6,6 @@ import (
 	"github.com/s3dgo/s3d/internal/cost"
 	"github.com/s3dgo/s3d/internal/deriv"
 	"github.com/s3dgo/s3d/internal/grid"
-	"github.com/s3dgo/s3d/internal/kernels"
 	"github.com/s3dgo/s3d/internal/par"
 	"github.com/s3dgo/s3d/internal/reactor"
 	"github.com/s3dgo/s3d/internal/thermo"
@@ -71,15 +70,8 @@ func (b *Block) diff(dst, f *grid.Field3, a grid.Axis) {
 // DiffRange applies identical arithmetic per point for any tiling, so the
 // assembled derivative is bitwise independent of the pool size.
 func (b *Block) diffTile(dst, f *grid.Field3, a grid.Axis, t par.Tile, op deriv.Op) {
-	b.diffTileOn(kernels.Generic(), dst, f, a, t, op)
-}
-
-// diffTileOn is diffTile through an explicit kernel backend (bitwise-equal
-// to diffTile by the kernels contract; only the addressing strategy of the
-// interior span changes).
-func (b *Block) diffTileOn(im kernels.Impl, dst, f *grid.Field3, a grid.Axis, t par.Tile, op deriv.Op) {
 	lo, hi := b.lohi(a)
-	deriv.DiffRangeOn(im, dst, f, a, b.G.Metric(a), lo, hi, t.Lo, t.Hi, op)
+	deriv.DiffRange(dst, f, a, b.G.Metric(a), lo, hi, t.Lo, t.Hi, op)
 }
 
 // interior returns the block's interior index box.
@@ -97,22 +89,21 @@ func (b *Block) computeGradients() {
 	defer b.beginRegion("DERIVATIVES").End()
 	vel := [3]*grid.Field3{b.U, b.V, b.W}
 	r := b.interior()
-	im := b.sel.Impl(kernels.Diff)
 	for d := 0; d < 3; d++ {
 		a := grid.Axis(d)
 		needsBC := b.needsNSCBC(d)
 		b.plan.Run("DERIVATIVES", r, func(t par.Tile, _ int) {
 			for c := 0; c < 3; c++ {
-				b.diffTileOn(im, b.dU[c][d], vel[c], a, t, deriv.OpSet)
+				b.diffTile(b.dU[c][d], vel[c], a, t, deriv.OpSet)
 			}
-			b.diffTileOn(im, b.dT[d], b.T, a, t, deriv.OpSet)
-			b.diffTileOn(im, b.dW[d], b.Wmix, a, t, deriv.OpSet)
+			b.diffTile(b.dT[d], b.T, a, t, deriv.OpSet)
+			b.diffTile(b.dW[d], b.Wmix, a, t, deriv.OpSet)
 			for n := 0; n < b.ns; n++ {
-				b.diffTileOn(im, b.dY[n][d], b.Y[n], a, t, deriv.OpSet)
+				b.diffTile(b.dY[n][d], b.Y[n], a, t, deriv.OpSet)
 			}
 			if needsBC {
-				b.diffTileOn(im, b.dRho[d], b.Rho, a, t, deriv.OpSet)
-				b.diffTileOn(im, b.dP[d], b.P, a, t, deriv.OpSet)
+				b.diffTile(b.dRho[d], b.Rho, a, t, deriv.OpSet)
+				b.diffTile(b.dP[d], b.P, a, t, deriv.OpSet)
 			}
 		})
 	}
@@ -142,32 +133,14 @@ func (b *Block) needsNSCBC(a int) bool {
 // h_n(T) are evaluated once per cell into a per-worker buffer and reused by
 // all three directions, and each J value is read exactly once per (cell,
 // direction).
-// The tile body comes in two backend flavours with identical per-point
-// arithmetic (the kernels bitwise contract): the generic tile is the
-// reference flat-index loop; the blocked tile hoists every operand slice out
-// of the cell loop and walks re-sliced unit-stride row windows. Both are
-// generic over the storage width of the gradient/transport operands, which
-// the mixed precision policy demotes; narrow operands are widened on load
-// and all arithmetic stays float64.
 func (b *Block) assembleFluxes() {
 	defer b.beginRegion("ASSEMBLE_FLUXES").End()
-	blocked := b.sel.Blocked(kernels.FluxAssembly)
-	b.plan.Run("ASSEMBLE_FLUXES", b.interior(), func(t par.Tile, worker int) {
-		switch {
-		case b.g32 != nil && blocked:
-			assembleFluxesTileBlocked(b, b.g32, t, worker)
-		case b.g32 != nil:
-			assembleFluxesTile(b, b.g32, t, worker)
-		case blocked:
-			assembleFluxesTileBlocked(b, b.g64, t, worker)
-		default:
-			assembleFluxesTile(b, b.g64, t, worker)
-		}
-	})
+	b.plan.Run("ASSEMBLE_FLUXES", b.interior(), b.assembleFluxesTile)
 }
 
-// assembleFluxesTile is the reference (generic-backend) tile body.
-func assembleFluxesTile[F grid.Float](b *Block, g *gradView[F], t par.Tile, worker int) {
+// assembleFluxesTile is the fused flux-assembly tile body.
+func (b *Block) assembleFluxesTile(t par.Tile, worker int) {
+	g := b.g
 	ns := b.ns
 	species := b.mech.Set.Species
 	h := b.ws[worker].hw
@@ -181,15 +154,15 @@ func assembleFluxesTile[F grid.Float](b *Block, g *gradView[F], t par.Tile, work
 				u := [3]float64{b.U.Data[p0], b.V.Data[p0], b.W.Data[p0]}
 				p := b.P.Data[p0]
 				T := b.T.Data[p0]
-				mu := float64(g.mu[p0])
-				lam := float64(g.lam[p0])
+				mu := g.mu[p0]
+				lam := g.lam[p0]
 				rhoE := b.Q[iRhoE].Data[p0]
 
 				// Stress tensor (eq. 14): τ = μ(∇u + ∇uᵀ − ⅔δ∇·u).
 				var gu [3][3]float64
 				for c := 0; c < 3; c++ {
 					for d := 0; d < 3; d++ {
-						gu[c][d] = float64(g.dU[c][d][p0])
+						gu[c][d] = g.dU[c][d][p0]
 					}
 				}
 				div := gu[0][0] + gu[1][1] + gu[2][2]
@@ -210,7 +183,7 @@ func assembleFluxesTile[F grid.Float](b *Block, g *gradView[F], t par.Tile, work
 				for d := 0; d < 3; d++ {
 					// Heat flux (eq. 20); each J read feeds both the heat
 					// flux and the species flux below via jd.
-					q := -lam * float64(g.dT[d][p0])
+					q := -lam * g.dT[d][p0]
 					for n := 0; n < ns; n++ {
 						q += h[n] * b.J[d][n].Data[p0]
 					}
@@ -238,142 +211,6 @@ func assembleFluxesTile[F grid.Float](b *Block, g *gradView[F], t par.Tile, work
 	}
 }
 
-// assembleFluxesTileBlocked is the hand-tiled tile body, restructured from
-// the reference's cell-at-a-time loop into row-at-a-time streaming passes:
-// per row, the shared intermediates (velocity divergence, the six distinct
-// components of the symmetric stress tensor, the three heat-flux rows with
-// the per-species enthalpy evaluated species-at-a-time so each species'
-// thermo coefficients stay hot) land in per-worker scratch rows, then each
-// flux component is written by one unit-stride check-free sweep over
-// re-sliced row windows. All writes within a tile are disjoint, so the
-// traversal reorder is free; every output value is produced by exactly the
-// floating-point expression assembleFluxesTile uses, with the same
-// association order per output (τ symmetry uses only the bitwise
-// commutativity of IEEE addition), so results are bitwise identical.
-func assembleFluxesTileBlocked[F grid.Float](b *Block, g *gradView[F], t par.Tile, worker int) {
-	ns := b.ns
-	species := b.mech.Set.Species
-	ws := &b.ws[worker]
-	n := t.Hi[0] - t.Lo[0]
-	if n <= 0 {
-		return
-	}
-	rhoA, uA, vA, wA := b.Rho.Data, b.U.Data, b.V.Data, b.W.Data
-	pA, tA, eA := b.P.Data, b.T.Data, b.Q[iRhoE].Data
-	fluxD, jD, yD := b.fluxD, &b.jD, b.yD
-	hrow, dv := ws.rowH[:n], ws.rowDiv[:n]
-	var qrow [3][]float64
-	for d := range qrow {
-		qrow[d] = ws.rowQ[d][:n]
-	}
-	var trow [6][]float64
-	for m := range trow {
-		trow[m] = ws.rowTau[m][:n]
-	}
-	// tauIdx maps the symmetric stress components onto the six scratch rows.
-	tauIdx := [3][3]int{{0, 1, 2}, {1, 3, 4}, {2, 4, 5}}
-	for k := t.Lo[2]; k < t.Hi[2]; k++ {
-		for j := t.Lo[1]; j < t.Hi[1]; j++ {
-			lo0 := b.Rho.Idx(t.Lo[0], j, k)
-			// Row windows: one bounds check each at slice time, none per cell.
-			rr := rhoA[lo0:][:n]
-			ur, vr, wr := uA[lo0:][:n], vA[lo0:][:n], wA[lo0:][:n]
-			pr, tr, er := pA[lo0:][:n], tA[lo0:][:n], eA[lo0:][:n]
-			mur, lamr := g.mu[lo0:][:n], g.lam[lo0:][:n]
-			uRows := [3][]float64{ur, vr, wr}
-			var gur [3][3][]F
-			var dtr [3][]F
-			for c := 0; c < 3; c++ {
-				for d := 0; d < 3; d++ {
-					gur[c][d] = g.dU[c][d][lo0:][:n]
-				}
-				dtr[c] = g.dT[c][lo0:][:n]
-			}
-
-			// ∇·u row, the reference's three-term sum per cell.
-			g00, g11, g22 := gur[0][0], gur[1][1], gur[2][2]
-			for x := 0; x < n; x++ {
-				dv[x] = float64(g00[x]) + float64(g11[x]) + float64(g22[x])
-			}
-			// Stress rows (eq. 14): the diagonal folds the bulk term with
-			// the reference expression; off-diagonals are stored once and
-			// serve both (c,d) and (d,c).
-			for c := 0; c < 3; c++ {
-				gcc, tcc := gur[c][c], trow[tauIdx[c][c]]
-				for x := 0; x < n; x++ {
-					mu := float64(mur[x])
-					tcc[x] = mu*(float64(gcc[x])+float64(gcc[x])) - mu*2.0/3.0*dv[x]
-				}
-				for d := c + 1; d < 3; d++ {
-					gcd, gdc, tcd := gur[c][d], gur[d][c], trow[tauIdx[c][d]]
-					for x := 0; x < n; x++ {
-						tcd[x] = float64(mur[x]) * (float64(gcd[x]) + float64(gdc[x]))
-					}
-				}
-			}
-			// Heat-flux rows (eq. 20): Fourier term first, then species
-			// contributions in ascending order — the reference's per-cell
-			// accumulation order per direction.
-			for d := 0; d < 3; d++ {
-				dtd, qd := dtr[d], qrow[d]
-				for x := 0; x < n; x++ {
-					qd[x] = -float64(lamr[x]) * float64(dtd[x])
-				}
-			}
-			for n2 := 0; n2 < ns; n2++ {
-				sp := species[n2]
-				for x := 0; x < n; x++ {
-					hrow[x] = sp.H(tr[x])
-				}
-				for d := 0; d < 3; d++ {
-					jr, qd := jD[d][n2][lo0:][:n], qrow[d]
-					for x := 0; x < n; x++ {
-						qd[x] += hrow[x] * jr[x]
-					}
-				}
-			}
-
-			// Flux rows: one streaming write pass per (equation, direction).
-			for d := 0; d < 3; d++ {
-				udr := uRows[d]
-				fm := fluxD[iRho][d][lo0:][:n]
-				for x := 0; x < n; x++ {
-					fm[x] = rr[x] * udr[x]
-				}
-				for c := 0; c < 3; c++ {
-					fc, ucr, tcd := fluxD[iRhoU+c][d][lo0:][:n], uRows[c], trow[tauIdx[c][d]]
-					if c == d {
-						for x := 0; x < n; x++ {
-							fc[x] = rr[x]*ucr[x]*udr[x] - tcd[x] + pr[x]
-						}
-					} else {
-						for x := 0; x < n; x++ {
-							fc[x] = rr[x]*ucr[x]*udr[x] - tcd[x]
-						}
-					}
-				}
-				fe := fluxD[iRhoE][d][lo0:][:n]
-				t0d, t1d, t2d := trow[tauIdx[0][d]], trow[tauIdx[1][d]], trow[tauIdx[2][d]]
-				qd := qrow[d]
-				for x := 0; x < n; x++ {
-					v := udr[x]*(er[x]+pr[x]) + qd[x]
-					v -= t0d[x] * ur[x]
-					v -= t1d[x] * vr[x]
-					v -= t2d[x] * wr[x]
-					fe[x] = v
-				}
-				for n2 := 0; n2 < ns-1; n2++ {
-					fs := fluxD[iY0+n2][d][lo0:][:n]
-					yr, jr := yD[n2][lo0:][:n], jD[d][n2][lo0:][:n]
-					for x := 0; x < n; x++ {
-						fs[x] = rr[x]*yr[x]*udr[x] + jr[x]
-					}
-				}
-			}
-		}
-	}
-}
-
 // PrepareAssembleInputs runs the RHS stages assembleFluxes depends on, so
 // the fused kernel can be benchmarked in isolation.
 func (b *Block) PrepareAssembleInputs() {
@@ -391,12 +228,11 @@ func (b *Block) AssembleFluxesOnly() { b.assembleFluxes() }
 // per point the arithmetic (set, add, add, negate) is unchanged.
 func (b *Block) divergence() {
 	defer b.beginRegionNamed("DERIVATIVES", "DIVERGENCE").End()
-	im := b.sel.Impl(kernels.Divergence)
 	b.plan.Run("DIVERGENCE", b.interior(), func(t par.Tile, _ int) {
 		for v := 0; v < b.nvar; v++ {
-			b.diffTileOn(im, b.rhs[v], b.flux[v][0], grid.X, t, deriv.OpSet)
-			b.diffTileOn(im, b.rhs[v], b.flux[v][1], grid.Y, t, deriv.OpAdd)
-			b.diffTileOn(im, b.rhs[v], b.flux[v][2], grid.Z, t, deriv.OpAdd)
+			b.diffTile(b.rhs[v], b.flux[v][0], grid.X, t, deriv.OpSet)
+			b.diffTile(b.rhs[v], b.flux[v][1], grid.Y, t, deriv.OpAdd)
+			b.diffTile(b.rhs[v], b.flux[v][2], grid.Z, t, deriv.OpAdd)
 			b.rhs[v].ScaleRange(-1, t.Lo, t.Hi)
 		}
 	})

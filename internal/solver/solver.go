@@ -21,7 +21,6 @@ import (
 	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/health"
 	"github.com/s3dgo/s3d/internal/insitu"
-	"github.com/s3dgo/s3d/internal/kernels"
 	"github.com/s3dgo/s3d/internal/obs"
 	"github.com/s3dgo/s3d/internal/par"
 	"github.com/s3dgo/s3d/internal/perf"
@@ -102,17 +101,18 @@ type Config struct {
 	DiffFlux     DiffFluxKernel
 	ChemistryOff bool // inert runs (pressure-wave tests, figure 4/5 kernel study)
 
-	// Backend selects the kernel backend for the hot loops (see
-	// internal/kernels): "" or "generic" for the reference code, "blocked"
-	// for the hand-tiled variants, "auto" for per-kernel microbenchmark
-	// winners, or a "kernel=impl,..." list. Every backend is bitwise-equal
-	// by contract, so this is a performance knob, never a physics one.
+	// Backend accepts only "" or "generic"; any other value is a
+	// construction error.
+	//
+	// Deprecated: PR 14 deleted the kernel backends (one kernel path). The
+	// field remains only because the frozen benchmark/probes.go names it.
 	Backend string
 
-	// Precision names the per-field storage policy (see grid.ParsePolicy):
-	// "" or "strict" stores every field in float64; "mixed" demotes
-	// transport coefficients and stored gradients to float32 storage while
-	// all computation and accumulation stays float64.
+	// Precision accepts only "" or "strict"; any other value is a
+	// construction error.
+	//
+	// Deprecated: PR 14 deleted the float32 storage policy. The field
+	// remains only because the frozen benchmark/probes.go names it.
 	Precision string
 
 	// ConstLewis, when positive, replaces the mixture-averaged diffusion
@@ -156,24 +156,14 @@ type Block struct {
 	trans *transport.Model
 
 	// fs is the block's field registry: every Field3 below is carved from
-	// its per-width contiguous arenas, in registration order (see
-	// registerFields). Consumers resolve fields by registered name or halo
-	// group; the named struct fields are hoisted views into the same storage.
+	// its contiguous arena, in registration order (see registerFields).
+	// Consumers resolve fields by registered name or halo group; the named
+	// struct fields are hoisted views into the same storage.
 	fs *grid.FieldSet
 
-	// sel maps each hot kernel to its backend implementation (Config.Backend)
-	// and pol is the storage policy the registry was built under
-	// (Config.Precision). Both are fixed at construction.
-	sel *kernels.Selection
-	pol grid.Policy
-
-	// Exactly one of g64/g32 is non-nil: raw-slice views of the fields the
-	// fused kernels read without At (gradients and transport coefficients),
-	// at the width the precision policy gave them. Kernels that touch these
-	// fields are generic over the view's element type and always compute in
-	// float64.
-	g64 *gradView[float64]
-	g32 *gradView[float32]
+	// g holds raw-slice views of the fields the fused kernels read without
+	// At (gradients and transport coefficients).
+	g *gradView
 
 	cart *comm.Cart // nil for serial runs
 	// offset of the local block in the global grid
@@ -207,14 +197,6 @@ type Block struct {
 	// flux[var][dir].
 	J    [3][]*grid.Field3
 	flux [][3]*grid.Field3
-
-	// Raw float64 views of Q/flux/J/Y, hoisted once so the blocked tiles
-	// load each backing slice once per tile instead of re-deriving it from
-	// the Field3 header at every cell (these roles are always float64).
-	qD    [][]float64
-	fluxD [][3][]float64
-	jD    [3][][]float64
-	yD    [][]float64
 
 	// Per-face boundary condition resolved for this block: interior faces
 	// (with a neighbouring rank) behave like UseGhosts.
@@ -343,14 +325,6 @@ type kernScratch struct {
 	mech             *chem.Mechanism
 	trans            *transport.Model
 
-	// Row scratch of the blocked flux-assembly kernel (length Nx): heat-flux
-	// accumulators per direction, per-species enthalpy, velocity divergence
-	// and the six distinct components of the symmetric stress tensor.
-	rowQ   [3][]float64
-	rowH   []float64
-	rowDiv []float64
-	rowTau [6][]float64
-
 	// NSCBC per-point buffers (normalInviscidDeriv result and flux stencil).
 	nvOut, nvFlux []float64
 	// inflow target for faces without the per-(j,k) cache
@@ -410,11 +384,11 @@ func validate(cfg *Config) error {
 			return fmt.Errorf("solver: NSCBC boundaries require Config.PInf")
 		}
 	}
-	if _, err := kernels.Select(cfg.Backend); err != nil {
-		return err
+	if cfg.Backend != "" && cfg.Backend != "generic" {
+		return fmt.Errorf("solver: Config.Backend %q: PR 14 deleted the kernel backends; only \"\" or \"generic\" is accepted", cfg.Backend)
 	}
-	if _, err := grid.ParsePolicy(cfg.Precision); err != nil {
-		return err
+	if cfg.Precision != "" && cfg.Precision != "strict" {
+		return fmt.Errorf("solver: Config.Precision %q: PR 14 deleted the float32 storage policy; only \"\" or \"strict\" is accepted", cfg.Precision)
 	}
 	return nil
 }
@@ -430,9 +404,6 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 		ns: ns, nvar: cfg.nVar(),
 		Timers: perf.NewTimers(),
 	}
-	// Backend and policy were validated before newBlock runs.
-	b.sel = kernels.MustSelect(cfg.Backend)
-	b.pol, _ = grid.ParsePolicy(cfg.Precision)
 	b.registerFields()
 	b.yw = make([]float64, ns)
 	b.cw = make([]float64, ns)
@@ -454,15 +425,6 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 			nvOut:  make([]float64, b.nvar),
 			nvFlux: make([]float64, b.nvar),
 			tgt:    InflowState{Y: make([]float64, ns)},
-		}
-		s := &b.ws[w]
-		s.rowH = make([]float64, b.G.Nx)
-		s.rowDiv = make([]float64, b.G.Nx)
-		for d := range s.rowQ {
-			s.rowQ[d] = make([]float64, b.G.Nx)
-		}
-		for m := range s.rowTau {
-			s.rowTau[m] = make([]float64, b.G.Nx)
 		}
 	}
 
@@ -538,7 +500,7 @@ func (b *Block) conservedNames() []string {
 // viz/in-situ pickers resolve ("rho", "u", "T", "Y_OH", …).
 func (b *Block) registerFields() {
 	ns := b.ns
-	fs := grid.NewFieldSetPolicy(b.G.Nx, b.G.Ny, b.G.Nz, grid.Ghost, b.pol)
+	fs := grid.NewFieldSet(b.G.Nx, b.G.Ny, b.G.Nz, grid.Ghost)
 	b.fs = fs
 
 	qNames := b.conservedNames()
@@ -682,103 +644,43 @@ func (b *Block) registerFields() {
 	b.costChemF, b.costDensF = fs.Field(costChemID), fs.Field(costDensID)
 	b.costOwnF = fs.Field(costOwnID)
 
-	b.qD = make([][]float64, b.nvar)
-	b.fluxD = make([][3][]float64, b.nvar)
-	for v := 0; v < b.nvar; v++ {
-		b.qD[v] = b.Q[v].Data
-		for d := 0; d < 3; d++ {
-			b.fluxD[v][d] = b.flux[v][d].Data
-		}
-	}
-	b.yD = make([][]float64, ns)
-	for d := 0; d < 3; d++ {
-		b.jD[d] = make([][]float64, ns)
-		for n := 0; n < ns; n++ {
-			b.jD[d][n] = b.J[d][n].Data
-		}
-	}
-	for n := 0; n < ns; n++ {
-		b.yD[n] = b.Y[n].Data
-	}
-
-	// Hoist the raw-slice views of the policy-width fields once; the fused
-	// kernels pick the matching instantiation by which view is non-nil.
-	if b.pol.StorageFor(grid.RoleGradient) == grid.StorageFloat32 {
-		b.g32 = newGradView[float32](b)
-	} else {
-		b.g64 = newGradView[float64](b)
-	}
+	b.g = newGradView(b)
 }
 
 // gradView is the raw-slice view of the fields the fused kernels read
-// without going through At: the stored gradients and transport coefficients,
-// which are the fields the mixed precision policy demotes. The element type
-// is the storage width; every consumer widens on load and computes in
-// float64.
-type gradView[F grid.Float] struct {
-	dU  [3][3][]F // dU[comp][dir]
-	dT  [3][]F
-	dW  [3][]F
-	dY  [][3][]F // [species][dir]
-	mu  []F
-	lam []F
-	d   [][]F // [species]
+// without going through At: the stored gradients and transport coefficients.
+type gradView struct {
+	dU  [3][3][]float64 // dU[comp][dir]
+	dT  [3][]float64
+	dW  [3][]float64
+	dY  [][3][]float64 // [species][dir]
+	mu  []float64
+	lam []float64
+	d   [][]float64 // [species]
 }
 
-// fdata returns f's backing slice at width F, panicking when the field's
-// storage width disagrees — a registration/policy bug, not a runtime state.
-func fdata[F grid.Float](f *grid.Field3) []F {
-	if s, ok := any(f.Data).([]F); ok && s != nil {
-		return s
-	}
-	if s, ok := any(f.Data32).([]F); ok && s != nil {
-		return s
-	}
-	panic("solver: field storage width does not match requested view")
-}
-
-func newGradView[F grid.Float](b *Block) *gradView[F] {
-	g := &gradView[F]{
-		mu:  fdata[F](b.Mu),
-		lam: fdata[F](b.Lambda),
-		dY:  make([][3][]F, b.ns),
-		d:   make([][]F, b.ns),
+func newGradView(b *Block) *gradView {
+	g := &gradView{
+		mu:  b.Mu.Data,
+		lam: b.Lambda.Data,
+		dY:  make([][3][]float64, b.ns),
+		d:   make([][]float64, b.ns),
 	}
 	for c := 0; c < 3; c++ {
 		for d := 0; d < 3; d++ {
-			g.dU[c][d] = fdata[F](b.dU[c][d])
+			g.dU[c][d] = b.dU[c][d].Data
 		}
-		g.dT[c] = fdata[F](b.dT[c])
-		g.dW[c] = fdata[F](b.dW[c])
+		g.dT[c] = b.dT[c].Data
+		g.dW[c] = b.dW[c].Data
 	}
 	for n := 0; n < b.ns; n++ {
-		g.d[n] = fdata[F](b.D[n])
+		g.d[n] = b.D[n].Data
 		for d := 0; d < 3; d++ {
-			g.dY[n][d] = fdata[F](b.dY[n][d])
+			g.dY[n][d] = b.dY[n][d].Data
 		}
 	}
 	return g
 }
-
-// KernelBackends maps each backend-selectable profiler region to the name of
-// the implementation serving it (the roofline Impl column).
-func (b *Block) KernelBackends() map[string]string {
-	return map[string]string{
-		"RK_UPDATE":          b.sel.Name(kernels.RKUpdate),
-		"DERIVATIVES":        b.sel.Name(kernels.Diff),
-		"DIVERGENCE":         b.sel.Name(kernels.Divergence),
-		"FILTER":             b.sel.Name(kernels.Filter),
-		"ASSEMBLE_FLUXES":    b.sel.Name(kernels.FluxAssembly),
-		"COMPUTE_PRIMITIVES": b.sel.Name(kernels.Primitives),
-	}
-}
-
-// BackendSpec renders the block's kernel selection as a flag spec.
-func (b *Block) BackendSpec() string { return b.sel.String() }
-
-// PrecisionPolicy returns the storage policy name the registry was built
-// under ("strict", "mixed").
-func (b *Block) PrecisionPolicy() string { return b.pol.String() }
 
 // Fields returns the block's field registry: the single source of truth for
 // field identity (names, roles, halo groups, checkpoint inclusion) and the

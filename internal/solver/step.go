@@ -7,7 +7,6 @@ import (
 	"github.com/s3dgo/s3d/internal/comm"
 	"github.com/s3dgo/s3d/internal/deriv"
 	"github.com/s3dgo/s3d/internal/grid"
-	"github.com/s3dgo/s3d/internal/kernels"
 	"github.com/s3dgo/s3d/internal/par"
 	"github.com/s3dgo/s3d/internal/rk"
 )
@@ -75,9 +74,10 @@ func (b *Block) StepChecked(dt float64) error {
 		}
 	}()
 	// Zero the 2N accumulation registers: the dQ bank is one contiguous
-	// arena run, so this is a single stride-1 sweep through the selected
-	// reset backend.
-	b.sel.Impl(kernels.Reset).ZeroBank(b.dqBank)
+	// arena run, so this is a single stride-1 sweep.
+	for i := range b.dqBank {
+		b.dqBank[i] = 0
+	}
 	scheme.Drive(b.Time, dt, func(stageTime float64) {
 		stageStart = time.Now()
 		rhsCall++
@@ -142,19 +142,26 @@ func (b *Block) StepChecked(dt float64) error {
 // rkUpdateBank advances the RK 2N registers: dq ← a·dq + dt·rhs and
 // q ← q + bb·dq. The Q/dQ/rhs banks are per-register arena runs, so the
 // update is one stride-1 loop per register over the full storage — no tile
-// bookkeeping, no per-field indexing — executed by the selected backend
-// (bitwise-equal across backends by the kernels contract). Covering the
-// ghost layers is bitwise safe: rhs ghosts are never written (they hold
-// exact zeros from allocation), so dq stays zero there and q is unchanged;
-// interior points see exactly the per-point arithmetic of the former
-// interior-tiled update, which no chunking can alter.
+// bookkeeping, no per-field indexing. Covering the ghost layers is bitwise
+// safe: rhs ghosts are never written (they hold exact zeros from
+// allocation), so dq stays zero there and q is unchanged; interior points
+// see exactly the per-point arithmetic of the former interior-tiled update,
+// which no chunking can alter.
 func (b *Block) rkUpdateBank(a, bb, dt float64) {
 	per := b.fs.FieldLen()
-	im := b.sel.Impl(kernels.RKUpdate)
 	b.plan.RunItems("RK_UPDATE", b.nvar, func(v, _ int) {
 		lo := v * per
-		im.RKUpdateBank(b.qBank[lo:lo+per], b.dqBank[lo:lo+per], b.rhsBank[lo:lo+per], a, bb, dt)
+		rkUpdateRegister(b.qBank[lo:lo+per], b.dqBank[lo:lo+per], b.rhsBank[lo:lo+per], a, bb, dt)
 	})
+}
+
+// rkUpdateRegister advances one register: dq[i] = a·dq[i] + dt·r[i];
+// q[i] += b·dq[i], for i over its full storage. q, dq, r have equal length.
+func rkUpdateRegister(q, dq, r []float64, a, b, dt float64) {
+	for i := range dq {
+		dq[i] = a*dq[i] + dt*r[i]
+		q[i] += b * dq[i]
+	}
 }
 
 // RKUpdateBankOnly runs one register update with representative RK46NL
@@ -171,7 +178,6 @@ func (b *Block) ApplyFilter() {
 		sigma = 1
 	}
 	r := b.interior()
-	im := b.sel.Impl(kernels.Filter)
 	for d := 0; d < 3; d++ {
 		a := grid.Axis(d)
 		if b.G.Dim(a) == 1 {
@@ -185,7 +191,7 @@ func (b *Block) ApplyFilter() {
 			// them would let one tile overwrite Q values a neighbouring
 			// tile's stencil still needs.
 			b.plan.Run("FILTER", r, func(t par.Tile, _ int) {
-				deriv.FilterRangeOn(im, b.scratchF, b.Q[v], a, sigma, lo, hi, t.Lo, t.Hi, deriv.OpSet)
+				deriv.FilterRange(b.scratchF, b.Q[v], a, sigma, lo, hi, t.Lo, t.Hi, deriv.OpSet)
 			})
 			b.plan.Run("FILTER", r, func(t par.Tile, _ int) {
 				b.Q[v].CopyRange(b.scratchF, t.Lo, t.Hi)

@@ -40,16 +40,12 @@ func (s *Simulation) EnableProfiling(p *prof.Profiler, trackName string) {
 func (s *Simulation) ProfTrack() *prof.Track { return s.blk.ProfTrack() }
 
 // ProfileShape describes this simulation's per-rank workload for the
-// roofline analysis (interior points per rank and species count), labelled
-// with the run's precision policy and the backend serving each kernel so
-// the roofline table states which implementation produced each rate.
+// roofline analysis (interior points per rank and species count).
 func (s *Simulation) ProfileShape() prof.RunShape {
 	nx, ny, nz := s.Dims()
 	return prof.RunShape{
 		PointsPerRank: nx * ny * nz,
 		NumSpecies:    s.mech.NumSpecies(),
-		Policy:        s.blk.PrecisionPolicy(),
-		KernelImpl:    s.blk.KernelBackends(),
 	}
 }
 

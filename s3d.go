@@ -38,7 +38,6 @@ import (
 	"github.com/s3dgo/s3d/internal/comm"
 	"github.com/s3dgo/s3d/internal/flame1d"
 	"github.com/s3dgo/s3d/internal/grid"
-	"github.com/s3dgo/s3d/internal/kernels"
 	"github.com/s3dgo/s3d/internal/par"
 	"github.com/s3dgo/s3d/internal/reactor"
 	"github.com/s3dgo/s3d/internal/solver"
@@ -58,58 +57,17 @@ func SetWorkers(n int) { par.SetDefaultWorkers(n) }
 // Workers reports the size of the process-wide kernel worker pool.
 func Workers() int { return par.DefaultWorkers() }
 
-// Process-wide defaults for Config.Backend / Config.Precision, used when the
-// corresponding Config field is empty.
-var (
-	defaultBackend   string
-	defaultPrecision string
-)
+// Backend returns "generic".
+//
+// Deprecated: PR 14 deleted the kernel backends (one kernel path). The
+// function remains only because the frozen benchmark/probes.go calls it.
+func Backend() string { return "generic" }
 
-// SetBackend sets the process-default kernel backend spec used by
-// simulations whose Config.Backend is empty: "generic" (reference loops,
-// the default), "blocked" (hand-tiled, bounds-check-hoisted), "auto" (a
-// startup microbenchmark picks the winner per kernel), or a per-kernel list
-// such as "rk_update=blocked,diff=generic". Every backend produces bitwise
-// identical solutions; the spec is validated here and an unknown name is an
-// error.
-func SetBackend(spec string) error {
-	if _, err := kernels.Select(spec); err != nil {
-		return err
-	}
-	defaultBackend = spec
-	return nil
-}
-
-// Backend reports the process-default kernel backend spec.
-func Backend() string {
-	if defaultBackend == "" {
-		return "generic"
-	}
-	return defaultBackend
-}
-
-// SetPrecision sets the process-default per-field storage policy used by
-// simulations whose Config.Precision is empty: "strict" (every field
-// float64, the default) or "mixed" (gradient and transport fields stored
-// float32 with all arithmetic still performed in float64). The conserved
-// state, RK registers and fluxes are float64 under every policy, so "mixed"
-// changes storage-rounding only; solutions remain bitwise independent of
-// the worker count within a policy.
-func SetPrecision(policy string) error {
-	if _, err := grid.ParsePolicy(policy); err != nil {
-		return err
-	}
-	defaultPrecision = policy
-	return nil
-}
-
-// Precision reports the process-default storage policy name.
-func Precision() string {
-	if defaultPrecision == "" {
-		return "strict"
-	}
-	return defaultPrecision
-}
+// Precision returns "strict".
+//
+// Deprecated: PR 14 deleted the float32 storage policy. The function
+// remains only because the frozen benchmark/probes.go calls it.
+func Precision() string { return "strict" }
 
 // Mechanism bundles a chemical mechanism with its thermodynamic and
 // transport data, playing the role of the CHEMKIN/TRANSPORT linkage of the
@@ -249,12 +207,17 @@ type Config struct {
 	// constant-Lewis-number model (an ablation of the paper's transport).
 	ConstLewis float64
 
-	// Backend selects the kernel backend for the hot loops: "generic",
-	// "blocked", "auto", or a per-kernel "kernel=impl" list (see SetBackend).
-	// Empty uses the process default. Backends are bitwise interchangeable.
+	// Backend accepts only "" or "generic"; any other value is an error
+	// from New and RunDecomposed.
+	//
+	// Deprecated: PR 14 deleted the kernel backends (one kernel path). The
+	// field remains only because the frozen benchmark/probes.go names it.
 	Backend string
-	// Precision selects the per-field storage policy: "strict" or "mixed"
-	// (see SetPrecision). Empty uses the process default.
+	// Precision accepts only "" or "strict"; any other value is an error
+	// from New and RunDecomposed.
+	//
+	// Deprecated: PR 14 deleted the float32 storage policy. The field
+	// remains only because the frozen benchmark/probes.go names it.
 	Precision string
 }
 
@@ -281,12 +244,6 @@ func (c *Config) toSolver() (*solver.Config, error) {
 		ConstLewis:     c.ConstLewis,
 		Backend:        c.Backend,
 		Precision:      c.Precision,
-	}
-	if sc.Backend == "" {
-		sc.Backend = defaultBackend
-	}
-	if sc.Precision == "" {
-		sc.Precision = defaultPrecision
 	}
 	if c.OptimizedDiffFlux {
 		sc.DiffFlux = solver.DiffFluxOptimized
@@ -381,15 +338,10 @@ func (s *Simulation) Field(name string) ([]float64, [3]int, error) {
 	if f == nil {
 		return nil, dims, fmt.Errorf("s3d: unknown field %q", name)
 	}
-	var buf []float64
-	if f.Data32 != nil {
-		// Narrow-storage field (mixed policy): widen row by row.
-		buf = make([]float64, nx)
-	}
 	out := make([]float64, 0, nx*ny*nz)
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
-			out = append(out, f.RowInto(buf, j, k)...)
+			out = append(out, f.Row(j, k)...)
 		}
 	}
 	return out, dims, nil

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"github.com/s3dgo/s3d/internal/solver"
 )
 
 func TestQuickstartAPI(t *testing.T) {
@@ -63,6 +65,47 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Mechanism: HydrogenAir(),
 		Grid: GridSpec{Nx: 8, Ny: 8, Nz: 1, Lx: 1, Ly: 1, Lz: 1}}); err == nil {
 		t.Fatal("expected pressure error")
+	}
+}
+
+// TestRemovedKernelKnobsRejected: Config.Backend and Config.Precision are
+// kept only so the frozen benchmark compiles. Every constructor must reject
+// a value that used to select a deleted path instead of ignoring it, and
+// accept the single remaining value under either spelling.
+func TestRemovedKernelKnobsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		backend, precision string
+		ok                 bool
+	}{
+		{"", "", true},
+		{"generic", "strict", true},
+		{"blocked", "", false},
+		{"auto", "", false},
+		{"diff=blocked", "", false},
+		{"", "mixed", false},
+	} {
+		cfg := Config{
+			Mechanism: HydrogenAir(),
+			Grid:      GridSpec{Nx: 16, Ny: 12, Nz: 1, Lx: 0.01, Ly: 0.01, Lz: 0.01},
+			Pressure:  101325,
+			Backend:   tc.backend,
+			Precision: tc.precision,
+		}
+		sc, err := cfg.toSolver()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, errSerial := solver.NewSerial(sc)
+		_, errNew := New(cfg)
+		errDec := RunDecomposed(cfg, [3]int{2, 1, 1}, func(*RankSim) {})
+		for name, err := range map[string]error{
+			"solver.NewSerial": errSerial, "New": errNew, "RunDecomposed": errDec,
+		} {
+			if (err == nil) != tc.ok {
+				t.Errorf("%s with Backend=%q Precision=%q: err = %v, want ok = %v",
+					name, tc.backend, tc.precision, err, tc.ok)
+			}
+		}
 	}
 }
 
