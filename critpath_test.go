@@ -99,7 +99,7 @@ func TestCritPathStructureDeterministicAcrossWorkers(t *testing.T) {
 
 // TestCritPathStragglerE2E is the acceptance scenario: a 4-rank run with
 // rank 2's chemistry artificially slowed must yield records whose critical
-// path runs through rank 2, whose other ranks sit in late-sender waits
+// path runs through rank 2, whose neighbouring ranks sit in late-sender waits
 // blamed on rank 2, and whose blame points at the chemistry region — and
 // the verdict must agree with the cost sampler's independent wall-clock
 // view of the same run.
@@ -178,21 +178,39 @@ func TestCritPathStragglerE2E(t *testing.T) {
 			t.Fatalf("step %d: critical path through rank %d, want straggler %d\n%s",
 				rec.Step, rec.CritRank, straggler, rec.Verdict)
 		}
-		if rec.DominantWait != "late_sender" {
-			t.Fatalf("step %d: dominant wait %q, want late_sender", rec.Step, rec.DominantWait)
-		}
 		if rec.MatchCompleteness != 1 {
 			t.Fatalf("step %d: match completeness %v, want 1", rec.Step, rec.MatchCompleteness)
 		}
 		// The straggler's neighbours block on its late sends. (Distant
 		// ranks may idle indirectly, so only neighbours are asserted.)
+		// Wait-state balance: the straggler is the late party — messages
+		// idle in its mailbox far longer than it ever blocks — while the
+		// other ranks together lose more time to late senders than their own
+		// messages idle (by construction about 3:1: each of the three blocks
+		// a delay per stage, and only rank 1 holds a message from a rank
+		// running one exchange ahead). The record's global dominant wait is
+		// not asserted: it sets those two totals against each other, and
+		// they are equal to within a few percent, so scheduling decides it.
+		var otherLS, otherLR int64
 		for _, w := range rec.Waits {
+			if w.Rank == straggler {
+				if w.LateRecvNs <= w.LateSenderNs {
+					t.Fatalf("step %d: straggler wait %+v, want it to be the late receiver", rec.Step, w)
+				}
+				continue
+			}
+			otherLS += w.LateSenderNs
+			otherLR += w.LateRecvNs
 			if w.Rank == straggler-1 || w.Rank == straggler+1 {
 				if w.LateSenderNs < int64(delay) || w.LateSenderPeer != straggler {
 					t.Fatalf("step %d: neighbour rank %d wait %+v, want late-sender blame on rank %d",
 						rec.Step, w.Rank, w, straggler)
 				}
 			}
+		}
+		if otherLS <= otherLR {
+			t.Fatalf("step %d: ranks other than the straggler lost %d ns to late senders and %d ns to late receivers, want late senders to dominate\n%+v",
+				rec.Step, otherLS, otherLR, rec.Waits)
 		}
 		if rec.LostFrac <= 0 {
 			t.Fatalf("step %d: lost fraction %v, want > 0", rec.Step, rec.LostFrac)

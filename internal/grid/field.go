@@ -96,7 +96,8 @@ func (f *Field3) Scale(a float64) {
 	}
 }
 
-// Row returns the contiguous slice of Nx values for interior row (·, j, k):
+// Row returns the contiguous slice of Nx values for row (·, j, k) — ghost rows
+// are addressed like ghost points, with j or k outside the interior:
 // Row(j, k)[i] aliases At(i, j, k). The unit-stride access path for tiled
 // kernels; the slice is a view into the field's storage.
 func (f *Field3) Row(j, k int) []float64 {
@@ -231,79 +232,41 @@ func (f *Field3) SumInterior() float64 {
 }
 
 // WrapPeriodic fills the ghost layers along the axis by periodic wraparound
-// of the interior values. It is used for single-rank periodic directions;
-// multi-rank runs fill ghosts through halo exchange instead.
+// of the interior values, over the interior cross-section of the other two
+// axes only: an axis-aligned stencil reads a ghost cell with exactly one
+// index outside the interior, so edge and corner ghosts are never written
+// (or read) and wraps along different axes are independent. It is used for
+// single-rank periodic directions; multi-rank runs fill the same face slabs
+// through halo exchange instead. Layers fill outward, so an axis shorter
+// than the ghost width still receives its periodic extension.
 func (f *Field3) WrapPeriodic(a Axis) {
-	g := f.G
+	g, d := f.G, f.Data
 	switch a {
 	case X:
 		n := f.Nx
-		for k := -g; k < f.Nz+g; k++ {
-			for j := -g; j < f.Ny+g; j++ {
+		for k := 0; k < f.Nz; k++ {
+			for j := 0; j < f.Ny; j++ {
+				row := f.Idx(0, j, k)
 				for l := 1; l <= g; l++ {
-					f.Set(-l, j, k, f.At(n-l, j, k))
-					f.Set(n-1+l, j, k, f.At(l-1, j, k))
+					d[row-l] = d[row+n-l]
+					d[row+n-1+l] = d[row+l-1]
 				}
 			}
 		}
 	case Y:
 		n := f.Ny
-		for k := -g; k < f.Nz+g; k++ {
+		for k := 0; k < f.Nz; k++ {
 			for l := 1; l <= g; l++ {
-				for i := -g; i < f.Nx+g; i++ {
-					f.Set(i, -l, k, f.At(i, n-l, k))
-					f.Set(i, n-1+l, k, f.At(i, l-1, k))
-				}
+				copy(f.Row(-l, k), f.Row(n-l, k))
+				copy(f.Row(n-1+l, k), f.Row(l-1, k))
 			}
 		}
 	case Z:
 		n := f.Nz
 		for l := 1; l <= g; l++ {
-			for j := -g; j < f.Ny+g; j++ {
-				for i := -g; i < f.Nx+g; i++ {
-					f.Set(i, j, -l, f.At(i, j, n-l))
-					f.Set(i, j, n-1+l, f.At(i, j, l-1))
-				}
-			}
-		}
-	}
-}
-
-// ExtrapolateGhosts fills ghost layers along the axis by zeroth-order
-// extrapolation of the boundary plane. Non-periodic boundaries use one-sided
-// interior stencils for derivatives, so these values only influence the
-// filter, which degrades gracefully to the boundary-biased form.
-func (f *Field3) ExtrapolateGhosts(a Axis) {
-	g := f.G
-	switch a {
-	case X:
-		n := f.Nx
-		for k := -g; k < f.Nz+g; k++ {
-			for j := -g; j < f.Ny+g; j++ {
-				for l := 1; l <= g; l++ {
-					f.Set(-l, j, k, f.At(0, j, k))
-					f.Set(n-1+l, j, k, f.At(n-1, j, k))
-				}
-			}
-		}
-	case Y:
-		n := f.Ny
-		for k := -g; k < f.Nz+g; k++ {
-			for l := 1; l <= g; l++ {
-				for i := -g; i < f.Nx+g; i++ {
-					f.Set(i, -l, k, f.At(i, 0, k))
-					f.Set(i, n-1+l, k, f.At(i, n-1, k))
-				}
-			}
-		}
-	case Z:
-		n := f.Nz
-		for l := 1; l <= g; l++ {
-			for j := -g; j < f.Ny+g; j++ {
-				for i := -g; i < f.Nx+g; i++ {
-					f.Set(i, j, -l, f.At(i, j, 0))
-					f.Set(i, j, n-1+l, f.At(i, j, n-1))
-				}
+			for j := 0; j < f.Ny; j++ {
+				copy(f.Row(j, -l), f.Row(j, n-l))
+				copy(f.Row(j, n-1+l), f.Row(j, l-1))
 			}
 		}
 	}

@@ -139,6 +139,42 @@ func TestWrapPeriodicX(t *testing.T) {
 	}
 }
 
+// TestWrapPeriodicFaceOnly: along every axis the wrap fills exactly the
+// ghost face slab over the interior cross-section — the cells an axis-aligned
+// stencil reads — and leaves every other ghost cell (the other axes' faces,
+// edges, corners) untouched.
+func TestWrapPeriodicFaceOnly(t *testing.T) {
+	const untouched = -1
+	for _, a := range []Axis{X, Y, Z} {
+		f := NewField3Ghost(7, 6, 8, Ghost)
+		f.Fill(untouched)
+		f.Map(func(i, j, k int, _ float64) float64 { return float64(100*i + 10*j + k) })
+		f.WrapPeriodic(a)
+		n := [3]int{f.Nx, f.Ny, f.Nz}
+		var p [3]int
+		for p[2] = -Ghost; p[2] < f.Nz+Ghost; p[2]++ {
+			for p[1] = -Ghost; p[1] < f.Ny+Ghost; p[1]++ {
+				for p[0] = -Ghost; p[0] < f.Nx+Ghost; p[0]++ {
+					src, outside := p, 0
+					for d := 0; d < 3; d++ {
+						if p[d] < 0 || p[d] >= n[d] {
+							outside++
+							src[d] = (p[d] + n[d]) % n[d]
+						}
+					}
+					want := float64(untouched)
+					if outside == 0 || (outside == 1 && src[a] != p[a]) {
+						want = float64(100*src[0] + 10*src[1] + src[2])
+					}
+					if got := f.At(p[0], p[1], p[2]); got != want {
+						t.Fatalf("axis %d: cell %v = %g, want %g", a, p, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMinMaxAndSum(t *testing.T) {
 	f := NewField3Ghost(4, 4, 4, 2)
 	f.Fill(999) // ghost garbage must not leak into interior reductions
@@ -199,28 +235,6 @@ func TestNewPanicsOnBadSpec(t *testing.T) {
 		}
 	}()
 	New(Spec{Nx: 0, Ny: 1, Nz: 1, Lx: 1, Ly: 1, Lz: 1})
-}
-
-func TestExtrapolateGhosts(t *testing.T) {
-	f := NewField3Ghost(6, 4, 3, 2)
-	f.Each(func(i, j, k int, _ float64) { f.Set(i, j, k, float64(10*i+j)) })
-	f.ExtrapolateGhosts(X)
-	for l := 1; l <= 2; l++ {
-		if f.At(-l, 2, 1) != f.At(0, 2, 1) {
-			t.Fatalf("low ghost %d not extrapolated", l)
-		}
-		if f.At(5+l, 2, 1) != f.At(5, 2, 1) {
-			t.Fatalf("high ghost %d not extrapolated", l)
-		}
-	}
-	f.ExtrapolateGhosts(Y)
-	if f.At(3, -1, 1) != f.At(3, 0, 1) || f.At(3, 4, 1) != f.At(3, 3, 1) {
-		t.Fatal("y extrapolation wrong")
-	}
-	f.ExtrapolateGhosts(Z)
-	if f.At(3, 2, -2) != f.At(3, 2, 0) {
-		t.Fatal("z extrapolation wrong")
-	}
 }
 
 func TestCloneDeepCopies(t *testing.T) {

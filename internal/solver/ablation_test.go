@@ -84,7 +84,7 @@ func TestConstLewisScalesInversely(t *testing.T) {
 	b1 := h2BlobConfig(t, 1.0)
 	b2 := h2BlobConfig(t, 2.0)
 	for _, b := range []*Block{b1, b2} {
-		b.exchangeHalos(b.Q, tagConserved)
+		b.exchangeHalos(b.haloQ, tagConserved)
 		b.computePrimitives()
 		b.computeTransport()
 	}
@@ -98,7 +98,7 @@ func TestConstLewisScalesInversely(t *testing.T) {
 
 func TestConstLewisAllSpeciesEqual(t *testing.T) {
 	b := h2BlobConfig(t, 1.0)
-	b.exchangeHalos(b.Q, tagConserved)
+	b.exchangeHalos(b.haloQ, tagConserved)
 	b.computePrimitives()
 	b.computeTransport()
 	d0 := b.D[0].At(3, 3, 0)
@@ -114,7 +114,7 @@ func TestConstLewisAllSpeciesEqual(t *testing.T) {
 
 func BenchmarkTransportMixtureAveraged(b *testing.B) {
 	blk := h2BlobConfig(&testing.T{}, 0)
-	blk.exchangeHalos(blk.Q, tagConserved)
+	blk.exchangeHalos(blk.haloQ, tagConserved)
 	blk.computePrimitives()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -124,7 +124,7 @@ func BenchmarkTransportMixtureAveraged(b *testing.B) {
 
 func BenchmarkTransportConstLewis(b *testing.B) {
 	blk := h2BlobConfig(&testing.T{}, 1.0)
-	blk.exchangeHalos(blk.Q, tagConserved)
+	blk.exchangeHalos(blk.haloQ, tagConserved)
 	blk.computePrimitives()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -54,13 +54,16 @@ func (b *Block) SaveCheckpoint(w io.Writer) error {
 			return err
 		}
 	}
-	// The Newton warm start is cross-step state on the full storage, not
-	// just the interior: ghost-cell temperatures seed the next step's
-	// primitive recovery over the halo regions, so a bit-exact decomposed
-	// restart needs them restored too. Written as one auxiliary flat
-	// variable after the registry entries; readers without it (or files
-	// without it) still work, with ghost seeds starting from the initial
-	// fill as before.
+	// The Newton warm start is cross-step state beyond the interior: the
+	// temperatures in the ghost face slabs seed the next step's primitive
+	// recovery there, so a bit-exact decomposed restart needs them restored
+	// too. Written as one auxiliary flat variable of the full T storage
+	// after the registry entries; readers without it (or files without it)
+	// still work, with ghost seeds starting from the initial fill as before.
+	// The edge and corner entries are never recomputed or read (halo.go):
+	// they keep the initial fill, or whatever a loaded file put there, so
+	// those file bytes say nothing about the state and no restored
+	// trajectory depends on them.
 	td := b.T.Data
 	if err := f.AddVarFunc("T_guess_halo", []int{len(td)},
 		func(emit func(chunk []float64) error) error { return emit(td) }); err != nil {

@@ -15,9 +15,12 @@ import (
 //	Jₙₘ = J*ₙₘ − Yₙ·Σₖ J*ₖₘ.
 //
 // This 5-D loop nest was the most costly kernel in S3D (11.3% of runtime at
-// 4% of peak). Two implementations are provided; both produce bit-identical
-// results and differ only in their memory-access structure, reproducing the
-// figure 4/5 optimisation study:
+// 4% of peak). Two implementations are provided, reproducing the figure 4/5
+// optimisation study. They differ in memory-access structure and in one
+// association — (Yₙ/W)·∂W versus Yₙ·(∂W·(1/W)) — so they agree to 1e-12
+// relative (TestDiffFluxKernelsAgree), not bit for bit. The default
+// (Config.DiffFlux zero value) is still the naive figure-4 form; the seed
+// solution hash is pinned on it:
 //
 //   - computeDiffFluxNaive mirrors the original Fortran-90 array-syntax
 //     code: one full-grid array statement at a time, per direction and

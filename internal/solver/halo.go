@@ -5,25 +5,44 @@ import (
 	"github.com/s3dgo/s3d/internal/grid"
 )
 
-// exchangeHalos fills the ghost layers of the given fields along every axis
+// The read-set rule. A ghost cell is filled only if some stencil reads it,
+// and every stencil in the solver is axis-aligned: the derivative and filter
+// sweeps run over the interior and reach into the ghost layers along their
+// own axis alone. A ghost cell is therefore read only when exactly one of
+// its indices lies outside the interior (a face slab), and only along the
+// axis that index belongs to:
+//
+//   - the conserved registers are differentiated (through the primitives)
+//     and filtered along every axis, so their six face slabs are filled;
+//   - flux[v][a] is differentiated along a alone (divergence), so the flux
+//     exchange along axis a carries the nvar fields flux[·][a] and nothing
+//     else;
+//   - transport properties, gradients, J and the RK registers are never read
+//     in a ghost cell and are never exchanged.
+//
+// Edge and corner ghosts (two or three indices outside) are never written,
+// packed or sent, and never hold valid data. Exchanges along different axes
+// touch disjoint storage and do not depend on each other.
+
+// haloLists holds the fields an exchange round fills along each axis; a nil
+// entry skips the axis.
+type haloLists [3][]*grid.Field3
+
+// exchangeHalos fills the ghost face slabs of fields[a] along every axis a
 // that has valid ghost data: halo exchange with neighbouring ranks through
 // non-blocking sends/receives (the S3D ghost-zone construction, §2.6), or a
 // local periodic wrap when the axis is periodic and undecomposed.
 //
-// All fields are packed into a single message per face, mirroring S3D's
-// aggregated ~80 kB neighbour messages. Axes are exchanged in X→Y→Z order
-// over ranges that include the ghost layers of already-exchanged axes, so
-// edge and corner ghosts are correct after the sweep (both endpoints of an
-// exchange share boundary status on the earlier axes, so their ranges
-// agree). Per-field work — the periodic wraps and the slab pack/unpack —
-// runs as pool items: each field owns a disjoint ghost region or buffer
-// segment, so fields proceed concurrently while the buffer layout stays
-// identical to the serial field-major order.
-func (b *Block) exchangeHalos(fields []*grid.Field3, tagBase int) {
+// All fields of an axis are packed into a single message per face, mirroring
+// S3D's aggregated ~80 kB neighbour messages. Per-field work — the periodic
+// wraps and the slab pack/unpack — runs as pool items: each field owns a
+// disjoint ghost region or buffer segment, so fields proceed concurrently
+// while the buffer layout stays field-major.
+func (b *Block) exchangeHalos(fields haloLists, tagBase int) {
 	defer b.beginRegion("GHOST_EXCHANGE").End()
 	for a := 0; a < 3; a++ {
 		axis := grid.Axis(a)
-		if b.G.Dim(axis) == 1 {
+		if len(fields[a]) == 0 || b.G.Dim(axis) == 1 {
 			continue
 		}
 		if !b.loGhost[a] && !b.hiGhost[a] {
@@ -31,7 +50,7 @@ func (b *Block) exchangeHalos(fields []*grid.Field3, tagBase int) {
 		}
 		if b.cart == nil {
 			// Serial: valid ghosts imply a periodic axis.
-			b.wrapAll(fields, axis)
+			b.wrapAll(fields[a], axis)
 			continue
 		}
 		loNb := b.cart.Neighbor(a, -1)
@@ -39,22 +58,22 @@ func (b *Block) exchangeHalos(fields []*grid.Field3, tagBase int) {
 		self := b.cart.Comm.Rank()
 		if loNb == self && hiNb == self {
 			// Periodic axis not decomposed: wrap locally.
-			b.wrapAll(fields, axis)
+			b.wrapAll(fields[a], axis)
 			continue
 		}
-		b.exchangeAxis(fields, a, loNb, hiNb, tagBase)
+		b.exchangeAxis(fields[a], a, loNb, hiNb, tagBase)
 	}
 }
 
-// PackHaloGroupOnly serialises the low-face ghost-depth slab of a registry
-// halo group ("conserved" or "flux") along axis a into the reusable halo
-// buffer and returns the packed float count — the benchmark hook behind
-// BenchmarkHaloPackGroup, timing exactly the pack kernel of one exchange
-// message.
+// PackHaloGroupOnly serialises the low-face ghost-depth slab of what the
+// exchange of a registry halo group ("conserved" or "flux") sends along axis
+// a into the reusable halo buffer and returns the packed float count — the
+// benchmark hook behind BenchmarkHaloPackGroup, timing exactly the pack
+// kernel of one exchange message.
 func (b *Block) PackHaloGroupOnly(group string, a int) int {
-	fields := b.haloQ
+	fields := b.haloQ[a]
 	if group == haloGroupFlux {
-		fields = b.haloFlux
+		fields = b.haloFlux[a]
 	}
 	per := b.slabSize(a) * grid.Ghost
 	buf := b.haloBuffer(2, per*len(fields))
@@ -68,22 +87,6 @@ func (b *Block) wrapAll(fields []*grid.Field3, axis grid.Axis) {
 	b.plan.RunItems("GHOST_EXCHANGE", len(fields), func(item, _ int) {
 		fields[item].WrapPeriodic(axis)
 	})
-}
-
-// otherRange returns the loop range along axis o during the exchange of
-// axis a: extended into ghosts when o was already exchanged (o < a) and has
-// valid ghost layers.
-func (b *Block) otherRange(a, o int) (lo, hi int) {
-	lo, hi = 0, b.dimOf(o)
-	if o < a && b.dimOf(o) > 1 {
-		if b.loGhost[o] {
-			lo = -grid.Ghost
-		}
-		if b.hiGhost[o] {
-			hi += grid.Ghost
-		}
-	}
-	return lo, hi
 }
 
 // haloBuffer returns the idx-th reusable slab buffer with length n, growing
@@ -153,63 +156,53 @@ func (b *Block) dimOf(a int) int {
 	}
 }
 
-// slabSize returns the number of points in one ghost layer of the axis,
-// the product of the other two axes' exchange ranges.
+// slabSize returns the number of points in one ghost layer of the axis: the
+// interior cross-section of the other two axes.
 func (b *Block) slabSize(a int) int {
-	size := 1
-	for o := 0; o < 3; o++ {
-		if o == a {
-			continue
-		}
-		lo, hi := b.otherRange(a, o)
-		size *= hi - lo
-	}
-	return size
+	return b.G.Nx * b.G.Ny * b.G.Nz / b.dimOf(a)
 }
 
-// eachSlabPoint visits every (i, j, k) of layers [start, start+depth) along
-// axis a, over the exchange ranges of the other axes, in a fixed order
-// shared by pack and unpack.
-func (b *Block) eachSlabPoint(a, start, depth int, fn func(i, j, k int)) {
-	var lo, hi [3]int
-	for o := 0; o < 3; o++ {
-		if o == a {
-			lo[o], hi[o] = start, start+depth
-		} else {
-			lo[o], hi[o] = b.otherRange(a, o)
-		}
-	}
-	for k := lo[2]; k < hi[2]; k++ {
-		for j := lo[1]; j < hi[1]; j++ {
-			for i := lo[0]; i < hi[0]; i++ {
-				fn(i, j, k)
-			}
-		}
-	}
+// slabBox returns the index box of layers [start, start+depth) along axis a
+// over the interior cross-section of the other two axes.
+func (b *Block) slabBox(a, start, depth int) (lo, hi [3]int) {
+	hi = [3]int{b.G.Nx, b.G.Ny, b.G.Nz}
+	lo[a], hi[a] = start, start+depth
+	return lo, hi
 }
 
 // packSlab serialises layers [start, start+depth) along axis a for every
 // field in order, one pool item per field writing its own buffer segment of
-// per points (the field-major layout of the serial pack, unchanged).
+// per points (field-major). Within a segment the slab is laid out k-j-i, one
+// contiguous row copy per (j, k); unpackSlab walks the same order.
 func (b *Block) packSlab(fields []*grid.Field3, a, start, depth, per int, buf []float64) {
+	lo, hi := b.slabBox(a, start, depth)
+	n := hi[0] - lo[0]
 	b.plan.RunItems("GHOST_EXCHANGE", len(fields), func(item, _ int) {
 		f := fields[item]
 		pos := item * per
-		b.eachSlabPoint(a, start, depth, func(i, j, k int) {
-			buf[pos] = f.At(i, j, k)
-			pos++
-		})
+		for k := lo[2]; k < hi[2]; k++ {
+			for j := lo[1]; j < hi[1]; j++ {
+				row := f.Idx(lo[0], j, k)
+				copy(buf[pos:pos+n], f.Data[row:row+n])
+				pos += n
+			}
+		}
 	})
 }
 
 // unpackSlab is the inverse of packSlab.
 func (b *Block) unpackSlab(fields []*grid.Field3, a, start, depth, per int, buf []float64) {
+	lo, hi := b.slabBox(a, start, depth)
+	n := hi[0] - lo[0]
 	b.plan.RunItems("GHOST_EXCHANGE", len(fields), func(item, _ int) {
 		f := fields[item]
 		pos := item * per
-		b.eachSlabPoint(a, start, depth, func(i, j, k int) {
-			f.Set(i, j, k, buf[pos])
-			pos++
-		})
+		for k := lo[2]; k < hi[2]; k++ {
+			for j := lo[1]; j < hi[1]; j++ {
+				row := f.Idx(lo[0], j, k)
+				copy(f.Data[row:row+n], buf[pos:pos+n])
+				pos += n
+			}
+		}
 	})
 }

@@ -7,28 +7,33 @@ import (
 	"github.com/s3dgo/s3d/internal/par"
 )
 
-// extent returns the loop bounds for a region that includes ghost layers on
-// faces with valid ghost data.
-func (b *Block) extent() (lo, hi [3]int) {
-	dims := [3]int{b.G.Nx, b.G.Ny, b.G.Nz}
+// ghosted returns the interior box grown by the ghost width on every face
+// with valid ghost data — the bounding box of the interior plus its ghost
+// face slabs.
+func (b *Block) ghosted() par.Range {
+	r := b.interior()
 	for a := 0; a < 3; a++ {
-		lo[a] = 0
-		hi[a] = dims[a]
-		if b.loGhost[a] && dims[a] > 1 {
-			lo[a] = -grid.Ghost
+		if r.Hi[a] == 1 {
+			continue
 		}
-		if b.hiGhost[a] && dims[a] > 1 {
-			hi[a] = dims[a] + grid.Ghost
+		if b.loGhost[a] {
+			r.Lo[a] = -grid.Ghost
+		}
+		if b.hiGhost[a] {
+			r.Hi[a] += grid.Ghost
 		}
 	}
-	return lo, hi
+	return r
 }
 
 // computePrimitives recovers ρ, u, v, w, Y, T, p, W from the conserved
-// fields over the interior plus valid ghost layers. Temperature Newton
-// iteration warm-starts from the previous value stored in b.T. Each point's
-// recovery is independent, so the sweep tiles over the worker pool with a
-// per-worker species scratch vector.
+// fields over the interior plus the ghost face slabs of connected faces —
+// the read-set of the gradient sweeps (see halo.go): a ghost point is
+// visited iff exactly one of its indices lies outside the interior. Edge
+// and corner ghosts hold no valid conserved data and are skipped.
+// Temperature Newton iteration warm-starts from the previous value stored in
+// b.T. Each point's recovery is independent, so the sweep tiles over the
+// worker pool with a per-worker species scratch vector.
 //
 // An unrecoverable state (non-positive density, failed temperature
 // inversion) is recorded as a structured health fault and the cell is
@@ -40,8 +45,7 @@ func (b *Block) extent() (lo, hi [3]int) {
 func (b *Block) computePrimitives() {
 	defer b.beginRegion("COMPUTE_PRIMITIVES").End()
 
-	lo, hi := b.extent()
-	b.plan.Run("COMPUTE_PRIMITIVES", par.Box(lo, hi), b.primitivesTile)
+	b.plan.Run("COMPUTE_PRIMITIVES", b.ghosted(), b.primitivesTile)
 	// The WaitGroup barrier inside plan.Run orders every worker's fault
 	// write before this read — no atomics on the healthy path.
 	if b.fault != nil && !b.watchArmed() {
@@ -49,14 +53,26 @@ func (b *Block) computePrimitives() {
 	}
 }
 
-// primitivesTile recovers the primitives over one tile.
+// primitivesTile recovers the primitives over one tile of the ghosted box,
+// clipping each row to the read-set: a row with j or k in a ghost layer
+// keeps only its interior i range, and a row with both outside (edges and
+// corners) is skipped.
 func (b *Block) primitivesTile(t par.Tile, worker int) {
 	set := b.mech.Set
 	ns := b.ns
 	yw := b.ws[worker].yw
 	for k := t.Lo[2]; k < t.Hi[2]; k++ {
+		kGhost := k < 0 || k >= b.G.Nz
 		for j := t.Lo[1]; j < t.Hi[1]; j++ {
-			for i := t.Lo[0]; i < t.Hi[0]; i++ {
+			jGhost := j < 0 || j >= b.G.Ny
+			if kGhost && jGhost {
+				continue
+			}
+			iLo, iHi := t.Lo[0], t.Hi[0]
+			if kGhost || jGhost {
+				iLo, iHi = max(iLo, 0), min(iHi, b.G.Nx)
+			}
+			for i := iLo; i < iHi; i++ {
 				rho := b.Q[iRho].At(i, j, k)
 				if !(rho > 0) || math.IsNaN(rho) {
 					b.recordFault("density", "rho", rho, i, j, k, "non-positive density")
@@ -112,16 +128,16 @@ func (b *Block) primitivesTile(t par.Tile, worker int) {
 	}
 }
 
-// computeTransport evaluates μ, λ and D over the interior plus valid ghosts,
-// tiled over the pool. The transport model carries internal scratch, so each
-// worker evaluates through its own clone.
+// computeTransport evaluates μ, λ and D over the interior, tiled over the
+// pool: the flux kernels that consume them are interior sweeps, so no
+// transport property is ever read in a ghost cell. The transport model
+// carries internal scratch, so each worker evaluates through its own clone.
 func (b *Block) computeTransport() {
 	defer b.beginRegion("COMPUTE_TRANSPORT").End()
 
-	lo, hi := b.extent()
 	ns := b.ns
 	le := b.cfg.ConstLewis
-	b.plan.Run("COMPUTE_TRANSPORT", par.Box(lo, hi), func(t par.Tile, worker int) {
+	b.plan.Run("COMPUTE_TRANSPORT", b.interior(), func(t par.Tile, worker int) {
 		ws := &b.ws[worker]
 		for k := t.Lo[2]; k < t.Hi[2]; k++ {
 			for j := t.Lo[1]; j < t.Hi[1]; j++ {

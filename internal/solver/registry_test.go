@@ -141,15 +141,29 @@ func TestLoadPreRegistryCheckpoint(t *testing.T) {
 }
 
 // TestDecomposedCheckpointRoundTrip runs the registry save/load path on
-// every rank of a decomposed reacting run: a run split by per-rank
-// checkpoint/restore must match the uninterrupted run bit-for-bit.
+// every rank of a decomposed reacting run: a run split at N/2 by per-rank
+// checkpoint/restore must match the uninterrupted run bit-for-bit, on two
+// layouts with different pairs of cut axes. T_guess_halo carries edge and
+// corner entries that are never recomputed; no restored trajectory may
+// depend on them.
 func TestDecomposedCheckpointRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run reacting case")
 	}
+	t.Run("2x2x1", func(t *testing.T) {
+		decomposedCheckpointRoundTrip(t, reactiveConfig(), [3]int{2, 2, 1})
+	})
+	t.Run("1x2x2", func(t *testing.T) {
+		cfg := reactiveConfig()
+		// Every cut axis needs at least Ghost points per rank.
+		cfg.Grid = grid.New(grid.Spec{Nx: 8, Ny: 12, Nz: 12, Lx: 0.004, Ly: 0.003, Lz: 0.002})
+		decomposedCheckpointRoundTrip(t, cfg, [3]int{1, 2, 2})
+	})
+}
+
+func decomposedCheckpointRoundTrip(t *testing.T, cfg *Config, dims [3]int) {
 	pool := par.NewPool(4)
 	defer pool.Close()
-	cfg := reactiveConfig()
 	cfg.Pool = pool
 	dt := 2e-8
 
@@ -167,7 +181,7 @@ func TestDecomposedCheckpointRoundTrip(t *testing.T) {
 	}
 	collect := func(body func(b *Block) snap) []snap {
 		ch := make(chan snap, 4)
-		if err := RunParallel(cfg, [3]int{2, 2, 1}, func(b *Block) {
+		if err := RunParallel(cfg, dims, func(b *Block) {
 			hotSpotIC(b)
 			ch <- body(b)
 		}); err != nil {

@@ -176,12 +176,12 @@ type Block struct {
 	// rhs receives the time derivative each stage.
 	rhs []*grid.Field3
 
-	// Primitive fields (valid on interior plus ghost layers on connected
-	// faces after computePrimitives).
+	// Primitive fields (valid on the interior plus the ghost face slabs of
+	// connected faces after computePrimitives; never in edge/corner ghosts).
 	Rho, U, V, W, T, P, Wmix *grid.Field3
 	Y                        []*grid.Field3
 
-	// Transport property fields.
+	// Transport property fields (interior only).
 	Mu, Lambda *grid.Field3
 	D          []*grid.Field3
 
@@ -227,11 +227,11 @@ type Block struct {
 	// single stride-1 loops over these spans instead of per-field calls.
 	qBank, dqBank, rhsBank []float64
 
-	// Halo-exchange field lists resolved from the registry groups
-	// ("conserved", "flux"), hoisted so computeRHS does not rebuild them
-	// every stage. Group order is registration order, which fixes the
-	// packed-slab message layout.
-	haloQ, haloFlux []*grid.Field3
+	// Per-axis halo-exchange field lists resolved once from the registry
+	// groups ("conserved", "flux"), see halo.go: the conserved registers are
+	// exchanged along every axis, flux[v][a] along a alone. Group order is
+	// registration order, which fixes the packed-slab message layout.
+	haloQ, haloFlux haloLists
 
 	// haloBuf holds the four slab buffers of an axis exchange (recv lo/hi,
 	// send lo/hi), grown on demand and reused across steps.
@@ -613,8 +613,13 @@ func (b *Block) registerFields() {
 	b.qBank = fs.Span(qID[0], b.nvar)
 	b.dqBank = fs.Span(dqID[0], b.nvar)
 	b.rhsBank = fs.Span(rhsID[0], b.nvar)
-	b.haloQ = fs.Group(haloGroupConserved)
-	b.haloFlux = fs.Group(haloGroupFlux)
+	q := fs.Group(haloGroupConserved)
+	b.haloQ = haloLists{q, q, q}
+	// The flux group is registered in (var, dir) order: position mod 3 is
+	// the one axis a component is differentiated — and so exchanged — along.
+	for i, f := range fs.Group(haloGroupFlux) {
+		b.haloFlux[i%3] = append(b.haloFlux[i%3], f)
+	}
 
 	b.Rho, b.U, b.V, b.W = fs.Field(rhoID), fs.Field(uID), fs.Field(vID), fs.Field(wID)
 	b.T, b.P, b.Wmix = fs.Field(tID), fs.Field(pID), fs.Field(wmixID)

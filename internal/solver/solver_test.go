@@ -230,7 +230,7 @@ func TestDiffFluxKernelsAgree(t *testing.T) {
 		s.Y[b.mech.Set.Index("O2")] = 0.2
 		s.Y[b.mech.Set.Index("N2")] = 1 - f - 0.25
 	}, nil)
-	b.exchangeHalos(b.Q, tagConserved)
+	b.exchangeHalos(b.haloQ, tagConserved)
 	b.computePrimitives()
 	b.computeTransport()
 	b.computeGradients()

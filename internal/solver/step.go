@@ -183,7 +183,11 @@ func (b *Block) ApplyFilter() {
 		if b.G.Dim(a) == 1 {
 			continue
 		}
-		b.exchangeHalos(b.haloQ, tagConserved)
+		// The pass along a reads ghosts along a alone; they are refilled
+		// here because the earlier passes changed the interior they mirror.
+		var along haloLists
+		along[d] = b.haloQ[d]
+		b.exchangeHalos(along, tagConserved)
 		lo, hi := b.lohi(a)
 		for v := 0; v < b.nvar; v++ {
 			// Two tiled passes with a barrier between: the filter reads Q

@@ -68,6 +68,7 @@ type Model struct {
 	dFit  [][][4]float64 // per pair: ln D_ij(T) at p = 1 atm
 
 	x, mu, lam []float64 // scratch
+	dij        []float64 // scratch: n×n D_ij at the point's T and p (Mixture)
 }
 
 // New builds a transport model for the species set. Species missing from
@@ -82,6 +83,7 @@ func New(set *thermo.Set) (*Model, error) {
 		x:     make([]float64, n),
 		mu:    make([]float64, n),
 		lam:   make([]float64, n),
+		dij:   make([]float64, n*n),
 	}
 	for i, sp := range set.Species {
 		lj, ok := ljParams[sp.Name]
@@ -188,9 +190,14 @@ func fitCubic(xs, ys []float64) [4]float64 {
 	return out
 }
 
+// fitArg evaluates the fit polynomial c0 + c1·x + c2·x² + c3·x³.
+func fitArg(c [4]float64, x float64) float64 {
+	return c[0] + x*(c[1]+x*(c[2]+x*c[3]))
+}
+
 // evalFit evaluates exp(c0 + c1·x + c2·x² + c3·x³).
 func evalFit(c [4]float64, x float64) float64 {
-	return math.Exp(c[0] + x*(c[1]+x*(c[2]+x*c[3])))
+	return math.Exp(fitArg(c, x))
 }
 
 // MustNew is New that panics on error, for statically known species sets.
@@ -210,6 +217,7 @@ func (m *Model) Clone() *Model {
 	c.x = make([]float64, n)
 	c.mu = make([]float64, n)
 	c.lam = make([]float64, n)
+	c.dij = make([]float64, n*n)
 	return &c
 }
 
@@ -340,16 +348,36 @@ func (m *Model) Mixture(T, p float64, Y []float64, props *Props) {
 	props.Lambda = 0.5 * (sum + 1/inv)
 
 	// Mixture-averaged diffusion (paper eq. 17), with the pure-species limit
-	// D_i^mix → D_ii' (self/trace value) as X_i → 1. The symmetric fitted
-	// pair coefficients are evaluated once.
+	// D_i^mix → D_ii' (self/trace value) as X_i → 1. The fit tables are
+	// bitwise symmetric (dFit[i][j] == dFit[j][i]), so D_ij·pScale is
+	// evaluated once per unordered pair with a species present and read from
+	// both rows. Two passes on purpose — the fit polynomials first, then a
+	// loop that only calls exp: with the table loads, the call and the
+	// mirrored stores in one loop, that loop ran at two speeds up to 2× apart
+	// depending on where the caller's stack and scratch happened to sit.
 	pScale := 101325 / p
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if m.x[i] != 0 || m.x[j] != 0 {
+				m.dij[i*n+j] = fitArg(m.dFit[i][j], lnT)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if m.x[i] != 0 || m.x[j] != 0 {
+				d := math.Exp(m.dij[i*n+j]) * pScale
+				m.dij[i*n+j], m.dij[j*n+i] = d, d
+			}
+		}
+	}
 	for i := 0; i < n; i++ {
 		var denom float64
 		for j := 0; j < n; j++ {
 			if j == i || m.x[j] == 0 {
 				continue
 			}
-			denom += m.x[j] / (evalFit(m.dFit[i][j], lnT) * pScale)
+			denom += m.x[j] / m.dij[i*n+j]
 		}
 		if denom < 1e-30 {
 			// Pure species: use the self-collision estimate.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/s3dgo/s3d/internal/chem"
 	"github.com/s3dgo/s3d/internal/thermo"
 )
 
@@ -195,8 +196,102 @@ func TestCloneIndependentScratch(t *testing.T) {
 	if p1.Mu != p2.Mu || p1.Lambda != p2.Lambda {
 		t.Fatalf("clone disagrees: %g vs %g", p1.Mu, p2.Mu)
 	}
-	if &m.x[0] == &c.x[0] {
+	if &m.x[0] == &c.x[0] || &m.dij[0] == &c.dij[0] {
 		t.Fatal("clone shares scratch")
+	}
+}
+
+// TestPairFitsBitwiseSymmetric pins what lets Mixture evaluate each D_ij
+// once per unordered pair: for both shipped mechanisms the fitted pair
+// tables are bitwise symmetric.
+func TestPairFitsBitwiseSymmetric(t *testing.T) {
+	for _, mech := range []*chem.Mechanism{chem.H2Air(), chem.CH4Skeletal()} {
+		m := MustNew(mech.Set)
+		for i := range m.dFit {
+			for j := range m.dFit[i] {
+				if m.dFit[i][j] != m.dFit[j][i] {
+					t.Fatalf("%s: dFit[%d][%d] = %v, dFit[%d][%d] = %v",
+						mech.Name, i, j, m.dFit[i][j], j, i, m.dFit[j][i])
+				}
+			}
+		}
+	}
+}
+
+// mixtureDmixOrdered is the reference form of the mixture-averaged diffusion
+// loop: every ordered pair evaluates its own fit.
+func mixtureDmixOrdered(m *Model, T, p float64, Y, dmix []float64) {
+	n := m.Set.Len()
+	x := make([]float64, n)
+	m.Set.MoleFractions(Y, x)
+	for i := range x {
+		if x[i] < 0 {
+			x[i] = 0
+		}
+	}
+	lnT := math.Log(clampFitT(T))
+	pScale := 101325 / p
+	for i := 0; i < n; i++ {
+		var denom float64
+		for j := 0; j < n; j++ {
+			if j == i || x[j] == 0 {
+				continue
+			}
+			denom += x[j] / (evalFit(m.dFit[i][j], lnT) * pScale)
+		}
+		if denom < 1e-30 {
+			dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
+			continue
+		}
+		dmix[i] = (1 - x[i]) / denom
+		if dmix[i] <= 0 {
+			dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
+		}
+	}
+}
+
+// TestMixtureDmixMatchesOrderedPairLoop: on a seeded state table that
+// includes absent species (and pure-species states), the once-per-pair
+// evaluation reproduces the ordered-pair loop bit for bit. One model serves
+// the whole table, so a coefficient left over from an earlier state would
+// show.
+func TestMixtureDmixMatchesOrderedPairLoop(t *testing.T) {
+	for _, mech := range []*chem.Mechanism{chem.H2Air(), chem.CH4Skeletal()} {
+		m := MustNew(mech.Set)
+		n := mech.Set.Len()
+		rng := rand.New(rand.NewSource(15))
+		props := &Props{Dmix: make([]float64, n)}
+		want := make([]float64, n)
+		Y := make([]float64, n)
+		for s := 0; s < 400; s++ {
+			var sum float64
+			for i := range Y {
+				Y[i] = 0
+				if s%4 == 0 || rng.Intn(3) > 0 {
+					Y[i] = rng.Float64()
+				}
+				sum += Y[i]
+			}
+			if s%50 == 1 || sum == 0 {
+				for i := range Y {
+					Y[i] = 0
+				}
+				Y[rng.Intn(n)], sum = 1, 1
+			}
+			for i := range Y {
+				Y[i] /= sum
+			}
+			T := 250 + 3000*rng.Float64()
+			p := 101325 * (0.5 + 2*rng.Float64())
+			m.Mixture(T, p, Y, props)
+			mixtureDmixOrdered(m, T, p, Y, want)
+			for i := range want {
+				if math.Float64bits(props.Dmix[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s state %d species %d: Dmix %x, ordered-pair loop %x (Y=%v)",
+						mech.Name, s, i, math.Float64bits(props.Dmix[i]), math.Float64bits(want[i]), Y)
+				}
+			}
+		}
 	}
 }
 
