@@ -28,6 +28,23 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# Bounds-check gate: the derivative row kernels (internal/deriv/kernels.go,
+# which holds nothing else) must compile with no index check in their loop
+# bodies. The compiler's check_bce report names every check it kept; the
+# IsSliceInBounds entries are the once-per-row slice cuts — the safety check
+# that stays — so any other entry for that file fails the gate. An empty
+# report means the flag stopped reporting, which fails it too.
+echo "== bounds-check gate (no IsInBounds in internal/deriv/kernels.go)"
+bce=$(go build -gcflags=-d=ssa/check_bce/debug=1 ./internal/deriv 2>&1 | grep 'kernels\.go' || true)
+if [ -z "$bce" ]; then
+	echo "check_bce reported nothing for internal/deriv/kernels.go" >&2
+	exit 1
+fi
+if echo "$bce" | grep -v 'IsSliceInBounds'; then
+	echo "bounds checks inside the row kernels (see above)" >&2
+	exit 1
+fi
+
 echo "== go test -race ./..."
 go test -race -timeout 45m ./...
 

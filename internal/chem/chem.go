@@ -171,9 +171,11 @@ func (m *Mechanism) ProductionRates(T float64, C, wdot []float64) {
 	for i := range wdot {
 		wdot[i] = 0
 	}
-	// Species Gibbs functions, shared by all reverse-rate evaluations.
+	// Species Gibbs functions, shared by all reverse-rate evaluations; the
+	// entropy fits share one logarithm (of the clamped temperature).
+	lnTFit := thermo.LnT(T)
 	for i, sp := range m.Set.Species {
-		m.gRT[i] = sp.GRT(T)
+		m.gRT[i] = sp.GRTLn(T, lnTFit)
 	}
 	lnT := math.Log(T)
 	invRT := 1 / (thermo.R * T)

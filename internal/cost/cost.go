@@ -315,7 +315,7 @@ type runRec struct {
 
 // Tile records one tile's wall time; tile indices within a run are
 // distinct, so the writes are disjoint.
-func (r *runRec) Tile(idx, worker int, seconds float64, cells int) {
+func (r *runRec) Tile(idx, worker int, seconds float64) {
 	r.sec[idx] = seconds
 	r.worker[idx] = worker
 }

@@ -219,16 +219,16 @@ func TestCollectorLifecycle(t *testing.T) {
 	if run == nil {
 		t.Fatal("first run must carry the per-tile sample")
 	}
-	run.Tile(0, 0, 0.25, 100)
-	run.Tile(1, 1, 0.75, 100)
+	run.Tile(0, 0, 0.25)
+	run.Tile(1, 1, 0.75)
 	run.EndRun()
 	run = c.BeginRun(ChemKernel, 3)
 	if run == nil {
 		t.Fatal("second run must carry the per-tile sample")
 	}
-	run.Tile(0, 0, 0.5, 100)
-	run.Tile(1, 0, 0.5, 100)
-	run.Tile(2, 1, 1.0, 100)
+	run.Tile(0, 0, 0.5)
+	run.Tile(1, 0, 0.5)
+	run.Tile(2, 1, 1.0)
 	run.EndRun()
 	if rec := c.BeginRun(ChemKernel, 4); rec != nil {
 		t.Fatal("run past the sample budget must be count-only (nil recorder)")

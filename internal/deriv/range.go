@@ -17,117 +17,143 @@ const (
 // tiling. src values are only read, never written, which is what lets tiles
 // that cut across the derivative axis run concurrently.
 //
+// The box is swept one unit-stride x-row at a time along every axis: the
+// full-stencil points of a row go through the row kernels of kernels.go (the
+// neighbours are shifted views of the row along x, the rows ±1…±4 strides
+// away along y and z), the reduced-order closure points through closeRow.
+//
 // With op == OpAdd the derivative is accumulated into dst instead of stored,
 // fusing the AXPY that a divergence would otherwise need into the sweep.
 func DiffRange(dst, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, boxLo, boxHi [3]int, op Op) {
 	n := dimOf(f, a)
-	ax := int(a)
-	s0, s1 := boxLo[ax], boxHi[ax]
 	if n == 1 {
 		rangeFill(dst, boxLo, boxHi, op)
 		return
 	}
 	stride := strideOf(f, a)
 	dd, src := dst.Data, f.Data
-	eachLineRange(f, a, boxLo, boxHi, func(base int) {
-		diffLineRange(dd, src, base, stride, n, met, lo, hi, s0, s1, op)
-	})
+	interior := func(p, w, s int) {
+		v := rowViews(src, p, w, stride)
+		switch {
+		case a == grid.X && op == OpAdd:
+			rowAdd(dd[p:p+w], v, met[s:s+w])
+		case a == grid.X:
+			rowSet(dd[p:p+w], v, met[s:s+w])
+		case op == OpAdd:
+			rowAddScalar(dd[p:p+w], v, met[s])
+		default:
+			rowSetScalar(dd[p:p+w], v, met[s])
+		}
+	}
+	closure := func(p, w, s, r int, high bool) {
+		closeRow(dd, src, p, w, stride, r, high, met[s], op)
+	}
+	sweepRows(f, a, 4, lo, hi, boxLo, boxHi, interior, closure)
 }
 
-// diffLineRange differentiates the span [s0, s1) of one grid line: the
-// full-stencil interior through diffInterior, the reduced-order ends through
-// the closures below.
-func diffLineRange(dst, src []float64, base, stride, n int, met []float64, lo, hi BC, s0, s1 int, op Op) {
+// sweepRows walks the box one x-row at a time and hands every point to one
+// of two operator callbacks, classified by its index s along axis a: a line
+// of n points has the full stencil on [i0, i1) and cw closure points at each
+// OneSided end. interior(p, w, s) receives a run of w full-stencil points
+// starting at flat index p; closure(p, w, s, r, high) a run of w points that
+// all sit r points away from the low (or high) boundary. Along x a row is a
+// piece of a grid line, so s is the index of the run's first point and each
+// closure point is its own run; along y and z the whole row shares s. The
+// classification depends on the point alone, never on the box, which is what
+// makes every ranged operator tiling-invariant.
+func sweepRows(f *grid.Field3, a grid.Axis, cw int, lo, hi BC, boxLo, boxHi [3]int,
+	interior func(p, w, s int), closure func(p, w, s, r int, high bool)) {
+	n := dimOf(f, a)
+	ax := int(a)
+	boxLo[ax], boxHi[ax] = max(boxLo[ax], 0), min(boxHi[ax], n)
+	x0, x1 := boxLo[0], boxHi[0]
+	if x1 <= x0 {
+		return
+	}
 	i0, i1 := 0, n
 	if lo == OneSided {
-		i0 = 4
+		i0 = cw
 	}
 	if hi == OneSided {
-		i1 = n - 4
+		i1 = n - cw
 	}
 	if i1 < i0 {
-		i0, i1 = 0, 0 // tiny line: handled fully by closures below
+		i0, i1 = 0, 0 // tiny line: handled fully by the high closure
 	}
-	c0, c1 := max(i0, s0), min(i1, s1)
-	if c1 > c0 {
-		diffInterior(dst, src, base, stride, c0, c1, met, op == OpAdd)
-	}
-	if lo == OneSided {
-		closeLowRange(dst, src, base, stride, n, met, min(i0, s1), s0, op)
-	}
-	if hi == OneSided {
-		closeHighRange(dst, src, base, stride, n, met, max(i1, s0), s1, op)
-	}
-}
-
-// diffInterior applies the 8th-order interior stencil along one grid line
-// for indices i in [c0, c1): p = base + i·stride,
-// d = Σ c8[m-1]·(src[p+m·stride] − src[p−m·stride]), writing d·met[i]
-// (add=false) or accumulating it (add=true) into dst[p].
-func diffInterior(dst, src []float64, base, stride, c0, c1 int, met []float64, add bool) {
-	for i := c0; i < c1; i++ {
-		p := base + i*stride
-		d := c8[0]*(src[p+stride]-src[p-stride]) +
-			c8[1]*(src[p+2*stride]-src[p-2*stride]) +
-			c8[2]*(src[p+3*stride]-src[p-3*stride]) +
-			c8[3]*(src[p+4*stride]-src[p-4*stride])
-		if add {
-			dst[p] += d * met[i]
-		} else {
-			dst[p] = d * met[i]
+	for k := boxLo[2]; k < boxHi[2]; k++ {
+		for j := boxLo[1]; j < boxHi[1]; j++ {
+			p := f.Idx(x0, j, k)
+			if a == grid.X {
+				if c0, c1 := max(i0, x0), min(i1, x1); c1 > c0 {
+					interior(p+c0-x0, c1-c0, c0)
+				}
+				if lo == OneSided {
+					for i := x0; i < i0 && i < x1; i++ {
+						closure(p+i-x0, 1, i, i, false)
+					}
+				}
+				if hi == OneSided {
+					for i := max(i1, x0); i < x1; i++ {
+						closure(p+i-x0, 1, i, n-1-i, true)
+					}
+				}
+				continue
+			}
+			s := j
+			if a == grid.Z {
+				s = k
+			}
+			switch {
+			case s >= i0 && s < i1:
+				interior(p, x1-x0, s)
+			case lo == OneSided && s < i0:
+				closure(p, x1-x0, s, s, false)
+			case hi == OneSided && s >= i1:
+				closure(p, x1-x0, s, n-1-s, true)
+			}
 		}
 	}
 }
 
-// closeLowRange applies the low-boundary closure over [from, upto) — the
-// closure points clamped into the span.
-func closeLowRange(dst, src []float64, base, stride, n int, met []float64, upto, from int, op Op) {
-	for i := max(from, 0); i < upto && i < n; i++ {
-		p := base + i*stride
-		var d float64
-		switch {
-		case i == 0:
-			for m, w := range b0 {
-				d += w * src[p+m*stride]
-			}
-		case i == 1:
-			for m, w := range b1 {
-				d += w * src[p+(m-1)*stride]
-			}
-		case i == 2:
-			d = c4[0]*(src[p+stride]-src[p-stride]) + c4[1]*(src[p+2*stride]-src[p-2*stride])
-		default: // i == 3
-			d = c6[0]*(src[p+stride]-src[p-stride]) +
-				c6[1]*(src[p+2*stride]-src[p-2*stride]) +
-				c6[2]*(src[p+3*stride]-src[p-3*stride])
+// closeRow applies the reduced-order boundary closure to the w unit-stride
+// points starting at flat index p, all r points away from the low (or, with
+// high, the high) boundary; stencil neighbours lie stride apart. Points 0
+// and 1 use the fourth-order one-sided weights (mirrored and negated at the
+// high end), point 2 the centred fourth-order stencil, point 3 — and any
+// deeper point of a line too short for the full stencil — the sixth-order.
+func closeRow(dst, src []float64, p, w, stride, r int, high bool, met float64, op Op) {
+	switch {
+	case r >= 3:
+		for q := p; q < p+w; q++ {
+			d := c6[0]*(src[q+stride]-src[q-stride]) +
+				c6[1]*(src[q+2*stride]-src[q-2*stride]) +
+				c6[2]*(src[q+3*stride]-src[q-3*stride])
+			store(dst, q, d*met, op)
 		}
-		store(dst, p, d*met[i], op)
-	}
-}
-
-// closeHighRange mirrors closeLowRange at the high end, for [from, upto).
-func closeHighRange(dst, src []float64, base, stride, n int, met []float64, from, upto int, op Op) {
-	for i := max(from, 0); i < n && i < upto; i++ {
-		r := n - 1 - i // distance from the high boundary
-		p := base + i*stride
-		var d float64
-		switch {
-		case r == 0:
-			for m, w := range b0 {
-				d -= w * src[p-m*stride]
-			}
-		case r == 1:
-			for m, w := range b1 {
-				d -= w * src[p-(m-1)*stride]
-			}
-		case r == 2:
-			d = c4[0]*(src[p+stride]-src[p-stride]) + c4[1]*(src[p+2*stride]-src[p-2*stride])
-		default: // r == 3
-			d = c6[0]*(src[p+stride]-src[p-stride]) +
-				c6[1]*(src[p+2*stride]-src[p-2*stride]) +
-				c6[2]*(src[p+3*stride]-src[p-3*stride])
+	case r == 2:
+		for q := p; q < p+w; q++ {
+			d := c4[0]*(src[q+stride]-src[q-stride]) + c4[1]*(src[q+2*stride]-src[q-2*stride])
+			store(dst, q, d*met, op)
 		}
-		store(dst, p, d*met[i], op)
+	default:
+		// One-sided weights over offsets −r…4−r, towards the interior.
+		wts := &b0
+		if r == 1 {
+			wts = &b1
+		}
+		for q := p; q < p+w; q++ {
+			var d float64
+			if high {
+				for m, wt := range wts {
+					d -= wt * src[q-(m-r)*stride]
+				}
+			} else {
+				for m, wt := range wts {
+					d += wt * src[q+(m-r)*stride]
+				}
+			}
+			store(dst, q, d*met, op)
+		}
 	}
 }
 
@@ -135,71 +161,43 @@ func closeHighRange(dst, src []float64, base, stride, n int, met []float64, from
 // with the same tiling-invariance guarantee as DiffRange. Only OpSet makes
 // physical sense for a filter, but the op parameter is kept for symmetry.
 func FilterRange(dst, f *grid.Field3, a grid.Axis, sigma float64, lo, hi BC, boxLo, boxHi [3]int, op Op) {
-	n := dimOf(f, a)
-	ax := int(a)
-	s0, s1 := boxLo[ax], boxHi[ax]
-	if n == 1 {
+	if dimOf(f, a) == 1 {
 		copyRangeOp(dst, f, boxLo, boxHi, op)
 		return
 	}
 	stride := strideOf(f, a)
 	dd, src := dst.Data, f.Data
-	eachLineRange(f, a, boxLo, boxHi, func(base int) {
-		filterLineRange(dd, src, base, stride, n, sigma, lo, hi, s0, s1, op)
-	})
-}
-
-func filterLineRange(dst, src []float64, base, stride, n int, sigma float64, lo, hi BC, s0, s1 int, op Op) {
-	i0, i1 := 0, n
-	if lo == OneSided {
-		i0 = 5
+	interior := func(p, w, _ int) {
+		filterRow(dd, src, p, w, stride, sigma/1024.0, op == OpAdd)
 	}
-	if hi == OneSided {
-		i1 = n - 5
-	}
-	if i1 < i0 {
-		i0, i1 = 0, 0
-	}
-	c0, c1 := max(i0, s0), min(i1, s1)
-	if c1 > c0 {
-		filterInterior(dst, src, base, stride, c0, c1, sigma/1024.0, op == OpAdd)
-	}
-	if lo == OneSided {
-		for i := max(0, s0); i < i0 && i < n && i < s1; i++ {
-			filterBoundaryPointOp(dst, src, base, stride, i, i, sigma, op)
+	closure := func(p, w, _, r int, _ bool) {
+		for q := p; q < p+w; q++ {
+			filterBoundaryPointOp(dd, src, q, stride, r, sigma, op)
 		}
 	}
-	if hi == OneSided {
-		for i := max(i1, s0); i < n && i < s1; i++ {
-			if i < 0 {
-				continue
-			}
-			filterBoundaryPointOp(dst, src, base, stride, i, n-1-i, sigma, op)
-		}
-	}
+	sweepRows(f, a, 5, lo, hi, boxLo, boxHi, interior, closure)
 }
 
-// filterInterior applies the 10th-order interior filter along one grid line
-// for i in [c0, c1): dst[p] = src[p] − scale·Σ filter10[l+5]·src[p+l·stride].
-func filterInterior(dst, src []float64, base, stride, c0, c1 int, scale float64, add bool) {
-	for i := c0; i < c1; i++ {
-		p := base + i*stride
+// filterRow applies the 10th-order interior filter to the w unit-stride
+// points starting at flat index p, stencil neighbours stride apart:
+// dst[q] = src[q] − scale·Σ filter10[l+5]·src[q+l·stride].
+func filterRow(dst, src []float64, p, w, stride int, scale float64, add bool) {
+	for q := p; q < p+w; q++ {
 		var acc float64
 		for l := -5; l <= 5; l++ {
-			acc += filter10[l+5] * src[p+l*stride]
+			acc += filter10[l+5] * src[q+l*stride]
 		}
 		if add {
-			dst[p] += src[p] - scale*acc
+			dst[q] += src[q] - scale*acc
 		} else {
-			dst[p] = src[p] - scale*acc
+			dst[q] = src[q] - scale*acc
 		}
 	}
 }
 
-// filterBoundaryPointOp applies the order-2d symmetric filter at a point d
-// away from the boundary (identity when d == 0).
-func filterBoundaryPointOp(dst, src []float64, base, stride, i, d int, sigma float64, op Op) {
-	p := base + i*stride
+// filterBoundaryPointOp applies the order-2d symmetric filter at flat index
+// p, a point d away from the boundary (identity when d == 0).
+func filterBoundaryPointOp(dst, src []float64, p, stride, d int, sigma float64, op Op) {
 	if d == 0 {
 		store(dst, p, src[p], op)
 		return
@@ -256,32 +254,6 @@ func copyRangeOp(dst, src *grid.Field3, boxLo, boxHi [3]int, op Op) {
 				}
 			} else {
 				copy(dst.Data[rd:rd+n], src.Data[rs:rs+n])
-			}
-		}
-	}
-}
-
-// eachLineRange invokes fn for every grid line along a whose transverse
-// coordinates lie inside the box, passing the line's interior-origin flat
-// index (the span along a is clamped separately by the line kernels).
-func eachLineRange(f *grid.Field3, a grid.Axis, boxLo, boxHi [3]int, fn func(base int)) {
-	switch a {
-	case grid.X:
-		for k := boxLo[2]; k < boxHi[2]; k++ {
-			for j := boxLo[1]; j < boxHi[1]; j++ {
-				fn(f.Idx(0, j, k))
-			}
-		}
-	case grid.Y:
-		for k := boxLo[2]; k < boxHi[2]; k++ {
-			for i := boxLo[0]; i < boxHi[0]; i++ {
-				fn(f.Idx(i, 0, k))
-			}
-		}
-	default:
-		for j := boxLo[1]; j < boxHi[1]; j++ {
-			for i := boxLo[0]; i < boxHi[0]; i++ {
-				fn(f.Idx(i, j, 0))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 // Package par is the node-level parallel execution layer: a process-wide
 // worker pool plus per-block execution plans that decompose a kernel's
-// index space into plane tiles and run kernel closures over them.
+// index space into tiles made of whole unit-stride x-rows and run kernel
+// closures over them.
 //
 // It reproduces, in Go, the node-level half of the paper's §3 optimisation
 // story: once the dominant S3D kernels (reaction rates, diffusive fluxes,
@@ -10,12 +11,21 @@
 // fairly across ranks exactly as OpenMP threads were divided across MPI
 // ranks in the hybrid experiments of figure 3.
 //
-// Determinism contract: a Plan's tile decomposition depends only on the
-// index-space shape, never on the worker count, and reductions accumulate
-// per-tile partial sums into ordered slots that are combined in tile order.
-// Solutions are therefore bitwise identical for any pool size, which keeps
-// restart files, regression baselines and the paper-reproduction numbers
-// stable whatever hardware the run lands on.
+// Two grains, kept apart. The partition of a sweep box — one tile per plane
+// along the slowest splittable axis, or a cost-weighted variant — depends
+// only on the index-space shape (and installed weights), never on the worker
+// count; reductions accumulate per-partition-tile partial sums into ordered
+// slots that are combined in tile order. The scheduling grain is coarser:
+// a plan hands the pool blocks of consecutive partition tiles, about four
+// per worker, and a slot-free kernel body (Run) receives each block as one
+// fat tile of many rows. Kernel bodies compute each point identically
+// whatever tile it arrives in, so the block grouping — the one thing that
+// follows the pool size — cannot reach a result bit.
+//
+// Determinism contract: solutions and every ordered reduction are bitwise
+// identical for any pool size, which keeps restart files, regression
+// baselines and the paper-reproduction numbers stable whatever hardware the
+// run lands on.
 package par
 
 import (
@@ -30,12 +40,12 @@ import (
 	"github.com/s3dgo/s3d/internal/prof"
 )
 
-// task is one tile (or item) of a parallel region, handed to a worker.
+// task is one scheduled unit of a parallel region — a block of tiles or an
+// item — handed to a worker.
 type task struct {
-	label string
-	fn    func(t Tile, worker int)
-	tile  Tile
-	wg    *sync.WaitGroup
+	rg region
+	i  int
+	wg *sync.WaitGroup
 }
 
 // Pool is a fixed set of worker goroutines executing kernel tiles. One
@@ -58,8 +68,9 @@ type Pool struct {
 	tilesC atomic.Pointer[obs.Counter]
 
 	// Per-worker profiler tracks (AttachProfiler): each worker records one
-	// busy span per tile, labelled by the kernel, on its own timeline —
-	// gaps between spans are idle time. Attached once per profiler.
+	// busy span per scheduled block, labelled by the kernel, on its own
+	// timeline — gaps between spans are idle time. Attached once per
+	// profiler.
 	profTracks atomic.Pointer[[]*prof.Track]
 	profMu     sync.Mutex
 	profOwner  *prof.Profiler
@@ -122,7 +133,7 @@ func (p *Pool) Close() {
 //	par.workers        gauge    pool size
 //	par.workers_busy   gauge    workers executing a tile right now
 //	par.tiles_pending  gauge    tiles queued but not yet picked up
-//	par.tiles_total    counter  tiles executed by pool workers
+//	par.tiles_total    counter  scheduled blocks and items executed by pool workers
 //
 // workers_busy below par.workers while tiles_pending is zero is starvation
 // (too few tiles, or a straggler holding the barrier); a persistent pending
@@ -196,19 +207,20 @@ func (p *Pool) worker(id int) {
 			if tr.Recording() {
 				// Tag the span with the tile's coordinates so the timeline
 				// cross-references the spatial cost maps.
-				sp = tr.BeginArgs(t.label, map[string]string{
-					"tile": fmt.Sprintf("%d", t.tile.Index),
-					"lo":   fmt.Sprintf("%d,%d,%d", t.tile.Lo[0], t.tile.Lo[1], t.tile.Lo[2]),
-					"hi":   fmt.Sprintf("%d,%d,%d", t.tile.Hi[0], t.tile.Hi[1], t.tile.Hi[2]),
+				box := t.rg.box(t.i)
+				sp = tr.BeginArgs(t.rg.label, map[string]string{
+					"tile": fmt.Sprintf("%d", t.i),
+					"lo":   fmt.Sprintf("%d,%d,%d", box.Lo[0], box.Lo[1], box.Lo[2]),
+					"hi":   fmt.Sprintf("%d,%d,%d", box.Hi[0], box.Hi[1], box.Hi[2]),
 				})
 			}
 		}
 		start := time.Now()
-		t.fn(t.tile, id)
+		t.rg.unit(t.i, id)
 		d := time.Since(start)
 		sp.End()
 		wt.mu.Lock()
-		wt.t.Observe(t.label, d, 1)
+		wt.t.Observe(t.rg.label, d, 1)
 		wt.mu.Unlock()
 		nb = p.busy.Add(-1)
 		if g := p.busyG.Load(); g != nil {

@@ -9,57 +9,107 @@ import (
 	"github.com/s3dgo/s3d/internal/obs"
 )
 
-// TestRunCoversBox checks every point of the range is visited exactly once,
-// for a spread of shapes (3-D, quasi-2D, degenerate) and pool sizes.
-func TestRunCoversBox(t *testing.T) {
-	shapes := []Range{
-		Interior(8, 6, 5),
+// sweepShapes and sweepWorkers span the cases the block scheduler must get
+// right: the lifted jet's quasi-2-D box and its transpose, a 1-D column, a
+// 3-D box, ghost-extended and degenerate boxes; pool sizes that divide the
+// plane counts and ones that do not.
+var (
+	sweepShapes = []Range{
+		Interior(96, 72, 1),
+		Interior(72, 96, 1),
+		Interior(1, 1, 40),
+		Interior(16, 32, 32),
 		Interior(16, 1, 1),
-		Interior(4, 9, 1),
 		Box([3]int{-5, -5, -5}, [3]int{9, 7, 6}), // ghost-extended
 		Interior(1, 1, 1),
 	}
-	for _, workers := range []int{1, 3, 8} {
-		pool := NewPool(workers)
-		pl := NewPlan(pool)
-		for _, r := range shapes {
-			nx, ny, nz := r.Ext(0), r.Ext(1), r.Ext(2)
-			seen := make([]int32, nx*ny*nz)
-			pl.Run("cover", r, func(tl Tile, w int) {
-				if w < 0 || w >= workers {
-					t.Errorf("worker index %d out of range [0,%d)", w, workers)
-				}
-				for k := tl.Lo[2]; k < tl.Hi[2]; k++ {
-					for j := tl.Lo[1]; j < tl.Hi[1]; j++ {
-						for i := tl.Lo[0]; i < tl.Hi[0]; i++ {
-							idx := ((k-r.Lo[2])*ny+(j-r.Lo[1]))*nx + (i - r.Lo[0])
-							atomic.AddInt32(&seen[idx], 1)
-						}
-					}
-				}
-			})
-			for idx, n := range seen {
-				if n != 1 {
-					t.Fatalf("workers=%d shape=%v: point %d visited %d times", workers, r, idx, n)
-				}
+	sweepWorkers = []int{1, 2, 3, 4, 7}
+)
+
+// cover marks every cell of tl in seen (one counter per cell of r).
+func cover(seen []int32, r Range, tl Tile) {
+	nx, ny := r.Ext(0), r.Ext(1)
+	for k := tl.Lo[2]; k < tl.Hi[2]; k++ {
+		for j := tl.Lo[1]; j < tl.Hi[1]; j++ {
+			for i := tl.Lo[0]; i < tl.Hi[0]; i++ {
+				atomic.AddInt32(&seen[((k-r.Lo[2])*ny+(j-r.Lo[1]))*nx+(i-r.Lo[0])], 1)
 			}
 		}
-		pool.Close()
 	}
 }
 
-// TestRunFrozenNeverSplitsAxis verifies tiles span the frozen axis fully.
-func TestRunFrozenNeverSplitsAxis(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	pl := NewPlan(pool)
-	r := Interior(6, 7, 8)
-	for frozen := 0; frozen < 3; frozen++ {
-		pl.RunFrozen("frozen", r, frozen, func(tl Tile, _ int) {
-			if tl.Lo[frozen] != r.Lo[frozen] || tl.Hi[frozen] != r.Hi[frozen] {
-				t.Errorf("frozen axis %d split: tile %v", frozen, tl.Range)
+// TestSweepsCoverBox checks, for every shape, pool size and frozen axis,
+// that the fat tiles of Run/RunFrozen and the partition tiles of RunSlots
+// each visit every point of the box exactly once; that no tile cuts the
+// frozen axis; that tiles are made of whole x-rows unless x is the only axis
+// left to split; that Run issues at most blocksPerWorker blocks per worker
+// with distinct indices; and that RunSlots issues every slot index once.
+func TestSweepsCoverBox(t *testing.T) {
+	for _, workers := range sweepWorkers {
+		pool := NewPool(workers)
+		pl := NewPlan(pool)
+		for _, r := range sweepShapes {
+			cells := r.Ext(0) * r.Ext(1) * r.Ext(2)
+			for frozen := -1; frozen < 3; frozen++ {
+				onlyX := true // is x the only splittable, non-frozen axis?
+				for a := 1; a < 3; a++ {
+					if a != frozen && r.Ext(a) > 1 {
+						onlyX = false
+					}
+				}
+				check := func(name string, idx []int32, seen []int32) {
+					t.Helper()
+					for c, n := range seen {
+						if n != 1 {
+							t.Fatalf("%s workers=%d shape=%v frozen=%d: cell %d visited %d times",
+								name, workers, r, frozen, c, n)
+						}
+					}
+					for i, n := range idx {
+						if n != 1 {
+							t.Fatalf("%s workers=%d shape=%v frozen=%d: tile index %d issued %d times",
+								name, workers, r, frozen, i, n)
+						}
+					}
+				}
+				body := func(seen, idx []int32) func(Tile, int) {
+					return func(tl Tile, w int) {
+						if w < 0 || w >= workers {
+							t.Errorf("worker index %d out of range [0,%d)", w, workers)
+						}
+						if frozen >= 0 && (tl.Lo[frozen] != r.Lo[frozen] || tl.Hi[frozen] != r.Hi[frozen]) {
+							t.Errorf("shape=%v: frozen axis %d split: tile %v", r, frozen, tl.Range)
+						}
+						if !onlyX && (tl.Lo[0] != r.Lo[0] || tl.Hi[0] != r.Hi[0]) {
+							t.Errorf("shape=%v frozen=%d: tile %v cuts x-rows although another axis can split",
+								r, frozen, tl.Range)
+						}
+						atomic.AddInt32(&idx[tl.Index], 1)
+						cover(seen, r, tl)
+					}
+				}
+				planes := 1
+				if ax := splitAxis(r, frozen); ax >= 0 {
+					planes = r.Ext(ax)
+				}
+				seen, idx := make([]int32, cells), make([]int32, blockCount(planes, workers))
+				if len(idx) > blocksPerWorker*workers {
+					t.Fatalf("%d blocks for %d workers", len(idx), workers)
+				}
+				pl.RunFrozen("cover", r, frozen, body(seen, idx))
+				check("RunFrozen", idx, seen)
+				if frozen >= 0 {
+					continue
+				}
+				seen, idx = make([]int32, cells), make([]int32, pl.Slots("cover", r))
+				if len(idx) != planes {
+					t.Fatalf("Slots(%v) = %d, want %d planes", r, len(idx), planes)
+				}
+				pl.RunSlots("cover", r, body(seen, idx))
+				check("RunSlots", idx, seen)
 			}
-		})
+		}
+		pool.Close()
 	}
 }
 
@@ -67,33 +117,35 @@ func TestRunFrozenNeverSplitsAxis(t *testing.T) {
 // bitwise identical for every pool size — the property the solver's
 // heat-release integral depends on.
 func TestRunReduceDeterministic(t *testing.T) {
-	r := Interior(17, 13, 11)
-	vals := make([]float64, 17*13*11)
 	rng := rand.New(rand.NewSource(42))
-	for i := range vals {
-		// Wildly varying magnitudes make float addition order visible.
-		vals[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
-	}
-	sum := func(workers int) float64 {
-		pool := NewPool(workers)
-		defer pool.Close()
-		pl := NewPlan(pool)
-		return pl.RunReduce("reduce", r, func(tl Tile, _ int) float64 {
-			var s float64
-			for k := tl.Lo[2]; k < tl.Hi[2]; k++ {
-				for j := tl.Lo[1]; j < tl.Hi[1]; j++ {
-					for i := tl.Lo[0]; i < tl.Hi[0]; i++ {
-						s += vals[(k*13+j)*17+i]
+	for _, r := range append([]Range{Interior(17, 13, 11)}, sweepShapes...) {
+		nx, ny := r.Ext(0), r.Ext(1)
+		vals := make([]float64, nx*ny*r.Ext(2))
+		for i := range vals {
+			// Wildly varying magnitudes make float addition order visible.
+			vals[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
+		}
+		sum := func(workers int) float64 {
+			pool := NewPool(workers)
+			defer pool.Close()
+			pl := NewPlan(pool)
+			return pl.RunReduce("reduce", r, func(tl Tile, _ int) float64 {
+				var s float64
+				for k := tl.Lo[2]; k < tl.Hi[2]; k++ {
+					for j := tl.Lo[1]; j < tl.Hi[1]; j++ {
+						for i := tl.Lo[0]; i < tl.Hi[0]; i++ {
+							s += vals[((k-r.Lo[2])*ny+(j-r.Lo[1]))*nx+(i-r.Lo[0])]
+						}
 					}
 				}
+				return s
+			})
+		}
+		want := sum(1)
+		for _, w := range sweepWorkers[1:] {
+			if got := sum(w); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("shape=%v workers=%d: sum %x != workers=1 sum %x", r, w, got, want)
 			}
-			return s
-		})
-	}
-	want := sum(1)
-	for _, w := range []int{2, 3, 8} {
-		if got := sum(w); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("workers=%d: sum %x != workers=1 sum %x", w, got, want)
 		}
 	}
 }
@@ -159,11 +211,12 @@ func TestPoolMetrics(t *testing.T) {
 	if got := s.Gauges["par.workers"]; got != 3 {
 		t.Errorf("par.workers = %g, want 3", got)
 	}
-	if got := s.Counters["par.tiles.kern"]; got != 32 {
-		t.Errorf("par.tiles.kern = %d, want 32", got)
+	// 16 planes on 3 workers schedule as 4·3 = 12 blocks per run.
+	if got := s.Counters["par.tiles.kern"]; got != 24 {
+		t.Errorf("par.tiles.kern = %d, want 24", got)
 	}
-	if got := s.Counters["par.tiles_total"]; got != 32 {
-		t.Errorf("par.tiles_total = %d, want 32", got)
+	if got := s.Counters["par.tiles_total"]; got != 24 {
+		t.Errorf("par.tiles_total = %d, want 24", got)
 	}
 }
 
@@ -180,8 +233,9 @@ func TestPerfSnapshot(t *testing.T) {
 	})
 	tm := pool.PerfSnapshot()
 	r := tm.Region("busywork")
-	if r == nil || r.Calls != 12 {
-		t.Fatalf("busywork region = %+v, want 12 calls", r)
+	// 12 planes on 2 workers schedule as 4·2 = 8 blocks.
+	if r == nil || r.Calls != 8 {
+		t.Fatalf("busywork region = %+v, want 8 calls", r)
 	}
 }
 
@@ -192,10 +246,13 @@ func TestSplitAxisDeterministic(t *testing.T) {
 		frozen int
 		want   int
 	}{
-		{Interior(32, 32, 32), -1, 2}, // ties prefer k
+		{Interior(32, 32, 32), -1, 2}, // slowest axis first
+		{Interior(64, 8, 4), -1, 2},   // whatever the extents
 		{Interior(32, 32, 32), 2, 1},  // frozen k → j
-		{Interior(64, 32, 1), -1, 0},  // quasi-2D, x largest
-		{Interior(8, 32, 1), -1, 1},   // quasi-2D, j largest
+		{Interior(64, 32, 1), -1, 1},  // quasi-2D: j, never the longer x
+		{Interior(8, 32, 1), -1, 1},   // quasi-2D, j
+		{Interior(64, 32, 1), 1, 0},   // x only when nothing else can split
+		{Interior(9, 1, 1), -1, 0},    // 1-D line
 		{Interior(1, 1, 1), -1, -1},   // degenerate
 		{Interior(9, 1, 1), 0, -1},    // only splittable axis frozen
 	}

@@ -3,17 +3,19 @@ package par
 import "math"
 
 // Partition is the deterministic tile decomposition of one sweep box: the
-// unit of scheduling for Run/RunFrozen/RunReduce and the definition of the
+// grain of RunSlots/RunReduce bodies and the definition of the
 // reduction-slot order. It is a pure function of (box, frozen axis, weight
 // profile, budget) — never of the worker count or any wall-clock input — so
 // the tile set, the tile order and with them every ordered reduction are
-// bitwise reproducible across pool sizes and runs.
+// bitwise reproducible across pool sizes and runs. (Plans schedule blocks
+// of consecutive partition tiles; only that grouping follows the pool.)
 //
-// Unweighted (nil profile) the partition is the historical one-plane split
-// along the shape-chosen axis. A per-plane weight profile turns it into a
-// cost-weighted decomposition: expensive planes are split along a secondary
-// axis and cheap neighbouring planes are merged into one tile, targeting
-// roughly equal planned work per tile.
+// Unweighted (nil profile) the partition is one tile per plane along the
+// split axis (splitAxis: the slowest axis with extent > 1, so planes are
+// whole x-rows). A per-plane weight profile turns it into a cost-weighted
+// decomposition: expensive planes are split along a secondary axis and
+// cheap neighbouring planes are merged into one tile, targeting roughly
+// equal planned work per tile.
 type Partition struct {
 	r  Range
 	ax int // one-plane split axis (unweighted path); -1 = single tile
@@ -72,16 +74,11 @@ func NewPartition(r Range, frozen int, weights []float64, budget float64) *Parti
 	if budget > b {
 		b = budget
 	}
-	// Secondary axis for splitting hot planes: the largest remaining
-	// splittable extent.
-	sax, sext := -1, 1
-	for _, a := range [3]int{2, 1, 0} {
-		if a == p.ax || a == frozen {
-			continue
-		}
-		if e := r.Ext(a); e > sext {
-			sax, sext = a, e
-		}
+	// Secondary axis for splitting hot planes: the split axis of a plane,
+	// so the pieces keep whole x-rows too whenever the plane allows.
+	sax, sext := splitAxis(tileOf(r, p.ax, 0).Range, frozen), 1
+	if sax >= 0 {
+		sext = r.Ext(sax)
 	}
 	hot := hotTol * b
 

@@ -135,7 +135,7 @@ func TestPartitionUniformDegradesToPlanes(t *testing.T) {
 // reduced sum must be identical — the partition is a pure function of (box,
 // weights), never of the pool.
 func TestPartitionWorkerCountInvariance(t *testing.T) {
-	r := Interior(24, 16, 1)
+	r := Interior(16, 24, 1)
 	w := make([]float64, 24)
 	for i := range w {
 		w[i] = float64(1 + (i*i)%37)
@@ -176,7 +176,7 @@ func TestPartitionWorkerCountInvariance(t *testing.T) {
 	// The hot plane must actually have been split.
 	split := false
 	for _, tl := range a.tiles {
-		if tl.Lo[0] == 7 && tl.Hi[0] == 8 && tl.Ext(1) < 16 {
+		if tl.Lo[1] == 7 && tl.Hi[1] == 8 && tl.Ext(0) < 16 {
 			split = true
 		}
 	}
@@ -189,7 +189,7 @@ func TestPartitionWorkerCountInvariance(t *testing.T) {
 // rank whose profile is far below the global budget merges its planes into
 // few tiles instead of emitting one tiny tile per plane.
 func TestPartitionBudgetMergesCheapPlanes(t *testing.T) {
-	r := Interior(24, 16, 1)
+	r := Interior(16, 24, 1)
 	w := make([]float64, 24)
 	for i := range w {
 		w[i] = 16 // cold rank: proxy floor only

@@ -28,30 +28,30 @@ func (r Range) Empty() bool {
 	return r.Ext(0) <= 0 || r.Ext(1) <= 0 || r.Ext(2) <= 0
 }
 
-// Tile is one unit of scheduled work: a sub-box of the sweep's Range plus
-// its position in the deterministic tile order (the reduction-slot index).
+// Tile is one unit of kernel work handed to a sweep body: a sub-box of the
+// sweep's Range plus an index. For the slot-grained entry points (RunSlots,
+// RunReduce, RunTiles) Index is the tile's position in the deterministic
+// partition order — the reduction-slot index; for Run/RunFrozen it numbers
+// the scheduled blocks.
 type Tile struct {
 	Range
 	Index int
 }
 
-// splitAxis picks the tiling axis for a box: the axis with the largest
-// extent, preferring k over j over i on ties, never the frozen axis (pass
-// -1 for none) and never a unit axis. The choice depends only on the box
-// shape — never on the worker count — so tile decompositions, and with
-// them reduction orders, are reproducible across pool sizes. Returns -1
-// when no axis is splittable (single-tile sweep).
+// splitAxis picks the tiling axis for a box: the slowest-varying axis with
+// more than one point — k, else j, and i only when nothing else can be split
+// — never the frozen axis (pass -1 for none). A plane tile cut along it is
+// therefore made of whole unit-stride x-rows whenever the box allows. The
+// choice depends only on the box shape — never on the worker count — so
+// partitions, and with them reduction orders, are reproducible across pool
+// sizes. Returns -1 when no axis is splittable (single-tile sweep).
 func splitAxis(r Range, frozen int) int {
-	best, bestExt := -1, 1
 	for _, a := range [3]int{2, 1, 0} {
-		if a == frozen {
-			continue
-		}
-		if e := r.Ext(a); e > bestExt {
-			best, bestExt = a, e
+		if a != frozen && r.Ext(a) > 1 {
+			return a
 		}
 	}
-	return best
+	return -1
 }
 
 // SweepAxis exposes the plan's tiling-axis choice for a box with no frozen
@@ -60,22 +60,40 @@ func splitAxis(r Range, frozen int) int {
 // profiles (the solver's load balancer) must aggregate along this axis.
 func SweepAxis(r Range) int { return splitAxis(r, -1) }
 
-// tileOf cuts plane idx (grain: one plane) along axis ax out of r.
-func tileOf(r Range, ax, idx int) Tile {
+// planesOf cuts planes [lo, hi) along axis ax out of r (the whole box when
+// ax is -1) and labels the tile idx.
+func planesOf(r Range, ax, lo, hi, idx int) Tile {
 	t := Tile{Range: r, Index: idx}
 	if ax >= 0 {
-		t.Lo[ax] = r.Lo[ax] + idx
-		t.Hi[ax] = t.Lo[ax] + 1
+		t.Lo[ax], t.Hi[ax] = r.Lo[ax]+lo, r.Lo[ax]+hi
 	}
 	return t
 }
+
+// tileOf cuts plane idx (the partition grain: one plane) along axis ax out
+// of r.
+func tileOf(r Range, ax, idx int) Tile { return planesOf(r, ax, idx, idx+1, idx) }
+
+// blocksPerWorker is how many scheduled blocks a sweep is cut into per pool
+// worker: enough that an uneven block does not leave a worker idle at the
+// barrier, few enough that a sweep body's per-call setup and the per-task
+// scheduling cost stay amortised over many rows.
+const blocksPerWorker = 4
+
+// blockCount returns how many blocks n partition slots are scheduled as on
+// a pool of the given size, and blockSpan the slots [lo, hi) of block b. The
+// grouping is a scheduling decision only: it may depend on the worker count
+// because nothing whose bits matter is accumulated per block.
+func blockCount(n, workers int) int { return min(n, blocksPerWorker*workers) }
+
+func blockSpan(b, nb, n int) (lo, hi int) { return b * n / nb, (b + 1) * n / nb }
 
 // RunRecorder receives the per-tile timings of one plan run. Tile is called
 // concurrently from pool workers (tile indices within a run are distinct, so
 // implementations may write disjoint slots without locking); EndRun is called
 // on the owner goroutine after the run's barrier.
 type RunRecorder interface {
-	Tile(idx, worker int, seconds float64, cells int)
+	Tile(idx, worker int, seconds float64)
 	EndRun()
 }
 
@@ -101,7 +119,7 @@ type Plan struct {
 
 	// weights holds the per-kernel weight profiles installed by SetWeights;
 	// a labelled sweep with a profile executes the weighted Partition
-	// instead of the one-plane split. Owner-goroutine only.
+	// instead of the plane split. Owner-goroutine only.
 	weights map[string]*weightedLabel
 
 	reg      *obs.Registry
@@ -149,12 +167,12 @@ func (pl *Plan) SetCost(p CostProbe) { pl.cost = p }
 
 // SetWeights installs (or, with an empty profile, removes) a per-plane
 // weight profile for the labelled kernel: its sweeps then execute the
-// cost-weighted Partition instead of the one-plane split. budget, when
-// positive, is the global target weight per tile (see NewPartition). The
-// profile is copied; the decomposition it produces depends only on (box,
-// frozen axis, profile, budget), so installing the same profile on every
-// rank-local plan keeps reductions bitwise deterministic at any worker
-// count. Owner-goroutine only.
+// cost-weighted Partition, tile by tile, instead of blocks of planes.
+// budget, when positive, is the global target weight per tile (see
+// NewPartition). The profile is copied; the decomposition it produces
+// depends only on (box, frozen axis, profile, budget), so installing the
+// same profile on every rank-local plan keeps reductions bitwise
+// deterministic at any worker count. Owner-goroutine only.
 func (pl *Plan) SetWeights(label string, w []float64, budget float64) {
 	if len(w) == 0 {
 		delete(pl.weights, label)
@@ -172,9 +190,9 @@ func (pl *Plan) HasWeights(label string) bool {
 	return ok
 }
 
-// PartitionFor returns the tile decomposition Run/RunFrozen would execute
-// for (label, r, frozen): the weighted partition when SetWeights installed
-// a profile for the label, the one-plane split otherwise.
+// PartitionFor returns the partition a sweep of (label, r, frozen) executes
+// slot by slot: the weighted partition when SetWeights installed a profile
+// for the label, the one-plane split along the split axis otherwise.
 func (pl *Plan) PartitionFor(label string, r Range, frozen int) *Partition {
 	if wl := pl.weights[label]; wl != nil {
 		return pl.partitionOf(wl, r, frozen)
@@ -208,134 +226,197 @@ func (pl *Plan) count(label string, tiles int) {
 	c.Add(int64(tiles))
 }
 
-// Run decomposes r into plane tiles and executes fn over every tile,
-// blocking until all complete. fn receives the tile and the executing
-// worker's index; tiles write disjoint outputs, so no ordering is imposed
-// between them. label names the kernel for the pool's per-worker timers
-// and the tile counters.
-func (pl *Plan) Run(label string, r Range, fn func(t Tile, worker int)) {
-	pl.RunFrozen(label, r, -1, fn)
-}
-
-// RunFrozen is Run with one axis exempt from tiling — required when the
-// kernel's stencil spans that axis (derivative sweeps along it) so every
-// tile must hold the full extent.
-func (pl *Plan) RunFrozen(label string, r Range, frozen int, fn func(t Tile, worker int)) {
-	if r.Empty() {
-		return
-	}
-	// Weighted labels execute their Partition; everything else keeps the
-	// allocation-free one-plane split inline.
-	var part *Partition
-	ax, n := -1, 1
+// slotsOf resolves the partition a labelled sweep executes without
+// materialising it: the explicit tile list of the label's weighted
+// Partition, else (list == nil) one plane per slot along ax, -1 meaning the
+// box is a single tile. n is the slot count either way.
+func (pl *Plan) slotsOf(label string, r Range, frozen int) (list []Tile, ax, n int) {
 	if wl := pl.weights[label]; wl != nil {
-		part = pl.partitionOf(wl, r, frozen)
-		n = part.Len()
-	} else if ax = splitAxis(r, frozen); ax >= 0 {
-		n = r.Ext(ax)
-	}
-	pl.count(label, n)
-	if pl.cost != nil && pl.cost.Armed() {
-		if rec := pl.cost.BeginRun(label, n); rec != nil {
-			inner := fn
-			fn = func(t Tile, w int) {
-				start := time.Now()
-				inner(t, w)
-				rec.Tile(t.Index, w, time.Since(start).Seconds(), t.Ext(0)*t.Ext(1)*t.Ext(2))
-			}
-			defer rec.EndRun()
+		if p := pl.partitionOf(wl, r, frozen); p.Weighted() {
+			return p.tiles, -1, p.n
 		}
 	}
-	tileAt := func(idx int) Tile {
-		if part != nil {
-			return part.Tile(idx)
-		}
-		return tileOf(r, ax, idx)
+	if ax = splitAxis(r, frozen); ax >= 0 {
+		return nil, ax, r.Ext(ax)
 	}
-	if pl.pool.n == 1 || n == 1 {
-		// Serial fast path: execute the same tile decomposition inline on
-		// the owner, keeping results bitwise identical to the pooled path.
-		for idx := 0; idx < n; idx++ {
-			fn(tileAt(idx), 0)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for idx := 0; idx < n; idx++ {
-		pl.pool.submit(task{label: label, fn: fn, tile: tileAt(idx), wg: &wg})
-	}
-	wg.Wait()
+	return nil, -1, 1
 }
 
-// RunTiles executes fn over an explicit tile list — the work-sharing donor's
-// retained subset of a partition. Tiles keep their original Index (so
-// reduction-slot writes stay aligned with the full partition); the probe
-// sample records them positionally.
-func (pl *Plan) RunTiles(label string, tiles []Tile, fn func(t Tile, worker int)) {
-	n := len(tiles)
-	if n == 0 {
-		return
-	}
-	pl.count(label, n)
-	var rec RunRecorder
-	if pl.cost != nil && pl.cost.Armed() {
-		rec = pl.cost.BeginRun(label, n)
-	}
-	if rec != nil {
-		defer rec.EndRun()
-	}
-	run := func(pos, w int) {
-		t := tiles[pos]
-		if rec == nil {
-			fn(t, w)
-			return
-		}
-		start := time.Now()
-		fn(t, w)
-		rec.Tile(pos, w, time.Since(start).Seconds(), t.Ext(0)*t.Ext(1)*t.Ext(2))
-	}
-	if pl.pool.n == 1 || n == 1 {
-		for pos := 0; pos < n; pos++ {
-			run(pos, 0)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for pos := 0; pos < n; pos++ {
-		pos := pos
-		pl.pool.submit(task{label: label, fn: func(_ Tile, w int) { run(pos, w) }, wg: &wg})
-	}
-	wg.Wait()
-}
-
-// RunReduce runs fn over the tiles of r and returns the sum of the per-tile
-// results, accumulated in ascending tile order through ordered slots. The
-// tile decomposition and the combination order are independent of the pool
-// size, so the reduction is bitwise deterministic for any worker count —
-// the property the solver's heat-release integral and conservation
-// diagnostics rely on.
-func (pl *Plan) RunReduce(label string, r Range, fn func(t Tile, worker int) float64) float64 {
+// Slots returns the number of partition tiles — ordered reduction slots — a
+// RunSlots or RunReduce sweep of r under the label writes: the plane count
+// along the split axis, or the weighted partition's length when SetWeights
+// installed a profile. Callers size their per-slot accumulators with it.
+func (pl *Plan) Slots(label string, r Range) int {
 	if r.Empty() {
 		return 0
 	}
-	n := 1
-	if wl := pl.weights[label]; wl != nil {
-		n = pl.partitionOf(wl, r, -1).Len()
-	} else if ax := splitAxis(r, -1); ax >= 0 {
-		n = r.Ext(ax)
+	_, _, n := pl.slotsOf(label, r, -1)
+	return n
+}
+
+// region is one parallel region in flight, by value (tasks carry a copy, so
+// starting a region allocates nothing): its units of work execute as
+// unit(i, worker).
+type region struct {
+	label string
+	rec   RunRecorder // non-nil: the cost probe times every unit
+
+	item func(item, worker int) // RunItems: unit i is item i
+
+	// Tiled sweeps: unit b is block b of nb over the n slots of a partition
+	// — an explicit tile list (a weighted partition, RunTiles) or, with
+	// list nil, the planes of r along ax. perSlot calls tile once per slot;
+	// otherwise a block of planes arrives as one fat tile.
+	tile    func(t Tile, worker int)
+	list    []Tile
+	r       Range
+	ax      int
+	n, nb   int
+	perSlot bool
+}
+
+func (rg *region) unit(i, worker int) {
+	var start time.Time
+	if rg.rec != nil {
+		start = time.Now()
 	}
+	if rg.item != nil {
+		rg.item(i, worker)
+	} else {
+		lo, hi := blockSpan(i, rg.nb, rg.n)
+		switch {
+		case rg.list != nil:
+			for s := lo; s < hi; s++ {
+				rg.tile(rg.list[s], worker)
+			}
+		case rg.perSlot:
+			for s := lo; s < hi; s++ {
+				rg.tile(tileOf(rg.r, rg.ax, s), worker)
+			}
+		default:
+			rg.tile(planesOf(rg.r, rg.ax, lo, hi, i), worker)
+		}
+	}
+	if rg.rec != nil {
+		rg.rec.Tile(i, worker, time.Since(start).Seconds())
+	}
+}
+
+// box is the index box unit i is labelled with on the profiler timeline
+// (zero for items). For a block of explicit tiles it runs from the first
+// tile's low corner to the last tile's high corner: exact for plane runs, a
+// cross-reference rather than a bounding box across split hot planes.
+func (rg *region) box(i int) Range {
+	if rg.item != nil {
+		return Range{}
+	}
+	lo, hi := blockSpan(i, rg.nb, rg.n)
+	if rg.list != nil {
+		return Range{Lo: rg.list[lo].Lo, Hi: rg.list[hi-1].Hi}
+	}
+	return planesOf(rg.r, rg.ax, lo, hi, i).Range
+}
+
+// execute runs the region's units [0, units) and blocks until all complete:
+// inline on the owner when the pool has one worker or there is a single
+// unit (the serial fast path), one pool task each otherwise. It is where
+// every run meets the tile counters and the cost probe.
+func (pl *Plan) execute(rg region, units int) {
+	pl.count(rg.label, units)
+	if pl.cost != nil && pl.cost.Armed() {
+		if rg.rec = pl.cost.BeginRun(rg.label, units); rg.rec != nil {
+			defer rg.rec.EndRun()
+		}
+	}
+	if pl.pool.n == 1 || units == 1 {
+		for i := 0; i < units; i++ {
+			rg.unit(i, 0)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(units)
+	for i := 0; i < units; i++ {
+		pl.pool.submit(task{rg: rg, i: i, wg: &wg})
+	}
+	wg.Wait()
+}
+
+// sweep is the body of Run, RunFrozen and RunSlots: it schedules the
+// partition of r as blocks of consecutive slots (blockCount) and calls fn
+// inside each block — once with the block's planes merged into one fat tile
+// (Run on a plane partition), or once per partition tile in ascending order
+// (perSlot, and every weighted partition, whose tiles are not mergeable
+// boxes).
+func (pl *Plan) sweep(label string, r Range, frozen int, perSlot bool, fn func(t Tile, worker int)) {
+	if r.Empty() {
+		return
+	}
+	list, ax, n := pl.slotsOf(label, r, frozen)
+	nb := blockCount(n, pl.pool.n)
+	pl.execute(region{label: label, tile: fn, list: list, r: r, ax: ax, n: n, nb: nb, perSlot: perSlot}, nb)
+}
+
+// Run executes fn over r, blocking until every point is covered exactly
+// once. The box is cut into blocks of consecutive planes along the split
+// axis — about blocksPerWorker per pool worker — and fn receives each block
+// as one fat tile (Index numbers the blocks) with the executing worker's
+// index; tiles write disjoint outputs, so no ordering is imposed between
+// them. The block count follows the pool size, so fn must not accumulate
+// anything whose bits matter per tile: bodies that fill ordered slots use
+// RunSlots. label names the kernel for the pool's per-worker timers and the
+// tile counters.
+func (pl *Plan) Run(label string, r Range, fn func(t Tile, worker int)) {
+	pl.sweep(label, r, -1, false, fn)
+}
+
+// RunFrozen is Run with one axis exempt from tiling — for kernels whose
+// body must hold the full extent of that axis in every tile.
+func (pl *Plan) RunFrozen(label string, r Range, frozen int, fn func(t Tile, worker int)) {
+	pl.sweep(label, r, frozen, false, fn)
+}
+
+// RunSlots executes fn once per partition tile of r — one plane along the
+// split axis, or one tile of the label's weighted partition — with
+// Tile.Index the tile's position in the deterministic partition order, in
+// ascending order within each scheduled block. The tile set and its order
+// never depend on the pool size, so per-tile results written to slot
+// Tile.Index (Slots sizes the array) and folded in ascending index order
+// are bitwise identical at any worker count; only the grouping of tiles
+// into scheduled blocks follows the pool.
+func (pl *Plan) RunSlots(label string, r Range, fn func(t Tile, worker int)) {
+	pl.sweep(label, r, -1, true, fn)
+}
+
+// RunTiles executes fn once per tile of an explicit list — the work-sharing
+// donor's retained subset of a partition — scheduled in blocks of
+// consecutive list positions like RunSlots. Tiles keep their original Index,
+// so reduction-slot writes stay aligned with the full partition.
+func (pl *Plan) RunTiles(label string, tiles []Tile, fn func(t Tile, worker int)) {
+	if n := len(tiles); n > 0 {
+		nb := blockCount(n, pl.pool.n)
+		pl.execute(region{label: label, tile: fn, list: tiles, n: n, nb: nb}, nb)
+	}
+}
+
+// RunReduce runs fn once per partition tile of r (RunSlots) and returns the
+// sum of the per-tile results, accumulated in ascending tile order through
+// ordered slots. The partition and the combination order are independent of
+// the pool size, so the reduction is bitwise deterministic for any worker
+// count — the property the solver's heat-release integral and conservation
+// diagnostics rely on.
+func (pl *Plan) RunReduce(label string, r Range, fn func(t Tile, worker int) float64) float64 {
+	n := pl.Slots(label, r)
 	if cap(pl.red) < n {
 		pl.red = make([]float64, n)
 	}
 	slots := pl.red[:n]
-	pl.RunFrozen(label, r, -1, func(t Tile, w int) {
+	pl.RunSlots(label, r, func(t Tile, w int) {
 		slots[t.Index] = fn(t, w)
 	})
 	var sum float64
-	for i := 0; i < n; i++ {
-		sum += slots[i]
+	for _, v := range slots {
+		sum += v
 	}
 	return sum
 }
@@ -343,42 +424,13 @@ func (pl *Plan) RunReduce(label string, r Range, fn func(t Tile, worker int) flo
 // RunItems executes fn for every item index in [0, n) — the degenerate
 // 1-D decomposition used for per-field work such as halo pack/unpack,
 // where each item already writes a disjoint region. Item sweeps route
-// through the cost probe like tiled runs do (items report zero cells), so
-// halo pack/unpack and RK-update work shows up in the measured side channel
-// of the cost document instead of being invisible to the sampler.
+// through the cost probe like tiled runs do, so halo pack/unpack and
+// RK-update work shows up in the measured side channel of the cost document
+// instead of being invisible to the sampler.
 func (pl *Plan) RunItems(label string, n int, fn func(item, worker int)) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		pl.execute(region{label: label, item: fn}, n)
 	}
-	pl.count(label, n)
-	if pl.cost != nil && pl.cost.Armed() {
-		if rec := pl.cost.BeginRun(label, n); rec != nil {
-			inner := fn
-			fn = func(item, w int) {
-				start := time.Now()
-				inner(item, w)
-				rec.Tile(item, w, time.Since(start).Seconds(), 0)
-			}
-			defer rec.EndRun()
-		}
-	}
-	if pl.pool.n == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i, 0)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		item := i
-		pl.pool.submit(task{
-			label: label,
-			fn:    func(_ Tile, w int) { fn(item, w) },
-			wg:    &wg,
-		})
-	}
-	wg.Wait()
 }
 
 // String describes the plan (diagnostics).

@@ -9,7 +9,6 @@ package solver
 // contract the health sweep keeps.
 
 import (
-	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/insitu"
 	"github.com/s3dgo/s3d/internal/par"
 )
@@ -26,12 +25,7 @@ func (b *Block) InstallAnalysis(p *insitu.Pipeline) {
 	if p == nil {
 		return
 	}
-	n := 1
-	for a := 0; a < 3; a++ {
-		if e := b.G.Dim(grid.Axis(a)); e > n {
-			n = e
-		}
-	}
+	n := b.plan.Slots("ANALYSIS", b.interior())
 	total := p.TotalSlots()
 	ops := p.Ops()
 	b.aSlots = make([][]float64, n)
@@ -62,10 +56,9 @@ func (b *Block) analysisStep() {
 	p := b.analysis
 	reg := b.beginRegion("ANALYSIS")
 	r := b.interior()
-	n := b.healthTiles(r)
 	ops := p.Ops()
 	wx, wy, wz := b.volW[0], b.volW[1], b.volW[2]
-	b.plan.Run("ANALYSIS", r, func(t par.Tile, _ int) {
+	b.plan.RunSlots("ANALYSIS", r, func(t par.Tile, _ int) {
 		sub := b.aSub[t.Index]
 		for oi := range ops {
 			ops[oi].Op.Init(sub[oi])
@@ -89,8 +82,8 @@ func (b *Block) analysisStep() {
 	total := p.TotalSlots()
 	acc := b.aAcc
 	copy(acc[:total], b.aSlots[0])
-	for si := 1; si < n; si++ {
-		p.MergeVec(acc[:total], b.aSlots[si])
+	for _, row := range b.aSlots[1:] {
+		p.MergeVec(acc[:total], row)
 	}
 	acc[total] = b.hrrAcc
 

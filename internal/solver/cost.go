@@ -33,7 +33,7 @@ func (b *Block) InstallCost(c *cost.Collector) {
 		return
 	}
 	b.plan.SetCost(c)
-	b.cSlots = make([]float64, b.healthTiles(b.interior()))
+	b.cSlots = make([]float64, b.plan.Slots(cost.ChemKernel, b.interior()))
 	b.cFold = make([]float64, cost.FoldLen(b.Ranks()))
 	b.cRegionBase = make([]float64, len(cost.MeasuredLabels()))
 }
@@ -84,7 +84,7 @@ func (b *Block) costStep() {
 	c := b.costC
 	reg := b.beginRegion("COST")
 	r := b.interior()
-	n := b.healthTiles(r)
+	n := b.plan.Slots("COST", r) // the unweighted plane count
 
 	// cost_density: the per-cell total work proxy. Each uniform kernel
 	// contributes one unit per cell; chemistry contributes its substep

@@ -46,13 +46,7 @@ func (b *Block) InstallWatchdog(w *health.Watchdog) {
 		return
 	}
 	b.hMin = b.G.MinSpacing()
-	n := 1
-	for a := 0; a < 3; a++ {
-		if e := b.G.Dim(grid.Axis(a)); e > n {
-			n = e
-		}
-	}
-	b.hSlots = make([]hAcc, n)
+	b.hSlots = make([]hAcc, b.plan.Slots("HEALTH", b.interior()))
 	maxN := w.Config().SliceMax
 	w.SetSliceSource(func() health.Slice { return b.healthSlice(maxN) })
 }
@@ -142,18 +136,6 @@ type hAcc struct {
 	mass, energy float64
 }
 
-// healthTiles mirrors the plan's tile decomposition of the interior: one
-// plane per tile along the axis par picks (largest extent).
-func (b *Block) healthTiles(r par.Range) int {
-	n := 1
-	for a := 0; a < 3; a++ {
-		if e := r.Ext(a); e > n {
-			n = e
-		}
-	}
-	return n
-}
-
 // conservedQuantity names conserved variable v for violations: the
 // registry's stable checkpoint name of the v-th conserved register (the Q
 // bank occupies ids [0, nvar) by registration order).
@@ -170,8 +152,7 @@ func (b *Block) conservedQuantity(v int) string {
 func (b *Block) healthSample(dt float64) health.Sample {
 	r := b.interior()
 	gamma := b.watch.Config().Gamma
-	n := b.healthTiles(r)
-	slots := b.hSlots[:n]
+	slots := b.hSlots // one per partition plane of the interior (InstallWatchdog)
 	qr, qe := b.Q[iRho].Data, b.Q[iRhoE].Data
 	ur, vr, wr, pr, tr := b.U.Data, b.V.Data, b.W.Data, b.P.Data, b.T.Data
 	ns, nvar := b.ns, b.nvar
@@ -188,7 +169,7 @@ func (b *Block) healthSample(dt float64) health.Sample {
 		dd[nsp] = b.D[nsp].Data
 	}
 	wx, wy, wz := b.volW[0], b.volW[1], b.volW[2]
-	b.plan.Run("HEALTH", r, func(t par.Tile, _ int) {
+	b.plan.RunSlots("HEALTH", r, func(t par.Tile, _ int) {
 		a := &slots[t.Index]
 		*a = hAcc{
 			nanVar: -1,
@@ -271,7 +252,7 @@ func (b *Block) healthSample(dt float64) health.Sample {
 
 	// Merge in ascending tile order (deterministic sums and tie-breaks).
 	m := slots[0]
-	for si := 1; si < n; si++ {
+	for si := 1; si < len(slots); si++ {
 		s := &slots[si]
 		if m.nan == 0 && s.nan > 0 {
 			m.nanCell, m.nanVar = s.nanCell, s.nanVar

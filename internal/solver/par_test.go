@@ -1,13 +1,19 @@
 package solver
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/s3dgo/s3d/internal/chem"
+	"github.com/s3dgo/s3d/internal/comm"
 	"github.com/s3dgo/s3d/internal/grid"
+	"github.com/s3dgo/s3d/internal/health"
+	"github.com/s3dgo/s3d/internal/insitu"
 	"github.com/s3dgo/s3d/internal/par"
 	"github.com/s3dgo/s3d/internal/transport"
 )
@@ -202,6 +208,122 @@ func TestWorkerCountDeterminismNSCBC(t *testing.T) {
 	for p := range ref {
 		if ref[p] != got[p] {
 			t.Fatalf("NSCBC channel: bit mismatch at flat %d: %x vs %x", p, ref[p], got[p])
+		}
+	}
+}
+
+// TestDecompositionThinnerThanHalo: a cut axis with fewer than grid.Ghost
+// points on some rank is a configuration error naming the axis and the
+// minimum — from RunParallel before any rank starts and from NewParallel on
+// every rank — never a panic or a silently short halo.
+func TestDecompositionThinnerThanHalo(t *testing.T) {
+	cfg := reactiveConfig() // 16×12×8
+	for _, c := range []struct {
+		dims [3]int
+		axis string // "" = accepted
+	}{
+		{[3]int{2, 2, 1}, ""},
+		{[3]int{3, 1, 1}, ""},  // 16/3 = 5 = grid.Ghost exactly
+		{[3]int{4, 1, 1}, "x"}, // 4 per rank
+		{[3]int{1, 3, 1}, "y"}, // 4 per rank
+		{[3]int{1, 1, 2}, "z"}, // 4 per rank
+		{[3]int{1, 1, 0}, "z"},
+	} {
+		err := validateDecomposition(cfg.Grid, c.dims)
+		if c.axis == "" {
+			if err != nil {
+				t.Errorf("dims %v rejected: %v", c.dims, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "axis "+c.axis) {
+			t.Errorf("dims %v: error %v, want one naming axis %s", c.dims, err, c.axis)
+		}
+	}
+	ran := false
+	err := RunParallel(cfg, [3]int{1, 1, 2}, func(*Block) { ran = true })
+	if err == nil || ran {
+		t.Fatalf("RunParallel over a 4-point-thick cut: err %v, body ran %v", err, ran)
+	}
+	if want := fmt.Sprintf("at least %d per rank", grid.Ghost); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not state the minimum (%q)", err, want)
+	}
+	w := comm.NewWorld(2)
+	if err := w.Run(func(c *comm.Comm) {
+		cart, err := comm.NewCart(c, [3]int{1, 1, 2}, [3]bool{true, true, true})
+		if err != nil {
+			panic(err)
+		}
+		if b, err := NewParallel(cfg, cart); err == nil || b != nil {
+			panic("NewParallel accepted a 4-point-thick cut axis")
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSlotFoldsWorkerInvariant: the HEALTH and ANALYSIS sweeps accumulate
+// one slot per partition plane and fold the slots in plane order, so their
+// sums — and the whole health sample and analysis record — must be bitwise
+// equal at every pool size, although the pool size changes how the planes
+// are grouped into scheduled blocks. Run on the 3-D reactive box and on a
+// quasi-2-D one (wider than tall: the plane axis is y, not the longest).
+func TestSlotFoldsWorkerInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run reacting case")
+	}
+	for _, dims := range [][3]int{{16, 12, 8}, {24, 14, 1}} {
+		run := func(workers int) string {
+			pool := par.NewPool(workers)
+			defer pool.Close()
+			cfg := reactiveConfig()
+			cfg.Grid = grid.New(grid.Spec{Nx: dims[0], Ny: dims[1], Nz: dims[2], Lx: 0.004, Ly: 0.003, Lz: 0.002})
+			cfg.Pool = pool
+			b, err := NewSerial(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hotSpotIC(b)
+			w := health.New(health.Defaults(), b.Rank())
+			b.InstallWatchdog(w)
+			w.Arm()
+			p := insitu.NewPipeline(1)
+			p.SetHeatRelease(true)
+			for _, op := range []insitu.Operator{
+				insitu.Moments{Field: "T"},
+				insitu.Moments{Field: "Y_H2", Favre: true},
+				insitu.Hist{Field: "T", Bins: 8, Lo: 600, Hi: 1300},
+			} {
+				if err := p.Register(op, b.NewBinder()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b.InstallAnalysis(p)
+			p.Enable()
+			for i := 0; i < 2; i++ {
+				if err := b.StepChecked(2e-8); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fr := w.Recorder().Frames()
+			if len(fr) != 2 || p.Latest() == nil {
+				t.Fatalf("%d health frames, analysis record %v", len(fr), p.Latest())
+			}
+			out, err := json.Marshal(struct {
+				Health   health.Sample
+				Analysis *insitu.Record
+			}{fr[len(fr)-1].Sample, p.Latest()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(out)
+		}
+		want := run(1)
+		for _, workers := range []int{2, 3, 4, 7} {
+			if got := run(workers); got != want {
+				t.Errorf("grid %v workers=%d: health sample / analysis record differ from 1 worker:\n%s\n%s",
+					dims, workers, got, want)
+			}
 		}
 	}
 }

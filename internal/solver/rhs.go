@@ -260,7 +260,7 @@ func (b *Block) chemSource() {
 	if doCost {
 		// The partition can hold more tiles than the one-plane split (hot
 		// planes split along a secondary axis): size the ordered slots to it.
-		n := b.plan.PartitionFor(cost.ChemKernel, b.interior(), -1).Len()
+		n := b.plan.Slots(cost.ChemKernel, b.interior())
 		if n > len(b.cSlots) {
 			b.cSlots = make([]float64, n)
 		}
@@ -270,24 +270,31 @@ func (b *Block) chemSource() {
 		b.chemSourceShared()
 		return
 	}
-	tile := func(t par.Tile, worker int, collect bool) float64 {
-		hrr, tileCost := b.chemTileSweep(t, worker, collect, doCost)
-		if doCost {
-			b.cSlots[t.Index] = tileCost
-		}
-		return hrr
-	}
 	if doCost && b.lb != nil {
 		// Owner attribution: everything was computed locally this stage.
 		b.lbFillOwner(nil)
 	}
-	if b.collectHRR {
+	// The slot-writing stages (heat-release fold, cost proxy) sweep partition
+	// tile by partition tile; every other stage takes the plan's fat tiles.
+	switch {
+	case b.collectHRR:
 		b.hrrAcc = b.plan.RunReduce("REACTION_RATE_BOUNDS", b.interior(),
-			func(t par.Tile, w int) float64 { return tile(t, w, true) })
-		return
+			func(t par.Tile, w int) float64 {
+				hrr, tileCost := b.chemTileSweep(t, w, true, doCost)
+				if doCost {
+					b.cSlots[t.Index] = tileCost
+				}
+				return hrr
+			})
+	case doCost:
+		b.plan.RunSlots("REACTION_RATE_BOUNDS", b.interior(), func(t par.Tile, w int) {
+			_, b.cSlots[t.Index] = b.chemTileSweep(t, w, false, true)
+		})
+	default:
+		b.plan.Run("REACTION_RATE_BOUNDS", b.interior(), func(t par.Tile, w int) {
+			b.chemTileSweep(t, w, false, false)
+		})
 	}
-	b.plan.Run("REACTION_RATE_BOUNDS", b.interior(),
-		func(t par.Tile, w int) { tile(t, w, false) })
 }
 
 // chemTileSweep evaluates the chemistry kernel over one tile: production

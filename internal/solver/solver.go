@@ -344,7 +344,7 @@ func NewSerial(cfg *Config) (*Block, error) {
 // topology supplies the block's position; the global grid is split with
 // comm.Decompose1D along each axis.
 func NewParallel(cfg *Config, cart *comm.Cart) (*Block, error) {
-	if err := validate(cfg); err != nil {
+	if err := CheckDecomposition(cfg, cart.Dims); err != nil {
 		return nil, err
 	}
 	co := cart.Coords()
@@ -353,6 +353,38 @@ func NewParallel(cfg *Config, cart *comm.Cart) (*Block, error) {
 	k0, nz := comm.Decompose1D(cfg.Grid.Nz, cart.Dims[2], co[2])
 	local := cfg.Grid.Sub(i0, nx, j0, ny, k0, nz)
 	return newBlock(cfg, local, cart, i0, j0, k0), nil
+}
+
+// CheckDecomposition validates a configuration and the process grid it is
+// to run on. NewParallel applies it on every rank; callers that start their
+// own world (RunParallel, the root package's RunDecomposed) apply it before
+// any rank starts, so a bad layout is an ordinary error instead of a panic
+// recovered on every rank.
+func CheckDecomposition(cfg *Config, dims [3]int) error {
+	if err := validate(cfg); err != nil {
+		return err
+	}
+	return validateDecomposition(cfg.Grid, dims)
+}
+
+// validateDecomposition rejects a process grid that cuts an axis into
+// pieces thinner than the halo: a rank fills its neighbour's grid.Ghost
+// ghost planes from its own interior, so every rank on a cut axis needs at
+// least that many points. The check uses the global grid and the process
+// grid alone, so every rank reaches the same verdict.
+func validateDecomposition(g *grid.Grid, dims [3]int) error {
+	for a := 0; a < 3; a++ {
+		n := g.Dim(grid.Axis(a))
+		if dims[a] < 1 {
+			return fmt.Errorf("solver: process grid %v: axis %s needs at least one rank", dims, grid.Axis(a))
+		}
+		if dims[a] > 1 && n/dims[a] < grid.Ghost {
+			return fmt.Errorf("solver: process grid %v: axis %s has %d points, %d on its thinnest rank; "+
+				"a cut axis needs at least %d per rank (the halo width), so at most %d ranks",
+				dims, grid.Axis(a), n, n/dims[a], grid.Ghost, max(1, n/grid.Ghost))
+		}
+	}
+	return nil
 }
 
 func validate(cfg *Config) error {

@@ -227,6 +227,9 @@ func (b *Block) GlobalDt() float64 {
 // process grid and runs body on every rank's freshly constructed block.
 // Periodicity of the process topology follows the physical BCs.
 func RunParallel(cfg *Config, dims [3]int, body func(b *Block)) error {
+	if err := CheckDecomposition(cfg, dims); err != nil {
+		return err
+	}
 	w := comm.NewWorld(dims[0] * dims[1] * dims[2])
 	periodic := [3]bool{
 		cfg.BC[0][0] == Periodic,

@@ -69,13 +69,24 @@ func (s *Species) H(T float64) float64 { return s.HRT(T) * R * T / s.W }
 func (s *Species) HMolar(T float64) float64 { return s.HRT(T) * R * T }
 
 // SR returns s/R at temperature T and standard pressure.
-func (s *Species) SR(T float64) float64 {
-	T = clampT(T)
-	return s.a[0]*math.Log(T) + T*(s.a[1]+T*(s.a[2]/2+T*(s.a[3]/3+T*s.a[4]/4))) + s.a[6]
-}
+func (s *Species) SR(T float64) float64 { return s.SRLn(T, LnT(T)) }
 
 // GRT returns g/(R·T) = h/(R·T) − s/R, used for equilibrium constants.
-func (s *Species) GRT(T float64) float64 { return s.HRT(T) - s.SR(T) }
+func (s *Species) GRT(T float64) float64 { return s.GRTLn(T, LnT(T)) }
+
+// LnT returns the logarithm the entropy fit takes: ln of T clamped to
+// [TMin, TMax]. Callers evaluating many species at one temperature compute
+// it once and use the Ln variants below.
+func LnT(T float64) float64 { return math.Log(clampT(T)) }
+
+// SRLn is SR with lnT = LnT(T) supplied by the caller.
+func (s *Species) SRLn(T, lnT float64) float64 {
+	T = clampT(T)
+	return s.a[0]*lnT + T*(s.a[1]+T*(s.a[2]/2+T*(s.a[3]/3+T*s.a[4]/4))) + s.a[6]
+}
+
+// GRTLn is GRT with lnT = LnT(T) supplied by the caller.
+func (s *Species) GRTLn(T, lnT float64) float64 { return s.HRT(T) - s.SRLn(T, lnT) }
 
 func clampT(T float64) float64 {
 	if T < TMin {
@@ -218,13 +229,15 @@ func (s *Set) Density(p, T float64, Y []float64) float64 {
 // reported as converged): transient over/undershoots at marginal resolution
 // are clipped rather than fatal, and the solution filter removes them on
 // subsequent steps.
+//
+// The two saturation bounds cost an EMass each, so they are evaluated only
+// when they can matter. e(T) is increasing, so an energy at or beyond a
+// bound drives every iterate towards that bound: the iteration is clamped
+// there, or converges within a hair of it (|dT| < 1e-9·T puts it well inside
+// satBand), or fails to converge. Checking saturation whenever an iterate
+// lands within satBand of a bound, and once more before reporting failure,
+// therefore returns exactly what checking up front would.
 func (s *Set) TFromE(e float64, Y []float64, Tg float64) (float64, bool) {
-	if e >= s.EMass(TMax, Y) {
-		return TMax, true
-	}
-	if e <= s.EMass(TMin, Y) {
-		return TMin, true
-	}
 	T := Tg
 	if T < TMin || T > TMax || math.IsNaN(T) {
 		T = 1000
@@ -240,11 +253,35 @@ func (s *Set) TFromE(e float64, Y []float64, Tg float64) (float64, bool) {
 		if T > TMax {
 			T = TMax
 		}
+		if T <= TMin+satBand || T >= TMax-satBand {
+			if Ts, ok := s.saturated(e, Y); ok {
+				return Ts, true
+			}
+		}
 		if math.Abs(dT) < 1e-9*T {
 			return T, true
 		}
 	}
+	if Ts, ok := s.saturated(e, Y); ok {
+		return Ts, true
+	}
 	return T, false
+}
+
+// satBand is how close (K) to TMin/TMax a Newton iterate must land before
+// TFromE evaluates the saturation bounds.
+const satBand = 1.0
+
+// saturated reports whether e lies at or beyond the energy of a polynomial
+// range bound, and the bound temperature it saturates at.
+func (s *Set) saturated(e float64, Y []float64) (float64, bool) {
+	if e >= s.EMass(TMax, Y) {
+		return TMax, true
+	}
+	if e <= s.EMass(TMin, Y) {
+		return TMin, true
+	}
+	return 0, false
 }
 
 // ElementMassFraction returns the mass fraction of element el in the

@@ -159,6 +159,87 @@ func TestTFromERoundTrip(t *testing.T) {
 	}
 }
 
+// tFromEEager is the reference TFromE: the saturation bounds checked up
+// front on every call, then the same clamped Newton iteration. TFromE
+// evaluates the bounds lazily and must return exactly this.
+func tFromEEager(s *Set, e float64, Y []float64, Tg float64) (float64, bool) {
+	if e >= s.EMass(TMax, Y) {
+		return TMax, true
+	}
+	if e <= s.EMass(TMin, Y) {
+		return TMin, true
+	}
+	T := Tg
+	if T < TMin || T > TMax || math.IsNaN(T) {
+		T = 1000
+	}
+	for iter := 0; iter < 50; iter++ {
+		dT := (s.EMass(T, Y) - e) / s.CvMass(T, Y)
+		T -= dT
+		if T < TMin {
+			T = TMin
+		}
+		if T > TMax {
+			T = TMax
+		}
+		if math.Abs(dT) < 1e-9*T {
+			return T, true
+		}
+	}
+	return T, false
+}
+
+// TestTFromELazyBoundsMatchEager pins the lazy saturation check bit for bit
+// against the eager reference: energies below, at, just inside and above
+// both bounds and across the range, from in-range, bound, out-of-range and
+// NaN guesses, plus a NaN energy.
+func TestTFromELazyBoundsMatchEager(t *testing.T) {
+	s := MustSet("H2", "O2", "O", "OH", "H2O", "H", "HO2", "H2O2", "N2")
+	rng := rand.New(rand.NewSource(3))
+	mixes := [][]float64{
+		normalize([]float64{1, 2, 0.1, 0.1, 3, 0.05, 0.02, 0.01, 10}),
+		normalize([]float64{0, 0.233, 0, 0, 0, 0, 0, 0, 0.767}),
+		normalize([]float64{1, 0, 0, 0, 0, 0, 0, 0, 0}),
+	}
+	for i := 0; i < 20; i++ {
+		Y := make([]float64, 9)
+		for n := range Y {
+			Y[n] = rng.Float64()
+		}
+		mixes = append(mixes, normalize(Y))
+	}
+	guesses := []float64{
+		300, 1000, 1400, 3400, TMin, TMax, TMin + 0.5, TMax - 0.5,
+		TMin - 50, TMax + 500, -1, 0, math.Inf(1), math.NaN(),
+	}
+	for _, Y := range mixes {
+		eLo, eHi := s.EMass(TMin, Y), s.EMass(TMax, Y)
+		span := eHi - eLo
+		energies := []float64{
+			eLo - span, eLo - 1, math.Nextafter(eLo, math.Inf(-1)), eLo,
+			math.Nextafter(eLo, math.Inf(1)), eLo + 1e-6*span,
+			s.EMass(TMin+0.3, Y), s.EMass(TMin+2, Y),
+			s.EMass(TMax-2, Y), s.EMass(TMax-0.3, Y),
+			eHi - 1e-6*span, math.Nextafter(eHi, math.Inf(-1)), eHi,
+			math.Nextafter(eHi, math.Inf(1)), eHi + 1, eHi + span,
+			math.Inf(1), math.Inf(-1), math.NaN(),
+		}
+		for i := 0; i < 40; i++ {
+			energies = append(energies, eLo+span*rng.Float64())
+		}
+		for _, e := range energies {
+			for _, Tg := range guesses {
+				wantT, wantOK := tFromEEager(s, e, Y, Tg)
+				gotT, gotOK := s.TFromE(e, Y, Tg)
+				if math.Float64bits(gotT) != math.Float64bits(wantT) || gotOK != wantOK {
+					t.Fatalf("TFromE(e=%g, Tg=%g) = (%v, %v), eager reference (%v, %v) [eLo=%g eHi=%g]",
+						e, Tg, gotT, gotOK, wantT, wantOK, eLo, eHi)
+				}
+			}
+		}
+	}
+}
+
 func TestCvLessThanCp(t *testing.T) {
 	s, Y := air()
 	for _, T := range []float64{300, 1000, 3000} {

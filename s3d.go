@@ -428,6 +428,9 @@ func RunDecomposed(cfg Config, dims [3]int, body func(r *RankSim)) error {
 	if err != nil {
 		return err
 	}
+	if err := solver.CheckDecomposition(sc, dims); err != nil {
+		return err
+	}
 	periodic := [3]bool{
 		sc.BC[0][0] == solver.Periodic,
 		sc.BC[1][0] == solver.Periodic,
