@@ -148,9 +148,17 @@ func (s *Simulation) EnableAnalysis(spec AnalysisSpec) (*insitu.Pipeline, error)
 		if pr == nil {
 			return nil, fmt.Errorf("s3d: FlameSurface requires Progress (the |∇c| scale)")
 		}
+		// The solver registers no gradient along an axis of one point.
+		var grad [3]string
+		nx, ny, nz := s.Dims()
+		for a, n := range [3]int{nx, ny, nz} {
+			if n > 1 {
+				grad[a] = "dY_O2_d" + "xyz"[a:a+1]
+			}
+		}
 		op := insitu.GradMag{
 			Label:  "flame_surface",
-			Fields: [3]string{"dY_O2_dx", "dY_O2_dy", "dY_O2_dz"},
+			Fields: grad,
 			Scale:  1 / math.Abs(pr.YO2u-pr.YO2b),
 		}
 		if err := p.Register(op, bnd); err != nil {

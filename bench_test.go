@@ -134,7 +134,7 @@ func BenchmarkFig4DiffFluxNaive(b *testing.B) {
 }
 
 func BenchmarkFig4DiffFluxOptimized(b *testing.B) {
-	blk := diffFluxBlock(b, 50, solver.DiffFluxOptimized)
+	blk := diffFluxBlock(b, 50, solver.DiffFluxFused)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blk.DiffFluxKernelOnly()

@@ -22,6 +22,23 @@ if [ -n "$violations" ]; then
 	exit 1
 fi
 
+# Storage-rule lint: how many ghost layers an axis carries is decided in one
+# place (grid.AxisGhost: none along an axis of one point), so the arithmetic
+# that sizes or strides field storage — "+ 2*grid.Ghost", "+ 2*ghost" — may
+# appear only inside internal/grid, in test files and in the benchmark module
+# (frozen by BENCHMARK.json). Anywhere else it re-derives the rule.
+echo "== storage-rule lint (no '+ 2*ghost' arithmetic outside internal/grid, benchmark and tests)"
+violations=$(grep -rnE '\+ *2 *\* *(grid\.)?[Gg]host\b' --include='*.go' . \
+	| grep -v '^\./internal/grid/' \
+	| grep -v '^\./benchmark/' \
+	| grep -v '_test\.go:' || true)
+if [ -n "$violations" ]; then
+	echo "ghost-layer storage arithmetic outside internal/grid:" >&2
+	echo "$violations" >&2
+	echo "ask the field (Field3.Ghosts, Idx, Row) or the registry (FieldSet.Ghosts, FieldLen)" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 

@@ -29,13 +29,13 @@ func main() {
 	yAir[mech.SpeciesIndex("O2")] = 0.233
 	yAir[mech.SpeciesIndex("N2")] = 0.767
 
-	build := func(optimized bool) *s3d.Simulation {
+	build := func(naive bool) *s3d.Simulation {
 		sim, err := s3d.New(s3d.Config{
-			Mechanism:         mech,
-			Grid:              s3d.GridSpec{Nx: *n, Ny: *n, Nz: *n, Lx: 0.01, Ly: 0.01, Lz: 0.01},
-			Pressure:          101325,
-			ChemistryOff:      true,
-			OptimizedDiffFlux: optimized,
+			Mechanism:     mech,
+			Grid:          s3d.GridSpec{Nx: *n, Ny: *n, Nz: *n, Lx: 0.01, Ly: 0.01, Lz: 0.01},
+			Pressure:      101325,
+			ChemistryOff:  true,
+			NaiveDiffFlux: naive,
 		})
 		if err != nil {
 			panic(err)
@@ -54,8 +54,8 @@ func main() {
 	// Build, warm and time one configuration at a time so the two ~250 MB
 	// field sets never coexist (memory pressure would contaminate the
 	// second measurement).
-	measure := func(optimized bool, steps int) time.Duration {
-		sim := build(optimized)
+	measure := func(naive bool, steps int) time.Duration {
+		sim := build(naive)
 		dt := 0.5 * sim.StableDt()
 		sim.Advance(1, dt) // warm-up step
 		best := time.Duration(math.MaxInt64)
@@ -72,8 +72,8 @@ func main() {
 
 	fmt.Printf("# Figures 4-5: diffusive-flux kernel restructuring, %d^3 pressure-wave test\n", *n)
 	steps := 2
-	tNaive := measure(false, steps)
-	tOpt := measure(true, steps)
+	tNaive := measure(true, steps)
+	tOpt := measure(false, steps)
 
 	fmt.Printf("whole-step time, naive kernel:     %v\n", tNaive)
 	fmt.Printf("whole-step time, optimized kernel: %v\n", tOpt)

@@ -72,10 +72,14 @@ func (s *Simulation) Fields() []FieldInfo {
 // FieldsDocument is the JSON document served at /fields by the telemetry
 // monitor and written as fields.json by the workflow production driver.
 type FieldsDocument struct {
-	Grid   [3]int      `json:"grid"`
-	Ghost  int         `json:"ghost"`
-	Count  int         `json:"count"`
-	Fields []FieldInfo `json:"fields"`
+	Grid [3]int `json:"grid"`
+	// Ghost is the nominal ghost width; GhostAxes is what each axis carries
+	// (0 along an axis of one point, see grid.AxisGhost). Every stored field
+	// holds Π (Grid[a] + 2·GhostAxes[a]) values of Width bytes.
+	Ghost     int         `json:"ghost"`
+	GhostAxes [3]int      `json:"ghost_axes"`
+	Count     int         `json:"count"`
+	Fields    []FieldInfo `json:"fields"`
 }
 
 // FieldsDocument assembles the full inventory document.
@@ -83,10 +87,11 @@ func (s *Simulation) FieldsDocument() FieldsDocument {
 	nx, ny, nz := s.Dims()
 	fields := s.Fields()
 	return FieldsDocument{
-		Grid:   [3]int{nx, ny, nz},
-		Ghost:  grid.Ghost,
-		Count:  len(fields),
-		Fields: fields,
+		Grid:      [3]int{nx, ny, nz},
+		Ghost:     grid.Ghost,
+		GhostAxes: s.blk.Fields().Ghosts(),
+		Count:     len(fields),
+		Fields:    fields,
 	}
 }
 

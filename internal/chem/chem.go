@@ -15,6 +15,7 @@ package chem
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/s3dgo/s3d/internal/thermo"
@@ -81,6 +82,16 @@ type Reaction struct {
 	Duplicate bool
 
 	dNu int // Σν_products − Σν_reactants, for Kc
+	// sameKc: the reaction is reversible with reactant and product lists
+	// equal, entry for entry, to those of the reversible reaction before it
+	// (a DUP pair), so its equilibrium constant is that reaction's, bit for
+	// bit, and ProductionRates takes the exponential once for both.
+	sameKc bool
+	// constLogFc: the Troe centring factor is the constant α over
+	// troeConstLo ≤ T ≤ troeConstHi (see troeConstant) and logFc holds
+	// log10(α).
+	constLogFc bool
+	logFc      float64
 	// effList is Eff flattened in ascending species order, derived in
 	// NewMechanism. The hot loop sums collision efficiencies from this
 	// slice, never from the map: map iteration order is randomized per run,
@@ -126,6 +137,15 @@ func NewMechanism(name string, set *thermo.Set, reactions []*Reaction) *Mechanis
 		sort.Slice(r.effList, func(a, b int) bool {
 			return r.effList[a].Index < r.effList[b].Index
 		})
+		r.constLogFc = false
+		if r.Falloff != nil && r.Falloff.TroeF != nil && troeConstant(r.Falloff.TroeF) {
+			r.constLogFc, r.logFc = true, math.Log10(r.Falloff.TroeF.Alpha)
+		}
+	}
+	for i, r := range reactions {
+		r.sameKc = i > 0 && r.Reversible && reactions[i-1].Reversible &&
+			slices.Equal(r.Reactants, reactions[i-1].Reactants) &&
+			slices.Equal(r.Products, reactions[i-1].Products)
 	}
 	m := &Mechanism{
 		Name:      name,
@@ -172,14 +192,24 @@ func (m *Mechanism) ProductionRates(T float64, C, wdot []float64) {
 		wdot[i] = 0
 	}
 	// Species Gibbs functions, shared by all reverse-rate evaluations; the
-	// entropy fits share one logarithm (of the clamped temperature).
-	lnTFit := thermo.LnT(T)
+	// entropy fits share one logarithm, of the clamped temperature — which
+	// inside the polynomial range is the temperature itself.
+	lnT := math.Log(T)
+	lnTFit := lnT
+	if T < thermo.TMin || T > thermo.TMax {
+		lnTFit = thermo.LnT(T)
+	}
 	for i, sp := range m.Set.Species {
 		m.gRT[i] = sp.GRTLn(T, lnTFit)
 	}
-	lnT := math.Log(T)
 	invRT := 1 / (thermo.R * T)
-	logC0 := math.Log(P0/thermo.R) - lnT // ln of standard concentration (mol/m³)
+	logC0 := lnStdConc - lnT // ln of standard concentration (mol/m³)
+	// Total concentration, the base of every third-body sum.
+	var cTot float64
+	for i := range C {
+		cTot += C[i]
+	}
+	var expKc float64 // exp(ln Kc) of the latest reversible reaction
 
 	for ri, r := range m.Reactions {
 		kf := r.Fwd.kFast(m.lnAf[ri], lnT, invRT)
@@ -187,10 +217,7 @@ func (m *Mechanism) ProductionRates(T float64, C, wdot []float64) {
 		// Third-body concentration.
 		cm := 1.0
 		if r.ThirdBody || r.Falloff != nil {
-			cm = 0
-			for i := range C {
-				cm += C[i]
-			}
+			cm = cTot
 			for _, e := range r.effList {
 				cm += (e.C - 1) * C[e.Index]
 			}
@@ -204,7 +231,11 @@ func (m *Mechanism) ProductionRates(T float64, C, wdot []float64) {
 			k0 := r.Falloff.Low.kFast(m.lnAlow[ri], lnT, invRT)
 			pr := k0 * cm / kf
 			f := 1.0
-			if r.Falloff.TroeF != nil && pr > 0 {
+			switch {
+			case r.Falloff.TroeF == nil || !(pr > 0):
+			case r.constLogFc && T >= troeConstLo && T <= troeConstHi:
+				f = troeBroadening(r.logFc, pr)
+			default:
 				f = troeF(r.Falloff.TroeF, T, pr)
 			}
 			kf *= pr / (1 + pr) * f
@@ -218,21 +249,25 @@ func (m *Mechanism) ProductionRates(T float64, C, wdot []float64) {
 		}
 		var qr float64
 		if r.Reversible {
-			// ln Kc = −Σνᵢ·gᵢ/(RT) + Δν·ln(c0).
-			var dg float64
-			for _, p := range r.Products {
-				dg += float64(p.Nu) * m.gRT[p.Index]
+			if !r.sameKc {
+				// ln Kc = −Σνᵢ·gᵢ/(RT) + Δν·ln(c0).
+				var dg float64
+				for _, p := range r.Products {
+					dg += float64(p.Nu) * m.gRT[p.Index]
+				}
+				for _, rc := range r.Reactants {
+					dg -= float64(rc.Nu) * m.gRT[rc.Index]
+				}
+				lnKc := -dg + float64(r.dNu)*logC0
+				// Clamp to avoid overflow for strongly exothermic steps at
+				// low T; a Kc this large means the reverse rate is
+				// numerically zero.
+				if lnKc > 230 {
+					lnKc = 230
+				}
+				expKc = math.Exp(lnKc)
 			}
-			for _, rc := range r.Reactants {
-				dg -= float64(rc.Nu) * m.gRT[rc.Index]
-			}
-			lnKc := -dg + float64(r.dNu)*logC0
-			// Clamp to avoid overflow for strongly exothermic steps at low T;
-			// a Kc this large means the reverse rate is numerically zero.
-			if lnKc > 230 {
-				lnKc = 230
-			}
-			kr := kf / math.Exp(lnKc)
+			kr := kf / expKc
 			qr = kr
 			for _, p := range r.Products {
 				qr *= powInt(C[p.Index], p.Nu)
@@ -259,6 +294,31 @@ func (m *Mechanism) HeatReleaseRate(T float64, wdot []float64) float64 {
 	return q
 }
 
+// lnStdConc is ln(P0/Ru): the standard concentration c0 = P0/(Ru·T) has
+// ln c0 = lnStdConc − ln T.
+var lnStdConc = math.Log(P0 / thermo.R)
+
+// troeConstLo and troeConstHi bound the temperatures over which troeConstant
+// guarantees a constant centring factor.
+const (
+	troeConstLo = 1.0
+	troeConstHi = 1e6
+)
+
+// troeConstant reports whether the centring factor
+//
+//	Fcent = (1−α)·exp(−T/T3) + α·exp(−T/T1) [+ exp(−T2/T)]
+//
+// equals α bit for bit for every troeConstLo ≤ T ≤ troeConstHi: with no
+// fourth parameter, T3 ≤ 1e-6 makes the first exponential underflow to
+// exactly 0 (its argument is below −1e6) and T1 ≥ 1e25 makes the second round
+// to exactly 1 (its argument is above −1e-19). Mechanisms write a plain
+// Lindemann-with-constant-Fcent falloff this way (TROE /α 1E-30 1E30/).
+// TestTroeConstantCentring evaluates the claim.
+func troeConstant(tr *Troe) bool {
+	return tr.T2 == 0 && tr.T3 > 0 && tr.T3 <= 1e-6 && tr.T1 >= 1e25 && tr.Alpha > 0
+}
+
 // troeF evaluates the Troe broadening factor.
 func troeF(tr *Troe, T, pr float64) float64 {
 	fc := (1-tr.Alpha)*math.Exp(-T/tr.T3) + tr.Alpha*math.Exp(-T/tr.T1)
@@ -268,7 +328,12 @@ func troeF(tr *Troe, T, pr float64) float64 {
 	if fc <= 0 {
 		return 1
 	}
-	logFc := math.Log10(fc)
+	return troeBroadening(math.Log10(fc), pr)
+}
+
+// troeBroadening is the broadening factor F for a centring factor with
+// log10(Fcent) = logFc at reduced pressure pr.
+func troeBroadening(logFc, pr float64) float64 {
 	c := -0.4 - 0.67*logFc
 	n := 0.75 - 1.27*logFc
 	const d = 0.14

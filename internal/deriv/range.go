@@ -230,15 +230,7 @@ func rangeFill(dst *grid.Field3, boxLo, boxHi [3]int, op Op) {
 	if op == OpAdd {
 		return
 	}
-	n := boxHi[0] - boxLo[0]
-	for k := boxLo[2]; k < boxHi[2]; k++ {
-		for j := boxLo[1]; j < boxHi[1]; j++ {
-			row := dst.Idx(boxLo[0], j, k)
-			for i := 0; i < n; i++ {
-				dst.Data[row+i] = 0
-			}
-		}
-	}
+	dst.FillRange(0, boxLo, boxHi)
 }
 
 // copyRangeOp is the unit-extent filter (identity) over the box.

@@ -19,7 +19,7 @@ import "fmt"
 // or group; nothing outside the registry re-derives field identity.
 type FieldSet struct {
 	nx, ny, nz, ghost int
-	perField          int // arena values per field
+	lay               layout // shared by every field; lay.size arena values per field
 
 	metas  []FieldMeta
 	fields []*Field3
@@ -95,15 +95,13 @@ type FieldMeta struct {
 }
 
 // NewFieldSet creates an empty registry for blocks of the given interior
-// extents and ghost width.
+// extents and nominal ghost width (AxisGhost gives each axis its own).
 func NewFieldSet(nx, ny, nz, ghost int) *FieldSet {
-	sj := nx + 2*ghost
-	sk := sj * (ny + 2*ghost)
 	return &FieldSet{
 		nx: nx, ny: ny, nz: nz, ghost: ghost,
-		perField: sk * (nz + 2*ghost),
-		byName:   map[string]int{},
-		groups:   map[string][]int{},
+		lay:    newLayout(nx, ny, nz, ghost),
+		byName: map[string]int{},
+		groups: map[string][]int{},
 	}
 }
 
@@ -138,16 +136,13 @@ func (s *FieldSet) Build() {
 	if s.built {
 		panic("grid: FieldSet.Build called twice")
 	}
-	s.arena = make([]float64, s.perField*len(s.metas))
+	per := s.lay.size
+	s.arena = make([]float64, per*len(s.metas))
 	s.fields = make([]*Field3, len(s.metas))
 	for id := range s.metas {
-		f := &Field3{Nx: s.nx, Ny: s.ny, Nz: s.nz, G: s.ghost}
-		f.sj = s.nx + 2*s.ghost
-		f.sk = f.sj * (s.ny + 2*s.ghost)
-		f.off = s.ghost*f.sk + s.ghost*f.sj + s.ghost
-		lo := id * s.perField
-		f.Data = s.arena[lo : lo+s.perField : lo+s.perField]
-		s.fields[id] = f
+		lo := id * per
+		s.fields[id] = &Field3{Nx: s.nx, Ny: s.ny, Nz: s.nz, G: s.ghost, layout: s.lay,
+			Data: s.arena[lo : lo+per : lo+per]}
 	}
 	s.built = true
 }
@@ -156,7 +151,10 @@ func (s *FieldSet) Build() {
 func (s *FieldSet) Len() int { return len(s.metas) }
 
 // FieldLen returns the arena values per field (full storage incl. ghosts).
-func (s *FieldSet) FieldLen() int { return s.perField }
+func (s *FieldSet) FieldLen() int { return s.lay.size }
+
+// Ghosts returns the ghost-layer width of the set's fields along each axis.
+func (s *FieldSet) Ghosts() [3]int { return s.lay.ghosts }
 
 // Field returns the field with the given id. Valid after Build.
 func (s *FieldSet) Field(id int) *Field3 {
@@ -208,8 +206,8 @@ func (s *FieldSet) Span(firstID, count int) []float64 {
 	if count == 0 {
 		return nil
 	}
-	lo := firstID * s.perField
-	hi := lo + count*s.perField
+	lo := firstID * s.lay.size
+	hi := lo + count*s.lay.size
 	return s.arena[lo:hi:hi]
 }
 

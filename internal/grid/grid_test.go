@@ -304,6 +304,27 @@ func TestRangeOpsMatchFullOps(t *testing.T) {
 	if dst.At(-1, 0, 0) != 0 {
 		t.Fatal("CopyRange wrote outside the box")
 	}
+
+	// FillRange writes the box and nothing else.
+	dst.FillRange(-3, [3]int{1, 1, 1}, [3]int{6, 4, 3})
+	for k := -2; k < 6; k++ {
+		for j := -2; j < 7; j++ {
+			for i := -2; i < 9; i++ {
+				inBox := i >= 1 && i < 6 && j >= 1 && j < 4 && k >= 1 && k < 3
+				inside := i >= 0 && i < 7 && j >= 0 && j < 5 && k >= 0 && k < 4
+				want := 0.0
+				switch {
+				case inBox:
+					want = -3
+				case inside:
+					want = fA.At(i, j, k)
+				}
+				if dst.At(i, j, k) != want {
+					t.Fatalf("FillRange: (%d,%d,%d) = %v, want %v", i, j, k, dst.At(i, j, k), want)
+				}
+			}
+		}
+	}
 }
 
 func TestRowAliasesStorage(t *testing.T) {

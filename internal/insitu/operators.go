@@ -317,10 +317,11 @@ func (c Conditional) Finish(acc []float64) Product {
 // gradient component fields — the flame-surface-density proxy ∫|∇c| dV
 // when the components are the progress-variable gradient. The gradients
 // are whatever the final RK stage left in the registry's derivative
-// fields.
+// fields. A component along an axis of one point is identically zero and has
+// no field; its name is left empty.
 type GradMag struct {
 	Label  string    // product name, e.g. "flame_surface"
-	Fields [3]string // gradient component field names
+	Fields [3]string // gradient component field names; "" = zero component
 	Scale  float64   // 0 selects 1
 }
 
@@ -334,6 +335,10 @@ func (g GradMag) Slots() int { return 2 }
 func (g GradMag) Bind(b Binder) (Kernel, error) {
 	var src [3]Source
 	for a, name := range g.Fields {
+		if name == "" {
+			src[a] = func(int) float64 { return 0 }
+			continue
+		}
 		s, err := b.Source(name)
 		if err != nil {
 			return nil, err

@@ -58,6 +58,7 @@ func (b *Block) SaveCheckpoint(w io.Writer) error {
 	// temperatures in the ghost face slabs seed the next step's primitive
 	// recovery there, so a bit-exact decomposed restart needs them restored
 	// too. Written as one auxiliary flat variable of the full T storage
+	// (ghost layers along the axes of more than one point, grid.AxisGhost)
 	// after the registry entries; readers without it (or files without it)
 	// still work, with ghost seeds starting from the initial fill as before.
 	// The edge and corner entries are never recomputed or read (halo.go):
@@ -124,8 +125,15 @@ func (b *Block) LoadCheckpoint(r io.Reader) error {
 			}
 		}
 	}
-	if vr := f.Var("T_guess_halo"); vr != nil && len(vr.Data) == len(b.T.Data) {
-		copy(b.T.Data, vr.Data)
+	if vr := f.Var("T_guess_halo"); vr != nil {
+		if len(vr.Data) == len(b.T.Data) {
+			copy(b.T.Data, vr.Data)
+		} else {
+			// A file written when one-point axes still carried ghost planes:
+			// the same seeds in the wider layout. Any other length is not a
+			// T image of this block and is ignored, as a missing one is.
+			b.T.CopyFromUniformGhost(vr.Data)
+		}
 	}
 	b.Step = step
 	b.Time = tme

@@ -7,6 +7,7 @@ import (
 
 	"github.com/s3dgo/s3d/internal/chem"
 	"github.com/s3dgo/s3d/internal/grid"
+	"github.com/s3dgo/s3d/internal/sdf"
 	"github.com/s3dgo/s3d/internal/transport"
 )
 
@@ -144,5 +145,84 @@ func TestCheckpointTruncatedRejected(t *testing.T) {
 	b2, _ := NewSerial(checkpointConfig())
 	if err := b2.LoadCheckpoint(bytes.NewReader(raw[:len(raw)/2])); err == nil {
 		t.Fatal("expected truncation error")
+	}
+}
+
+// TestLoadUniformGhostCheckpoint: a checkpoint of a 2-D block written when
+// one-point axes still carried ghost planes holds T_guess_halo in that wider
+// layout. Loading it must restore the same Newton seeds — interior and ghost
+// face slabs — so the restarted trajectory matches the uninterrupted one bit
+// for bit (the block is periodic: the ghost seeds are read on the first step).
+func TestLoadUniformGhostCheckpoint(t *testing.T) {
+	dt := 3e-7
+	cont, err := NewSerial(checkpointConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedCheckpointState(cont)
+	cont.Advance(8, dt)
+
+	first, err := NewSerial(checkpointConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedCheckpointState(first)
+	first.Advance(4, dt)
+	var buf bytes.Buffer
+	if err := first.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-home T_guess_halo into the old layout: grid.Ghost layers on every
+	// axis, the never-computed cells at the initial fill.
+	f, err := sdf.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := first.T
+	g := T.G
+	gh := T.Ghosts()
+	row, rows, planes := T.Nx+2*g, T.Ny+2*g, T.Nz+2*g
+	old := make([]float64, row*rows*planes)
+	for p := range old {
+		old[p] = 300
+	}
+	for k := -gh[2]; k < T.Nz+gh[2]; k++ {
+		for j := -gh[1]; j < T.Ny+gh[1]; j++ {
+			for i := -gh[0]; i < T.Nx+gh[0]; i++ {
+				old[((k+g)*rows+(j+g))*row+i+g] = T.At(i, j, k)
+			}
+		}
+	}
+	if len(old) == len(T.Data) {
+		t.Fatal("the 2-D block stores ghost planes along z: nothing to convert")
+	}
+	halo := f.Var("T_guess_halo")
+	halo.Dims, halo.Data = []int{len(old)}, old
+	buf.Reset()
+	if err := f.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := NewSerial(checkpointConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := second.LoadCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for p, v := range first.T.Data {
+		if math.Float64bits(second.T.Data[p]) != math.Float64bits(v) {
+			t.Fatalf("T seed %d restored as %g, saved %g", p, second.T.Data[p], v)
+		}
+	}
+	second.Advance(4, dt)
+	for v := 0; v < cont.nvar; v++ {
+		for p, a := range cont.Q[v].Data {
+			if math.Float64bits(a) != math.Float64bits(second.Q[v].Data[p]) {
+				t.Fatalf("restart from the old layout diverges: var %d flat %d: %g vs %g",
+					v, p, a, second.Q[v].Data[p])
+			}
+		}
 	}
 }

@@ -16,29 +16,31 @@ import (
 //
 // This 5-D loop nest was the most costly kernel in S3D (11.3% of runtime at
 // 4% of peak). Two implementations are provided, reproducing the figure 4/5
-// optimisation study. They differ in memory-access structure and in one
-// association — (Yₙ/W)·∂W versus Yₙ·(∂W·(1/W)) — so they agree to 1e-12
-// relative (TestDiffFluxKernelsAgree), not bit for bit. The default
-// (Config.DiffFlux zero value) is still the naive figure-4 form; the seed
-// solution hash is pinned on it:
+// optimisation study. They differ in memory-access structure alone: both
+// evaluate (Yₙ/W)·∂W, ((−ρ)·Dₙ)·(∂Yₙ + ·), the species sum ascending from +0
+// and J*ₙ − Yₙ·Σ in that association, so they agree bit for bit
+// (TestDiffFluxKernelsAgree) and the solution hashes hold on either:
 //
+//   - computeDiffFluxFused, the default, is the LoopTool-transformed form:
+//     conditionals unswitched, array statements scalarised and fused into a
+//     single triply-nested loop, so loaded values (ρ, W, Yₙ, ρDₙ) are reused
+//     from registers across species and directions.
 //   - computeDiffFluxNaive mirrors the original Fortran-90 array-syntax
 //     code: one full-grid array statement at a time, per direction and
 //     species, with temporary arrays and shared subexpressions re-read from
 //     memory on every sweep — the version that evicts every 50³ slice from
-//     cache before it can be reused.
-//   - computeDiffFluxOptimized is the LoopTool-transformed equivalent:
-//     conditionals unswitched, array statements scalarised and fused into a
-//     single triply-nested loop, species loop unroll-and-jammed, so loaded
-//     values (ρ, W-gradient terms, Yₙ) are reused from registers.
+//     cache before it can be reused. It runs only when Config.DiffFlux
+//     selects it (the figure-4 ablation).
+//
+// Both visit the active directions only: along a one-point axis every
+// gradient is zero and no J field is registered.
 func (b *Block) computeDiffFlux() {
 	defer b.beginRegion("COMPUTESPECIESDIFFFLUX").End()
-	switch b.cfg.DiffFlux {
-	case DiffFluxOptimized:
-		b.computeDiffFluxOptimized()
-	default:
+	if b.cfg.DiffFlux == DiffFluxNaive {
 		b.computeDiffFluxNaive()
+		return
 	}
+	b.computeDiffFluxFused()
 }
 
 // PrepareDiffFluxInputs runs exactly the RHS stages the diffusive-flux
@@ -94,7 +96,7 @@ func (b *Block) computeDiffFluxNaive() {
 	ns := b.ns
 	t1, t2 := b.naiveScratch()
 	nx := b.G.Nx
-	for m := 0; m < 3; m++ {
+	for _, m := range b.active {
 		dw := g.dW[m]
 		for n := 0; n < ns; n++ {
 			yn := b.Y[n].Data
@@ -149,54 +151,47 @@ func (b *Block) computeDiffFluxNaive() {
 	}
 }
 
-// computeDiffFluxOptimized: fused single pass with register reuse and a
-// two-way unroll-and-jam over species, tiled over the pool with per-worker
-// ρD and J* scratch vectors.
-func (b *Block) computeDiffFluxOptimized() {
-	r := par.Interior(b.G.Nx, b.G.Ny, b.G.Nz)
-	b.plan.Run("COMPUTESPECIESDIFFFLUX", r, func(t par.Tile, worker int) {
-		b.diffFluxOptimizedTile(t, &b.ws[worker])
+// computeDiffFluxFused: one pass over the interior, tiled over the pool,
+// with per-worker (−ρ)·Dₙ, Yₙ/W and J* scratch vectors.
+func (b *Block) computeDiffFluxFused() {
+	b.plan.Run("COMPUTESPECIESDIFFFLUX", b.interior(), func(t par.Tile, worker int) {
+		b.diffFluxFusedTile(t, &b.ws[worker])
 	})
 }
 
-func (b *Block) diffFluxOptimizedTile(t par.Tile, ws *kernScratch) {
+// diffFluxFusedTile evaluates every product in the naive kernel's
+// association. The naive kernel rounds each array statement through memory;
+// the float64 conversions round the same products here, so a compiler that
+// fuses multiply-adds cannot make the two kernels differ.
+func (b *Block) diffFluxFusedTile(t par.Tile, ws *kernScratch) {
 	g := b.g
 	ns := b.ns
-	rhoD := ws.hw // per-point scratch: ρ·D_n
+	active := b.active
+	negRhoD := ws.hw // per-point scratch: (−ρ)·Dₙ
+	yOverW := ws.yw  // Yₙ/W
 	jstar := ws.cw
 	for k := t.Lo[2]; k < t.Hi[2]; k++ {
 		for j := t.Lo[1]; j < t.Hi[1]; j++ {
-			rowRho := b.Rho.Idx(0, j, k)
-			rowW := b.Wmix.Idx(0, j, k)
+			row := b.Rho.Idx(0, j, k)
 			for i := t.Lo[0]; i < t.Hi[0]; i++ {
-				rho := b.Rho.Data[rowRho+i]
-				invW := 1 / b.Wmix.Data[rowW+i]
-				// ρDₙ loaded once, reused across the three directions.
-				nEven := ns - ns%2
-				for n := 0; n < nEven; n += 2 {
-					rhoD[n] = rho * g.d[n][rowRho+i]
-					rhoD[n+1] = rho * g.d[n+1][rowRho+i]
+				p := row + i
+				rho := b.Rho.Data[p]
+				w := b.Wmix.Data[p]
+				// Loaded once, reused across the directions.
+				for n := 0; n < ns; n++ {
+					negRhoD[n] = -rho * g.d[n][p]
+					yOverW[n] = b.Y[n].Data[p] / w
 				}
-				for n := nEven; n < ns; n++ {
-					rhoD[n] = rho * g.d[n][rowRho+i]
-				}
-				for m := 0; m < 3; m++ {
-					dw := g.dW[m][rowW+i] * invW
+				for _, m := range active {
+					dw := g.dW[m][p]
 					var sum float64
-					for n := 0; n < nEven; n += 2 {
-						j0 := -rhoD[n] * (g.dY[n][m][rowRho+i] + b.Y[n].Data[rowRho+i]*dw)
-						j1 := -rhoD[n+1] * (g.dY[n+1][m][rowRho+i] + b.Y[n+1].Data[rowRho+i]*dw)
-						jstar[n], jstar[n+1] = j0, j1
-						sum += j0
-						sum += j1
-					}
-					for n := nEven; n < ns; n++ {
-						j0 := -rhoD[n] * (g.dY[n][m][rowRho+i] + b.Y[n].Data[rowRho+i]*dw)
-						jstar[n] = j0
-						sum += j0
+					for n := 0; n < ns; n++ {
+						js := negRhoD[n] * (g.dY[n][m][p] + float64(yOverW[n]*dw))
+						jstar[n] = js
+						sum += js
 					}
 					for n := 0; n < ns; n++ {
-						b.J[m][n].Data[rowRho+i] = jstar[n] - b.Y[n].Data[rowRho+i]*sum
+						b.J[m][n].Data[p] = jstar[n] - float64(b.Y[n].Data[p]*sum)
 					}
 				}
 			}

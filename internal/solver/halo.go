@@ -22,10 +22,12 @@ import (
 //
 // Edge and corner ghosts (two or three indices outside) are never written,
 // packed or sent, and never hold valid data. Exchanges along different axes
-// touch disjoint storage and do not depend on each other.
+// touch disjoint storage and do not depend on each other. An axis of one
+// point has no stencil along it, so no ghost layers (grid.AxisGhost), no
+// fields of its own (registerFields) and empty lists here.
 
 // haloLists holds the fields an exchange round fills along each axis; a nil
-// entry skips the axis.
+// entry — every one-point axis has one — skips the axis.
 type haloLists [3][]*grid.Field3
 
 // exchangeHalos fills the ghost face slabs of fields[a] along every axis a
@@ -42,7 +44,7 @@ func (b *Block) exchangeHalos(fields haloLists, tagBase int) {
 	defer b.beginRegion("GHOST_EXCHANGE").End()
 	for a := 0; a < 3; a++ {
 		axis := grid.Axis(a)
-		if len(fields[a]) == 0 || b.G.Dim(axis) == 1 {
+		if len(fields[a]) == 0 {
 			continue
 		}
 		if !b.loGhost[a] && !b.hiGhost[a] {

@@ -21,12 +21,9 @@ import (
 //     waves relax u, T, (v,w) and Y toward the target inflow state.
 func (b *Block) applyNSCBC(t float64) {
 	defer b.beginRegion("NSCBC").End()
-	for a := 0; a < 3; a++ {
+	for _, a := range b.active {
 		for side := 0; side < 2; side++ {
 			if b.interiorF[a][side] || b.faceBC[a][side] == Periodic {
-				continue
-			}
-			if b.G.Dim(grid.Axis(a)) == 1 {
 				continue
 			}
 			b.charFace(a, side, t)

@@ -12,10 +12,7 @@ import (
 // face slabs.
 func (b *Block) ghosted() par.Range {
 	r := b.interior()
-	for a := 0; a < 3; a++ {
-		if r.Hi[a] == 1 {
-			continue
-		}
+	for _, a := range b.active {
 		if b.loGhost[a] {
 			r.Lo[a] = -grid.Ghost
 		}

@@ -13,10 +13,11 @@ import (
 // (exactly one index outside the interior) along the axes marked in keep.
 func poisonGhosts(f *grid.Field3, keep [3]bool) {
 	n := [3]int{f.Nx, f.Ny, f.Nz}
+	g := f.Ghosts()
 	var p [3]int
-	for p[2] = -f.G; p[2] < f.Nz+f.G; p[2]++ {
-		for p[1] = -f.G; p[1] < f.Ny+f.G; p[1]++ {
-			for p[0] = -f.G; p[0] < f.Nx+f.G; p[0]++ {
+	for p[2] = -g[2]; p[2] < f.Nz+g[2]; p[2]++ {
+		for p[1] = -g[1]; p[1] < f.Ny+g[1]; p[1]++ {
+			for p[0] = -g[0]; p[0] < f.Nx+g[0]; p[0]++ {
 				outside, axis := 0, -1
 				for a := 0; a < 3; a++ {
 					if p[a] < 0 || p[a] >= n[a] {
@@ -52,7 +53,7 @@ func poisonUnreadGhosts(b *Block) {
 		poisonGhosts(f, faces)
 	}
 	for v := range b.flux {
-		for d := 0; d < 3; d++ {
+		for _, d := range b.active {
 			var along [3]bool
 			along[d] = true
 			poisonGhosts(b.flux[v][d], along)
@@ -133,29 +134,39 @@ func checkReadSet(b *Block) error {
 
 // TestGhostReadSet is the NaN-poison proof of the read-set rule for a serial
 // periodic block and for decompositions with two cut axes (where the old
-// X→Y→Z exchange filled edges and corners), at one worker and at four.
+// X→Y→Z exchange filled edges and corners), in three dimensions and in two
+// (one axis with neither ghost layers nor fields of its own), at one worker
+// and at four.
 func TestGhostReadSet(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		pool := par.NewPool(workers)
-		cfg := reactiveConfig()
-		cfg.Grid = grid.New(grid.Spec{Nx: 12, Ny: 12, Nz: 12, Lx: 0.003, Ly: 0.003, Lz: 0.003})
-		cfg.Pool = pool
-		for _, dims := range [][3]int{{1, 1, 1}, {2, 2, 1}, {1, 2, 2}} {
-			var err error
-			if dims == [3]int{1, 1, 1} {
-				var b *Block
-				if b, err = NewSerial(cfg); err == nil {
-					err = checkReadSet(b)
-				}
-			} else {
-				err = RunParallel(cfg, dims, func(b *Block) {
-					if err := checkReadSet(b); err != nil {
-						panic(err)
+		for _, c := range []struct {
+			nz     int
+			layout [][3]int
+		}{
+			{12, [][3]int{{1, 1, 1}, {2, 2, 1}, {1, 2, 2}}},
+			{1, [][3]int{{1, 1, 1}, {2, 2, 1}}},
+		} {
+			cfg := reactiveConfig()
+			cfg.Grid = grid.New(grid.Spec{Nx: 12, Ny: 12, Nz: c.nz, Lx: 0.003, Ly: 0.003, Lz: 0.003})
+			cfg.Pool = pool
+			for _, dims := range c.layout {
+				var err error
+				if dims == [3]int{1, 1, 1} {
+					var b *Block
+					if b, err = NewSerial(cfg); err == nil {
+						err = checkReadSet(b)
 					}
-				})
-			}
-			if err != nil {
-				t.Errorf("workers=%d ranks=%v: %v", workers, dims, err)
+				} else {
+					err = RunParallel(cfg, dims, func(b *Block) {
+						if err := checkReadSet(b); err != nil {
+							panic(err)
+						}
+					})
+				}
+				if err != nil {
+					t.Errorf("workers=%d grid 12x12x%d ranks=%v: %v", workers, c.nz, dims, err)
+				}
 			}
 		}
 		pool.Close()

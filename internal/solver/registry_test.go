@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/s3dgo/s3d/internal/grid"
@@ -20,7 +21,8 @@ import (
 // it exactly: registry storage is a pure re-homing of the same floats.
 const seedSolutionHash uint64 = 0xe334b76af311e9b5
 
-func solutionHash(ranks []rankState) uint64 {
+// sortByOffset orders rank records by block offset, k slowest.
+func sortByOffset(ranks []rankState) {
 	sort.Slice(ranks, func(a, b int) bool {
 		ra, rb := ranks[a], ranks[b]
 		if ra.k0 != rb.k0 {
@@ -31,6 +33,10 @@ func solutionHash(ranks []rankState) uint64 {
 		}
 		return ra.i0 < rb.i0
 	})
+}
+
+func solutionHash(ranks []rankState) uint64 {
+	sortByOffset(ranks)
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(u uint64) {
@@ -272,8 +278,15 @@ func TestBlockRegistryInventory(t *testing.T) {
 	if got := len(fs.Group(haloGroupConserved)); got != b.nvar {
 		t.Fatalf("conserved halo group has %d fields, want %d", got, b.nvar)
 	}
-	if got := len(fs.Group(haloGroupFlux)); got != 3*b.nvar {
-		t.Fatalf("flux halo group has %d fields, want %d", got, 3*b.nvar)
+	// checkpointConfig is 14×10×1: fluxes exist along x and y alone.
+	if got := len(fs.Group(haloGroupFlux)); got != 2*b.nvar {
+		t.Fatalf("flux halo group has %d fields, want %d", got, 2*b.nvar)
+	}
+	for a, want := range []int{b.nvar, b.nvar, 0} {
+		if len(b.haloQ[a]) != want || len(b.haloFlux[a]) != want {
+			t.Fatalf("axis %d exchanges %d conserved and %d flux fields, want %d of each",
+				a, len(b.haloQ[a]), len(b.haloFlux[a]), want)
+		}
 	}
 	// Bank span aliasing: writes through Q land in qBank.
 	b.Q[iRhoE].Set(1, 2, 0, 12345)
@@ -288,5 +301,71 @@ func TestBlockRegistryInventory(t *testing.T) {
 	var _ *grid.Field3 = b.naiveT1
 	if fs.ByName("naive_t1") != b.naiveT1 || fs.ByName("filter_scratch") != b.scratchF {
 		t.Fatal("scratch fields not registered")
+	}
+}
+
+// registryNamesHash3D is the FNV-1a hash of the newline-joined registry names
+// of the 16×12×8 reactive block, recorded before per-direction fields became
+// conditional on the axis being active: with three active axes the names and
+// their order — the arena layout, halo pack order and checkpoint order — are
+// what they were.
+const registryNamesHash3D uint64 = 0x1cc5a78fc70650d6
+
+// TestRegistryActiveAxes: a block registers gradient, diffusive-flux and flux
+// fields along its active axes only. The 3-D inventory is pinned; the 2-D one
+// is the 3-D one minus every per-direction field along z, in the same order;
+// and the hoisted views along the missing axis are nil, so a stray read
+// faults instead of seeing zeros.
+func TestRegistryActiveAxes(t *testing.T) {
+	b3, err := NewSerial(reactiveConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names3 := b3.Fields().Names()
+	h := fnv.New64a()
+	h.Write([]byte(strings.Join(names3, "\n")))
+	if len(names3) != 186 || h.Sum64() != registryNamesHash3D {
+		t.Fatalf("3-D registry: %d names hashing to %#016x, recorded 186 and %#016x",
+			len(names3), h.Sum64(), registryNamesHash3D)
+	}
+
+	cfg := reactiveConfig()
+	cfg.Grid = grid.New(grid.Spec{Nx: 16, Ny: 12, Nz: 1, Lx: 0.004, Ly: 0.003, Lz: 0.002})
+	b2, err := NewSerial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for id, name := range names3 {
+		role := b3.Fields().Meta(id).Role
+		perDir := role == grid.RoleGradient || role == grid.RoleFlux
+		if perDir && (strings.HasSuffix(name, "_z") || strings.HasSuffix(name, "_dz")) {
+			continue
+		}
+		want = append(want, name)
+	}
+	got := b2.Fields().Names()
+	if len(got) != 148 || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("2-D registry has %d names, want the 3-D ones without the z direction (%d):\n%v",
+			len(got), len(want), got)
+	}
+	if len(b2.active) != 2 || b2.dT[2] != nil || b2.dW[2] != nil || b2.dRho[2] != nil || b2.dP[2] != nil ||
+		b2.J[2] != nil || b2.g.dT[2] != nil || b2.g.dW[2] != nil {
+		t.Fatal("2-D block holds a per-direction view along z")
+	}
+	for c := 0; c < 3; c++ {
+		if b2.dU[c][2] != nil || b2.g.dU[c][2] != nil || b2.dU[c][0] == nil || b2.dU[c][1] == nil {
+			t.Fatalf("velocity-gradient row %d: want x and y columns only", c)
+		}
+	}
+	for v := range b2.flux {
+		if b2.flux[v][2] != nil || b2.flux[v][0] == nil || b2.flux[v][1] == nil {
+			t.Fatalf("flux[%d]: want x and y components only", v)
+		}
+	}
+	for n := range b2.dY {
+		if b2.dY[n][2] != nil || b2.g.dY[n][2] != nil {
+			t.Fatalf("dY[%d] has a z component", n)
+		}
 	}
 }

@@ -83,13 +83,13 @@ func (b *Block) interior() par.Range {
 // and diffusive fluxes (velocity, temperature, species, mean molecular
 // weight) and, on axes with physical NSCBC faces, density and pressure
 // gradients for the characteristic boundary treatment. One tiled sweep per
-// direction: each tile computes every field's derivative over its own box,
-// reusing the source lines while they are cache-hot.
+// active direction: each tile computes every field's derivative over its own
+// box, reusing the source lines while they are cache-hot.
 func (b *Block) computeGradients() {
 	defer b.beginRegion("DERIVATIVES").End()
 	vel := [3]*grid.Field3{b.U, b.V, b.W}
 	r := b.interior()
-	for d := 0; d < 3; d++ {
+	for _, d := range b.active {
 		a := grid.Axis(d)
 		needsBC := b.needsNSCBC(d)
 		b.plan.Run("DERIVATIVES", r, func(t par.Tile, _ int) {
@@ -117,7 +117,8 @@ func (b *Block) needsNSCBC(a int) bool {
 	return loPhys || hiPhys
 }
 
-// assembleFluxes builds flux[var][dir] over the interior:
+// assembleFluxes builds flux[var][dir] over the interior for every active
+// direction:
 //
 //	mass:      ρu_d
 //	momentum:  ρu_c·u_d + δ_cd·p − τ_cd                  (paper eqs. 2, 14)
@@ -131,8 +132,13 @@ func (b *Block) needsNSCBC(a int) bool {
 // one flat row index, so each tile makes a single pass over the gradient and
 // flux fields with one index computation per cell, the species enthalpies
 // h_n(T) are evaluated once per cell into a per-worker buffer and reused by
-// all three directions, and each J value is read exactly once per (cell,
+// every direction, and each J value is read exactly once per (cell,
 // direction).
+//
+// Along a one-point axis every gradient is an exact +0, which is what the
+// zero-initialised gu holds there: the stress tensor is formed from the same
+// nine operands in the same association whatever the block's shape, and only
+// the loads and the per-direction flux loop are restricted to active axes.
 func (b *Block) assembleFluxes() {
 	defer b.beginRegion("ASSEMBLE_FLUXES").End()
 	b.plan.Run("ASSEMBLE_FLUXES", b.interior(), b.assembleFluxesTile)
@@ -143,6 +149,7 @@ func (b *Block) assembleFluxesTile(t par.Tile, worker int) {
 	g := b.g
 	ns := b.ns
 	species := b.mech.Set.Species
+	active := b.active
 	h := b.ws[worker].hw
 	for k := t.Lo[2]; k < t.Hi[2]; k++ {
 		for j := t.Lo[1]; j < t.Hi[1]; j++ {
@@ -160,8 +167,8 @@ func (b *Block) assembleFluxesTile(t par.Tile, worker int) {
 
 				// Stress tensor (eq. 14): τ = μ(∇u + ∇uᵀ − ⅔δ∇·u).
 				var gu [3][3]float64
-				for c := 0; c < 3; c++ {
-					for d := 0; d < 3; d++ {
+				for _, d := range active {
+					for c := 0; c < 3; c++ {
 						gu[c][d] = g.dU[c][d][p0]
 					}
 				}
@@ -174,13 +181,13 @@ func (b *Block) assembleFluxesTile(t par.Tile, worker int) {
 					tau[c][c] -= mu * 2.0 / 3.0 * div
 				}
 
-				// Species enthalpies: once per cell, reused by all three
-				// directions' heat fluxes and nowhere re-evaluated.
+				// Species enthalpies: once per cell, reused by every
+				// direction's heat flux and nowhere re-evaluated.
 				for n := 0; n < ns; n++ {
 					h[n] = species[n].H(T)
 				}
 
-				for d := 0; d < 3; d++ {
+				for _, d := range active {
 					// Heat flux (eq. 20); each J read feeds both the heat
 					// flux and the species flux below via jd.
 					q := -lam * g.dT[d][p0]
@@ -222,17 +229,25 @@ func (b *Block) PrepareAssembleInputs() {
 // must have been prepared by PrepareAssembleInputs.
 func (b *Block) AssembleFluxesOnly() { b.assembleFluxes() }
 
-// divergence sets rhs[v] = −Σ_d ∂flux[v][d]/∂x_d over the interior. The x
-// derivative lands with OpSet and y/z accumulate with OpAdd, fusing the
-// former separate scratch-field AXPY passes into the derivative sweeps;
-// per point the arithmetic (set, add, add, negate) is unchanged.
+// divergence sets rhs[v] = −Σ_d ∂flux[v][d]/∂x_d over the interior, d over
+// the active axes. The x derivative lands with OpSet and y/z accumulate with
+// OpAdd, fusing the former separate scratch-field AXPY passes into the
+// derivative sweeps; per point the arithmetic (set, add, add, negate) is
+// unchanged. The derivative along a one-point x axis is the +0 the sum then
+// starts from.
 func (b *Block) divergence() {
 	defer b.beginRegionNamed("DERIVATIVES", "DIVERGENCE").End()
 	b.plan.Run("DIVERGENCE", b.interior(), func(t par.Tile, _ int) {
 		for v := 0; v < b.nvar; v++ {
-			b.diffTile(b.rhs[v], b.flux[v][0], grid.X, t, deriv.OpSet)
-			b.diffTile(b.rhs[v], b.flux[v][1], grid.Y, t, deriv.OpAdd)
-			b.diffTile(b.rhs[v], b.flux[v][2], grid.Z, t, deriv.OpAdd)
+			op := deriv.OpSet
+			if !b.isActive(0) {
+				b.rhs[v].FillRange(0, t.Lo, t.Hi)
+				op = deriv.OpAdd
+			}
+			for _, d := range b.active {
+				b.diffTile(b.rhs[v], b.flux[v][d], grid.Axis(d), t, op)
+				op = deriv.OpAdd
+			}
 			b.rhs[v].ScaleRange(-1, t.Lo, t.Hi)
 		}
 	})

@@ -59,19 +59,27 @@ type InflowFunc func(y, z, t float64, target *InflowState)
 // optimisation study).
 type DiffFluxKernel int
 
-// The two diffusive-flux kernel variants.
+// The two diffusive-flux kernel variants. They agree bit for bit
+// (TestDiffFluxKernelsAgree); the choice is one of memory traffic only.
 const (
+	// DiffFluxFused, the zero value, is the LoopTool-transformed kernel:
+	// conditionals unswitched, array statements scalarised and fused into one
+	// loop nest, so every dYdx/W/ρD value is reused in registers.
+	DiffFluxFused DiffFluxKernel = iota
 	// DiffFluxNaive mirrors the original Fortran-90 array-syntax code:
 	// separate full-grid sweeps per species and direction with temporary
 	// arrays, recomputing shared subexpressions — the "as naturally written"
-	// version whose cache behaviour figure 4 dissects.
-	DiffFluxNaive DiffFluxKernel = iota
-	// DiffFluxOptimized is the LoopTool-transformed equivalent: conditionals
-	// unswitched, array statements scalarised and fused into one loop nest,
-	// species loop unroll-and-jammed, so every dYdx/W/ρD value is reused in
-	// registers.
-	DiffFluxOptimized
+	// version whose cache behaviour figure 4 dissects. It is kept as that
+	// figure's ablation (cmd/looptool, BenchmarkFig4DiffFluxNaive) and runs
+	// only when selected.
+	DiffFluxNaive
 )
+
+// DiffFluxOptimized is the former name of the default kernel.
+//
+// Deprecated: use the zero value. The name remains only because the frozen
+// benchmark/probes.go names it; it goes with the Backend/Precision shim.
+const DiffFluxOptimized = DiffFluxFused
 
 // Config assembles a simulation.
 type Config struct {
@@ -171,6 +179,12 @@ type Block struct {
 
 	ns, nvar int
 
+	// active lists, ascending, the axes with more than one point. A
+	// one-point axis has no derivative, so the block registers no gradient,
+	// diffusive-flux or flux field along it and no sweep visits it; every
+	// per-direction array below holds nil there.
+	active []int
+
 	// Q and dQ are the RK 2N registers of conserved fields.
 	Q, dQ []*grid.Field3
 	// rhs receives the time derivative each stage.
@@ -185,7 +199,7 @@ type Block struct {
 	Mu, Lambda *grid.Field3
 	D          []*grid.Field3
 
-	// Gradient fields (interior only).
+	// Gradient fields (interior only; active directions only).
 	dU   [3][3]*grid.Field3 // dU[comp][dir]
 	dT   [3]*grid.Field3
 	dW   [3]*grid.Field3
@@ -194,7 +208,7 @@ type Block struct {
 	dP   [3]*grid.Field3
 
 	// Species diffusive fluxes J[dir][species] and total fluxes
-	// flux[var][dir].
+	// flux[var][dir] (active directions only).
 	J    [3][]*grid.Field3
 	flux [][3]*grid.Field3
 
@@ -227,10 +241,11 @@ type Block struct {
 	// single stride-1 loops over these spans instead of per-field calls.
 	qBank, dqBank, rhsBank []float64
 
-	// Per-axis halo-exchange field lists resolved once from the registry
-	// groups ("conserved", "flux"), see halo.go: the conserved registers are
-	// exchanged along every axis, flux[v][a] along a alone. Group order is
-	// registration order, which fixes the packed-slab message layout.
+	// Per-axis halo-exchange field lists — the members of the registry groups
+	// "conserved" and "flux" by the axis they travel along, see halo.go: the
+	// conserved registers along every active axis, flux[v][a] along a alone.
+	// List order is registration order, which fixes the packed-slab message
+	// layout.
 	haloQ, haloFlux haloLists
 
 	// haloBuf holds the four slab buffers of an axis exchange (recv lo/hi,
@@ -436,6 +451,11 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 		ns: ns, nvar: cfg.nVar(),
 		Timers: perf.NewTimers(),
 	}
+	for a := 0; a < 3; a++ {
+		if local.Dim(grid.Axis(a)) > 1 {
+			b.active = append(b.active, a)
+		}
+	}
 	b.registerFields()
 	b.yw = make([]float64, ns)
 	b.cw = make([]float64, ns)
@@ -524,6 +544,9 @@ func (b *Block) conservedNames() []string {
 //     contiguous arena spans (the S3D "small number of big arrays" layout);
 //   - the flux components follow in (var, dir) order, fixing the packed
 //     field-major layout of the flux halo-exchange messages;
+//   - per-direction fields (fluxes, gradients, J) exist for the active axes
+//     only; the names and order a block with three active axes registers are
+//     pinned (TestRegistryActiveAxes);
 //   - checkpoint inclusion (Ckpt) follows registration order, pinning the
 //     on-disk variable order to Q then T_guess — the pre-registry layout,
 //     so old restart files keep loading.
@@ -559,7 +582,7 @@ func (b *Block) registerFields() {
 	}
 	fluxID := make([][3]int, b.nvar)
 	for v := 0; v < b.nvar; v++ {
-		for d := 0; d < 3; d++ {
+		for _, d := range b.active {
 			fluxID[v][d] = fs.Register(grid.FieldMeta{Name: "flux_" + qNames[v] + "_" + dir[d],
 				Role: grid.RoleFlux, Species: spOf(v), Group: haloGroupFlux})
 		}
@@ -595,9 +618,15 @@ func (b *Block) registerFields() {
 	var dTID, dWID, dRhoID, dPID [3]int
 	dYID := make([][3]int, ns)
 	JID := make([][]int, 3)
+	// Two families interleaved in one pass (the order is ABI): row c of the
+	// velocity-gradient tensor, component c along every active direction,
+	// then the scalar gradients along direction c.
 	for c := 0; c < 3; c++ {
-		for d := 0; d < 3; d++ {
+		for _, d := range b.active {
 			dUID[c][d] = grad("d"+vel[c]+"_d"+dir[d], -1)
+		}
+		if !b.isActive(c) {
+			continue
 		}
 		dTID[c] = grad("dT_d"+dir[c], -1)
 		dWID[c] = grad("dWmix_d"+dir[c], -1)
@@ -605,11 +634,11 @@ func (b *Block) registerFields() {
 		dPID[c] = grad("dp_d"+dir[c], -1)
 	}
 	for n := 0; n < ns; n++ {
-		for d := 0; d < 3; d++ {
+		for _, d := range b.active {
 			dYID[n][d] = grad("dY_"+b.mech.Set.Species[n].Name+"_d"+dir[d], n)
 		}
 	}
-	for c := 0; c < 3; c++ {
+	for _, c := range b.active {
 		JID[c] = make([]int, ns)
 		for n := 0; n < ns; n++ {
 			JID[c][n] = fs.Register(grid.FieldMeta{Name: "J_" + b.mech.Set.Species[n].Name + "_" + dir[c],
@@ -638,19 +667,17 @@ func (b *Block) registerFields() {
 	b.flux = make([][3]*grid.Field3, b.nvar)
 	for v := 0; v < b.nvar; v++ {
 		b.Q[v], b.dQ[v], b.rhs[v] = fs.Field(qID[v]), fs.Field(dqID[v]), fs.Field(rhsID[v])
-		for d := 0; d < 3; d++ {
+		for _, d := range b.active {
 			b.flux[v][d] = fs.Field(fluxID[v][d])
+			// flux[v][d] is differentiated — and so exchanged — along d alone.
+			b.haloFlux[d] = append(b.haloFlux[d], b.flux[v][d])
 		}
 	}
 	b.qBank = fs.Span(qID[0], b.nvar)
 	b.dqBank = fs.Span(dqID[0], b.nvar)
 	b.rhsBank = fs.Span(rhsID[0], b.nvar)
-	q := fs.Group(haloGroupConserved)
-	b.haloQ = haloLists{q, q, q}
-	// The flux group is registered in (var, dir) order: position mod 3 is
-	// the one axis a component is differentiated — and so exchanged — along.
-	for i, f := range fs.Group(haloGroupFlux) {
-		b.haloFlux[i%3] = append(b.haloFlux[i%3], f)
+	for _, a := range b.active {
+		b.haloQ[a] = b.Q
 	}
 
 	b.Rho, b.U, b.V, b.W = fs.Field(rhoID), fs.Field(uID), fs.Field(vID), fs.Field(wID)
@@ -661,19 +688,19 @@ func (b *Block) registerFields() {
 	b.dY = make([][3]*grid.Field3, ns)
 	for n := 0; n < ns; n++ {
 		b.Y[n], b.D[n] = fs.Field(yID[n]), fs.Field(dID[n])
-		for d := 0; d < 3; d++ {
+		for _, d := range b.active {
 			b.dY[n][d] = fs.Field(dYID[n][d])
 		}
 	}
-	for c := 0; c < 3; c++ {
-		for d := 0; d < 3; d++ {
+	for _, d := range b.active {
+		for c := 0; c < 3; c++ {
 			b.dU[c][d] = fs.Field(dUID[c][d])
 		}
-		b.dT[c], b.dW[c] = fs.Field(dTID[c]), fs.Field(dWID[c])
-		b.dRho[c], b.dP[c] = fs.Field(dRhoID[c]), fs.Field(dPID[c])
-		b.J[c] = make([]*grid.Field3, ns)
+		b.dT[d], b.dW[d] = fs.Field(dTID[d]), fs.Field(dWID[d])
+		b.dRho[d], b.dP[d] = fs.Field(dRhoID[d]), fs.Field(dPID[d])
+		b.J[d] = make([]*grid.Field3, ns)
 		for n := 0; n < ns; n++ {
-			b.J[c][n] = fs.Field(JID[c][n])
+			b.J[d][n] = fs.Field(JID[d][n])
 		}
 	}
 	b.scratchF = fs.Field(scratchID)
@@ -685,7 +712,8 @@ func (b *Block) registerFields() {
 }
 
 // gradView is the raw-slice view of the fields the fused kernels read
-// without going through At: the stored gradients and transport coefficients.
+// without going through At: the stored gradients (nil along inactive
+// directions) and transport coefficients.
 type gradView struct {
 	dU  [3][3][]float64 // dU[comp][dir]
 	dT  [3][]float64
@@ -703,21 +731,24 @@ func newGradView(b *Block) *gradView {
 		dY:  make([][3][]float64, b.ns),
 		d:   make([][]float64, b.ns),
 	}
-	for c := 0; c < 3; c++ {
-		for d := 0; d < 3; d++ {
+	for _, d := range b.active {
+		for c := 0; c < 3; c++ {
 			g.dU[c][d] = b.dU[c][d].Data
 		}
-		g.dT[c] = b.dT[c].Data
-		g.dW[c] = b.dW[c].Data
+		g.dT[d] = b.dT[d].Data
+		g.dW[d] = b.dW[d].Data
 	}
 	for n := 0; n < b.ns; n++ {
 		g.d[n] = b.D[n].Data
-		for d := 0; d < 3; d++ {
+		for _, d := range b.active {
 			g.dY[n][d] = b.dY[n][d].Data
 		}
 	}
 	return g
 }
+
+// isActive reports whether the block has more than one point along axis a.
+func (b *Block) isActive(a int) bool { return b.G.Dim(grid.Axis(a)) > 1 }
 
 // Fields returns the block's field registry: the single source of truth for
 // field identity (names, roles, halo groups, checkpoint inclusion) and the

@@ -169,7 +169,7 @@ func rkUpdateRegister(q, dq, r []float64, a, b, dt float64) {
 func (b *Block) RKUpdateBankOnly(dt float64) { b.rkUpdateBank(-0.7, 0.5, dt) }
 
 // ApplyFilter applies the tenth-order low-pass filter to every conserved
-// field along every axis (paper §2.6: an eleven-point explicit filter
+// field along every active axis (paper §2.6: an eleven-point explicit filter
 // removes spurious high-frequency fluctuations).
 func (b *Block) ApplyFilter() {
 	defer b.beginRegion("FILTER").End()
@@ -178,11 +178,8 @@ func (b *Block) ApplyFilter() {
 		sigma = 1
 	}
 	r := b.interior()
-	for d := 0; d < 3; d++ {
+	for _, d := range b.active {
 		a := grid.Axis(d)
-		if b.G.Dim(a) == 1 {
-			continue
-		}
 		// The pass along a reads ghosts along a alone; they are refilled
 		// here because the earlier passes changed the interior they mirror.
 		var along haloLists

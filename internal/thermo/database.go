@@ -76,6 +76,8 @@ func buildSpecies(name string, raw rawSpecies) *Species {
 	// a7 pins s(T0) to the standard entropy.
 	sR := a[0]*math.Log(T) + a[1]*T + a[2]/2*T*T + a[3]/3*T*T*T + a[4]/4*T*T*T*T
 	sp.a[6] = raw.s0/R - sR
+	sp.hq = [3]float64{sp.a[1] / 2, sp.a[2] / 3, sp.a[3] / 4}
+	sp.sq3 = sp.a[3] / 3
 	return sp
 }
 

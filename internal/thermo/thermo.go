@@ -45,6 +45,12 @@ type Species struct {
 	Elem map[string]int // elemental composition
 
 	a [7]float64 // NASA-7-style coefficients (single range)
+
+	// Quotients of the coefficients that the enthalpy and entropy fits take
+	// on every call, divided once at construction (the same division, so the
+	// same bits): a[1]/2, a[2]/3, a[3]/4 for HRT and a[3]/3 for SRLn.
+	hq  [3]float64
+	sq3 float64
 }
 
 // CpR returns cp/R at temperature T.
@@ -59,7 +65,7 @@ func (s *Species) Cp(T float64) float64 { return s.CpR(T) * R / s.W }
 // HRT returns h/(R·T) at temperature T (molar enthalpy including formation).
 func (s *Species) HRT(T float64) float64 {
 	T = clampT(T)
-	return s.a[0] + T*(s.a[1]/2+T*(s.a[2]/3+T*(s.a[3]/4+T*s.a[4]/5))) + s.a[5]/T
+	return s.a[0] + T*(s.hq[0]+T*(s.hq[1]+T*(s.hq[2]+T*s.a[4]/5))) + s.a[5]/T
 }
 
 // H returns the specific enthalpy (sensible + chemical) in J/kg.
@@ -82,7 +88,7 @@ func LnT(T float64) float64 { return math.Log(clampT(T)) }
 // SRLn is SR with lnT = LnT(T) supplied by the caller.
 func (s *Species) SRLn(T, lnT float64) float64 {
 	T = clampT(T)
-	return s.a[0]*lnT + T*(s.a[1]+T*(s.a[2]/2+T*(s.a[3]/3+T*s.a[4]/4))) + s.a[6]
+	return s.a[0]*lnT + T*(s.a[1]+T*(s.a[2]/2+T*(s.sq3+T*s.a[4]/4))) + s.a[6]
 }
 
 // GRTLn is GRT with lnT = LnT(T) supplied by the caller.
@@ -242,9 +248,10 @@ func (s *Set) TFromE(e float64, Y []float64, Tg float64) (float64, bool) {
 	if T < TMin || T > TMax || math.IsNaN(T) {
 		T = 1000
 	}
+	W := s.MeanW(Y) // once per call: EMass and CvMass each take it per iterate
 	for iter := 0; iter < 50; iter++ {
-		f := s.EMass(T, Y) - e
-		cv := s.CvMass(T, Y)
+		f := (s.HMass(T, Y) - R*T/W) - e // EMass(T, Y) − e
+		cv := s.CpMass(T, Y) - R/W       // CvMass(T, Y)
 		dT := f / cv
 		T -= dT
 		if T < TMin {

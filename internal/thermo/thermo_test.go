@@ -159,9 +159,46 @@ func TestTFromERoundTrip(t *testing.T) {
 	}
 }
 
+// hrtEager and srLnEager are the reference enthalpy and entropy fits, every
+// coefficient quotient divided on the spot; HRT and SRLn take the quotients
+// stored at construction and must return exactly these.
+func hrtEager(s *Species, T float64) float64 {
+	T = clampT(T)
+	return s.a[0] + T*(s.a[1]/2+T*(s.a[2]/3+T*(s.a[3]/4+T*s.a[4]/5))) + s.a[5]/T
+}
+
+func srLnEager(s *Species, T, lnT float64) float64 {
+	T = clampT(T)
+	return s.a[0]*lnT + T*(s.a[1]+T*(s.a[2]/2+T*(s.a[3]/3+T*s.a[4]/4))) + s.a[6]
+}
+
+// TestHoistedQuotientsMatchEager holds HRT and SRLn (and so H, GRT and
+// everything built on them) bit for bit against the eager references for
+// every species of the database, across and beyond the polynomial range.
+func TestHoistedQuotientsMatchEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	temps := []float64{1, 150, TMin, T0, 300, 1234.5, TMax, 4000, 1e6}
+	for i := 0; i < 200; i++ {
+		temps = append(temps, TMin+(TMax-TMin)*rng.Float64())
+	}
+	for name, sp := range database {
+		for _, T := range temps {
+			if got, want := sp.HRT(T), hrtEager(sp, T); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: HRT(%g) = %x, eager %x", name, T, math.Float64bits(got), math.Float64bits(want))
+			}
+			lnT := LnT(T)
+			if got, want := sp.SRLn(T, lnT), srLnEager(sp, T, lnT); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: SRLn(%g) = %x, eager %x", name, T, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}
+
 // tFromEEager is the reference TFromE: the saturation bounds checked up
-// front on every call, then the same clamped Newton iteration. TFromE
-// evaluates the bounds lazily and must return exactly this.
+// front on every call, then the same clamped Newton iteration through EMass
+// and CvMass, each of which takes the mean molecular weight anew. TFromE
+// evaluates the bounds lazily and the molecular weight once, and must
+// return exactly this.
 func tFromEEager(s *Set, e float64, Y []float64, Tg float64) (float64, bool) {
 	if e >= s.EMass(TMax, Y) {
 		return TMax, true

@@ -199,9 +199,15 @@ type Config struct {
 
 	// ChemistryOff runs inert (pressure-wave tests, kernel studies).
 	ChemistryOff bool
-	// OptimizedDiffFlux selects the LoopTool-transformed diffusive-flux
-	// kernel (the figure 4/5 optimisation); the default is the naive
-	// Fortran-90-style kernel.
+	// NaiveDiffFlux selects the Fortran-90-style diffusive-flux kernel, one
+	// full-grid array statement at a time — the "before" of the figure 4/5
+	// optimisation study (cmd/looptool). The default is the fused
+	// LoopTool-transformed kernel; the two agree bit for bit.
+	NaiveDiffFlux bool
+	// OptimizedDiffFlux does nothing: the fused kernel is the default.
+	//
+	// Deprecated: the field remains only because the frozen
+	// benchmark/probes.go names it; it goes with Backend and Precision.
 	OptimizedDiffFlux bool
 	// ConstLewis, when positive, replaces mixture-averaged diffusion by the
 	// constant-Lewis-number model (an ablation of the paper's transport).
@@ -245,8 +251,8 @@ func (c *Config) toSolver() (*solver.Config, error) {
 		Backend:        c.Backend,
 		Precision:      c.Precision,
 	}
-	if c.OptimizedDiffFlux {
-		sc.DiffFlux = solver.DiffFluxOptimized
+	if c.NaiveDiffFlux {
+		sc.DiffFlux = solver.DiffFluxNaive
 	}
 	for a := 0; a < 3; a++ {
 		for s := 0; s < 2; s++ {
