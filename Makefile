@@ -1,6 +1,6 @@
 # Common entry points; see README.md for the per-figure tools.
 
-.PHONY: check test bench
+.PHONY: check test
 
 # The full pre-merge gate: build, vet, race-enabled tests.
 check:
@@ -8,9 +8,3 @@ check:
 
 test:
 	go test ./...
-
-# Run the root benchmark suite and append a results/BENCH_<n>.json
-# snapshot (ns/op, allocs, custom paper metrics, worker count) so the perf
-# trajectory is recorded per PR. BENCHTIME=5s BENCH=Health tunes the run.
-bench:
-	./bench.sh

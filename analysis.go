@@ -116,11 +116,8 @@ func (ab analysisBinder) Source(name string) (insitu.Source, error) {
 }
 
 // EnableAnalysis builds, installs and enables the in-situ pipeline
-// described by spec. Call before StartTelemetry so the probe mounts
-// GET /analysis and the analysis_* gauges, and before the first step. In
-// decomposed runs every rank must enable an identical spec at the same
-// point: a due step adds one collective that must match across ranks.
-// Returns the pipeline for Subscribe, Latest and Handler access.
+// described by spec, and returns it for Subscribe, Latest and Handler
+// access. Session.Arm states where it belongs in the enable order.
 func (s *Simulation) EnableAnalysis(spec AnalysisSpec) (*insitu.Pipeline, error) {
 	bnd, err := s.analysisBinder(spec)
 	if err != nil {

@@ -39,6 +39,21 @@ if [ -n "$violations" ]; then
 	exit 1
 fi
 
+# Wiring lint: the order the instrumentation layers are enabled in — and why
+# telemetry starts last — is stated once, in Session.Arm (run.go). A driver
+# that calls an Enable*, StartTelemetry or New*Store itself re-derives that
+# rule, so none of the three flag-sharing drivers may, outside test files.
+echo "== wiring lint (no Enable*/StartTelemetry/New*Store in cmd/s3d, cmd/liftedflame, cmd/bunsen)"
+violations=$(grep -rnE 'Enable(Profiling|Health|Analysis|CostMaps|CritPath|LoadBalance)\(|StartTelemetry\(|New(Analysis|Cost|CritPath)Store\(' \
+	--include='*.go' cmd/s3d cmd/liftedflame cmd/bunsen \
+	| grep -v '_test\.go:' || true)
+if [ -n "$violations" ]; then
+	echo "instrumentation wiring inside a driver:" >&2
+	echo "$violations" >&2
+	echo "bind s3d.RunOptions and go through Open/Arm (run.go)" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
@@ -85,6 +100,12 @@ go -C benchmark test -timeout 15m .
 # disagrees with its dims.
 echo "== go test -run xxx -fuzz FuzzDecode -fuzztime 20s ./internal/sdf"
 go test -run xxx -fuzz FuzzDecode -fuzztime 20s ./internal/sdf
+
+# Likewise jsonl.Read, the reader behind analysis/cost/critpath.jsonl: any
+# byte stream yields records plus an error or nil, never a panic, and a
+# valid prefix is never lost.
+echo "== go test -run xxx -fuzz FuzzRead -fuzztime 20s ./internal/jsonl"
+go test -run xxx -fuzz FuzzRead -fuzztime 20s ./internal/jsonl
 
 # Profiler gate: a tiny decomposed cmd/s3d run with -profile must emit a
 # trace_event timeline that parses with at least one span per rank (the
@@ -159,5 +180,11 @@ echo "== go test -race -run TestLoadBalanceSmoke ./cmd/s3d"
 go test -race -timeout 10m -run TestLoadBalanceSmoke ./cmd/s3d
 echo "== go test -run xxx -bench BenchmarkLBOverhead -benchtime 1x ."
 go test -timeout 15m -run xxx -bench BenchmarkLBOverhead -benchtime 1x .
+
+# Driver gate: the other two flag-sharing drivers end to end under the race
+# detector, every shared flag set — each promised artifact must exist under
+# its (per-case) name and parse.
+echo "== go test -race -run 'TestLiftedFlameSmoke|TestBunsenSmoke' ./cmd/liftedflame ./cmd/bunsen"
+go test -race -timeout 10m -run 'TestLiftedFlameSmoke|TestBunsenSmoke' ./cmd/liftedflame ./cmd/bunsen
 
 echo "CHECK OK"

@@ -12,76 +12,66 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"github.com/s3dgo/s3d"
 	"github.com/s3dgo/s3d/internal/chem"
-	"github.com/s3dgo/s3d/internal/cost"
-	"github.com/s3dgo/s3d/internal/critpath"
 	"github.com/s3dgo/s3d/internal/flame1d"
 	"github.com/s3dgo/s3d/internal/grid"
-	"github.com/s3dgo/s3d/internal/insitu"
-	"github.com/s3dgo/s3d/internal/obs"
-	"github.com/s3dgo/s3d/internal/perf"
-	"github.com/s3dgo/s3d/internal/prof"
 	"github.com/s3dgo/s3d/internal/stats"
 	"github.com/s3dgo/s3d/internal/turb"
 	"github.com/s3dgo/s3d/internal/viz"
 )
 
-// casePath inserts the case letter before the path extension:
-// trace.jsonl → trace.A.jsonl.
-func casePath(path string, id byte) string {
-	ext := filepath.Ext(path)
-	return fmt.Sprintf("%s.%c%s", strings.TrimSuffix(path, ext), id, ext)
+// options is the command line: the run settings shared with the other
+// drivers (s3d.RunOptions, applied per case: the case letter goes before
+// every file's extension and a case<letter> directory under every
+// directory) plus what only this driver has.
+type options struct {
+	s3d.RunOptions
+	table1, surface, gradc bool
+	steps                  int
+	nx, ny                 int
+	outDir                 string
+}
+
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	o.BindFlags(fs)
+	fs.BoolVar(&o.table1, "table1", false, "print table 1 only")
+	fs.BoolVar(&o.surface, "surface", false, "render figure 12 only")
+	fs.BoolVar(&o.gradc, "gradc", false, "write figure 13 only")
+	fs.IntVar(&o.steps, "steps", 250, "time steps per case")
+	fs.IntVar(&o.nx, "nx", 80, "streamwise grid points")
+	fs.IntVar(&o.ny, "ny", 60, "transverse grid points")
+	fs.StringVar(&o.outDir, "out", "out_bunsen", "output directory")
+	return o
 }
 
 func main() {
-	table1 := flag.Bool("table1", false, "print table 1 only")
-	surface := flag.Bool("surface", false, "render figure 12 only")
-	gradc := flag.Bool("gradc", false, "write figure 13 only")
-	steps := flag.Int("steps", 250, "time steps per case")
-	nx := flag.Int("nx", 80, "streamwise grid points")
-	ny := flag.Int("ny", 60, "transverse grid points")
-	outDir := flag.String("out", "out_bunsen", "output directory")
-	tracePath := flag.String("trace", "", "write per-case JSONL step traces (case letter inserted before the extension)")
-	monitorAddr := flag.String("monitor", "", "serve live metrics over HTTP while a case runs (e.g. :8080)")
-	profileDir := flag.String("profile", "", "record the call-path profiler per case; artifacts land in <dir>/caseA, <dir>/caseB, <dir>/caseC")
-	workers := flag.Int("workers", 0, "kernel worker-pool size (0: all CPUs)")
-	healthOn := flag.Bool("health", false, "arm the run-health watchdog per case (structured abort + flight recorder instead of a panic)")
-	flightRec := flag.String("flightrec", "", "flight-recorder bundle root; per-case bundles land in <dir>/caseA… (default <out>/health when -health)")
-	analysisPath := flag.String("analysis", "", "enable the in-situ science-reduction pipeline per case; records land in per-case JSONL files (case letter inserted before the extension)")
-	analysisEvery := flag.Int("analysis-every", 1, "analysis reduction cadence in steps")
-	costPath := flag.String("cost", "", "enable the spatial cost-attribution sampler per case; records land in per-case JSONL files (case letter inserted before the extension)")
-	costEvery := flag.Int("cost-every", 1, "cost reduction cadence in steps")
-	critPath := flag.String("critpath", "", "enable the wait-state & critical-path analyzer per case; records land in per-case JSONL files (case letter inserted before the extension)")
-	critEvery := flag.Int("critpath-every", 1, "critical-path analysis cadence in steps")
-	lbOn := flag.Bool("lb", false, "enable dynamic load balancing per case: cost-weighted tile planning (bitwise identical to the unbalanced run)")
-	lbEvery := flag.Int("lb-every", 10, "load-balance re-plan cadence in steps")
-	flag.Parse()
+	// Tests drive main() more than once in-process, so the flags live on a
+	// FlagSet of their own.
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	o := bindFlags(fs)
+	fs.Parse(os.Args[1:])
 
-	s3d.SetWorkers(*workers)
-	if *healthOn && *flightRec == "" {
-		*flightRec = filepath.Join(*outDir, "health")
-	}
-	all := !*table1 && !*surface && !*gradc
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	all := !o.table1 && !o.surface && !o.gradc
+	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
 
 	lam := laminarReference()
-	if *table1 || all {
+	if o.table1 || all {
 		printTable1(lam)
 	}
-	if *surface || *gradc || all {
-		runCases(lam, *steps, *nx, *ny, *outDir, *surface || all, *gradc || all, *tracePath, *monitorAddr, *profileDir, *flightRec,
-			*analysisPath, *analysisEvery, *costPath, *costEvery, *critPath, *critEvery, *lbOn, *lbEvery)
+	if o.surface || o.gradc || all {
+		runCases(lam, o, o.surface || all, o.gradc || all)
 	}
 }
 
@@ -163,15 +153,14 @@ func printTable1(lam flame1d.Properties) {
 	}
 }
 
-func runCases(lam flame1d.Properties, steps, nx, ny int, outDir string, doSurface, doGradC bool, tracePath, monitorAddr, profileDir, flightRec string,
-	analysisPath string, analysisEvery int, costPath string, costEvery int, critPath string, critEvery int, lbOn bool, lbEvery int) {
-	var machines []perf.Machine
-	if profileDir != "" {
-		machines = s3d.ProfileMachines()
-	}
+func runCases(lam flame1d.Properties, o *options, doSurface, doGradC bool) {
 	for _, id := range []byte{'A', 'B', 'C'} {
+		run, err := o.Open(o.outDir, string(id))
+		if err != nil {
+			log.Fatal(err)
+		}
 		p, err := s3d.BunsenProblem(s3d.BunsenOptions{
-			Case: id, Nx: nx, Ny: ny, Nz: 1,
+			Case: id, Nx: o.nx, Ny: o.ny, Nz: 1,
 			SL: lam.SL, DeltaL: lam.DeltaL, Seed: int64(id), VelocityScale: 0.5,
 		})
 		if err != nil {
@@ -181,161 +170,32 @@ func runCases(lam flame1d.Properties, steps, nx, ny int, outDir string, doSurfac
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\ncase %c: %dx%d, %d steps\n", id, nx, ny, steps)
-		var profiler *prof.Profiler
-		if profileDir != "" {
-			profiler = s3d.NewProfiler()
-			sim.EnableProfiling(profiler, "rank0")
-		}
-		if flightRec != "" {
-			sim.EnableHealth(s3d.HealthOptions{
-				BundleDir:           filepath.Join(flightRec, fmt.Sprintf("case%c", id)),
-				EmergencyCheckpoint: true,
-			})
-		}
-		// Analysis before StartTelemetry so the probe mounts /analysis; for
-		// the premixed cases the problem streams define the progress
-		// variable, so the standard set includes ⟨Y_OH|c⟩ and ∫|∇c| dV.
-		var astore *insitu.Store
-		if analysisPath != "" {
-			spec := p.StandardAnalysis()
-			spec.Every = analysisEvery
-			if _, err := sim.EnableAnalysis(spec); err != nil {
-				log.Fatal(err)
-			}
-			if astore, err = s3d.NewAnalysisStore(casePath(analysisPath, id)); err != nil {
-				log.Fatal(err)
-			}
-			if err := sim.Subscribe(astore.Sink()); err != nil {
-				log.Fatal(err)
-			}
-		}
-		// The cost sampler too, so the probe mounts /cost per case.
-		var cstore *cost.Store
-		if costPath != "" {
-			if _, err := sim.EnableCostMaps(s3d.CostSpec{Every: costEvery}); err != nil {
-				log.Fatal(err)
-			}
-			if cstore, err = s3d.NewCostStore(casePath(costPath, id)); err != nil {
-				log.Fatal(err)
-			}
-			if err := sim.SubscribeCost(cstore.Sink()); err != nil {
-				log.Fatal(err)
-			}
-		}
-		// The load balancer re-tiles the chemistry and flux-assembly sweeps
-		// from the sampler's records (installing the sampler when -cost is off).
-		if lbOn {
-			if err := sim.EnableLoadBalance(s3d.LoadBalanceSpec{Every: lbEvery}); err != nil {
-				log.Fatal(err)
-			}
-		}
-		// And the critpath analyzer, so the probe mounts /critpath per case.
-		var cpstore *critpath.Store
-		if critPath != "" {
-			if err := sim.EnableCritPath(s3d.NewCritPathAnalyzer(s3d.CritPathSpec{Every: critEvery})); err != nil {
-				log.Fatal(err)
-			}
-			if cpstore, err = s3d.NewCritPathStore(casePath(critPath, id)); err != nil {
-				log.Fatal(err)
-			}
-			if err := sim.SubscribeCritPath(cpstore.Sink()); err != nil {
-				log.Fatal(err)
-			}
-		}
-		var tr *obs.Trace
-		if tracePath != "" {
-			if tr, err = obs.CreateTrace(casePath(tracePath, id)); err != nil {
-				log.Fatal(err)
-			}
-		}
-		var probe *s3d.Probe
-		if tr != nil || monitorAddr != "" {
-			probe, err = sim.StartTelemetry(s3d.TelemetryOptions{
-				Case:        fmt.Sprintf("bunsen-%c", id),
-				Config:      map[string]string{"steps": fmt.Sprint(steps)},
-				Trace:       tr,
-				MonitorAddr: monitorAddr,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if addr := probe.MonitorAddr(); addr != "" {
-				fmt.Printf("  live monitor on http://%s/status\n", addr)
-			}
-			if profiler != nil {
-				probe.MountProfile(profiler, sim.ProfileShape(), machines)
-			}
-		}
-		var stepErr error
-		for done := 0; done < steps && stepErr == nil; done += 50 {
-			n := 50
-			if done+n > steps {
-				n = steps - done
-			}
-			dt := 0.4 * sim.StableDt()
-			switch {
-			case probe != nil && flightRec != "":
-				stepErr = probe.TryAdvance(n, dt)
-			case probe != nil:
-				probe.Advance(n, dt)
-			case flightRec != "":
-				stepErr = sim.TryAdvance(n, dt)
-			default:
-				sim.Advance(n, dt)
-			}
+		fmt.Printf("\ncase %c: %dx%d, %d steps\n", id, o.nx, o.ny, o.steps)
+		// For the premixed cases the problem streams define the progress
+		// variable, so the standard analysis set includes ⟨Y_OH|c⟩ and ∫|∇c| dV.
+		h, err := run.Arm(sim, p, s3d.TelemetryOptions{
+			Case:   fmt.Sprintf("bunsen-%c", id),
+			Config: map[string]string{"steps": fmt.Sprint(o.steps)},
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
 		exit := "completed"
-		if stepErr != nil {
-			fmt.Printf("  case %c health abort: %v\n  post-mortem bundle in %s\n",
-				id, stepErr, filepath.Join(flightRec, fmt.Sprintf("case%c", id)))
-			exit = fmt.Sprintf("health abort: %v", stepErr)
-		}
-		if probe != nil {
-			if err := probe.Close(exit); err != nil {
-				log.Fatal(err)
+		for done := 0; done < o.steps; done += 50 {
+			n := 50
+			if done+n > o.steps {
+				n = o.steps - done
+			}
+			if err := h.Advance(n, 0.4*sim.StableDt()); err != nil {
+				fmt.Printf("  case %c health abort: %v\n  post-mortem bundle in %s\n", id, err, run.BundleDir())
+				exit = fmt.Sprintf("health abort: %v", err)
+				break
 			}
 		}
-		if tr != nil {
-			if err := tr.Close(); err != nil {
-				log.Fatal(err)
-			}
+		if err := errors.Join(h.Close(exit), run.Close()); err != nil {
+			log.Fatal(err)
 		}
-		if astore != nil {
-			if err := astore.Err(); err != nil {
-				fmt.Printf("  analysis store dropped records: %v\n", err)
-			}
-			if err := astore.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  wrote analysis records to %s\n", casePath(analysisPath, id))
-		}
-		if cstore != nil {
-			if err := cstore.Err(); err != nil {
-				fmt.Printf("  cost store dropped records: %v\n", err)
-			}
-			if err := cstore.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  wrote cost records to %s\n", casePath(costPath, id))
-		}
-		if cpstore != nil {
-			if err := cpstore.Err(); err != nil {
-				fmt.Printf("  critpath store dropped records: %v\n", err)
-			}
-			if err := cpstore.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  wrote critpath records to %s\n", casePath(critPath, id))
-		}
-		if profiler != nil {
-			dir := filepath.Join(profileDir, fmt.Sprintf("case%c", id))
-			if err := sim.ExportProfile(dir, profiler, machines); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  wrote profile artifacts to %s\n", dir)
-		}
-		if stepErr != nil {
+		if exit != "completed" {
 			// The post-mortem bundle is the record of an aborted case; the
 			// science figures would render the corrupted state.
 			continue
@@ -345,12 +205,12 @@ func runCases(lam flame1d.Properties, steps, nx, ny int, outDir string, doSurfac
 
 		c, dims := progressField(sim, p)
 		if doSurface {
-			if err := renderFig12(c, dims, id, outDir); err != nil {
+			if err := renderFig12(c, dims, id, o.outDir); err != nil {
 				log.Fatal(err)
 			}
 		}
 		if doGradC {
-			if err := writeFig13(sim, c, dims, lam, id, outDir); err != nil {
+			if err := writeFig13(sim, c, dims, lam, id, o.outDir); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -22,43 +23,47 @@ import (
 
 	"github.com/s3dgo/s3d"
 	"github.com/s3dgo/s3d/internal/grid"
-	"github.com/s3dgo/s3d/internal/obs"
-	"github.com/s3dgo/s3d/internal/prof"
 	"github.com/s3dgo/s3d/internal/stats"
 	"github.com/s3dgo/s3d/internal/viz"
 )
 
-func main() {
-	nx := flag.Int("nx", 96, "streamwise grid points")
-	ny := flag.Int("ny", 72, "transverse grid points")
-	steps := flag.Int("steps", 400, "time steps")
-	outDir := flag.String("out", "out_liftedflame", "output directory")
-	scatter := flag.Bool("scatter", true, "write figure-11 scatter/conditional data")
-	tracePath := flag.String("trace", "", "write a JSONL step trace to this file")
-	monitorAddr := flag.String("monitor", "", "serve live metrics over HTTP on this address (e.g. :8080)")
-	profileDir := flag.String("profile", "", "record the call-path profiler and write trace.json/callpath/roofline artifacts to this directory")
-	workers := flag.Int("workers", 0, "kernel worker-pool size (0: all CPUs)")
-	healthOn := flag.Bool("health", false, "arm the run-health watchdog (structured abort + flight recorder instead of a panic)")
-	flightRec := flag.String("flightrec", "", "flight-recorder bundle directory (default <out>/health when -health)")
-	analysisPath := flag.String("analysis", "", "enable the in-situ science-reduction pipeline and append its records (JSONL) to this file")
-	analysisEvery := flag.Int("analysis-every", 1, "analysis reduction cadence in steps")
-	costPath := flag.String("cost", "", "enable the spatial cost-attribution sampler and append its records (JSONL) to this file")
-	costEvery := flag.Int("cost-every", 1, "cost reduction cadence in steps")
-	critPath := flag.String("critpath", "", "enable the wait-state & critical-path analyzer and append its records (JSONL) to this file")
-	critEvery := flag.Int("critpath-every", 1, "critical-path analysis cadence in steps")
-	lbOn := flag.Bool("lb", false, "enable dynamic load balancing: cost-weighted tile planning (bitwise identical to the unbalanced run)")
-	lbEvery := flag.Int("lb-every", 10, "load-balance re-plan cadence in steps")
-	flag.Parse()
+// options is the command line: the run settings shared with the other
+// drivers (s3d.RunOptions) plus what only this driver has.
+type options struct {
+	s3d.RunOptions
+	nx, ny  int
+	steps   int
+	outDir  string
+	scatter bool
+}
 
-	s3d.SetWorkers(*workers)
-	if *healthOn && *flightRec == "" {
-		*flightRec = filepath.Join(*outDir, "health")
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	o.BindFlags(fs)
+	fs.IntVar(&o.nx, "nx", 96, "streamwise grid points")
+	fs.IntVar(&o.ny, "ny", 72, "transverse grid points")
+	fs.IntVar(&o.steps, "steps", 400, "time steps")
+	fs.StringVar(&o.outDir, "out", "out_liftedflame", "output directory")
+	fs.BoolVar(&o.scatter, "scatter", true, "write figure-11 scatter/conditional data")
+	return o
+}
+
+func main() {
+	// Tests drive main() more than once in-process, so the flags live on a
+	// FlagSet of their own.
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	o := bindFlags(fs)
+	fs.Parse(os.Args[1:])
+
+	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
+		log.Fatal(err)
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	run, err := o.Open(o.outDir, "")
+	if err != nil {
 		log.Fatal(err)
 	}
 	p, err := s3d.LiftedJetProblem(s3d.LiftedJetOptions{
-		Nx: *nx, Ny: *ny, Nz: 1,
+		Nx: o.nx, Ny: o.ny, Nz: 1,
 		IgnitionKernel: true, Seed: 11,
 	})
 	if err != nil {
@@ -68,170 +73,50 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var profiler *prof.Profiler
-	if *profileDir != "" {
-		profiler = s3d.NewProfiler()
-		sim.EnableProfiling(profiler, "rank0")
+	h, err := run.Arm(sim, p, s3d.TelemetryOptions{
+		Case:   "liftedflame",
+		Config: map[string]string{"steps": fmt.Sprint(o.steps)},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *healthOn {
-		sim.EnableHealth(s3d.HealthOptions{BundleDir: *flightRec, EmergencyCheckpoint: true})
-	}
-	// Analysis before StartTelemetry, so the probe mounts /analysis and
-	// the analysis_* gauges.
-	if *analysisPath != "" {
-		spec := p.StandardAnalysis()
-		spec.Every = *analysisEvery
-		if _, err := sim.EnableAnalysis(spec); err != nil {
-			log.Fatal(err)
-		}
-		store, err := s3d.NewAnalysisStore(*analysisPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if err := store.Err(); err != nil {
-				fmt.Printf("analysis store dropped records: %v\n", err)
-			}
-			if err := store.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote analysis records to %s\n", *analysisPath)
-		}()
-		if err := sim.Subscribe(store.Sink()); err != nil {
-			log.Fatal(err)
-		}
-	}
-	// The cost sampler too, so the probe mounts /cost and the cost_* gauges.
-	if *costPath != "" {
-		if _, err := sim.EnableCostMaps(s3d.CostSpec{Every: *costEvery}); err != nil {
-			log.Fatal(err)
-		}
-		store, err := s3d.NewCostStore(*costPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if err := store.Err(); err != nil {
-				fmt.Printf("cost store dropped records: %v\n", err)
-			}
-			if err := store.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote cost records to %s\n", *costPath)
-		}()
-		if err := sim.SubscribeCost(store.Sink()); err != nil {
-			log.Fatal(err)
-		}
-	}
-	// The load balancer re-tiles the chemistry and flux-assembly sweeps from
-	// the sampler's records (installing the sampler when -cost is off).
-	if *lbOn {
-		if err := sim.EnableLoadBalance(s3d.LoadBalanceSpec{Every: *lbEvery}); err != nil {
-			log.Fatal(err)
-		}
-	}
-	// And the critpath analyzer, so the probe mounts /critpath and the
-	// critpath_* gauges (serial run: per-step blame, no message edges).
-	if *critPath != "" {
-		if err := sim.EnableCritPath(s3d.NewCritPathAnalyzer(s3d.CritPathSpec{Every: *critEvery})); err != nil {
-			log.Fatal(err)
-		}
-		store, err := s3d.NewCritPathStore(*critPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if err := store.Err(); err != nil {
-				fmt.Printf("critpath store dropped records: %v\n", err)
-			}
-			if err := store.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote critpath records to %s\n", *critPath)
-		}()
-		if err := sim.SubscribeCritPath(store.Sink()); err != nil {
-			log.Fatal(err)
-		}
-	}
-	var tr *obs.Trace
-	if *tracePath != "" {
-		if tr, err = obs.CreateTrace(*tracePath); err != nil {
-			log.Fatal(err)
-		}
-		defer tr.Close()
-	}
-	var probe *s3d.Probe
-	if tr != nil || *monitorAddr != "" {
-		probe, err = sim.StartTelemetry(s3d.TelemetryOptions{
-			Case:        "liftedflame",
-			Config:      map[string]string{"steps": fmt.Sprint(*steps)},
-			Trace:       tr,
-			MonitorAddr: *monitorAddr,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if addr := probe.MonitorAddr(); addr != "" {
-			fmt.Printf("live monitor on http://%s/status\n", addr)
-		}
-		if profiler != nil {
-			probe.MountProfile(profiler, sim.ProfileShape(), s3d.ProfileMachines())
-		}
-	}
-	fmt.Printf("lifted H2/air jet: %dx%d grid, %d steps\n", *nx, *ny, *steps)
-	chunk := *steps / 10
+	fmt.Printf("lifted H2/air jet: %dx%d grid, %d steps\n", o.nx, o.ny, o.steps)
+	chunk := o.steps / 10
 	if chunk == 0 {
 		chunk = 1
 	}
-	for done := 0; done < *steps; done += chunk {
+	exit := "completed"
+	for done := 0; done < o.steps; done += chunk {
 		n := chunk
-		if done+n > *steps {
-			n = *steps - done
+		if done+n > o.steps {
+			n = o.steps - done
 		}
 		// Refresh the acoustic CFL limit: the developing flame raises the
 		// sound speed and the peak velocity.
 		dt := 0.4 * sim.StableDt()
-		var stepErr error
-		switch {
-		case probe != nil && *healthOn:
-			stepErr = probe.TryAdvance(n, dt)
-		case probe != nil:
-			probe.Advance(n, dt)
-		case *healthOn:
-			stepErr = sim.TryAdvance(n, dt)
-		default:
-			sim.Advance(n, dt)
-		}
-		if stepErr != nil {
-			fmt.Printf("health abort: %v\npost-mortem bundle in %s\n", stepErr, *flightRec)
-			if probe != nil {
-				if err := probe.Close(fmt.Sprintf("health abort: %v", stepErr)); err != nil {
-					log.Fatal(err)
-				}
-			}
-			return
+		if err := h.Advance(n, dt); err != nil {
+			fmt.Printf("health abort: %v\npost-mortem bundle in %s\n", err, run.BundleDir())
+			exit = fmt.Sprintf("health abort: %v", err)
+			break
 		}
 		lo, hi, _ := sim.MinMax("T")
 		fmt.Printf("  step %4d  t=%.3g s  T∈[%.0f, %.0f] K\n", sim.Step(), sim.Time(), lo, hi)
 	}
-	if probe != nil {
-		if err := probe.Close("completed"); err != nil {
-			log.Fatal(err)
-		}
+	if err := errors.Join(h.Close(exit), run.Close()); err != nil {
+		log.Fatal(err)
 	}
-	if profiler != nil {
-		if err := sim.ExportProfile(*profileDir, profiler, s3d.ProfileMachines()); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote profile artifacts to %s\n", *profileDir)
+	if exit != "completed" {
+		// The post-mortem bundle is the record of an aborted run; the science
+		// figures would render the corrupted state.
+		return
 	}
 
-	if err := renderFig10(sim, *outDir); err != nil {
+	if err := renderFig10(sim, o.outDir); err != nil {
 		log.Fatal(err)
 	}
 	analyzeUpstream(sim, p)
-	if *scatter {
-		if err := writeFig11(sim, p, *outDir); err != nil {
+	if o.scatter {
+		if err := writeFig11(sim, p, o.outDir); err != nil {
 			log.Fatal(err)
 		}
 	}

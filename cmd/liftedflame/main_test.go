@@ -1,0 +1,89 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"github.com/s3dgo/s3d"
+	"github.com/s3dgo/s3d/internal/obs"
+)
+
+// TestLiftedFlameSmoke drives the real CLI on a tiny jet with every shared
+// flag set and checks that each promised artifact exists and parses: the
+// step trace (whose run_start manifest must name what was armed), the three
+// record stores at their cadence, the critical-path overlay next to its
+// store, the profile artifacts and the figure-10 rendering.
+func TestLiftedFlameSmoke(t *testing.T) {
+	dir := t.TempDir()
+	at := func(name string) string { return filepath.Join(dir, name) }
+	os.Args = []string{"liftedflame",
+		"-nx", "32", "-ny", "24", "-steps", "4", "-workers", "2",
+		"-out", at("out"),
+		"-trace", at("trace.jsonl"), "-monitor", "127.0.0.1:0",
+		"-profile", at("prof"),
+		"-health", "-flightrec", at("bundles"),
+		"-analysis", at("analysis.jsonl"), "-analysis-every", "2",
+		"-cost", at("cost.jsonl"), "-cost-every", "2",
+		"-critpath", at("critpath.jsonl"), "-critpath-every", "2",
+		"-lb", "-lb-every", "2",
+	}
+	main()
+
+	f, err := os.Open(at("trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := obs.ReadTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 6 || recs[0].Kind != obs.KindRunStart || recs[5].Kind != obs.KindRunDone { // run_start + 4 steps + run_done
+		t.Fatalf("trace has %d records", len(recs))
+	}
+	cfg := recs[0].Run.Config
+	for k, want := range map[string]string{
+		"health": "on", "profile": "on", "steps": "4",
+		"analysis_every": "2", "cost_every": "2", "critpath_every": "2", "lb_every": "2",
+	} {
+		if cfg[k] != want {
+			t.Fatalf("run_start manifest %q = %q, want %q (manifest %v)", k, cfg[k], want, cfg)
+		}
+	}
+	if recs[5].Done.ExitMessage != "completed" {
+		t.Fatalf("run_done exit %q", recs[5].Done.ExitMessage)
+	}
+
+	if a, err := s3d.ReadAnalysis(at("analysis.jsonl")); err != nil || len(a) != 2 || a[1].Step != 4 {
+		t.Fatalf("analysis store: %d records, err %v", len(a), err)
+	}
+	if c, err := s3d.ReadCost(at("cost.jsonl")); err != nil || len(c) != 2 || c[1].Step != 4 {
+		t.Fatalf("cost store: %d records, err %v", len(c), err)
+	}
+	if c, err := s3d.ReadCritPath(at("critpath.jsonl")); err != nil || len(c) != 2 || c[1].Step != 4 {
+		t.Fatalf("critpath store: %d records, err %v", len(c), err)
+	}
+	for _, name := range []string{"critpath_trace.json", "prof/trace.json"} {
+		raw, err := os.ReadFile(at(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
+			t.Fatalf("%s: %d events, err %v", name, len(doc.TraceEvents), err)
+		}
+	}
+	for _, name := range []string{"prof/callpath.txt", "prof/callpath.csv", "prof/roofline.txt", "out/fig10_oh_ho2.png"} {
+		if fi, err := os.Stat(at(name)); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s missing or empty: %v", name, err)
+		}
+	}
+	// A healthy run leaves no post-mortem bundle.
+	if _, err := os.Stat(at("bundles")); !os.IsNotExist(err) {
+		t.Fatalf("healthy run wrote a bundle directory: %v", err)
+	}
+}

@@ -117,37 +117,27 @@ func produce(c *workflow.Cluster, dumps, steps int) {
 			log.Fatal(err)
 		}
 	}
-	// In-situ science lane: the reduction pipeline streams its per-dump
-	// records straight into the dashboard directory, where BuildDashboard
-	// picks them up as the AnalysisLane.
-	if _, err := sim.EnableAnalysis(p.StandardAnalysis()); err != nil {
-		log.Fatal(err)
-	}
-	astore, err := s3d.NewAnalysisStore(filepath.Join(c.Dashboard, "analysis.jsonl"))
+	// In-situ science lane and load-balance lane: the reduction pipeline and
+	// the cost sampler stream their records straight into the dashboard
+	// directory, where BuildDashboard picks them up as the AnalysisLane and
+	// the BalanceLane.
+	run, err := s3d.RunOptions{
+		Analysis: filepath.Join(c.Dashboard, "analysis.jsonl"), AnalysisEvery: 1,
+		Cost: filepath.Join(c.Dashboard, "cost.jsonl"), CostEvery: steps,
+	}.Open(c.Dashboard, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer astore.Close()
-	if err := sim.Subscribe(astore.Sink()); err != nil {
-		log.Fatal(err)
-	}
-	// Load-balance lane: the cost sampler's deterministic records land in
-	// the dashboard directory too, where BuildDashboard reads them as the
-	// BalanceLane.
-	if _, err := sim.EnableCostMaps(s3d.CostSpec{Every: steps}); err != nil {
-		log.Fatal(err)
-	}
-	cstore, err := s3d.NewCostStore(filepath.Join(c.Dashboard, "cost.jsonl"))
+	defer run.Close()
+	h, err := run.Arm(sim, p, s3d.TelemetryOptions{})
 	if err != nil {
-		log.Fatal(err)
-	}
-	defer cstore.Close()
-	if err := sim.SubscribeCost(cstore.Sink()); err != nil {
 		log.Fatal(err)
 	}
 	dt := 0.4 * sim.StableDt()
 	for d := 1; d <= dumps; d++ {
-		sim.Advance(steps, dt)
+		if err := h.Advance(steps, dt); err != nil {
+			log.Fatal(err)
+		}
 		step := sim.Step()
 
 		// Restart dump: per-"rank" temperature slabs in one SDF (the real

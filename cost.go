@@ -27,12 +27,9 @@ type CostSpec struct {
 	Every int
 }
 
-// EnableCostMaps builds, installs and enables the cost-attribution sampler.
-// Call before StartTelemetry so the probe mounts GET /cost and the cost_*
-// gauges, and before the first step. In decomposed runs every rank must
-// enable an identical spec at the same point: a due step adds one
-// collective that must match across ranks. Returns the collector for
-// Subscribe, Latest and Handler access.
+// EnableCostMaps builds, installs and enables the cost-attribution sampler,
+// and returns the collector for Subscribe, Latest and Handler access.
+// Session.Arm states where it belongs in the enable order.
 func (s *Simulation) EnableCostMaps(spec CostSpec) (*cost.Collector, error) {
 	c := cost.NewCollector(spec.Every)
 	s.blk.InstallCost(c)

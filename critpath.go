@@ -41,11 +41,9 @@ func NewCritPathAnalyzer(spec CritPathSpec) *CritPathAnalyzer {
 	return critpath.New(spec.Every)
 }
 
-// EnableCritPath installs and enables the analyzer on this simulation.
-// Call before StartTelemetry so the probe mounts GET /critpath and the
-// critpath_* gauges, and before the first step. In decomposed runs every
-// rank must enable the same analyzer at the same point: a due step ends in
-// a deposit barrier all ranks must reach.
+// EnableCritPath installs and enables the analyzer on this simulation; every
+// rank of a decomposed run installs the same one. Session.Arm states where
+// it belongs in the enable order.
 func (s *Simulation) EnableCritPath(a *CritPathAnalyzer) error {
 	if a == nil {
 		return fmt.Errorf("s3d: EnableCritPath requires a non-nil analyzer (NewCritPathAnalyzer)")

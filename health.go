@@ -41,12 +41,9 @@ type HealthOptions struct {
 // adjust a band or two before EnableHealth.
 func HealthDefaults() health.Config { return health.Defaults() }
 
-// EnableHealth installs and arms the run-health watchdog. Call before
-// StartTelemetry so the probe mounts /health and the health gauges, and
-// before the first step. In decomposed runs every rank must enable health
-// at the same point (the armed step loop adds two small collectives that
-// must match across ranks). Returns the watchdog for direct inspection
-// (Status, Recorder, Handler).
+// EnableHealth installs and arms the run-health watchdog, and returns it
+// for direct inspection (Status, Recorder, Handler). Session.Arm states
+// where it belongs in the enable order.
 func (s *Simulation) EnableHealth(opt HealthOptions) *health.Watchdog {
 	cfg := health.Defaults()
 	if opt.Config != nil {
@@ -67,8 +64,8 @@ func (s *Simulation) Watchdog() *health.Watchdog { return s.blk.Watchdog() }
 // after writing the post-mortem bundle configured in HealthOptions. In
 // decomposed runs every rank returns from the same step: the faulting
 // rank's violation names the cell, the others return a "remote" violation
-// naming the culprit rank. Without EnableHealth it behaves exactly like
-// Advance (unrecoverable states panic).
+// naming the culprit rank. Without EnableHealth it never returns an error
+// (unrecoverable states panic inside the step).
 func (s *Simulation) TryAdvance(n int, dt float64) error {
 	for i := 0; i < n; i++ {
 		if err := s.blk.StepChecked(dt); err != nil {

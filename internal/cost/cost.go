@@ -39,9 +39,7 @@
 package cost
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -194,14 +192,15 @@ type Document struct {
 
 // Collector owns one block's cost sampling: it is the par.CostProbe wall-
 // clock sampler, the fan-out hub for deterministic records, and the holder
-// of the measured window. The solver holds one per block; disabled, it
-// costs each plan run a single atomic load.
+// of the measured window. The solver holds one per block. Cadence, enable
+// flag, subscribers, the latest document, gauges and the GET /cost handler
+// are the embedded obs.Lane; disabled, it costs each plan run a single
+// atomic load.
 type Collector struct {
-	every         int
+	obs.Lane[Record, Document]
 	whatIfWorkers int
 
-	enabled atomic.Bool
-	armed   atomic.Bool // collection window open (due step in flight)
+	armed atomic.Bool // collection window open (due step in flight)
 
 	// Window state, indexed by position in MeasuredLabels(). Arm, BeginRun,
 	// EndRun and SnapshotMeasured all execute on the plan's owner goroutine
@@ -209,9 +208,6 @@ type Collector struct {
 	window []measAgg
 
 	mu       sync.Mutex
-	latest   *Document
-	subs     []func(Record)
-	reg      *obs.Registry
 	measSnap []MeasuredKernel
 }
 
@@ -237,32 +233,15 @@ type measAgg struct {
 // NewCollector creates a collector reducing every `every` steps (values
 // below 1 select every step) at the default what-if reference worker count.
 func NewCollector(every int) *Collector {
-	if every < 1 {
-		every = 1
-	}
 	return &Collector{
-		every:         every,
+		Lane:          obs.NewLane[Record](every, setGauges),
 		whatIfWorkers: DefaultWhatIfWorkers,
 		window:        make([]measAgg, len(Kernels)+len(MeasuredOnly)),
 	}
 }
 
-// Every returns the reduction cadence in steps.
-func (c *Collector) Every() int { return c.every }
-
 // WhatIfWorkers returns the fixed reference worker count of the estimator.
 func (c *Collector) WhatIfWorkers() int { return c.whatIfWorkers }
-
-// Enable starts cost reductions; Disable stops them. Enabled is the single
-// atomic load the step loop pays when cost maps are off.
-func (c *Collector) Enable()       { c.enabled.Store(true) }
-func (c *Collector) Disable()      { c.enabled.Store(false) }
-func (c *Collector) Enabled() bool { return c.enabled.Load() }
-
-// Due reports whether the collector reduces at the given (completed) step.
-func (c *Collector) Due(step int) bool {
-	return c.enabled.Load() && step > 0 && step%c.every == 0
-}
 
 // Arm opens (true) or closes (false) the wall-clock collection window.
 // Opening clears the previous window. The solver arms at the start of a due
@@ -380,71 +359,30 @@ func (c *Collector) SnapshotMeasured(regionS []float64) []MeasuredKernel {
 	return out
 }
 
-// Subscribe registers a callback invoked with every deterministic record,
-// on the goroutine driving the simulation, in registration order.
-func (c *Collector) Subscribe(fn func(Record)) {
-	c.mu.Lock()
-	c.subs = append(c.subs, fn)
-	c.mu.Unlock()
-}
-
 // Publish installs the step's deterministic record (paired with the latest
 // measured snapshot) as the live document, updates the cost gauges and fans
 // the record out to subscribers.
 func (c *Collector) Publish(rec Record) {
 	c.mu.Lock()
 	doc := &Document{Record: &rec, Measured: c.measSnap}
-	c.latest = doc
-	reg := c.reg
-	subs := append(make([]func(Record), 0, len(c.subs)), c.subs...)
 	c.mu.Unlock()
-	if reg != nil {
-		for _, ks := range rec.Kernels {
-			reg.Gauge("cost." + ks.Kernel + ".imbalance").Set(ks.Imbalance)
-			reg.Gauge("cost." + ks.Kernel + ".whatif_reduction").Set(ks.WhatIf.Reduction)
-		}
-		reg.Gauge("cost.rank_imbalance").Set(rec.RankImbalance)
-		reg.Gauge("cost.straggler").Set(float64(rec.Straggler))
-		for _, mk := range doc.Measured {
-			reg.Gauge("cost." + mk.Kernel + ".measured_imbalance").Set(mk.Imbalance)
-		}
+	c.Lane.Publish(rec, doc)
+}
+
+// setGauges publishes a document as the cost.<kernel>.imbalance,
+// cost.<kernel>.whatif_reduction, cost.<kernel>.measured_imbalance,
+// cost.rank_imbalance and cost.straggler gauges (cost_* in /metrics.prom).
+func setGauges(reg *obs.Registry, doc *Document) {
+	rec := doc.Record
+	for _, ks := range rec.Kernels {
+		reg.Gauge("cost." + ks.Kernel + ".imbalance").Set(ks.Imbalance)
+		reg.Gauge("cost." + ks.Kernel + ".whatif_reduction").Set(ks.WhatIf.Reduction)
 	}
-	for _, fn := range subs {
-		fn(rec)
+	reg.Gauge("cost.rank_imbalance").Set(rec.RankImbalance)
+	reg.Gauge("cost.straggler").Set(float64(rec.Straggler))
+	for _, mk := range doc.Measured {
+		reg.Gauge("cost." + mk.Kernel + ".measured_imbalance").Set(mk.Imbalance)
 	}
-}
-
-// Latest returns the most recent document (nil before the first reduction).
-// Safe for concurrent readers.
-func (c *Collector) Latest() *Document {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.latest
-}
-
-// AttachMetrics directs the cost gauges (cost.<kernel>.imbalance,
-// cost.<kernel>.whatif_reduction, cost.rank_imbalance, cost.straggler) at a
-// registry; they appear in /metrics.prom as cost_* gauges.
-func (c *Collector) AttachMetrics(reg *obs.Registry) {
-	c.mu.Lock()
-	c.reg = reg
-	c.mu.Unlock()
-}
-
-// Handler serves the latest document as JSON — the live GET /cost endpoint.
-// Before the first reduction it serves an empty object.
-func (c *Collector) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		doc := c.Latest()
-		if doc == nil {
-			_, _ = w.Write([]byte("{}\n"))
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
-	})
 }
 
 // Estimate runs the re-tiling what-if on one kernel's per-tile costs:

@@ -75,6 +75,9 @@ func (p *Planner) Fold(step int, profile []float64) ([]float64, bool) {
 	return p.active, true
 }
 
+// Every returns the re-plan cadence in steps.
+func (p *Planner) Every() int { return p.every }
+
 // Stats returns how many profiles were adopted vs kept (diagnostics).
 func (p *Planner) Stats() (installs, keeps int) { return p.installs, p.keeps }
 

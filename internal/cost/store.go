@@ -2,26 +2,13 @@ package cost
 
 import "github.com/s3dgo/s3d/internal/jsonl"
 
-// Store is the append-only cost.jsonl sink: one deterministic Record per
-// line, flushed per append so the file stays live for the dashboard and for
-// tail -f while the run is in flight. It is the shared jsonl.Store helper
-// specialised to cost records.
-type Store struct {
-	*jsonl.Store[Record]
-}
+// Store is the append-only cost.jsonl sink (see jsonl.Store: one Record per
+// line, flushed per append, readable while the run is in flight).
+type Store = jsonl.Store[Record]
 
 // CreateStore creates (truncating) the cost store at path.
-func CreateStore(path string) (*Store, error) {
-	st, err := jsonl.Create[Record](path)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{st}, nil
-}
+func CreateStore(path string) (*Store, error) { return jsonl.Create[Record](path) }
 
-// ReadCost loads every record of a cost.jsonl store, tolerating a corrupt
-// tail (a run killed mid-append) the way obs.ReadTrace does: the valid
-// prefix still loads, and only mid-stream corruption reports an error.
-func ReadCost(path string) ([]Record, error) {
-	return jsonl.Read[Record]("cost", path)
-}
+// ReadCost loads every record of a cost.jsonl store under jsonl.Read's
+// corrupt-tail contract.
+func ReadCost(path string) ([]Record, error) { return jsonl.Read[Record]("cost", path) }

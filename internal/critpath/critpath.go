@@ -16,10 +16,8 @@
 package critpath
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,11 +26,13 @@ import (
 	"github.com/s3dgo/s3d/internal/prof"
 )
 
-// Analyzer owns the analysis state shared across ranks.
+// Analyzer owns the analysis state shared across ranks. Cadence, enable
+// flag (Due is the one atomic load the step loop pays when the analyzer is
+// off), subscribers, the latest record, the critpath_* gauges and the GET
+// /critpath handler are the embedded obs.Lane; subscribers run once per
+// analyzed step, on the depositing goroutine that completed its barrier.
 type Analyzer struct {
-	every int
-
-	enabled atomic.Bool
+	obs.Lane[Record, Record]
 	// usesInternal marks that at least one rank records blame spans on the
 	// analyzer's own profiler (the run had none of its own); the internal
 	// profiler is then enabled only for due steps so disarmed steps pay
@@ -48,9 +48,6 @@ type Analyzer struct {
 	epochSet  bool
 	deposits  map[int]*Deposit
 	doneStep  int
-	latest    *Record
-	subs      []func(Record)
-	reg       *obs.Registry
 	extProf   *prof.Profiler // adopted from deposited tracks, for export
 	profOff   int64          // analyzerNs - profOff = profNs
 	overlayOK bool
@@ -66,11 +63,8 @@ type Analyzer struct {
 // New creates a disabled analyzer that reduces every `every` steps (min 1).
 // Enable arms it; the per-step cost while disabled is one atomic load.
 func New(every int) *Analyzer {
-	if every < 1 {
-		every = 1
-	}
 	a := &Analyzer{
-		every:    every,
+		Lane:     obs.NewLane[Record](every, setGauges),
 		ranks:    1,
 		epoch:    time.Now(),
 		deposits: map[int]*Deposit{},
@@ -81,20 +75,6 @@ func New(every int) *Analyzer {
 	a.internal.SetEnabled(false)
 	a.cond = sync.NewCond(&a.mu)
 	return a
-}
-
-// Every returns the analysis cadence in steps.
-func (a *Analyzer) Every() int { return a.every }
-
-// Enable/Disable toggle the analyzer; Due gates on the enabled flag, the
-// one atomic load the step loop pays when the analyzer is off.
-func (a *Analyzer) Enable()       { a.enabled.Store(true) }
-func (a *Analyzer) Disable()      { a.enabled.Store(false) }
-func (a *Analyzer) Enabled() bool { return a.enabled.Load() }
-
-// Due reports whether the analyzer collects the given (completed) step.
-func (a *Analyzer) Due(step int) bool {
-	return a.enabled.Load() && step > 0 && step%a.every == 0
 }
 
 // Register declares the number of ranks that will deposit and, on
@@ -136,6 +116,10 @@ func (a *Analyzer) InternalRankTrack(rank int) *prof.Track {
 	return a.internal.NewTrack(prof.GroupRank, fmt.Sprintf("rank%d", rank))
 }
 
+// Internal reports whether t is a track of the analyzer's own profiler
+// (InternalRankTrack) rather than of a profiler the run enabled.
+func (a *Analyzer) Internal(t *prof.Track) bool { return t.Profiler() == a.internal }
+
 // ArmStep opens a due step's collection window: when blame spans come from
 // the internal profiler, recording turns on for the step.
 func (a *Analyzer) ArmStep() {
@@ -161,29 +145,6 @@ func (a *Analyzer) BindAbort(register func(func()), aborted func() bool) {
 		a.cond.Broadcast()
 		a.mu.Unlock()
 	})
-}
-
-// Subscribe registers a callback invoked once per analyzed step, on the
-// depositing goroutine that completed the step's barrier.
-func (a *Analyzer) Subscribe(fn func(Record)) {
-	a.mu.Lock()
-	a.subs = append(a.subs, fn)
-	a.mu.Unlock()
-}
-
-// AttachMetrics directs the critpath gauges at a registry; they appear in
-// /metrics.prom as critpath_* gauges.
-func (a *Analyzer) AttachMetrics(reg *obs.Registry) {
-	a.mu.Lock()
-	a.reg = reg
-	a.mu.Unlock()
-}
-
-// Latest returns the most recent record (nil before the first analysis).
-func (a *Analyzer) Latest() *Record {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.latest
 }
 
 // Deposit hands one rank's step trace to the analyzer and blocks until the
@@ -231,36 +192,33 @@ func (a *Analyzer) Deposit(d Deposit) {
 	if a.usesInternal.Load() {
 		a.internal.SetEnabled(false)
 	}
-	a.latest = &rec
-	reg := a.reg
-	subs := append(make([]func(Record), 0, len(a.subs)), a.subs...)
 	a.mu.Unlock()
 
-	if reg != nil {
-		var ls, lr, cw int64
-		for _, w := range rec.Waits {
-			ls += w.LateSenderNs
-			lr += w.LateRecvNs
-			cw += w.CollNs
-		}
-		reg.Gauge("critpath.step").Set(float64(rec.Step))
-		reg.Gauge("critpath.crit_rank").Set(float64(rec.CritRank))
-		reg.Gauge("critpath.crit_share").Set(rec.CritShare)
-		reg.Gauge("critpath.lost_frac").Set(rec.LostFrac)
-		reg.Gauge("critpath.edges").Set(float64(rec.Edges))
-		reg.Gauge("critpath.match_completeness").Set(rec.MatchCompleteness)
-		reg.Gauge("critpath.late_sender_ns").Set(float64(ls))
-		reg.Gauge("critpath.late_recv_ns").Set(float64(lr))
-		reg.Gauge("critpath.coll_wait_ns").Set(float64(cw))
-	}
-	for _, fn := range subs {
-		fn(rec)
-	}
+	a.Publish(rec, &rec)
 
 	a.mu.Lock()
 	a.doneStep = rec.Step
 	a.cond.Broadcast()
 	a.mu.Unlock()
+}
+
+// setGauges publishes a record as the critpath.* gauges.
+func setGauges(reg *obs.Registry, rec *Record) {
+	var ls, lr, cw int64
+	for _, w := range rec.Waits {
+		ls += w.LateSenderNs
+		lr += w.LateRecvNs
+		cw += w.CollNs
+	}
+	reg.Gauge("critpath.step").Set(float64(rec.Step))
+	reg.Gauge("critpath.crit_rank").Set(float64(rec.CritRank))
+	reg.Gauge("critpath.crit_share").Set(rec.CritShare)
+	reg.Gauge("critpath.lost_frac").Set(rec.LostFrac)
+	reg.Gauge("critpath.edges").Set(float64(rec.Edges))
+	reg.Gauge("critpath.match_completeness").Set(rec.MatchCompleteness)
+	reg.Gauge("critpath.late_sender_ns").Set(float64(ls))
+	reg.Gauge("critpath.late_recv_ns").Set(float64(lr))
+	reg.Gauge("critpath.coll_wait_ns").Set(float64(cw))
 }
 
 // workerTracks lists the adopted profiler's pool worker tracks (blame's
@@ -326,20 +284,4 @@ func (a *Analyzer) WriteChromeTrace(w io.Writer) error {
 	}
 	snaps = append(snaps, overlay)
 	return prof.WriteChromeTraceFrom(w, snaps)
-}
-
-// Handler serves the latest record as JSON — the live GET /critpath
-// endpoint. Before the first analysis it serves an empty object.
-func (a *Analyzer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		rec := a.Latest()
-		if rec == nil {
-			_, _ = w.Write([]byte("{}\n"))
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rec)
-	})
 }

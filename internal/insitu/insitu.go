@@ -18,11 +18,7 @@
 package insitu
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
-	"sync"
-	"sync/atomic"
 
 	"github.com/s3dgo/s3d/internal/obs"
 )
@@ -95,33 +91,32 @@ type BoundOp struct {
 }
 
 // Pipeline owns the registered operator set and the fan-out of finished
-// records. The solver holds one per block; a disabled pipeline costs the
-// step loop a single atomic load.
+// records. The solver holds one per block. Cadence, enable flag, subscribers,
+// the latest record, gauges and the GET /analysis handler are the embedded
+// obs.Lane: a disabled pipeline costs the step loop a single atomic load.
 type Pipeline struct {
-	enabled atomic.Bool
-	every   int
+	obs.Lane[Record, Record]
 	wantHRR bool
 
 	ops   []BoundOp
 	total int
-
-	mu     sync.Mutex
-	subs   []func(Record)
-	latest *Record
-	reg    *obs.Registry
 }
 
 // NewPipeline creates an empty pipeline reducing every `every` steps
 // (values below 1 select every step).
 func NewPipeline(every int) *Pipeline {
-	if every < 1 {
-		every = 1
-	}
-	return &Pipeline{every: every}
+	return &Pipeline{Lane: obs.NewLane[Record](every, setGauges)}
 }
 
-// Every returns the reduction cadence in steps.
-func (p *Pipeline) Every() int { return p.every }
+// setGauges publishes a record's scalars as analysis.<name>.<scalar>; they
+// appear in /metrics.prom as analysis_<name>_<scalar>.
+func setGauges(reg *obs.Registry, rec *Record) {
+	for _, pr := range rec.Products {
+		for k, v := range pr.Scalars {
+			reg.Gauge("analysis." + pr.Name + "." + k).Set(v)
+		}
+	}
+}
 
 // SetHeatRelease requests the heat-release volume integral as an extra
 // scalar product (the host piggybacks it on the chemistry sweep).
@@ -129,17 +124,6 @@ func (p *Pipeline) SetHeatRelease(on bool) { p.wantHRR = on }
 
 // WantHeatRelease reports whether the heat-release scalar was requested.
 func (p *Pipeline) WantHeatRelease() bool { return p.wantHRR }
-
-// Enable starts reductions; Disable stops them. Enabled is the one atomic
-// load the solver pays per step when analysis is off.
-func (p *Pipeline) Enable()       { p.enabled.Store(true) }
-func (p *Pipeline) Disable()      { p.enabled.Store(false) }
-func (p *Pipeline) Enabled() bool { return p.enabled.Load() }
-
-// Due reports whether the pipeline reduces at the given (completed) step.
-func (p *Pipeline) Due(step int) bool {
-	return p.enabled.Load() && step > 0 && step%p.every == 0
-}
 
 // Register binds an operator against the host and appends it to the set.
 // Call before the first step; the slot layout is append-only.
@@ -176,14 +160,6 @@ func (p *Pipeline) MergeVec(dst, src []float64) {
 	}
 }
 
-// Subscribe registers a callback invoked with every finished record, on
-// the goroutine driving the simulation, in registration order.
-func (p *Pipeline) Subscribe(fn func(Record)) {
-	p.mu.Lock()
-	p.subs = append(p.subs, fn)
-	p.mu.Unlock()
-}
-
 // Publish finishes the merged accumulator into the step's record, appends
 // any host-supplied extra products (the heat-release scalar), updates the
 // attached gauges and fans the record out to subscribers.
@@ -195,56 +171,8 @@ func (p *Pipeline) Publish(step int, time float64, acc []float64, extras []Produ
 	for _, ex := range extras {
 		rec.Products = append(rec.Products, sanitize(ex))
 	}
-	p.mu.Lock()
-	p.latest = &rec
-	reg := p.reg
-	subs := append(make([]func(Record), 0, len(p.subs)), p.subs...)
-	p.mu.Unlock()
-	if reg != nil {
-		for _, pr := range rec.Products {
-			for k, v := range pr.Scalars {
-				reg.Gauge("analysis." + pr.Name + "." + k).Set(v)
-			}
-		}
-	}
-	for _, fn := range subs {
-		fn(rec)
-	}
+	p.Lane.Publish(rec, &rec)
 	return rec
-}
-
-// Latest returns the most recent record (nil before the first reduction).
-// Safe for concurrent readers.
-func (p *Pipeline) Latest() *Record {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.latest
-}
-
-// AttachMetrics directs the analysis gauges (analysis.<name>.<scalar>) at
-// a registry; they appear in /metrics and /metrics.prom as
-// analysis_<name>_<scalar>.
-func (p *Pipeline) AttachMetrics(reg *obs.Registry) {
-	p.mu.Lock()
-	p.reg = reg
-	p.mu.Unlock()
-}
-
-// Handler serves the latest record as JSON — the live GET /analysis
-// document on the telemetry monitor. Before the first reduction it serves
-// an empty object.
-func (p *Pipeline) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		rec := p.Latest()
-		if rec == nil {
-			_, _ = w.Write([]byte("{}\n"))
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rec)
-	})
 }
 
 // sanitize clamps non-finite statistics to zero so every record is JSON-

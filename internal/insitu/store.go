@@ -2,26 +2,13 @@ package insitu
 
 import "github.com/s3dgo/s3d/internal/jsonl"
 
-// Store is the append-only analysis.jsonl sink: one Record per line,
-// flushed per append so the file stays live for the dashboard and for
-// tail -f while the run is in flight. It is the shared jsonl.Store helper
-// specialised to analysis records.
-type Store struct {
-	*jsonl.Store[Record]
-}
+// Store is the append-only analysis.jsonl sink (see jsonl.Store: one Record
+// per line, flushed per append, readable while the run is in flight).
+type Store = jsonl.Store[Record]
 
 // CreateStore creates (truncating) the analysis store at path.
-func CreateStore(path string) (*Store, error) {
-	st, err := jsonl.Create[Record](path)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{st}, nil
-}
+func CreateStore(path string) (*Store, error) { return jsonl.Create[Record](path) }
 
-// ReadAnalysis loads every record of an analysis.jsonl store, tolerating a
-// corrupt tail (a run killed mid-append) the way obs.ReadTrace does: the
-// valid prefix still loads, and only mid-stream corruption reports an error.
-func ReadAnalysis(path string) ([]Record, error) {
-	return jsonl.Read[Record]("insitu", path)
-}
+// ReadAnalysis loads every record of an analysis.jsonl store under
+// jsonl.Read's corrupt-tail contract.
+func ReadAnalysis(path string) ([]Record, error) { return jsonl.Read[Record]("insitu", path) }

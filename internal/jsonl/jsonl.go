@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -94,9 +95,19 @@ func Read[T any](pkg, path string) ([]T, error) {
 		return nil, err
 	}
 	defer f.Close()
+	return read[T](pkg, path, f, maxLine)
+}
+
+// maxLine is the longest record line Read accepts (16 MiB).
+const maxLine = 1 << 24
+
+// read is Read over an open stream; name labels it in errors and limit is
+// the longest line accepted (FuzzRead lowers it so an over-long line fits a
+// small input).
+func read[T any](pkg, name string, r io.Reader, limit int) ([]T, error) {
 	var recs []T
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, min(1<<20, limit)), limit)
 	line := 0
 	var badErr error
 	for sc.Scan() {
@@ -108,7 +119,7 @@ func Read[T any](pkg, path string) ([]T, error) {
 		var r T
 		if err := json.Unmarshal([]byte(text), &r); err != nil {
 			if badErr == nil {
-				badErr = fmt.Errorf("%s: %s:%d: %v", pkg, path, line, err)
+				badErr = fmt.Errorf("%s: %s:%d: %v", pkg, name, line, err)
 			}
 			continue
 		}

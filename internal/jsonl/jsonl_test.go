@@ -1,8 +1,11 @@
 package jsonl
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -81,4 +84,35 @@ func TestReadCorruptTail(t *testing.T) {
 	if _, err := Read[rec]("test", filepath.Join(dir, "missing.jsonl")); err == nil {
 		t.Fatal("missing file must error")
 	}
+}
+
+// FuzzRead feeds the reader arbitrary byte streams: it must return records
+// plus an error or records plus nil, never panic, and never lose a valid
+// prefix — three good records written ahead of the fuzzed bytes always come
+// back first, with exactly the records and the verdict the fuzzed bytes get
+// on their own behind them. The line limit is lowered to 256 bytes so an
+// over-long line fits a small input.
+func FuzzRead(f *testing.F) {
+	const limit = 256
+	valid := "{\"step\":1,\"name\":\"a\"}\n{\"step\":2,\"name\":\"b\"}\n{\"step\":3,\"name\":\"c\"}\n"
+	want := []rec{{1, "a"}, {2, "b"}, {3, "c"}}
+	f.Add([]byte(valid))
+	f.Add([]byte(valid[:len(valid)-9]))                                       // truncated tail
+	f.Add([]byte("{\"step\":1}\n{garbage\n{\"step\":3}\n"))                   // mid-stream corruption
+	f.Add([]byte("{\"step\":1}\n" + strings.Repeat("x", 2*limit) + "\n{}\n")) // over-long line
+	f.Add([]byte("\n \nnull\n[]\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		alone, aloneErr := read[rec]("fuzz", "alone", bytes.NewReader(data), limit)
+		got, gotErr := read[rec]("fuzz", "prefixed", io.MultiReader(strings.NewReader(valid), bytes.NewReader(data)), limit)
+		if len(got) < len(want) || !reflect.DeepEqual(got[:len(want)], want) {
+			t.Fatalf("valid prefix lost: got %+v (err %v)", got, gotErr)
+		}
+		if rest := got[len(want):]; len(rest)+len(alone) > 0 && !reflect.DeepEqual(rest, alone) {
+			t.Fatalf("records after the prefix %+v differ from the stream on its own %+v", rest, alone)
+		}
+		if (gotErr == nil) != (aloneErr == nil) {
+			t.Fatalf("verdict changed behind a valid prefix: %v vs %v", gotErr, aloneErr)
+		}
+	})
 }

@@ -99,8 +99,14 @@ func (b *Block) InstallLoadBalance(every int, hysteresis, slack float64) error {
 	return nil
 }
 
-// LoadBalance reports whether the balancer is installed.
-func (b *Block) LoadBalance() bool { return b.lb != nil }
+// LoadBalanceEvery returns the installed balancer's re-plan cadence in
+// steps (0 when none is installed).
+func (b *Block) LoadBalanceEvery() int {
+	if b.lb == nil {
+		return 0
+	}
+	return b.lb.planner.Every()
+}
 
 // LoadBalanceStats returns the cells this rank shipped to peers and the
 // cells it computed on behalf of peers since installation.

@@ -28,10 +28,8 @@ type LoadBalanceSpec struct {
 }
 
 // EnableLoadBalance installs the dynamic load balancer. It requires the
-// cost sampler and enables it with a matching cadence when absent. In
-// decomposed runs every rank must enable an identical spec — the balancer
-// makes collective-in-effect decisions from the shared record. Call before
-// the first step.
+// cost sampler and enables it with a matching cadence when absent.
+// Session.Arm states where it belongs in the enable order.
 func (s *Simulation) EnableLoadBalance(spec LoadBalanceSpec) error {
 	if spec.Every <= 0 {
 		spec.Every = 10

@@ -7,8 +7,8 @@ package s3d
 // trace_event timeline, an inclusive/exclusive call-path report with
 // cross-rank imbalance statistics, and a measured-vs-modelled roofline
 // table (paper §4, figure 2). Enable it per simulation with
-// EnableProfiling; export with ExportProfile or serve live with
-// Probe.MountProfile.
+// EnableProfiling; Session.Close exports the artifacts (prof.Export) and
+// Probe.MountProfile serves them live.
 
 import (
 	"net/http"
@@ -55,15 +55,6 @@ func (s *Simulation) ProfileShape() prof.RunShape {
 // memory-bandwidth microbenchmarks (~tens of ms).
 func ProfileMachines() []perf.Machine {
 	return []perf.Machine{perf.XT3, perf.XT4, prof.CalibrateHost()}
-}
-
-// ExportProfile writes the profiler's artifacts into dir: trace.json
-// (Chrome trace_event timeline for chrome://tracing or Perfetto),
-// callpath.txt / callpath.csv (inclusive/exclusive call-path report with
-// cross-rank imbalance) and roofline.txt (measured flops/bytes and the
-// attained fraction of each machine model's roofline per kernel).
-func (s *Simulation) ExportProfile(dir string, p *prof.Profiler, machines []perf.Machine) error {
-	return prof.Export(dir, p, s.ProfileShape(), machines)
 }
 
 // MountProfile serves the profiler's artifacts live from the probe's

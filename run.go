@@ -1,0 +1,346 @@
+package s3d
+
+// Run wiring: the one place a driver's shared flags become an instrumented
+// run. RunOptions holds the settings every driver shares and BindFlags
+// registers them; Open creates what is shared across ranks or must outlive
+// a simulation; Arm turns the layers on for one simulation in the one
+// order that works; the returned handle steps it; Close (handle, then
+// session) lands every artifact — on success and on a health abort alike.
+// See README.md, "Observability stack".
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+
+	"github.com/s3dgo/s3d/internal/jsonl"
+	"github.com/s3dgo/s3d/internal/obs"
+	"github.com/s3dgo/s3d/internal/perf"
+	"github.com/s3dgo/s3d/internal/prof"
+)
+
+// RunOptions is the run configuration shared by cmd/s3d, cmd/liftedflame
+// and cmd/bunsen: one field per shared flag. Empty paths and false switches
+// leave the corresponding layer off.
+type RunOptions struct {
+	Trace     string // JSONL step trace file
+	Monitor   string // live HTTP monitor address
+	Profile   string // call-path profiler artifact directory
+	Health    bool   // arm the run-health watchdog
+	FlightRec string // post-mortem bundle directory (default <out>/health)
+
+	Analysis      string // analysis.jsonl path
+	AnalysisEvery int
+	Cost          string // cost.jsonl path
+	CostEvery     int
+	CritPath      string // critpath.jsonl path
+	CritPathEvery int
+
+	LB      bool // dynamic load balancing
+	LBEvery int
+
+	Workers int // kernel worker-pool size (0: all CPUs)
+}
+
+// BindFlags registers the shared flags on fs under the names and defaults
+// every driver has always used.
+func (o *RunOptions) BindFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.Trace, "trace", "", "write a JSONL step trace to this file")
+	fs.StringVar(&o.Monitor, "monitor", "", "serve live metrics over HTTP on this address (e.g. :8080)")
+	fs.StringVar(&o.Profile, "profile", "", "record the call-path profiler and write trace.json/callpath/roofline artifacts to this directory")
+	fs.BoolVar(&o.Health, "health", false, "arm the run-health watchdog: physics invariants per step, structured abort with a post-mortem bundle instead of a panic")
+	fs.StringVar(&o.FlightRec, "flightrec", "", "flight-recorder bundle directory (default <out>/health when -health)")
+	fs.StringVar(&o.Analysis, "analysis", "", "enable the in-situ science-reduction pipeline and append its records (JSONL) to this file")
+	fs.IntVar(&o.AnalysisEvery, "analysis-every", 1, "analysis reduction cadence in steps")
+	fs.StringVar(&o.Cost, "cost", "", "enable the spatial cost-attribution sampler and append its records (JSONL) to this file")
+	fs.IntVar(&o.CostEvery, "cost-every", 1, "cost reduction cadence in steps")
+	fs.StringVar(&o.CritPath, "critpath", "", "enable the wait-state & critical-path analyzer and append its records (JSONL) to this file; a Chrome-trace overlay lands next to it as critpath_trace.json")
+	fs.IntVar(&o.CritPathEvery, "critpath-every", 1, "critical-path analysis cadence in steps")
+	fs.BoolVar(&o.LB, "lb", false, "enable dynamic load balancing: cost-weighted tile planning plus cross-rank chemistry work-sharing in decomposed runs (bitwise identical to the unbalanced run)")
+	fs.IntVar(&o.LBEvery, "lb-every", 10, "load-balance re-plan cadence in steps")
+	fs.IntVar(&o.Workers, "workers", 0, "kernel worker-pool size, shared across in-process ranks (0: all CPUs)")
+}
+
+// Session is an opened run: the resources shared by every rank of a
+// decomposed run, or that must outlive the simulation they instrument —
+// the trace file, the profiler, the one critpath analyzer and the three
+// JSONL stores.
+type Session struct {
+	opt      RunOptions // paths resolved and scoped
+	overlay  string     // critpath_trace.json path ("" without -critpath)
+	trace    *obs.Trace
+	profiler *prof.Profiler
+	machines []perf.Machine
+	critA    *CritPathAnalyzer
+	analysis *jsonl.Store[AnalysisRecord]
+	cost     *jsonl.Store[CostRecord]
+	crit     *jsonl.Store[CritPathRecord]
+	stores   []openStore   // the three above, as Close sees them
+	shape    prof.RunShape // rank 0's workload, for the roofline (set by its Arm)
+}
+
+type openStore struct {
+	name, path string
+	st         interface {
+		Err() error
+		Close() error
+	}
+}
+
+// Open sizes the worker pool (so call it before building a simulation),
+// resolves the bundle directory to <out>/health when -health gave none,
+// and creates the run-wide resources. A non-empty scope names one run of
+// several sharing a command line (cmd/bunsen's case letter): it is
+// inserted before every file's extension (trace.jsonl → trace.A.jsonl) and
+// appended to every directory as case<scope>.
+func (o RunOptions) Open(out, scope string) (*Session, error) {
+	SetWorkers(o.Workers)
+	if o.Health && o.FlightRec == "" {
+		o.FlightRec = filepath.Join(out, "health")
+	}
+	s := &Session{}
+	if o.CritPath != "" {
+		s.overlay = filepath.Join(filepath.Dir(o.CritPath), "critpath_trace.json")
+	}
+	if scope != "" {
+		for _, file := range []*string{&o.Trace, &o.Analysis, &o.Cost, &o.CritPath, &s.overlay} {
+			if ext := filepath.Ext(*file); *file != "" {
+				*file = strings.TrimSuffix(*file, ext) + "." + scope + ext
+			}
+		}
+		for _, dir := range []*string{&o.Profile, &o.FlightRec} {
+			if *dir != "" {
+				*dir = filepath.Join(*dir, "case"+scope)
+			}
+		}
+	}
+	s.opt = o
+	var err error
+	if o.Trace != "" {
+		s.trace, err = obs.CreateTrace(o.Trace)
+	}
+	if err == nil {
+		s.analysis, err = createStore[AnalysisRecord](s, "analysis", o.Analysis)
+	}
+	if err == nil {
+		s.cost, err = createStore[CostRecord](s, "cost", o.Cost)
+	}
+	if err == nil {
+		s.crit, err = createStore[CritPathRecord](s, "critpath", o.CritPath)
+	}
+	if err != nil {
+		// Nothing was written: release what did open, keep the first error.
+		for _, st := range s.stores {
+			st.st.Close()
+		}
+		if s.trace != nil {
+			s.trace.Close()
+		}
+		return nil, err
+	}
+	if o.Profile != "" {
+		s.profiler = NewProfiler()
+		s.machines = ProfileMachines()
+	}
+	if o.CritPath != "" {
+		// One analyzer for every rank: it is the cross-rank deposit barrier.
+		s.critA = NewCritPathAnalyzer(CritPathSpec{Every: o.CritPathEvery})
+	}
+	return s, nil
+}
+
+// createStore creates the JSONL store at path ("" leaves the layer off).
+func createStore[T any](s *Session, name, path string) (*jsonl.Store[T], error) {
+	if path == "" {
+		return nil, nil
+	}
+	st, err := jsonl.Create[T](path)
+	if err != nil {
+		return nil, err
+	}
+	s.stores = append(s.stores, openStore{name, path, st})
+	return st, nil
+}
+
+// BundleDir returns the directory a health abort's post-mortem bundle lands
+// in; decomposed ranks write rank<N>/ subdirectories of it.
+func (s *Session) BundleDir() string { return s.opt.FlightRec }
+
+// Armed is one simulation with the session's layers turned on.
+type Armed struct {
+	sim   *Simulation
+	probe *Probe // nil off rank 0 and without -trace / -monitor
+}
+
+// Arm enables the session's layers on sim and returns the handle that
+// steps it. prob supplies the standard analysis set; opt carries what only
+// the driver knows (Case, Config, Pario, Status) — Arm fills in the trace
+// and the monitor address. Call it after the initial (or resumed) state is
+// set and before the first step. This is the single statement of the
+// enable order, and the reasons for it:
+//
+//  1. profiling, so every later layer's regions land on the rank's track
+//     (and the critpath analyzer blames the run's profiler, not a private
+//     one);
+//  2. health, analysis, cost: an armed watchdog adds two small collectives
+//     to every step, a due analysis or cost step one ordered fold each, so
+//     a decomposed run must enable the identical spec on every rank;
+//  3. load balancing after cost, because it folds the cost sampler's
+//     records (and installs a sampler at its own cadence when -cost did
+//     not); its decisions are collective in effect, made from the shared
+//     record;
+//  4. the critpath analyzer — the same instance on every rank, because a
+//     due step ends in its deposit barrier;
+//  5. telemetry last: StartTelemetry mounts gauges and the /health
+//     /analysis /cost /critpath endpoints for exactly the layers it finds
+//     installed, and names them in the run_start manifest — a layer
+//     enabled after it is invisible to the monitor and the trace.
+//
+// Every rank of a decomposed run must call Arm at the same point with the
+// same session. Rank 0 alone subscribes the stores (the ordered folds make
+// every rank's record bitwise identical, and the critpath barrier publishes
+// once per step) and starts telemetry.
+func (s *Session) Arm(sim *Simulation, prob *Problem, opt TelemetryOptions) (*Armed, error) {
+	o := s.opt
+	rank := sim.blk.Rank()
+	if s.profiler != nil {
+		sim.EnableProfiling(s.profiler, fmt.Sprintf("rank%d", rank))
+		if rank == 0 {
+			s.shape = sim.ProfileShape()
+		}
+	}
+	if o.Health {
+		sim.EnableHealth(HealthOptions{BundleDir: o.FlightRec, EmergencyCheckpoint: true})
+	}
+	if s.analysis != nil {
+		spec := prob.StandardAnalysis()
+		spec.Every = o.AnalysisEvery
+		p, err := sim.EnableAnalysis(spec)
+		if err != nil {
+			return nil, err
+		}
+		if rank == 0 {
+			p.Subscribe(s.analysis.Sink())
+		}
+	}
+	if s.cost != nil {
+		c, err := sim.EnableCostMaps(CostSpec{Every: o.CostEvery})
+		if err != nil {
+			return nil, err
+		}
+		if rank == 0 {
+			c.Subscribe(s.cost.Sink())
+		}
+	}
+	if o.LB {
+		if err := sim.EnableLoadBalance(LoadBalanceSpec{Every: o.LBEvery}); err != nil {
+			return nil, err
+		}
+	}
+	if s.critA != nil {
+		if err := sim.EnableCritPath(s.critA); err != nil {
+			return nil, err
+		}
+		if rank == 0 {
+			s.critA.Subscribe(s.crit.Sink())
+		}
+	}
+	a := &Armed{sim: sim}
+	if rank == 0 && (s.trace != nil || o.Monitor != "") {
+		opt.Trace, opt.MonitorAddr = s.trace, o.Monitor
+		probe, err := sim.StartTelemetry(opt)
+		if err != nil {
+			return nil, err
+		}
+		if addr := probe.MonitorAddr(); addr != "" {
+			fmt.Printf("live monitor on http://%s/status\n", addr)
+		}
+		if s.profiler != nil {
+			probe.MountProfile(s.profiler, sim.ProfileShape(), s.machines)
+		}
+		a.probe = probe
+	}
+	return a, nil
+}
+
+// Advance integrates n steps of size dt, through the probe when this
+// simulation carries one. It returns the *health.Violation the moment an
+// armed watchdog trips FATAL, after the post-mortem bundle is written;
+// without -health it never returns an error.
+func (a *Armed) Advance(n int, dt float64) error {
+	if a.probe != nil {
+		return a.probe.TryAdvance(n, dt)
+	}
+	return a.sim.TryAdvance(n, dt)
+}
+
+// Checkpoint records a restart file just written in the trace.
+func (a *Armed) Checkpoint(path string) {
+	if a.probe != nil {
+		a.probe.Checkpoint(path)
+	}
+}
+
+// Close ends this simulation's telemetry: the run_done record carrying
+// exit ("completed", or the abort reason) and the monitor shutdown. Call it
+// on every path out of the step loop, then Session.Close.
+func (a *Armed) Close(exit string) error {
+	if a.probe == nil {
+		return nil
+	}
+	return a.probe.Close(exit)
+}
+
+// Close lands the session's artifacts once every rank has stopped
+// stepping, after a clean run and a health abort alike: it reports dropped
+// appends, closes the stores and the trace, writes the critical-path
+// Chrome-trace overlay next to its store and exports the profile. Every
+// step is attempted; the errors are joined.
+func (s *Session) Close() error {
+	var err error
+	for _, st := range s.stores {
+		if derr := st.st.Err(); derr != nil {
+			fmt.Printf("%s store %s dropped records: %v\n", st.name, st.path, derr)
+		}
+		if cerr := st.st.Close(); cerr != nil {
+			err = errors.Join(err, cerr)
+			continue
+		}
+		fmt.Printf("wrote %s records to %s\n", st.name, st.path)
+	}
+	if s.trace != nil {
+		err = errors.Join(err, s.trace.Close())
+	}
+	if s.critA != nil {
+		if werr := writeFile(s.overlay, s.critA.WriteChromeTrace); werr != nil {
+			err = errors.Join(err, werr)
+		} else {
+			fmt.Printf("wrote critical-path Chrome trace to %s\n", s.overlay)
+		}
+	}
+	if s.profiler != nil {
+		if perr := prof.Export(s.opt.Profile, s.profiler, s.shape, s.machines); perr != nil {
+			err = errors.Join(err, perr)
+		} else {
+			fmt.Printf("wrote profile artifacts to %s (trace.json, callpath.txt, callpath.csv, roofline.txt)\n", s.opt.Profile)
+		}
+	}
+	return err
+}
+
+// writeFile creates path and streams write's output into it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}

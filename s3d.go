@@ -307,10 +307,12 @@ func (s *Simulation) StableDt() float64 {
 	return s.blk.AcousticDt()
 }
 
-// Advance integrates n steps of size dt.
+// Advance integrates n steps of size dt. It is TryAdvance with the solver's
+// historical contract: a health violation panics.
 func (s *Simulation) Advance(n int, dt float64) {
-	s.blk.Advance(n, dt)
-	s.blk.RefreshPrimitives()
+	if err := s.TryAdvance(n, dt); err != nil {
+		panic(err)
+	}
 }
 
 // Step returns the completed step count; Time the physical time (s).

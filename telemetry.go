@@ -13,6 +13,7 @@ package s3d
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"time"
 
 	"github.com/s3dgo/s3d/internal/comm"
@@ -95,7 +96,32 @@ func (s *Simulation) StartTelemetry(opt TelemetryOptions) (*Probe, error) {
 	p.mass0 = s.blk.TotalMass()
 	p.acousticDt = s.blk.AcousticDt()
 
+	if opt.MonitorAddr != "" {
+		mon, err := obs.StartMonitor(opt.MonitorAddr, p.reg)
+		if err != nil {
+			return nil, err
+		}
+		p.mon = mon
+		// The registry-backed field inventory: names, roles, halo groups
+		// and checkpoint membership of every solver field, live.
+		p.mon.Handle("/fields", s.fieldsHandler())
+	}
 	manifest := s.configManifest()
+	// Every layer installed before StartTelemetry joins the observability
+	// surface — its gauges in /metrics(.prom), its live document on the
+	// monitor — and is named in the manifest ("health", "<layer>_every"), so
+	// the trace alone says what the run was armed with.
+	for _, l := range s.installedLayers() {
+		l.mount.AttachMetrics(p.reg)
+		if p.mon != nil {
+			p.mon.Handle("/"+l.name, l.mount.Handler())
+		}
+		if l.every > 0 {
+			manifest[l.name+"_every"] = fmt.Sprint(l.every)
+		} else {
+			manifest[l.name] = "on"
+		}
+	}
 	for k, v := range opt.Config {
 		manifest[k] = v
 	}
@@ -104,49 +130,8 @@ func (s *Simulation) StartTelemetry(opt TelemetryOptions) (*Probe, error) {
 	if opt.Trace != nil {
 		opt.Trace.RunStartInfo(info)
 	}
-	if opt.MonitorAddr != "" {
-		mon, err := obs.StartMonitor(opt.MonitorAddr, p.reg)
-		if err != nil {
-			return nil, err
-		}
-		mon.SetRun(info)
-		p.mon = mon
-		// The registry-backed field inventory: names, roles, halo groups
-		// and checkpoint membership of every solver field, live.
-		p.mon.Handle("/fields", s.fieldsHandler())
-	}
-	// A watchdog installed before StartTelemetry joins the observability
-	// surface: health gauges in /metrics(.prom) and the live /health
-	// document on the monitor.
-	if w := s.blk.Watchdog(); w != nil {
-		w.AttachMetrics(p.reg)
-		if p.mon != nil {
-			p.mon.Handle("/health", w.Handler())
-		}
-	}
-	// Likewise an analysis pipeline enabled before StartTelemetry: the
-	// analysis_* gauges in /metrics(.prom) and the live /analysis document.
-	if ap := s.blk.Analysis(); ap != nil {
-		ap.AttachMetrics(p.reg)
-		if p.mon != nil {
-			p.mon.Handle("/analysis", ap.Handler())
-		}
-	}
-	// And a cost collector enabled before StartTelemetry: the cost_* gauges
-	// in /metrics(.prom) and the live /cost document.
-	if cc := s.blk.Cost(); cc != nil {
-		cc.AttachMetrics(p.reg)
-		if p.mon != nil {
-			p.mon.Handle("/cost", cc.Handler())
-		}
-	}
-	// And the critpath analyzer: the critpath_* gauges and the live
-	// /critpath document (the latest analyzed record).
-	if cp := s.blk.CritPath(); cp != nil {
-		cp.AttachMetrics(p.reg)
-		if p.mon != nil {
-			p.mon.Handle("/critpath", cp.Handler())
-		}
+	if p.mon != nil {
+		p.mon.SetRun(info)
 	}
 	return p, nil
 }
@@ -166,15 +151,12 @@ func (p *Probe) MonitorAddr() string {
 // LastStep returns the most recently emitted step event.
 func (p *Probe) LastStep() obs.StepEvent { return p.last }
 
-// Advance integrates n steps of size dt, emitting one step record each.
+// Advance integrates n steps of size dt, emitting one step record each. It
+// is TryAdvance with the solver's historical contract: a violation panics.
 func (p *Probe) Advance(n int, dt float64) {
-	blk := p.sim.blk
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		blk.StepOnce(dt)
-		p.observe(dt, time.Since(t0).Seconds())
+	if err := p.TryAdvance(n, dt); err != nil {
+		panic(err)
 	}
-	blk.RefreshPrimitives()
 }
 
 // TryAdvance is Advance through the health watchdog: it returns the
@@ -319,7 +301,39 @@ func (s *Simulation) PerfTimers() *perf.Timers { return s.blk.Timers }
 // aggregates every in-process rank.
 func (s *Simulation) PoolPerfTimers() *perf.Timers { return s.blk.Plan().Pool().PerfSnapshot() }
 
-// configManifest flattens the simulation configuration for run_start.
+// layer is one installed instrumentation layer as StartTelemetry sees it:
+// the name of its endpoint and manifest key, its cadence (0: per step, no
+// cadence of its own) and its mount points.
+type layer struct {
+	name  string
+	every int
+	mount interface {
+		AttachMetrics(*obs.Registry)
+		Handler() http.Handler
+	}
+}
+
+// installedLayers lists the layers enabled on the block, in mount order.
+func (s *Simulation) installedLayers() []layer {
+	var ls []layer
+	if w := s.blk.Watchdog(); w != nil {
+		ls = append(ls, layer{"health", 0, w})
+	}
+	if ap := s.blk.Analysis(); ap != nil {
+		ls = append(ls, layer{"analysis", ap.Every(), ap})
+	}
+	if cc := s.blk.Cost(); cc != nil {
+		ls = append(ls, layer{"cost", cc.Every(), cc})
+	}
+	if cp := s.blk.CritPath(); cp != nil {
+		ls = append(ls, layer{"critpath", cp.Every(), cp})
+	}
+	return ls
+}
+
+// configManifest flattens the simulation configuration for run_start,
+// including the load balancer and the call-path profiler when installed
+// (the layers with endpoints are added where StartTelemetry mounts them).
 func (s *Simulation) configManifest() map[string]string {
 	c := s.cfg
 	m := map[string]string{
@@ -335,6 +349,14 @@ func (s *Simulation) configManifest() map[string]string {
 	}
 	if c.Grid.StretchY {
 		m["stretch_y"] = "on"
+	}
+	if every := s.blk.LoadBalanceEvery(); every > 0 {
+		m["lb_every"] = fmt.Sprint(every)
+	}
+	// A critpath analyzer on an unprofiled run records blame spans on a track
+	// of its own; that is not the call-path profiler being on.
+	if t, cp := s.blk.ProfTrack(), s.blk.CritPath(); t != nil && (cp == nil || !cp.Internal(t)) {
+		m["profile"] = "on"
 	}
 	return m
 }
