@@ -87,6 +87,19 @@ go test -race -timeout 45m ./...
 echo "== S3D_WORKERS=4 go test -race ./internal/par ./internal/solver"
 S3D_WORKERS=4 go test -race -timeout 45m ./internal/par ./internal/solver
 
+# Exponential-kernel gate: internal/vexp promises math.Exp's bits from either
+# of its paths, so the package that makes the promise, its two callers (whose
+# tests hold them to an eager math.Exp reference) and the solver's pinned
+# hashes run once more with the assembly kernel compiled out (-tags purego).
+# The race pass above ran them on the kernel; both must land on the same
+# pinned bytes. go vet ./... above has checked the .s file's frame
+# declarations (asmdecl); the purego build of the package is vetted here.
+echo "== go vet -tags purego ./internal/vexp && go test -tags purego ./internal/vexp ./internal/chem ./internal/transport"
+go vet -tags purego ./internal/vexp
+go test -tags purego ./internal/vexp ./internal/chem ./internal/transport
+echo "== go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility' ./internal/solver"
+go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility' ./internal/solver
+
 # Benchmark-module gate: benchmark/ is a module of its own, which the root
 # ./... patterns do not descend into; it names solver bench hooks and the
 # deprecated Config.Backend/Precision shim, so it must keep compiling and
@@ -106,6 +119,17 @@ go test -run xxx -fuzz FuzzDecode -fuzztime 20s ./internal/sdf
 # valid prefix is never lost.
 echo "== go test -run xxx -fuzz FuzzRead -fuzztime 20s ./internal/jsonl"
 go test -run xxx -fuzz FuzzRead -fuzztime 20s ./internal/jsonl
+
+# vexp.Exp against math.Exp with one lane of arbitrary bits among in-range
+# lanes, at every position of a block and of a tail.
+echo "== go test -run xxx -fuzz FuzzExp -fuzztime 20s ./internal/vexp"
+go test -run xxx -fuzz FuzzExp -fuzztime 20s ./internal/vexp
+
+# Block.LoadCheckpoint on arbitrary bytes: an error or a state that
+# round-trips through save and load, never a panic, never more than 64 MB
+# allocated for a 3 KB checkpoint.
+echo "== go test -run xxx -fuzz FuzzLoadCheckpoint -fuzztime 20s ./internal/solver"
+go test -run xxx -fuzz FuzzLoadCheckpoint -fuzztime 20s ./internal/solver
 
 # Profiler gate: a tiny decomposed cmd/s3d run with -profile must emit a
 # trace_event timeline that parses with at least one span per rank (the

@@ -8,6 +8,7 @@ import (
 
 	"github.com/s3dgo/s3d"
 	"github.com/s3dgo/s3d/internal/obs"
+	"github.com/s3dgo/s3d/internal/vexp"
 )
 
 // TestLiftedFlameSmoke drives the real CLI on a tiny jet with every shared
@@ -47,6 +48,7 @@ func TestLiftedFlameSmoke(t *testing.T) {
 	for k, want := range map[string]string{
 		"health": "on", "profile": "on", "steps": "4",
 		"analysis_every": "2", "cost_every": "2", "critpath_every": "2", "lb_every": "2",
+		"vexp": vexp.Kernel(),
 	} {
 		if cfg[k] != want {
 			t.Fatalf("run_start manifest %q = %q, want %q (manifest %v)", k, cfg[k], want, cfg)

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"github.com/s3dgo/s3d/internal/thermo"
+	"github.com/s3dgo/s3d/internal/vexp"
 )
 
 // CalPerMol converts activation energies from cal/mol to J/mol.
@@ -44,13 +45,15 @@ func (a Arrhenius) K(T float64) float64 {
 	return a.A * math.Pow(T, a.N) * math.Exp(-a.E/(thermo.R*T))
 }
 
-// kFast evaluates the rate constant with precomputed ln A, ln T and 1/(RuT)
-// using a single exponential — the hot path of ProductionRates.
-func (a Arrhenius) kFast(lnA, lnT, invRT float64) float64 {
-	if a.N == 0 && a.E == 0 {
-		return a.A
-	}
-	return math.Exp(lnA + a.N*lnT - a.E*invRT)
+// constant reports a rate constant without temperature dependence: k = A,
+// and ProductionRates takes no exponential for it.
+func (a Arrhenius) constant() bool { return a.N == 0 && a.E == 0 }
+
+// lnK is ln k = ln A + n·ln T − E/(Ru·T) from precomputed ln A, ln T and
+// 1/(Ru·T): the one exponential argument of a rate constant in
+// ProductionRates.
+func (a Arrhenius) lnK(lnA, lnT, invRT float64) float64 {
+	return lnA + a.N*lnT - a.E*invRT
 }
 
 // Troe holds the Troe falloff broadening parameters. T2 == 0 disables the
@@ -116,6 +119,9 @@ type Mechanism struct {
 	// allocation-free; Mechanism is therefore not safe for concurrent use —
 	// each solver rank clones its own (see Clone).
 	gRT []float64
+	// expArg is the exponential batch of one ProductionRates call: argument
+	// in, exponential out, consumed in reaction order.
+	expArg []float64
 	// Precomputed ln A of the forward and low-pressure rate constants.
 	lnAf, lnAlow []float64
 }
@@ -152,6 +158,7 @@ func NewMechanism(name string, set *thermo.Set, reactions []*Reaction) *Mechanis
 		Set:       set,
 		Reactions: reactions,
 		gRT:       make([]float64, set.Len()),
+		expArg:    make([]float64, 0, maxExpArgs(reactions)),
 		lnAf:      make([]float64, len(reactions)),
 		lnAlow:    make([]float64, len(reactions)),
 	}
@@ -169,9 +176,30 @@ func NewMechanism(name string, set *thermo.Set, reactions []*Reaction) *Mechanis
 func (m *Mechanism) Clone() *Mechanism {
 	return &Mechanism{
 		Name: m.Name, Set: m.Set, Reactions: m.Reactions,
-		gRT:  make([]float64, m.Set.Len()),
-		lnAf: m.lnAf, lnAlow: m.lnAlow,
+		gRT:    make([]float64, m.Set.Len()),
+		expArg: make([]float64, 0, cap(m.expArg)),
+		lnAf:   m.lnAf, lnAlow: m.lnAlow,
 	}
+}
+
+// maxExpArgs bounds the exponentials one ProductionRates call can take: per
+// reaction the forward constant, the low-pressure constant, the three Troe
+// centring terms and the equilibrium constant.
+func maxExpArgs(reactions []*Reaction) int {
+	n := 0
+	for _, r := range reactions {
+		n++
+		if r.Falloff != nil {
+			n++
+			if r.Falloff.TroeF != nil {
+				n += 3
+			}
+		}
+		if r.Reversible {
+			n++
+		}
+	}
+	return n
 }
 
 // NumSpecies returns the species count.
@@ -209,10 +237,59 @@ func (m *Mechanism) ProductionRates(T float64, C, wdot []float64) {
 	for i := range C {
 		cTot += C[i]
 	}
-	var expKc float64 // exp(ln Kc) of the latest reversible reaction
 
+	// Every exponential of the call has an argument that depends on T alone.
+	// First pass: the arguments, in the order the rate loop consumes them —
+	// per reaction the forward constant, the low-pressure constant, the Troe
+	// centring terms unless Fcent is the stored constant, and ln Kc unless the
+	// reaction shares the previous one's. Then one batch exponential, in
+	// place.
+	troeConst := T >= troeConstLo && T <= troeConstHi
+	ex := m.expArg[:0]
 	for ri, r := range m.Reactions {
-		kf := r.Fwd.kFast(m.lnAf[ri], lnT, invRT)
+		if !r.Fwd.constant() {
+			ex = append(ex, r.Fwd.lnK(m.lnAf[ri], lnT, invRT))
+		}
+		if fo := r.Falloff; fo != nil {
+			if !fo.Low.constant() {
+				ex = append(ex, fo.Low.lnK(m.lnAlow[ri], lnT, invRT))
+			}
+			if tr := fo.TroeF; tr != nil && !(r.constLogFc && troeConst) {
+				ex = append(ex, -T/tr.T3, -T/tr.T1)
+				if tr.T2 != 0 {
+					ex = append(ex, -tr.T2/T)
+				}
+			}
+		}
+		if r.Reversible && !r.sameKc {
+			// ln Kc = −Σνᵢ·gᵢ/(RT) + Δν·ln(c0).
+			var dg float64
+			for _, p := range r.Products {
+				dg += float64(p.Nu) * m.gRT[p.Index]
+			}
+			for _, rc := range r.Reactants {
+				dg -= float64(rc.Nu) * m.gRT[rc.Index]
+			}
+			lnKc := -dg + float64(r.dNu)*logC0
+			// Clamp to avoid overflow for strongly exothermic steps at
+			// low T; a Kc this large means the reverse rate is
+			// numerically zero.
+			if lnKc > 230 {
+				lnKc = 230
+			}
+			ex = append(ex, lnKc)
+		}
+	}
+	vexp.Exp(ex, ex)
+
+	k := 0            // next unread exponential
+	var expKc float64 // exp(ln Kc) of the latest reversible reaction
+	for _, r := range m.Reactions {
+		kf := r.Fwd.A
+		if !r.Fwd.constant() {
+			kf = ex[k]
+			k++
+		}
 
 		// Third-body concentration.
 		cm := 1.0
@@ -227,16 +304,31 @@ func (m *Mechanism) ProductionRates(T float64, C, wdot []float64) {
 		}
 
 		// Pressure falloff blending.
-		if r.Falloff != nil {
-			k0 := r.Falloff.Low.kFast(m.lnAlow[ri], lnT, invRT)
+		if fo := r.Falloff; fo != nil {
+			k0 := fo.Low.A
+			if !fo.Low.constant() {
+				k0 = ex[k]
+				k++
+			}
 			pr := k0 * cm / kf
 			f := 1.0
-			switch {
-			case r.Falloff.TroeF == nil || !(pr > 0):
-			case r.constLogFc && T >= troeConstLo && T <= troeConstHi:
-				f = troeBroadening(r.logFc, pr)
+			switch tr := fo.TroeF; {
+			case tr == nil:
+			case r.constLogFc && troeConst:
+				if pr > 0 {
+					f = troeBroadening(r.logFc, pr)
+				}
 			default:
-				f = troeF(r.Falloff.TroeF, T, pr)
+				// Fcent = (1−α)·exp(−T/T3) + α·exp(−T/T1) [+ exp(−T2/T)]
+				fc := (1-tr.Alpha)*ex[k] + tr.Alpha*ex[k+1]
+				k += 2
+				if tr.T2 != 0 {
+					fc += ex[k]
+					k++
+				}
+				if pr > 0 && !(fc <= 0) {
+					f = troeBroadening(math.Log10(fc), pr)
+				}
 			}
 			kf *= pr / (1 + pr) * f
 			cm = 1 // the falloff form already includes [M]
@@ -250,22 +342,8 @@ func (m *Mechanism) ProductionRates(T float64, C, wdot []float64) {
 		var qr float64
 		if r.Reversible {
 			if !r.sameKc {
-				// ln Kc = −Σνᵢ·gᵢ/(RT) + Δν·ln(c0).
-				var dg float64
-				for _, p := range r.Products {
-					dg += float64(p.Nu) * m.gRT[p.Index]
-				}
-				for _, rc := range r.Reactants {
-					dg -= float64(rc.Nu) * m.gRT[rc.Index]
-				}
-				lnKc := -dg + float64(r.dNu)*logC0
-				// Clamp to avoid overflow for strongly exothermic steps at
-				// low T; a Kc this large means the reverse rate is
-				// numerically zero.
-				if lnKc > 230 {
-					lnKc = 230
-				}
-				expKc = math.Exp(lnKc)
+				expKc = ex[k]
+				k++
 			}
 			kr := kf / expKc
 			qr = kr
@@ -317,18 +395,6 @@ const (
 // TestTroeConstantCentring evaluates the claim.
 func troeConstant(tr *Troe) bool {
 	return tr.T2 == 0 && tr.T3 > 0 && tr.T3 <= 1e-6 && tr.T1 >= 1e25 && tr.Alpha > 0
-}
-
-// troeF evaluates the Troe broadening factor.
-func troeF(tr *Troe, T, pr float64) float64 {
-	fc := (1-tr.Alpha)*math.Exp(-T/tr.T3) + tr.Alpha*math.Exp(-T/tr.T1)
-	if tr.T2 != 0 {
-		fc += math.Exp(-tr.T2 / T)
-	}
-	if fc <= 0 {
-		return 1
-	}
-	return troeBroadening(math.Log10(fc), pr)
 }
 
 // troeBroadening is the broadening factor F for a centring factor with

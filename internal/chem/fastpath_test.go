@@ -8,6 +8,16 @@ import (
 	"github.com/s3dgo/s3d/internal/thermo"
 )
 
+// kFast is the rate constant as ProductionRates forms it, with the
+// exponential taken eagerly: k = A when there is no temperature dependence,
+// else exp(ln k).
+func (a Arrhenius) kFast(lnA, lnT, invRT float64) float64 {
+	if a.constant() {
+		return a.A
+	}
+	return math.Exp(a.lnK(lnA, lnT, invRT))
+}
+
 // The hot-path rate evaluation must agree with the textbook Arrhenius form.
 func TestKFastMatchesK(t *testing.T) {
 	prop := func(aRaw, nRaw, eRaw uint16, tRaw uint8) bool {
@@ -34,7 +44,8 @@ func TestKFastZeroParamsShortCircuit(t *testing.T) {
 }
 
 // Production rates must be identical whether computed on a fresh mechanism
-// or a clone (the precomputed ln A tables must survive cloning).
+// or a clone (the precomputed ln A tables must survive cloning), and the
+// clone must own its scratch: the Gibbs table and the exponential batch.
 func TestCloneProductionRatesIdentical(t *testing.T) {
 	m := CH4Skeletal()
 	c := m.Clone()
@@ -51,6 +62,12 @@ func TestCloneProductionRatesIdentical(t *testing.T) {
 		if w1[i] != w2[i] {
 			t.Fatalf("clone rates differ at %d: %g vs %g", i, w1[i], w2[i])
 		}
+	}
+	if &m.gRT[0] == &c.gRT[0] || &m.expArg[:1][0] == &c.expArg[:1][0] {
+		t.Fatal("clone shares scratch")
+	}
+	if cap(c.expArg) != cap(m.expArg) {
+		t.Fatalf("exponential batch capacity %d, clone's %d", cap(m.expArg), cap(c.expArg))
 	}
 }
 

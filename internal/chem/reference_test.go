@@ -110,34 +110,58 @@ func troeFReference(tr *Troe, T, pr float64) float64 {
 }
 
 // TestProductionRatesMatchReference: bitwise equality of the production
-// rates with the un-hoisted reference, for both mechanisms, over random
-// states with zero concentrations, inside the fit range, at its bounds,
-// where the fits clamp and outside the constant-Fcent range.
+// rates with the un-hoisted, un-batched reference — which takes math.Exp per
+// argument, where the value is needed — for H2, CH4 (whose one general Troe
+// entry puts three more exponentials in the batch) and the reaction-free air
+// mechanism, over random states with no, one, two, some and all species
+// present, inside the fit range, at its bounds, where the fits clamp and
+// outside the constant-Fcent range (where the H2 Troe entries join the batch
+// too).
 func TestProductionRatesMatchReference(t *testing.T) {
+	air, err := Parse("air2", "SPECIES\nO2 N2\nEND\nREACTIONS\nEND")
+	if err != nil {
+		t.Fatal(err)
+	}
 	temps := []float64{150, thermo.TMin, 300, 1234.5, thermo.TMax, 4000, 0.5, 2e6}
-	var shared, constFc int
-	for _, m := range []*Mechanism{H2Air(), CH4Skeletal()} {
+	var shared, constFc, generalTroe int
+	for _, m := range []*Mechanism{H2Air(), CH4Skeletal(), air} {
 		for _, r := range m.Reactions {
 			if r.sameKc {
 				shared++
 			}
 			if r.constLogFc {
 				constFc++
+			} else if r.Falloff != nil && r.Falloff.TroeF != nil {
+				generalTroe++
 			}
 		}
 		ns := m.NumSpecies()
 		C, got, want := make([]float64, ns), make([]float64, ns), make([]float64, ns)
 		rng := rand.New(rand.NewSource(17))
-		for trial := 0; trial < 300; trial++ {
+		for trial := 0; trial < 600; trial++ {
 			for i := range C {
 				C[i] = 0
-				if rng.Intn(4) > 0 {
-					C[i] = math.Pow(10, -6+8*rng.Float64())
+			}
+			conc := func() float64 { return math.Pow(10, -6+8*rng.Float64()) }
+			switch present := trial % 6; present {
+			case 0, 1, 2: // exactly that many species
+				for _, i := range rng.Perm(ns)[:present] {
+					C[i] = conc()
+				}
+			case 3: // all of them
+				for i := range C {
+					C[i] = conc()
+				}
+			default: // a random subset
+				for i := range C {
+					if rng.Intn(4) > 0 {
+						C[i] = conc()
+					}
 				}
 			}
-			T := temps[trial%len(temps)]
-			if trial >= 2*len(temps) {
-				T = 250 + 3000*rng.Float64()
+			T := 250 + 3250*rng.Float64()
+			if trial%5 == 4 {
+				T = temps[trial/5%len(temps)]
 			}
 			m.ProductionRates(T, C, got)
 			productionRatesReference(m, T, C, want)
@@ -150,9 +174,10 @@ func TestProductionRatesMatchReference(t *testing.T) {
 		}
 	}
 	// H2/air has two DUP pairs and two TROE /α 1E-30 1E30/ entries, CH4 one
-	// of the latter.
-	if shared != 2 || constFc != 3 {
-		t.Fatalf("%d shared-Kc and %d constant-Fcent reactions, want 2 and 3: the hoists are not exercised", shared, constFc)
+	// of the latter and one four-parameter entry.
+	if shared != 2 || constFc != 3 || generalTroe != 1 {
+		t.Fatalf("%d shared-Kc, %d constant-Fcent and %d general Troe reactions, want 2, 3 and 1: the hoists are not exercised",
+			shared, constFc, generalTroe)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"github.com/s3dgo/s3d/internal/thermo"
+	"github.com/s3dgo/s3d/internal/vexp"
 )
 
 // Boltzmann constant (J/K) and Avogadro number used by kinetic theory.
@@ -67,8 +68,11 @@ type Model struct {
 	muFit [][4]float64   // per species: ln μ(T)
 	dFit  [][][4]float64 // per pair: ln D_ij(T) at p = 1 atm
 
-	x, mu, lam []float64 // scratch
-	dij        []float64 // scratch: n×n D_ij at the point's T and p (Mixture)
+	x, lam []float64 // scratch
+	dij    []float64 // scratch: n×n D_ij at the point's T and p (Mixture)
+	// fit is Mixture's exponential batch: the n viscosity fits, then the
+	// D_ij fit of every unordered pair with a species present.
+	fit []float64
 }
 
 // New builds a transport model for the species set. Species missing from
@@ -81,9 +85,9 @@ func New(set *thermo.Set) (*Model, error) {
 		sigma: make([]float64, n),
 		sqrtW: make([]float64, n),
 		x:     make([]float64, n),
-		mu:    make([]float64, n),
 		lam:   make([]float64, n),
 		dij:   make([]float64, n*n),
+		fit:   make([]float64, n+n*(n-1)/2),
 	}
 	for i, sp := range set.Species {
 		lj, ok := ljParams[sp.Name]
@@ -215,9 +219,9 @@ func (m *Model) Clone() *Model {
 	n := m.Set.Len()
 	c := *m
 	c.x = make([]float64, n)
-	c.mu = make([]float64, n)
 	c.lam = make([]float64, n)
 	c.dij = make([]float64, n*n)
+	c.fit = make([]float64, len(m.fit))
 	return &c
 }
 
@@ -313,10 +317,29 @@ func (m *Model) Mixture(T, p float64, Y []float64, props *Props) {
 			m.x[i] = 0
 		}
 	}
+	// Every exponential of the call has an argument that depends on ln T
+	// alone, so the arguments come first, one batch exponential takes them
+	// all, and the consumers below read the results in the order they always
+	// did: the n viscosity fits, then — the fit tables being bitwise
+	// symmetric (dFit[i][j] == dFit[j][i]) — the D_ij fit once per unordered
+	// pair with a species present.
 	lnT := math.Log(clampFitT(T))
 	for i := 0; i < n; i++ {
-		m.mu[i] = evalFit(m.muFit[i], lnT)
-		m.lam[i] = m.mu[i] * (m.Set.Species[i].Cp(T) + 1.25*thermo.R/m.Set.Species[i].W)
+		m.fit[i] = fitArg(m.muFit[i], lnT)
+	}
+	k := n
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if m.x[i] != 0 || m.x[j] != 0 {
+				m.fit[k] = fitArg(m.dFit[i][j], lnT)
+				k++
+			}
+		}
+	}
+	vexp.Exp(m.fit[:k], m.fit[:k])
+	mu := m.fit[:n]
+	for i := 0; i < n; i++ {
+		m.lam[i] = mu[i] * (m.Set.Species[i].Cp(T) + 1.25*thermo.R/m.Set.Species[i].W)
 	}
 
 	// Wilke mixture viscosity.
@@ -330,10 +353,10 @@ func (m *Model) Mixture(T, p float64, Y []float64, props *Props) {
 			if m.x[j] == 0 {
 				continue
 			}
-			r := math.Sqrt(m.mu[i]/m.mu[j]) * m.w4[i][j]
+			r := math.Sqrt(mu[i]/mu[j]) * m.w4[i][j]
 			denom += m.x[j] * (1 + r) * (1 + r) * m.wPhi[i][j]
 		}
-		muMix += m.x[i] * m.mu[i] / denom
+		muMix += m.x[i] * mu[i] / denom
 	}
 	props.Mu = muMix
 
@@ -348,25 +371,15 @@ func (m *Model) Mixture(T, p float64, Y []float64, props *Props) {
 	props.Lambda = 0.5 * (sum + 1/inv)
 
 	// Mixture-averaged diffusion (paper eq. 17), with the pure-species limit
-	// D_i^mix → D_ii' (self/trace value) as X_i → 1. The fit tables are
-	// bitwise symmetric (dFit[i][j] == dFit[j][i]), so D_ij·pScale is
-	// evaluated once per unordered pair with a species present and read from
-	// both rows. Two passes on purpose — the fit polynomials first, then a
-	// loop that only calls exp: with the table loads, the call and the
-	// mirrored stores in one loop, that loop ran at two speeds up to 2× apart
-	// depending on where the caller's stack and scratch happened to sit.
+	// D_i^mix → D_ii' (self/trace value) as X_i → 1. Each present pair's
+	// D_ij·pScale is read from both rows.
 	pScale := 101325 / p
+	k = n
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if m.x[i] != 0 || m.x[j] != 0 {
-				m.dij[i*n+j] = fitArg(m.dFit[i][j], lnT)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if m.x[i] != 0 || m.x[j] != 0 {
-				d := math.Exp(m.dij[i*n+j]) * pScale
+				d := m.fit[k] * pScale
+				k++
 				m.dij[i*n+j], m.dij[j*n+i] = d, d
 			}
 		}

@@ -196,8 +196,11 @@ func TestCloneIndependentScratch(t *testing.T) {
 	if p1.Mu != p2.Mu || p1.Lambda != p2.Lambda {
 		t.Fatalf("clone disagrees: %g vs %g", p1.Mu, p2.Mu)
 	}
-	if &m.x[0] == &c.x[0] || &m.dij[0] == &c.dij[0] {
+	if &m.x[0] == &c.x[0] || &m.lam[0] == &c.lam[0] || &m.dij[0] == &c.dij[0] || &m.fit[0] == &c.fit[0] {
 		t.Fatal("clone shares scratch")
+	}
+	if len(c.fit) != len(m.fit) {
+		t.Fatalf("clone's exponential batch holds %d, the model's %d", len(c.fit), len(m.fit))
 	}
 }
 
@@ -218,9 +221,11 @@ func TestPairFitsBitwiseSymmetric(t *testing.T) {
 	}
 }
 
-// mixtureDmixOrdered is the reference form of the mixture-averaged diffusion
-// loop: every ordered pair evaluates its own fit.
-func mixtureDmixOrdered(m *Model, T, p float64, Y, dmix []float64) {
+// mixtureReference is Mixture in its eager scalar form: math.Exp called
+// where each fitted value is needed (evalFit), the diffusion denominator
+// summed over ordered pairs with every pair evaluating its own fit. Mixture
+// must return exactly this.
+func mixtureReference(m *Model, T, p float64, Y []float64, props *Props) {
 	n := m.Set.Len()
 	x := make([]float64, n)
 	m.Set.MoleFractions(Y, x)
@@ -230,6 +235,35 @@ func mixtureDmixOrdered(m *Model, T, p float64, Y, dmix []float64) {
 		}
 	}
 	lnT := math.Log(clampFitT(T))
+	mu, lam := make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		mu[i] = evalFit(m.muFit[i], lnT)
+		lam[i] = mu[i] * (m.Set.Species[i].Cp(T) + 1.25*thermo.R/m.Set.Species[i].W)
+	}
+	var muMix float64
+	for i := 0; i < n; i++ {
+		if x[i] == 0 {
+			continue
+		}
+		var denom float64
+		for j := 0; j < n; j++ {
+			if x[j] == 0 {
+				continue
+			}
+			r := math.Sqrt(mu[i]/mu[j]) * m.w4[i][j]
+			denom += x[j] * (1 + r) * (1 + r) * m.wPhi[i][j]
+		}
+		muMix += x[i] * mu[i] / denom
+	}
+	props.Mu = muMix
+	var sum, inv float64
+	for i := 0; i < n; i++ {
+		sum += x[i] * lam[i]
+		if x[i] > 0 {
+			inv += x[i] / lam[i]
+		}
+	}
+	props.Lambda = 0.5 * (sum + 1/inv)
 	pScale := 101325 / p
 	for i := 0; i < n; i++ {
 		var denom float64
@@ -240,55 +274,80 @@ func mixtureDmixOrdered(m *Model, T, p float64, Y, dmix []float64) {
 			denom += x[j] / (evalFit(m.dFit[i][j], lnT) * pScale)
 		}
 		if denom < 1e-30 {
-			dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
+			props.Dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
 			continue
 		}
-		dmix[i] = (1 - x[i]) / denom
-		if dmix[i] <= 0 {
-			dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
+		props.Dmix[i] = (1 - x[i]) / denom
+		if props.Dmix[i] <= 0 {
+			props.Dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
 		}
 	}
 }
 
-// TestMixtureDmixMatchesOrderedPairLoop: on a seeded state table that
-// includes absent species (and pure-species states), the once-per-pair
-// evaluation reproduces the ordered-pair loop bit for bit. One model serves
-// the whole table, so a coefficient left over from an earlier state would
-// show.
+// TestMixtureDmixMatchesOrderedPairLoop: for the H2, CH4 and two-species air
+// sets, over temperatures across and beyond the fit range and compositions
+// with no, one, two, some and all species present, the batched
+// once-per-pair evaluation reproduces the eager ordered-pair reference bit
+// for bit — μ and λ included. So the packing of present pairs into the batch,
+// the pure-species dFit[i][i] fallback and the lengths that end in a partial
+// block are all exercised. One model serves the whole table, so a value left
+// in the batch by an earlier state would show.
 func TestMixtureDmixMatchesOrderedPairLoop(t *testing.T) {
-	for _, mech := range []*chem.Mechanism{chem.H2Air(), chem.CH4Skeletal()} {
-		m := MustNew(mech.Set)
-		n := mech.Set.Len()
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+	}
+	for _, set := range []*thermo.Set{chem.H2Air().Set, chem.CH4Skeletal().Set, thermo.MustSet("O2", "N2")} {
+		m := MustNew(set)
+		n := set.Len()
 		rng := rand.New(rand.NewSource(15))
-		props := &Props{Dmix: make([]float64, n)}
-		want := make([]float64, n)
+		got := &Props{Dmix: make([]float64, n)}
+		want := &Props{Dmix: make([]float64, n)}
 		Y := make([]float64, n)
-		for s := 0; s < 400; s++ {
-			var sum float64
+		for s := 0; s < 600; s++ {
 			for i := range Y {
 				Y[i] = 0
-				if s%4 == 0 || rng.Intn(3) > 0 {
-					Y[i] = rng.Float64()
+			}
+			switch present := s % 6; present {
+			case 0, 1, 2: // exactly that many species
+				for _, i := range rng.Perm(n)[:present] {
+					Y[i] = rng.Float64() + 1e-3
 				}
+			case 3: // all of them
+				for i := range Y {
+					Y[i] = rng.Float64() + 1e-3
+				}
+			default: // a random subset
+				for i := range Y {
+					if rng.Intn(3) > 0 {
+						Y[i] = rng.Float64()
+					}
+				}
+			}
+			var sum float64
+			for i := range Y {
 				sum += Y[i]
 			}
-			if s%50 == 1 || sum == 0 {
+			if sum > 0 {
 				for i := range Y {
-					Y[i] = 0
+					Y[i] /= sum
 				}
-				Y[rng.Intn(n)], sum = 1, 1
 			}
-			for i := range Y {
-				Y[i] /= sum
+			T := 250 + 3250*rng.Float64()
+			if s%50 == 7 {
+				T = []float64{100, 250, 3500, 5000}[rng.Intn(4)]
 			}
-			T := 250 + 3000*rng.Float64()
 			p := 101325 * (0.5 + 2*rng.Float64())
-			m.Mixture(T, p, Y, props)
-			mixtureDmixOrdered(m, T, p, Y, want)
-			for i := range want {
-				if math.Float64bits(props.Dmix[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s state %d species %d: Dmix %x, ordered-pair loop %x (Y=%v)",
-						mech.Name, s, i, math.Float64bits(props.Dmix[i]), math.Float64bits(want[i]), Y)
+			m.Mixture(T, p, Y, got)
+			mixtureReference(m, T, p, Y, want)
+			if !same(got.Mu, want.Mu) || !same(got.Lambda, want.Lambda) {
+				t.Fatalf("%d species, state %d: mu %x lambda %x, reference %x %x (T=%v Y=%v)", n, s,
+					math.Float64bits(got.Mu), math.Float64bits(got.Lambda),
+					math.Float64bits(want.Mu), math.Float64bits(want.Lambda), T, Y)
+			}
+			for i := range want.Dmix {
+				if !same(got.Dmix[i], want.Dmix[i]) {
+					t.Fatalf("%d species, state %d species %d: Dmix %x, reference %x (T=%v Y=%v)",
+						n, s, i, math.Float64bits(got.Dmix[i]), math.Float64bits(want.Dmix[i]), T, Y)
 				}
 			}
 		}

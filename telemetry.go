@@ -19,6 +19,7 @@ import (
 	"github.com/s3dgo/s3d/internal/comm"
 	"github.com/s3dgo/s3d/internal/obs"
 	"github.com/s3dgo/s3d/internal/perf"
+	"github.com/s3dgo/s3d/internal/vexp"
 )
 
 // TelemetryOptions configures a Probe. Every sink is optional; a Probe
@@ -343,6 +344,9 @@ func (s *Simulation) configManifest() map[string]string {
 		"pressure_pa":  fmt.Sprintf("%g", c.Pressure),
 		"filter_every": fmt.Sprintf("%d", c.FilterEvery),
 		"cfl":          fmt.Sprintf("%g", c.CFL),
+		// which exponential kernel the pointwise physics ran on in this
+		// process: "avx2" or "scalar" (the same bits either way)
+		"vexp": vexp.Kernel(),
 	}
 	if c.ChemistryOff {
 		m["chemistry"] = "off"
