@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"github.com/s3dgo/s3d/internal/chem"
-	"github.com/s3dgo/s3d/internal/cost"
 	"github.com/s3dgo/s3d/internal/deriv"
 	"github.com/s3dgo/s3d/internal/flame1d"
 	"github.com/s3dgo/s3d/internal/grid"
@@ -570,10 +569,8 @@ func BenchmarkProfOverhead(b *testing.B) {
 	}
 }
 
-// --- Node-level parallel execution (internal/par) ---
-
-// rhsBlock builds a single-rank reacting 32³ H2/air box on a dedicated pool
-// so BenchmarkRHSWorkers times one full right-hand-side evaluation — the
+// rhsBlock builds a single-rank reacting 32³ H2/air box on a dedicated pool:
+// BenchmarkProfOverhead times full right-hand-side evaluations on it — the
 // unit of work an RK stage schedules across the worker pool.
 func rhsBlock(b *testing.B, pool *par.Pool) *solver.Block {
 	b.Helper()
@@ -606,122 +603,6 @@ func rhsBlock(b *testing.B, pool *par.Pool) *solver.Block {
 	}, nil)
 	blk.RefreshPrimitives()
 	return blk
-}
-
-// BenchmarkRHSWorkers measures the worker-pool scaling of a full RHS
-// evaluation. Solutions are bitwise identical across the sub-benchmarks
-// (the determinism contract of internal/par); only the wall time moves.
-func BenchmarkRHSWorkers(b *testing.B) {
-	counts := []int{1, 2, runtime.NumCPU()}
-	if runtime.NumCPU() <= 2 {
-		counts = counts[:2]
-	}
-	for _, n := range counts {
-		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
-			pool := par.NewPool(n)
-			defer pool.Close()
-			blk := rhsBlock(b, pool)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blk.EvalRHS(0)
-			}
-			nx, ny, nz := 32, 32, 32
-			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(nx*ny*nz)*1e6, "us/gp")
-		})
-	}
-}
-
-// BenchmarkRHSWorkersWeighted measures what cost-weighted tile planning
-// buys the pool on a reacting case with concentrated stiffness (the 32³
-// hot-sphere box): "uniform" runs the plain one-plane decomposition,
-// "weighted" first advances through two cost records so the balancer
-// installs weight profiles — hot planes split, cheap planes merge — then
-// times the identical RHS evaluation over the re-tiled sweeps. Solutions
-// are bitwise identical between the sub-benchmarks (the partition layer's
-// determinism contract); only the tile shapes — and the us/gp — move.
-func BenchmarkRHSWorkersWeighted(b *testing.B) {
-	workers := runtime.NumCPU()
-	if workers > 4 {
-		workers = 4
-	}
-	for _, mode := range []string{"uniform", "weighted"} {
-		b.Run(fmt.Sprintf("workers=%d/%s", workers, mode), func(b *testing.B) {
-			pool := par.NewPool(workers)
-			defer pool.Close()
-			blk := rhsBlock(b, pool)
-			c := cost.NewCollector(2)
-			c.Enable()
-			blk.InstallCost(c)
-			if mode == "weighted" {
-				if err := blk.InstallLoadBalance(2, 0.10, 0.05); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Two record cycles: the first installs the profile, the second
-			// confirms it under hysteresis. The uniform side advances the
-			// same steps so both benchmarks time the identical state.
-			blk.Advance(4, 0.4*blk.AcousticDt())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blk.EvalRHS(0)
-			}
-			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(32*32*32)*1e6, "us/gp")
-		})
-	}
-}
-
-// BenchmarkAssembleFluxesFused times the fused flux-assembly kernel alone:
-// one pass per tile over all gradient fields with per-worker enthalpy
-// scratch (the satellite optimisation riding on the tile refactor).
-func BenchmarkAssembleFluxesFused(b *testing.B) {
-	pool := par.NewPool(1)
-	defer pool.Close()
-	blk := rhsBlock(b, pool)
-	blk.PrepareAssembleInputs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blk.AssembleFluxesOnly()
-	}
-	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(32*32*32)*1e6, "us/gp")
-}
-
-// --- Registry-backed field arena (DESIGN.md, "Field storage & registry") ---
-
-// BenchmarkRKUpdateBank times one RK46NL stage update over the conserved
-// bank: with Q, dQ and rhs carved as contiguous per-register runs of the
-// FieldSet arena, the update is nvar stride-1 sweeps over full storage
-// (ghosts included — rhs ghosts are identically zero, so dQ and Q ghosts
-// never move; see step.go).
-func BenchmarkRKUpdateBank(b *testing.B) {
-	pool := par.NewPool(1)
-	defer pool.Close()
-	blk := rhsBlock(b, pool)
-	blk.EvalRHS(0) // populate rhs so the sweep runs over live data
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blk.RKUpdateBankOnly(1e-9)
-	}
-	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(32*32*32)*1e6, "us/gp")
-}
-
-// BenchmarkHaloPackGroup times packing one ghost-depth face slab of a
-// registry halo group into the reusable exchange buffer — the pack kernel
-// behind each neighbour message, with the field list resolved through the
-// registry groups instead of a hand-built slice.
-func BenchmarkHaloPackGroup(b *testing.B) {
-	pool := par.NewPool(1)
-	defer pool.Close()
-	blk := rhsBlock(b, pool)
-	for _, group := range []string{"conserved", "flux"} {
-		b.Run(group, func(b *testing.B) {
-			floats := 0
-			for i := 0; i < b.N; i++ {
-				floats = blk.PackHaloGroupOnly(group, 0)
-			}
-			b.ReportMetric(float64(floats)*8/1024, "kB/msg")
-			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*floats)*1e9, "ns/float")
-		})
-	}
 }
 
 // --- §2.6 numerics order ---
@@ -838,27 +719,6 @@ func BenchmarkCostOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := on.SubscribeCost(func(CostRecord) {}); err != nil {
-			b.Fatal(err)
-		}
-		return off, on.Advance, nil
-	})
-}
-
-// BenchmarkLBOverhead measures the dynamic load balancer — the cost
-// sampler it rides on at a re-plan cadence of 4, the per-record profile
-// fold and plan derivation, and the weighted-partition execution of the
-// chemistry and flux-assembly sweeps — against an uninstrumented run of
-// the same problem, held to the same 2% budget as the observability
-// layers (methodology: benchCPUOverhead). The serial balancer is pure
-// re-tiling: the bundle path never arms without a cartesian communicator.
-// Between records the per-step cost is the sampler's nil check plus one
-// atomic load, and a weighted sweep's partition is cached on (box,
-// weights) — re-derived only when a re-plan actually changes the profile.
-func BenchmarkLBOverhead(b *testing.B) {
-	benchCPUOverhead(b, "load-balance", func() (*Simulation, func(int, float64), func()) {
-		off, _ := newLiftedBenchSim(b)
-		on, _ := newLiftedBenchSim(b)
-		if err := on.EnableLoadBalance(LoadBalanceSpec{Every: 4}); err != nil {
 			b.Fatal(err)
 		}
 		return off, on.Advance, nil

@@ -28,7 +28,6 @@ func TestBunsenSmoke(t *testing.T) {
 		"-analysis", at("analysis.jsonl"), "-analysis-every", "2",
 		"-cost", at("cost.jsonl"), "-cost-every", "2",
 		"-critpath", at("critpath.jsonl"), "-critpath-every", "2",
-		"-lb", "-lb-every", "2",
 	}
 	main()
 
@@ -48,7 +47,7 @@ func TestBunsenSmoke(t *testing.T) {
 		if got := recs[0].Run.Case; got != "bunsen-"+id {
 			t.Fatalf("case %s: run_start names case %q", id, got)
 		}
-		if cfg := recs[0].Run.Config; cfg["health"] != "on" || cfg["critpath_every"] != "2" || cfg["lb_every"] != "2" {
+		if cfg := recs[0].Run.Config; cfg["health"] != "on" || cfg["critpath_every"] != "2" {
 			t.Fatalf("case %s: run_start manifest does not name what was armed: %v", id, cfg)
 		}
 

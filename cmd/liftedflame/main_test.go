@@ -28,7 +28,6 @@ func TestLiftedFlameSmoke(t *testing.T) {
 		"-analysis", at("analysis.jsonl"), "-analysis-every", "2",
 		"-cost", at("cost.jsonl"), "-cost-every", "2",
 		"-critpath", at("critpath.jsonl"), "-critpath-every", "2",
-		"-lb", "-lb-every", "2",
 	}
 	main()
 
@@ -47,7 +46,7 @@ func TestLiftedFlameSmoke(t *testing.T) {
 	cfg := recs[0].Run.Config
 	for k, want := range map[string]string{
 		"health": "on", "profile": "on", "steps": "4",
-		"analysis_every": "2", "cost_every": "2", "critpath_every": "2", "lb_every": "2",
+		"analysis_every": "2", "cost_every": "2", "critpath_every": "2",
 		"vexp": vexp.Kernel(),
 	} {
 		if cfg[k] != want {

@@ -58,8 +58,8 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.nz, "nz", 1, "spanwise grid points")
 	fs.IntVar(&o.steps, "steps", 100, "time steps")
 	fs.StringVar(&o.ranks, "ranks", "", "decomposition as PXxPYxPZ (empty = serial)")
-	fs.IntVar(&o.ckptEvery, "checkpoint", 0, "write an SDF checkpoint every N steps (0: off)")
-	fs.StringVar(&o.resume, "resume", "", "restart file to resume from (bit-exact continuation)")
+	fs.IntVar(&o.ckptEvery, "checkpoint", 0, "write an SDF checkpoint every N steps (0: off; serial runs only)")
+	fs.StringVar(&o.resume, "resume", "", "restart file to resume from (bit-exact continuation; serial runs only)")
 	fs.StringVar(&o.outDir, "out", "out_s3d", "output directory")
 	fs.BoolVar(&o.perfReport, "perf-report", false, "print the per-region timer breakdown at exit")
 	fs.IntVar(&o.injectNaN, "inject-nan", 0, "plant a NaN in the conserved energy at the start of step N (watchdog test hook; implies -health)")
@@ -77,11 +77,9 @@ func main() {
 	if o.injectNaN > 0 {
 		o.Health = true
 	}
-	var dims [3]int
-	if o.ranks != "" {
-		if n, err := fmt.Sscanf(strings.ToLower(o.ranks), "%dx%dx%d", &dims[0], &dims[1], &dims[2]); n != 3 || err != nil {
-			log.Fatalf("bad -ranks %q (want e.g. 2x2x1)", o.ranks)
-		}
+	dims, err := o.decomposition()
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 		log.Fatal(err)
@@ -172,6 +170,25 @@ func main() {
 				s3d.Workers(), sim.PoolPerfTimers().Report())
 		}
 	}
+}
+
+// decomposition parses -ranks (zero dims when serial) and rejects the flags
+// a decomposed run would silently ignore: runDecomposed writes no restart
+// files and always starts from the initial condition.
+func (o *options) decomposition() (dims [3]int, err error) {
+	if o.ranks == "" {
+		return dims, nil
+	}
+	if n, err := fmt.Sscanf(strings.ToLower(o.ranks), "%dx%dx%d", &dims[0], &dims[1], &dims[2]); n != 3 || err != nil {
+		return dims, fmt.Errorf("bad -ranks %q (want e.g. 2x2x1)", o.ranks)
+	}
+	if o.ckptEvery > 0 {
+		return dims, errors.New("-checkpoint is not supported with -ranks: decomposed runs write no restart files")
+	}
+	if o.resume != "" {
+		return dims, errors.New("-resume is not supported with -ranks: decomposed runs start from the initial condition")
+	}
+	return dims, nil
 }
 
 func writeAndRecord(ckpt *checkpointer, sim *s3d.Simulation, h *s3d.Armed) {
@@ -268,10 +285,6 @@ func runDecomposed(prob *s3d.Problem, o *options, dims [3]int, run *s3d.Session)
 		}
 		lo, hi, _ := r.MinMax("T")
 		fmt.Printf("rank %d offset %v: T=[%.0f,%.0f]\n", r.Rank, r.Offset, lo, hi)
-		if o.LB {
-			exp, imp := r.LoadBalanceStats()
-			fmt.Printf("rank %d load balance: exported %d imported %d cells\n", r.Rank, exp, imp)
-		}
 		if o.perfReport {
 			mu.Lock()
 			agg.Merge(r.PerfTimers().Snapshot())

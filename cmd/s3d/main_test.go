@@ -2,14 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/s3dgo/s3d"
-	"github.com/s3dgo/s3d/internal/cost"
 	"github.com/s3dgo/s3d/internal/health"
 )
 
@@ -119,6 +121,10 @@ func TestProfileSmoke(t *testing.T) {
 // slabs the contamination crosses the halo within the trip step, so both
 // ranks may report a local fault — the test does not assume rank 0 sees a
 // "remote" violation, only that both terminate cleanly with bundles.
+//
+// check.sh's race pass (go test -race ./...) makes this the health gate: a
+// forced mid-run NaN must end in a structured violation and a clean exit on
+// every rank — no panic, no deadlocked neighbour, no leaked goroutine.
 func TestHealthSmoke(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out")
@@ -191,6 +197,8 @@ func TestHealthSmoke(t *testing.T) {
 // late-sender waits, and the Chrome-trace overlay must be written. The
 // straggle is large (25 ms × 6 stages per step) so it dominates real
 // compute even on a single-CPU box where the rank goroutines time-slice.
+// check.sh's race pass runs it too: the injected straggler must be blamed
+// end to end with the detector on.
 func TestCritPathSmoke(t *testing.T) {
 	dir := t.TempDir()
 	cpath := filepath.Join(dir, "critpath.jsonl")
@@ -289,80 +297,46 @@ func TestAnalysisSmoke(t *testing.T) {
 	}
 }
 
-// TestLoadBalanceSmoke drives the real CLI on a 4-rank igniting lifted jet
-// with a straggler and dynamic load balancing, and validates the effect in
-// the deterministic cost stream. The §6.2 downstream ignition kernel makes
-// the chemistry genuinely lopsided on a 4x1x1 decomposition: the first
-// record captures the unbalanced one-plane tiles; once the balancer has
-// re-tiled from that record the chemistry tile imbalance must collapse.
-// RankTotals stay owner-attributed (they measure where the cost lives, not
-// who computed it — the balancer's feedback must not self-correct), so the
-// cross-rank effect is checked through the deterministic sharing plan every
-// rank derives from the record: post-transfer effective totals must land
-// within the balancer's slack of uniform.
-func TestLoadBalanceSmoke(t *testing.T) {
-	dir := t.TempDir()
-	cpath := filepath.Join(dir, "cost.jsonl")
-	os.Args = []string{"s3d",
-		"-problem", "liftedjet", "-nx", "48", "-ny", "24", "-nz", "1",
-		"-steps", "4", "-ranks", "4x1x1", "-workers", "2",
-		"-out", filepath.Join(dir, "out"),
-		"-cost", cpath, "-cost-every", "2",
-		"-lb", "-lb-every", "2",
-		"-straggle", "10ms",
+// TestRanksRejectsCheckpointAndResume: a decomposed run writes no restart
+// files and cannot resume from one, so -ranks with -checkpoint or -resume is
+// refused at flag-parse time — before the output directory exists — with an
+// error naming both flags, instead of being silently ignored. The test
+// re-executes itself as the CLI to see the exit status.
+func TestRanksRejectsCheckpointAndResume(t *testing.T) {
+	if args := os.Getenv("S3D_TEST_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"s3d"}, strings.Fields(args)...)
+		main()
+		return
 	}
-	main()
-
-	recs, err := s3d.ReadCost(cpath)
+	self, err := os.Executable() // os.Args[0] is rewritten by the tests above
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 { // steps 2 and 4 at cadence 2
-		t.Fatalf("got %d cost records, want 2", len(recs))
-	}
-	chemImb := func(rec s3d.CostRecord) float64 {
-		for _, ks := range rec.Kernels {
-			if ks.Kernel == "REACTION_RATE_BOUNDS" {
-				return ks.Imbalance
-			}
+	for _, extra := range []string{"-checkpoint 5", "-resume x.sdf"} {
+		out := filepath.Join(t.TempDir(), "out")
+		cmd := exec.Command(self, "-test.run", "^TestRanksRejectsCheckpointAndResume$")
+		cmd.Env = append(os.Environ(), "S3D_TEST_MAIN_ARGS=-problem box -nx 24 -ny 16 -steps 2 -ranks 2x1x1 "+extra+" -out "+out)
+		msg, err := cmd.CombinedOutput()
+		if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) {
+			t.Fatalf("-ranks 2x1x1 %s: err %v, want a non-zero exit\n%s", extra, err, msg)
 		}
-		t.Fatalf("record %d has no chemistry kernel", rec.Step)
-		return 0
-	}
-	// Tile-level: the weighted re-tiling installed from record 1 must show
-	// up in record 2 as a collapsed per-tile spread.
-	before, after := chemImb(recs[0]), chemImb(recs[1])
-	if before < 1.5 {
-		t.Fatalf("unbalanced chemistry tile imbalance = %.3g, want the ignition kernel to make it > 1.5", before)
-	}
-	if after >= 0.5*before {
-		t.Fatalf("re-tiling did not collapse tile imbalance: %.3g -> %.3g", before, after)
-	}
-	// Rank-level: the raw decomposition is badly imbalanced, and the
-	// deterministic sharing plan (what every rank executes) must bring the
-	// effective per-rank work within 1.3x of the mean.
-	last := recs[1]
-	if last.RankImbalance < 1.5 {
-		t.Fatalf("raw rank imbalance = %.3g, want > 1.5 on the igniting 4-rank jet", last.RankImbalance)
-	}
-	eff := append([]float64(nil), last.RankTotals...)
-	transfers := cost.PlanSharing(last.RankTotals, 0.05) // the installed default slack
-	if len(transfers) == 0 {
-		t.Fatal("sharing plan is empty on an imbalanced record")
-	}
-	for _, tr := range transfers {
-		eff[tr.From] -= tr.Work
-		eff[tr.To] += tr.Work
-	}
-	var max, sum float64
-	for _, v := range eff {
-		sum += v
-		if v > max {
-			max = v
+		flagName := strings.Fields(extra)[0]
+		if !strings.Contains(string(msg), flagName+" is not supported with -ranks") {
+			t.Fatalf("-ranks 2x1x1 %s: message does not name the combination:\n%s", extra, msg)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("-ranks 2x1x1 %s: output directory was created before the refusal (stat err %v)", extra, err)
 		}
 	}
-	effImb := max / (sum / float64(len(eff)))
-	if effImb > 1.3 {
-		t.Fatalf("post-transfer effective rank imbalance = %.3g, want <= 1.3 (raw %.3g)", effImb, last.RankImbalance)
+	// The same flags stay legal on their own.
+	for _, args := range [][]string{{"-ranks", "2x1x1"}, {"-checkpoint", "5", "-resume", "x.sdf"}} {
+		fs := flag.NewFlagSet("s3d", flag.ContinueOnError)
+		o := bindFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.decomposition(); err != nil {
+			t.Fatalf("%v refused: %v", args, err)
+		}
 	}
 }

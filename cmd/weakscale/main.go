@@ -8,9 +8,12 @@
 //	          50×50×40 block (-balance);
 //	measured: the figure-3 companion from a real run (-measured) — a small
 //	          decomposed reacting lifted-jet DNS with the spatial cost
-//	          sampler on, reporting each kernel's tile-cost imbalance with
-//	          the greedy re-tiling what-if, and each rank's chemistry load
-//	          with the rebalancing headroom (results/fig3_balance.csv).
+//	          sampler on, reporting each kernel's proxy tile-cost imbalance
+//	          with the greedy re-tiling what-if, and each rank's modelled
+//	          chemistry substep demand with the rebalancing headroom
+//	          (results/fig3_balance.csv). The chemistry rows are a proxy —
+//	          the substep demand of an adaptive stiff integrator this
+//	          solver does not run — not measured load.
 //
 // Output is a CSV-like table on stdout.
 package main
@@ -20,17 +23,15 @@ import (
 	"fmt"
 	"log"
 	"sort"
-	"sync"
 
 	"github.com/s3dgo/s3d"
-	"github.com/s3dgo/s3d/internal/cost"
 	"github.com/s3dgo/s3d/internal/perf"
 )
 
 func main() {
 	breakdown := flag.Bool("breakdown", false, "print the figure-2 region breakdown")
 	balance := flag.Bool("balance", false, "print the figure-3 hybrid balance curve")
-	measured := flag.Bool("measured", false, "run a small decomposed reacting DNS with cost maps and print the measured load-balance table")
+	measured := flag.Bool("measured", false, "run a small decomposed reacting DNS with cost maps and print the proxy load-balance table")
 	steps := flag.Int("steps", 30, "time steps for the -measured run")
 	flag.Parse()
 
@@ -89,15 +90,13 @@ func printBalance() {
 	fmt.Printf("0.46,%.2f  # paper predicts 61 µs\n", at[0].CostPerGP*1e6)
 }
 
-// printMeasured is the figure-3 companion measured from a real run: a
-// decomposed reacting lifted-jet DNS with the spatial cost sampler enabled
-// and the dynamic load balancer on. The first deterministic record (before
-// any weighted re-tiling takes effect) yields each kernel's tile-cost
-// imbalance (with the greedy re-tiling what-if) and each rank's chemistry
-// load; the closing dlb block compares it against the final record to show
-// what cost-weighted tiling and cross-rank work-sharing recover. The
-// rebalance line is the measured analogue of the figure-3 claim: how much
-// the step would shrink if work were spread evenly.
+// printMeasured is the figure-3 companion from a real run: a decomposed
+// reacting lifted-jet DNS with the spatial cost sampler enabled. Its first
+// deterministic record yields each kernel's tile-cost imbalance (with the
+// greedy re-tiling what-if) and each rank's chemistry proxy total. Every
+// chemistry number is the modelled substep demand, not a timing: the
+// rebalance line says how much an integrator with that demand would gain
+// from spreading it evenly (DESIGN.md, "Why there is no dynamic balancer").
 func printMeasured(steps int) {
 	const nx, ny = 48, 32
 	dims := [3]int{2, 2, 1}
@@ -111,61 +110,43 @@ func printMeasured(steps int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var (
-		mu          sync.Mutex
-		first, last *s3d.CostRecord
-		exported    int64
-		imported    int64
-	)
+	var first *s3d.CostRecord // written on rank 0's goroutine, read after the run
 	err = s3d.RunDecomposed(prob.Config, dims, func(r *s3d.RankSim) {
 		r.SetInitial(prob.Initial, prob.InitPressure)
 		// Collective: every rank enables the identical cadence; rank 0 keeps
-		// the first and final records — the ordered fold makes every rank's
-		// copy bitwise identical anyway. The balancer re-plans at the same
-		// cadence, so the first record is the unweighted baseline and the
-		// final one reflects the re-tiled sweep.
+		// the first record — the ordered fold makes every rank's copy
+		// bitwise identical anyway.
 		if _, err := r.EnableCostMaps(s3d.CostSpec{Every: cadence}); err != nil {
-			panic(err)
-		}
-		if err := r.EnableLoadBalance(s3d.LoadBalanceSpec{Every: cadence}); err != nil {
 			panic(err)
 		}
 		if r.Rank == 0 {
 			if err := r.SubscribeCost(func(rec s3d.CostRecord) {
-				mu.Lock()
 				if first == nil {
 					first = &rec
 				}
-				cp := rec
-				last = &cp
-				mu.Unlock()
 			}); err != nil {
 				panic(err)
 			}
 		}
 		dt := 0.4 * r.StableDtGlobal()
 		r.Advance(steps, dt)
-		exp, imp := r.LoadBalanceStats()
-		mu.Lock()
-		exported += exp
-		imported += imp
-		mu.Unlock()
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if first == nil || last == nil {
+	if first == nil {
 		log.Fatal("weakscale: the cost sampler produced no record")
 	}
-	fmt.Printf("# Measured load balance: lifted H2/air jet, %dx%dx1 grid, %dx%dx%d ranks, step %d\n",
+	fmt.Printf("# Proxy load balance: lifted H2/air jet, %dx%dx1 grid, %dx%dx%d ranks, step %d\n",
 		nx, ny, dims[0], dims[1], dims[2], first.Step)
-	fmt.Println("# (deterministic chemistry-proxy cost maps; see README.md \"Cost maps & load balance\")")
-	fmt.Println("kernel,tiles,imbalance,whatif_workers,whatif_reduction")
+	fmt.Println("# (modelled chemistry substep demand, one unit per cell elsewhere — not measured load;")
+	fmt.Println("# see README.md \"Cost maps\")")
+	fmt.Println("kernel,tiles,proxy_imbalance,whatif_workers,whatif_reduction")
 	for _, k := range first.Kernels {
 		fmt.Printf("%s,%d,%.4f,%d,%.4f\n",
 			k.Kernel, k.Tiles, k.Imbalance, k.WhatIf.Workers, k.WhatIf.Reduction)
 	}
-	fmt.Println("rank,chem_cost,share")
+	fmt.Println("rank,chem_proxy,share")
 	var total float64
 	for _, v := range first.RankTotals {
 		total += v
@@ -177,9 +158,9 @@ func printMeasured(steps int) {
 		}
 		fmt.Printf("%d,%.0f,%.4f\n", r, v, share)
 	}
-	// The figure-3 analogue: the step currently waits for the most loaded
-	// rank; perfect rebalancing would cut the chemistry makespan by
-	// 1 − mean/max.
+	// The figure-3 analogue: an integrator paying the proxy would wait for
+	// the most loaded rank; perfect rebalancing would cut its chemistry
+	// makespan by 1 − mean/max.
 	maxRank := 0.0
 	for _, v := range first.RankTotals {
 		if v > maxRank {
@@ -191,55 +172,7 @@ func printMeasured(steps int) {
 	if maxRank > 0 {
 		headroom = 1 - mean/maxRank
 	}
-	fmt.Printf("rank_imbalance,%.4f\n", first.RankImbalance)
-	fmt.Printf("straggler_rank,%d\n", first.Straggler)
-	fmt.Printf("rebalance_headroom,%.4f  # predicted chemistry makespan cut from even redistribution\n", headroom)
-
-	// The dlb block: the same run had the dynamic load balancer on, so the
-	// final record reflects the cost-weighted re-tiling, and the deterministic
-	// sharing plan over its per-rank totals gives the effective cross-rank
-	// imbalance after the work-sharing transfers land (per-rank totals stay
-	// owner-attributed by design, so the raw record can't show the drop).
-	preChem := chemStat(first)
-	postChem := chemStat(last)
-	fmt.Println("# Dynamic load balancing: chem tile imbalance before/after weighted")
-	fmt.Println("# re-tiling, and effective rank imbalance after cross-rank sharing")
-	fmt.Println("dlb,step,chem_tiles,chem_tile_imbalance,rank_imbalance")
-	fmt.Printf("pre,%d,%d,%.4f,%.4f\n", first.Step, preChem.Tiles, preChem.Imbalance, first.RankImbalance)
-	fmt.Printf("post,%d,%d,%.4f,%.4f\n", last.Step, postChem.Tiles, postChem.Imbalance, effectiveImbalance(last.RankTotals))
-	fmt.Printf("dlb_cells_shared,%d  # cross-rank bundle cells exported==imported: %v\n",
-		exported, exported == imported)
-}
-
-// chemStat finds the chemistry kernel's tile statistics in a record.
-func chemStat(rec *s3d.CostRecord) cost.KernelStat {
-	for _, k := range rec.Kernels {
-		if k.Kernel == cost.ChemKernel {
-			return k
-		}
-	}
-	return cost.KernelStat{}
-}
-
-// effectiveImbalance applies the deterministic work-sharing plan the balancer
-// executes to a record's per-rank chemistry totals and reports the resulting
-// max/mean — the cross-rank imbalance the step actually waits on.
-func effectiveImbalance(totals []float64) float64 {
-	eff := append([]float64(nil), totals...)
-	for _, tr := range cost.PlanSharing(totals, 0.05) {
-		eff[tr.From] -= tr.Work
-		eff[tr.To] += tr.Work
-	}
-	var sum, max float64
-	for _, v := range eff {
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	mean := sum / float64(len(eff))
-	if mean <= 0 {
-		return 1
-	}
-	return max / mean
+	fmt.Printf("proxy_rank_imbalance,%.4f\n", first.RankImbalance)
+	fmt.Printf("proxy_straggler_rank,%d\n", first.Straggler)
+	fmt.Printf("rebalance_headroom,%.4f  # modelled chemistry makespan cut from even redistribution\n", headroom)
 }

@@ -2,7 +2,9 @@ package s3d
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -15,60 +17,69 @@ import (
 	"github.com/s3dgo/s3d/internal/cost"
 )
 
-// runCostDecomposed runs a 2x1x1 decomposed reacting lifted jet with the
-// cost sampler enabled on every rank and the store subscribed on rank 0,
-// returning the cost.jsonl path and rank 0's final cost_chem / cost_density
-// maps.
-func runCostDecomposed(t *testing.T, workers int) (string, []float64, []float64) {
+// runCost advances a reacting nx×ny×1 NSCBC lifted jet, serially (zero dims)
+// or decomposed, with the cost sampler enabled at the given cadence on every
+// rank and the store subscribed on rank 0. It returns the cost.jsonl path,
+// rank 0's final cost_chem / cost_density maps and every rank's final
+// checkpoint bytes concatenated in rank order.
+func runCost(t *testing.T, nx, ny int, dims [3]int, every, steps, workers int) (path string, chem, dens []float64, ckpt []byte) {
 	t.Helper()
 	SetWorkers(workers)
 	defer SetWorkers(0) // restore the NumCPU default for other tests
-	p, err := LiftedJetProblem(LiftedJetOptions{Nx: 32, Ny: 24, Nz: 1, IgnitionKernel: true, Seed: 3})
+	p, err := LiftedJetProblem(LiftedJetOptions{Nx: nx, Ny: ny, Nz: 1, IgnitionKernel: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "cost.jsonl")
-	var (
-		mu         sync.Mutex
-		chem, dens []float64
-	)
-	err = RunDecomposed(p.Config, [3]int{2, 1, 1}, func(r *RankSim) {
-		r.SetInitial(p.Initial, p.InitPressure)
+	path = filepath.Join(t.TempDir(), "cost.jsonl")
+	var mu sync.Mutex
+	ckpts := map[int][]byte{}
+	runCase(t, p, dims, func(sim *Simulation, rank, _ int) {
 		// Every rank enables the identical cadence: the reduction is
 		// collective.
-		if _, err := r.EnableCostMaps(CostSpec{Every: 2}); err != nil {
+		if _, err := sim.EnableCostMaps(CostSpec{Every: every}); err != nil {
 			panic(err)
 		}
-		if r.Rank == 0 {
+		if rank == 0 {
 			st, err := NewCostStore(path)
 			if err != nil {
 				panic(err)
 			}
 			defer st.Close()
-			if err := r.SubscribeCost(st.Sink()); err != nil {
+			if err := sim.SubscribeCost(st.Sink()); err != nil {
 				panic(err)
 			}
 		}
-		dt := 0.4 * r.StableDtGlobal()
-		r.Advance(4, dt)
-		if r.Rank == 0 {
-			c, _, err := r.Field("cost_chem")
-			if err != nil {
+		sim.Advance(steps, 0.4*sim.StableDtGlobal())
+		var buf bytes.Buffer
+		if err := sim.SaveCheckpoint(&buf); err != nil {
+			panic(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		ckpts[rank] = buf.Bytes()
+		if rank == 0 {
+			if chem, _, err = sim.Field("cost_chem"); err != nil {
 				panic(err)
 			}
-			d, _, err := r.Field("cost_density")
-			if err != nil {
+			if dens, _, err = sim.Field("cost_density"); err != nil {
 				panic(err)
 			}
-			mu.Lock()
-			chem, dens = c, d
-			mu.Unlock()
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
+	for rank := 0; rank < len(ckpts); rank++ {
+		ckpt = append(ckpt, ckpts[rank]...)
 	}
-	return path, chem, dens
+	return path, chem, dens, ckpt
+}
+
+// costPins are the sha256 of cost.jsonl and of the final checkpoint bytes of
+// a reacting 24×16×1 jet, cost sampler at every step, 9 steps — recorded on
+// the commit before the dynamic load balancer was deleted: taking the
+// weighted partition and cross-rank sharing paths out of the chemistry sweep
+// and the cost reduction may not move a record byte, serial or decomposed.
+var costPins = map[string][2]string{
+	"serial": {"4b6ebe5122ffde82bd3a37c932b384bd6efebad03f7810a7e1894c4c470b9b9c", "94f3de6345314c33a655715b89a962eab4d17d15aebe9c8f1f05371ad4e21f07"},
+	"2x2x1":  {"a459d7ac8e6add57816bfa14785738d7a5ec04c6a568f3a7a6762ba5a03c996d", "b2689f38624117448f3c6813c91d3c6c906bdd24b9be8ff851ceac81a0d7cef5"},
 }
 
 // TestCostBitwiseDeterministicAcrossWorkers pins the determinism contract:
@@ -77,8 +88,25 @@ func runCostDecomposed(t *testing.T, workers int) (string, []float64, []float64)
 // order and folded in ascending rank order — so cost.jsonl and the cost
 // maps must be byte-identical no matter how many workers execute the tiles.
 func TestCostBitwiseDeterministicAcrossWorkers(t *testing.T) {
-	p1, chem1, dens1 := runCostDecomposed(t, 1)
-	p4, chem4, dens4 := runCostDecomposed(t, 4)
+	for _, layout := range []struct {
+		name string
+		dims [3]int
+	}{{"serial", [3]int{}}, {"2x2x1", [3]int{2, 2, 1}}} {
+		for _, workers := range []int{1, 4} {
+			path, _, _, ckpt := runCost(t, 24, 16, layout.dims, 1, 9, workers)
+			records, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [2]string{fmt.Sprintf("%x", sha256.Sum256(records)), fmt.Sprintf("%x", sha256.Sum256(ckpt))}
+			if want := costPins[layout.name]; got != want {
+				t.Errorf("%s, %d workers: cost.jsonl / checkpoint sha256\n got %q\nwant %q", layout.name, workers, got, want)
+			}
+		}
+	}
+
+	p1, chem1, dens1, _ := runCost(t, 32, 24, [3]int{2, 1, 1}, 2, 4, 1)
+	p4, chem4, dens4, _ := runCost(t, 32, 24, [3]int{2, 1, 1}, 2, 4, 4)
 	b1, err := os.ReadFile(p1)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +270,7 @@ func TestCostLiveEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("GET /fields = %d", code)
 	}
-	for _, name := range []string{"cost_chem", "cost_density", "cost_owner"} {
+	for _, name := range []string{"cost_chem", "cost_density"} {
 		if !strings.Contains(fields, name) {
 			t.Fatalf("GET /fields missing %s:\n%s", name, fields)
 		}
@@ -253,7 +281,7 @@ func TestCostLiveEndpoints(t *testing.T) {
 	}
 	seen := 0
 	for _, fi := range inv.Fields {
-		if fi.Name == "cost_chem" || fi.Name == "cost_density" || fi.Name == "cost_owner" {
+		if fi.Name == "cost_chem" || fi.Name == "cost_density" {
 			seen++
 			if fi.Role != "cost" {
 				t.Fatalf("%s role = %q, want cost", fi.Name, fi.Role)
@@ -263,8 +291,8 @@ func TestCostLiveEndpoints(t *testing.T) {
 			}
 		}
 	}
-	if seen != 3 {
-		t.Fatalf("found %d cost fields in the inventory, want 3", seen)
+	if seen != 2 {
+		t.Fatalf("found %d cost fields in the inventory, want 2", seen)
 	}
 }
 

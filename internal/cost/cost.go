@@ -1,17 +1,19 @@
 // Package cost is the spatial cost-attribution and load-imbalance layer:
-// the observability substrate the paper's fig. 3 load-balance study — and
-// the ROADMAP's chemistry dynamic-load-balancing item — both need. It
-// answers "where in the domain does the time go, and what would a better
-// tiling buy?" with two complementary signals:
+// the observability substrate of the paper's fig. 3 load-balance study. It
+// is an observer — nothing in the solver acts on its records (DESIGN.md,
+// "Why there is no dynamic balancer"). It answers "where in the domain does
+// the time go, and what would a better tiling buy?" with two complementary
+// signals:
 //
 //   - A deterministic work proxy. Chemistry dominates S3D's spatially
 //     varying cost, and its stiffness is a pure function of the cell state:
 //     reactor.SubstepRate yields the per-cell substep demand an adaptive
-//     integrator would pay. The solver evaluates it with the species
-//     relative-change limit only (dTdt = 0): it reuses the concentrations
-//     and production rates the RHS sweep already holds, and the trace-
-//     radical species limits dominate the temperature term for stiff
-//     cells anyway. Summed per tile (ordered slots) and folded
+//     integrator would pay — a model: this solver's explicit chemistry
+//     sweep costs the same in every cell. The solver evaluates it with the
+//     species relative-change limit only (dTdt = 0): it reuses the
+//     concentrations and production rates the RHS sweep already holds, and
+//     the trace-radical species limits dominate the temperature term for
+//     stiff cells anyway. Summed per tile (ordered slots) and folded
 //     cross-rank in ascending rank order (comm.AllreduceOrdered), the proxy
 //     yields per-kernel imbalance ratios, per-rank straggler attribution and
 //     a greedy re-tiling what-if estimate that are bitwise identical for any
@@ -69,11 +71,6 @@ var Kernels = []string{
 // varying cost to; every other curated kernel is modelled as uniform
 // (cost ∝ cells).
 const ChemKernel = "REACTION_RATE_BOUNDS"
-
-// AssemblyKernel is the fused flux-assembly sweep — the second kernel the
-// load balancer re-tiles (by total work density: uniform base plus the
-// chemistry proxy), since it dominates the non-chemistry step time.
-const AssemblyKernel = "ASSEMBLE_FLUXES"
 
 // MeasuredOnly lists the non-spatial item-sweep labels the measured
 // wall-clock side channel tracks in addition to Kernels. They never enter

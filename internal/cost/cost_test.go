@@ -290,3 +290,23 @@ func TestCollectorLifecycle(t *testing.T) {
 		t.Fatalf("arm did not clear the window: %+v", got)
 	}
 }
+
+func TestMeasuredLabelsLayout(t *testing.T) {
+	labels := MeasuredLabels()
+	if len(labels) != len(Kernels)+len(MeasuredOnly) {
+		t.Fatalf("MeasuredLabels length %d", len(labels))
+	}
+	for i, k := range Kernels {
+		if measuredIndex(k) != i {
+			t.Fatalf("kernel %s at measured index %d, want %d", k, measuredIndex(k), i)
+		}
+	}
+	for i, k := range MeasuredOnly {
+		if measuredIndex(k) != len(Kernels)+i {
+			t.Fatalf("measured-only %s at index %d", k, measuredIndex(k))
+		}
+	}
+	if measuredIndex("NO_SUCH_KERNEL") != -1 {
+		t.Fatal("unknown label has a measured index")
+	}
+}

@@ -12,15 +12,14 @@
 // ranks in the hybrid experiments of figure 3.
 //
 // Two grains, kept apart. The partition of a sweep box — one tile per plane
-// along the slowest splittable axis, or a cost-weighted variant — depends
-// only on the index-space shape (and installed weights), never on the worker
-// count; reductions accumulate per-partition-tile partial sums into ordered
-// slots that are combined in tile order. The scheduling grain is coarser:
-// a plan hands the pool blocks of consecutive partition tiles, about four
-// per worker, and a slot-free kernel body (Run) receives each block as one
-// fat tile of many rows. Kernel bodies compute each point identically
-// whatever tile it arrives in, so the block grouping — the one thing that
-// follows the pool size — cannot reach a result bit.
+// along the slowest splittable axis — depends only on the index-space shape,
+// never on the worker count; reductions accumulate per-partition-tile
+// partial sums into ordered slots that are combined in tile order. The
+// scheduling grain is coarser: a plan hands the pool blocks of consecutive
+// partition tiles, about four per worker, and a slot-free kernel body (Run)
+// receives each block as one fat tile of many rows. Kernel bodies compute
+// each point identically whatever tile it arrives in, so the block grouping
+// — the one thing that follows the pool size — cannot reach a result bit.
 //
 // Determinism contract: solutions and every ordered reduction are bitwise
 // identical for any pool size, which keeps restart files, regression

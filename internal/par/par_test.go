@@ -101,7 +101,7 @@ func TestSweepsCoverBox(t *testing.T) {
 				if frozen >= 0 {
 					continue
 				}
-				seen, idx = make([]int32, cells), make([]int32, pl.Slots("cover", r))
+				seen, idx = make([]int32, cells), make([]int32, pl.Slots(r))
 				if len(idx) != planes {
 					t.Fatalf("Slots(%v) = %d, want %d planes", r, len(idx), planes)
 				}

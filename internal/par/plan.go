@@ -30,9 +30,9 @@ func (r Range) Empty() bool {
 
 // Tile is one unit of kernel work handed to a sweep body: a sub-box of the
 // sweep's Range plus an index. For the slot-grained entry points (RunSlots,
-// RunReduce, RunTiles) Index is the tile's position in the deterministic
-// partition order — the reduction-slot index; for Run/RunFrozen it numbers
-// the scheduled blocks.
+// RunReduce) Index is the tile's position in the deterministic partition
+// order — the reduction-slot index; for Run/RunFrozen it numbers the
+// scheduled blocks.
 type Tile struct {
 	Range
 	Index int
@@ -53,12 +53,6 @@ func splitAxis(r Range, frozen int) int {
 	}
 	return -1
 }
-
-// SweepAxis exposes the plan's tiling-axis choice for a box with no frozen
-// axis: the axis unweighted sweeps split along and weighted partitions
-// index their plane profiles by. Callers building per-plane weight
-// profiles (the solver's load balancer) must aggregate along this axis.
-func SweepAxis(r Range) int { return splitAxis(r, -1) }
 
 // planesOf cuts planes [lo, hi) along axis ax out of r (the whole box when
 // ax is -1) and labels the tile idx.
@@ -117,23 +111,8 @@ type Plan struct {
 	red  []float64 // ordered per-tile reduction slots
 	cost CostProbe
 
-	// weights holds the per-kernel weight profiles installed by SetWeights;
-	// a labelled sweep with a profile executes the weighted Partition
-	// instead of the plane split. Owner-goroutine only.
-	weights map[string]*weightedLabel
-
 	reg      *obs.Registry
 	counters map[string]*obs.Counter // per-kernel tile counters, lazy
-}
-
-// weightedLabel is one kernel's installed weight profile plus its cached
-// partition (recomputed when the sweep box or frozen axis changes).
-type weightedLabel struct {
-	w      []float64
-	budget float64
-	part   *Partition
-	r      Range
-	frozen int
 }
 
 // NewPlan builds a plan over the given pool (nil selects Default()).
@@ -165,51 +144,6 @@ func (pl *Plan) AttachMetrics(reg *obs.Registry) {
 // atomic load per run.
 func (pl *Plan) SetCost(p CostProbe) { pl.cost = p }
 
-// SetWeights installs (or, with an empty profile, removes) a per-plane
-// weight profile for the labelled kernel: its sweeps then execute the
-// cost-weighted Partition, tile by tile, instead of blocks of planes.
-// budget, when positive, is the global target weight per tile (see
-// NewPartition). The profile is copied; the decomposition it produces
-// depends only on (box, frozen axis, profile, budget), so installing the
-// same profile on every rank-local plan keeps reductions bitwise
-// deterministic at any worker count. Owner-goroutine only.
-func (pl *Plan) SetWeights(label string, w []float64, budget float64) {
-	if len(w) == 0 {
-		delete(pl.weights, label)
-		return
-	}
-	if pl.weights == nil {
-		pl.weights = map[string]*weightedLabel{}
-	}
-	pl.weights[label] = &weightedLabel{w: append([]float64(nil), w...), budget: budget}
-}
-
-// HasWeights reports whether the label has an installed weight profile.
-func (pl *Plan) HasWeights(label string) bool {
-	_, ok := pl.weights[label]
-	return ok
-}
-
-// PartitionFor returns the partition a sweep of (label, r, frozen) executes
-// slot by slot: the weighted partition when SetWeights installed a profile
-// for the label, the one-plane split along the split axis otherwise.
-func (pl *Plan) PartitionFor(label string, r Range, frozen int) *Partition {
-	if wl := pl.weights[label]; wl != nil {
-		return pl.partitionOf(wl, r, frozen)
-	}
-	return NewPartition(r, frozen, nil, 0)
-}
-
-// partitionOf returns the label's cached weighted partition, recomputing it
-// when the sweep geometry changed since the profile was installed.
-func (pl *Plan) partitionOf(wl *weightedLabel, r Range, frozen int) *Partition {
-	if wl.part == nil || wl.r != r || wl.frozen != frozen {
-		wl.part = NewPartition(r, frozen, wl.w, wl.budget)
-		wl.r, wl.frozen = r, frozen
-	}
-	return wl.part
-}
-
 // count bumps the kernel's tile counter (no-op without a registry).
 func (pl *Plan) count(label string, tiles int) {
 	if pl.reg == nil {
@@ -226,31 +160,24 @@ func (pl *Plan) count(label string, tiles int) {
 	c.Add(int64(tiles))
 }
 
-// slotsOf resolves the partition a labelled sweep executes without
-// materialising it: the explicit tile list of the label's weighted
-// Partition, else (list == nil) one plane per slot along ax, -1 meaning the
-// box is a single tile. n is the slot count either way.
-func (pl *Plan) slotsOf(label string, r Range, frozen int) (list []Tile, ax, n int) {
-	if wl := pl.weights[label]; wl != nil {
-		if p := pl.partitionOf(wl, r, frozen); p.Weighted() {
-			return p.tiles, -1, p.n
-		}
-	}
+// slotsOf resolves the partition of a sweep box: one plane per slot along
+// ax, or a single tile (ax = -1) when no axis can be split. n is the slot
+// count either way.
+func slotsOf(r Range, frozen int) (ax, n int) {
 	if ax = splitAxis(r, frozen); ax >= 0 {
-		return nil, ax, r.Ext(ax)
+		return ax, r.Ext(ax)
 	}
-	return nil, -1, 1
+	return -1, 1
 }
 
 // Slots returns the number of partition tiles — ordered reduction slots — a
-// RunSlots or RunReduce sweep of r under the label writes: the plane count
-// along the split axis, or the weighted partition's length when SetWeights
-// installed a profile. Callers size their per-slot accumulators with it.
-func (pl *Plan) Slots(label string, r Range) int {
+// RunSlots or RunReduce sweep of r writes: the plane count along the split
+// axis. Callers size their per-slot accumulators with it.
+func (pl *Plan) Slots(r Range) int {
 	if r.Empty() {
 		return 0
 	}
-	_, _, n := pl.slotsOf(label, r, -1)
+	_, n := slotsOf(r, -1)
 	return n
 }
 
@@ -263,12 +190,10 @@ type region struct {
 
 	item func(item, worker int) // RunItems: unit i is item i
 
-	// Tiled sweeps: unit b is block b of nb over the n slots of a partition
-	// — an explicit tile list (a weighted partition, RunTiles) or, with
-	// list nil, the planes of r along ax. perSlot calls tile once per slot;
-	// otherwise a block of planes arrives as one fat tile.
+	// Tiled sweeps: unit b is block b of nb over the n planes of r along ax.
+	// perSlot calls tile once per plane; otherwise a block of planes arrives
+	// as one fat tile.
 	tile    func(t Tile, worker int)
-	list    []Tile
 	r       Range
 	ax      int
 	n, nb   int
@@ -284,16 +209,11 @@ func (rg *region) unit(i, worker int) {
 		rg.item(i, worker)
 	} else {
 		lo, hi := blockSpan(i, rg.nb, rg.n)
-		switch {
-		case rg.list != nil:
-			for s := lo; s < hi; s++ {
-				rg.tile(rg.list[s], worker)
-			}
-		case rg.perSlot:
+		if rg.perSlot {
 			for s := lo; s < hi; s++ {
 				rg.tile(tileOf(rg.r, rg.ax, s), worker)
 			}
-		default:
+		} else {
 			rg.tile(planesOf(rg.r, rg.ax, lo, hi, i), worker)
 		}
 	}
@@ -303,17 +223,12 @@ func (rg *region) unit(i, worker int) {
 }
 
 // box is the index box unit i is labelled with on the profiler timeline
-// (zero for items). For a block of explicit tiles it runs from the first
-// tile's low corner to the last tile's high corner: exact for plane runs, a
-// cross-reference rather than a bounding box across split hot planes.
+// (zero for items).
 func (rg *region) box(i int) Range {
 	if rg.item != nil {
 		return Range{}
 	}
 	lo, hi := blockSpan(i, rg.nb, rg.n)
-	if rg.list != nil {
-		return Range{Lo: rg.list[lo].Lo, Hi: rg.list[hi-1].Hi}
-	}
 	return planesOf(rg.r, rg.ax, lo, hi, i).Range
 }
 
@@ -345,16 +260,14 @@ func (pl *Plan) execute(rg region, units int) {
 // sweep is the body of Run, RunFrozen and RunSlots: it schedules the
 // partition of r as blocks of consecutive slots (blockCount) and calls fn
 // inside each block — once with the block's planes merged into one fat tile
-// (Run on a plane partition), or once per partition tile in ascending order
-// (perSlot, and every weighted partition, whose tiles are not mergeable
-// boxes).
+// (Run), or once per plane in ascending order (perSlot).
 func (pl *Plan) sweep(label string, r Range, frozen int, perSlot bool, fn func(t Tile, worker int)) {
 	if r.Empty() {
 		return
 	}
-	list, ax, n := pl.slotsOf(label, r, frozen)
+	ax, n := slotsOf(r, frozen)
 	nb := blockCount(n, pl.pool.n)
-	pl.execute(region{label: label, tile: fn, list: list, r: r, ax: ax, n: n, nb: nb, perSlot: perSlot}, nb)
+	pl.execute(region{label: label, tile: fn, r: r, ax: ax, n: n, nb: nb, perSlot: perSlot}, nb)
 }
 
 // Run executes fn over r, blocking until every point is covered exactly
@@ -377,26 +290,14 @@ func (pl *Plan) RunFrozen(label string, r Range, frozen int, fn func(t Tile, wor
 }
 
 // RunSlots executes fn once per partition tile of r — one plane along the
-// split axis, or one tile of the label's weighted partition — with
-// Tile.Index the tile's position in the deterministic partition order, in
-// ascending order within each scheduled block. The tile set and its order
-// never depend on the pool size, so per-tile results written to slot
-// Tile.Index (Slots sizes the array) and folded in ascending index order
-// are bitwise identical at any worker count; only the grouping of tiles
-// into scheduled blocks follows the pool.
+// split axis — with Tile.Index the tile's position in the deterministic
+// partition order, in ascending order within each scheduled block. The tile
+// set and its order never depend on the pool size, so per-tile results
+// written to slot Tile.Index (Slots sizes the array) and folded in ascending
+// index order are bitwise identical at any worker count; only the grouping
+// of tiles into scheduled blocks follows the pool.
 func (pl *Plan) RunSlots(label string, r Range, fn func(t Tile, worker int)) {
 	pl.sweep(label, r, -1, true, fn)
-}
-
-// RunTiles executes fn once per tile of an explicit list — the work-sharing
-// donor's retained subset of a partition — scheduled in blocks of
-// consecutive list positions like RunSlots. Tiles keep their original Index,
-// so reduction-slot writes stay aligned with the full partition.
-func (pl *Plan) RunTiles(label string, tiles []Tile, fn func(t Tile, worker int)) {
-	if n := len(tiles); n > 0 {
-		nb := blockCount(n, pl.pool.n)
-		pl.execute(region{label: label, tile: fn, list: tiles, n: n, nb: nb}, nb)
-	}
 }
 
 // RunReduce runs fn once per partition tile of r (RunSlots) and returns the
@@ -406,7 +307,7 @@ func (pl *Plan) RunTiles(label string, tiles []Tile, fn func(t Tile, worker int)
 // count — the property the solver's heat-release integral and conservation
 // diagnostics rely on.
 func (pl *Plan) RunReduce(label string, r Range, fn func(t Tile, worker int) float64) float64 {
-	n := pl.Slots(label, r)
+	n := pl.Slots(r)
 	if cap(pl.red) < n {
 		pl.red = make([]float64, n)
 	}

@@ -25,7 +25,7 @@ func (b *Block) InstallAnalysis(p *insitu.Pipeline) {
 	if p == nil {
 		return
 	}
-	n := b.plan.Slots("ANALYSIS", b.interior())
+	n := b.plan.Slots(b.interior())
 	total := p.TotalSlots()
 	ops := p.Ops()
 	b.aSlots = make([][]float64, n)

@@ -22,18 +22,12 @@ import (
 func (b *Block) InstallCost(c *cost.Collector) {
 	b.costC = c
 	b.cSlots, b.cFold, b.cRegionBase = nil, nil, nil
-	b.cTiles = 0
 	if c == nil {
-		// The balancer cannot outlive its record source: detach it and the
-		// weight profiles it installed.
-		b.lb = nil
-		b.plan.SetWeights(cost.ChemKernel, nil, 0)
-		b.plan.SetWeights(cost.AssemblyKernel, nil, 0)
 		b.plan.SetCost(nil)
 		return
 	}
 	b.plan.SetCost(c)
-	b.cSlots = make([]float64, b.plan.Slots(cost.ChemKernel, b.interior()))
+	b.cSlots = make([]float64, b.plan.Slots(b.interior()))
 	b.cFold = make([]float64, cost.FoldLen(b.Ranks()))
 	b.cRegionBase = make([]float64, len(cost.MeasuredLabels()))
 }
@@ -84,7 +78,7 @@ func (b *Block) costStep() {
 	c := b.costC
 	reg := b.beginRegion("COST")
 	r := b.interior()
-	n := b.plan.Slots("COST", r) // the unweighted plane count
+	n := b.plan.Slots(r)
 
 	// cost_density: the per-cell total work proxy. Each uniform kernel
 	// contributes one unit per cell; chemistry contributes its substep
@@ -100,43 +94,26 @@ func (b *Block) costStep() {
 		}
 	})
 
-	// Canonical per-kernel tile costs: the chemistry kernel carries the
-	// per-tile proxy sums over its current partition (ascending tile order —
-	// the slots were written by disjoint tiles); every other curated kernel
-	// is modelled as uniform, one unit per swept cell, so its per-tile cost
-	// is its tile cell count — equal plane tiles on the unweighted split,
-	// the partition's variable extents when the balancer re-tiled it.
-	nChem := b.cTiles
-	if nChem <= 0 || nChem > len(b.cSlots) {
-		nChem = n // inert runs: chemSource never sized the partition
+	// Canonical per-kernel tile costs over the plane partition: the
+	// chemistry kernel carries the per-tile proxy sums (ascending tile order
+	// — the slots were written by disjoint tiles; all zero on inert runs);
+	// every other curated kernel is modelled as uniform, one unit per swept
+	// cell, so its per-tile cost is the cell count of a plane.
+	cellsPerTile := float64(r.Ext(0)*r.Ext(1)*r.Ext(2)) / float64(n)
+	uniform := make([]float64, n)
+	for i := range uniform {
+		uniform[i] = cellsPerTile
 	}
-	chemCosts := append([]float64(nil), b.cSlots[:nChem]...)
-	var uniform []float64
 	tileCosts := make(map[string][]float64, len(cost.Kernels))
 	for _, k := range cost.Kernels {
-		switch {
-		case k == cost.ChemKernel:
-			tileCosts[k] = chemCosts
-		case b.plan.HasWeights(k):
-			p := b.plan.PartitionFor(k, r, -1)
-			v := make([]float64, p.Len())
-			for i := range v {
-				v[i] = float64(p.Cells(i))
-			}
-			tileCosts[k] = v
-		default:
-			if uniform == nil {
-				cellsPerTile := float64(r.Ext(0)*r.Ext(1)*r.Ext(2)) / float64(n)
-				uniform = make([]float64, n)
-				for i := range uniform {
-					uniform[i] = cellsPerTile
-				}
-			}
-			tileCosts[k] = uniform
+		costs := uniform
+		if k == cost.ChemKernel {
+			costs = b.cSlots
 		}
+		tileCosts[k] = costs
 	}
 	var chemTotal float64
-	for _, v := range chemCosts {
+	for _, v := range b.cSlots {
 		chemTotal += v
 	}
 
@@ -155,9 +132,5 @@ func (b *Block) costStep() {
 	c.SnapshotMeasured(b.costRegionDeltas())
 	c.Arm(false)
 	c.Publish(rec)
-	// Feed the balancer last: every rank holds the identical record, so the
-	// weight profiles and the sharing assignment it derives are identical
-	// too — the next final-stage exchange needs no negotiation.
-	b.lbPlan(&rec)
 	reg.End()
 }

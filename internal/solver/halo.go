@@ -70,8 +70,8 @@ func (b *Block) exchangeHalos(fields haloLists, tagBase int) {
 // PackHaloGroupOnly serialises the low-face ghost-depth slab of what the
 // exchange of a registry halo group ("conserved" or "flux") sends along axis
 // a into the reusable halo buffer and returns the packed float count — the
-// benchmark hook behind BenchmarkHaloPackGroup, timing exactly the pack
-// kernel of one exchange message.
+// benchmark hook behind benchmark/'s solver.halo_pack_ns_per_float.*, timing
+// exactly the pack kernel of one exchange message.
 func (b *Block) PackHaloGroupOnly(group string, a int) int {
 	fields := b.haloQ[a]
 	if group == haloGroupFlux {

@@ -46,7 +46,7 @@ func (b *Block) InstallWatchdog(w *health.Watchdog) {
 		return
 	}
 	b.hMin = b.G.MinSpacing()
-	b.hSlots = make([]hAcc, b.plan.Slots("HEALTH", b.interior()))
+	b.hSlots = make([]hAcc, b.plan.Slots(b.interior()))
 	maxN := w.Config().SliceMax
 	w.SetSliceSource(func() health.Slice { return b.healthSlice(maxN) })
 }

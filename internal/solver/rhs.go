@@ -45,7 +45,8 @@ func (b *Block) computeRHS(t float64) {
 }
 
 // EvalRHS runs one full right-hand-side evaluation at simulation time t
-// (benchmark hook: BenchmarkRHSWorkers times exactly what an RK stage costs).
+// (benchmark hook: benchmark/'s solver.rhs_us_per_gp times exactly what an RK
+// stage costs).
 func (b *Block) EvalRHS(t float64) { b.computeRHS(t) }
 
 // lohi returns the derivative closures for an axis.
@@ -272,23 +273,6 @@ func (b *Block) chemSource() {
 	// pure function of the state, bitwise reproducible at any worker count,
 	// written to the cost_chem map and summed into ordered per-tile slots.
 	doCost := b.collectCost
-	if doCost {
-		// The partition can hold more tiles than the one-plane split (hot
-		// planes split along a secondary axis): size the ordered slots to it.
-		n := b.plan.Slots(cost.ChemKernel, b.interior())
-		if n > len(b.cSlots) {
-			b.cSlots = make([]float64, n)
-		}
-		b.cTiles = n
-	}
-	if b.lbShare && b.lb != nil && (len(b.lb.exports) > 0 || len(b.lb.imports) > 0) {
-		b.chemSourceShared()
-		return
-	}
-	if doCost && b.lb != nil {
-		// Owner attribution: everything was computed locally this stage.
-		b.lbFillOwner(nil)
-	}
 	// The slot-writing stages (heat-release fold, cost proxy) sweep partition
 	// tile by partition tile; every other stage takes the plan's fat tiles.
 	switch {
@@ -314,9 +298,7 @@ func (b *Block) chemSource() {
 
 // chemTileSweep evaluates the chemistry kernel over one tile: production
 // rates added to the species equations, plus (flagged) the heat-release
-// integrand sum and the substep-proxy sum with its cost_chem writes. The
-// per-cell arithmetic and the k-j-i accumulation order are the bitwise
-// contract the work-sharing reply path reproduces remotely.
+// integrand sum and the substep-proxy sum with its cost_chem writes.
 func (b *Block) chemTileSweep(t par.Tile, worker int, collect, doCost bool) (hrr, tileCost float64) {
 	ns := b.ns
 	species := b.mech.Set.Species

@@ -303,19 +303,10 @@ type Block struct {
 	costDue     bool      // this step ends in a cost reduction
 	collectCost bool      // true during the final RK stage of a due step
 	costDt      float64   // dt of the step being sampled (substep conversion)
-	cTiles      int       // chem partition tile count of the last collection
 
 	// Spatial cost-density fields (registered unconditionally; zero unless
-	// cost maps are enabled). cost_owner records which rank computed each
-	// cell's chemistry (zero unless load balancing is enabled).
-	costChemF, costDensF, costOwnF *grid.Field3
-
-	// Dynamic load balancer (see lb.go). lb may stay nil; installed, it
-	// folds each cost record into weight profiles for the chemistry and
-	// flux-assembly sweeps and a cross-rank work-sharing assignment for the
-	// final RK stage's reaction sweep.
-	lb      *lbState
-	lbShare bool // work-sharing eligible for the in-flight RK stage
+	// cost maps are enabled).
+	costChemF, costDensF *grid.Field3
 
 	// Cross-rank wait-state and critical-path analyzer (see critpath.go in
 	// this package). critA may stay nil; a disabled analyzer costs
@@ -657,7 +648,6 @@ func (b *Block) registerFields() {
 	// exclude them — is identical whether or not cost maps are enabled.
 	costChemID := fs.Register(grid.FieldMeta{Name: "cost_chem", Role: grid.RoleCost, Species: -1})
 	costDensID := fs.Register(grid.FieldMeta{Name: "cost_density", Role: grid.RoleCost, Species: -1})
-	costOwnID := fs.Register(grid.FieldMeta{Name: "cost_owner", Role: grid.RoleCost, Species: -1})
 
 	fs.Build()
 
@@ -706,7 +696,6 @@ func (b *Block) registerFields() {
 	b.scratchF = fs.Field(scratchID)
 	b.naiveT1, b.naiveT2 = fs.Field(nt1ID), fs.Field(nt2ID)
 	b.costChemF, b.costDensF = fs.Field(costChemID), fs.Field(costDensID)
-	b.costOwnF = fs.Field(costOwnID)
 
 	b.g = newGradView(b)
 }

@@ -92,10 +92,6 @@ func (b *Block) StepChecked(dt float64) error {
 		}
 		// The chemistry work proxy piggybacks on the same final-stage sweep.
 		b.collectCost = b.costDue && rhsCall == nStages
-		// Cross-rank chemistry work-sharing applies to the final stage's
-		// reaction sweep only (the assignment was fixed at the last cost
-		// record, identically on every rank).
-		b.lbShare = b.lb != nil && rhsCall == nStages
 		rhsSpan := b.profT.Begin("RHS")
 		b.computeRHS(stageTime)
 		rhsSpan.End()
@@ -107,7 +103,6 @@ func (b *Block) StepChecked(dt float64) error {
 	})
 	b.collectHRR = false
 	b.collectCost = false
-	b.lbShare = false
 	b.Step++
 	b.Time += dt
 	if fe := b.cfg.FilterEvery; fe > 0 && b.Step%fe == 0 {
@@ -165,7 +160,7 @@ func rkUpdateRegister(q, dq, r []float64, a, b, dt float64) {
 }
 
 // RKUpdateBankOnly runs one register update with representative RK46NL
-// coefficients (benchmark hook for BenchmarkRKUpdateBank).
+// coefficients (benchmark hook for benchmark/'s solver.rk_update_us_per_gp).
 func (b *Block) RKUpdateBankOnly(dt float64) { b.rkUpdateBank(-0.7, 0.5, dt) }
 
 // ApplyFilter applies the tenth-order low-pass filter to every conserved

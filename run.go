@@ -40,9 +40,6 @@ type RunOptions struct {
 	CritPath      string // critpath.jsonl path
 	CritPathEvery int
 
-	LB      bool // dynamic load balancing
-	LBEvery int
-
 	Workers int // kernel worker-pool size (0: all CPUs)
 }
 
@@ -60,8 +57,6 @@ func (o *RunOptions) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.CostEvery, "cost-every", 1, "cost reduction cadence in steps")
 	fs.StringVar(&o.CritPath, "critpath", "", "enable the wait-state & critical-path analyzer and append its records (JSONL) to this file; a Chrome-trace overlay lands next to it as critpath_trace.json")
 	fs.IntVar(&o.CritPathEvery, "critpath-every", 1, "critical-path analysis cadence in steps")
-	fs.BoolVar(&o.LB, "lb", false, "enable dynamic load balancing: cost-weighted tile planning plus cross-rank chemistry work-sharing in decomposed runs (bitwise identical to the unbalanced run)")
-	fs.IntVar(&o.LBEvery, "lb-every", 10, "load-balance re-plan cadence in steps")
 	fs.IntVar(&o.Workers, "workers", 0, "kernel worker-pool size, shared across in-process ranks (0: all CPUs)")
 }
 
@@ -189,13 +184,9 @@ type Armed struct {
 //  2. health, analysis, cost: an armed watchdog adds two small collectives
 //     to every step, a due analysis or cost step one ordered fold each, so
 //     a decomposed run must enable the identical spec on every rank;
-//  3. load balancing after cost, because it folds the cost sampler's
-//     records (and installs a sampler at its own cadence when -cost did
-//     not); its decisions are collective in effect, made from the shared
-//     record;
-//  4. the critpath analyzer — the same instance on every rank, because a
+//  3. the critpath analyzer — the same instance on every rank, because a
 //     due step ends in its deposit barrier;
-//  5. telemetry last: StartTelemetry mounts gauges and the /health
+//  4. telemetry last: StartTelemetry mounts gauges and the /health
 //     /analysis /cost /critpath endpoints for exactly the layers it finds
 //     installed, and names them in the run_start manifest — a layer
 //     enabled after it is invisible to the monitor and the trace.
@@ -234,11 +225,6 @@ func (s *Session) Arm(sim *Simulation, prob *Problem, opt TelemetryOptions) (*Ar
 		}
 		if rank == 0 {
 			c.Subscribe(s.cost.Sink())
-		}
-	}
-	if o.LB {
-		if err := sim.EnableLoadBalance(LoadBalanceSpec{Every: o.LBEvery}); err != nil {
-			return nil, err
 		}
 	}
 	if s.critA != nil {

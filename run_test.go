@@ -67,7 +67,6 @@ func handWired(sim *Simulation, p *Problem, rank int, critA *CritPathAnalyzer, d
 		must(sim.SubscribeCost(st.Sink()))
 		closers = append(closers, st.Close)
 	}
-	must(sim.EnableLoadBalance(LoadBalanceSpec{Every: 2}))
 	must(sim.EnableCritPath(critA))
 	var probe *Probe
 	if rank == 0 {
@@ -130,7 +129,7 @@ func TestRunOptions(t *testing.T) {
 				Analysis: filepath.Join(got, "analysis.jsonl"), AnalysisEvery: 1,
 				Cost: filepath.Join(got, "cost.jsonl"), CostEvery: 2,
 				CritPath: filepath.Join(got, "critpath.jsonl"), CritPathEvery: 2,
-				LB: true, LBEvery: 2, Workers: 2,
+				Workers: 2,
 			}
 			sess, err := opts.Open(got, "")
 			if err != nil {
@@ -189,7 +188,7 @@ func TestRunOptions(t *testing.T) {
 			final := func(arm bool) []byte {
 				var out bytes.Buffer
 				dir := t.TempDir()
-				sess, err := RunOptions{AnalysisEvery: 1, CostEvery: 1, CritPathEvery: 1, LBEvery: 10, Workers: 2}.Open(dir, "")
+				sess, err := RunOptions{AnalysisEvery: 1, CostEvery: 1, CritPathEvery: 1, Workers: 2}.Open(dir, "")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -245,7 +244,7 @@ func TestRunOptions(t *testing.T) {
 				Analysis: filepath.Join(dir, "analysis.jsonl"), AnalysisEvery: 1,
 				Cost: filepath.Join(dir, "cost.jsonl"), CostEvery: 1,
 				CritPath: filepath.Join(dir, "critpath.jsonl"), CritPathEvery: 1,
-				LBEvery: 10, Workers: 2,
+				Workers: 2,
 			}
 			sess, err := opts.Open(dir, "")
 			if err != nil {

@@ -35,7 +35,6 @@ import (
 	"io"
 
 	"github.com/s3dgo/s3d/internal/chem"
-	"github.com/s3dgo/s3d/internal/comm"
 	"github.com/s3dgo/s3d/internal/flame1d"
 	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/par"
@@ -436,28 +435,11 @@ func RunDecomposed(cfg Config, dims [3]int, body func(r *RankSim)) error {
 	if err != nil {
 		return err
 	}
-	if err := solver.CheckDecomposition(sc, dims); err != nil {
-		return err
-	}
-	periodic := [3]bool{
-		sc.BC[0][0] == solver.Periodic,
-		sc.BC[1][0] == solver.Periodic,
-		sc.BC[2][0] == solver.Periodic,
-	}
-	w := comm.NewWorld(dims[0] * dims[1] * dims[2])
-	return w.Run(func(c *comm.Comm) {
-		cart, err := comm.NewCart(c, dims, periodic)
-		if err != nil {
-			panic(err)
-		}
-		blk, err := solver.NewParallel(sc, cart)
-		if err != nil {
-			panic(err)
-		}
+	return solver.RunParallel(sc, dims, func(blk *solver.Block) {
 		i0, j0, k0 := blk.GlobalOffset()
 		body(&RankSim{
 			Simulation: &Simulation{blk: blk, mech: cfg.Mechanism, cfg: &cfg},
-			Rank:       c.Rank(),
+			Rank:       blk.Rank(),
 			Offset:     [3]int{i0, j0, k0},
 			GlobalDims: [3]int{cfg.Grid.Nx, cfg.Grid.Ny, cfg.Grid.Nz},
 		})

@@ -333,8 +333,8 @@ func (s *Simulation) installedLayers() []layer {
 }
 
 // configManifest flattens the simulation configuration for run_start,
-// including the load balancer and the call-path profiler when installed
-// (the layers with endpoints are added where StartTelemetry mounts them).
+// including the call-path profiler when installed (the layers with
+// endpoints are added where StartTelemetry mounts them).
 func (s *Simulation) configManifest() map[string]string {
 	c := s.cfg
 	m := map[string]string{
@@ -353,9 +353,6 @@ func (s *Simulation) configManifest() map[string]string {
 	}
 	if c.Grid.StretchY {
 		m["stretch_y"] = "on"
-	}
-	if every := s.blk.LoadBalanceEvery(); every > 0 {
-		m["lb_every"] = fmt.Sprint(every)
 	}
 	// A critpath analyzer on an unprofiled run records blame spans on a track
 	// of its own; that is not the call-path profiler being on.
