@@ -128,6 +128,12 @@ go test -run xxx -fuzz FuzzDecode -fuzztime 20s ./internal/sdf
 echo "== go test -run xxx -fuzz FuzzRead -fuzztime 20s ./internal/jsonl"
 go test -run xxx -fuzz FuzzRead -fuzztime 20s ./internal/jsonl
 
+# And obs.ReadTrace, the reader of trace.jsonl, under the same property with a
+# real 3-step trace as the valid prefix. The seeds are kilobytes long, so the
+# time spent minimising each new input is capped to keep the 20 s fuzzing.
+echo "== go test -run xxx -fuzz FuzzReadTrace -fuzztime 20s -fuzzminimizetime 1s ./internal/obs"
+go test -run xxx -fuzz FuzzReadTrace -fuzztime 20s -fuzzminimizetime 1s ./internal/obs
+
 # vexp.Exp against math.Exp with one lane of arbitrary bits among in-range
 # lanes, at every position of a block and of a tail.
 echo "== go test -run xxx -fuzz FuzzExp -fuzztime 20s ./internal/vexp"
@@ -139,16 +145,12 @@ go test -run xxx -fuzz FuzzExp -fuzztime 20s ./internal/vexp
 echo "== go test -run xxx -fuzz FuzzLoadCheckpoint -fuzztime 20s ./internal/solver"
 go test -run xxx -fuzz FuzzLoadCheckpoint -fuzztime 20s ./internal/solver
 
-# Overhead budgets. The span API must stay within <=1% disabled and <=5%
-# enabled on the RHS benchmark.
-echo "== go test -race -run xxx -bench BenchmarkProfOverhead -benchtime 1x ."
-go test -race -timeout 15m -run xxx -bench BenchmarkProfOverhead -benchtime 1x .
-
-# Cost maps <=2% at Every:1 (one atomic load per run disabled) and the
+# Overhead budgets: the profiler's span API <=1% disabled and <=5% recording,
+# cost maps <=2% at Every:1 (one atomic load per run disabled) and the
 # wait-state analyzer <=2% armed at Every:1 (one atomic load per step
 # disarmed): CPU-time paired-median gates, run without -race, which would
 # distort the on/off ratio's denominator.
-echo "== go test -run xxx -bench 'BenchmarkCostOverhead|BenchmarkCritPathOverhead' -benchtime 1x ."
-go test -timeout 30m -run xxx -bench 'BenchmarkCostOverhead|BenchmarkCritPathOverhead' -benchtime 1x .
+echo "== go test -run xxx -bench 'BenchmarkProfOverhead|BenchmarkCostOverhead|BenchmarkCritPathOverhead' -benchtime 1x ."
+go test -timeout 30m -run xxx -bench 'BenchmarkProfOverhead|BenchmarkCostOverhead|BenchmarkCritPathOverhead' -benchtime 1x .
 
 echo "CHECK OK"

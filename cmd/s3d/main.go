@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -57,9 +58,9 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.ny, "ny", 54, "transverse grid points")
 	fs.IntVar(&o.nz, "nz", 1, "spanwise grid points")
 	fs.IntVar(&o.steps, "steps", 100, "time steps")
-	fs.StringVar(&o.ranks, "ranks", "", "decomposition as PXxPYxPZ (empty = serial)")
-	fs.IntVar(&o.ckptEvery, "checkpoint", 0, "write an SDF checkpoint every N steps (0: off; serial runs only)")
-	fs.StringVar(&o.resume, "resume", "", "restart file to resume from (bit-exact continuation; serial runs only)")
+	fs.StringVar(&o.ranks, "ranks", "", "process grid as PXxPYxPZ (empty = 1x1x1, the serial run)")
+	fs.IntVar(&o.ckptEvery, "checkpoint", 0, "write an SDF checkpoint every N steps (0: off; one-rank runs only)")
+	fs.StringVar(&o.resume, "resume", "", "restart file to resume from (bit-exact continuation; one-rank runs only)")
 	fs.StringVar(&o.outDir, "out", "out_s3d", "output directory")
 	fs.BoolVar(&o.perfReport, "perf-report", false, "print the per-region timer breakdown at exit")
 	fs.IntVar(&o.injectNaN, "inject-nan", 0, "plant a NaN in the conserved energy at the start of step N (watchdog test hook; implies -health)")
@@ -84,121 +85,187 @@ func main() {
 	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	run, err := o.Open(o.outDir, "")
+	session, err := o.Open(o.outDir, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	prob := buildProblem(o.problem, o.nx, o.ny, o.nz)
-	if o.ranks != "" {
-		runDecomposed(prob, o, dims, run)
-		return
-	}
-	sim, err := prob.NewSimulation()
-	if err != nil {
+	if err := run(buildProblem(o.problem, o.nx, o.ny, o.nz), o, dims, session); err != nil {
 		log.Fatal(err)
-	}
-	if o.resume != "" {
-		in, err := os.Open(o.resume)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sim.LoadCheckpoint(in); err != nil {
-			log.Fatal(err)
-		}
-		in.Close()
-		fmt.Printf("resumed from %s at step %d, t = %.4g s\n", o.resume, sim.Step(), sim.Time())
-	}
-	// Checkpoint bytes are routed through the §5.1 caching layer when the
-	// run is observed, so the trace carries genuine pario counters.
-	ckpt := &checkpointer{outDir: o.outDir, throughPario: o.Trace != "" || o.Monitor != "" || o.Profile != ""}
-	h, err := run.Arm(sim, prob, s3d.TelemetryOptions{
-		Case:   o.problem,
-		Config: map[string]string{"steps": fmt.Sprint(o.steps)},
-		Pario:  ckpt.stats,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if o.Profile != "" {
-		// Checkpoint I/O runs on the goroutine driving the simulation, so
-		// its PARIO_* spans ride on the rank's own track.
-		ckpt.ptrack = sim.ProfTrack()
-	}
-	if o.injectNaN > 0 {
-		sim.InjectNaN(o.injectNaN)
-	}
-	if o.straggle > 0 {
-		sim.InjectStraggler(o.straggle)
-	}
-	dt := 0.4 * sim.StableDt()
-	fmt.Printf("problem=%s grid=%dx%dx%d dt=%.3g\n", o.problem, o.nx, o.ny, o.nz, dt)
-	report := o.steps / 10
-	if report == 0 {
-		report = 1
-	}
-	exit := "completed"
-	for sim.Step() < o.steps {
-		n := report
-		if sim.Step()+n > o.steps {
-			n = o.steps - sim.Step()
-		}
-		if err := h.Advance(n, dt); err != nil {
-			fmt.Printf("health abort: %v\n", err)
-			fmt.Printf("post-mortem bundle in %s\n", run.BundleDir())
-			exit = fmt.Sprintf("health abort: %v", err)
-			break
-		}
-		tlo, thi, _ := sim.MinMax("T")
-		plo, phi, _ := sim.MinMax("p")
-		fmt.Printf("step %5d t=%.4g  T=[%.0f,%.0f]  p=[%.0f,%.0f]\n",
-			sim.Step(), sim.Time(), tlo, thi, plo, phi)
-		if o.ckptEvery > 0 && sim.Step()%o.ckptEvery == 0 {
-			writeAndRecord(ckpt, sim, h)
-		}
-	}
-	aborted := exit != "completed"
-	if !aborted {
-		writeAndRecord(ckpt, sim, h)
-	}
-	if err := errors.Join(h.Close(exit), run.Close()); err != nil {
-		log.Fatal(err)
-	}
-	if o.perfReport && !aborted {
-		fmt.Printf("\nper-region timer breakdown (figure-2 style):\n%s", sim.PerfTimers().Report())
-		if s3d.Workers() > 1 {
-			fmt.Printf("\nworker-pool busy time per kernel (%d workers):\n%s",
-				s3d.Workers(), sim.PoolPerfTimers().Report())
-		}
 	}
 }
 
-// decomposition parses -ranks (zero dims when serial) and rejects the flags
-// a decomposed run would silently ignore: runDecomposed writes no restart
-// files and always starts from the initial condition.
+// decomposition parses -ranks (empty is 1x1x1) and rejects the flags a run
+// over more than one rank cannot honour yet: restart files are one per rank
+// and nothing reads them back onto a decomposition.
 func (o *options) decomposition() (dims [3]int, err error) {
-	if o.ranks == "" {
-		return dims, nil
+	dims = [3]int{1, 1, 1}
+	if o.ranks != "" {
+		if n, err := fmt.Sscanf(strings.ToLower(o.ranks), "%dx%dx%d", &dims[0], &dims[1], &dims[2]); n != 3 || err != nil {
+			return dims, fmt.Errorf("bad -ranks %q (want e.g. 2x2x1)", o.ranks)
+		}
 	}
-	if n, err := fmt.Sscanf(strings.ToLower(o.ranks), "%dx%dx%d", &dims[0], &dims[1], &dims[2]); n != 3 || err != nil {
-		return dims, fmt.Errorf("bad -ranks %q (want e.g. 2x2x1)", o.ranks)
-	}
-	if o.ckptEvery > 0 {
-		return dims, errors.New("-checkpoint is not supported with -ranks: decomposed runs write no restart files")
-	}
-	if o.resume != "" {
-		return dims, errors.New("-resume is not supported with -ranks: decomposed runs start from the initial condition")
+	if dims[0]*dims[1]*dims[2] > 1 {
+		if o.ckptEvery > 0 {
+			return dims, errors.New("-checkpoint is not supported with -ranks: decomposed runs write no periodic restart files")
+		}
+		if o.resume != "" {
+			return dims, errors.New("-resume is not supported with -ranks: decomposed runs start from the initial condition")
+		}
 	}
 	return dims, nil
 }
 
-func writeAndRecord(ckpt *checkpointer, sim *s3d.Simulation, h *s3d.Armed) {
-	paths, err := ckpt.write(sim)
+// run is the driver's one stepping loop: every rank of the dims process
+// grid — the one rank of a serial run included — arms the session's layers,
+// advances in tenths of the run, reports, and writes its final restart file.
+// What the ranks report is merged here, in the driver: each progress line is
+// printed by the last rank to reach it, the timer breakdown after all have
+// finished. A rank-local failure panics; RunDecomposed aborts the other
+// ranks and returns it as the run's error.
+func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error {
+	nRanks := dims[0] * dims[1] * dims[2]
+	grid := fmt.Sprintf("%dx%dx%d", dims[0], dims[1], dims[2])
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	progress := progressLines{ranks: nRanks, at: map[int]*extrema{}}
+	var mu sync.Mutex // guards the three below
+	agg := perf.NewTimers()
+	var poolAgg *perf.Timers
+	aborted := false
+	err := s3d.RunDecomposed(prob.Config, dims, func(r *s3d.RankSim) {
+		sim := r.Simulation
+		sim.SetInitial(prob.Initial, prob.InitPressure)
+		if o.resume != "" {
+			in, err := os.Open(o.resume)
+			must(err)
+			must(sim.LoadCheckpoint(in))
+			in.Close()
+			fmt.Printf("resumed from %s at step %d, t = %.4g s\n", o.resume, sim.Step(), sim.Time())
+		}
+		// Checkpoint bytes are routed through the §5.1 caching layer when the
+		// run is observed, so the trace carries genuine pario counters.
+		ckpt := &checkpointer{outDir: o.outDir, throughPario: o.Trace != "" || o.Monitor != "" || o.Profile != ""}
+		if nRanks > 1 {
+			// One restart file per rank, as the original S3D wrote them
+			// (paper §5), laid out like the health bundle's rank<N>/.
+			ckpt.outDir = filepath.Join(o.outDir, fmt.Sprintf("rank%d", r.Rank))
+			must(os.MkdirAll(ckpt.outDir, 0o755))
+		}
+		// Every rank arms at the same point; rank 0 carries the trace, the
+		// monitor and the stores.
+		h, err := session.Arm(sim, prob, s3d.TelemetryOptions{
+			Case:   o.problem,
+			Config: map[string]string{"ranks": grid, "steps": fmt.Sprint(o.steps)},
+			Pario:  ckpt.stats,
+		})
+		must(err)
+		if o.Profile != "" {
+			// Checkpoint I/O runs on the goroutine driving the simulation, so
+			// its PARIO_* spans ride on the rank's own track.
+			ckpt.ptrack = sim.ProfTrack()
+		}
+		// The test hooks act on the highest rank, so the watchdog, the
+		// analyzer and the cost imbalance analytics have a known culprit.
+		if r.Rank == nRanks-1 {
+			if o.injectNaN > 0 {
+				sim.InjectNaN(o.injectNaN)
+			}
+			if o.straggle > 0 {
+				sim.InjectStraggler(o.straggle)
+			}
+		}
+		dt := 0.4 * sim.StableDt()
+		if r.Rank == 0 {
+			fmt.Printf("problem=%s grid=%dx%dx%d ranks=%s dt=%.3g\n", o.problem, o.nx, o.ny, o.nz, grid, dt)
+		}
+		report := max(o.steps/10, 1)
+		exit := "completed"
+		for sim.Step() < o.steps {
+			if err := h.Advance(min(report, o.steps-sim.Step()), dt); err != nil {
+				// Every rank returns from the same step with a violation
+				// naming the culprit rank; each has dumped its own bundle.
+				fmt.Printf("health abort: %v\n", err)
+				exit = fmt.Sprintf("health abort: %v", err)
+				break
+			}
+			var e extrema
+			e.tlo, e.thi, _ = sim.MinMax("T")
+			e.plo, e.phi, _ = sim.MinMax("p")
+			progress.report(sim.Step(), sim.Time(), e)
+			if o.ckptEvery > 0 && sim.Step()%o.ckptEvery == 0 {
+				must(ckpt.writeAndRecord(sim, h))
+			}
+		}
+		if exit == "completed" {
+			must(ckpt.writeAndRecord(sim, h))
+		}
+		must(h.Close(exit))
+		mu.Lock()
+		defer mu.Unlock()
+		if exit != "completed" {
+			aborted = true
+			return
+		}
+		agg.Merge(sim.PerfTimers().Snapshot())
+		if poolAgg == nil {
+			// The pool is process-wide, so one snapshot (taken after a rank
+			// finished stepping) covers every rank's tiles.
+			poolAgg = sim.PoolPerfTimers()
+		}
+	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	for _, p := range paths {
-		h.Checkpoint(p)
+	if aborted {
+		fmt.Printf("post-mortem bundle in %s\n", session.BundleDir())
 	}
+	if err := session.Close(); err != nil {
+		return err
+	}
+	if o.perfReport && !aborted {
+		fmt.Printf("\nper-region timer breakdown (figure-2 style, summed over %d ranks):\n%s", nRanks, agg.Report())
+		if s3d.Workers() > 1 {
+			fmt.Printf("\nworker-pool busy time per kernel (%d workers shared by %d ranks):\n%s",
+				s3d.Workers(), nRanks, poolAgg.Report())
+		}
+	}
+	return nil
+}
+
+// extrema is one rank's share of a progress line.
+type extrema struct {
+	tlo, thi, plo, phi float64
+	seen               int // ranks merged in so far
+}
+
+// progressLines merges the ranks' extrema at each report point, keyed by
+// step; the rank that completes a point prints its line. Every rank reports
+// its points in step order, so they complete — and print — in step order.
+type progressLines struct {
+	mu    sync.Mutex
+	ranks int
+	at    map[int]*extrema
+}
+
+func (p *progressLines) report(step int, t float64, e extrema) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	m := p.at[step]
+	if m == nil {
+		m = &e
+		p.at[step] = m
+	} else {
+		m.tlo, m.thi = min(m.tlo, e.tlo), max(m.thi, e.thi)
+		m.plo, m.phi = min(m.plo, e.plo), max(m.phi, e.phi)
+	}
+	if m.seen++; m.seen < p.ranks {
+		return
+	}
+	delete(p.at, step)
+	fmt.Printf("step %5d t=%.4g  T=[%.0f,%.0f]  p=[%.0f,%.0f]\n", step, t, m.tlo, m.thi, m.plo, m.phi)
 }
 
 func buildProblem(name string, nx, ny, nz int) *s3d.Problem {
@@ -241,76 +308,6 @@ func buildProblem(name string, nx, ny, nz int) *s3d.Problem {
 	}
 }
 
-func runDecomposed(prob *s3d.Problem, o *options, dims [3]int, run *s3d.Session) {
-	fmt.Printf("decomposed run on %v ranks\n", dims)
-	// Every rank contributes its timer snapshot to the aggregate report.
-	var mu sync.Mutex
-	agg := perf.NewTimers()
-	var poolAgg *perf.Timers
-	nRanks := dims[0] * dims[1] * dims[2]
-	err := s3d.RunDecomposed(prob.Config, dims, func(r *s3d.RankSim) {
-		r.SetInitial(prob.Initial, prob.InitPressure)
-		// Every rank arms at the same point; rank 0 carries the trace, the
-		// monitor and the stores.
-		h, err := run.Arm(r.Simulation, prob, s3d.TelemetryOptions{
-			Case:   "decomposed",
-			Config: map[string]string{"ranks": o.ranks, "steps": fmt.Sprint(o.steps)},
-			Status: os.Stdout,
-		})
-		if err != nil {
-			panic(err)
-		}
-		// The test hooks act on the highest rank, so the watchdog, the
-		// analyzer and the cost imbalance analytics have a known culprit.
-		if r.Rank == nRanks-1 {
-			if o.injectNaN > 0 {
-				r.InjectNaN(o.injectNaN)
-			}
-			if o.straggle > 0 {
-				r.InjectStraggler(o.straggle)
-			}
-		}
-		dt := 0.4 * r.StableDtGlobal()
-		exit := "completed"
-		stepErr := h.Advance(o.steps, dt)
-		if stepErr != nil {
-			exit = fmt.Sprintf("health abort: %v", stepErr)
-		}
-		if err := h.Close(exit); err != nil {
-			panic(err)
-		}
-		if stepErr != nil {
-			fmt.Printf("rank %d health abort: %v\n", r.Rank, stepErr)
-			return
-		}
-		lo, hi, _ := r.MinMax("T")
-		fmt.Printf("rank %d offset %v: T=[%.0f,%.0f]\n", r.Rank, r.Offset, lo, hi)
-		if o.perfReport {
-			mu.Lock()
-			agg.Merge(r.PerfTimers().Snapshot())
-			if poolAgg == nil {
-				// The pool is process-wide, so one snapshot (taken after the
-				// ranks finish stepping) covers every rank's tiles.
-				poolAgg = r.PoolPerfTimers()
-			}
-			mu.Unlock()
-		}
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if o.perfReport {
-		fmt.Printf("\nper-region timer breakdown aggregated over %d ranks:\n%s", nRanks, agg.Report())
-		if s3d.Workers() > 1 && poolAgg != nil {
-			fmt.Printf("\nworker-pool busy time per kernel (%d workers shared by %d ranks):\n%s",
-				s3d.Workers(), nRanks, poolAgg.Report())
-		}
-	}
-	if err := run.Close(); err != nil {
-		log.Fatal(err)
-	}
-}
-
 // checkpointer writes restart + analysis files, optionally routing the
 // bytes through the pario caching layer so runs exercise (and report on)
 // the §5.1 protocol.
@@ -328,6 +325,15 @@ func (c *checkpointer) stats() obs.ParioStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pstat
+}
+
+// writeAndRecord writes the current step's files and names them in the trace.
+func (c *checkpointer) writeAndRecord(sim *s3d.Simulation, h *s3d.Armed) error {
+	paths, err := c.write(sim)
+	for _, p := range paths {
+		h.Checkpoint(p)
+	}
+	return err
 }
 
 func (c *checkpointer) write(sim *s3d.Simulation) ([]string, error) {
@@ -367,10 +373,14 @@ func (c *checkpointer) write(sim *s3d.Simulation) ([]string, error) {
 	return []string{rst, path}, nil
 }
 
-// writeFile lands data on disk, through the caching layer when enabled.
+// writeFile lands data on disk whole or not at all (sdf.WriteAtomic), through
+// the caching layer when enabled.
 func (c *checkpointer) writeFile(path string, data []byte) error {
+	land := func(data []byte) error {
+		return sdf.WriteAtomic(path, func(w io.Writer) error { _, err := w.Write(data); return err })
+	}
 	if !c.throughPario || len(data) == 0 {
-		return os.WriteFile(path, data, 0o644)
+		return land(data)
 	}
 	file := pario.NewSharedFile(int64(len(data)))
 	var st obs.ParioStats
@@ -402,5 +412,5 @@ func (c *checkpointer) writeFile(path string, data []byte) error {
 	c.pstat.RemoteForwards += st.RemoteForwards
 	c.pstat.CacheHitRate = c.pstat.HitRate()
 	c.mu.Unlock()
-	return os.WriteFile(path, file.Bytes(), 0o644)
+	return land(file.Bytes())
 }

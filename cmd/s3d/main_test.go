@@ -297,6 +297,72 @@ func TestAnalysisSmoke(t *testing.T) {
 	}
 }
 
+// TestOneRankIsSerial: a serial run is the 1x1x1 decomposition, so the CLI
+// with no -ranks and with -ranks 1x1x1 — the reacting NSCBC jet, periodic
+// checkpoints, the watchdog and both deterministic stores armed — must print
+// the same lines and write byte-identical restart, analysis and store files.
+func TestOneRankIsSerial(t *testing.T) {
+	run := func(ranks ...string) (stdout string, files map[string]string) {
+		dir := t.TempDir()
+		out, err := os.Create(filepath.Join(dir, "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := os.Stdout
+		os.Stdout = out
+		defer func() { os.Stdout = saved }()
+		os.Args = append([]string{"s3d",
+			"-problem", "liftedjet", "-nx", "24", "-ny", "16", "-nz", "1",
+			"-steps", "6", "-checkpoint", "3", "-workers", "2", "-health",
+			"-analysis", filepath.Join(dir, "analysis.jsonl"), "-cost", filepath.Join(dir, "cost.jsonl"),
+			"-out", dir,
+		}, ranks...)
+		main()
+		if err := out.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files = map[string]string{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				continue
+			}
+			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = strings.ReplaceAll(string(raw), dir, "OUT")
+		}
+		stdout = files["stdout"]
+		delete(files, "stdout")
+		return stdout, files
+	}
+	serialOut, serial := run()
+	oneRankOut, oneRank := run("-ranks", "1x1x1")
+	if serialOut != oneRankOut {
+		t.Errorf("stdout differs:\n--- no -ranks\n%s--- -ranks 1x1x1\n%s", serialOut, oneRankOut)
+	}
+	for _, want := range []string{"restart-000003.sdf", "restart-000006.sdf", "analysis-000006.sdf", "analysis.jsonl", "cost.jsonl"} {
+		if serial[want] == "" {
+			t.Errorf("serial run wrote no %s (have %d files)", want, len(serial))
+		}
+	}
+	if len(serial) != len(oneRank) {
+		t.Errorf("serial run wrote %d files, -ranks 1x1x1 %d", len(serial), len(oneRank))
+	}
+	for name, data := range serial {
+		if oneRank[name] != data {
+			t.Errorf("%s differs between no -ranks and -ranks 1x1x1", name)
+		}
+	}
+	if !strings.Contains(serialOut, "step     6 ") || !strings.Contains(serialOut, "ranks=1x1x1") {
+		t.Errorf("progress lines missing:\n%s", serialOut)
+	}
+}
+
 // TestRanksRejectsCheckpointAndResume: a decomposed run writes no restart
 // files and cannot resume from one, so -ranks with -checkpoint or -resume is
 // refused at flag-parse time — before the output directory exists — with an
@@ -329,7 +395,7 @@ func TestRanksRejectsCheckpointAndResume(t *testing.T) {
 		}
 	}
 	// The same flags stay legal on their own.
-	for _, args := range [][]string{{"-ranks", "2x1x1"}, {"-checkpoint", "5", "-resume", "x.sdf"}} {
+	for _, args := range [][]string{{"-ranks", "2x1x1"}, {"-checkpoint", "5", "-resume", "x.sdf"}, {"-ranks", "1x1x1", "-checkpoint", "5", "-resume", "x.sdf"}} {
 		fs := flag.NewFlagSet("s3d", flag.ContinueOnError)
 		o := bindFlags(fs)
 		if err := fs.Parse(args); err != nil {

@@ -128,7 +128,7 @@ func printMeasured(steps int) {
 				panic(err)
 			}
 		}
-		dt := 0.4 * r.StableDtGlobal()
+		dt := 0.4 * r.StableDt()
 		r.Advance(steps, dt)
 	})
 	if err != nil {

@@ -48,7 +48,7 @@ func runCritPathDecomposed(t *testing.T, workers int, dims [3]int, straggler int
 		if delay > 0 && r.Rank == straggler {
 			r.InjectStraggler(delay)
 		}
-		dt := 0.4 * r.StableDtGlobal()
+		dt := 0.4 * r.StableDt()
 		r.Advance(4, dt)
 	})
 	if err != nil {
@@ -145,7 +145,7 @@ func TestCritPathStragglerE2E(t *testing.T) {
 		if r.Rank == straggler {
 			r.InjectStraggler(delay)
 		}
-		dt := 0.4 * r.StableDtGlobal()
+		dt := 0.4 * r.StableDt()
 		r.Advance(4, dt)
 		if r.Rank == straggler {
 			doc := r.Cost().Latest()

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 
 	"github.com/s3dgo/s3d/internal/health"
+	"github.com/s3dgo/s3d/internal/sdf"
 )
 
 // HealthOptions configures EnableHealth.
@@ -106,17 +107,7 @@ func (s *Simulation) dumpPostMortem() {
 		return
 	}
 	path := filepath.Join(dir, fmt.Sprintf("emergency-%06d.sdf", s.blk.Step))
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "s3d: emergency checkpoint failed: %v\n", err)
-		return
-	}
-	if err := s.blk.SaveCheckpoint(f); err != nil {
-		fmt.Fprintf(os.Stderr, "s3d: emergency checkpoint failed: %v\n", err)
-		f.Close()
-		return
-	}
-	if err := f.Close(); err != nil {
+	if err := sdf.WriteAtomic(path, s.blk.SaveCheckpoint); err != nil {
 		fmt.Fprintf(os.Stderr, "s3d: emergency checkpoint failed: %v\n", err)
 	}
 }

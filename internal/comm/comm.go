@@ -125,9 +125,8 @@ type RankStats struct {
 	BytesSent, MsgsSent int64
 	BytesRecv, MsgsRecv int64
 	// WaitSec is time blocked in point-to-point Wait; CollSec is time
-	// blocked in Allreduce/Barrier/Allgather (a Barrier's time is charged to
-	// CollSec once — it is an Allreduce internally — but counted under both
-	// Barriers and Allreduces).
+	// blocked in Allreduce/Barrier/Allgather (a Barrier is a zero-length
+	// reduce: counted under both Barriers and Allreduces).
 	WaitSec, CollSec     float64
 	Allreduces, Barriers int64
 }
@@ -271,6 +270,13 @@ func (w *World) Run(body func(c *Comm)) error {
 	return nil
 }
 
+// Self returns the communicator of a one-rank world of its own, usable on
+// the caller's goroutine without World.Run — the MPI_COMM_SELF of this
+// runtime, under a serial run's block. Its point-to-point neighbours are the
+// rank itself or none, and its collectives return at once. No Run means no
+// recovery: a panic propagates to the caller like any other.
+func Self() *Comm { return &Comm{world: NewWorld(1)} }
+
 // Comm is one rank's handle on the world.
 type Comm struct {
 	world *World
@@ -380,8 +386,7 @@ const (
 // CollEvent is one traced collective call. Seq is the rank's collective
 // sequence number since ArmTrace; because every rank executes the same
 // collective program, equal Seq identifies the same collective across
-// ranks (nested helper collectives — Barrier's inner allreduce,
-// AllreduceOrdered's inner allgather — record one event, not two).
+// ranks.
 type CollEvent struct {
 	Kind    string
 	Seq     int
@@ -392,10 +397,9 @@ type CollEvent struct {
 	ExitNs  int64
 }
 
-// recordColl appends a collective trace event; kind "" marks a nested
-// helper call whose enclosing collective records instead.
+// recordColl appends a collective trace event.
 func (c *Comm) recordColl(kind string, bytes int, enterNs int64) {
-	if kind == "" || !c.traceOn {
+	if !c.traceOn {
 		return
 	}
 	c.colls = append(c.colls, CollEvent{
@@ -623,8 +627,9 @@ func (o Op) combine(dst, src []float64) {
 	}
 }
 
-// collective implements reusable barrier-style collectives with an
-// entry/exit two-phase protocol so back-to-back collectives cannot race.
+// collective is the state of the one collective protocol (see gather):
+// a slot per rank and an entry/exit two-phase count so back-to-back
+// collectives cannot race.
 type collective struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -632,7 +637,6 @@ type collective struct {
 	entered int
 	exited  int
 	phase   int // 0: gathering, 1: draining
-	acc     []float64
 	slots   [][]float64
 }
 
@@ -642,141 +646,82 @@ func newCollective(n int) *collective {
 	return c
 }
 
-// Allreduce combines vals across all ranks with op; on return vals holds
-// the reduced result on every rank. All ranks must call with equal lengths.
-// The call's duration is charged to the rank's collective-time counter.
-func (c *Comm) Allreduce(op Op, vals []float64) {
-	c.allreduce(op, vals, KindAllreduce)
-}
-
-func (c *Comm) allreduce(op Op, vals []float64, kind string) {
-	sp := c.prof.Begin("MPI_ALLREDUCE")
-	defer sp.End()
-	enterNs := c.world.nowNs()
+// gather is the protocol under every collective: each rank deposits a copy
+// of vals in its slot, waits for the last rank to arrive, and leaves with
+// all slots indexed by rank. The call's duration is charged to the rank's
+// collective-time counter.
+func (c *Comm) gather(vals []float64) [][]float64 {
 	start := time.Now()
 	defer func() {
 		c.world.collNs[c.rank].Add(time.Since(start).Nanoseconds())
-		c.world.allreduces[c.rank].Add(1)
 	}()
 	col := c.world.coll
 	// The deferred unlock keeps the collective mutex panic-safe: an abort
 	// unwinds every waiter through checkAborted, and a leaked lock here
 	// would park the remaining ranks inside cond.Wait forever.
-	func() {
-		col.mu.Lock()
-		defer col.mu.Unlock()
-		for col.phase == 1 { // previous collective still draining
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	for col.phase == 1 { // previous collective still draining
+		c.world.checkAborted()
+		col.cond.Wait()
+	}
+	cp := make([]float64, len(vals))
+	copy(cp, vals)
+	col.slots[c.rank] = cp
+	col.entered++
+	if col.entered == col.n {
+		col.phase = 1
+		col.cond.Broadcast()
+	} else {
+		for col.phase == 0 {
 			c.world.checkAborted()
 			col.cond.Wait()
 		}
-		if col.entered == 0 {
-			col.acc = append(col.acc[:0], vals...)
-		} else {
-			if len(col.acc) != len(vals) {
-				panic("comm: Allreduce length mismatch across ranks")
-			}
-			op.combine(col.acc, vals)
-		}
-		col.entered++
-		if col.entered == col.n {
-			col.phase = 1
-			col.cond.Broadcast()
-		} else {
-			for col.phase == 0 {
-				c.world.checkAborted()
-				col.cond.Wait()
-			}
-		}
-		copy(vals, col.acc)
-		col.exited++
-		if col.exited == col.n {
-			col.entered, col.exited, col.phase = 0, 0, 0
-			col.cond.Broadcast()
-		}
-	}()
-	// Account the communication: a tree allreduce moves O(2·len) per rank.
-	c.world.bytesSent[c.rank].Add(int64(16 * len(vals)))
-	c.recordColl(kind, 16*len(vals), enterNs)
-}
-
-// Barrier blocks until all ranks arrive.
-func (c *Comm) Barrier() {
-	sp := c.prof.Begin("MPI_BARRIER")
-	defer sp.End()
-	enterNs := c.world.nowNs()
-	c.world.barriers[c.rank].Add(1)
-	v := []float64{0}
-	c.allreduce(Sum, v, "")
-	c.recordColl(KindBarrier, 16, enterNs)
+	}
+	out := make([][]float64, col.n)
+	copy(out, col.slots)
+	col.exited++
+	if col.exited == col.n {
+		col.entered, col.exited, col.phase = 0, 0, 0
+		col.cond.Broadcast()
+	}
+	return out
 }
 
 // Allgather collects each rank's slice; the result indexed by rank is
 // returned on every rank. All ranks must call with non-nil slices.
 func (c *Comm) Allgather(vals []float64) [][]float64 {
-	return c.allgather(vals, KindAllgather)
-}
-
-func (c *Comm) allgather(vals []float64, kind string) [][]float64 {
 	sp := c.prof.Begin("MPI_ALLGATHER")
 	defer sp.End()
 	enterNs := c.world.nowNs()
-	start := time.Now()
-	defer func() {
-		c.world.collNs[c.rank].Add(time.Since(start).Nanoseconds())
-	}()
-	col := c.world.coll
-	var out [][]float64
-	// Deferred unlock for abort-safety, as in allreduce: checkAborted
-	// panics out of the loops with the mutex held.
-	func() {
-		col.mu.Lock()
-		defer col.mu.Unlock()
-		for col.phase == 1 {
-			c.world.checkAborted()
-			col.cond.Wait()
-		}
-		cp := make([]float64, len(vals))
-		copy(cp, vals)
-		col.slots[c.rank] = cp
-		col.entered++
-		if col.entered == col.n {
-			col.phase = 1
-			col.cond.Broadcast()
-		} else {
-			for col.phase == 0 {
-				c.world.checkAborted()
-				col.cond.Wait()
-			}
-		}
-		out = make([][]float64, col.n)
-		copy(out, col.slots)
-		col.exited++
-		if col.exited == col.n {
-			col.entered, col.exited, col.phase = 0, 0, 0
-			col.cond.Broadcast()
-		}
-	}()
-	c.world.bytesSent[c.rank].Add(int64(8 * len(vals)))
-	c.recordColl(kind, 8*len(vals), enterNs)
+	out := c.gather(vals)
+	c.chargeColl(8 * len(vals))
+	c.recordColl(KindAllgather, 8*len(vals), enterNs)
 	return out
 }
 
-// AllreduceOrdered reduces vals across all ranks with a caller-supplied
-// combiner, folding rank contributions in ascending rank order — unlike
-// Allreduce, whose arrival-order fold makes floating-point sums
-// run-to-run nondeterministic. Every rank gets the bitwise-identical
-// result. Built on Allgather; counted as one allreduce. All ranks must
-// call with equal lengths: a mismatch is reported as an error on every
-// rank (not a panic — the caller decides whether it is fatal). A
-// zero-length payload is a pure synchronization point and succeeds.
-func (c *Comm) AllreduceOrdered(vals []float64, combine func(dst, src []float64)) error {
+// chargeColl counts the bytes a collective is modelled as sending from this
+// rank; a rank alone in its world sends nothing.
+func (c *Comm) chargeColl(bytes int) {
+	if c.world.n > 1 {
+		c.world.bytesSent[c.rank].Add(int64(bytes))
+	}
+}
+
+// reduce is the one reduction: gather every rank's vals, then fold them
+// into vals in ascending rank order, so every rank gets the
+// bitwise-identical result whatever order the ranks arrived in. bytes is
+// what the call is charged as having sent; it is counted as one allreduce
+// and traced as kind. A length mismatch is an error on every rank.
+func (c *Comm) reduce(vals []float64, combine func(dst, src []float64), kind string, bytes int) error {
 	enterNs := c.world.nowNs()
-	slots := c.allgather(vals, "")
+	slots := c.gather(vals)
 	c.world.allreduces[c.rank].Add(1)
+	c.chargeColl(bytes)
 	for r := range slots {
 		if len(slots[r]) != len(vals) {
-			return fmt.Errorf("comm: AllreduceOrdered length mismatch across ranks: rank %d contributed %d values, rank %d posted %d",
-				r, len(slots[r]), c.rank, len(vals))
+			return fmt.Errorf("comm: %s length mismatch across ranks: rank %d contributed %d values, rank %d posted %d",
+				kind, r, len(slots[r]), c.rank, len(vals))
 		}
 	}
 	if len(vals) > 0 { // zero-length is a pure synchronization point
@@ -785,6 +730,39 @@ func (c *Comm) AllreduceOrdered(vals []float64, combine func(dst, src []float64)
 			combine(vals, slots[r])
 		}
 	}
-	c.recordColl(KindAllreduceOrdered, 8*len(vals), enterNs)
+	c.recordColl(kind, bytes, enterNs)
 	return nil
+}
+
+// Allreduce combines vals across all ranks with op, folding in ascending
+// rank order (so a floating-point Sum does not depend on which rank arrives
+// first); on return vals holds the reduced result on every rank. All ranks
+// must call with equal lengths; a mismatch panics. Charged as a tree
+// allreduce, O(2·len) per rank.
+func (c *Comm) Allreduce(op Op, vals []float64) {
+	sp := c.prof.Begin("MPI_ALLREDUCE")
+	defer sp.End()
+	if err := c.reduce(vals, op.combine, KindAllreduce, 16*len(vals)); err != nil {
+		panic(err)
+	}
+}
+
+// Barrier blocks until all ranks arrive: a zero-length reduce.
+func (c *Comm) Barrier() {
+	sp := c.prof.Begin("MPI_BARRIER")
+	defer sp.End()
+	c.world.barriers[c.rank].Add(1)
+	if err := c.reduce(nil, nil, KindBarrier, 16); err != nil {
+		panic(err)
+	}
+}
+
+// AllreduceOrdered is Allreduce with a caller-supplied combiner and an
+// error instead of a panic: a length mismatch is reported on every rank and
+// the caller decides whether it is fatal. A zero-length payload is a pure
+// synchronization point and succeeds.
+func (c *Comm) AllreduceOrdered(vals []float64, combine func(dst, src []float64)) error {
+	sp := c.prof.Begin("MPI_ALLGATHER")
+	defer sp.End()
+	return c.reduce(vals, combine, KindAllreduceOrdered, 8*len(vals))
 }

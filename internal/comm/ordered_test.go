@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestAllreduceOrderedSum checks the ordered reduction agrees with the
@@ -35,41 +36,47 @@ func TestAllreduceOrderedSum(t *testing.T) {
 	}
 }
 
-// TestAllreduceOrderedDeterministic checks the fold order is rank order:
-// with a non-commutative-in-floating-point sum, repeated runs must produce
-// bitwise-identical results regardless of goroutine scheduling.
+// TestAllreduceOrderedDeterministic checks the fold order of both reductions is
+// rank order: with a non-commutative-in-floating-point sum, repeated runs
+// must produce bitwise-identical results whichever rank arrives first.
 func TestAllreduceOrderedDeterministic(t *testing.T) {
 	const n = 4
 	// Magnitudes chosen so (a+b)+c differs in the last ulp from permuted
 	// orders: catastrophic cancellation against rank order.
 	contrib := []float64{1e16, 3.14159, -1e16, 2.71828}
-	run := func() float64 {
-		var out float64
-		var mu sync.Mutex
-		w := NewWorld(n)
-		err := w.Run(func(c *Comm) {
-			vals := []float64{contrib[c.Rank()]}
-			c.AllreduceOrdered(vals, func(dst, src []float64) { dst[0] += src[0] })
-			if c.Rank() == 0 {
-				mu.Lock()
-				out = vals[0]
-				mu.Unlock()
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
 	// The reference: explicit ascending-rank fold.
 	want := contrib[0]
 	for r := 1; r < n; r++ {
 		want += contrib[r]
 	}
-	for trial := 0; trial < 20; trial++ {
-		if got := run(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d: got %x, want %x (fold must be ascending rank order)",
-				trial, math.Float64bits(got), math.Float64bits(want))
+	for _, tc := range []struct {
+		name   string
+		reduce func(c *Comm, vals []float64)
+	}{
+		{"AllreduceOrdered", func(c *Comm, vals []float64) {
+			c.AllreduceOrdered(vals, func(dst, src []float64) { dst[0] += src[0] })
+		}},
+		{"Allreduce(Sum)", func(c *Comm, vals []float64) { c.Allreduce(Sum, vals) }},
+	} {
+		for trial := 0; trial < 50; trial++ {
+			got := make([]float64, n)
+			err := NewWorld(n).Run(func(c *Comm) {
+				// Rotate the arrival order across trials; the result must not
+				// notice.
+				time.Sleep(time.Duration((c.Rank()+trial)%n) * 100 * time.Microsecond)
+				vals := []float64{contrib[c.Rank()]}
+				tc.reduce(c, vals)
+				got[c.Rank()] = vals[0]
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range got {
+				if math.Float64bits(got[r]) != math.Float64bits(want) {
+					t.Fatalf("%s trial %d rank %d: got %x, want %x (fold must be ascending rank order)",
+						tc.name, trial, r, math.Float64bits(got[r]), math.Float64bits(want))
+				}
+			}
 		}
 	}
 }

@@ -77,11 +77,11 @@ func New(every int) *Analyzer {
 	return a
 }
 
-// Register declares the number of ranks that will deposit and, on
-// decomposed runs, adopts the comm world's clock as the analyzer clock so
-// deposits and comm events share a timebase. Every rank calls it once at
-// install; the first call wins, later calls must agree on the rank count.
-func (a *Analyzer) Register(ranks int, commEpoch time.Time, hasComm bool) error {
+// Register declares the number of ranks that will deposit and adopts the
+// comm world's clock as the analyzer clock so deposits and comm events
+// share a timebase. Every rank calls it once at install; the first call
+// wins, later calls must agree on the rank count.
+func (a *Analyzer) Register(ranks int, commEpoch time.Time) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.epochSet {
@@ -91,15 +91,13 @@ func (a *Analyzer) Register(ranks int, commEpoch time.Time, hasComm bool) error 
 		return nil
 	}
 	a.ranks = ranks
-	if hasComm {
-		a.epoch = commEpoch
-	}
+	a.epoch = commEpoch
 	a.epochSet = true
 	return nil
 }
 
 // NowNs returns the current time on the analyzer clock (the comm world
-// clock on decomposed runs).
+// clock once registered).
 func (a *Analyzer) NowNs() int64 {
 	a.mu.Lock()
 	epoch := a.epoch

@@ -208,10 +208,10 @@ func TestAnalyzerDepositBarrierAndPublish(t *testing.T) {
 	if a.Due(3) || !a.Due(4) {
 		t.Fatal("cadence: want due only on multiples of every")
 	}
-	if err := a.Register(3, time.Now(), true); err != nil {
+	if err := a.Register(3, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Register(2, time.Now(), true); err == nil {
+	if err := a.Register(2, time.Now()); err == nil {
 		t.Fatal("conflicting rank count accepted")
 	}
 	reg := obs.NewRegistry()
@@ -257,7 +257,7 @@ func TestAnalyzerDepositBarrierAndPublish(t *testing.T) {
 func TestAnalyzerAbortUnblocksDeposit(t *testing.T) {
 	a := New(1)
 	a.Enable()
-	if err := a.Register(2, time.Now(), true); err != nil {
+	if err := a.Register(2, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	var aborted sync.Once
@@ -293,7 +293,7 @@ func TestAnalyzerAbortUnblocksDeposit(t *testing.T) {
 func TestHandlerAndStoreRoundTrip(t *testing.T) {
 	a := New(1)
 	a.Enable()
-	if err := a.Register(1, time.Now(), false); err != nil {
+	if err := a.Register(1, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	rr := httptest.NewRecorder()
@@ -340,7 +340,7 @@ func TestChromeTraceOverlay(t *testing.T) {
 	tr := p.NewTrack(prof.GroupRank, "rank0")
 	a := New(1)
 	a.Enable()
-	if err := a.Register(1, p.Epoch(), true); err != nil {
+	if err := a.Register(1, p.Epoch()); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Since(p.Epoch()).Nanoseconds()

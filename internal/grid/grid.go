@@ -147,18 +147,6 @@ func (g *Grid) Dim(a Axis) int {
 	}
 }
 
-// Coord returns the physical coordinate line for the axis.
-func (g *Grid) Coord(a Axis) []float64 {
-	switch a {
-	case X:
-		return g.Xc
-	case Y:
-		return g.Yc
-	default:
-		return g.Zc
-	}
-}
-
 // Metric returns the dξ/dx metric line for the axis.
 func (g *Grid) Metric(a Axis) []float64 {
 	switch a {
@@ -185,9 +173,6 @@ func (g *Grid) MinSpacing() float64 {
 	}
 	return min
 }
-
-// NumCells returns the total number of interior points.
-func (g *Grid) NumCells() int { return g.Nx * g.Ny * g.Nz }
 
 // Sub returns a grid describing the subdomain [i0,i0+nx) × [j0,j0+ny) ×
 // [k0,k0+nz) of g, sharing the parent's coordinate spacing and metrics.

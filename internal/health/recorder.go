@@ -50,9 +50,6 @@ func NewRecorder(n int) *Recorder {
 	return &Recorder{frames: make([]Frame, n)}
 }
 
-// Cap returns the ring depth.
-func (r *Recorder) Cap() int { return len(r.frames) }
-
 // Add appends a frame, evicting the oldest once the ring is full.
 func (r *Recorder) Add(f Frame) {
 	r.mu.Lock()

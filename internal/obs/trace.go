@@ -370,15 +370,6 @@ func Summarize(recs []Record) TraceSummary {
 	return s
 }
 
-// SummarizeFile reads and summarises a trace file in one call.
-func SummarizeFile(path string) (TraceSummary, error) {
-	recs, err := ReadTraceFile(path)
-	if err != nil {
-		return TraceSummary{}, err
-	}
-	return Summarize(recs), nil
-}
-
 // StatusLine renders the human-readable periodic status line for a step
 // event — the text exporter next to the JSONL one.
 func (ev StepEvent) StatusLine() string {

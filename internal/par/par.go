@@ -113,9 +113,6 @@ func NewPool(n int) *Pool {
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.n }
 
-// Busy returns the number of workers currently executing a tile.
-func (p *Pool) Busy() int { return int(p.busy.Load()) }
-
 // Close shuts the workers down after the queued tiles drain. Only dedicated
 // pools need closing; closing twice is a no-op. Close must not race with
 // in-flight plan executions.

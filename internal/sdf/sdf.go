@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -278,17 +279,38 @@ func Decode(r io.Reader) (*File, error) {
 	return f, nil
 }
 
-// WriteFile encodes to a path.
-func (f *File) WriteFile(path string) error {
-	out, err := os.Create(path)
+// WriteFile encodes to a path; the file appears there whole or not at all
+// (WriteAtomic).
+func (f *File) WriteFile(path string) error { return WriteAtomic(path, f.Encode) }
+
+// WriteAtomic lands what write produces under path, complete or not at all:
+// write fills a temporary file in path's directory, which is closed and then
+// renamed onto path. On any error the temporary is removed and whatever path
+// named before is left as it was, and a process that dies mid-write leaves a
+// stray dot-file, never a truncated path — a restart file a reader finds is
+// one a writer finished. The rename is not followed by an fsync: the
+// guarantee is about visibility, not about surviving power loss.
+func WriteAtomic(path string, write func(io.Writer) error) (err error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
-	if err := f.Encode(out); err != nil {
-		out.Close()
+	defer func() {
+		if err != nil {
+			tmp.Close() // a second Close after a failed one is harmless
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err = tmp.Chmod(0o644); err != nil { // CreateTemp's 0600 is for secrets
 		return err
 	}
-	return out.Close()
+	if err = write(tmp); err != nil {
+		return err
+	}
+	if err = tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 // ReadFile decodes from a path.

@@ -2,7 +2,10 @@ package sdf
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -101,6 +104,58 @@ func TestTruncatedStreamRejected(t *testing.T) {
 	b := buf.Bytes()
 	if _, err := Decode(bytes.NewReader(b[:len(b)-5])); err == nil {
 		t.Fatal("expected truncation error")
+	}
+}
+
+// TestWriteAtomic: a writer that fails halfway leaves nothing under the final
+// name — and a file already there untouched — and no temporary behind; a
+// writer that finishes replaces the file whole.
+func TestWriteAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "restart-000005.sdf")
+	boom := errors.New("disk went away")
+	halfway := func(w io.Writer) error {
+		if _, err := w.Write([]byte("half a rest")); err != nil {
+			return err
+		}
+		return boom
+	}
+	onlyFile := func(want string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if want == "" && len(names) != 0 || want != "" && (len(names) != 1 || names[0] != want) {
+			t.Fatalf("directory holds %v, want only %q", names, want)
+		}
+	}
+
+	if err := WriteAtomic(path, halfway); !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want the writer's error", err)
+	}
+	onlyFile("")
+
+	whole := func(w io.Writer) error { _, err := w.Write([]byte("a whole restart file")); return err }
+	if err := WriteAtomic(path, whole); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAtomic(path, halfway); !errors.Is(err, boom) {
+		t.Fatalf("failed overwrite returned %v, want the writer's error", err)
+	}
+	onlyFile(filepath.Base(path))
+	if got, err := os.ReadFile(path); err != nil || string(got) != "a whole restart file" {
+		t.Fatalf("pre-existing file after a failed overwrite: %q, %v", got, err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("mode %v, %v; want 0644", fi.Mode(), err)
+	}
+	if err := WriteAtomic(filepath.Join(dir, "missing", "x.sdf"), whole); err == nil {
+		t.Fatal("write into a missing directory succeeded")
 	}
 }
 

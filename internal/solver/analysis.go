@@ -87,15 +87,13 @@ func (b *Block) analysisStep() {
 	}
 	acc[total] = b.hrrAcc
 
-	if b.cart != nil {
-		// Ascending rank order — unlike Allreduce's arrival-order fold —
-		// so decomposed statistics are run-to-run reproducible too.
-		if err := b.cart.Comm.AllreduceOrdered(acc, func(dst, src []float64) {
-			p.MergeVec(dst[:total], src[:total])
-			dst[total] += src[total]
-		}); err != nil {
-			panic(err) // converted to a Run error by comm's rank recovery
-		}
+	// Ascending rank order, so decomposed statistics are run-to-run
+	// reproducible too.
+	if err := b.cart.Comm.AllreduceOrdered(acc, func(dst, src []float64) {
+		p.MergeVec(dst[:total], src[:total])
+		dst[total] += src[total]
+	}); err != nil {
+		panic(err) // converted to a Run error by comm's rank recovery
 	}
 
 	var extras []insitu.Product

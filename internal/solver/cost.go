@@ -118,12 +118,10 @@ func (b *Block) costStep() {
 	}
 
 	cost.PackFold(b.cFold, tileCosts, chemTotal, b.Rank(), c.WhatIfWorkers())
-	if b.cart != nil {
-		// Ascending rank order — unlike Allreduce's arrival-order fold —
-		// so decomposed records are run-to-run reproducible too.
-		if err := b.cart.Comm.AllreduceOrdered(b.cFold, cost.CombineFold); err != nil {
-			panic(err) // converted to a Run error by comm's rank recovery
-		}
+	// Ascending rank order, so decomposed records are run-to-run
+	// reproducible too.
+	if err := b.cart.Comm.AllreduceOrdered(b.cFold, cost.CombineFold); err != nil {
+		panic(err) // converted to a Run error by comm's rank recovery
 	}
 	rec := cost.Unpack(b.cFold, b.Step, b.Time, c.WhatIfWorkers())
 

@@ -14,9 +14,9 @@ import (
 )
 
 // InstallCritPath attaches the run's shared critpath analyzer to the block
-// (pass nil to detach). In decomposed runs every rank must install the SAME
-// analyzer — it doubles as the deposit barrier — and the analyzer adopts
-// the comm world's clock so comm events and step windows share a timebase.
+// (pass nil to detach). Every rank of a run must install the SAME analyzer
+// — it doubles as the deposit barrier — and the analyzer adopts the comm
+// world's clock so comm events and step windows share a timebase.
 // Blocks without a profiler track of their own get a rank track on the
 // analyzer's internal profiler, so blame attribution works either way.
 func (b *Block) InstallCritPath(a *critpath.Analyzer) error {
@@ -24,17 +24,13 @@ func (b *Block) InstallCritPath(a *critpath.Analyzer) error {
 		b.critA = nil
 		return nil
 	}
-	if b.cart != nil {
-		w := b.cart.Comm.World()
-		if err := a.Register(w.Size(), w.Epoch(), true); err != nil {
-			return err
-		}
-		// A rank that dies mid-step must not strand its peers in the
-		// deposit barrier.
-		a.BindAbort(w.OnAbort, w.Aborted)
-	} else if err := a.Register(1, time.Time{}, false); err != nil {
+	w := b.cart.Comm.World()
+	if err := a.Register(w.Size(), w.Epoch()); err != nil {
 		return err
 	}
+	// A rank that dies mid-step must not strand its peers in the deposit
+	// barrier.
+	a.BindAbort(w.OnAbort, w.Aborted)
 	if b.profT == nil {
 		b.EnableProfiling(a.InternalRankTrack(b.Rank()))
 	}
@@ -53,15 +49,13 @@ func (b *Block) CritPath() *critpath.Analyzer { return b.critA }
 func (b *Block) critArm() {
 	b.critA.ArmStep()
 	b.critStart = b.critA.NowNs()
-	if b.cart != nil {
-		b.cart.Comm.SetStepContext(b.Step+1, 0)
-		b.cart.Comm.ArmTrace(true)
-	}
+	b.cart.Comm.SetStepContext(b.Step+1, 0)
+	b.cart.Comm.ArmTrace(true)
 }
 
 // critStage stamps the running RK stage onto traced comm envelopes.
 func (b *Block) critStage(stage int) {
-	if b.critDue && b.cart != nil {
+	if b.critDue {
 		b.cart.Comm.SetStepContext(b.Step+1, stage)
 	}
 }
@@ -82,10 +76,8 @@ func (b *Block) critStep() {
 		Rank: b.Rank(), Step: b.Step, Time: b.Time,
 		StartNs: b.critStart, EndNs: end, Track: b.profT,
 	}
-	if b.cart != nil {
-		d.PtP, d.Coll = b.cart.Comm.DrainTrace()
-		b.cart.Comm.ArmTrace(false)
-	}
+	d.PtP, d.Coll = b.cart.Comm.DrainTrace()
+	b.cart.Comm.ArmTrace(false)
 	a.Deposit(d)
 }
 
@@ -96,11 +88,8 @@ func (b *Block) critStep() {
 func (b *Block) SetStragglerDelay(d time.Duration) { b.stragglerDelay = d }
 
 // CommWaitByPeer returns this rank's cumulative Wait-blocked nanoseconds by
-// peer rank (nil on serial runs). The counters accumulate whether or not
-// the critpath analyzer is armed.
+// peer rank. The counters accumulate whether or not the critpath analyzer
+// is armed.
 func (b *Block) CommWaitByPeer() []int64 {
-	if b.cart == nil {
-		return nil
-	}
 	return b.cart.Comm.World().WaitByPeer(b.Rank())
 }

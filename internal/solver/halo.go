@@ -50,16 +50,12 @@ func (b *Block) exchangeHalos(fields haloLists, tagBase int) {
 		if !b.loGhost[a] && !b.hiGhost[a] {
 			continue
 		}
-		if b.cart == nil {
-			// Serial: valid ghosts imply a periodic axis.
-			b.wrapAll(fields[a], axis)
-			continue
-		}
 		loNb := b.cart.Neighbor(a, -1)
 		hiNb := b.cart.Neighbor(a, +1)
 		self := b.cart.Comm.Rank()
 		if loNb == self && hiNb == self {
-			// Periodic axis not decomposed: wrap locally.
+			// Periodic axis not decomposed (every serial periodic axis): the
+			// rank is its own neighbour and wraps locally.
 			b.wrapAll(fields[a], axis)
 			continue
 		}

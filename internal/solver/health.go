@@ -17,20 +17,10 @@ import (
 )
 
 // Rank returns this block's rank (0 for serial runs).
-func (b *Block) Rank() int {
-	if b.cart == nil {
-		return 0
-	}
-	return b.cart.Comm.Rank()
-}
+func (b *Block) Rank() int { return b.cart.Comm.Rank() }
 
 // Ranks returns the number of ranks in the run (1 for serial).
-func (b *Block) Ranks() int {
-	if b.cart == nil {
-		return 1
-	}
-	return b.cart.Comm.Size()
-}
+func (b *Block) Ranks() int { return b.cart.Comm.Size() }
 
 // InstallWatchdog attaches a health watchdog to the block. While the
 // watchdog is armed, StepChecked evaluates the physics invariants at the
@@ -314,31 +304,27 @@ func (e *hExt) merge(o hExt, better bool) {
 
 func ext(e hExt) health.Extremum { return health.Extremum{V: health.F(e.v), Cell: e.c} }
 
-// healthCheck evaluates the armed watchdog at the end of a step. In
-// decomposed runs it first reduces the conserved integrals globally, then
-// allreduces a (level, rank+1) status word so every rank returns from the
-// same step: the faulting rank completed the step's full communication
-// pattern before this point, so no neighbour is left blocked.
+// healthCheck evaluates the armed watchdog at the end of a step. It first
+// reduces the conserved integrals globally, then allreduces a (level,
+// rank+1) status word so every rank returns from the same step: the
+// faulting rank completed the step's full communication pattern before this
+// point, so no neighbour is left blocked.
 func (b *Block) healthCheck(dt float64) error {
 	reg := b.beginRegion("HEALTH")
 	s := b.healthSample(dt)
-	if b.cart != nil {
-		v := []float64{float64(s.Mass), float64(s.Energy)}
-		b.cart.Comm.Allreduce(comm.Sum, v)
-		s.Mass, s.Energy = health.F(v[0]), health.F(v[1])
-	}
+	v := []float64{float64(s.Mass), float64(s.Energy)}
+	b.cart.Comm.Allreduce(comm.Sum, v)
+	s.Mass, s.Energy = health.F(v[0]), health.F(v[1])
 	viol := b.watch.Evaluate(&s, b.fault)
 	reg.End()
-	if b.cart != nil {
-		word := []float64{0, 0}
-		if viol != nil {
-			word[0], word[1] = float64(health.Fatal), float64(b.Rank()+1)
-		}
-		b.cart.Comm.Allreduce(comm.Max, word)
-		if viol == nil && word[0] >= float64(health.Fatal) {
-			viol = health.Remote(int(word[1])-1, b.Step)
-			b.watch.NoteRemote(viol)
-		}
+	word := []float64{0, 0}
+	if viol != nil {
+		word[0], word[1] = float64(health.Fatal), float64(b.Rank()+1)
+	}
+	b.cart.Comm.Allreduce(comm.Max, word)
+	if viol == nil && word[0] >= float64(health.Fatal) {
+		viol = health.Remote(int(word[1])-1, b.Step)
+		b.watch.NoteRemote(viol)
 	}
 	if viol != nil {
 		return viol

@@ -12,9 +12,7 @@ import (
 // goroutine. Pass nil to detach.
 func (b *Block) EnableProfiling(tr *prof.Track) {
 	b.profT = tr
-	if b.cart != nil {
-		b.cart.Comm.AttachProfiler(tr)
-	}
+	b.cart.Comm.AttachProfiler(tr)
 }
 
 // ProfTrack returns the block's profiler track (nil when not profiling).

@@ -156,7 +156,7 @@ const (
 
 // Block is the state owned by one rank: a subdomain with ghost layers, the
 // conserved and primitive fields, transport properties and scratch space.
-// A serial run is a single Block with no communicator.
+// A serial run is the one block of a one-rank topology.
 type Block struct {
 	cfg   *Config
 	G     *grid.Grid // local grid
@@ -173,7 +173,7 @@ type Block struct {
 	// At (gradients and transport coefficients).
 	g *gradView
 
-	cart *comm.Cart // nil for serial runs
+	cart *comm.Cart
 	// offset of the local block in the global grid
 	i0, j0, k0 int
 
@@ -337,13 +337,26 @@ type kernScratch struct {
 	tgt InflowState
 }
 
-// NewSerial builds a single-block (serial) simulation over the whole grid.
+// NewSerial builds a single-block (serial) simulation over the whole grid:
+// rank 0 of a one-rank topology on the caller's goroutine, so a serial run
+// takes the decomposed run's path — its periodic halo exchange finds the
+// rank its own neighbour and wraps locally, its collectives return at once.
 func NewSerial(cfg *Config) (*Block, error) {
-	if err := validate(cfg); err != nil {
+	cart, err := comm.NewCart(comm.Self(), [3]int{1, 1, 1}, periodicAxes(cfg))
+	if err != nil {
 		return nil, err
 	}
-	b := newBlock(cfg, cfg.Grid, nil, 0, 0, 0)
-	return b, nil
+	return NewParallel(cfg, cart)
+}
+
+// periodicAxes returns the periodicity of the process topology, which
+// follows the physical boundary conditions.
+func periodicAxes(cfg *Config) [3]bool {
+	return [3]bool{
+		cfg.BC[0][0] == Periodic,
+		cfg.BC[1][0] == Periodic,
+		cfg.BC[2][0] == Periodic,
+	}
 }
 
 // NewParallel builds the rank-local block for a decomposed run. The cart
@@ -483,17 +496,9 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 			b.faceBC[a][s] = cfg.BC[a][s]
 		}
 	}
-	if cart != nil {
-		for a := 0; a < 3; a++ {
-			if !cart.OnLowBoundary(a) {
-				b.interiorF[a][0] = true
-			}
-			if !cart.OnHighBoundary(a) {
-				b.interiorF[a][1] = true
-			}
-		}
-	}
 	for a := 0; a < 3; a++ {
+		b.interiorF[a][0] = !cart.OnLowBoundary(a)
+		b.interiorF[a][1] = !cart.OnHighBoundary(a)
 		perio := cfg.BC[a][0] == Periodic
 		b.loGhost[a] = perio || b.interiorF[a][0]
 		b.hiGhost[a] = perio || b.interiorF[a][1]
@@ -785,10 +790,6 @@ func (b *Block) SetState(fn func(x, y, z float64, s *InflowState), pFn func(x, y
 		}
 	}
 }
-
-// bcFor returns the derivative closure for the axis given ghost validity.
-func (b *Block) bcLo(a grid.Axis) bool { return b.loGhost[a] }
-func (b *Block) bcHi(a grid.Axis) bool { return b.hiGhost[a] }
 
 // MinMaxT returns the interior temperature extrema (monitoring).
 func (b *Block) MinMaxT() (float64, float64) { return b.T.MinMax() }

@@ -203,33 +203,22 @@ func (b *Block) RefreshPrimitives() {
 	b.computePrimitives()
 }
 
-// GlobalDt returns the acoustic time step reduced across all ranks (the
-// serial block returns its own).
+// GlobalDt returns the acoustic time step reduced across all ranks.
 func (b *Block) GlobalDt() float64 {
-	dt := b.AcousticDt()
-	if b.cart != nil {
-		v := []float64{dt}
-		b.cart.Comm.Allreduce(comm.Min, v)
-		dt = v[0]
-	}
-	return dt
+	v := []float64{b.AcousticDt()}
+	b.cart.Comm.Allreduce(comm.Min, v)
+	return v[0]
 }
 
 // RunParallel decomposes the configuration over a dims[0]×dims[1]×dims[2]
 // process grid and runs body on every rank's freshly constructed block.
-// Periodicity of the process topology follows the physical BCs.
 func RunParallel(cfg *Config, dims [3]int, body func(b *Block)) error {
 	if err := CheckDecomposition(cfg, dims); err != nil {
 		return err
 	}
 	w := comm.NewWorld(dims[0] * dims[1] * dims[2])
-	periodic := [3]bool{
-		cfg.BC[0][0] == Periodic,
-		cfg.BC[1][0] == Periodic,
-		cfg.BC[2][0] == Periodic,
-	}
 	return w.Run(func(c *comm.Comm) {
-		cart, err := comm.NewCart(c, dims, periodic)
+		cart, err := comm.NewCart(c, dims, periodicAxes(cfg))
 		if err != nil {
 			panic(err)
 		}

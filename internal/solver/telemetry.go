@@ -42,14 +42,9 @@ func (b *Block) HeatRelease() float64 { return b.hrrAcc }
 // stage of the last step (monitoring; pair of MinMaxT).
 func (b *Block) MinMaxP() (float64, float64) { return b.P.MinMax() }
 
-// CommStats returns this rank's cumulative message-passing counters, or a
-// zero value for serial blocks.
-func (b *Block) CommStats() comm.RankStats {
-	if b.cart == nil {
-		return comm.RankStats{}
-	}
-	return b.cart.Comm.Stats()
-}
+// CommStats returns this rank's cumulative message-passing counters (on a
+// serial block: its one-rank collectives and no messages).
+func (b *Block) CommStats() comm.RankStats { return b.cart.Comm.Stats() }
 
 // stepWallBuckets bounds the step wall-clock histogram: 100 µs … 30 s.
 var stepWallBuckets = []float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10, 30}

@@ -156,19 +156,6 @@ func (c *Conditional) Bins() (centers, means, stds, counts []float64) {
 	return centers, means, stds, counts
 }
 
-// MeanAt interpolates the conditional mean at a condition value (NaN
-// outside populated bins).
-func (c *Conditional) MeanAt(cond float64) float64 {
-	_, means, _, _ := c.Bins()
-	n := len(means)
-	f := (cond - c.Lo) / (c.Hi - c.Lo) * float64(n)
-	bin := int(f)
-	if bin < 0 || bin >= n {
-		return math.NaN()
-	}
-	return means[bin]
-}
-
 // Scatter collects decimated (x, y) samples for scatter plots (figure 11
 // plots every sampled grid point).
 type Scatter struct {

@@ -12,8 +12,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -21,6 +19,7 @@ import (
 	"github.com/s3dgo/s3d/internal/obs"
 	"github.com/s3dgo/s3d/internal/perf"
 	"github.com/s3dgo/s3d/internal/prof"
+	"github.com/s3dgo/s3d/internal/sdf"
 )
 
 // RunOptions is the run configuration shared by cmd/s3d, cmd/liftedflame
@@ -302,7 +301,7 @@ func (s *Session) Close() error {
 		err = errors.Join(err, s.trace.Close())
 	}
 	if s.critA != nil {
-		if werr := writeFile(s.overlay, s.critA.WriteChromeTrace); werr != nil {
+		if werr := sdf.WriteAtomic(s.overlay, s.critA.WriteChromeTrace); werr != nil {
 			err = errors.Join(err, werr)
 		} else {
 			fmt.Printf("wrote critical-path Chrome trace to %s\n", s.overlay)
@@ -316,17 +315,4 @@ func (s *Session) Close() error {
 		}
 	}
 	return err
-}
-
-// writeFile creates path and streams write's output into it.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -271,8 +271,8 @@ func (c *Config) toSolver() (*solver.Config, error) {
 	return sc, nil
 }
 
-// Simulation is a running DNS (one block; use RunDecomposed for the
-// MPI-style multi-rank execution).
+// Simulation is a running DNS (one block: the whole of a one-rank run from
+// New, or one rank's share inside RunDecomposed's MPI-style execution).
 type Simulation struct {
 	blk       *solver.Block
 	mech      *Mechanism
@@ -300,11 +300,19 @@ func (s *Simulation) SetInitial(fn func(x, y, z float64, st *State), pFn func(x,
 	s.blk.RefreshPrimitives()
 }
 
-// StableDt returns the acoustic-CFL stable time step for the current state.
+// StableDt returns the acoustic-CFL stable time step for the current state,
+// reduced across all ranks of the run. Collective: in a decomposed run every
+// rank must call it at the same point.
 func (s *Simulation) StableDt() float64 {
 	s.blk.RefreshPrimitives()
-	return s.blk.AcousticDt()
+	return s.blk.GlobalDt()
 }
+
+// StableDtGlobal is StableDt.
+//
+// Deprecated: a serial run is a one-rank decomposition, so there is one
+// stable step. The name remains only because the frozen benchmark/ calls it.
+func (s *Simulation) StableDtGlobal() float64 { return s.StableDt() }
 
 // Advance integrates n steps of size dt. It is TryAdvance with the solver's
 // historical contract: a health violation panics.

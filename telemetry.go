@@ -281,14 +281,6 @@ func commToObs(s comm.RankStats) obs.CommStats {
 	}
 }
 
-// StableDtGlobal returns the acoustic-CFL stable time step reduced across
-// all ranks of a decomposed run (identical to StableDt for serial runs).
-// Collective: every rank must call it at the same point.
-func (s *Simulation) StableDtGlobal() float64 {
-	s.blk.RefreshPrimitives()
-	return s.blk.GlobalDt()
-}
-
 // PerfTimers returns the simulation's per-region timer set (the TAU-style
 // breakdown of paper figure 2). For cross-rank aggregation take Snapshot
 // on each rank and Merge into a fresh aggregator-owned Timers.
