@@ -631,14 +631,14 @@ func BenchmarkAnalysisOverhead(b *testing.B) {
 
 // BenchmarkCostOverhead measures the cost-attribution sampler against an
 // uninstrumented run of the same problem at the default cadence (Every: 1,
-// a reduction every step — the worst case): the chemistry substep proxy
-// piggybacking on the final-stage reaction sweep, the probe's per-tile
-// sample on the first runs of each kernel per window (later runs execute
-// unwrapped; the measured totals come from the always-on region timers),
-// and the end-of-step reduction. The budget is the same 2% every other
-// observability layer holds to (methodology: benchCPUOverhead — this
-// gate is why the harness exists: per-step wall clock on shared runners
-// swings an order of magnitude more than the budget). Installed but
+// a record every step — the worst case): the probe's run and tile counts,
+// its per-tile sample on the first runs of each kernel per window (later
+// runs execute unwrapped; the region seconds come from the always-on
+// region timers) and the end-of-step snapshot and publish. The budget is
+// the same 2% every other observability layer holds to (methodology:
+// benchCPUOverhead — this gate is why the harness exists: per-step wall
+// clock on shared runners swings an order of magnitude more than the
+// budget). Installed but
 // disabled, the sampler costs one nil check plus one atomic load per
 // step and one atomic load per plan run, below measurement resolution
 // by construction.

@@ -54,6 +54,15 @@ if [ -n "$violations" ]; then
 	exit 1
 fi
 
+# Layering lint: the solver models no integrator it does not run, and the
+# cost layer records measurements, not models — so neither may import
+# internal/reactor (the stiff 0-D integrator and its SubstepRate controller).
+echo "== layering lint (internal/solver and internal/cost do not import internal/reactor)"
+if grep -rn '"github.com/s3dgo/s3d/internal/reactor"' --include='*.go' internal/solver internal/cost; then
+	echo "internal/reactor imported from the solver or the cost layer (see above)" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
@@ -79,12 +88,14 @@ fi
 
 # The one race pass. It is also the gate of every instrumentation layer's own
 # package (insitu, cost, critpath, jsonl), of the root determinism pins and
-# live-endpoint tests (analysis.jsonl / cost.jsonl byte-identical at 1 and 4
-# workers, critpath structure across worker counts, /analysis /cost /critpath)
-# and of the CLI smoke tests of cmd/s3d, cmd/liftedflame and cmd/bunsen
-# (-profile artifacts, the -inject-nan structured abort, -analysis, the
-# -straggle critical path, every shared flag per driver): each of those tests
-# says beside itself what it holds, so none is re-run by name below.
+# live-endpoint tests (analysis.jsonl byte-identical at 1 and 4 workers, the
+# checkpoint of a cost-armed run byte-identical to the un-armed one's at 1
+# and 4 workers, critpath structure across worker counts, /analysis /cost
+# /critpath) and of the CLI smoke tests of cmd/s3d, cmd/liftedflame and
+# cmd/bunsen (-profile artifacts, the -inject-nan structured abort,
+# -analysis, the -straggle critical path, every shared flag per driver):
+# each of those tests says beside itself what it holds, so none is re-run by
+# name below.
 echo "== go test -race ./..."
 go test -race -timeout 45m ./...
 
@@ -122,9 +133,10 @@ go -C benchmark test -timeout 15m .
 echo "== go test -run xxx -fuzz FuzzDecode -fuzztime 20s ./internal/sdf"
 go test -run xxx -fuzz FuzzDecode -fuzztime 20s ./internal/sdf
 
-# Likewise jsonl.Read, the reader behind analysis/cost/critpath.jsonl: any
-# byte stream yields records plus an error or nil, never a panic, and a
-# valid prefix is never lost.
+# Likewise jsonl.Read, the reader behind analysis/cost/critpath.jsonl and
+# the post-mortem flight.jsonl (health.ReadFlight): any byte stream yields
+# records plus an error or nil, never a panic, and a valid prefix is never
+# lost.
 echo "== go test -run xxx -fuzz FuzzRead -fuzztime 20s ./internal/jsonl"
 go test -run xxx -fuzz FuzzRead -fuzztime 20s ./internal/jsonl
 

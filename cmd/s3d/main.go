@@ -64,7 +64,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.outDir, "out", "out_s3d", "output directory")
 	fs.BoolVar(&o.perfReport, "perf-report", false, "print the per-region timer breakdown at exit")
 	fs.IntVar(&o.injectNaN, "inject-nan", 0, "plant a NaN in the conserved energy at the start of step N (watchdog test hook; implies -health)")
-	fs.DurationVar(&o.straggle, "straggle", 0, "slow one rank's chemistry by this much per RK stage (the highest rank in decomposed runs; critpath/cost validation hook)")
+	fs.DurationVar(&o.straggle, "straggle", 0, "slow one rank's chemistry by this much per RK stage (the highest rank in decomposed runs; critpath validation hook)")
 	return o
 }
 
@@ -167,8 +167,8 @@ func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error
 			// its PARIO_* spans ride on the rank's own track.
 			ckpt.ptrack = sim.ProfTrack()
 		}
-		// The test hooks act on the highest rank, so the watchdog, the
-		// analyzer and the cost imbalance analytics have a known culprit.
+		// The test hooks act on the highest rank, so the watchdog and the
+		// analyzer have a known culprit.
 		if r.Rank == nRanks-1 {
 			if o.injectNaN > 0 {
 				sim.InjectNaN(o.injectNaN)

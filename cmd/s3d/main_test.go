@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
@@ -299,8 +300,9 @@ func TestAnalysisSmoke(t *testing.T) {
 
 // TestOneRankIsSerial: a serial run is the 1x1x1 decomposition, so the CLI
 // with no -ranks and with -ranks 1x1x1 — the reacting NSCBC jet, periodic
-// checkpoints, the watchdog and both deterministic stores armed — must print
-// the same lines and write byte-identical restart, analysis and store files.
+// checkpoints, the watchdog, the analysis store and the cost store armed —
+// must print the same lines and write byte-identical restart and analysis
+// files; the cost stores (wall-clock records) must hold the same steps.
 func TestOneRankIsSerial(t *testing.T) {
 	run := func(ranks ...string) (stdout string, files map[string]string) {
 		dir := t.TempDir()
@@ -336,6 +338,14 @@ func TestOneRankIsSerial(t *testing.T) {
 			}
 			files[e.Name()] = strings.ReplaceAll(string(raw), dir, "OUT")
 		}
+		recs, err := s3d.ReadCost(filepath.Join(dir, "cost.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files["cost.jsonl"] = "steps"
+		for _, r := range recs {
+			files["cost.jsonl"] += fmt.Sprint(" ", r.Step)
+		}
 		stdout = files["stdout"]
 		delete(files, "stdout")
 		return stdout, files
@@ -357,6 +367,9 @@ func TestOneRankIsSerial(t *testing.T) {
 		if oneRank[name] != data {
 			t.Errorf("%s differs between no -ranks and -ranks 1x1x1", name)
 		}
+	}
+	if serial["cost.jsonl"] != "steps 1 2 3 4 5 6" {
+		t.Errorf("cost store holds %q, want one record per step", serial["cost.jsonl"])
 	}
 	if !strings.Contains(serialOut, "step     6 ") || !strings.Contains(serialOut, "ranks=1x1x1") {
 		t.Errorf("progress lines missing:\n%s", serialOut)

@@ -1,15 +1,14 @@
 package s3d
 
 // Cost maps: the public face of the spatial cost-attribution sampler
-// (internal/cost). EnableCostMaps installs a per-block collector that
-// attributes kernel cost to space — a deterministic chemistry work proxy
-// written to the cost_chem / cost_density registry fields (visible through
-// GET /fields and the viz pickers) plus wall-clock per-tile timings from
-// the kernel plan's probe — and reduces per-step imbalance analytics
-// cross-rank in ascending rank order. The deterministic record streams to
-// cost.jsonl, the GET /cost document, the cost_* gauges and the workflow
-// dashboard's balance lane; it is bitwise identical for any worker count.
-// See README.md, "Cost maps & load balance".
+// (internal/cost). EnableCostMaps installs a per-block collector that, on
+// every due step, records what the step measured: each tracked kernel's
+// exclusive region-timer seconds over the step plus run and tile counts
+// and a per-tile wall-clock sample from the kernel plan's probe. The record
+// is the publishing rank's own window — no collective — and carries
+// wall-clock, so it varies run to run. It streams to cost.jsonl, GET /cost,
+// the cost_* gauges and the workflow dashboard's balance lane. See
+// README.md, "Cost maps & load balance".
 
 import (
 	"fmt"
@@ -17,11 +16,11 @@ import (
 	"github.com/s3dgo/s3d/internal/cost"
 )
 
-// CostRecord is one step's deterministic cost document (re-exported from
+// CostRecord is one due step's measured cost record (re-exported from
 // internal/cost for subscribers and ReadCost consumers).
 type CostRecord = cost.Record
 
-// CostSpec configures EnableCostMaps. Every is the reduction cadence in
+// CostSpec configures EnableCostMaps. Every is the record cadence in
 // steps (≤0 selects every step).
 type CostSpec struct {
 	Every int
@@ -40,7 +39,7 @@ func (s *Simulation) EnableCostMaps(spec CostSpec) (*cost.Collector, error) {
 // Cost returns the installed collector (nil before EnableCostMaps).
 func (s *Simulation) Cost() *cost.Collector { return s.blk.Cost() }
 
-// SubscribeCost registers fn to receive every deterministic cost record, on
+// SubscribeCost registers fn to receive every cost record, on
 // the goroutine driving the simulation. EnableCostMaps must have been
 // called.
 func (s *Simulation) SubscribeCost(fn func(CostRecord)) error {

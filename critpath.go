@@ -102,7 +102,7 @@ func (s *Simulation) WriteCritPathTrace(w io.Writer) error {
 // surface as the critical-path owner, with its peers in late-sender waits
 // and the chemistry region blamed. Exposed publicly because straggler
 // experiments are how wait-state analytics are calibrated against the
-// cost imbalance model (see the e2e tests).
+// cost sampler's measured chemistry seconds (see the e2e tests).
 func (s *Simulation) InjectStraggler(d time.Duration) {
 	s.blk.SetStragglerDelay(d)
 }

@@ -148,11 +148,11 @@ func TestCritPathStragglerE2E(t *testing.T) {
 		dt := 0.4 * r.StableDt()
 		r.Advance(4, dt)
 		if r.Rank == straggler {
-			doc := r.Cost().Latest()
-			if doc == nil {
+			rec := r.Cost().Latest()
+			if rec == nil {
 				panic("straggler's cost collector published nothing")
 			}
-			for _, mk := range doc.Measured {
+			for _, mk := range rec.Kernels {
 				if mk.Kernel == "REACTION_RATE_BOUNDS" {
 					mu.Lock()
 					chemWallS = mk.RegionS

@@ -32,7 +32,7 @@ import (
 // /critpath handler are the embedded obs.Lane; subscribers run once per
 // analyzed step, on the depositing goroutine that completed its barrier.
 type Analyzer struct {
-	obs.Lane[Record, Record]
+	obs.Lane[Record]
 	// usesInternal marks that at least one rank records blame spans on the
 	// analyzer's own profiler (the run had none of its own); the internal
 	// profiler is then enabled only for due steps so disarmed steps pay
@@ -192,7 +192,7 @@ func (a *Analyzer) Deposit(d Deposit) {
 	}
 	a.mu.Unlock()
 
-	a.Publish(rec, &rec)
+	a.Publish(rec)
 
 	a.mu.Lock()
 	a.doneStep = rec.Step

@@ -48,10 +48,6 @@ const (
 	RoleFlux
 	// RoleScratch marks reusable working storage.
 	RoleScratch
-	// RoleCost marks an observability cost-density field (per-cell attributed
-	// kernel cost). Cost fields are diagnostics: never checkpointed, never
-	// halo-exchanged.
-	RoleCost
 )
 
 // String returns the role's stable lower-case name (used in /fields JSON).
@@ -71,8 +67,6 @@ func (r Role) String() string {
 		return "flux"
 	case RoleScratch:
 		return "scratch"
-	case RoleCost:
-		return "cost"
 	}
 	return fmt.Sprintf("role(%d)", int(r))
 }

@@ -1,11 +1,13 @@
 package health
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/s3dgo/s3d/internal/obs"
@@ -221,6 +223,39 @@ func TestRecorderRingAndDump(t *testing.T) {
 	}
 	if got[0].Slice == nil || !math.IsNaN(float64(got[0].Slice.Data[1])) {
 		t.Fatalf("slice with NaN did not survive the dump: %+v", got[0].Slice)
+	}
+	// The bundle is read after a crash: a final line cut mid-frame costs
+	// that frame alone, damage followed by valid frames is an error naming
+	// the package and the line, in front of the frames before it.
+	whole, err := os.ReadFile(filepath.Join(dir, "flight.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(whole, []byte("\n"))
+	for _, c := range []struct {
+		name    string
+		data    []byte
+		frames  int
+		wantErr string
+	}{
+		{"truncated final line", whole[:len(whole)-len(lines[3])/2], 3, ""},
+		{"damage then valid", bytes.Join([][]byte{lines[0], []byte("{garbage\n"), lines[2]}, nil), 1, ":2:"},
+	} {
+		path := filepath.Join(dir, "cut.jsonl")
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFlight(path)
+		if len(got) != c.frames || got[0].Step != 3 {
+			t.Fatalf("%s: %d frames, want the first %d", c.name, len(got), c.frames)
+		}
+		if c.wantErr == "" {
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		} else if err == nil || !strings.HasPrefix(err.Error(), "health: ") || !strings.Contains(err.Error(), c.wantErr) {
+			t.Fatalf("%s: err %v, want health: …%s…", c.name, err, c.wantErr)
+		}
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, "violation.json"))
 	if err != nil {

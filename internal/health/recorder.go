@@ -1,13 +1,14 @@
 package health
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
+
+	"github.com/s3dgo/s3d/internal/jsonl"
+	"github.com/s3dgo/s3d/internal/sdf"
 )
 
 // Slice is a coarse 2-D field snapshot stored with each flight-recorder
@@ -92,62 +93,29 @@ func (w *Watchdog) Dump(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, "flight.jsonl"))
+	err := sdf.WriteAtomic(filepath.Join(dir, "flight.jsonl"), func(out io.Writer) error {
+		enc := json.NewEncoder(out)
+		for _, frame := range w.rec.Frames() {
+			if err := enc.Encode(frame); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(f)
-	for _, frame := range w.rec.Frames() {
-		b, err := json.Marshal(frame)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		b = append(b, '\n')
-		if _, err := bw.Write(b); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	st := w.Status()
-	b, err := json.MarshalIndent(st, "", "  ")
+	b, err := json.MarshalIndent(w.Status(), "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "violation.json"), append(b, '\n'), 0o644)
+	return sdf.WriteAtomic(filepath.Join(dir, "violation.json"), func(out io.Writer) error {
+		_, err := out.Write(append(b, '\n'))
+		return err
+	})
 }
 
 // ReadFlight parses a flight.jsonl back into frames (post-mortem tooling
-// and tests).
-func ReadFlight(path string) ([]Frame, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []Frame
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var fr Frame
-		if err := json.Unmarshal([]byte(text), &fr); err != nil {
-			return out, fmt.Errorf("health: flight line %d: %w", line, err)
-		}
-		out = append(out, fr)
-	}
-	return out, sc.Err()
-}
+// and tests) under jsonl.Read's corrupt-tail contract: the bundle is read
+// after a crash, so a truncated final line costs that frame alone.
+func ReadFlight(path string) ([]Frame, error) { return jsonl.Read[Frame]("health", path) }

@@ -95,7 +95,7 @@ type BoundOp struct {
 // the latest record, gauges and the GET /analysis handler are the embedded
 // obs.Lane: a disabled pipeline costs the step loop a single atomic load.
 type Pipeline struct {
-	obs.Lane[Record, Record]
+	obs.Lane[Record]
 	wantHRR bool
 
 	ops   []BoundOp
@@ -171,7 +171,7 @@ func (p *Pipeline) Publish(step int, time float64, acc []float64, extras []Produ
 	for _, ex := range extras {
 		rec.Products = append(rec.Products, sanitize(ex))
 	}
-	p.Lane.Publish(rec, &rec)
+	p.Lane.Publish(rec)
 	return rec
 }
 

@@ -2,9 +2,10 @@
 // observability subsystem that persists one record per line (insitu
 // analysis.jsonl, cost cost.jsonl, critpath critpath.jsonl). It factors the
 // previously copy-pasted store/reader pairs onto one generic helper and
-// upgrades every reader to the obs.ReadTrace corrupt-tail contract: a run
-// killed mid-write leaves a truncated final line, and the valid prefix must
-// still load.
+// holds every reader — the trace (obs.ReadTrace) and the post-mortem flight
+// recording (health.ReadFlight) included — to one corrupt-tail contract: a
+// run killed mid-write leaves a truncated final line, and the valid prefix
+// must still load.
 package jsonl
 
 import (
@@ -82,29 +83,34 @@ func (s *Store[T]) Close() error {
 	return s.f.Close()
 }
 
-// Read loads every record of a JSONL store, tolerating a corrupt tail the
-// way obs.ReadTrace does: unparseable lines with no valid record after them
-// (the truncated-tail case, including an over-long final fragment) are
-// dropped silently and the prefix is returned with a nil error. An
-// unparseable line *followed by* valid records means mid-stream corruption:
-// the valid prefix before the damage is returned along with an error naming
-// the line, prefixed with pkg (the owning package, for error attribution).
+// Read loads every record of a JSONL store, tolerating a corrupt tail:
+// unparseable lines with no valid record after them (the truncated-tail
+// case, including an over-long final fragment) are dropped silently and the
+// prefix is returned with a nil error. An unparseable line *followed by*
+// valid records means mid-stream corruption: the valid prefix before the
+// damage is returned along with an error naming the line, prefixed with pkg
+// (the owning package, for error attribution).
 func Read[T any](pkg, path string) ([]T, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return read[T](pkg, path, f, maxLine)
+	return ReadFrom[T](pkg+": "+path+":", f)
 }
 
-// maxLine is the longest record line Read accepts (16 MiB).
+// ReadFrom is Read over an open stream — the one scanner loop under every
+// JSONL reader in the tree. at is how a damage error opens: it is followed
+// by the line number, ": " and the cause ("obs: trace line " gives
+// "obs: trace line 7: unexpected end of JSON input").
+func ReadFrom[T any](at string, r io.Reader) ([]T, error) { return read[T](at, r, maxLine) }
+
+// maxLine is the longest record line the readers accept (16 MiB).
 const maxLine = 1 << 24
 
-// read is Read over an open stream; name labels it in errors and limit is
-// the longest line accepted (FuzzRead lowers it so an over-long line fits a
-// small input).
-func read[T any](pkg, name string, r io.Reader, limit int) ([]T, error) {
+// read is ReadFrom with the longest accepted line as a parameter (FuzzRead
+// lowers it so an over-long line fits a small input).
+func read[T any](at string, r io.Reader, limit int) ([]T, error) {
 	var recs []T
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, min(1<<20, limit)), limit)
@@ -119,7 +125,7 @@ func read[T any](pkg, name string, r io.Reader, limit int) ([]T, error) {
 		var r T
 		if err := json.Unmarshal([]byte(text), &r); err != nil {
 			if badErr == nil {
-				badErr = fmt.Errorf("%s: %s:%d: %v", pkg, name, line, err)
+				badErr = fmt.Errorf("%s%d: %w", at, line, err)
 			}
 			continue
 		}

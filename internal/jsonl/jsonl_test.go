@@ -103,8 +103,8 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("\n \nnull\n[]\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		alone, aloneErr := read[rec]("fuzz", "alone", bytes.NewReader(data), limit)
-		got, gotErr := read[rec]("fuzz", "prefixed", io.MultiReader(strings.NewReader(valid), bytes.NewReader(data)), limit)
+		alone, aloneErr := read[rec]("fuzz: alone:", bytes.NewReader(data), limit)
+		got, gotErr := read[rec]("fuzz: prefixed:", io.MultiReader(strings.NewReader(valid), bytes.NewReader(data)), limit)
 		if len(got) < len(want) || !reflect.DeepEqual(got[:len(want)], want) {
 			t.Fatalf("valid prefix lost: got %+v (err %v)", got, gotErr)
 		}

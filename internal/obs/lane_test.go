@@ -24,7 +24,7 @@ func TestLane(t *testing.T) {
 	if l.Every() != 3 {
 		t.Fatalf("Every = %d, want 3", l.Every())
 	}
-	if zero := NewLane[laneRec, laneRec](0, nil); zero.Every() != 1 {
+	if zero := NewLane[laneRec](0, nil); zero.Every() != 1 {
 		t.Fatalf("cadence below 1 selects %d, want every step", zero.Every())
 	}
 
@@ -71,7 +71,7 @@ func TestLane(t *testing.T) {
 		}
 	})
 	rec := laneRec{Step: 3}
-	l.Publish(rec, &rec)
+	l.Publish(rec)
 	if strings.Join(order, ",") != "first,second" {
 		t.Fatalf("subscriber order %v", order)
 	}
@@ -81,7 +81,7 @@ func TestLane(t *testing.T) {
 	reg := NewRegistry()
 	l.AttachMetrics(reg)
 	rec = laneRec{Step: 6}
-	l.Publish(rec, &rec)
+	l.Publish(rec)
 	if gauged != 1 || reg.Gauge("lane.step").Value() != 6 {
 		t.Fatalf("gauges after attach: calls %d value %v", gauged, reg.Gauge("lane.step").Value())
 	}
@@ -93,7 +93,7 @@ func TestLane(t *testing.T) {
 // TestLaneConcurrentLatest reads Latest, Due and the handler from other
 // goroutines while the owner publishes (run under -race).
 func TestLaneConcurrentLatest(t *testing.T) {
-	l := NewLane[laneRec, laneRec](1, nil)
+	l := NewLane[laneRec](1, nil)
 	l.Enable()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -122,7 +122,7 @@ func TestLaneConcurrentLatest(t *testing.T) {
 	}
 	for step := 1; step <= 200; step++ {
 		rec := laneRec{Step: step}
-		l.Publish(rec, &rec)
+		l.Publish(rec)
 	}
 	close(stop)
 	wg.Wait()

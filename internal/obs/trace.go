@@ -10,6 +10,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+
+	"github.com/s3dgo/s3d/internal/jsonl"
 )
 
 // The structured run trace: one JSON object per line (JSONL). Every record
@@ -259,34 +261,7 @@ func NewRunInfo(caseName string, config map[string]string) *RunInfo {
 // *followed by* valid records means mid-stream corruption: the valid prefix
 // before the damage is returned along with an error naming the line.
 func ReadTrace(r io.Reader) ([]Record, error) {
-	var recs []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	line := 0
-	var badErr error
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			if badErr == nil {
-				badErr = fmt.Errorf("obs: trace line %d: %w", line, err)
-			}
-			continue
-		}
-		if badErr != nil {
-			// Valid data after the damage: not a truncated tail.
-			return recs, badErr
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
-		return recs, err
-	}
-	return recs, nil
+	return jsonl.ReadFrom[Record]("obs: trace line ", r)
 }
 
 // ReadTraceFile parses a trace.jsonl from disk.

@@ -326,8 +326,8 @@ func (pl *Plan) RunReduce(label string, r Range, fn func(t Tile, worker int) flo
 // 1-D decomposition used for per-field work such as halo pack/unpack,
 // where each item already writes a disjoint region. Item sweeps route
 // through the cost probe like tiled runs do, so halo pack/unpack and
-// RK-update work shows up in the measured side channel of the cost document
-// instead of being invisible to the sampler.
+// RK-update work has rows in the cost record instead of being invisible to
+// the sampler.
 func (pl *Plan) RunItems(label string, n int, fn func(item, worker int)) {
 	if n > 0 {
 		pl.execute(region{label: label, item: fn}, n)

@@ -154,11 +154,9 @@ func ConstPressure(m *chem.Mechanism, T0, p float64, Y0 []float64, tEnd float64,
 // reciprocal of the largest step (1/dt) that keeps the relative change of T
 // and of every species above a 1e-6 floor below relChange, given the state
 // (T, y) and its time derivatives dydt (= Wᵢω̇ᵢ/ρ) and dTdt (= q/(ρ·cp)).
-// A relChange ≤ 0 selects the reactor default (0.02). Besides driving
-// ConstPressure, it serves as the deterministic chemistry-stiffness proxy of
-// the cost-attribution sampler: ceil(dt·rate) estimates how many reactor
-// substeps a cell's state would demand, a pure function of the state that is
-// reproducible across worker counts where wall-clock timings are not.
+// A relChange ≤ 0 selects the reactor default (0.02). Being pure, it also
+// maps chemical stiffness over any state: ceil(dt·rate) is how many reactor
+// substeps a cell would demand over a step dt.
 func SubstepRate(T float64, y, dydt []float64, dTdt, relChange float64) float64 {
 	if relChange <= 0 {
 		relChange = 0.02

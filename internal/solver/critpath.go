@@ -83,8 +83,8 @@ func (b *Block) critStep() {
 
 // SetStragglerDelay injects an artificial per-stage delay into this rank's
 // chemistry sweep (zero disables) — the validation hook for the critpath
-// analyzer and the cost imbalance analytics: a slowed rank must show up as
-// the critical-path owner with its peers in late-sender waits.
+// analyzer: a slowed rank must show up as the critical-path owner with its
+// peers in late-sender waits (and in its own cost record's chemistry row).
 func (b *Block) SetStragglerDelay(d time.Duration) { b.stragglerDelay = d }
 
 // CommWaitByPeer returns this rank's cumulative Wait-blocked nanoseconds by

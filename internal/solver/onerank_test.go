@@ -16,8 +16,8 @@ import (
 
 // armAll turns on every instrumentation layer a block carries — profiling,
 // the watchdog, analysis, cost maps, the critpath analyzer and telemetry —
-// at cadence one, and returns the two record sources whose bytes do not
-// depend on wall time.
+// at cadence one, and returns the analysis pipeline (its records do not
+// depend on wall time) and the cost collector.
 func armAll(t *testing.T, b *Block) (*insitu.Pipeline, *cost.Collector) {
 	t.Helper()
 	b.EnableProfiling(prof.New().NewTrack(prof.GroupRank, "rank0"))
@@ -51,11 +51,12 @@ func armAll(t *testing.T, b *Block) (*insitu.Pipeline, *cost.Collector) {
 // TestSerialIsOneRankRun: NewSerial's block is rank 0 of a one-rank topology
 // on the caller's goroutine, RunParallel's 1×1×1 block the same rank under
 // World.Run. The two must end on byte-identical checkpoints — and, armed,
-// on identical analysis and cost records — on a periodic box (every halo a
-// self-neighbour wrap), the NSCBC jet (no neighbour at all in the plane) and
-// a line along z (two axes without ghosts), un-armed and with every layer
-// armed (an armed step runs the health, analysis and cost collectives and
-// the critpath deposit on the one rank).
+// on identical analysis records and a cost record of the same step — on a
+// periodic box (every halo a self-neighbour wrap), the NSCBC jet (no
+// neighbour at all in the plane) and a line along z (two axes without
+// ghosts), un-armed and with every layer armed (an armed step runs the
+// health and analysis collectives and the critpath deposit on the one
+// rank).
 func TestSerialIsOneRankRun(t *testing.T) {
 	type setup struct {
 		name   string
@@ -74,7 +75,8 @@ func TestSerialIsOneRankRun(t *testing.T) {
 		for _, armed := range []bool{false, true} {
 			pool := par.NewPool(2)
 			// advance returns the final checkpoint followed, when armed, by the
-			// last analysis and cost records.
+			// last analysis record and the last cost record's step (a cost
+			// record is wall-clock).
 			advance := func(b *Block) []byte {
 				c.ic(b)
 				var p *insitu.Pipeline
@@ -92,7 +94,7 @@ func TestSerialIsOneRankRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				if armed {
-					if err := json.NewEncoder(&out).Encode([]any{p.Latest(), cc.Latest().Record}); err != nil {
+					if err := json.NewEncoder(&out).Encode([]any{p.Latest(), cc.Latest().Step}); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -298,9 +298,26 @@ func TestBlockRegistryInventory(t *testing.T) {
 	if fs.Len() == 0 || fs.FieldLen() != len(b.T.Data) {
 		t.Fatal("registry arena shape inconsistent")
 	}
-	var _ *grid.Field3 = b.naiveT1
-	if fs.ByName("naive_t1") != b.naiveT1 || fs.ByName("filter_scratch") != b.scratchF {
-		t.Fatal("scratch fields not registered")
+	if fs.ByName("filter_scratch") != b.scratchF {
+		t.Fatal("scratch field not registered")
+	}
+	// The naive diff-flux kernel's temporaries ride with the kernel: absent
+	// by default, the last two fields of the arena under DiffFluxNaive.
+	if fs.ByName("naive_t1") != nil || b.naiveT1 != nil {
+		t.Fatal("naive_t1 registered under the fused kernel")
+	}
+	cfg := checkpointConfig()
+	cfg.DiffFlux = DiffFluxNaive
+	nb, err := NewSerial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nfs := nb.Fields()
+	if nb.naiveT1 == nil || nfs.ByName("naive_t1") != nb.naiveT1 || nfs.ByName("naive_t2") != nb.naiveT2 {
+		t.Fatal("naive temporaries not registered under DiffFluxNaive")
+	}
+	if want := append(fs.Names(), "naive_t1", "naive_t2"); strings.Join(nfs.Names(), " ") != strings.Join(want, " ") {
+		t.Fatalf("DiffFluxNaive registry is not the default one plus the two temporaries:\n%v", nfs.Names())
 	}
 }
 
@@ -308,11 +325,13 @@ func TestBlockRegistryInventory(t *testing.T) {
 // of the 16×12×8 reactive block, recorded before per-direction fields became
 // conditional on the axis being active: with three active axes the names and
 // their order — the arena layout, halo pack order and checkpoint order — are
-// what they were. Re-recorded once since, on the commit before the dynamic
-// load balancer was deleted, over that commit's 186 names minus the last
-// one registered, the balancer's per-cell ownership map (the earlier value
-// was 0x1cc5a78fc70650d6).
-const registryNamesHash3D uint64 = 0xdb30d12cd5fdfc67
+// what they were. Re-recorded twice since, each time on the parent commit
+// over its names minus the last ones registered: the deleted balancer's
+// per-cell ownership map (186 → 185, 0x1cc5a78fc70650d6 →
+// 0xdb30d12cd5fdfc67), then naive_t1 / naive_t2 (now registered under
+// DiffFluxNaive alone) and the cost layer's two deleted per-cell proxy maps
+// (185 → 181, from 0xdb30d12cd5fdfc67).
+const registryNamesHash3D uint64 = 0x5262fab6cc5a156f
 
 // TestRegistryActiveAxes: a block registers gradient, diffusive-flux and flux
 // fields along its active axes only. The 3-D inventory is pinned; the 2-D one
@@ -327,8 +346,8 @@ func TestRegistryActiveAxes(t *testing.T) {
 	names3 := b3.Fields().Names()
 	h := fnv.New64a()
 	h.Write([]byte(strings.Join(names3, "\n")))
-	if len(names3) != 185 || h.Sum64() != registryNamesHash3D {
-		t.Fatalf("3-D registry: %d names hashing to %#016x, recorded 185 and %#016x",
+	if len(names3) != 181 || h.Sum64() != registryNamesHash3D {
+		t.Fatalf("3-D registry: %d names hashing to %#016x, recorded 181 and %#016x",
 			len(names3), h.Sum64(), registryNamesHash3D)
 	}
 
@@ -348,7 +367,7 @@ func TestRegistryActiveAxes(t *testing.T) {
 		want = append(want, name)
 	}
 	got := b2.Fields().Names()
-	if len(got) != 147 || strings.Join(got, " ") != strings.Join(want, " ") {
+	if len(got) != 143 || strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("2-D registry has %d names, want the 3-D ones without the z direction (%d):\n%v",
 			len(got), len(want), got)
 	}

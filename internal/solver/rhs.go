@@ -3,11 +3,9 @@ package solver
 import (
 	"time"
 
-	"github.com/s3dgo/s3d/internal/cost"
 	"github.com/s3dgo/s3d/internal/deriv"
 	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/par"
-	"github.com/s3dgo/s3d/internal/reactor"
 	"github.com/s3dgo/s3d/internal/thermo"
 )
 
@@ -267,39 +265,22 @@ func (b *Block) chemSource() {
 		// chemistry region so the critpath analyzer blames the right kernel.
 		time.Sleep(d)
 	}
-	// On the final RK stage of a cost-due step the deterministic chemistry
-	// work proxy piggybacks on this sweep: reactor.SubstepRate on the cell
-	// state yields the substep demand an adaptive integrator would pay — a
-	// pure function of the state, bitwise reproducible at any worker count,
-	// written to the cost_chem map and summed into ordered per-tile slots.
-	doCost := b.collectCost
-	// The slot-writing stages (heat-release fold, cost proxy) sweep partition
+	// The heat-release fold writes ordered slots and so sweeps partition
 	// tile by partition tile; every other stage takes the plan's fat tiles.
-	switch {
-	case b.collectHRR:
+	if b.collectHRR {
 		b.hrrAcc = b.plan.RunReduce("REACTION_RATE_BOUNDS", b.interior(),
-			func(t par.Tile, w int) float64 {
-				hrr, tileCost := b.chemTileSweep(t, w, true, doCost)
-				if doCost {
-					b.cSlots[t.Index] = tileCost
-				}
-				return hrr
-			})
-	case doCost:
-		b.plan.RunSlots("REACTION_RATE_BOUNDS", b.interior(), func(t par.Tile, w int) {
-			_, b.cSlots[t.Index] = b.chemTileSweep(t, w, false, true)
-		})
-	default:
-		b.plan.Run("REACTION_RATE_BOUNDS", b.interior(), func(t par.Tile, w int) {
-			b.chemTileSweep(t, w, false, false)
-		})
+			func(t par.Tile, w int) float64 { return b.chemTileSweep(t, w, true) })
+		return
 	}
+	b.plan.Run("REACTION_RATE_BOUNDS", b.interior(), func(t par.Tile, w int) {
+		b.chemTileSweep(t, w, false)
+	})
 }
 
 // chemTileSweep evaluates the chemistry kernel over one tile: production
 // rates added to the species equations, plus (flagged) the heat-release
-// integrand sum and the substep-proxy sum with its cost_chem writes.
-func (b *Block) chemTileSweep(t par.Tile, worker int, collect, doCost bool) (hrr, tileCost float64) {
+// integrand sum.
+func (b *Block) chemTileSweep(t par.Tile, worker int, collect bool) (hrr float64) {
 	ns := b.ns
 	species := b.mech.Set.Species
 	ws := &b.ws[worker]
@@ -318,26 +299,8 @@ func (b *Block) chemTileSweep(t par.Tile, worker int, collect, doCost bool) (hrr
 				if collect {
 					hrr += ws.mech.HeatReleaseRate(T, ws.wdot) * b.cellVol(i, j, k)
 				}
-				if doCost {
-					// Species relative-change limit only: y and dydt fall
-					// out of the concentrations and rates this sweep just
-					// computed. The temperature term would need cp and
-					// enthalpy polynomial sweeps — far too heavy for a
-					// piggyback, and the stiff-radical species limits
-					// dominate it anyway (the 1e-6 mass-fraction floor
-					// makes trace radicals the binding constraint).
-					inv := 1 / rho
-					for n := 0; n < ns; n++ {
-						ws.yw[n] = ws.cw[n] * species[n].W * inv
-						ws.hw[n] = species[n].W * ws.wdot[n] * inv
-					}
-					rate := reactor.SubstepRate(T, ws.yw, ws.hw, 0, 0)
-					s := cost.Substeps(rate, b.costDt)
-					b.costChemF.Set(i, j, k, s)
-					tileCost += s
-				}
 			}
 		}
 	}
-	return hrr, tileCost
+	return hrr
 }

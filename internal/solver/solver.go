@@ -234,7 +234,7 @@ type Block struct {
 	yw, cw, wdot, hw []float64
 	props            transport.Props
 	scratchF         *grid.Field3
-	naiveT1, naiveT2 *grid.Field3 // temporaries of the naive diff-flux kernel
+	naiveT1, naiveT2 *grid.Field3 // temporaries of the naive diff-flux kernel (nil under the fused one)
 
 	// The Q/dQ/rhs registers are registered consecutively, so each bank is
 	// one contiguous arena run: the RK 2N update and register zeroing are
@@ -292,21 +292,10 @@ type Block struct {
 	aDue     bool          // this step ends in an analysis reduction
 
 	// Cost-attribution sampler (see cost.go). costC may stay nil; a
-	// disabled collector costs StepChecked one atomic load per step. The
-	// deterministic chemistry work proxy piggybacks on the final RK stage's
-	// chemistry sweep into ordered per-tile slots (cSlots) and the cost_chem
-	// field; costStep folds them cross-rank and publishes.
+	// disabled collector costs StepChecked one atomic load per step.
 	costC       *cost.Collector
-	cSlots      []float64 // ordered per-tile chemistry proxy sums
-	cFold       []float64 // cross-rank fold vector (cost.FoldLen)
 	cRegionBase []float64 // region-timer seconds at window open, per kernel
-	costDue     bool      // this step ends in a cost reduction
-	collectCost bool      // true during the final RK stage of a due step
-	costDt      float64   // dt of the step being sampled (substep conversion)
-
-	// Spatial cost-density fields (registered unconditionally; zero unless
-	// cost maps are enabled).
-	costChemF, costDensF *grid.Field3
+	costDue     bool      // this step ends in a cost record
 
 	// Cross-rank wait-state and critical-path analyzer (see critpath.go in
 	// this package). critA may stay nil; a disabled analyzer costs
@@ -644,15 +633,12 @@ func (b *Block) registerFields() {
 
 	scratchID := fs.Register(grid.FieldMeta{Name: "filter_scratch", Role: grid.RoleScratch, Species: -1})
 	// The naive diff-flux kernel's array-statement temporaries, registered
-	// eagerly so the kernel never lazily allocates outside the arena.
-	nt1ID := fs.Register(grid.FieldMeta{Name: "naive_t1", Role: grid.RoleScratch, Species: -1})
-	nt2ID := fs.Register(grid.FieldMeta{Name: "naive_t2", Role: grid.RoleScratch, Species: -1})
-
-	// Spatial cost-density maps (see cost.go), registered unconditionally so
-	// the registry ABI — and with it the checkpoint and halo layouts, which
-	// exclude them — is identical whether or not cost maps are enabled.
-	costChemID := fs.Register(grid.FieldMeta{Name: "cost_chem", Role: grid.RoleCost, Species: -1})
-	costDensID := fs.Register(grid.FieldMeta{Name: "cost_density", Role: grid.RoleCost, Species: -1})
+	// with the kernel that uses them so it never lazily allocates outside
+	// the arena. They come last: every other field keeps its offset.
+	if b.cfg.DiffFlux == DiffFluxNaive {
+		fs.Register(grid.FieldMeta{Name: "naive_t1", Role: grid.RoleScratch, Species: -1})
+		fs.Register(grid.FieldMeta{Name: "naive_t2", Role: grid.RoleScratch, Species: -1})
+	}
 
 	fs.Build()
 
@@ -699,8 +685,7 @@ func (b *Block) registerFields() {
 		}
 	}
 	b.scratchF = fs.Field(scratchID)
-	b.naiveT1, b.naiveT2 = fs.Field(nt1ID), fs.Field(nt2ID)
-	b.costChemF, b.costDensF = fs.Field(costChemID), fs.Field(costDensID)
+	b.naiveT1, b.naiveT2 = fs.ByName("naive_t1"), fs.ByName("naive_t2")
 
 	b.g = newGradView(b)
 }

@@ -218,6 +218,7 @@ func TestAcousticPulseSpeed(t *testing.T) {
 // the naive kernel, hold on the fused one).
 func TestDiffFluxKernelsAgree(t *testing.T) {
 	cfg := airConfig(12, 10, 6, 0.02)
+	cfg.DiffFlux = DiffFluxNaive // registers the naive kernel's temporaries
 	b, err := NewSerial(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -50,7 +50,7 @@ func (b *Block) StepChecked(dt float64) error {
 	// collection window so the plan's probe samples this step's tiles.
 	b.costDue = b.costC != nil && b.costC.Due(b.Step+1)
 	if b.costDue {
-		b.costArm(dt)
+		b.costArm()
 	}
 	// And for the critpath analyzer: a due step records comm envelopes and
 	// ends in a cross-rank deposit barrier.
@@ -90,8 +90,6 @@ func (b *Block) StepChecked(dt float64) error {
 		if b.collectHRR {
 			b.hrrAcc = 0
 		}
-		// The chemistry work proxy piggybacks on the same final-stage sweep.
-		b.collectCost = b.costDue && rhsCall == nStages
 		rhsSpan := b.profT.Begin("RHS")
 		b.computeRHS(stageTime)
 		rhsSpan.End()
@@ -102,7 +100,6 @@ func (b *Block) StepChecked(dt float64) error {
 		b.StageWall[stage] = time.Since(stageStart).Seconds()
 	})
 	b.collectHRR = false
-	b.collectCost = false
 	b.Step++
 	b.Time += dt
 	if fe := b.cfg.FilterEvery; fe > 0 && b.Step%fe == 0 {
@@ -124,8 +121,8 @@ func (b *Block) StepChecked(dt float64) error {
 	}
 	// Analysis reduces only after a clean health check: healthCheck's
 	// status word guarantees every rank returns from the same step, so the
-	// reduction's collective matches across ranks. The cost reduction
-	// follows for the same reason.
+	// reduction's collective matches across ranks. The cost record follows,
+	// so an aborted step publishes none.
 	b.analysisStep()
 	b.costStep()
 	// The critpath deposit barrier runs last: its published record then

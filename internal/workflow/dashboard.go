@@ -62,10 +62,9 @@ type DashboardStatus struct {
 	Analysis *AnalysisLane `json:"analysis,omitempty"`
 
 	// Balance is the load-imbalance lane (dashboard/cost.jsonl, the cost
-	// sampler's store dropped in by the producer): per-kernel tile-cost
-	// imbalance, the greedy re-tiling what-if, and the cross-rank straggler
-	// verdict of the final record. Nil when no cost store has been copied
-	// in.
+	// sampler's store dropped in by the producer): the final record's
+	// measured per-kernel tile imbalance and region seconds. Nil when no
+	// cost store has been copied in.
 	Balance *BalanceLane `json:"balance,omitempty"`
 
 	// CritPath is the wait-state lane (dashboard/critpath.jsonl, the
@@ -168,26 +167,20 @@ func analysisLane(recs []insitu.Record) *AnalysisLane {
 
 // BalanceKernel is one kernel's row in the balance lane.
 type BalanceKernel struct {
-	Kernel          string  `json:"kernel"`
-	Imbalance       float64 `json:"imbalance"`        // max/mean tile cost
-	WhatIfReduction float64 `json:"whatif_reduction"` // predicted makespan cut
+	Kernel    string  `json:"kernel"`
+	Imbalance float64 `json:"imbalance"` // sampled max/mean tile seconds
+	RegionS   float64 `json:"region_s"`  // exclusive region seconds of the window
 }
 
 // BalanceLane surfaces the spatial cost sampler on the dashboard page: the
-// per-kernel max/mean tile-cost ratios of the final record, the kernel the
-// greedy re-tiling what-if would help most, and the cross-rank straggler —
-// the "where is the time going, and would re-tiling fix it" glance.
+// measured per-kernel tile imbalance and region seconds of the final record
+// — the "where did the step's time go, and were the tiles even" glance.
 type BalanceLane struct {
-	Records       int             `json:"records"`
-	LastStep      int             `json:"last_step"`
-	RankImbalance float64         `json:"rank_imbalance"`
-	Straggler     int             `json:"straggler"`
-	Kernels       []BalanceKernel `json:"kernels,omitempty"`
-	// WorstKernel is the kernel with the highest tile-cost imbalance;
-	// BestReduction the largest predicted makespan reduction any kernel's
-	// what-if estimator reports.
-	WorstKernel   string  `json:"worst_kernel,omitempty"`
-	BestReduction float64 `json:"best_reduction"`
+	Records  int             `json:"records"`
+	LastStep int             `json:"last_step"`
+	Kernels  []BalanceKernel `json:"kernels,omitempty"`
+	// WorstKernel is the kernel with the highest sampled tile imbalance.
+	WorstKernel string `json:"worst_kernel,omitempty"`
 }
 
 // balanceLane builds the lane from a loaded cost store; nil when the store
@@ -197,25 +190,15 @@ func balanceLane(recs []cost.Record) *BalanceLane {
 		return nil
 	}
 	last := recs[len(recs)-1]
-	lane := &BalanceLane{
-		Records:       len(recs),
-		LastStep:      last.Step,
-		RankImbalance: last.RankImbalance,
-		Straggler:     last.Straggler,
-	}
+	lane := &BalanceLane{Records: len(recs), LastStep: last.Step}
 	worst := 0.0
 	for _, k := range last.Kernels {
 		lane.Kernels = append(lane.Kernels, BalanceKernel{
-			Kernel:          k.Kernel,
-			Imbalance:       k.Imbalance,
-			WhatIfReduction: k.WhatIf.Reduction,
+			Kernel: k.Kernel, Imbalance: k.Imbalance, RegionS: k.RegionS,
 		})
 		if k.Imbalance > worst {
 			worst = k.Imbalance
 			lane.WorstKernel = k.Kernel
-		}
-		if k.WhatIf.Reduction > lane.BestReduction {
-			lane.BestReduction = k.WhatIf.Reduction
 		}
 	}
 	return lane

@@ -53,7 +53,7 @@ func (o *RunOptions) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Analysis, "analysis", "", "enable the in-situ science-reduction pipeline and append its records (JSONL) to this file")
 	fs.IntVar(&o.AnalysisEvery, "analysis-every", 1, "analysis reduction cadence in steps")
 	fs.StringVar(&o.Cost, "cost", "", "enable the spatial cost-attribution sampler and append its records (JSONL) to this file")
-	fs.IntVar(&o.CostEvery, "cost-every", 1, "cost reduction cadence in steps")
+	fs.IntVar(&o.CostEvery, "cost-every", 1, "cost record cadence in steps")
 	fs.StringVar(&o.CritPath, "critpath", "", "enable the wait-state & critical-path analyzer and append its records (JSONL) to this file; a Chrome-trace overlay lands next to it as critpath_trace.json")
 	fs.IntVar(&o.CritPathEvery, "critpath-every", 1, "critical-path analysis cadence in steps")
 	fs.IntVar(&o.Workers, "workers", 0, "kernel worker-pool size, shared across in-process ranks (0: all CPUs)")
@@ -181,8 +181,9 @@ type Armed struct {
 //     (and the critpath analyzer blames the run's profiler, not a private
 //     one);
 //  2. health, analysis, cost: an armed watchdog adds two small collectives
-//     to every step, a due analysis or cost step one ordered fold each, so
-//     a decomposed run must enable the identical spec on every rank;
+//     to every step and a due analysis step one ordered fold, so a
+//     decomposed run must enable the identical spec on every rank (a cost
+//     record is its rank's own window and needs no collective);
 //  3. the critpath analyzer — the same instance on every rank, because a
 //     due step ends in its deposit barrier;
 //  4. telemetry last: StartTelemetry mounts gauges and the /health
@@ -191,9 +192,10 @@ type Armed struct {
 //     enabled after it is invisible to the monitor and the trace.
 //
 // Every rank of a decomposed run must call Arm at the same point with the
-// same session. Rank 0 alone subscribes the stores (the ordered folds make
-// every rank's record bitwise identical, and the critpath barrier publishes
-// once per step) and starts telemetry.
+// same session. Rank 0 alone subscribes the stores (the ordered fold makes
+// every rank's analysis record bitwise identical, the critpath barrier
+// publishes once per step, and cost.jsonl holds rank 0's windows) and
+// starts telemetry.
 func (s *Session) Arm(sim *Simulation, prob *Problem, opt TelemetryOptions) (*Armed, error) {
 	o := s.opt
 	rank := sim.blk.Rank()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -35,6 +36,20 @@ func runCase(t *testing.T, p *Problem, dims [3]int, body func(sim *Simulation, r
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// costSteps returns the step ids of a cost store's records.
+func costSteps(t *testing.T, path string) []int {
+	t.Helper()
+	recs, err := ReadCost(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make([]int, len(recs))
+	for i, r := range recs {
+		steps[i] = r.Step
+	}
+	return steps
 }
 
 // handWired is the reference for TestRunOptions: the enable sequence the
@@ -84,11 +99,11 @@ func handWired(sim *Simulation, p *Problem, rank int, critA *CritPathAnalyzer, d
 }
 
 // TestRunOptions drives the session through {serial, 2×1×1} × {every layer,
-// none, health + injected NaN}. With every layer on, analysis.jsonl and
-// cost.jsonl must equal the hand-wired reference byte for byte; with none,
-// the run must be the plain Advance; on a health abort the stores are
-// closed and a bundle, the overlay and the profile artifacts are left
-// behind. No mode may leak a goroutine.
+// none, health + injected NaN}. With every layer on, analysis.jsonl must
+// equal the hand-wired reference byte for byte and cost.jsonl (wall-clock)
+// record the same steps; with none, the run must be the plain Advance; on a
+// health abort the stores are closed and a bundle, the overlay and the
+// profile artifacts are left behind. No mode may leak a goroutine.
 func TestRunOptions(t *testing.T) {
 	SetWorkers(2)
 	defer SetWorkers(0) // restore the NumCPU default for other tests
@@ -151,18 +166,22 @@ func TestRunOptions(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, name := range []string{"analysis.jsonl", "cost.jsonl"} {
-				want, err := os.ReadFile(filepath.Join(ref, name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				have, err := os.ReadFile(filepath.Join(got, name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(want) == 0 || !bytes.Equal(want, have) {
-					t.Fatalf("%s: session wrote %d bytes, the hand-wired sequence %d, and they differ", name, len(have), len(want))
-				}
+			want, err := os.ReadFile(filepath.Join(ref, "analysis.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			have, err := os.ReadFile(filepath.Join(got, "analysis.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !bytes.Equal(want, have) {
+				t.Fatalf("analysis.jsonl: session wrote %d bytes, the hand-wired sequence %d, and they differ", len(have), len(want))
+			}
+			// Cost records carry wall-clock: the stores agree on which steps
+			// were recorded.
+			wantSteps, haveSteps := costSteps(t, filepath.Join(ref, "cost.jsonl")), costSteps(t, filepath.Join(got, "cost.jsonl"))
+			if len(wantSteps) != steps/2 || !reflect.DeepEqual(wantSteps, haveSteps) {
+				t.Fatalf("cost.jsonl: session recorded steps %v, the hand-wired sequence %v", haveSteps, wantSteps)
 			}
 			if sess.BundleDir() != filepath.Join(got, "health") {
 				t.Fatalf("bundle directory %q, want the <out>/health default", sess.BundleDir())
