@@ -54,6 +54,22 @@ if [ -n "$violations" ]; then
 	exit 1
 fi
 
+# Stepping lint: a Simulation is stepped by one loop, Simulation.TryAdvance
+# (health.go) — the one place a step is checked, observed by the probe and
+# followed by the post-mortem dump. Every other way in (Advance, the probe's,
+# Session.Arm's handle) delegates to it, so outside internal/solver, the
+# frozen benchmark module and test files StepChecked has exactly one caller.
+echo "== stepping lint (one .StepChecked( call site outside internal/solver, benchmark and tests)"
+callers=$(grep -rn '\.StepChecked(' --include='*.go' . \
+	| grep -v '^\./internal/solver/' \
+	| grep -v '^\./benchmark/' \
+	| grep -v '_test\.go:' || true)
+if [ "$(printf '%s\n' "$callers" | grep -c .)" -ne 1 ]; then
+	echo "StepChecked call sites outside internal/solver (want exactly one, in Simulation.TryAdvance):" >&2
+	echo "$callers" >&2
+	exit 1
+fi
+
 # Layering lint: the solver models no integrator it does not run, and the
 # cost layer records measurements, not models — so neither may import
 # internal/reactor (the stiff 0-D integrator and its SubstepRate controller).
@@ -93,9 +109,11 @@ fi
 # and 4 workers, critpath structure across worker counts, /analysis /cost
 # /critpath) and of the CLI smoke tests of cmd/s3d, cmd/liftedflame and
 # cmd/bunsen (-profile artifacts, the -inject-nan structured abort,
-# -analysis, the -straggle critical path, every shared flag per driver):
-# each of those tests says beside itself what it holds, so none is re-run by
-# name below.
+# -analysis, the -straggle critical path, every shared flag per driver, the
+# artifacts of a run a rank panicked out of) and of the trace's durability
+# (internal/obs TestTraceDurableWithoutFlush: every emitted record on disk
+# with no Flush and no Close): each of those tests says beside itself what
+# it holds, so none is re-run by name below.
 echo "== go test -race ./..."
 go test -race -timeout 45m ./...
 

@@ -121,7 +121,8 @@ func (o *options) decomposition() (dims [3]int, err error) {
 // What the ranks report is merged here, in the driver: each progress line is
 // printed by the last rank to reach it, the timer breakdown after all have
 // finished. A rank-local failure panics; RunDecomposed aborts the other
-// ranks and returns it as the run's error.
+// ranks and returns it as the run's error, after the session's artifacts
+// have landed like on every other way out.
 func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error {
 	nRanks := dims[0] * dims[1] * dims[2]
 	grid := fmt.Sprintf("%dx%dx%d", dims[0], dims[1], dims[2])
@@ -216,13 +217,12 @@ func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error
 			poolAgg = sim.PoolPerfTimers()
 		}
 	})
-	if err != nil {
-		return err
-	}
 	if aborted {
 		fmt.Printf("post-mortem bundle in %s\n", session.BundleDir())
 	}
-	if err := session.Close(); err != nil {
+	// The session closes on a rank error too: what the run recorded up to
+	// there — stores, the trace's tail, the overlay, the profile — explains it.
+	if err := errors.Join(err, session.Close()); err != nil {
 		return err
 	}
 	if o.perfReport && !aborted {

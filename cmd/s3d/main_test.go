@@ -14,6 +14,7 @@ import (
 
 	"github.com/s3dgo/s3d"
 	"github.com/s3dgo/s3d/internal/health"
+	"github.com/s3dgo/s3d/internal/obs"
 )
 
 // TestProfileSmoke drives the real CLI end-to-end on a tiny decomposed
@@ -188,6 +189,42 @@ func TestHealthSmoke(t *testing.T) {
 	}
 	if fi, err := os.Stat(matches[0]); err != nil || fi.Size() == 0 {
 		t.Fatalf("emergency checkpoint unreadable or empty: %v", err)
+	}
+}
+
+// TestRankErrorLandsArtifacts: a rank that panics (a NaN with no watchdog to
+// absorb it) fails the run, and the run still lands what it recorded — the
+// trace holds every step completed before the fault and the profile export
+// exists — because those are the files that say why it died.
+func TestRankErrorLandsArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	trace, profDir := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "prof")
+	fs := flag.NewFlagSet("s3d", flag.ContinueOnError)
+	o := bindFlags(fs)
+	if err := fs.Parse([]string{
+		"-problem", "liftedjet", "-nx", "32", "-ny", "24", "-nz", "1",
+		"-steps", "6", "-ranks", "2x1x1", "-workers", "1",
+		"-out", filepath.Join(dir, "out"), "-trace", trace, "-profile", profDir,
+		"-inject-nan", "3", // main() would arm -health; run() is called without it
+	}); err != nil {
+		t.Fatal(err)
+	}
+	session, err := o.Open(o.outDir, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(buildProblem(o.problem, o.nx, o.ny, o.nz), o, [3]int{2, 1, 1}, session); err == nil {
+		t.Fatal("a NaN without the watchdog must fail the run")
+	}
+	recs, err := obs.ReadTraceFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := obs.Summarize(recs); sum.Steps < 2 || sum.Done {
+		t.Fatalf("trace after a rank panic: %d steps, done=%v; want the steps before the fault and no run_done", sum.Steps, sum.Done)
+	}
+	if _, err := os.Stat(filepath.Join(profDir, "trace.json")); err != nil {
+		t.Fatalf("profile export missing after a rank panic: %v", err)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Insitu: demonstrates paper §8.3 — visualization running *inside* the
 // simulation loop, sharing the solver's live data structures. The run
-// renders fused OH/HO2 frames and accumulates the OH time histogram without
-// ever writing raw field data to disk; only the images leave the run.
+// renders fused OH/HO2 frames and accumulates the temperature time histogram
+// on the analysis lane's cadence, without ever writing raw field data to
+// disk; only the images leave the run.
 package main
 
 import (
@@ -26,25 +27,34 @@ func main() {
 		log.Fatal(err)
 	}
 
-	outDir := "out_insitu"
-	imager := &s3d.InSituImager{Dir: outDir, FieldA: "Y_OH", FieldB: "Y_HO2", Width: 240, Height: 180}
-	frames, err := imager.Observer()
+	// One cadence for everything in situ: every 12th step the analysis lane
+	// reduces the temperature histogram and, as its subscriber, the imager
+	// renders a frame from the same live fields.
+	lane, err := sim.EnableAnalysis(s3d.AnalysisSpec{
+		Every:      12,
+		Histograms: []s3d.HistogramSpec{{Field: "T", Bins: 24, Lo: 300, Hi: 2900}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	hist := &s3d.InSituHistogram{Field: "T", Bins: 24, Lo: 300, Hi: 2900}
+	outDir := "out_insitu"
+	imager := &s3d.InSituImager{Dir: outDir, FieldA: "Y_OH", FieldB: "Y_HO2", Width: 240, Height: 180}
+	if err := imager.Attach(sim); err != nil {
+		log.Fatal(err)
+	}
+	var hist [][]float64
+	lane.Subscribe(func(rec s3d.AnalysisRecord) {
+		hist = append(hist, rec.Products[0].Bins)
+		lo, hi, _ := sim.MinMax("T")
+		fmt.Printf("in-situ observation at step %3d: T ∈ [%.0f, %.0f] K\n", rec.Step, lo, hi)
+	})
 
-	dt := 0.4 * sim.StableDt()
-	sim.AdvanceInSitu(60, dt, 12, s3d.Compose(frames, hist.Observer(),
-		func(s *s3d.Simulation) {
-			lo, hi, _ := s.MinMax("T")
-			fmt.Printf("in-situ observation at step %3d: T ∈ [%.0f, %.0f] K\n", s.Step(), lo, hi)
-		}))
+	sim.Advance(60, 0.4*sim.StableDt())
 
 	fmt.Printf("\nrendered %d frames into %s/\n", imager.Frames(), outDir)
 
 	// The accumulated histograms feed the §8.2 time-histogram view.
-	th := &viz.TimeHistogram{Hist: hist.Snapshots, Width: 256, Height: 128}
+	th := &viz.TimeHistogram{Hist: hist, Width: 256, Height: 128}
 	img, err := th.Render()
 	if err != nil {
 		log.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"github.com/s3dgo/s3d/internal/health"
 	"github.com/s3dgo/s3d/internal/sdf"
@@ -60,16 +61,23 @@ func (s *Simulation) EnableHealth(opt HealthOptions) *health.Watchdog {
 // Watchdog returns the installed health watchdog (nil before EnableHealth).
 func (s *Simulation) Watchdog() *health.Watchdog { return s.blk.Watchdog() }
 
-// TryAdvance integrates n steps of size dt like Advance, but returns a
-// *health.Violation (as error) the moment the armed watchdog trips FATAL,
-// after writing the post-mortem bundle configured in HealthOptions. In
-// decomposed runs every rank returns from the same step: the faulting
-// rank's violation names the cell, the others return a "remote" violation
-// naming the culprit rank. Without EnableHealth it never returns an error
-// (unrecoverable states panic inside the step).
+// TryAdvance integrates n steps of size dt: the one loop that steps a
+// Simulation (Advance, Probe.TryAdvance and Armed.Advance end here). An
+// attached telemetry probe emits every step's record, the fatal step's
+// included. It returns a *health.Violation (as error) the moment the armed
+// watchdog trips FATAL, after writing the post-mortem bundle configured in
+// HealthOptions. In decomposed runs every rank returns from the same step:
+// the faulting rank's violation names the cell, the others return a
+// "remote" violation naming the culprit rank. Without EnableHealth it never
+// returns an error (unrecoverable states panic inside the step).
 func (s *Simulation) TryAdvance(n int, dt float64) error {
 	for i := 0; i < n; i++ {
-		if err := s.blk.StepChecked(dt); err != nil {
+		t0 := time.Now()
+		err := s.blk.StepChecked(dt)
+		if s.probe != nil {
+			s.probe.observe(dt, time.Since(t0).Seconds())
+		}
+		if err != nil {
 			s.dumpPostMortem()
 			return err
 		}

@@ -1,55 +1,27 @@
 package s3d
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
-	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/obs"
-	"github.com/s3dgo/s3d/internal/stats"
 	"github.com/s3dgo/s3d/internal/viz"
 )
-
-// fieldRef is a zero-copy view of live solver storage.
-type fieldRef = *grid.Field3
 
 // In-situ visualization (paper §8.3): for extreme-scale runs the data
 // cannot be staged to disk and post-processed, so "the visualization code
 // must interact directly with the simulation code" and "share the same
-// data structures". AdvanceInSitu threads an observer through the time
-// loop, and InSituImager renders frames straight from the solver's live
-// fields — no copies, no I/O of raw data, only the rendered images leave
-// the run.
-
-// Observer is called with the live simulation between step bursts.
-type Observer func(s *Simulation)
-
-// AdvanceInSitu integrates n steps of size dt, invoking the observer every
-// `every` steps (and once at the end). Primitives are refreshed before each
-// observation so observers read a consistent state.
-func (s *Simulation) AdvanceInSitu(n int, dt float64, every int, obs Observer) {
-	if every <= 0 {
-		every = n
-	}
-	done := 0
-	for done < n {
-		burst := every
-		if done+burst > n {
-			burst = n - done
-		}
-		s.blk.Advance(burst, dt)
-		done += burst
-		s.blk.RefreshPrimitives()
-		if obs != nil {
-			obs(s)
-		}
-	}
-}
+// data structures". InSituImager renders frames straight from the solver's
+// live fields inside the one time loop — no copies, no I/O of raw data, only
+// the rendered images leave the run. It rides the analysis lane: one frame
+// per analysis record, so its cadence is EnableAnalysis's Every and it runs
+// under the health watchdog and the trace like every end-of-step consumer.
 
 // InSituImager renders a two-layer fused volume image of the named fields
-// directly from solver storage at each observation, writing numbered PNGs.
-// A nil second field name renders a single layer. Render failures never
+// directly from solver storage at each analysis step, writing numbered PNGs.
+// An empty second field name renders a single layer. Render failures never
 // take the simulation down: they are counted in the insitu.render_errors
 // metric (when Metrics is set) and the first one is retained for Err.
 type InSituImager struct {
@@ -78,11 +50,20 @@ func (im *InSituImager) fail(err error) {
 	}
 }
 
-// Observer returns the Observer that renders one frame per call.
-func (im *InSituImager) Observer() (Observer, error) {
+// Attach creates the frame directory and subscribes the imager to sim's
+// analysis lane (EnableAnalysis first): every analysis record renders one
+// frame from the live fields, primitives as the step's final stage left
+// them. A step the health watchdog aborts publishes no record and so
+// renders no frame.
+func (im *InSituImager) Attach(sim *Simulation) error {
 	if err := os.MkdirAll(im.Dir, 0o755); err != nil {
-		return nil, err
+		return err
 	}
+	return sim.Subscribe(func(AnalysisRecord) { im.render(sim) })
+}
+
+// render writes one frame.
+func (im *InSituImager) render(s *Simulation) {
 	w, h := im.Width, im.Height
 	if w == 0 {
 		w = 320
@@ -90,47 +71,39 @@ func (im *InSituImager) Observer() (Observer, error) {
 	if h == 0 {
 		h = 240
 	}
-	return func(s *Simulation) {
-		layers := make([]viz.Layer, 0, 2)
-		add := func(name string, tf *viz.TransferFunc) {
-			f := s.solverField(name)
-			if f == nil {
-				return
-			}
-			lo, hi := f.MinMax()
-			if hi <= lo {
-				hi = lo + 1
-			}
-			layers = append(layers, viz.Layer{Field: f, TF: tf, Min: lo, Max: hi})
-		}
-		add(im.FieldA, viz.HotTF(0.85))
-		if im.FieldB != "" {
-			add(im.FieldB, viz.CoolTF(0.85))
-		}
-		r := &viz.Renderer{
-			Layers: layers,
-			Cam:    frontCamera(s),
-			Width:  w, Height: h,
-			Background: viz.RGBA{R: 0.02, G: 0.02, B: 0.04, A: 1},
-		}
-		path := filepath.Join(im.Dir, fmt.Sprintf("frame-%05d.png", im.frames))
-		im.frames++
-		out, err := os.Create(path)
-		if err != nil {
-			// In-situ rendering must never take the simulation down — but a
-			// dropped frame is counted and the first error kept for Err.
-			im.fail(err)
+	layers := make([]viz.Layer, 0, 2)
+	add := func(name string, tf *viz.TransferFunc) {
+		f := s.blk.FieldByName(name) // live storage, no copy; nil for an unknown name
+		if f == nil {
 			return
 		}
-		if err := viz.WritePNG(out, r.Render()); err != nil {
-			out.Close()
-			im.fail(err)
-			return
+		lo, hi := f.MinMax()
+		if hi <= lo {
+			hi = lo + 1
 		}
-		if err := out.Close(); err != nil {
-			im.fail(err)
-		}
-	}, nil
+		layers = append(layers, viz.Layer{Field: f, TF: tf, Min: lo, Max: hi})
+	}
+	add(im.FieldA, viz.HotTF(0.85))
+	if im.FieldB != "" {
+		add(im.FieldB, viz.CoolTF(0.85))
+	}
+	r := &viz.Renderer{
+		Layers: layers,
+		Cam:    frontCamera(s),
+		Width:  w, Height: h,
+		Background: viz.RGBA{R: 0.02, G: 0.02, B: 0.04, A: 1},
+	}
+	path := filepath.Join(im.Dir, fmt.Sprintf("frame-%05d.png", im.frames))
+	im.frames++
+	out, err := os.Create(path)
+	if err == nil {
+		err = errors.Join(viz.WritePNG(out, r.Render()), out.Close())
+	}
+	if err != nil {
+		// In-situ rendering must never take the simulation down — but a
+		// dropped frame is counted and the first error kept for Err.
+		im.fail(err)
+	}
 }
 
 // Frames returns the number of frames written so far.
@@ -146,61 +119,5 @@ func frontCamera(s *Simulation) viz.Camera {
 		return viz.Camera{Azimuth: 1.5707963267948966} // look along y
 	default:
 		return viz.Camera{}
-	}
-}
-
-// solverField exposes the live solver field for zero-copy in-situ use; nil
-// for unknown names. Names resolve through the block's field registry
-// ("rho", "u", "T", "Y_OH", … — the /fields endpoint lists the inventory),
-// so the in-situ path and the solver share one naming authority. (Interior
-// values only are meaningful.)
-func (s *Simulation) solverField(name string) fieldRef {
-	return s.blk.FieldByName(name)
-}
-
-// InSituHistogram accumulates per-observation histograms of a field — the
-// time-histogram feed of the §8.2 interface, built in-situ. When Lo/Hi do
-// not describe a range (Hi ≤ Lo), the bounds are derived from the field's
-// extrema at the FIRST observation and frozen for the rest of the run, so
-// every snapshot shares one axis and the stack is mutually comparable.
-type InSituHistogram struct {
-	Field     string
-	Bins      int
-	Lo, Hi    float64
-	Snapshots [][]float64
-}
-
-// Observer returns the accumulating Observer.
-func (ih *InSituHistogram) Observer() Observer {
-	if ih.Bins == 0 {
-		ih.Bins = 32
-	}
-	return func(s *Simulation) {
-		f := s.solverField(ih.Field)
-		if f == nil {
-			return
-		}
-		if ih.Hi <= ih.Lo {
-			// Freeze auto-derived bounds into the struct at first sight so
-			// later snapshots keep the same axis.
-			ih.Lo, ih.Hi = f.MinMax()
-			if ih.Hi <= ih.Lo {
-				ih.Hi = ih.Lo + 1
-			}
-		}
-		h := stats.NewHistogram(ih.Bins, ih.Lo, ih.Hi)
-		f.Each(func(_, _, _ int, v float64) { h.Add(v) })
-		ih.Snapshots = append(ih.Snapshots, h.Normalized())
-	}
-}
-
-// Compose chains observers.
-func Compose(obs ...Observer) Observer {
-	return func(s *Simulation) {
-		for _, o := range obs {
-			if o != nil {
-				o(s)
-			}
-		}
 	}
 }

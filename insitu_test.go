@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/s3dgo/s3d/internal/health"
 	"github.com/s3dgo/s3d/internal/obs"
 )
 
@@ -30,17 +31,16 @@ func inertBoxSim(t *testing.T) *Simulation {
 	return sim
 }
 
-func TestAdvanceInSituObserverCadence(t *testing.T) {
-	sim := inertBoxSim(t)
-	dt := 0.5 * sim.StableDt()
-	calls := 0
-	sim.AdvanceInSitu(10, dt, 3, func(s *Simulation) { calls++ })
-	// Bursts: 3+3+3+1 → 4 observations.
-	if calls != 4 {
-		t.Fatalf("observer calls = %d, want 4", calls)
+// attachImager arms the analysis lane every `every` steps and attaches im
+// to it.
+func attachImager(t *testing.T, sim *Simulation, im *InSituImager, every int) {
+	t.Helper()
+	spec := AnalysisSpec{Every: every, Moments: []MomentSpec{{Field: "T"}}}
+	if _, err := sim.EnableAnalysis(spec); err != nil {
+		t.Fatal(err)
 	}
-	if sim.Step() != 10 {
-		t.Fatalf("steps = %d, want 10", sim.Step())
+	if err := im.Attach(sim); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -48,12 +48,8 @@ func TestInSituImagerWritesFrames(t *testing.T) {
 	sim := inertBoxSim(t)
 	dir := filepath.Join(t.TempDir(), "frames")
 	im := &InSituImager{Dir: dir, FieldA: "T", FieldB: "p", Width: 48, Height: 36}
-	obs, err := im.Observer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dt := 0.5 * sim.StableDt()
-	sim.AdvanceInSitu(6, dt, 2, obs)
+	attachImager(t, sim, im, 2)
+	sim.Advance(6, 0.5*sim.StableDt())
 	if im.Frames() != 3 {
 		t.Fatalf("frames = %d, want 3", im.Frames())
 	}
@@ -68,101 +64,32 @@ func TestInSituImagerWritesFrames(t *testing.T) {
 	}
 }
 
-func TestInSituHistogramAccumulates(t *testing.T) {
-	sim := inertBoxSim(t)
-	ih := &InSituHistogram{Field: "T", Bins: 16}
-	dt := 0.5 * sim.StableDt()
-	sim.AdvanceInSitu(4, dt, 2, ih.Observer())
-	if len(ih.Snapshots) != 2 {
-		t.Fatalf("snapshots = %d, want 2", len(ih.Snapshots))
-	}
-	var sum float64
-	for _, p := range ih.Snapshots[0] {
-		sum += p
-	}
-	if sum < 0.99 || sum > 1.01 {
-		t.Fatalf("histogram not normalised: %g", sum)
+func TestInSituImagerNeedsAnalysis(t *testing.T) {
+	im := &InSituImager{Dir: filepath.Join(t.TempDir(), "frames"), FieldA: "T"}
+	if err := im.Attach(inertBoxSim(t)); err == nil {
+		t.Fatal("Attach without EnableAnalysis must fail: there is no lane to ride")
 	}
 }
 
-func TestComposeObservers(t *testing.T) {
+// TestInSituImagerUnderHealth: §8.3 runs inside the one checked loop. A NaN
+// planted at step 5 with frames due every 2 steps leaves the frames of steps
+// 2 and 4, the violation from TryAdvance, and no frame of the aborted step
+// or after it.
+func TestInSituImagerUnderHealth(t *testing.T) {
 	sim := inertBoxSim(t)
-	a, b := 0, 0
-	obs := Compose(func(*Simulation) { a++ }, nil, func(*Simulation) { b++ })
-	sim.AdvanceInSitu(2, 1e-7, 1, obs)
-	if a != 2 || b != 2 {
-		t.Fatalf("composed observers ran %d/%d times", a, b)
+	sim.EnableHealth(HealthOptions{})
+	im := &InSituImager{Dir: filepath.Join(t.TempDir(), "frames"), FieldA: "T", Width: 32, Height: 24}
+	attachImager(t, sim, im, 2)
+	sim.InjectNaN(5)
+	err := sim.TryAdvance(8, 0.5*sim.StableDt())
+	if _, ok := err.(*health.Violation); !ok {
+		t.Fatalf("TryAdvance returned %T (%v), want *health.Violation", err, err)
 	}
-}
-
-func TestAdvanceInSituEdgeCases(t *testing.T) {
-	t.Run("every greater than n", func(t *testing.T) {
-		sim := inertBoxSim(t)
-		dt := 0.5 * sim.StableDt()
-		calls := 0
-		sim.AdvanceInSitu(3, dt, 100, func(*Simulation) { calls++ })
-		// One burst clipped to n → exactly one observation, at the end.
-		if calls != 1 {
-			t.Fatalf("observer calls = %d, want 1", calls)
-		}
-		if sim.Step() != 3 {
-			t.Fatalf("steps = %d, want 3", sim.Step())
-		}
-	})
-	t.Run("every non-positive", func(t *testing.T) {
-		sim := inertBoxSim(t)
-		dt := 0.5 * sim.StableDt()
-		calls := 0
-		sim.AdvanceInSitu(4, dt, 0, func(*Simulation) { calls++ })
-		// every <= 0 selects one observation at the end of the run.
-		if calls != 1 {
-			t.Fatalf("observer calls = %d, want 1 (every<=0 observes once at the end)", calls)
-		}
-		if sim.Step() != 4 {
-			t.Fatalf("steps = %d, want 4", sim.Step())
-		}
-	})
-	t.Run("zero steps", func(t *testing.T) {
-		sim := inertBoxSim(t)
-		calls := 0
-		sim.AdvanceInSitu(0, 1e-7, 2, func(*Simulation) { calls++ })
-		if calls != 0 {
-			t.Fatalf("observer calls = %d, want 0 for n == 0", calls)
-		}
-		if sim.Step() != 0 {
-			t.Fatalf("steps = %d, want 0", sim.Step())
-		}
-	})
-}
-
-func TestComposeAllNilObservers(t *testing.T) {
-	sim := inertBoxSim(t)
-	obs := Compose(nil, nil, nil)
-	// Must be callable without panicking.
-	sim.AdvanceInSitu(2, 1e-7, 1, obs)
-	if sim.Step() != 2 {
-		t.Fatalf("steps = %d, want 2", sim.Step())
+	if sim.Step() != 5 {
+		t.Fatalf("run stopped at step %d, want 5", sim.Step())
 	}
-}
-
-func TestInSituHistogramFreezesAutoBounds(t *testing.T) {
-	sim := inertBoxSim(t)
-	ih := &InSituHistogram{Field: "T", Bins: 8} // Hi <= Lo → auto-range
-	dt := 0.5 * sim.StableDt()
-	obs := ih.Observer()
-	obs(sim)
-	lo0, hi0 := ih.Lo, ih.Hi
-	if !(hi0 > lo0) {
-		t.Fatalf("first observation must freeze bounds, got [%g, %g]", lo0, hi0)
-	}
-	// The state evolves between observations; the axis must not.
-	sim.AdvanceInSitu(4, dt, 2, obs)
-	if ih.Lo != lo0 || ih.Hi != hi0 {
-		t.Fatalf("bounds drifted: [%g, %g] → [%g, %g]; snapshots are no longer comparable",
-			lo0, hi0, ih.Lo, ih.Hi)
-	}
-	if len(ih.Snapshots) != 3 {
-		t.Fatalf("snapshots = %d, want 3", len(ih.Snapshots))
+	if im.Frames() != 2 || im.Err() != nil {
+		t.Fatalf("frames = %d (err %v), want the 2 of steps 2 and 4", im.Frames(), im.Err())
 	}
 }
 
@@ -171,11 +98,9 @@ func TestInSituImagerSurfacesRenderErrors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "frames")
 	reg := obs.NewRegistry()
 	im := &InSituImager{Dir: dir, FieldA: "T", Width: 32, Height: 24, Metrics: reg}
-	observer, err := im.Observer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	observer(sim)
+	attachImager(t, sim, im, 1)
+	dt := 0.5 * sim.StableDt()
+	sim.Advance(1, dt)
 	if im.Err() != nil {
 		t.Fatalf("healthy frame reported error: %v", im.Err())
 	}
@@ -187,8 +112,7 @@ func TestInSituImagerSurfacesRenderErrors(t *testing.T) {
 	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	observer(sim)
-	observer(sim)
+	sim.Advance(2, dt)
 	if im.Err() == nil {
 		t.Fatal("Err() must surface the first frame-write failure")
 	}
@@ -199,13 +123,13 @@ func TestInSituImagerSurfacesRenderErrors(t *testing.T) {
 
 func TestSolverFieldUnknown(t *testing.T) {
 	sim := inertBoxSim(t)
-	if sim.solverField("nonsense") != nil {
+	if sim.blk.FieldByName("nonsense") != nil {
 		t.Fatal("unknown field should be nil")
 	}
-	if sim.solverField("Y_ZZ") != nil {
+	if sim.blk.FieldByName("Y_ZZ") != nil {
 		t.Fatal("unknown species should be nil")
 	}
-	if sim.solverField("Y_OH") == nil || sim.solverField("rho") == nil {
+	if sim.blk.FieldByName("Y_OH") == nil || sim.blk.FieldByName("rho") == nil {
 		t.Fatal("known fields missing")
 	}
 }

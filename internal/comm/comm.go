@@ -10,7 +10,7 @@
 // (internal/perf) and the parallel-I/O model (internal/pario) can charge
 // communication costs without wall-clock timing noise. Every message also
 // carries a matchable envelope (sender rank, tag, step, RK stage, byte
-// count, post time on the world clock), and each rank can arm a per-step
+// count, post time on the prof.Now clock), and each rank can arm a per-step
 // event trace — the substrate for the wait-state and critical-path analyzer
 // in internal/critpath.
 package comm
@@ -27,7 +27,6 @@ import (
 // World owns the communication state for a fixed number of ranks.
 type World struct {
 	n     int
-	epoch time.Time
 	boxes []*mailbox
 	coll  *collective
 
@@ -62,7 +61,6 @@ func NewWorld(n int) *World {
 	}
 	w := &World{
 		n:          n,
-		epoch:      time.Now(),
 		boxes:      make([]*mailbox, n),
 		coll:       newCollective(n),
 		bytesSent:  make([]atomic.Int64, n),
@@ -83,16 +81,6 @@ func NewWorld(n int) *World {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.n }
-
-// Epoch returns the wall-clock origin of the world's event clock: every
-// envelope and trace timestamp is nanoseconds since Epoch, measured on the
-// monotonic clock so cross-rank timestamps are directly comparable.
-func (w *World) Epoch() time.Time { return w.epoch }
-
-// NowNs returns the current time on the world's event clock.
-func (w *World) NowNs() int64 { return w.nowNs() }
-
-func (w *World) nowNs() int64 { return time.Since(w.epoch).Nanoseconds() }
 
 // BytesSent returns the total bytes sent by rank r so far.
 func (w *World) BytesSent(r int) int64 { return w.bytesSent[r].Load() }
@@ -356,7 +344,7 @@ const (
 )
 
 // PtPEvent is one traced point-to-point operation (a completed send or
-// receive). All timestamps are on the world clock (ns since World.Epoch).
+// receive). All timestamps are on the prof.Now clock.
 type PtPEvent struct {
 	Kind    string // "send" | "recv"
 	Peer    int    // destination (send) or source (recv)
@@ -405,7 +393,7 @@ func (c *Comm) recordColl(kind string, bytes int, enterNs int64) {
 	c.colls = append(c.colls, CollEvent{
 		Kind: kind, Seq: c.collSeq, Bytes: bytes,
 		Step: c.step, Stage: c.stage,
-		EnterNs: enterNs, ExitNs: c.world.nowNs(),
+		EnterNs: enterNs, ExitNs: prof.Now(),
 	})
 	c.collSeq++
 }
@@ -448,7 +436,7 @@ type Request struct {
 	prof *prof.Track
 	c    *Comm
 
-	// Operation timestamps on the world clock, persisted on the request so
+	// Operation timestamps on the prof.Now clock, persisted on the request so
 	// they survive the profiler span's end: per-neighbour wait accounting
 	// and the critpath analyzer need exact post/complete times.
 	postNs     int64
@@ -456,10 +444,10 @@ type Request struct {
 	bytes      int
 }
 
-// PostNs returns when the operation was posted (ns since World.Epoch).
+// PostNs returns when the operation was posted (prof.Now clock).
 func (r *Request) PostNs() int64 { return r.postNs }
 
-// CompleteNs returns when the operation completed (ns since World.Epoch);
+// CompleteNs returns when the operation completed (prof.Now clock);
 // zero while the request is still pending.
 func (r *Request) CompleteNs() int64 { return r.completeNs }
 
@@ -473,7 +461,7 @@ func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 	}
 	sp := c.prof.Begin("MPI_ISEND")
 	defer sp.End()
-	now := c.world.nowNs()
+	now := prof.Now()
 	cp := make([]float64, len(data))
 	copy(cp, data)
 	box := c.world.boxes[dst]
@@ -500,7 +488,7 @@ func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 		panic(fmt.Sprintf("comm: rank %d Irecv from invalid rank %d", c.rank, src))
 	}
 	return &Request{box: c.world.boxes[c.rank], src: src, tag: tag, buf: buf,
-		w: c.world, rank: c.rank, prof: c.prof, c: c, postNs: c.world.nowNs()}
+		w: c.world, rank: c.rank, prof: c.prof, c: c, postNs: prof.Now()}
 }
 
 // Wait blocks until the request completes. For receives it matches the
@@ -516,7 +504,7 @@ func (r *Request) Wait() {
 	sp := r.prof.Begin("MPI_WAIT")
 	defer sp.End()
 	start := time.Now()
-	startNs := r.w.nowNs()
+	startNs := prof.Now()
 	box := r.box
 	box.mu.Lock()
 	defer box.mu.Unlock()
@@ -533,7 +521,7 @@ func (r *Request) Wait() {
 				sendPostNs, sendStep, sendStage := m.postNs, m.step, m.stage
 				box.msgs = append(box.msgs[:i], box.msgs[i+1:]...)
 				r.done = true
-				r.completeNs = r.w.nowNs()
+				r.completeNs = prof.Now()
 				r.bytes = 8 * len(r.buf)
 				waited := time.Since(start).Nanoseconds()
 				r.w.bytesRecv[r.rank].Add(int64(r.bytes))
@@ -693,7 +681,7 @@ func (c *Comm) gather(vals []float64) [][]float64 {
 func (c *Comm) Allgather(vals []float64) [][]float64 {
 	sp := c.prof.Begin("MPI_ALLGATHER")
 	defer sp.End()
-	enterNs := c.world.nowNs()
+	enterNs := prof.Now()
 	out := c.gather(vals)
 	c.chargeColl(8 * len(vals))
 	c.recordColl(KindAllgather, 8*len(vals), enterNs)
@@ -714,7 +702,7 @@ func (c *Comm) chargeColl(bytes int) {
 // what the call is charged as having sent; it is counted as one allreduce
 // and traced as kind. A length mismatch is an error on every rank.
 func (c *Comm) reduce(vals []float64, combine func(dst, src []float64), kind string, bytes int) error {
-	enterNs := c.world.nowNs()
+	enterNs := prof.Now()
 	slots := c.gather(vals)
 	c.world.allreduces[c.rank].Add(1)
 	c.chargeColl(bytes)

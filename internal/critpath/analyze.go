@@ -12,10 +12,9 @@ import (
 // path jump edges.
 const waitEps = int64(50_000) // 50 µs
 
-// Deposit is one rank's view of an analyzed step: the step window on the
-// analyzer clock, the drained comm event trace (same clock — the comm
-// world clock is adopted as the analyzer clock on decomposed runs), and
-// the rank's profiler track for blame attribution (nil without one).
+// Deposit is one rank's view of an analyzed step: the step window, the
+// drained comm event trace, and the rank's profiler track for blame
+// attribution (nil without one) — all three on the prof.Now clock.
 type Deposit struct {
 	Rank    int
 	Step    int
@@ -55,7 +54,7 @@ type collGroup struct {
 // analyze matches the step's message edges, classifies wait states,
 // extracts the cross-rank critical path and attributes it to call-path
 // regions. deps is indexed by rank and fully populated.
-func analyze(deps []*Deposit, profOffNs int64, workerTracks []*prof.Track) Record {
+func analyze(deps []*Deposit, workerTracks []*prof.Track) Record {
 	n := len(deps)
 	rec := Record{
 		Step:  deps[0].Step,
@@ -201,15 +200,19 @@ func analyze(deps []*Deposit, profOffNs int64, workerTracks []*prof.Track) Recor
 		totColl += waits[r].CollNs
 	}
 	rec.Waits = waits
+	// Rank the classes that are blocked time. Mailbox idle time is not lost
+	// time and is summed per message, so one straggler's peers pile up as
+	// much of it as they block on it: it names the step only when nobody
+	// blocked at all.
 	switch {
-	case totLS == 0 && totLR == 0 && totColl == 0:
+	case totLS == 0 && totColl == 0 && totLR == 0:
 		rec.DominantWait = WaitNone
-	case totLS >= totLR && totLS >= totColl:
-		rec.DominantWait = WaitLateSender
-	case totColl >= totLR:
-		rec.DominantWait = WaitCollective
-	default:
+	case totLS == 0 && totColl == 0:
 		rec.DominantWait = WaitLateReceiver
+	case totLS >= totColl:
+		rec.DominantWait = WaitLateSender
+	default:
+		rec.DominantWait = WaitCollective
 	}
 	if rec.StepSpanNs > 0 {
 		rec.LostFrac = float64(totLS+totColl) / float64(int64(n)*rec.StepSpanNs)
@@ -298,18 +301,17 @@ func analyze(deps []*Deposit, profOffNs int64, workerTracks []*prof.Track) Recor
 	workers := map[string]int64{}
 	for _, s := range path {
 		d := deps[s.Rank]
+		pl, ph := s.StartNs, s.EndNs
 		if d.Track != nil {
-			pl, ph := s.StartNs-profOffNs, s.EndNs-profOffNs
 			snap := d.Track.SnapshotRange(pl, ph)
 			covered := blameWindow(snap, pl, ph, blame)
 			if un := (ph - pl) - covered; un > 0 {
 				rec.UntrackedNs += un
 			}
 		} else {
-			rec.UntrackedNs += s.EndNs - s.StartNs
+			rec.UntrackedNs += ph - pl
 		}
 		for _, wt := range workerTracks {
-			pl, ph := s.StartNs-profOffNs, s.EndNs-profOffNs
 			snap := wt.SnapshotRange(pl, ph)
 			var busy int64
 			for _, ev := range snap.Events {

@@ -20,7 +20,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/s3dgo/s3d/internal/obs"
 	"github.com/s3dgo/s3d/internal/prof"
@@ -43,18 +42,14 @@ type Analyzer struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	ranks     int
-	epoch     time.Time
-	epochSet  bool
+	ranks     int // 0 until Register
 	deposits  map[int]*Deposit
 	doneStep  int
 	extProf   *prof.Profiler // adopted from deposited tracks, for export
-	profOff   int64          // analyzerNs - profOff = profNs
-	overlayOK bool
-	abortedFn func() bool // run-abort check for the deposit barrier
+	abortedFn func() bool    // run-abort check for the deposit barrier
 
 	// Chrome-trace overlay: one synthetic track accumulating the critical
-	// path of every analyzed step, on the profiler clock.
+	// path of every analyzed step.
 	ovNodes  []prof.PathNode
 	ovIdx    map[string]int32
 	ovEvents []prof.Event
@@ -65,8 +60,6 @@ type Analyzer struct {
 func New(every int) *Analyzer {
 	a := &Analyzer{
 		Lane:     obs.NewLane[Record](every, setGauges),
-		ranks:    1,
-		epoch:    time.Now(),
 		deposits: map[int]*Deposit{},
 		internal: prof.New(),
 		ovNodes:  []prof.PathNode{{Name: "", Parent: -1}},
@@ -77,32 +70,17 @@ func New(every int) *Analyzer {
 	return a
 }
 
-// Register declares the number of ranks that will deposit and adopts the
-// comm world's clock as the analyzer clock so deposits and comm events
-// share a timebase. Every rank calls it once at install; the first call
-// wins, later calls must agree on the rank count.
-func (a *Analyzer) Register(ranks int, commEpoch time.Time) error {
+// Register declares the number of ranks that will deposit. Every rank calls
+// it once at install; the first call wins, later calls must agree on the
+// rank count.
+func (a *Analyzer) Register(ranks int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.epochSet {
-		if a.ranks != ranks {
-			return fmt.Errorf("critpath: analyzer registered for %d ranks, rank count %d disagrees", a.ranks, ranks)
-		}
-		return nil
+	if a.ranks != 0 && a.ranks != ranks {
+		return fmt.Errorf("critpath: analyzer registered for %d ranks, rank count %d disagrees", a.ranks, ranks)
 	}
 	a.ranks = ranks
-	a.epoch = commEpoch
-	a.epochSet = true
 	return nil
-}
-
-// NowNs returns the current time on the analyzer clock (the comm world
-// clock once registered).
-func (a *Analyzer) NowNs() int64 {
-	a.mu.Lock()
-	epoch := a.epoch
-	a.mu.Unlock()
-	return time.Since(epoch).Nanoseconds()
 }
 
 // InternalRankTrack creates a rank track on the analyzer's internal
@@ -170,21 +148,16 @@ func (a *Analyzer) Deposit(d Deposit) {
 	}
 	a.deposits = map[int]*Deposit{}
 
-	// Adopt the profiler behind the deposited tracks (they all share one)
-	// and compute the clock offset: analyzerNs - profOff = profNs.
+	// Adopt the profiler behind the deposited tracks (they all share one).
 	var p *prof.Profiler
 	for _, dep := range deps {
 		if p = dep.Track.Profiler(); p != nil {
+			a.extProf = p
 			break
 		}
 	}
-	if p != nil {
-		a.extProf = p
-		a.profOff = p.Epoch().Sub(a.epoch).Nanoseconds()
-		a.overlayOK = true
-	}
-	rec := analyze(deps, a.profOff, a.workerTracks(p))
-	if a.overlayOK {
+	rec := analyze(deps, a.workerTracks(p))
+	if a.extProf != nil {
 		a.appendOverlay(deps, rec)
 	}
 	if a.usesInternal.Load() {
@@ -236,7 +209,7 @@ func (a *Analyzer) workerTracks(p *prof.Profiler) []*prof.Track {
 }
 
 // appendOverlay adds the record's critical-path segments to the synthetic
-// Chrome-trace overlay track, on the profiler clock. Called under a.mu.
+// Chrome-trace overlay track. Called under a.mu.
 func (a *Analyzer) appendOverlay(deps []*Deposit, rec Record) {
 	lo := deps[0].StartNs
 	for _, d := range deps[1:] {
@@ -252,11 +225,10 @@ func (a *Analyzer) appendOverlay(deps []*Deposit, rec Record) {
 			a.ovNodes = append(a.ovNodes, prof.PathNode{Name: name, Parent: 0})
 			a.ovIdx[name] = id
 		}
-		// Path segments are rebased to the step window; undo that and shift
-		// onto the profiler clock so the overlay aligns with real spans.
-		start := s.StartNs + lo - a.profOff
+		// Path segments are rebased to the step window; undo that so the
+		// overlay aligns with real spans.
 		a.ovEvents = append(a.ovEvents, prof.Event{
-			Path: id, Start: start, Dur: s.EndNs - s.StartNs,
+			Path: id, Start: s.StartNs + lo, Dur: s.EndNs - s.StartNs,
 			Args: map[string]string{
 				"step": fmt.Sprint(rec.Step),
 				"via":  s.Via,

@@ -41,7 +41,7 @@ func stragglerDeposits() []*Deposit {
 }
 
 func TestAnalyzeLateSenderPath(t *testing.T) {
-	rec := analyze(stragglerDeposits(), 0, nil)
+	rec := analyze(stragglerDeposits(), nil)
 
 	if rec.Sends != 2 || rec.Recvs != 2 || rec.Edges != 2 {
 		t.Fatalf("census: sends=%d recvs=%d edges=%d, want 2/2/2", rec.Sends, rec.Recvs, rec.Edges)
@@ -95,6 +95,36 @@ func TestAnalyzeLateSenderPath(t *testing.T) {
 	}
 }
 
+// TestDominantWaitRanksBlockedTime: a straggler's peer blocks once on its
+// late message while the straggler finds every message of the peer idling in
+// its mailbox, so the idle total (summed per message) exceeds the blocked
+// total. The step was lost to the late sender all the same.
+func TestDominantWaitRanksBlockedTime(t *testing.T) {
+	recv := func(peer int, startNs, doneNs, sendPostNs int64) comm.PtPEvent {
+		return comm.PtPEvent{Kind: comm.KindRecv, Peer: peer, Tag: 7, Step: 4,
+			PostNs: startNs, StartNs: startNs, DoneNs: doneNs, SendPostNs: sendPostNs}
+	}
+	deps := []*Deposit{
+		{Rank: 0, Step: 4, StartNs: 0, EndNs: 12 * ms,
+			PtP: []comm.PtPEvent{recv(1, 1*ms, 10*ms, 10*ms-1)}},
+		{Rank: 1, Step: 4, StartNs: 0, EndNs: 11 * ms,
+			PtP: []comm.PtPEvent{recv(0, 9*ms, 9*ms, 1*ms), recv(0, 9*ms, 9*ms, 1*ms), recv(0, 9*ms, 9*ms, 1*ms)}},
+	}
+	rec := analyze(deps, nil)
+	ls, lr := rec.Waits[0].LateSenderNs, rec.Waits[1].LateRecvNs
+	if !(lr > ls && ls > 0) {
+		t.Fatalf("fixture: late_recv %d must exceed late_sender %d > 0", lr, ls)
+	}
+	if rec.DominantWait != WaitLateSender {
+		t.Fatalf("dominant wait %q, want late_sender (blocked %d ns, mailbox idle %d ns)", rec.DominantWait, ls, lr)
+	}
+	// Mailbox idle time alone still names the step.
+	rec = analyze(deps[1:], nil)
+	if rec.DominantWait != WaitLateReceiver {
+		t.Fatalf("dominant wait %q with no blocked time, want late_receiver", rec.DominantWait)
+	}
+}
+
 func TestAnalyzeCollectiveRoot(t *testing.T) {
 	coll := func(seq int, enter, exit int64) comm.CollEvent {
 		return comm.CollEvent{Kind: comm.KindAllreduce, Seq: seq, Bytes: 8, Step: 2, EnterNs: enter, ExitNs: exit}
@@ -105,7 +135,7 @@ func TestAnalyzeCollectiveRoot(t *testing.T) {
 		{Rank: 1, Step: 2, StartNs: 0, EndNs: 9*ms + 300_000,
 			Coll: []comm.CollEvent{coll(0, 9*ms, 9*ms+200_000)}},
 	}
-	rec := analyze(deps, 0, nil)
+	rec := analyze(deps, nil)
 
 	if rec.Collectives != 2 {
 		t.Fatalf("collectives %d, want 2", rec.Collectives)
@@ -137,7 +167,7 @@ func TestAnalyzeStructureDeterministic(t *testing.T) {
 			d.PtP[i].DoneNs += 2 * ms
 		}
 	}
-	a, b := analyze(stragglerDeposits(), 0, nil), analyze(jitter, 0, nil)
+	a, b := analyze(stragglerDeposits(), nil), analyze(jitter, nil)
 	if a.Sends != b.Sends || a.Recvs != b.Recvs || a.Collectives != b.Collectives ||
 		a.Edges != b.Edges || a.MatchCompleteness != b.MatchCompleteness {
 		t.Fatalf("structure drifted with timing: %+v vs %+v", a, b)
@@ -159,7 +189,7 @@ func TestAnalyzeUnmatchedRecvLowersCompleteness(t *testing.T) {
 		Kind: comm.KindRecv, Peer: 2, Tag: 99, Step: 4,
 		PostNs: 2 * ms, StartNs: 2 * ms, DoneNs: 2*ms + 10_000, SendPostNs: 1 * ms,
 	})
-	rec := analyze(deps, 0, nil)
+	rec := analyze(deps, nil)
 	if rec.Recvs != 3 || rec.Edges != 2 {
 		t.Fatalf("recvs=%d edges=%d, want 3 recvs with 2 matched", rec.Recvs, rec.Edges)
 	}
@@ -173,7 +203,7 @@ func TestAnalyzeBlameFromProfTrack(t *testing.T) {
 	p.SetEnabled(true)
 	tr := p.NewTrack(prof.GroupRank, "rank0")
 
-	start := time.Since(p.Epoch()).Nanoseconds()
+	start := prof.Now()
 	step := tr.Begin("STEP")
 	chem := tr.Begin("CHEM")
 	deadline := time.Now().Add(3 * time.Millisecond)
@@ -181,10 +211,9 @@ func TestAnalyzeBlameFromProfTrack(t *testing.T) {
 	}
 	chem.End()
 	step.End()
-	end := time.Since(p.Epoch()).Nanoseconds()
+	end := prof.Now()
 
-	// Analyzer clock == prof clock here, so profOff is zero.
-	rec := analyze([]*Deposit{{Rank: 0, Step: 1, StartNs: start, EndNs: end, Track: tr}}, 0, nil)
+	rec := analyze([]*Deposit{{Rank: 0, Step: 1, StartNs: start, EndNs: end, Track: tr}}, nil)
 	var chemNs int64
 	for _, bl := range rec.Blame {
 		if bl.Path == "STEP/CHEM" {
@@ -208,10 +237,10 @@ func TestAnalyzerDepositBarrierAndPublish(t *testing.T) {
 	if a.Due(3) || !a.Due(4) {
 		t.Fatal("cadence: want due only on multiples of every")
 	}
-	if err := a.Register(3, time.Now()); err != nil {
+	if err := a.Register(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Register(2, time.Now()); err == nil {
+	if err := a.Register(2); err == nil {
 		t.Fatal("conflicting rank count accepted")
 	}
 	reg := obs.NewRegistry()
@@ -257,7 +286,7 @@ func TestAnalyzerDepositBarrierAndPublish(t *testing.T) {
 func TestAnalyzerAbortUnblocksDeposit(t *testing.T) {
 	a := New(1)
 	a.Enable()
-	if err := a.Register(2, time.Now()); err != nil {
+	if err := a.Register(2); err != nil {
 		t.Fatal(err)
 	}
 	var aborted sync.Once
@@ -293,7 +322,7 @@ func TestAnalyzerAbortUnblocksDeposit(t *testing.T) {
 func TestHandlerAndStoreRoundTrip(t *testing.T) {
 	a := New(1)
 	a.Enable()
-	if err := a.Register(1, time.Now()); err != nil {
+	if err := a.Register(1); err != nil {
 		t.Fatal(err)
 	}
 	rr := httptest.NewRecorder()
@@ -340,14 +369,14 @@ func TestChromeTraceOverlay(t *testing.T) {
 	tr := p.NewTrack(prof.GroupRank, "rank0")
 	a := New(1)
 	a.Enable()
-	if err := a.Register(1, p.Epoch()); err != nil {
+	if err := a.Register(1); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Since(p.Epoch()).Nanoseconds()
+	start := prof.Now()
 	sp := tr.Begin("STEP")
 	time.Sleep(time.Millisecond)
 	sp.End()
-	end := time.Since(p.Epoch()).Nanoseconds()
+	end := prof.Now()
 	a.Deposit(Deposit{Rank: 0, Step: 1, StartNs: start, EndNs: end, Track: tr})
 
 	var sb strings.Builder

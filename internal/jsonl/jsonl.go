@@ -1,11 +1,11 @@
-// Package jsonl is the shared append-only JSONL store used by every
-// observability subsystem that persists one record per line (insitu
-// analysis.jsonl, cost cost.jsonl, critpath critpath.jsonl). It factors the
-// previously copy-pasted store/reader pairs onto one generic helper and
-// holds every reader — the trace (obs.ReadTrace) and the post-mortem flight
-// recording (health.ReadFlight) included — to one corrupt-tail contract: a
-// run killed mid-write leaves a truncated final line, and the valid prefix
-// must still load.
+// Package jsonl is the one JSONL writer and the one JSONL reader of the
+// tree. Store lands one record per line for every per-step stream — the run
+// trace (obs.Trace), insitu analysis.jsonl, cost cost.jsonl, critpath
+// critpath.jsonl — a line at a time, so each of them holds every completed
+// record after a kill. Every reader — obs.ReadTrace and the post-mortem
+// flight recording (health.ReadFlight) included — shares one corrupt-tail
+// contract: a run killed mid-write leaves a truncated final line, and the
+// valid prefix must still load.
 package jsonl
 
 import (
@@ -18,26 +18,30 @@ import (
 	"sync"
 )
 
-// Store is an append-only JSONL sink: one record per line, flushed per
-// append so the file stays live for the dashboard and for tail -f while the
-// run is in flight. Methods are safe for concurrent use.
+// Store is an append-only JSONL sink: one record per line, each line handed
+// to the writer whole and at once, so the file stays live for the dashboard
+// and for tail -f while the run is in flight and a killed run loses at most
+// the record it was writing. Methods are safe for concurrent use.
 type Store[T any] struct {
 	mu  sync.Mutex
-	f   *os.File
-	w   *bufio.Writer
+	w   io.Writer
+	c   io.Closer // nil when the caller owns the writer
 	err error
 }
 
-// Create creates (truncating) a store at path.
+// New wraps a writer the caller owns: Close leaves it open.
+func New[T any](w io.Writer) *Store[T] { return &Store[T]{w: w} }
+
+// Create creates (truncating) a store at path; Close closes the file.
 func Create[T any](path string) (*Store[T], error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Store[T]{f: f, w: bufio.NewWriter(f)}, nil
+	return &Store[T]{w: f, c: f}, nil
 }
 
-// Append writes one record as a JSON line and flushes.
+// Append writes one record as a JSON line.
 func (s *Store[T]) Append(r T) error {
 	data, err := json.Marshal(r)
 	if err != nil {
@@ -45,10 +49,8 @@ func (s *Store[T]) Append(r T) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.w.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	return s.w.Flush()
+	_, err = s.w.Write(append(data, '\n'))
+	return err
 }
 
 // Sink adapts the store to a collector/pipeline subscriber. Write failures
@@ -72,15 +74,15 @@ func (s *Store[T]) Err() error {
 	return s.err
 }
 
-// Close flushes and closes the store file.
+// Close closes the file of a store made by Create; every appended record is
+// already written.
 func (s *Store[T]) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
-		return err
+	if s.c == nil {
+		return nil
 	}
-	return s.f.Close()
+	return s.c.Close()
 }
 
 // Read loads every record of a JSONL store, tolerating a corrupt tail:

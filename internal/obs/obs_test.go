@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -168,6 +169,32 @@ func TestTraceSchemaRoundTrip(t *testing.T) {
 		if !bytes.Contains(line, []byte(key)) {
 			t.Fatalf("step record missing %s: %s", key, line)
 		}
+	}
+}
+
+// TestTraceDurableWithoutFlush: the steps a killed run completed are the
+// ones that say why it died, so a trace that is never flushed or closed must
+// already hold run_start and every emitted step on disk.
+func TestTraceDurableWithoutFlush(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	tr, err := CreateTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.RunStart("killed", nil)
+	const steps = 7
+	for i := 1; i <= steps; i++ {
+		tr.Step(sampleStep(i))
+	}
+	recs, err := ReadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1+steps || recs[0].Kind != KindRunStart {
+		t.Fatalf("an unflushed trace holds %d records on disk, want run_start + %d steps", len(recs), steps)
+	}
+	if last := recs[steps].StepData; last == nil || last.Step != steps {
+		t.Fatalf("last record on disk %+v, want step %d", recs[steps], steps)
 	}
 }
 

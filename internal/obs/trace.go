@@ -1,15 +1,12 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 
 	"github.com/s3dgo/s3d/internal/jsonl"
 )
@@ -143,93 +140,63 @@ type Record struct {
 	Done       *RunSummary      `json:"done,omitempty"`
 }
 
-// Trace writes the JSONL stream. Methods are safe for concurrent use.
+// Trace writes the JSONL stream: a jsonl.Store of Records, so a record is on
+// its way to the sink when the emitting call returns and a killed run keeps
+// every step it completed. A failed write never takes the run down; the
+// first one is returned by Flush and Close. Methods are safe for concurrent
+// use.
 type Trace struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	c   io.Closer // non-nil when Trace owns the sink
-	err error
+	st   *jsonl.Store[Record]
+	sink func(Record)
 }
 
 // NewTrace wraps a writer. The caller owns w's lifetime.
-func NewTrace(w io.Writer) *Trace {
-	return &Trace{w: bufio.NewWriter(w)}
-}
+func NewTrace(w io.Writer) *Trace { return newTrace(jsonl.New[Record](w)) }
 
-// CreateTrace creates (truncates) a trace file; Close flushes and closes it.
+// CreateTrace creates (truncates) a trace file; Close closes it.
 func CreateTrace(path string) (*Trace, error) {
-	f, err := os.Create(path)
+	st, err := jsonl.Create[Record](path)
 	if err != nil {
 		return nil, err
 	}
-	return &Trace{w: bufio.NewWriter(f), c: f}, nil
+	return newTrace(st), nil
 }
 
-func (t *Trace) emit(rec Record) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.err != nil {
-		return
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		t.err = err
-		return
-	}
-	b = append(b, '\n')
-	if _, err := t.w.Write(b); err != nil {
-		t.err = err
-	}
-}
+func newTrace(st *jsonl.Store[Record]) *Trace { return &Trace{st: st, sink: st.Sink()} }
 
 // RunStart emits the run_start record.
 func (t *Trace) RunStart(caseName string, config map[string]string) {
-	t.emit(Record{Kind: KindRunStart, Run: NewRunInfo(caseName, config)})
+	t.RunStartInfo(NewRunInfo(caseName, config))
 }
 
 // RunStartInfo emits the run_start record from a caller-built RunInfo (for
 // callers that stamp fields NewRunInfo cannot know, like the worker-pool
 // size — obs cannot import the execution layer, which imports obs).
-func (t *Trace) RunStartInfo(info *RunInfo) {
-	t.emit(Record{Kind: KindRunStart, Run: info})
-}
+func (t *Trace) RunStartInfo(info *RunInfo) { t.sink(Record{Kind: KindRunStart, Run: info}) }
 
 // Step emits one step record.
-func (t *Trace) Step(ev StepEvent) { t.emit(Record{Kind: KindStep, StepData: &ev}) }
+func (t *Trace) Step(ev StepEvent) { t.sink(Record{Kind: KindStep, StepData: &ev}) }
 
 // Checkpoint emits a checkpoint record.
 func (t *Trace) Checkpoint(step int, path string) {
-	t.emit(Record{Kind: KindCheckpoint, Checkpoint: &CheckpointEvent{Step: step, Path: path}})
+	t.sink(Record{Kind: KindCheckpoint, Checkpoint: &CheckpointEvent{Step: step, Path: path}})
 }
 
 // RunDone emits the run_done record.
-func (t *Trace) RunDone(sum RunSummary) { t.emit(Record{Kind: KindRunDone, Done: &sum}) }
+func (t *Trace) RunDone(sum RunSummary) { t.sink(Record{Kind: KindRunDone, Done: &sum}) }
 
-// Flush drains buffered records to the sink.
-func (t *Trace) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.err != nil {
-		return t.err
-	}
-	return t.w.Flush()
-}
+// Flush reports the first write failure so far; there is nothing to drain,
+// every record went to the sink as it was emitted.
+func (t *Trace) Flush() error { return t.st.Err() }
 
-// Close flushes and, when Trace owns the sink, closes it. It returns the
-// first error encountered over the trace's lifetime.
+// Close closes the sink when Trace owns it. It returns the first error
+// encountered over the trace's lifetime.
 func (t *Trace) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ferr := t.w.Flush(); t.err == nil {
-		t.err = ferr
+	cerr := t.st.Close()
+	if err := t.st.Err(); err != nil {
+		return err
 	}
-	if t.c != nil {
-		if cerr := t.c.Close(); t.err == nil {
-			t.err = cerr
-		}
-		t.c = nil
-	}
-	return t.err
+	return cerr
 }
 
 // NewRunInfo fills a RunInfo from the build environment.

@@ -9,30 +9,23 @@ import (
 )
 
 // runCached executes the S3D-I/O checkpoint pattern through the live
-// caching protocol with np ranks and returns the resulting file image plus
-// aggregate stats.
+// caching protocol, one rank per process, and returns the resulting file
+// plus each rank's counters.
 type cacheStats struct{ LocalHits, RemoteForwards, Evictions int }
 
 func runCached(t *testing.T, k Kernel, cfg CacheConfig) (*SharedFile, []cacheStats) {
 	t.Helper()
-	np := k.NumProcs()
-	file := NewSharedFile(k.FileBytes())
-	statsOut := make([]cacheStats, np)
-	w := comm.NewWorld(np)
-	err := w.Run(func(c *comm.Comm) {
-		cl := NewCacheClient(c, file, cfg)
-		buf := make([]byte, 4096)
-		k.eachRequest(c.Rank(), func(off int64, data []byte) {
-			_ = buf
-			if err := cl.Write(off, data); err != nil {
-				panic(err)
-			}
-		})
-		cl.Close()
-		statsOut[c.Rank()] = cacheStats{cl.LocalHits, cl.RemoteForwards, cl.Evictions}
+	cls := make([]*CacheClient, k.NumProcs())
+	file, err := k.writeThrough(func(c *comm.Comm, f *SharedFile) client {
+		cls[c.Rank()] = NewCacheClient(c, f, cfg)
+		return cls[c.Rank()]
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	statsOut := make([]cacheStats, len(cls))
+	for r, cl := range cls {
+		statsOut[r] = cacheStats{cl.LocalHits, cl.RemoteForwards, cl.Evictions}
 	}
 	return file, statsOut
 }

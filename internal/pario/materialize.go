@@ -1,12 +1,17 @@
 package pario
 
-import "fmt"
+import (
+	"fmt"
 
-// The materialisation path runs real bytes through each write method's
-// staging logic and produces the shared-file image, verifying the global
-// canonical-order invariant of figure 8: whatever the transport (two-phase
-// exchange, cache pages, write-behind buffers), the resulting file must be
-// byte-identical to writing every request directly at its canonical offset.
+	"github.com/s3dgo/s3d/internal/comm"
+)
+
+// The materialisation path runs real bytes through each write method and
+// produces the shared-file image, verifying the global canonical-order
+// invariant of figure 8: whatever the transport (two-phase exchange, the
+// cache-page protocol, the write-behind protocol), the resulting file must
+// be byte-identical to writing every request directly at its canonical
+// offset.
 
 // eachRequest invokes fn for every contiguous request of rank p with the
 // request's canonical file offset and payload.
@@ -81,123 +86,34 @@ func (k Kernel) MaterializeCollective() []byte {
 	return img
 }
 
-// MaterializeCaching routes the data through the §5.1 cache-page layer:
-// aligned pages owned by their first toucher, remote touches shipped to the
-// owner, dirty pages flushed with a high-water mark.
-func (k Kernel) MaterializeCaching(pageBytes int64) []byte {
-	fileBytes := k.FileBytes()
-	nPages := (fileBytes + pageBytes - 1) / pageBytes
-	type page struct {
-		data  []byte
-		dirty int64 // high-water mark of dirty bytes (§5.1)
-		used  bool
-	}
-	pages := make([]page, nPages)
-	for p := 0; p < k.NumProcs(); p++ {
-		k.eachRequest(p, func(off int64, data []byte) {
-			pos := int64(0)
-			for pos < int64(len(data)) {
-				pg := (off + pos) / pageBytes
-				pp := &pages[pg]
-				if !pp.used {
-					pp.used = true
-					pp.data = make([]byte, min64(pageBytes, fileBytes-pg*pageBytes))
-				}
-				inPage := off + pos - pg*pageBytes
-				n := min64(int64(len(data))-pos, int64(len(pp.data))-inPage)
-				copy(pp.data[inPage:], data[pos:pos+n])
-				if hw := inPage + n; hw > pp.dirty {
-					pp.dirty = hw
-				}
-				pos += n
+// client is what the live write paths (CacheClient, WriteBehindClient) share.
+type client interface {
+	Write(off int64, data []byte) error
+	Close()
+}
+
+// writeThrough runs the checkpoint pattern through a live client protocol:
+// one rank per process of the kernel on a fresh comm world, each writing its
+// requests through the client open builds for it over the one shared file.
+// It returns the file left once every rank has closed.
+func (k Kernel) writeThrough(open func(*comm.Comm, *SharedFile) client) (*SharedFile, error) {
+	file := NewSharedFile(k.FileBytes())
+	err := comm.NewWorld(k.NumProcs()).Run(func(c *comm.Comm) {
+		cl := open(c, file)
+		k.eachRequest(c.Rank(), func(off int64, data []byte) {
+			if err := cl.Write(off, data); err != nil {
+				panic(err)
 			}
 		})
-	}
-	img := make([]byte, fileBytes)
-	for i := range pages {
-		if pages[i].used {
-			copy(img[int64(i)*pageBytes:], pages[i].data[:pages[i].dirty])
-		}
-	}
-	return img
+		cl.Close()
+	})
+	return file, err
 }
 
-// whRecord is a first-stage write-behind record: file offset + payload,
-// exactly what §5.2 accumulates "along with the requesting file offset and
-// length".
-type whRecord struct {
-	off  int64
-	data []byte
-}
-
-// MaterializeWriteBehind routes the data through the §5.2 two-stage scheme:
-// first-stage per-destination sub-buffers of the given size, flushed to the
-// round-robin page owners, who apply the offset-length records to their
-// second-stage pages and finally write them.
-func (k Kernel) MaterializeWriteBehind(pageBytes, subBufBytes int64) []byte {
-	np := k.NumProcs()
-	fileBytes := k.FileBytes()
-	nPages := (fileBytes + pageBytes - 1) / pageBytes
-	pages := make([][]byte, nPages)
-
-	apply := func(rec whRecord) {
-		pos := int64(0)
-		for pos < int64(len(rec.data)) {
-			pg := (rec.off + pos) / pageBytes
-			if pages[pg] == nil {
-				pages[pg] = make([]byte, min64(pageBytes, fileBytes-pg*pageBytes))
-			}
-			inPage := rec.off + pos - pg*pageBytes
-			n := min64(int64(len(rec.data))-pos, int64(len(pages[pg]))-inPage)
-			copy(pages[pg][inPage:], rec.data[pos:pos+n])
-			pos += n
-		}
-	}
-
-	for p := 0; p < np; p++ {
-		// One sub-buffer per destination; flush when the accumulated payload
-		// exceeds the sub-buffer size.
-		pending := make([][]whRecord, np)
-		pendingBytes := make([]int64, np)
-		flush := func(d int) {
-			for _, rec := range pending[d] {
-				apply(rec)
-			}
-			pending[d] = pending[d][:0]
-			pendingBytes[d] = 0
-		}
-		k.eachRequest(p, func(off int64, data []byte) {
-			pos := int64(0)
-			for pos < int64(len(data)) {
-				pg := (off + pos) / pageBytes
-				d := int(pg) % np
-				n := min64(int64(len(data))-pos, (pg+1)*pageBytes-(off+pos))
-				cp := make([]byte, n)
-				copy(cp, data[pos:pos+n])
-				pending[d] = append(pending[d], whRecord{off + pos, cp})
-				pendingBytes[d] += n
-				if pendingBytes[d] >= subBufBytes {
-					flush(d)
-				}
-				pos += n
-			}
-		})
-		for d := 0; d < np; d++ {
-			flush(d) // file close flushes all dirty buffers
-		}
-	}
-	img := make([]byte, fileBytes)
-	for i, pg := range pages {
-		if pg != nil {
-			copy(img[int64(i)*pageBytes:], pg)
-		}
-	}
-	return img
-}
-
-// VerifyImages compares the staged images of every shared-file method
-// against the direct canonical image, returning an error naming the first
-// divergent method and offset.
+// VerifyImages compares the image every shared-file method leaves against
+// the direct canonical image, returning an error naming the first divergent
+// method and offset. The §5.1 caching and §5.2 write-behind images come out
+// of the live CacheClient and WriteBehindClient protocols.
 func (k Kernel) VerifyImages(pageBytes, subBufBytes int64) error {
 	ref := k.MaterializeDirect()
 	check := func(name string, img []byte) error {
@@ -214,8 +130,19 @@ func (k Kernel) VerifyImages(pageBytes, subBufBytes int64) error {
 	if err := check("collective", k.MaterializeCollective()); err != nil {
 		return err
 	}
-	if err := check("caching", k.MaterializeCaching(pageBytes)); err != nil {
+	live := func(name string, open func(*comm.Comm, *SharedFile) client) error {
+		file, err := k.writeThrough(open)
+		if err != nil {
+			return err
+		}
+		return check(name, file.Bytes())
+	}
+	if err := live("caching", func(c *comm.Comm, f *SharedFile) client {
+		return NewCacheClient(c, f, CacheConfig{PageBytes: pageBytes})
+	}); err != nil {
 		return err
 	}
-	return check("writebehind", k.MaterializeWriteBehind(pageBytes, subBufBytes))
+	return live("writebehind", func(c *comm.Comm, f *SharedFile) client {
+		return NewWriteBehindClient(c, f, pageBytes, subBufBytes)
+	})
 }

@@ -67,24 +67,6 @@ func TestCanonicalImageLargerPages(t *testing.T) {
 	}
 }
 
-func TestFillPatternMatchesDirect(t *testing.T) {
-	k := testKernel()
-	img := make([]byte, k.FileBytes())
-	var total int64
-	for p := 0; p < k.NumProcs(); p++ {
-		total += k.FillPattern(p, img)
-	}
-	if total != k.FileBytes() {
-		t.Fatalf("filled %d bytes, want %d", total, k.FileBytes())
-	}
-	ref := k.MaterializeDirect()
-	for i := range img {
-		if img[i] != ref[i] {
-			t.Fatalf("FillPattern diverges at %d", i)
-		}
-	}
-}
-
 func TestAlignedPagesHaveNoConflicts(t *testing.T) {
 	// The §5.3 claim: aligning writes with lock boundaries removes false
 	// sharing. Aligned whole-page writes from distinct owners must beat the

@@ -107,29 +107,6 @@ func (k Kernel) RequestCount(p int) int {
 	return n
 }
 
-// FillPattern writes rank p's data for one checkpoint into the shared-file
-// image buf using the canonical layout, with each value encoding
-// (rank, sequence) so cross-method verification can detect any misplaced
-// byte. It returns the number of bytes written.
-func (k Kernel) FillPattern(p int, buf []byte) int64 {
-	var written int64
-	seq := uint32(0)
-	for _, r := range k.Runs(p) {
-		for c := 0; c < r.Count; c++ {
-			off := r.Offset + int64(c)*r.Stride
-			for b := int64(0); b < r.Bytes; b += wordBytes {
-				v := patternWord(p, seq)
-				for i := 0; i < wordBytes; i++ {
-					buf[off+b+int64(i)] = byte(v >> (8 * uint(i)))
-				}
-				seq++
-			}
-			written += r.Bytes
-		}
-	}
-	return written
-}
-
 // patternWord builds a deterministic 64-bit test value for (rank, seq).
 func patternWord(p int, seq uint32) uint64 {
 	return uint64(p)<<40 | uint64(seq) | 0xA5<<56

@@ -9,22 +9,17 @@ import (
 
 func runWriteBehind(t *testing.T, k Kernel, pageBytes, subBytes int64) (*SharedFile, []int) {
 	t.Helper()
-	np := k.NumProcs()
-	file := NewSharedFile(k.FileBytes())
-	flushes := make([]int, np)
-	w := comm.NewWorld(np)
-	err := w.Run(func(c *comm.Comm) {
-		cl := NewWriteBehindClient(c, file, pageBytes, subBytes)
-		k.eachRequest(c.Rank(), func(off int64, data []byte) {
-			if err := cl.Write(off, data); err != nil {
-				panic(err)
-			}
-		})
-		cl.Close()
-		flushes[c.Rank()] = cl.Flushes
+	cls := make([]*WriteBehindClient, k.NumProcs())
+	file, err := k.writeThrough(func(c *comm.Comm, f *SharedFile) client {
+		cls[c.Rank()] = NewWriteBehindClient(c, f, pageBytes, subBytes)
+		return cls[c.Rank()]
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	flushes := make([]int, len(cls))
+	for r, cl := range cls {
+		flushes[r] = cl.Flushes
 	}
 	return file, flushes
 }

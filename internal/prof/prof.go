@@ -33,19 +33,25 @@ const (
 	GroupWorker = "worker"
 )
 
-// Profiler owns a set of tracks sharing one time epoch. Creating a Profiler
-// is the opt-in; a nil *Track (no profiler attached) records nothing.
+// start is the origin of the process's one event clock.
+var start = time.Now()
+
+// Now returns nanoseconds since process start on the monotonic clock: the
+// one timebase of profiler spans, comm envelopes and critpath step windows,
+// so a timestamp taken by any of them compares directly with any other's.
+func Now() int64 { return time.Since(start).Nanoseconds() }
+
+// Profiler owns a set of tracks. Creating a Profiler is the opt-in; a nil
+// *Track (no profiler attached) records nothing.
 type Profiler struct {
-	epoch  time.Time
 	on     atomic.Bool
 	mu     sync.Mutex
 	tracks []*Track
 }
 
-// New creates an enabled profiler whose epoch is "now"; all span timestamps
-// are nanoseconds since this epoch.
+// New creates an enabled profiler; all span timestamps are on the Now clock.
 func New() *Profiler {
-	p := &Profiler{epoch: time.Now()}
+	p := &Profiler{}
 	p.on.Store(true)
 	return p
 }
@@ -56,14 +62,6 @@ func (p *Profiler) SetEnabled(on bool) { p.on.Store(on) }
 
 // Enabled reports whether spans are being recorded.
 func (p *Profiler) Enabled() bool { return p.on.Load() }
-
-// now returns nanoseconds since the profiler epoch.
-func (p *Profiler) now() int64 { return time.Since(p.epoch).Nanoseconds() }
-
-// Epoch returns the wall-clock origin of the profiler clock, so consumers
-// holding timestamps on another in-process clock (the comm world clock, the
-// critpath analyzer clock) can align the two with Epoch().Sub(other).
-func (p *Profiler) Epoch() time.Time { return p.epoch }
 
 // NewTrack registers a timeline track. Group selects the exporter layout
 // row (GroupRank or GroupWorker); name labels the track ("rank0",
@@ -106,10 +104,10 @@ type pathNode struct {
 	parent int32
 }
 
-// Event is one completed span on a track's timeline. Start is nanoseconds
-// since the profiler epoch; Path indexes the track's node table. Args are
-// optional key/value annotations (tile coordinates on worker spans) carried
-// through to the Chrome trace exporter; nil for plain spans.
+// Event is one completed span on a track's timeline. Start is on the Now
+// clock; Path indexes the track's node table. Args are optional key/value
+// annotations (tile coordinates on worker spans) carried through to the
+// Chrome trace exporter; nil for plain spans.
 type Event struct {
 	Path  int32
 	Start int64
@@ -141,7 +139,7 @@ func (t *Track) Name() string { return t.name }
 
 // Profiler returns the profiler the track records on, or nil for a nil
 // track — so a subsystem handed only a track (solver blocks hold one) can
-// reach the shared epoch and snapshot machinery.
+// reach the shared snapshot machinery.
 func (t *Track) Profiler() *Profiler {
 	if t == nil {
 		return nil
@@ -185,7 +183,7 @@ func (t *Track) BeginArgs(name string, args map[string]string) Span {
 	}
 	t.mu.Unlock()
 	t.stack = append(t.stack, id)
-	return Span{t: t, path: id, start: t.p.now(), args: args}
+	return Span{t: t, path: id, start: Now(), args: args}
 }
 
 // Span is one open region on a track. The zero Span (from a nil or disabled
@@ -205,7 +203,7 @@ func (s Span) End() {
 		return
 	}
 	t := s.t
-	end := t.p.now()
+	end := Now()
 	for n := len(t.stack); n > 0; n-- {
 		if t.stack[n-1] == s.path {
 			t.stack = t.stack[:n-1]
@@ -248,7 +246,7 @@ func (t *Track) Snapshot() TrackSnapshot {
 }
 
 // SnapshotRange copies the track's node table and only the events whose
-// span overlaps [loNs, hiNs) on the profiler clock. Because events append
+// span overlaps [loNs, hiNs) on the Now clock. Because events append
 // at span End, end times (Start+Dur) are monotone non-decreasing per
 // track, so the scan walks backward from the tail and stops at the first
 // event that ended before loNs — a windowed snapshot stays cheap on long

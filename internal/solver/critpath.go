@@ -2,7 +2,7 @@ package solver
 
 // The solver side of the cross-rank wait-state and critical-path analyzer
 // (internal/critpath): a due step arms the block's comm event trace and
-// opens a window on the analyzer clock; after the step's health check and
+// opens a window on the prof.Now clock; after the step's health check and
 // reductions, critStep drains the trace and deposits it at the shared
 // analyzer, whose barrier publishes the analyzed record before any rank
 // resumes stepping.
@@ -11,21 +11,21 @@ import (
 	"time"
 
 	"github.com/s3dgo/s3d/internal/critpath"
+	"github.com/s3dgo/s3d/internal/prof"
 )
 
 // InstallCritPath attaches the run's shared critpath analyzer to the block
 // (pass nil to detach). Every rank of a run must install the SAME analyzer
-// — it doubles as the deposit barrier — and the analyzer adopts the comm
-// world's clock so comm events and step windows share a timebase.
-// Blocks without a profiler track of their own get a rank track on the
-// analyzer's internal profiler, so blame attribution works either way.
+// — it doubles as the deposit barrier. Blocks without a profiler track of
+// their own get a rank track on the analyzer's internal profiler, so blame
+// attribution works either way.
 func (b *Block) InstallCritPath(a *critpath.Analyzer) error {
 	if a == nil {
 		b.critA = nil
 		return nil
 	}
 	w := b.cart.Comm.World()
-	if err := a.Register(w.Size(), w.Epoch()); err != nil {
+	if err := a.Register(w.Size()); err != nil {
 		return err
 	}
 	// A rank that dies mid-step must not strand its peers in the deposit
@@ -43,12 +43,12 @@ func (b *Block) CritPath() *critpath.Analyzer { return b.critA }
 
 // critArm opens the collection window for the step about to run: the
 // analyzer arms (enabling its internal profiler if blame runs on it), the
-// window-open timestamp is taken on the analyzer clock, and the block's
-// communicator starts recording point-to-point and collective envelopes
-// stamped with the step context.
+// window-open timestamp is taken, and the block's communicator starts
+// recording point-to-point and collective envelopes stamped with the step
+// context.
 func (b *Block) critArm() {
 	b.critA.ArmStep()
-	b.critStart = b.critA.NowNs()
+	b.critStart = prof.Now()
 	b.cart.Comm.SetStepContext(b.Step+1, 0)
 	b.cart.Comm.ArmTrace(true)
 }
@@ -71,10 +71,9 @@ func (b *Block) critStep() {
 	}
 	b.critDue = false
 	a := b.critA
-	end := a.NowNs()
 	d := critpath.Deposit{
 		Rank: b.Rank(), Step: b.Step, Time: b.Time,
-		StartNs: b.critStart, EndNs: end, Track: b.profT,
+		StartNs: b.critStart, EndNs: prof.Now(), Track: b.profT,
 	}
 	d.PtP, d.Coll = b.cart.Comm.DrainTrace()
 	b.cart.Comm.ArmTrace(false)

@@ -4,8 +4,9 @@ package s3d
 // run. RunOptions holds the settings every driver shares and BindFlags
 // registers them; Open creates what is shared across ranks or must outlive
 // a simulation; Arm turns the layers on for one simulation in the one
-// order that works; the returned handle steps it; Close (handle, then
-// session) lands every artifact — on success and on a health abort alike.
+// order that works; the returned handle steps it through the one loop,
+// Simulation.TryAdvance; Close (handle, then session) lands every artifact
+// — on success, on a health abort and on a rank error alike.
 // See README.md, "Observability stack".
 
 import (
@@ -164,11 +165,9 @@ func createStore[T any](s *Session, name, path string) (*jsonl.Store[T], error) 
 // in; decomposed ranks write rank<N>/ subdirectories of it.
 func (s *Session) BundleDir() string { return s.opt.FlightRec }
 
-// Armed is one simulation with the session's layers turned on.
-type Armed struct {
-	sim   *Simulation
-	probe *Probe // nil off rank 0 and without -trace / -monitor
-}
+// Armed is one simulation with the session's layers turned on. Rank 0's
+// carries the telemetry probe (with -trace or -monitor).
+type Armed struct{ sim *Simulation }
 
 // Arm enables the session's layers on sim and returns the handle that
 // steps it. prob supplies the standard analysis set; opt carries what only
@@ -236,7 +235,6 @@ func (s *Session) Arm(sim *Simulation, prob *Problem, opt TelemetryOptions) (*Ar
 			s.critA.Subscribe(s.crit.Sink())
 		}
 	}
-	a := &Armed{sim: sim}
 	if rank == 0 && (s.trace != nil || o.Monitor != "") {
 		opt.Trace, opt.MonitorAddr = s.trace, o.Monitor
 		probe, err := sim.StartTelemetry(opt)
@@ -249,26 +247,19 @@ func (s *Session) Arm(sim *Simulation, prob *Problem, opt TelemetryOptions) (*Ar
 		if s.profiler != nil {
 			probe.MountProfile(s.profiler, sim.ProfileShape(), s.machines)
 		}
-		a.probe = probe
 	}
-	return a, nil
+	return &Armed{sim}, nil
 }
 
-// Advance integrates n steps of size dt, through the probe when this
-// simulation carries one. It returns the *health.Violation the moment an
-// armed watchdog trips FATAL, after the post-mortem bundle is written;
-// without -health it never returns an error.
-func (a *Armed) Advance(n int, dt float64) error {
-	if a.probe != nil {
-		return a.probe.TryAdvance(n, dt)
-	}
-	return a.sim.TryAdvance(n, dt)
-}
+// Advance integrates n steps of size dt. It returns the *health.Violation
+// the moment an armed watchdog trips FATAL, after the post-mortem bundle is
+// written; without -health it never returns an error.
+func (a *Armed) Advance(n int, dt float64) error { return a.sim.TryAdvance(n, dt) }
 
 // Checkpoint records a restart file just written in the trace.
 func (a *Armed) Checkpoint(path string) {
-	if a.probe != nil {
-		a.probe.Checkpoint(path)
+	if p := a.sim.probe; p != nil {
+		p.Checkpoint(path)
 	}
 }
 
@@ -276,10 +267,10 @@ func (a *Armed) Checkpoint(path string) {
 // exit ("completed", or the abort reason) and the monitor shutdown. Call it
 // on every path out of the step loop, then Session.Close.
 func (a *Armed) Close(exit string) error {
-	if a.probe == nil {
-		return nil
+	if p := a.sim.probe; p != nil {
+		return p.Close(exit)
 	}
-	return a.probe.Close(exit)
+	return nil
 }
 
 // Close lands the session's artifacts once every rank has stopped

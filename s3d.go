@@ -278,6 +278,7 @@ type Simulation struct {
 	mech      *Mechanism
 	cfg       *Config
 	healthOpt *HealthOptions // set by EnableHealth (see health.go)
+	probe     *Probe         // set by StartTelemetry, cleared by its Close
 }
 
 // New builds a serial simulation.

@@ -1,8 +1,9 @@
 package s3d
 
 // Telemetry: the public face of the observability layer (internal/obs).
-// A Probe attaches to a Simulation and, for every solver step, emits one
-// structured StepEvent — step index, dt, CFL, per-RK-stage wall times,
+// A Probe attaches to a Simulation and, for every solver step its one
+// stepping loop (Simulation.TryAdvance) takes, emits one structured
+// StepEvent — step index, dt, CFL, per-RK-stage wall times,
 // temperature/pressure extrema, total-mass drift, heat-release integral
 // and the communication and parallel-I/O counters — to any combination of
 // a JSONL trace, a live HTTP monitor and a human-readable status stream.
@@ -71,8 +72,11 @@ type Probe struct {
 }
 
 // StartTelemetry attaches a Probe to the simulation, emits the run_start
-// record and (when configured) starts the live monitor. Call Close when
-// the run finishes to emit run_done.
+// record and (when configured) starts the live monitor. From here on every
+// step the simulation takes — through sim.Advance, sim.TryAdvance or the
+// probe's own — emits one step record; a simulation carries one probe, so a
+// second StartTelemetry replaces the first. Call Close when the run finishes
+// to emit run_done and detach.
 func (s *Simulation) StartTelemetry(opt TelemetryOptions) (*Probe, error) {
 	if opt.Case == "" {
 		opt.Case = "s3d"
@@ -134,6 +138,7 @@ func (s *Simulation) StartTelemetry(opt TelemetryOptions) (*Probe, error) {
 	if p.mon != nil {
 		p.mon.SetRun(info)
 	}
+	s.probe = p
 	return p, nil
 }
 
@@ -152,33 +157,13 @@ func (p *Probe) MonitorAddr() string {
 // LastStep returns the most recently emitted step event.
 func (p *Probe) LastStep() obs.StepEvent { return p.last }
 
-// Advance integrates n steps of size dt, emitting one step record each. It
-// is TryAdvance with the solver's historical contract: a violation panics.
-func (p *Probe) Advance(n int, dt float64) {
-	if err := p.TryAdvance(n, dt); err != nil {
-		panic(err)
-	}
-}
+// Advance is Simulation.Advance on the probed simulation.
+func (p *Probe) Advance(n int, dt float64) { p.sim.Advance(n, dt) }
 
-// TryAdvance is Advance through the health watchdog: it returns the
-// *health.Violation the moment a check trips FATAL, after emitting the
-// fatal step's record (so the trace and monitor reflect the trip within
-// one step) and writing the post-mortem bundle. Identical to Advance when
-// no watchdog is armed.
-func (p *Probe) TryAdvance(n int, dt float64) error {
-	blk := p.sim.blk
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		err := blk.StepChecked(dt)
-		p.observe(dt, time.Since(t0).Seconds())
-		if err != nil {
-			p.sim.dumpPostMortem()
-			return err
-		}
-	}
-	blk.RefreshPrimitives()
-	return nil
-}
+// TryAdvance is Simulation.TryAdvance on the probed simulation: the one
+// stepping loop, which emits a step record through the attached probe
+// whichever of the two it was entered by.
+func (p *Probe) TryAdvance(n int, dt float64) error { return p.sim.TryAdvance(n, dt) }
 
 // observe assembles and dispatches the record for the step just taken.
 func (p *Probe) observe(dt, wall float64) {
@@ -243,10 +228,13 @@ func (p *Probe) Checkpoint(path string) {
 	}
 }
 
-// Close emits the run_done record (with the final metrics snapshot and a
-// figure-2-style perf report) and shuts the monitor down. The trace writer
-// is flushed but left open for the caller.
+// Close detaches the probe from the simulation, emits the run_done record
+// (with the final metrics snapshot and a figure-2-style perf report) and
+// shuts the monitor down. The trace is left open for the caller.
 func (p *Probe) Close(exitMessage string) error {
+	if p.sim.probe == p {
+		p.sim.probe = nil
+	}
 	if p.opt.Trace != nil {
 		p.opt.Trace.RunDone(obs.RunSummary{
 			Steps:       p.sim.blk.Step,

@@ -141,6 +141,46 @@ func TestProbeTraceEndToEnd(t *testing.T) {
 	}
 }
 
+// TestOneLoopEmitsStepRecords: a Simulation has one stepping loop, and it
+// observes through the attached probe whichever handle entered it — three
+// steps through the simulation and three through the probe are six step
+// records, and none after Close detaches the probe.
+func TestOneLoopEmitsStepRecords(t *testing.T) {
+	sim := inertBoxSim(t)
+	var buf bytes.Buffer
+	probe, err := sim.StartTelemetry(TelemetryOptions{Trace: obs.NewTrace(&buf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := func() int {
+		recs, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obs.Summarize(recs).Steps
+	}
+	dt := 0.5 * sim.StableDt()
+	if err := sim.TryAdvance(3, dt); err != nil {
+		t.Fatal(err)
+	}
+	if n := steps(); n != 3 {
+		t.Fatalf("sim.TryAdvance(3) appended %d step records, want 3", n)
+	}
+	if err := probe.TryAdvance(3, dt); err != nil {
+		t.Fatal(err)
+	}
+	if n := steps(); n != 6 || probe.LastStep().Step != 6 {
+		t.Fatalf("probe.TryAdvance(3) brought the trace to %d step records (last %d), want 6", n, probe.LastStep().Step)
+	}
+	if err := probe.Close(""); err != nil {
+		t.Fatal(err)
+	}
+	sim.Advance(1, dt)
+	if n := steps(); n != 6 {
+		t.Fatalf("a closed probe still observed: %d step records, want 6", n)
+	}
+}
+
 // TestProbeDecomposedCommBytes checks that a decomposed run's trace carries
 // real communication counters from the halo exchange.
 func TestProbeDecomposedCommBytes(t *testing.T) {
