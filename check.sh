@@ -79,6 +79,26 @@ if grep -rn '"github.com/s3dgo/s3d/internal/reactor"' --include='*.go' internal/
 	exit 1
 fi
 
+# ... and what is modelled or merely scheduled does not reach into what
+# observes: internal/pario (the paper's §5 I/O model, driven by its own tests
+# and cmd/iobench) feeds no trace lane and records no span, the worker pool
+# keeps no timer set of its own, and cmd/s3d writes checkpoints through
+# internal/sdf alone — no pario detour, no private comm world.
+echo "== layering lint (pario imports neither obs nor prof, par not perf, cmd/s3d neither pario nor comm)"
+imports_none() { # <package> <forbidden internal package>...
+	pkg=$1
+	shift
+	for dep in "$@"; do
+		if go list -f '{{join .Imports "\n"}}' "$pkg" | grep -x "github.com/s3dgo/s3d/internal/$dep"; then
+			echo "$pkg imports internal/$dep (see above)" >&2
+			exit 1
+		fi
+	done
+}
+imports_none ./internal/pario obs prof
+imports_none ./internal/par perf
+imports_none ./cmd/s3d pario comm
+
 echo "== go build ./..."
 go build ./...
 

@@ -13,11 +13,9 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -26,11 +24,7 @@ import (
 	"time"
 
 	"github.com/s3dgo/s3d"
-	"github.com/s3dgo/s3d/internal/comm"
-	"github.com/s3dgo/s3d/internal/obs"
-	"github.com/s3dgo/s3d/internal/pario"
 	"github.com/s3dgo/s3d/internal/perf"
-	"github.com/s3dgo/s3d/internal/prof"
 	"github.com/s3dgo/s3d/internal/sdf"
 )
 
@@ -132,9 +126,8 @@ func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error
 		}
 	}
 	progress := progressLines{ranks: nRanks, at: map[int]*extrema{}}
-	var mu sync.Mutex // guards the three below
+	var mu sync.Mutex // guards the two below
 	agg := perf.NewTimers()
-	var poolAgg *perf.Timers
 	aborted := false
 	err := s3d.RunDecomposed(prob.Config, dims, func(r *s3d.RankSim) {
 		sim := r.Simulation
@@ -146,28 +139,20 @@ func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error
 			in.Close()
 			fmt.Printf("resumed from %s at step %d, t = %.4g s\n", o.resume, sim.Step(), sim.Time())
 		}
-		// Checkpoint bytes are routed through the §5.1 caching layer when the
-		// run is observed, so the trace carries genuine pario counters.
-		ckpt := &checkpointer{outDir: o.outDir, throughPario: o.Trace != "" || o.Monitor != "" || o.Profile != ""}
+		ckptDir := o.outDir
 		if nRanks > 1 {
 			// One restart file per rank, as the original S3D wrote them
 			// (paper §5), laid out like the health bundle's rank<N>/.
-			ckpt.outDir = filepath.Join(o.outDir, fmt.Sprintf("rank%d", r.Rank))
-			must(os.MkdirAll(ckpt.outDir, 0o755))
+			ckptDir = filepath.Join(o.outDir, fmt.Sprintf("rank%d", r.Rank))
+			must(os.MkdirAll(ckptDir, 0o755))
 		}
 		// Every rank arms at the same point; rank 0 carries the trace, the
 		// monitor and the stores.
 		h, err := session.Arm(sim, prob, s3d.TelemetryOptions{
 			Case:   o.problem,
 			Config: map[string]string{"ranks": grid, "steps": fmt.Sprint(o.steps)},
-			Pario:  ckpt.stats,
 		})
 		must(err)
-		if o.Profile != "" {
-			// Checkpoint I/O runs on the goroutine driving the simulation, so
-			// its PARIO_* spans ride on the rank's own track.
-			ckpt.ptrack = sim.ProfTrack()
-		}
 		// The test hooks act on the highest rank, so the watchdog and the
 		// analyzer have a known culprit.
 		if r.Rank == nRanks-1 {
@@ -197,11 +182,11 @@ func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error
 			e.plo, e.phi, _ = sim.MinMax("p")
 			progress.report(sim.Step(), sim.Time(), e)
 			if o.ckptEvery > 0 && sim.Step()%o.ckptEvery == 0 {
-				must(ckpt.writeAndRecord(sim, h))
+				must(writeCheckpoint(ckptDir, sim, h))
 			}
 		}
 		if exit == "completed" {
-			must(ckpt.writeAndRecord(sim, h))
+			must(writeCheckpoint(ckptDir, sim, h))
 		}
 		must(h.Close(exit))
 		mu.Lock()
@@ -211,11 +196,6 @@ func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error
 			return
 		}
 		agg.Merge(sim.PerfTimers().Snapshot())
-		if poolAgg == nil {
-			// The pool is process-wide, so one snapshot (taken after a rank
-			// finished stepping) covers every rank's tiles.
-			poolAgg = sim.PoolPerfTimers()
-		}
 	})
 	if aborted {
 		fmt.Printf("post-mortem bundle in %s\n", session.BundleDir())
@@ -227,10 +207,6 @@ func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error
 	}
 	if o.perfReport && !aborted {
 		fmt.Printf("\nper-region timer breakdown (figure-2 style, summed over %d ranks):\n%s", nRanks, agg.Report())
-		if s3d.Workers() > 1 {
-			fmt.Printf("\nworker-pool busy time per kernel (%d workers shared by %d ranks):\n%s",
-				s3d.Workers(), nRanks, poolAgg.Report())
-		}
 	}
 	return nil
 }
@@ -308,44 +284,16 @@ func buildProblem(name string, nx, ny, nz int) *s3d.Problem {
 	}
 }
 
-// checkpointer writes restart + analysis files, optionally routing the
-// bytes through the pario caching layer so runs exercise (and report on)
-// the §5.1 protocol.
-type checkpointer struct {
-	outDir       string
-	throughPario bool
-	ptrack       *prof.Track // when non-nil, pario client ops record spans here
-
-	mu    sync.Mutex
-	pstat obs.ParioStats
-}
-
-// stats returns the accumulated pario counters (Probe's Pario source).
-func (c *checkpointer) stats() obs.ParioStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pstat
-}
-
-// writeAndRecord writes the current step's files and names them in the trace.
-func (c *checkpointer) writeAndRecord(sim *s3d.Simulation, h *s3d.Armed) error {
-	paths, err := c.write(sim)
-	for _, p := range paths {
-		h.Checkpoint(p)
-	}
-	return err
-}
-
-func (c *checkpointer) write(sim *s3d.Simulation) ([]string, error) {
+// writeCheckpoint streams the current step's restart + analysis files into
+// dir — each appears whole or not at all (sdf.WriteAtomic) — and names them
+// in the trace.
+func writeCheckpoint(dir string, sim *s3d.Simulation, h *s3d.Armed) error {
 	// A true restart file (full conserved state, bit-exact resume)...
-	rst := filepath.Join(c.outDir, fmt.Sprintf("restart-%06d.sdf", sim.Step()))
-	var buf bytes.Buffer
-	if err := sim.SaveCheckpoint(&buf); err != nil {
-		return nil, err
+	rst := filepath.Join(dir, fmt.Sprintf("restart-%06d.sdf", sim.Step()))
+	if err := sdf.WriteAtomic(rst, sim.SaveCheckpoint); err != nil {
+		return err
 	}
-	if err := c.writeFile(rst, buf.Bytes()); err != nil {
-		return nil, err
-	}
+	h.Checkpoint(rst)
 	// ...plus an analysis file with the derived fields the workflow plots:
 	// the registry's primitive scalars, streamed row-by-row from the field
 	// arena (no per-variable copies).
@@ -355,62 +303,17 @@ func (c *checkpointer) write(sim *s3d.Simulation) ([]string, error) {
 	for _, name := range sim.AnalysisFields() {
 		rows, dims, err := sim.FieldRows(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := f.AddVarFunc(name, dims[:], rows); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	path := filepath.Join(c.outDir, fmt.Sprintf("analysis-%06d.sdf", sim.Step()))
-	var abuf bytes.Buffer
-	if err := f.Encode(&abuf); err != nil {
-		return nil, err
-	}
-	if err := c.writeFile(path, abuf.Bytes()); err != nil {
-		return nil, err
-	}
-	fmt.Println("wrote", rst, "and", path)
-	return []string{rst, path}, nil
-}
-
-// writeFile lands data on disk whole or not at all (sdf.WriteAtomic), through
-// the caching layer when enabled.
-func (c *checkpointer) writeFile(path string, data []byte) error {
-	land := func(data []byte) error {
-		return sdf.WriteAtomic(path, func(w io.Writer) error { _, err := w.Write(data); return err })
-	}
-	if !c.throughPario || len(data) == 0 {
-		return land(data)
-	}
-	file := pario.NewSharedFile(int64(len(data)))
-	var st obs.ParioStats
-	err := comm.NewWorld(1).Run(func(cm *comm.Comm) {
-		cl := pario.NewCacheClient(cm, file, pario.CacheConfig{PageBytes: 64 << 10})
-		if c.ptrack != nil {
-			cl.SetProfiler(c.ptrack)
-		}
-		const chunk = 8 << 10
-		for off := 0; off < len(data); off += chunk {
-			end := off + chunk
-			if end > len(data) {
-				end = len(data)
-			}
-			if err := cl.Write(int64(off), data[off:end]); err != nil {
-				panic(err)
-			}
-		}
-		st = cl.Stats()
-		cl.Close()
-	})
-	if err != nil {
+	path := filepath.Join(dir, fmt.Sprintf("analysis-%06d.sdf", sim.Step()))
+	if err := f.WriteFile(path); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.pstat.CacheAccesses += st.CacheAccesses
-	c.pstat.CacheMisses += st.CacheMisses
-	c.pstat.CacheEvictions += st.CacheEvictions
-	c.pstat.RemoteForwards += st.RemoteForwards
-	c.pstat.CacheHitRate = c.pstat.HitRate()
-	c.mu.Unlock()
-	return land(file.Bytes())
+	h.Checkpoint(path)
+	fmt.Println("wrote", rst, "and", path)
+	return nil
 }

@@ -413,6 +413,61 @@ func TestOneRankIsSerial(t *testing.T) {
 	}
 }
 
+// TestCheckpointsObserverIndependent: an observed run writes its checkpoints
+// the way an unobserved one does — one streaming path to disk — so -trace and
+// -profile change no byte of any restart or analysis file, and the trace
+// names every file written.
+func TestCheckpointsObserverIndependent(t *testing.T) {
+	run := func(observe bool) (sdfs map[string]string, trace string) {
+		dir := t.TempDir()
+		os.Args = []string{"s3d",
+			"-problem", "box", "-nx", "24", "-ny", "16", "-nz", "1",
+			"-steps", "12", "-checkpoint", "6", "-out", dir,
+		}
+		if observe {
+			trace = filepath.Join(dir, "trace.jsonl")
+			os.Args = append(os.Args, "-trace", trace, "-profile", filepath.Join(dir, "prof"))
+		}
+		main()
+		paths, err := filepath.Glob(filepath.Join(dir, "*.sdf"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sdfs = map[string]string{}
+		for _, p := range paths {
+			raw, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sdfs[filepath.Base(p)] = string(raw)
+		}
+		return sdfs, trace
+	}
+	plain, _ := run(false)
+	observed, trace := run(true)
+	for _, want := range []string{"restart-000006.sdf", "analysis-000006.sdf", "restart-000012.sdf", "analysis-000012.sdf"} {
+		if plain[want] == "" {
+			t.Errorf("unobserved run wrote no %s", want)
+		}
+	}
+	if len(observed) != len(plain) {
+		t.Errorf("unobserved run wrote %d .sdf files, observed run %d", len(plain), len(observed))
+	}
+	for name, data := range plain {
+		if observed[name] != data {
+			t.Errorf("%s differs with -trace -profile", name)
+		}
+	}
+	recs, err := obs.ReadTraceFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Step 12 is both a periodic and the final checkpoint: 3 × 2 files.
+	if sum := obs.Summarize(recs); sum.Steps != 12 || sum.Checkpoints != 6 || !sum.Done {
+		t.Errorf("trace summary: %+v", sum)
+	}
+}
+
 // TestRanksRejectsCheckpointAndResume: a decomposed run writes no restart
 // files and cannot resume from one, so -ranks with -checkpoint or -resume is
 // refused at flag-parse time — before the output directory exists — with an

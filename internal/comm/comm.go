@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/s3dgo/s3d/internal/obs"
 	"github.com/s3dgo/s3d/internal/prof"
 )
 
@@ -108,16 +109,10 @@ func (w *World) WaitByPeer(r int) []int64 {
 	return out
 }
 
-// RankStats is the cumulative communication telemetry of one rank.
-type RankStats struct {
-	BytesSent, MsgsSent int64
-	BytesRecv, MsgsRecv int64
-	// WaitSec is time blocked in point-to-point Wait; CollSec is time
-	// blocked in Allreduce/Barrier/Allgather (a Barrier is a zero-length
-	// reduce: counted under both Barriers and Allreduces).
-	WaitSec, CollSec     float64
-	Allreduces, Barriers int64
-}
+// RankStats is the cumulative communication telemetry of one rank, in the
+// trace's own type: a step record carries it as is. A Barrier is a
+// zero-length reduce, counted under both Barriers and Allreduces.
+type RankStats = obs.CommStats
 
 // RankStats returns rank r's cumulative telemetry.
 func (w *World) RankStats(r int) RankStats {

@@ -6,11 +6,10 @@
 // claim downstream of this PR is measured through this layer rather than
 // ad-hoc prints.
 //
-// The package sits at the bottom of the dependency graph: it imports no
-// other internal package, so comm, pario, solver and workflow can all feed
-// it without cycles. Cross-layer stat structs (CommStats, ParioStats) live
-// here for the same reason — producers fill them, the trace writer and the
-// monitor consume them.
+// The package sits at the bottom of the dependency graph: it imports only
+// internal/jsonl, so comm, solver and workflow can all feed it without
+// cycles. The communication counters (CommStats) live here for the same
+// reason — comm fills them, the trace writer and the monitor consume them.
 package obs
 
 import (

@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
-	"strings"
 
 	"github.com/s3dgo/s3d/internal/jsonl"
 )
@@ -39,45 +37,24 @@ type CommStats struct {
 	Barriers   int64   `json:"barriers"`
 }
 
-// ParioStats is the parallel-I/O slice of a step record: cache behaviour of
-// the §5.1 caching layer and queue state of the §5.2 write-behind layer.
-type ParioStats struct {
-	CacheAccesses  int64 `json:"cache_accesses"` // local page accesses
-	CacheMisses    int64 `json:"cache_misses"`   // page loads from the file system
-	CacheEvictions int64 `json:"cache_evictions"`
-	RemoteForwards int64 `json:"remote_forwards"`
-	// CacheHitRate = (accesses − misses) / accesses, 0 when no accesses.
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	// Write-behind: current first-stage queue depth and cumulative flushes.
-	WBQueueBytes  int64   `json:"wb_queue_bytes"`
-	WBFlushes     int64   `json:"wb_flushes"`
-	WBFlushSec    float64 `json:"wb_flush_sec"` // cumulative flush latency
-	WBLocalWrites int64   `json:"wb_local_writes"`
-}
-
-// HitRate computes the cache hit rate from accesses and misses.
-func (p *ParioStats) HitRate() float64 {
-	if p.CacheAccesses == 0 {
-		return 0
-	}
-	return float64(p.CacheAccesses-p.CacheMisses) / float64(p.CacheAccesses)
-}
-
 // StepEvent is the per-solver-step record (one per StepOnce).
 type StepEvent struct {
 	Step int     `json:"step"`
 	Time float64 `json:"time"` // physical time after the step (s)
 	Dt   float64 `json:"dt"`   // step size (s)
 	// CFL is dt relative to the most recently evaluated acoustic limit
-	// (dt·CFLnumber/acousticDt); the limit is refreshed at the driver's
-	// cadence, not every step, to keep tracing off the hot path.
+	// (dt·CFLnumber/acousticDt); the limit is refreshed every 20 steps, not
+	// every step, to keep tracing off the hot path.
 	CFL float64 `json:"cfl"`
 	// WallSec is the wall time of the whole step; StageWallSec is the wall
 	// time of each RK stage (RHS evaluation + 2N update), len = 6 for the
 	// production RK46-NL integrator.
 	WallSec      float64   `json:"wall_sec"`
 	StageWallSec []float64 `json:"stage_wall_sec"`
-	// Physics monitors, sampled at the final RK stage evaluation.
+	// Physics monitors, sampled at the final RK stage evaluation over the
+	// emitting rank's block: in a decomposed run these are rank 0's, not the
+	// global extrema (those are in the health sample and cmd/s3d's progress
+	// lines).
 	TMin float64 `json:"t_min"`
 	TMax float64 `json:"t_max"`
 	PMin float64 `json:"p_min"`
@@ -88,8 +65,9 @@ type StepEvent struct {
 	// accumulated during the final RK stage's chemistry evaluation.
 	HeatRelease float64 `json:"heat_release"`
 
-	Comm  CommStats  `json:"comm"`
-	Pario ParioStats `json:"pario"`
+	// Comm is the emitting rank's cumulative counters; the last step record
+	// of a run carries its totals.
+	Comm CommStats `json:"comm"`
 
 	// Health is the watchdog's verdict for the step (nil when no watchdog
 	// is armed). obs defines only the wire type; the rule engine lives in
@@ -251,7 +229,6 @@ type TraceSummary struct {
 	MeanStepSec float64 `json:"mean_step_sec"`
 	TMax        float64 `json:"t_max"`
 	CommBytes   int64   `json:"comm_bytes"`
-	CacheHits   float64 `json:"cache_hit_rate"`
 	Checkpoints int     `json:"checkpoints"`
 	Done        bool    `json:"done"`
 	// Health is the final step's watchdog level ("" when the run carried
@@ -280,10 +257,9 @@ func Summarize(recs []Record) TraceSummary {
 				if ev.TMax > s.TMax {
 					s.TMax = ev.TMax
 				}
-				// Comm/pario counters in step records are cumulative; the
-				// last record carries the totals.
+				// Comm counters in step records are cumulative; the last
+				// record carries the totals.
 				s.CommBytes = ev.Comm.BytesSent
-				s.CacheHits = ev.Pario.CacheHitRate
 				if ev.Health != nil {
 					s.Health = ev.Health.Level
 					for _, name := range ev.Health.Tripped {
@@ -310,19 +286,4 @@ func Summarize(recs []Record) TraceSummary {
 		s.MeanStepSec = stepWall / float64(s.Steps)
 	}
 	return s
-}
-
-// StatusLine renders the human-readable periodic status line for a step
-// event — the text exporter next to the JSONL one.
-func (ev StepEvent) StatusLine() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "step %6d  t=%.4g s  dt=%.3g  CFL=%.2f  T=[%.0f,%.0f] K  wall=%.1f ms",
-		ev.Step, ev.Time, ev.Dt, ev.CFL, ev.TMin, ev.TMax, ev.WallSec*1e3)
-	if ev.Comm.BytesSent > 0 {
-		fmt.Fprintf(&b, "  comm=%.1f MB", float64(ev.Comm.BytesSent)/1e6)
-	}
-	if ev.Pario.CacheAccesses > 0 {
-		fmt.Fprintf(&b, "  cache=%.0f%%", ev.Pario.CacheHitRate*100)
-	}
-	return b.String()
 }

@@ -32,10 +32,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/s3dgo/s3d/internal/obs"
-	"github.com/s3dgo/s3d/internal/perf"
 	"github.com/s3dgo/s3d/internal/prof"
 )
 
@@ -73,18 +71,6 @@ type Pool struct {
 	profTracks atomic.Pointer[[]*prof.Track]
 	profMu     sync.Mutex
 	profOwner  *prof.Profiler
-
-	// Per-worker TAU-style timers: each worker accumulates the busy time of
-	// every kernel label it executes into its own perf.Timers (the
-	// pool-aware path of the figure-2 instrumentation). The per-worker
-	// mutex lets PerfSnapshot read a consistent copy without quiescing the
-	// pool.
-	timers []*workerTimer
-}
-
-type workerTimer struct {
-	mu sync.Mutex
-	t  *perf.Timers
 }
 
 // NewPool builds a dedicated pool with n workers (n < 1 selects one).
@@ -95,10 +81,6 @@ func NewPool(n int) *Pool {
 		n = 1
 	}
 	p := &Pool{n: n}
-	p.timers = make([]*workerTimer, n)
-	for i := range p.timers {
-		p.timers[i] = &workerTimer{t: perf.NewTimers()}
-	}
 	if n > 1 {
 		// Buffered so submitters stream tiles without a rendezvous per tile.
 		p.tasks = make(chan task, 4*n)
@@ -171,24 +153,8 @@ func (p *Pool) AttachProfiler(pr *prof.Profiler) {
 	p.profTracks.Store(&tracks)
 }
 
-// PerfSnapshot merges the per-worker kernel timers into a fresh Timers
-// owned by the caller: the per-kernel busy time accumulated across all
-// workers (region names are the kernel labels passed to Plan runs).
-// Comparing a region's busy time against the owner's wall-clock timer for
-// the same kernel gives its parallel efficiency.
-func (p *Pool) PerfSnapshot() *perf.Timers {
-	merged := perf.NewTimers()
-	for _, wt := range p.timers {
-		wt.mu.Lock()
-		merged.Merge(wt.t.Snapshot())
-		wt.mu.Unlock()
-	}
-	return merged
-}
-
 func (p *Pool) worker(id int) {
 	defer p.wg.Done()
-	wt := p.timers[id]
 	for t := range p.tasks {
 		nb := p.busy.Add(1)
 		if g := p.busyG.Load(); g != nil {
@@ -211,13 +177,8 @@ func (p *Pool) worker(id int) {
 				})
 			}
 		}
-		start := time.Now()
 		t.rg.unit(t.i, id)
-		d := time.Since(start)
 		sp.End()
-		wt.mu.Lock()
-		wt.t.Observe(t.rg.label, d, 1)
-		wt.mu.Unlock()
 		nb = p.busy.Add(-1)
 		if g := p.busyG.Load(); g != nil {
 			g.Set(float64(nb))

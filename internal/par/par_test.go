@@ -220,25 +220,6 @@ func TestPoolMetrics(t *testing.T) {
 	}
 }
 
-// TestPerfSnapshot checks worker busy time lands under the kernel label.
-func TestPerfSnapshot(t *testing.T) {
-	pool := NewPool(2)
-	defer pool.Close()
-	pl := NewPlan(pool)
-	var spin atomic.Int64
-	pl.Run("busywork", Interior(2, 2, 12), func(Tile, int) {
-		for i := 0; i < 1000; i++ {
-			spin.Add(1)
-		}
-	})
-	tm := pool.PerfSnapshot()
-	r := tm.Region("busywork")
-	// 12 planes on 2 workers schedule as 4·2 = 8 blocks.
-	if r == nil || r.Calls != 8 {
-		t.Fatalf("busywork region = %+v, want 8 calls", r)
-	}
-}
-
 // TestSplitAxisDeterministic pins the axis-selection rule.
 func TestSplitAxisDeterministic(t *testing.T) {
 	cases := []struct {

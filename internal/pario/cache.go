@@ -16,8 +16,6 @@ import (
 	"sync"
 
 	"github.com/s3dgo/s3d/internal/comm"
-	"github.com/s3dgo/s3d/internal/obs"
-	"github.com/s3dgo/s3d/internal/prof"
 )
 
 // SharedFile is the in-memory stand-in for the parallel file system file
@@ -114,10 +112,6 @@ type CacheClient struct {
 	sc   *comm.Comm // the server goroutine's handle: same rank, no profiler
 	file *SharedFile
 
-	// prof records PARIO_* spans for the client-side operations on the
-	// owning rank's track (SetProfiler); nil records nothing.
-	prof *prof.Track
-
 	// Metadata shard owned by this rank: pageIndex → owner rank (-1 if the
 	// page is not cached anywhere yet). Guarded by metaMu because both the
 	// local client path and the server goroutine touch it.
@@ -135,26 +129,10 @@ type CacheClient struct {
 
 	serverDone chan struct{}
 	// Stats. LocalHits/RemoteForwards count client-side operations (owned by
-	// the client goroutine); accesses/Misses/Evictions are updated under
-	// pageMu because the server goroutine also touches pages.
+	// the client goroutine); Misses/Evictions are updated under pageMu
+	// because the server goroutine also touches pages.
 	LocalHits, RemoteForwards, Evictions int
 	Misses                               int // page loads from the file system
-	accesses                             int // page-cache accesses (local + served)
-}
-
-// Stats snapshots the cache telemetry in the observability layer's schema.
-// Like Read/Write it must be called by the owning rank's goroutine.
-func (cl *CacheClient) Stats() obs.ParioStats {
-	cl.pageMu.Lock()
-	s := obs.ParioStats{
-		CacheAccesses:  int64(cl.accesses),
-		CacheMisses:    int64(cl.Misses),
-		CacheEvictions: int64(cl.Evictions),
-		RemoteForwards: int64(cl.RemoteForwards),
-	}
-	cl.pageMu.Unlock()
-	s.CacheHitRate = s.HitRate()
-	return s
 }
 
 // NewCacheClient attaches a rank to the caching layer over file. All ranks
@@ -174,12 +152,6 @@ func NewCacheClient(c *comm.Comm, file *SharedFile, cfg CacheConfig) *CacheClien
 	c.Barrier()
 	return cl
 }
-
-// SetProfiler records the client-side cache operations (PARIO_READ,
-// PARIO_WRITE, PARIO_FLUSH) as spans on the owning rank's track. The
-// embedded I/O thread keeps using an unprofiled communicator handle: it
-// runs concurrently with the rank's call stack and must not touch it.
-func (cl *CacheClient) SetProfiler(tr *prof.Track) { cl.prof = tr }
 
 // metaOwner returns the rank holding the metadata of a page (round-robin,
 // "statically distributed ... among the MPI processes", §5.1).
@@ -217,8 +189,6 @@ func (cl *CacheClient) lookupOwner(page int64) int {
 
 // Write writes buf at the canonical offset through the cache.
 func (cl *CacheClient) Write(off int64, buf []byte) error {
-	sp := cl.prof.Begin("PARIO_WRITE")
-	defer sp.End()
 	if off < 0 || off+int64(len(buf)) > cl.file.Size() {
 		return fmt.Errorf("pario: cache write [%d, %d) outside file of %d bytes",
 			off, off+int64(len(buf)), cl.file.Size())
@@ -253,8 +223,6 @@ func (cl *CacheClient) Write(off int64, buf []byte) error {
 // (figure 6's flow: metadata lookup, then local caching or forward to the
 // remote owner).
 func (cl *CacheClient) Read(off int64, buf []byte) error {
-	sp := cl.prof.Begin("PARIO_READ")
-	defer sp.End()
 	if off < 0 || off+int64(len(buf)) > cl.file.Size() {
 		return fmt.Errorf("pario: cache read [%d, %d) outside file", off, off+int64(len(buf)))
 	}
@@ -306,7 +274,6 @@ func (cl *CacheClient) readLocal(page, inPage int64, buf []byte) {
 // ensurePageLocked returns the resident page, loading from the file system
 // (and evicting LRU pages past the bound) as needed. pageMu must be held.
 func (cl *CacheClient) ensurePageLocked(page int64) *cachedPage {
-	cl.accesses++
 	if p, ok := cl.pages[page]; ok {
 		return p
 	}
@@ -345,8 +312,6 @@ func (cl *CacheClient) evictLocked(page int64) {
 // Close flushes all dirty pages and stops the I/O thread. All ranks must
 // call Close collectively; the file image is complete afterwards.
 func (cl *CacheClient) Close() {
-	sp := cl.prof.Begin("PARIO_FLUSH")
-	defer sp.End()
 	// Quiesce first: once every client has entered Close, no further remote
 	// writes can be in flight (each Write completed its ack), so the local
 	// flush below cannot lose late-arriving dirty data.

@@ -222,9 +222,10 @@ func (MPIIOCaching) Simulate(k Kernel, fs *FS, net Net, checkpoints int) Result 
 // pages. No coherence metadata is needed, but "the data written by a
 // process in the first-stage buffers will most likely need to be flushed to
 // remote processes".
-type TwoStageWriteBehind struct {
-	SubBufBytes int64 // 0 selects the 64 kB default of §5.2
-}
+type TwoStageWriteBehind struct{}
+
+// firstStageBufBytes is the §5.2 first-stage sub-buffer size.
+const firstStageBufBytes = 64 << 10
 
 // Name implements Method.
 func (TwoStageWriteBehind) Name() string { return "writebehind" }
@@ -232,10 +233,6 @@ func (TwoStageWriteBehind) Name() string { return "writebehind" }
 // Simulate implements Method.
 func (w TwoStageWriteBehind) Simulate(k Kernel, fs *FS, net Net, checkpoints int) Result {
 	np := k.NumProcs()
-	sub := w.SubBufBytes
-	if sub == 0 {
-		sub = 64 << 10
-	}
 	r := Result{Method: "writebehind", FS: fs.Name, Procs: np}
 	r.TotalBytes = k.FileBytes() * int64(checkpoints)
 	r.OpenTime = float64(checkpoints) * fs.OpenTime(1, np)
@@ -264,7 +261,7 @@ func (w TwoStageWriteBehind) Simulate(k Kernel, fs *FS, net Net, checkpoints int
 			if d == p || b == 0 {
 				continue // local second-stage buffer: a memcpy
 			}
-			msgs := int((b + sub - 1) / sub)
+			msgs := int((b + firstStageBufBytes - 1) / firstStageBufBytes)
 			t += net.msgTime(msgs, b)
 		}
 		commPerProc[p] = t

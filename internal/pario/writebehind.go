@@ -12,11 +12,8 @@ package pario
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/s3dgo/s3d/internal/comm"
-	"github.com/s3dgo/s3d/internal/obs"
-	"github.com/s3dgo/s3d/internal/prof"
 )
 
 // Write-behind message tags (distinct from the cache-layer tags).
@@ -31,10 +28,6 @@ type WriteBehindClient struct {
 	c    *comm.Comm
 	sc   *comm.Comm // the server goroutine's handle: same rank, no profiler
 	file *SharedFile
-
-	// prof records PARIO_WB_* spans for the client-side operations on the
-	// owning rank's track (SetProfiler); nil records nothing.
-	prof *prof.Track
 
 	pageBytes int64
 	subBytes  int64
@@ -52,28 +45,6 @@ type WriteBehindClient struct {
 	serverDone chan struct{}
 	// Stats (owned by the client goroutine, like Write/Close).
 	Flushes, LocalAppends int
-	flushNs               int64 // cumulative first-stage flush latency
-}
-
-// QueueBytes returns the current first-stage queue depth: bytes buffered
-// locally that have not yet been shipped to their page owners.
-func (cl *WriteBehindClient) QueueBytes() int64 {
-	var total int64
-	for _, b := range cl.pendingBytes {
-		total += b
-	}
-	return total
-}
-
-// Stats snapshots the write-behind telemetry in the observability layer's
-// schema. Like Write it must be called by the owning rank's goroutine.
-func (cl *WriteBehindClient) Stats() obs.ParioStats {
-	return obs.ParioStats{
-		WBQueueBytes:  cl.QueueBytes(),
-		WBFlushes:     int64(cl.Flushes),
-		WBFlushSec:    float64(cl.flushNs) / 1e9,
-		WBLocalWrites: int64(cl.LocalAppends),
-	}
 }
 
 // NewWriteBehindClient opens the layer collectively over file. The §5.2
@@ -84,7 +55,7 @@ func NewWriteBehindClient(c *comm.Comm, file *SharedFile, pageBytes, subBytes in
 		pageBytes = 512 << 10
 	}
 	if subBytes <= 0 {
-		subBytes = 64 << 10
+		subBytes = firstStageBufBytes
 	}
 	cl := &WriteBehindClient{
 		c:            c,
@@ -103,19 +74,12 @@ func NewWriteBehindClient(c *comm.Comm, file *SharedFile, pageBytes, subBytes in
 	return cl
 }
 
-// SetProfiler records the client-side write-behind operations
-// (PARIO_WB_WRITE, PARIO_WB_FLUSH) as spans on the owning rank's track;
-// the I/O thread keeps using an unprofiled communicator handle.
-func (cl *WriteBehindClient) SetProfiler(tr *prof.Track) { cl.prof = tr }
-
 // owner returns the rank owning a page ("page i resides on the process of
 // rank (i mod nproc)", §5.2).
 func (cl *WriteBehindClient) owner(page int64) int { return int(page) % cl.c.Size() }
 
 // Write appends data at the canonical offset to the first-stage buffers.
 func (cl *WriteBehindClient) Write(off int64, data []byte) error {
-	sp := cl.prof.Begin("PARIO_WB_WRITE")
-	defer sp.End()
 	if off < 0 || off+int64(len(data)) > cl.file.Size() {
 		return fmt.Errorf("pario: write-behind write [%d, %d) outside file",
 			off, off+int64(len(data)))
@@ -147,17 +111,15 @@ func (cl *WriteBehindClient) Write(off int64, data []byte) error {
 	return nil
 }
 
-// flush ships one destination's sub-buffer to its owner, recording the
-// round-trip latency (send until the owner's ack).
+// flush ships one destination's sub-buffer to its owner and waits for the
+// owner's ack.
 func (cl *WriteBehindClient) flush(d int) {
 	if len(cl.pending[d]) == 0 {
 		return
 	}
-	start := time.Now()
 	cl.c.Send(d, tagWBFlush, cl.pending[d])
 	ack := make([]float64, 1)
 	cl.c.Recv(d, tagWBFlushAck, ack)
-	cl.flushNs += time.Since(start).Nanoseconds()
 	cl.pending[d] = nil
 	cl.pendingBytes[d] = 0
 	cl.Flushes++
@@ -182,8 +144,6 @@ func (cl *WriteBehindClient) apply(page, inPage int64, data []byte) {
 // Close drains the first stage, flushes owned pages and stops the server.
 // Collective.
 func (cl *WriteBehindClient) Close() {
-	sp := cl.prof.Begin("PARIO_WB_FLUSH")
-	defer sp.End()
 	// Drain our first-stage buffers ("at file close, all dirty buffers are
 	// flushed").
 	for d := range cl.pending {

@@ -203,23 +203,3 @@ func TestDiffFluxModelImproves(t *testing.T) {
 		t.Fatalf("no modelled improvement: %g → %g", before, after)
 	}
 }
-
-func TestObserveFoldsWithoutStack(t *testing.T) {
-	tm := NewTimers()
-	tm.Start("outer")
-	tm.Observe("kernel", 3*time.Millisecond, 2)
-	tm.Observe("kernel", 2*time.Millisecond, 1)
-	tm.Stop("outer")
-	r := tm.Region("kernel")
-	if r == nil || r.Exclusive != 5*time.Millisecond || r.Inclusive != 5*time.Millisecond || r.Calls != 3 {
-		t.Fatalf("kernel region = %+v, want 5ms/5ms/3 calls", r)
-	}
-	if err := tm.Err(); err != nil {
-		t.Fatalf("Observe disturbed the region stack: %v", err)
-	}
-	// Observe must not subtract from the enclosing region's exclusive time:
-	// the observed span was measured on another goroutine.
-	if out := tm.Region("outer"); out.Calls != 1 {
-		t.Fatalf("outer region = %+v", out)
-	}
-}

@@ -86,24 +86,6 @@ func (t *Timers) Stop(name string) {
 	}
 }
 
-// Observe folds an externally measured duration into a region without
-// touching the nesting stack: d is added to both the exclusive and the
-// inclusive time and calls to the call count. It is the pool-aware path of
-// the per-kernel instrumentation — worker goroutines time each tile
-// themselves and Observe the span into their own Timers, since Start/Stop
-// pairs cannot nest across goroutines. The single-owner contract still
-// applies: one goroutine per Timers value.
-func (t *Timers) Observe(name string, d time.Duration, calls int64) {
-	r := t.regions[name]
-	if r == nil {
-		r = &Region{Name: name}
-		t.regions[name] = r
-	}
-	r.Exclusive += d
-	r.Inclusive += d
-	r.Calls += calls
-}
-
 // fail records the first misuse error.
 func (t *Timers) fail(err error) {
 	if t.err == nil {

@@ -1,13 +1,14 @@
 package prof
 
 import (
-	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 
 	"github.com/s3dgo/s3d/internal/perf"
+	"github.com/s3dgo/s3d/internal/sdf"
 )
 
 // Export writes the complete profile artifact set into dir (created if
@@ -19,29 +20,34 @@ import (
 //	roofline.txt  measured-vs-modelled roofline per kernel
 //
 // A zero shape skips the roofline report (no grid information available).
+// Each file appears whole or not at all (sdf.WriteAtomic).
 func Export(dir string, p *Profiler, shape RunShape, machines []perf.Machine) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("prof: export dir: %w", err)
 	}
 	snaps := p.Snapshot()
-	var buf bytes.Buffer
-	if err := WriteChromeTraceFrom(&buf, snaps); err != nil {
+	err := sdf.WriteAtomic(filepath.Join(dir, "trace.json"), func(w io.Writer) error {
+		return WriteChromeTraceFrom(w, snaps)
+	})
+	if err != nil {
 		return fmt.Errorf("prof: trace export: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "trace.json"), buf.Bytes(), 0o644); err != nil {
-		return err
+	writeText := func(name, text string) error {
+		return sdf.WriteAtomic(filepath.Join(dir, name), func(w io.Writer) error {
+			_, err := io.WriteString(w, text)
+			return err
+		})
 	}
 	rep := BuildFrom(snaps)
-	if err := os.WriteFile(filepath.Join(dir, "callpath.txt"), []byte(rep.Text()), 0o644); err != nil {
+	if err := writeText("callpath.txt", rep.Text()); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "callpath.csv"), []byte(rep.CSV()), 0o644); err != nil {
+	if err := writeText("callpath.csv", rep.CSV()); err != nil {
 		return err
 	}
 	if shape.PointsPerRank > 0 {
 		rows := Roofline(rep, shape, machines)
-		txt := FormatRoofline(rows, machines)
-		if err := os.WriteFile(filepath.Join(dir, "roofline.txt"), []byte(txt), 0o644); err != nil {
+		if err := writeText("roofline.txt", FormatRoofline(rows, machines)); err != nil {
 			return err
 		}
 	}

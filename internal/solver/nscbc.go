@@ -31,21 +31,11 @@ func (b *Block) applyNSCBC(t float64) {
 	}
 }
 
-// sigmaOut returns the outflow relaxation strength.
-func (b *Block) sigmaOut() float64 {
-	if b.cfg.SigmaOut > 0 {
-		return b.cfg.SigmaOut
-	}
-	return 0.25
-}
-
-// etaIn returns the inflow relaxation strength.
-func (b *Block) etaIn() float64 {
-	if b.cfg.EtaIn > 0 {
-		return b.cfg.EtaIn
-	}
-	return 0.3
-}
+// NSCBC relaxation strengths (dimensionless): σ at outflows, η at inflows.
+const (
+	sigmaOut = 0.25
+	etaIn    = 0.3
+)
 
 // domainLength returns the global physical extent along the axis, the L in
 // the relaxation coefficients.
@@ -123,7 +113,7 @@ func (b *Block) charFace(a, side int, t float64) {
 			// Override incoming amplitudes per boundary type.
 			switch bc {
 			case OutflowNSCBC:
-				kp := b.sigmaOut() * c * oneM2 / L
+				kp := sigmaOut * c * oneM2 / L
 				if side == 0 {
 					l5 = kp * (p - b.cfg.PInf) // incoming at a low face travels +n
 				} else {
@@ -131,15 +121,14 @@ func (b *Block) charFace(a, side int, t float64) {
 				}
 			case InflowNSCBC:
 				tgt := b.inflowTarget(ws, a, side, j, k, t)
-				eta := b.etaIn()
-				ku := eta * rho * c * c * oneM2 / L
-				kt := eta * c / L
+				ku := etaIn * rho * c * c * oneM2 / L
+				kt := etaIn * c / L
 				if side == 0 {
 					l5 = ku * (un - tgt.U)
 				} else {
 					l1 = -ku * (un - tgt.U)
 				}
-				l2 = -eta * (c / L) * rho * c * c * (T - tgt.T) / T
+				l2 = -etaIn * (c / L) * rho * c * c * (T - tgt.T) / T
 				tgtT1, tgtT2 := tangentialTargets(a, tgt)
 				l3 = kt * (ut1 - tgtT1)
 				l4 = kt * (ut2 - tgtT2)

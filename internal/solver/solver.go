@@ -94,18 +94,12 @@ type Config struct {
 	Inflow InflowFunc // required when any face is InflowNSCBC
 	PInf   float64    // far-field pressure for outflow relaxation (Pa)
 
-	// NSCBC relaxation strengths (dimensionless); zero selects defaults
-	// (σ = 0.25 outflow, η = 0.3 inflow).
-	SigmaOut float64
-	EtaIn    float64
-
 	// FilterEvery applies the tenth-order filter every N steps (0 disables;
 	// S3D filters periodically to remove spurious high-frequency content).
 	FilterEvery    int
 	FilterStrength float64 // σ in (0,1]; 0 selects 1.0
 
 	CFL          float64 // acoustic CFL number; 0 selects 0.8
-	FixedDt      float64 // overrides CFL when > 0 (the paper uses fixed 4 ns steps)
 	DiffFlux     DiffFluxKernel
 	ChemistryOff bool // inert runs (pressure-wave tests, figure 4/5 kernel study)
 

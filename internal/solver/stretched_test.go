@@ -99,20 +99,6 @@ func TestStretchedMeshAdvectionConsistent(t *testing.T) {
 	}
 }
 
-func TestFixedDtConfig(t *testing.T) {
-	// The paper advances at a constant 4 ns step (§6.2); FixedDt is carried
-	// through the config for drivers that honour it.
-	cfg := stretchedConfig(t)
-	cfg.FixedDt = 4e-9
-	b, err := NewSerial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.cfg.FixedDt != 4e-9 {
-		t.Fatal("FixedDt lost")
-	}
-}
-
 func TestParallelStretchedMatchesSerial(t *testing.T) {
 	mkcfg := func() *Config { return stretchedConfig(t) }
 	ic := func(b *Block) {

@@ -3,6 +3,7 @@ package workflow
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"github.com/s3dgo/s3d/internal/critpath"
 	"github.com/s3dgo/s3d/internal/insitu"
 	"github.com/s3dgo/s3d/internal/obs"
+	"github.com/s3dgo/s3d/internal/sdf"
 	"github.com/s3dgo/s3d/internal/viz"
 )
 
@@ -40,8 +42,8 @@ type DashboardStatus struct {
 
 	// Telemetry summarises the run's step trace (dashboard/trace.jsonl,
 	// written by a driver's -trace flag) when one is present: step count,
-	// simulated time, mean wall time per step, communication volume and
-	// pario cache hit rate. Nil when no trace has been copied in.
+	// simulated time, mean wall time per step and communication volume.
+	// Nil when no trace has been copied in.
 	Telemetry *obs.TraceSummary `json:"telemetry,omitempty"`
 
 	// Health is the run-health lane: the watchdog's verdict for the traced
@@ -417,14 +419,24 @@ func BuildDashboard(c *Cluster, jobs []Job) (*DashboardStatus, error) {
 		status.Images[name] = path
 	}
 
-	out, err := json.MarshalIndent(status, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(filepath.Join(c.Dashboard, "status.json"), out, 0o644); err != nil {
+	if err := writeStatus(c, status); err != nil {
 		return nil, err
 	}
 	return status, nil
+}
+
+// writeStatus lands status.json — the one file a browser polls while the
+// workflow rewrites it — whole or not at all (sdf.WriteAtomic): a reader
+// sees the previous document or the new one, never a truncated one.
+func writeStatus(c *Cluster, status *DashboardStatus) error {
+	out, err := json.MarshalIndent(status, "", "  ")
+	if err != nil {
+		return err
+	}
+	return sdf.WriteAtomic(filepath.Join(c.Dashboard, "status.json"), func(w io.Writer) error {
+		_, err := w.Write(out)
+		return err
+	})
 }
 
 // Annotate records a user note against a dashboard image ("we are allowing
@@ -443,11 +455,7 @@ func Annotate(c *Cluster, variable, note string) error {
 		status.Notes = map[string]string{}
 	}
 	status.Notes[variable] = note
-	out, err := json.MarshalIndent(&status, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
+	return writeStatus(c, &status)
 }
 
 func sanitize(s string) string {

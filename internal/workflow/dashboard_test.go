@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/s3dgo/s3d/internal/critpath"
@@ -64,6 +65,8 @@ func TestDashboardTelemetrySummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedMinMax(t, c)
+	// A step line as written while records still carried a "pario" object:
+	// the dashboard keeps reading such traces.
 	trace := `{"kind":"run_start","time_unix":1,"run":{"case":"liftedflame","config":{"grid":"32x24x1"}}}
 {"kind":"step","step":{"step":1,"time":1e-7,"dt":1e-7,"cfl":0.4,"wall_sec":0.5,"stage_wall_sec":[0.1],"t_min":300,"t_max":2100,"p_min":101000,"p_max":102000,"mass_drift":0,"heat_release":1e5,"comm":{"bytes_sent":4096,"msgs_sent":8,"bytes_recv":4096,"msgs_recv":8,"wait_sec":0.01,"coll_sec":0,"allreduces":1,"barriers":0},"pario":{"cache_accesses":10,"cache_misses":2,"cache_evictions":0,"remote_forwards":0,"cache_hit_rate":0.8,"wb_queue_bytes":0,"wb_flushes":0,"wb_flush_sec":0}}}
 {"kind":"checkpoint","time_unix":2,"checkpoint":{"step":1,"path":"restart-000001.sdf"}}
@@ -80,7 +83,7 @@ func TestDashboardTelemetrySummary(t *testing.T) {
 		t.Fatal("trace.jsonl present but Telemetry nil")
 	}
 	if status.Telemetry.Case != "liftedflame" || status.Telemetry.Steps != 1 ||
-		status.Telemetry.CommBytes != 4096 || status.Telemetry.CacheHits != 0.8 ||
+		status.Telemetry.CommBytes != 4096 ||
 		status.Telemetry.Checkpoints != 1 || !status.Telemetry.Done {
 		t.Fatalf("bad summary: %+v", status.Telemetry)
 	}
@@ -243,6 +246,68 @@ func TestDashboardAnnotation(t *testing.T) {
 	}
 	if got.Notes["T"] == "" {
 		t.Fatal("annotation lost")
+	}
+}
+
+// TestStatusNeverHalfWritten: status.json is the file a browser polls while
+// the workflow rewrites it. A reader racing a run of rewrites parses a whole
+// document every time, and a rewrite that cannot land (a dashboard directory
+// turned read-only) leaves the previous document in place.
+func TestStatusNeverHalfWritten(t *testing.T) {
+	c, err := NewCluster(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedMinMax(t, c)
+	if _, err := BuildDashboard(c, nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(c.Dashboard, "status.json")
+	readStatus := func() (DashboardStatus, error) {
+		var got DashboardStatus
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &got)
+		}
+		return got, err
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := readStatus(); err != nil {
+				t.Errorf("reader saw a broken status.json: %v", err)
+				return
+			}
+		}
+	}()
+	note := strings.Repeat("x", 128<<10) // a document worth several write calls
+	for i := 0; i < 50; i++ {
+		if err := Annotate(c, "T", note+strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+
+	if os.Geteuid() == 0 {
+		return // root writes into read-only directories
+	}
+	if err := os.Chmod(c.Dashboard, 0o555); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chmod(c.Dashboard, 0o755)
+	if err := Annotate(c, "T", "lost"); err == nil {
+		t.Fatal("rewrite into a read-only dashboard directory must fail")
+	}
+	if got, err := readStatus(); err != nil || got.Notes["T"] != note+"49" {
+		t.Fatalf("failed rewrite disturbed status.json: %v", err)
 	}
 }
 

@@ -33,10 +33,9 @@ func (s *Simulation) EnableProfiling(p *prof.Profiler, trackName string) {
 }
 
 // ProfTrack returns the rank track EnableProfiling created (nil before).
-// Hand it to auxiliary clients driven by the same goroutine — e.g.
-// pario.CacheClient.SetProfiler — so their spans join this rank's call
-// paths instead of polluting the cross-rank statistics with an extra
-// always-idle "rank".
+// Code driven by the goroutine that steps the simulation opens its spans
+// here, so they join this rank's call paths instead of polluting the
+// cross-rank statistics with an extra always-idle "rank".
 func (s *Simulation) ProfTrack() *prof.Track { return s.blk.ProfTrack() }
 
 // ProfileShape describes this simulation's per-rank workload for the

@@ -171,7 +171,7 @@ type Armed struct{ sim *Simulation }
 
 // Arm enables the session's layers on sim and returns the handle that
 // steps it. prob supplies the standard analysis set; opt carries what only
-// the driver knows (Case, Config, Pario, Status) — Arm fills in the trace
+// the driver knows (Case, Config) — Arm fills in the trace
 // and the monitor address. Call it after the initial (or resumed) state is
 // set and before the first step. This is the single statement of the
 // enable order, and the reasons for it:

@@ -389,21 +389,27 @@ func (s *Simulation) heatRelease() []float64 {
 }
 
 // MinMax returns the interior extrema of a named field (the paper's
-// min/max monitoring quantities).
+// min/max monitoring quantities). A registered field is scanned in place
+// (grid.Field3.MinMax); only the derived "hrr" is materialised first.
 func (s *Simulation) MinMax(name string) (lo, hi float64, err error) {
-	data, _, err := s.Field(name)
-	if err != nil {
-		return 0, 0, err
-	}
-	lo, hi = data[0], data[0]
-	for _, v := range data {
-		if v < lo {
-			lo = v
+	if name == "hrr" {
+		data := s.heatRelease()
+		lo, hi = data[0], data[0]
+		for _, v := range data {
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
 		}
-		if v > hi {
-			hi = v
-		}
+		return lo, hi, nil
 	}
+	f := s.blk.FieldByName(name)
+	if f == nil {
+		return 0, 0, fmt.Errorf("s3d: unknown field %q", name)
+	}
+	lo, hi = f.MinMax()
 	return lo, hi, nil
 }
 

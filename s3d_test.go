@@ -393,3 +393,33 @@ func TestCheckpointRoundTripAPI(t *testing.T) {
 		t.Fatalf("step bookkeeping = %d", restored.Step())
 	}
 }
+
+// TestMinMaxScansInPlace: the extrema of a registered field come from a walk
+// over its rows — no copy of the field, so no allocation per progress line —
+// and agree with a scan of the extracted copy, as do the derived "hrr"'s.
+func TestMinMaxScansInPlace(t *testing.T) {
+	sim := inertBoxSim(t)
+	for _, name := range []string{"T", "rho", "hrr"} {
+		data, _, err := sim.Field(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLo, wantHi := data[0], data[0]
+		for _, v := range data {
+			wantLo, wantHi = min(wantLo, v), max(wantHi, v)
+		}
+		lo, hi, err := sim.MinMax(name)
+		if err != nil || lo != wantLo || hi != wantHi {
+			t.Fatalf("MinMax(%q) = [%g, %g], %v; want [%g, %g]", name, lo, hi, err, wantLo, wantHi)
+		}
+	}
+	if lo, hi, _ := sim.MinMax("T"); lo != 300 || !(hi > 480) {
+		t.Fatalf("T extrema [%g, %g], want the 300–500 K ramp", lo, hi)
+	}
+	if _, _, err := sim.MinMax("no_such_field"); err == nil {
+		t.Fatal("unknown field must be an error")
+	}
+	if n := testing.AllocsPerRun(10, func() { sim.MinMax("T") }); n != 0 {
+		t.Fatalf("MinMax on a registered field allocates %v times per call", n)
+	}
+}

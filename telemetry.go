@@ -5,19 +5,17 @@ package s3d
 // stepping loop (Simulation.TryAdvance) takes, emits one structured
 // StepEvent — step index, dt, CFL, per-RK-stage wall times,
 // temperature/pressure extrema, total-mass drift, heat-release integral
-// and the communication and parallel-I/O counters — to any combination of
-// a JSONL trace, a live HTTP monitor and a human-readable status stream.
+// and the communication counters — to a JSONL trace, a live HTTP monitor,
+// or both.
 // The probe samples only what the solver already computed (see
 // internal/solver/telemetry.go), so tracing stays within a few percent of
 // an uninstrumented run.
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
-	"github.com/s3dgo/s3d/internal/comm"
 	"github.com/s3dgo/s3d/internal/obs"
 	"github.com/s3dgo/s3d/internal/perf"
 	"github.com/s3dgo/s3d/internal/vexp"
@@ -40,20 +38,12 @@ type TelemetryOptions struct {
 	// (":0" selects an ephemeral port; see Probe.MonitorAddr) serving
 	// /metrics, /status and /healthz live.
 	MonitorAddr string
-	// Status, when non-nil, receives a human-readable line every
-	// StatusEvery steps (default every 10).
-	Status      io.Writer
-	StatusEvery int
-
-	// CFLRefreshEvery is the cadence, in steps, at which the acoustic
-	// stability limit behind the reported CFL is re-evaluated (the sweep
-	// costs a full sound-speed pass; default 20, minimum 1).
-	CFLRefreshEvery int
-
-	// Pario, when non-nil, is polled each step for parallel-I/O counters
-	// (wire it to CacheClient.Stats or WriteBehindClient.Stats).
-	Pario func() obs.ParioStats
 }
+
+// cflRefreshEvery is the cadence, in steps, at which the acoustic stability
+// limit behind the reported CFL is re-evaluated (the sweep costs a full
+// sound-speed pass).
+const cflRefreshEvery = 20
 
 // Probe threads per-step observability through a Simulation.
 // It is owned by the goroutine driving the simulation; only the metrics
@@ -80,12 +70,6 @@ type Probe struct {
 func (s *Simulation) StartTelemetry(opt TelemetryOptions) (*Probe, error) {
 	if opt.Case == "" {
 		opt.Case = "s3d"
-	}
-	if opt.StatusEvery <= 0 {
-		opt.StatusEvery = 10
-	}
-	if opt.CFLRefreshEvery <= 0 {
-		opt.CFLRefreshEvery = 20
 	}
 	p := &Probe{
 		sim:       s,
@@ -168,7 +152,7 @@ func (p *Probe) TryAdvance(n int, dt float64) error { return p.sim.TryAdvance(n,
 // observe assembles and dispatches the record for the step just taken.
 func (p *Probe) observe(dt, wall float64) {
 	blk := p.sim.blk
-	if (blk.Step-1)%p.opt.CFLRefreshEvery == 0 {
+	if (blk.Step-1)%cflRefreshEvery == 0 {
 		p.acousticDt = blk.AcousticDt()
 	}
 	tMin, tMax := blk.MinMaxT()
@@ -186,10 +170,7 @@ func (p *Probe) observe(dt, wall float64) {
 		PMax:         pMax,
 		MassDrift:    (blk.TotalMass() - p.mass0) / p.mass0,
 		HeatRelease:  blk.HeatRelease(),
-		Comm:         commToObs(blk.CommStats()),
-	}
-	if p.opt.Pario != nil {
-		ev.Pario = p.opt.Pario()
+		Comm:         blk.CommStats(),
 	}
 	if w := blk.Watchdog(); w != nil && w.Armed() {
 		hs := w.ObsStatus()
@@ -208,16 +189,12 @@ func (p *Probe) observe(dt, wall float64) {
 			p.reg.Gauge(fmt.Sprintf("comm.wait_ns.%d", peer)).Set(float64(ns))
 		}
 	}
-	p.reg.Gauge("pario.cache_hit_rate").Set(ev.Pario.CacheHitRate)
 
 	if p.opt.Trace != nil {
 		p.opt.Trace.Step(ev)
 	}
 	if p.mon != nil {
 		p.mon.Observe(ev)
-	}
-	if p.opt.Status != nil && blk.Step%p.opt.StatusEvery == 0 {
-		fmt.Fprintln(p.opt.Status, ev.StatusLine())
 	}
 }
 
@@ -254,33 +231,10 @@ func (p *Probe) Close(exitMessage string) error {
 	return nil
 }
 
-// commToObs converts the communication layer's counters to the trace
-// schema.
-func commToObs(s comm.RankStats) obs.CommStats {
-	return obs.CommStats{
-		BytesSent:  s.BytesSent,
-		MsgsSent:   s.MsgsSent,
-		BytesRecv:  s.BytesRecv,
-		MsgsRecv:   s.MsgsRecv,
-		WaitSec:    s.WaitSec,
-		CollSec:    s.CollSec,
-		Allreduces: s.Allreduces,
-		Barriers:   s.Barriers,
-	}
-}
-
 // PerfTimers returns the simulation's per-region timer set (the TAU-style
 // breakdown of paper figure 2). For cross-rank aggregation take Snapshot
 // on each rank and Merge into a fresh aggregator-owned Timers.
 func (s *Simulation) PerfTimers() *perf.Timers { return s.blk.Timers }
-
-// PoolPerfTimers returns the worker-pool side of the breakdown: per-kernel
-// busy time summed across the pool workers executing this simulation's
-// tiles. Comparing a kernel's pooled busy time with the wall time of the
-// same region in PerfTimers gives its node-level parallel efficiency. The
-// snapshot covers the whole (shared) pool, so in decomposed runs it
-// aggregates every in-process rank.
-func (s *Simulation) PoolPerfTimers() *perf.Timers { return s.blk.Plan().Pool().PerfSnapshot() }
 
 // layer is one installed instrumentation layer as StartTelemetry sees it:
 // the name of its endpoint and manifest key, its cadence (0: per step, no

@@ -25,19 +25,13 @@ func TestProbeTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var traceBuf, statusBuf bytes.Buffer
+	var traceBuf bytes.Buffer
 	tr := obs.NewTrace(&traceBuf)
 	probe, err := sim.StartTelemetry(TelemetryOptions{
-		Case:            "lifted-test",
-		Config:          map[string]string{"steps": "4"},
-		Trace:           tr,
-		MonitorAddr:     "127.0.0.1:0",
-		Status:          &statusBuf,
-		StatusEvery:     2,
-		CFLRefreshEvery: 2,
-		Pario: func() obs.ParioStats {
-			return obs.ParioStats{CacheAccesses: 10, CacheMisses: 2, CacheHitRate: 0.8}
-		},
+		Case:        "lifted-test",
+		Config:      map[string]string{"steps": "4"},
+		Trace:       tr,
+		MonitorAddr: "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +102,6 @@ func TestProbeTraceEndToEnd(t *testing.T) {
 		if math.IsNaN(ev.MassDrift) || math.Abs(ev.MassDrift) > 0.1 {
 			t.Fatalf("mass drift = %g", ev.MassDrift)
 		}
-		if ev.Pario.CacheHitRate != 0.8 {
-			t.Fatalf("pario stats not threaded: %+v", ev.Pario)
-		}
 		if ev.Comm.BytesSent != 0 {
 			t.Fatalf("serial run reported comm traffic: %+v", ev.Comm)
 		}
@@ -131,12 +122,9 @@ func TestProbeTraceEndToEnd(t *testing.T) {
 	if done.ExitMessage != "test complete" {
 		t.Fatalf("exit message %q", done.ExitMessage)
 	}
-	if n := strings.Count(statusBuf.String(), "\n"); n != 2 { // steps 2 and 4
-		t.Fatalf("status cadence wrong: %d lines\n%s", n, statusBuf.String())
-	}
 
 	sum := obs.Summarize(recs)
-	if sum.Steps != 4 || sum.CacheHits != 0.8 {
+	if sum.Steps != 4 || sum.Checkpoints != 1 || !sum.Done {
 		t.Fatalf("summary: %+v", sum)
 	}
 }
