@@ -99,6 +99,23 @@ imports_none ./internal/pario obs prof
 imports_none ./internal/par perf
 imports_none ./cmd/s3d pario comm
 
+# Nothing is measured twice: the solver measures and the telemetry probe
+# publishes, so the solver keeps no metrics registry (no internal/obs); comm
+# clocks a blocking call once, on the prof.Now stamps its trace events carry
+# (no time package); and the views, off-switches and wrappers only tests
+# called stay deleted.
+echo "== layering lint (solver does not import obs, comm does not import time, deleted names stay gone)"
+imports_none ./internal/solver obs
+if go list -f '{{join .Imports "\n"}}' ./internal/comm | grep -x time; then
+	echo "internal/comm imports time: clock a blocking call on prof.Now alone" >&2
+	exit 1
+fi
+deleted='recordStepMetrics|TelemetryEnabled|World\) (BytesSent|MessagesSent|TotalBytes|TotalStats)\(|Request\) (PostNs|CompleteNs)\(|CompleteNs|Comm\) Allgather\(|KindAllgather|waitNs|Snapshot\) Merge\(|Trace\) RunStart\(|Histogram\) Mean\(|Lane\[R\]\) Disable\(|Watchdog\) Disarm\(|InitVec|\.AXPY|\) AXPY|Field3\) (CopyFrom|Scale)\(|\.SumRange|\) SumRange|FieldSet\) Names\(|CK45|Species\) (SR|GRT)\(|Probe\) Metrics\('
+if grep -rnE "$deleted" --include='*.go' . | grep -v '^\./benchmark/'; then
+	echo "a deleted name is back (see above)" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 

@@ -169,6 +169,7 @@ func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error
 		}
 		report := max(o.steps/10, 1)
 		exit := "completed"
+		wrote := false // the loop just wrote this step's checkpoint
 		for sim.Step() < o.steps {
 			if err := h.Advance(min(report, o.steps-sim.Step()), dt); err != nil {
 				// Every rank returns from the same step with a violation
@@ -181,11 +182,12 @@ func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error
 			e.tlo, e.thi, _ = sim.MinMax("T")
 			e.plo, e.phi, _ = sim.MinMax("p")
 			progress.report(sim.Step(), sim.Time(), e)
-			if o.ckptEvery > 0 && sim.Step()%o.ckptEvery == 0 {
+			wrote = o.ckptEvery > 0 && sim.Step()%o.ckptEvery == 0
+			if wrote {
 				must(writeCheckpoint(ckptDir, sim, h))
 			}
 		}
-		if exit == "completed" {
+		if exit == "completed" && !wrote {
 			must(writeCheckpoint(ckptDir, sim, h))
 		}
 		must(h.Close(exit))

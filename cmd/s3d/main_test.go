@@ -416,7 +416,7 @@ func TestOneRankIsSerial(t *testing.T) {
 // TestCheckpointsObserverIndependent: an observed run writes its checkpoints
 // the way an unobserved one does — one streaming path to disk — so -trace and
 // -profile change no byte of any restart or analysis file, and the trace
-// names every file written.
+// names every file written, once.
 func TestCheckpointsObserverIndependent(t *testing.T) {
 	run := func(observe bool) (sdfs map[string]string, trace string) {
 		dir := t.TempDir()
@@ -462,9 +462,24 @@ func TestCheckpointsObserverIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Step 12 is both a periodic and the final checkpoint: 3 × 2 files.
-	if sum := obs.Summarize(recs); sum.Steps != 12 || sum.Checkpoints != 6 || !sum.Done {
+	// Step 12 is both a periodic and the final checkpoint, written once:
+	// 2 × 2 files.
+	if sum := obs.Summarize(recs); sum.Steps != 12 || sum.Checkpoints != 4 || !sum.Done {
 		t.Errorf("trace summary: %+v", sum)
+	}
+	named := map[string]int{}
+	for _, r := range recs {
+		if r.Kind == obs.KindCheckpoint {
+			named[filepath.Base(r.Checkpoint.Path)]++
+		}
+	}
+	if len(named) != len(plain) {
+		t.Errorf("trace names %v, the run wrote %d files", named, len(plain))
+	}
+	for name, n := range named {
+		if n != 1 || plain[name] == "" {
+			t.Errorf("trace names %s %d times (written: %v)", name, n, plain[name] != "")
+		}
 	}
 }
 

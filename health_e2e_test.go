@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -151,6 +152,55 @@ func TestHealthEndToEnd(t *testing.T) {
 	}
 	if restored.Step() != 10 {
 		t.Fatalf("restored step = %d, want 10", restored.Step())
+	}
+}
+
+// TestTraceKeepsFatalNaNStep: the step that killed a run is the trace line
+// that says why. A NaN planted in the density makes that step's mass drift
+// NaN; its record still lands — the value as the string "NaN" — run_done
+// follows with the NaN gauge, and Close reports no failed write.
+func TestTraceKeepsFatalNaNStep(t *testing.T) {
+	sim := inertBoxSim(t)
+	sim.EnableHealth(HealthOptions{})
+	var buf bytes.Buffer
+	probe, err := sim.StartTelemetry(TelemetryOptions{Trace: obs.NewTrace(&buf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt := 0.4 * sim.StableDt()
+	if err := probe.TryAdvance(2, dt); err != nil {
+		t.Fatal(err)
+	}
+	nx, ny, nz := sim.Dims()
+	sim.blk.Q[0].Set(nx/2, ny/2, nz/2, math.NaN())
+	err = probe.TryAdvance(3, dt)
+	if _, ok := err.(*health.Violation); !ok {
+		t.Fatalf("TryAdvance over a NaN density returned %T (%v), want *health.Violation", err, err)
+	}
+	if err := probe.Close("tripped"); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	recs, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(recs); n != 5 { // run_start, two clean steps, the fatal step, run_done
+		t.Fatalf("trace holds %d records, want 5:\n%s", n, buf.Bytes())
+	}
+	fatal := recs[3].StepData
+	if recs[3].Kind != obs.KindStep || fatal == nil || fatal.Step != 3 || !math.IsNaN(float64(fatal.MassDrift)) {
+		t.Fatalf("fatal step record = %+v, want step 3 with a NaN mass drift", recs[3])
+	}
+	if fatal.Health == nil || fatal.Health.Level != "fatal" {
+		t.Fatalf("fatal step's health = %+v", fatal.Health)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"mass_drift":"NaN"`)) {
+		t.Fatal(`the fatal step's mass drift is not encoded as "NaN"`)
+	}
+	done := recs[4].Done
+	if recs[4].Kind != obs.KindRunDone || done == nil || !math.IsNaN(float64(done.Metrics.Gauges["solver.mass_drift"])) {
+		t.Fatalf("last record = %+v, want run_done carrying the NaN mass drift", recs[4])
 	}
 }
 

@@ -31,7 +31,6 @@ type InSituImager struct {
 
 	// Metrics, when non-nil, counts render/write failures under
 	// insitu.render_errors (insitu_render_errors in /metrics.prom).
-	// Wire it to Probe.Metrics to surface drops on the live monitor.
 	Metrics *obs.Registry
 
 	frames int

@@ -386,8 +386,8 @@ func BenchmarkProductionRatesCH4(b *testing.B) {
 
 // TestProductionRatesGibbsSharedLog pins the single shared logarithm: the
 // species Gibbs functions ProductionRates leaves in its scratch must equal
-// the per-species GRT(T) bit for bit, inside the fit range, at its bounds
-// and where the fits clamp.
+// the per-species GRTLn(T, LnT(T)) bit for bit, inside the fit range, at
+// its bounds and where the fits clamp.
 func TestProductionRatesGibbsSharedLog(t *testing.T) {
 	for _, m := range []*Mechanism{H2Air(), CH4Skeletal()} {
 		ns := m.NumSpecies()
@@ -398,8 +398,8 @@ func TestProductionRatesGibbsSharedLog(t *testing.T) {
 		for _, T := range []float64{150, thermo.TMin, 300, 1234.5, thermo.TMax, 4000} {
 			m.ProductionRates(T, C, wdot)
 			for i, sp := range m.Set.Species {
-				if got, want := m.gRT[i], sp.GRT(T); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("T=%g species %s: shared-log g/RT %v, per-species GRT %v", T, sp.Name, got, want)
+				if got, want := m.gRT[i], sp.GRTLn(T, thermo.LnT(T)); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("T=%g species %s: shared-log g/RT %v, per-species GRTLn %v", T, sp.Name, got, want)
 				}
 			}
 		}

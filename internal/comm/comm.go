@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/s3dgo/s3d/internal/obs"
 	"github.com/s3dgo/s3d/internal/prof"
@@ -43,13 +42,14 @@ type World struct {
 	// Per-rank telemetry, updated with single atomic adds so the accounting
 	// stays off the critical path (the "counts bytes and messages per rank"
 	// contract in the package comment, extended with blocked-time tracking
-	// for the observability layer).
+	// for the observability layer). Blocked time is the difference of two
+	// prof.Now stamps the call takes anyway, so it is the interval a traced
+	// event records.
 	bytesSent  []atomic.Int64
 	msgsSent   []atomic.Int64
 	bytesRecv  []atomic.Int64
 	msgsRecv   []atomic.Int64
-	waitNs     []atomic.Int64 // time blocked in point-to-point Wait
-	waitPeerNs []atomic.Int64 // waitNs split by peer, indexed rank*n + peer
+	waitPeerNs []atomic.Int64 // time blocked in point-to-point Wait, indexed rank*n + peer
 	collNs     []atomic.Int64 // time blocked in collectives
 	allreduces []atomic.Int64
 	barriers   []atomic.Int64
@@ -68,7 +68,6 @@ func NewWorld(n int) *World {
 		msgsSent:   make([]atomic.Int64, n),
 		bytesRecv:  make([]atomic.Int64, n),
 		msgsRecv:   make([]atomic.Int64, n),
-		waitNs:     make([]atomic.Int64, n),
 		waitPeerNs: make([]atomic.Int64, n*n),
 		collNs:     make([]atomic.Int64, n),
 		allreduces: make([]atomic.Int64, n),
@@ -82,21 +81,6 @@ func NewWorld(n int) *World {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.n }
-
-// BytesSent returns the total bytes sent by rank r so far.
-func (w *World) BytesSent(r int) int64 { return w.bytesSent[r].Load() }
-
-// MessagesSent returns the total message count sent by rank r so far.
-func (w *World) MessagesSent(r int) int64 { return w.msgsSent[r].Load() }
-
-// TotalBytes returns the bytes sent by all ranks.
-func (w *World) TotalBytes() int64 {
-	var t int64
-	for i := range w.bytesSent {
-		t += w.bytesSent[i].Load()
-	}
-	return t
-}
 
 // WaitByPeer returns rank r's cumulative point-to-point blocked time in
 // nanoseconds, split by the peer rank the wait was matched against. The
@@ -114,35 +98,23 @@ func (w *World) WaitByPeer(r int) []int64 {
 // zero-length reduce, counted under both Barriers and Allreduces.
 type RankStats = obs.CommStats
 
-// RankStats returns rank r's cumulative telemetry.
+// RankStats returns rank r's cumulative telemetry; its WaitSec is the sum
+// of the rank's WaitByPeer.
 func (w *World) RankStats(r int) RankStats {
+	var wait int64
+	for p := 0; p < w.n; p++ {
+		wait += w.waitPeerNs[r*w.n+p].Load()
+	}
 	return RankStats{
 		BytesSent:  w.bytesSent[r].Load(),
 		MsgsSent:   w.msgsSent[r].Load(),
 		BytesRecv:  w.bytesRecv[r].Load(),
 		MsgsRecv:   w.msgsRecv[r].Load(),
-		WaitSec:    float64(w.waitNs[r].Load()) / 1e9,
+		WaitSec:    float64(wait) / 1e9,
 		CollSec:    float64(w.collNs[r].Load()) / 1e9,
 		Allreduces: w.allreduces[r].Load(),
 		Barriers:   w.barriers[r].Load(),
 	}
-}
-
-// TotalStats sums RankStats over all ranks.
-func (w *World) TotalStats() RankStats {
-	var t RankStats
-	for r := 0; r < w.n; r++ {
-		s := w.RankStats(r)
-		t.BytesSent += s.BytesSent
-		t.MsgsSent += s.MsgsSent
-		t.BytesRecv += s.BytesRecv
-		t.MsgsRecv += s.MsgsRecv
-		t.WaitSec += s.WaitSec
-		t.CollSec += s.CollSec
-		t.Allreduces += s.Allreduces
-		t.Barriers += s.Barriers
-	}
-	return t
 }
 
 // abortPanic is the sentinel thrown by blocked operations when the world
@@ -285,9 +257,9 @@ type Comm struct {
 }
 
 // AttachProfiler records this rank's communication calls (MPI_ISEND,
-// MPI_WAIT, MPI_ALLREDUCE, MPI_BARRIER, MPI_ALLGATHER) as spans on tr. The
-// track must be the calling rank's: spans land on whatever call path the
-// rank currently has open.
+// MPI_WAIT, MPI_ALLREDUCE, MPI_BARRIER, and MPI_ALLGATHER for
+// AllreduceOrdered) as spans on tr. The track must be the calling rank's:
+// spans land on whatever call path the rank currently has open.
 func (c *Comm) AttachProfiler(tr *prof.Track) { c.prof = tr }
 
 // WithoutProfiler returns a handle on the same world and rank that records
@@ -362,7 +334,6 @@ type PtPEvent struct {
 const (
 	KindAllreduce        = "allreduce"
 	KindAllreduceOrdered = "allreduce_ordered"
-	KindAllgather        = "allgather"
 	KindBarrier          = "barrier"
 )
 
@@ -381,14 +352,14 @@ type CollEvent struct {
 }
 
 // recordColl appends a collective trace event.
-func (c *Comm) recordColl(kind string, bytes int, enterNs int64) {
+func (c *Comm) recordColl(kind string, bytes int, enterNs, exitNs int64) {
 	if !c.traceOn {
 		return
 	}
 	c.colls = append(c.colls, CollEvent{
 		Kind: kind, Seq: c.collSeq, Bytes: bytes,
 		Step: c.step, Stage: c.stage,
-		EnterNs: enterNs, ExitNs: prof.Now(),
+		EnterNs: enterNs, ExitNs: exitNs,
 	})
 	c.collSeq++
 }
@@ -418,33 +389,15 @@ func newMailbox() *mailbox {
 // Request is a pending non-blocking operation. Wait blocks until complete.
 type Request struct {
 	done bool
-	// receive state; nil box means the request is an already-complete send.
-	box      *mailbox
+	// Receive state: the posting communicator — whose mailbox, profiler
+	// track, counters and trace the receive completes into — the match key,
+	// the buffer, and the post time on the prof.Now clock. A send is complete
+	// at post time and carries none of it.
+	c        *Comm
 	src, tag int
 	buf      []float64
-	// telemetry attribution: the posting rank's world (nil for sends, which
-	// complete at post time), the posting rank's profiler track — so the
-	// blocked time inside Wait lands on the call path that posted the
-	// receive — and the posting communicator for trace recording.
-	w    *World
-	rank int
-	prof *prof.Track
-	c    *Comm
-
-	// Operation timestamps on the prof.Now clock, persisted on the request so
-	// they survive the profiler span's end: per-neighbour wait accounting
-	// and the critpath analyzer need exact post/complete times.
-	postNs     int64
-	completeNs int64
-	bytes      int
+	postNs   int64
 }
-
-// PostNs returns when the operation was posted (prof.Now clock).
-func (r *Request) PostNs() int64 { return r.postNs }
-
-// CompleteNs returns when the operation completed (prof.Now clock);
-// zero while the request is still pending.
-func (r *Request) CompleteNs() int64 { return r.completeNs }
 
 // Isend posts a non-blocking send of data to rank dst with a tag. The data
 // is copied at post time, so the caller may reuse its buffer immediately
@@ -473,7 +426,7 @@ func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 			Bytes: bytes, Step: c.step, Stage: c.stage,
 			PostNs: now, StartNs: now, DoneNs: now})
 	}
-	return &Request{done: true, postNs: now, completeNs: now, bytes: bytes}
+	return &Request{done: true}
 }
 
 // Irecv posts a non-blocking receive into buf for a message from rank src
@@ -482,29 +435,29 @@ func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 	if src < 0 || src >= c.world.n {
 		panic(fmt.Sprintf("comm: rank %d Irecv from invalid rank %d", c.rank, src))
 	}
-	return &Request{box: c.world.boxes[c.rank], src: src, tag: tag, buf: buf,
-		w: c.world, rank: c.rank, prof: c.prof, c: c, postNs: prof.Now()}
+	return &Request{c: c, src: src, tag: tag, buf: buf, postNs: prof.Now()}
 }
 
 // Wait blocks until the request completes. For receives it matches the
 // earliest-arrived message from (src, tag) and copies it into the posted
 // buffer; a length mismatch panics, as MPI would raise a truncation error.
-// Time spent blocked is charged to the posting rank's wait counter and to
-// its per-peer wait counter. If the world aborts while blocked, Wait
-// unwinds with the abort sentinel instead of parking forever.
+// The blocked interval — from Wait's entry stamp to its completion stamp,
+// exactly the StartNs…DoneNs of the traced receive event — is charged to
+// the posting rank's wait counter for the peer. If the world aborts while
+// blocked, Wait unwinds with the abort sentinel instead of parking forever.
 func (r *Request) Wait() {
 	if r.done {
 		return
 	}
-	sp := r.prof.Begin("MPI_WAIT")
+	c, w := r.c, r.c.world
+	sp := c.prof.Begin("MPI_WAIT")
 	defer sp.End()
-	start := time.Now()
 	startNs := prof.Now()
-	box := r.box
+	box := w.boxes[c.rank]
 	box.mu.Lock()
 	defer box.mu.Unlock()
 	for {
-		r.w.checkAborted()
+		w.checkAborted()
 		for i := range box.msgs {
 			m := &box.msgs[i]
 			if m.src == r.src && m.tag == r.tag {
@@ -516,18 +469,16 @@ func (r *Request) Wait() {
 				sendPostNs, sendStep, sendStage := m.postNs, m.step, m.stage
 				box.msgs = append(box.msgs[:i], box.msgs[i+1:]...)
 				r.done = true
-				r.completeNs = prof.Now()
-				r.bytes = 8 * len(r.buf)
-				waited := time.Since(start).Nanoseconds()
-				r.w.bytesRecv[r.rank].Add(int64(r.bytes))
-				r.w.msgsRecv[r.rank].Add(1)
-				r.w.waitNs[r.rank].Add(waited)
-				r.w.waitPeerNs[r.rank*r.w.n+r.src].Add(waited)
-				if r.c != nil && r.c.traceOn {
-					r.c.ptp = append(r.c.ptp, PtPEvent{Kind: KindRecv,
-						Peer: r.src, Tag: r.tag, Bytes: r.bytes,
-						Step: r.c.step, Stage: r.c.stage,
-						PostNs: r.postNs, StartNs: startNs, DoneNs: r.completeNs,
+				doneNs := prof.Now()
+				bytes := 8 * len(r.buf)
+				w.bytesRecv[c.rank].Add(int64(bytes))
+				w.msgsRecv[c.rank].Add(1)
+				w.waitPeerNs[c.rank*w.n+r.src].Add(doneNs - startNs)
+				if c.traceOn {
+					c.ptp = append(c.ptp, PtPEvent{Kind: KindRecv,
+						Peer: r.src, Tag: r.tag, Bytes: bytes,
+						Step: c.step, Stage: c.stage,
+						PostNs: r.postNs, StartNs: startNs, DoneNs: doneNs,
 						SendPostNs: sendPostNs, SendStep: sendStep, SendStage: sendStage})
 				}
 				return
@@ -631,13 +582,8 @@ func newCollective(n int) *collective {
 
 // gather is the protocol under every collective: each rank deposits a copy
 // of vals in its slot, waits for the last rank to arrive, and leaves with
-// all slots indexed by rank. The call's duration is charged to the rank's
-// collective-time counter.
+// all slots indexed by rank.
 func (c *Comm) gather(vals []float64) [][]float64 {
-	start := time.Now()
-	defer func() {
-		c.world.collNs[c.rank].Add(time.Since(start).Nanoseconds())
-	}()
 	col := c.world.coll
 	// The deferred unlock keeps the collective mutex panic-safe: an abort
 	// unwinds every waiter through checkAborted, and a leaked lock here
@@ -671,18 +617,6 @@ func (c *Comm) gather(vals []float64) [][]float64 {
 	return out
 }
 
-// Allgather collects each rank's slice; the result indexed by rank is
-// returned on every rank. All ranks must call with non-nil slices.
-func (c *Comm) Allgather(vals []float64) [][]float64 {
-	sp := c.prof.Begin("MPI_ALLGATHER")
-	defer sp.End()
-	enterNs := prof.Now()
-	out := c.gather(vals)
-	c.chargeColl(8 * len(vals))
-	c.recordColl(KindAllgather, 8*len(vals), enterNs)
-	return out
-}
-
 // chargeColl counts the bytes a collective is modelled as sending from this
 // rank; a rank alone in its world sends nothing.
 func (c *Comm) chargeColl(bytes int) {
@@ -695,10 +629,14 @@ func (c *Comm) chargeColl(bytes int) {
 // into vals in ascending rank order, so every rank gets the
 // bitwise-identical result whatever order the ranks arrived in. bytes is
 // what the call is charged as having sent; it is counted as one allreduce
-// and traced as kind. A length mismatch is an error on every rank.
+// and traced as kind, and the gather's enter-to-exit interval is charged to
+// the rank's collective-time counter. A length mismatch is an error on
+// every rank.
 func (c *Comm) reduce(vals []float64, combine func(dst, src []float64), kind string, bytes int) error {
 	enterNs := prof.Now()
 	slots := c.gather(vals)
+	exitNs := prof.Now()
+	c.world.collNs[c.rank].Add(exitNs - enterNs)
 	c.world.allreduces[c.rank].Add(1)
 	c.chargeColl(bytes)
 	for r := range slots {
@@ -713,7 +651,7 @@ func (c *Comm) reduce(vals []float64, combine func(dst, src []float64), kind str
 			combine(vals, slots[r])
 		}
 	}
-	c.recordColl(kind, bytes, enterNs)
+	c.recordColl(kind, bytes, enterNs, exitNs)
 	return nil
 }
 

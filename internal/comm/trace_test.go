@@ -59,32 +59,58 @@ func TestAllreduceOrderedEdgePaths(t *testing.T) {
 	})
 }
 
-// TestRequestTimestampsPersist pins the satellite fix: post/complete times
-// survive on the Request after the operation (and its profiler span) ends.
+// TestRequestTimestampsPersist: a receive's two prof.Now stamps — Wait's
+// entry and its completion — persist into both places that report the wait,
+// so the two agree to the nanosecond: over a ping-pong whose every message is
+// sent late, the StartNs…DoneNs intervals of a rank's drained receive events
+// sum to its WaitByPeer row, and RankStats.WaitSec is that sum.
 func TestRequestTimestampsPersist(t *testing.T) {
+	const rounds = 4
 	w := NewWorld(2)
+	recvs := make([][]PtPEvent, 2)
 	if err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			req := c.Isend(1, 5, []float64{1, 2, 3})
-			if req.PostNs() <= 0 || req.CompleteNs() != req.PostNs() {
-				t.Errorf("send timestamps: post=%d complete=%d", req.PostNs(), req.CompleteNs())
-			}
-			return
-		}
+		c.ArmTrace(true)
 		buf := make([]float64, 3)
-		req := c.Irecv(0, 5, buf)
-		if req.PostNs() <= 0 {
-			t.Error("Irecv did not stamp a post time")
+		for i := 0; i < rounds; i++ {
+			if c.Rank() == 0 {
+				time.Sleep(2 * time.Millisecond) // rank 1 is already waiting
+				c.Send(1, i, buf)
+				c.Recv(1, i, buf)
+			} else {
+				c.Recv(0, i, buf)
+				time.Sleep(2 * time.Millisecond)
+				c.Send(0, i, buf)
+			}
 		}
-		if req.CompleteNs() != 0 {
-			t.Error("pending request must report zero complete time")
-		}
-		req.Wait()
-		if req.CompleteNs() < req.PostNs() {
-			t.Errorf("complete %d before post %d", req.CompleteNs(), req.PostNs())
+		ptp, _ := c.DrainTrace()
+		for _, ev := range ptp {
+			if ev.Kind == KindRecv {
+				recvs[c.Rank()] = append(recvs[c.Rank()], ev)
+			}
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		if len(recvs[r]) != rounds {
+			t.Fatalf("rank %d drained %d receive events, want %d", r, len(recvs[r]), rounds)
+		}
+		var traced, counted int64
+		for _, ev := range recvs[r] {
+			if ev.DoneNs-ev.StartNs < int64(time.Millisecond) || ev.StartNs < ev.PostNs {
+				t.Fatalf("rank %d: a late-sent receive traced as %+v", r, ev)
+			}
+			traced += ev.DoneNs - ev.StartNs
+		}
+		for _, ns := range w.WaitByPeer(r) {
+			counted += ns
+		}
+		if traced != counted {
+			t.Fatalf("rank %d: traced receives waited %d ns, the wait counters %d ns", r, traced, counted)
+		}
+		if got := w.RankStats(r).WaitSec; got != float64(counted)/1e9 {
+			t.Fatalf("rank %d: WaitSec %v, want the per-peer sum %v", r, got, float64(counted)/1e9)
+		}
 	}
 }
 
@@ -120,7 +146,8 @@ func TestWaitByPeerAccumulates(t *testing.T) {
 // receive events carry the step/stage context of both sides, a blocked
 // receive exposes the late sender through SendPostNs, and nested helper
 // collectives (Barrier, AllreduceOrdered) record exactly one event with
-// matching sequence numbers across ranks.
+// matching sequence numbers across ranks, its interval the one charged to
+// the rank's collective time.
 func TestTraceEnvelopes(t *testing.T) {
 	w := NewWorld(2)
 	ptps := make([][]PtPEvent, 2)
@@ -141,7 +168,6 @@ func TestTraceEnvelopes(t *testing.T) {
 		if err := c.AllreduceOrdered([]float64{1}, func(dst, src []float64) { dst[0] += src[0] }); err != nil {
 			t.Error(err)
 		}
-		c.Allgather([]float64{float64(c.Rank())})
 		p, cl := c.DrainTrace()
 		ptps[c.Rank()], colls[c.Rank()] = p, cl
 	}); err != nil {
@@ -179,13 +205,15 @@ func TestTraceEnvelopes(t *testing.T) {
 		t.Fatalf("recv timestamps out of order: %+v", recv)
 	}
 
-	// Collectives: 4 top-level calls → 4 events, nested helpers suppressed,
-	// sequence numbers aligned across ranks.
-	wantKinds := []string{KindAllreduce, KindBarrier, KindAllreduceOrdered, KindAllgather}
+	// Collectives: 3 top-level calls → 3 events, nested helpers suppressed,
+	// sequence numbers aligned across ranks; their intervals are the rank's
+	// collective time.
+	wantKinds := []string{KindAllreduce, KindBarrier, KindAllreduceOrdered}
 	for r := 0; r < 2; r++ {
 		if len(colls[r]) != len(wantKinds) {
 			t.Fatalf("rank %d collective events = %+v, want %d", r, colls[r], len(wantKinds))
 		}
+		var collNs int64
 		for i, ev := range colls[r] {
 			if ev.Kind != wantKinds[i] || ev.Seq != i {
 				t.Fatalf("rank %d event %d = %+v, want kind %s seq %d", r, i, ev, wantKinds[i], i)
@@ -193,6 +221,10 @@ func TestTraceEnvelopes(t *testing.T) {
 			if ev.ExitNs < ev.EnterNs || ev.Step != 7 {
 				t.Fatalf("rank %d event %d timestamps/context wrong: %+v", r, i, ev)
 			}
+			collNs += ev.ExitNs - ev.EnterNs
+		}
+		if got := w.RankStats(r).CollSec; got != float64(collNs)/1e9 {
+			t.Fatalf("rank %d: CollSec %v, traced collectives %v", r, got, float64(collNs)/1e9)
 		}
 	}
 

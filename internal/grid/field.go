@@ -116,34 +116,11 @@ func (f *Field3) Fill(v float64) {
 	}
 }
 
-// CopyFrom copies the full contents (including ghosts) of src, which must
-// have identical shape.
-func (f *Field3) CopyFrom(src *Field3) {
-	f.mustMatch(src)
-	copy(f.Data, src.Data)
-}
-
 // Clone returns a deep copy of the field.
 func (f *Field3) Clone() *Field3 {
 	c := *f
 	c.Data = append([]float64(nil), f.Data...)
 	return &c
-}
-
-// AXPY computes f += a*x over the whole storage (interior and ghosts).
-func (f *Field3) AXPY(a float64, x *Field3) {
-	f.mustMatch(x)
-	fd, xd := f.Data, x.Data
-	for i := range fd {
-		fd[i] += a * xd[i]
-	}
-}
-
-// Scale multiplies the whole storage by a.
-func (f *Field3) Scale(a float64) {
-	for i := range f.Data {
-		f.Data[i] *= a
-	}
 }
 
 // Row returns the contiguous slice of Nx values for row (·, j, k) — ghost rows
@@ -155,26 +132,11 @@ func (f *Field3) Row(j, k int) []float64 {
 	return f.Data[base : base+f.Nx]
 }
 
-// AXPYRange computes f += a*x over the index box [lo, hi) (exclusive),
-// addressed in interior coordinates; ghost points may be included via
-// negative indices. Sweeping the interior tile-by-tile with AXPYRange visits
-// each point exactly once in the same i-fastest order as a full-interior
-// loop, so results are independent of the tiling.
-func (f *Field3) AXPYRange(a float64, x *Field3, lo, hi [3]int) {
-	f.mustMatch(x)
-	n := hi[0] - lo[0]
-	fd, xd := f.Data, x.Data
-	for k := lo[2]; k < hi[2]; k++ {
-		for j := lo[1]; j < hi[1]; j++ {
-			row := f.Idx(lo[0], j, k)
-			for i := 0; i < n; i++ {
-				fd[row+i] += a * xd[row+i]
-			}
-		}
-	}
-}
-
-// FillRange sets the index box [lo, hi) to v.
+// FillRange sets the index box [lo, hi) (exclusive), addressed in interior
+// coordinates, to v; ghost points may be included via negative indices.
+// Sweeping the interior tile-by-tile with a ranged op visits each point
+// exactly once in the same i-fastest order as a full-interior loop, so
+// results are independent of the tiling.
 func (f *Field3) FillRange(v float64, lo, hi [3]int) {
 	n := hi[0] - lo[0]
 	fd := f.Data
@@ -200,23 +162,6 @@ func (f *Field3) ScaleRange(a float64, lo, hi [3]int) {
 			}
 		}
 	}
-}
-
-// SumRange returns the sum over the index box [lo, hi), accumulated in the
-// same i-fastest order as SumInterior restricted to the box.
-func (f *Field3) SumRange(lo, hi [3]int) float64 {
-	n := hi[0] - lo[0]
-	var s float64
-	fd := f.Data
-	for k := lo[2]; k < hi[2]; k++ {
-		for j := lo[1]; j < hi[1]; j++ {
-			row := f.Idx(lo[0], j, k)
-			for i := 0; i < n; i++ {
-				s += fd[row+i]
-			}
-		}
-	}
-	return s
 }
 
 // CopyRange copies the index box [lo, hi) from src (same shape required).

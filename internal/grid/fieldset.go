@@ -217,15 +217,6 @@ func (s *FieldSet) Checkpointed() []int {
 	return ids
 }
 
-// Names returns every registered name in registration order.
-func (s *FieldSet) Names() []string {
-	out := make([]string, len(s.metas))
-	for id, m := range s.metas {
-		out[id] = m.Name
-	}
-	return out
-}
-
 func (s *FieldSet) mustBuilt() {
 	if !s.built {
 		panic("grid: FieldSet used before Build")

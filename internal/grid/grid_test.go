@@ -189,21 +189,6 @@ func TestMinMaxAndSum(t *testing.T) {
 	}
 }
 
-func TestAXPYAndScale(t *testing.T) {
-	a := NewField3Ghost(3, 3, 3, 1)
-	b := NewField3Ghost(3, 3, 3, 1)
-	a.Fill(2)
-	b.Fill(3)
-	a.AXPY(0.5, b) // 2 + 1.5
-	if got := a.At(1, 1, 1); got != 3.5 {
-		t.Fatalf("AXPY result = %g, want 3.5", got)
-	}
-	a.Scale(2)
-	if got := a.At(0, 0, 0); got != 7 {
-		t.Fatalf("Scale result = %g, want 7", got)
-	}
-}
-
 // Property: WrapPeriodic never changes interior values, for random shapes.
 func TestWrapPeriodicPreservesInterior(t *testing.T) {
 	prop := func(nx, ny, nz uint8) bool {
@@ -248,31 +233,18 @@ func TestCloneDeepCopies(t *testing.T) {
 }
 
 func TestRangeOpsMatchFullOps(t *testing.T) {
-	fill := func() (*Field3, *Field3) {
+	fill := func() *Field3 {
 		f := NewField3Ghost(7, 5, 4, 2)
-		x := NewField3Ghost(7, 5, 4, 2)
 		for i := range f.Data {
 			f.Data[i] = float64(i%13) * 0.5
-			x.Data[i] = float64(i%7) * 1.25
 		}
-		return f, x
+		return f
 	}
 	interior := [2][3]int{{0, 0, 0}, {7, 5, 4}}
 
 	// Tiling the interior along k must reproduce the single full-box sweep
 	// bitwise, for every ranged op.
-	fA, xA := fill()
-	fB, xB := fill()
-	fA.AXPYRange(1.0/3, xA, interior[0], interior[1])
-	for k := 0; k < 4; k++ {
-		fB.AXPYRange(1.0/3, xB, [3]int{0, 0, k}, [3]int{7, 5, k + 1})
-	}
-	for i := range fA.Data {
-		if fA.Data[i] != fB.Data[i] {
-			t.Fatalf("AXPYRange tiled != whole at %d", i)
-		}
-	}
-
+	fA, fB := fill(), fill()
 	fA.ScaleRange(0.7, interior[0], interior[1])
 	for k := 0; k < 4; k++ {
 		fB.ScaleRange(0.7, [3]int{0, 0, k}, [3]int{7, 5, k + 1})
@@ -281,10 +253,6 @@ func TestRangeOpsMatchFullOps(t *testing.T) {
 		if fA.Data[i] != fB.Data[i] {
 			t.Fatalf("ScaleRange tiled != whole at %d", i)
 		}
-	}
-
-	if got, want := fA.SumRange(interior[0], interior[1]), fA.SumInterior(); got != want {
-		t.Fatalf("SumRange(interior) = %v, SumInterior = %v", got, want)
 	}
 
 	dst := NewField3Ghost(7, 5, 4, 2)

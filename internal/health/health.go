@@ -13,57 +13,16 @@
 package health
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
+
+	"github.com/s3dgo/s3d/internal/obs"
 )
 
-// F is a float64 that survives JSON round-trips even when non-finite.
-// encoding/json rejects NaN and ±Inf, but a flight recorder's whole job is
-// to capture runs where those values appear; they encode as the strings
-// "NaN", "+Inf" and "-Inf".
-type F float64
-
-// MarshalJSON encodes non-finite values as strings.
-func (f F) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	}
-	return json.Marshal(v)
-}
-
-// UnmarshalJSON accepts both plain numbers and the non-finite strings.
-func (f *F) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		switch s {
-		case "NaN":
-			*f = F(math.NaN())
-		case "+Inf", "Inf":
-			*f = F(math.Inf(1))
-		case "-Inf":
-			*f = F(math.Inf(-1))
-		default:
-			return fmt.Errorf("health: bad float string %q", s)
-		}
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = F(v)
-	return nil
-}
+// F is a float64 that survives JSON round-trips even when non-finite: a
+// flight recorder's whole job is to capture runs where NaN and ±Inf appear.
+// It is the trace's own type, so a sample and a step record encode alike.
+type F = obs.F
 
 // Level grades a check result.
 type Level int
@@ -222,9 +181,9 @@ type Config struct {
 // trips within a few steps of the first unphysical state.
 func Defaults() Config {
 	return Config{
-		Density:       Range(1e-3, 50, 1e-5, 500),
-		Temperature:   Range(150, 3500, 50, 6000),
-		Pressure:      Range(1e3, 1e7, 1e2, 1e8),
+		Density:     Range(1e-3, 50, 1e-5, 500),
+		Temperature: Range(150, 3500, 50, 6000),
+		Pressure:    Range(1e3, 1e7, 1e2, 1e8),
 		// The 8th-order scheme legitimately under/overshoots mass fractions
 		// by a few tenths of a percent near sharp fronts before the filter
 		// acts, so the bands start beyond that.

@@ -312,10 +312,10 @@ func TestHandlerAndMetrics(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if g, ok := snap.Gauges["health.status"]; !ok || g != float64(Fatal) {
+	if g, ok := snap.Gauges["health.status"]; !ok || g != F(Fatal) {
 		t.Fatalf("health.status gauge = %v (%v)", g, ok)
 	}
-	if g, ok := snap.Gauges["health.check.temperature"]; !ok || g != float64(Fatal) {
+	if g, ok := snap.Gauges["health.check.temperature"]; !ok || g != F(Fatal) {
 		t.Fatalf("health.check.temperature gauge = %v (%v)", g, ok)
 	}
 }
@@ -351,9 +351,5 @@ func TestArmedIsCheap(t *testing.T) {
 	w.Arm()
 	if !w.Armed() {
 		t.Fatal("Arm did not arm")
-	}
-	w.Disarm()
-	if w.Armed() {
-		t.Fatal("Disarm did not disarm")
 	}
 }

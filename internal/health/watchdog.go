@@ -142,10 +142,9 @@ func (w *Watchdog) Config() Config { return w.cfg }
 // Rank returns the rank this watchdog was built for.
 func (w *Watchdog) Rank() int { return w.rank }
 
-// Arm starts evaluation; Disarm stops it. Armed is the one atomic load
-// the solver pays per step when health checking is off.
+// Arm starts evaluation. Armed is the one atomic load the solver pays per
+// step when health checking is off.
 func (w *Watchdog) Arm()        { w.armed.Store(true) }
-func (w *Watchdog) Disarm()     { w.armed.Store(false) }
 func (w *Watchdog) Armed() bool { return w.armed.Load() }
 
 // AttachMetrics directs the health gauges (health.status, health.nan_cells,

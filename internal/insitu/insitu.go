@@ -144,13 +144,6 @@ func (p *Pipeline) Ops() []BoundOp { return p.ops }
 // TotalSlots returns the length of the concatenated accumulator vector.
 func (p *Pipeline) TotalSlots() int { return p.total }
 
-// InitVec resets a full accumulator vector.
-func (p *Pipeline) InitVec(acc []float64) {
-	for _, bo := range p.ops {
-		bo.Op.Init(acc[bo.Off:bo.End])
-	}
-}
-
 // MergeVec folds a full accumulator vector into dst, operator by operator.
 // Deterministic for a fixed fold order — the caller folds tiles and ranks
 // in ascending order.

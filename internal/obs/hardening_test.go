@@ -81,108 +81,6 @@ func TestReadTraceOverlongTailLine(t *testing.T) {
 	}
 }
 
-// --- Snapshot.Merge edge cases ---
-
-func TestMergeDisjointNames(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("only.a").Add(3)
-	a.Gauge("gauge.a").Set(1.5)
-	a.Histogram("hist.a", []float64{1, 2}).Observe(0.5)
-	b := NewRegistry()
-	b.Counter("only.b").Add(7)
-	b.Gauge("gauge.b").Set(-2)
-	b.Histogram("hist.b", []float64{10}).Observe(4)
-
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	if s.Counters["only.a"] != 3 || s.Counters["only.b"] != 7 {
-		t.Fatalf("counters = %v", s.Counters)
-	}
-	if s.Gauges["gauge.a"] != 1.5 || s.Gauges["gauge.b"] != -2 {
-		t.Fatalf("gauges = %v", s.Gauges)
-	}
-	ha, hb := s.Histograms["hist.a"], s.Histograms["hist.b"]
-	if ha.Count != 1 || hb.Count != 1 || hb.Sum != 4 {
-		t.Fatalf("histograms = %+v / %+v", ha, hb)
-	}
-	if len(hb.Bounds) != 1 || hb.Bounds[0] != 10 {
-		t.Fatalf("adopted bounds = %v", hb.Bounds)
-	}
-	// The adopted histogram must be a copy, not an alias of b's snapshot.
-	other := b.Snapshot()
-	s2 := a.Snapshot()
-	s2.Merge(other)
-	s2.Histograms["hist.b"].Counts[0] = 99
-	if other.Histograms["hist.b"].Counts[0] == 99 {
-		t.Fatal("merge aliased the source snapshot's counts")
-	}
-}
-
-func TestMergeOverlappingNames(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("steps").Add(10)
-	a.Gauge("tmax").Set(900)
-	h := a.Histogram("wall", []float64{0.01, 0.1})
-	h.Observe(0.005)
-	h.Observe(0.05)
-	b := NewRegistry()
-	b.Counter("steps").Add(32)
-	b.Gauge("tmax").Set(1800)
-	h2 := b.Histogram("wall", []float64{0.01, 0.1})
-	h2.Observe(0.5)
-
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	if s.Counters["steps"] != 42 {
-		t.Fatalf("summed counter = %d", s.Counters["steps"])
-	}
-	if s.Gauges["tmax"] != 1800 {
-		t.Fatalf("gauge max = %g", s.Gauges["tmax"])
-	}
-	hw := s.Histograms["wall"]
-	if hw.Count != 3 || hw.Sum != 0.555 {
-		t.Fatalf("merged histogram = %+v", hw)
-	}
-	want := []int64{1, 1, 1} // one per bucket incl. overflow
-	for i, c := range hw.Counts {
-		if c != want[i] {
-			t.Fatalf("bucket counts = %v, want %v", hw.Counts, want)
-		}
-	}
-	// Merging the other direction must give the same totals.
-	s2 := b.Snapshot()
-	s2.Merge(a.Snapshot())
-	if s2.Counters["steps"] != 42 || s2.Histograms["wall"].Count != 3 {
-		t.Fatalf("reverse merge = %+v", s2)
-	}
-}
-
-func TestMergeMismatchedHistogramBounds(t *testing.T) {
-	a := NewRegistry()
-	a.Histogram("wall", []float64{1, 2, 3}).Observe(1.5)
-	b := NewRegistry()
-	b.Histogram("wall", []float64{10}).Observe(5)
-
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	hw := s.Histograms["wall"]
-	// Bucket vectors of different shapes cannot be summed; Sum/Count must
-	// still aggregate so rates stay correct.
-	if hw.Count != 2 || hw.Sum != 6.5 {
-		t.Fatalf("mismatched-bounds merge: %+v", hw)
-	}
-	if len(hw.Counts) != 4 {
-		t.Fatalf("bucket vector changed shape: %v", hw.Counts)
-	}
-	var bucketSum int64
-	for _, c := range hw.Counts {
-		bucketSum += c
-	}
-	if bucketSum != 1 {
-		t.Fatalf("mismatched buckets were summed anyway: %v", hw.Counts)
-	}
-}
-
 // --- Prometheus text exposition ---
 
 func TestWritePrometheus(t *testing.T) {

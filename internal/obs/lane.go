@@ -36,10 +36,9 @@ func NewLane[R any](every int, gauges func(*Registry, *R)) Lane[R] {
 // Every returns the cadence in steps.
 func (l *Lane[R]) Every() int { return l.every }
 
-// Enable starts the lane; Disable stops it. Enabled is the one atomic load
-// the step loop pays while the layer is off.
+// Enable starts the lane. Enabled is the one atomic load the step loop pays
+// while the layer is off.
 func (l *Lane[R]) Enable()       { l.enabled.Store(true) }
-func (l *Lane[R]) Disable()      { l.enabled.Store(false) }
 func (l *Lane[R]) Enabled() bool { return l.enabled.Load() }
 
 // Due reports whether the lane publishes at the given (completed) step.

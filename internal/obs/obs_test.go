@@ -37,8 +37,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if h.Count() != 4 {
 		t.Fatalf("hist count = %d", h.Count())
 	}
-	if got := h.Mean(); math.Abs(got-55.55/4) > 1e-12 {
-		t.Fatalf("hist mean = %g", got)
+	if got := h.Sum(); math.Abs(got-55.55) > 1e-12 {
+		t.Fatalf("hist sum = %g", got)
 	}
 	s := r.Snapshot()
 	hs := s.Histograms["flush.sec"]
@@ -82,27 +82,10 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("bytes").Add(10)
-	a.Gauge("tmax").Set(1500)
-	b := NewRegistry()
-	b.Counter("bytes").Add(5)
-	b.Gauge("tmax").Set(1800)
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	if s.Counters["bytes"] != 15 {
-		t.Fatalf("merged counter = %d", s.Counters["bytes"])
-	}
-	if s.Gauges["tmax"] != 1800 {
-		t.Fatalf("merged gauge = %g", s.Gauges["tmax"])
-	}
-}
-
 // sampleStep returns a fully populated step event for round-trip tests.
 func sampleStep(step int) StepEvent {
 	return StepEvent{
-		Step: step, Time: 1.25e-6 * float64(step), Dt: 1.25e-6, CFL: 0.41,
+		Step: step, Time: F(1.25e-6 * float64(step)), Dt: 1.25e-6, CFL: 0.41,
 		WallSec:      0.013,
 		StageWallSec: []float64{0.002, 0.002, 0.002, 0.002, 0.002, 0.003},
 		TMin:         298.2, TMax: 1712.9, PMin: 100900, PMax: 101800,
@@ -120,7 +103,7 @@ func sampleStep(step int) StepEvent {
 func TestTraceSchemaRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTrace(&buf)
-	tr.RunStart("liftedjet", map[string]string{"nx": "96", "ny": "72"})
+	tr.RunStartInfo(NewRunInfo("liftedjet", map[string]string{"nx": "96", "ny": "72"}))
 	want := []StepEvent{sampleStep(1), sampleStep(2)}
 	for _, ev := range want {
 		tr.Step(ev)
@@ -191,6 +174,19 @@ func TestTraceSchemaRoundTrip(t *testing.T) {
 			t.Errorf("%s keys = %v, want %v", c.what, keys, c.want)
 		}
 	}
+
+	// A finite physics value is an F, encoded exactly as a float64 is.
+	ev := want[0]
+	for key, v := range map[string]F{"time": ev.Time, "dt": ev.Dt, "cfl": ev.CFL, "t_max": ev.TMax,
+		"p_min": ev.PMin, "mass_drift": ev.MassDrift, "heat_release": ev.HeatRelease} {
+		plain, err := json.Marshal(float64(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(line.Step[key]); got != string(plain) {
+			t.Errorf("%s encodes as %s, a float64 as %s", key, got, plain)
+		}
+	}
 }
 
 // TestReadsPreviousSchemaTrace: a trace written while step records still
@@ -224,7 +220,7 @@ func TestTraceDurableWithoutFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.RunStart("killed", nil)
+	tr.RunStartInfo(NewRunInfo("killed", nil))
 	const steps = 7
 	for i := 1; i <= steps; i++ {
 		tr.Step(sampleStep(i))
@@ -244,7 +240,7 @@ func TestTraceDurableWithoutFlush(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTrace(&buf)
-	tr.RunStart("bunsen-a", nil)
+	tr.RunStartInfo(NewRunInfo("bunsen-a", nil))
 	for i := 1; i <= 3; i++ {
 		ev := sampleStep(i)
 		ev.Comm.BytesSent = int64(i) * 1000 // cumulative

@@ -34,7 +34,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	sort.Strings(names)
 	for _, n := range names {
 		pn := promName(n)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(s.Gauges[n])); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(float64(s.Gauges[n]))); err != nil {
 			return err
 		}
 	}

@@ -7,9 +7,12 @@
 // ad-hoc prints.
 //
 // The package sits at the bottom of the dependency graph: it imports only
-// internal/jsonl, so comm, solver and workflow can all feed it without
-// cycles. The communication counters (CommStats) live here for the same
-// reason — comm fills them, the trace writer and the monitor consume them.
+// internal/jsonl, so comm, the instrumentation layers and workflow can all
+// feed it without cycles. The communication counters (CommStats) and the
+// non-finite-safe float (F) live here for the same reason — comm and health
+// fill them, the trace writer and the monitor consume them. The solver
+// feeds it nothing: the root package's telemetry probe reads a step off the
+// solver and publishes it here.
 package obs
 
 import (
@@ -93,14 +96,6 @@ func (h *Histogram) Count() int64 { return h.n.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
-// Mean returns the mean observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if n := h.n.Load(); n > 0 {
-		return h.sum.Value() / float64(n)
-	}
-	return 0
-}
-
 // Registry holds named metrics. Metric creation takes the registry lock;
 // use of a returned metric is lock-free, so hot paths should look up their
 // metrics once (or hold *Counter fields) and then only Add/Set/Observe.
@@ -183,12 +178,12 @@ type HistSnapshot struct {
 	Count  int64     `json:"count"`
 }
 
-// Snapshot is an immutable copy of a registry's state, suitable for
-// cross-rank merging (the analogue of perf.Timers.Snapshot + Merge) and for
-// JSON export by the monitor.
+// Snapshot is an immutable copy of a registry's state, for JSON export by
+// the monitor and the run_done record. A gauge is an F, so a NaN one (the
+// mass drift of a run that died of it) encodes as a string.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters"`
-	Gauges     map[string]float64      `json:"gauges"`
+	Gauges     map[string]F            `json:"gauges"`
 	Histograms map[string]HistSnapshot `json:"histograms"`
 }
 
@@ -198,7 +193,7 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
+		Gauges:     map[string]F{},
 		Histograms: map[string]HistSnapshot{},
 	}
 	if r == nil {
@@ -210,7 +205,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters[name] = c.Value()
 	}
 	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
+		s.Gauges[name] = F(g.Value())
 	}
 	for name, h := range r.hists {
 		hs := HistSnapshot{
@@ -225,39 +220,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = hs
 	}
 	return s
-}
-
-// Merge adds another snapshot into s: counters and histogram buckets sum,
-// gauges take the other's value when s lacks the key and the maximum
-// otherwise (a defensible cross-rank reduction for monitoring extrema).
-func (s *Snapshot) Merge(other Snapshot) {
-	for name, v := range other.Counters {
-		s.Counters[name] += v
-	}
-	for name, v := range other.Gauges {
-		if cur, ok := s.Gauges[name]; !ok || v > cur {
-			s.Gauges[name] = v
-		}
-	}
-	for name, oh := range other.Histograms {
-		h, ok := s.Histograms[name]
-		if !ok {
-			s.Histograms[name] = HistSnapshot{
-				Bounds: append([]float64(nil), oh.Bounds...),
-				Counts: append([]int64(nil), oh.Counts...),
-				Sum:    oh.Sum, Count: oh.Count,
-			}
-			continue
-		}
-		if len(h.Counts) == len(oh.Counts) {
-			for i := range h.Counts {
-				h.Counts[i] += oh.Counts[i]
-			}
-		}
-		h.Sum += oh.Sum
-		h.Count += oh.Count
-		s.Histograms[name] = h
-	}
 }
 
 // String renders a sorted human-readable dump (for debugging and tests).

@@ -29,23 +29,26 @@ type CommStats struct {
 	MsgsSent  int64 `json:"msgs_sent"`
 	BytesRecv int64 `json:"bytes_recv"`
 	MsgsRecv  int64 `json:"msgs_recv"`
-	// WaitSec is time blocked in point-to-point Wait; CollSec is time
-	// blocked in collectives (Allreduce/Barrier/Allgather).
+	// WaitSec is time blocked in point-to-point Wait, the sum of the
+	// per-peer waits; CollSec is time blocked in collectives
+	// (Allreduce/AllreduceOrdered/Barrier).
 	WaitSec    float64 `json:"wait_sec"`
 	CollSec    float64 `json:"coll_sec"`
 	Allreduces int64   `json:"allreduces"`
 	Barriers   int64   `json:"barriers"`
 }
 
-// StepEvent is the per-solver-step record (one per StepOnce).
+// StepEvent is the per-solver-step record (one per StepOnce). Its physics
+// values are F: the step that killed a run with a NaN still encodes, its
+// non-finite values as strings.
 type StepEvent struct {
-	Step int     `json:"step"`
-	Time float64 `json:"time"` // physical time after the step (s)
-	Dt   float64 `json:"dt"`   // step size (s)
+	Step int `json:"step"`
+	Time F   `json:"time"` // physical time after the step (s)
+	Dt   F   `json:"dt"`   // step size (s)
 	// CFL is dt relative to the most recently evaluated acoustic limit
 	// (dt·CFLnumber/acousticDt); the limit is refreshed every 20 steps, not
 	// every step, to keep tracing off the hot path.
-	CFL float64 `json:"cfl"`
+	CFL F `json:"cfl"`
 	// WallSec is the wall time of the whole step; StageWallSec is the wall
 	// time of each RK stage (RHS evaluation + 2N update), len = 6 for the
 	// production RK46-NL integrator.
@@ -55,15 +58,15 @@ type StepEvent struct {
 	// emitting rank's block: in a decomposed run these are rank 0's, not the
 	// global extrema (those are in the health sample and cmd/s3d's progress
 	// lines).
-	TMin float64 `json:"t_min"`
-	TMax float64 `json:"t_max"`
-	PMin float64 `json:"p_min"`
-	PMax float64 `json:"p_max"`
+	TMin F `json:"t_min"`
+	TMax F `json:"t_max"`
+	PMin F `json:"p_min"`
+	PMax F `json:"p_max"`
 	// MassDrift is (M(t) − M(0)) / M(0) over the block interior.
-	MassDrift float64 `json:"mass_drift"`
+	MassDrift F `json:"mass_drift"`
 	// HeatRelease is the volume integral of −Σ ω̇ᵢhᵢ over the interior (W),
 	// accumulated during the final RK stage's chemistry evaluation.
-	HeatRelease float64 `json:"heat_release"`
+	HeatRelease F `json:"heat_release"`
 
 	// Comm is the emitting rank's cumulative counters; the last step record
 	// of a run carries its totals.
@@ -142,14 +145,10 @@ func CreateTrace(path string) (*Trace, error) {
 
 func newTrace(st *jsonl.Store[Record]) *Trace { return &Trace{st: st, sink: st.Sink()} }
 
-// RunStart emits the run_start record.
-func (t *Trace) RunStart(caseName string, config map[string]string) {
-	t.RunStartInfo(NewRunInfo(caseName, config))
-}
-
-// RunStartInfo emits the run_start record from a caller-built RunInfo (for
-// callers that stamp fields NewRunInfo cannot know, like the worker-pool
-// size — obs cannot import the execution layer, which imports obs).
+// RunStartInfo emits the run_start record from a RunInfo built by
+// NewRunInfo, on which the caller stamps what NewRunInfo cannot know, like
+// the worker-pool size (obs cannot import the execution layer, which
+// imports obs).
 func (t *Trace) RunStartInfo(info *RunInfo) { t.sink(Record{Kind: KindRunStart, Run: info}) }
 
 // Step emits one step record.
@@ -252,10 +251,10 @@ func Summarize(recs []Record) TraceSummary {
 		case KindStep:
 			if ev := r.StepData; ev != nil {
 				s.Steps++
-				s.SimTime = ev.Time
+				s.SimTime = float64(ev.Time)
 				stepWall += ev.WallSec
-				if ev.TMax > s.TMax {
-					s.TMax = ev.TMax
+				if tMax := float64(ev.TMax); tMax > s.TMax {
+					s.TMax = tMax
 				}
 				// Comm counters in step records are cumulative; the last
 				// record carries the totals.

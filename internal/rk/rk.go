@@ -1,8 +1,9 @@
 // Package rk implements the explicit low-storage Runge–Kutta time
-// integrators used by S3D. The solution is advanced through a six-stage
+// integrator used by S3D. The solution is advanced through a six-stage
 // fourth-order explicit Runge–Kutta method in 2N (two-register) form
-// (paper §2.6, citing Kennedy & Carpenter's low-storage schemes); the
-// classical four-stage RK4 is provided as a cross-check integrator.
+// (paper §2.6, citing Kennedy & Carpenter's low-storage schemes). Drive runs
+// it on the solver's fields; Step runs it on plain slices, the oracle Drive
+// is tested against.
 package rk
 
 // Scheme holds the 2N-storage coefficients of an explicit Runge–Kutta
@@ -50,34 +51,6 @@ var RK46NL = &Scheme{
 		0.466911705055,
 		0.582030414044,
 		0.847252983783,
-	},
-	Order: 4,
-}
-
-// CK45 is the five-stage fourth-order Carpenter–Kennedy 2N-storage scheme,
-// kept as an alternative integrator for cross-checks.
-var CK45 = &Scheme{
-	Name: "Carpenter–Kennedy five-stage fourth-order (2N)",
-	A: []float64{
-		0.0,
-		-567301805773.0 / 1357537059087.0,
-		-2404267990393.0 / 2016746695238.0,
-		-3550918686646.0 / 2091501179385.0,
-		-1275806237668.0 / 842570457699.0,
-	},
-	B: []float64{
-		1432997174477.0 / 9575080441755.0,
-		5161836677717.0 / 13612068292357.0,
-		1720146321549.0 / 2090206949498.0,
-		3134564353537.0 / 4481467310338.0,
-		2277821191437.0 / 14882151754819.0,
-	},
-	C: []float64{
-		0.0,
-		1432997174477.0 / 9575080441755.0,
-		2526269341429.0 / 6820363962896.0,
-		2006345519317.0 / 3224310063776.0,
-		2802321613138.0 / 2924317926251.0,
 	},
 	Order: 4,
 }

@@ -19,7 +19,7 @@ func integrate(s *Scheme, y0 []float64, T float64, n int, f RHS) []float64 {
 }
 
 func TestSchemesAreConsistent(t *testing.T) {
-	for _, s := range []*Scheme{RK46NL, CK45} {
+	for _, s := range []*Scheme{RK46NL} {
 		if s.A[0] != 0 {
 			t.Errorf("%s: A[0] = %g, want 0", s.Name, s.A[0])
 		}
@@ -37,7 +37,7 @@ func TestSchemesAreConsistent(t *testing.T) {
 
 func TestExponentialDecayAccuracy(t *testing.T) {
 	f := func(_ float64, y []float64, d []float64) { d[0] = -y[0] }
-	for _, s := range []*Scheme{RK46NL, CK45} {
+	for _, s := range []*Scheme{RK46NL} {
 		got := integrate(s, []float64{1}, 2.0, 50, f)
 		want := math.Exp(-2)
 		if err := math.Abs(got[0] - want); err > 1e-8 {
@@ -51,7 +51,7 @@ func TestFourthOrderConvergence(t *testing.T) {
 	// y = exp(sin t), which exposes the C (stage-time) coefficients.
 	f := func(tt float64, y []float64, d []float64) { d[0] = y[0] * math.Cos(tt) }
 	exact := math.Exp(math.Sin(3.0))
-	for _, s := range []*Scheme{RK46NL, CK45} {
+	for _, s := range []*Scheme{RK46NL} {
 		e1 := math.Abs(integrate(s, []float64{1}, 3.0, 40, f)[0] - exact)
 		e2 := math.Abs(integrate(s, []float64{1}, 3.0, 80, f)[0] - exact)
 		rate := math.Log2(e1 / e2)
@@ -65,7 +65,7 @@ func TestOscillatorEnergyNearlyConserved(t *testing.T) {
 	// Harmonic oscillator: RK4-family schemes should conserve the energy to
 	// the scheme's order over a modest horizon.
 	f := func(_ float64, y []float64, d []float64) { d[0], d[1] = y[1], -y[0] }
-	for _, s := range []*Scheme{RK46NL, CK45} {
+	for _, s := range []*Scheme{RK46NL} {
 		got := integrate(s, []float64{1, 0}, 2*math.Pi, 200, f)
 		e := got[0]*got[0] + got[1]*got[1]
 		if math.Abs(e-1) > 1e-8 {

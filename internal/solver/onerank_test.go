@@ -9,7 +9,6 @@ import (
 	"github.com/s3dgo/s3d/internal/critpath"
 	"github.com/s3dgo/s3d/internal/health"
 	"github.com/s3dgo/s3d/internal/insitu"
-	"github.com/s3dgo/s3d/internal/obs"
 	"github.com/s3dgo/s3d/internal/par"
 	"github.com/s3dgo/s3d/internal/prof"
 )
@@ -44,7 +43,7 @@ func armAll(t *testing.T, b *Block) (*insitu.Pipeline, *cost.Collector) {
 		t.Fatal(err)
 	}
 	a.Enable()
-	b.EnableTelemetry(obs.NewRegistry())
+	b.EnableTelemetry()
 	return p, c
 }
 

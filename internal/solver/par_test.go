@@ -80,7 +80,7 @@ func runDecomposed(t *testing.T, workers int) []rankState {
 	cfg.Pool = pool
 	results := make(chan rankState, 4)
 	err := RunParallel(cfg, [3]int{2, 2, 1}, func(b *Block) {
-		b.EnableTelemetry(nil) // activates the heat-release reduction
+		b.EnableTelemetry() // activates the heat-release reduction
 		hotSpotIC(b)
 		b.Advance(10, 2e-8)
 		st := rankState{i0: b.i0, j0: b.j0, k0: b.k0,

@@ -21,7 +21,6 @@ import (
 	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/health"
 	"github.com/s3dgo/s3d/internal/insitu"
-	"github.com/s3dgo/s3d/internal/obs"
 	"github.com/s3dgo/s3d/internal/par"
 	"github.com/s3dgo/s3d/internal/perf"
 	"github.com/s3dgo/s3d/internal/prof"
@@ -253,11 +252,8 @@ type Block struct {
 	Step   int
 	Time   float64
 
-	// Telemetry (see telemetry.go). Metrics may stay nil: the obs metric
-	// handles are nil-receiver safe, so the instrumented paths need no
-	// checks. StageWall holds the wall-clock seconds of each RK stage of
-	// the most recent StepOnce.
-	Metrics     *obs.Registry
+	// Telemetry (see telemetry.go). StageWall holds the wall-clock seconds
+	// of each RK stage of the most recent StepOnce.
 	StageWall   []float64
 	profT       *prof.Track // call-path profiler track (see region.go); may stay nil
 	telemetryOn bool

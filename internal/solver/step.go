@@ -63,8 +63,7 @@ func (b *Block) StepChecked(dt float64) error {
 	if len(b.StageWall) != nStages {
 		b.StageWall = make([]float64, nStages)
 	}
-	stepStart := time.Now()
-	stageStart := stepStart
+	var stageStart time.Time
 	rhsCall := 0
 	stepSpan := b.profT.Begin("STEP")
 	stepOpen := true
@@ -104,9 +103,6 @@ func (b *Block) StepChecked(dt float64) error {
 	b.Time += dt
 	if fe := b.cfg.FilterEvery; fe > 0 && b.Step%fe == 0 {
 		b.ApplyFilter()
-	}
-	if b.telemetryOn {
-		b.recordStepMetrics(dt, time.Since(stepStart).Seconds())
 	}
 	b.inStep = false
 	// Close the STEP span before the end-of-step reductions: the critpath

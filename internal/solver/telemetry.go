@@ -1,37 +1,21 @@
 package solver
 
-// Telemetry hooks for the observability layer (internal/obs). The solver
-// keeps instrumentation off the hot path: per-stage wall clocks are two
-// time.Now calls per RK stage, and the heat-release integral piggybacks on
-// the production rates chemSource already computes, accumulating only
-// during the final RK stage of a step. Everything here is sampled "as the
-// final stage left it" — the diagnostics describe the step that just
-// completed without forcing an extra primitive-recovery or chemistry sweep.
+// Telemetry: the solver measures, the probe publishes. What a step record
+// needs is left where the step put it — the per-stage wall clocks (two
+// time.Now calls per RK stage), the extrema of the primitives as the final
+// RK stage left them, and the heat-release integral, which piggybacks on the
+// production rates chemSource already computes and accumulates only during
+// the final stage of a step. Nothing here forces an extra primitive-recovery
+// or chemistry sweep, and nothing here publishes: the telemetry probe (the
+// root package's Probe) reads these after each step, builds the one step
+// record and sets every metric from it.
 
-import (
-	"github.com/s3dgo/s3d/internal/comm"
-	"github.com/s3dgo/s3d/internal/obs"
-)
+import "github.com/s3dgo/s3d/internal/comm"
 
-// EnableTelemetry switches on the per-step physics diagnostics (heat
-// release, step/physics gauges) and attaches an optional metrics registry.
-// reg may be nil: the obs metric handles are nil-receiver safe, so the
-// physics diagnostics still accumulate and only the registry export is
-// inert. Call before the first StepOnce.
-func (b *Block) EnableTelemetry(reg *obs.Registry) {
-	b.telemetryOn = true
-	b.Metrics = reg
-	if reg != nil {
-		// Export the execution layer too: pool utilization gauges and the
-		// per-kernel tile counters (par.workers, par.workers_busy,
-		// par.tiles_total, par.tiles.<kernel>).
-		b.plan.Pool().AttachMetrics(reg)
-		b.plan.AttachMetrics(reg)
-	}
-}
-
-// TelemetryEnabled reports whether EnableTelemetry was called.
-func (b *Block) TelemetryEnabled() bool { return b.telemetryOn }
+// EnableTelemetry switches on the heat-release collection of every step's
+// final RK stage, for the probe's step record. Call before the first
+// StepOnce.
+func (b *Block) EnableTelemetry() { b.telemetryOn = true }
 
 // HeatRelease returns the heat-release integral ∫(−Σ ω̇ᵢhᵢ) dV over the
 // block interior in W, accumulated during the final RK stage of the most
@@ -45,23 +29,6 @@ func (b *Block) MinMaxP() (float64, float64) { return b.P.MinMax() }
 // CommStats returns this rank's cumulative message-passing counters (on a
 // serial block: its one-rank collectives and no messages).
 func (b *Block) CommStats() comm.RankStats { return b.cart.Comm.Stats() }
-
-// stepWallBuckets bounds the step wall-clock histogram: 100 µs … 30 s.
-var stepWallBuckets = []float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10, 30}
-
-// recordStepMetrics publishes the per-step gauges and counters after a
-// completed StepOnce. Called only when telemetry is on.
-func (b *Block) recordStepMetrics(dt, wall float64) {
-	m := b.Metrics
-	m.Counter("solver.steps").Inc()
-	m.Gauge("solver.dt").Set(dt)
-	m.Gauge("solver.sim_time").Set(b.Time)
-	m.Gauge("solver.heat_release_w").Set(b.hrrAcc)
-	m.Histogram("solver.step_wall_sec", stepWallBuckets).Observe(wall)
-	tMin, tMax := b.MinMaxT()
-	m.Gauge("solver.t_min").Set(tMin)
-	m.Gauge("solver.t_max").Set(tMax)
-}
 
 // cellVol returns the quadrature volume of interior cell (i, j, k): the
 // product of per-axis trapezoidal widths of the block's coordinate lines.

@@ -74,24 +74,20 @@ func (s *Species) H(T float64) float64 { return s.HRT(T) * R * T / s.W }
 // HMolar returns the molar enthalpy in J/mol.
 func (s *Species) HMolar(T float64) float64 { return s.HRT(T) * R * T }
 
-// SR returns s/R at temperature T and standard pressure.
-func (s *Species) SR(T float64) float64 { return s.SRLn(T, LnT(T)) }
-
-// GRT returns g/(R·T) = h/(R·T) − s/R, used for equilibrium constants.
-func (s *Species) GRT(T float64) float64 { return s.GRTLn(T, LnT(T)) }
-
 // LnT returns the logarithm the entropy fit takes: ln of T clamped to
 // [TMin, TMax]. Callers evaluating many species at one temperature compute
-// it once and use the Ln variants below.
+// it once and pass it to the functions below.
 func LnT(T float64) float64 { return math.Log(clampT(T)) }
 
-// SRLn is SR with lnT = LnT(T) supplied by the caller.
+// SRLn returns s/R at temperature T and standard pressure, with
+// lnT = LnT(T) supplied by the caller.
 func (s *Species) SRLn(T, lnT float64) float64 {
 	T = clampT(T)
 	return s.a[0]*lnT + T*(s.a[1]+T*(s.a[2]/2+T*(s.sq3+T*s.a[4]/4))) + s.a[6]
 }
 
-// GRTLn is GRT with lnT = LnT(T) supplied by the caller.
+// GRTLn returns g/(R·T) = h/(R·T) − s/R, used for equilibrium constants,
+// with lnT = LnT(T) supplied by the caller.
 func (s *Species) GRTLn(T, lnT float64) float64 { return s.HRT(T) - s.SRLn(T, lnT) }
 
 func clampT(T float64) float64 {

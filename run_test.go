@@ -221,12 +221,12 @@ func TestRunOptions(t *testing.T) {
 						if err := h.Advance(steps, dt); err != nil {
 							panic(err)
 						}
+						if len(sim.installedLayers()) != 0 || sim.probe != nil {
+							panic("zero RunOptions armed a layer")
+						}
 						h.Checkpoint("ignored.sdf")
 						if err := h.Close("completed"); err != nil {
 							panic(err)
-						}
-						if len(sim.installedLayers()) != 0 || sim.blk.TelemetryEnabled() {
-							panic("zero RunOptions armed a layer")
 						}
 					} else {
 						sim.Advance(steps, dt)

@@ -6,10 +6,10 @@ package s3d
 // StepEvent — step index, dt, CFL, per-RK-stage wall times,
 // temperature/pressure extrema, total-mass drift, heat-release integral
 // and the communication counters — to a JSONL trace, a live HTTP monitor,
-// or both.
-// The probe samples only what the solver already computed (see
-// internal/solver/telemetry.go), so tracing stays within a few percent of
-// an uninstrumented run.
+// or both — and sets every solver.* and comm.* metric from that record.
+// The solver measures, the probe publishes: the probe samples only what the
+// solver already computed (see internal/solver/telemetry.go), so tracing
+// stays within a few percent of an uninstrumented run.
 
 import (
 	"fmt"
@@ -22,8 +22,7 @@ import (
 )
 
 // TelemetryOptions configures a Probe. Every sink is optional; a Probe
-// with no sinks still accumulates the metrics registry and the physics
-// diagnostics, retrievable via Metrics and LastStep.
+// with no sinks still builds each step's record, retrievable via LastStep.
 type TelemetryOptions struct {
 	// Case names the run in the run_start record (default "s3d").
 	Case string
@@ -44,6 +43,9 @@ type TelemetryOptions struct {
 // limit behind the reported CFL is re-evaluated (the sweep costs a full
 // sound-speed pass).
 const cflRefreshEvery = 20
+
+// stepWallBuckets bounds the solver.step_wall_sec histogram: 100 µs … 30 s.
+var stepWallBuckets = []float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10, 30}
 
 // Probe threads per-step observability through a Simulation.
 // It is owned by the goroutine driving the simulation; only the metrics
@@ -81,7 +83,12 @@ func (s *Simulation) StartTelemetry(opt TelemetryOptions) (*Probe, error) {
 	if p.cflNumber <= 0 {
 		p.cflNumber = 0.8 // the solver's default acoustic CFL number
 	}
-	s.blk.EnableTelemetry(p.reg)
+	s.blk.EnableTelemetry()
+	// The execution layer's gauges and counters: pool utilization
+	// (par.workers, par.workers_busy, par.tiles_pending) and the per-kernel
+	// tile counts (par.tiles_total, par.tiles.<kernel>).
+	s.blk.Plan().Pool().AttachMetrics(p.reg)
+	s.blk.Plan().AttachMetrics(p.reg)
 	p.mass0 = s.blk.TotalMass()
 	p.acousticDt = s.blk.AcousticDt()
 
@@ -126,9 +133,6 @@ func (s *Simulation) StartTelemetry(opt TelemetryOptions) (*Probe, error) {
 	return p, nil
 }
 
-// Metrics returns the probe's registry (live; safe for concurrent reads).
-func (p *Probe) Metrics() *obs.Registry { return p.reg }
-
 // MonitorAddr returns the bound monitor address, or "" when no monitor
 // was requested.
 func (p *Probe) MonitorAddr() string {
@@ -149,7 +153,9 @@ func (p *Probe) Advance(n int, dt float64) { p.sim.Advance(n, dt) }
 // whichever of the two it was entered by.
 func (p *Probe) TryAdvance(n int, dt float64) error { return p.sim.TryAdvance(n, dt) }
 
-// observe assembles and dispatches the record for the step just taken.
+// observe assembles and dispatches the record for the step just taken, and
+// sets the step's metrics from it. wall is the step's one clock: the span
+// TryAdvance timed, end-of-step layers included.
 func (p *Probe) observe(dt, wall float64) {
 	blk := p.sim.blk
 	if (blk.Step-1)%cflRefreshEvery == 0 {
@@ -159,17 +165,17 @@ func (p *Probe) observe(dt, wall float64) {
 	pMin, pMax := blk.MinMaxP()
 	ev := obs.StepEvent{
 		Step:         blk.Step,
-		Time:         blk.Time,
-		Dt:           dt,
-		CFL:          p.cflNumber * dt / p.acousticDt,
+		Time:         obs.F(blk.Time),
+		Dt:           obs.F(dt),
+		CFL:          obs.F(p.cflNumber * dt / p.acousticDt),
 		WallSec:      wall,
 		StageWallSec: append([]float64(nil), blk.StageWall...),
-		TMin:         tMin,
-		TMax:         tMax,
-		PMin:         pMin,
-		PMax:         pMax,
-		MassDrift:    (blk.TotalMass() - p.mass0) / p.mass0,
-		HeatRelease:  blk.HeatRelease(),
+		TMin:         obs.F(tMin),
+		TMax:         obs.F(tMax),
+		PMin:         obs.F(pMin),
+		PMax:         obs.F(pMax),
+		MassDrift:    obs.F((blk.TotalMass() - p.mass0) / p.mass0),
+		HeatRelease:  obs.F(blk.HeatRelease()),
 		Comm:         blk.CommStats(),
 	}
 	if w := blk.Watchdog(); w != nil && w.Armed() {
@@ -178,15 +184,23 @@ func (p *Probe) observe(dt, wall float64) {
 	}
 	p.last = ev
 
-	p.reg.Gauge("solver.cfl").Set(ev.CFL)
-	p.reg.Gauge("solver.mass_drift").Set(ev.MassDrift)
-	p.reg.Gauge("comm.bytes_sent").Set(float64(ev.Comm.BytesSent))
-	p.reg.Gauge("comm.wait_sec").Set(ev.Comm.WaitSec)
+	r := p.reg
+	r.Counter("solver.steps").Inc()
+	r.Histogram("solver.step_wall_sec", stepWallBuckets).Observe(ev.WallSec)
+	r.Gauge("solver.dt").Set(float64(ev.Dt))
+	r.Gauge("solver.sim_time").Set(float64(ev.Time))
+	r.Gauge("solver.cfl").Set(float64(ev.CFL))
+	r.Gauge("solver.t_min").Set(float64(ev.TMin))
+	r.Gauge("solver.t_max").Set(float64(ev.TMax))
+	r.Gauge("solver.heat_release_w").Set(float64(ev.HeatRelease))
+	r.Gauge("solver.mass_drift").Set(float64(ev.MassDrift))
+	r.Gauge("comm.bytes_sent").Set(float64(ev.Comm.BytesSent))
+	r.Gauge("comm.wait_sec").Set(ev.Comm.WaitSec)
 	// Per-neighbor blocked time, maintained by comm.Wait whether or not the
 	// critpath analyzer is armed: who this rank habitually waits on.
 	for peer, ns := range blk.CommWaitByPeer() {
 		if ns > 0 {
-			p.reg.Gauge(fmt.Sprintf("comm.wait_ns.%d", peer)).Set(float64(ns))
+			r.Gauge(fmt.Sprintf("comm.wait_ns.%d", peer)).Set(float64(ns))
 		}
 	}
 

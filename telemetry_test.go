@@ -79,7 +79,7 @@ func TestProbeTraceEndToEnd(t *testing.T) {
 		if recs[i].Kind != obs.KindStep || ev == nil {
 			t.Fatalf("record %d is not a step: %+v", i, recs[i])
 		}
-		if ev.Step != i || ev.Dt != dt || ev.Time <= 0 {
+		if ev.Step != i || float64(ev.Dt) != dt || ev.Time <= 0 {
 			t.Fatalf("step bookkeeping wrong: %+v", ev)
 		}
 		if ev.CFL <= 0 || ev.CFL > 1 {
@@ -99,7 +99,7 @@ func TestProbeTraceEndToEnd(t *testing.T) {
 		if ev.HeatRelease == 0 {
 			t.Fatal("heat-release integral not accumulated (ignition kernel is burning)")
 		}
-		if math.IsNaN(ev.MassDrift) || math.Abs(ev.MassDrift) > 0.1 {
+		if drift := float64(ev.MassDrift); math.IsNaN(drift) || math.Abs(drift) > 0.1 {
 			t.Fatalf("mass drift = %g", ev.MassDrift)
 		}
 		if ev.Comm.BytesSent != 0 {
@@ -113,8 +113,37 @@ func TestProbeTraceEndToEnd(t *testing.T) {
 	if recs[6].Kind != obs.KindRunDone || done == nil {
 		t.Fatalf("bad run_done: %+v", recs[6])
 	}
-	if done.Steps != 4 || done.Metrics.Counters["solver.steps"] != 4 {
-		t.Fatalf("summary wrong: steps=%d counters=%v", done.Steps, done.Metrics.Counters)
+	// Every solver.*, comm.* and par.* metric this run publishes: the probe
+	// sets them from its step records, and StartTelemetry attaches the pool's
+	// and the plan's. solver.steps and the step-wall histogram count the step
+	// records, one each.
+	m := done.Metrics
+	for _, name := range []string{"solver.steps", "par.tiles_total", "par.tiles.ASSEMBLE_FLUXES",
+		"par.tiles.COMPUTESPECIESDIFFFLUX", "par.tiles.COMPUTE_PRIMITIVES", "par.tiles.COMPUTE_TRANSPORT",
+		"par.tiles.DERIVATIVES", "par.tiles.DIVERGENCE", "par.tiles.NSCBC", "par.tiles.REACTION_RATE_BOUNDS",
+		"par.tiles.RK_UPDATE"} {
+		if _, ok := m.Counters[name]; !ok {
+			t.Errorf("run_done lacks counter %s", name)
+		}
+	}
+	for _, name := range []string{"solver.cfl", "solver.dt", "solver.heat_release_w", "solver.mass_drift",
+		"solver.sim_time", "solver.t_max", "solver.t_min", "comm.bytes_sent", "comm.wait_sec",
+		"par.tiles_pending", "par.workers", "par.workers_busy"} {
+		if _, ok := m.Gauges[name]; !ok {
+			t.Errorf("run_done lacks gauge %s", name)
+		}
+	}
+	wall, ok := m.Histograms["solver.step_wall_sec"]
+	if done.Steps != 4 || m.Counters["solver.steps"] != 4 || !ok || wall.Count != 4 {
+		t.Fatalf("summary wrong: steps=%d solver.steps=%d step_wall_sec=%+v", done.Steps, m.Counters["solver.steps"], wall)
+	}
+	// The histogram times the span the step records report.
+	var recorded float64
+	for _, r := range recs[1:5] {
+		recorded += r.StepData.WallSec
+	}
+	if wall.Sum != recorded {
+		t.Fatalf("solver.step_wall_sec sums %g s, the step records %g s", wall.Sum, recorded)
 	}
 	if !strings.Contains(done.PerfReport, "RK_UPDATE") {
 		t.Fatalf("perf report missing regions:\n%s", done.PerfReport)
