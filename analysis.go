@@ -10,14 +10,15 @@ package s3d
 // cross-rank in ascending rank order, so a step's statistics are bitwise
 // identical for any worker or rank count, and no raw field data ever
 // leaves the node — only the reduced products, streamed to the monitor's
-// GET /analysis document, the analysis_* gauges, an analysis.jsonl store
-// and any in-process subscribers. See README.md, "In-situ analysis".
+// GET /analysis document, the analysis_* gauges, the run trace's analysis
+// records and any in-process subscribers. See README.md, "In-situ analysis".
 
 import (
 	"fmt"
 	"math"
 
 	"github.com/s3dgo/s3d/internal/insitu"
+	"github.com/s3dgo/s3d/internal/obs"
 	"github.com/s3dgo/s3d/internal/stats"
 )
 
@@ -192,12 +193,10 @@ func (s *Simulation) Subscribe(fn func(AnalysisRecord)) error {
 	return nil
 }
 
-// NewAnalysisStore creates (truncating) an append-only analysis.jsonl
-// store; wire its Sink into Subscribe to persist every record.
-func NewAnalysisStore(path string) (*insitu.Store, error) { return insitu.CreateStore(path) }
-
-// ReadAnalysis loads every record of an analysis.jsonl store.
-func ReadAnalysis(path string) ([]AnalysisRecord, error) { return insitu.ReadAnalysis(path) }
+// ReadAnalysis loads the analysis records of a run trace, in step order.
+func ReadAnalysis(path string) ([]AnalysisRecord, error) {
+	return readLayer[AnalysisRecord](path, obs.KindAnalysis)
+}
 
 // analysisBinder assembles the binder resolving spec's field names: the
 // solver registry plus the derived "Z" and "c".

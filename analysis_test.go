@@ -3,13 +3,15 @@ package s3d
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/s3dgo/s3d/internal/obs"
 )
 
 // analysisSpecForBox exercises every operator family over the inert-box
@@ -31,14 +33,8 @@ func analysisSpecForBox(mech *Mechanism) AnalysisSpec {
 	}
 }
 
-// runAnalysisDecomposed runs a 2x1x1 decomposed inert box with the analysis
-// pipeline enabled on every rank and the store subscribed on rank 0, then
-// returns the path of the produced analysis.jsonl.
-func runAnalysisDecomposed(t *testing.T, workers int) string {
-	t.Helper()
-	SetWorkers(workers)
-	defer SetWorkers(0) // restore the NumCPU default for other tests
-	mech := HydrogenAir()
+// analysisBox is the inert 16×8 box the analysis layout tests run.
+func analysisBox(mech *Mechanism) (Config, func(x, y, z float64, s *State)) {
 	yAir := make([]float64, mech.NumSpecies())
 	yAir[mech.SpeciesIndex("O2")] = 0.233
 	yAir[mech.SpeciesIndex("N2")] = 0.767
@@ -48,31 +44,49 @@ func runAnalysisDecomposed(t *testing.T, workers int) string {
 		Pressure:     101325,
 		ChemistryOff: true,
 	}
-	path := filepath.Join(t.TempDir(), "analysis.jsonl")
+	return cfg, func(x, y, z float64, s *State) {
+		s.U = 3 * math.Sin(2*math.Pi*x/0.01)
+		s.T = 300 + 250*x/0.01
+		copy(s.Y, yAir)
+	}
+}
+
+// traceAnalysis advances sim four steps with the trace at path attached,
+// as rank 0 of a run does.
+func traceAnalysis(sim *Simulation, path string) {
+	tr, err := obs.CreateTrace(path)
+	if err != nil {
+		panic(err)
+	}
+	probe, err := sim.StartTelemetry(TelemetryOptions{Trace: tr})
+	if err != nil {
+		panic(err)
+	}
+	probe.Advance(4, 1e-8)
+	if err := errors.Join(probe.Close("completed"), tr.Close()); err != nil {
+		panic(err)
+	}
+}
+
+// runAnalysisDecomposed runs a 2x1x1 decomposed inert box with the analysis
+// pipeline enabled on every rank and the trace attached on rank 0, then
+// returns the path of the produced trace.
+func runAnalysisDecomposed(t *testing.T, workers int) string {
+	t.Helper()
+	SetWorkers(workers)
+	defer SetWorkers(0) // restore the NumCPU default for other tests
+	mech := HydrogenAir()
+	cfg, initial := analysisBox(mech)
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	spec := analysisSpecForBox(mech)
 	err := RunDecomposed(cfg, [3]int{2, 1, 1}, func(r *RankSim) {
-		r.SetInitial(func(x, y, z float64, s *State) {
-			s.U = 3 * math.Sin(2*math.Pi*x/0.01)
-			s.T = 300 + 250*x/0.01
-			copy(s.Y, yAir)
-		}, nil)
+		r.SetInitial(initial, nil)
 		// Every rank enables the identical spec: the reduction is collective.
 		if _, err := r.EnableAnalysis(spec); err != nil {
 			panic(err)
 		}
 		if r.Rank == 0 {
-			st, err := NewAnalysisStore(path)
-			if err != nil {
-				panic(err)
-			}
-			defer st.Close()
-			if err := r.Subscribe(st.Sink()); err != nil {
-				panic(err)
-			}
-			r.Advance(4, 1e-8)
-			if err := st.Err(); err != nil {
-				panic(err)
-			}
+			traceAnalysis(r.Simulation, path)
 		} else {
 			r.Advance(4, 1e-8)
 		}
@@ -83,6 +97,19 @@ func runAnalysisDecomposed(t *testing.T, workers int) string {
 	return path
 }
 
+// layerPayloads returns the payloads of a trace's records of one kind, one
+// per line: the bytes a store of the layer's own would hold.
+func layerPayloads(t *testing.T, recs []obs.Record, kind string) []byte {
+	t.Helper()
+	var out []byte
+	for _, r := range recs {
+		if r.Kind == kind {
+			out = append(append(out, r.Payload...), '\n')
+		}
+	}
+	return out
+}
+
 // TestAnalysisBitwiseDeterministicAcrossWorkers pins the determinism
 // contract: the tile-fused accumulators merge in tile order and the
 // cross-rank fold is ascending rank order, so the analysis stream must be
@@ -90,19 +117,13 @@ func runAnalysisDecomposed(t *testing.T, workers int) string {
 func TestAnalysisBitwiseDeterministicAcrossWorkers(t *testing.T) {
 	p1 := runAnalysisDecomposed(t, 1)
 	p4 := runAnalysisDecomposed(t, 4)
-	b1, err := os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b4, err := os.ReadFile(p4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b1 := layerPayloads(t, readTraceFile(t, p1), obs.KindAnalysis)
+	b4 := layerPayloads(t, readTraceFile(t, p4), obs.KindAnalysis)
 	if len(b1) == 0 {
-		t.Fatal("analysis store is empty: pipeline never fired")
+		t.Fatal("the trace holds no analysis record: pipeline never fired")
 	}
 	if !bytes.Equal(b1, b4) {
-		t.Fatalf("analysis.jsonl differs between 1 and 4 workers:\n--- 1 worker ---\n%s\n--- 4 workers ---\n%s", b1, b4)
+		t.Fatalf("analysis records differ between 1 and 4 workers:\n--- 1 worker ---\n%s\n--- 4 workers ---\n%s", b1, b4)
 	}
 
 	recs, err := ReadAnalysis(p1)
@@ -153,43 +174,24 @@ func TestAnalysisBitwiseDeterministicAcrossWorkers(t *testing.T) {
 
 // TestAnalysisSerialMatchesDecomposed checks the reduction is independent of
 // the rank layout too: a serial run and a 2-rank run over the same state
-// must publish identical products.
+// must publish the same products. Every block integrates with the widths of
+// the global line, so a rank interface carries the serial weight and the
+// two differ only in the order the fold adds the same terms — at roundoff.
 func TestAnalysisSerialMatchesDecomposed(t *testing.T) {
 	decomposed := runAnalysisDecomposed(t, 2)
 
 	mech := HydrogenAir()
-	yAir := make([]float64, mech.NumSpecies())
-	yAir[mech.SpeciesIndex("O2")] = 0.233
-	yAir[mech.SpeciesIndex("N2")] = 0.767
-	sim, err := New(Config{
-		Mechanism:    mech,
-		Grid:         GridSpec{Nx: 16, Ny: 8, Nz: 1, Lx: 0.01, Ly: 0.005, Lz: 0.01},
-		Pressure:     101325,
-		ChemistryOff: true,
-	})
+	cfg, initial := analysisBox(mech)
+	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.SetInitial(func(x, y, z float64, s *State) {
-		s.U = 3 * math.Sin(2*math.Pi*x/0.01)
-		s.T = 300 + 250*x/0.01
-		copy(s.Y, yAir)
-	}, nil)
+	sim.SetInitial(initial, nil)
 	if _, err := sim.EnableAnalysis(analysisSpecForBox(mech)); err != nil {
 		t.Fatal(err)
 	}
-	serial := filepath.Join(t.TempDir(), "analysis.jsonl")
-	st, err := NewAnalysisStore(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Subscribe(st.Sink()); err != nil {
-		t.Fatal(err)
-	}
-	sim.Advance(4, 1e-8)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	serial := filepath.Join(t.TempDir(), "trace.jsonl")
+	traceAnalysis(sim, serial)
 
 	sRecs, err := ReadAnalysis(serial)
 	if err != nil {
@@ -202,26 +204,27 @@ func TestAnalysisSerialMatchesDecomposed(t *testing.T) {
 	if len(sRecs) != len(dRecs) {
 		t.Fatalf("record counts differ: serial %d vs decomposed %d", len(sRecs), len(dRecs))
 	}
-	// Product streams must agree structurally, and the reductions must be
-	// close. They are NOT bit-identical across layouts: the per-rank
-	// trapezoid quadrature (lineWidths) half-weights each block's edge
-	// cells, so internal rank interfaces carry half the serial weight —
-	// the same layout dependence the telemetry heat-release integral has.
-	// The determinism contract is per-layout (see the 1-vs-4-worker test).
+	near := func(v, dv float64) bool {
+		return math.Abs(v-dv) <= 1e-12*math.Max(math.Abs(v), math.Abs(dv))
+	}
 	for i := range sRecs {
 		sp, dp := sRecs[i].Products, dRecs[i].Products
 		if len(sp) != len(dp) {
 			t.Fatalf("record %d product counts differ: %d vs %d", i, len(sp), len(dp))
 		}
 		for j := range sp {
-			if sp[j].Name != dp[j].Name {
-				t.Fatalf("record %d product %d name: %q vs %q", i, j, sp[j].Name, dp[j].Name)
+			if sp[j].Name != dp[j].Name || len(sp[j].Bins) != len(dp[j].Bins) {
+				t.Fatalf("record %d product %d: %q with %d bins vs %q with %d", i, j,
+					sp[j].Name, len(sp[j].Bins), dp[j].Name, len(dp[j].Bins))
 			}
 			for k, v := range sp[j].Scalars {
-				dv := dp[j].Scalars[k]
-				scale := math.Max(math.Abs(v), math.Max(math.Abs(dv), 1))
-				if math.Abs(v-dv)/scale > 0.1 {
+				if dv := dp[j].Scalars[k]; !near(v, dv) {
 					t.Fatalf("record %d %s.%s: serial %g vs decomposed %g", i, sp[j].Name, k, v, dv)
+				}
+			}
+			for k, v := range sp[j].Bins {
+				if dv := dp[j].Bins[k]; !near(v, dv) {
+					t.Fatalf("record %d %s bin %d: serial %g vs decomposed %g", i, sp[j].Name, k, v, dv)
 				}
 			}
 		}

@@ -41,10 +41,10 @@ fi
 
 # Wiring lint: the order the instrumentation layers are enabled in — and why
 # telemetry starts last — is stated once, in Session.Arm (run.go). A driver
-# that calls an Enable*, StartTelemetry or New*Store itself re-derives that
-# rule, so none of the three flag-sharing drivers may, outside test files.
-echo "== wiring lint (no Enable*/StartTelemetry/New*Store in cmd/s3d, cmd/liftedflame, cmd/bunsen)"
-violations=$(grep -rnE 'Enable(Profiling|Health|Analysis|CostMaps|CritPath)\(|StartTelemetry\(|New(Analysis|Cost|CritPath)Store\(' \
+# that calls an Enable* or StartTelemetry itself re-derives that rule, so
+# none of the three flag-sharing drivers may, outside test files.
+echo "== wiring lint (no Enable*/StartTelemetry in cmd/s3d, cmd/liftedflame, cmd/bunsen)"
+violations=$(grep -rnE 'Enable(Profiling|Health|Analysis|CostMaps|CritPath)\(|StartTelemetry\(' \
 	--include='*.go' cmd/s3d cmd/liftedflame cmd/bunsen \
 	| grep -v '_test\.go:' || true)
 if [ -n "$violations" ]; then
@@ -110,9 +110,32 @@ if go list -f '{{join .Imports "\n"}}' ./internal/comm | grep -x time; then
 	echo "internal/comm imports time: clock a blocking call on prof.Now alone" >&2
 	exit 1
 fi
-deleted='recordStepMetrics|TelemetryEnabled|World\) (BytesSent|MessagesSent|TotalBytes|TotalStats)\(|Request\) (PostNs|CompleteNs)\(|CompleteNs|Comm\) Allgather\(|KindAllgather|waitNs|Snapshot\) Merge\(|Trace\) RunStart\(|Histogram\) Mean\(|Lane\[R\]\) Disable\(|Watchdog\) Disarm\(|InitVec|\.AXPY|\) AXPY|Field3\) (CopyFrom|Scale)\(|\.SumRange|\) SumRange|FieldSet\) Names\(|CK45|Species\) (SR|GRT)\(|Probe\) Metrics\('
+deleted='recordStepMetrics|TelemetryEnabled|World\) (BytesSent|MessagesSent|TotalBytes|TotalStats)\(|Request\) (PostNs|CompleteNs)\(|CompleteNs|Comm\) Allgather\(|KindAllgather|waitNs|Snapshot\) Merge\(|Trace\) RunStart\(|Histogram\) Mean\(|Lane\[R\]\) Disable\(|Watchdog\) Disarm\(|InitVec|\.AXPY|\) AXPY|Field3\) (CopyFrom|Scale)\(|\.SumRange|\) SumRange|FieldSet\) Names\(|CK45|Species\) (SR|GRT)\(|Probe\) Metrics\(|Store\[T\]\) (Sink|Err)\('
 if grep -rnE "$deleted" --include='*.go' . | grep -v '^\./benchmark/'; then
 	echo "a deleted name is back (see above)" >&2
+	exit 1
+fi
+
+# One record stream: a run writes one JSONL file, its trace, and every
+# layer's records land in it (StartTelemetry subscribes the trace to each
+# installed layer). So outside test files and the frozen benchmark module
+# only internal/obs creates a JSONL store, and the per-layer stores, their
+# constructors and readers, and the store-path/cadence pairs of RunOptions
+# stay deleted.
+echo "== one-stream lint (jsonl.Create only in internal/obs; the per-layer stores stay gone)"
+violations=$(grep -rn 'jsonl\.Create' --include='*.go' . \
+	| grep -v '^\./internal/obs/' \
+	| grep -v '^\./benchmark/' \
+	| grep -v '_test\.go:' || true)
+if [ -n "$violations" ]; then
+	echo "a JSONL store created outside internal/obs:" >&2
+	echo "$violations" >&2
+	echo "send the records to the run trace (obs.Trace.Layer)" >&2
+	exit 1
+fi
+stores='NewAnalysisStore|NewCostStore|NewCritPathStore|CreateStore|AnalysisEvery|CostEvery|CritPathEvery|openStore|createStore|insitu\.Store|cost\.Store|critpath\.Store|insitu\.ReadAnalysis|cost\.ReadCost|critpath\.ReadCritPath'
+if grep -rnE "$stores" --include='*.go' . | grep -v '^\./benchmark/'; then
+	echo "a per-layer store is back (see above)" >&2
 	exit 1
 fi
 
@@ -141,7 +164,8 @@ fi
 
 # The one race pass. It is also the gate of every instrumentation layer's own
 # package (insitu, cost, critpath, jsonl), of the root determinism pins and
-# live-endpoint tests (analysis.jsonl byte-identical at 1 and 4 workers, the
+# live-endpoint tests (the trace's analysis records byte-identical at 1 and 4
+# workers and the layer records ordered before their step's record, the
 # checkpoint of a cost-armed run byte-identical to the un-armed one's at 1
 # and 4 workers, critpath structure across worker counts, /analysis /cost
 # /critpath) and of the CLI smoke tests of cmd/s3d, cmd/liftedflame and
@@ -188,8 +212,8 @@ go -C benchmark test -timeout 15m .
 echo "== go test -run xxx -fuzz FuzzDecode -fuzztime 20s ./internal/sdf"
 go test -run xxx -fuzz FuzzDecode -fuzztime 20s ./internal/sdf
 
-# Likewise jsonl.Read, the reader behind analysis/cost/critpath.jsonl and
-# the post-mortem flight.jsonl (health.ReadFlight): any byte stream yields
+# Likewise jsonl.Read, the reader under obs.ReadTrace and the post-mortem
+# flight.jsonl (health.ReadFlight): any byte stream yields
 # records plus an error or nil, never a panic, and a valid prefix is never
 # lost.
 echo "== go test -run xxx -fuzz FuzzRead -fuzztime 20s ./internal/jsonl"

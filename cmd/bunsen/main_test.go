@@ -12,9 +12,9 @@ import (
 
 // TestBunsenSmoke drives the real CLI over the three cases on a tiny grid
 // with every shared flag set and checks that each promised artifact exists
-// under its per-case name and parses: <name>.<case>.jsonl for the trace and
-// the three record stores, critpath_trace.<case>.json next to the critpath
-// store, <profile>/case<case>/ for the profile artifacts, and the figure-12
+// under its per-case name and parses: trace.<case>.jsonl for the trace and
+// the three layers' records in it, <out>/critpath_trace.<case>.json,
+// <profile>/case<case>/ for the profile artifacts, and the figure-12
 // rendering.
 func TestBunsenSmoke(t *testing.T) {
 	dir := t.TempDir()
@@ -25,12 +25,13 @@ func TestBunsenSmoke(t *testing.T) {
 		"-trace", at("trace.jsonl"), "-monitor", "127.0.0.1:0",
 		"-profile", at("prof"),
 		"-health", "-flightrec", at("bundles"),
-		"-analysis", at("analysis.jsonl"), "-analysis-every", "2",
-		"-cost", at("cost.jsonl"), "-cost-every", "2",
-		"-critpath", at("critpath.jsonl"), "-critpath-every", "2",
+		"-analysis", "2", "-cost", "2", "-critpath", "2",
 	}
 	main()
 
+	if jsonl, _ := filepath.Glob(at("*.jsonl")); len(jsonl) != 3 {
+		t.Fatalf("the run wrote %v, want the three case traces alone", jsonl)
+	}
 	for _, id := range []string{"A", "B", "C"} {
 		f, err := os.Open(at("trace." + id + ".jsonl"))
 		if err != nil {
@@ -41,7 +42,8 @@ func TestBunsenSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != 6 || recs[0].Kind != obs.KindRunStart || recs[5].Kind != obs.KindRunDone { // run_start + 4 steps + run_done
+		// run_start + 4 steps + 2 × (analysis, cost, critpath) + run_done
+		if len(recs) != 12 || recs[0].Kind != obs.KindRunStart || recs[11].Kind != obs.KindRunDone {
 			t.Fatalf("case %s: trace has %d records", id, len(recs))
 		}
 		if got := recs[0].Run.Case; got != "bunsen-"+id {
@@ -51,16 +53,17 @@ func TestBunsenSmoke(t *testing.T) {
 			t.Fatalf("case %s: run_start manifest does not name what was armed: %v", id, cfg)
 		}
 
-		if a, err := s3d.ReadAnalysis(at("analysis." + id + ".jsonl")); err != nil || len(a) != 2 || a[1].Step != 4 {
-			t.Fatalf("case %s analysis store: %d records, err %v", id, len(a), err)
+		trace := at("trace." + id + ".jsonl")
+		if a, err := s3d.ReadAnalysis(trace); err != nil || len(a) != 2 || a[1].Step != 4 {
+			t.Fatalf("case %s analysis records: %d, err %v", id, len(a), err)
 		}
-		if c, err := s3d.ReadCost(at("cost." + id + ".jsonl")); err != nil || len(c) != 2 || c[1].Step != 4 {
-			t.Fatalf("case %s cost store: %d records, err %v", id, len(c), err)
+		if c, err := s3d.ReadCost(trace); err != nil || len(c) != 2 || c[1].Step != 4 {
+			t.Fatalf("case %s cost records: %d, err %v", id, len(c), err)
 		}
-		if c, err := s3d.ReadCritPath(at("critpath." + id + ".jsonl")); err != nil || len(c) != 2 || c[1].Step != 4 {
-			t.Fatalf("case %s critpath store: %d records, err %v", id, len(c), err)
+		if c, err := s3d.ReadCritPath(trace); err != nil || len(c) != 2 || c[1].Step != 4 {
+			t.Fatalf("case %s critpath records: %d, err %v", id, len(c), err)
 		}
-		for _, name := range []string{"critpath_trace." + id + ".json", "prof/case" + id + "/trace.json"} {
+		for _, name := range []string{"out/critpath_trace." + id + ".json", "prof/case" + id + "/trace.json"} {
 			raw, err := os.ReadFile(at(name))
 			if err != nil {
 				t.Fatal(err)

@@ -10,11 +10,14 @@ import (
 // TestDriverFlagSurface holds the command line to the name=default list
 // recorded from the commit before the shared s3d.RunOptions binder replaced
 // the per-driver flag blocks (flag.VisitAll order: sorted by name), minus
-// the two flags of the dynamic load balancer, deleted with it: no other flag
-// lost, none gained, no default moved, and -lb is an unknown flag again.
+// the two flags of the dynamic load balancer, deleted with it, and with the
+// per-layer store path and cadence flag pairs folded into one cadence each
+// (-analysis, -cost, -critpath: steps, 0 off; the records land in the
+// trace): no other flag lost, none gained, no other default moved, and -lb
+// is an unknown flag again.
 func TestDriverFlagSurface(t *testing.T) {
 	want := []string{
-		"analysis=", "analysis-every=1", "cost=", "cost-every=1", "critpath=", "critpath-every=1", "flightrec=", "health=false", "monitor=", "nx=96", "ny=72", "out=out_liftedflame", "profile=", "scatter=true", "steps=400", "trace=", "workers=0",
+		"analysis=0", "cost=0", "critpath=0", "flightrec=", "health=false", "monitor=", "nx=96", "ny=72", "out=out_liftedflame", "profile=", "scatter=true", "steps=400", "trace=", "workers=0",
 	}
 	fs := flag.NewFlagSet("liftedflame", flag.ContinueOnError)
 	bindFlags(fs)

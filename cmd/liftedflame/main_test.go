@@ -13,9 +13,10 @@ import (
 
 // TestLiftedFlameSmoke drives the real CLI on a tiny jet with every shared
 // flag set and checks that each promised artifact exists and parses: the
-// step trace (whose run_start manifest must name what was armed), the three
-// record stores at their cadence, the critical-path overlay next to its
-// store, the profile artifacts and the figure-10 rendering.
+// run trace (whose run_start manifest must name what was armed, and which
+// holds the three layers' records at their cadence), the critical-path
+// overlay in the output directory, the profile artifacts and the figure-10
+// rendering.
 func TestLiftedFlameSmoke(t *testing.T) {
 	dir := t.TempDir()
 	at := func(name string) string { return filepath.Join(dir, name) }
@@ -25,9 +26,7 @@ func TestLiftedFlameSmoke(t *testing.T) {
 		"-trace", at("trace.jsonl"), "-monitor", "127.0.0.1:0",
 		"-profile", at("prof"),
 		"-health", "-flightrec", at("bundles"),
-		"-analysis", at("analysis.jsonl"), "-analysis-every", "2",
-		"-cost", at("cost.jsonl"), "-cost-every", "2",
-		"-critpath", at("critpath.jsonl"), "-critpath-every", "2",
+		"-analysis", "2", "-cost", "2", "-critpath", "2",
 	}
 	main()
 
@@ -40,7 +39,8 @@ func TestLiftedFlameSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 6 || recs[0].Kind != obs.KindRunStart || recs[5].Kind != obs.KindRunDone { // run_start + 4 steps + run_done
+	// run_start + 4 steps + 2 × (analysis, cost, critpath) + run_done
+	if len(recs) != 12 || recs[0].Kind != obs.KindRunStart || recs[11].Kind != obs.KindRunDone {
 		t.Fatalf("trace has %d records", len(recs))
 	}
 	cfg := recs[0].Run.Config
@@ -53,20 +53,23 @@ func TestLiftedFlameSmoke(t *testing.T) {
 			t.Fatalf("run_start manifest %q = %q, want %q (manifest %v)", k, cfg[k], want, cfg)
 		}
 	}
-	if recs[5].Done.ExitMessage != "completed" {
-		t.Fatalf("run_done exit %q", recs[5].Done.ExitMessage)
+	if recs[11].Done.ExitMessage != "completed" {
+		t.Fatalf("run_done exit %q", recs[11].Done.ExitMessage)
 	}
 
-	if a, err := s3d.ReadAnalysis(at("analysis.jsonl")); err != nil || len(a) != 2 || a[1].Step != 4 {
-		t.Fatalf("analysis store: %d records, err %v", len(a), err)
+	if a, err := s3d.ReadAnalysis(at("trace.jsonl")); err != nil || len(a) != 2 || a[1].Step != 4 {
+		t.Fatalf("analysis records: %d, err %v", len(a), err)
 	}
-	if c, err := s3d.ReadCost(at("cost.jsonl")); err != nil || len(c) != 2 || c[1].Step != 4 {
-		t.Fatalf("cost store: %d records, err %v", len(c), err)
+	if c, err := s3d.ReadCost(at("trace.jsonl")); err != nil || len(c) != 2 || c[1].Step != 4 {
+		t.Fatalf("cost records: %d, err %v", len(c), err)
 	}
-	if c, err := s3d.ReadCritPath(at("critpath.jsonl")); err != nil || len(c) != 2 || c[1].Step != 4 {
-		t.Fatalf("critpath store: %d records, err %v", len(c), err)
+	if c, err := s3d.ReadCritPath(at("trace.jsonl")); err != nil || len(c) != 2 || c[1].Step != 4 {
+		t.Fatalf("critpath records: %d, err %v", len(c), err)
 	}
-	for _, name := range []string{"critpath_trace.json", "prof/trace.json"} {
+	if jsonl, _ := filepath.Glob(at("*.jsonl")); len(jsonl) != 1 {
+		t.Fatalf("the run wrote %v, want the trace alone", jsonl)
+	}
+	for _, name := range []string{"out/critpath_trace.json", "prof/trace.json"} {
 		raw, err := os.ReadFile(at(name))
 		if err != nil {
 			t.Fatal(err)

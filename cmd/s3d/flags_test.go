@@ -10,11 +10,14 @@ import (
 // TestDriverFlagSurface holds the command line to the name=default list
 // recorded from the commit before the shared s3d.RunOptions binder replaced
 // the per-driver flag blocks (flag.VisitAll order: sorted by name), minus
-// the two flags of the dynamic load balancer, deleted with it: no other flag
-// lost, none gained, no default moved, and -lb is an unknown flag again.
+// the two flags of the dynamic load balancer, deleted with it, and with the
+// per-layer store path and cadence flag pairs folded into one cadence each
+// (-analysis, -cost, -critpath: steps, 0 off; the records land in the
+// trace): no other flag lost, none gained, no other default moved, and -lb
+// is an unknown flag again.
 func TestDriverFlagSurface(t *testing.T) {
 	want := []string{
-		"analysis=", "analysis-every=1", "checkpoint=0", "cost=", "cost-every=1", "critpath=", "critpath-every=1", "flightrec=", "health=false", "inject-nan=0", "monitor=", "nx=72", "ny=54", "nz=1", "out=out_s3d", "perf-report=false", "problem=liftedjet", "profile=", "ranks=", "resume=", "steps=100", "straggle=0s", "trace=", "workers=0",
+		"analysis=0", "checkpoint=0", "cost=0", "critpath=0", "flightrec=", "health=false", "inject-nan=0", "monitor=", "nx=72", "ny=54", "nz=1", "out=out_s3d", "perf-report=false", "problem=liftedjet", "profile=", "ranks=", "resume=", "steps=100", "straggle=0s", "trace=", "workers=0",
 	}
 	fs := flag.NewFlagSet("s3d", flag.ContinueOnError)
 	bindFlags(fs)

@@ -146,8 +146,8 @@ func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error
 			ckptDir = filepath.Join(o.outDir, fmt.Sprintf("rank%d", r.Rank))
 			must(os.MkdirAll(ckptDir, 0o755))
 		}
-		// Every rank arms at the same point; rank 0 carries the trace, the
-		// monitor and the stores.
+		// Every rank arms at the same point; rank 0 carries the trace and
+		// the monitor.
 		h, err := session.Arm(sim, prob, s3d.TelemetryOptions{
 			Case:   o.problem,
 			Config: map[string]string{"ranks": grid, "steps": fmt.Sprint(o.steps)},
@@ -203,7 +203,7 @@ func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error
 		fmt.Printf("post-mortem bundle in %s\n", session.BundleDir())
 	}
 	// The session closes on a rank error too: what the run recorded up to
-	// there — stores, the trace's tail, the overlay, the profile — explains it.
+	// there — the trace's tail, the overlay, the profile — explains it.
 	if err := errors.Join(err, session.Close()); err != nil {
 		return err
 	}

@@ -230,26 +230,27 @@ func TestRankErrorLandsArtifacts(t *testing.T) {
 
 // TestCritPathSmoke drives the real CLI on a 2-rank reacting lifted jet
 // with the wait-state analyzer armed and the last rank's chemistry slowed
-// via -straggle, then validates the artifacts: critpath.jsonl must show the
-// critical path running through the slowed rank with the other rank in
-// late-sender waits, and the Chrome-trace overlay must be written. The
+// via -straggle, then validates the artifacts: the trace's critpath records
+// must show the critical path running through the slowed rank with the other
+// rank in late-sender waits, and the Chrome-trace overlay must be written to
+// the output directory. The
 // straggle is large (25 ms × 6 stages per step) so it dominates real
 // compute even on a single-CPU box where the rank goroutines time-slice.
 // check.sh's race pass runs it too: the injected straggler must be blamed
 // end to end with the detector on.
 func TestCritPathSmoke(t *testing.T) {
 	dir := t.TempDir()
-	cpath := filepath.Join(dir, "critpath.jsonl")
+	trace := filepath.Join(dir, "trace.jsonl")
 	os.Args = []string{"s3d",
 		"-problem", "liftedjet", "-nx", "32", "-ny", "24", "-nz", "1",
 		"-steps", "4", "-ranks", "2x1x1", "-workers", "1",
-		"-out", filepath.Join(dir, "out"),
-		"-critpath", cpath, "-critpath-every", "2",
+		"-out", filepath.Join(dir, "out"), "-trace", trace,
+		"-critpath", "2",
 		"-straggle", "25ms",
 	}
 	main()
 
-	recs, err := s3d.ReadCritPath(cpath)
+	recs, err := s3d.ReadCritPath(trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestCritPathSmoke(t *testing.T) {
 		}
 	}
 
-	overlay, err := os.ReadFile(filepath.Join(dir, "critpath_trace.json"))
+	overlay, err := os.ReadFile(filepath.Join(dir, "out", "critpath_trace.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,20 +289,20 @@ func TestCritPathSmoke(t *testing.T) {
 
 // TestAnalysisSmoke drives the real CLI on a 2-rank decomposed inert box
 // with the in-situ reduction pipeline enabled and validates the artifact:
-// analysis.jsonl must load, respect the cadence, and carry finite science
-// products on every record.
+// the trace's analysis records must load, respect the cadence, and carry
+// finite science products on every record.
 func TestAnalysisSmoke(t *testing.T) {
 	dir := t.TempDir()
-	apath := filepath.Join(dir, "analysis.jsonl")
+	trace := filepath.Join(dir, "trace.jsonl")
 	os.Args = []string{"s3d",
 		"-problem", "box", "-nx", "24", "-ny", "16", "-nz", "1",
 		"-steps", "4", "-ranks", "2x1x1", "-workers", "2",
-		"-out", filepath.Join(dir, "out"),
-		"-analysis", apath, "-analysis-every", "2",
+		"-out", filepath.Join(dir, "out"), "-trace", trace,
+		"-analysis", "2",
 	}
 	main()
 
-	recs, err := s3d.ReadAnalysis(apath)
+	recs, err := s3d.ReadAnalysis(trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,9 +338,10 @@ func TestAnalysisSmoke(t *testing.T) {
 
 // TestOneRankIsSerial: a serial run is the 1x1x1 decomposition, so the CLI
 // with no -ranks and with -ranks 1x1x1 — the reacting NSCBC jet, periodic
-// checkpoints, the watchdog, the analysis store and the cost store armed —
-// must print the same lines and write byte-identical restart and analysis
-// files; the cost stores (wall-clock records) must hold the same steps.
+// checkpoints, the watchdog and the analysis and cost layers armed — must
+// print the same lines, write byte-identical restart and analysis files and
+// trace byte-identical analysis records; the cost records (wall-clock) must
+// fall on the same steps.
 func TestOneRankIsSerial(t *testing.T) {
 	run := func(ranks ...string) (stdout string, files map[string]string) {
 		dir := t.TempDir()
@@ -350,10 +352,11 @@ func TestOneRankIsSerial(t *testing.T) {
 		saved := os.Stdout
 		os.Stdout = out
 		defer func() { os.Stdout = saved }()
+		trace := filepath.Join(dir, "trace.jsonl")
 		os.Args = append([]string{"s3d",
 			"-problem", "liftedjet", "-nx", "24", "-ny", "16", "-nz", "1",
 			"-steps", "6", "-checkpoint", "3", "-workers", "2", "-health",
-			"-analysis", filepath.Join(dir, "analysis.jsonl"), "-cost", filepath.Join(dir, "cost.jsonl"),
+			"-trace", trace, "-analysis", "1", "-cost", "1",
 			"-out", dir,
 		}, ranks...)
 		main()
@@ -366,7 +369,7 @@ func TestOneRankIsSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			if e.IsDir() {
+			if e.IsDir() || e.Name() == "trace.jsonl" {
 				continue
 			}
 			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
@@ -375,13 +378,21 @@ func TestOneRankIsSerial(t *testing.T) {
 			}
 			files[e.Name()] = strings.ReplaceAll(string(raw), dir, "OUT")
 		}
-		recs, err := s3d.ReadCost(filepath.Join(dir, "cost.jsonl"))
+		recs, err := obs.ReadTraceFile(trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		files["cost.jsonl"] = "steps"
 		for _, r := range recs {
-			files["cost.jsonl"] += fmt.Sprint(" ", r.Step)
+			switch r.Kind {
+			case obs.KindAnalysis:
+				files["analysis records"] += string(r.Payload) + "\n"
+			case obs.KindCost:
+				var c s3d.CostRecord
+				if err := json.Unmarshal(r.Payload, &c); err != nil {
+					t.Fatal(err)
+				}
+				files["cost steps"] += fmt.Sprint(" ", c.Step)
+			}
 		}
 		stdout = files["stdout"]
 		delete(files, "stdout")
@@ -392,7 +403,7 @@ func TestOneRankIsSerial(t *testing.T) {
 	if serialOut != oneRankOut {
 		t.Errorf("stdout differs:\n--- no -ranks\n%s--- -ranks 1x1x1\n%s", serialOut, oneRankOut)
 	}
-	for _, want := range []string{"restart-000003.sdf", "restart-000006.sdf", "analysis-000006.sdf", "analysis.jsonl", "cost.jsonl"} {
+	for _, want := range []string{"restart-000003.sdf", "restart-000006.sdf", "analysis-000006.sdf", "analysis records", "cost steps"} {
 		if serial[want] == "" {
 			t.Errorf("serial run wrote no %s (have %d files)", want, len(serial))
 		}
@@ -405,8 +416,8 @@ func TestOneRankIsSerial(t *testing.T) {
 			t.Errorf("%s differs between no -ranks and -ranks 1x1x1", name)
 		}
 	}
-	if serial["cost.jsonl"] != "steps 1 2 3 4 5 6" {
-		t.Errorf("cost store holds %q, want one record per step", serial["cost.jsonl"])
+	if serial["cost steps"] != " 1 2 3 4 5 6" {
+		t.Errorf("the trace holds cost records at steps%s, want one per step", serial["cost steps"])
 	}
 	if !strings.Contains(serialOut, "step     6 ") || !strings.Contains(serialOut, "ranks=1x1x1") {
 		t.Errorf("progress lines missing:\n%s", serialOut)

@@ -117,19 +117,18 @@ func produce(c *workflow.Cluster, dumps, steps int) {
 			log.Fatal(err)
 		}
 	}
-	// In-situ science lane and load-balance lane: the reduction pipeline and
-	// the cost sampler stream their records straight into the dashboard
-	// directory, where BuildDashboard picks them up as the AnalysisLane and
-	// the BalanceLane.
+	// The run trace streams straight into the dashboard directory: its step
+	// records feed the telemetry lane, the reduction pipeline's records (every
+	// step) the AnalysisLane and the cost sampler's (once per dump) the
+	// BalanceLane.
 	run, err := s3d.RunOptions{
-		Analysis: filepath.Join(c.Dashboard, "analysis.jsonl"), AnalysisEvery: 1,
-		Cost: filepath.Join(c.Dashboard, "cost.jsonl"), CostEvery: steps,
+		Trace: filepath.Join(c.Dashboard, "trace.jsonl"), Analysis: 1, Cost: steps,
 	}.Open(c.Dashboard, "")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer run.Close()
-	h, err := run.Arm(sim, p, s3d.TelemetryOptions{})
+	h, err := run.Arm(sim, p, s3d.TelemetryOptions{Case: "s3dflow"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -187,5 +186,8 @@ func produce(c *workflow.Cluster, dumps, steps int) {
 		}
 		fmt.Printf("produced dump %d (step %d)\n", d, step)
 		time.Sleep(10 * time.Millisecond) // let the watcher interleave
+	}
+	if err := h.Close("completed"); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -6,14 +6,15 @@ package s3d
 // exclusive region-timer seconds over the step plus run and tile counts
 // and a per-tile wall-clock sample from the kernel plan's probe. The record
 // is the publishing rank's own window — no collective — and carries
-// wall-clock, so it varies run to run. It streams to cost.jsonl, GET /cost,
-// the cost_* gauges and the workflow dashboard's balance lane. See
-// README.md, "Cost maps & load balance".
+// wall-clock, so it varies run to run. It streams to the run trace's cost
+// records, GET /cost, the cost_* gauges and the workflow dashboard's balance
+// lane. See README.md, "Cost maps & load balance".
 
 import (
 	"fmt"
 
 	"github.com/s3dgo/s3d/internal/cost"
+	"github.com/s3dgo/s3d/internal/obs"
 )
 
 // CostRecord is one due step's measured cost record (re-exported from
@@ -51,9 +52,5 @@ func (s *Simulation) SubscribeCost(fn func(CostRecord)) error {
 	return nil
 }
 
-// NewCostStore creates (truncating) an append-only cost.jsonl store; wire
-// its Sink into SubscribeCost to persist every record.
-func NewCostStore(path string) (*cost.Store, error) { return cost.CreateStore(path) }
-
-// ReadCost loads every record of a cost.jsonl store.
-func ReadCost(path string) ([]CostRecord, error) { return cost.ReadCost(path) }
+// ReadCost loads the cost records of a run trace, in step order.
+func ReadCost(path string) ([]CostRecord, error) { return readLayer[CostRecord](path, obs.KindCost) }

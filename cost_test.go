@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -19,10 +18,10 @@ import (
 
 // runCost advances a reacting nx×ny×1 NSCBC lifted jet, serially (zero dims)
 // or decomposed, with the cost sampler enabled at the given cadence on every
-// rank (every == 0 leaves it off) and the store subscribed on rank 0. It
-// returns the cost.jsonl path, every rank's final checkpoint bytes
-// concatenated in rank order and rank 0's allreduce count.
-func runCost(t *testing.T, nx, ny int, dims [3]int, every, steps, workers int) (path string, ckpt []byte, allreduces int64) {
+// rank (every == 0 leaves it off) and subscribed on rank 0. It returns the
+// steps rank 0 recorded, every rank's final checkpoint bytes concatenated in
+// rank order and rank 0's allreduce count.
+func runCost(t *testing.T, nx, ny int, dims [3]int, every, steps, workers int) (recorded []int, ckpt []byte, allreduces int64) {
 	t.Helper()
 	SetWorkers(workers)
 	defer SetWorkers(0) // restore the NumCPU default for other tests
@@ -30,7 +29,6 @@ func runCost(t *testing.T, nx, ny int, dims [3]int, every, steps, workers int) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	path = filepath.Join(t.TempDir(), "cost.jsonl")
 	var mu sync.Mutex
 	ckpts := map[int][]byte{}
 	runCase(t, p, dims, func(sim *Simulation, rank, _ int) {
@@ -39,12 +37,7 @@ func runCost(t *testing.T, nx, ny int, dims [3]int, every, steps, workers int) (
 				panic(err)
 			}
 			if rank == 0 {
-				st, err := NewCostStore(path)
-				if err != nil {
-					panic(err)
-				}
-				defer st.Close()
-				if err := sim.SubscribeCost(st.Sink()); err != nil {
+				if err := sim.SubscribeCost(func(r CostRecord) { recorded = append(recorded, r.Step) }); err != nil {
 					panic(err)
 				}
 			}
@@ -64,7 +57,7 @@ func runCost(t *testing.T, nx, ny int, dims [3]int, every, steps, workers int) (
 	for rank := 0; rank < len(ckpts); rank++ {
 		ckpt = append(ckpt, ckpts[rank]...)
 	}
-	return path, ckpt, allreduces
+	return recorded, ckpt, allreduces
 }
 
 // costPins are the sha256 of the final checkpoint bytes of a reacting
@@ -92,12 +85,12 @@ func TestCostBitwiseDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("%s, un-armed: checkpoint sha256\n got %q\nwant %q", layout.name, got, want)
 		}
 		for _, workers := range []int{1, 4} {
-			path, ckpt, _ := runCost(t, 24, 16, layout.dims, 1, 9, workers)
-			if got, want := fmt.Sprintf("%x", sha256.Sum256(ckpt)), costPins[layout.name]; got != want {
-				t.Errorf("%s, %d workers: checkpoint sha256\n got %q\nwant %q", layout.name, workers, got, want)
+			got, ckpt, _ := runCost(t, 24, 16, layout.dims, 1, 9, workers)
+			if sum, want := fmt.Sprintf("%x", sha256.Sum256(ckpt)), costPins[layout.name]; sum != want {
+				t.Errorf("%s, %d workers: checkpoint sha256\n got %q\nwant %q", layout.name, workers, sum, want)
 			}
-			if got, want := costSteps(t, path), []int{1, 2, 3, 4, 5, 6, 7, 8, 9}; !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, %d workers: cost store holds steps %v, want %v", layout.name, workers, got, want)
+			if want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %d workers: cost records at steps %v, want %v", layout.name, workers, got, want)
 			}
 		}
 	}
@@ -109,12 +102,12 @@ func TestCostBitwiseDeterministicAcrossWorkers(t *testing.T) {
 // cadence is honoured.
 func TestCostStepIssuesNoCollective(t *testing.T) {
 	_, _, plain := runCost(t, 32, 24, [3]int{2, 1, 1}, 0, 4, 1)
-	path, _, armed := runCost(t, 32, 24, [3]int{2, 1, 1}, 2, 4, 1)
+	got, _, armed := runCost(t, 32, 24, [3]int{2, 1, 1}, 2, 4, 1)
 	if plain == 0 || armed != plain {
 		t.Fatalf("armed run issued %d allreduces over 4 steps, the un-armed run %d", armed, plain)
 	}
-	if got := costSteps(t, path); !reflect.DeepEqual(got, []int{2, 4}) { // Every: 2 over 4 steps
-		t.Fatalf("cost store holds steps %v, want [2 4]", got)
+	if !reflect.DeepEqual(got, []int{2, 4}) { // Every: 2 over 4 steps
+		t.Fatalf("cost records at steps %v, want [2 4]", got)
 	}
 }
 

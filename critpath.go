@@ -8,7 +8,7 @@ package s3d
 // cross-rank critical path and blames it on profiler call-path regions —
 // "step 142: critical path ran through rank 2, mostly in RHS/CHEM; ranks
 // 0,1,3 lost 38% of the step in late-sender waits on rank 2". Records
-// stream to critpath.jsonl, the GET /critpath document, the critpath_*
+// stream to the run trace, the GET /critpath document, the critpath_*
 // gauges and the workflow dashboard's critpath lane. See README.md,
 // "Observability stack", and DESIGN.md, internal/critpath.
 
@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/s3dgo/s3d/internal/critpath"
+	"github.com/s3dgo/s3d/internal/obs"
 )
 
 // CritPathRecord is one analyzed step's wait-state and critical-path
@@ -72,16 +73,9 @@ func (s *Simulation) SubscribeCritPath(fn func(CritPathRecord)) error {
 	return nil
 }
 
-// NewCritPathStore creates (truncating) an append-only critpath.jsonl
-// store; wire its Sink into SubscribeCritPath to persist every record.
-func NewCritPathStore(path string) (*critpath.Store, error) {
-	return critpath.CreateStore(path)
-}
-
-// ReadCritPath loads every record of a critpath.jsonl store, tolerating a
-// corrupt tail the way obs.ReadTrace does.
+// ReadCritPath loads the critpath records of a run trace, in step order.
 func ReadCritPath(path string) ([]CritPathRecord, error) {
-	return critpath.ReadCritPath(path)
+	return readLayer[CritPathRecord](path, obs.KindCritPath)
 }
 
 // WriteCritPathTrace exports the blame profiler's timeline with the

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -118,9 +117,9 @@ func TestCritPathStragglerE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := NewCritPathAnalyzer(CritPathSpec{Every: 2})
-	path := filepath.Join(t.TempDir(), "critpath.jsonl")
 	var (
 		mu        sync.Mutex
+		recs      []CritPathRecord
 		chemWallS float64 // straggler's measured chemistry seconds (cost view)
 	)
 	err = RunDecomposed(p.Config, [3]int{4, 1, 1}, func(r *RankSim) {
@@ -133,12 +132,11 @@ func TestCritPathStragglerE2E(t *testing.T) {
 			panic(err)
 		}
 		if r.Rank == 0 {
-			st, err := NewCritPathStore(path)
-			if err != nil {
-				panic(err)
-			}
-			defer st.Close()
-			if err := r.SubscribeCritPath(st.Sink()); err != nil {
+			if err := r.SubscribeCritPath(func(rec CritPathRecord) {
+				mu.Lock()
+				recs = append(recs, rec)
+				mu.Unlock()
+			}); err != nil {
 				panic(err)
 			}
 		}
@@ -165,10 +163,6 @@ func TestCritPathStragglerE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := ReadCritPath(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2", len(recs))
 	}

@@ -26,7 +26,7 @@ type HealthOptions struct {
 	// Config is the rule engine: per-check WARN/FATAL bands and the
 	// hysteresis counts. nil selects health.Defaults(). Runs with open
 	// (NSCBC) boundaries exchange mass and energy with the far field, so
-	// tighten the drift bands only for periodic problems.
+	// tighten the drift bands only for periodic ones (roundoff-conserved).
 	Config *health.Config
 
 	// BundleDir receives the post-mortem bundle when a check trips

@@ -242,3 +242,46 @@ func TestMonitorEndpointsWithoutHealth(t *testing.T) {
 		t.Fatalf("step events must omit health when no watchdog: %+v", ev.Health)
 	}
 }
+
+// TestPeriodicBoxMassDriftIsRoundoff: a periodic box conserves mass to
+// roundoff, and so does the watchdog's volume integral of it — every point
+// of a periodic line owns a full quadrature width, end points included — so
+// the tight drift band health.Config recommends for periodic boxes stays
+// silent over 40 steps of an acoustic pulse in a shear flow.
+func TestPeriodicBoxMassDriftIsRoundoff(t *testing.T) {
+	mech := HydrogenAir()
+	sim, err := New(Config{
+		Mechanism:    mech,
+		Grid:         GridSpec{Nx: 24, Ny: 16, Nz: 1, Lx: 0.01, Ly: 0.01, Lz: 0.01},
+		Pressure:     101325,
+		ChemistryOff: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	yAir := make([]float64, mech.NumSpecies())
+	yAir[mech.SpeciesIndex("O2")] = 0.233
+	yAir[mech.SpeciesIndex("N2")] = 0.767
+	sim.SetInitial(func(x, y, z float64, s *State) {
+		s.U = 20 * math.Sin(2*math.Pi*y/0.01)
+		s.T = 300
+		copy(s.Y, yAir)
+	}, func(x, y, z float64) float64 {
+		r2 := (x-0.005)*(x-0.005) + (y-0.005)*(y-0.005)
+		return 101325 * (1 + 0.02*math.Exp(-r2/(0.001*0.001)))
+	})
+	cfg := HealthDefaults()
+	cfg.MassDrift = health.Above(1e-10, 1e-9)
+	w := sim.EnableHealth(HealthOptions{Config: &cfg})
+	dt := 0.5 * sim.StableDt()
+	worst := 0.0
+	for step := 1; step <= 40; step++ {
+		if err := sim.TryAdvance(1, dt); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		worst = max(worst, math.Abs(float64(w.Status().Checks["mass_drift"].Value)))
+	}
+	if worst > 1e-12 {
+		t.Fatalf("watchdog mass drift reached %g on a periodic box, want roundoff", worst)
+	}
+}

@@ -81,8 +81,9 @@ type MeasuredKernel struct {
 	WorkerS      []float64 `json:"worker_busy_s,omitempty"`
 }
 
-// Record is one due step's cost document: the unit cost.jsonl appends,
-// subscribers receive, GET /cost serves and the dashboard lane summarises.
+// Record is one due step's cost document: the payload of the run trace's
+// cost record, what subscribers receive, GET /cost serves and the dashboard
+// lane summarises.
 // Kernels holds one row per tracked kernel that ran in the window, in
 // Kernels order.
 type Record struct {

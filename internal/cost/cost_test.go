@@ -1,37 +1,38 @@
 package cost
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"testing"
+
+	"github.com/s3dgo/s3d/internal/obs"
 )
 
 const chemKernel = "REACTION_RATE_BOUNDS"
 
+// TestStoreRoundtrip: cost records land in the run trace as payloads of
+// their own kind and decode back unchanged.
 func TestStoreRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cost.jsonl")
-	st, err := CreateStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var buf bytes.Buffer
+	tr := obs.NewTrace(&buf)
 	recs := []Record{
 		{Step: 2, Time: 1e-7, Kernels: []MeasuredKernel{{Kernel: chemKernel, Runs: 6, Tiles: 24, RegionS: 0.5, WorkerS: []float64{0.25, 0.25}}}},
 		{Step: 4, Time: 2e-7, Kernels: []MeasuredKernel{{Kernel: chemKernel, Runs: 6, Tiles: 24, RegionS: 0.75}, {Kernel: "FILTER", Runs: 2, Tiles: 8}}},
 	}
-	sink := st.Sink()
 	for _, r := range recs {
-		sink(r)
+		tr.Layer(obs.KindCost, r)
 	}
-	if err := st.Err(); err != nil {
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
+	all, err := obs.ReadTrace(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCost(path)
+	got, err := obs.Payloads[Record](all, obs.KindCost)
 	if err != nil {
 		t.Fatal(err)
 	}

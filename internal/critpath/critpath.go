@@ -12,7 +12,7 @@
 // before RunDecomposed, like the shared profiler). Ranks deposit their
 // drained traces at the end of a due step; the last depositor analyzes and
 // publishes, the others wait — a barrier that also guarantees the
-// subscribed store has appended before any rank proceeds.
+// subscribed trace has appended before any rank proceeds.
 package critpath
 
 import (
@@ -126,7 +126,7 @@ func (a *Analyzer) BindAbort(register func(func()), aborted func() bool) {
 // Deposit hands one rank's step trace to the analyzer and blocks until the
 // step is analyzed and published: the last rank to deposit runs the
 // analysis, so the call doubles as a step barrier and a happens-before
-// edge on every subscriber (the rank-0 store has flushed before any rank
+// edge on every subscriber (the run trace has the record before any rank
 // resumes stepping).
 func (a *Analyzer) Deposit(d Deposit) {
 	a.mu.Lock()

@@ -1,9 +1,9 @@
 package critpath
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -331,16 +331,13 @@ func TestHandlerAndStoreRoundTrip(t *testing.T) {
 		t.Fatalf("pre-record body %q, want empty object", rr.Body.String())
 	}
 
-	path := filepath.Join(t.TempDir(), "critpath.jsonl")
-	st, err := CreateStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Subscribe(st.Sink())
+	var buf bytes.Buffer
+	tr := obs.NewTrace(&buf)
+	a.Subscribe(func(r Record) { tr.Layer(obs.KindCritPath, r) })
 
 	a.Deposit(Deposit{Rank: 0, Step: 3, Time: 0.5, StartNs: 0, EndNs: 2 * ms})
 	a.Deposit(Deposit{Rank: 0, Step: 6, Time: 1.0, StartNs: 2 * ms, EndNs: 5 * ms})
-	if err := st.Close(); err != nil {
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -354,12 +351,16 @@ func TestHandlerAndStoreRoundTrip(t *testing.T) {
 		t.Fatalf("handler served %+v", rec)
 	}
 
-	recs, err := ReadCritPath(path)
+	all, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.Payloads[Record](all, obs.KindCritPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 || recs[0].Step != 3 || recs[1].Step != 6 {
-		t.Fatalf("store round trip: %+v", recs)
+		t.Fatalf("trace round trip: %+v", recs)
 	}
 }
 

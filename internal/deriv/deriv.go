@@ -69,7 +69,7 @@ func Diff(dst, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC) {
 // boundary (order 2d at distance d, unfiltered at the boundary point), the
 // standard treatment for explicit filters at non-periodic boundaries.
 func Filter(dst, f *grid.Field3, a grid.Axis, sigma float64, lo, hi BC) {
-	FilterRange(dst, f, a, sigma, lo, hi, [3]int{}, [3]int{f.Nx, f.Ny, f.Nz}, OpSet)
+	FilterRange(dst, f, a, sigma, lo, hi, [3]int{}, [3]int{f.Nx, f.Ny, f.Nz})
 }
 
 func binom(n, k int) float64 {

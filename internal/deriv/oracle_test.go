@@ -223,20 +223,19 @@ func TestFilterRangeMatchesPointOracle(t *testing.T) {
 		if dims[a] >= 10 {
 			lo, hi = bcs[rng.Intn(2)], bcs[rng.Intn(2)]
 		}
-		op := Op(rng.Intn(2))
 		sigma := 0.1 + 0.9*rng.Float64()
 		boxLo, boxHi := randomBox(rng, dims)
 
 		got := randomField(dims[0], dims[1], dims[2], int64(trial)+1<<20)
 		want := got.Clone()
-		FilterRange(got, f, a, sigma, lo, hi, boxLo, boxHi, op)
-		oracleRange(want, f, a, boxLo, boxHi, op,
+		FilterRange(got, f, a, sigma, lo, hi, boxLo, boxHi)
+		oracleRange(want, f, a, boxLo, boxHi, OpSet,
 			func(p int) float64 { return f.Data[p] },
 			func(p, stride, i, n int) (float64, bool) {
 				return oracleFilterPoint(f.Data, p, stride, i, n, sigma, lo, hi)
 			})
-		sameBits(t, got, want, "trial %d dims %v axis %v bc %v/%v op %v box %v-%v",
-			trial, dims, a, lo, hi, op, boxLo, boxHi)
+		sameBits(t, got, want, "trial %d dims %v axis %v bc %v/%v box %v-%v",
+			trial, dims, a, lo, hi, boxLo, boxHi)
 	}
 }
 

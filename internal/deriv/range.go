@@ -158,21 +158,20 @@ func closeRow(dst, src []float64, p, w, stride, r int, high bool, met float64, o
 }
 
 // FilterRange is Filter restricted to the interior index box [boxLo, boxHi),
-// with the same tiling-invariance guarantee as DiffRange. Only OpSet makes
-// physical sense for a filter, but the op parameter is kept for symmetry.
-func FilterRange(dst, f *grid.Field3, a grid.Axis, sigma float64, lo, hi BC, boxLo, boxHi [3]int, op Op) {
+// with the same tiling-invariance guarantee as DiffRange.
+func FilterRange(dst, f *grid.Field3, a grid.Axis, sigma float64, lo, hi BC, boxLo, boxHi [3]int) {
 	if dimOf(f, a) == 1 {
-		copyRangeOp(dst, f, boxLo, boxHi, op)
+		copyRange(dst, f, boxLo, boxHi)
 		return
 	}
 	stride := strideOf(f, a)
 	dd, src := dst.Data, f.Data
 	interior := func(p, w, _ int) {
-		filterRow(dd, src, p, w, stride, sigma/1024.0, op == OpAdd)
+		filterRow(dd, src, p, w, stride, sigma/1024.0)
 	}
 	closure := func(p, w, _, r int, _ bool) {
 		for q := p; q < p+w; q++ {
-			filterBoundaryPointOp(dd, src, q, stride, r, sigma, op)
+			filterBoundaryPoint(dd, src, q, stride, r, sigma)
 		}
 	}
 	sweepRows(f, a, 5, lo, hi, boxLo, boxHi, interior, closure)
@@ -181,25 +180,21 @@ func FilterRange(dst, f *grid.Field3, a grid.Axis, sigma float64, lo, hi BC, box
 // filterRow applies the 10th-order interior filter to the w unit-stride
 // points starting at flat index p, stencil neighbours stride apart:
 // dst[q] = src[q] − scale·Σ filter10[l+5]·src[q+l·stride].
-func filterRow(dst, src []float64, p, w, stride int, scale float64, add bool) {
+func filterRow(dst, src []float64, p, w, stride int, scale float64) {
 	for q := p; q < p+w; q++ {
 		var acc float64
 		for l := -5; l <= 5; l++ {
 			acc += filter10[l+5] * src[q+l*stride]
 		}
-		if add {
-			dst[q] += src[q] - scale*acc
-		} else {
-			dst[q] = src[q] - scale*acc
-		}
+		dst[q] = src[q] - scale*acc
 	}
 }
 
-// filterBoundaryPointOp applies the order-2d symmetric filter at flat index
+// filterBoundaryPoint applies the order-2d symmetric filter at flat index
 // p, a point d away from the boundary (identity when d == 0).
-func filterBoundaryPointOp(dst, src []float64, p, stride, d int, sigma float64, op Op) {
+func filterBoundaryPoint(dst, src []float64, p, stride, d int, sigma float64) {
 	if d == 0 {
-		store(dst, p, src[p], op)
+		dst[p] = src[p]
 		return
 	}
 	// Weights (−1)^l·C(2d, d+l): an order-2d analogue of the interior filter.
@@ -212,7 +207,7 @@ func filterBoundaryPointOp(dst, src []float64, p, stride, d int, sigma float64, 
 		}
 		acc += w * src[p+l*stride]
 	}
-	store(dst, p, src[p]-scale*acc, op)
+	dst[p] = src[p] - scale*acc
 }
 
 // store writes v into dst[p] under op.
@@ -233,20 +228,14 @@ func rangeFill(dst *grid.Field3, boxLo, boxHi [3]int, op Op) {
 	dst.FillRange(0, boxLo, boxHi)
 }
 
-// copyRangeOp is the unit-extent filter (identity) over the box.
-func copyRangeOp(dst, src *grid.Field3, boxLo, boxHi [3]int, op Op) {
+// copyRange is the unit-extent filter (identity) over the box.
+func copyRange(dst, src *grid.Field3, boxLo, boxHi [3]int) {
 	n := boxHi[0] - boxLo[0]
 	for k := boxLo[2]; k < boxHi[2]; k++ {
 		for j := boxLo[1]; j < boxHi[1]; j++ {
 			rs := src.Idx(boxLo[0], j, k)
 			rd := dst.Idx(boxLo[0], j, k)
-			if op == OpAdd {
-				for i := 0; i < n; i++ {
-					dst.Data[rd+i] += src.Data[rs+i]
-				}
-			} else {
-				copy(dst.Data[rd:rd+n], src.Data[rs:rs+n])
-			}
+			copy(dst.Data[rd:rd+n], src.Data[rs:rs+n])
 		}
 	}
 }

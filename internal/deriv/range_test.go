@@ -168,7 +168,7 @@ func TestFilterRangeTilesMatchFilter(t *testing.T) {
 			for ti, tiles := range tilings(dims, int(a)) {
 				got := grid.NewField3Ghost(nx, ny, nz, grid.Ghost)
 				for _, box := range tiles {
-					FilterRange(got, f, a, 0.5, bc[0], bc[1], box[0], box[1], OpSet)
+					FilterRange(got, f, a, 0.5, bc[0], bc[1], box[0], box[1])
 				}
 				sameBits(t, got, want, "axis %v bc %v tiling %d", a, bc, ti)
 			}
@@ -180,7 +180,7 @@ func TestFilterRangeTilesMatchFilter(t *testing.T) {
 func TestFilterRangeDegenerateAxisCopies(t *testing.T) {
 	f := randomField(5, 4, 1, 8)
 	dst := grid.NewField3Ghost(5, 4, 1, grid.Ghost)
-	FilterRange(dst, f, grid.Z, 1, UseGhosts, UseGhosts, [3]int{0, 0, 0}, [3]int{5, 4, 1}, OpSet)
+	FilterRange(dst, f, grid.Z, 1, UseGhosts, UseGhosts, [3]int{0, 0, 0}, [3]int{5, 4, 1})
 	for j := 0; j < 4; j++ {
 		for i := 0; i < 5; i++ {
 			if dst.At(i, j, 0) != f.At(i, j, 0) {

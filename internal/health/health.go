@@ -153,8 +153,9 @@ type Config struct {
 	// MassDrift and EnergyDrift band |relative drift| of the volume-
 	// integrated conserved mass and total energy against their values when
 	// the watchdog armed. Open (NSCBC) boundaries legitimately exchange
-	// mass and energy with the far field, so the defaults are loose;
-	// tighten per problem for periodic boxes.
+	// mass and energy with the far field, so the defaults are loose; a
+	// periodic box conserves both to roundoff, and Above(1e-10, 1e-9) stays
+	// silent on a healthy one.
 	MassDrift   Band
 	EnergyDrift Band
 

@@ -6,9 +6,9 @@
 // against solver field-registry names, fused into the solver's tiled
 // interior pass the way the health sweep is, and reduced cross-rank so
 // every rank agrees on the step's statistics. Only the reduced products —
-// a few hundred floats per step — ever leave the solver: to an append-only
-// JSONL store, to the live monitor (GET /analysis, analysis_* Prometheus
-// gauges) and to in-process subscribers.
+// a few hundred floats per step — ever leave the solver: to the run trace
+// (its analysis records), to the live monitor (GET /analysis, analysis_*
+// Prometheus gauges) and to in-process subscribers.
 //
 // Determinism contract: operators accumulate into per-tile slot rows that
 // the owner merges in ascending tile order, and the cross-rank reduction
@@ -74,8 +74,8 @@ type Product struct {
 	Counts  []float64          `json:"counts,omitempty"` // per-bin sample counts
 }
 
-// Record is the full analysis document of one step — the unit the store
-// appends, the monitor serves and subscribers receive.
+// Record is the full analysis document of one step — the payload of the run
+// trace's analysis record, what the monitor serves and subscribers receive.
 type Record struct {
 	Step     int       `json:"step"`
 	Time     float64   `json:"time"`

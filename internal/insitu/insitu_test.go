@@ -1,12 +1,14 @@
 package insitu
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/s3dgo/s3d/internal/obs"
 )
 
 // mapBinder serves sources from plain slices, indexed directly.
@@ -258,51 +260,52 @@ func TestSanitizeNonFinite(t *testing.T) {
 	}
 }
 
+// TestStoreRoundtrip: analysis records land in the run trace as payloads of
+// their own kind and decode back unchanged, whatever else the trace holds.
 func TestStoreRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "analysis.jsonl")
-	st, err := CreateStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := st.Sink()
+	var buf bytes.Buffer
+	tr := obs.NewTrace(&buf)
 	recs := []Record{
 		{Step: 1, Time: 0.5, Products: []Product{{Op: "moments", Name: "T", Scalars: map[string]float64{"mean": 400}}}},
 		{Step: 2, Time: 1.0, Products: []Product{{Op: "hist", Name: "T", Lo: 0, Hi: 1, Bins: []float64{0.5, 0.5}}}},
 	}
 	for _, r := range recs {
-		sink(r)
+		tr.Layer(obs.KindAnalysis, r)
+		tr.Step(obs.StepEvent{Step: r.Step})
 	}
-	if err := st.Err(); err != nil {
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAnalysis(path)
+	all, err := obs.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Step != 1 || got[1].Products[0].Bins[1] != 0.5 {
+	got, err := obs.Payloads[Record](all, obs.KindAnalysis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 4 || len(got) != 2 || got[0].Step != 1 || got[1].Products[0].Bins[1] != 0.5 {
 		t.Fatalf("roundtrip = %+v", got)
 	}
 }
 
+// TestStoreSinkRetainsFirstError: a record the trace cannot encode or write
+// is dropped, and the first such error is kept for Flush.
 func TestStoreSinkRetainsFirstError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "analysis.jsonl")
-	st, err := CreateStore(path)
+	var buf bytes.Buffer
+	tr := obs.NewTrace(&buf)
+	tr.Layer(obs.KindAnalysis, Record{Step: 1, Products: []Product{{Scalars: map[string]float64{"x": math.NaN()}}}})
+	if tr.Flush() == nil || buf.Len() != 0 {
+		t.Fatalf("an unencodable record: Flush %v, %d bytes written", tr.Flush(), buf.Len())
+	}
+
+	closed, err := obs.CreateTrace(filepath.Join(t.TempDir(), "trace.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Close() // force the next append's flush to fail
-	sink := st.Sink()
-	sink(Record{Step: 1})
-	if st.Err() == nil {
+	closed.Close() // force the next append to fail
+	closed.Layer(obs.KindAnalysis, Record{Step: 1})
+	if closed.Flush() == nil {
 		t.Fatal("want retained append error after closed file")
-	}
-}
-
-func TestReadAnalysisMissingFile(t *testing.T) {
-	if _, err := ReadAnalysis(filepath.Join(t.TempDir(), "absent.jsonl")); !os.IsNotExist(err) {
-		t.Fatalf("want IsNotExist, got %v", err)
 	}
 }

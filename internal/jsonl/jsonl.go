@@ -1,8 +1,8 @@
 // Package jsonl is the one JSONL writer and the one JSONL reader of the
-// tree. Store lands one record per line for every per-step stream — the run
-// trace (obs.Trace), insitu analysis.jsonl, cost cost.jsonl, critpath
-// critpath.jsonl — a line at a time, so each of them holds every completed
-// record after a kill. Every reader — obs.ReadTrace and the post-mortem
+// tree. Store lands one record per line a line at a time, so a killed run
+// keeps every completed record; its one per-run stream is the run trace
+// (obs.Trace), which carries the step records and the analysis, cost and
+// critpath records alike. Every reader — obs.ReadTrace and the post-mortem
 // flight recording (health.ReadFlight) included — shares one corrupt-tail
 // contract: a run killed mid-write leaves a truncated final line, and the
 // valid prefix must still load.
@@ -24,13 +24,12 @@ import (
 // the record it was writing. Methods are safe for concurrent use.
 type Store[T any] struct {
 	mu  sync.Mutex
-	w   io.Writer
+	enc *json.Encoder
 	c   io.Closer // nil when the caller owns the writer
-	err error
 }
 
 // New wraps a writer the caller owns: Close leaves it open.
-func New[T any](w io.Writer) *Store[T] { return &Store[T]{w: w} }
+func New[T any](w io.Writer) *Store[T] { return &Store[T]{enc: json.NewEncoder(w)} }
 
 // Create creates (truncating) a store at path; Close closes the file.
 func Create[T any](path string) (*Store[T], error) {
@@ -38,40 +37,16 @@ func Create[T any](path string) (*Store[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store[T]{w: f, c: f}, nil
+	return &Store[T]{enc: json.NewEncoder(f), c: f}, nil
 }
 
-// Append writes one record as a JSON line.
+// Append writes one record as a JSON line — json.Marshal's bytes and a
+// newline, encoded in a pooled buffer and written with one Write. After a
+// failed write every later Append returns that error.
 func (s *Store[T]) Append(r T) error {
-	data, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err = s.w.Write(append(data, '\n'))
-	return err
-}
-
-// Sink adapts the store to a collector/pipeline subscriber. Write failures
-// never take the run down; the first one is retained for Err.
-func (s *Store[T]) Sink() func(T) {
-	return func(r T) {
-		if err := s.Append(r); err != nil {
-			s.mu.Lock()
-			if s.err == nil {
-				s.err = err
-			}
-			s.mu.Unlock()
-		}
-	}
-}
-
-// Err returns the first append failure seen by Sink, if any.
-func (s *Store[T]) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
+	return s.enc.Encode(r)
 }
 
 // Close closes the file of a store made by Create; every appended record is

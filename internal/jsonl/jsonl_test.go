@@ -21,11 +21,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := st.Sink()
-	sink(rec{Step: 1, Name: "a"})
-	sink(rec{Step: 2, Name: "b"})
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
+	for _, r := range []rec{{Step: 1, Name: "a"}, {Step: 2, Name: "b"}} {
+		if err := st.Append(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

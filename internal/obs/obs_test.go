@@ -237,6 +237,52 @@ func TestTraceDurableWithoutFlush(t *testing.T) {
 	}
 }
 
+// TestTraceLayerRecords: a layer record is written byte for byte as
+// Record{Kind, Payload: json.Marshal(rec)} encodes, HTML-escaped characters
+// included; Summarize skips it and Payloads filters one kind back out. A
+// record that does not encode writes nothing and is kept for Flush.
+func TestTraceLayerRecords(t *testing.T) {
+	type rec struct {
+		Step    int     `json:"step"`
+		Verdict string  `json:"verdict"`
+		Frac    float64 `json:"frac"`
+	}
+	var buf bytes.Buffer
+	tr := NewTrace(&buf)
+	r := rec{Step: 2, Verdict: "rank <1> & rank 2", Frac: 0.1}
+	tr.Layer(KindCritPath, r)
+	tr.Step(sampleStep(2))
+	payload, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(Record{Kind: KindCritPath, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line, _, _ := bytes.Cut(buf.Bytes(), []byte("\n")); !bytes.Equal(line, want) {
+		t.Fatalf("layer line\n%s\nwant\n%s", line, want)
+	}
+	recs, err := ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := Summarize(recs); s.Steps != 1 {
+		t.Fatalf("summary counts %d steps, want 1", s.Steps)
+	}
+	if got, err := Payloads[rec](recs, KindCritPath); err != nil || len(got) != 1 || got[0] != r {
+		t.Fatalf("critpath payloads %+v, err %v", got, err)
+	}
+	if got, err := Payloads[rec](recs, KindCost); err != nil || len(got) != 0 {
+		t.Fatalf("cost payloads %+v, err %v", got, err)
+	}
+	n := buf.Len()
+	tr.Layer(KindCost, rec{Frac: math.NaN()})
+	if tr.Flush() == nil || buf.Len() != n {
+		t.Fatalf("an unencodable record: Flush %v, %d bytes written", tr.Flush(), buf.Len()-n)
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTrace(&buf)

@@ -1,17 +1,22 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
+	"sync"
 
 	"github.com/s3dgo/s3d/internal/jsonl"
 )
 
-// The structured run trace: one JSON object per line (JSONL). Every record
-// carries a "kind" discriminator; exactly one of the kind-specific payload
-// fields is populated. The schema is documented field-by-field in README.md
+// The structured run trace: one JSON object per line (JSONL), the one record
+// stream a run writes. Every record carries a "kind" discriminator; exactly
+// one of the kind-specific payload fields is populated — a layer record's
+// Payload is the layer's own json.Marshal encoding, so obs imports none of
+// the layers. The schema is documented field-by-field in README.md
 // ("Observability") and round-tripped by the obs tests.
 
 // Record kinds.
@@ -20,6 +25,12 @@ const (
 	KindStep       = "step"
 	KindCheckpoint = "checkpoint"
 	KindRunDone    = "run_done"
+
+	// The layer kinds: a due step's records precede its step record, in this
+	// order, each keyed by the step id its payload carries.
+	KindAnalysis = "analysis"
+	KindCost     = "cost"
+	KindCritPath = "critpath"
 )
 
 // CommStats is the communication-layer slice of a step record: cumulative
@@ -119,58 +130,84 @@ type Record struct {
 	StepData   *StepEvent       `json:"step,omitempty"`
 	Checkpoint *CheckpointEvent `json:"checkpoint,omitempty"`
 	Done       *RunSummary      `json:"done,omitempty"`
+	Payload    json.RawMessage  `json:"payload,omitempty"` // a layer record (see Payloads)
 }
 
-// Trace writes the JSONL stream: a jsonl.Store of Records, so a record is on
+// Trace writes the JSONL stream through a jsonl.Store, so a record is on
 // its way to the sink when the emitting call returns and a killed run keeps
-// every step it completed. A failed write never takes the run down; the
-// first one is returned by Flush and Close. Methods are safe for concurrent
-// use.
+// every step it completed. A failed write or encoding never takes the run
+// down; the first one is returned by Flush and Close. Methods are safe for
+// concurrent use.
 type Trace struct {
-	st   *jsonl.Store[Record]
-	sink func(Record)
+	st  *jsonl.Store[any] // a Record or a layerRecord per line
+	mu  sync.Mutex
+	err error // the first failed write or encoding
+}
+
+// layerRecord is a layer record as Layer writes it: the bytes of
+// Record{Kind: kind, Payload: json.Marshal(rec)}, with the payload encoded
+// in place, so a record costs the run no copy of its payload.
+type layerRecord struct {
+	Kind    string `json:"kind"`
+	Payload any    `json:"payload"`
 }
 
 // NewTrace wraps a writer. The caller owns w's lifetime.
-func NewTrace(w io.Writer) *Trace { return newTrace(jsonl.New[Record](w)) }
+func NewTrace(w io.Writer) *Trace { return &Trace{st: jsonl.New[any](w)} }
 
 // CreateTrace creates (truncates) a trace file; Close closes it.
 func CreateTrace(path string) (*Trace, error) {
-	st, err := jsonl.Create[Record](path)
+	st, err := jsonl.Create[any](path)
 	if err != nil {
 		return nil, err
 	}
-	return newTrace(st), nil
+	return &Trace{st: st}, nil
 }
 
-func newTrace(st *jsonl.Store[Record]) *Trace { return &Trace{st: st, sink: st.Sink()} }
+// emit appends one record, keeping the first failure.
+func (t *Trace) emit(r any) {
+	err := t.st.Append(r)
+	t.mu.Lock()
+	if t.err == nil {
+		t.err = err
+	}
+	t.mu.Unlock()
+}
 
 // RunStartInfo emits the run_start record from a RunInfo built by
 // NewRunInfo, on which the caller stamps what NewRunInfo cannot know, like
 // the worker-pool size (obs cannot import the execution layer, which
 // imports obs).
-func (t *Trace) RunStartInfo(info *RunInfo) { t.sink(Record{Kind: KindRunStart, Run: info}) }
+func (t *Trace) RunStartInfo(info *RunInfo) { t.emit(Record{Kind: KindRunStart, Run: info}) }
 
 // Step emits one step record.
-func (t *Trace) Step(ev StepEvent) { t.sink(Record{Kind: KindStep, StepData: &ev}) }
+func (t *Trace) Step(ev StepEvent) { t.emit(Record{Kind: KindStep, StepData: &ev}) }
 
 // Checkpoint emits a checkpoint record.
 func (t *Trace) Checkpoint(step int, path string) {
-	t.sink(Record{Kind: KindCheckpoint, Checkpoint: &CheckpointEvent{Step: step, Path: path}})
+	t.emit(Record{Kind: KindCheckpoint, Checkpoint: &CheckpointEvent{Step: step, Path: path}})
 }
 
 // RunDone emits the run_done record.
-func (t *Trace) RunDone(sum RunSummary) { t.sink(Record{Kind: KindRunDone, Done: &sum}) }
+func (t *Trace) RunDone(sum RunSummary) { t.emit(Record{Kind: KindRunDone, Done: &sum}) }
+
+// Layer emits one layer record of the given kind; its payload is
+// json.Marshal(rec).
+func (t *Trace) Layer(kind string, rec any) { t.emit(layerRecord{kind, rec}) }
 
 // Flush reports the first write failure so far; there is nothing to drain,
 // every record went to the sink as it was emitted.
-func (t *Trace) Flush() error { return t.st.Err() }
+func (t *Trace) Flush() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.err
+}
 
 // Close closes the sink when Trace owns it. It returns the first error
 // encountered over the trace's lifetime.
 func (t *Trace) Close() error {
 	cerr := t.st.Close()
-	if err := t.st.Err(); err != nil {
+	if err := t.Flush(); err != nil {
 		return err
 	}
 	return cerr
@@ -206,6 +243,24 @@ func NewRunInfo(caseName string, config map[string]string) *RunInfo {
 // before the damage is returned along with an error naming the line.
 func ReadTrace(r io.Reader) ([]Record, error) {
 	return jsonl.ReadFrom[Record]("obs: trace line ", r)
+}
+
+// Payloads decodes the payload of every record of one layer kind, in trace
+// order. On a payload that does not decode it returns those before it and
+// the error.
+func Payloads[T any](recs []Record, kind string) ([]T, error) {
+	var out []T
+	for i, r := range recs {
+		if r.Kind != kind {
+			continue
+		}
+		var v T
+		if err := json.Unmarshal(r.Payload, &v); err != nil {
+			return out, fmt.Errorf("obs: record %d (%s): %w", i+1, kind, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // ReadTraceFile parses a trace.jsonl from disk.

@@ -62,8 +62,8 @@ func (b *Block) critStage(stage int) {
 
 // critStep deposits a due step's drained trace at the shared analyzer and
 // blocks until the step is analyzed — the deposit doubles as a step
-// barrier, so every rank sees the published record (and rank 0's store has
-// flushed) before stepping on. Runs after the health check and the other
+// barrier, so every rank sees the published record (and rank 0's trace has
+// it) before stepping on. Runs after the health check and the other
 // reductions, so all ranks reach it on the same step.
 func (b *Block) critStep() {
 	if !b.critDue {

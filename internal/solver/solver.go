@@ -463,11 +463,15 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 		}
 	}
 
-	// Quadrature widths for volume integrals, built here so the tiled
-	// chemistry kernel never races a lazy initialisation.
-	b.volW[0] = lineWidths(local.Xc, local.Lx)
-	b.volW[1] = lineWidths(local.Yc, local.Ly)
-	b.volW[2] = lineWidths(local.Zc, local.Lz)
+	// Quadrature widths for volume integrals: the global line's, sliced to
+	// the block, so a rank interface carries the serial weight. Built here
+	// so the tiled chemistry kernel never races a lazy initialisation.
+	g := cfg.Grid
+	for a, line := range [3][]float64{g.Xc, g.Yc, g.Zc} {
+		w := lineWidths(line, [3]float64{g.Lx, g.Ly, g.Lz}[a], cfg.BC[a][0] == Periodic)
+		lo := [3]int{i0, j0, k0}[a]
+		b.volW[a] = w[lo : lo+local.Dim(grid.Axis(a))]
+	}
 
 	// Resolve per-face treatment.
 	for a := 0; a < 3; a++ {

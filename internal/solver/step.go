@@ -180,7 +180,7 @@ func (b *Block) ApplyFilter() {
 			// them would let one tile overwrite Q values a neighbouring
 			// tile's stencil still needs.
 			b.plan.Run("FILTER", r, func(t par.Tile, _ int) {
-				deriv.FilterRange(b.scratchF, b.Q[v], a, sigma, lo, hi, t.Lo, t.Hi, deriv.OpSet)
+				deriv.FilterRange(b.scratchF, b.Q[v], a, sigma, lo, hi, t.Lo, t.Hi)
 			})
 			b.plan.Run("FILTER", r, func(t par.Tile, _ int) {
 				b.Q[v].CopyRange(b.scratchF, t.Lo, t.Hi)

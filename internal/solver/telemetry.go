@@ -31,7 +31,7 @@ func (b *Block) MinMaxP() (float64, float64) { return b.P.MinMax() }
 func (b *Block) CommStats() comm.RankStats { return b.cart.Comm.Stats() }
 
 // cellVol returns the quadrature volume of interior cell (i, j, k): the
-// product of per-axis trapezoidal widths of the block's coordinate lines.
+// product of per-axis trapezoidal widths of the global coordinate lines.
 // Degenerate axes (a single point, the quasi-2D z direction) take the full
 // spec extent so integrals keep their physical dimensions. The width tables
 // are built at block construction (a lazy init here would race the tiled
@@ -42,18 +42,25 @@ func (b *Block) cellVol(i, j, k int) float64 {
 
 // lineWidths returns trapezoidal quadrature widths for one coordinate
 // line: interior points own half the gap to each neighbour, end points own
-// half of their single gap, and a one-point line owns the full extent l.
-func lineWidths(coord []float64, l float64) []float64 {
+// half of their single gap, and a one-point line owns the full extent l. A
+// periodic line (uniform: only the jets' outflow y stretches) wraps onto
+// itself, so every point owns one full spacing l/(n−1).
+func lineWidths(coord []float64, l float64, periodic bool) []float64 {
 	n := len(coord)
 	w := make([]float64, n)
-	if n == 1 {
+	switch {
+	case n == 1:
 		w[0] = l
-		return w
-	}
-	w[0] = 0.5 * (coord[1] - coord[0])
-	w[n-1] = 0.5 * (coord[n-1] - coord[n-2])
-	for i := 1; i < n-1; i++ {
-		w[i] = 0.5 * (coord[i+1] - coord[i-1])
+	case periodic:
+		for i := range w {
+			w[i] = l / float64(n-1)
+		}
+	default:
+		w[0] = 0.5 * (coord[1] - coord[0])
+		w[n-1] = 0.5 * (coord[n-1] - coord[n-2])
+		for i := 1; i < n-1; i++ {
+			w[i] = 0.5 * (coord[i+1] - coord[i-1])
+		}
 	}
 	return w
 }

@@ -40,10 +40,11 @@ type DashboardStatus struct {
 	Images    map[string]string `json:"images"` // variable → plot path
 	Notes     map[string]string `json:"notes"`  // user annotations (§9)
 
-	// Telemetry summarises the run's step trace (dashboard/trace.jsonl,
-	// written by a driver's -trace flag) when one is present: step count,
-	// simulated time, mean wall time per step and communication volume.
-	// Nil when no trace has been copied in.
+	// Telemetry summarises the run's trace (dashboard/trace.jsonl, written
+	// by a driver's -trace flag) when one is present: step count, simulated
+	// time, mean wall time per step and communication volume. Nil when no
+	// trace has been copied in. The health, analysis, balance and critpath
+	// lanes below are read from the same trace.
 	Telemetry *obs.TraceSummary `json:"telemetry,omitempty"`
 
 	// Health is the run-health lane: the watchdog's verdict for the traced
@@ -57,23 +58,19 @@ type DashboardStatus struct {
 	// membership. Nil when no inventory has been copied in.
 	Fields *FieldsLane `json:"fields,omitempty"`
 
-	// Analysis is the in-situ science lane (dashboard/analysis.jsonl, the
-	// reduction pipeline's store dropped in by the producer): what was
-	// reduced, how often, and the final record's scalar statistics. Nil
-	// when no analysis store has been copied in.
+	// Analysis is the in-situ science lane (the trace's analysis records):
+	// what was reduced, how often, and the final record's scalar
+	// statistics. Nil when the trace carries none.
 	Analysis *AnalysisLane `json:"analysis,omitempty"`
 
-	// Balance is the load-imbalance lane (dashboard/cost.jsonl, the cost
-	// sampler's store dropped in by the producer): the final record's
-	// measured per-kernel tile imbalance and region seconds. Nil when no
-	// cost store has been copied in.
+	// Balance is the load-imbalance lane (the trace's cost records): the
+	// final record's measured per-kernel tile imbalance and region seconds.
+	// Nil when the trace carries none.
 	Balance *BalanceLane `json:"balance,omitempty"`
 
-	// CritPath is the wait-state lane (dashboard/critpath.jsonl, the
-	// critical-path analyzer's store dropped in by the producer): which rank
-	// the critical path ran through, the dominant wait class, and the blamed
-	// region of the final record. Nil when no critpath store has been copied
-	// in.
+	// CritPath is the wait-state lane (the trace's critpath records): which
+	// rank the critical path ran through, the dominant wait class, and the
+	// blamed region of the final record. Nil when the trace carries none.
 	CritPath *CritPathLane `json:"critpath,omitempty"`
 }
 
@@ -132,7 +129,7 @@ func readFieldsLane(path string) (*FieldsLane, error) {
 // AnalysisLane surfaces the in-situ science-reduction pipeline on the
 // dashboard page: the record count and span, the product inventory, and
 // the final record's scalar statistics — the "is the flame doing what we
-// expect" glance without loading the full store.
+// expect" glance without loading every record.
 type AnalysisLane struct {
 	Records   int      `json:"records"`
 	FirstStep int      `json:"first_step"`
@@ -144,8 +141,8 @@ type AnalysisLane struct {
 	Scalars map[string]float64 `json:"scalars,omitempty"`
 }
 
-// analysisLane builds the lane from a loaded analysis store; nil when the
-// store is empty.
+// analysisLane builds the lane from the trace's analysis records; nil when
+// there are none.
 func analysisLane(recs []insitu.Record) *AnalysisLane {
 	if len(recs) == 0 {
 		return nil
@@ -185,8 +182,8 @@ type BalanceLane struct {
 	WorstKernel string `json:"worst_kernel,omitempty"`
 }
 
-// balanceLane builds the lane from a loaded cost store; nil when the store
-// is empty.
+// balanceLane builds the lane from the trace's cost records; nil when there
+// are none.
 func balanceLane(recs []cost.Record) *BalanceLane {
 	if len(recs) == 0 {
 		return nil
@@ -226,8 +223,8 @@ type CritPathLane struct {
 	MeanLostFrac float64 `json:"mean_lost_frac"`
 }
 
-// critPathLane builds the lane from a loaded critpath store; nil when the
-// store is empty.
+// critPathLane builds the lane from the trace's critpath records; nil when
+// there are none.
 func critPathLane(recs []critpath.Record) *CritPathLane {
 	if len(recs) == 0 {
 		return nil
@@ -347,37 +344,26 @@ func BuildDashboard(c *Cluster, jobs []Job) (*DashboardStatus, error) {
 	}
 	sort.Strings(status.Variables)
 
-	// An observability trace dropped next to the CSV enriches the page
-	// with solver telemetry and the health lane; its absence is not an
-	// error.
+	// The run trace dropped next to the CSV enriches the page with solver
+	// telemetry and the health, analysis, balance and critpath lanes, all
+	// read from its one record stream; its absence is not an error.
 	if recs, err := obs.ReadTraceFile(filepath.Join(c.Dashboard, "trace.jsonl")); err == nil {
 		sum := obs.Summarize(recs)
 		status.Telemetry = &sum
 		status.Health = healthLane(recs, sum)
+		// A payload that does not decode ends its lane at the records before it.
+		a, _ := obs.Payloads[insitu.Record](recs, obs.KindAnalysis)
+		status.Analysis = analysisLane(a)
+		b, _ := obs.Payloads[cost.Record](recs, obs.KindCost)
+		status.Balance = balanceLane(b)
+		cp, _ := obs.Payloads[critpath.Record](recs, obs.KindCritPath)
+		status.CritPath = critPathLane(cp)
 	}
 
 	// Likewise the field inventory: the producer drops the registry's
 	// /fields document next to the CSV; its absence is not an error.
 	if lane, err := readFieldsLane(filepath.Join(c.Dashboard, "fields.json")); err == nil {
 		status.Fields = lane
-	}
-
-	// And the in-situ analysis store: the producer drops analysis.jsonl
-	// next to the CSV; its absence is not an error.
-	if recs, err := insitu.ReadAnalysis(filepath.Join(c.Dashboard, "analysis.jsonl")); err == nil {
-		status.Analysis = analysisLane(recs)
-	}
-
-	// And the cost sampler's store: the producer drops cost.jsonl next to
-	// the CSV; its absence is not an error.
-	if recs, err := cost.ReadCost(filepath.Join(c.Dashboard, "cost.jsonl")); err == nil {
-		status.Balance = balanceLane(recs)
-	}
-
-	// And the critical-path analyzer's store: the producer drops
-	// critpath.jsonl next to the CSV; its absence is not an error.
-	if recs, err := critpath.ReadCritPath(filepath.Join(c.Dashboard, "critpath.jsonl")); err == nil {
-		status.CritPath = critPathLane(recs)
 	}
 
 	for _, name := range status.Variables {

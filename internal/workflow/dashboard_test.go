@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -8,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/s3dgo/s3d/internal/cost"
 	"github.com/s3dgo/s3d/internal/critpath"
+	"github.com/s3dgo/s3d/internal/obs"
 )
 
 func seedMinMax(t *testing.T, c *Cluster) {
@@ -346,27 +349,44 @@ func TestDashboardSingleSampleSkipsPlot(t *testing.T) {
 	}
 }
 
-// TestDashboardAnalysisLane drops an in-situ analysis store next to the
-// dashboard CSV and checks BuildDashboard surfaces it as the science lane.
+// writeTrace drops a run trace next to the dashboard CSV holding one layer
+// record per payload, each of the given kind.
+func writeTrace(t *testing.T, c *Cluster, kind string, payloads ...any) {
+	t.Helper()
+	var buf bytes.Buffer
+	tr := obs.NewTrace(&buf)
+	tr.RunStartInfo(&obs.RunInfo{Case: "liftedflame"})
+	for _, p := range payloads {
+		tr.Layer(kind, p)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(c.Dashboard, "trace.jsonl"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDashboardAnalysisLane drops a trace carrying the in-situ pipeline's
+// records next to the dashboard CSV and checks BuildDashboard surfaces them
+// as the science lane.
 func TestDashboardAnalysisLane(t *testing.T) {
 	c, err := NewCluster(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	seedMinMax(t, c)
-	store := `{"step":2,"time":2e-8,"products":[{"op":"moments","name":"T_favre","scalars":{"mean":350,"rms":40}}]}
-{"step":4,"time":4e-8,"products":[{"op":"moments","name":"T_favre","scalars":{"mean":360,"rms":41}},{"op":"scalar","name":"heat_release","scalars":{"watts":1.5e6}}]}
-`
-	if err := os.WriteFile(filepath.Join(c.Dashboard, "analysis.jsonl"), []byte(store), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Two lines as an analysis store of the pipeline's own held them.
+	writeTrace(t, c, obs.KindAnalysis,
+		json.RawMessage(`{"step":2,"time":2e-8,"products":[{"op":"moments","name":"T_favre","scalars":{"mean":350,"rms":40}}]}`),
+		json.RawMessage(`{"step":4,"time":4e-8,"products":[{"op":"moments","name":"T_favre","scalars":{"mean":360,"rms":41}},{"op":"scalar","name":"heat_release","scalars":{"watts":1.5e6}}]}`))
 	status, err := BuildDashboard(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lane := status.Analysis
 	if lane == nil {
-		t.Fatal("analysis.jsonl present but Analysis lane nil")
+		t.Fatal("analysis records in the trace, yet Analysis lane nil")
 	}
 	if lane.Records != 2 || lane.FirstStep != 2 || lane.LastStep != 4 || lane.LastTime != 4e-8 {
 		t.Fatalf("lane span wrong: %+v", lane)
@@ -391,24 +411,51 @@ func TestDashboardAnalysisLane(t *testing.T) {
 	}
 }
 
-// TestDashboardWithoutAnalysisOmitsLane: no store, no lane.
+// TestDashboardWithoutAnalysisOmitsLane: a trace with no analysis records
+// (nor cost ones) has no science lane (nor balance lane).
 func TestDashboardWithoutAnalysisOmitsLane(t *testing.T) {
 	c, err := NewCluster(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	seedMinMax(t, c)
+	writeTrace(t, c, obs.KindCritPath)
 	status, err := BuildDashboard(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status.Analysis != nil {
-		t.Fatalf("no analysis.jsonl, yet Analysis = %+v", status.Analysis)
+	if status.Telemetry == nil || status.Analysis != nil || status.Balance != nil {
+		t.Fatalf("a trace without analysis or cost records: Telemetry %+v, Analysis %+v, Balance %+v",
+			status.Telemetry, status.Analysis, status.Balance)
 	}
 }
 
-// TestDashboardCritPathLane: a critpath.jsonl store dropped next to the CSV
-// surfaces the wait-state verdict; its absence omits the lane.
+// TestDashboardBalanceLane: the trace's cost records surface as the balance
+// lane, named after the final record's most imbalanced kernel.
+func TestDashboardBalanceLane(t *testing.T) {
+	c, err := NewCluster(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedMinMax(t, c)
+	writeTrace(t, c, obs.KindCost,
+		cost.Record{Step: 2, Kernels: []cost.MeasuredKernel{{Kernel: "FILTER", Imbalance: 3}}},
+		cost.Record{Step: 4, Kernels: []cost.MeasuredKernel{
+			{Kernel: "REACTION_RATE_BOUNDS", Imbalance: 1.4, RegionS: 0.5},
+			{Kernel: "FILTER", Imbalance: 1.1, RegionS: 0.1},
+		}})
+	status, err := BuildDashboard(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := status.Balance
+	if lane == nil || lane.Records != 2 || lane.LastStep != 4 || len(lane.Kernels) != 2 || lane.WorstKernel != "REACTION_RATE_BOUNDS" {
+		t.Fatalf("balance lane = %+v", lane)
+	}
+}
+
+// TestDashboardCritPathLane: the trace's critpath records surface the
+// wait-state verdict; without a trace there is no lane.
 func TestDashboardCritPathLane(t *testing.T) {
 	c, err := NewCluster(t.TempDir())
 	if err != nil {
@@ -422,25 +469,14 @@ func TestDashboardCritPathLane(t *testing.T) {
 			LostFrac: 0.38, Verdict: "step 4: critical path ran through rank 2",
 			Blame: []critpath.RegionBlame{{Path: "STEP/RHS/REACTION_RATE_BOUNDS", Ns: 9e6, Frac: 0.6}}},
 	}
-	var buf []byte
-	for _, r := range recs {
-		line, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-	}
-	if err := os.WriteFile(filepath.Join(c.Dashboard, "critpath.jsonl"), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeTrace(t, c, obs.KindCritPath, recs[0], recs[1])
 	status, err := BuildDashboard(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lane := status.CritPath
 	if lane == nil {
-		t.Fatal("critpath.jsonl present, yet CritPath lane missing")
+		t.Fatal("critpath records in the trace, yet CritPath lane missing")
 	}
 	if lane.Records != 2 || lane.LastStep != 4 || lane.CritRank != 2 {
 		t.Fatalf("lane = %+v", lane)
@@ -464,7 +500,7 @@ func TestDashboardCritPathLane(t *testing.T) {
 		t.Fatalf("critpath lane lost in status.json: %+v", got.CritPath)
 	}
 
-	// No store, no lane.
+	// No trace, no lane.
 	c2, err := NewCluster(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -475,6 +511,6 @@ func TestDashboardCritPathLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	if status2.CritPath != nil {
-		t.Fatalf("no critpath.jsonl, yet CritPath = %+v", status2.CritPath)
+		t.Fatalf("no trace, yet CritPath = %+v", status2.CritPath)
 	}
 }

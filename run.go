@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"github.com/s3dgo/s3d/internal/jsonl"
 	"github.com/s3dgo/s3d/internal/obs"
 	"github.com/s3dgo/s3d/internal/perf"
 	"github.com/s3dgo/s3d/internal/prof"
@@ -24,46 +23,39 @@ import (
 )
 
 // RunOptions is the run configuration shared by cmd/s3d, cmd/liftedflame
-// and cmd/bunsen: one field per shared flag. Empty paths and false switches
-// leave the corresponding layer off.
+// and cmd/bunsen: one field per shared flag. Empty paths, false switches and
+// zero cadences leave the corresponding layer off.
 type RunOptions struct {
-	Trace     string // JSONL step trace file
+	Trace     string // JSONL run trace file: steps and every layer's records
 	Monitor   string // live HTTP monitor address
 	Profile   string // call-path profiler artifact directory
 	Health    bool   // arm the run-health watchdog
 	FlightRec string // post-mortem bundle directory (default <out>/health)
 
-	Analysis      string // analysis.jsonl path
-	AnalysisEvery int
-	Cost          string // cost.jsonl path
-	CostEvery     int
-	CritPath      string // critpath.jsonl path
-	CritPathEvery int
+	// Layer cadences in steps (0: off); the records land in the trace.
+	Analysis int
+	Cost     int
+	CritPath int
 
 	Workers int // kernel worker-pool size (0: all CPUs)
 }
 
-// BindFlags registers the shared flags on fs under the names and defaults
-// every driver has always used.
+// BindFlags registers the shared flags on fs.
 func (o *RunOptions) BindFlags(fs *flag.FlagSet) {
-	fs.StringVar(&o.Trace, "trace", "", "write a JSONL step trace to this file")
+	fs.StringVar(&o.Trace, "trace", "", "write the JSONL run trace (steps, checkpoints and every armed layer's records) to this file")
 	fs.StringVar(&o.Monitor, "monitor", "", "serve live metrics over HTTP on this address (e.g. :8080)")
 	fs.StringVar(&o.Profile, "profile", "", "record the call-path profiler and write trace.json/callpath/roofline artifacts to this directory")
 	fs.BoolVar(&o.Health, "health", false, "arm the run-health watchdog: physics invariants per step, structured abort with a post-mortem bundle instead of a panic")
 	fs.StringVar(&o.FlightRec, "flightrec", "", "flight-recorder bundle directory (default <out>/health when -health)")
-	fs.StringVar(&o.Analysis, "analysis", "", "enable the in-situ science-reduction pipeline and append its records (JSONL) to this file")
-	fs.IntVar(&o.AnalysisEvery, "analysis-every", 1, "analysis reduction cadence in steps")
-	fs.StringVar(&o.Cost, "cost", "", "enable the spatial cost-attribution sampler and append its records (JSONL) to this file")
-	fs.IntVar(&o.CostEvery, "cost-every", 1, "cost record cadence in steps")
-	fs.StringVar(&o.CritPath, "critpath", "", "enable the wait-state & critical-path analyzer and append its records (JSONL) to this file; a Chrome-trace overlay lands next to it as critpath_trace.json")
-	fs.IntVar(&o.CritPathEvery, "critpath-every", 1, "critical-path analysis cadence in steps")
+	fs.IntVar(&o.Analysis, "analysis", 0, "run the in-situ science-reduction pipeline every N steps (0: off); its records land in the -trace file")
+	fs.IntVar(&o.Cost, "cost", 0, "run the spatial cost-attribution sampler every N steps (0: off); its records land in the -trace file")
+	fs.IntVar(&o.CritPath, "critpath", 0, "run the wait-state & critical-path analyzer every N steps (0: off); its records land in the -trace file and a Chrome-trace overlay in <out>/critpath_trace.json")
 	fs.IntVar(&o.Workers, "workers", 0, "kernel worker-pool size, shared across in-process ranks (0: all CPUs)")
 }
 
 // Session is an opened run: the resources shared by every rank of a
 // decomposed run, or that must outlive the simulation they instrument —
-// the trace file, the profiler, the one critpath analyzer and the three
-// JSONL stores.
+// the trace file, the profiler and the one critpath analyzer.
 type Session struct {
 	opt      RunOptions // paths resolved and scoped
 	overlay  string     // critpath_trace.json path ("" without -critpath)
@@ -71,19 +63,7 @@ type Session struct {
 	profiler *prof.Profiler
 	machines []perf.Machine
 	critA    *CritPathAnalyzer
-	analysis *jsonl.Store[AnalysisRecord]
-	cost     *jsonl.Store[CostRecord]
-	crit     *jsonl.Store[CritPathRecord]
-	stores   []openStore   // the three above, as Close sees them
 	shape    prof.RunShape // rank 0's workload, for the roofline (set by its Arm)
-}
-
-type openStore struct {
-	name, path string
-	st         interface {
-		Err() error
-		Close() error
-	}
 }
 
 // Open sizes the worker pool (so call it before building a simulation),
@@ -98,11 +78,11 @@ func (o RunOptions) Open(out, scope string) (*Session, error) {
 		o.FlightRec = filepath.Join(out, "health")
 	}
 	s := &Session{}
-	if o.CritPath != "" {
-		s.overlay = filepath.Join(filepath.Dir(o.CritPath), "critpath_trace.json")
+	if o.CritPath > 0 {
+		s.overlay = filepath.Join(out, "critpath_trace.json")
 	}
 	if scope != "" {
-		for _, file := range []*string{&o.Trace, &o.Analysis, &o.Cost, &o.CritPath, &s.overlay} {
+		for _, file := range []*string{&o.Trace, &s.overlay} {
 			if ext := filepath.Ext(*file); *file != "" {
 				*file = strings.TrimSuffix(*file, ext) + "." + scope + ext
 			}
@@ -114,51 +94,21 @@ func (o RunOptions) Open(out, scope string) (*Session, error) {
 		}
 	}
 	s.opt = o
-	var err error
 	if o.Trace != "" {
-		s.trace, err = obs.CreateTrace(o.Trace)
-	}
-	if err == nil {
-		s.analysis, err = createStore[AnalysisRecord](s, "analysis", o.Analysis)
-	}
-	if err == nil {
-		s.cost, err = createStore[CostRecord](s, "cost", o.Cost)
-	}
-	if err == nil {
-		s.crit, err = createStore[CritPathRecord](s, "critpath", o.CritPath)
-	}
-	if err != nil {
-		// Nothing was written: release what did open, keep the first error.
-		for _, st := range s.stores {
-			st.st.Close()
+		var err error
+		if s.trace, err = obs.CreateTrace(o.Trace); err != nil {
+			return nil, err
 		}
-		if s.trace != nil {
-			s.trace.Close()
-		}
-		return nil, err
 	}
 	if o.Profile != "" {
 		s.profiler = NewProfiler()
 		s.machines = ProfileMachines()
 	}
-	if o.CritPath != "" {
+	if o.CritPath > 0 {
 		// One analyzer for every rank: it is the cross-rank deposit barrier.
-		s.critA = NewCritPathAnalyzer(CritPathSpec{Every: o.CritPathEvery})
+		s.critA = NewCritPathAnalyzer(CritPathSpec{Every: o.CritPath})
 	}
 	return s, nil
-}
-
-// createStore creates the JSONL store at path ("" leaves the layer off).
-func createStore[T any](s *Session, name, path string) (*jsonl.Store[T], error) {
-	if path == "" {
-		return nil, nil
-	}
-	st, err := jsonl.Create[T](path)
-	if err != nil {
-		return nil, err
-	}
-	s.stores = append(s.stores, openStore{name, path, st})
-	return st, nil
 }
 
 // BundleDir returns the directory a health abort's post-mortem bundle lands
@@ -187,14 +137,15 @@ type Armed struct{ sim *Simulation }
 //     due step ends in its deposit barrier;
 //  4. telemetry last: StartTelemetry mounts gauges and the /health
 //     /analysis /cost /critpath endpoints for exactly the layers it finds
-//     installed, and names them in the run_start manifest — a layer
-//     enabled after it is invisible to the monitor and the trace.
+//     installed, names them in the run_start manifest and sends their
+//     records to the trace — a layer enabled after it is invisible to the
+//     monitor and the trace.
 //
 // Every rank of a decomposed run must call Arm at the same point with the
-// same session. Rank 0 alone subscribes the stores (the ordered fold makes
-// every rank's analysis record bitwise identical, the critpath barrier
-// publishes once per step, and cost.jsonl holds rank 0's windows) and
-// starts telemetry.
+// same session. Rank 0 alone starts telemetry, so the trace holds rank 0's
+// layer records: the ordered fold makes every rank's analysis record
+// bitwise identical, the critpath barrier publishes once per step, and a
+// cost record is rank 0's window.
 func (s *Session) Arm(sim *Simulation, prob *Problem, opt TelemetryOptions) (*Armed, error) {
 	o := s.opt
 	rank := sim.blk.Rank()
@@ -207,32 +158,21 @@ func (s *Session) Arm(sim *Simulation, prob *Problem, opt TelemetryOptions) (*Ar
 	if o.Health {
 		sim.EnableHealth(HealthOptions{BundleDir: o.FlightRec, EmergencyCheckpoint: true})
 	}
-	if s.analysis != nil {
+	if o.Analysis > 0 {
 		spec := prob.StandardAnalysis()
-		spec.Every = o.AnalysisEvery
-		p, err := sim.EnableAnalysis(spec)
-		if err != nil {
+		spec.Every = o.Analysis
+		if _, err := sim.EnableAnalysis(spec); err != nil {
 			return nil, err
-		}
-		if rank == 0 {
-			p.Subscribe(s.analysis.Sink())
 		}
 	}
-	if s.cost != nil {
-		c, err := sim.EnableCostMaps(CostSpec{Every: o.CostEvery})
-		if err != nil {
+	if o.Cost > 0 {
+		if _, err := sim.EnableCostMaps(CostSpec{Every: o.Cost}); err != nil {
 			return nil, err
-		}
-		if rank == 0 {
-			c.Subscribe(s.cost.Sink())
 		}
 	}
 	if s.critA != nil {
 		if err := sim.EnableCritPath(s.critA); err != nil {
 			return nil, err
-		}
-		if rank == 0 {
-			s.critA.Subscribe(s.crit.Sink())
 		}
 	}
 	if rank == 0 && (s.trace != nil || o.Monitor != "") {
@@ -274,24 +214,13 @@ func (a *Armed) Close(exit string) error {
 }
 
 // Close lands the session's artifacts once every rank has stopped
-// stepping, after a clean run and a health abort alike: it reports dropped
-// appends, closes the stores and the trace, writes the critical-path
-// Chrome-trace overlay next to its store and exports the profile. Every
-// step is attempted; the errors are joined.
+// stepping, after a clean run and a health abort alike: it closes the trace,
+// writes the critical-path Chrome-trace overlay and exports the profile.
+// Every step is attempted; the errors are joined.
 func (s *Session) Close() error {
 	var err error
-	for _, st := range s.stores {
-		if derr := st.st.Err(); derr != nil {
-			fmt.Printf("%s store %s dropped records: %v\n", st.name, st.path, derr)
-		}
-		if cerr := st.st.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-			continue
-		}
-		fmt.Printf("wrote %s records to %s\n", st.name, st.path)
-	}
 	if s.trace != nil {
-		err = errors.Join(err, s.trace.Close())
+		err = s.trace.Close()
 	}
 	if s.critA != nil {
 		if werr := sdf.WriteAtomic(s.overlay, s.critA.WriteChromeTrace); werr != nil {

@@ -7,6 +7,8 @@ package s3d
 // temperature/pressure extrema, total-mass drift, heat-release integral
 // and the communication counters — to a JSONL trace, a live HTTP monitor,
 // or both — and sets every solver.* and comm.* metric from that record.
+// The trace is the run's one record stream: the analysis, cost and
+// critpath records of a due step land in it just before the step's record.
 // The solver measures, the probe publishes: the probe samples only what the
 // solver already computed (see internal/solver/telemetry.go), so tracing
 // stays within a few percent of an uninstrumented run.
@@ -14,6 +16,7 @@ package s3d
 import (
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"github.com/s3dgo/s3d/internal/obs"
@@ -30,8 +33,9 @@ type TelemetryOptions struct {
 	// simulation's own configuration summary.
 	Config map[string]string
 
-	// Trace receives one JSONL record per step plus run-lifecycle records.
-	// The caller owns its lifetime; Probe.Close flushes but never closes it.
+	// Trace receives one JSONL record per step, the run-lifecycle records
+	// and the records of every layer installed before StartTelemetry. The
+	// caller owns its lifetime; Probe.Close flushes but never closes it.
 	Trace *obs.Trace
 	// MonitorAddr, when non-empty, starts an HTTP monitor on the address
 	// (":0" selects an ephemeral port; see Probe.MonitorAddr) serving
@@ -61,14 +65,18 @@ type Probe struct {
 	cflNumber  float64
 	start      time.Time
 	last       obs.StepEvent
+	// detached (set by Close, or by a StartTelemetry replacing the probe)
+	// stops layer records, published on any rank's goroutine, reaching the trace.
+	detached atomic.Bool
 }
 
 // StartTelemetry attaches a Probe to the simulation, emits the run_start
 // record and (when configured) starts the live monitor. From here on every
 // step the simulation takes — through sim.Advance, sim.TryAdvance or the
-// probe's own — emits one step record; a simulation carries one probe, so a
-// second StartTelemetry replaces the first. Call Close when the run finishes
-// to emit run_done and detach.
+// probe's own — emits one step record, preceded by the records the step's
+// installed layers published; a simulation carries one probe, so a second
+// StartTelemetry replaces the first. Call Close when the run finishes to
+// emit run_done and detach.
 func (s *Simulation) StartTelemetry(opt TelemetryOptions) (*Probe, error) {
 	if opt.Case == "" {
 		opt.Case = "s3d"
@@ -105,12 +113,20 @@ func (s *Simulation) StartTelemetry(opt TelemetryOptions) (*Probe, error) {
 	manifest := s.configManifest()
 	// Every layer installed before StartTelemetry joins the observability
 	// surface — its gauges in /metrics(.prom), its live document on the
-	// monitor — and is named in the manifest ("health", "<layer>_every"), so
-	// the trace alone says what the run was armed with.
+	// monitor, its records in the trace under its name as the kind — and is
+	// named in the manifest ("health", "<layer>_every"), so the trace alone
+	// says what the run was armed with.
 	for _, l := range s.installedLayers() {
 		l.mount.AttachMetrics(p.reg)
 		if p.mon != nil {
 			p.mon.Handle("/"+l.name, l.mount.Handler())
+		}
+		if tr, kind := opt.Trace, l.name; tr != nil && l.records != nil {
+			l.records(func(rec any) {
+				if !p.detached.Load() {
+					tr.Layer(kind, rec)
+				}
+			})
 		}
 		if l.every > 0 {
 			manifest[l.name+"_every"] = fmt.Sprint(l.every)
@@ -128,6 +144,9 @@ func (s *Simulation) StartTelemetry(opt TelemetryOptions) (*Probe, error) {
 	}
 	if p.mon != nil {
 		p.mon.SetRun(info)
+	}
+	if s.probe != nil {
+		s.probe.detached.Store(true)
 	}
 	s.probe = p
 	return p, nil
@@ -223,6 +242,7 @@ func (p *Probe) Checkpoint(path string) {
 // (with the final metrics snapshot and a figure-2-style perf report) and
 // shuts the monitor down. The trace is left open for the caller.
 func (p *Probe) Close(exitMessage string) error {
+	p.detached.Store(true)
 	if p.sim.probe == p {
 		p.sim.probe = nil
 	}
@@ -251,8 +271,9 @@ func (p *Probe) Close(exitMessage string) error {
 func (s *Simulation) PerfTimers() *perf.Timers { return s.blk.Timers }
 
 // layer is one installed instrumentation layer as StartTelemetry sees it:
-// the name of its endpoint and manifest key, its cadence (0: per step, no
-// cadence of its own) and its mount points.
+// the name of its endpoint, manifest key and trace record kind, its cadence
+// (0: per step, no cadence of its own), its mount points and, for a layer
+// with records of its own, how to subscribe to them.
 type layer struct {
 	name  string
 	every int
@@ -260,24 +281,40 @@ type layer struct {
 		AttachMetrics(*obs.Registry)
 		Handler() http.Handler
 	}
+	records func(func(any))
 }
 
 // installedLayers lists the layers enabled on the block, in mount order.
 func (s *Simulation) installedLayers() []layer {
 	var ls []layer
 	if w := s.blk.Watchdog(); w != nil {
-		ls = append(ls, layer{"health", 0, w})
+		ls = append(ls, layer{"health", 0, w, nil})
 	}
 	if ap := s.blk.Analysis(); ap != nil {
-		ls = append(ls, layer{"analysis", ap.Every(), ap})
+		ls = append(ls, layer{obs.KindAnalysis, ap.Every(), ap, records(&ap.Lane)})
 	}
 	if cc := s.blk.Cost(); cc != nil {
-		ls = append(ls, layer{"cost", cc.Every(), cc})
+		ls = append(ls, layer{obs.KindCost, cc.Every(), cc, records(&cc.Lane)})
 	}
 	if cp := s.blk.CritPath(); cp != nil {
-		ls = append(ls, layer{"critpath", cp.Every(), cp})
+		ls = append(ls, layer{obs.KindCritPath, cp.Every(), cp, records(&cp.Lane)})
 	}
 	return ls
+}
+
+// records subscribes to a layer's lane with its record type erased.
+func records[R any](l *obs.Lane[R]) func(func(any)) {
+	return func(fn func(any)) { l.Subscribe(func(r R) { fn(r) }) }
+}
+
+// readLayer loads one layer's records from a run trace, under ReadTrace's
+// corrupt-tail contract.
+func readLayer[T any](path, kind string) ([]T, error) {
+	recs, err := obs.ReadTraceFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return obs.Payloads[T](recs, kind)
 }
 
 // configManifest flattens the simulation configuration for run_start,
