@@ -110,7 +110,7 @@ if go list -f '{{join .Imports "\n"}}' ./internal/comm | grep -x time; then
 	echo "internal/comm imports time: clock a blocking call on prof.Now alone" >&2
 	exit 1
 fi
-deleted='recordStepMetrics|TelemetryEnabled|World\) (BytesSent|MessagesSent|TotalBytes|TotalStats)\(|Request\) (PostNs|CompleteNs)\(|CompleteNs|Comm\) Allgather\(|KindAllgather|waitNs|Snapshot\) Merge\(|Trace\) RunStart\(|Histogram\) Mean\(|Lane\[R\]\) Disable\(|Watchdog\) Disarm\(|InitVec|\.AXPY|\) AXPY|Field3\) (CopyFrom|Scale)\(|\.SumRange|\) SumRange|FieldSet\) Names\(|CK45|Species\) (SR|GRT)\(|Probe\) Metrics\(|Store\[T\]\) (Sink|Err)\('
+deleted='recordStepMetrics|TelemetryEnabled|Watchdog\) (Violation|Rank)\(|Recorder\) Len\(|Lane\[R\]\) Enabled\(|Timers\) Time\(|World\) (BytesSent|MessagesSent|TotalBytes|TotalStats)\(|Request\) (PostNs|CompleteNs)\(|CompleteNs|Comm\) Allgather\(|KindAllgather|waitNs|Snapshot\) Merge\(|Trace\) RunStart\(|Histogram\) Mean\(|Lane\[R\]\) Disable\(|Watchdog\) Disarm\(|InitVec|\.AXPY|\) AXPY|Field3\) (CopyFrom|Scale)\(|\.SumRange|\) SumRange|FieldSet\) Names\(|CK45|Species\) (SR|GRT)\(|Probe\) Metrics\(|Store\[T\]\) (Sink|Err)\('
 if grep -rnE "$deleted" --include='*.go' . | grep -v '^\./benchmark/'; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
@@ -136,6 +136,29 @@ fi
 stores='NewAnalysisStore|NewCostStore|NewCritPathStore|CreateStore|AnalysisEvery|CostEvery|CritPathEvery|openStore|createStore|insitu\.Store|cost\.Store|critpath\.Store|insitu\.ReadAnalysis|cost\.ReadCost|critpath\.ReadCritPath'
 if grep -rnE "$stores" --include='*.go' . | grep -v '^\./benchmark/'; then
 	echo "a per-layer store is back (see above)" >&2
+	exit 1
+fi
+
+# One fold ends a step: the solver's collectives exist only for monitoring,
+# and an armed, analysed step spends one — the watchdog's health row and the
+# analysis products travel in one rank-ordered fold, and every rank grades
+# the run's sample, so no status word follows it. Outside test files
+# internal/solver has exactly two collective call sites, GlobalDt's
+# Allreduce and foldStep's AllreduceOrdered, and the per-layer reductions,
+# the remote-blame note and the per-block spacing cache stay deleted.
+echo "== fold lint (two collective call sites in internal/solver; the per-layer reductions stay gone)"
+calls=$(grep -rnE '\.(Allreduce|AllreduceOrdered|Barrier)\(' --include='*.go' internal/solver \
+	| grep -v '_test\.go:' || true)
+if [ "$(printf '%s\n' "$calls" | grep -c .)" -ne 2 ] \
+	|| ! printf '%s\n' "$calls" | grep -q 'Allreduce(comm\.Min' \
+	|| ! printf '%s\n' "$calls" | grep -q 'AllreduceOrdered('; then
+	echo "collective call sites in internal/solver (want GlobalDt's Allreduce and the end-of-step AllreduceOrdered):" >&2
+	echo "$calls" >&2
+	exit 1
+fi
+if grep -rnE 'NoteRemote|healthCheck|analysisStep|aAcc|hMin|WriteCritPathTrace' --include='*.go' . \
+	| grep -v '^\./benchmark/'; then
+	echo "a deleted per-layer reduction or remote-blame name is back (see above)" >&2
 	exit 1
 fi
 

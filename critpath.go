@@ -14,7 +14,6 @@ package s3d
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/s3dgo/s3d/internal/critpath"
@@ -76,19 +75,6 @@ func (s *Simulation) SubscribeCritPath(fn func(CritPathRecord)) error {
 // ReadCritPath loads the critpath records of a run trace, in step order.
 func ReadCritPath(path string) ([]CritPathRecord, error) {
 	return readLayer[CritPathRecord](path, obs.KindCritPath)
-}
-
-// WriteCritPathTrace exports the blame profiler's timeline with the
-// critical-path overlay as a Chrome trace (chrome://tracing / Perfetto):
-// every analyzed step's critical path renders as a lane of crit:rankN
-// spans above the real call-path rows. EnableCritPath must have been
-// called and at least one step analyzed for the overlay to be non-empty.
-func (s *Simulation) WriteCritPathTrace(w io.Writer) error {
-	a := s.blk.CritPath()
-	if a == nil {
-		return fmt.Errorf("s3d: WriteCritPathTrace requires EnableCritPath first")
-	}
-	return a.WriteChromeTrace(w)
 }
 
 // InjectStraggler artificially slows this rank's chemistry sweep by d per

@@ -323,9 +323,6 @@ func TestSubscribeCritPathBeforeEnableErrors(t *testing.T) {
 	if err := sim.SubscribeCritPath(func(CritPathRecord) {}); err == nil {
 		t.Fatal("SubscribeCritPath before EnableCritPath must fail")
 	}
-	if err := sim.WriteCritPathTrace(io.Discard); err == nil {
-		t.Fatal("WriteCritPathTrace before EnableCritPath must fail")
-	}
 	if sim.CritPath() != nil {
 		t.Fatal("CritPath() must be nil before EnableCritPath")
 	}

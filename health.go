@@ -51,7 +51,7 @@ func (s *Simulation) EnableHealth(opt HealthOptions) *health.Watchdog {
 	if opt.Config != nil {
 		cfg = *opt.Config
 	}
-	w := health.New(cfg, s.blk.Rank())
+	w := health.New(cfg)
 	s.blk.InstallWatchdog(w)
 	s.healthOpt = &opt
 	w.Arm()
@@ -66,10 +66,12 @@ func (s *Simulation) Watchdog() *health.Watchdog { return s.blk.Watchdog() }
 // attached telemetry probe emits every step's record, the fatal step's
 // included. It returns a *health.Violation (as error) the moment the armed
 // watchdog trips FATAL, after writing the post-mortem bundle configured in
-// HealthOptions. In decomposed runs every rank returns from the same step:
-// the faulting rank's violation names the cell, the others return a
-// "remote" violation naming the culprit rank. Without EnableHealth it never
-// returns an error (unrecoverable states panic inside the step).
+// HealthOptions. In decomposed runs every rank grades the run's folded
+// sample, so every rank returns the same violation from the same step,
+// naming the rank and cell; only a peer's kernel fault, whose message stays
+// on its rank, reaches the others as a "remote" violation naming that rank.
+// Without EnableHealth it never returns an error (unrecoverable states
+// panic inside the step).
 func (s *Simulation) TryAdvance(n int, dt float64) error {
 	for i := 0; i < n; i++ {
 		t0 := time.Now()

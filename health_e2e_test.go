@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -283,5 +284,133 @@ func TestPeriodicBoxMassDriftIsRoundoff(t *testing.T) {
 	}
 	if worst > 1e-12 {
 		t.Fatalf("watchdog mass drift reached %g on a periodic box, want roundoff", worst)
+	}
+}
+
+// jetHealthRun advances the 2×1×1 lifted jet (48×32, seed 3, ignition
+// kernel) steps steps with the watchdog armed on both ranks under temp as
+// the temperature band and rank 0 tracing. Only rank 1's block holds the
+// kernel, so a band between the ranks' own maxima (1151 K and 2235 K)
+// trips on rank 1's cells alone. It returns each rank's TryAdvance error and
+// /health document, and rank 0's step records.
+func jetHealthRun(t *testing.T, temp health.Band, steps int) (errs [2]error, docs [2][]byte, events []*obs.StepEvent) {
+	t.Helper()
+	p, err := LiftedJetProblem(LiftedJetOptions{Nx: 48, Ny: 32, Nz: 1, IgnitionKernel: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	runCase(t, p, [3]int{2, 1, 1}, func(sim *Simulation, rank, _ int) {
+		cfg := HealthDefaults()
+		cfg.Temperature = temp
+		w := sim.EnableHealth(HealthOptions{Config: &cfg})
+		dt := 0.4 * sim.StableDt()
+		if rank == 0 {
+			probe, err := sim.StartTelemetry(TelemetryOptions{Trace: obs.NewTrace(&buf)})
+			if err != nil {
+				panic(err)
+			}
+			errs[0] = probe.TryAdvance(steps, dt)
+			if err := probe.Close(""); err != nil {
+				panic(err)
+			}
+		} else {
+			errs[rank] = sim.TryAdvance(steps, dt)
+		}
+		rec := httptest.NewRecorder()
+		w.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/health", nil))
+		docs[rank] = rec.Body.Bytes()
+	})
+	recs, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Kind == obs.KindStep {
+			events = append(events, r.StepData)
+		}
+	}
+	return errs, docs, events
+}
+
+// TestDecomposedRunOneVerdict: every rank grades the run's folded sample, so
+// a band only rank 1's cells cross is seen by rank 0 too. Under a WARN band
+// rank 0's step records read warn with temperature tripped from the third
+// step on and both ranks serve the same /health document; under a FATAL
+// band both ranks return the identical temperature violation naming rank 1
+// and its cell, and rank 0's last step record lists temperature tripped.
+func TestDecomposedRunOneVerdict(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-rank reacting case")
+	}
+	t.Run("warn", func(t *testing.T) {
+		errs, docs, events := jetHealthRun(t, health.Above(1693, 6000), 5)
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatalf("a WARN band aborted the run: %v / %v", errs[0], errs[1])
+		}
+		if len(events) != 5 {
+			t.Fatalf("rank 0 traced %d steps, want 5", len(events))
+		}
+		for _, ev := range events[2:] { // WarnAfter 3
+			if h := ev.Health; h == nil || h.Level != "warn" || len(h.Tripped) != 1 || h.Tripped[0] != "temperature" {
+				t.Fatalf("rank 0 step %d health = %+v, want warn with temperature tripped", ev.Step, h)
+			}
+		}
+		if !bytes.Equal(docs[0], docs[1]) || !bytes.Contains(docs[0], []byte(`"level": "warn"`)) {
+			t.Fatalf("the ranks serve different /health documents:\n%s\n%s", docs[0], docs[1])
+		}
+	})
+	t.Run("fatal", func(t *testing.T) {
+		errs, docs, events := jetHealthRun(t, health.Above(1693, 1693), 3)
+		var v [2]*health.Violation
+		for rank, err := range errs {
+			var ok bool
+			if v[rank], ok = err.(*health.Violation); !ok {
+				t.Fatalf("rank %d returned %T (%v), want *health.Violation", rank, err, err)
+			}
+		}
+		if *v[0] != *v[1] {
+			t.Fatalf("the ranks return different violations:\n%v\n%v", v[0], v[1])
+		}
+		if v[0].Check != "temperature" || v[0].Rank != 1 || v[0].Step != 1 || v[0].Cell[0] < 24 || !(v[0].Value > 1693) {
+			t.Fatalf("violation = %+v, want temperature on rank 1 (x >= 24) at step 1", v[0])
+		}
+		last := events[len(events)-1]
+		if h := last.Health; h == nil || h.Level != "fatal" || len(h.Tripped) != 1 || h.Tripped[0] != "temperature" {
+			t.Fatalf("rank 0's last step record health = %+v, want fatal with temperature tripped", h)
+		}
+		if !bytes.Equal(docs[0], docs[1]) {
+			t.Fatalf("the ranks serve different /health documents:\n%s\n%s", docs[0], docs[1])
+		}
+	})
+}
+
+// TestOneFoldPerStep: an armed watchdog and an analysis due every step share
+// one collective, the end-of-step fold — serial and decomposed alike.
+func TestOneFoldPerStep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-rank reacting case")
+	}
+	p, err := LiftedJetProblem(LiftedJetOptions{Nx: 32, Ny: 24, Nz: 1, IgnitionKernel: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 3
+	for _, dims := range [][3]int{{}, {2, 1, 1}} {
+		runCase(t, p, dims, func(sim *Simulation, rank, _ int) {
+			sim.EnableHealth(HealthOptions{})
+			if _, err := sim.EnableAnalysis(p.StandardAnalysis()); err != nil {
+				panic(err)
+			}
+			dt := 0.4 * sim.StableDt()
+			before := sim.blk.CommStats().Allreduces
+			if err := sim.TryAdvance(steps, dt); err != nil {
+				panic(err)
+			}
+			if got := sim.blk.CommStats().Allreduces - before; got != steps {
+				t.Errorf("dims %v rank %d: %d collectives over %d armed, analysed steps, want one per step",
+					dims, rank, got, steps)
+			}
+		})
 	}
 }

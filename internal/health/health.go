@@ -7,9 +7,11 @@
 //
 // The package is deliberately low in the dependency order: it knows
 // nothing about grids, solvers or communicators. The solver fills a
-// Sample per step from data its kernels already touch and hands it to
-// Watchdog.Evaluate; cross-rank agreement on abort is the solver's job
-// (an allreduce'd status word), built from the Level this package returns.
+// Sample per step from data its kernels already touch, folds it over the
+// ranks in the step's one ordered collective and hands the run's sample to
+// Watchdog.Evaluate on every rank: identical samples and identical
+// hysteresis state give every rank the same verdict, so agreeing on an
+// abort needs no message of its own.
 package health
 
 import (
@@ -73,8 +75,9 @@ func (v *Violation) Error() string {
 	return s
 }
 
-// Remote builds the violation a non-faulting rank returns when the
-// allreduce'd status word reports that another rank tripped FATAL.
+// Remote builds the fault a rank hands Evaluate when a peer's kernels
+// recorded a fault this step: the fault's message stays on the peer, so
+// this rank blames the peer by rank.
 func Remote(rank, step int) *Violation {
 	return &Violation{
 		Check: "remote", Rank: rank, Step: step,

@@ -76,7 +76,7 @@ func TestFloatJSONRoundTrip(t *testing.T) {
 }
 
 func TestWarnHysteresis(t *testing.T) {
-	w := New(Defaults(), 0) // WarnAfter 3, ClearAfter 5
+	w := New(Defaults()) // WarnAfter 3, ClearAfter 5
 	w.Arm()
 	step := 0
 	eval := func(tMax float64) Status {
@@ -112,14 +112,16 @@ func TestWarnHysteresis(t *testing.T) {
 }
 
 func TestFatalTripAndStickiness(t *testing.T) {
-	w := New(Defaults(), 3)
+	w := New(Defaults())
 	w.Arm()
 	s := healthySample(1)
 	if v := w.Evaluate(&s, nil); v != nil {
 		t.Fatalf("healthy sample tripped: %v", v)
 	}
+	// The sample is the run's: the violation names the rank that owns the
+	// extremum, whichever rank evaluates it.
 	s = healthySample(2)
-	s.RhoMin = Extremum{V: F(-0.1), Cell: [3]int{4, 5, 6}}
+	s.RhoMin = Extremum{V: F(-0.1), Cell: [3]int{4, 5, 6}, Rank: 3}
 	v := w.Evaluate(&s, nil)
 	if v == nil {
 		t.Fatal("fatal density excursion did not trip")
@@ -146,7 +148,7 @@ func TestFatalTripAndStickiness(t *testing.T) {
 }
 
 func TestNaNAndFaultPrecedence(t *testing.T) {
-	w := New(Defaults(), 0)
+	w := New(Defaults())
 	w.Arm()
 	s := healthySample(1)
 	s.NaNCount = 7
@@ -158,21 +160,22 @@ func TestNaNAndFaultPrecedence(t *testing.T) {
 		t.Fatalf("kernel fault must take precedence over rule trips, got %+v", v)
 	}
 	// Without a fault the nan rule itself trips fatal immediately.
-	w2 := New(Defaults(), 0)
+	w2 := New(Defaults())
 	w2.Arm()
 	s2 := healthySample(1)
 	s2.NaNCount = 1
 	s2.NaNCell = [3]int{9, 0, 0}
+	s2.NaNRank = 2
 	v2 := w2.Evaluate(&s2, nil)
-	if v2 == nil || v2.Check != "nan" || v2.Cell != [3]int{9, 0, 0} {
-		t.Fatalf("nan rule did not trip: %+v", v2)
+	if v2 == nil || v2.Check != "nan" || v2.Cell != [3]int{9, 0, 0} || v2.Rank != 2 {
+		t.Fatalf("nan rule did not trip on rank 2's cell: %+v", v2)
 	}
 }
 
 func TestDriftReferenceCapture(t *testing.T) {
 	cfg := Defaults()
 	cfg.MassDrift = Above(0.01, 0.1)
-	w := New(cfg, 0)
+	w := New(cfg)
 	w.Arm()
 	s := healthySample(1)
 	s.Mass = 2.0
@@ -191,7 +194,7 @@ func TestDriftReferenceCapture(t *testing.T) {
 func TestRecorderRingAndDump(t *testing.T) {
 	cfg := Defaults()
 	cfg.Frames = 4
-	w := New(cfg, 0)
+	w := New(cfg)
 	w.Arm()
 	w.SetSliceSource(func() Slice {
 		return Slice{Name: "T@z=mid", Nx: 2, Ny: 1, Data: []F{300, F(math.NaN())}}
@@ -272,7 +275,7 @@ func TestRecorderRingAndDump(t *testing.T) {
 
 func TestHandlerAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	w := New(Defaults(), 0)
+	w := New(Defaults())
 	w.AttachMetrics(reg)
 	w.Arm()
 	s := healthySample(1)
@@ -321,7 +324,7 @@ func TestHandlerAndMetrics(t *testing.T) {
 }
 
 func TestObsStatusAndRemote(t *testing.T) {
-	w := New(Defaults(), 0)
+	w := New(Defaults())
 	w.Arm()
 	s := healthySample(1)
 	s.TMax = Extremum{V: 9000}
@@ -331,20 +334,30 @@ func TestObsStatusAndRemote(t *testing.T) {
 		t.Fatalf("ObsStatus = %+v", hs)
 	}
 
-	w2 := New(Defaults(), 1)
+	// A peer's kernel fault reaches this rank as Remote, passed to Evaluate
+	// as the fault: it is the violation, and it sticks over a later clean
+	// step and a later fault alike.
+	w2 := New(Defaults())
 	w2.Arm()
 	rv := Remote(0, 5)
 	if rv.Rank != 0 || rv.Step != 5 || rv.Check != "remote" {
 		t.Fatalf("Remote = %+v", rv)
 	}
-	w2.NoteRemote(rv)
+	s = healthySample(5)
+	if v := w2.Evaluate(&s, rv); v != rv {
+		t.Fatalf("Evaluate with a remote fault returned %+v, want it", v)
+	}
+	s = healthySample(6)
+	if v := w2.Evaluate(&s, &Violation{Check: "density", Step: 6}); v != rv {
+		t.Fatalf("a later fault replaced the remote one: %+v", v)
+	}
 	if st := w2.Status(); st.Level != "fatal" || st.Violation != rv {
-		t.Fatalf("NoteRemote did not stick: %+v", st)
+		t.Fatalf("remote fault did not stick: %+v", st)
 	}
 }
 
 func TestArmedIsCheap(t *testing.T) {
-	w := New(Defaults(), 0)
+	w := New(Defaults())
 	if w.Armed() {
 		t.Fatal("new watchdog must start disarmed")
 	}

@@ -75,16 +75,6 @@ func (r *Recorder) Frames() []Frame {
 	return out
 }
 
-// Len returns the number of recorded frames (≤ Cap).
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.filled {
-		return len(r.frames)
-	}
-	return r.next
-}
-
 // Dump writes the post-mortem bundle into dir: flight.jsonl (one frame
 // per line, oldest first) and violation.json (the final status document
 // including the fatal cause). The solver layer adds the emergency

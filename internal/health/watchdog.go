@@ -11,26 +11,30 @@ import (
 )
 
 // Extremum is a field extremum together with the global cell that
-// attains it — the paper's min/max monitoring quantities, but locatable.
+// attains it and the rank that owns the cell — the paper's min/max
+// monitoring quantities, but locatable.
 type Extremum struct {
 	V    F      `json:"v"`
 	Cell [3]int `json:"cell"`
+	Rank int    `json:"rank"`
 }
 
 // Sample is one step's worth of physics diagnostics, filled by the solver
-// from data its kernels already touch (one fused interior sweep). All
-// extrema carry global cell indices; Mass and Energy are the volume
-// integrals of the conserved density and total energy (globally reduced
-// in decomposed runs before Evaluate).
+// from data its kernels already touch (one fused interior sweep) and folded
+// over the ranks of a decomposed run before Evaluate, so it describes the
+// whole run. All extrema carry global cell indices and the owning rank;
+// Mass and Energy are the volume integrals of the conserved density and
+// total energy.
 type Sample struct {
 	Step int `json:"step"`
 	Time F   `json:"time"`
 	Dt   F   `json:"dt"`
 
-	// Non-finite conserved values: count plus the first offending cell
-	// and the conserved quantity found there.
+	// Non-finite conserved values: count plus the first offending cell,
+	// the rank that owns it and the conserved quantity found there.
 	NaNCount    int    `json:"nan_count"`
 	NaNCell     [3]int `json:"nan_cell"`
+	NaNRank     int    `json:"nan_rank"`
 	NaNQuantity string `json:"nan_quantity,omitempty"`
 
 	RhoMin Extremum `json:"rho_min"`
@@ -103,7 +107,6 @@ type checkState struct {
 // the entire per-step price when the watchdog is disarmed.
 type Watchdog struct {
 	cfg   Config
-	rank  int
 	armed atomic.Bool
 
 	slice func() Slice // optional coarse-slice source for the recorder
@@ -120,12 +123,11 @@ type Watchdog struct {
 	reg *obs.Registry // nil-safe metric sink
 }
 
-// New builds a watchdog for one rank. Arm it to start evaluating.
-func New(cfg Config, rank int) *Watchdog {
+// New builds a watchdog. Arm it to start evaluating.
+func New(cfg Config) *Watchdog {
 	cfg = cfg.normalize()
 	w := &Watchdog{
 		cfg:    cfg,
-		rank:   rank,
 		states: make(map[string]*checkState, len(checkNames)),
 		rec:    NewRecorder(cfg.Frames),
 		status: Status{Level: OK.String(), Checks: map[string]CheckStatus{}},
@@ -138,9 +140,6 @@ func New(cfg Config, rank int) *Watchdog {
 
 // Config returns the normalized rule set.
 func (w *Watchdog) Config() Config { return w.cfg }
-
-// Rank returns the rank this watchdog was built for.
-func (w *Watchdog) Rank() int { return w.rank }
 
 // Arm starts evaluation. Armed is the one atomic load the solver pays per
 // step when health checking is off.
@@ -187,13 +186,16 @@ type ruleEval struct {
 	name  string
 	value F
 	cell  [3]int
+	rank  int
 	raw   Level
 }
 
 func singleRule(name string, e Extremum, b Band) ruleEval {
-	return ruleEval{name: name, value: e.V, cell: e.Cell, raw: b.Classify(float64(e.V))}
+	return ruleEval{name: name, value: e.V, cell: e.Cell, rank: e.Rank, raw: b.Classify(float64(e.V))}
 }
 
+// absRule grades a drift: a whole-run integral has no cell, so it names
+// rank 0, as a serial run does.
 func absRule(v F) Extremum { return Extremum{V: F(math.Abs(float64(v)))} }
 
 func pairRule(name string, lo, hi Extremum, b Band) ruleEval {
@@ -203,11 +205,11 @@ func pairRule(name string, lo, hi Extremum, b Band) ruleEval {
 	if lhi > llo {
 		worst, lvl = hi, lhi
 	}
-	return ruleEval{name: name, value: worst.V, cell: worst.Cell, raw: lvl}
+	return ruleEval{name: name, value: worst.V, cell: worst.Cell, rank: worst.Rank, raw: lvl}
 }
 
 func nanRule(s *Sample) ruleEval {
-	r := ruleEval{name: "nan", value: F(s.NaNCount), cell: s.NaNCell}
+	r := ruleEval{name: "nan", value: F(s.NaNCount), cell: s.NaNCell, rank: s.NaNRank}
 	if s.NaNCount > 0 {
 		r.raw = Fatal
 	}
@@ -216,10 +218,12 @@ func nanRule(s *Sample) ruleEval {
 
 // Evaluate grades one step's sample through the rule engine, records a
 // flight-recorder frame, updates the live status and gauges, and returns
-// the violation to abort on (nil for a healthy step). fault, when
-// non-nil, is a violation the solver's kernels recorded mid-step (a
-// would-be panic) — it is always fatal and takes precedence over rule
-// trips as the reported cause. Owner-goroutine only.
+// the violation to abort on (nil for a healthy step). A rule violation
+// names the rank the sample names, so every rank grading the run's sample
+// returns the same one. fault, when non-nil, is a violation the solver's
+// kernels recorded mid-step (a would-be panic) — on the faulting rank the
+// kernel's own, on its peers Remote — it is always fatal and takes
+// precedence over rule trips as the reported cause. Owner-goroutine only.
 func (w *Watchdog) Evaluate(s *Sample, fault *Violation) *Violation {
 	if !w.refSet {
 		w.refMass, w.refEnergy = float64(s.Mass), float64(s.Energy)
@@ -252,7 +256,7 @@ func (w *Watchdog) Evaluate(s *Sample, fault *Violation) *Violation {
 		}
 		if st.level == Fatal && viol == nil {
 			viol = &Violation{
-				Check: r.name, Rank: w.rank, Step: s.Step,
+				Check: r.name, Rank: r.rank, Step: s.Step,
 				Cell: r.cell, Quantity: quantityOf(r.name), Value: r.value,
 			}
 		}
@@ -318,24 +322,6 @@ func (w *Watchdog) advanceState(st *checkState, raw Level) {
 	}
 }
 
-// NoteRemote records a remote rank's abort in this rank's status, so a
-// non-faulting rank's /health names the culprit instead of showing ok.
-func (w *Watchdog) NoteRemote(v *Violation) {
-	if v == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.violation == nil {
-		w.violation = v
-		w.status.Level = Fatal.String()
-		w.status.Violation = v
-		if w.reg != nil {
-			w.reg.Gauge("health.status").Set(float64(Fatal))
-		}
-	}
-}
-
 // setGauges publishes the step's health to the metrics registry (called
 // under w.mu).
 func (w *Watchdog) setGauges(s *Sample, level Level) {
@@ -393,13 +379,6 @@ func (w *Watchdog) Status() Status {
 	}
 	st.Checks = checks
 	return st
-}
-
-// Violation returns the sticky fatal cause, nil while healthy.
-func (w *Watchdog) Violation() *Violation {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.violation
 }
 
 // ObsStatus condenses the status into the trace wire type.

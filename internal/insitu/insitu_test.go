@@ -126,6 +126,34 @@ func TestHistOperator(t *testing.T) {
 	}
 }
 
+// TestBinnedOperatorsDropNonFinite: the analysis sweep of the step that
+// trips the watchdog runs before the verdict, over whatever the fields hold.
+// A NaN or +Inf sample has no bin — int() of it is math.MinInt64 on amd64 —
+// so the histogram and the conditional mean drop it: no index panic, no
+// weight clamped into the coldest bin.
+func TestBinnedOperatorsDropNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.Inf(1), math.NaN()} {
+		bnd := mapBinder{"f": {0.5, bad, 1.5}, "T": {100, 200, 300}}
+		p := NewPipeline(1)
+		if err := p.Register(Hist{Field: "f", Bins: 2, Lo: 0, Hi: 2}, bnd); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Register(Conditional{Of: "T", On: "f", Bins: 2, Lo: 0, Hi: 2}, bnd); err != nil {
+			t.Fatal(err)
+		}
+		rec := p.Publish(1, 0, sweep(t, p, 3, 1, 1), nil)
+		hist, cond := rec.Products[0], rec.Products[1]
+		if hist.Counts[0] != 1 || hist.Counts[1] != 1 || hist.Scalars["weight"] != 2 {
+			t.Errorf("%v sample: histogram counts %v weight %g, want [1 1] and 2",
+				bad, hist.Counts, hist.Scalars["weight"])
+		}
+		if cond.Counts[0] != 1 || cond.Counts[1] != 1 || cond.Bins[0] != 100 || cond.Bins[1] != 300 {
+			t.Errorf("%v sample: conditional counts %v means %v, want [1 1] and [100 300]",
+				bad, cond.Counts, cond.Bins)
+		}
+	}
+}
+
 func TestHistRejectsDegenerateBounds(t *testing.T) {
 	p := NewPipeline(1)
 	if err := p.Register(Hist{Field: "f", Lo: 1, Hi: 1}, mapBinder{"f": {0}}); err == nil {

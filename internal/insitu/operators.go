@@ -124,7 +124,8 @@ func (m Moments) Finish(acc []float64) Product {
 // bounds are explicit and frozen for the whole run — successive records
 // share one axis and stay mutually comparable (the failure mode of the
 // old auto-ranging in-situ histogram). Out-of-range samples clip to the
-// end bins.
+// end bins; non-finite samples (NaN, ±Inf) have no place on the axis and
+// are dropped.
 type Hist struct {
 	Field  string
 	Bins   int // 0 selects 32
@@ -157,7 +158,11 @@ func (h Hist) Bind(b Binder) (Kernel, error) {
 	inv := float64(n) / (h.Hi - h.Lo)
 	lo := h.Lo
 	return func(acc []float64, idx int, vol float64) {
-		bin := int((src(idx) - lo) * inv)
+		x := src(idx)
+		if x-x != 0 { // NaN or ±Inf: int() of it is no bin
+			return
+		}
+		bin := int((x - lo) * inv)
 		if bin < 0 {
 			bin = 0
 		} else if bin >= n {
@@ -209,8 +214,9 @@ func (h Hist) Finish(acc []float64) Product {
 // Conditional reduces ⟨Of | On⟩: the conditional mean (and RMS) of one
 // field binned against another — ⟨T|Z⟩, ⟨Y_OH|c⟩ — the workhorse product
 // of flamelet-style analysis. Samples whose conditioning value falls
-// outside [Lo, Hi] are dropped; the top edge is closed so On == Hi (e.g.
-// Z = 1) lands in the last bin. With Favre set, means are ρ-weighted.
+// outside [Lo, Hi] — or is NaN — are dropped; the top edge is closed so
+// On == Hi (e.g. Z = 1) lands in the last bin. With Favre set, means are
+// ρ-weighted.
 type Conditional struct {
 	Of, On string
 	Bins   int // 0 selects 32
@@ -255,7 +261,7 @@ func (c Conditional) Bind(b Binder) (Kernel, error) {
 	lo, hi := c.Lo, c.Hi
 	return func(acc []float64, idx int, vol float64) {
 		cond := on(idx)
-		if cond < lo || cond > hi {
+		if !(cond >= lo && cond <= hi) { // also false for NaN
 			return
 		}
 		bin := int((cond - lo) * inv)

@@ -36,12 +36,11 @@ func NewLane[R any](every int, gauges func(*Registry, *R)) Lane[R] {
 // Every returns the cadence in steps.
 func (l *Lane[R]) Every() int { return l.every }
 
-// Enable starts the lane. Enabled is the one atomic load the step loop pays
-// while the layer is off.
-func (l *Lane[R]) Enable()       { l.enabled.Store(true) }
-func (l *Lane[R]) Enabled() bool { return l.enabled.Load() }
+// Enable starts the lane.
+func (l *Lane[R]) Enable() { l.enabled.Store(true) }
 
-// Due reports whether the lane publishes at the given (completed) step.
+// Due reports whether the lane publishes at the given (completed) step: the
+// one atomic load the step loop pays while the layer is off.
 func (l *Lane[R]) Due(step int) bool {
 	return l.enabled.Load() && step > 0 && step%l.every == 0
 }

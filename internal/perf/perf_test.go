@@ -67,10 +67,13 @@ func TestTimersSnapshotIsImmutableCopy(t *testing.T) {
 		return now
 	}
 	tm := NewTimersClock(clk)
-	tm.Time("rhs", func() {})
+	tm.Start("rhs")
+	tm.Stop("rhs")
 	snap := tm.Snapshot()
-	tm.Time("rhs", func() {})
-	tm.Time("filter", func() {})
+	tm.Start("rhs")
+	tm.Stop("rhs")
+	tm.Start("filter")
+	tm.Stop("filter")
 	if snap.Region("rhs").Calls != 1 {
 		t.Fatalf("snapshot mutated by later accumulation: calls = %d", snap.Region("rhs").Calls)
 	}
@@ -89,14 +92,18 @@ func TestTimersSnapshotIsImmutableCopy(t *testing.T) {
 
 func TestTimersReportAndMerge(t *testing.T) {
 	tm := NewTimers()
-	tm.Time("work", func() { time.Sleep(time.Millisecond) })
+	tm.Start("work")
+	time.Sleep(time.Millisecond)
+	tm.Stop("work")
 	rep := tm.Report()
 	if !strings.Contains(rep, "work") {
 		t.Fatalf("report missing region: %s", rep)
 	}
 	other := NewTimers()
-	other.Time("work", func() {})
-	other.Time("extra", func() {})
+	other.Start("work")
+	other.Stop("work")
+	other.Start("extra")
+	other.Stop("extra")
 	tm.Merge(other)
 	if tm.Region("work").Calls != 2 || tm.Region("extra") == nil {
 		t.Fatal("merge failed")

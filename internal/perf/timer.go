@@ -16,7 +16,7 @@ import (
 // time spent in an inner region is excluded from the enclosing one.
 //
 // Concurrency contract: a Timers value has exactly one owner goroutine —
-// the rank that Start/Stop/Time it. It holds no locks, so concurrent
+// the rank that Starts and Stops it. It holds no locks, so concurrent
 // mutation from multiple goroutines is a data race. For cross-rank
 // aggregation, each rank calls Snapshot on its own timer set and hands the
 // immutable copy to the aggregator, which Merges the snapshots into a fresh
@@ -97,13 +97,6 @@ func (t *Timers) fail(err error) {
 // accumulated before the misuse remain valid; timings after it may
 // undercount the mishandled regions.
 func (t *Timers) Err() error { return t.err }
-
-// Time runs fn inside the named region.
-func (t *Timers) Time(name string, fn func()) {
-	t.Start(name)
-	defer t.Stop(name)
-	fn()
-}
 
 // Region returns the accumulated data for a region (nil if never entered).
 func (t *Timers) Region(name string) *Region { return t.regions[name] }

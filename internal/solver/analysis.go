@@ -3,10 +3,11 @@ package solver
 // The solver side of the in-situ analysis pipeline (internal/insitu): the
 // registered operators run as one fused sweep over the interior — one tile
 // pass, one flat index shared by every registered field — into ordered
-// per-tile accumulator rows the owner merges in ascending tile order, then
-// reduces cross-rank in ascending rank order. The statistics are therefore
-// bitwise identical for any worker count and any rank count, the same
-// contract the health sweep keeps.
+// per-tile accumulator rows the owner merges in ascending tile order; the
+// end-of-step fold (step.go) reduces the rows cross-rank in ascending rank
+// order beside the health row. The statistics are therefore bitwise
+// identical for any worker count and any rank count, the same contract the
+// health sweep keeps.
 
 import (
 	"github.com/s3dgo/s3d/internal/insitu"
@@ -14,14 +15,14 @@ import (
 )
 
 // InstallAnalysis attaches a fully registered pipeline to the block. Call
-// after every Register; the slot layout is frozen here (per-tile rows plus
-// the merged vector with its trailing heat-release slot). Pass nil to
-// detach. In decomposed runs every rank must install an identically
-// configured pipeline at the same point: a due step adds one collective,
-// which must match across ranks.
+// after every Register; the slot layout is frozen here (per-tile rows; the
+// end-of-step fold carries the merged vector with a trailing heat-release
+// slot). Pass nil to detach. In decomposed runs every rank must install an
+// identically configured pipeline at the same point: a due step's products
+// ride the end-of-step fold, whose layout must match across ranks.
 func (b *Block) InstallAnalysis(p *insitu.Pipeline) {
 	b.analysis = p
-	b.aSlots, b.aSub, b.aAcc = nil, nil, nil
+	b.aSlots, b.aSub = nil, nil
 	if p == nil {
 		return
 	}
@@ -39,22 +40,16 @@ func (b *Block) InstallAnalysis(p *insitu.Pipeline) {
 		}
 		b.aSub[t] = sub
 	}
-	b.aAcc = make([]float64, total+1) // +1: the piggybacked heat-release integral
 }
 
 // Analysis returns the installed pipeline (nil when none).
 func (b *Block) Analysis() *insitu.Pipeline { return b.analysis }
 
-// analysisStep runs the fused reduction sweep for a due step: tile pass,
-// ordered tile merge, ordered cross-rank reduction, publish. Runs after
-// the health check passed, so all ranks reach it on the same step.
-func (b *Block) analysisStep() {
-	if !b.aDue {
-		return
-	}
-	b.aDue = false
+// analysisRow runs the fused reduction sweep of a due step into row
+// (TotalSlots+1 slots): tile pass, ordered tile merge, then this step's
+// heat-release integral in the trailing slot.
+func (b *Block) analysisRow(row []float64) {
 	p := b.analysis
-	reg := b.beginRegion("ANALYSIS")
 	r := b.interior()
 	ops := p.Ops()
 	wx, wy, wz := b.volW[0], b.volW[1], b.volW[2]
@@ -80,34 +75,23 @@ func (b *Block) analysisStep() {
 
 	// Merge in ascending tile order (bitwise-deterministic sums).
 	total := p.TotalSlots()
-	acc := b.aAcc
-	copy(acc[:total], b.aSlots[0])
-	for _, row := range b.aSlots[1:] {
-		p.MergeVec(acc[:total], row)
+	copy(row[:total], b.aSlots[0])
+	for _, s := range b.aSlots[1:] {
+		p.MergeVec(row[:total], s)
 	}
-	acc[total] = b.hrrAcc
+	row[total] = b.hrrAcc
+}
 
-	// Ascending rank order, so decomposed statistics are run-to-run
-	// reproducible too.
-	if err := b.cart.Comm.AllreduceOrdered(acc, func(dst, src []float64) {
-		p.MergeVec(dst[:total], src[:total])
-		dst[total] += src[total]
-	}); err != nil {
-		panic(err) // converted to a Run error by comm's rank recovery
-	}
-
+// publishAnalysis finishes the run's folded analysis row into the step's
+// record.
+func (b *Block) publishAnalysis(row []float64) {
+	p := b.analysis
+	total := p.TotalSlots()
 	var extras []insitu.Product
 	if p.WantHeatRelease() {
-		extras = []insitu.Product{{
-			Op:   "scalar",
-			Name: "heat_release",
-			Scalars: map[string]float64{
-				"watts": acc[total],
-			},
-		}}
+		extras = []insitu.Product{{Op: "scalar", Name: "heat_release", Scalars: map[string]float64{"watts": row[total]}}}
 	}
-	p.Publish(b.Step, b.Time, acc[:total], extras)
-	reg.End()
+	p.Publish(b.Step, b.Time, row[:total], extras)
 }
 
 // fieldBinder resolves insitu sources against the block's field registry.

@@ -48,7 +48,8 @@ func (b *Block) costArm() {
 }
 
 // costStep closes a due step's window and publishes its record. Runs after
-// the health check passed, so an aborted step publishes nothing.
+// the end-of-step fold's clean verdict, so an aborted step publishes
+// nothing.
 func (b *Block) costStep() {
 	if !b.costDue {
 		return

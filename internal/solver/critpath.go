@@ -2,10 +2,9 @@ package solver
 
 // The solver side of the cross-rank wait-state and critical-path analyzer
 // (internal/critpath): a due step arms the block's comm event trace and
-// opens a window on the prof.Now clock; after the step's health check and
-// reductions, critStep drains the trace and deposits it at the shared
-// analyzer, whose barrier publishes the analyzed record before any rank
-// resumes stepping.
+// opens a window on the prof.Now clock; after the end-of-step fold,
+// critStep drains the trace and deposits it at the shared analyzer, whose
+// barrier publishes the analyzed record before any rank resumes stepping.
 
 import (
 	"time"
@@ -63,8 +62,8 @@ func (b *Block) critStage(stage int) {
 // critStep deposits a due step's drained trace at the shared analyzer and
 // blocks until the step is analyzed — the deposit doubles as a step
 // barrier, so every rank sees the published record (and rank 0's trace has
-// it) before stepping on. Runs after the health check and the other
-// reductions, so all ranks reach it on the same step.
+// it) before stepping on. Runs after the end-of-step fold's clean verdict,
+// so all ranks reach it on the same step.
 func (b *Block) critStep() {
 	if !b.critDue {
 		return

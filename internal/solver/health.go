@@ -1,17 +1,16 @@
 package solver
 
 // The solver side of the run-health watchdog (internal/health): a fused
-// interior sweep fills a health.Sample per step from fields the RHS
-// already computed, tiled kernels record would-be panics as structured
-// faults instead of killing pool workers, and decomposed runs agree on
-// abort through an allreduce'd status word so no rank is left blocked in
-// a halo exchange its neighbour will never complete.
+// interior sweep fills a health row per step from fields the RHS already
+// computed, tiled kernels record would-be panics as structured faults
+// instead of killing pool workers, and the ranks' rows fold into the run's
+// sample in the step's one ordered collective, so every rank reaches the
+// same verdict on the same step and none is left blocked in a halo
+// exchange its neighbour will never complete.
 
 import (
 	"math"
 
-	"github.com/s3dgo/s3d/internal/comm"
-	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/health"
 	"github.com/s3dgo/s3d/internal/par"
 )
@@ -27,16 +26,15 @@ func (b *Block) Ranks() int { return b.cart.Comm.Size() }
 // end of every step and returns a *health.Violation instead of panicking;
 // kernels that would panic record a fault the evaluation reports. Pass
 // nil to detach (restoring the panic behaviour). In decomposed runs every
-// rank must install and arm its watchdog at the same point: an armed step
-// adds two small collectives (the global mass/energy sums and the abort
-// status word), which must match across ranks.
+// rank must install and arm its watchdog at the same point: an armed step's
+// health row rides the end-of-step fold, whose layout must match across
+// ranks.
 func (b *Block) InstallWatchdog(w *health.Watchdog) {
 	b.watch = w
 	if w == nil {
 		return
 	}
-	b.hMin = b.G.MinSpacing()
-	b.hSlots = make([]hAcc, b.plan.Slots(b.interior()))
+	b.hSlots = make([]hRow, b.plan.Slots(b.interior()))
 	maxN := w.Config().SliceMax
 	w.SetSliceSource(func() health.Slice { return b.healthSlice(maxN) })
 }
@@ -101,29 +99,63 @@ func (b *Block) InjectNaNAt(step, i, j, k int) {
 	b.inj = &nanInjection{step: step, i: i, j: j, k: k}
 }
 
-// hExt tracks one extremum and the global cell attaining it.
-type hExt struct {
-	v float64
-	c [3]int
+// The health row is one step's watchdog accumulator, flat, so a tile's
+// row, a rank's merged row and the run's folded row are one layout that
+// mergeHealth merges: the NaN census (count, first cell i/j/k, its
+// conserved variable or -1, its rank), the mass and energy integrals, the
+// fault word (1 + the lowest rank whose kernels faulted, 0 for none), then
+// nExt extrema of five slots (value, global cell i/j/k, owning rank).
+const (
+	hNaN, hNaNCell, hNaNVar, hNaNRank = 0, 1, 4, 5
+	hMass, hEnergy, hFault, hExt      = 6, 7, 8, 9
+	hLen                              = hExt + 5*nExt
+)
+
+// The extrema: four minima, their maxima, then the largest clipped mass
+// fraction, signal speed |u|+|v|+|w|+c and diffusivity.
+const (
+	eRhoMin, eRhoMax = iota, iota + 4
+	eTMin, eTMax
+	ePMin, ePMax
+	eYMin, eYMax
+	eYClip, eSpeed, eDiff, nExt = 8, 9, 10, 11
+)
+
+type hRow [hLen]float64
+
+// better reports whether v beats held as extremum e.
+func better(e int, v, held float64) bool {
+	return e < eRhoMax && v < held || e >= eRhoMax && v > held
 }
 
-// hAcc is one tile's health accumulator. Tiles write disjoint slots;
-// the owner merges them in ascending tile order so the mass/energy sums
-// are bitwise deterministic for any worker count (the same ordered-slot
-// scheme as Plan.RunReduce).
-type hAcc struct {
-	nan     int
-	nanCell [3]int
-	nanVar  int
+// take records v at global cell c as extremum e when it beats the one held.
+func (r *hRow) take(e int, v float64, c *[3]float64) {
+	if o := hExt + 5*e; better(e, v, r[o]) {
+		r[o], r[o+1], r[o+2], r[o+3] = v, c[0], c[1], c[2]
+	}
+}
 
-	rhoMin, rhoMax hExt
-	tMin, tMax     hExt
-	pMin, pMax     hExt
-	yMin, yMax     hExt
-	yClip          hExt
-	speed, diff    hExt
-
-	mass, energy float64
+// mergeHealth folds health row src into dst: counts and integrals add, the
+// first non-finite cell and the first fault stay, a better extremum
+// replaces the held one with its cell and rank. Tiles merge in ascending
+// tile order and ranks fold in ascending rank order, so sums and
+// tie-breaks are bitwise deterministic for any worker and rank count.
+func mergeHealth(dst, src []float64) {
+	d, s := (*hRow)(dst), (*hRow)(src)
+	if d[hNaN] == 0 && s[hNaN] > 0 {
+		copy(d[hNaNCell:hMass], s[hNaNCell:hMass])
+	}
+	d[hNaN] += s[hNaN]
+	d[hMass] += s[hMass]
+	d[hEnergy] += s[hEnergy]
+	if d[hFault] == 0 {
+		d[hFault] = s[hFault]
+	}
+	for e, o := 0, hExt; e < nExt; e, o = e+1, o+5 {
+		if better(e, s[o], d[o]) {
+			copy(d[o:o+5], s[o:o+5])
+		}
+	}
 }
 
 // conservedQuantity names conserved variable v for violations: the
@@ -133,15 +165,17 @@ func (b *Block) conservedQuantity(v int) string {
 	return b.fs.Meta(v).Ckpt
 }
 
-// healthSample runs the fused health sweep over the interior: NaN scan of
-// the conserved state, primitive extrema with locations, unclipped
-// mass-fraction bounds, CFL estimates and the conserved volume integrals.
-// Primitives are sampled as the final RK stage left them (the same
-// convention as the telemetry extrema); the NaN scan and the integrals
-// see the end-of-step conserved state.
-func (b *Block) healthSample(dt float64) health.Sample {
+// healthRow runs the fused health sweep over the interior into row (hLen
+// slots): NaN scan of the conserved state, primitive extrema with
+// locations, unclipped mass-fraction bounds, the CFL signal speeds and the
+// conserved volume integrals, then this rank's fault word. Primitives are
+// sampled as the final RK stage left them (the same convention as the
+// telemetry extrema); the NaN scan and the integrals see the end-of-step
+// conserved state.
+func (b *Block) healthRow(row []float64) {
 	r := b.interior()
 	gamma := b.watch.Config().Gamma
+	rank := float64(b.Rank())
 	slots := b.hSlots // one per partition plane of the interior (InstallWatchdog)
 	qr, qe := b.Q[iRho].Data, b.Q[iRhoE].Data
 	ur, vr, wr, pr, tr := b.U.Data, b.V.Data, b.W.Data, b.P.Data, b.T.Data
@@ -161,77 +195,78 @@ func (b *Block) healthSample(dt float64) health.Sample {
 	wx, wy, wz := b.volW[0], b.volW[1], b.volW[2]
 	b.plan.RunSlots("HEALTH", r, func(t par.Tile, _ int) {
 		a := &slots[t.Index]
-		*a = hAcc{
-			nanVar: -1,
-			rhoMin: hExt{v: math.Inf(1)}, rhoMax: hExt{v: math.Inf(-1)},
-			tMin: hExt{v: math.Inf(1)}, tMax: hExt{v: math.Inf(-1)},
-			pMin: hExt{v: math.Inf(1)}, pMax: hExt{v: math.Inf(-1)},
-			yMin: hExt{v: math.Inf(1)}, yMax: hExt{v: math.Inf(-1)},
+		*a = hRow{hNaNVar: -1, hNaNRank: rank}
+		for e, o := 0, hExt; e < nExt; e, o = e+1, o+5 {
+			if e < eYClip { // minima from +Inf, their maxima from -Inf
+				a[o] = math.Inf(1 - 2*(e/eRhoMax))
+			}
+			a[o+4] = rank
 		}
 		for k := t.Lo[2]; k < t.Hi[2]; k++ {
 			for j := t.Lo[1]; j < t.Hi[1]; j++ {
 				idx := b.Rho.Idx(t.Lo[0], j, k)
 				wyz := wy[j] * wz[k]
 				for i := t.Lo[0]; i < t.Hi[0]; i++ {
-					gc := [3]int{i + b.i0, j + b.j0, k + b.k0}
+					gc := [3]float64{float64(i + b.i0), float64(j + b.j0), float64(k + b.k0)}
 
 					// NaN/Inf scan of every conserved variable: x−x is 0
 					// for finite x, NaN for NaN and ±Inf.
 					for v := 0; v < nvar; v++ {
 						val := qd[v][idx]
 						if val-val != 0 {
-							if a.nan == 0 {
-								a.nanCell, a.nanVar = gc, v
+							if a[hNaN] == 0 {
+								copy(a[hNaNCell:hNaNVar], gc[:])
+								a[hNaNVar] = float64(v)
 							}
-							a.nan++
+							a[hNaN]++
 						}
 					}
 
 					rho := qr[idx]
-					a.rhoMin.take(rho, gc, rho < a.rhoMin.v)
-					a.rhoMax.take(rho, gc, rho > a.rhoMax.v)
+					a.take(eRhoMin, rho, &gc)
+					a.take(eRhoMax, rho, &gc)
 					T := tr[idx]
-					a.tMin.take(T, gc, T < a.tMin.v)
-					a.tMax.take(T, gc, T > a.tMax.v)
+					a.take(eTMin, T, &gc)
+					a.take(eTMax, T, &gc)
 					p := pr[idx]
-					a.pMin.take(p, gc, p < a.pMin.v)
-					a.pMax.take(p, gc, p > a.pMax.v)
+					a.take(ePMin, p, &gc)
+					a.take(ePMax, p, &gc)
 
 					vol := wx[i] * wyz
-					a.mass += rho * vol
-					a.energy += qe[idx] * vol
+					a[hMass] += rho * vol
+					a[hEnergy] += qe[idx] * vol
 
 					if rho > 0 {
 						inv := 1 / rho
 						sum, clip := 0.0, 0.0
 						for nsp := 0; nsp < ns-1; nsp++ {
 							y := qd[iY0+nsp][idx] * inv
-							a.yMin.take(y, gc, y < a.yMin.v)
-							a.yMax.take(y, gc, y > a.yMax.v)
+							a.take(eYMin, y, &gc)
+							a.take(eYMax, y, &gc)
 							sum += y
 							if y < 0 {
 								clip -= y
 							}
 						}
 						yLast := 1 - sum
-						a.yMin.take(yLast, gc, yLast < a.yMin.v)
-						a.yMax.take(yLast, gc, yLast > a.yMax.v)
+						a.take(eYMin, yLast, &gc)
+						a.take(eYMax, yLast, &gc)
 						if yLast < 0 {
 							clip -= yLast
 						}
-						a.yClip.take(clip, gc, clip > a.yClip.v)
+						a.take(eYClip, clip, &gc)
 
 						if p > 0 {
 							s := math.Abs(ur[idx]) + math.Abs(vr[idx]) + math.Abs(wr[idx]) +
 								math.Sqrt(gamma*p*inv)
-							a.speed.take(s, gc, s > a.speed.v)
+							a.take(eSpeed, s, &gc)
 							d := mur[idx] * inv
 							for nsp := 0; nsp < ns; nsp++ {
 								if dv := dd[nsp][idx]; dv > d {
 									d = dv
 								}
 							}
-							a.diff.take(d, gc, d > a.diff.v)
+							a.take(eDiff, d, &gc)
 						}
 					}
 					idx++
@@ -240,96 +275,49 @@ func (b *Block) healthSample(dt float64) health.Sample {
 		}
 	})
 
-	// Merge in ascending tile order (deterministic sums and tie-breaks).
-	m := slots[0]
-	for si := 1; si < len(slots); si++ {
-		s := &slots[si]
-		if m.nan == 0 && s.nan > 0 {
-			m.nanCell, m.nanVar = s.nanCell, s.nanVar
-		}
-		m.nan += s.nan
-		m.rhoMin.merge(s.rhoMin, s.rhoMin.v < m.rhoMin.v)
-		m.rhoMax.merge(s.rhoMax, s.rhoMax.v > m.rhoMax.v)
-		m.tMin.merge(s.tMin, s.tMin.v < m.tMin.v)
-		m.tMax.merge(s.tMax, s.tMax.v > m.tMax.v)
-		m.pMin.merge(s.pMin, s.pMin.v < m.pMin.v)
-		m.pMax.merge(s.pMax, s.pMax.v > m.pMax.v)
-		m.yMin.merge(s.yMin, s.yMin.v < m.yMin.v)
-		m.yMax.merge(s.yMax, s.yMax.v > m.yMax.v)
-		m.yClip.merge(s.yClip, s.yClip.v > m.yClip.v)
-		m.speed.merge(s.speed, s.speed.v > m.speed.v)
-		m.diff.merge(s.diff, s.diff.v > m.diff.v)
-		m.mass += s.mass
-		m.energy += s.energy
+	copy(row, slots[0][:])
+	for t := 1; t < len(slots); t++ {
+		mergeHealth(row, slots[t][:])
 	}
+	if b.fault != nil {
+		row[hFault] = rank + 1
+	}
+}
 
-	out := health.Sample{
+// healthVerdict grades the run's folded health row on this rank. Every
+// rank builds the identical sample — the CFL numbers divide the folded
+// signal speeds by the global grid's minimum spacing over the run's active
+// axes — and grades it with identical hysteresis state, so every rank
+// returns the same rule violation. A kernel fault is this rank's own, or
+// Remote naming the lowest peer whose kernels faulted.
+func (b *Block) healthVerdict(row []float64, dt float64) *health.Violation {
+	r := (*hRow)(row)
+	cell := func(o int) [3]int { return [3]int{int(r[o]), int(r[o+1]), int(r[o+2])} }
+	ext := func(e int) health.Extremum {
+		o := hExt + 5*e
+		return health.Extremum{V: health.F(r[o]), Cell: cell(o + 1), Rank: int(r[o+4])}
+	}
+	s := health.Sample{
 		Step: b.Step, Time: health.F(b.Time), Dt: health.F(dt),
-		NaNCount: m.nan, NaNCell: m.nanCell,
-		RhoMin: ext(m.rhoMin), RhoMax: ext(m.rhoMax),
-		TMin: ext(m.tMin), TMax: ext(m.tMax),
-		PMin: ext(m.pMin), PMax: ext(m.pMax),
-		YMin: ext(m.yMin), YMax: ext(m.yMax), YClip: ext(m.yClip),
-		Mass: health.F(m.mass), Energy: health.F(m.energy),
+		NaNCount: int(r[hNaN]), NaNCell: cell(hNaNCell), NaNRank: int(r[hNaNRank]),
+		RhoMin: ext(eRhoMin), RhoMax: ext(eRhoMax),
+		TMin: ext(eTMin), TMax: ext(eTMax),
+		PMin: ext(ePMin), PMax: ext(ePMax),
+		YMin: ext(eYMin), YMax: ext(eYMax), YClip: ext(eYClip),
+		CFLAcoustic: ext(eSpeed), CFLDiffusive: ext(eDiff),
+		Mass: health.F(r[hMass]), Energy: health.F(r[hEnergy]),
 	}
-	if m.nanVar >= 0 {
-		out.NaNQuantity = b.conservedQuantity(m.nanVar)
+	if v := int(r[hNaNVar]); v >= 0 {
+		s.NaNQuantity = b.conservedQuantity(v)
 	}
-	dim := 0
-	for a := 0; a < 3; a++ {
-		if b.G.Dim(grid.Axis(a)) > 1 {
-			dim++
-		}
+	h := b.cfg.Grid.MinSpacing()
+	s.CFLAcoustic.V = health.F(dt * float64(s.CFLAcoustic.V) / h)
+	s.CFLDiffusive.V = health.F(2 * float64(len(b.active)) * dt * float64(s.CFLDiffusive.V) / (h * h))
+	fault := b.fault
+	if w := r[hFault]; fault == nil && w > 0 {
+		fault = health.Remote(int(w)-1, b.Step)
 	}
-	out.CFLAcoustic = health.Extremum{V: health.F(dt * m.speed.v / b.hMin), Cell: m.speed.c}
-	out.CFLDiffusive = health.Extremum{
-		V: health.F(2 * float64(dim) * dt * m.diff.v / (b.hMin * b.hMin)), Cell: m.diff.c,
-	}
-	return out
-}
-
-// take replaces the extremum when better is true.
-func (e *hExt) take(v float64, c [3]int, better bool) {
-	if better {
-		e.v, e.c = v, c
-	}
-}
-
-// merge folds another tile's extremum in when better is true.
-func (e *hExt) merge(o hExt, better bool) {
-	if better {
-		*e = o
-	}
-}
-
-func ext(e hExt) health.Extremum { return health.Extremum{V: health.F(e.v), Cell: e.c} }
-
-// healthCheck evaluates the armed watchdog at the end of a step. It first
-// reduces the conserved integrals globally, then allreduces a (level,
-// rank+1) status word so every rank returns from the same step: the
-// faulting rank completed the step's full communication pattern before this
-// point, so no neighbour is left blocked.
-func (b *Block) healthCheck(dt float64) error {
-	reg := b.beginRegion("HEALTH")
-	s := b.healthSample(dt)
-	v := []float64{float64(s.Mass), float64(s.Energy)}
-	b.cart.Comm.Allreduce(comm.Sum, v)
-	s.Mass, s.Energy = health.F(v[0]), health.F(v[1])
-	viol := b.watch.Evaluate(&s, b.fault)
-	reg.End()
-	word := []float64{0, 0}
-	if viol != nil {
-		word[0], word[1] = float64(health.Fatal), float64(b.Rank()+1)
-	}
-	b.cart.Comm.Allreduce(comm.Max, word)
-	if viol == nil && word[0] >= float64(health.Fatal) {
-		viol = health.Remote(int(word[1])-1, b.Step)
-		b.watch.NoteRemote(viol)
-	}
-	if viol != nil {
-		return viol
-	}
-	return nil
+	return b.watch.Evaluate(&s, fault)
 }
 
 // healthSlice captures the flight-recorder field slice: the temperature

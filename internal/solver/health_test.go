@@ -81,7 +81,7 @@ func TestPrimitivesPanicWithoutWatchdog(t *testing.T) {
 // recorder holds every step up to the trip.
 func TestStepCheckedSerialTrip(t *testing.T) {
 	b := newReactiveSerial(t)
-	w := health.New(health.Defaults(), b.Rank())
+	w := health.New(health.Defaults())
 	b.InstallWatchdog(w)
 	w.Arm()
 	b.InjectNaNAt(3, 8, 6, 4)
@@ -110,7 +110,7 @@ func TestStepCheckedSerialTrip(t *testing.T) {
 	if st := w.Status(); st.Level != "fatal" || st.Violation == nil {
 		t.Fatalf("watchdog status = %+v", st)
 	}
-	if got := w.Recorder().Len(); got != 3 {
+	if got := len(w.Recorder().Frames()); got != 3 {
 		t.Fatalf("flight recorder holds %d frames, want 3", got)
 	}
 	frames := w.Recorder().Frames()
@@ -131,7 +131,7 @@ func TestStepCheckedSerialTrip(t *testing.T) {
 // stays quiet and records a frame per step with finite diagnostics.
 func TestStepCheckedHealthySteps(t *testing.T) {
 	b := newReactiveSerial(t)
-	w := health.New(health.Defaults(), b.Rank())
+	w := health.New(health.Defaults())
 	b.InstallWatchdog(w)
 	w.Arm()
 	for i := 0; i < 4; i++ {
@@ -188,7 +188,7 @@ func TestCrossRankAbort(t *testing.T) {
 	}
 	results := make(chan rankResult, 2)
 	err := RunParallel(cfg, [3]int{2, 1, 1}, func(b *Block) {
-		w := health.New(health.Defaults(), b.Rank())
+		w := health.New(health.Defaults())
 		b.InstallWatchdog(w)
 		hotSpotIC(b)
 		w.Arm()

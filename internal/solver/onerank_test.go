@@ -20,7 +20,7 @@ import (
 func armAll(t *testing.T, b *Block) (*insitu.Pipeline, *cost.Collector) {
 	t.Helper()
 	b.EnableProfiling(prof.New().NewTrack(prof.GroupRank, "rank0"))
-	w := health.New(health.Defaults(), b.Rank())
+	w := health.New(health.Defaults())
 	b.InstallWatchdog(w)
 	w.Arm()
 	p := insitu.NewPipeline(1)
@@ -54,8 +54,7 @@ func armAll(t *testing.T, b *Block) (*insitu.Pipeline, *cost.Collector) {
 // periodic box (every halo a self-neighbour wrap), the NSCBC jet (no
 // neighbour at all in the plane) and a line along z (two axes without
 // ghosts), un-armed and with every layer armed (an armed step runs the
-// health and analysis collectives and the critpath deposit on the one
-// rank).
+// end-of-step fold and the critpath deposit on the one rank).
 func TestSerialIsOneRankRun(t *testing.T) {
 	type setup struct {
 		name   string

@@ -284,7 +284,7 @@ func TestSlotFoldsWorkerInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			hotSpotIC(b)
-			w := health.New(health.Defaults(), b.Rank())
+			w := health.New(health.Defaults())
 			b.InstallWatchdog(w)
 			w.Arm()
 			p := insitu.NewPipeline(1)

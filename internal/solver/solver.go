@@ -268,18 +268,17 @@ type Block struct {
 	watch   *health.Watchdog
 	faultMu sync.Mutex
 	fault   *health.Violation
-	hSlots  []hAcc  // ordered per-tile health accumulators
-	hMin    float64 // cached minimum grid spacing for the CFL checks
-	inStep  bool    // true while StepChecked is advancing (fault step index)
+	hSlots  []hRow // ordered per-tile health rows
+	inStep  bool   // true while StepChecked is advancing (fault step index)
 	inj     *nanInjection
+	fold    []float64 // the end-of-step fold's vector (see foldStep)
 
 	// In-situ analysis pipeline (see analysis.go). analysis may stay nil;
 	// a disabled pipeline costs StepChecked one atomic load per step.
 	analysis *insitu.Pipeline
 	aSlots   [][]float64   // ordered per-tile accumulator rows
 	aSub     [][][]float64 // aSub[tile][op] = that op's slot window in the row
-	aAcc     []float64     // merged vector (+1 trailing heat-release slot)
-	aDue     bool          // this step ends in an analysis reduction
+	aDue     bool          // this step's fold carries the analysis products
 
 	// Cost-attribution sampler (see cost.go). costC may stay nil; a
 	// disabled collector costs StepChecked one atomic load per step.

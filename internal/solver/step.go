@@ -7,6 +7,7 @@ import (
 	"github.com/s3dgo/s3d/internal/comm"
 	"github.com/s3dgo/s3d/internal/deriv"
 	"github.com/s3dgo/s3d/internal/grid"
+	"github.com/s3dgo/s3d/internal/health"
 	"github.com/s3dgo/s3d/internal/par"
 	"github.com/s3dgo/s3d/internal/rk"
 )
@@ -34,10 +35,10 @@ func (b *Block) StepOnce(dt float64) {
 // gone bad. A kernel fault mid-step (NaN density, failed temperature
 // inversion) does not interrupt the step: the faulting rank completes the
 // step's full communication pattern with the faulted cells skipped, so in
-// decomposed runs no neighbour deadlocks, and all ranks agree on the
-// abort through the end-of-step status-word allreduce. Without an armed
-// watchdog the per-step health cost is a nil check plus at most one
-// atomic load.
+// decomposed runs no neighbour deadlocks, and every rank grades the run's
+// sample from the end-of-step fold, so all ranks agree on the abort.
+// Without an armed watchdog the per-step health cost is a nil check plus at
+// most one atomic load.
 func (b *Block) StepChecked(dt float64) error {
 	if inj := b.inj; inj != nil && b.Step+1 >= inj.step {
 		b.Q[iRhoE].Set(inj.i, inj.j, inj.k, math.NaN())
@@ -110,20 +111,78 @@ func (b *Block) StepChecked(dt float64) error {
 	// still-open STEP would vanish from blame's top-level coverage.
 	stepOpen = false
 	stepSpan.End()
-	if w := b.watch; w != nil && w.Armed() {
-		if err := b.healthCheck(dt); err != nil {
-			return err
+	if err := b.foldStep(dt); err != nil {
+		return err
+	}
+	// The cost record and the critpath deposit follow the fold's clean
+	// verdict, so an aborted step publishes none; the deposit barrier runs
+	// last, so its record reflects the step's full communication pattern.
+	b.costStep()
+	b.critStep()
+	return nil
+}
+
+// foldStep ends an armed or analysed step in its one collective: the
+// watchdog's health row and a due analysis step's products (with the
+// heat-release slot) fold over the ranks in ascending rank order, every
+// rank grades the run's sample — the same verdict, the same step to return
+// from — and the analysis record publishes only after a clean verdict. The
+// fold is charged to HEALTH when the watchdog is armed, to ANALYSIS
+// otherwise.
+func (b *Block) foldStep(dt float64) error {
+	armed, due := b.watch != nil && b.watch.Armed(), b.aDue
+	b.aDue = false
+	nh, n := 0, 0
+	if armed {
+		nh, n = hLen, hLen
+	}
+	if due {
+		n += b.analysis.TotalSlots() + 1
+	}
+	if n == 0 {
+		return nil
+	}
+	if cap(b.fold) < n {
+		b.fold = make([]float64, n)
+	}
+	row, region := b.fold[:n], "HEALTH"
+	if due {
+		reg := b.beginRegion("ANALYSIS")
+		b.analysisRow(row[nh:])
+		reg.End()
+		if !armed {
+			region = "ANALYSIS"
 		}
 	}
-	// Analysis reduces only after a clean health check: healthCheck's
-	// status word guarantees every rank returns from the same step, so the
-	// reduction's collective matches across ranks. The cost record follows,
-	// so an aborted step publishes none.
-	b.analysisStep()
-	b.costStep()
-	// The critpath deposit barrier runs last: its published record then
-	// reflects the step's full communication pattern, reductions included.
-	b.critStep()
+	reg := b.beginRegion(region)
+	if armed {
+		b.healthRow(row[:nh])
+	}
+	if err := b.cart.Comm.AllreduceOrdered(row, func(dst, src []float64) {
+		if armed {
+			mergeHealth(dst[:nh], src[:nh])
+		}
+		if due {
+			t := n - 1 // the heat-release slot
+			b.analysis.MergeVec(dst[nh:t], src[nh:t])
+			dst[t] += src[t]
+		}
+	}); err != nil {
+		panic(err) // converted to a Run error by comm's rank recovery
+	}
+	var viol *health.Violation
+	if armed {
+		viol = b.healthVerdict(row[:nh], dt)
+	}
+	reg.End()
+	if viol != nil {
+		return viol
+	}
+	if due {
+		reg := b.beginRegion("ANALYSIS")
+		b.publishAnalysis(row[nh:])
+		reg.End()
+	}
 	return nil
 }
 

@@ -129,10 +129,11 @@ type Armed struct{ sim *Simulation }
 //  1. profiling, so every later layer's regions land on the rank's track
 //     (and the critpath analyzer blames the run's profiler, not a private
 //     one);
-//  2. health, analysis, cost: an armed watchdog adds two small collectives
-//     to every step and a due analysis step one ordered fold, so a
-//     decomposed run must enable the identical spec on every rank (a cost
-//     record is its rank's own window and needs no collective);
+//  2. health, analysis, cost: an armed watchdog's health row and a due
+//     analysis step's products end the step in one ordered fold whose
+//     layout must match across ranks, so a decomposed run must enable the
+//     identical spec on every rank (a cost record is its rank's own window
+//     and rides no collective);
 //  3. the critpath analyzer — the same instance on every rank, because a
 //     due step ends in its deposit barrier;
 //  4. telemetry last: StartTelemetry mounts gauges and the /health
