@@ -90,9 +90,9 @@ type AnalysisSpec struct {
 	// required by FlameSurface.
 	Progress *ProgressSpec
 
-	// FlameSurface requests the flame-surface proxy ∫|∇c| dV, evaluated
-	// from the registry's Y_O2 gradient fields scaled by the progress
-	// normalisation (requires Progress).
+	// FlameSurface requests the flame-surface proxy ∫|∇c| dV: ∇Y_O2, taken
+	// at each point by the solver's own derivative operator, scaled by the
+	// progress normalisation (requires Progress).
 	FlameSurface bool
 	// ReactionZone requests the reaction-zone volume fraction.
 	ReactionZone *ReactionZoneSpec
@@ -146,7 +146,7 @@ func (s *Simulation) EnableAnalysis(spec AnalysisSpec) (*insitu.Pipeline, error)
 		if pr == nil {
 			return nil, fmt.Errorf("s3d: FlameSurface requires Progress (the |∇c| scale)")
 		}
-		// The solver registers no gradient along an axis of one point.
+		// An axis of one point has no derivative: its component is zero.
 		var grad [3]string
 		nx, ny, nz := s.Dims()
 		for a, n := range [3]int{nx, ny, nz} {
@@ -199,7 +199,8 @@ func ReadAnalysis(path string) ([]AnalysisRecord, error) {
 }
 
 // analysisBinder assembles the binder resolving spec's field names: the
-// solver registry plus the derived "Z" and "c".
+// solver registry plus the derived "Z", "c" and, for FlameSurface, the
+// components "dY_O2_dx", "dY_O2_dy", "dY_O2_dz".
 func (s *Simulation) analysisBinder(spec AnalysisSpec) (insitu.Binder, error) {
 	derived := map[string]insitu.Source{}
 	ns := s.mech.NumSpecies()
@@ -239,6 +240,13 @@ func (s *Simulation) analysisBinder(spec AnalysisSpec) (insitu.Binder, error) {
 		}
 		yO2 := s.blk.Y[iO2].Data
 		u, inv := pr.YO2u, 1/(pr.YO2u-pr.YO2b)
+		// The flame-surface components: the solver stores no gradient, so
+		// each differentiates Y_O2 at the sweep's point.
+		if spec.FlameSurface {
+			for a := 0; a < 3; a++ {
+				derived["dY_O2_d"+"xyz"[a:a+1]] = s.blk.DerivSource(s.blk.Y[iO2], a)
+			}
+		}
 		derived["c"] = func(idx int) float64 {
 			c := (u - yO2[idx]) * inv
 			if c < 0 {

@@ -334,3 +334,87 @@ func TestEnableAnalysisErrors(t *testing.T) {
 		t.Fatal("Subscribe before EnableAnalysis must fail")
 	}
 }
+
+// TestFlameSurfaceBits pins the StandardAnalysis flame_surface product of a
+// lifted jet, 2-D and 3-D, after three steps to the bits recorded when the
+// solver still stored dY_O2_d{x,y,z} as fields: the derived sources
+// differentiate Y_O2 at each point with the RHS's own operator, at fold time
+// the primitives are the final stage's, so the product cannot move.
+func TestFlameSurfaceBits(t *testing.T) {
+	for _, c := range []struct {
+		o              LiftedJetOptions
+		integral, mean uint64
+	}{
+		{LiftedJetOptions{Nx: 32, Ny: 24, Nz: 1, IgnitionKernel: true, Seed: 3}, 0x3f18ddfa99f639ef, 0x40634ca65f4daf34},
+		{LiftedJetOptions{Nx: 16, Ny: 12, Nz: 8, IgnitionKernel: true, Seed: 3}, 0x3f1d5e74db56c739, 0x4063f1b4345b5cf6},
+	} {
+		p, err := LiftedJetProblem(c.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := p.NewSimulation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.EnableAnalysis(p.StandardAnalysis()); err != nil {
+			t.Fatal(err)
+		}
+		var rec AnalysisRecord
+		if err := sim.Subscribe(func(r AnalysisRecord) { rec = r }); err != nil {
+			t.Fatal(err)
+		}
+		sim.Advance(3, 0.4*sim.StableDt())
+		var found bool
+		for _, pr := range rec.Products {
+			if pr.Name != "flame_surface" {
+				continue
+			}
+			found = true
+			got := [2]uint64{math.Float64bits(pr.Scalars["integral"]), math.Float64bits(pr.Scalars["mean"])}
+			if got != [2]uint64{c.integral, c.mean} {
+				t.Errorf("%dx%dx%d: flame_surface integral/mean bits %#016x/%#016x, recorded %#016x/%#016x",
+					c.o.Nx, c.o.Ny, c.o.Nz, got[0], got[1], c.integral, c.mean)
+			}
+		}
+		if !found || rec.Step != 3 {
+			t.Fatalf("%dx%dx%d: no flame_surface product at step 3 in %+v", c.o.Nx, c.o.Ny, c.o.Nz, rec)
+		}
+	}
+}
+
+// TestShortJetAxis: a lifted jet 5–9 points across its outflow faces steps,
+// filter included, with every temperature finite — each point of so short a
+// line takes the closure of its nearer face (a line of 7–9 points once
+// handed the filter stencil offsets past the ghost layers and panicked in a
+// pool worker; one of 5–6 read ghost cells nobody filled). Four points are
+// rejected up front, naming the axis.
+func TestShortJetAxis(t *testing.T) {
+	for ny := 4; ny <= 9; ny++ {
+		p, err := LiftedJetProblem(LiftedJetOptions{Nx: 24, Ny: ny, Nz: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := p.NewSimulation()
+		if ny == 4 {
+			if err == nil || !strings.Contains(err.Error(), "axis y has 4 points") {
+				t.Fatalf("Ny=4: err = %v, want the axis and its length named", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Ny=%d: %v", ny, err)
+		}
+		if err := sim.TryAdvance(10, 0.4*sim.StableDt()); err != nil {
+			t.Fatalf("Ny=%d: %v", ny, err)
+		}
+		T, _, err := sim.Field("T")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range T {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("Ny=%d: T[%d] = %g after ten steps", ny, i, v)
+			}
+		}
+	}
+}

@@ -86,9 +86,9 @@ func BenchmarkFig3HybridBalance(b *testing.B) {
 
 // --- Figures 4–5: the real kernel, both implementations ---
 
-// diffFluxBlock builds a single-rank inert block with gradients prepared so
-// only the diffusive-flux kernel is measured.
-func diffFluxBlock(b *testing.B, n int, kernel solver.DiffFluxKernel) *solver.Block {
+// diffFluxStudy builds the figure-4 kernel study on a single-rank inert
+// block, so only the diffusive-flux loop nest is measured.
+func diffFluxStudy(b *testing.B, n int) *solver.DiffFluxStudy {
 	b.Helper()
 	mech := chem.H2Air()
 	cfg := &solver.Config{
@@ -97,7 +97,6 @@ func diffFluxBlock(b *testing.B, n int, kernel solver.DiffFluxKernel) *solver.Bl
 		Grid:         grid.New(grid.Spec{Nx: n, Ny: n, Nz: n, Lx: 0.01, Ly: 0.01, Lz: 0.01}),
 		PInf:         101325,
 		ChemistryOff: true,
-		DiffFlux:     kernel,
 	}
 	blk, err := solver.NewSerial(cfg)
 	if err != nil {
@@ -118,23 +117,22 @@ func diffFluxBlock(b *testing.B, n int, kernel solver.DiffFluxKernel) *solver.Bl
 		s.Y[iO2] = 0.2
 		s.Y[iN2] = 1 - f - 0.25
 	}, nil)
-	blk.PrepareDiffFluxInputs()
-	return blk
+	return blk.NewDiffFluxStudy()
 }
 
-func BenchmarkFig4DiffFluxNaive(b *testing.B) {
-	blk := diffFluxBlock(b, 50, solver.DiffFluxNaive)
+func BenchmarkFig4DiffFluxArraySyntax(b *testing.B) {
+	s := diffFluxStudy(b, 50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blk.DiffFluxKernelOnly()
+		s.Naive()
 	}
 }
 
-func BenchmarkFig4DiffFluxOptimized(b *testing.B) {
-	blk := diffFluxBlock(b, 50, solver.DiffFluxFused)
+func BenchmarkFig4DiffFluxFused(b *testing.B) {
+	s := diffFluxStudy(b, 50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blk.DiffFluxKernelOnly()
+		s.Fused()
 	}
 }
 

@@ -162,6 +162,24 @@ if grep -rnE 'NoteRemote|healthCheck|analysisStep|aAcc|hMin|WriteCritPathTrace' 
 	exit 1
 fi
 
+# Pencil-fused RHS lint: the RHS differentiates, diffuses and assembles one
+# x-row at a time in worker scratch and stores only the fluxes, so outside
+# test files and the frozen benchmark module no field is registered with the
+# gradient role, and the three-sweep pipeline that wrote gradient and J
+# fields for the next sweep to read, with the array-statement diffusive flux
+# that ran inside the step, stays deleted (the figure-4 study owns its own
+# arrays: solver.DiffFluxStudy).
+echo "== pencil-fused RHS lint (no stored gradient; the three-sweep pipeline and the in-step ablation stay gone)"
+if grep -rn 'grid\.RoleGradient' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/'; then
+	echo "a field is registered with the gradient role (see above): differentiate into row scratch (deriv.DiffRow)" >&2
+	exit 1
+fi
+if grep -rnE 'computeGradients|computeDiffFlux\b|assembleFluxesTile|DiffFluxNaive|NaiveDiffFlux|naive_t1' \
+	--include='*.go' . | grep -v '^\./benchmark/'; then
+	echo "a deleted stage of the stored-gradient RHS is back (see above)" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 

@@ -14,10 +14,11 @@
 //   - A tile sample. A par.CostProbe installed on the block's Plan counts
 //     every run and tile of a tracked kernel and clocks the tiles of the
 //     first few runs per window (tile max and mean, per-worker split);
-//     beyond that budget BeginRun declines the run, so kernels that issue
-//     hundreds of micro-runs per step (the naive diff-flux statement sweeps)
-//     cost the armed probe only a counter bump — clocking each of their
-//     tiles would cost more than the tiles do.
+//     beyond that budget BeginRun declines the run, so a kernel that issues
+//     hundreds of micro-runs per step (as the figure-4 array-statement
+//     sweeps did when they ran in the step) costs the armed probe only a
+//     counter bump — clocking each of its tiles would cost more than the
+//     tiles do.
 //
 // Records carry wall-clock and vary run to run; a record describes its own
 // rank (who waited on whom across ranks is internal/critpath's answer).
@@ -39,8 +40,6 @@ import (
 var Kernels = []string{
 	"COMPUTE_PRIMITIVES",
 	"COMPUTE_TRANSPORT",
-	"DERIVATIVES",
-	"COMPUTESPECIESDIFFFLUX",
 	"ASSEMBLE_FLUXES",
 	"DIVERGENCE",
 	"REACTION_RATE_BOUNDS",
@@ -63,8 +62,8 @@ func kernelIndex(label string) int {
 // MeasuredKernel is one kernel's wall-clock statistics over a collection
 // window. Runs and Tiles count every plan run of the window; RegionS is the
 // kernel's exclusive region-timer seconds over the window (exact, from the
-// solver's always-on timers — zero for DIVERGENCE, whose sweep shares the
-// DERIVATIVES timer). The tile-level statistics (MaxTileS, MeanTileS,
+// solver's always-on timers; DIVERGENCE's is the DERIVATIVES timer, which
+// times that sweep alone). The tile-level statistics (MaxTileS, MeanTileS,
 // Imbalance, WorkerS) come from the per-window sample: SampledRuns runs
 // spanning SampledS seconds, SampledTiles tiles wide.
 type MeasuredKernel struct {

@@ -17,60 +17,101 @@ const (
 // tiling. src values are only read, never written, which is what lets tiles
 // that cut across the derivative axis run concurrently.
 //
-// The box is swept one unit-stride x-row at a time along every axis: the
-// full-stencil points of a row go through the row kernels of kernels.go (the
-// neighbours are shifted views of the row along x, the rows ±1…±4 strides
-// away along y and z), the reduced-order closure points through closeRow.
+// The box is swept one unit-stride x-row at a time along every axis, each
+// row through diffRow — the row DiffRow computes.
 //
 // With op == OpAdd the derivative is accumulated into dst instead of stored,
 // fusing the AXPY that a divergence would otherwise need into the sweep.
 func DiffRange(dst, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, boxLo, boxHi [3]int, op Op) {
-	n := dimOf(f, a)
-	if n == 1 {
+	if dimOf(f, a) == 1 {
 		rangeFill(dst, boxLo, boxHi, op)
 		return
 	}
-	stride := strideOf(f, a)
-	dd, src := dst.Data, f.Data
-	interior := func(p, w, s int) {
-		v := rowViews(src, p, w, stride)
-		switch {
-		case a == grid.X && op == OpAdd:
-			rowAdd(dd[p:p+w], v, met[s:s+w])
-		case a == grid.X:
-			rowSet(dd[p:p+w], v, met[s:s+w])
-		case op == OpAdd:
-			rowAddScalar(dd[p:p+w], v, met[s])
-		default:
-			rowSetScalar(dd[p:p+w], v, met[s])
-		}
-	}
-	closure := func(p, w, s, r int, high bool) {
-		closeRow(dd, src, p, w, stride, r, high, met[s], op)
-	}
-	sweepRows(f, a, 4, lo, hi, boxLo, boxHi, interior, closure)
+	eachRow(f, a, boxLo, boxHi, func(p, x0, x1, j, k int) {
+		diffRow(dst.Data[p:p+x1-x0], f, a, met, lo, hi, x0, x1, j, k, op)
+	})
 }
 
-// sweepRows walks the box one x-row at a time and hands every point to one
-// of two operator callbacks, classified by its index s along axis a: a line
-// of n points has the full stencil on [i0, i1) and cw closure points at each
-// OneSided end. interior(p, w, s) receives a run of w full-stencil points
-// starting at flat index p; closure(p, w, s, r, high) a run of w points that
-// all sit r points away from the low (or high) boundary. Along x a row is a
-// piece of a grid line, so s is the index of the run's first point and each
-// closure point is its own run; along y and z the whole row shares s. The
-// classification depends on the point alone, never on the box, which is what
-// makes every ranged operator tiling-invariant.
-func sweepRows(f *grid.Field3, a grid.Axis, cw int, lo, hi BC, boxLo, boxHi [3]int,
-	interior func(p, w, s int), closure func(p, w, s, r int, high bool)) {
-	n := dimOf(f, a)
-	ax := int(a)
-	boxLo[ax], boxHi[ax] = max(boxLo[ax], 0), min(boxHi[ax], n)
-	x0, x1 := boxLo[0], boxHi[0]
-	if x1 <= x0 {
+// eachRow clips the box to the line along a and calls fn for every x-row of
+// it: the flat index p of point (x0, j, k) and the row's points [x0, x1).
+func eachRow(f *grid.Field3, a grid.Axis, boxLo, boxHi [3]int, fn func(p, x0, x1, j, k int)) {
+	boxLo[a], boxHi[a] = max(boxLo[a], 0), min(boxHi[a], dimOf(f, a))
+	if boxHi[0] <= boxLo[0] {
 		return
 	}
-	i0, i1 := 0, n
+	for k := boxLo[2]; k < boxHi[2]; k++ {
+		for j := boxLo[1]; j < boxHi[1]; j++ {
+			fn(f.Idx(boxLo[0], j, k), boxLo[0], boxHi[0], j, k)
+		}
+	}
+}
+
+// DiffRow is DiffRange for one x-row: the derivative along a of the points
+// [x0, x1) of row (j, k) lands in dst[:x1-x0], each value with DiffRange's
+// bits (same classification, row kernels and closures) — so a fused kernel
+// can keep a derivative row in scratch instead of a stored gradient field.
+func DiffRow(dst []float64, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, x0, x1, j, k int) {
+	dst = dst[:x1-x0]
+	if dimOf(f, a) == 1 {
+		clear(dst)
+		return
+	}
+	diffRow(dst, f, a, met, lo, hi, x0, x1, j, k, OpSet)
+}
+
+// diffRow writes (under op) the derivative of the points [x0, x1) of row
+// (j, k) into dst: the full-stencil run through the row kernels of
+// kernels.go (the neighbours are shifted views of the row along x, the rows
+// ±1…±4 strides away along y and z), the closure points through closeRow.
+func diffRow(dst []float64, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, x0, x1, j, k int, op Op) {
+	n := dimOf(f, a)
+	stride := strideOf(f, a)
+	src := f.Data
+	p := f.Idx(x0, j, k)
+	l1, h0, s := segments(a, n, 4, lo, hi, x0, x1, j, k)
+	if c0, c1 := l1-x0, h0-x0; c1 > c0 {
+		v := rowViews(src, p+c0, c1-c0, stride)
+		d := dst[c0:c1]
+		switch {
+		case a == grid.X && op == OpAdd:
+			rowAdd(d, v, met[l1:h0])
+		case a == grid.X:
+			rowSet(d, v, met[l1:h0])
+		case op == OpAdd:
+			rowAddScalar(d, v, met[s])
+		default:
+			rowSetScalar(d, v, met[s])
+		}
+	}
+	if a != grid.X { // the row shares s: one closure run
+		if l1 > x0 {
+			closeRow(dst, src, p, stride, s, false, met[s], op)
+		}
+		if h0 < x1 {
+			closeRow(dst, src, p, stride, n-1-s, true, met[s], op)
+		}
+		return
+	}
+	for i := x0; i < l1; i++ { // along x every closure point is its own run
+		closeRow(dst[i-x0:i-x0+1], src, p+i-x0, stride, i, false, met[i], op)
+	}
+	for i := h0; i < x1; i++ {
+		closeRow(dst[i-x0:i-x0+1], src, p+i-x0, stride, n-1-i, true, met[i], op)
+	}
+}
+
+// segments classifies the points [x0, x1) of row (j, k) for an operator of
+// closure width cw along axis a on a line of n points: [x0, l1) take the low
+// closure, r = s points from the boundary; [l1, h0) the full stencil; and
+// [h0, x1) the high closure, r = n−1−s points from it. Along x a row is a
+// piece of a grid line and s is each point's own i; along y and z the row
+// shares s, its j or k, and falls in one class. The classification depends
+// on the point alone, never on the row's extent, which is what makes every
+// ranged operator tiling-invariant. A line too short for both closures
+// gives every point to the closure of its nearer closed end — the distance
+// each closure assumes: a line closed at both ends splits at its midpoint.
+func segments(a grid.Axis, n, cw int, lo, hi BC, x0, x1, j, k int) (l1, h0, s int) {
+	i0, i1 := 0, n // the full-stencil range of the line
 	if lo == OneSided {
 		i0 = cw
 	}
@@ -78,62 +119,53 @@ func sweepRows(f *grid.Field3, a grid.Axis, cw int, lo, hi BC, boxLo, boxHi [3]i
 		i1 = n - cw
 	}
 	if i1 < i0 {
-		i0, i1 = 0, 0 // tiny line: handled fully by the high closure
-	}
-	for k := boxLo[2]; k < boxHi[2]; k++ {
-		for j := boxLo[1]; j < boxHi[1]; j++ {
-			p := f.Idx(x0, j, k)
-			if a == grid.X {
-				if c0, c1 := max(i0, x0), min(i1, x1); c1 > c0 {
-					interior(p+c0-x0, c1-c0, c0)
-				}
-				if lo == OneSided {
-					for i := x0; i < i0 && i < x1; i++ {
-						closure(p+i-x0, 1, i, i, false)
-					}
-				}
-				if hi == OneSided {
-					for i := max(i1, x0); i < x1; i++ {
-						closure(p+i-x0, 1, i, n-1-i, true)
-					}
-				}
-				continue
-			}
-			s := j
-			if a == grid.Z {
-				s = k
-			}
-			switch {
-			case s >= i0 && s < i1:
-				interior(p, x1-x0, s)
-			case lo == OneSided && s < i0:
-				closure(p, x1-x0, s, s, false)
-			case hi == OneSided && s >= i1:
-				closure(p, x1-x0, s, n-1-s, true)
-			}
+		switch {
+		case hi != OneSided:
+			i0 = n
+		case lo == OneSided:
+			i0 = (n + 1) / 2
 		}
+		i1 = i0
 	}
+	switch a {
+	case grid.X:
+		return min(max(i0, x0), x1), min(max(i1, x0), x1), 0
+	case grid.Y:
+		s = j
+	default:
+		s = k
+	}
+	switch {
+	case s < i0:
+		return x1, x1, s
+	case s >= i1:
+		return x0, x0, s
+	}
+	return x0, x1, s
 }
 
-// closeRow applies the reduced-order boundary closure to the w unit-stride
-// points starting at flat index p, all r points away from the low (or, with
-// high, the high) boundary; stencil neighbours lie stride apart. Points 0
-// and 1 use the fourth-order one-sided weights (mirrored and negated at the
-// high end), point 2 the centred fourth-order stencil, point 3 — and any
-// deeper point of a line too short for the full stencil — the sixth-order.
-func closeRow(dst, src []float64, p, w, stride, r int, high bool, met float64, op Op) {
+// closeRow applies the reduced-order boundary closure to the len(dst)
+// unit-stride points starting at flat index p of src, all r points away from
+// the low (or, with high, the high) boundary; stencil neighbours lie stride
+// apart. Points 0 and 1 use the fourth-order one-sided weights (mirrored and
+// negated at the high end), point 2 the centred fourth-order stencil, point 3
+// — and any deeper point of a line too short for the full stencil — the
+// sixth-order.
+func closeRow(dst, src []float64, p, stride, r int, high bool, met float64, op Op) {
 	switch {
 	case r >= 3:
-		for q := p; q < p+w; q++ {
+		for i := range dst {
+			q := p + i
 			d := c6[0]*(src[q+stride]-src[q-stride]) +
 				c6[1]*(src[q+2*stride]-src[q-2*stride]) +
 				c6[2]*(src[q+3*stride]-src[q-3*stride])
-			store(dst, q, d*met, op)
+			store(dst, i, d*met, op)
 		}
 	case r == 2:
-		for q := p; q < p+w; q++ {
+		for i := range dst {
+			q := p + i
 			d := c4[0]*(src[q+stride]-src[q-stride]) + c4[1]*(src[q+2*stride]-src[q-2*stride])
-			store(dst, q, d*met, op)
+			store(dst, i, d*met, op)
 		}
 	default:
 		// One-sided weights over offsets −r…4−r, towards the interior.
@@ -141,7 +173,8 @@ func closeRow(dst, src []float64, p, w, stride, r int, high bool, met float64, o
 		if r == 1 {
 			wts = &b1
 		}
-		for q := p; q < p+w; q++ {
+		for i := range dst {
+			q := p + i
 			var d float64
 			if high {
 				for m, wt := range wts {
@@ -152,29 +185,36 @@ func closeRow(dst, src []float64, p, w, stride, r int, high bool, met float64, o
 					d += wt * src[q+(m-r)*stride]
 				}
 			}
-			store(dst, q, d*met, op)
+			store(dst, i, d*met, op)
 		}
 	}
 }
 
 // FilterRange is Filter restricted to the interior index box [boxLo, boxHi),
-// with the same tiling-invariance guarantee as DiffRange.
+// with the same tiling-invariance guarantee and point classification as
+// DiffRange (closure width 5).
 func FilterRange(dst, f *grid.Field3, a grid.Axis, sigma float64, lo, hi BC, boxLo, boxHi [3]int) {
-	if dimOf(f, a) == 1 {
+	n := dimOf(f, a)
+	if n == 1 {
 		copyRange(dst, f, boxLo, boxHi)
 		return
 	}
 	stride := strideOf(f, a)
 	dd, src := dst.Data, f.Data
-	interior := func(p, w, _ int) {
-		filterRow(dd, src, p, w, stride, sigma/1024.0)
-	}
-	closure := func(p, w, _, r int, _ bool) {
-		for q := p; q < p+w; q++ {
-			filterBoundaryPoint(dd, src, q, stride, r, sigma)
+	eachRow(f, a, boxLo, boxHi, func(p, x0, x1, j, k int) {
+		l1, h0, s := segments(a, n, 5, lo, hi, x0, x1, j, k)
+		filterRow(dd, src, p+l1-x0, h0-l1, stride, sigma/1024.0)
+		for i := x0; i < x1; i++ {
+			if a == grid.X {
+				s = i
+			}
+			if i < l1 {
+				filterBoundaryPoint(dd, src, p+i-x0, stride, s, sigma)
+			} else if i >= h0 {
+				filterBoundaryPoint(dd, src, p+i-x0, stride, n-1-s, sigma)
+			}
 		}
-	}
-	sweepRows(f, a, 5, lo, hi, boxLo, boxHi, interior, closure)
+	})
 }
 
 // filterRow applies the 10th-order interior filter to the w unit-stride
@@ -210,12 +250,12 @@ func filterBoundaryPoint(dst, src []float64, p, stride, d int, sigma float64) {
 	dst[p] = src[p] - scale*acc
 }
 
-// store writes v into dst[p] under op.
-func store(dst []float64, p int, v float64, op Op) {
+// store writes v into dst[i] under op.
+func store(dst []float64, i int, v float64, op Op) {
 	if op == OpAdd {
-		dst[p] += v
+		dst[i] += v
 	} else {
-		dst[p] = v
+		dst[i] = v
 	}
 }
 

@@ -28,9 +28,10 @@ type Demand struct {
 // read off the kernel loop bodies — the same style of static counting the
 // paper's §4 roofline reasoning used — not hardware counter measurements:
 //
-//   - derivative sweeps charge 17 flops per 9-point stencil (8 multiplies,
-//     8 adds, one metric scale) and ~2.2 streamed doubles per derivative
-//     (stencil reads mostly hit cache; one miss-ish read plus one write);
+//   - derivatives charge 17 flops per 9-point stencil (8 multiplies, 8 adds,
+//     one metric scale); a stored one ~2.2 streamed doubles (stencil reads
+//     mostly hit cache; one miss-ish read plus one write), one kept in row
+//     scratch ~1.2 (the write stays in cache);
 //   - pointwise thermochemistry charges the dominant polynomial and
 //     mixture-rule terms (cp/h evaluations ≈ 12 flops per species, mixture
 //     transport combination rules ≈ O(ns²)).
@@ -41,7 +42,7 @@ func KernelDemand(name string, ns int) (Demand, bool) {
 	nvar := float64(ns + 4)
 	nsf := float64(ns)
 	const dFlops = 17.0 // flops per 9-point derivative
-	const dBytes = 17.6 // 2.2 doubles streamed per derivative
+	const dBytes = 17.6 // 2.2 doubles streamed per stored derivative
 	switch name {
 	case "COMPUTE_PRIMITIVES":
 		// Velocity/KE recovery (~12), species unpacking (2ns), Newton
@@ -52,23 +53,19 @@ func KernelDemand(name string, ns int) (Demand, bool) {
 		// Wilke-style mixture rules for mu/lambda and mixture-averaged D:
 		// pairwise species combinations dominate.
 		return Demand{Flops: 20*nsf + 12*nsf*nsf, Bytes: 8 * (2*nsf + 6)}, true
-	case "DERIVATIVES":
-		// Gradient sweep: 3 directions x (3 velocity + T + W + ns species).
-		n := 3 * (5 + nsf)
-		return Demand{Flops: dFlops * n, Bytes: dBytes * n}, true
 	case "DIVERGENCE":
 		// 3 flux derivatives per conserved field plus the accumulate/negate.
 		n := 3 * nvar
 		return Demand{Flops: dFlops*n + 2*nvar, Bytes: dBytes*n + 8*nvar}, true
-	case "COMPUTESPECIESDIFFFLUX":
-		// Per species and direction: J* = -rho D (dY + (Y/W) dW) then the
-		// correction flux (paper eq. 15/19) — ~20 flops and ~4 streamed
-		// doubles per (species, direction) pair.
-		return Demand{Flops: 60 * nsf, Bytes: 8 * 12 * nsf}, true
 	case "ASSEMBLE_FLUXES":
-		// Stress tensor (~40), heat flux 3x(2+2ns), convective fluxes
-		// 3x(~20), species fluxes 9ns, enthalpy polynomials 12ns.
-		return Demand{Flops: 110 + 27*nsf, Bytes: 8 * (32 + 7*nsf)}, true
+		// The fused flux stage: 3 x (5+ns) derivatives kept in row scratch,
+		// J and its correction (~20 flops per species and direction), the
+		// assembly (stress ~40, heat flux 3x(2+2ns), convective 3x~20,
+		// species 9ns, enthalpies 12ns); streamed: ~9+2ns operands, 3·nvar
+		// fluxes.
+		n := 3 * (5 + nsf)
+		return Demand{Flops: dFlops*n + 60*nsf + 110 + 27*nsf,
+			Bytes: 8*1.2*n + 8*(9+2*nsf+3*nvar)}, true
 	case "REACTION_RATE_BOUNDS":
 		// Arrhenius rates with exponentials; compute-bound by design (the
 		// paper's figure-2 chemistry kernel runs at the same speed on XT3

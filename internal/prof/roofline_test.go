@@ -10,9 +10,8 @@ import (
 func TestKernelDemandCoversFigure2Regions(t *testing.T) {
 	const ns = 9 // H2/air
 	for _, name := range []string{
-		"COMPUTE_PRIMITIVES", "COMPUTE_TRANSPORT", "DERIVATIVES", "DIVERGENCE",
-		"COMPUTESPECIESDIFFFLUX", "ASSEMBLE_FLUXES", "REACTION_RATE_BOUNDS",
-		"RK_UPDATE", "FILTER",
+		"COMPUTE_PRIMITIVES", "COMPUTE_TRANSPORT", "DIVERGENCE",
+		"ASSEMBLE_FLUXES", "REACTION_RATE_BOUNDS", "RK_UPDATE", "FILTER",
 	} {
 		d, ok := KernelDemand(name, ns)
 		if !ok {
@@ -22,19 +21,20 @@ func TestKernelDemandCoversFigure2Regions(t *testing.T) {
 			t.Fatalf("%s demand = %+v", name, d)
 		}
 	}
-	if _, ok := KernelDemand("GHOST_EXCHANGE", ns); ok {
-		t.Fatal("comm region must have no per-point demand model")
+	// No span of these names opens any more: the fused flux stage is
+	// ASSEMBLE_FLUXES, and the diffusive-flux loop nest alone lives in the
+	// figure-4 study and the perf.Machine model.
+	for _, name := range []string{"GHOST_EXCHANGE", "DERIVATIVES", "COMPUTESPECIESDIFFFLUX"} {
+		if _, ok := KernelDemand(name, ns); ok {
+			t.Fatalf("%s must have no per-point demand model", name)
+		}
 	}
-	// Chemistry must be modelled compute-bound, diff-flux memory-bound on
-	// the XT3 model (the paper's central figure-2 observation).
+	// Chemistry must be modelled compute-bound on the XT3 model (the
+	// paper's figure-2 observation; the memory-bound diffusive-flux loop nest
+	// is perf.S3DKernels' COMPUTESPECIESDIFFFLUX).
 	chem, _ := KernelDemand("REACTION_RATE_BOUNDS", ns)
-	diff, _ := KernelDemand("COMPUTESPECIESDIFFFLUX", ns)
-	m := perf.XT3
-	if chem.Flops/m.FlopRate <= chem.Bytes/m.MemBW {
+	if m := perf.XT3; chem.Flops/m.FlopRate <= chem.Bytes/m.MemBW {
 		t.Fatal("chemistry modelled memory-bound")
-	}
-	if diff.Bytes/m.MemBW <= diff.Flops/m.FlopRate {
-		t.Fatal("diff-flux modelled compute-bound")
 	}
 }
 

@@ -10,6 +10,8 @@ package solver
 // health sweep keeps.
 
 import (
+	"github.com/s3dgo/s3d/internal/deriv"
+	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/insitu"
 	"github.com/s3dgo/s3d/internal/par"
 )
@@ -110,6 +112,24 @@ func (fb fieldBinder) Source(name string) (insitu.Source, error) {
 	}
 	data := f.Data
 	return func(idx int) float64 { return data[idx] }, nil
+}
+
+// DerivSource returns an insitu source evaluating ∂f/∂x_a at the sweep's
+// flat index with DiffRow and the block's closures: the RHS's own bits, as
+// at fold time the primitives are still the final RK stage's.
+func (b *Block) DerivSource(f *grid.Field3, a int) insitu.Source {
+	ax := grid.Axis(a)
+	met := b.G.Metric(ax)
+	lo, hi := b.lohi(ax)
+	_, sj, sk := f.Strides()
+	origin := f.Idx(0, 0, 0)
+	return func(idx int) float64 {
+		r := idx - origin
+		k, j, i := r/sk, r%sk/sj, r%sk%sj
+		var d [1]float64
+		deriv.DiffRow(d[:], f, ax, met, lo, hi, i, i+1, j, k)
+		return d[0]
+	}
 }
 
 // UnknownFieldError reports an analysis subscription against a field name

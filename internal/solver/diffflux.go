@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"github.com/s3dgo/s3d/internal/deriv"
 	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/par"
 )
@@ -15,186 +16,212 @@ import (
 //	Jₙₘ = J*ₙₘ − Yₙ·Σₖ J*ₖₘ.
 //
 // This 5-D loop nest was the most costly kernel in S3D (11.3% of runtime at
-// 4% of peak). Two implementations are provided, reproducing the figure 4/5
-// optimisation study. They differ in memory-access structure alone: both
-// evaluate (Yₙ/W)·∂W, ((−ρ)·Dₙ)·(∂Yₙ + ·), the species sum ascending from +0
-// and J*ₙ − Yₙ·Σ in that association, so they agree bit for bit
-// (TestDiffFluxKernelsAgree) and the solution hashes hold on either:
-//
-//   - computeDiffFluxFused, the default, is the LoopTool-transformed form:
-//     conditionals unswitched, array statements scalarised and fused into a
-//     single triply-nested loop, so loaded values (ρ, W, Yₙ, ρDₙ) are reused
-//     from registers across species and directions.
-//   - computeDiffFluxNaive mirrors the original Fortran-90 array-syntax
-//     code: one full-grid array statement at a time, per direction and
-//     species, with temporary arrays and shared subexpressions re-read from
-//     memory on every sweep — the version that evicts every 50³ slice from
-//     cache before it can be reused. It runs only when Config.DiffFlux
-//     selects it (the figure-4 ablation).
-//
-// Both visit the active directions only: along a one-point axis every
-// gradient is zero and no J field is registered.
-func (b *Block) computeDiffFlux() {
-	defer b.beginRegion("COMPUTESPECIESDIFFFLUX").End()
-	if b.cfg.DiffFlux == DiffFluxNaive {
-		b.computeDiffFluxNaive()
-		return
+// 4% of peak). The RHS runs it as step (2) of the pencil-fused flux stage,
+// one x-row at a time in worker scratch (jRow); no J field is stored.
+
+// jRow forms Jₙ of one direction over a row into j[n] in the figure-4
+// kernel's association: J*ₙ = ((−ρ)·Dₙ)·(∂Yₙ + (Yₙ/W)·∂W), the species sum
+// ascending from +0, Jₙ = J*ₙ − Yₙ·Σ. The float64 conversions round each
+// product as the array-statement kernel rounds it through memory, so no
+// multiply-add fusion can make the two differ. sum is scratch of row length.
+func jRow(j, dY, negRhoD, yOverW, y [][]float64, dW, sum []float64) {
+	w := len(sum)
+	dW = dW[:w]
+	for n := range j {
+		jn, dy, nrd, yw := j[n][:w], dY[n][:w], negRhoD[n][:w], yOverW[n][:w]
+		for i := range jn {
+			jn[i] = nrd[i] * (dy[i] + float64(yw[i]*dW[i]))
+		}
 	}
-	b.computeDiffFluxFused()
-}
-
-// PrepareDiffFluxInputs runs exactly the RHS stages the diffusive-flux
-// kernel depends on (ghost fill, primitives, transport, gradients), so
-// benchmarks can time the kernel in isolation (the figure-4 methodology:
-// HPCToolkit pinned this loop nest alone).
-func (b *Block) PrepareDiffFluxInputs() {
-	b.exchangeHalos(b.haloQ, tagConserved)
-	b.computePrimitives()
-	b.computeTransport()
-	b.computeGradients()
-}
-
-// DiffFluxKernelOnly invokes just the configured diffusive-flux kernel;
-// inputs must have been prepared by PrepareDiffFluxInputs.
-func (b *Block) DiffFluxKernelOnly() { b.computeDiffFlux() }
-
-// naiveScratch returns the temporary arrays the array-syntax code relies
-// on; they are registered in the block's field arena ("naive_t1"/"naive_t2").
-func (b *Block) naiveScratch() (*grid.Field3, *grid.Field3) {
-	return b.naiveT1, b.naiveT2
-}
-
-// eachRowTile invokes fn with the flat start index of every interior row in
-// the tile, so the array statements below run over contiguous unit-stride
-// spans (as the compiled Fortran 90 array syntax did) — the naive version's
-// cost is its memory traffic, not its indexing. Each array statement is a
-// separate tiled sweep with a barrier between statements, preserving the
-// statement-at-a-time structure whose cache behaviour figure 4 dissects.
-func (b *Block) eachRowTile(t par.Tile, fn func(row int)) {
-	for k := t.Lo[2]; k < t.Hi[2]; k++ {
-		for j := t.Lo[1]; j < t.Hi[1]; j++ {
-			fn(b.Rho.Idx(0, j, k))
+	clear(sum)
+	for n := range j {
+		jn := j[n][:w]
+		for i := range sum {
+			sum[i] += jn[i]
+		}
+	}
+	for n := range j {
+		jn, yn := j[n][:w], y[n][:w]
+		for i := range jn {
+			jn[i] -= float64(yn[i] * sum[i])
 		}
 	}
 }
 
-// naiveSweep runs one array statement over the interior, row-parallel. The
-// interior is tiled with the i axis frozen so fn always spans whole rows.
-func (b *Block) naiveSweep(fn func(row int)) {
-	r := par.Interior(b.G.Nx, b.G.Ny, b.G.Nz)
-	b.plan.RunFrozen("COMPUTESPECIESDIFFFLUX", r, 0, func(t par.Tile, _ int) {
-		b.eachRowTile(t, fn)
-	})
+// diffusionRows fills the per-species rows jRow reads at the w points from
+// flat index p0: (−ρ)·Dₙ and Yₙ/W in the worker's scratch — formed once per
+// point and reused by every direction — and views of the Yₙ rows.
+func (b *Block) diffusionRows(rs *rowScratch, p0, w int) {
+	rho, wmix := b.Rho.Data[p0:p0+w], b.Wmix.Data[p0:p0+w]
+	for n := 0; n < b.ns; n++ {
+		y, dn := b.Y[n].Data[p0:p0+w], b.D[n].Data[p0:p0+w]
+		nrd, yw := rs.negRhoD[n][:w], rs.yOverW[n][:w]
+		for i := range nrd {
+			nrd[i] = -rho[i] * dn[i]
+			yw[i] = y[i] / wmix[i]
+		}
+		rs.y[n] = y
+	}
 }
 
-// computeDiffFluxNaive: per (direction, species) full-grid array sweeps.
-// Each array statement re-reads its operands from memory; every 50³ slice
-// of the 5-D diffFlux array "almost completely fills the 1 MB secondary
-// cache", so nothing is reused between sweeps (paper §4.1, figure 4).
-func (b *Block) computeDiffFluxNaive() {
-	g := b.g
-	ns := b.ns
-	t1, t2 := b.naiveScratch()
+// PrepareDiffFluxInputs runs exactly the RHS stages the flux stage depends
+// on (ghost fill, primitives, transport), so benchmarks can time the stage
+// in isolation (the figure-4 methodology: HPCToolkit pinned one loop nest).
+func (b *Block) PrepareDiffFluxInputs() {
+	b.exchangeHalos(b.haloQ, tagConserved)
+	b.computePrimitives()
+	b.computeTransport()
+}
+
+// DiffFluxKernelOnly invokes the pencil-fused flux stage, which forms the
+// diffusive fluxes; inputs must have been prepared by PrepareDiffFluxInputs.
+func (b *Block) DiffFluxKernelOnly() { b.assembleFluxes() }
+
+// DiffFluxStudy is the figure-4/5 kernel study: the diffusive-flux loop nest
+// alone, in its Fortran-90 array-statement form (Naive) and the
+// LoopTool-transformed form the RHS runs (Fused), over full-block gradient
+// and J arrays the study owns — the step stores none. The two differ in
+// memory-access structure alone and agree bit for bit
+// (TestDiffFluxKernelsAgree).
+type DiffFluxStudy struct {
+	b      *Block
+	dY     [3][][]float64 // ∂Yₙ/∂x_d: [dir][species], block storage layout
+	dW     [3][]float64
+	j      [3][][]float64 // Jₙ along d: [dir][species]
+	t1, t2 []float64      // Naive's array temporaries
+	// views holds each worker's row views of j[d] and dY[d] for Fused.
+	views [][2][][]float64
+}
+
+// NewDiffFluxStudy prepares the study on b: the RHS stages the kernel reads
+// (PrepareDiffFluxInputs), then ∂Yₙ and ∂W along every active axis into the
+// study's own arrays.
+func (b *Block) NewDiffFluxStudy() *DiffFluxStudy {
+	b.PrepareDiffFluxInputs()
+	size := b.fs.FieldLen()
+	s := &DiffFluxStudy{b: b, t1: make([]float64, size), t2: make([]float64, size),
+		views: make([][2][][]float64, len(b.ws))}
+	for w := range s.views {
+		s.views[w] = [2][][]float64{make([][]float64, b.ns), make([][]float64, b.ns)}
+	}
+	for _, d := range b.active {
+		a := grid.Axis(d)
+		lo, hi := b.lohi(a)
+		diff := func(f *grid.Field3) []float64 {
+			out := grid.Scratch("d"+a.String(), b.G.Nx, b.G.Ny, b.G.Nz, grid.Ghost)
+			deriv.Diff(out, f, a, b.G.Metric(a), lo, hi)
+			return out.Data
+		}
+		s.dW[d] = diff(b.Wmix)
+		for n := 0; n < b.ns; n++ {
+			s.dY[d] = append(s.dY[d], diff(b.Y[n]))
+			s.j[d] = append(s.j[d], make([]float64, size))
+		}
+	}
+	return s
+}
+
+// J returns the diffusive flux of species n along axis d as the last kernel
+// left it, in the block's storage layout (interior points valid).
+func (s *DiffFluxStudy) J(d, n int) []float64 { return s.j[d][n] }
+
+// Naive runs the array-statement form: per (direction, species) full-grid
+// sweeps with two temporaries, 23 per direction for H2. Each statement
+// re-reads its operands from memory; every 50³ slice of the 5-D diffFlux
+// array "almost completely fills the 1 MB secondary cache", so nothing is
+// reused between sweeps (paper §4.1, figure 4).
+func (s *DiffFluxStudy) Naive() {
+	b := s.b
+	t1, t2 := s.t1, s.t2
 	nx := b.G.Nx
+	rho, wmix := b.Rho.Data, b.Wmix.Data
 	for _, m := range b.active {
-		dw := g.dW[m]
-		for n := 0; n < ns; n++ {
-			yn := b.Y[n].Data
-			wmix := b.Wmix.Data
-			dy := g.dY[n][m]
-			dn := g.d[n]
-			rho := b.Rho.Data
-			jmn := b.J[m][n].Data
+		dw := s.dW[m]
+		for n := 0; n < b.ns; n++ {
+			yn, dy, dn, jmn := b.Y[n].Data, s.dY[m][n], b.D[n].Data, s.j[m][n]
 			// tmp1 = Y_n/W · dW_m        (array statement 1)
-			b.naiveSweep(func(row int) {
+			s.sweep(func(row int) {
 				for i := row; i < row+nx; i++ {
-					t1.Data[i] = yn[i] / wmix[i] * dw[i]
+					t1[i] = yn[i] / wmix[i] * dw[i]
 				}
 			})
 			// tmp2 = dY_nm + tmp1        (array statement 2)
-			b.naiveSweep(func(row int) {
+			s.sweep(func(row int) {
 				for i := row; i < row+nx; i++ {
-					t2.Data[i] = dy[i] + t1.Data[i]
+					t2[i] = dy[i] + t1[i]
 				}
 			})
 			// J*_nm = −ρ·D_n·tmp2        (array statement 3)
-			b.naiveSweep(func(row int) {
+			s.sweep(func(row int) {
 				for i := row; i < row+nx; i++ {
-					jmn[i] = -rho[i] * dn[i] * t2.Data[i]
+					jmn[i] = -rho[i] * dn[i] * t2[i]
 				}
 			})
 		}
 		// Correction: sum over species (array reduction), then subtract —
 		// two more passes over the full 4-D slab.
-		b.naiveSweep(func(row int) {
+		s.sweep(func(row int) {
 			for i := row; i < row+nx; i++ {
-				t1.Data[i] = 0
+				t1[i] = 0
 			}
 		})
-		for n := 0; n < ns; n++ {
-			jmn := b.J[m][n].Data
-			b.naiveSweep(func(row int) {
+		for n := 0; n < b.ns; n++ {
+			jmn := s.j[m][n]
+			s.sweep(func(row int) {
 				for i := row; i < row+nx; i++ {
-					t1.Data[i] += jmn[i]
+					t1[i] += jmn[i]
 				}
 			})
 		}
-		for n := 0; n < ns; n++ {
-			jmn := b.J[m][n].Data
-			yn := b.Y[n].Data
-			b.naiveSweep(func(row int) {
+		for n := 0; n < b.ns; n++ {
+			jmn, yn := s.j[m][n], b.Y[n].Data
+			s.sweep(func(row int) {
 				for i := row; i < row+nx; i++ {
-					jmn[i] -= yn[i] * t1.Data[i]
+					jmn[i] -= yn[i] * t1[i]
 				}
 			})
 		}
 	}
 }
 
-// computeDiffFluxFused: one pass over the interior, tiled over the pool,
-// with per-worker (−ρ)·Dₙ, Yₙ/W and J* scratch vectors.
-func (b *Block) computeDiffFluxFused() {
-	b.plan.Run("COMPUTESPECIESDIFFFLUX", b.interior(), func(t par.Tile, worker int) {
-		b.diffFluxFusedTile(t, &b.ws[worker])
+// sweep runs one array statement over the interior, row-parallel, with fn
+// receiving the flat start index of every interior row: the interior is
+// tiled with the i axis frozen so fn always spans whole contiguous rows (as
+// the compiled Fortran 90 array syntax did — the naive form's cost is its
+// memory traffic, not its indexing), and each statement is a tiled sweep of
+// its own with a barrier after it, preserving the statement-at-a-time
+// structure whose cache behaviour figure 4 dissects.
+func (s *DiffFluxStudy) sweep(fn func(row int)) {
+	b := s.b
+	b.plan.RunFrozen("COMPUTESPECIESDIFFFLUX", b.interior(), 0, func(t par.Tile, _ int) {
+		for k := t.Lo[2]; k < t.Hi[2]; k++ {
+			for j := t.Lo[1]; j < t.Hi[1]; j++ {
+				fn(b.Rho.Idx(0, j, k))
+			}
+		}
 	})
 }
 
-// diffFluxFusedTile evaluates every product in the naive kernel's
-// association. The naive kernel rounds each array statement through memory;
-// the float64 conversions round the same products here, so a compiler that
-// fuses multiply-adds cannot make the two kernels differ.
-func (b *Block) diffFluxFusedTile(t par.Tile, ws *kernScratch) {
-	g := b.g
-	ns := b.ns
-	active := b.active
-	negRhoD := ws.hw // per-point scratch: (−ρ)·Dₙ
-	yOverW := ws.yw  // Yₙ/W
-	jstar := ws.cw
-	for k := t.Lo[2]; k < t.Hi[2]; k++ {
-		for j := t.Lo[1]; j < t.Hi[1]; j++ {
-			row := b.Rho.Idx(0, j, k)
-			for i := t.Lo[0]; i < t.Hi[0]; i++ {
-				p := row + i
-				rho := b.Rho.Data[p]
-				w := b.Wmix.Data[p]
-				// Loaded once, reused across the directions.
-				for n := 0; n < ns; n++ {
-					negRhoD[n] = -rho * g.d[n][p]
-					yOverW[n] = b.Y[n].Data[p] / w
-				}
-				for _, m := range active {
-					dw := g.dW[m][p]
-					var sum float64
-					for n := 0; n < ns; n++ {
-						js := negRhoD[n] * (g.dY[n][m][p] + float64(yOverW[n]*dw))
-						jstar[n] = js
-						sum += js
+// Fused runs the RHS's own diffusive-flux rows over every interior row:
+// unswitched, scalarised and fused, (−ρ)·Dₙ and Yₙ/W formed once per point
+// and reused by every direction.
+func (s *DiffFluxStudy) Fused() {
+	b := s.b
+	b.plan.Run("COMPUTESPECIESDIFFFLUX", b.interior(), func(t par.Tile, worker int) {
+		rs := &b.ws[worker].rows
+		jv, dyv := s.views[worker][0], s.views[worker][1]
+		w := t.Hi[0] - t.Lo[0]
+		for k := t.Lo[2]; k < t.Hi[2]; k++ {
+			for j := t.Lo[1]; j < t.Hi[1]; j++ {
+				p := b.Rho.Idx(t.Lo[0], j, k)
+				b.diffusionRows(rs, p, w)
+				for _, d := range b.active {
+					for n := range jv {
+						jv[n], dyv[n] = s.j[d][n][p:p+w], s.dY[d][n][p:p+w]
 					}
-					for n := 0; n < ns; n++ {
-						b.J[m][n].Data[p] = jstar[n] - float64(b.Y[n].Data[p]*sum)
-					}
+					jRow(jv, dyv, rs.negRhoD, rs.yOverW, rs.y, s.dW[d][p:p+w], rs.sum[:w])
 				}
 			}
 		}
-	}
+	})
 }

@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 
+	"github.com/s3dgo/s3d/internal/deriv"
 	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/par"
 )
@@ -55,9 +56,8 @@ func (b *Block) domainLength(a int) float64 {
 // its own rhs entries, and each worker carries its own wave-amplitude and
 // stencil scratch.
 func (b *Block) charFace(a, side int, t float64) {
-	axis := grid.Axis(a)
-	n := b.G.Dim(axis) // points along the normal axis
-	bi := 0            // boundary index along the axis
+	n := b.G.Dim(grid.Axis(a)) // points along the normal axis
+	bi := 0                    // boundary index along the axis
 	if side == 1 {
 		bi = n - 1
 	}
@@ -69,7 +69,6 @@ func (b *Block) charFace(a, side int, t float64) {
 	t1a := (a + 1) % 3 // first tangential axis
 	t2a := (a + 2) % 3
 	vel := [3]*grid.Field3{b.U, b.V, b.W}
-	dvelN := [3]*grid.Field3{b.dU[0][a], b.dU[1][a], b.dU[2][a]}
 
 	// The plane box: unit extent along the normal axis, full interior on the
 	// two tangential axes (the tiler never splits a unit axis).
@@ -77,125 +76,151 @@ func (b *Block) charFace(a, side int, t float64) {
 	plane.Lo[a], plane.Hi[a] = bi, bi+1
 	b.plan.Run("NSCBC", plane, func(tl par.Tile, worker int) {
 		ws := &b.ws[worker]
-		b.eachTilePoint(tl, func(i, j, k int) {
-			rho := b.Rho.At(i, j, k)
-			p := b.P.At(i, j, k)
-			T := b.T.At(i, j, k)
-			b.gatherYInto(ws.yw, i, j, k)
-			c := set.SoundSpeed(T, ws.yw)
-			un := vel[a].At(i, j, k)
-			ut1 := vel[t1a].At(i, j, k)
-			ut2 := vel[t2a].At(i, j, k)
-			mach := math.Abs(un) / c
-			oneM2 := 1 - mach*mach
-			if oneM2 < 0.05 {
-				oneM2 = 0.05
-			}
+		rs := &ws.rows
+		x0, x1 := tl.Lo[0], tl.Hi[0]
+		for k := tl.Lo[2]; k < tl.Hi[2]; k++ {
+			for j := tl.Lo[1]; j < tl.Hi[1]; j++ {
+				b.normalRows(rs, a, x0, x1, j, k)
+				for i := x0; i < x1; i++ {
+					r := i - x0
+					rho := b.Rho.At(i, j, k)
+					p := b.P.At(i, j, k)
+					T := b.T.At(i, j, k)
+					b.gatherYInto(ws.yw, i, j, k)
+					c := set.SoundSpeed(T, ws.yw)
+					un := vel[a].At(i, j, k)
+					ut1 := vel[t1a].At(i, j, k)
+					ut2 := vel[t2a].At(i, j, k)
+					mach := math.Abs(un) / c
+					oneM2 := 1 - mach*mach
+					if oneM2 < 0.05 {
+						oneM2 = 0.05
+					}
 
-			// One-sided normal derivatives from the gradient fields.
-			dp := b.dP[a].At(i, j, k)
-			drho := b.dRho[a].At(i, j, k)
-			dun := dvelN[a].At(i, j, k)
-			dut1 := dvelN[t1a].At(i, j, k)
-			dut2 := dvelN[t2a].At(i, j, k)
+					// One-sided normal derivatives from the plane row's scratch.
+					dp := rs.dp[r]
+					drho := rs.drho[r]
+					dun := rs.du[a][a][r]
+					dut1 := rs.du[t1a][a][r]
+					dut2 := rs.du[t2a][a][r]
 
-			// Wave amplitudes from the interior (outgoing values).
-			l1 := (un - c) * (dp - rho*c*dun)
-			l2 := un * (c*c*drho - dp)
-			l3 := un * dut1
-			l4 := un * dut2
-			l5 := (un + c) * (dp + rho*c*dun)
-			lY := ws.hw // scratch: species wave amplitudes
-			for sp := 0; sp < ns; sp++ {
-				lY[sp] = un * b.dY[sp][a].At(i, j, k)
-			}
+					// Wave amplitudes from the interior (outgoing values).
+					l1 := (un - c) * (dp - rho*c*dun)
+					l2 := un * (c*c*drho - dp)
+					l3 := un * dut1
+					l4 := un * dut2
+					l5 := (un + c) * (dp + rho*c*dun)
+					lY := ws.hw // scratch: species wave amplitudes
+					for sp := 0; sp < ns; sp++ {
+						lY[sp] = un * rs.dY[a][sp][r]
+					}
 
-			// Override incoming amplitudes per boundary type.
-			switch bc {
-			case OutflowNSCBC:
-				kp := sigmaOut * c * oneM2 / L
-				if side == 0 {
-					l5 = kp * (p - b.cfg.PInf) // incoming at a low face travels +n
-				} else {
-					l1 = kp * (p - b.cfg.PInf)
+					// Override incoming amplitudes per boundary type.
+					switch bc {
+					case OutflowNSCBC:
+						kp := sigmaOut * c * oneM2 / L
+						if side == 0 {
+							l5 = kp * (p - b.cfg.PInf) // incoming at a low face travels +n
+						} else {
+							l1 = kp * (p - b.cfg.PInf)
+						}
+					case InflowNSCBC:
+						tgt := b.inflowTarget(ws, a, side, j, k, t)
+						ku := etaIn * rho * c * c * oneM2 / L
+						kt := etaIn * c / L
+						if side == 0 {
+							l5 = ku * (un - tgt.U)
+						} else {
+							l1 = -ku * (un - tgt.U)
+						}
+						l2 = -etaIn * (c / L) * rho * c * c * (T - tgt.T) / T
+						tgtT1, tgtT2 := tangentialTargets(a, tgt)
+						l3 = kt * (ut1 - tgtT1)
+						l4 = kt * (ut2 - tgtT2)
+						for sp := 0; sp < ns; sp++ {
+							lY[sp] = kt * (ws.yw[sp] - tgt.Y[sp])
+						}
+					}
+
+					// LODI d-vector.
+					d1 := (l2 + 0.5*(l5+l1)) / (c * c)
+					d2 := 0.5 * (l5 + l1)
+					d3 := (l5 - l1) / (2 * rho * c)
+					d4 := l3
+					d5 := l4
+
+					// Primitive time derivatives from the characteristic normal terms.
+					drhoDt := -d1
+					dpDt := -d2
+					duDt := [3]float64{}
+					duDt[a] = -d3
+					duDt[t1a] = -d4
+					duDt[t2a] = -d5
+					dYDt := ws.cw // scratch
+					for sp := 0; sp < ns; sp++ {
+						dYDt[sp] = -lY[sp]
+					}
+
+					// Mixture quantities for the energy conversion.
+					W := b.Wmix.At(i, j, k)
+					cp := set.CpMass(T, ws.yw)
+					var dWDt float64
+					for sp := 0; sp < ns; sp++ {
+						dWDt += dYDt[sp] / species[sp].W
+					}
+					dWDt *= -W * W
+					dTDt := T * (dpDt/p - drhoDt/rho + dWDt/W)
+					var dhDt float64
+					var hMix float64
+					for sp := 0; sp < ns; sp++ {
+						hsp := species[sp].H(T)
+						hMix += ws.yw[sp] * hsp
+						dhDt += hsp * dYDt[sp]
+					}
+					dhDt += cp * dTDt
+
+					uVec := [3]float64{b.U.At(i, j, k), b.V.At(i, j, k), b.W.At(i, j, k)}
+					ke := 0.5 * (uVec[0]*uVec[0] + uVec[1]*uVec[1] + uVec[2]*uVec[2])
+					dRhoE := hMix*drhoDt + rho*dhDt - dpDt + ke*drhoDt +
+						rho*(uVec[0]*duDt[0]+uVec[1]*duDt[1]+uVec[2]*duDt[2])
+
+					// Conventional normal inviscid flux derivative at this point, to
+					// be removed from the RHS (the divergence already subtracted it).
+					dphi := b.normalInviscidDeriv(ws, a, side, i, j, k)
+
+					// rhs_new = rhs_old + ∂φ_inv/∂n + ddt_char.
+					b.rhs[iRho].Add(i, j, k, dphi[iRho]+drhoDt)
+					for comp := 0; comp < 3; comp++ {
+						b.rhs[iRhoU+comp].Add(i, j, k,
+							dphi[iRhoU+comp]+uVec[comp]*drhoDt+rho*duDt[comp])
+					}
+					b.rhs[iRhoE].Add(i, j, k, dphi[iRhoE]+dRhoE)
+					for sp := 0; sp < ns-1; sp++ {
+						b.rhs[iY0+sp].Add(i, j, k,
+							dphi[iY0+sp]+ws.yw[sp]*drhoDt+rho*dYDt[sp])
+					}
 				}
-			case InflowNSCBC:
-				tgt := b.inflowTarget(ws, a, side, j, k, t)
-				ku := etaIn * rho * c * c * oneM2 / L
-				kt := etaIn * c / L
-				if side == 0 {
-					l5 = ku * (un - tgt.U)
-				} else {
-					l1 = -ku * (un - tgt.U)
-				}
-				l2 = -etaIn * (c / L) * rho * c * c * (T - tgt.T) / T
-				tgtT1, tgtT2 := tangentialTargets(a, tgt)
-				l3 = kt * (ut1 - tgtT1)
-				l4 = kt * (ut2 - tgtT2)
-				for sp := 0; sp < ns; sp++ {
-					lY[sp] = kt * (ws.yw[sp] - tgt.Y[sp])
-				}
 			}
-
-			// LODI d-vector.
-			d1 := (l2 + 0.5*(l5+l1)) / (c * c)
-			d2 := 0.5 * (l5 + l1)
-			d3 := (l5 - l1) / (2 * rho * c)
-			d4 := l3
-			d5 := l4
-
-			// Primitive time derivatives from the characteristic normal terms.
-			drhoDt := -d1
-			dpDt := -d2
-			duDt := [3]float64{}
-			duDt[a] = -d3
-			duDt[t1a] = -d4
-			duDt[t2a] = -d5
-			dYDt := ws.cw // scratch
-			for sp := 0; sp < ns; sp++ {
-				dYDt[sp] = -lY[sp]
-			}
-
-			// Mixture quantities for the energy conversion.
-			W := b.Wmix.At(i, j, k)
-			cp := set.CpMass(T, ws.yw)
-			var dWDt float64
-			for sp := 0; sp < ns; sp++ {
-				dWDt += dYDt[sp] / species[sp].W
-			}
-			dWDt *= -W * W
-			dTDt := T * (dpDt/p - drhoDt/rho + dWDt/W)
-			var dhDt float64
-			var hMix float64
-			for sp := 0; sp < ns; sp++ {
-				hsp := species[sp].H(T)
-				hMix += ws.yw[sp] * hsp
-				dhDt += hsp * dYDt[sp]
-			}
-			dhDt += cp * dTDt
-
-			uVec := [3]float64{b.U.At(i, j, k), b.V.At(i, j, k), b.W.At(i, j, k)}
-			ke := 0.5 * (uVec[0]*uVec[0] + uVec[1]*uVec[1] + uVec[2]*uVec[2])
-			dRhoE := hMix*drhoDt + rho*dhDt - dpDt + ke*drhoDt +
-				rho*(uVec[0]*duDt[0]+uVec[1]*duDt[1]+uVec[2]*duDt[2])
-
-			// Conventional normal inviscid flux derivative at this point, to
-			// be removed from the RHS (the divergence already subtracted it).
-			dphi := b.normalInviscidDeriv(ws, a, side, i, j, k)
-
-			// rhs_new = rhs_old + ∂φ_inv/∂n + ddt_char.
-			b.rhs[iRho].Add(i, j, k, dphi[iRho]+drhoDt)
-			for comp := 0; comp < 3; comp++ {
-				b.rhs[iRhoU+comp].Add(i, j, k,
-					dphi[iRhoU+comp]+uVec[comp]*drhoDt+rho*duDt[comp])
-			}
-			b.rhs[iRhoE].Add(i, j, k, dphi[iRhoE]+dRhoE)
-			for sp := 0; sp < ns-1; sp++ {
-				b.rhs[iY0+sp].Add(i, j, k,
-					dphi[iY0+sp]+ws.yw[sp]*drhoDt+rho*dYDt[sp])
-			}
-		})
+		}
 	})
+}
+
+// normalRows differentiates ρ, p, u, v, w and every Yₙ along the face normal
+// a over the points [x0, x1) of plane row (j, k) into the worker's row
+// scratch (drho, dp, du[·][a], dY[a]): the one-sided closure points DiffRange
+// gives those points, which the wave amplitudes read.
+func (b *Block) normalRows(rs *rowScratch, a, x0, x1, j, k int) {
+	axis := grid.Axis(a)
+	lo, hi := b.lohi(axis)
+	met := b.G.Metric(axis)
+	deriv.DiffRow(rs.drho, b.Rho, axis, met, lo, hi, x0, x1, j, k)
+	deriv.DiffRow(rs.dp, b.P, axis, met, lo, hi, x0, x1, j, k)
+	for c, f := range [3]*grid.Field3{b.U, b.V, b.W} {
+		deriv.DiffRow(rs.du[c][a], f, axis, met, lo, hi, x0, x1, j, k)
+	}
+	for n, f := range b.Y {
+		deriv.DiffRow(rs.dY[a][n], f, axis, met, lo, hi, x0, x1, j, k)
+	}
 }
 
 // tangentialTargets maps the inflow target velocity vector onto the face's
@@ -220,17 +245,6 @@ func (b *Block) inflowTarget(ws *kernScratch, a, side, j, k int, t float64) *Inf
 	}
 	b.cfg.Inflow(b.G.Yc[j], b.G.Zc[k], t, &ws.tgt)
 	return &ws.tgt
-}
-
-// eachTilePoint visits every point of the tile's box in k-j-i order.
-func (b *Block) eachTilePoint(t par.Tile, fn func(i, j, k int)) {
-	for k := t.Lo[2]; k < t.Hi[2]; k++ {
-		for j := t.Lo[1]; j < t.Hi[1]; j++ {
-			for i := t.Lo[0]; i < t.Hi[0]; i++ {
-				fn(i, j, k)
-			}
-		}
-	}
 }
 
 // oneSided4 are the fully one-sided fourth-order derivative weights used at

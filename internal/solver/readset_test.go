@@ -10,22 +10,25 @@ import (
 )
 
 // poisonGhosts writes NaN into every ghost cell of f except the face slabs
-// (exactly one index outside the interior) along the axes marked in keep.
-func poisonGhosts(f *grid.Field3, keep [3]bool) {
+// (exactly one index outside the interior) on the sides marked in keep.
+func poisonGhosts(f *grid.Field3, keep [3][2]bool) {
 	n := [3]int{f.Nx, f.Ny, f.Nz}
 	g := f.Ghosts()
 	var p [3]int
 	for p[2] = -g[2]; p[2] < f.Nz+g[2]; p[2]++ {
 		for p[1] = -g[1]; p[1] < f.Ny+g[1]; p[1]++ {
 			for p[0] = -g[0]; p[0] < f.Nx+g[0]; p[0]++ {
-				outside, axis := 0, -1
+				outside, axis, side := 0, -1, 0
 				for a := 0; a < 3; a++ {
 					if p[a] < 0 || p[a] >= n[a] {
 						outside++
-						axis = a
+						axis, side = a, 0
+						if p[a] >= n[a] {
+							side = 1
+						}
 					}
 				}
-				if outside == 0 || (outside == 1 && keep[axis]) {
+				if outside == 0 || (outside == 1 && keep[axis][side]) {
 					continue
 				}
 				f.Set(p[0], p[1], p[2], math.NaN())
@@ -36,11 +39,15 @@ func poisonGhosts(f *grid.Field3, keep [3]bool) {
 
 // poisonUnreadGhosts poisons everything the read-set rule (halo.go) says no
 // stencil reads: every ghost cell of the transport properties, the edge and
-// corner ghosts of the conserved, primitive and flux fields, and the ghost
-// cells of flux[v][d] along the axes other than d. The rhs/dQ banks stay
-// untouched: rkUpdateBank relies on their ghosts being exact zeros.
+// corner ghosts of the conserved, primitive and flux fields, the face slabs
+// of a physical (one-sided) face, and the ghost cells of flux[v][d] along
+// the axes other than d. The rhs/dQ banks stay untouched: rkUpdateBank
+// relies on their ghosts being exact zeros.
 func poisonUnreadGhosts(b *Block) {
-	none, faces := [3]bool{}, [3]bool{true, true, true}
+	var none, faces [3][2]bool
+	for a := 0; a < 3; a++ {
+		faces[a] = [2]bool{b.loGhost[a], b.hiGhost[a]}
+	}
 	poisonGhosts(b.Mu, none)
 	poisonGhosts(b.Lambda, none)
 	for _, f := range b.D {
@@ -54,8 +61,8 @@ func poisonUnreadGhosts(b *Block) {
 	}
 	for v := range b.flux {
 		for _, d := range b.active {
-			var along [3]bool
-			along[d] = true
+			var along [3][2]bool
+			along[d] = faces[d]
 			poisonGhosts(b.flux[v][d], along)
 		}
 	}
@@ -123,7 +130,7 @@ func checkReadSet(b *Block) error {
 	}
 	copy(b.qBank, q0)
 	for _, f := range b.Q {
-		poisonGhosts(f, [3]bool{})
+		poisonGhosts(f, [3][2]bool{})
 	}
 	b.ApplyFilter()
 	if got, err = interiorBits("filtered Q", b.Q); err != nil {
@@ -132,24 +139,39 @@ func checkReadSet(b *Block) error {
 	return sameBits("filtered Q", got, want)
 }
 
-// TestGhostReadSet is the NaN-poison proof of the read-set rule for a serial
-// periodic block and for decompositions with two cut axes (where the old
-// X→Y→Z exchange filled edges and corners), in three dimensions and in two
-// (one axis with neither ghost layers nor fields of its own), at one worker
-// and at four.
+// TestGhostReadSet is the NaN-poison proof of the read-set rule — the
+// pencil-fused flux stage's derivative rows, the divergence, the NSCBC
+// planes' normal derivatives and the filter — for a serial periodic block
+// and for decompositions with two cut axes (where the old X→Y→Z exchange
+// filled edges and corners), in three dimensions and in two (one axis with
+// neither ghost layers nor fields of its own), periodic and as a jet with
+// characteristic inflow and outflow faces (whose face slabs no stencil
+// reads), at one worker and at four.
 func TestGhostReadSet(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		pool := par.NewPool(workers)
 		for _, c := range []struct {
 			nz     int
+			jet    bool
 			layout [][3]int
 		}{
-			{12, [][3]int{{1, 1, 1}, {2, 2, 1}, {1, 2, 2}}},
-			{1, [][3]int{{1, 1, 1}, {2, 2, 1}}},
+			{12, false, [][3]int{{1, 1, 1}, {2, 2, 1}, {1, 2, 2}}},
+			{1, false, [][3]int{{1, 1, 1}, {2, 2, 1}}},
+			{12, true, [][3]int{{1, 1, 1}, {2, 2, 1}}},
+			{1, true, [][3]int{{1, 1, 1}, {2, 1, 1}}},
 		} {
 			cfg := reactiveConfig()
 			cfg.Grid = grid.New(grid.Spec{Nx: 12, Ny: 12, Nz: c.nz, Lx: 0.003, Ly: 0.003, Lz: 0.003})
 			cfg.Pool = pool
+			if c.jet {
+				cfg.BC = [3][2]BCType{{InflowNSCBC, OutflowNSCBC}, {OutflowNSCBC, OutflowNSCBC}, {Periodic, Periodic}}
+				yIn := degenerateY(cfg, 0)
+				cfg.Inflow = func(y, z, t float64, tgt *InflowState) {
+					tgt.U, tgt.V, tgt.W = 2, 0, 0
+					tgt.T = 700
+					copy(tgt.Y, yIn)
+				}
+			}
 			for _, dims := range c.layout {
 				var err error
 				if dims == [3]int{1, 1, 1} {
@@ -165,7 +187,7 @@ func TestGhostReadSet(t *testing.T) {
 					})
 				}
 				if err != nil {
-					t.Errorf("workers=%d grid 12x12x%d ranks=%v: %v", workers, c.nz, dims, err)
+					t.Errorf("workers=%d grid 12x12x%d jet=%v ranks=%v: %v", workers, c.nz, c.jet, dims, err)
 				}
 			}
 		}

@@ -305,24 +305,6 @@ func TestBlockRegistryInventory(t *testing.T) {
 	if fs.ByName("filter_scratch") != b.scratchF {
 		t.Fatal("scratch field not registered")
 	}
-	// The naive diff-flux kernel's temporaries ride with the kernel: absent
-	// by default, the last two fields of the arena under DiffFluxNaive.
-	if fs.ByName("naive_t1") != nil || b.naiveT1 != nil {
-		t.Fatal("naive_t1 registered under the fused kernel")
-	}
-	cfg := checkpointConfig()
-	cfg.DiffFlux = DiffFluxNaive
-	nb, err := NewSerial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nfs := nb.Fields()
-	if nb.naiveT1 == nil || nfs.ByName("naive_t1") != nb.naiveT1 || nfs.ByName("naive_t2") != nb.naiveT2 {
-		t.Fatal("naive temporaries not registered under DiffFluxNaive")
-	}
-	if want := append(fieldNames(fs), "naive_t1", "naive_t2"); strings.Join(fieldNames(nfs), " ") != strings.Join(want, " ") {
-		t.Fatalf("DiffFluxNaive registry is not the default one plus the two temporaries:\n%v", fieldNames(nfs))
-	}
 }
 
 // fieldNames lists a registry's names in registration order.
@@ -338,19 +320,23 @@ func fieldNames(fs *grid.FieldSet) []string {
 // of the 16×12×8 reactive block, recorded before per-direction fields became
 // conditional on the axis being active: with three active axes the names and
 // their order — the arena layout, halo pack order and checkpoint order — are
-// what they were. Re-recorded twice since, each time on the parent commit
-// over its names minus the last ones registered: the deleted balancer's
-// per-cell ownership map (186 → 185, 0x1cc5a78fc70650d6 →
-// 0xdb30d12cd5fdfc67), then naive_t1 / naive_t2 (now registered under
-// DiffFluxNaive alone) and the cost layer's two deleted per-cell proxy maps
-// (185 → 181, from 0xdb30d12cd5fdfc67).
-const registryNamesHash3D uint64 = 0x5262fab6cc5a156f
+// what they were. Re-recorded since, each time on the parent commit over
+// its names minus the deleted ones: the deleted balancer's per-cell
+// ownership map (186 → 185, 0x1cc5a78fc70650d6 → 0xdb30d12cd5fdfc67), then
+// the array-statement kernel's two temporaries and the cost layer's two
+// deleted per-cell proxy maps (185 → 181, → 0x5262fab6cc5a156f), then every
+// stored derivative and
+// diffusive flux when the RHS began forming them per x-row in worker scratch
+// (181 → 106): the families du/dv/dw_d*, dT_d*, dWmix_d*, drho_d*, dp_d*,
+// dY_*_d* and J_*_*.
+const registryNamesHash3D uint64 = 0xc31c6e70545f5ef4
 
-// TestRegistryActiveAxes: a block registers gradient, diffusive-flux and flux
-// fields along its active axes only. The 3-D inventory is pinned; the 2-D one
-// is the 3-D one minus every per-direction field along z, in the same order;
-// and the hoisted views along the missing axis are nil, so a stray read
-// faults instead of seeing zeros.
+// TestRegistryActiveAxes: a block registers flux fields — its one
+// per-direction family — along its active axes only, and no field of the
+// gradient role at all. The 3-D inventory is pinned; the 2-D one is the 3-D
+// one minus every flux along z, in the same order; and the hoisted flux
+// views along the missing axis are nil, so a stray read faults instead of
+// seeing zeros.
 func TestRegistryActiveAxes(t *testing.T) {
 	b3, err := NewSerial(reactiveConfig())
 	if err != nil {
@@ -359,8 +345,8 @@ func TestRegistryActiveAxes(t *testing.T) {
 	names3 := fieldNames(b3.Fields())
 	h := fnv.New64a()
 	h.Write([]byte(strings.Join(names3, "\n")))
-	if len(names3) != 181 || h.Sum64() != registryNamesHash3D {
-		t.Fatalf("3-D registry: %d names hashing to %#016x, recorded 181 and %#016x",
+	if len(names3) != 106 || h.Sum64() != registryNamesHash3D {
+		t.Fatalf("3-D registry: %d names hashing to %#016x, recorded 106 and %#016x",
 			len(names3), h.Sum64(), registryNamesHash3D)
 	}
 
@@ -372,35 +358,29 @@ func TestRegistryActiveAxes(t *testing.T) {
 	}
 	var want []string
 	for id, name := range names3 {
-		role := b3.Fields().Meta(id).Role
-		perDir := role == grid.RoleGradient || role == grid.RoleFlux
-		if perDir && (strings.HasSuffix(name, "_z") || strings.HasSuffix(name, "_dz")) {
+		if b3.Fields().Meta(id).Role == grid.RoleFlux && strings.HasSuffix(name, "_z") {
 			continue
 		}
 		want = append(want, name)
 	}
 	got := fieldNames(b2.Fields())
-	if len(got) != 143 || strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("2-D registry has %d names, want the 3-D ones without the z direction (%d):\n%v",
+	if len(got) != 93 || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("2-D registry has %d names, want the 3-D ones without the z fluxes (%d):\n%v",
 			len(got), len(want), got)
 	}
-	if len(b2.active) != 2 || b2.dT[2] != nil || b2.dW[2] != nil || b2.dRho[2] != nil || b2.dP[2] != nil ||
-		b2.J[2] != nil || b2.g.dT[2] != nil || b2.g.dW[2] != nil {
-		t.Fatal("2-D block holds a per-direction view along z")
-	}
-	for c := 0; c < 3; c++ {
-		if b2.dU[c][2] != nil || b2.g.dU[c][2] != nil || b2.dU[c][0] == nil || b2.dU[c][1] == nil {
-			t.Fatalf("velocity-gradient row %d: want x and y columns only", c)
+	for _, b := range []*Block{b3, b2} {
+		for id := 0; id < b.Fields().Len(); id++ {
+			if m := b.Fields().Meta(id); m.Role == grid.RoleGradient {
+				t.Fatalf("field %s is a stored gradient: the RHS differentiates into row scratch", m.Name)
+			}
 		}
+	}
+	if len(b2.active) != 2 {
+		t.Fatalf("2-D block active axes %v", b2.active)
 	}
 	for v := range b2.flux {
 		if b2.flux[v][2] != nil || b2.flux[v][0] == nil || b2.flux[v][1] == nil {
 			t.Fatalf("flux[%d]: want x and y components only", v)
-		}
-	}
-	for n := range b2.dY {
-		if b2.dY[n][2] != nil || b2.g.dY[n][2] != nil {
-			t.Fatalf("dY[%d] has a z component", n)
 		}
 	}
 }

@@ -20,17 +20,16 @@ const (
 
 // computeRHS evaluates dQ/dt into b.rhs at simulation time t. It performs
 // the full S3D right-hand side: ghost exchange of the conserved state,
-// primitive and transport-property recovery, gradient evaluation, flux
-// assembly (convective + viscous + diffusive), a second ghost exchange of
-// the fluxes, flux divergence, chemical source terms and NSCBC boundary
+// primitive and transport-property recovery, the pencil-fused flux stage
+// (derivatives, diffusive fluxes and the convective + viscous + diffusive
+// flux assembly, one x-row at a time), a second ghost exchange of the
+// fluxes, flux divergence, chemical source terms and NSCBC boundary
 // corrections. Every stage with interior extent runs tiled over the block's
 // worker-pool plan.
 func (b *Block) computeRHS(t float64) {
 	b.exchangeHalos(b.haloQ, tagConserved)
 	b.computePrimitives()
 	b.computeTransport()
-	b.computeGradients()
-	b.computeDiffFlux()
 	b.assembleFluxes()
 
 	b.exchangeHalos(b.haloFlux, tagFlux)
@@ -59,181 +58,191 @@ func (b *Block) lohi(a grid.Axis) (deriv.BC, deriv.BC) {
 	return lo, hi
 }
 
-// diff differentiates f along axis a into dst with the block's closures.
-func (b *Block) diff(dst, f *grid.Field3, a grid.Axis) {
-	lo, hi := b.lohi(a)
-	deriv.Diff(dst, f, a, b.G.Metric(a), lo, hi)
-}
-
-// diffTile differentiates f along axis a into dst over one tile's box.
-// DiffRange applies identical arithmetic per point for any tiling, so the
-// assembled derivative is bitwise independent of the pool size.
-func (b *Block) diffTile(dst, f *grid.Field3, a grid.Axis, t par.Tile, op deriv.Op) {
-	lo, hi := b.lohi(a)
-	deriv.DiffRange(dst, f, a, b.G.Metric(a), lo, hi, t.Lo, t.Hi, op)
-}
-
 // interior returns the block's interior index box.
 func (b *Block) interior() par.Range {
 	return par.Interior(b.G.Nx, b.G.Ny, b.G.Nz)
 }
 
-// computeGradients evaluates the first derivatives needed by the viscous
-// and diffusive fluxes (velocity, temperature, species, mean molecular
-// weight) and, on axes with physical NSCBC faces, density and pressure
-// gradients for the characteristic boundary treatment. One tiled sweep per
-// active direction: each tile computes every field's derivative over its own
-// box, reusing the source lines while they are cache-hot.
-func (b *Block) computeGradients() {
-	defer b.beginRegion("DERIVATIVES").End()
-	vel := [3]*grid.Field3{b.U, b.V, b.W}
-	r := b.interior()
-	for _, d := range b.active {
-		a := grid.Axis(d)
-		needsBC := b.needsNSCBC(d)
-		b.plan.Run("DERIVATIVES", r, func(t par.Tile, _ int) {
-			for c := 0; c < 3; c++ {
-				b.diffTile(b.dU[c][d], vel[c], a, t, deriv.OpSet)
-			}
-			b.diffTile(b.dT[d], b.T, a, t, deriv.OpSet)
-			b.diffTile(b.dW[d], b.Wmix, a, t, deriv.OpSet)
-			for n := 0; n < b.ns; n++ {
-				b.diffTile(b.dY[n][d], b.Y[n], a, t, deriv.OpSet)
-			}
-			if needsBC {
-				b.diffTile(b.dRho[d], b.Rho, a, t, deriv.OpSet)
-				b.diffTile(b.dP[d], b.P, a, t, deriv.OpSet)
-			}
-		})
-	}
-}
-
-// needsNSCBC reports whether the axis has a physical characteristic face on
-// this block.
-func (b *Block) needsNSCBC(a int) bool {
-	loPhys := !b.interiorF[a][0] && b.faceBC[a][0] != Periodic
-	hiPhys := !b.interiorF[a][1] && b.faceBC[a][1] != Periodic
-	return loPhys || hiPhys
-}
-
-// assembleFluxes builds flux[var][dir] over the interior for every active
-// direction:
+// assembleFluxes is the pencil-fused flux stage. It builds flux[var][dir]
+// over the interior for every active direction,
 //
 //	mass:      ρu_d
 //	momentum:  ρu_c·u_d + δ_cd·p − τ_cd                  (paper eqs. 2, 14)
 //	energy:    u_d(ρe₀+p) − (τ·u)_d + q_d               (paper eqs. 3, 20)
 //	species:   ρY_n·u_d + J_nd                           (paper eq. 4)
 //
-// with q = −λ∇T + Σ hₙ·Jₙ. The diffusive fluxes J were prepared by
-// computeDiffFlux (figure 4/5 kernel) including the correction velocity.
-//
-// The kernel is fused in the paper's figure-4/5 style: every field shares
-// one flat row index, so each tile makes a single pass over the gradient and
-// flux fields with one index computation per cell, the species enthalpies
-// h_n(T) are evaluated once per cell into a per-worker buffer and reused by
-// every direction, and each J value is read exactly once per (cell,
-// direction).
-//
-// Along a one-point axis every gradient is an exact +0, which is what the
-// zero-initialised gu holds there: the stress tensor is formed from the same
-// nine operands in the same association whatever the block's shape, and only
-// the loads and the per-direction flux loop are restricted to active axes.
+// with q = −λ∇T + Σ hₙ·Jₙ, one interior x-row at a time in the worker's row
+// scratch (fluxRow): derivative rows, then diffusive-flux rows, then the
+// flux rows — the only values stored, because the flux halo exchange and the
+// divergence read them. No gradient or J field exists.
 func (b *Block) assembleFluxes() {
 	defer b.beginRegion("ASSEMBLE_FLUXES").End()
-	b.plan.Run("ASSEMBLE_FLUXES", b.interior(), b.assembleFluxesTile)
+	b.plan.Run("ASSEMBLE_FLUXES", b.interior(), func(t par.Tile, worker int) {
+		rs := &b.ws[worker].rows
+		for k := t.Lo[2]; k < t.Hi[2]; k++ {
+			for j := t.Lo[1]; j < t.Hi[1]; j++ {
+				b.fluxRow(rs, t.Lo[0], t.Hi[0], j, k)
+			}
+		}
+	})
 }
 
-// assembleFluxesTile is the fused flux-assembly tile body.
-func (b *Block) assembleFluxesTile(t par.Tile, worker int) {
-	g := b.g
+// rowScratch is one worker's x-row scratch for the flux stage, the NSCBC
+// planes (normalRows) and the figure-4 study; every row is one x-row long.
+type rowScratch struct {
+	du                 [3][3][]float64 // ∂u_c/∂x_d; a zero row along an inactive d
+	dT, dW             [3][]float64
+	dY                 [3][][]float64 // ∂Yₙ/∂x_d: [dir][species]
+	j                  [3][][]float64 // Jₙ along d: [dir][species]
+	q                  [3][]float64   // heat flux along d
+	negRhoD, yOverW, h [][]float64    // (−ρ)·Dₙ, Yₙ/W and hₙ(T) per species
+	y                  [][]float64    // views of the Yₙ rows (no storage of their own)
+	sum                []float64      // Σₙ J*ₙ
+	drho, dp           []float64      // NSCBC: normal derivatives of ρ and p
+}
+
+func newRowScratch(nx, ns int, active []int) rowScratch {
+	row := func() []float64 { return make([]float64, nx) }
+	rows := func(n int) [][]float64 {
+		out := make([][]float64, n)
+		for i := range out {
+			out[i] = row()
+		}
+		return out
+	}
+	var rs rowScratch
+	for c := range rs.du {
+		rs.du[c] = [3][]float64{row(), row(), row()} // an inactive d stays zero
+	}
+	for _, d := range active {
+		rs.dT[d], rs.dW[d], rs.q[d] = row(), row(), row()
+		rs.dY[d], rs.j[d] = rows(ns), rows(ns)
+	}
+	rs.negRhoD, rs.yOverW, rs.h = rows(ns), rows(ns), rows(ns)
+	rs.sum, rs.drho, rs.dp = row(), row(), row()
+	rs.y = make([][]float64, ns)
+	return rs
+}
+
+// fluxRow runs assembleFluxes over the points [x0, x1) of row (j, k) as
+// short loops over the row. A derivative row carries DiffRange's bits and
+// every per-point expression keeps its association, so the fluxes are bit
+// for bit those of the stored-gradient pipeline this stage replaced.
+func (b *Block) fluxRow(rs *rowScratch, x0, x1, j, k int) {
+	w := x1 - x0
+	p0 := b.Rho.Idx(x0, j, k)
 	ns := b.ns
-	species := b.mech.Set.Species
-	active := b.active
-	h := b.ws[worker].hw
-	for k := t.Lo[2]; k < t.Hi[2]; k++ {
-		for j := t.Lo[1]; j < t.Hi[1]; j++ {
-			row := b.Rho.Idx(0, j, k)
-			for i := t.Lo[0]; i < t.Hi[0]; i++ {
-				// One flat index addresses every same-shape field.
-				p0 := row + i
-				rho := b.Rho.Data[p0]
-				u := [3]float64{b.U.Data[p0], b.V.Data[p0], b.W.Data[p0]}
-				p := b.P.Data[p0]
-				T := b.T.Data[p0]
-				mu := g.mu[p0]
-				lam := g.lam[p0]
-				rhoE := b.Q[iRhoE].Data[p0]
 
-				// Stress tensor (eq. 14): τ = μ(∇u + ∇uᵀ − ⅔δ∇·u).
-				var gu [3][3]float64
-				for _, d := range active {
-					for c := 0; c < 3; c++ {
-						gu[c][d] = g.dU[c][d][p0]
-					}
-				}
-				div := gu[0][0] + gu[1][1] + gu[2][2]
-				var tau [3][3]float64
-				for c := 0; c < 3; c++ {
-					for d := 0; d < 3; d++ {
-						tau[c][d] = mu * (gu[c][d] + gu[d][c])
-					}
-					tau[c][c] -= mu * 2.0 / 3.0 * div
-				}
+	// (1) Derivative rows.
+	for _, d := range b.active {
+		a := grid.Axis(d)
+		lo, hi := b.lohi(a)
+		met := b.G.Metric(a)
+		deriv.DiffRow(rs.du[0][d], b.U, a, met, lo, hi, x0, x1, j, k)
+		deriv.DiffRow(rs.du[1][d], b.V, a, met, lo, hi, x0, x1, j, k)
+		deriv.DiffRow(rs.du[2][d], b.W, a, met, lo, hi, x0, x1, j, k)
+		deriv.DiffRow(rs.dT[d], b.T, a, met, lo, hi, x0, x1, j, k)
+		deriv.DiffRow(rs.dW[d], b.Wmix, a, met, lo, hi, x0, x1, j, k)
+		for n := 0; n < ns; n++ {
+			deriv.DiffRow(rs.dY[d][n], b.Y[n], a, met, lo, hi, x0, x1, j, k)
+		}
+	}
 
-				// Species enthalpies: once per cell, reused by every
-				// direction's heat flux and nowhere re-evaluated.
-				for n := 0; n < ns; n++ {
-					h[n] = species[n].H(T)
-				}
+	// (2) Diffusive-flux rows, and the species enthalpies hₙ(T).
+	b.diffusionRows(rs, p0, w)
+	for _, d := range b.active {
+		jRow(rs.j[d], rs.dY[d], rs.negRhoD, rs.yOverW, rs.y, rs.dW[d], rs.sum[:w])
+	}
+	T := b.T.Data[p0 : p0+w]
+	for n, sp := range b.mech.Set.Species {
+		h := rs.h[n][:w]
+		for i := range h {
+			h[i] = sp.H(T[i])
+		}
+	}
 
-				for _, d := range active {
-					// Heat flux (eq. 20); each J read feeds both the heat
-					// flux and the species flux below via jd.
-					q := -lam * g.dT[d][p0]
-					for n := 0; n < ns; n++ {
-						q += h[n] * b.J[d][n].Data[p0]
-					}
-
-					b.flux[iRho][d].Data[p0] = rho * u[d]
-					for c := 0; c < 3; c++ {
-						f := rho*u[c]*u[d] - tau[c][d]
-						if c == d {
-							f += p
-						}
-						b.flux[iRhoU+c][d].Data[p0] = f
-					}
-					fe := u[d]*(rhoE+p) + q
-					for c := 0; c < 3; c++ {
-						fe -= tau[c][d] * u[c]
-					}
-					b.flux[iRhoE][d].Data[p0] = fe
-					for n := 0; n < ns-1; n++ {
-						b.flux[iY0+n][d].Data[p0] =
-							rho*b.Y[n].Data[p0]*u[d] + b.J[d][n].Data[p0]
-					}
+	// (3) Flux rows: the heat flux (eq. 20), then mass, momentum and energy
+	// point by point, then species. The stress tensor (eq. 14)
+	// τ = μ(∇u + ∇uᵀ − ⅔δ∇·u) mixes every direction and is formed from all
+	// nine velocity derivatives in one association whatever the block's
+	// shape: along a one-point axis du holds the +0 a stored gradient held.
+	lam := b.Lambda.Data[p0 : p0+w]
+	for _, d := range b.active {
+		q, dT := rs.q[d][:w], rs.dT[d][:w]
+		for i := range q {
+			q[i] = -lam[i] * dT[i]
+		}
+		for n := 0; n < ns; n++ {
+			h, jn := rs.h[n][:w], rs.j[d][n][:w]
+			for i := range q {
+				q[i] += h[i] * jn[i]
+			}
+		}
+	}
+	rhoR, pR, muR := b.Rho.Data[p0:p0+w], b.P.Data[p0:p0+w], b.Mu.Data[p0:p0+w]
+	uR, vR, wR := b.U.Data[p0:p0+w], b.V.Data[p0:p0+w], b.W.Data[p0:p0+w]
+	eR := b.Q[iRhoE].Data[p0 : p0+w]
+	for i := 0; i < w; i++ {
+		rho, p, mu, rhoE := rhoR[i], pR[i], muR[i], eR[i]
+		u := [3]float64{uR[i], vR[i], wR[i]}
+		var gu [3][3]float64
+		for c := 0; c < 3; c++ {
+			for d := 0; d < 3; d++ {
+				gu[c][d] = rs.du[c][d][i]
+			}
+		}
+		div := gu[0][0] + gu[1][1] + gu[2][2]
+		var tau [3][3]float64
+		for c := 0; c < 3; c++ {
+			for d := 0; d < 3; d++ {
+				tau[c][d] = mu * (gu[c][d] + gu[d][c])
+			}
+			tau[c][c] -= mu * 2.0 / 3.0 * div
+		}
+		x := p0 + i
+		for _, d := range b.active {
+			b.flux[iRho][d].Data[x] = rho * u[d]
+			for c := 0; c < 3; c++ {
+				f := rho*u[c]*u[d] - tau[c][d]
+				if c == d {
+					f += p
 				}
+				b.flux[iRhoU+c][d].Data[x] = f
+			}
+			fe := u[d]*(rhoE+p) + rs.q[d][i]
+			for c := 0; c < 3; c++ {
+				fe -= tau[c][d] * u[c]
+			}
+			b.flux[iRhoE][d].Data[x] = fe
+		}
+	}
+	vel := [3][]float64{uR, vR, wR}
+	for _, d := range b.active {
+		u := vel[d]
+		for n := 0; n < ns-1; n++ {
+			f := b.flux[iY0+n][d].Data[p0 : p0+w]
+			y, jn := rs.y[n][:w], rs.j[d][n][:w]
+			for i := range f {
+				f[i] = rhoR[i]*y[i]*u[i] + jn[i]
 			}
 		}
 	}
 }
 
-// PrepareAssembleInputs runs the RHS stages assembleFluxes depends on, so
-// the fused kernel can be benchmarked in isolation.
-func (b *Block) PrepareAssembleInputs() {
-	b.PrepareDiffFluxInputs()
-	b.computeDiffFlux()
-}
+// PrepareAssembleInputs runs the RHS stages the flux stage depends on, so
+// the stage can be benchmarked in isolation.
+func (b *Block) PrepareAssembleInputs() { b.PrepareDiffFluxInputs() }
 
-// AssembleFluxesOnly invokes just the fused flux-assembly kernel; inputs
-// must have been prepared by PrepareAssembleInputs.
+// AssembleFluxesOnly invokes just the pencil-fused flux stage; inputs must
+// have been prepared by PrepareAssembleInputs.
 func (b *Block) AssembleFluxesOnly() { b.assembleFluxes() }
 
 // divergence sets rhs[v] = −Σ_d ∂flux[v][d]/∂x_d over the interior, d over
 // the active axes. The x derivative lands with OpSet and y/z accumulate with
 // OpAdd, fusing the former separate scratch-field AXPY passes into the
 // derivative sweeps; per point the arithmetic (set, add, add, negate) is
-// unchanged. The derivative along a one-point x axis is the +0 the sum then
-// starts from.
+// unchanged, and DiffRange's is the same for any tiling. The derivative
+// along a one-point x axis is the +0 the sum then starts from.
 func (b *Block) divergence() {
 	defer b.beginRegionNamed("DERIVATIVES", "DIVERGENCE").End()
 	b.plan.Run("DIVERGENCE", b.interior(), func(t par.Tile, _ int) {
@@ -244,7 +253,9 @@ func (b *Block) divergence() {
 				op = deriv.OpAdd
 			}
 			for _, d := range b.active {
-				b.diffTile(b.rhs[v], b.flux[v][d], grid.Axis(d), t, op)
+				a := grid.Axis(d)
+				lo, hi := b.lohi(a)
+				deriv.DiffRange(b.rhs[v], b.flux[v][d], a, b.G.Metric(a), lo, hi, t.Lo, t.Hi, op)
 				op = deriv.OpAdd
 			}
 			b.rhs[v].ScaleRange(-1, t.Lo, t.Hi)

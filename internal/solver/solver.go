@@ -54,31 +54,16 @@ type InflowState struct {
 // over data that is read-only during the run).
 type InflowFunc func(y, z, t float64, target *InflowState)
 
-// DiffFluxKernel selects the diffusive-flux implementation (the figure 4/5
-// optimisation study).
+// DiffFluxKernel is the type of Config.DiffFlux.
+//
+// Deprecated: the RHS has one diffusive-flux form. The type remains only
+// because the frozen benchmark/probes.go names it.
 type DiffFluxKernel int
 
-// The two diffusive-flux kernel variants. They agree bit for bit
-// (TestDiffFluxKernelsAgree); the choice is one of memory traffic only.
-const (
-	// DiffFluxFused, the zero value, is the LoopTool-transformed kernel:
-	// conditionals unswitched, array statements scalarised and fused into one
-	// loop nest, so every dYdx/W/ρD value is reused in registers.
-	DiffFluxFused DiffFluxKernel = iota
-	// DiffFluxNaive mirrors the original Fortran-90 array-syntax code:
-	// separate full-grid sweeps per species and direction with temporary
-	// arrays, recomputing shared subexpressions — the "as naturally written"
-	// version whose cache behaviour figure 4 dissects. It is kept as that
-	// figure's ablation (cmd/looptool, BenchmarkFig4DiffFluxNaive) and runs
-	// only when selected.
-	DiffFluxNaive
-)
-
-// DiffFluxOptimized is the former name of the default kernel.
+// DiffFluxOptimized is the zero value of DiffFluxKernel, the one accepted.
 //
-// Deprecated: use the zero value. The name remains only because the frozen
-// benchmark/probes.go names it; it goes with the Backend/Precision shim.
-const DiffFluxOptimized = DiffFluxFused
+// Deprecated: see DiffFluxKernel.
+const DiffFluxOptimized DiffFluxKernel = 0
 
 // Config assembles a simulation.
 type Config struct {
@@ -99,8 +84,10 @@ type Config struct {
 	FilterStrength float64 // σ in (0,1]; 0 selects 1.0
 
 	CFL          float64 // acoustic CFL number; 0 selects 0.8
-	DiffFlux     DiffFluxKernel
-	ChemistryOff bool // inert runs (pressure-wave tests, figure 4/5 kernel study)
+	ChemistryOff bool    // inert runs (pressure-wave tests, figure 4/5 kernel study)
+
+	// Deprecated: DiffFlux accepts only its zero value (see DiffFluxKernel).
+	DiffFlux DiffFluxKernel
 
 	// Backend accepts only "" or "generic"; any other value is a
 	// construction error.
@@ -162,10 +149,6 @@ type Block struct {
 	// struct fields are hoisted views into the same storage.
 	fs *grid.FieldSet
 
-	// g holds raw-slice views of the fields the fused kernels read without
-	// At (gradients and transport coefficients).
-	g *gradView
-
 	cart *comm.Cart
 	// offset of the local block in the global grid
 	i0, j0, k0 int
@@ -173,9 +156,8 @@ type Block struct {
 	ns, nvar int
 
 	// active lists, ascending, the axes with more than one point. A
-	// one-point axis has no derivative, so the block registers no gradient,
-	// diffusive-flux or flux field along it and no sweep visits it; every
-	// per-direction array below holds nil there.
+	// one-point axis has no derivative, so the block registers no flux field
+	// along it and no sweep visits it; flux holds nil there.
 	active []int
 
 	// Q and dQ are the RK 2N registers of conserved fields.
@@ -192,17 +174,8 @@ type Block struct {
 	Mu, Lambda *grid.Field3
 	D          []*grid.Field3
 
-	// Gradient fields (interior only; active directions only).
-	dU   [3][3]*grid.Field3 // dU[comp][dir]
-	dT   [3]*grid.Field3
-	dW   [3]*grid.Field3
-	dY   [][3]*grid.Field3 // [species][dir]
-	dRho [3]*grid.Field3
-	dP   [3]*grid.Field3
-
-	// Species diffusive fluxes J[dir][species] and total fluxes
-	// flux[var][dir] (active directions only).
-	J    [3][]*grid.Field3
+	// Total fluxes flux[var][dir] (active directions only). Derivatives and
+	// diffusive fluxes live in worker row scratch (see assembleFluxes).
 	flux [][3]*grid.Field3
 
 	// Per-face boundary condition resolved for this block: interior faces
@@ -227,7 +200,6 @@ type Block struct {
 	yw, cw, wdot, hw []float64
 	props            transport.Props
 	scratchF         *grid.Field3
-	naiveT1, naiveT2 *grid.Field3 // temporaries of the naive diff-flux kernel (nil under the fused one)
 
 	// The Q/dQ/rhs registers are registered consecutively, so each bank is
 	// one contiguous arena run: the RK 2N update and register zeroing are
@@ -313,6 +285,8 @@ type kernScratch struct {
 	nvOut, nvFlux []float64
 	// inflow target for faces without the per-(j,k) cache
 	tgt InflowState
+	// x-row scratch of the pencil-fused flux stage and the NSCBC planes
+	rows rowScratch
 }
 
 // NewSerial builds a single-block (serial) simulation over the whole grid:
@@ -395,6 +369,11 @@ func validate(cfg *Config) error {
 		if (cfg.BC[a][0] == Periodic) != (cfg.BC[a][1] == Periodic) {
 			return fmt.Errorf("solver: axis %d periodic on one side only", a)
 		}
+		// The one-sided closure at a physical face reaches four points in.
+		if n := cfg.Grid.Dim(grid.Axis(a)); cfg.BC[a][0] != Periodic && n > 1 && n < 5 {
+			return fmt.Errorf("solver: axis %s has %d points; a non-periodic axis needs one or at least 5 "+
+				"(its one-sided boundary stencil reaches four points in)", grid.Axis(a), n)
+		}
 		hasInflow := cfg.BC[a][0] == InflowNSCBC || cfg.BC[a][1] == InflowNSCBC
 		if hasInflow && cfg.Inflow == nil {
 			return fmt.Errorf("solver: inflow BC requires Config.Inflow")
@@ -418,6 +397,9 @@ func validate(cfg *Config) error {
 	}
 	if cfg.Precision != "" && cfg.Precision != "strict" {
 		return fmt.Errorf("solver: Config.Precision %q: PR 14 deleted the float32 storage policy; only \"\" or \"strict\" is accepted", cfg.Precision)
+	}
+	if cfg.DiffFlux != DiffFluxOptimized {
+		return fmt.Errorf("solver: Config.DiffFlux %d: the RHS has one diffusive-flux form; only 0 is accepted", cfg.DiffFlux)
 	}
 	return nil
 }
@@ -459,6 +441,7 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 			nvOut:  make([]float64, b.nvar),
 			nvFlux: make([]float64, b.nvar),
 			tgt:    InflowState{Y: make([]float64, ns)},
+			rows:   newRowScratch(local.Nx, ns, b.active),
 		}
 	}
 
@@ -522,15 +505,15 @@ func (b *Block) conservedNames() []string {
 //     contiguous arena spans (the S3D "small number of big arrays" layout);
 //   - the flux components follow in (var, dir) order, fixing the packed
 //     field-major layout of the flux halo-exchange messages;
-//   - per-direction fields (fluxes, gradients, J) exist for the active axes
-//     only; the names and order a block with three active axes registers are
-//     pinned (TestRegistryActiveAxes);
+//   - the per-direction fields — the fluxes, the one family the RHS stores —
+//     exist for the active axes only; the names and order are pinned
+//     (TestRegistryActiveAxes);
 //   - checkpoint inclusion (Ckpt) follows registration order, pinning the
 //     on-disk variable order to Q then T_guess — the pre-registry layout,
 //     so old restart files keep loading.
 //
-// Primitive, transport, gradient and scratch fields carry the names the
-// viz/in-situ pickers resolve ("rho", "u", "T", "Y_OH", …).
+// Primitive, transport and scratch fields carry the names the viz/in-situ
+// pickers resolve ("rho", "u", "T", "Y_OH", …).
 func (b *Block) registerFields() {
 	ns := b.ns
 	fs := grid.NewFieldSet(b.G.Nx, b.G.Ny, b.G.Nz, grid.Ghost)
@@ -588,50 +571,7 @@ func (b *Block) registerFields() {
 			Role: grid.RoleTransport, Species: n})
 	}
 
-	grad := func(name string, sp int) int {
-		return fs.Register(grid.FieldMeta{Name: name, Role: grid.RoleGradient, Species: sp})
-	}
-	vel := [3]string{"u", "v", "w"}
-	var dUID [3][3]int
-	var dTID, dWID, dRhoID, dPID [3]int
-	dYID := make([][3]int, ns)
-	JID := make([][]int, 3)
-	// Two families interleaved in one pass (the order is ABI): row c of the
-	// velocity-gradient tensor, component c along every active direction,
-	// then the scalar gradients along direction c.
-	for c := 0; c < 3; c++ {
-		for _, d := range b.active {
-			dUID[c][d] = grad("d"+vel[c]+"_d"+dir[d], -1)
-		}
-		if !b.isActive(c) {
-			continue
-		}
-		dTID[c] = grad("dT_d"+dir[c], -1)
-		dWID[c] = grad("dWmix_d"+dir[c], -1)
-		dRhoID[c] = grad("drho_d"+dir[c], -1)
-		dPID[c] = grad("dp_d"+dir[c], -1)
-	}
-	for n := 0; n < ns; n++ {
-		for _, d := range b.active {
-			dYID[n][d] = grad("dY_"+b.mech.Set.Species[n].Name+"_d"+dir[d], n)
-		}
-	}
-	for _, c := range b.active {
-		JID[c] = make([]int, ns)
-		for n := 0; n < ns; n++ {
-			JID[c][n] = fs.Register(grid.FieldMeta{Name: "J_" + b.mech.Set.Species[n].Name + "_" + dir[c],
-				Role: grid.RoleFlux, Species: n})
-		}
-	}
-
 	scratchID := fs.Register(grid.FieldMeta{Name: "filter_scratch", Role: grid.RoleScratch, Species: -1})
-	// The naive diff-flux kernel's array-statement temporaries, registered
-	// with the kernel that uses them so it never lazily allocates outside
-	// the arena. They come last: every other field keeps its offset.
-	if b.cfg.DiffFlux == DiffFluxNaive {
-		fs.Register(grid.FieldMeta{Name: "naive_t1", Role: grid.RoleScratch, Species: -1})
-		fs.Register(grid.FieldMeta{Name: "naive_t2", Role: grid.RoleScratch, Species: -1})
-	}
 
 	fs.Build()
 
@@ -659,64 +599,10 @@ func (b *Block) registerFields() {
 	b.Mu, b.Lambda = fs.Field(muID), fs.Field(lamID)
 	b.Y = make([]*grid.Field3, ns)
 	b.D = make([]*grid.Field3, ns)
-	b.dY = make([][3]*grid.Field3, ns)
 	for n := 0; n < ns; n++ {
 		b.Y[n], b.D[n] = fs.Field(yID[n]), fs.Field(dID[n])
-		for _, d := range b.active {
-			b.dY[n][d] = fs.Field(dYID[n][d])
-		}
-	}
-	for _, d := range b.active {
-		for c := 0; c < 3; c++ {
-			b.dU[c][d] = fs.Field(dUID[c][d])
-		}
-		b.dT[d], b.dW[d] = fs.Field(dTID[d]), fs.Field(dWID[d])
-		b.dRho[d], b.dP[d] = fs.Field(dRhoID[d]), fs.Field(dPID[d])
-		b.J[d] = make([]*grid.Field3, ns)
-		for n := 0; n < ns; n++ {
-			b.J[d][n] = fs.Field(JID[d][n])
-		}
 	}
 	b.scratchF = fs.Field(scratchID)
-	b.naiveT1, b.naiveT2 = fs.ByName("naive_t1"), fs.ByName("naive_t2")
-
-	b.g = newGradView(b)
-}
-
-// gradView is the raw-slice view of the fields the fused kernels read
-// without going through At: the stored gradients (nil along inactive
-// directions) and transport coefficients.
-type gradView struct {
-	dU  [3][3][]float64 // dU[comp][dir]
-	dT  [3][]float64
-	dW  [3][]float64
-	dY  [][3][]float64 // [species][dir]
-	mu  []float64
-	lam []float64
-	d   [][]float64 // [species]
-}
-
-func newGradView(b *Block) *gradView {
-	g := &gradView{
-		mu:  b.Mu.Data,
-		lam: b.Lambda.Data,
-		dY:  make([][3][]float64, b.ns),
-		d:   make([][]float64, b.ns),
-	}
-	for _, d := range b.active {
-		for c := 0; c < 3; c++ {
-			g.dU[c][d] = b.dU[c][d].Data
-		}
-		g.dT[d] = b.dT[d].Data
-		g.dW[d] = b.dW[d].Data
-	}
-	for n := 0; n < b.ns; n++ {
-		g.d[n] = b.D[n].Data
-		for _, d := range b.active {
-			g.dY[n][d] = b.dY[n][d].Data
-		}
-	}
-	return g
 }
 
 // isActive reports whether the block has more than one point along axis a.

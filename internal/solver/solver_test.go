@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/s3dgo/s3d/internal/chem"
@@ -212,13 +214,14 @@ func TestAcousticPulseSpeed(t *testing.T) {
 	}
 }
 
-// TestDiffFluxKernelsAgree: the fused default and the naive figure-4 ablation
-// evaluate every product in the same association, so the J fields they leave
-// are equal bit for bit (which is what lets the solution hashes, recorded on
-// the naive kernel, hold on the fused one).
+// TestDiffFluxKernelsAgree: the figure-4 study's array-statement form and
+// its fused form — the RHS's own diffusive-flux rows — evaluate every
+// product in the same association, so the J arrays they leave are equal bit
+// for bit (which is what let the solution hashes, recorded on the
+// array-statement kernel, hold on the fused one), and the correction flux
+// makes Σₙ Jₙ vanish at every point.
 func TestDiffFluxKernelsAgree(t *testing.T) {
 	cfg := airConfig(12, 10, 6, 0.02)
-	cfg.DiffFlux = DiffFluxNaive // registers the naive kernel's temporaries
 	b, err := NewSerial(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -235,31 +238,29 @@ func TestDiffFluxKernelsAgree(t *testing.T) {
 		s.Y[b.mech.Set.Index("O2")] = 0.2
 		s.Y[b.mech.Set.Index("N2")] = 1 - f - 0.25
 	}, nil)
-	b.exchangeHalos(b.haloQ, tagConserved)
-	b.computePrimitives()
-	b.computeTransport()
-	b.computeGradients()
+	study := b.NewDiffFluxStudy()
 
-	b.computeDiffFluxNaive()
+	study.Naive()
 	naive := make([][3][]float64, b.ns)
 	for n := 0; n < b.ns; n++ {
 		for d := 0; d < 3; d++ {
-			naive[n][d] = append([]float64(nil), b.J[d][n].Data...)
+			naive[n][d] = append([]float64(nil), study.J(d, n)...)
+			clear(study.J(d, n))
 		}
 	}
-	b.computeDiffFluxFused()
+	study.Fused()
 	var maxJ float64
 	for n := 0; n < b.ns; n++ {
 		for d := 0; d < 3; d++ {
-			for idx, v := range b.J[d][n].Data {
-				if a := math.Abs(v); a > maxJ {
-					maxJ = a
-				}
+			b.Rho.Each(func(i, j, k int, _ float64) {
+				idx := b.Rho.Idx(i, j, k)
+				v := study.J(d, n)[idx]
+				maxJ = math.Max(maxJ, math.Abs(v))
 				if math.Float64bits(v) != math.Float64bits(naive[n][d][idx]) {
-					t.Fatalf("kernels disagree: species %d dir %d idx %d: %x vs %x",
-						n, d, idx, math.Float64bits(v), math.Float64bits(naive[n][d][idx]))
+					t.Fatalf("kernels disagree: species %d dir %d at (%d,%d,%d): %x vs %x",
+						n, d, i, j, k, math.Float64bits(v), math.Float64bits(naive[n][d][idx]))
 				}
-			}
+			})
 		}
 	}
 	if maxJ == 0 {
@@ -267,18 +268,35 @@ func TestDiffFluxKernelsAgree(t *testing.T) {
 	}
 	// Correction property: Σₙ Jₙ = 0 at every point.
 	for d := 0; d < 3; d++ {
-		for k := 0; k < b.G.Nz; k++ {
-			for j := 0; j < b.G.Ny; j++ {
-				for i := 0; i < b.G.Nx; i++ {
-					var s float64
-					for n := 0; n < b.ns; n++ {
-						s += b.J[d][n].At(i, j, k)
-					}
-					if math.Abs(s) > 1e-12*maxJ {
-						t.Fatalf("ΣJ = %g at (%d,%d,%d) dir %d", s, i, j, k, d)
-					}
-				}
+		b.Rho.Each(func(i, j, k int, _ float64) {
+			var s float64
+			for n := 0; n < b.ns; n++ {
+				s += study.J(d, n)[b.Rho.Idx(i, j, k)]
 			}
+			if math.Abs(s) > 1e-12*maxJ {
+				t.Fatalf("ΣJ = %g at (%d,%d,%d) dir %d", s, i, j, k, d)
+			}
+		})
+	}
+}
+
+// TestShortNonPeriodicAxisRejected: a non-periodic axis of 2–4 points cannot
+// hold the one-sided boundary stencil, which reaches four points in, so
+// construction fails naming the axis and its length; 5 points build.
+func TestShortNonPeriodicAxisRejected(t *testing.T) {
+	for n := 2; n <= 5; n++ {
+		cfg := airConfig(12, n, 1, 0.01)
+		cfg.BC[1] = [2]BCType{OutflowNSCBC, OutflowNSCBC}
+		_, err := NewSerial(cfg)
+		if n == 5 {
+			if err != nil {
+				t.Fatalf("5-point outflow axis rejected: %v", err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "axis y") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("%d points", n)) {
+			t.Fatalf("%d-point outflow axis: err = %v, want one naming axis y and %d points", n, err, n)
 		}
 	}
 }

@@ -198,15 +198,10 @@ type Config struct {
 
 	// ChemistryOff runs inert (pressure-wave tests, kernel studies).
 	ChemistryOff bool
-	// NaiveDiffFlux selects the Fortran-90-style diffusive-flux kernel, one
-	// full-grid array statement at a time — the "before" of the figure 4/5
-	// optimisation study (cmd/looptool). The default is the fused
-	// LoopTool-transformed kernel; the two agree bit for bit.
-	NaiveDiffFlux bool
-	// OptimizedDiffFlux does nothing: the fused kernel is the default.
+	// OptimizedDiffFlux accepts only false; true is an error from New.
 	//
-	// Deprecated: the field remains only because the frozen
-	// benchmark/probes.go names it; it goes with Backend and Precision.
+	// Deprecated: the RHS has one diffusive-flux form. The field remains
+	// only because the frozen benchmark/probes.go names it.
 	OptimizedDiffFlux bool
 	// ConstLewis, when positive, replaces mixture-averaged diffusion by the
 	// constant-Lewis-number model (an ablation of the paper's transport).
@@ -250,8 +245,8 @@ func (c *Config) toSolver() (*solver.Config, error) {
 		Backend:        c.Backend,
 		Precision:      c.Precision,
 	}
-	if c.NaiveDiffFlux {
-		sc.DiffFlux = solver.DiffFluxNaive
+	if c.OptimizedDiffFlux {
+		return nil, fmt.Errorf("s3d: Config.OptimizedDiffFlux: the RHS has one diffusive-flux form; only false is accepted")
 	}
 	for a := 0; a < 3; a++ {
 		for s := 0; s < 2; s++ {
