@@ -277,6 +277,13 @@ go test -run xxx -fuzz FuzzExp -fuzztime 20s ./internal/vexp
 echo "== go test -run xxx -fuzz FuzzLoadCheckpoint -fuzztime 20s ./internal/solver"
 go test -run xxx -fuzz FuzzLoadCheckpoint -fuzztime 20s ./internal/solver
 
+# The point-to-point matching queues: a byte-chosen schedule of Isend, Irecv
+# and Wait on two ranks over three tags and varying lengths, posted in either
+# order, must deliver every payload intact and in (source, tag) order and
+# leave both mailboxes empty.
+echo "== go test -run xxx -fuzz FuzzMatch -fuzztime 20s ./internal/comm"
+go test -run xxx -fuzz FuzzMatch -fuzztime 20s ./internal/comm
+
 # Overhead budgets: the profiler's span API <=1% disabled and <=5% recording,
 # cost maps <=2% at Every:1 (one atomic load per run disabled) and the
 # wait-state analyzer <=2% armed at Every:1 (one atomic load per step

@@ -1,10 +1,20 @@
 // Package comm is an in-process message-passing runtime with MPI semantics,
 // the substrate under the S3D domain decomposition (paper §2.6). Ranks are
 // goroutines; point-to-point messages are non-blocking sends and receives
-// matched on (source, tag) in arrival order, exactly the subset of MPI that
+// matched on (source, tag) in posting order, exactly the subset of MPI that
 // S3D uses: nearest-neighbour Isend/Irecv/Wait for ghost-zone construction,
 // plus all-to-all reductions "only for monitoring and synchronization ahead
 // of I/O".
+//
+// Matching follows MPI's two queues, both held in the receiving rank's
+// mailbox. A posted receive that found no message waits in the posted
+// queue; a send that finds its receive there copies straight into the
+// receive's buffer, so a halo message is copied once and allocates nothing.
+// A send that finds none is an unexpected message: it is copied into a
+// buffer from the mailbox's bounded free list and queued, and the receive
+// that later takes it returns the buffer to the list. Either way sends are
+// buffered (the caller may reuse its buffer as soon as Isend returns) and
+// messages of one (source, tag) pair never overtake each other.
 //
 // The runtime counts bytes and messages per rank so the performance model
 // (internal/perf) and the parallel-I/O model (internal/pario) can charge
@@ -17,6 +27,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -364,26 +375,111 @@ func (c *Comm) recordColl(kind string, bytes int, enterNs, exitNs int64) {
 	c.collSeq++
 }
 
-// message is an in-flight point-to-point message with its envelope.
+// envelope is what a receive learns of the send it matched: when the
+// message was posted (== when it arrived, under buffered-send semantics) on
+// the prof.Now clock, the sender's step context at post time, and the
+// payload length.
+type envelope struct {
+	postNs      int64
+	step, stage int
+	n           int
+}
+
+// message is an unexpected point-to-point message: one that arrived before
+// any receive was posted for it. Its data comes from the receiving
+// mailbox's free list.
 type message struct {
 	src, tag int
 	data     []float64
-	postNs   int64 // world-clock time the send was posted (== arrival time)
-	step     int   // sender's step context at post time
-	stage    int
+	env      envelope
 }
 
-// mailbox holds unmatched arrived messages for one rank.
+// maxFree bounds a mailbox's free list. A halo exchange has at most two
+// unexpected messages per neighbour in flight, so a few buffers per mailbox
+// cover the steady state.
+const maxFree = 8
+
+// mailbox is one rank's matching state: the unexpected messages and the
+// posted receives, each in posting order, and the free list the unexpected
+// messages' buffers come from and return to. cond is broadcast whenever a
+// message is queued or a posted receive is matched.
 type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	msgs []message
+	mu     sync.Mutex
+	cond   *sync.Cond
+	msgs   []message
+	posted []*Request
+	free   [][]float64
 }
 
 func newMailbox() *mailbox {
 	m := &mailbox{}
 	m.cond = sync.NewCond(&m.mu)
 	return m
+}
+
+// takeMsg removes and returns the earliest unexpected message from
+// (src, tag). Callers hold m.mu.
+func (m *mailbox) takeMsg(src, tag int) (message, bool) {
+	for i := range m.msgs {
+		if msg := m.msgs[i]; msg.src == src && msg.tag == tag {
+			m.msgs = slices.Delete(m.msgs, i, i+1)
+			return msg, true
+		}
+	}
+	return message{}, false
+}
+
+// takePosted removes and returns the earliest posted receive for
+// (src, tag), or nil. Callers hold m.mu.
+func (m *mailbox) takePosted(src, tag int) *Request {
+	for i, r := range m.posted {
+		if r.src == src && r.tag == tag {
+			m.posted = slices.Delete(m.posted, i, i+1)
+			return r
+		}
+	}
+	return nil
+}
+
+// getBuf returns a buffer of length n: the free list's smallest one that is
+// large enough, or a new one. Callers hold m.mu.
+func (m *mailbox) getBuf(n int) []float64 {
+	best := -1
+	for i, b := range m.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(m.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]float64, n)
+	}
+	b := m.free[best]
+	last := len(m.free) - 1
+	m.free[best], m.free[last] = m.free[last], nil
+	m.free = m.free[:last]
+	return b[:n]
+}
+
+// putBuf returns a buffer to the free list. A full list keeps the larger
+// buffers: b replaces the smallest one if it is larger, or is dropped.
+// Callers hold m.mu.
+func (m *mailbox) putBuf(b []float64) {
+	if cap(b) == 0 {
+		return
+	}
+	if len(m.free) < maxFree {
+		m.free = append(m.free, b)
+		return
+	}
+	small := 0
+	for i := range m.free {
+		if cap(m.free[i]) < cap(m.free[small]) {
+			small = i
+		}
+	}
+	if cap(b) > cap(m.free[small]) {
+		m.free[small] = b
+	}
 }
 
 // Request is a pending non-blocking operation. Wait blocks until complete.
@@ -397,12 +493,33 @@ type Request struct {
 	src, tag int
 	buf      []float64
 	postNs   int64
+	// Match state, guarded by the receiving mailbox's lock: matched is set
+	// once the payload is in buf (or, on a length mismatch, once it is known
+	// not to fit), env is the matched send's envelope.
+	matched bool
+	env     envelope
 }
 
-// Isend posts a non-blocking send of data to rank dst with a tag. The data
-// is copied at post time, so the caller may reuse its buffer immediately
-// (buffered-send semantics, matching how S3D uses MPI_Isend on ghost
-// buffers that are not touched until the matching wait anyway).
+// sent is the request every Isend returns: a buffered send is complete when
+// it is posted, so there is nothing to wait for and nothing to allocate.
+var sent = &Request{done: true}
+
+// deliver copies the payload into the receive's buffer, unless the lengths
+// disagree: then Wait reports the truncation on the receiving rank.
+func (r *Request) deliver(data []float64) {
+	if len(data) == len(r.buf) {
+		copy(r.buf, data)
+	}
+}
+
+// Isend posts a non-blocking send of data to rank dst with a tag. If dst
+// has posted a receive for (this rank, tag), the earliest such receive is
+// claimed and data is copied straight into its buffer; otherwise data is
+// copied into a buffer from dst's free list and queued as an unexpected
+// message. Either way the copy is made before Isend returns, so the caller
+// may reuse its buffer immediately (buffered-send semantics, matching how
+// S3D uses MPI_Isend on ghost buffers that are not touched until the
+// matching wait anyway), and the returned request is already complete.
 func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 	if dst < 0 || dst >= c.world.n {
 		panic(fmt.Sprintf("comm: rank %d Isend to invalid rank %d", c.rank, dst))
@@ -410,12 +527,22 @@ func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 	sp := c.prof.Begin("MPI_ISEND")
 	defer sp.End()
 	now := prof.Now()
-	cp := make([]float64, len(data))
-	copy(cp, data)
+	env := envelope{postNs: now, step: c.step, stage: c.stage, n: len(data)}
 	box := c.world.boxes[dst]
 	box.mu.Lock()
-	box.msgs = append(box.msgs, message{src: c.rank, tag: tag, data: cp,
-		postNs: now, step: c.step, stage: c.stage})
+	if r := box.takePosted(c.rank, tag); r != nil {
+		// Claimed: no other send can reach r now, and its receiver waits
+		// for matched, so the copy runs outside the lock.
+		r.env = env
+		box.mu.Unlock()
+		r.deliver(data)
+		box.mu.Lock()
+		r.matched = true
+	} else {
+		buf := box.getBuf(len(data))
+		copy(buf, data)
+		box.msgs = append(box.msgs, message{src: c.rank, tag: tag, data: buf, env: env})
+	}
 	box.mu.Unlock()
 	box.cond.Broadcast()
 	bytes := 8 * len(data)
@@ -426,25 +553,41 @@ func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 			Bytes: bytes, Step: c.step, Stage: c.stage,
 			PostNs: now, StartNs: now, DoneNs: now})
 	}
-	return &Request{done: true}
+	return sent
 }
 
 // Irecv posts a non-blocking receive into buf for a message from rank src
-// with the given tag. Completion happens inside Wait.
+// with the given tag. If such a message has already arrived, the earliest
+// one is copied into buf now and its buffer returns to the mailbox's free
+// list; otherwise the receive joins the posted queue, where the matching
+// Isend fills it. Completion — and a truncation panic, if the lengths
+// disagree — happens inside Wait.
 func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 	if src < 0 || src >= c.world.n {
 		panic(fmt.Sprintf("comm: rank %d Irecv from invalid rank %d", c.rank, src))
 	}
-	return &Request{c: c, src: src, tag: tag, buf: buf, postNs: prof.Now()}
+	r := &Request{c: c, src: src, tag: tag, buf: buf, postNs: prof.Now()}
+	box := c.world.boxes[c.rank]
+	box.mu.Lock()
+	defer box.mu.Unlock()
+	if m, ok := box.takeMsg(src, tag); ok {
+		r.deliver(m.data)
+		box.putBuf(m.data)
+		r.env, r.matched = m.env, true
+	} else {
+		box.posted = append(box.posted, r)
+	}
+	return r
 }
 
-// Wait blocks until the request completes. For receives it matches the
-// earliest-arrived message from (src, tag) and copies it into the posted
-// buffer; a length mismatch panics, as MPI would raise a truncation error.
-// The blocked interval — from Wait's entry stamp to its completion stamp,
-// exactly the StartNs…DoneNs of the traced receive event — is charged to
-// the posting rank's wait counter for the peer. If the world aborts while
-// blocked, Wait unwinds with the abort sentinel instead of parking forever.
+// Wait blocks until the request completes. A receive completes once a send
+// has matched it (see Isend and Irecv); a length mismatch panics here, on
+// the receiving rank, as MPI would raise a truncation error. The blocked
+// interval — from Wait's entry stamp to its completion stamp, exactly the
+// StartNs…DoneNs of the traced receive event — is charged to the posting
+// rank's wait counter for the peer; a receive matched before its Wait has
+// none. If the world aborts while blocked, Wait unwinds with the abort
+// sentinel instead of parking forever.
 func (r *Request) Wait() {
 	if r.done {
 		return
@@ -453,39 +596,38 @@ func (r *Request) Wait() {
 	sp := c.prof.Begin("MPI_WAIT")
 	defer sp.End()
 	startNs := prof.Now()
-	box := w.boxes[c.rank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	for {
-		w.checkAborted()
-		for i := range box.msgs {
-			m := &box.msgs[i]
-			if m.src == r.src && m.tag == r.tag {
-				if len(m.data) != len(r.buf) {
-					panic(fmt.Sprintf("comm: message truncation: got %d, posted %d (src %d tag %d)",
-						len(m.data), len(r.buf), r.src, r.tag))
-				}
-				copy(r.buf, m.data)
-				sendPostNs, sendStep, sendStage := m.postNs, m.step, m.stage
-				box.msgs = append(box.msgs[:i], box.msgs[i+1:]...)
-				r.done = true
-				doneNs := prof.Now()
-				bytes := 8 * len(r.buf)
-				w.bytesRecv[c.rank].Add(int64(bytes))
-				w.msgsRecv[c.rank].Add(1)
-				w.waitPeerNs[c.rank*w.n+r.src].Add(doneNs - startNs)
-				if c.traceOn {
-					c.ptp = append(c.ptp, PtPEvent{Kind: KindRecv,
-						Peer: r.src, Tag: r.tag, Bytes: bytes,
-						Step: c.step, Stage: c.stage,
-						PostNs: r.postNs, StartNs: startNs, DoneNs: doneNs,
-						SendPostNs: sendPostNs, SendStep: sendStep, SendStage: sendStage})
-				}
-				return
-			}
-		}
-		box.cond.Wait()
+	doneNs := startNs
+	if !w.boxes[c.rank].await(w, r) {
+		doneNs = prof.Now()
 	}
+	r.done = true
+	if r.env.n != len(r.buf) {
+		panic(fmt.Sprintf("comm: message truncation: got %d, posted %d (src %d tag %d)",
+			r.env.n, len(r.buf), r.src, r.tag))
+	}
+	bytes := 8 * len(r.buf)
+	w.bytesRecv[c.rank].Add(int64(bytes))
+	w.msgsRecv[c.rank].Add(1)
+	w.waitPeerNs[c.rank*w.n+r.src].Add(doneNs - startNs)
+	if c.traceOn {
+		c.ptp = append(c.ptp, PtPEvent{Kind: KindRecv,
+			Peer: r.src, Tag: r.tag, Bytes: bytes,
+			Step: c.step, Stage: c.stage,
+			PostNs: r.postNs, StartNs: startNs, DoneNs: doneNs,
+			SendPostNs: r.env.postNs, SendStep: r.env.step, SendStage: r.env.stage})
+	}
+}
+
+// await blocks until r is matched and reports whether it already was.
+func (m *mailbox) await(w *World, r *Request) (already bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	already = r.matched
+	for !r.matched {
+		w.checkAborted()
+		m.cond.Wait()
+	}
+	return already
 }
 
 // WaitAll completes every request.
@@ -499,7 +641,10 @@ func WaitAll(reqs ...*Request) {
 // any rank, returning its source, tag and payload. It serves the
 // server-thread pattern of the MPI-I/O caching layer (an I/O thread
 // handling "both local and remote requests", paper §5.1) — the analogue of
-// MPI_ANY_SOURCE receives.
+// MPI_ANY_SOURCE receives. It takes unexpected messages only (a send that
+// finds a posted Irecv for its (source, tag) fills that instead), and the
+// payload it returns belongs to the caller: its buffer never returns to
+// the free list.
 func (c *Comm) RecvAny(tags []int) (src, tag int, data []float64) {
 	box := c.world.boxes[c.rank]
 	box.mu.Lock()
@@ -511,7 +656,7 @@ func (c *Comm) RecvAny(tags []int) (src, tag int, data []float64) {
 			for _, t := range tags {
 				if m.tag == t {
 					src, tag, data = m.src, m.tag, m.data
-					box.msgs = append(box.msgs[:i], box.msgs[i+1:]...)
+					box.msgs = slices.Delete(box.msgs, i, i+1)
 					// Counted as received; idle time in the server loop is
 					// deliberately not charged as wait time.
 					c.world.bytesRecv[c.rank].Add(int64(8 * len(data)))

@@ -23,7 +23,7 @@ import (
 // Timers it owns; the live per-rank timer sets are never shared.
 type Timers struct {
 	regions map[string]*Region
-	stack   []*frame
+	stack   []frame // by value: entering a region allocates nothing once warm
 	now     func() time.Time
 	err     error // first Start/Stop misuse (sticky; see Err)
 }
@@ -59,7 +59,7 @@ func (t *Timers) Start(name string) {
 		r = &Region{Name: name}
 		t.regions[name] = r
 	}
-	t.stack = append(t.stack, &frame{r: r, start: t.now()})
+	t.stack = append(t.stack, frame{r: r, start: t.now()})
 }
 
 // Stop leaves the innermost region, which must be the named one. A

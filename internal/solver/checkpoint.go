@@ -104,7 +104,11 @@ func (b *Block) LoadCheckpoint(r io.Reader) error {
 		return fmt.Errorf("solver: bad checkpoint time: %v", err)
 	}
 
-	for _, id := range b.fs.Checkpointed() {
+	// Every variable is checked before any field is written, so a rejected
+	// file leaves the block as it was.
+	ids := b.fs.Checkpointed()
+	vars := make([]*sdf.Variable, len(ids))
+	for i, id := range ids {
 		m := b.fs.Meta(id)
 		vr := f.Var(m.Ckpt)
 		if vr == nil {
@@ -116,7 +120,13 @@ func (b *Block) LoadCheckpoint(r io.Reader) error {
 		if len(vr.Data) != b.G.Nx*b.G.Ny*b.G.Nz {
 			return fmt.Errorf("solver: checkpoint variable %q has %d values", m.Ckpt, len(vr.Data))
 		}
-		q := b.fs.Field(id)
+		vars[i] = vr
+	}
+	for i, vr := range vars {
+		if vr == nil {
+			continue
+		}
+		q := b.fs.Field(ids[i])
 		idx := 0
 		for k := 0; k < b.G.Nz; k++ {
 			for j := 0; j < b.G.Ny; j++ {

@@ -3,6 +3,8 @@ package solver
 import (
 	"bytes"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/s3dgo/s3d/internal/chem"
@@ -145,6 +147,65 @@ func TestCheckpointTruncatedRejected(t *testing.T) {
 	b2, _ := NewSerial(checkpointConfig())
 	if err := b2.LoadCheckpoint(bytes.NewReader(raw[:len(raw)/2])); err == nil {
 		t.Fatal("expected truncation error")
+	}
+}
+
+// TestRejectedCheckpointLeavesBlock: a checkpoint that lacks a conserved
+// register, or holds a variable of the wrong length, is rejected before any
+// field is written — the block re-saves to the bytes it saved before the
+// load, although the registers ahead of the bad one are fine.
+func TestRejectedCheckpointLeavesBlock(t *testing.T) {
+	src, err := NewSerial(checkpointConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedCheckpointState(src)
+	var valid bytes.Buffer
+	if err := src.SaveCheckpoint(&valid); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, want string
+		edit       func(f *sdf.File)
+	}{
+		{"missing", `missing variable "rhoY_H2"`, func(f *sdf.File) {
+			f.Vars = slices.DeleteFunc(f.Vars, func(v sdf.Variable) bool { return v.Name == "rhoY_H2" })
+		}},
+		{"short", `variable "T_guess" has 139 values`, func(f *sdf.File) {
+			v := f.Var("T_guess")
+			v.Data = v.Data[1:]
+			v.Dims = []int{len(v.Data)}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := sdf.Decode(bytes.NewReader(valid.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.edit(f)
+			var bad bytes.Buffer
+			if err := f.Encode(&bad); err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewSerial(checkpointConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pre, post bytes.Buffer
+			if err := b.SaveCheckpoint(&pre); err != nil {
+				t.Fatal(err)
+			}
+			err = b.LoadCheckpoint(&bad)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("LoadCheckpoint = %v, want an error naming %s", err, c.want)
+			}
+			if err := b.SaveCheckpoint(&post); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pre.Bytes(), post.Bytes()) {
+				t.Fatal("the rejected checkpoint changed the block")
+			}
+		})
 	}
 }
 

@@ -79,12 +79,32 @@ func (b *Block) PackHaloGroupOnly(group string, a int) int {
 	return len(buf)
 }
 
+// slabJob is the wrap, pack or unpack a block's pool items are running. The
+// item functions are bound once per block (newBlock) and read the job
+// instead of capturing it, so a steady-state exchange allocates no closure;
+// RunItems returns only when every item has run, so one job per block is
+// enough.
+type slabJob struct {
+	fields []*grid.Field3
+	axis   grid.Axis
+	lo, hi [3]int
+	per    int
+	buf    []float64
+}
+
+// bindHaloItems binds the pool item functions of wrapAll, packSlab and
+// unpackSlab.
+func (b *Block) bindHaloItems() {
+	b.wrapItem = func(item, _ int) { b.slab.fields[item].WrapPeriodic(b.slab.axis) }
+	b.packItem = func(item, _ int) { b.slab.rows(item, true) }
+	b.unpackItem = func(item, _ int) { b.slab.rows(item, false) }
+}
+
 // wrapAll applies the periodic wrap to every field, one pool item per field
 // (each field's ghost layers are disjoint storage).
 func (b *Block) wrapAll(fields []*grid.Field3, axis grid.Axis) {
-	b.plan.RunItems("GHOST_EXCHANGE", len(fields), func(item, _ int) {
-		fields[item].WrapPeriodic(axis)
-	})
+	b.slab = slabJob{fields: fields, axis: axis}
+	b.plan.RunItems("GHOST_EXCHANGE", len(fields), b.wrapItem)
 }
 
 // haloBuffer returns the idx-th reusable slab buffer with length n, growing
@@ -174,33 +194,32 @@ func (b *Block) slabBox(a, start, depth int) (lo, hi [3]int) {
 // contiguous row copy per (j, k); unpackSlab walks the same order.
 func (b *Block) packSlab(fields []*grid.Field3, a, start, depth, per int, buf []float64) {
 	lo, hi := b.slabBox(a, start, depth)
-	n := hi[0] - lo[0]
-	b.plan.RunItems("GHOST_EXCHANGE", len(fields), func(item, _ int) {
-		f := fields[item]
-		pos := item * per
-		for k := lo[2]; k < hi[2]; k++ {
-			for j := lo[1]; j < hi[1]; j++ {
-				row := f.Idx(lo[0], j, k)
-				copy(buf[pos:pos+n], f.Data[row:row+n])
-				pos += n
-			}
-		}
-	})
+	b.slab = slabJob{fields: fields, lo: lo, hi: hi, per: per, buf: buf}
+	b.plan.RunItems("GHOST_EXCHANGE", len(fields), b.packItem)
 }
 
 // unpackSlab is the inverse of packSlab.
 func (b *Block) unpackSlab(fields []*grid.Field3, a, start, depth, per int, buf []float64) {
 	lo, hi := b.slabBox(a, start, depth)
-	n := hi[0] - lo[0]
-	b.plan.RunItems("GHOST_EXCHANGE", len(fields), func(item, _ int) {
-		f := fields[item]
-		pos := item * per
-		for k := lo[2]; k < hi[2]; k++ {
-			for j := lo[1]; j < hi[1]; j++ {
-				row := f.Idx(lo[0], j, k)
-				copy(f.Data[row:row+n], buf[pos:pos+n])
-				pos += n
+	b.slab = slabJob{fields: fields, lo: lo, hi: hi, per: per, buf: buf}
+	b.plan.RunItems("GHOST_EXCHANGE", len(fields), b.unpackItem)
+}
+
+// rows copies field item's slab rows into its buffer segment (pack) or back
+// (unpack).
+func (s *slabJob) rows(item int, pack bool) {
+	f := s.fields[item]
+	pos := item * s.per
+	n := s.hi[0] - s.lo[0]
+	for k := s.lo[2]; k < s.hi[2]; k++ {
+		for j := s.lo[1]; j < s.hi[1]; j++ {
+			row := f.Idx(s.lo[0], j, k)
+			if pack {
+				copy(s.buf[pos:pos+n], f.Data[row:row+n])
+			} else {
+				copy(f.Data[row:row+n], s.buf[pos:pos+n])
 			}
+			pos += n
 		}
-	})
+	}
 }

@@ -217,6 +217,11 @@ type Block struct {
 	// send lo/hi), grown on demand and reused across steps.
 	haloBuf [4][]float64
 
+	// slab is the wrap, pack or unpack the pool is running and wrapItem,
+	// packItem, unpackItem its item functions, bound once (halo.go).
+	slab                           slabJob
+	wrapItem, packItem, unpackItem func(item, worker int)
+
 	// inflow target cache per (j,k) on the x-min face
 	inflowTargets []InflowState
 
@@ -430,6 +435,7 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 	b.T.Fill(300)
 
 	b.plan = par.NewPlan(cfg.Pool)
+	b.bindHaloItems()
 	b.ws = make([]kernScratch, b.plan.Workers())
 	for w := range b.ws {
 		b.ws[w] = kernScratch{
