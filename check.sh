@@ -180,6 +180,16 @@ if grep -rnE 'computeGradients|computeDiffFlux\b|assembleFluxesTile|DiffFluxNaiv
 	exit 1
 fi
 
+# Row-pass lint: the flux stage and the divergence finish one x-row at a time
+# (deriv.DiffRows, deriv.DiffRow with OpSet/OpAdd, the ×(−1) on the row), so
+# outside test files internal/solver runs no whole-tile derivative pass and no
+# whole-tile scale: the set/add/add/scale passes over every rhs tile stay gone.
+echo "== row-pass lint (no deriv.DiffRange or ScaleRange in non-test internal/solver code)"
+if grep -rnE 'deriv\.DiffRange\(|ScaleRange\(' --include='*.go' internal/solver | grep -v '_test\.go:'; then
+	echo "a whole-tile pass is back in the solver (see above): work one row at a time (deriv.DiffRow / DiffRows)" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 

@@ -57,7 +57,7 @@ var (
 //
 // When the axis has a single point (quasi-2D runs) the derivative is zero.
 func Diff(dst, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC) {
-	DiffRange(dst, f, a, met, lo, hi, [3]int{}, [3]int{f.Nx, f.Ny, f.Nz}, OpSet)
+	DiffRange(dst, f, a, met, lo, hi, [3]int{}, [3]int{f.Nx, f.Ny, f.Nz})
 }
 
 // Filter applies the tenth-order low-pass filter along axis a:

@@ -11,7 +11,7 @@ package deriv
 // for the row. Every slice is cut to len(dst) before the loop, so the loop
 // bodies carry no bounds checks (check.sh gates that with the compiler's
 // check_bce report on this file — keep only the kernels here); the slice
-// cuts in rowViews and at the top of each kernel are the safety checks that
+// cuts in rowNbrs.cut and at the top of each kernel are the safety checks that
 // remain.
 
 // rowNbrs holds the eight neighbour views of one row: pk/mk is the row
@@ -20,20 +20,19 @@ type rowNbrs struct {
 	p1, m1, p2, m2, p3, m3, p4, m4 []float64
 }
 
-// rowViews cuts the neighbour views of the w points starting at flat index p
-// whose stencil neighbours lie stride apart.
-func rowViews(src []float64, p, w, stride int) rowNbrs {
+// cut points the views at the w points starting at flat index p whose
+// stencil neighbours lie stride apart. The views are filled in place and the
+// kernels take them by pointer, so a row pass copies no view set per field.
+func (v *rowNbrs) cut(src []float64, p, w, stride int) {
 	at := func(off int) []float64 { return src[p+off*stride:][:w] }
-	return rowNbrs{
-		p1: at(1), m1: at(-1),
-		p2: at(2), m2: at(-2),
-		p3: at(3), m3: at(-3),
-		p4: at(4), m4: at(-4),
-	}
+	v.p1, v.m1 = at(1), at(-1)
+	v.p2, v.m2 = at(2), at(-2)
+	v.p3, v.m3 = at(3), at(-3)
+	v.p4, v.m4 = at(4), at(-4)
 }
 
 // rowSet stores the derivative with a per-point metric (x rows).
-func rowSet(dst []float64, v rowNbrs, met []float64) {
+func rowSet(dst []float64, v *rowNbrs, met []float64) {
 	n := len(dst)
 	p1, m1, p2, m2 := v.p1[:n], v.m1[:n], v.p2[:n], v.m2[:n]
 	p3, m3, p4, m4 := v.p3[:n], v.m3[:n], v.p4[:n], v.m4[:n]
@@ -46,7 +45,7 @@ func rowSet(dst []float64, v rowNbrs, met []float64) {
 }
 
 // rowAdd accumulates the derivative with a per-point metric (x rows).
-func rowAdd(dst []float64, v rowNbrs, met []float64) {
+func rowAdd(dst []float64, v *rowNbrs, met []float64) {
 	n := len(dst)
 	p1, m1, p2, m2 := v.p1[:n], v.m1[:n], v.p2[:n], v.m2[:n]
 	p3, m3, p4, m4 := v.p3[:n], v.m3[:n], v.p4[:n], v.m4[:n]
@@ -59,7 +58,7 @@ func rowAdd(dst []float64, v rowNbrs, met []float64) {
 }
 
 // rowSetScalar stores the derivative with one metric for the row (y/z rows).
-func rowSetScalar(dst []float64, v rowNbrs, met float64) {
+func rowSetScalar(dst []float64, v *rowNbrs, met float64) {
 	n := len(dst)
 	p1, m1, p2, m2 := v.p1[:n], v.m1[:n], v.p2[:n], v.m2[:n]
 	p3, m3, p4, m4 := v.p3[:n], v.m3[:n], v.p4[:n], v.m4[:n]
@@ -72,7 +71,7 @@ func rowSetScalar(dst []float64, v rowNbrs, met float64) {
 
 // rowAddScalar accumulates the derivative with one metric for the row (y/z
 // rows).
-func rowAddScalar(dst []float64, v rowNbrs, met float64) {
+func rowAddScalar(dst []float64, v *rowNbrs, met float64) {
 	n := len(dst)
 	p1, m1, p2, m2 := v.p1[:n], v.m1[:n], v.p2[:n], v.m2[:n]
 	p3, m3, p4, m4 := v.p3[:n], v.m3[:n], v.p4[:n], v.m4[:n]

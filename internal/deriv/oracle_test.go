@@ -175,11 +175,21 @@ func randomMetric(rng *rand.Rand, n int) []float64 {
 	return m
 }
 
+// diffRowsAdd accumulates the derivative over the box the way a row
+// divergence does: DiffRow with OpAdd on every x-row of the box clipped to
+// the line along a.
+func diffRowsAdd(dst, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, boxLo, boxHi [3]int) {
+	eachRow(f, a, boxLo, boxHi, func(p, x0, x1, j, k int) {
+		DiffRow(dst.Data[p:p+x1-x0], f, a, met, lo, hi, x0, x1, j, k, OpAdd)
+	})
+}
+
 // TestDiffRangeMatchesPointOracle is the row kernels' referee: on random
 // grids (single-point and shorter-than-the-stencil axes included), random
-// sub-boxes, every axis, every closure combination and both ops, DiffRange
-// must leave exactly the bits the strided point-by-point oracle leaves — in
-// the box and, untouched, everywhere else.
+// sub-boxes, every axis, every closure combination and both ops (OpSet
+// through DiffRange, OpAdd through DiffRow row by row), the operator must
+// leave exactly the bits the strided point-by-point oracle leaves — in the
+// box and, untouched, everywhere else.
 func TestDiffRangeMatchesPointOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	bcs := []BC{UseGhosts, OneSided}
@@ -200,7 +210,11 @@ func TestDiffRangeMatchesPointOracle(t *testing.T) {
 
 		got := randomField(dims[0], dims[1], dims[2], int64(trial)+1<<20)
 		want := got.Clone()
-		DiffRange(got, f, a, met, lo, hi, boxLo, boxHi, op)
+		if op == OpSet {
+			DiffRange(got, f, a, met, lo, hi, boxLo, boxHi)
+		} else {
+			diffRowsAdd(got, f, a, met, lo, hi, boxLo, boxHi)
+		}
 		oracleRange(want, f, a, boxLo, boxHi, op,
 			func(int) float64 { return 0 },
 			func(p, stride, i, n int) (float64, bool) {

@@ -2,7 +2,7 @@ package deriv
 
 import "github.com/s3dgo/s3d/internal/grid"
 
-// Op selects how a ranged operator writes its result into dst.
+// Op selects how DiffRow writes its result into dst.
 type Op int
 
 const (
@@ -19,16 +19,13 @@ const (
 //
 // The box is swept one unit-stride x-row at a time along every axis, each
 // row through diffRow — the row DiffRow computes.
-//
-// With op == OpAdd the derivative is accumulated into dst instead of stored,
-// fusing the AXPY that a divergence would otherwise need into the sweep.
-func DiffRange(dst, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, boxLo, boxHi [3]int, op Op) {
+func DiffRange(dst, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, boxLo, boxHi [3]int) {
 	if dimOf(f, a) == 1 {
-		rangeFill(dst, boxLo, boxHi, op)
+		dst.FillRange(0, boxLo, boxHi)
 		return
 	}
 	eachRow(f, a, boxLo, boxHi, func(p, x0, x1, j, k int) {
-		diffRow(dst.Data[p:p+x1-x0], f, a, met, lo, hi, x0, x1, j, k, op)
+		diffRow(dst.Data[p:p+x1-x0], f, a, met, lo, hi, x0, x1, j, k, OpSet)
 	})
 }
 
@@ -47,30 +44,64 @@ func eachRow(f *grid.Field3, a grid.Axis, boxLo, boxHi [3]int, fn func(p, x0, x1
 }
 
 // DiffRow is DiffRange for one x-row: the derivative along a of the points
-// [x0, x1) of row (j, k) lands in dst[:x1-x0], each value with DiffRange's
-// bits (same classification, row kernels and closures) — so a fused kernel
-// can keep a derivative row in scratch instead of a stored gradient field.
-func DiffRow(dst []float64, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, x0, x1, j, k int) {
+// [x0, x1) of row (j, k) lands in dst[:x1-x0] under op, each value with
+// DiffRange's bits (same classification, row kernels and closures) — so a
+// fused kernel can keep a derivative row in scratch instead of a stored
+// gradient field, and a divergence can sum its directions into one row. Along
+// a one-point axis the derivative is +0: OpSet clears the row, OpAdd leaves it.
+func DiffRow(dst []float64, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, x0, x1, j, k int, op Op) {
 	dst = dst[:x1-x0]
 	if dimOf(f, a) == 1 {
-		clear(dst)
+		if op == OpSet {
+			clear(dst)
+		}
 		return
 	}
-	diffRow(dst, f, a, met, lo, hi, x0, x1, j, k, OpSet)
+	diffRow(dst, f, a, met, lo, hi, x0, x1, j, k, op)
+}
+
+// DiffRows is DiffRow (OpSet) for every field of src over one row: dst[n]
+// receives the derivative of src[n], each value with DiffRow's bits. The row
+// is classified once and one view set is re-cut per field, so a kernel that
+// needs the derivatives of many fields along one axis pays the
+// classification, the closure choice and the metric loads once. Every field
+// of src must share one storage layout (as the fields of one grid.FieldSet
+// do).
+func DiffRows(dst [][]float64, src []*grid.Field3, a grid.Axis, met []float64, lo, hi BC, x0, x1, j, k int) {
+	w := x1 - x0
+	f := src[0]
+	n := dimOf(f, a)
+	if n == 1 {
+		for _, d := range dst[:len(src)] {
+			clear(d[:w])
+		}
+		return
+	}
+	stride, p := strideOf(f, a), f.Idx(x0, j, k)
+	l1, h0, s := segments(a, n, 4, lo, hi, x0, x1, j, k)
+	var v rowNbrs
+	for m, g := range src {
+		runRow(dst[m][:w], g.Data, &v, p, stride, n, a, met, x0, x1, l1, h0, s, OpSet)
+	}
 }
 
 // diffRow writes (under op) the derivative of the points [x0, x1) of row
-// (j, k) into dst: the full-stencil run through the row kernels of
-// kernels.go (the neighbours are shifted views of the row along x, the rows
-// ±1…±4 strides away along y and z), the closure points through closeRow.
+// (j, k) into dst.
 func diffRow(dst []float64, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, x0, x1, j, k int, op Op) {
 	n := dimOf(f, a)
-	stride := strideOf(f, a)
-	src := f.Data
-	p := f.Idx(x0, j, k)
 	l1, h0, s := segments(a, n, 4, lo, hi, x0, x1, j, k)
+	var v rowNbrs
+	runRow(dst, f.Data, &v, f.Idx(x0, j, k), strideOf(f, a), n, a, met, x0, x1, l1, h0, s, op)
+}
+
+// runRow is one classified row of diffRow over src, the row starting at flat
+// index p on a line of n points: the full-stencil run [l1, h0) through the
+// row kernels of kernels.go (the neighbours are shifted views of the row along
+// x, the rows ±1…±4 strides away along y and z, cut into v), the closure
+// points through closeRow.
+func runRow(dst, src []float64, v *rowNbrs, p, stride, n int, a grid.Axis, met []float64, x0, x1, l1, h0, s int, op Op) {
 	if c0, c1 := l1-x0, h0-x0; c1 > c0 {
-		v := rowViews(src, p+c0, c1-c0, stride)
+		v.cut(src, p+c0, c1-c0, stride)
 		d := dst[c0:c1]
 		switch {
 		case a == grid.X && op == OpAdd:
@@ -257,15 +288,6 @@ func store(dst []float64, i int, v float64, op Op) {
 	} else {
 		dst[i] = v
 	}
-}
-
-// rangeFill writes the unit-extent derivative (zero) into the box under op
-// (OpAdd leaves dst unchanged, matching d/da ≡ 0 on a collapsed axis).
-func rangeFill(dst *grid.Field3, boxLo, boxHi [3]int, op Op) {
-	if op == OpAdd {
-		return
-	}
-	dst.FillRange(0, boxLo, boxHi)
 }
 
 // copyRange is the unit-extent filter (identity) over the box.

@@ -90,7 +90,7 @@ func TestDiffRangeTilesMatchDiff(t *testing.T) {
 				for ti, tiles := range tilings(dims, int(a)) {
 					got := grid.NewField3Ghost(nx, ny, nz, grid.Ghost)
 					for _, box := range tiles {
-						DiffRange(got, f, a, met, bc[0], bc[1], box[0], box[1], OpSet)
+						DiffRange(got, f, a, met, bc[0], bc[1], box[0], box[1])
 					}
 					sameBits(t, got, want, "axis %v metric %d bc %v tiling %d", a, mi, bc, ti)
 				}
@@ -99,8 +99,9 @@ func TestDiffRangeTilesMatchDiff(t *testing.T) {
 	}
 }
 
-// TestDiffRangeAddMatchesSetPlusAXPY: OpAdd must equal an OpSet into scratch
-// followed by dst += scratch, bitwise.
+// TestDiffRangeAddMatchesSetPlusAXPY: DiffRow with OpAdd over every row of a
+// box must equal a DiffRange into scratch followed by dst += scratch,
+// bitwise.
 func TestDiffRangeAddMatchesSetPlusAXPY(t *testing.T) {
 	nx, ny, nz := 8, 7, 6
 	f := randomField(nx, ny, nz, 2)
@@ -110,10 +111,14 @@ func TestDiffRangeAddMatchesSetPlusAXPY(t *testing.T) {
 	acc := randomField(nx, ny, nz, 3)
 	ref := acc.Clone()
 
-	DiffRange(acc, f, grid.X, met, UseGhosts, UseGhosts, box[0], box[1], OpAdd)
+	for k := box[0][2]; k < box[1][2]; k++ {
+		for j := box[0][1]; j < box[1][1]; j++ {
+			DiffRow(acc.Row(j, k), f, grid.X, met, UseGhosts, UseGhosts, box[0][0], box[1][0], j, k, OpAdd)
+		}
+	}
 
 	scratch := grid.NewField3Ghost(nx, ny, nz, grid.Ghost)
-	DiffRange(scratch, f, grid.X, met, UseGhosts, UseGhosts, box[0], box[1], OpSet)
+	DiffRange(scratch, f, grid.X, met, UseGhosts, UseGhosts, box[0], box[1])
 	for k := box[0][2]; k < box[1][2]; k++ {
 		for j := box[0][1]; j < box[1][1]; j++ {
 			r, s := ref.Row(j, k), scratch.Row(j, k)
@@ -130,25 +135,28 @@ func TestDiffRangeAddMatchesSetPlusAXPY(t *testing.T) {
 	}
 }
 
-// TestDiffRangeDegenerateAxis: derivative along a unit axis is zero under
-// OpSet and a no-op under OpAdd.
+// TestDiffRangeDegenerateAxis: the derivative along a unit axis is zero:
+// DiffRange zeroes the box, and a DiffRow accumulating it leaves the row
+// unchanged.
 func TestDiffRangeDegenerateAxis(t *testing.T) {
 	f := randomField(6, 5, 1, 4)
 	box := [2][3]int{{0, 0, 0}, {6, 5, 1}}
 	dst := randomField(6, 5, 1, 5)
-	DiffRange(dst, f, grid.Z, []float64{1}, UseGhosts, UseGhosts, box[0], box[1], OpSet)
+	DiffRange(dst, f, grid.Z, []float64{1}, UseGhosts, UseGhosts, box[0], box[1])
 	for k := 0; k < 1; k++ {
 		for j := 0; j < 5; j++ {
 			for i := 0; i < 6; i++ {
 				if dst.At(i, j, k) != 0 {
-					t.Fatal("OpSet on unit axis must zero the box")
+					t.Fatal("DiffRange on unit axis must zero the box")
 				}
 			}
 		}
 	}
 	dst2 := randomField(6, 5, 1, 6)
 	ref := dst2.Clone()
-	DiffRange(dst2, f, grid.Z, []float64{1}, UseGhosts, UseGhosts, box[0], box[1], OpAdd)
+	for j := 0; j < 5; j++ {
+		DiffRow(dst2.Row(j, 0), f, grid.Z, []float64{1}, UseGhosts, UseGhosts, 0, 6, j, 0, OpAdd)
+	}
 	for i := range dst2.Data {
 		if dst2.Data[i] != ref.Data[i] {
 			t.Fatal("OpAdd on unit axis must leave dst unchanged")

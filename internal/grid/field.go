@@ -150,20 +150,6 @@ func (f *Field3) FillRange(v float64, lo, hi [3]int) {
 	}
 }
 
-// ScaleRange multiplies the index box [lo, hi) by a.
-func (f *Field3) ScaleRange(a float64, lo, hi [3]int) {
-	n := hi[0] - lo[0]
-	fd := f.Data
-	for k := lo[2]; k < hi[2]; k++ {
-		for j := lo[1]; j < hi[1]; j++ {
-			row := f.Idx(lo[0], j, k)
-			for i := 0; i < n; i++ {
-				fd[row+i] *= a
-			}
-		}
-	}
-}
-
 // CopyRange copies the index box [lo, hi) from src (same shape required).
 func (f *Field3) CopyRange(src *Field3, lo, hi [3]int) {
 	f.mustMatch(src)

@@ -240,21 +240,9 @@ func TestRangeOpsMatchFullOps(t *testing.T) {
 		}
 		return f
 	}
-	interior := [2][3]int{{0, 0, 0}, {7, 5, 4}}
+	fA := fill()
 
-	// Tiling the interior along k must reproduce the single full-box sweep
-	// bitwise, for every ranged op.
-	fA, fB := fill(), fill()
-	fA.ScaleRange(0.7, interior[0], interior[1])
-	for k := 0; k < 4; k++ {
-		fB.ScaleRange(0.7, [3]int{0, 0, k}, [3]int{7, 5, k + 1})
-	}
-	for i := range fA.Data {
-		if fA.Data[i] != fB.Data[i] {
-			t.Fatalf("ScaleRange tiled != whole at %d", i)
-		}
-	}
-
+	// CopyRange tiled along k must reproduce the whole interior.
 	dst := NewField3Ghost(7, 5, 4, 2)
 	for k := 0; k < 4; k++ {
 		dst.CopyRange(fA, [3]int{0, 0, k}, [3]int{7, 5, k + 1})

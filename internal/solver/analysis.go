@@ -127,7 +127,7 @@ func (b *Block) DerivSource(f *grid.Field3, a int) insitu.Source {
 		r := idx - origin
 		k, j, i := r/sk, r%sk/sj, r%sk%sj
 		var d [1]float64
-		deriv.DiffRow(d[:], f, ax, met, lo, hi, i, i+1, j, k)
+		deriv.DiffRow(d[:], f, ax, met, lo, hi, i, i+1, j, k, deriv.OpSet)
 		return d[0]
 	}
 }

@@ -205,22 +205,15 @@ func (b *Block) charFace(a, side int, t float64) {
 	})
 }
 
-// normalRows differentiates ρ, p, u, v, w and every Yₙ along the face normal
-// a over the points [x0, x1) of plane row (j, k) into the worker's row
-// scratch (drho, dp, du[·][a], dY[a]): the one-sided closure points DiffRange
-// gives those points, which the wave amplitudes read.
+// normalRows differentiates ρ, p, u, v, w and every Yₙ (normalSrc) along the
+// face normal a over the points [x0, x1) of plane row (j, k) into the
+// worker's row scratch (drho, dp, du[·][a], dY[a]) in one DiffRows call: the
+// one-sided closure points DiffRange gives those points, which the wave
+// amplitudes read.
 func (b *Block) normalRows(rs *rowScratch, a, x0, x1, j, k int) {
 	axis := grid.Axis(a)
 	lo, hi := b.lohi(axis)
-	met := b.G.Metric(axis)
-	deriv.DiffRow(rs.drho, b.Rho, axis, met, lo, hi, x0, x1, j, k)
-	deriv.DiffRow(rs.dp, b.P, axis, met, lo, hi, x0, x1, j, k)
-	for c, f := range [3]*grid.Field3{b.U, b.V, b.W} {
-		deriv.DiffRow(rs.du[c][a], f, axis, met, lo, hi, x0, x1, j, k)
-	}
-	for n, f := range b.Y {
-		deriv.DiffRow(rs.dY[a][n], f, axis, met, lo, hi, x0, x1, j, k)
-	}
+	deriv.DiffRows(rs.normalDst[a], b.normalSrc, axis, b.G.Metric(axis), lo, hi, x0, x1, j, k)
 }
 
 // tangentialTargets maps the inflow target velocity vector onto the face's

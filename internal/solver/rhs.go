@@ -92,13 +92,17 @@ func (b *Block) assembleFluxes() {
 type rowScratch struct {
 	du                 [3][3][]float64 // ∂u_c/∂x_d; a zero row along an inactive d
 	dT, dW             [3][]float64
-	dY                 [3][][]float64 // ∂Yₙ/∂x_d: [dir][species]
-	j                  [3][][]float64 // Jₙ along d: [dir][species]
-	q                  [3][]float64   // heat flux along d
-	negRhoD, yOverW, h [][]float64    // (−ρ)·Dₙ, Yₙ/W and hₙ(T) per species
-	y                  [][]float64    // views of the Yₙ rows (no storage of their own)
-	sum                []float64      // Σₙ J*ₙ
-	drho, dp           []float64      // NSCBC: normal derivatives of ρ and p
+	dY                 [3][][]float64  // ∂Yₙ/∂x_d: [dir][species]
+	j                  [3][][]float64  // Jₙ along d: [dir][species]
+	q                  [3][]float64    // heat flux along d
+	tau                [3][3][]float64 // τ_cd; τ_dc is the same row
+	negRhoD, yOverW, h [][]float64     // (−ρ)·Dₙ, Yₙ/W and hₙ(T) per species
+	y                  [][]float64     // views of the Yₙ rows (no storage of their own)
+	sum                []float64       // Σₙ J*ₙ
+	drho, dp           []float64       // NSCBC: normal derivatives of ρ and p
+	// gradDst[d] and normalDst[d] are the rows above that one DiffRows call
+	// along d fills, in the order of Block.gradSrc and Block.normalSrc.
+	gradDst, normalDst [3][][]float64
 }
 
 func newRowScratch(nx, ns int, active []int) rowScratch {
@@ -113,39 +117,37 @@ func newRowScratch(nx, ns int, active []int) rowScratch {
 	var rs rowScratch
 	for c := range rs.du {
 		rs.du[c] = [3][]float64{row(), row(), row()} // an inactive d stays zero
+		for d := c; d < 3; d++ {
+			rs.tau[c][d] = row()
+			rs.tau[d][c] = rs.tau[c][d]
+		}
 	}
+	rs.sum, rs.drho, rs.dp = row(), row(), row()
 	for _, d := range active {
 		rs.dT[d], rs.dW[d], rs.q[d] = row(), row(), row()
 		rs.dY[d], rs.j[d] = rows(ns), rows(ns)
+		rs.gradDst[d] = append([][]float64{rs.du[0][d], rs.du[1][d], rs.du[2][d], rs.dT[d], rs.dW[d]}, rs.dY[d]...)
+		rs.normalDst[d] = append([][]float64{rs.drho, rs.dp, rs.du[0][d], rs.du[1][d], rs.du[2][d]}, rs.dY[d]...)
 	}
 	rs.negRhoD, rs.yOverW, rs.h = rows(ns), rows(ns), rows(ns)
-	rs.sum, rs.drho, rs.dp = row(), row(), row()
 	rs.y = make([][]float64, ns)
 	return rs
 }
 
 // fluxRow runs assembleFluxes over the points [x0, x1) of row (j, k) as
 // short loops over the row. A derivative row carries DiffRange's bits and
-// every per-point expression keeps its association, so the fluxes are bit
-// for bit those of the stored-gradient pipeline this stage replaced.
+// every per-point expression keeps the association of the stored-gradient
+// pipeline this stage replaced, so the fluxes carry that pipeline's bits.
 func (b *Block) fluxRow(rs *rowScratch, x0, x1, j, k int) {
 	w := x1 - x0
 	p0 := b.Rho.Idx(x0, j, k)
 	ns := b.ns
 
-	// (1) Derivative rows.
+	// (1) Derivative rows: every field of gradSrc, one call per axis.
 	for _, d := range b.active {
 		a := grid.Axis(d)
 		lo, hi := b.lohi(a)
-		met := b.G.Metric(a)
-		deriv.DiffRow(rs.du[0][d], b.U, a, met, lo, hi, x0, x1, j, k)
-		deriv.DiffRow(rs.du[1][d], b.V, a, met, lo, hi, x0, x1, j, k)
-		deriv.DiffRow(rs.du[2][d], b.W, a, met, lo, hi, x0, x1, j, k)
-		deriv.DiffRow(rs.dT[d], b.T, a, met, lo, hi, x0, x1, j, k)
-		deriv.DiffRow(rs.dW[d], b.Wmix, a, met, lo, hi, x0, x1, j, k)
-		for n := 0; n < ns; n++ {
-			deriv.DiffRow(rs.dY[d][n], b.Y[n], a, met, lo, hi, x0, x1, j, k)
-		}
+		deriv.DiffRows(rs.gradDst[d], b.gradSrc, a, b.G.Metric(a), lo, hi, x0, x1, j, k)
 	}
 
 	// (2) Diffusive-flux rows, and the species enthalpies hₙ(T).
@@ -161,11 +163,8 @@ func (b *Block) fluxRow(rs *rowScratch, x0, x1, j, k int) {
 		}
 	}
 
-	// (3) Flux rows: the heat flux (eq. 20), then mass, momentum and energy
-	// point by point, then species. The stress tensor (eq. 14)
-	// τ = μ(∇u + ∇uᵀ − ⅔δ∇·u) mixes every direction and is formed from all
-	// nine velocity derivatives in one association whatever the block's
-	// shape: along a one-point axis du holds the +0 a stored gradient held.
+	// (3) Flux rows: the heat flux (eq. 20), the stress tensor, then mass,
+	// momentum and energy, then species.
 	lam := b.Lambda.Data[p0 : p0+w]
 	for _, d := range b.active {
 		q, dT := rs.q[d][:w], rs.dT[d][:w]
@@ -179,46 +178,38 @@ func (b *Block) fluxRow(rs *rowScratch, x0, x1, j, k int) {
 			}
 		}
 	}
-	rhoR, pR, muR := b.Rho.Data[p0:p0+w], b.P.Data[p0:p0+w], b.Mu.Data[p0:p0+w]
+	b.stressRows(rs, p0, w)
+	rhoR, pR := b.Rho.Data[p0:p0+w], b.P.Data[p0:p0+w]
 	uR, vR, wR := b.U.Data[p0:p0+w], b.V.Data[p0:p0+w], b.W.Data[p0:p0+w]
 	eR := b.Q[iRhoE].Data[p0 : p0+w]
-	for i := 0; i < w; i++ {
-		rho, p, mu, rhoE := rhoR[i], pR[i], muR[i], eR[i]
-		u := [3]float64{uR[i], vR[i], wR[i]}
-		var gu [3][3]float64
-		for c := 0; c < 3; c++ {
-			for d := 0; d < 3; d++ {
-				gu[c][d] = rs.du[c][d][i]
-			}
-		}
-		div := gu[0][0] + gu[1][1] + gu[2][2]
-		var tau [3][3]float64
-		for c := 0; c < 3; c++ {
-			for d := 0; d < 3; d++ {
-				tau[c][d] = mu * (gu[c][d] + gu[d][c])
-			}
-			tau[c][c] -= mu * 2.0 / 3.0 * div
-		}
-		x := p0 + i
-		for _, d := range b.active {
-			b.flux[iRho][d].Data[x] = rho * u[d]
-			for c := 0; c < 3; c++ {
-				f := rho*u[c]*u[d] - tau[c][d]
-				if c == d {
-					f += p
-				}
-				b.flux[iRhoU+c][d].Data[x] = f
-			}
-			fe := u[d]*(rhoE+p) + rs.q[d][i]
-			for c := 0; c < 3; c++ {
-				fe -= tau[c][d] * u[c]
-			}
-			b.flux[iRhoE][d].Data[x] = fe
-		}
-	}
 	vel := [3][]float64{uR, vR, wR}
 	for _, d := range b.active {
-		u := vel[d]
+		fm := b.flux[iRho][d].Data[p0 : p0+w]
+		f0, f1, f2 := b.flux[iRhoU][d].Data[p0:p0+w], b.flux[iRhoU+1][d].Data[p0:p0+w], b.flux[iRhoU+2][d].Data[p0:p0+w]
+		fe := b.flux[iRhoE][d].Data[p0 : p0+w]
+		t0, t1, t2 := rs.tau[0][d][:w], rs.tau[1][d][:w], rs.tau[2][d][:w]
+		ud, q := vel[d][:w], rs.q[d][:w]
+		for i := range fm {
+			rho, u, uc, vc, wc := rhoR[i], ud[i], uR[i], vR[i], wR[i]
+			fm[i] = rho * u
+			f0[i] = rho*uc*u - t0[i]
+			f1[i] = rho*vc*u - t1[i]
+			f2[i] = rho*wc*u - t2[i]
+			e := u*(eR[i]+pR[i]) + q[i]
+			e -= t0[i] * uc
+			e -= t1[i] * vc
+			e -= t2[i] * wc
+			fe[i] = e
+		}
+		// The pressure joins the normal momentum flux after the stress, in
+		// the order the per-point assembly added it.
+		fd := b.flux[iRhoU+d][d].Data[p0 : p0+w]
+		for i := range fd {
+			fd[i] += pR[i]
+		}
+	}
+	for _, d := range b.active {
+		u := vel[d][:w]
 		for n := 0; n < ns-1; n++ {
 			f := b.flux[iY0+n][d].Data[p0 : p0+w]
 			y, jn := rs.y[n][:w], rs.j[d][n][:w]
@@ -226,6 +217,32 @@ func (b *Block) fluxRow(rs *rowScratch, x0, x1, j, k int) {
 				f[i] = rhoR[i]*y[i]*u[i] + jn[i]
 			}
 		}
+	}
+}
+
+// stressRows fills the six distinct rows of the stress tensor (eq. 14)
+// τ = μ(∇u + ∇uᵀ − ⅔δ∇·u) at the w points from flat index p0. τ mixes every
+// direction and is formed from all nine velocity derivatives in one
+// association whatever the block's shape: along a one-point axis du holds
+// the +0 a stored gradient held. τ_dc shares τ_cd's row: the two sums differ
+// only in operand order, which IEEE addition does not see.
+func (b *Block) stressRows(rs *rowScratch, p0, w int) {
+	mu := b.Mu.Data[p0 : p0+w]
+	g00, g01, g02 := rs.du[0][0][:w], rs.du[0][1][:w], rs.du[0][2][:w]
+	g10, g11, g12 := rs.du[1][0][:w], rs.du[1][1][:w], rs.du[1][2][:w]
+	g20, g21, g22 := rs.du[2][0][:w], rs.du[2][1][:w], rs.du[2][2][:w]
+	txx, tyy, tzz := rs.tau[0][0][:w], rs.tau[1][1][:w], rs.tau[2][2][:w]
+	txy, txz, tyz := rs.tau[0][1][:w], rs.tau[0][2][:w], rs.tau[1][2][:w]
+	for i := range mu {
+		m, gx, gy, gz := mu[i], g00[i], g11[i], g22[i]
+		div := gx + gy + gz
+		m23 := m * 2.0 / 3.0 * div
+		txx[i] = m*(gx+gx) - m23
+		tyy[i] = m*(gy+gy) - m23
+		tzz[i] = m*(gz+gz) - m23
+		txy[i] = m * (g01[i] + g10[i])
+		txz[i] = m * (g02[i] + g20[i])
+		tyz[i] = m * (g12[i] + g21[i])
 	}
 }
 
@@ -238,30 +255,51 @@ func (b *Block) PrepareAssembleInputs() { b.PrepareDiffFluxInputs() }
 func (b *Block) AssembleFluxesOnly() { b.assembleFluxes() }
 
 // divergence sets rhs[v] = −Σ_d ∂flux[v][d]/∂x_d over the interior, d over
-// the active axes. The x derivative lands with OpSet and y/z accumulate with
-// OpAdd, fusing the former separate scratch-field AXPY passes into the
-// derivative sweeps; per point the arithmetic (set, add, add, negate) is
-// unchanged, and DiffRange's is the same for any tiling. The derivative
-// along a one-point x axis is the +0 the sum then starts from.
+// the active axes, finishing one x-row of rhs[v] at a time: the x derivative
+// lands with OpSet (along a one-point x axis the row starts from +0), y and
+// z accumulate with OpAdd, and the row is scaled by −1 (minusOne). Per point
+// that is the set, add, add, scale of the whole-tile passes the row loop
+// replaced, and DiffRow's bits are DiffRange's for any tiling.
 func (b *Block) divergence() {
 	defer b.beginRegionNamed("DERIVATIVES", "DIVERGENCE").End()
+	xActive := b.isActive(0)
+	var lo, hi [3]deriv.BC
+	var met [3][]float64
+	for _, d := range b.active {
+		lo[d], hi[d] = b.lohi(grid.Axis(d))
+		met[d] = b.G.Metric(grid.Axis(d))
+	}
 	b.plan.Run("DIVERGENCE", b.interior(), func(t par.Tile, _ int) {
+		x0, x1 := t.Lo[0], t.Hi[0]
+		neg := minusOne
 		for v := 0; v < b.nvar; v++ {
-			op := deriv.OpSet
-			if !b.isActive(0) {
-				b.rhs[v].FillRange(0, t.Lo, t.Hi)
-				op = deriv.OpAdd
+			rhs, flux := b.rhs[v], &b.flux[v]
+			for k := t.Lo[2]; k < t.Hi[2]; k++ {
+				for j := t.Lo[1]; j < t.Hi[1]; j++ {
+					p := rhs.Idx(x0, j, k)
+					r := rhs.Data[p : p+x1-x0]
+					op := deriv.OpSet
+					if !xActive {
+						clear(r)
+						op = deriv.OpAdd
+					}
+					for _, d := range b.active {
+						deriv.DiffRow(r, flux[d], grid.Axis(d), met[d], lo[d], hi[d], x0, x1, j, k, op)
+						op = deriv.OpAdd
+					}
+					for i := range r {
+						r[i] *= neg
+					}
+				}
 			}
-			for _, d := range b.active {
-				a := grid.Axis(d)
-				lo, hi := b.lohi(a)
-				deriv.DiffRange(b.rhs[v], b.flux[v][d], a, b.G.Metric(a), lo, hi, t.Lo, t.Hi, op)
-				op = deriv.OpAdd
-			}
-			b.rhs[v].ScaleRange(-1, t.Lo, t.Hi)
 		}
 	})
 }
+
+// minusOne negates a divergence row. It is a variable so that the compiler
+// emits the multiply: it rewrites x·(−1) with a constant −1 to a negation,
+// which flips a NaN's sign bit where the multiply keeps it.
+var minusOne = -1.0
 
 // chemSource adds the chemical production terms Wₙ·ω̇ₙ to the species
 // equations (paper eq. 4). Total energy needs no source: the enthalpy in e₀

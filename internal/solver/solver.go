@@ -178,6 +178,12 @@ type Block struct {
 	// diffusive fluxes live in worker row scratch (see assembleFluxes).
 	flux [][3]*grid.Field3
 
+	// gradSrc = {U, V, W, T, Wmix, Y…} are the fields the flux stage
+	// differentiates along every active axis and normalSrc = {ρ, p, U, V, W,
+	// Y…} those the NSCBC planes differentiate along the face normal, each
+	// list in the order of its destination rows in rowScratch.
+	gradSrc, normalSrc []*grid.Field3
+
 	// Per-face boundary condition resolved for this block: interior faces
 	// (with a neighbouring rank) behave like UseGhosts.
 	faceBC    [3][2]BCType
@@ -609,6 +615,8 @@ func (b *Block) registerFields() {
 		b.Y[n], b.D[n] = fs.Field(yID[n]), fs.Field(dID[n])
 	}
 	b.scratchF = fs.Field(scratchID)
+	b.gradSrc = append([]*grid.Field3{b.U, b.V, b.W, b.T, b.Wmix}, b.Y...)
+	b.normalSrc = append([]*grid.Field3{b.Rho, b.P, b.U, b.V, b.W}, b.Y...)
 }
 
 // isActive reports whether the block has more than one point along axis a.
