@@ -36,23 +36,21 @@ type MomentSpec struct {
 	Favre bool
 }
 
-// HistogramSpec requests a fixed-bin volume-weighted histogram. Bounds are
-// explicit and frozen for the whole run so successive records share one
-// axis. Bins of 0 selects 32.
+// HistogramSpec requests a fixed-bin volume-weighted histogram of the
+// temperature. Bounds are explicit and frozen for the whole run so
+// successive records share one axis. Bins of 0 selects 32.
 type HistogramSpec struct {
-	Field  string
 	Bins   int
 	Lo, Hi float64
 }
 
-// ConditionalSpec requests the conditional mean ⟨Of | On⟩ over Bins bins
-// of the conditioning variable in [Lo, Hi]. On may be a registry field or
-// a derived variable ("Z", "c"). Favre selects density weighting.
+// ConditionalSpec requests the Favre (density-weighted) conditional mean
+// ⟨Of | On⟩ over Bins bins of the conditioning variable in [0, 1]. On is a
+// derived variable ("Z", "c"), both clipped to [0, 1], or a registry field
+// already normalised to that range.
 type ConditionalSpec struct {
 	Of, On string
 	Bins   int
-	Lo, Hi float64
-	Favre  bool
 }
 
 // StreamsSpec defines the fuel and oxidiser stream compositions behind the
@@ -68,10 +66,9 @@ type ProgressSpec struct {
 	YO2u, YO2b float64
 }
 
-// ReactionZoneSpec requests the volume fraction where Field (default "T")
-// exceeds Threshold — the reaction-zone conditioning of §7.
+// ReactionZoneSpec requests the volume fraction where the temperature
+// exceeds Threshold (K) — the reaction-zone conditioning of §7.
 type ReactionZoneSpec struct {
-	Field     string
 	Threshold float64
 }
 
@@ -131,12 +128,12 @@ func (s *Simulation) EnableAnalysis(spec AnalysisSpec) (*insitu.Pipeline, error)
 		}
 	}
 	for _, h := range spec.Histograms {
-		if err := p.Register(insitu.Hist{Field: h.Field, Bins: h.Bins, Lo: h.Lo, Hi: h.Hi}, bnd); err != nil {
+		if err := p.Register(insitu.Hist{Field: "T", Bins: h.Bins, Lo: h.Lo, Hi: h.Hi}, bnd); err != nil {
 			return nil, err
 		}
 	}
 	for _, c := range spec.Conditionals {
-		op := insitu.Conditional{Of: c.Of, On: c.On, Bins: c.Bins, Lo: c.Lo, Hi: c.Hi, Favre: c.Favre}
+		op := insitu.Conditional{Of: c.Of, On: c.On, Bins: c.Bins, Lo: 0, Hi: 1, Favre: true}
 		if err := p.Register(op, bnd); err != nil {
 			return nil, err
 		}
@@ -164,11 +161,7 @@ func (s *Simulation) EnableAnalysis(spec AnalysisSpec) (*insitu.Pipeline, error)
 		}
 	}
 	if rz := spec.ReactionZone; rz != nil {
-		field := rz.Field
-		if field == "" {
-			field = "T"
-		}
-		op := insitu.VolumeFraction{Label: "reaction_zone", Field: field, Threshold: rz.Threshold}
+		op := insitu.VolumeFraction{Label: "reaction_zone", Field: "T", Threshold: rz.Threshold}
 		if err := p.Register(op, bnd); err != nil {
 			return nil, err
 		}
@@ -274,9 +267,9 @@ func (p *Problem) StandardAnalysis() AnalysisSpec {
 			{Field: "T", Favre: true},
 		},
 		Histograms: []HistogramSpec{
-			{Field: "T", Bins: 32, Lo: 250, Hi: 3000},
+			{Bins: 32, Lo: 250, Hi: 3000},
 		},
-		ReactionZone: &ReactionZoneSpec{Field: "T", Threshold: 1500},
+		ReactionZone: &ReactionZoneSpec{Threshold: 1500},
 		HeatRelease:  !p.Config.ChemistryOff,
 	}
 	if p.Config.Mechanism != nil && p.Config.Mechanism.SpeciesIndex("OH") >= 0 {
@@ -284,18 +277,14 @@ func (p *Problem) StandardAnalysis() AnalysisSpec {
 	}
 	if len(p.YFuel) > 0 && len(p.YOx) > 0 {
 		spec.MixtureFraction = &StreamsSpec{YFuel: p.YFuel, YOx: p.YOx}
-		spec.Conditionals = append(spec.Conditionals, ConditionalSpec{
-			Of: "T", On: "Z", Bins: 16, Lo: 0, Hi: 1, Favre: true,
-		})
+		spec.Conditionals = append(spec.Conditionals, ConditionalSpec{Of: "T", On: "Z", Bins: 16})
 		if iO2 := p.Config.Mechanism.SpeciesIndex("O2"); iO2 >= 0 {
 			u, b := p.YFuel[iO2], p.YOx[iO2]
 			if math.Abs(u-b) > 1e-12 {
 				spec.Progress = &ProgressSpec{YO2u: u, YO2b: b}
 				spec.FlameSurface = true
 				if p.Config.Mechanism.SpeciesIndex("OH") >= 0 {
-					spec.Conditionals = append(spec.Conditionals, ConditionalSpec{
-						Of: "Y_OH", On: "c", Bins: 16, Lo: 0, Hi: 1, Favre: true,
-					})
+					spec.Conditionals = append(spec.Conditionals, ConditionalSpec{Of: "Y_OH", On: "c", Bins: 16})
 				}
 			}
 		}

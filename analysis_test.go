@@ -26,10 +26,10 @@ func analysisSpecForBox(mech *Mechanism) AnalysisSpec {
 	return AnalysisSpec{
 		Every:           2,
 		Moments:         []MomentSpec{{Field: "T", Favre: true}, {Field: "rho"}},
-		Histograms:      []HistogramSpec{{Field: "T", Bins: 16, Lo: 250, Hi: 600}},
+		Histograms:      []HistogramSpec{{Bins: 16, Lo: 250, Hi: 600}},
 		MixtureFraction: &StreamsSpec{YFuel: yFuel, YOx: yOx},
-		Conditionals:    []ConditionalSpec{{Of: "T", On: "Z", Bins: 8, Lo: 0, Hi: 1, Favre: true}},
-		ReactionZone:    &ReactionZoneSpec{Field: "T", Threshold: 400},
+		Conditionals:    []ConditionalSpec{{Of: "T", On: "Z", Bins: 8}},
+		ReactionZone:    &ReactionZoneSpec{Threshold: 400},
 	}
 }
 
@@ -319,12 +319,12 @@ func TestEnableAnalysisErrors(t *testing.T) {
 		t.Fatal("FlameSurface without Progress must fail")
 	}
 	if _, err := sim.EnableAnalysis(AnalysisSpec{
-		Conditionals: []ConditionalSpec{{Of: "T", On: "Z", Bins: 4, Lo: 0, Hi: 1}},
+		Conditionals: []ConditionalSpec{{Of: "T", On: "Z", Bins: 4}},
 	}); err == nil {
 		t.Fatal("conditioning on Z without MixtureFraction streams must fail")
 	}
 	if _, err := sim.EnableAnalysis(AnalysisSpec{
-		Histograms: []HistogramSpec{{Field: "T", Bins: 8, Lo: 5, Hi: 5}},
+		Histograms: []HistogramSpec{{Bins: 8, Lo: 5, Hi: 5}},
 	}); err == nil {
 		t.Fatal("degenerate histogram bounds must fail")
 	}

@@ -115,6 +115,14 @@ if grep -rnE "$deleted" --include='*.go' . | grep -v '^\./benchmark/'; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
 fi
+# ... and so do the settings only their own defaults ever set: the fixed
+# physics of the two case builders, the reactor's and the rule engine's
+# step and hysteresis controls, and the flags nothing turned off.
+settings='\b(TurbIntensity|TFuel|TCo|TReactants|VelocityScale|Phi|MaxRelChange|DtMax|DtMin|StopWhen|relChange|WarnAfter|FatalAfter|ClearAfter|SliceMax|EmergencyCheckpoint|StepScale|Retries|oneSided4|cflNumber|gatherY)\b|reactor\.Options|func NewRecorder|health\.NewRecorder|"(scatter|verify|snapshots)", |Int\("checkpoints"'
+if grep -rnE "$settings" --include='*.go' . | grep -v '^\./benchmark/'; then
+	echo "a deleted setting is back (see above)" >&2
+	exit 1
+fi
 
 # One record stream: a run writes one JSONL file, its trace, and every
 # layer's records land in it (StartTelemetry subscribes the trace to each

@@ -12,9 +12,11 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -24,6 +26,7 @@ import (
 	"github.com/s3dgo/s3d/internal/chem"
 	"github.com/s3dgo/s3d/internal/flame1d"
 	"github.com/s3dgo/s3d/internal/grid"
+	"github.com/s3dgo/s3d/internal/sdf"
 	"github.com/s3dgo/s3d/internal/stats"
 	"github.com/s3dgo/s3d/internal/turb"
 	"github.com/s3dgo/s3d/internal/viz"
@@ -161,7 +164,7 @@ func runCases(lam flame1d.Properties, o *options, doSurface, doGradC bool) {
 		}
 		p, err := s3d.BunsenProblem(s3d.BunsenOptions{
 			Case: id, Nx: o.nx, Ny: o.ny, Nz: 1,
-			SL: lam.SL, DeltaL: lam.DeltaL, Seed: int64(id), VelocityScale: 0.5,
+			SL: lam.SL, DeltaL: lam.DeltaL, Seed: int64(id),
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -255,12 +258,8 @@ func renderFig12(c []float64, dims [3]int, id byte, outDir string) error {
 		Background: viz.RGBA{R: 0.05, G: 0.05, B: 0.08, A: 1},
 	}
 	path := filepath.Join(outDir, fmt.Sprintf("fig12_case%c.png", id))
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	if err := viz.WritePNG(out, r.Render()); err != nil {
+	img := r.Render()
+	if err := sdf.WriteAtomic(path, func(w io.Writer) error { return viz.WritePNG(w, img) }); err != nil {
 		return err
 	}
 	fmt.Println("  wrote", path)
@@ -274,13 +273,8 @@ func writeFig13(sim *s3d.Simulation, c []float64, dims [3]int, lam flame1d.Prope
 	nx, ny, nz := dims[0], dims[1], dims[2]
 	at := func(i, j, k int) float64 { return c[(k*ny+j)*nx+i] }
 
-	path := filepath.Join(outDir, fmt.Sprintf("fig13_case%c.csv", id))
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	fmt.Fprintln(out, "station,c,mean_gradc_dL,count")
+	var out bytes.Buffer
+	fmt.Fprintln(&out, "station,c,mean_gradc_dL,count")
 	for _, frac := range []float64{0.25, 0.5, 0.75} {
 		i0 := int(frac * float64(nx-1))
 		lo := i0 - nx/8
@@ -307,9 +301,13 @@ func writeFig13(sim *s3d.Simulation, c []float64, dims [3]int, lam flame1d.Prope
 		centers, means, _, counts := cond.Bins()
 		for b := range centers {
 			if counts[b] > 0 {
-				fmt.Fprintf(out, "%.2f,%.3f,%.4f,%.0f\n", frac, centers[b], means[b], counts[b])
+				fmt.Fprintf(&out, "%.2f,%.3f,%.4f,%.0f\n", frac, centers[b], means[b], counts[b])
 			}
 		}
+	}
+	path := filepath.Join(outDir, fmt.Sprintf("fig13_case%c.csv", id))
+	if err := sdf.WriteAtomic(path, func(w io.Writer) error { _, err := out.WriteTo(w); return err }); err != nil {
+		return err
 	}
 	fmt.Println("  wrote", path)
 	return nil

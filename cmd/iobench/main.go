@@ -17,18 +17,18 @@ import (
 	"github.com/s3dgo/s3d/internal/pario"
 )
 
+// checkpoints is the number of checkpoints per run, the paper's.
+const checkpoints = 10
+
 func main() {
-	checkpoints := flag.Int("checkpoints", 10, "checkpoints per run (the paper uses 10)")
-	verify := flag.Bool("verify", true, "verify canonical file images before benchmarking")
+	// No flags: Parse only rejects unknown ones.
 	flag.Parse()
 
-	if *verify {
-		k := pario.Kernel{NxP: 6, NyP: 5, NzP: 4, Px: 2, Py: 2, Pz: 2}
-		if err := k.VerifyImages(256, 128); err != nil {
-			log.Fatalf("canonical image verification failed: %v", err)
-		}
-		fmt.Println("# canonical-order verification: all shared-file paths byte-identical ✓")
+	k := pario.Kernel{NxP: 6, NyP: 5, NzP: 4, Px: 2, Py: 2, Pz: 2}
+	if err := k.VerifyImages(256, 128); err != nil {
+		log.Fatalf("canonical image verification failed: %v", err)
 	}
+	fmt.Println("# canonical-order verification: all shared-file paths byte-identical ✓")
 
 	grids := []pario.Kernel{
 		{NxP: 50, NyP: 50, NzP: 50, Px: 2, Py: 2, Pz: 2}, // 8
@@ -50,18 +50,18 @@ func main() {
 		for _, k := range grids {
 			fmt.Printf("%d", k.NumProcs())
 			for _, m := range methods {
-				r := m.Simulate(k, fs, net, *checkpoints)
+				r := m.Simulate(k, fs, net, checkpoints)
 				fmt.Printf(",%.1f", r.BandwidthMBs)
 			}
-			ind := pario.NativeIndependent{}.Simulate(k, fs, net, *checkpoints)
+			ind := pario.NativeIndependent{}.Simulate(k, fs, net, checkpoints)
 			fmt.Printf(",%.1f\n", ind.BandwidthMBs)
 		}
 
-		fmt.Printf("\n# Figure 9 (%s): file open time over %d checkpoints (s)\n", fs.Name, *checkpoints)
+		fmt.Printf("\n# Figure 9 (%s): file open time over %d checkpoints (s)\n", fs.Name, checkpoints)
 		fmt.Println("procs,fortran,shared")
 		for _, k := range grids {
-			f := pario.FortranIO{}.Simulate(k, fs, net, *checkpoints)
-			c := pario.NativeCollective{}.Simulate(k, fs, net, *checkpoints)
+			f := pario.FortranIO{}.Simulate(k, fs, net, checkpoints)
+			c := pario.NativeCollective{}.Simulate(k, fs, net, checkpoints)
 			fmt.Printf("%d,%.2f,%.2f\n", k.NumProcs(), f.OpenTime, c.OpenTime)
 		}
 	}

@@ -13,11 +13,12 @@ import (
 // the two flags of the dynamic load balancer, deleted with it, and with the
 // per-layer store path and cadence flag pairs folded into one cadence each
 // (-analysis, -cost, -critpath: steps, 0 off; the records land in the
-// trace): no other flag lost, none gained, no other default moved, and -lb
-// is an unknown flag again.
+// trace), and minus -scatter, whose figure-11 files are always written: no
+// other flag lost, none gained, no other default moved, and -lb and
+// -scatter are unknown flags again.
 func TestDriverFlagSurface(t *testing.T) {
 	want := []string{
-		"analysis=0", "cost=0", "critpath=0", "flightrec=", "health=false", "monitor=", "nx=96", "ny=72", "out=out_liftedflame", "profile=", "scatter=true", "steps=400", "trace=", "workers=0",
+		"analysis=0", "cost=0", "critpath=0", "flightrec=", "health=false", "monitor=", "nx=96", "ny=72", "out=out_liftedflame", "profile=", "steps=400", "trace=", "workers=0",
 	}
 	fs := flag.NewFlagSet("liftedflame", flag.ContinueOnError)
 	bindFlags(fs)
@@ -29,5 +30,8 @@ func TestDriverFlagSurface(t *testing.T) {
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse([]string{"-lb"}); err == nil {
 		t.Fatal("-lb still parses: the load balancer's flag is supposed to be gone")
+	}
+	if err := fs.Parse([]string{"-scatter=false"}); err == nil {
+		t.Fatal("-scatter still parses: figure 11 is supposed to be written on every run")
 	}
 }

@@ -13,9 +13,11 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -23,6 +25,7 @@ import (
 
 	"github.com/s3dgo/s3d"
 	"github.com/s3dgo/s3d/internal/grid"
+	"github.com/s3dgo/s3d/internal/sdf"
 	"github.com/s3dgo/s3d/internal/stats"
 	"github.com/s3dgo/s3d/internal/viz"
 )
@@ -31,10 +34,9 @@ import (
 // drivers (s3d.RunOptions) plus what only this driver has.
 type options struct {
 	s3d.RunOptions
-	nx, ny  int
-	steps   int
-	outDir  string
-	scatter bool
+	nx, ny int
+	steps  int
+	outDir string
 }
 
 func bindFlags(fs *flag.FlagSet) *options {
@@ -44,7 +46,6 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.ny, "ny", 72, "transverse grid points")
 	fs.IntVar(&o.steps, "steps", 400, "time steps")
 	fs.StringVar(&o.outDir, "out", "out_liftedflame", "output directory")
-	fs.BoolVar(&o.scatter, "scatter", true, "write figure-11 scatter/conditional data")
 	return o
 }
 
@@ -115,10 +116,8 @@ func main() {
 		log.Fatal(err)
 	}
 	analyzeUpstream(sim, p)
-	if o.scatter {
-		if err := writeFig11(sim, p, o.outDir); err != nil {
-			log.Fatal(err)
-		}
+	if err := writeFig11(sim, p, o.outDir); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -168,12 +167,8 @@ func renderFig10(sim *s3d.Simulation, outDir string) error {
 		Background: viz.RGBA{R: 0.02, G: 0.02, B: 0.04, A: 1},
 	}
 	path := filepath.Join(outDir, "fig10_oh_ho2.png")
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := viz.WritePNG(f, r.Render()); err != nil {
+	img := r.Render()
+	if err := sdf.WriteAtomic(path, func(w io.Writer) error { return viz.WritePNG(w, img) }); err != nil {
 		return err
 	}
 	fmt.Println("wrote", path)
@@ -259,22 +254,21 @@ func writeFig11(sim *s3d.Simulation, p *s3d.Problem, outDir string) error {
 			}
 		}
 		path := filepath.Join(outDir, fmt.Sprintf("fig11_x%.0f.csv", frac*100))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(f, "# scatter: xi,T")
+		var f bytes.Buffer
+		fmt.Fprintln(&f, "# scatter: xi,T")
 		for i := range sc.X {
-			fmt.Fprintf(f, "%.5f,%.1f\n", sc.X[i], sc.Y[i])
+			fmt.Fprintf(&f, "%.5f,%.1f\n", sc.X[i], sc.Y[i])
 		}
-		fmt.Fprintln(f, "# conditional: xi,mean,std,count")
+		fmt.Fprintln(&f, "# conditional: xi,mean,std,count")
 		centers, means, stds, counts := cond.Bins()
 		for i := range centers {
 			if counts[i] > 0 {
-				fmt.Fprintf(f, "%.4f,%.1f,%.1f,%.0f\n", centers[i], means[i], stds[i], counts[i])
+				fmt.Fprintf(&f, "%.4f,%.1f,%.1f,%.0f\n", centers[i], means[i], stds[i], counts[i])
 			}
 		}
-		f.Close()
+		if err := sdf.WriteAtomic(path, func(w io.Writer) error { _, err := f.WriteTo(w); return err }); err != nil {
+			return err
+		}
 		fmt.Println("wrote", path)
 	}
 	fmt.Printf("stoichiometric mixture fraction ξ_st = %.3f\n", bilger.XiStoich())

@@ -256,7 +256,7 @@ func buildProblem(name string, nx, ny, nz int) *s3d.Problem {
 		return p
 	case strings.HasPrefix(name, "bunsen-"):
 		id := byte(strings.ToUpper(strings.TrimPrefix(name, "bunsen-"))[0])
-		p, err := s3d.BunsenProblem(s3d.BunsenOptions{Case: id, Nx: nx, Ny: ny, Nz: nz, VelocityScale: 0.5})
+		p, err := s3d.BunsenProblem(s3d.BunsenOptions{Case: id, Nx: nx, Ny: ny, Nz: nz})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,6 +12,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"image"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -19,15 +21,18 @@ import (
 
 	"github.com/s3dgo/s3d"
 	"github.com/s3dgo/s3d/internal/grid"
+	"github.com/s3dgo/s3d/internal/sdf"
 	"github.com/s3dgo/s3d/internal/stats"
 	"github.com/s3dgo/s3d/internal/viz"
 )
+
+// snapshots is the number of OH histograms in the figure-15 time histogram.
+const snapshots = 8
 
 func main() {
 	nx := flag.Int("nx", 96, "streamwise grid points")
 	ny := flag.Int("ny", 72, "transverse grid points")
 	steps := flag.Int("steps", 240, "time steps")
-	snaps := flag.Int("snapshots", 8, "time histogram snapshots")
 	outDir := flag.String("out", "out_viz", "output directory")
 	flag.Parse()
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -47,12 +52,12 @@ func main() {
 	// Advance in bursts, recording OH histograms per snapshot (the time
 	// dimension of figure 15). The stable step is refreshed per burst: the
 	// developing flame raises the sound speed and peak velocities.
-	hist := make([][]float64, 0, *snaps)
-	per := *steps / *snaps
+	hist := make([][]float64, 0, snapshots)
+	per := *steps / snapshots
 	if per == 0 {
 		per = 1
 	}
-	for s := 0; s < *snaps; s++ {
+	for s := 0; s < snapshots; s++ {
 		dt := 0.4 * sim.StableDt()
 		sim.Advance(per, dt)
 		oh, _, err := sim.Field("Y_OH")
@@ -74,6 +79,11 @@ func main() {
 	if err := renderFig15(sim, p, hist, *outDir); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// writePNG writes img to path whole or not at all.
+func writePNG(path string, img image.Image) error {
+	return sdf.WriteAtomic(path, func(w io.Writer) error { return viz.WritePNG(w, img) })
 }
 
 func toField(data []float64, dims [3]int) *grid.Field3 {
@@ -146,15 +156,9 @@ func renderFig14(sim *s3d.Simulation, p *s3d.Problem, outDir string) error {
 			Background: viz.RGBA{R: 0.02, G: 0.02, B: 0.05, A: 1},
 		}
 		path := filepath.Join(outDir, panel.name)
-		f, err := os.Create(path)
-		if err != nil {
+		if err := writePNG(path, r.Render()); err != nil {
 			return err
 		}
-		if err := viz.WritePNG(f, r.Render()); err != nil {
-			f.Close()
-			return err
-		}
-		f.Close()
 		fmt.Println("wrote", path)
 	}
 	return nil
@@ -188,15 +192,9 @@ func renderFig15(sim *s3d.Simulation, p *s3d.Problem, hist [][]float64, outDir s
 		return err
 	}
 	path := filepath.Join(outDir, "fig15_parallel_coords.png")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := writePNG(path, img); err != nil {
 		return err
 	}
-	if err := viz.WritePNG(f, img); err != nil {
-		f.Close()
-		return err
-	}
-	f.Close()
 	fmt.Println("wrote", path)
 
 	th := &viz.TimeHistogram{Hist: hist, Width: 512, Height: 256}
@@ -205,15 +203,9 @@ func renderFig15(sim *s3d.Simulation, p *s3d.Problem, hist [][]float64, outDir s
 		return err
 	}
 	path = filepath.Join(outDir, "fig15_time_histogram.png")
-	f, err = os.Create(path)
-	if err != nil {
+	if err := writePNG(path, img2); err != nil {
 		return err
 	}
-	if err := viz.WritePNG(f, img2); err != nil {
-		f.Close()
-		return err
-	}
-	f.Close()
 	fmt.Println("wrote", path)
 
 	corr := stats.Correlation(chiNear, ohNear)

@@ -7,11 +7,12 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"os"
 	"path/filepath"
 
 	"github.com/s3dgo/s3d"
+	"github.com/s3dgo/s3d/internal/sdf"
 	"github.com/s3dgo/s3d/internal/viz"
 )
 
@@ -32,7 +33,7 @@ func main() {
 	// renders a frame from the same live fields.
 	lane, err := sim.EnableAnalysis(s3d.AnalysisSpec{
 		Every:      12,
-		Histograms: []s3d.HistogramSpec{{Field: "T", Bins: 24, Lo: 300, Hi: 2900}},
+		Histograms: []s3d.HistogramSpec{{Bins: 24, Lo: 300, Hi: 2900}},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -60,12 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	path := filepath.Join(outDir, "time_histogram.png")
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := viz.WritePNG(f, img); err != nil {
+	if err := sdf.WriteAtomic(path, func(w io.Writer) error { return viz.WritePNG(w, img) }); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote", path)

@@ -30,13 +30,11 @@ type HealthOptions struct {
 	Config *health.Config
 
 	// BundleDir receives the post-mortem bundle when a check trips
-	// ("" disables the dump). Decomposed ranks write into per-rank
-	// subdirectories rank0/, rank1/, ….
+	// ("" disables the dump): flight.jsonl, violation.json and
+	// emergency-<step>.sdf (a regular restart file, readable by
+	// LoadCheckpoint). Decomposed ranks write into per-rank subdirectories
+	// rank0/, rank1/, ….
 	BundleDir string
-
-	// EmergencyCheckpoint also writes emergency-<step>.sdf (a regular
-	// restart file, readable by LoadCheckpoint) into the bundle.
-	EmergencyCheckpoint bool
 }
 
 // HealthDefaults returns the default rule set, for callers that want to
@@ -111,9 +109,6 @@ func (s *Simulation) dumpPostMortem() {
 	}
 	if err := w.Dump(dir); err != nil {
 		fmt.Fprintf(os.Stderr, "s3d: health bundle dump failed: %v\n", err)
-		return
-	}
-	if !opt.EmergencyCheckpoint {
 		return
 	}
 	path := filepath.Join(dir, fmt.Sprintf("emergency-%06d.sdf", s.blk.Step))

@@ -39,7 +39,7 @@ func liftedHealthSim(t *testing.T) *Simulation {
 func TestHealthEndToEnd(t *testing.T) {
 	bundle := filepath.Join(t.TempDir(), "health")
 	sim := liftedHealthSim(t)
-	sim.EnableHealth(HealthOptions{BundleDir: bundle, EmergencyCheckpoint: true})
+	sim.EnableHealth(HealthOptions{BundleDir: bundle})
 
 	var traceBuf bytes.Buffer
 	probe, err := sim.StartTelemetry(TelemetryOptions{
@@ -351,7 +351,7 @@ func TestDecomposedRunOneVerdict(t *testing.T) {
 		if len(events) != 5 {
 			t.Fatalf("rank 0 traced %d steps, want 5", len(events))
 		}
-		for _, ev := range events[2:] { // WarnAfter 3
+		for _, ev := range events[2:] { // warnAfter 3
 			if h := ev.Health; h == nil || h.Level != "warn" || len(h.Tripped) != 1 || h.Tripped[0] != "temperature" {
 				t.Fatalf("rank 0 step %d health = %+v, want warn with temperature tripped", ev.Step, h)
 			}

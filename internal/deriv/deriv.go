@@ -44,11 +44,14 @@ var (
 	c4 = [2]float64{2.0 / 3.0, -1.0 / 12.0}
 )
 
-// Fourth-order fully one-sided (point 0) and once-shifted (point 1) weights.
-var (
-	b0 = [5]float64{-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -1.0 / 4.0}            // offsets 0..4
-	b1 = [5]float64{-1.0 / 4.0, -5.0 / 6.0, 3.0 / 2.0, -1.0 / 2.0, 1.0 / 12.0} // offsets -1..3
-)
+// OneSided4 holds the fourth-order fully one-sided weights of the closure's
+// boundary point, offsets 0..4 into the domain (negated and mirrored at a
+// high face). NSCBC differentiates its normal fluxes with the same weights,
+// so the conventional term it replaces is removed exactly.
+var OneSided4 = [5]float64{-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -1.0 / 4.0}
+
+// Fourth-order once-shifted (point 1) weights, offsets -1..3.
+var b1 = [5]float64{-1.0 / 4.0, -5.0 / 6.0, 3.0 / 2.0, -1.0 / 2.0, 1.0 / 12.0}
 
 // Diff computes the physical first derivative of f along axis a into dst,
 // multiplying by the metric line met (dξ/dx per interior index along a).

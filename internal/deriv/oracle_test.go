@@ -49,7 +49,7 @@ func oracleDiffPoint(src []float64, p, stride, i, n int, lo, hi BC) (float64, bo
 	case lo == OneSided && i < i0:
 		switch i {
 		case 0:
-			for m, w := range b0 {
+			for m, w := range OneSided4 {
 				d += w * at(m)
 			}
 		case 1:
@@ -64,7 +64,7 @@ func oracleDiffPoint(src []float64, p, stride, i, n int, lo, hi BC) (float64, bo
 	case hi == OneSided && i >= i1:
 		switch r {
 		case 0:
-			for m, w := range b0 {
+			for m, w := range OneSided4 {
 				d -= w * at(-m)
 			}
 		case 1:

@@ -200,7 +200,7 @@ func closeRow(dst, src []float64, p, stride, r int, high bool, met float64, op O
 		}
 	default:
 		// One-sided weights over offsets −r…4−r, towards the interior.
-		wts := &b0
+		wts := &OneSided4
 		if r == 1 {
 			wts = &b1
 		}

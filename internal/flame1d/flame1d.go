@@ -42,12 +42,14 @@ type Config struct {
 	Yu   []float64 // unburnt composition
 
 	// Numerical controls; zeros select defaults tuned for CH4/H2 flames.
-	Nx         int     // grid points (default 240)
-	L          float64 // domain length (default 40 δ-estimates ≈ 8 mm)
-	TEnd       float64 // integration horizon (default 0.35 ms)
-	TAvg       float64 // trailing window for averaging S_c (default 0.1 ms)
-	transEvery int     // steps between transport updates (default 10)
+	Nx   int     // grid points (default 240)
+	L    float64 // domain length (default 40 δ-estimates ≈ 8 mm)
+	TEnd float64 // integration horizon (default 0.35 ms)
+	TAvg float64 // trailing window for averaging S_c (default 0.1 ms)
 }
+
+// transEvery is the number of steps between transport-property updates.
+const transEvery = 10
 
 // Solve runs the flame to a propagating state and measures its properties.
 func Solve(cfg Config) (Properties, error) {
@@ -73,10 +75,6 @@ func Solve(cfg Config) (Properties, error) {
 	tAvg := cfg.TAvg
 	if tAvg == 0 {
 		tAvg = 0.1e-3
-	}
-	transEvery := cfg.transEvery
-	if transEvery == 0 {
-		transEvery = 10
 	}
 	h := L / float64(nx-1)
 

@@ -129,10 +129,8 @@ func (b Band) Classify(v float64) Level {
 	return OK
 }
 
-// Config is the rule engine: one band per physics check plus the
-// hysteresis counts. A zero Band disables its check; zero hysteresis /
-// recorder fields take the Defaults() values when the config enters New.
-// Start from Defaults() and adjust bands per problem.
+// Config is the rule engine's bands, one per physics check; a zero Band
+// disables its check. Start from Defaults() and adjust bands per problem.
 type Config struct {
 	// Density, Temperature and Pressure band the primitive-state extrema
 	// (kg/m³, K, Pa).
@@ -161,24 +159,28 @@ type Config struct {
 	// silent on a healthy one.
 	MassDrift   Band
 	EnergyDrift Band
-
-	// Gamma estimates the sound speed in the acoustic-CFL check as
-	// √(γ·p/ρ) without a per-cell thermodynamic evaluation (0 → 1.4).
-	Gamma float64
-
-	// Hysteresis: a check must grade bad for WarnAfter (FatalAfter)
-	// consecutive steps before it trips WARN (FATAL), and good for
-	// ClearAfter consecutive steps before a WARN clears. FATAL is sticky.
-	// Defaults: WarnAfter 3, FatalAfter 1, ClearAfter 5.
-	WarnAfter  int
-	FatalAfter int
-	ClearAfter int
-
-	// Frames is the flight-recorder depth in steps (0 → 16); SliceMax is
-	// the per-axis resolution cap of the recorded field slices (0 → 32).
-	Frames   int
-	SliceMax int
 }
+
+// The settings every rule set shares.
+const (
+	// AcousticGamma estimates the sound speed in the acoustic-CFL check as
+	// √(γ·p/ρ) without a per-cell thermodynamic evaluation.
+	AcousticGamma = 1.4
+
+	// SliceResolution caps the per-axis resolution of the field slices the
+	// flight recorder keeps.
+	SliceResolution = 32
+
+	// Hysteresis: a check must grade bad for warnAfter (fatalAfter)
+	// consecutive steps before it trips WARN (FATAL), and good for
+	// clearAfter consecutive steps before a WARN clears. FATAL is sticky.
+	warnAfter  = 3
+	fatalAfter = 1
+	clearAfter = 5
+
+	// recorderFrames is the flight-recorder depth in steps.
+	recorderFrames = 16
+)
 
 // Defaults returns the production rule set: bands wide enough that any
 // healthy reacting case stays silent, tight enough that a run going bad
@@ -197,35 +199,5 @@ func Defaults() Config {
 		CFLDiffusive:  Above(1.0, 2.0),
 		MassDrift:     Above(0.05, 0.5),
 		EnergyDrift:   Above(0.05, 0.5),
-		Gamma:         1.4,
-		WarnAfter:     3,
-		FatalAfter:    1,
-		ClearAfter:    5,
-		Frames:        16,
-		SliceMax:      32,
 	}
-}
-
-// normalize fills zero-valued fields from Defaults.
-func (c Config) normalize() Config {
-	d := Defaults()
-	if c.Gamma <= 0 {
-		c.Gamma = d.Gamma
-	}
-	if c.WarnAfter <= 0 {
-		c.WarnAfter = d.WarnAfter
-	}
-	if c.FatalAfter <= 0 {
-		c.FatalAfter = d.FatalAfter
-	}
-	if c.ClearAfter <= 0 {
-		c.ClearAfter = d.ClearAfter
-	}
-	if c.Frames <= 0 {
-		c.Frames = d.Frames
-	}
-	if c.SliceMax <= 0 {
-		c.SliceMax = d.SliceMax
-	}
-	return c
 }

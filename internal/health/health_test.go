@@ -76,7 +76,7 @@ func TestFloatJSONRoundTrip(t *testing.T) {
 }
 
 func TestWarnHysteresis(t *testing.T) {
-	w := New(Defaults()) // WarnAfter 3, ClearAfter 5
+	w := New(Defaults()) // warnAfter 3, clearAfter 5
 	w.Arm()
 	step := 0
 	eval := func(tMax float64) Status {
@@ -88,7 +88,7 @@ func TestWarnHysteresis(t *testing.T) {
 		}
 		return w.Status()
 	}
-	// Two bad steps: below WarnAfter, still ok.
+	// Two bad steps: below warnAfter, still ok.
 	for i := 0; i < 2; i++ {
 		if st := eval(4000); st.Checks["temperature"].Level != "ok" {
 			t.Fatalf("tripped after %d bad steps", i+1)
@@ -107,7 +107,7 @@ func TestWarnHysteresis(t *testing.T) {
 	}
 	// Fifth clean step clears.
 	if st := eval(1800); st.Checks["temperature"].Level != "ok" || st.Level != "ok" {
-		t.Fatalf("want ok after ClearAfter good steps, got %+v", st)
+		t.Fatalf("want ok after clearAfter good steps, got %+v", st)
 	}
 }
 
@@ -192,20 +192,19 @@ func TestDriftReferenceCapture(t *testing.T) {
 }
 
 func TestRecorderRingAndDump(t *testing.T) {
-	cfg := Defaults()
-	cfg.Frames = 4
-	w := New(cfg)
+	w := New(Defaults())
 	w.Arm()
 	w.SetSliceSource(func() Slice {
 		return Slice{Name: "T@z=mid", Nx: 2, Ny: 1, Data: []F{300, F(math.NaN())}}
 	})
-	for i := 1; i <= 6; i++ {
+	const n = recorderFrames
+	for i := 1; i <= n+2; i++ {
 		s := healthySample(i)
 		w.Evaluate(&s, nil)
 	}
 	fr := w.Recorder().Frames()
-	if len(fr) != 4 {
-		t.Fatalf("ring kept %d frames, want 4", len(fr))
+	if len(fr) != n {
+		t.Fatalf("ring kept %d frames, want %d", len(fr), n)
 	}
 	for i, f := range fr {
 		if f.Step != i+3 {
@@ -221,7 +220,7 @@ func TestRecorderRingAndDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4 || got[0].Step != 3 || got[3].Step != 6 {
+	if len(got) != n || got[0].Step != 3 || got[n-1].Step != n+2 {
 		t.Fatalf("flight.jsonl round-trip wrong: %d frames", len(got))
 	}
 	if got[0].Slice == nil || !math.IsNaN(float64(got[0].Slice.Data[1])) {
@@ -241,7 +240,7 @@ func TestRecorderRingAndDump(t *testing.T) {
 		frames  int
 		wantErr string
 	}{
-		{"truncated final line", whole[:len(whole)-len(lines[3])/2], 3, ""},
+		{"truncated final line", whole[:len(whole)-len(lines[n-1])/2], n - 1, ""},
 		{"damage then valid", bytes.Join([][]byte{lines[0], []byte("{garbage\n"), lines[2]}, nil), 1, ":2:"},
 	} {
 		path := filepath.Join(dir, "cut.jsonl")

@@ -32,23 +32,15 @@ type Frame struct {
 	Slice  *Slice                 `json:"slice,omitempty"`
 }
 
-// Recorder is the ring-buffer flight recorder: it keeps the last N frames
-// so a post-mortem shows the steps leading up to a trip, not just the
-// step that tripped. Add has a single owner; Frames and Dump are safe for
-// concurrent readers.
+// Recorder is the ring-buffer flight recorder: it keeps the last
+// recorderFrames frames so a post-mortem shows the steps leading up to a
+// trip, not just the step that tripped. Add has a single owner; Frames and
+// Dump are safe for concurrent readers.
 type Recorder struct {
 	mu     sync.Mutex
 	frames []Frame
 	next   int
 	filled bool
-}
-
-// NewRecorder builds a recorder holding the last n frames (n ≥ 1).
-func NewRecorder(n int) *Recorder {
-	if n < 1 {
-		n = 1
-	}
-	return &Recorder{frames: make([]Frame, n)}
 }
 
 // Add appends a frame, evicting the oldest once the ring is full.

@@ -125,11 +125,10 @@ type Watchdog struct {
 
 // New builds a watchdog. Arm it to start evaluating.
 func New(cfg Config) *Watchdog {
-	cfg = cfg.normalize()
 	w := &Watchdog{
 		cfg:    cfg,
 		states: make(map[string]*checkState, len(checkNames)),
-		rec:    NewRecorder(cfg.Frames),
+		rec:    &Recorder{frames: make([]Frame, recorderFrames)},
 		status: Status{Level: OK.String(), Checks: map[string]CheckStatus{}},
 	}
 	for _, name := range checkNames {
@@ -313,11 +312,11 @@ func (w *Watchdog) advanceState(st *checkState, raw Level) {
 		st.fatal = 0
 	}
 	switch {
-	case st.fatal >= w.cfg.FatalAfter:
+	case st.fatal >= fatalAfter:
 		st.level = Fatal
-	case st.bad >= w.cfg.WarnAfter && st.level < Warn:
+	case st.bad >= warnAfter && st.level < Warn:
 		st.level = Warn
-	case st.level == Warn && st.good >= w.cfg.ClearAfter:
+	case st.level == Warn && st.good >= clearAfter:
 		st.level = OK
 	}
 }

@@ -21,47 +21,22 @@ type State struct {
 	Y    []float64
 }
 
-// Options control the adaptive explicit integration.
-type Options struct {
-	// MaxRelChange bounds the per-step relative change of T and the major
-	// species; 0 selects 0.02.
-	MaxRelChange float64
-	// DtMax bounds the step size; 0 selects 1e-6 s.
-	DtMax float64
-	// DtMin aborts runaway stiffness; 0 selects 1e-13 s.
-	DtMin float64
-	// StopWhen, if non-nil, terminates the integration early when it
-	// returns true (evaluated after every step).
-	StopWhen func(State) bool
-}
-
-func (o Options) relChange() float64 {
-	if o.MaxRelChange > 0 {
-		return o.MaxRelChange
-	}
-	return 0.02
-}
-
-func (o Options) dtMax() float64 {
-	if o.DtMax > 0 {
-		return o.DtMax
-	}
-	return 1e-6
-}
-
-func (o Options) dtMin() float64 {
-	if o.DtMin > 0 {
-		return o.DtMin
-	}
-	return 1e-13
-}
+// The adaptive explicit integration's step controls: the per-step relative
+// change of T and the major species is bounded by maxRelChange, the step
+// size by dtMax, and a step below dtMin aborts runaway stiffness.
+const (
+	maxRelChange = 0.02
+	dtMax        = 1e-6  // s
+	dtMin        = 1e-13 // s
+)
 
 // ConstPressure integrates an adiabatic constant-pressure reactor from
-// (T0, p, Y0) until tEnd, calling observe (if non-nil) after every step.
+// (T0, p, Y0) until tEnd, calling observe (if non-nil) after every step and
+// returning early once stop (if non-nil) reports true for the new state.
 // The governing equations are dYᵢ/dt = Wᵢω̇ᵢ/ρ and
 // dT/dt = −Σ hᵢWᵢω̇ᵢ/(ρ·cp), with ρ = pW/(RuT).
 func ConstPressure(m *chem.Mechanism, T0, p float64, Y0 []float64, tEnd float64,
-	opt Options, observe func(State)) (State, error) {
+	stop func(State) bool, observe func(State)) (State, error) {
 	ns := m.NumSpecies()
 	set := m.Set
 	y := append([]float64(nil), Y0...)
@@ -96,16 +71,16 @@ func ConstPressure(m *chem.Mechanism, T0, p float64, Y0 []float64, tEnd float64,
 		deriv(T, y, k1)
 		// Rate-limited step size: cap the relative change of T and of any
 		// species above a floor.
-		limit := SubstepRate(T, y, k1[:ns], k1[ns], opt.relChange())
+		limit := SubstepRate(T, y, k1[:ns], k1[ns])
 		if limit > 0 {
 			dt = 1 / limit
 		} else {
-			dt = opt.dtMax()
+			dt = dtMax
 		}
-		if dt > opt.dtMax() {
-			dt = opt.dtMax()
+		if dt > dtMax {
+			dt = dtMax
 		}
-		if dt < opt.dtMin() {
+		if dt < dtMin {
 			return State{Time: t, T: T, P: p, Y: y},
 				fmt.Errorf("reactor: step size underflow (dt=%g at t=%g, T=%g)", dt, t, T)
 		}
@@ -137,7 +112,7 @@ func ConstPressure(m *chem.Mechanism, T0, p float64, Y0 []float64, tEnd float64,
 		if observe != nil {
 			observe(State{Time: t, T: T, P: p, Y: y})
 		}
-		if opt.StopWhen != nil && opt.StopWhen(State{Time: t, T: T, P: p, Y: y}) {
+		if stop != nil && stop(State{Time: t, T: T, P: p, Y: y}) {
 			return State{Time: t, T: T, P: p, Y: y}, nil
 		}
 		if math.IsNaN(T) || T > thermo.TMax {
@@ -152,19 +127,16 @@ func ConstPressure(m *chem.Mechanism, T0, p float64, Y0 []float64, tEnd float64,
 
 // SubstepRate is the reactor's step-size controller as a pure function: the
 // reciprocal of the largest step (1/dt) that keeps the relative change of T
-// and of every species above a 1e-6 floor below relChange, given the state
-// (T, y) and its time derivatives dydt (= Wᵢω̇ᵢ/ρ) and dTdt (= q/(ρ·cp)).
-// A relChange ≤ 0 selects the reactor default (0.02). Being pure, it also
-// maps chemical stiffness over any state: ceil(dt·rate) is how many reactor
-// substeps a cell would demand over a step dt.
-func SubstepRate(T float64, y, dydt []float64, dTdt, relChange float64) float64 {
-	if relChange <= 0 {
-		relChange = 0.02
-	}
-	limit := math.Abs(dTdt) / (relChange * T)
+// and of every species above a 1e-6 floor below maxRelChange, given the
+// state (T, y) and its time derivatives dydt (= Wᵢω̇ᵢ/ρ) and dTdt
+// (= q/(ρ·cp)). Being pure, it also maps chemical stiffness over any state:
+// ceil(dt·rate) is how many reactor substeps a cell would demand over a
+// step dt.
+func SubstepRate(T float64, y, dydt []float64, dTdt float64) float64 {
+	limit := math.Abs(dTdt) / (maxRelChange * T)
 	for i := range y {
 		ref := math.Max(y[i], 1e-6)
-		if l := math.Abs(dydt[i]) / (relChange * ref); l > limit {
+		if l := math.Abs(dydt[i]) / (maxRelChange * ref); l > limit {
 			limit = l
 		}
 	}
@@ -178,15 +150,13 @@ func IgnitionDelay(m *chem.Mechanism, T0, p float64, Y0 []float64, tMax float64)
 	var prevT, prevTime float64 = T0, 0
 	bestRate := 0.0
 	tau = math.NaN()
-	opt := Options{
-		// Once the temperature has risen far above the initial state and the
-		// heat-release transient has passed its peak, the delay is decided;
-		// integrating the stiff post-flame equilibrium further is wasted work.
-		StopWhen: func(s State) bool {
-			return s.T > T0+700 && !math.IsNaN(tau) && s.Time > 1.2*tau
-		},
+	// Once the temperature has risen far above the initial state and the
+	// heat-release transient has passed its peak, the delay is decided;
+	// integrating the stiff post-flame equilibrium further is wasted work.
+	stop := func(s State) bool {
+		return s.T > T0+700 && !math.IsNaN(tau) && s.Time > 1.2*tau
 	}
-	final, err := ConstPressure(m, T0, p, Y0, tMax, opt, func(s State) {
+	final, err := ConstPressure(m, T0, p, Y0, tMax, stop, func(s State) {
 		if s.Time > prevTime {
 			rate := (s.T - prevT) / (s.Time - prevTime)
 			if rate > bestRate {
@@ -242,15 +212,15 @@ func EquilibrateAdiabatic(m *chem.Mechanism, T0, p float64, Y0 []float64) (State
 	// has plateaued (small relative change over a trailing window).
 	var lastT float64
 	var lastTime float64
-	opt := Options{StopWhen: func(s State) bool {
+	plateaued := func(s State) bool {
 		if s.Time-lastTime > 2e-4 {
 			settled := math.Abs(s.T-lastT) < 0.5 && s.T > 1800
 			lastT, lastTime = s.T, s.Time
 			return settled
 		}
 		return false
-	}}
-	return ConstPressure(m, math.Max(T0, 1600), p, y, 20e-3, opt, nil)
+	}
+	return ConstPressure(m, math.Max(T0, 1600), p, y, 20e-3, plateaued, nil)
 }
 
 func clamp01(v float64) float64 {

@@ -88,7 +88,7 @@ func TestCrossoverTemperature(t *testing.T) {
 func TestMassFractionsStayNormalised(t *testing.T) {
 	m := chem.H2Air()
 	y := h2AirMix(m, 1.0)
-	_, err := ConstPressure(m, 1250, 101325, y, 3e-4, Options{}, func(s State) {
+	_, err := ConstPressure(m, 1250, 101325, y, 3e-4, nil, func(s State) {
 		var sum float64
 		for _, v := range s.Y {
 			if v < 0 || v > 1 {

@@ -35,8 +35,7 @@ func (b *Block) InstallWatchdog(w *health.Watchdog) {
 		return
 	}
 	b.hSlots = make([]hRow, b.plan.Slots(b.interior()))
-	maxN := w.Config().SliceMax
-	w.SetSliceSource(func() health.Slice { return b.healthSlice(maxN) })
+	w.SetSliceSource(b.healthSlice)
 }
 
 // Watchdog returns the installed watchdog (nil when none).
@@ -174,7 +173,6 @@ func (b *Block) conservedQuantity(v int) string {
 // conserved state.
 func (b *Block) healthRow(row []float64) {
 	r := b.interior()
-	gamma := b.watch.Config().Gamma
 	rank := float64(b.Rank())
 	slots := b.hSlots // one per partition plane of the interior (InstallWatchdog)
 	qr, qe := b.Q[iRho].Data, b.Q[iRhoE].Data
@@ -258,7 +256,7 @@ func (b *Block) healthRow(row []float64) {
 
 						if p > 0 {
 							s := math.Abs(ur[idx]) + math.Abs(vr[idx]) + math.Abs(wr[idx]) +
-								math.Sqrt(gamma*p*inv)
+								math.Sqrt(health.AcousticGamma*p*inv)
 							a.take(eSpeed, s, &gc)
 							d := mur[idx] * inv
 							for nsp := 0; nsp < ns; nsp++ {
@@ -321,8 +319,10 @@ func (b *Block) healthVerdict(row []float64, dt float64) *health.Violation {
 }
 
 // healthSlice captures the flight-recorder field slice: the temperature
-// mid-z plane, downsampled to at most maxN points per axis.
-func (b *Block) healthSlice(maxN int) health.Slice {
+// mid-z plane, downsampled to at most health.SliceResolution points per
+// axis.
+func (b *Block) healthSlice() health.Slice {
+	const maxN = health.SliceResolution
 	nx, ny := b.G.Nx, b.G.Ny
 	kMid := b.G.Nz / 2
 	sx, sy := (nx+maxN-1)/maxN, (ny+maxN-1)/maxN

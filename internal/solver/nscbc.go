@@ -240,11 +240,6 @@ func (b *Block) inflowTarget(ws *kernScratch, a, side, j, k int, t float64) *Inf
 	return &ws.tgt
 }
 
-// oneSided4 are the fully one-sided fourth-order derivative weights used at
-// the boundary point itself (must match deriv's closure so the conventional
-// term is removed exactly).
-var oneSided4 = [5]float64{-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -1.0 / 4.0}
-
 // normalInviscidDeriv computes ∂φ_inv/∂n for every conserved variable at a
 // boundary point with the same one-sided stencil the divergence used, where
 // φ_inv is the inviscid part of the normal flux (convection + pressure).
@@ -262,7 +257,7 @@ func (b *Block) normalInviscidDeriv(ws *kernScratch, a, side, i, j, k int) []flo
 	bi := idx[a]
 	for m := 0; m < 5; m++ {
 		off := m
-		w := oneSided4[m]
+		w := deriv.OneSided4[m]
 		if side == 1 {
 			off = -m
 			w = -w

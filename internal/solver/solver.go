@@ -83,7 +83,7 @@ type Config struct {
 	FilterEvery    int
 	FilterStrength float64 // σ in (0,1]; 0 selects 1.0
 
-	CFL          float64 // acoustic CFL number; 0 selects 0.8
+	CFL          float64 // acoustic CFL number; 0 selects 0.8 (Block.CFL)
 	ChemistryOff bool    // inert runs (pressure-wave tests, figure 4/5 kernel study)
 
 	// Deprecated: DiffFlux accepts only its zero value (see DiffFluxKernel).
@@ -138,10 +138,9 @@ const (
 // conserved and primitive fields, transport properties and scratch space.
 // A serial run is the one block of a one-rank topology.
 type Block struct {
-	cfg   *Config
-	G     *grid.Grid // local grid
-	mech  *chem.Mechanism
-	trans *transport.Model
+	cfg  *Config
+	G    *grid.Grid // local grid
+	mech *chem.Mechanism
 
 	// fs is the block's field registry: every Field3 below is carved from
 	// its contiguous arena, in registration order (see registerFields).
@@ -201,11 +200,10 @@ type Block struct {
 	plan *par.Plan
 	ws   []kernScratch
 
-	// pointwise scratch for the serial helper paths (AcousticDt, SetState);
-	// tiled kernels use the per-worker sets in ws instead.
-	yw, cw, wdot, hw []float64
-	props            transport.Props
-	scratchF         *grid.Field3
+	// pointwise scratch for the serial AcousticDt sweep; tiled kernels use
+	// the per-worker sets in ws instead.
+	yw       []float64
+	scratchF *grid.Field3
 
 	// The Q/dQ/rhs registers are registered consecutively, so each bank is
 	// one contiguous arena run: the RK 2N update and register zeroing are
@@ -419,10 +417,9 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 	ns := cfg.Mech.NumSpecies()
 	b := &Block{
 		cfg: cfg, G: local,
-		mech:  cfg.Mech.Clone(),
-		trans: cfg.Trans.Clone(),
-		cart:  cart,
-		i0:    i0, j0: j0, k0: k0,
+		mech: cfg.Mech.Clone(),
+		cart: cart,
+		i0:   i0, j0: j0, k0: k0,
 		ns: ns, nvar: cfg.nVar(),
 		Timers: perf.NewTimers(),
 	}
@@ -433,10 +430,6 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 	}
 	b.registerFields()
 	b.yw = make([]float64, ns)
-	b.cw = make([]float64, ns)
-	b.wdot = make([]float64, ns)
-	b.hw = make([]float64, ns)
-	b.props = transport.Props{Dmix: make([]float64, ns)}
 	// T initial guess for Newton inversion.
 	b.T.Fill(300)
 
@@ -684,7 +677,7 @@ func (b *Block) AcousticDt() float64 {
 	for k := 0; k < b.G.Nz; k++ {
 		for j := 0; j < b.G.Ny; j++ {
 			for i := 0; i < b.G.Nx; i++ {
-				b.gatherY(i, j, k)
+				b.gatherYInto(b.yw, i, j, k)
 				c := set.SoundSpeed(b.T.At(i, j, k), b.yw)
 				s := math.Abs(b.U.At(i, j, k)) + math.Abs(b.V.At(i, j, k)) + math.Abs(b.W.At(i, j, k)) + c
 				if s > maxSpeed {
@@ -696,15 +689,17 @@ func (b *Block) AcousticDt() float64 {
 	if maxSpeed == 0 {
 		return math.Inf(1)
 	}
-	cfl := b.cfg.CFL
-	if cfl <= 0 {
-		cfl = 0.8
-	}
-	return cfl * h / maxSpeed
+	return b.CFL() * h / maxSpeed
 }
 
-// gatherY copies the full species vector at a point into b.yw.
-func (b *Block) gatherY(i, j, k int) { b.gatherYInto(b.yw, i, j, k) }
+// CFL returns the acoustic CFL number AcousticDt applies: Config.CFL, or
+// 0.8 when that is not positive.
+func (b *Block) CFL() float64 {
+	if b.cfg.CFL <= 0 {
+		return 0.8
+	}
+	return b.cfg.CFL
+}
 
 // gatherYInto copies the full species vector at a point into dst (the
 // worker-private variant used by tiled kernels).

@@ -153,7 +153,6 @@ type Renderer struct {
 	Cam           Camera
 	Width, Height int
 	Background    RGBA
-	StepScale     float64 // samples per cell along the ray (default 1)
 }
 
 // Render produces the composited image by front-to-back accumulation; at
@@ -183,10 +182,6 @@ func (r *Renderer) Render() *image.RGBA {
 	centre := [3]float64{nx / 2, ny / 2, nz / 2}
 	diag := math.Sqrt(nx*nx + ny*ny + nz*nz)
 	scale := diag / float64(minInt(r.Width, r.Height)) * 1.05
-	step := r.StepScale
-	if step <= 0 {
-		step = 1
-	}
 
 	for py := 0; py < r.Height; py++ {
 		for px := 0; px < r.Width; px++ {
@@ -197,7 +192,7 @@ func (r *Renderer) Render() *image.RGBA {
 			for c := 0; c < 3; c++ {
 				o[c] = centre[c] + su*u[c] + sv*v[c] - d[c]*diag/2
 			}
-			col := r.castRay(o, d, diag, step)
+			col := r.castRay(o, d, diag)
 			// Composite over background.
 			bg := r.Background
 			col.R += (1 - col.A) * bg.R
@@ -214,18 +209,19 @@ func (r *Renderer) Render() *image.RGBA {
 	return img
 }
 
-func (r *Renderer) castRay(o, d [3]float64, length, step float64) RGBA {
+// castRay samples the layers once per cell along the ray.
+func (r *Renderer) castRay(o, d [3]float64, length float64) RGBA {
 	var acc RGBA
 	f0 := r.Layers[0].Field
-	n := int(length / step)
+	n := int(length)
 	// Degenerate (size-1) axes carry quasi-2D data: the volume is treated
 	// as extruded along them, so rays always intersect (the jet runs of the
 	// paper are rendered from such planes during scaled-down reproduction).
 	degX, degY, degZ := f0.Nx == 1, f0.Ny == 1, f0.Nz == 1
 	for s := 0; s < n && acc.A < 0.98; s++ {
-		x := o[0] + d[0]*float64(s)*step
-		y := o[1] + d[1]*float64(s)*step
-		z := o[2] + d[2]*float64(s)*step
+		x := o[0] + d[0]*float64(s)
+		y := o[1] + d[1]*float64(s)
+		z := o[2] + d[2]*float64(s)
 		if degX {
 			x = 0
 		}

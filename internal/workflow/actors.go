@@ -153,6 +153,9 @@ func (c *Checkpoint) Mark(key string) error {
 // §9 becomes an in-process function against the simulated cluster tree).
 type Op func(in string) (out string, err error)
 
+// processRetries is how many attempts a ProcessFile stage makes per token.
+const processRetries = 3
+
 // ProcessFile is the paper's workhorse actor: it "models the execution of
 // an operation on a remote file", keeps "a checkpoint on the successfully
 // executed actions, writes operation errors into log files", and retries
@@ -163,7 +166,6 @@ type ProcessFile struct {
 	Out       Port // may be nil for terminal stages
 	Op        Op
 	Ckpt      *Checkpoint
-	Retries   int // attempts per token (default 3)
 	ErrLog    string
 
 	// OutputOf recomputes the output path for a checkpointed (skipped)
@@ -178,10 +180,6 @@ func (p *ProcessFile) Name() string { return p.ActorName }
 func (p *ProcessFile) Run(ctx context.Context, wf *Workflow) error {
 	if p.Out != nil {
 		defer close(p.Out)
-	}
-	retries := p.Retries
-	if retries == 0 {
-		retries = 3
 	}
 	for {
 		var tok Token
@@ -206,7 +204,7 @@ func (p *ProcessFile) Run(ctx context.Context, wf *Workflow) error {
 			}
 		} else {
 			var err error
-			for attempt := 1; attempt <= retries; attempt++ {
+			for attempt := 1; attempt <= processRetries; attempt++ {
 				outPath, err = p.Op(tok.Path)
 				if err == nil {
 					break

@@ -153,8 +153,7 @@ func TestProcessFileRetriesThenSucceeds(t *testing.T) {
 	p := &ProcessFile{
 		ActorName: "flaky",
 		In:        in, Out: out,
-		Retries: 3,
-		ErrLog:  filepath.Join(root, "err.log"),
+		ErrLog: filepath.Join(root, "err.log"),
 		Op: func(path string) (string, error) {
 			attempts++
 			if attempts < 3 {
@@ -189,7 +188,7 @@ func TestProcessFileGivesUpButContinues(t *testing.T) {
 	in := NewPort()
 	out := NewPort()
 	p := &ProcessFile{
-		ActorName: "dead", In: in, Out: out, Retries: 2,
+		ActorName: "dead", In: in, Out: out,
 		Op: func(path string) (string, error) {
 			if strings.Contains(path, "bad") {
 				return "", errors.New("permanent")

@@ -10,11 +10,11 @@ import (
 
 // This file provides the paper's two science configurations as ready-made
 // problems: the lifted H2/air jet flame in hot coflow (paper §6) and the
-// slot-burner Bunsen premixed methane flame (paper §7). Both are built at
-// configurable scale: the full terascale grids (up to 1600×1372×430 points)
-// ran for 3.5 million CPU-hours on 10 000 Cray XT3 processors, so the
-// defaults target laptop-scale grids that preserve the configuration and
-// the governing parameter ratios (see DESIGN.md's substitution table).
+// slot-burner Bunsen premixed methane flame (paper §7). The full terascale
+// grids (up to 1600×1372×430 points) ran for 3.5 million CPU-hours on
+// 10 000 Cray XT3 processors, so the constants below describe laptop-scale
+// cases that preserve the configuration and the governing parameter ratios
+// (see DESIGN.md's substitution table); the caller picks the grid.
 
 // Problem packages a Config with its initial condition.
 type Problem struct {
@@ -36,53 +36,31 @@ func (p *Problem) NewSimulation() (*Simulation, error) {
 	return sim, nil
 }
 
-// LiftedJetOptions scales the §6.2 configuration. Zero values select a
-// laptop-scale quasi-2D default that preserves the physical setup: a
-// central 65% H2 / 35% N2 (by volume) fuel jet at 400 K in coflowing heated
-// air at 1100 K — above the H2/air crossover temperature, so the upstream
-// mixture is autoignitable.
+// LiftedJetOptions scales the §6.2 configuration: a central 65% H2 / 35%
+// N2 (by volume) fuel jet at 400 K in coflowing heated air at 1100 K —
+// above the H2/air crossover temperature, so the upstream mixture is
+// autoignitable. The physics is fixed (the lifted* constants); only the
+// grid, the inflow seed and the ignition starter are chosen per run.
 type LiftedJetOptions struct {
 	Nx, Ny, Nz     int
-	Lx, Ly, Lz     float64 // domain size (m); paper: 2.4 × 3.2 × 0.64 cm
-	SlotWidth      float64 // paper: 1.92 mm
-	UJet           float64 // paper: 347 m/s
-	UCoflow        float64
-	TFuel, TCo     float64 // paper: 400 K and 1100 K
-	TurbIntensity  float64 // inflow u′ as a fraction of UJet
 	Seed           int64
 	IgnitionKernel bool // impose the §6.2 hot starter region in the jet
 }
 
-func (o *LiftedJetOptions) defaults() {
-	if o.Nx == 0 {
-		o.Nx, o.Ny, o.Nz = 120, 96, 1
-	}
-	if o.Lx == 0 {
-		o.Lx, o.Ly, o.Lz = 12e-3, 16e-3, 3.2e-3
-	}
-	if o.SlotWidth == 0 {
-		o.SlotWidth = 1.92e-3
-	}
-	if o.UJet == 0 {
-		o.UJet = 160
-	}
-	if o.UCoflow == 0 {
-		o.UCoflow = 6
-	}
-	if o.TFuel == 0 {
-		o.TFuel = 400
-	}
-	if o.TCo == 0 {
-		o.TCo = 1100
-	}
-	if o.TurbIntensity == 0 {
-		o.TurbIntensity = 0.08
-	}
-}
+// The lifted-jet configuration at laptop scale: the paper's slot width and
+// stream temperatures in a domain of 12 × 16 × 3.2 mm (paper: 2.4 × 3.2 ×
+// 0.64 cm) with a 160 m/s jet (paper: 347 m/s). Typed, so every product of
+// them rounds as the same product of float64 variables does.
+const (
+	liftedLx, liftedLy, liftedLz float64 = 12e-3, 16e-3, 3.2e-3 // domain size (m)
+	liftedSlotWidth              float64 = 1.92e-3              // m
+	liftedUJet, liftedUCoflow    float64 = 160, 6               // m/s
+	liftedTFuel, liftedTCo       float64 = 400, 1100            // K
+	liftedTurbIntensity          float64 = 0.08                 // inflow u′ as a fraction of liftedUJet
+)
 
 // LiftedJetProblem builds the lifted hydrogen jet configuration.
 func LiftedJetProblem(o LiftedJetOptions) (*Problem, error) {
-	o.defaults()
 	mech := HydrogenAir()
 	ns := mech.NumSpecies()
 
@@ -98,9 +76,9 @@ func LiftedJetProblem(o LiftedJetOptions) (*Problem, error) {
 	yOx[mech.SpeciesIndex("O2")] = 0.233
 	yOx[mech.SpeciesIndex("N2")] = 0.767
 
-	h := o.SlotWidth
+	h := liftedSlotWidth
 	shear := h / 6 // shear-layer thickness of the inflow profile
-	inflow := turb.NewField(turb.Spectrum{Urms: o.TurbIntensity * o.UJet, L0: h}, 160, o.Seed+1)
+	inflow := turb.NewField(turb.Spectrum{Urms: liftedTurbIntensity * liftedUJet, L0: h}, 160, o.Seed+1)
 
 	profile := func(y float64) float64 {
 		// 1 inside the slot, 0 in the coflow, smooth tanh flanks.
@@ -108,14 +86,14 @@ func LiftedJetProblem(o LiftedJetOptions) (*Problem, error) {
 	}
 	blendState := func(y, z, t float64, s *State) {
 		f := profile(y)
-		s.U = o.UCoflow + (o.UJet-o.UCoflow)*f
+		s.U = liftedUCoflow + (liftedUJet-liftedUCoflow)*f
 		s.V, s.W = 0, 0
-		s.T = o.TCo + (o.TFuel-o.TCo)*f
+		s.T = liftedTCo + (liftedTFuel-liftedTCo)*f
 		for i := 0; i < ns; i++ {
 			s.Y[i] = yOx[i] + (yFuel[i]-yOx[i])*f
 		}
 		if f > 0.05 {
-			du, dv, dw := inflow.Sweep(y, z, t, o.UJet)
+			du, dv, dw := inflow.Sweep(y, z, t, liftedUJet)
 			s.U += du * f
 			s.V += dv * f
 			s.W += dw * f
@@ -124,7 +102,7 @@ func LiftedJetProblem(o LiftedJetOptions) (*Problem, error) {
 
 	cfg := Config{
 		Mechanism:   mech,
-		Grid:        GridSpec{Nx: o.Nx, Ny: o.Ny, Nz: o.Nz, Lx: o.Lx, Ly: o.Ly, Lz: o.Lz},
+		Grid:        GridSpec{Nx: o.Nx, Ny: o.Ny, Nz: o.Nz, Lx: liftedLx, Ly: liftedLy, Lz: liftedLz},
 		Pressure:    101325,
 		FilterEvery: 5,
 		Inflow:      blendState,
@@ -146,7 +124,7 @@ func LiftedJetProblem(o LiftedJetOptions) (*Problem, error) {
 		for i := 0; i < ns; i++ {
 			yStoich[i] = xiIgn*yFuel[i] + (1-xiIgn)*yOx[i]
 		}
-		st, err := reactor.EquilibrateAdiabatic(mech.chem, o.TCo, 101325, yStoich)
+		st, err := reactor.EquilibrateAdiabatic(mech.chem, liftedTCo, 101325, yStoich)
 		if err != nil {
 			return nil, fmt.Errorf("s3d: lifted-jet ignition products: %v", err)
 		}
@@ -156,16 +134,16 @@ func LiftedJetProblem(o LiftedJetOptions) (*Problem, error) {
 	initial := func(x, y, z float64, s *State) {
 		// Domain starts filled with the inflow profile advected downstream;
 		// the coordinate origin of y is the domain centre.
-		blendState(y-o.Ly/2, z, 0, s)
+		blendState(y-liftedLy/2, z, 0, s)
 		if o.IgnitionKernel {
 			// §6.2 ignites the run by "artificially imposing a
 			// high-temperature region in the central jet"; we seed the
 			// developed analogue — hot OH-bearing products in the
 			// downstream shear layers — so the lifted-base structure
 			// (HO2 induction zone upstream of the OH flame) forms quickly.
-			f := profile(y - o.Ly/2)
+			f := profile(y - liftedLy/2)
 			shearW := 4 * f * (1 - f) // peaks in the mixing layers
-			g := 0.5 * (1 + math.Tanh((x-0.55*o.Lx)/(0.08*o.Lx)))
+			g := 0.5 * (1 + math.Tanh((x-0.55*liftedLx)/(0.08*liftedLx)))
 			w := shearW * g
 			if w > 0 {
 				s.T += w * (tBurn - s.T)
@@ -209,17 +187,24 @@ func BunsenCases() map[byte]BunsenCase {
 	}
 }
 
-// BunsenOptions scales the §7.2 configuration.
+// BunsenOptions scales the §7.2 configuration. The reactants are fixed at
+// φ = 0.7 and 800 K; the laminar flame speed and thickness that set the
+// turbulence scales are chosen per run (the paper's, or a 1-D solve's).
 type BunsenOptions struct {
-	Case          byte // 'A', 'B' or 'C'
-	Nx, Ny, Nz    int
-	Phi           float64 // equivalence ratio; paper: 0.7
-	TReactants    float64 // paper: 800 K
-	SL            float64 // laminar flame speed used to set u′ (0: paper's 1.8)
-	DeltaL        float64 // laminar thickness for length scales (0: paper's 0.3 mm)
-	Seed          int64
-	VelocityScale float64 // scales jet/coflow speeds (default 1; reduce for coarse grids)
+	Case       byte // 'A', 'B' or 'C'
+	Nx, Ny, Nz int
+	SL         float64 // laminar flame speed used to set u′ (0: paper's 1.8)
+	DeltaL     float64 // laminar thickness for length scales (0: paper's 0.3 mm)
+	Seed       int64
 }
+
+// The §7.2 reactants, and the scale on the table-1 jet, coflow and u′
+// speeds that keeps the laptop-scale grids stable.
+const (
+	bunsenPhi           float64 = 0.7
+	bunsenTReactants    float64 = 800 // K
+	bunsenVelocityScale float64 = 0.5
+)
 
 // BunsenProblem builds one of the premixed slot-Bunsen cases: a central
 // premixed CH4/air jet at 800 K, φ = 0.7, surrounded by a laminar coflow of
@@ -229,32 +214,20 @@ func BunsenProblem(o BunsenOptions) (*Problem, error) {
 	if !ok {
 		return nil, fmt.Errorf("s3d: unknown Bunsen case %q (want A, B or C)", o.Case)
 	}
-	if o.Phi == 0 {
-		o.Phi = 0.7
-	}
-	if o.TReactants == 0 {
-		o.TReactants = 800
-	}
 	if o.SL == 0 {
 		o.SL = 1.8
 	}
 	if o.DeltaL == 0 {
 		o.DeltaL = 0.3e-3
 	}
-	if o.Nx == 0 {
-		o.Nx, o.Ny, o.Nz = 96, 72, 1
-	}
-	if o.VelocityScale == 0 {
-		o.VelocityScale = 1
-	}
 
 	mech := MethaneAirSkeletal()
 	ns := mech.NumSpecies()
-	yU, err := mech.PremixedMixture(o.Phi)
+	yU, err := mech.PremixedMixture(bunsenPhi)
 	if err != nil {
 		return nil, err
 	}
-	tb, yB, err := mech.Equilibrium(o.TReactants, 101325, yU)
+	tb, yB, err := mech.Equilibrium(bunsenTReactants, 101325, yU)
 	if err != nil {
 		return nil, fmt.Errorf("s3d: coflow equilibrium: %v", err)
 	}
@@ -263,9 +236,9 @@ func BunsenProblem(o BunsenOptions) (*Problem, error) {
 	lx := cs.DomainHx * h
 	ly := 12 * h
 	lz := 3 * h
-	uJet := cs.UJet * o.VelocityScale
-	uCo := cs.UCoflow * o.VelocityScale
-	uPrime := cs.UPrimeSL * o.SL * o.VelocityScale
+	uJet := cs.UJet * bunsenVelocityScale
+	uCo := cs.UCoflow * bunsenVelocityScale
+	uPrime := cs.UPrimeSL * o.SL * bunsenVelocityScale
 	lt := cs.LtDeltaL * o.DeltaL
 
 	shear := h / 8
@@ -277,7 +250,7 @@ func BunsenProblem(o BunsenOptions) (*Problem, error) {
 		f := profile(y)
 		s.U = uCo + (uJet-uCo)*f
 		s.V, s.W = 0, 0
-		s.T = tb + (o.TReactants-tb)*f
+		s.T = tb + (bunsenTReactants-tb)*f
 		for i := 0; i < ns; i++ {
 			s.Y[i] = yB[i] + (yU[i]-yB[i])*f
 		}

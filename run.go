@@ -157,7 +157,7 @@ func (s *Session) Arm(sim *Simulation, prob *Problem, opt TelemetryOptions) (*Ar
 		}
 	}
 	if o.Health {
-		sim.EnableHealth(HealthOptions{BundleDir: o.FlightRec, EmergencyCheckpoint: true})
+		sim.EnableHealth(HealthOptions{BundleDir: o.FlightRec})
 	}
 	if o.Analysis > 0 {
 		spec := prob.StandardAnalysis()

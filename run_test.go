@@ -65,7 +65,7 @@ func handWired(sim *Simulation, p *Problem, rank int, critA *CritPathAnalyzer, d
 			panic(err)
 		}
 	}
-	sim.EnableHealth(HealthOptions{BundleDir: filepath.Join(dir, "health"), EmergencyCheckpoint: true})
+	sim.EnableHealth(HealthOptions{BundleDir: filepath.Join(dir, "health")})
 	spec := p.StandardAnalysis()
 	spec.Every = 1
 	_, err := sim.EnableAnalysis(spec)

@@ -228,6 +228,10 @@ func (c *Config) toSolver() (*solver.Config, error) {
 	if c.Pressure <= 0 {
 		return nil, fmt.Errorf("s3d: config requires a positive Pressure")
 	}
+	if g := c.Grid; g.Nx <= 0 || g.Ny <= 0 || g.Nz <= 0 || g.Lx <= 0 || g.Ly <= 0 || g.Lz <= 0 {
+		return nil, fmt.Errorf("s3d: grid %dx%dx%d points over %gx%gx%g m: every count and extent must be positive",
+			g.Nx, g.Ny, g.Nz, g.Lx, g.Ly, g.Lz)
+	}
 	sc := &solver.Config{
 		Mech:  c.Mechanism.chem,
 		Trans: c.Mechanism.trans,

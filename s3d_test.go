@@ -3,6 +3,7 @@ package s3d
 import (
 	"bytes"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -197,8 +198,7 @@ func runProblem(t *testing.T, p *Problem, steps int) *Simulation {
 
 func TestLiftedJetProblemRuns(t *testing.T) {
 	p, err := LiftedJetProblem(LiftedJetOptions{
-		Nx: 48, Ny: 40, Nz: 1,
-		UJet: 100, IgnitionKernel: true, Seed: 3,
+		Nx: 48, Ny: 40, Nz: 1, IgnitionKernel: true, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestLiftedJetProblemRuns(t *testing.T) {
 
 func TestBunsenProblemRuns(t *testing.T) {
 	p, err := BunsenProblem(BunsenOptions{
-		Case: 'A', Nx: 48, Ny: 36, Nz: 1, VelocityScale: 0.5, Seed: 5,
+		Case: 'A', Nx: 48, Ny: 36, Nz: 1, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,6 +245,27 @@ func TestBunsenProblemRuns(t *testing.T) {
 func TestBunsenUnknownCase(t *testing.T) {
 	if _, err := BunsenProblem(BunsenOptions{Case: 'X'}); err == nil {
 		t.Fatal("expected unknown-case error")
+	}
+}
+
+// TestNonPositiveGridIsAnError: a grid with no points along an axis, or no
+// extent, is refused by New with an error (grid.New panics on one), and the
+// case builders no longer swap in a grid of their own for a zero Nx.
+func TestNonPositiveGridIsAnError(t *testing.T) {
+	lifted, err := LiftedJetProblem(LiftedJetOptions{Nx: 24, Ny: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bunsen, err := BunsenProblem(BunsenOptions{Case: 'A'})
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := Config{Mechanism: HydrogenAir(), Pressure: 101325,
+		Grid: GridSpec{Nx: 8, Ny: 8, Nz: 1, Lx: 1e-2, Ly: 0, Lz: 1e-2}}
+	for name, cfg := range map[string]Config{"lifted Nz=0": lifted.Config, "bunsen 0x0x0": bunsen.Config, "box Ly=0": box} {
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "must be positive") {
+			t.Errorf("%s: err = %v, want the grid refused", name, err)
+		}
 	}
 }
 

@@ -62,7 +62,6 @@ type Probe struct {
 
 	mass0      float64 // interior mass at attach time (drift reference)
 	acousticDt float64 // most recently evaluated stable dt
-	cflNumber  float64
 	start      time.Time
 	last       obs.StepEvent
 	// detached (set by Close, or by a StartTelemetry replacing the probe)
@@ -82,14 +81,10 @@ func (s *Simulation) StartTelemetry(opt TelemetryOptions) (*Probe, error) {
 		opt.Case = "s3d"
 	}
 	p := &Probe{
-		sim:       s,
-		opt:       opt,
-		reg:       obs.NewRegistry(),
-		cflNumber: s.cfg.CFL,
-		start:     time.Now(),
-	}
-	if p.cflNumber <= 0 {
-		p.cflNumber = 0.8 // the solver's default acoustic CFL number
+		sim:   s,
+		opt:   opt,
+		reg:   obs.NewRegistry(),
+		start: time.Now(),
 	}
 	s.blk.EnableTelemetry()
 	// The execution layer's gauges and counters: pool utilization
@@ -186,7 +181,7 @@ func (p *Probe) observe(dt, wall float64) {
 		Step:         blk.Step,
 		Time:         obs.F(blk.Time),
 		Dt:           obs.F(dt),
-		CFL:          obs.F(p.cflNumber * dt / p.acousticDt),
+		CFL:          obs.F(blk.CFL() * dt / p.acousticDt),
 		WallSec:      wall,
 		StageWallSec: append([]float64(nil), blk.StageWall...),
 		TMin:         obs.F(tMin),
@@ -328,7 +323,7 @@ func (s *Simulation) configManifest() map[string]string {
 		"extent_m":     fmt.Sprintf("%gx%gx%g", c.Grid.Lx, c.Grid.Ly, c.Grid.Lz),
 		"pressure_pa":  fmt.Sprintf("%g", c.Pressure),
 		"filter_every": fmt.Sprintf("%d", c.FilterEvery),
-		"cfl":          fmt.Sprintf("%g", c.CFL),
+		"cfl":          fmt.Sprintf("%g", s.blk.CFL()),
 		// which exponential kernel the pointwise physics ran on in this
 		// process: "avx2" or "scalar" (the same bits either way)
 		"vexp": vexp.Kernel(),

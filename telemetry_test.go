@@ -74,6 +74,10 @@ func TestProbeTraceEndToEnd(t *testing.T) {
 	if recs[0].Run.Config["grid"] != "32x24x1" || recs[0].Run.Config["steps"] != "4" {
 		t.Fatalf("config manifest incomplete: %v", recs[0].Run.Config)
 	}
+	// Config.CFL is unset: the manifest names the number the run applies.
+	if got := recs[0].Run.Config["cfl"]; got != "0.8" {
+		t.Fatalf("manifest cfl = %q, want the applied default 0.8", got)
+	}
 	for i := 1; i <= 4; i++ {
 		ev := recs[i].StepData
 		if recs[i].Kind != obs.KindStep || ev == nil {
