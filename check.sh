@@ -110,9 +110,15 @@ if go list -f '{{join .Imports "\n"}}' ./internal/comm | grep -x time; then
 	echo "internal/comm imports time: clock a blocking call on prof.Now alone" >&2
 	exit 1
 fi
-deleted='recordStepMetrics|TelemetryEnabled|Watchdog\) (Violation|Rank)\(|Recorder\) Len\(|Lane\[R\]\) Enabled\(|Timers\) Time\(|World\) (BytesSent|MessagesSent|TotalBytes|TotalStats)\(|Request\) (PostNs|CompleteNs)\(|CompleteNs|Comm\) Allgather\(|KindAllgather|waitNs|Snapshot\) Merge\(|Trace\) RunStart\(|Histogram\) Mean\(|Lane\[R\]\) Disable\(|Watchdog\) Disarm\(|InitVec|\.AXPY|\) AXPY|Field3\) (CopyFrom|Scale)\(|\.SumRange|\) SumRange|FieldSet\) Names\(|CK45|Species\) (SR|GRT)\(|Probe\) Metrics\(|Store\[T\]\) (Sink|Err)\('
+deleted='recordStepMetrics|TelemetryEnabled|Watchdog\) (Violation|Rank)\(|Recorder\) Len\(|Lane\[R\]\) Enabled\(|Timers\) Time\(|World\) (BytesSent|MessagesSent|TotalBytes|TotalStats)\(|Request\) (PostNs|CompleteNs)\(|CompleteNs|Comm\) Allgather\(|KindAllgather|waitNs|Snapshot\) Merge\(|Trace\) RunStart\(|Histogram\) Mean\(|Lane\[R\]\) Disable\(|Watchdog\) Disarm\(|InitVec|\.AXPY|\) AXPY|Field3\) (CopyFrom|Scale)\(|\.SumRange|\) SumRange|FieldSet\) Names\(|CK45|Species\) (SR|GRT)\(|Probe\) Metrics\(|Store\[T\]\) (Sink|Err)\(|mixfracField|toField\(|stats\.Scatter'
 if grep -rnE "$deleted" --include='*.go' . | grep -v '^\./benchmark/'; then
 	echo "a deleted name is back (see above)" >&2
+	exit 1
+fi
+# ... and so does the second run of the lifted jet: figures 14 and 15 are
+# drawn from cmd/liftedflame's run, in its armed loop.
+if [ -e cmd/s3dviz ]; then
+	echo "cmd/s3dviz is back: figures 14-15 come from cmd/liftedflame's run" >&2
 	exit 1
 fi
 # ... and so do the settings only their own defaults ever set: the fixed
@@ -195,6 +201,23 @@ fi
 echo "== row-pass lint (no deriv.DiffRange or ScaleRange in non-test internal/solver code)"
 if grep -rnE 'deriv\.DiffRange\(|ScaleRange\(' --include='*.go' internal/solver | grep -v '_test\.go:'; then
 	echo "a whole-tile pass is back in the solver (see above): work one row at a time (deriv.DiffRow / DiffRows)" >&2
+	exit 1
+fi
+
+# Writer lint: a product file — a figure, an in-situ frame, a dashboard
+# document, a log a watcher stages — lands whole or not at all, through
+# sdf.WriteAtomic (a temporary dot-file renamed onto the path). So non-test
+# Go in the root package and cmd/ calls neither os.Create nor os.WriteFile,
+# except for the empty .done and STOP sentinels, whose existence is their
+# whole message.
+echo "== writer lint (no os.Create/os.WriteFile in the root package and cmd/ but the empty sentinels)"
+violations=$({ grep -nE 'os\.(Create|WriteFile)\(' ./*.go; grep -rnE 'os\.(Create|WriteFile)\(' --include='*.go' cmd; } \
+	| grep -v '_test\.go:' \
+	| grep -vE 'os\.WriteFile\(.*("\.done"|"STOP"\)), nil, ' || true)
+if [ -n "$violations" ]; then
+	echo "a product file written in place:" >&2
+	echo "$violations" >&2
+	echo "write it through sdf.WriteAtomic" >&2
 	exit 1
 fi
 

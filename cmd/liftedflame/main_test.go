@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"image/png"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,8 +16,8 @@ import (
 // flag set and checks that each promised artifact exists and parses: the
 // run trace (whose run_start manifest must name what was armed, and which
 // holds the three layers' records at their cadence), the critical-path
-// overlay in the output directory, the profile artifacts and the figure-10
-// rendering.
+// overlay in the output directory, the profile artifacts, the figure-10
+// rendering and the figure-14 and -15 PNGs.
 func TestLiftedFlameSmoke(t *testing.T) {
 	dir := t.TempDir()
 	at := func(name string) string { return filepath.Join(dir, name) }
@@ -84,6 +85,19 @@ func TestLiftedFlameSmoke(t *testing.T) {
 	for _, name := range []string{"prof/callpath.txt", "prof/callpath.csv", "prof/roofline.txt", "out/fig10_oh_ho2.png"} {
 		if fi, err := os.Stat(at(name)); err != nil || fi.Size() == 0 {
 			t.Fatalf("%s missing or empty: %v", name, err)
+		}
+	}
+	// The §8 renderings come from the same run.
+	for _, name := range []string{"fig14_iso_ho2.png", "fig14_iso_oh.png", "fig14_oh_ho2.png",
+		"fig15_parallel_coords.png", "fig15_time_histogram.png"} {
+		f, err := os.Open(at("out/" + name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = png.Decode(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	// A healthy run leaves no post-mortem bundle.

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -113,7 +114,7 @@ func produce(c *workflow.Cluster, dumps, steps int) {
 	// /fields document, dropped next to the dashboard artefacts so the
 	// page knows every field's role, halo group and checkpoint membership.
 	if data, err := json.MarshalIndent(sim.FieldsDocument(), "", "  "); err == nil {
-		if err := os.WriteFile(filepath.Join(c.Dashboard, "fields.json"), data, 0o644); err != nil {
+		if err := writeFile(filepath.Join(c.Dashboard, "fields.json"), data); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -180,8 +181,7 @@ func produce(c *workflow.Cluster, dumps, steps int) {
 		// ASCII min/max log.
 		lo, hi, _ := sim.MinMax("T")
 		line := fmt.Sprintf("%d T %.1f %.1f\n", step, lo, hi)
-		if err := os.WriteFile(filepath.Join(c.JaguarMinMax, fmt.Sprintf("minmax-%d.txt", step)),
-			[]byte(line), 0o644); err != nil {
+		if err := writeFile(filepath.Join(c.JaguarMinMax, fmt.Sprintf("minmax-%d.txt", step)), []byte(line)); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("produced dump %d (step %d)\n", d, step)
@@ -190,4 +190,12 @@ func produce(c *workflow.Cluster, dumps, steps int) {
 	if err := h.Close("completed"); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// writeFile lands data under path whole or not at all, because the workflow
+// reads these files while the run writes them: the min/max watcher stages
+// whatever matches its glob (no .done gate) and the dashboard parses
+// fields.json. The temporary is a dot-file, which no watched glob matches.
+func writeFile(path string, data []byte) error {
+	return sdf.WriteAtomic(path, func(w io.Writer) error { _, err := w.Write(data); return err })
 }

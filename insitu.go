@@ -1,12 +1,13 @@
 package s3d
 
 import (
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"github.com/s3dgo/s3d/internal/obs"
+	"github.com/s3dgo/s3d/internal/sdf"
 	"github.com/s3dgo/s3d/internal/viz"
 )
 
@@ -61,7 +62,7 @@ func (im *InSituImager) Attach(sim *Simulation) error {
 	return sim.Subscribe(func(AnalysisRecord) { im.render(sim) })
 }
 
-// render writes one frame.
+// render writes one frame, whole or not at all.
 func (im *InSituImager) render(s *Simulation) {
 	w, h := im.Width, im.Height
 	if w == 0 {
@@ -94,11 +95,8 @@ func (im *InSituImager) render(s *Simulation) {
 	}
 	path := filepath.Join(im.Dir, fmt.Sprintf("frame-%05d.png", im.frames))
 	im.frames++
-	out, err := os.Create(path)
-	if err == nil {
-		err = errors.Join(viz.WritePNG(out, r.Render()), out.Close())
-	}
-	if err != nil {
+	img := r.Render()
+	if err := sdf.WriteAtomic(path, func(out io.Writer) error { return viz.WritePNG(out, img) }); err != nil {
 		// In-situ rendering must never take the simulation down — but a
 		// dropped frame is counted and the first error kept for Err.
 		im.fail(err)

@@ -104,8 +104,8 @@ func TestInSituImagerSurfacesRenderErrors(t *testing.T) {
 	if im.Err() != nil {
 		t.Fatalf("healthy frame reported error: %v", im.Err())
 	}
-	// Take the output directory away: os.Create must fail, the simulation
-	// must NOT, and the failure must be counted and retained.
+	// Take the output directory away: the frame's write must fail, the
+	// simulation must NOT, and the failure must be counted and retained.
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}

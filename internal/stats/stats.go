@@ -2,8 +2,8 @@
 // sections: Bilger's mixture fraction (the ξ of the T–ξ scatter plots in
 // figure 11), the reaction progress variable c and |∇c| flame-thickness
 // measure (figure 13), conditional means and standard deviations over
-// binned conditioning variables, scatter sampling, and histograms for the
-// visualization interface (figure 15).
+// binned conditioning variables, and histograms for the visualization
+// interface (figure 15).
 package stats
 
 import (
@@ -154,24 +154,6 @@ func (c *Conditional) Bins() (centers, means, stds, counts []float64) {
 		stds[i] = math.Sqrt(v)
 	}
 	return centers, means, stds, counts
-}
-
-// Scatter collects decimated (x, y) samples for scatter plots (figure 11
-// plots every sampled grid point).
-type Scatter struct {
-	Every int // keep one sample in Every (0 keeps all)
-	X, Y  []float64
-	seen  int
-}
-
-// Add offers one sample to the scatter set.
-func (s *Scatter) Add(x, y float64) {
-	s.seen++
-	if s.Every > 1 && s.seen%s.Every != 0 {
-		return
-	}
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
 }
 
 // Histogram is a fixed-range histogram; the paper's time-histogram

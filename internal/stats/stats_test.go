@@ -149,16 +149,6 @@ func TestConditionalIgnoresOutOfRange(t *testing.T) {
 	}
 }
 
-func TestScatterDecimation(t *testing.T) {
-	s := Scatter{Every: 10}
-	for i := 0; i < 1000; i++ {
-		s.Add(float64(i), float64(2*i))
-	}
-	if len(s.X) != 100 {
-		t.Fatalf("kept %d samples, want 100", len(s.X))
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(10, 0, 1)
 	for i := 0; i < 1000; i++ {
