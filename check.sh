@@ -70,6 +70,21 @@ if [ "$(printf '%s\n' "$callers" | grep -c .)" -ne 1 ]; then
 	exit 1
 fi
 
+# Step-rule lint: a driver steps its simulation with Armed.Run (run.go), the
+# one place the step size is chosen (stepFactor·StableDt, re-evaluated at the
+# start of every chunk, so a resumed run keeps its step size), a run is cut
+# into chunks and an abort is reported. So non-test Go under cmd/ calls no
+# StableDt and steps nothing with Advance or TryAdvance itself.
+echo "== step-rule lint (no StableDt(, .Advance( or .TryAdvance( in non-test cmd/ code)"
+violations=$(grep -rnE 'StableDt\(|\.(Advance|TryAdvance)\(' --include='*.go' cmd \
+	| grep -v '_test\.go:' || true)
+if [ -n "$violations" ]; then
+	echo "a driver chooses its own step size or steps its own loop:" >&2
+	echo "$violations" >&2
+	echo "step with Armed.Run (run.go)" >&2
+	exit 1
+fi
+
 # Layering lint: the solver models no integrator it does not run, and the
 # cost layer records measurements, not models — so neither may import
 # internal/reactor (the stiff 0-D integrator and its SubstepRate controller).
@@ -110,7 +125,7 @@ if go list -f '{{join .Imports "\n"}}' ./internal/comm | grep -x time; then
 	echo "internal/comm imports time: clock a blocking call on prof.Now alone" >&2
 	exit 1
 fi
-deleted='recordStepMetrics|TelemetryEnabled|Watchdog\) (Violation|Rank)\(|Recorder\) Len\(|Lane\[R\]\) Enabled\(|Timers\) Time\(|World\) (BytesSent|MessagesSent|TotalBytes|TotalStats)\(|Request\) (PostNs|CompleteNs)\(|CompleteNs|Comm\) Allgather\(|KindAllgather|waitNs|Snapshot\) Merge\(|Trace\) RunStart\(|Histogram\) Mean\(|Lane\[R\]\) Disable\(|Watchdog\) Disarm\(|InitVec|\.AXPY|\) AXPY|Field3\) (CopyFrom|Scale)\(|\.SumRange|\) SumRange|FieldSet\) Names\(|CK45|Species\) (SR|GRT)\(|Probe\) Metrics\(|Store\[T\]\) (Sink|Err)\(|mixfracField|toField\(|stats\.Scatter'
+deleted='recordStepMetrics|TelemetryEnabled|Watchdog\) (Violation|Rank)\(|Recorder\) Len\(|Lane\[R\]\) Enabled\(|Timers\) Time\(|World\) (BytesSent|MessagesSent|TotalBytes|TotalStats)\(|Request\) (PostNs|CompleteNs)\(|CompleteNs|Comm\) Allgather\(|KindAllgather|waitNs|Snapshot\) Merge\(|Trace\) RunStart\(|Histogram\) Mean\(|Lane\[R\]\) Disable\(|Watchdog\) Disarm\(|Armed\) (Advance|Close)\(|FuncActor|InitVec|\.AXPY|\) AXPY|Field3\) (CopyFrom|Scale)\(|\.SumRange|\) SumRange|FieldSet\) Names\(|CK45|Species\) (SR|GRT)\(|Probe\) Metrics\(|Store\[T\]\) (Sink|Err)\(|mixfracField|toField\(|stats\.Scatter'
 if grep -rnE "$deleted" --include='*.go' . | grep -v '^\./benchmark/'; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
@@ -119,6 +134,12 @@ fi
 # drawn from cmd/liftedflame's run, in its armed loop.
 if [ -e cmd/s3dviz ]; then
 	echo "cmd/s3dviz is back: figures 14-15 come from cmd/liftedflame's run" >&2
+	exit 1
+fi
+# ... and so does the second cmd/iobench: an example is a public-API
+# consumer, and the §5 I/O kernel's verification and figure 9 live there.
+if [ -e examples/checkpointio ]; then
+	echo "examples/checkpointio is back: cmd/iobench runs the §5 I/O kernel" >&2
 	exit 1
 fi
 # ... and so do the settings only their own defaults ever set: the fixed
@@ -207,11 +228,12 @@ fi
 # Writer lint: a product file — a figure, an in-situ frame, a dashboard
 # document, a log a watcher stages — lands whole or not at all, through
 # sdf.WriteAtomic (a temporary dot-file renamed onto the path). So non-test
-# Go in the root package and cmd/ calls neither os.Create nor os.WriteFile,
-# except for the empty .done and STOP sentinels, whose existence is their
-# whole message.
-echo "== writer lint (no os.Create/os.WriteFile in the root package and cmd/ but the empty sentinels)"
-violations=$({ grep -nE 'os\.(Create|WriteFile)\(' ./*.go; grep -rnE 'os\.(Create|WriteFile)\(' --include='*.go' cmd; } \
+# Go in the root package, cmd/ and internal/workflow (whose transfers and
+# dashboard plots land in directories a browser and the watchers read) calls
+# neither os.Create nor os.WriteFile, except for the empty .done and STOP
+# sentinels, whose existence is their whole message.
+echo "== writer lint (no os.Create/os.WriteFile in the root package, cmd/ and internal/workflow but the empty sentinels)"
+violations=$({ grep -nE 'os\.(Create|WriteFile)\(' ./*.go; grep -rnE 'os\.(Create|WriteFile)\(' --include='*.go' cmd internal/workflow; } \
 	| grep -v '_test\.go:' \
 	| grep -vE 'os\.WriteFile\(.*("\.done"|"STOP"\)), nil, ' || true)
 if [ -n "$violations" ]; then

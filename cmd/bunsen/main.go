@@ -65,9 +65,6 @@ func main() {
 	fs.Parse(os.Args[1:])
 
 	all := !o.table1 && !o.surface && !o.gradc
-	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
-		log.Fatal(err)
-	}
 
 	lam := laminarReference()
 	if o.table1 || all {
@@ -183,22 +180,11 @@ func runCases(lam flame1d.Properties, o *options, doSurface, doGradC bool) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		exit := "completed"
-		for done := 0; done < o.steps; done += 50 {
-			n := 50
-			if done+n > o.steps {
-				n = o.steps - done
-			}
-			if err := h.Advance(n, 0.4*sim.StableDt()); err != nil {
-				fmt.Printf("  case %c health abort: %v\n  post-mortem bundle in %s\n", id, err, run.BundleDir())
-				exit = fmt.Sprintf("health abort: %v", err)
-				break
-			}
-		}
-		if err := errors.Join(h.Close(exit), run.Close()); err != nil {
+		completed, err := h.Run(o.steps, 50, nil)
+		if err := errors.Join(err, run.Close()); err != nil {
 			log.Fatal(err)
 		}
-		if exit != "completed" {
+		if !completed {
 			// The post-mortem bundle is the record of an aborted case; the
 			// science figures would render the corrupted state.
 			continue

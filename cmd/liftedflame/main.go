@@ -64,9 +64,6 @@ func main() {
 	o := bindFlags(fs)
 	fs.Parse(os.Args[1:])
 
-	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
-		log.Fatal(err)
-	}
 	run, err := o.Open(o.outDir, "")
 	if err != nil {
 		log.Fatal(err)
@@ -90,33 +87,17 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("lifted H2/air jet: %dx%d grid, %d steps\n", o.nx, o.ny, o.steps)
-	chunk := o.steps / 10
-	if chunk == 0 {
-		chunk = 1
-	}
-	exit := "completed"
 	var hist [][]float64 // one OH histogram per chunk: the time axis of figure 15
-	for done := 0; done < o.steps; done += chunk {
-		n := chunk
-		if done+n > o.steps {
-			n = o.steps - done
-		}
-		// Refresh the acoustic CFL limit: the developing flame raises the
-		// sound speed and the peak velocity.
-		dt := 0.4 * sim.StableDt()
-		if err := h.Advance(n, dt); err != nil {
-			fmt.Printf("health abort: %v\npost-mortem bundle in %s\n", err, run.BundleDir())
-			exit = fmt.Sprintf("health abort: %v", err)
-			break
-		}
+	completed, err := h.Run(o.steps, o.steps/10, func() error {
 		lo, hi, _ := sim.MinMax("T")
 		fmt.Printf("  step %4d  t=%.3g s  T∈[%.0f, %.0f] K\n", sim.Step(), sim.Time(), lo, hi)
 		hist = append(hist, ohHistogram(sim))
-	}
-	if err := errors.Join(h.Close(exit), run.Close()); err != nil {
+		return nil
+	})
+	if err := errors.Join(err, run.Close()); err != nil {
 		log.Fatal(err)
 	}
-	if exit != "completed" {
+	if !completed {
 		// The post-mortem bundle is the record of an aborted run; the science
 		// figures would render the corrupted state.
 		return

@@ -61,7 +61,7 @@ func main() {
 		}
 		return b
 	}
-	step := best(func() { blk.Advance(1, dt) })
+	step := best(func() { blk.StepOnce(dt) })
 	study := blk.NewDiffFluxStudy()
 	naive := best(study.Naive)
 	fused := best(study.Fused)

@@ -54,7 +54,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.steps, "steps", 100, "time steps")
 	fs.StringVar(&o.ranks, "ranks", "", "process grid as PXxPYxPZ (empty = 1x1x1, the serial run)")
 	fs.IntVar(&o.ckptEvery, "checkpoint", 0, "write an SDF checkpoint every N steps (0: off; one-rank runs only)")
-	fs.StringVar(&o.resume, "resume", "", "restart file to resume from (bit-exact continuation; one-rank runs only)")
+	fs.StringVar(&o.resume, "resume", "", "restart file to resume from: step, time and step size continue, the state up to round-off (one-rank runs only)")
 	fs.StringVar(&o.outDir, "out", "out_s3d", "output directory")
 	fs.BoolVar(&o.perfReport, "perf-report", false, "print the per-region timer breakdown at exit")
 	fs.IntVar(&o.injectNaN, "inject-nan", 0, "plant a NaN in the conserved energy at the start of step N (watchdog test hook; implies -health)")
@@ -74,9 +74,6 @@ func main() {
 	}
 	dims, err := o.decomposition()
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
 	session, err := o.Open(o.outDir, "")
@@ -109,14 +106,15 @@ func (o *options) decomposition() (dims [3]int, err error) {
 	return dims, nil
 }
 
-// run is the driver's one stepping loop: every rank of the dims process
-// grid — the one rank of a serial run included — arms the session's layers,
-// advances in tenths of the run, reports, and writes its final restart file.
-// What the ranks report is merged here, in the driver: each progress line is
-// printed by the last rank to reach it, the timer breakdown after all have
-// finished. A rank-local failure panics; RunDecomposed aborts the other
-// ranks and returns it as the run's error, after the session's artifacts
-// have landed like on every other way out.
+// run steps every rank of the dims process grid — the one rank of a serial
+// run included: each arms the session's layers and runs in tenths of the
+// run (Armed.Run), reporting after each tenth and writing its restart files
+// every -checkpoint steps and at the end. What the ranks report is merged
+// here, in the driver: each progress line is printed by the last rank to
+// reach it, the timer breakdown after all have finished. A rank-local
+// failure panics; RunDecomposed aborts the other ranks and returns it as
+// the run's error, after the session's artifacts have landed like on every
+// other way out.
 func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error {
 	nRanks := dims[0] * dims[1] * dims[2]
 	grid := fmt.Sprintf("%dx%dx%d", dims[0], dims[1], dims[2])
@@ -163,45 +161,25 @@ func run(prob *s3d.Problem, o *options, dims [3]int, session *s3d.Session) error
 				sim.InjectStraggler(o.straggle)
 			}
 		}
-		dt := 0.4 * sim.StableDt()
 		if r.Rank == 0 {
-			fmt.Printf("problem=%s grid=%dx%dx%d ranks=%s dt=%.3g\n", o.problem, o.nx, o.ny, o.nz, grid, dt)
+			fmt.Printf("problem=%s grid=%dx%dx%d ranks=%s\n", o.problem, o.nx, o.ny, o.nz, grid)
 		}
-		report := max(o.steps/10, 1)
-		exit := "completed"
-		wrote := false // the loop just wrote this step's checkpoint
-		for sim.Step() < o.steps {
-			if err := h.Advance(min(report, o.steps-sim.Step()), dt); err != nil {
-				// Every rank returns from the same step with a violation
-				// naming the culprit rank; each has dumped its own bundle.
-				fmt.Printf("health abort: %v\n", err)
-				exit = fmt.Sprintf("health abort: %v", err)
-				break
-			}
+		completed, err := h.Run(o.steps, o.steps/10, func() error {
 			var e extrema
 			e.tlo, e.thi, _ = sim.MinMax("T")
 			e.plo, e.phi, _ = sim.MinMax("p")
 			progress.report(sim.Step(), sim.Time(), e)
-			wrote = o.ckptEvery > 0 && sim.Step()%o.ckptEvery == 0
-			if wrote {
-				must(writeCheckpoint(ckptDir, sim, h))
+			if step := sim.Step(); step == o.steps || o.ckptEvery > 0 && step%o.ckptEvery == 0 {
+				return writeCheckpoint(ckptDir, sim, h)
 			}
-		}
-		if exit == "completed" && !wrote {
-			must(writeCheckpoint(ckptDir, sim, h))
-		}
-		must(h.Close(exit))
+			return nil
+		})
+		must(err)
 		mu.Lock()
 		defer mu.Unlock()
-		if exit != "completed" {
-			aborted = true
-			return
-		}
+		aborted = !completed // a health abort stops every rank at the same step
 		agg.Merge(sim.PerfTimers().Snapshot())
 	})
-	if aborted {
-		fmt.Printf("post-mortem bundle in %s\n", session.BundleDir())
-	}
 	// The session closes on a rank error too: what the run recorded up to
 	// there — the trace's tail, the overlay, the profile — explains it.
 	if err := errors.Join(err, session.Close()); err != nil {
@@ -290,7 +268,7 @@ func buildProblem(name string, nx, ny, nz int) *s3d.Problem {
 // dir — each appears whole or not at all (sdf.WriteAtomic) — and names them
 // in the trace.
 func writeCheckpoint(dir string, sim *s3d.Simulation, h *s3d.Armed) error {
-	// A true restart file (full conserved state, bit-exact resume)...
+	// A true restart file (the full conserved state, for -resume)...
 	rst := filepath.Join(dir, fmt.Sprintf("restart-%06d.sdf", sim.Step()))
 	if err := sdf.WriteAtomic(rst, sim.SaveCheckpoint); err != nil {
 		return err

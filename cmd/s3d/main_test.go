@@ -9,12 +9,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/s3dgo/s3d"
 	"github.com/s3dgo/s3d/internal/health"
 	"github.com/s3dgo/s3d/internal/obs"
+	"github.com/s3dgo/s3d/internal/sdf"
 )
 
 // TestProfileSmoke drives the real CLI end-to-end on a tiny decomposed
@@ -535,5 +537,37 @@ func TestRanksRejectsCheckpointAndResume(t *testing.T) {
 		if _, err := o.decomposition(); err != nil {
 			t.Fatalf("%v refused: %v", args, err)
 		}
+	}
+}
+
+// TestResumeKeepsStepSize: a run resumed from its step-10 restart file
+// reaches step 20 at the time the uninterrupted run does — the step size
+// is evaluated from the state at each chunk boundary, not fixed from
+// whatever state the run starts in. (The conserved state agrees only up to
+// round-off: the load re-seeds the temperature Newton solve.)
+func TestResumeKeepsStepSize(t *testing.T) {
+	dir := t.TempDir()
+	stepTo20 := func(out string, extra ...string) float64 {
+		t.Helper()
+		os.Args = append([]string{"s3d",
+			"-problem", "liftedjet", "-nx", "24", "-ny", "16",
+			"-steps", "20", "-checkpoint", "10", "-out", out,
+		}, extra...)
+		main()
+		f, err := sdf.ReadFile(filepath.Join(out, "restart-000020.sdf"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm, err := strconv.ParseFloat(f.Attrs["time"], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tm
+	}
+	a := filepath.Join(dir, "a")
+	want := stepTo20(a)
+	got := stepTo20(filepath.Join(dir, "b"), "-resume", filepath.Join(a, "restart-000010.sdf"))
+	if rel := math.Abs(got-want) / want; !(rel <= 1e-12) {
+		t.Fatalf("step-20 time %.17g after a resume, %.17g uninterrupted: %.3g relative", got, want, rel)
 	}
 }

@@ -133,18 +133,15 @@ func produce(c *workflow.Cluster, dumps, steps int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dt := 0.4 * sim.StableDt()
-	for d := 1; d <= dumps; d++ {
-		if err := h.Advance(steps, dt); err != nil {
-			log.Fatal(err)
-		}
+	// One chunk per dump: the callback writes the dump's files.
+	_, err = h.Run(dumps*steps, steps, func() error {
 		step := sim.Step()
 
 		// Restart dump: per-"rank" temperature slabs in one SDF (the real
 		// code writes one file per rank; the workflow morphs N→M).
 		temp, dims, err := sim.Field("T")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rst := sdf.New()
 		rst.Attrs["step"] = fmt.Sprint(step)
@@ -157,15 +154,15 @@ func produce(c *workflow.Cluster, dumps, steps int) {
 				hi = len(temp)
 			}
 			if err := rst.AddVar(name, []int{hi - lo}, temp[lo:hi]); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		path := filepath.Join(c.JaguarRestart, fmt.Sprintf("restart-%04d.sdf", step))
 		if err := rst.WriteFile(path); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := os.WriteFile(path+".done", nil, 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		// Analysis file: temperature + OH planes.
@@ -175,19 +172,20 @@ func produce(c *workflow.Cluster, dumps, steps int) {
 		_ = an.AddVar("T", []int{dims[0], dims[1]}, temp)
 		_ = an.AddVar("Y_OH", []int{dims[0], dims[1]}, oh)
 		if err := an.WriteFile(filepath.Join(c.JaguarNetcdf, fmt.Sprintf("analysis-%04d.sdf", step))); err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		// ASCII min/max log.
 		lo, hi, _ := sim.MinMax("T")
 		line := fmt.Sprintf("%d T %.1f %.1f\n", step, lo, hi)
 		if err := writeFile(filepath.Join(c.JaguarMinMax, fmt.Sprintf("minmax-%d.txt", step)), []byte(line)); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("produced dump %d (step %d)\n", d, step)
+		fmt.Printf("produced dump %d (step %d)\n", step/steps, step)
 		time.Sleep(10 * time.Millisecond) // let the watcher interleave
-	}
-	if err := h.Close("completed"); err != nil {
+		return nil
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 }

@@ -60,7 +60,7 @@ func (s *Simulation) EnableHealth(opt HealthOptions) *health.Watchdog {
 func (s *Simulation) Watchdog() *health.Watchdog { return s.blk.Watchdog() }
 
 // TryAdvance integrates n steps of size dt: the one loop that steps a
-// Simulation (Advance, Probe.TryAdvance and Armed.Advance end here). An
+// Simulation (Advance, Probe.TryAdvance and Armed.Run end here). An
 // attached telemetry probe emits every step's record, the fatal step's
 // included. It returns a *health.Violation (as error) the moment the armed
 // watchdog trips FATAL, after writing the post-mortem bundle configured in

@@ -391,15 +391,7 @@ func BuildDashboard(c *Cluster, jobs []Job) (*DashboardStatus, error) {
 			return nil, err
 		}
 		path := filepath.Join(c.Dashboard, "trace_"+sanitize(name)+".png")
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		if err := viz.WritePNG(f, img); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
+		if err := sdf.WriteAtomic(path, func(w io.Writer) error { return viz.WritePNG(w, img) }); err != nil {
 			return nil, err
 		}
 		status.Images[name] = path

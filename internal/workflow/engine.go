@@ -109,18 +109,6 @@ func (wf *Workflow) Run(ctx context.Context) error {
 	return nil
 }
 
-// FuncActor adapts a function into an Actor.
-type FuncActor struct {
-	ActorName string
-	Fn        func(ctx context.Context, wf *Workflow) error
-}
-
-// Name implements Actor.
-func (f *FuncActor) Name() string { return f.ActorName }
-
-// Run implements Actor.
-func (f *FuncActor) Run(ctx context.Context, wf *Workflow) error { return f.Fn(ctx, wf) }
-
 // Fan duplicates one input stream onto several outputs (used where one
 // pipeline stage feeds both the archive and the analysis transfer, as in
 // figure 16).

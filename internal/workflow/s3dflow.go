@@ -52,7 +52,9 @@ func NewCluster(root string) (*Cluster, error) {
 	return c, nil
 }
 
-// transfer copies a file between sites, accounting the bytes.
+// transfer copies a file between sites, accounting the bytes. The copy
+// lands whole or not at all (sdf.WriteAtomic): the staging, archive and
+// dashboard directories are read while the workflow runs.
 func (c *Cluster) transfer(src, dstDir string) (string, error) {
 	dst := filepath.Join(dstDir, filepath.Base(src))
 	in, err := os.Open(src)
@@ -60,16 +62,11 @@ func (c *Cluster) transfer(src, dstDir string) (string, error) {
 		return "", err
 	}
 	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return "", err
-	}
-	n, err := io.Copy(out, in)
-	if err != nil {
-		out.Close()
-		return "", err
-	}
-	if err := out.Close(); err != nil {
+	var n int64
+	if err := sdf.WriteAtomic(dst, func(w io.Writer) (err error) {
+		n, err = io.Copy(w, in)
+		return err
+	}); err != nil {
 		return "", err
 	}
 	c.TransferredBytes.Add(n)

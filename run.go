@@ -4,15 +4,18 @@ package s3d
 // run. RunOptions holds the settings every driver shares and BindFlags
 // registers them; Open creates what is shared across ranks or must outlive
 // a simulation; Arm turns the layers on for one simulation in the one
-// order that works; the returned handle steps it through the one loop,
-// Simulation.TryAdvance; Close (handle, then session) lands every artifact
-// — on success, on a health abort and on a rank error alike.
+// order that works; the returned handle's Run is the one loop a driver
+// steps with — step-size rule, chunking, abort report and run_done — on
+// top of Simulation.TryAdvance; Session.Close lands every artifact — on
+// success, on a health abort and on a rank error alike.
 // See README.md, "Observability stack".
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 
@@ -67,13 +70,17 @@ type Session struct {
 }
 
 // Open sizes the worker pool (so call it before building a simulation),
-// resolves the bundle directory to <out>/health when -health gave none,
-// and creates the run-wide resources. A non-empty scope names one run of
-// several sharing a command line (cmd/bunsen's case letter): it is
-// inserted before every file's extension (trace.jsonl → trace.A.jsonl) and
-// appended to every directory as case<scope>.
+// creates the output directory out, resolves the bundle directory to
+// <out>/health when -health gave none, and creates the run-wide resources.
+// A non-empty scope names one run of several sharing a command line
+// (cmd/bunsen's case letter): it is inserted before every file's extension
+// (trace.jsonl → trace.A.jsonl) and appended to every directory as
+// case<scope>.
 func (o RunOptions) Open(out, scope string) (*Session, error) {
 	SetWorkers(o.Workers)
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return nil, err
+	}
 	if o.Health && o.FlightRec == "" {
 		o.FlightRec = filepath.Join(out, "health")
 	}
@@ -111,13 +118,18 @@ func (o RunOptions) Open(out, scope string) (*Session, error) {
 	return s, nil
 }
 
-// BundleDir returns the directory a health abort's post-mortem bundle lands
-// in; decomposed ranks write rank<N>/ subdirectories of it.
-func (s *Session) BundleDir() string { return s.opt.FlightRec }
-
 // Armed is one simulation with the session's layers turned on. Rank 0's
 // carries the telemetry probe (with -trace or -monitor).
-type Armed struct{ sim *Simulation }
+type Armed struct {
+	sim    *Simulation
+	bundle string // where a health abort's post-mortem bundle lands
+}
+
+// stepFactor is the fraction of the acoustic CFL limit (StableDt) every
+// driver steps at (paper §2.6). Run re-evaluates the limit at the start of
+// each chunk: the developing flame raises the sound speed and the peak
+// velocity, so a step fixed from the initial state would outgrow it.
+const stepFactor = 0.4
 
 // Arm enables the session's layers on sim and returns the handle that
 // steps it. prob supplies the standard analysis set; opt carries what only
@@ -189,29 +201,46 @@ func (s *Session) Arm(sim *Simulation, prob *Problem, opt TelemetryOptions) (*Ar
 			probe.MountProfile(s.profiler, sim.ProfileShape(), s.machines)
 		}
 	}
-	return &Armed{sim}, nil
+	return &Armed{sim, o.FlightRec}, nil
 }
 
-// Advance integrates n steps of size dt. It returns the *health.Violation
-// the moment an armed watchdog trips FATAL, after the post-mortem bundle is
-// written; without -health it never returns an error.
-func (a *Armed) Advance(n int, dt float64) error { return a.sim.TryAdvance(n, dt) }
+// Run advances the simulation until its step count reaches steps, in
+// chunks that end at multiples of every (the last one shortened), each at
+// stepFactor·StableDt evaluated once, at its start: the step size is a
+// function of the state at a chunk boundary, so a run resumed from a
+// restart file written there keeps the uninterrupted run's. each, if not
+// nil, is called after every clean chunk; its error ends the run. A health
+// abort (an armed watchdog tripped FATAL and wrote its bundle) is reported
+// once, by rank 0. Every way out writes run_done ("completed", "health
+// abort: …" or "error: …") and shuts the monitor. Run returns whether the
+// run completed; the error is each's or the trace's.
+func (a *Armed) Run(steps, every int, each func() error) (completed bool, err error) {
+	every = max(every, 1)
+	exit := ""
+	for exit == "" && a.sim.Step() < steps {
+		n := min((a.sim.Step()/every+1)*every, steps) - a.sim.Step()
+		if verr := a.sim.TryAdvance(n, stepFactor*a.sim.StableDt()); verr != nil {
+			exit = fmt.Sprintf("health abort: %v", verr)
+			if a.sim.blk.Rank() == 0 {
+				fmt.Printf("%s\npost-mortem bundle in %s\n", exit, a.bundle)
+			}
+		} else if each != nil {
+			if err = each(); err != nil {
+				exit = fmt.Sprintf("error: %v", err)
+			}
+		}
+	}
+	if p := a.sim.probe; p != nil {
+		err = errors.Join(err, p.Close(cmp.Or(exit, "completed")))
+	}
+	return exit == "", err
+}
 
 // Checkpoint records a restart file just written in the trace.
 func (a *Armed) Checkpoint(path string) {
 	if p := a.sim.probe; p != nil {
 		p.Checkpoint(path)
 	}
-}
-
-// Close ends this simulation's telemetry: the run_done record carrying
-// exit ("completed", or the abort reason) and the monitor shutdown. Call it
-// on every path out of the step loop, then Session.Close.
-func (a *Armed) Close(exit string) error {
-	if p := a.sim.probe; p != nil {
-		return p.Close(exit)
-	}
-	return nil
 }
 
 // Close lands the session's artifacts once every rank has stopped

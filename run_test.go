@@ -85,9 +85,10 @@ func handWired(sim *Simulation, p *Problem, rank int, critA *CritPathAnalyzer, d
 // none, health + injected NaN}. With every layer on, the trace's analysis
 // records must equal the hand-wired reference's byte for byte and its cost
 // and critpath records (wall-clock) fall on the same steps; with none, the
-// run must be the plain Advance; on a health abort the trace is closed and
-// a bundle, the overlay and the profile artifacts are left behind. No mode
-// may leak a goroutine.
+// run must be the plain Advance; on a health abort Run reports the run as
+// not completed without calling each for the aborted chunk, the trace ends
+// in the abort's run_done and is closed, and a bundle, the overlay and the
+// profile artifacts are left behind. No mode may leak a goroutine.
 func TestRunOptions(t *testing.T) {
 	SetWorkers(2)
 	defer SetWorkers(0) // restore the NumCPU default for other tests
@@ -135,11 +136,8 @@ func TestRunOptions(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				if err := h.Advance(steps, 0.4*sim.StableDtGlobal()); err != nil {
-					panic(err)
-				}
-				if err := h.Close("completed"); err != nil {
-					panic(err)
+				if completed, err := h.Run(steps, steps, nil); !completed || err != nil {
+					panic(fmt.Sprintf("Run: completed %v, err %v", completed, err))
 				}
 			})
 			if err := sess.Close(); err != nil {
@@ -161,8 +159,8 @@ func TestRunOptions(t *testing.T) {
 					t.Fatalf("%s records: the session recorded steps %v, the hand-wired sequence %v", kind, h, w)
 				}
 			}
-			if sess.BundleDir() != filepath.Join(got, "health") {
-				t.Fatalf("bundle directory %q, want the <out>/health default", sess.BundleDir())
+			if sess.opt.FlightRec != filepath.Join(got, "health") {
+				t.Fatalf("bundle directory %q, want the <out>/health default", sess.opt.FlightRec)
 			}
 			if sum := obs.Summarize(have); sum.Steps != steps || have[len(have)-1].Done.ExitMessage != "completed" {
 				t.Fatalf("session trace has %d records, %d steps", len(have), sum.Steps)
@@ -186,24 +184,20 @@ func TestRunOptions(t *testing.T) {
 					t.Fatal(err)
 				}
 				runCase(t, prob, layout.dims, func(sim *Simulation, rank, _ int) {
-					dt := 0.4 * sim.StableDtGlobal()
 					if arm {
 						h, err := sess.Arm(sim, prob, TelemetryOptions{})
 						if err != nil {
-							panic(err)
-						}
-						if err := h.Advance(steps, dt); err != nil {
 							panic(err)
 						}
 						if len(sim.installedLayers()) != 0 || sim.probe != nil {
 							panic("zero RunOptions armed a layer")
 						}
 						h.Checkpoint("ignored.sdf")
-						if err := h.Close("completed"); err != nil {
-							panic(err)
+						if completed, err := h.Run(steps, steps, nil); !completed || err != nil {
+							panic(fmt.Sprintf("Run: completed %v, err %v", completed, err))
 						}
 					} else {
-						sim.Advance(steps, dt)
+						sim.Advance(steps, 0.4*sim.StableDtGlobal())
 					}
 					if rank == 0 {
 						mu.Lock()
@@ -251,12 +245,15 @@ func TestRunOptions(t *testing.T) {
 				if rank == nRanks-1 {
 					sim.InjectNaN(3)
 				}
-				stepErr := h.Advance(steps, 0.4*sim.StableDtGlobal())
-				if _, ok := stepErr.(*health.Violation); !ok {
-					panic(fmt.Sprintf("rank %d: Advance returned %v, want a *health.Violation", rank, stepErr))
-				}
-				if err := h.Close(fmt.Sprintf("health abort: %v", stepErr)); err != nil {
-					panic(err)
+				// Chunks of two steps: the first is clean, the NaN trips the
+				// watchdog in the second.
+				var called []int
+				completed, err := h.Run(steps, 2, func() error {
+					called = append(called, sim.Step())
+					return nil
+				})
+				if completed || err != nil || !reflect.DeepEqual(called, []int{2}) {
+					panic(fmt.Sprintf("rank %d: Run completed %v, err %v, each called at steps %v; want an abort after each at step 2 alone", rank, completed, err, called))
 				}
 				mu.Lock()
 				aborted++
@@ -266,7 +263,7 @@ func TestRunOptions(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := max(1, layout.dims[0]); aborted != want {
-				t.Fatalf("%d ranks returned the violation, want %d", aborted, want)
+				t.Fatalf("%d ranks reported the abort, want %d", aborted, want)
 			}
 
 			// The trace holds the healthy steps' records and is closed.
@@ -297,6 +294,73 @@ func TestRunOptions(t *testing.T) {
 				}
 			}
 			waitGoroutines(t, base)
+		})
+	}
+}
+
+// TestRunChunks pins Run's step-size rule against the loop it replaced,
+// serially and over 2×1×1: from step 1, Run(7, 3, each) must leave the
+// state bit for bit where StableDt, then TryAdvance to the next multiple of
+// 3 (or to 7), repeated, leaves it — one step size per chunk, taken at its
+// start, chunks ending at multiples of every — and call each at the end of
+// every chunk.
+func TestRunChunks(t *testing.T) {
+	prob, err := LiftedJetProblem(LiftedJetOptions{Nx: 24, Ny: 16, Nz: 1, IgnitionKernel: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, layout := range []struct {
+		name string
+		dims [3]int
+	}{{"serial", [3]int{}}, {"2x1x1", [3]int{2, 1, 1}}} {
+		t.Run(layout.name, func(t *testing.T) {
+			final := func(run bool) map[int][]byte {
+				sess, err := RunOptions{}.Open(t.TempDir(), "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				out := map[int][]byte{}
+				runCase(t, prob, layout.dims, func(sim *Simulation, rank, _ int) {
+					sim.Advance(1, stepFactor*sim.StableDt())
+					if run {
+						h, err := sess.Arm(sim, prob, TelemetryOptions{})
+						if err != nil {
+							panic(err)
+						}
+						var called []int
+						completed, err := h.Run(7, 3, func() error {
+							called = append(called, sim.Step())
+							return nil
+						})
+						if !completed || err != nil || !reflect.DeepEqual(called, []int{3, 6, 7}) {
+							panic(fmt.Sprintf("Run: completed %v, err %v, each called at steps %v", completed, err, called))
+						}
+					} else {
+						for _, end := range []int{3, 6, 7} {
+							dt := stepFactor * sim.StableDt()
+							if err := sim.TryAdvance(end-sim.Step(), dt); err != nil {
+								panic(err)
+							}
+						}
+					}
+					var buf bytes.Buffer
+					if err := sim.SaveCheckpoint(&buf); err != nil {
+						panic(err)
+					}
+					mu.Lock()
+					out[rank] = buf.Bytes()
+					mu.Unlock()
+				})
+				if err := sess.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			hand, run := final(false), final(true)
+			if len(hand) == 0 || !reflect.DeepEqual(hand, run) {
+				t.Fatal("Run's chunks differ from the hand-written loop's")
+			}
 		})
 	}
 }
@@ -341,11 +405,8 @@ func TestTraceOrdersLayerRecords(t *testing.T) {
 						panic(err)
 					}
 				}
-				if err := h.Advance(4, 0.4*sim.StableDtGlobal()); err != nil {
-					panic(err)
-				}
-				if err := h.Close("completed"); err != nil {
-					panic(err)
+				if completed, err := h.Run(4, 4, nil); !completed || err != nil {
+					panic(fmt.Sprintf("Run: completed %v, err %v", completed, err))
 				}
 			})
 			if err := sess.Close(); err != nil {
