@@ -225,6 +225,16 @@ if grep -rnE 'deriv\.DiffRange\(|ScaleRange\(' --include='*.go' internal/solver 
 	exit 1
 fi
 
+# Pointwise-row lint: the primitives and transport sweeps cut each field's
+# segment of a row once and index the points along it, so non-test
+# internal/solver/primitives.go makes no per-point field call (.At, .Set,
+# .Add), each of which re-derives the flat index of its point.
+echo "== pointwise-row lint (no .At(, .Set( or .Add( field calls in internal/solver/primitives.go)"
+if grep -nE '\.(At|Set|Add)\(' internal/solver/primitives.go; then
+	echo "a per-point field access is back in the pointwise sweeps (see above): cut the row once (Field3.Idx, Data[p0:p1])" >&2
+	exit 1
+fi
+
 # Writer lint: a product file — a figure, an in-situ frame, a dashboard
 # document, a log a watcher stages — lands whole or not at all, through
 # sdf.WriteAtomic (a temporary dot-file renamed onto the path). So non-test

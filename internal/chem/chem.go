@@ -406,7 +406,20 @@ func troeBroadening(logFc, pr float64) float64 {
 	logPr := math.Log10(pr)
 	x := (logPr + c) / (n - d*(logPr+c))
 	logF := logFc / (1 + x*x)
-	return math.Pow(10, logF)
+	return pow10(logF)
+}
+
+// pow10 is math.Pow(10, y) bit for bit: for 0 < |y| < 0.5 that is
+// Exp(|y|·Log(10)), inverted when y < 0, without math.Pow's Modf, Frexp and
+// Ldexp around it (Log(10) is math.Ln10's bits); other y go to math.Pow.
+func pow10(y float64) float64 {
+	if a := math.Abs(y); a > 0 && a < 0.5 {
+		if y < 0 {
+			return 1 / math.Exp(a*math.Ln10)
+		}
+		return math.Exp(a * math.Ln10)
+	}
+	return math.Pow(10, y)
 }
 
 // powInt computes cⁿ for small positive integer n without math.Pow.

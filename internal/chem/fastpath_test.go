@@ -2,6 +2,7 @@ package chem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -144,5 +145,33 @@ END
 		if v != 0 {
 			t.Fatalf("irreversible reaction ran backwards: w[%d]=%g", i, v)
 		}
+	}
+}
+
+// TestPow10MatchesMathPow holds pow10 bit for bit to math.Pow(10, y), NaN
+// matching NaN: 10⁷ seeded y in (−0.6, 0.6), one in five scaled by 1e-3 so
+// the tiny exponents near 0 are covered, plus the edges of the exp path
+// (±0, ±0.5 and the values just inside it, the smallest subnormals) and
+// values well outside it.
+func TestPow10MatchesMathPow(t *testing.T) {
+	check := func(y float64) {
+		got, want := pow10(y), math.Pow(10, y)
+		if math.Float64bits(got) != math.Float64bits(want) && !(got != got && want != want) {
+			t.Fatalf("pow10(%v) = %x, math.Pow %x", y, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	for _, y := range []float64{
+		0, math.Copysign(0, -1), 0.5, -0.5, math.Nextafter(0.5, 0), math.Nextafter(-0.5, 0),
+		5e-324, -5e-324, 1, -1, 400, -400, math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		check(y)
+	}
+	rng := rand.New(rand.NewSource(35))
+	for i := 0; i < 10_000_000; i++ {
+		y := 1.2*rng.Float64() - 0.6
+		if i%5 == 0 {
+			y *= 1e-3
+		}
+		check(y)
 	}
 }

@@ -65,6 +65,20 @@ func TestPrimitivesPanicWithoutWatchdog(t *testing.T) {
 			t.Fatalf("violation = %+v", v)
 		}
 	})
+	t.Run("ghost_slab_row", func(t *testing.T) {
+		// A row of the ghost slab below j = 0 keeps only its interior i
+		// range; a fault in it names the ghost point's own i (not one
+		// shifted by the clipped ghost width) and its periodic image's j.
+		// The halos are filled first and the sweep then runs alone, so no
+		// exchange overwrites the ghost.
+		b := newReactiveSerial(t)
+		b.RefreshPrimitives()
+		b.Q[iRho].Set(3, -2, 1, -1.0)
+		v := mustViolation(t, b.computePrimitives)
+		if v.Check != "density" || v.Cell != [3]int{3, b.G.Ny - 2, 1} {
+			t.Fatalf("violation = %+v", v)
+		}
+	})
 	t.Run("step_once", func(t *testing.T) {
 		b := newReactiveSerial(t)
 		b.InjectNaNAt(1, 8, 6, 4)
@@ -73,6 +87,72 @@ func TestPrimitivesPanicWithoutWatchdog(t *testing.T) {
 			t.Fatalf("violation = %+v", v)
 		}
 	})
+}
+
+// TestPrimitivesFaultKeepsCell pins what the row sweep does around a fault
+// under an armed watchdog (no panic; the fault waits for the end of the
+// step): the faulted cell's ρ, T, p and Y keep their pre-refresh bits, and
+// its row neighbours i±1 are refreshed to the bits a fault-free twin's
+// sweep writes there. The neighbours' T is left as it was, since it seeds
+// their Newton iteration. The halos are filled before the fault is placed
+// and the sweep then runs alone, so the interior row is the only one to
+// fault and the fault names its point.
+func TestPrimitivesFaultKeepsCell(t *testing.T) {
+	const i, j, k = 8, 6, 4
+	const poison = -123.25
+	prims := func(b *Block, withT bool) []*grid.Field3 {
+		f := append([]*grid.Field3{b.Rho, b.P}, b.Y...)
+		if withT {
+			f = append(f, b.T)
+		}
+		return f
+	}
+	for _, tc := range []struct {
+		check string
+		q     int
+		value float64
+	}{
+		{"density", iRho, -1},
+		{"temperature_inversion", iRhoE, math.NaN()},
+	} {
+		t.Run(tc.check, func(t *testing.T) {
+			ref := newReactiveSerial(t)
+			ref.RefreshPrimitives()
+			ref.computePrimitives()
+
+			b := newReactiveSerial(t)
+			w := health.New(health.Defaults())
+			b.InstallWatchdog(w)
+			w.Arm()
+			b.RefreshPrimitives()
+			b.Q[tc.q].Set(i, j, k, tc.value)
+			for _, f := range prims(b, true) {
+				f.Set(i, j, k, poison)
+			}
+			for _, f := range prims(b, false) {
+				f.Set(i-1, j, k, poison)
+				f.Set(i+1, j, k, poison)
+			}
+			b.computePrimitives()
+
+			if v := b.fault; v == nil || v.Check != tc.check || v.Cell != [3]int{i, j, k} {
+				t.Fatalf("fault = %+v", v)
+			}
+			for n, f := range prims(b, true) {
+				if got := f.At(i, j, k); math.Float64bits(got) != math.Float64bits(poison) {
+					t.Fatalf("primitive %d of the faulted cell = %v, want its old %v", n, got, poison)
+				}
+			}
+			want := prims(ref, true)
+			for n, f := range prims(b, true) {
+				for _, ii := range []int{i - 1, i + 1} {
+					if got, w := f.At(ii, j, k), want[n].At(ii, j, k); math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("primitive %d at i=%d = %v, a fault-free sweep writes %v", n, ii, got, w)
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestStepCheckedSerialTrip drives the armed serial path: healthy steps

@@ -1,8 +1,6 @@
 package solver
 
 import (
-	"math"
-
 	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/par"
 )
@@ -53,11 +51,13 @@ func (b *Block) computePrimitives() {
 // primitivesTile recovers the primitives over one tile of the ghosted box,
 // clipping each row to the read-set: a row with j or k in a ghost layer
 // keeps only its interior i range, and a row with both outside (edges and
-// corners) is skipped.
+// corners) is skipped. Each field's segment of a row is cut once (one
+// layout: one flat offset addresses a point in every field) and indexed by
+// i. A clipped row is never empty: the plan splits x only when y and z have
+// one point, and then no row is clipped.
 func (b *Block) primitivesTile(t par.Tile, worker int) {
-	set := b.mech.Set
-	ns := b.ns
-	yw := b.ws[worker].yw
+	set, ns, ws := b.mech.Set, b.ns, &b.ws[worker]
+	yw, qY, yR := ws.yw, ws.yIn[:ns-1], ws.yOut[:ns]
 	for k := t.Lo[2]; k < t.Hi[2]; k++ {
 		kGhost := k < 0 || k >= b.G.Nz
 		for j := t.Lo[1]; j < t.Hi[1]; j++ {
@@ -69,19 +69,26 @@ func (b *Block) primitivesTile(t par.Tile, worker int) {
 			if kGhost || jGhost {
 				iLo, iHi = max(iLo, 0), min(iHi, b.G.Nx)
 			}
-			for i := iLo; i < iHi; i++ {
-				rho := b.Q[iRho].At(i, j, k)
-				if !(rho > 0) || math.IsNaN(rho) {
-					b.recordFault("density", "rho", rho, i, j, k, "non-positive density")
+			p0 := b.Rho.Idx(iLo, j, k)
+			p1 := p0 + iHi - iLo
+			rhoQ, eQ := b.Q[iRho].Data[p0:p1], b.Q[iRhoE].Data[p0:p1]
+			ruQ, rvQ, rwQ := b.Q[iRhoU].Data[p0:p1], b.Q[iRhoV].Data[p0:p1], b.Q[iRhoW].Data[p0:p1]
+			rhoR, uR, vR, wR := b.Rho.Data[p0:p1], b.U.Data[p0:p1], b.V.Data[p0:p1], b.W.Data[p0:p1]
+			tR, pR, wmR := b.T.Data[p0:p1], b.P.Data[p0:p1], b.Wmix.Data[p0:p1]
+			cutRows(qY, b.Q[iY0:], p0, p1)
+			cutRows(yR, b.Y, p0, p1)
+			for i, rho := range rhoQ {
+				if !(rho > 0) { // NaN included
+					b.recordFault("density", "rho", rho, iLo+i, j, k, "non-positive density")
 					continue
 				}
 				inv := 1 / rho
-				u := b.Q[iRhoU].At(i, j, k) * inv
-				v := b.Q[iRhoV].At(i, j, k) * inv
-				w := b.Q[iRhoW].At(i, j, k) * inv
+				u := ruQ[i] * inv
+				v := rvQ[i] * inv
+				w := rwQ[i] * inv
 				var sum float64
-				for n := 0; n < ns-1; n++ {
-					y := b.Q[iY0+n].At(i, j, k) * inv
+				for n, q := range qY {
+					y := q[i] * inv
 					// Clip round-off excursions; the filter keeps these tiny.
 					if y < 0 {
 						y = 0
@@ -101,24 +108,23 @@ func (b *Block) primitivesTile(t par.Tile, worker int) {
 				}
 				yw[ns-1] = yLast
 
-				e0 := b.Q[iRhoE].At(i, j, k) * inv
-				eInt := e0 - 0.5*(u*u+v*v+w*w)
-				T, ok := set.TFromE(eInt, yw, b.T.At(i, j, k))
+				eInt := eQ[i]*inv - 0.5*(u*u+v*v+w*w)
+				Wm := set.MeanW(yw)
+				T, ok := set.TFromEW(eInt, yw, Wm, tR[i])
 				if !ok {
-					b.recordFault("temperature_inversion", "e_int", eInt, i, j, k,
+					b.recordFault("temperature_inversion", "e_int", eInt, iLo+i, j, k,
 						"temperature inversion failed")
 					continue
 				}
-				Wm := set.MeanW(yw)
-				b.Rho.Set(i, j, k, rho)
-				b.U.Set(i, j, k, u)
-				b.V.Set(i, j, k, v)
-				b.W.Set(i, j, k, w)
-				b.T.Set(i, j, k, T)
-				b.P.Set(i, j, k, rho*gasR*T/Wm)
-				b.Wmix.Set(i, j, k, Wm)
-				for n := 0; n < ns; n++ {
-					b.Y[n].Set(i, j, k, yw[n])
+				rhoR[i] = rho
+				uR[i] = u
+				vR[i] = v
+				wR[i] = w
+				tR[i] = T
+				pR[i] = rho * gasR * T / Wm
+				wmR[i] = Wm
+				for n, y := range yR {
+					y[i] = yw[n]
 				}
 			}
 		}
@@ -129,6 +135,7 @@ func (b *Block) primitivesTile(t par.Tile, worker int) {
 // pool: the flux kernels that consume them are interior sweeps, so no
 // transport property is ever read in a ghost cell. The transport model
 // carries internal scratch, so each worker evaluates through its own clone.
+// Rows are cut once, as in primitivesTile.
 func (b *Block) computeTransport() {
 	defer b.beginRegion("COMPUTE_TRANSPORT").End()
 
@@ -136,28 +143,44 @@ func (b *Block) computeTransport() {
 	le := b.cfg.ConstLewis
 	b.plan.Run("COMPUTE_TRANSPORT", b.interior(), func(t par.Tile, worker int) {
 		ws := &b.ws[worker]
+		yw, yR, dR := ws.yw, ws.yIn[:ns], ws.yOut[:ns]
 		for k := t.Lo[2]; k < t.Hi[2]; k++ {
 			for j := t.Lo[1]; j < t.Hi[1]; j++ {
-				for i := t.Lo[0]; i < t.Hi[0]; i++ {
-					b.gatherYInto(ws.yw, i, j, k)
-					T := b.T.At(i, j, k)
-					ws.trans.Mixture(T, b.P.At(i, j, k), ws.yw, &ws.props)
-					b.Mu.Set(i, j, k, ws.props.Mu)
-					b.Lambda.Set(i, j, k, ws.props.Lambda)
+				p0 := b.Rho.Idx(t.Lo[0], j, k)
+				p1 := p0 + t.Hi[0] - t.Lo[0]
+				tR, pR, rhoR := b.T.Data[p0:p1], b.P.Data[p0:p1], b.Rho.Data[p0:p1]
+				muR, lamR := b.Mu.Data[p0:p1], b.Lambda.Data[p0:p1]
+				cutRows(yR, b.Y, p0, p1)
+				cutRows(dR, b.D, p0, p1)
+				for i, T := range tR {
+					for n, y := range yR {
+						yw[n] = y[i]
+					}
+					ws.trans.Mixture(T, pR[i], yw, &ws.props)
+					muR[i] = ws.props.Mu
+					lamR[i] = ws.props.Lambda
 					if le > 0 {
 						// Constant-Lewis ablation: D = λ/(ρ·cp·Le) for every
 						// species (no differential diffusion).
-						d := ws.props.Lambda / (b.Rho.At(i, j, k) * ws.mech.Set.CpMass(T, ws.yw) * le)
-						for n := 0; n < ns; n++ {
-							b.D[n].Set(i, j, k, d)
+						d := ws.props.Lambda / (rhoR[i] * ws.mech.Set.CpMass(T, yw) * le)
+						for _, dn := range dR {
+							dn[i] = d
 						}
 						continue
 					}
-					for n := 0; n < ns; n++ {
-						b.D[n].Set(i, j, k, ws.props.Dmix[n])
+					for n, dn := range dR {
+						dn[i] = ws.props.Dmix[n]
 					}
 				}
 			}
 		}
 	})
+}
+
+// cutRows points dst[n] at the segment [p0, p1) of fields[n], for every n
+// of dst.
+func cutRows(dst [][]float64, fields []*grid.Field3, p0, p1 int) {
+	for n := range dst {
+		dst[n] = fields[n].Data[p0:p1]
+	}
 }

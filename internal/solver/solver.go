@@ -296,6 +296,8 @@ type kernScratch struct {
 	tgt InflowState
 	// x-row scratch of the pencil-fused flux stage and the NSCBC planes
 	rows rowScratch
+	// species row segments a pointwise sweep reads and writes (primitives.go)
+	yIn, yOut [][]float64
 }
 
 // NewSerial builds a single-block (serial) simulation over the whole grid:
@@ -447,6 +449,8 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 			nvFlux: make([]float64, b.nvar),
 			tgt:    InflowState{Y: make([]float64, ns)},
 			rows:   newRowScratch(local.Nx, ns, b.active),
+			yIn:    make([][]float64, ns),
+			yOut:   make([][]float64, ns),
 		}
 	}
 

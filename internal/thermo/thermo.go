@@ -53,20 +53,24 @@ type Species struct {
 	sq3 float64
 }
 
-// CpR returns cp/R at temperature T.
-func (s *Species) CpR(T float64) float64 {
-	T = clampT(T)
+// cpR is cp/R at T ∈ [TMin, TMax] (no clamp).
+func (s *Species) cpR(T float64) float64 {
 	return s.a[0] + T*(s.a[1]+T*(s.a[2]+T*(s.a[3]+T*s.a[4])))
 }
+
+// hRT is h/(R·T) at T ∈ [TMin, TMax] (no clamp).
+func (s *Species) hRT(T float64) float64 {
+	return s.a[0] + T*(s.hq[0]+T*(s.hq[1]+T*(s.hq[2]+T*s.a[4]/5))) + s.a[5]/T
+}
+
+// CpR returns cp/R at temperature T.
+func (s *Species) CpR(T float64) float64 { return s.cpR(clampT(T)) }
 
 // Cp returns the specific heat at constant pressure in J/(kg·K).
 func (s *Species) Cp(T float64) float64 { return s.CpR(T) * R / s.W }
 
 // HRT returns h/(R·T) at temperature T (molar enthalpy including formation).
-func (s *Species) HRT(T float64) float64 {
-	T = clampT(T)
-	return s.a[0] + T*(s.hq[0]+T*(s.hq[1]+T*(s.hq[2]+T*s.a[4]/5))) + s.a[5]/T
-}
+func (s *Species) HRT(T float64) float64 { return s.hRT(clampT(T)) }
 
 // H returns the specific enthalpy (sensible + chemical) in J/kg.
 func (s *Species) H(T float64) float64 { return s.HRT(T) * R * T / s.W }
@@ -102,10 +106,12 @@ func clampT(T float64) float64 {
 
 // Set is an ordered collection of species forming the thermodynamic state
 // space of a mechanism. Mass-fraction slices are indexed consistently with
-// Set.Species.
+// Set.Species. tab holds the same species by value, so a TFromE iterate
+// walks one contiguous table instead of following ns pointers.
 type Set struct {
 	Species []*Species
 	index   map[string]int
+	tab     []Species
 }
 
 // NewSet builds a Set from the named species in the package database,
@@ -119,6 +125,7 @@ func NewSet(names ...string) (*Set, error) {
 		}
 		s.index[n] = len(s.Species)
 		s.Species = append(s.Species, sp)
+		s.tab = append(s.tab, *sp)
 	}
 	return s, nil
 }
@@ -230,7 +237,16 @@ func (s *Set) Density(p, T float64, Y []float64) float64 {
 // Energies outside the polynomial range saturate at TMin/TMax (still
 // reported as converged): transient over/undershoots at marginal resolution
 // are clipped rather than fatal, and the solution filter removes them on
-// subsequent steps.
+// subsequent steps. It is TFromEW with W = MeanW(Y).
+func (s *Set) TFromE(e float64, Y []float64, Tg float64) (float64, bool) {
+	return s.TFromEW(e, Y, s.MeanW(Y), Tg)
+}
+
+// TFromEW is TFromE for a caller that holds W = MeanW(Y). Each iterate sums
+// HMass and CpMass (each with its own bits) in one pass over tab, with no
+// clamp: the first iterate is Tg if it lies in [TMin, TMax], else 1000, and
+// each later one is clamped into the range or is NaN, so clampT would
+// return every iterate unchanged.
 //
 // The two saturation bounds cost an EMass each, so they are evaluated only
 // when they can matter. e(T) is increasing, so an energy at or beyond a
@@ -239,15 +255,21 @@ func (s *Set) Density(p, T float64, Y []float64) float64 {
 // satBand), or fails to converge. Checking saturation whenever an iterate
 // lands within satBand of a bound, and once more before reporting failure,
 // therefore returns exactly what checking up front would.
-func (s *Set) TFromE(e float64, Y []float64, Tg float64) (float64, bool) {
+func (s *Set) TFromEW(e float64, Y []float64, W, Tg float64) (float64, bool) {
 	T := Tg
 	if T < TMin || T > TMax || math.IsNaN(T) {
 		T = 1000
 	}
-	W := s.MeanW(Y) // once per call: EMass and CvMass each take it per iterate
+	Y = Y[:len(s.tab)]
 	for iter := 0; iter < 50; iter++ {
-		f := (s.HMass(T, Y) - R*T/W) - e // EMass(T, Y) − e
-		cv := s.CpMass(T, Y) - R/W       // CvMass(T, Y)
+		var h, cp float64
+		for i := range s.tab {
+			c := &s.tab[i]
+			h += Y[i] * (c.hRT(T) * R * T / c.W)
+			cp += Y[i] * (c.cpR(T) * R / c.W)
+		}
+		f := (h - R*T/W) - e // EMass(T, Y) − e
+		cv := cp - R/W       // CvMass(T, Y)
 		dT := f / cv
 		T -= dT
 		if T < TMin {
@@ -272,7 +294,7 @@ func (s *Set) TFromE(e float64, Y []float64, Tg float64) (float64, bool) {
 }
 
 // satBand is how close (K) to TMin/TMax a Newton iterate must land before
-// TFromE evaluates the saturation bounds.
+// TFromEW evaluates the saturation bounds.
 const satBand = 1.0
 
 // saturated reports whether e lies at or beyond the energy of a polynomial

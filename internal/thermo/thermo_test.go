@@ -230,7 +230,8 @@ func tFromEEager(s *Set, e float64, Y []float64, Tg float64) (float64, bool) {
 // TestTFromELazyBoundsMatchEager pins the lazy saturation check bit for bit
 // against the eager reference: energies below, at, just inside and above
 // both bounds and across the range, from in-range, bound, out-of-range and
-// NaN guesses, plus a NaN energy.
+// NaN guesses, plus a NaN energy — through TFromE and through TFromEW, the
+// entry that takes the mixture molecular weight from the caller.
 func TestTFromELazyBoundsMatchEager(t *testing.T) {
 	s := MustSet("H2", "O2", "O", "OH", "H2O", "H", "HO2", "H2O2", "N2")
 	rng := rand.New(rand.NewSource(3))
@@ -271,6 +272,11 @@ func TestTFromELazyBoundsMatchEager(t *testing.T) {
 				gotT, gotOK := s.TFromE(e, Y, Tg)
 				if math.Float64bits(gotT) != math.Float64bits(wantT) || gotOK != wantOK {
 					t.Fatalf("TFromE(e=%g, Tg=%g) = (%v, %v), eager reference (%v, %v) [eLo=%g eHi=%g]",
+						e, Tg, gotT, gotOK, wantT, wantOK, eLo, eHi)
+				}
+				gotT, gotOK = s.TFromEW(e, Y, s.MeanW(Y), Tg)
+				if math.Float64bits(gotT) != math.Float64bits(wantT) || gotOK != wantOK {
+					t.Fatalf("TFromEW(e=%g, W=MeanW(Y), Tg=%g) = (%v, %v), eager reference (%v, %v) [eLo=%g eHi=%g]",
 						e, Tg, gotT, gotOK, wantT, wantOK, eLo, eHi)
 				}
 			}

@@ -53,23 +53,16 @@ var ljParams = map[string]struct{ eps, sigma float64 }{
 type Model struct {
 	Set *thermo.Set
 
-	eps, sigma []float64 // per species
-	sqrtW      []float64
-	// phiFac caches the constant part of the Wilke interaction factor.
-	wRatio [][]float64 // Wj/Wi
-	w4     [][]float64 // (Wj/Wi)^(1/4), Wilke prefactor
-	wPhi   [][]float64 // 1/√(8(1+Wi/Wj)), Wilke denominator factor
-	// dFac caches the constant prefactor of each binary pair.
-	dEps  [][]float64 // sqrt(eps_i·eps_j)
-	dSig  [][]float64 // (σ_i+σ_j)/2 in m
-	dWred [][]float64 // 2/(1/Wi+1/Wj) reduced weight, kg/mol
+	eps, sigma []float64   // per species
+	w4         [][]float64 // (Wj/Wi)^(1/4), Wilke prefactor
+	wPhi       [][]float64 // 1/√(8(1+Wi/Wj)), Wilke denominator factor
 
 	// Fitted property polynomials: value = exp(c0 + c1·lnT + c2·lnT² + c3·lnT³).
-	muFit [][4]float64   // per species: ln μ(T)
-	dFit  [][][4]float64 // per pair: ln D_ij(T) at p = 1 atm
+	muFit   [][4]float64   // per species: ln μ(T)
+	dFit    [][][4]float64 // per ordered pair: ln D_ij(T) at p = 1 atm
+	pairFit [][4]float64   // dFit[i][j], i < j, in the order (0,1), (0,2), …, (1,2), …
 
-	x, lam []float64 // scratch
-	dij    []float64 // scratch: n×n D_ij at the point's T and p (Mixture)
+	x []float64 // scratch: mole fractions
 	// fit is Mixture's exponential batch: the n viscosity fits, then the
 	// D_ij fit of every unordered pair with a species present.
 	fit []float64
@@ -83,10 +76,7 @@ func New(set *thermo.Set) (*Model, error) {
 		Set:   set,
 		eps:   make([]float64, n),
 		sigma: make([]float64, n),
-		sqrtW: make([]float64, n),
 		x:     make([]float64, n),
-		lam:   make([]float64, n),
-		dij:   make([]float64, n*n),
 		fit:   make([]float64, n+n*(n-1)/2),
 	}
 	for i, sp := range set.Species {
@@ -96,22 +86,13 @@ func New(set *thermo.Set) (*Model, error) {
 		}
 		m.eps[i] = lj.eps
 		m.sigma[i] = lj.sigma * 1e-10 // Å → m
-		m.sqrtW[i] = math.Sqrt(sp.W)
 	}
-	m.wRatio = sq(n)
-	m.w4 = sq(n)
-	m.wPhi = sq(n)
-	m.dEps = sq(n)
-	m.dSig = sq(n)
-	m.dWred = sq(n)
+	m.w4, m.wPhi = sq(n), sq(n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			m.wRatio[i][j] = set.Species[j].W / set.Species[i].W
-			m.w4[i][j] = math.Pow(m.wRatio[i][j], 0.25)
-			m.wPhi[i][j] = 1 / math.Sqrt(8*(1+1/m.wRatio[i][j]))
-			m.dEps[i][j] = math.Sqrt(m.eps[i] * m.eps[j])
-			m.dSig[i][j] = 0.5 * (m.sigma[i] + m.sigma[j])
-			m.dWred[i][j] = 2 / (1/set.Species[i].W + 1/set.Species[j].W)
+			r := set.Species[j].W / set.Species[i].W
+			m.w4[i][j] = math.Pow(r, 0.25)
+			m.wPhi[i][j] = 1 / math.Sqrt(8*(1+1/r))
 		}
 	}
 	m.buildFits()
@@ -144,6 +125,7 @@ func (m *Model) buildFits() {
 			}
 			m.dFit[i][j] = fitCubic(lnT, vals)
 		}
+		m.pairFit = append(m.pairFit, m.dFit[i][i+1:]...)
 	}
 }
 
@@ -216,11 +198,8 @@ func MustNew(set *thermo.Set) *Model {
 // Clone returns a model sharing the immutable pair tables but owning
 // private scratch, for concurrent solver ranks.
 func (m *Model) Clone() *Model {
-	n := m.Set.Len()
 	c := *m
-	c.x = make([]float64, n)
-	c.lam = make([]float64, n)
-	c.dij = make([]float64, n*n)
+	c.x = make([]float64, len(m.x))
 	c.fit = make([]float64, len(m.fit))
 	return &c
 }
@@ -285,9 +264,10 @@ func (m *Model) SpeciesConductivity(i int, T float64) float64 {
 // binaryDiffusionExact evaluates the Chapman–Enskog expression
 // D = (3/16)·√(2π·k_B³·T³/m_red)/(p·π·σ_ij²·Ω11) directly.
 func (m *Model) binaryDiffusionExact(i, j int, T, p float64) float64 {
-	mRed := m.dWred[i][j] / (2 * nA) // reduced mass, kg
-	sig := m.dSig[i][j]
-	om := omega11(T / m.dEps[i][j])
+	wi, wj := m.Set.Species[i].W, m.Set.Species[j].W
+	mRed := 2 / (1/wi + 1/wj) / (2 * nA) // reduced mass, kg
+	sig := 0.5 * (m.sigma[i] + m.sigma[j])
+	om := omega11(T / math.Sqrt(m.eps[i]*m.eps[j]))
 	return 3.0 / 16.0 * math.Sqrt(2*math.Pi*kB*kB*kB*T*T*T/mRed) /
 		(p * math.Pi * sig * sig * om)
 }
@@ -327,20 +307,18 @@ func (m *Model) Mixture(T, p float64, Y []float64, props *Props) {
 	for i := 0; i < n; i++ {
 		m.fit[i] = fitArg(m.muFit[i], lnT)
 	}
-	k := n
+	k, pair := n, 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if m.x[i] != 0 || m.x[j] != 0 {
-				m.fit[k] = fitArg(m.dFit[i][j], lnT)
+				m.fit[k] = fitArg(m.pairFit[pair], lnT)
 				k++
 			}
+			pair++
 		}
 	}
 	vexp.Exp(m.fit[:k], m.fit[:k])
 	mu := m.fit[:n]
-	for i := 0; i < n; i++ {
-		m.lam[i] = mu[i] * (m.Set.Species[i].Cp(T) + 1.25*thermo.R/m.Set.Species[i].W)
-	}
 
 	// Wilke mixture viscosity.
 	var muMix float64
@@ -360,46 +338,51 @@ func (m *Model) Mixture(T, p float64, Y []float64, props *Props) {
 	}
 	props.Mu = muMix
 
-	// Mathur–Saxena conductivity: ½(Σxλ + (Σx/λ)⁻¹).
+	// Mathur–Saxena conductivity: ½(Σxλ + (Σx/λ)⁻¹), each λᵢ by the modified
+	// Eucken correction μᵢ·(cp,ᵢ + 1.25·Ru/Wᵢ).
 	var sum, inv float64
-	for i := 0; i < n; i++ {
-		sum += m.x[i] * m.lam[i]
+	for i, sp := range m.Set.Species {
+		lam := mu[i] * (sp.Cp(T) + 1.25*thermo.R/sp.W)
+		sum += m.x[i] * lam
 		if m.x[i] > 0 {
-			inv += m.x[i] / m.lam[i]
+			inv += m.x[i] / lam
 		}
 	}
 	props.Lambda = 0.5 * (sum + 1/inv)
 
 	// Mixture-averaged diffusion (paper eq. 17), with the pure-species limit
-	// D_i^mix → D_ii' (self/trace value) as X_i → 1. Each present pair's
-	// D_ij·pScale is read from both rows.
+	// D_i^mix → D_ii' (self/trace value) as X_i → 1. The denominators
+	// Σ_{j≠i, X_j≠0} X_j/D_ij accumulate in props.Dmix in the one loop over
+	// present pairs: it reaches row i's pairs (a, i), a < i, in increasing a
+	// before its pairs (i, b), b > i, in increasing b, so each row gets its
+	// terms in increasing j from +0 — the order, so the bits, of the sum.
 	pScale := 101325 / p
+	dmix := props.Dmix[:n]
+	clear(dmix)
 	k = n
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if m.x[i] != 0 || m.x[j] != 0 {
 				d := m.fit[k] * pScale
 				k++
-				m.dij[i*n+j], m.dij[j*n+i] = d, d
+				if m.x[j] != 0 {
+					dmix[i] += m.x[j] / d
+				}
+				if m.x[i] != 0 {
+					dmix[j] += m.x[i] / d
+				}
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		var denom float64
-		for j := 0; j < n; j++ {
-			if j == i || m.x[j] == 0 {
-				continue
-			}
-			denom += m.x[j] / m.dij[i*n+j]
-		}
+	for i, denom := range dmix {
 		if denom < 1e-30 {
 			// Pure species: use the self-collision estimate.
-			props.Dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
+			dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
 			continue
 		}
-		props.Dmix[i] = (1 - m.x[i]) / denom
-		if props.Dmix[i] <= 0 {
-			props.Dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
+		dmix[i] = (1 - m.x[i]) / denom
+		if dmix[i] <= 0 {
+			dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
 		}
 	}
 }
