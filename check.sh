@@ -73,13 +73,14 @@ fi
 # Step-rule lint: a driver steps its simulation with Armed.Run (run.go), the
 # one place the step size is chosen (stepFactor·StableDt, re-evaluated at the
 # start of every chunk, so a resumed run keeps its step size), a run is cut
-# into chunks and an abort is reported. So non-test Go under cmd/ calls no
-# StableDt and steps nothing with Advance or TryAdvance itself.
-echo "== step-rule lint (no StableDt(, .Advance( or .TryAdvance( in non-test cmd/ code)"
-violations=$(grep -rnE 'StableDt\(|\.(Advance|TryAdvance)\(' --include='*.go' cmd \
+# into chunks and an abort is reported. So non-test Go under cmd/ and
+# examples/ calls no StableDt and steps nothing with Advance or TryAdvance
+# itself.
+echo "== step-rule lint (no StableDt(, .Advance( or .TryAdvance( in non-test cmd/ and examples/ code)"
+violations=$(grep -rnE 'StableDt\(|\.(Advance|TryAdvance)\(' --include='*.go' cmd examples \
 	| grep -v '_test\.go:' || true)
 if [ -n "$violations" ]; then
-	echo "a driver chooses its own step size or steps its own loop:" >&2
+	echo "a driver or an example chooses its own step size or steps its own loop:" >&2
 	echo "$violations" >&2
 	echo "step with Armed.Run (run.go)" >&2
 	exit 1
@@ -140,6 +141,12 @@ fi
 # consumer, and the §5 I/O kernel's verification and figure 9 live there.
 if [ -e examples/checkpointio ]; then
 	echo "examples/checkpointio is back: cmd/iobench runs the §5 I/O kernel" >&2
+	exit 1
+fi
+# ... and so does the third lifted-jet run: cmd/liftedflame prints the
+# HO2-upstream-of-OH verdict examples/liftedjet printed.
+if [ -e examples/liftedjet ]; then
+	echo "examples/liftedjet is back: cmd/liftedflame runs the lifted jet" >&2
 	exit 1
 fi
 # ... and so do the settings only their own defaults ever set: the fixed
@@ -212,6 +219,24 @@ fi
 if grep -rnE 'computeGradients|computeDiffFlux\b|assembleFluxesTile|DiffFluxNaive|NaiveDiffFlux|naive_t1' \
 	--include='*.go' . | grep -v '^\./benchmark/'; then
 	echo "a deleted stage of the stored-gradient RHS is back (see above)" >&2
+	exit 1
+fi
+
+# Transport-in-the-row lint: the flux row evaluates μ, λ and Dₙ into its own
+# scratch (transportRows), so the separate transport sweep, its region and the
+# block's transport fields stay deleted outside test files and the frozen
+# benchmark module, and non-test internal/solver registers exactly one field
+# of the transport role: diff_max, the watchdog's diffusivity.
+echo "== transport-in-the-row lint (no transport sweep or fields; one transport-role registration in internal/solver)"
+if grep -rnE 'computeTransport|COMPUTE_TRANSPORT|\bb\.(Mu|Lambda|D)\b' --include='*.go' . \
+	| grep -v '^\./benchmark/' | grep -v '_test\.go:'; then
+	echo "the transport sweep or a transport field is back (see above): evaluate transport in the flux row" >&2
+	exit 1
+fi
+regs=$(grep -rn 'grid\.RoleTransport' --include='*.go' internal/solver | grep -v '_test\.go:' || true)
+if [ "$(printf '%s\n' "$regs" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$regs" | grep -q '"diff_max"'; then
+	echo "transport-role registrations in internal/solver (want exactly one, diff_max):" >&2
+	echo "$regs" >&2
 	exit 1
 fi
 

@@ -17,6 +17,13 @@ import (
 )
 
 func main() {
+	outDir := "out_insitu"
+	// Open before building the simulation: it sizes the worker pool. No
+	// option is set, so Arm turns on no layer of its own.
+	run, err := s3d.RunOptions{}.Open(outDir, "")
+	if err != nil {
+		log.Fatal(err)
+	}
 	p, err := s3d.LiftedJetProblem(s3d.LiftedJetOptions{
 		Nx: 48, Ny: 40, Nz: 1, IgnitionKernel: true, Seed: 7,
 	})
@@ -38,7 +45,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	outDir := "out_insitu"
 	imager := &s3d.InSituImager{Dir: outDir, FieldA: "Y_OH", FieldB: "Y_HO2", Width: 240, Height: 180}
 	if err := imager.Attach(sim); err != nil {
 		log.Fatal(err)
@@ -50,7 +56,18 @@ func main() {
 		fmt.Printf("in-situ observation at step %3d: T ∈ [%.0f, %.0f] K\n", rec.Step, lo, hi)
 	})
 
-	sim.Advance(60, 0.4*sim.StableDt())
+	// One 60-step chunk through the drivers' run loop: its step size is
+	// fixed at the chunk's start.
+	h, err := run.Arm(sim, p, s3d.TelemetryOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := h.Run(60, 60, nil); err != nil {
+		log.Fatal(err)
+	}
+	if err := run.Close(); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\nrendered %d frames into %s/\n", imager.Frames(), outDir)
 

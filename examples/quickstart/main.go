@@ -1,6 +1,7 @@
 // Quickstart: the smallest complete S3D-Go program. It builds a periodic
 // box of air with a small temperature blob, advances the compressible
-// reacting-flow solver a few hundred steps and prints monitoring output.
+// reacting-flow solver a few hundred steps through the drivers' one run loop
+// (RunOptions.Open, Session.Arm, Armed.Run) and prints monitoring output.
 package main
 
 import (
@@ -12,6 +13,12 @@ import (
 )
 
 func main() {
+	// Open before building the simulation: it sizes the worker pool. No
+	// option is set, so no instrumentation layer is armed.
+	run, err := s3d.RunOptions{}.Open(".", "")
+	if err != nil {
+		log.Fatal(err)
+	}
 	mech := s3d.HydrogenAir()
 
 	sim, err := s3d.New(s3d.Config{
@@ -34,12 +41,21 @@ func main() {
 		copy(s.Y, yAir)
 	}, nil)
 
-	dt := sim.StableDt()
-	fmt.Printf("stable time step: %.3g s\n", dt)
-	for i := 0; i < 10; i++ {
-		sim.Advance(20, dt)
+	// Ten chunks of 20 steps, each at the drivers' fraction of the acoustic
+	// limit taken at its start, with a report after each.
+	h, err := run.Arm(sim, nil, s3d.TelemetryOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := h.Run(200, 20, func() error {
 		lo, hi, _ := sim.MinMax("T")
 		fmt.Printf("step %4d  t = %.3g s  T ∈ [%.1f, %.1f] K\n", sim.Step(), sim.Time(), lo, hi)
+		return nil
+	}); err != nil {
+		log.Fatal(err)
+	}
+	if err := run.Close(); err != nil {
+		log.Fatal(err)
 	}
 
 	// Extract a field for downstream analysis.

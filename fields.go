@@ -1,8 +1,8 @@
 package s3d
 
 // Field inventory: the public face of the solver's field registry. Every
-// array the solver allocates — conserved registers, primitives, transport
-// properties, gradients, fluxes, scratch — is registered once with stable
+// array the solver allocates — conserved registers, primitives, fluxes,
+// the watchdog's diffusivity, scratch — is registered once with stable
 // metadata (grid.FieldSet), and this file exposes that single source of
 // truth: Fields for programmatic use, and the /fields endpoint the
 // telemetry monitor serves for run-time inspection, so viz pickers,

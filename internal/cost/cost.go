@@ -39,7 +39,6 @@ import (
 // tracked.
 var Kernels = []string{
 	"COMPUTE_PRIMITIVES",
-	"COMPUTE_TRANSPORT",
 	"ASSEMBLE_FLUXES",
 	"DIVERGENCE",
 	"REACTION_RATE_BOUNDS",

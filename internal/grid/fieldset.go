@@ -40,7 +40,8 @@ const (
 	RoleRegister
 	// RolePrimitive marks a primitive decoded from the conserved state.
 	RolePrimitive
-	// RoleTransport marks a transport coefficient (μ, λ, D_k).
+	// RoleTransport marks a field derived from transport coefficients (the
+	// solver's one is diff_max, max(μ/ρ, maxₙ Dₙ)).
 	RoleTransport
 	// RoleGradient marks a stored spatial derivative.
 	RoleGradient

@@ -49,23 +49,19 @@ func KernelDemand(name string, ns int) (Demand, bool) {
 		// temperature inversion (~4 iterations of a 12ns-flop cp/e
 		// polynomial sweep), mixture weight and pressure (~2ns+8).
 		return Demand{Flops: 20 + 52*nsf, Bytes: 8 * (nvar + 7 + 2*nsf)}, true
-	case "COMPUTE_TRANSPORT":
-		// Wilke-style mixture rules for mu/lambda and mixture-averaged D:
-		// pairwise species combinations dominate.
-		return Demand{Flops: 20*nsf + 12*nsf*nsf, Bytes: 8 * (2*nsf + 6)}, true
 	case "DIVERGENCE":
 		// 3 flux derivatives per conserved field plus the accumulate/negate.
 		n := 3 * nvar
 		return Demand{Flops: dFlops*n + 2*nvar, Bytes: dBytes*n + 8*nvar}, true
 	case "ASSEMBLE_FLUXES":
-		// The fused flux stage: 3 x (5+ns) derivatives kept in row scratch,
-		// J and its correction (~20 flops per species and direction), the
-		// assembly (stress ~40, heat flux 3x(2+2ns), convective 3x~20,
-		// species 9ns, enthalpies 12ns); streamed: ~9+2ns operands, 3·nvar
-		// fluxes.
+		// The fused flux stage: transport mixture rules (20ns + 12ns²),
+		// 3 x (5+ns) derivatives kept in row scratch, J and its correction
+		// (~20 flops per species and direction), the assembly (stress ~40,
+		// heat flux 3x(2+2ns), convective 3x~20, species 9ns, enthalpies
+		// 12ns); streamed: ~8+ns operands, 3·nvar fluxes.
 		n := 3 * (5 + nsf)
-		return Demand{Flops: dFlops*n + 60*nsf + 110 + 27*nsf,
-			Bytes: 8*1.2*n + 8*(9+2*nsf+3*nvar)}, true
+		return Demand{Flops: dFlops*n + 60*nsf + 110 + 27*nsf + 20*nsf + 12*nsf*nsf,
+			Bytes: 8*1.2*n + 8*(8+nsf+3*nvar)}, true
 	case "REACTION_RATE_BOUNDS":
 		// Arrhenius rates with exponentials; compute-bound by design (the
 		// paper's figure-2 chemistry kernel runs at the same speed on XT3

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/s3dgo/s3d/internal/chem"
@@ -42,6 +43,17 @@ func h2BlobConfig(t *testing.T, constLewis float64) *Block {
 	return b
 }
 
+// diffusivities returns Dₙ at interior point (i, j, k), evaluated as the
+// flux row evaluates them (transportAt) from the point's primitives.
+func diffusivities(b *Block, i, j, k int) []float64 {
+	x := b.Rho.Idx(i, j, k)
+	y := make([]float64, b.ns)
+	for n := range y {
+		y[n] = b.Y[n].Data[x]
+	}
+	return slices.Clone(b.transportAt(&b.ws[0], b.T.Data[x], b.P.Data[x], b.Rho.Data[x], y))
+}
+
 // h2SpreadRate measures the initial diffusive spreading rate of the H2 blob
 // by the species-equation RHS magnitude at the blob flank.
 func h2SpreadRate(b *Block) float64 {
@@ -72,8 +84,8 @@ func TestConstLewisSuppressesDifferentialDiffusion(t *testing.T) {
 	}
 	// The coefficient itself is ≈3× thermal diffusivity for H2 in air.
 	iH2 := bMix.mech.Set.Index("H2")
-	dMix := bMix.D[iH2].At(6, 4, 0)
-	dLe := bLe.D[iH2].At(6, 4, 0)
+	dMix := diffusivities(bMix, 6, 4, 0)[iH2]
+	dLe := diffusivities(bLe, 6, 4, 0)[iH2]
 	if !(dMix > 2*dLe) {
 		t.Fatalf("D_H2 mixture-averaged %g not ≫ unity-Lewis %g", dMix, dLe)
 	}
@@ -84,13 +96,11 @@ func TestConstLewisScalesInversely(t *testing.T) {
 	b1 := h2BlobConfig(t, 1.0)
 	b2 := h2BlobConfig(t, 2.0)
 	for _, b := range []*Block{b1, b2} {
-		b.exchangeHalos(b.haloQ, tagConserved)
-		b.computePrimitives()
-		b.computeTransport()
+		b.RefreshPrimitives()
 	}
 	iH2 := b1.mech.Set.Index("H2")
-	d1 := b1.D[iH2].At(5, 4, 0)
-	d2 := b2.D[iH2].At(5, 4, 0)
+	d1 := diffusivities(b1, 5, 4, 0)[iH2]
+	d2 := diffusivities(b2, 5, 4, 0)[iH2]
 	if math.Abs(d1/d2-2) > 1e-9 {
 		t.Fatalf("D(Le=1)/D(Le=2) = %g, want 2", d1/d2)
 	}
@@ -98,12 +108,11 @@ func TestConstLewisScalesInversely(t *testing.T) {
 
 func TestConstLewisAllSpeciesEqual(t *testing.T) {
 	b := h2BlobConfig(t, 1.0)
-	b.exchangeHalos(b.haloQ, tagConserved)
-	b.computePrimitives()
-	b.computeTransport()
-	d0 := b.D[0].At(3, 3, 0)
+	b.RefreshPrimitives()
+	d := diffusivities(b, 3, 3, 0)
+	d0 := d[0]
 	for n := 1; n < b.ns; n++ {
-		if b.D[n].At(3, 3, 0) != d0 {
+		if d[n] != d0 {
 			t.Fatalf("species %d has different D under constant Lewis", n)
 		}
 	}
@@ -112,22 +121,20 @@ func TestConstLewisAllSpeciesEqual(t *testing.T) {
 	}
 }
 
-func BenchmarkTransportMixtureAveraged(b *testing.B) {
-	blk := h2BlobConfig(&testing.T{}, 0)
-	blk.exchangeHalos(blk.haloQ, tagConserved)
-	blk.computePrimitives()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blk.computeTransport()
-	}
-}
+func BenchmarkTransportMixtureAveraged(b *testing.B) { benchTransportRows(b, 0) }
 
-func BenchmarkTransportConstLewis(b *testing.B) {
-	blk := h2BlobConfig(&testing.T{}, 1.0)
-	blk.exchangeHalos(blk.haloQ, tagConserved)
-	blk.computePrimitives()
+func BenchmarkTransportConstLewis(b *testing.B) { benchTransportRows(b, 1.0) }
+
+// benchTransportRows times the flux row's transport evaluation over every
+// interior row of the H2 blob box.
+func benchTransportRows(b *testing.B, constLewis float64) {
+	blk := h2BlobConfig(&testing.T{}, constLewis)
+	blk.RefreshPrimitives()
+	ws := &blk.ws[0]
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blk.computeTransport()
+	for range b.N {
+		for j := 0; j < blk.G.Ny; j++ {
+			blk.transportRows(ws, blk.Rho.Idx(0, j, 0), blk.G.Nx)
+		}
 	}
 }

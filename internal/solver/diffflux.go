@@ -48,30 +48,11 @@ func jRow(j, dY, negRhoD, yOverW, y [][]float64, dW, sum []float64) {
 	}
 }
 
-// diffusionRows fills the per-species rows jRow reads at the w points from
-// flat index p0: (−ρ)·Dₙ and Yₙ/W in the worker's scratch — formed once per
-// point and reused by every direction — and views of the Yₙ rows.
-func (b *Block) diffusionRows(rs *rowScratch, p0, w int) {
-	rho, wmix := b.Rho.Data[p0:p0+w], b.Wmix.Data[p0:p0+w]
-	for n := 0; n < b.ns; n++ {
-		y, dn := b.Y[n].Data[p0:p0+w], b.D[n].Data[p0:p0+w]
-		nrd, yw := rs.negRhoD[n][:w], rs.yOverW[n][:w]
-		for i := range nrd {
-			nrd[i] = -rho[i] * dn[i]
-			yw[i] = y[i] / wmix[i]
-		}
-		rs.y[n] = y
-	}
-}
-
 // PrepareDiffFluxInputs runs exactly the RHS stages the flux stage depends
-// on (ghost fill, primitives, transport), so benchmarks can time the stage
-// in isolation (the figure-4 methodology: HPCToolkit pinned one loop nest).
-func (b *Block) PrepareDiffFluxInputs() {
-	b.exchangeHalos(b.haloQ, tagConserved)
-	b.computePrimitives()
-	b.computeTransport()
-}
+// on (ghost fill, primitives: the stage evaluates transport in its rows), so
+// benchmarks can time the stage in isolation (the figure-4 methodology:
+// HPCToolkit pinned one loop nest).
+func (b *Block) PrepareDiffFluxInputs() { b.RefreshPrimitives() }
 
 // DiffFluxKernelOnly invokes the pencil-fused flux stage, which forms the
 // diffusive fluxes; inputs must have been prepared by PrepareDiffFluxInputs.
@@ -79,12 +60,13 @@ func (b *Block) DiffFluxKernelOnly() { b.assembleFluxes() }
 
 // DiffFluxStudy is the figure-4/5 kernel study: the diffusive-flux loop nest
 // alone, in its Fortran-90 array-statement form (Naive) and the
-// LoopTool-transformed form the RHS runs (Fused), over full-block gradient
-// and J arrays the study owns — the step stores none. The two differ in
-// memory-access structure alone and agree bit for bit
+// LoopTool-transformed form the RHS runs (Fused), over full-block
+// diffusivity, gradient and J arrays the study owns — the step stores none.
+// The two differ in memory-access structure alone and agree bit for bit
 // (TestDiffFluxKernelsAgree).
 type DiffFluxStudy struct {
 	b      *Block
+	d      [][]float64    // Dₙ per species, block storage layout
 	dY     [3][][]float64 // ∂Yₙ/∂x_d: [dir][species], block storage layout
 	dW     [3][]float64
 	j      [3][][]float64 // Jₙ along d: [dir][species]
@@ -94,13 +76,27 @@ type DiffFluxStudy struct {
 }
 
 // NewDiffFluxStudy prepares the study on b: the RHS stages the kernel reads
-// (PrepareDiffFluxInputs), then ∂Yₙ and ∂W along every active axis into the
-// study's own arrays.
+// (PrepareDiffFluxInputs), then Dₙ at every interior point — the flux row's
+// transport evaluation, transportAt — and ∂Yₙ and ∂W along every active
+// axis into the study's own arrays.
 func (b *Block) NewDiffFluxStudy() *DiffFluxStudy {
 	b.PrepareDiffFluxInputs()
 	size := b.fs.FieldLen()
 	s := &DiffFluxStudy{b: b, t1: make([]float64, size), t2: make([]float64, size),
 		views: make([][2][][]float64, len(b.ws))}
+	for range b.ns {
+		s.d = append(s.d, make([]float64, size))
+	}
+	ws := &b.ws[0]
+	b.Rho.Each(func(i, j, k int, rho float64) {
+		p := b.Rho.Idx(i, j, k)
+		for n, y := range b.Y {
+			ws.yw[n] = y.Data[p]
+		}
+		for n, d := range b.transportAt(ws, b.T.Data[p], b.P.Data[p], rho, ws.yw) {
+			s.d[n][p] = d
+		}
+	})
 	for w := range s.views {
 		s.views[w] = [2][][]float64{make([][]float64, b.ns), make([][]float64, b.ns)}
 	}
@@ -138,7 +134,7 @@ func (s *DiffFluxStudy) Naive() {
 	for _, m := range b.active {
 		dw := s.dW[m]
 		for n := 0; n < b.ns; n++ {
-			yn, dy, dn, jmn := b.Y[n].Data, s.dY[m][n], b.D[n].Data, s.j[m][n]
+			yn, dy, dn, jmn := b.Y[n].Data, s.dY[m][n], s.d[n], s.j[m][n]
 			// tmp1 = Y_n/W · dW_m        (array statement 1)
 			s.sweep(func(row int) {
 				for i := row; i < row+nx; i++ {
@@ -202,9 +198,9 @@ func (s *DiffFluxStudy) sweep(fn func(row int)) {
 	})
 }
 
-// Fused runs the RHS's own diffusive-flux rows over every interior row:
-// unswitched, scalarised and fused, (−ρ)·Dₙ and Yₙ/W formed once per point
-// and reused by every direction.
+// Fused runs the RHS's own diffusive-flux rows (jRow) over every interior
+// row: unswitched, scalarised and fused, (−ρ)·Dₙ and Yₙ/W formed once per
+// point and reused by every direction.
 func (s *DiffFluxStudy) Fused() {
 	b := s.b
 	b.plan.Run("COMPUTESPECIESDIFFFLUX", b.interior(), func(t par.Tile, worker int) {
@@ -214,7 +210,7 @@ func (s *DiffFluxStudy) Fused() {
 		for k := t.Lo[2]; k < t.Hi[2]; k++ {
 			for j := t.Lo[1]; j < t.Hi[1]; j++ {
 				p := b.Rho.Idx(t.Lo[0], j, k)
-				b.diffusionRows(rs, p, w)
+				s.diffusionRows(rs, p, w)
 				for _, d := range b.active {
 					for n := range jv {
 						jv[n], dyv[n] = s.j[d][n][p:p+w], s.dY[d][n][p:p+w]
@@ -224,4 +220,22 @@ func (s *DiffFluxStudy) Fused() {
 			}
 		}
 	})
+}
+
+// diffusionRows fills the per-species rows jRow reads at the w points from
+// flat index p0 from the study's Dₙ arrays, as the flux row's transportRows
+// fills them: (−ρ)·Dₙ and Yₙ/W in the worker's scratch, and views of the Yₙ
+// rows.
+func (s *DiffFluxStudy) diffusionRows(rs *rowScratch, p0, w int) {
+	b := s.b
+	rho, wmix := b.Rho.Data[p0:p0+w], b.Wmix.Data[p0:p0+w]
+	for n := 0; n < b.ns; n++ {
+		y, dn := b.Y[n].Data[p0:p0+w], s.d[n][p0:p0+w]
+		nrd, yw := rs.negRhoD[n][:w], rs.yOverW[n][:w]
+		for i := range nrd {
+			nrd[i] = -rho[i] * dn[i]
+			yw[i] = y[i] / wmix[i]
+		}
+		rs.y[n] = y
+	}
 }

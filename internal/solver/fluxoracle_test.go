@@ -7,20 +7,27 @@ import (
 	"github.com/s3dgo/s3d/internal/deriv"
 	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/par"
+	"github.com/s3dgo/s3d/internal/transport"
 )
 
 // The oracles below are the flux stage and the divergence as they were
 // before either became a row loop: one DiffRow per field and axis, the
 // fluxes assembled point by point from a [3][3] stress tensor with fifteen
 // stores per point, and the divergence as four whole-tile passes (set, add,
-// add, ×(−1)). They share the diffusive-flux rows (diffusionRows, jRow) with
-// the stage they referee, and nothing else.
+// add, ×(−1)). The transport properties come from transport.Mixture called
+// here, point by point, with the oracle's own model and properties. The
+// oracles share jRow with the stage they referee, and nothing else.
 
-// oracleFluxRow is the per-point flux assembly of row (j, k) into want.
-func oracleFluxRow(b *Block, rs *rowScratch, want [][3]*grid.Field3, x0, x1, j, k int) {
+// oracleFluxRow is the per-point flux assembly of row (j, k) into want,
+// evaluating transport through tr (mixture-averaged: no constant-Lewis case
+// is refereed here).
+func oracleFluxRow(b *Block, tr *transport.Model, rs *rowScratch, want [][3]*grid.Field3, x0, x1, j, k int) {
 	w := x1 - x0
 	p0 := b.Rho.Idx(x0, j, k)
 	ns := b.ns
+	props := transport.Props{Dmix: make([]float64, ns)}
+	y := make([]float64, ns)
+	muRow, lamRow := make([]float64, w), make([]float64, w)
 	for _, d := range b.active {
 		a := grid.Axis(d)
 		lo, hi := b.lohi(a)
@@ -34,7 +41,21 @@ func oracleFluxRow(b *Block, rs *rowScratch, want [][3]*grid.Field3, x0, x1, j, 
 			deriv.DiffRow(rs.dY[d][n], b.Y[n], a, met, lo, hi, x0, x1, j, k, deriv.OpSet)
 		}
 	}
-	b.diffusionRows(rs, p0, w)
+	for i := 0; i < w; i++ {
+		x := p0 + i
+		for n := range y {
+			y[n] = b.Y[n].Data[x]
+		}
+		tr.Mixture(b.T.Data[x], b.P.Data[x], y, &props)
+		muRow[i], lamRow[i] = props.Mu, props.Lambda
+		for n := range y {
+			rs.negRhoD[n][i] = -b.Rho.Data[x] * props.Dmix[n]
+			rs.yOverW[n][i] = y[n] / b.Wmix.Data[x]
+		}
+	}
+	for n := range rs.y {
+		rs.y[n] = b.Y[n].Data[p0 : p0+w]
+	}
 	for _, d := range b.active {
 		jRow(rs.j[d], rs.dY[d], rs.negRhoD, rs.yOverW, rs.y, rs.dW[d], rs.sum[:w])
 	}
@@ -45,7 +66,7 @@ func oracleFluxRow(b *Block, rs *rowScratch, want [][3]*grid.Field3, x0, x1, j, 
 	}
 	for _, d := range b.active {
 		for i := 0; i < w; i++ {
-			rs.q[d][i] = -b.Lambda.Data[p0+i] * rs.dT[d][i]
+			rs.q[d][i] = -lamRow[i] * rs.dT[d][i]
 		}
 		for n := 0; n < ns; n++ {
 			for i := 0; i < w; i++ {
@@ -55,7 +76,7 @@ func oracleFluxRow(b *Block, rs *rowScratch, want [][3]*grid.Field3, x0, x1, j, 
 	}
 	for i := 0; i < w; i++ {
 		x := p0 + i
-		rho, p, mu, rhoE := b.Rho.Data[x], b.P.Data[x], b.Mu.Data[x], b.Q[iRhoE].Data[x]
+		rho, p, mu, rhoE := b.Rho.Data[x], b.P.Data[x], muRow[i], b.Q[iRhoE].Data[x]
 		u := [3]float64{b.U.Data[x], b.V.Data[x], b.W.Data[x]}
 		var gu [3][3]float64
 		for c := 0; c < 3; c++ {
@@ -187,6 +208,7 @@ func TestFluxRowsMatchPerPointOracle(t *testing.T) {
 			b.EvalRHS(tRHS)
 
 			rs := newRowScratch(b.G.Nx, b.ns, b.active)
+			tr := transport.MustNew(cfg.Mech.Set)
 			want := make([][3]*grid.Field3, b.nvar)
 			for v := range want {
 				for _, d := range b.active {
@@ -195,7 +217,7 @@ func TestFluxRowsMatchPerPointOracle(t *testing.T) {
 			}
 			for k := 0; k < b.G.Nz; k++ {
 				for j := 0; j < b.G.Ny; j++ {
-					oracleFluxRow(b, &rs, want, 0, b.G.Nx, j, k)
+					oracleFluxRow(b, tr, &rs, want, 0, b.G.Nx, j, k)
 				}
 			}
 			for v := range want {

@@ -169,8 +169,9 @@ func (b *Block) conservedQuantity(v int) string {
 // locations, unclipped mass-fraction bounds, the CFL signal speeds and the
 // conserved volume integrals, then this rank's fault word. Primitives are
 // sampled as the final RK stage left them (the same convention as the
-// telemetry extrema); the NaN scan and the integrals see the end-of-step
-// conserved state.
+// telemetry extrema), and so is the diffusivity max(μ/ρ, maxₙ Dₙ) that
+// stage's flux rows stored (diff_max); the NaN scan and the integrals see
+// the end-of-step conserved state.
 func (b *Block) healthRow(row []float64) {
 	r := b.interior()
 	rank := float64(b.Rank())
@@ -185,11 +186,7 @@ func (b *Block) healthRow(row []float64) {
 	for v := 0; v < nvar; v++ {
 		qd[v] = b.Q[v].Data
 	}
-	mur := b.Mu.Data
-	dd := make([][]float64, ns)
-	for nsp := 0; nsp < ns; nsp++ {
-		dd[nsp] = b.D[nsp].Data
-	}
+	dm := b.diffMax.Data
 	wx, wy, wz := b.volW[0], b.volW[1], b.volW[2]
 	b.plan.RunSlots("HEALTH", r, func(t par.Tile, _ int) {
 		a := &slots[t.Index]
@@ -258,13 +255,7 @@ func (b *Block) healthRow(row []float64) {
 							s := math.Abs(ur[idx]) + math.Abs(vr[idx]) + math.Abs(wr[idx]) +
 								math.Sqrt(health.AcousticGamma*p*inv)
 							a.take(eSpeed, s, &gc)
-							d := mur[idx] * inv
-							for nsp := 0; nsp < ns; nsp++ {
-								if dv := dd[nsp][idx]; dv > d {
-									d = dv
-								}
-							}
-							a.take(eDiff, d, &gc)
+							a.take(eDiff, dm[idx], &gc)
 						}
 					}
 					idx++

@@ -238,6 +238,80 @@ func TestStepCheckedHealthySteps(t *testing.T) {
 	}
 }
 
+// TestStepCheckedDiffusionNumber pins the watchdog's diffusion number to the
+// final RK stage's transport: at the reported cell it equals
+// 2·nd·dt·max(μ/ρ, maxₙ Dₙ)/h² recomputed from a transport model of the
+// test's own at that cell's final-stage primitives, and it is the largest
+// such number over the interior. The mixture-averaged case is led by D_H2;
+// under the constant-Lewis ablation at Le = 2 the viscous term μ/ρ leads.
+func TestStepCheckedDiffusionNumber(t *testing.T) {
+	for _, le := range []float64{0, 2} {
+		cfg := reactiveConfig()
+		cfg.ConstLewis = le
+		b, err := NewSerial(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hotSpotIC(b)
+		w := health.New(health.Defaults())
+		b.InstallWatchdog(w)
+		w.Arm()
+		const dt = 2e-8
+		for i := 0; i < 2; i++ {
+			if err := b.StepChecked(dt); err != nil {
+				t.Fatalf("Le=%g: healthy step tripped: %v", le, err)
+			}
+		}
+		fr := w.Recorder().Frames()
+		got := fr[len(fr)-1].Sample.CFLDiffusive
+
+		tr := transport.MustNew(cfg.Mech.Set)
+		props := transport.Props{Dmix: make([]float64, b.ns)}
+		y := make([]float64, b.ns)
+		h := cfg.Grid.MinSpacing()
+		// number returns the diffusion number at (i, j, k) and whether μ/ρ
+		// is its largest diffusivity.
+		number := func(i, j, k int) (float64, bool) {
+			x := b.Rho.Idx(i, j, k)
+			for n := range y {
+				y[n] = b.Y[n].Data[x]
+			}
+			T, rho := b.T.Data[x], b.Rho.Data[x]
+			tr.Mixture(T, b.P.Data[x], y, &props)
+			diff := props.Dmix
+			if le > 0 { // one D for every species
+				diff = []float64{props.Lambda / (rho * b.mech.Set.CpMass(T, y) * le)}
+			}
+			nu := props.Mu / rho
+			d := nu
+			for _, dn := range diff {
+				if dn > d {
+					d = dn
+				}
+			}
+			return 2 * float64(len(b.active)) * dt * d / (h * h), d == nu
+		}
+		c := got.Cell
+		want, viscous := number(c[0], c[1], c[2])
+		if float64(got.V) != want {
+			t.Fatalf("Le=%g: diffusion number %v at %v, final-stage transport gives %v", le, got.V, c, want)
+		}
+		if viscous != (le > 0) {
+			t.Fatalf("Le=%g: μ/ρ leads at %v: %v", le, c, viscous)
+		}
+		for k := 0; k < b.G.Nz; k++ {
+			for j := 0; j < b.G.Ny; j++ {
+				for i := 0; i < b.G.Nx; i++ {
+					if v, _ := number(i, j, k); v > want {
+						t.Fatalf("Le=%g: diffusion number %v at (%d,%d,%d) exceeds the reported %v at %v",
+							le, v, i, j, k, want, c)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCrossRankAbort is the decomposed abort gate: one rank trips FATAL on
 // an injected NaN and every rank returns a structured violation from the
 // same step — the faulting rank naming the cell, the neighbour naming the

@@ -34,6 +34,19 @@ func physicsBox(t *testing.T, nx, ny int, l float64) (*Block, []float64) {
 	return b, y
 }
 
+// mixtureAt evaluates the transport model at interior point (i, j, k) from
+// the point's primitives.
+func mixtureAt(b *Block, i, j, k int) transport.Props {
+	x := b.Rho.Idx(i, j, k)
+	y := make([]float64, b.ns)
+	for n := range y {
+		y[n] = b.Y[n].Data[x]
+	}
+	props := transport.Props{Dmix: make([]float64, b.ns)}
+	b.cfg.Trans.Clone().Mixture(b.T.Data[x], b.P.Data[x], y, &props)
+	return props
+}
+
 // fitDecayRate measures ln(a0/a1)/dt for the amplitude of a quantity.
 func fitDecayRate(a0, a1, elapsed float64) float64 {
 	return math.Log(a0/a1) / elapsed
@@ -72,7 +85,7 @@ func TestShearDecayMatchesViscosity(t *testing.T) {
 	elapsed := float64(steps) * dt
 
 	rho := b.Rho.At(1, 1, 0)
-	mu := b.Mu.At(1, 1, 0)
+	mu := mixtureAt(b, 1, 1, 0).Mu
 	want := mu / rho * k * k
 	got := fitDecayRate(a0, a1, elapsed)
 	if rel := math.Abs(got-want) / want; rel > 0.12 {
@@ -105,7 +118,7 @@ func TestTemperatureDecayMatchesConductivity(t *testing.T) {
 	elapsed := float64(steps) * dt
 
 	rho := b.Rho.At(1, 1, 0)
-	lam := b.Lambda.At(1, 1, 0)
+	lam := mixtureAt(b, 1, 1, 0).Lambda
 	cp := b.mech.Set.CpMass(500, yAirOf(b))
 	want := lam / (rho * cp) * k * k
 	got := fitDecayRate(a0, a1, elapsed)
@@ -153,7 +166,7 @@ func TestSpeciesDecayMatchesDiffusivity(t *testing.T) {
 	a1 := amp()
 	elapsed := float64(steps) * dt
 
-	d := b.D[iH2O].At(1, 1, 0)
+	d := mixtureAt(b, 1, 1, 0).Dmix[iH2O]
 	want := d * k * k
 	got := fitDecayRate(a0, a1, elapsed)
 	// Dilute but not infinitely so; the ΣJ=0 correction shifts the rate a
@@ -195,7 +208,7 @@ func TestTaylorGreenKineticEnergyDecay(t *testing.T) {
 	e1 := ke()
 	elapsed := float64(steps) * dt
 
-	nu := b.Mu.At(1, 1, 0) / b.Rho.At(1, 1, 0)
+	nu := mixtureAt(b, 1, 1, 0).Mu / b.Rho.At(1, 1, 0)
 	want := 2 * nu * 2 * k * k // KE rate: 2νk² per component pair
 	got := fitDecayRate(e0, e1, elapsed)
 	if rel := math.Abs(got-want) / want; rel > 0.12 {

@@ -131,52 +131,6 @@ func (b *Block) primitivesTile(t par.Tile, worker int) {
 	}
 }
 
-// computeTransport evaluates μ, λ and D over the interior, tiled over the
-// pool: the flux kernels that consume them are interior sweeps, so no
-// transport property is ever read in a ghost cell. The transport model
-// carries internal scratch, so each worker evaluates through its own clone.
-// Rows are cut once, as in primitivesTile.
-func (b *Block) computeTransport() {
-	defer b.beginRegion("COMPUTE_TRANSPORT").End()
-
-	ns := b.ns
-	le := b.cfg.ConstLewis
-	b.plan.Run("COMPUTE_TRANSPORT", b.interior(), func(t par.Tile, worker int) {
-		ws := &b.ws[worker]
-		yw, yR, dR := ws.yw, ws.yIn[:ns], ws.yOut[:ns]
-		for k := t.Lo[2]; k < t.Hi[2]; k++ {
-			for j := t.Lo[1]; j < t.Hi[1]; j++ {
-				p0 := b.Rho.Idx(t.Lo[0], j, k)
-				p1 := p0 + t.Hi[0] - t.Lo[0]
-				tR, pR, rhoR := b.T.Data[p0:p1], b.P.Data[p0:p1], b.Rho.Data[p0:p1]
-				muR, lamR := b.Mu.Data[p0:p1], b.Lambda.Data[p0:p1]
-				cutRows(yR, b.Y, p0, p1)
-				cutRows(dR, b.D, p0, p1)
-				for i, T := range tR {
-					for n, y := range yR {
-						yw[n] = y[i]
-					}
-					ws.trans.Mixture(T, pR[i], yw, &ws.props)
-					muR[i] = ws.props.Mu
-					lamR[i] = ws.props.Lambda
-					if le > 0 {
-						// Constant-Lewis ablation: D = λ/(ρ·cp·Le) for every
-						// species (no differential diffusion).
-						d := ws.props.Lambda / (rhoR[i] * ws.mech.Set.CpMass(T, yw) * le)
-						for _, dn := range dR {
-							dn[i] = d
-						}
-						continue
-					}
-					for n, dn := range dR {
-						dn[i] = ws.props.Dmix[n]
-					}
-				}
-			}
-		}
-	})
-}
-
 // cutRows points dst[n] at the segment [p0, p1) of fields[n], for every n
 // of dst.
 func cutRows(dst [][]float64, fields []*grid.Field3, p0, p1 int) {

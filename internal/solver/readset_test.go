@@ -38,20 +38,14 @@ func poisonGhosts(f *grid.Field3, keep [3][2]bool) {
 }
 
 // poisonUnreadGhosts poisons everything the read-set rule (halo.go) says no
-// stencil reads: every ghost cell of the transport properties, the edge and
-// corner ghosts of the conserved, primitive and flux fields, the face slabs
-// of a physical (one-sided) face, and the ghost cells of flux[v][d] along
-// the axes other than d. The rhs/dQ banks stay untouched: rkUpdateBank
+// stencil reads: the edge and corner ghosts of the conserved, primitive and
+// flux fields, the face slabs of a physical (one-sided) face, and the ghost
+// cells of flux[v][d] along the axes other than d. The rhs/dQ banks stay untouched: rkUpdateBank
 // relies on their ghosts being exact zeros.
 func poisonUnreadGhosts(b *Block) {
-	var none, faces [3][2]bool
+	var faces [3][2]bool
 	for a := 0; a < 3; a++ {
 		faces[a] = [2]bool{b.loGhost[a], b.hiGhost[a]}
-	}
-	poisonGhosts(b.Mu, none)
-	poisonGhosts(b.Lambda, none)
-	for _, f := range b.D {
-		poisonGhosts(f, none)
 	}
 	for _, f := range b.Q {
 		poisonGhosts(f, faces)

@@ -328,8 +328,11 @@ func fieldNames(fs *grid.FieldSet) []string {
 // stored derivative and
 // diffusive flux when the RHS began forming them per x-row in worker scratch
 // (181 → 106): the families du/dv/dw_d*, dT_d*, dWmix_d*, drho_d*, dp_d*,
-// dY_*_d* and J_*_*.
-const registryNamesHash3D uint64 = 0xc31c6e70545f5ef4
+// dY_*_d* and J_*_*; then the transport fields when the flux row began
+// evaluating transport itself (106 → 96, → 0x5eb1bb889d1d9244): mu, lambda
+// and D_* gone, and diff_max, the watchdog's one diffusivity field, in mu's
+// place.
+const registryNamesHash3D uint64 = 0x5eb1bb889d1d9244
 
 // TestRegistryActiveAxes: a block registers flux fields — its one
 // per-direction family — along its active axes only, and no field of the
@@ -345,8 +348,8 @@ func TestRegistryActiveAxes(t *testing.T) {
 	names3 := fieldNames(b3.Fields())
 	h := fnv.New64a()
 	h.Write([]byte(strings.Join(names3, "\n")))
-	if len(names3) != 106 || h.Sum64() != registryNamesHash3D {
-		t.Fatalf("3-D registry: %d names hashing to %#016x, recorded 106 and %#016x",
+	if len(names3) != 96 || h.Sum64() != registryNamesHash3D {
+		t.Fatalf("3-D registry: %d names hashing to %#016x, recorded 96 and %#016x",
 			len(names3), h.Sum64(), registryNamesHash3D)
 	}
 
@@ -364,7 +367,7 @@ func TestRegistryActiveAxes(t *testing.T) {
 		want = append(want, name)
 	}
 	got := fieldNames(b2.Fields())
-	if len(got) != 93 || strings.Join(got, " ") != strings.Join(want, " ") {
+	if len(got) != 83 || strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("2-D registry has %d names, want the 3-D ones without the z fluxes (%d):\n%v",
 			len(got), len(want), got)
 	}

@@ -20,8 +20,8 @@ const (
 
 // computeRHS evaluates dQ/dt into b.rhs at simulation time t. It performs
 // the full S3D right-hand side: ghost exchange of the conserved state,
-// primitive and transport-property recovery, the pencil-fused flux stage
-// (derivatives, diffusive fluxes and the convective + viscous + diffusive
+// primitive recovery, the pencil-fused flux stage (transport properties,
+// derivatives, diffusive fluxes and the convective + viscous + diffusive
 // flux assembly, one x-row at a time), a second ghost exchange of the
 // fluxes, flux divergence, chemical source terms and NSCBC boundary
 // corrections. Every stage with interior extent runs tiled over the block's
@@ -29,7 +29,6 @@ const (
 func (b *Block) computeRHS(t float64) {
 	b.exchangeHalos(b.haloQ, tagConserved)
 	b.computePrimitives()
-	b.computeTransport()
 	b.assembleFluxes()
 
 	b.exchangeHalos(b.haloFlux, tagFlux)
@@ -72,16 +71,17 @@ func (b *Block) interior() par.Range {
 //	species:   ρY_n·u_d + J_nd                           (paper eq. 4)
 //
 // with q = −λ∇T + Σ hₙ·Jₙ, one interior x-row at a time in the worker's row
-// scratch (fluxRow): derivative rows, then diffusive-flux rows, then the
-// flux rows — the only values stored, because the flux halo exchange and the
-// divergence read them. No gradient or J field exists.
+// scratch (fluxRow): derivative rows, then transport and diffusive-flux
+// rows, then the flux rows — the only values stored, because the flux halo
+// exchange and the divergence read them. No gradient, transport or J field
+// exists.
 func (b *Block) assembleFluxes() {
 	defer b.beginRegion("ASSEMBLE_FLUXES").End()
 	b.plan.Run("ASSEMBLE_FLUXES", b.interior(), func(t par.Tile, worker int) {
-		rs := &b.ws[worker].rows
+		ws := &b.ws[worker]
 		for k := t.Lo[2]; k < t.Hi[2]; k++ {
 			for j := t.Lo[1]; j < t.Hi[1]; j++ {
-				b.fluxRow(rs, t.Lo[0], t.Hi[0], j, k)
+				b.fluxRow(ws, t.Lo[0], t.Hi[0], j, k)
 			}
 		}
 	})
@@ -96,6 +96,7 @@ type rowScratch struct {
 	j                  [3][][]float64  // Jₙ along d: [dir][species]
 	q                  [3][]float64    // heat flux along d
 	tau                [3][3][]float64 // τ_cd; τ_dc is the same row
+	mu, lam            []float64       // μ and λ
 	negRhoD, yOverW, h [][]float64     // (−ρ)·Dₙ, Yₙ/W and hₙ(T) per species
 	y                  [][]float64     // views of the Yₙ rows (no storage of their own)
 	sum                []float64       // Σₙ J*ₙ
@@ -122,7 +123,7 @@ func newRowScratch(nx, ns int, active []int) rowScratch {
 			rs.tau[d][c] = rs.tau[c][d]
 		}
 	}
-	rs.sum, rs.drho, rs.dp = row(), row(), row()
+	rs.sum, rs.drho, rs.dp, rs.mu, rs.lam = row(), row(), row(), row(), row()
 	for _, d := range active {
 		rs.dT[d], rs.dW[d], rs.q[d] = row(), row(), row()
 		rs.dY[d], rs.j[d] = rows(ns), rows(ns)
@@ -138,7 +139,8 @@ func newRowScratch(nx, ns int, active []int) rowScratch {
 // short loops over the row. A derivative row carries DiffRange's bits and
 // every per-point expression keeps the association of the stored-gradient
 // pipeline this stage replaced, so the fluxes carry that pipeline's bits.
-func (b *Block) fluxRow(rs *rowScratch, x0, x1, j, k int) {
+func (b *Block) fluxRow(ws *kernScratch, x0, x1, j, k int) {
+	rs := &ws.rows
 	w := x1 - x0
 	p0 := b.Rho.Idx(x0, j, k)
 	ns := b.ns
@@ -150,22 +152,15 @@ func (b *Block) fluxRow(rs *rowScratch, x0, x1, j, k int) {
 		deriv.DiffRows(rs.gradDst[d], b.gradSrc, a, b.G.Metric(a), lo, hi, x0, x1, j, k)
 	}
 
-	// (2) Diffusive-flux rows, and the species enthalpies hₙ(T).
-	b.diffusionRows(rs, p0, w)
+	// (2) The pointwise property rows, then the diffusive-flux rows.
+	b.transportRows(ws, p0, w)
 	for _, d := range b.active {
 		jRow(rs.j[d], rs.dY[d], rs.negRhoD, rs.yOverW, rs.y, rs.dW[d], rs.sum[:w])
-	}
-	T := b.T.Data[p0 : p0+w]
-	for n, sp := range b.mech.Set.Species {
-		h := rs.h[n][:w]
-		for i := range h {
-			h[i] = sp.H(T[i])
-		}
 	}
 
 	// (3) Flux rows: the heat flux (eq. 20), the stress tensor, then mass,
 	// momentum and energy, then species.
-	lam := b.Lambda.Data[p0 : p0+w]
+	lam := rs.lam[:w]
 	for _, d := range b.active {
 		q, dT := rs.q[d][:w], rs.dT[d][:w]
 		for i := range q {
@@ -178,7 +173,7 @@ func (b *Block) fluxRow(rs *rowScratch, x0, x1, j, k int) {
 			}
 		}
 	}
-	b.stressRows(rs, p0, w)
+	stressRows(rs, w)
 	rhoR, pR := b.Rho.Data[p0:p0+w], b.P.Data[p0:p0+w]
 	uR, vR, wR := b.U.Data[p0:p0+w], b.V.Data[p0:p0+w], b.W.Data[p0:p0+w]
 	eR := b.Q[iRhoE].Data[p0 : p0+w]
@@ -221,13 +216,13 @@ func (b *Block) fluxRow(rs *rowScratch, x0, x1, j, k int) {
 }
 
 // stressRows fills the six distinct rows of the stress tensor (eq. 14)
-// τ = μ(∇u + ∇uᵀ − ⅔δ∇·u) at the w points from flat index p0. τ mixes every
+// τ = μ(∇u + ∇uᵀ − ⅔δ∇·u) at the w points of the μ row. τ mixes every
 // direction and is formed from all nine velocity derivatives in one
 // association whatever the block's shape: along a one-point axis du holds
 // the +0 a stored gradient held. τ_dc shares τ_cd's row: the two sums differ
 // only in operand order, which IEEE addition does not see.
-func (b *Block) stressRows(rs *rowScratch, p0, w int) {
-	mu := b.Mu.Data[p0 : p0+w]
+func stressRows(rs *rowScratch, w int) {
+	mu := rs.mu[:w]
 	g00, g01, g02 := rs.du[0][0][:w], rs.du[0][1][:w], rs.du[0][2][:w]
 	g10, g11, g12 := rs.du[1][0][:w], rs.du[1][1][:w], rs.du[1][2][:w]
 	g20, g21, g22 := rs.du[2][0][:w], rs.du[2][1][:w], rs.du[2][2][:w]
@@ -244,6 +239,60 @@ func (b *Block) stressRows(rs *rowScratch, p0, w int) {
 		txz[i] = m * (g02[i] + g20[i])
 		tyz[i] = m * (g12[i] + g21[i])
 	}
+}
+
+// transportRows evaluates the transport model and the species enthalpies at
+// the w points from flat index p0 into the rows the flux stage reads: μ and
+// λ, and per species (−ρ)·Dₙ, Yₙ/W and hₙ(T) — formed once per point and
+// reused by every direction — and views of the Yₙ rows. On the final RK
+// stage of an armed step it also stores max(μ/ρ, maxₙ Dₙ) for the
+// watchdog's diffusion number (diff_max).
+func (b *Block) transportRows(ws *kernScratch, p0, w int) {
+	rs, yw, sp := &ws.rows, ws.yw, b.mech.Set.Species
+	T, p := b.T.Data[p0:p0+w], b.P.Data[p0:p0+w]
+	rho, wmix := b.Rho.Data[p0:p0+w], b.Wmix.Data[p0:p0+w]
+	cutRows(rs.y, b.Y, p0, p0+w)
+	var diffMax []float64
+	if b.diffDue {
+		diffMax = b.diffMax.Data[p0 : p0+w]
+	}
+	for i := range T {
+		for n, y := range rs.y {
+			yw[n] = y[i]
+		}
+		d := b.transportAt(ws, T[i], p[i], rho[i], yw)
+		rs.mu[i], rs.lam[i] = ws.props.Mu, ws.props.Lambda
+		for n, dn := range d {
+			rs.negRhoD[n][i] = -rho[i] * dn
+			rs.yOverW[n][i] = yw[n] / wmix[i]
+			rs.h[n][i] = sp[n].H(T[i])
+		}
+		if diffMax != nil {
+			m := rs.mu[i] / rho[i]
+			for _, dn := range d {
+				if dn > m {
+					m = dn
+				}
+			}
+			diffMax[i] = m
+		}
+	}
+}
+
+// transportAt evaluates the transport model at one point through the
+// worker's clone into ws.props and returns the species diffusivities Dₙ:
+// the mixture-averaged Dmix, or under the constant-Lewis ablation
+// D = λ/(ρ·cp·Le) for every species (no differential diffusion).
+func (b *Block) transportAt(ws *kernScratch, T, p, rho float64, y []float64) []float64 {
+	ws.trans.Mixture(T, p, y, &ws.props)
+	d := ws.props.Dmix
+	if le := b.cfg.ConstLewis; le > 0 {
+		dl := ws.props.Lambda / (rho * ws.mech.Set.CpMass(T, y) * le)
+		for n := range d {
+			d[n] = dl
+		}
+	}
+	return d
 }
 
 // PrepareAssembleInputs runs the RHS stages the flux stage depends on, so

@@ -169,9 +169,9 @@ type Block struct {
 	Rho, U, V, W, T, P, Wmix *grid.Field3
 	Y                        []*grid.Field3
 
-	// Transport property fields (interior only).
-	Mu, Lambda *grid.Field3
-	D          []*grid.Field3
+	// diffMax is max(μ/ρ, maxₙ Dₙ) per interior point for the watchdog,
+	// stored by the final RK stage's flux rows when diffDue is set.
+	diffMax *grid.Field3
 
 	// Total fluxes flux[var][dir] (active directions only). Derivatives and
 	// diffusive fluxes live in worker row scratch (see assembleFluxes).
@@ -239,6 +239,7 @@ type Block struct {
 	profT       *prof.Track // call-path profiler track (see region.go); may stay nil
 	telemetryOn bool
 	collectHRR  bool         // true during the final RK stage when telemetry is on
+	diffDue     bool         // true during the final RK stage when the watchdog is armed
 	hrrAcc      float64      // heat-release integral of the last step (W)
 	volW        [3][]float64 // per-axis quadrature widths (see cellVol)
 
@@ -572,13 +573,7 @@ func (b *Block) registerFields() {
 			Role: grid.RolePrimitive, Species: n})
 	}
 
-	muID := fs.Register(grid.FieldMeta{Name: "mu", Role: grid.RoleTransport, Species: -1})
-	lamID := fs.Register(grid.FieldMeta{Name: "lambda", Role: grid.RoleTransport, Species: -1})
-	dID := make([]int, ns)
-	for n := 0; n < ns; n++ {
-		dID[n] = fs.Register(grid.FieldMeta{Name: "D_" + b.mech.Set.Species[n].Name,
-			Role: grid.RoleTransport, Species: n})
-	}
+	diffMaxID := fs.Register(grid.FieldMeta{Name: "diff_max", Role: grid.RoleTransport, Species: -1})
 
 	scratchID := fs.Register(grid.FieldMeta{Name: "filter_scratch", Role: grid.RoleScratch, Species: -1})
 
@@ -605,11 +600,10 @@ func (b *Block) registerFields() {
 
 	b.Rho, b.U, b.V, b.W = fs.Field(rhoID), fs.Field(uID), fs.Field(vID), fs.Field(wID)
 	b.T, b.P, b.Wmix = fs.Field(tID), fs.Field(pID), fs.Field(wmixID)
-	b.Mu, b.Lambda = fs.Field(muID), fs.Field(lamID)
+	b.diffMax = fs.Field(diffMaxID)
 	b.Y = make([]*grid.Field3, ns)
-	b.D = make([]*grid.Field3, ns)
 	for n := 0; n < ns; n++ {
-		b.Y[n], b.D[n] = fs.Field(yID[n]), fs.Field(dID[n])
+		b.Y[n] = fs.Field(yID[n])
 	}
 	b.scratchF = fs.Field(scratchID)
 	b.gradSrc = append([]*grid.Field3{b.U, b.V, b.W, b.T, b.Wmix}, b.Y...)

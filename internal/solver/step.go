@@ -90,6 +90,8 @@ func (b *Block) StepChecked(dt float64) error {
 		if b.collectHRR {
 			b.hrrAcc = 0
 		}
+		// An armed watchdog grades the final stage's diffusivities.
+		b.diffDue = rhsCall == nStages && b.watch != nil && b.watch.Armed()
 		rhsSpan := b.profT.Begin("RHS")
 		b.computeRHS(stageTime)
 		rhsSpan.End()
@@ -99,7 +101,7 @@ func (b *Block) StepChecked(dt float64) error {
 		reg.End()
 		b.StageWall[stage] = time.Since(stageStart).Seconds()
 	})
-	b.collectHRR = false
+	b.collectHRR, b.diffDue = false, false
 	b.Step++
 	b.Time += dt
 	if fe := b.cfg.FilterEvery; fe > 0 && b.Step%fe == 0 {
