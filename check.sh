@@ -240,6 +240,26 @@ if [ "$(printf '%s\n' "$regs" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$regs" |
 	exit 1
 fi
 
+# Copied-ghosts lint: a ghost primitive is a copy of its owner's value. The RHS
+# recovers primitives over the interior and exchanges the primitive halo
+# group, so in non-test internal/solver code the conserved registers are
+# exchanged by the filter alone (ApplyFilter, tag tagConserved), and the
+# ghost-slab recovery box, ghosted(), stays deleted.
+echo "== copied-ghosts lint (Q is exchanged only in ApplyFilter; no ghosted() in internal/solver)"
+violations=$(awk 'FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/exchangeHalos\((b\.haloQ|[^)]*tagConserved)/ && fn !~ /\) ApplyFilter\(/ { print FILENAME ":" FNR ": " $0 }' \
+	$(ls internal/solver/*.go | grep -v '_test\.go$'))
+if [ -n "$violations" ]; then
+	echo "a conserved-register exchange outside ApplyFilter:" >&2
+	echo "$violations" >&2
+	echo "the RHS reads no ghost of Q: exchange the primitives (RefreshPrimitives)" >&2
+	exit 1
+fi
+if grep -rn 'ghosted(' internal/solver; then
+	echo "the ghost-slab primitive sweep is back (see above): recover the interior, then exchange" >&2
+	exit 1
+fi
+
 # Row-pass lint: the flux stage and the divergence finish one x-row at a time
 # (deriv.DiffRows, deriv.DiffRow with OpSet/OpAdd, the ×(−1) on the row), so
 # outside test files internal/solver runs no whole-tile derivative pass and no

@@ -30,7 +30,7 @@ type FieldInfo struct {
 	// Species is the species name for per-species fields, "" otherwise.
 	Species string `json:"species,omitempty"`
 	// HaloGroup names the ghost-exchange group the field belongs to
-	// ("conserved" or "flux"), "" if it is never exchanged.
+	// ("conserved", "primitive" or "flux"), "" if it is never exchanged.
 	HaloGroup string `json:"halo_group,omitempty"`
 	// Checkpoint is the on-disk restart-file variable name, "" if the
 	// field is not checkpointed.

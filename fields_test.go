@@ -35,8 +35,10 @@ func TestFieldsInventory(t *testing.T) {
 	}
 	for name, want := range map[string]FieldInfo{
 		"rho":    {Name: "rho", Role: "primitive", Width: 8},
-		"T":      {Name: "T", Role: "primitive", Checkpoint: "T_guess", Width: 8},
-		"Y_OH":   {Name: "Y_OH", Role: "primitive", Species: "OH", Width: 8},
+		"p":      {Name: "p", Role: "primitive", Width: 8},
+		"u":      {Name: "u", Role: "primitive", HaloGroup: "primitive", Width: 8},
+		"T":      {Name: "T", Role: "primitive", HaloGroup: "primitive", Checkpoint: "T_guess", Width: 8},
+		"Y_OH":   {Name: "Y_OH", Role: "primitive", Species: "OH", HaloGroup: "primitive", Width: 8},
 		"Q_rhoE": {Name: "Q_rhoE", Role: "conserved", HaloGroup: "conserved", Checkpoint: "rhoE", Width: 8},
 		"hrr":    {Name: "hrr", Role: "derived", Derived: true},
 	} {

@@ -54,17 +54,14 @@ func (b *Block) SaveCheckpoint(w io.Writer) error {
 			return err
 		}
 	}
-	// The Newton warm start is cross-step state beyond the interior: the
-	// temperatures in the ghost face slabs seed the next step's primitive
-	// recovery there, so a bit-exact decomposed restart needs them restored
-	// too. Written as one auxiliary flat variable of the full T storage
-	// (ghost layers along the axes of more than one point, grid.AxisGhost)
-	// after the registry entries; readers without it (or files without it)
-	// still work, with ghost seeds starting from the initial fill as before.
-	// The edge and corner entries are never recomputed or read (halo.go):
-	// they keep the initial fill, or whatever a loaded file put there, so
-	// those file bytes say nothing about the state and no restored
-	// trajectory depends on them.
+	// T_guess_halo: one auxiliary flat variable of the full T storage (ghost
+	// layers along the axes of more than one point, grid.AxisGhost) after
+	// the registry entries. No restored trajectory depends on its ghost
+	// entries: no ghost cell runs the temperature inversion, the first
+	// primitive exchange after a load overwrites the face slabs, and edges
+	// and corners are never read (halo.go), so a restart is bit-exact
+	// through T_guess alone. It is written only to keep the file format,
+	// and the bytes of every checkpoint, stable.
 	td := b.T.Data
 	if err := f.AddVarFunc("T_guess_halo", []int{len(td)},
 		func(emit func(chunk []float64) error) error { return emit(td) }); err != nil {
@@ -77,7 +74,7 @@ func (b *Block) SaveCheckpoint(w io.Writer) error {
 // built with a matching configuration. Variables are matched by their
 // registry checkpoint names, so the on-disk order is free to evolve;
 // conserved registers are required, auxiliary entries (the T_guess Newton
-// seed) are restored when present.
+// seed, the T_guess_halo image) are restored when present.
 func (b *Block) LoadCheckpoint(r io.Reader) error {
 	f, err := sdf.Decode(r)
 	if err != nil {

@@ -12,8 +12,18 @@ import (
 // its indices lies outside the interior (a face slab), and only along the
 // axis that index belongs to:
 //
-//   - the conserved registers are differentiated (through the primitives)
-//     and filtered along every axis, so their six face slabs are filled;
+//   - the primitives u, v, w, T, W and Yₙ (gradSrc, the halo group
+//     "primitive") are differentiated along every axis by the flux stage, so
+//     their six face slabs are filled — with copies of the owner's values,
+//     exchanged after primitive recovery over the interior: no ghost cell
+//     runs the temperature inversion, and a ghost primitive is bit-equal to
+//     the one its owner computed;
+//   - the conserved registers are filtered along every axis, so the filter
+//     fills their six face slabs, one axis per pass; the RHS reads no ghost
+//     cell of Q;
+//   - ρ and p are read in the interior alone (the NSCBC planes differentiate
+//     them along the normal of a physical face, one-sided) and are never
+//     exchanged;
 //   - flux[v][a] is differentiated along a alone (divergence), so the flux
 //     exchange along axis a carries the nvar fields flux[·][a] and nothing
 //     else;

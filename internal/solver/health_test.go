@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,20 +66,6 @@ func TestPrimitivesPanicWithoutWatchdog(t *testing.T) {
 			t.Fatalf("violation = %+v", v)
 		}
 	})
-	t.Run("ghost_slab_row", func(t *testing.T) {
-		// A row of the ghost slab below j = 0 keeps only its interior i
-		// range; a fault in it names the ghost point's own i (not one
-		// shifted by the clipped ghost width) and its periodic image's j.
-		// The halos are filled first and the sweep then runs alone, so no
-		// exchange overwrites the ghost.
-		b := newReactiveSerial(t)
-		b.RefreshPrimitives()
-		b.Q[iRho].Set(3, -2, 1, -1.0)
-		v := mustViolation(t, b.computePrimitives)
-		if v.Check != "density" || v.Cell != [3]int{3, b.G.Ny - 2, 1} {
-			t.Fatalf("violation = %+v", v)
-		}
-	})
 	t.Run("step_once", func(t *testing.T) {
 		b := newReactiveSerial(t)
 		b.InjectNaNAt(1, 8, 6, 4)
@@ -89,14 +76,45 @@ func TestPrimitivesPanicWithoutWatchdog(t *testing.T) {
 	})
 }
 
+// TestDecomposedFaultWithoutWatchdog faults rank 0 of a 2×1×1 run in a cell
+// whose primitives its x neighbour receives as ghosts. Primitive recovery
+// covers the owner's interior alone, so rank 0 raises the fault before the
+// primitive exchange and rank 1, blocked in that exchange, must be released
+// by the world's abort: Run returns rank 0's violation naming the cell, and
+// returns at all.
+func TestDecomposedFaultWithoutWatchdog(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		done <- RunParallel(reactiveConfig(), [3]int{2, 1, 1}, func(b *Block) {
+			hotSpotIC(b)
+			if b.Rank() == 0 {
+				b.Q[iRhoE].Set(0, 5, 3, math.NaN())
+			}
+			b.StepOnce(2e-8)
+		})
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("the faulted run returned no error")
+		}
+		for _, want := range []string{"rank 0 panicked", "temperature_inversion", "cell (0,5,3)"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not contain %q", err, want)
+			}
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the faulted 2x1x1 run did not return: a rank is blocked in the primitive exchange")
+	}
+}
+
 // TestPrimitivesFaultKeepsCell pins what the row sweep does around a fault
 // under an armed watchdog (no panic; the fault waits for the end of the
 // step): the faulted cell's ρ, T, p and Y keep their pre-refresh bits, and
 // its row neighbours i±1 are refreshed to the bits a fault-free twin's
 // sweep writes there. The neighbours' T is left as it was, since it seeds
-// their Newton iteration. The halos are filled before the fault is placed
-// and the sweep then runs alone, so the interior row is the only one to
-// fault and the fault names its point.
+// their Newton iteration. The sweep runs alone, so the fault names its
+// point.
 func TestPrimitivesFaultKeepsCell(t *testing.T) {
 	const i, j, k = 8, 6, 4
 	const poison = -123.25

@@ -5,27 +5,11 @@ import (
 	"github.com/s3dgo/s3d/internal/par"
 )
 
-// ghosted returns the interior box grown by the ghost width on every face
-// with valid ghost data — the bounding box of the interior plus its ghost
-// face slabs.
-func (b *Block) ghosted() par.Range {
-	r := b.interior()
-	for _, a := range b.active {
-		if b.loGhost[a] {
-			r.Lo[a] = -grid.Ghost
-		}
-		if b.hiGhost[a] {
-			r.Hi[a] += grid.Ghost
-		}
-	}
-	return r
-}
-
 // computePrimitives recovers ρ, u, v, w, Y, T, p, W from the conserved
-// fields over the interior plus the ghost face slabs of connected faces —
-// the read-set of the gradient sweeps (see halo.go): a ghost point is
-// visited iff exactly one of its indices lies outside the interior. Edge
-// and corner ghosts hold no valid conserved data and are skipped.
+// fields over the block interior. Ghost cells are not recovered here: the
+// primitive halo exchange that follows (computeRHS, RefreshPrimitives)
+// copies the owner's values into the face slabs the flux stage reads, so
+// every point's primitives are computed once, by the rank that owns it.
 // Temperature Newton iteration warm-starts from the previous value stored in
 // b.T. Each point's recovery is independent, so the sweep tiles over the
 // worker pool with a per-worker species scratch vector.
@@ -40,7 +24,7 @@ func (b *Block) ghosted() par.Range {
 func (b *Block) computePrimitives() {
 	defer b.beginRegion("COMPUTE_PRIMITIVES").End()
 
-	b.plan.Run("COMPUTE_PRIMITIVES", b.ghosted(), b.primitivesTile)
+	b.plan.Run("COMPUTE_PRIMITIVES", b.interior(), b.primitivesTile)
 	// The WaitGroup barrier inside plan.Run orders every worker's fault
 	// write before this read — no atomics on the healthy path.
 	if b.fault != nil && !b.watchArmed() {
@@ -48,29 +32,17 @@ func (b *Block) computePrimitives() {
 	}
 }
 
-// primitivesTile recovers the primitives over one tile of the ghosted box,
-// clipping each row to the read-set: a row with j or k in a ghost layer
-// keeps only its interior i range, and a row with both outside (edges and
-// corners) is skipped. Each field's segment of a row is cut once (one
-// layout: one flat offset addresses a point in every field) and indexed by
-// i. A clipped row is never empty: the plan splits x only when y and z have
-// one point, and then no row is clipped.
+// primitivesTile recovers the primitives over one interior tile, one x-row
+// at a time. Each field's segment of a row is cut once (one layout: one
+// flat offset addresses a point in every field) and indexed by i.
 func (b *Block) primitivesTile(t par.Tile, worker int) {
 	set, ns, ws := b.mech.Set, b.ns, &b.ws[worker]
 	yw, qY, yR := ws.yw, ws.yIn[:ns-1], ws.yOut[:ns]
+	iLo := t.Lo[0]
 	for k := t.Lo[2]; k < t.Hi[2]; k++ {
-		kGhost := k < 0 || k >= b.G.Nz
 		for j := t.Lo[1]; j < t.Hi[1]; j++ {
-			jGhost := j < 0 || j >= b.G.Ny
-			if kGhost && jGhost {
-				continue
-			}
-			iLo, iHi := t.Lo[0], t.Hi[0]
-			if kGhost || jGhost {
-				iLo, iHi = max(iLo, 0), min(iHi, b.G.Nx)
-			}
 			p0 := b.Rho.Idx(iLo, j, k)
-			p1 := p0 + iHi - iLo
+			p1 := p0 + t.Hi[0] - iLo
 			rhoQ, eQ := b.Q[iRho].Data[p0:p1], b.Q[iRhoE].Data[p0:p1]
 			ruQ, rvQ, rwQ := b.Q[iRhoU].Data[p0:p1], b.Q[iRhoV].Data[p0:p1], b.Q[iRhoW].Data[p0:p1]
 			rhoR, uR, vR, wR := b.Rho.Data[p0:p1], b.U.Data[p0:p1], b.V.Data[p0:p1], b.W.Data[p0:p1]

@@ -37,20 +37,22 @@ func poisonGhosts(f *grid.Field3, keep [3][2]bool) {
 	}
 }
 
-// poisonUnreadGhosts poisons everything the read-set rule (halo.go) says no
-// stencil reads: the edge and corner ghosts of the conserved, primitive and
-// flux fields, the face slabs of a physical (one-sided) face, and the ghost
-// cells of flux[v][d] along the axes other than d. The rhs/dQ banks stay untouched: rkUpdateBank
+// poisonUnreadGhosts poisons everything the read-set rule (halo.go) says the
+// RHS does not read: every ghost cell of the conserved registers (the RHS
+// reads Q in the interior alone; only the filter exchanges it), of ρ and of
+// p, the edge and corner ghosts of the exchanged primitives and the face
+// slabs of a physical (one-sided) face, and the ghost cells of flux[v][d]
+// along the axes other than d. The rhs/dQ banks stay untouched: rkUpdateBank
 // relies on their ghosts being exact zeros.
 func poisonUnreadGhosts(b *Block) {
 	var faces [3][2]bool
 	for a := 0; a < 3; a++ {
 		faces[a] = [2]bool{b.loGhost[a], b.hiGhost[a]}
 	}
-	for _, f := range b.Q {
-		poisonGhosts(f, faces)
+	for _, f := range append([]*grid.Field3{b.Rho, b.P}, b.Q...) {
+		poisonGhosts(f, [3][2]bool{})
 	}
-	for _, f := range append([]*grid.Field3{b.Rho, b.U, b.V, b.W, b.T, b.P, b.Wmix}, b.Y...) {
+	for _, f := range b.gradSrc {
 		poisonGhosts(f, faces)
 	}
 	for v := range b.flux {
@@ -93,7 +95,8 @@ func sameBits(what string, got, want []uint64) error {
 
 // checkReadSet proves on one block that computeRHS and ApplyFilter read no
 // ghost cell outside the read-set: both must reproduce their interior
-// results bit for bit, and finite, with every other ghost cell set to NaN.
+// results bit for bit, and finite, with every other ghost cell set to NaN —
+// for the RHS, every ghost cell of Q included.
 func checkReadSet(b *Block) error {
 	hotSpotIC(b)
 	b.computeRHS(0) // fills every field once
@@ -115,6 +118,20 @@ func checkReadSet(b *Block) error {
 	if err := sameBits("rhs", got, want); err != nil {
 		return err
 	}
+	// Nor does the RHS exchange Q: its ghost cells still hold the poison.
+	for v, f := range b.Q {
+		g := f.Ghosts()
+		for k := -g[2]; k < f.Nz+g[2]; k++ {
+			for j := -g[1]; j < f.Ny+g[1]; j++ {
+				for i := -g[0]; i < f.Nx+g[0]; i++ {
+					inside := i >= 0 && i < f.Nx && j >= 0 && j < f.Ny && k >= 0 && k < f.Nz
+					if !inside && !math.IsNaN(f.At(i, j, k)) {
+						return fmt.Errorf("the RHS wrote ghost cell (%d,%d,%d) of Q[%d]: only the filter exchanges Q", i, j, k, v)
+					}
+				}
+			}
+		}
+	}
 
 	// The filter refills the ghosts it reads itself, one axis per pass.
 	q0 := append([]float64(nil), b.qBank...)
@@ -134,8 +151,9 @@ func checkReadSet(b *Block) error {
 }
 
 // TestGhostReadSet is the NaN-poison proof of the read-set rule — the
-// pencil-fused flux stage's derivative rows, the divergence, the NSCBC
-// planes' normal derivatives and the filter — for a serial periodic block
+// primitive exchange in place of any ghost read of Q, the pencil-fused flux
+// stage's derivative rows, the divergence, the NSCBC planes' normal
+// derivatives and the filter — for a serial periodic block
 // and for decompositions with two cut axes (where the old X→Y→Z exchange
 // filled edges and corners), in three dimensions and in two (one axis with
 // neither ghost layers nor fields of its own), periodic and as a jet with

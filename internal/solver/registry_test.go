@@ -286,10 +286,22 @@ func TestBlockRegistryInventory(t *testing.T) {
 	if got := len(fs.Group(haloGroupFlux)); got != 2*b.nvar {
 		t.Fatalf("flux halo group has %d fields, want %d", got, 2*b.nvar)
 	}
+	// The primitive group is the flux stage's read-set, in gradSrc's order:
+	// u, v, w, T, Wmix, then every Yₙ — one field more than Q.
+	prim := fs.Group(haloGroupPrimitive)
+	wantPrim := append([]*grid.Field3{b.U, b.V, b.W, b.T, b.Wmix}, b.Y...)
+	if len(prim) != len(wantPrim) || len(prim) != b.nvar+1 {
+		t.Fatalf("primitive halo group has %d fields, want %d", len(prim), len(wantPrim))
+	}
+	for i, f := range wantPrim {
+		if prim[i] != f || b.gradSrc[i] != f {
+			t.Fatalf("primitive halo group entry %d is not gradSrc's (u, v, w, T, Wmix, Y…)", i)
+		}
+	}
 	for a, want := range []int{b.nvar, b.nvar, 0} {
-		if len(b.haloQ[a]) != want || len(b.haloFlux[a]) != want {
-			t.Fatalf("axis %d exchanges %d conserved and %d flux fields, want %d of each",
-				a, len(b.haloQ[a]), len(b.haloFlux[a]), want)
+		if len(b.haloQ[a]) != want || len(b.haloFlux[a]) != want || len(b.haloPrim[a]) != min(want, 1)*(b.nvar+1) {
+			t.Fatalf("axis %d exchanges %d conserved, %d primitive and %d flux fields, want %d, %d and %d",
+				a, len(b.haloQ[a]), len(b.haloPrim[a]), len(b.haloFlux[a]), want, min(want, 1)*(b.nvar+1), want)
 		}
 	}
 	// Bank span aliasing: writes through Q land in qBank.

@@ -12,23 +12,25 @@ import (
 // gasR is the universal gas constant (J/(mol·K)).
 const gasR = thermo.R
 
-// message tag bases for the two exchange rounds of each RHS evaluation.
+// message tag bases of the exchange rounds: the filter's conserved state,
+// and the two rounds of each RHS evaluation.
 const (
 	tagConserved = 0
 	tagFlux      = 100
+	tagPrimitive = 200
 )
 
 // computeRHS evaluates dQ/dt into b.rhs at simulation time t. It performs
-// the full S3D right-hand side: ghost exchange of the conserved state,
-// primitive recovery, the pencil-fused flux stage (transport properties,
-// derivatives, diffusive fluxes and the convective + viscous + diffusive
-// flux assembly, one x-row at a time), a second ghost exchange of the
-// fluxes, flux divergence, chemical source terms and NSCBC boundary
-// corrections. Every stage with interior extent runs tiled over the block's
-// worker-pool plan.
+// the full S3D right-hand side: primitive recovery over the interior, ghost
+// exchange of the primitives the flux stage differentiates, the
+// pencil-fused flux stage (transport properties, derivatives, diffusive
+// fluxes and the convective + viscous + diffusive flux assembly, one x-row
+// at a time), a second ghost exchange of the fluxes, flux divergence,
+// chemical source terms and NSCBC boundary corrections. No stage reads a
+// ghost cell of Q. Every stage with interior extent runs tiled over the
+// block's worker-pool plan.
 func (b *Block) computeRHS(t float64) {
-	b.exchangeHalos(b.haloQ, tagConserved)
-	b.computePrimitives()
+	b.RefreshPrimitives()
 	b.assembleFluxes()
 
 	b.exchangeHalos(b.haloFlux, tagFlux)

@@ -164,8 +164,10 @@ type Block struct {
 	// rhs receives the time derivative each stage.
 	rhs []*grid.Field3
 
-	// Primitive fields (valid on the interior plus the ghost face slabs of
-	// connected faces after computePrimitives; never in edge/corner ghosts).
+	// Primitive fields. computePrimitives writes them on the interior alone;
+	// the primitive halo exchange then copies the gradSrc members into the
+	// ghost face slabs of connected faces (never edge/corner ghosts). ρ and p
+	// are not exchanged: their ghost cells hold no valid data.
 	Rho, U, V, W, T, P, Wmix *grid.Field3
 	Y                        []*grid.Field3
 
@@ -177,9 +179,10 @@ type Block struct {
 	// diffusive fluxes live in worker row scratch (see assembleFluxes).
 	flux [][3]*grid.Field3
 
-	// gradSrc = {U, V, W, T, Wmix, Y…} are the fields the flux stage
-	// differentiates along every active axis and normalSrc = {ρ, p, U, V, W,
-	// Y…} those the NSCBC planes differentiate along the face normal, each
+	// gradSrc = {U, V, W, T, Wmix, Y…} — the registry halo group
+	// "primitive" — are the fields the flux stage differentiates along every
+	// active axis and normalSrc = {ρ, p, U, V, W, Y…} those the NSCBC planes
+	// differentiate along the face normal (one-sided at a physical face), each
 	// list in the order of its destination rows in rowScratch.
 	gradSrc, normalSrc []*grid.Field3
 
@@ -211,11 +214,12 @@ type Block struct {
 	qBank, dqBank, rhsBank []float64
 
 	// Per-axis halo-exchange field lists — the members of the registry groups
-	// "conserved" and "flux" by the axis they travel along, see halo.go: the
-	// conserved registers along every active axis, flux[v][a] along a alone.
-	// List order is registration order, which fixes the packed-slab message
-	// layout.
-	haloQ, haloFlux haloLists
+	// "conserved", "primitive" and "flux" by the axis they travel along, see
+	// halo.go: the conserved registers (the filter's exchange) and the
+	// primitive group (the RHS's first exchange) along every active axis,
+	// flux[v][a] along a alone. List order is registration order, which
+	// fixes the packed-slab message layout.
+	haloQ, haloPrim, haloFlux haloLists
 
 	// haloBuf holds the four slab buffers of an axis exchange (recv lo/hi,
 	// send lo/hi), grown on demand and reused across steps.
@@ -487,11 +491,14 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 	return b
 }
 
-// haloGroupConserved and haloGroupFlux name the two registry halo groups:
-// the conserved state exchanged before each RHS evaluation, and the
-// assembled fluxes exchanged before the divergence.
+// haloGroupConserved, haloGroupPrimitive and haloGroupFlux name the three
+// registry halo groups: the conserved state the filter exchanges before each
+// pass, the primitives the flux stage differentiates, exchanged once their
+// owner has recovered them, and the assembled fluxes exchanged before the
+// divergence.
 const (
 	haloGroupConserved = "conserved"
+	haloGroupPrimitive = "primitive"
 	haloGroupFlux      = "flux"
 )
 
@@ -559,18 +566,22 @@ func (b *Block) registerFields() {
 		}
 	}
 
-	prim := func(name string) int {
-		return fs.Register(grid.FieldMeta{Name: name, Role: grid.RolePrimitive, Species: -1})
+	// The primitives the flux stage differentiates form the halo group
+	// "primitive" (gradSrc); ρ and p are read in the interior alone.
+	prim := func(name, group string) int {
+		return fs.Register(grid.FieldMeta{Name: name, Role: grid.RolePrimitive, Species: -1, Group: group})
 	}
-	rhoID, uID, vID, wID := prim("rho"), prim("u"), prim("v"), prim("w")
+	rhoID := prim("rho", "")
+	uID, vID, wID := prim("u", haloGroupPrimitive), prim("v", haloGroupPrimitive), prim("w", haloGroupPrimitive)
 	// The temperature primitive seeds the restart Newton inversion, so it
 	// is the one non-conserved checkpoint entry (on-disk name T_guess).
-	tID := fs.Register(grid.FieldMeta{Name: "T", Role: grid.RolePrimitive, Species: -1, Ckpt: "T_guess"})
-	pID, wmixID := prim("p"), prim("Wmix")
+	tID := fs.Register(grid.FieldMeta{Name: "T", Role: grid.RolePrimitive, Species: -1,
+		Group: haloGroupPrimitive, Ckpt: "T_guess"})
+	pID, wmixID := prim("p", ""), prim("Wmix", haloGroupPrimitive)
 	yID := make([]int, ns)
 	for n := 0; n < ns; n++ {
 		yID[n] = fs.Register(grid.FieldMeta{Name: "Y_" + b.mech.Set.Species[n].Name,
-			Role: grid.RolePrimitive, Species: n})
+			Role: grid.RolePrimitive, Species: n, Group: haloGroupPrimitive})
 	}
 
 	diffMaxID := fs.Register(grid.FieldMeta{Name: "diff_max", Role: grid.RoleTransport, Species: -1})
@@ -594,9 +605,6 @@ func (b *Block) registerFields() {
 	b.qBank = fs.Span(qID[0], b.nvar)
 	b.dqBank = fs.Span(dqID[0], b.nvar)
 	b.rhsBank = fs.Span(rhsID[0], b.nvar)
-	for _, a := range b.active {
-		b.haloQ[a] = b.Q
-	}
 
 	b.Rho, b.U, b.V, b.W = fs.Field(rhoID), fs.Field(uID), fs.Field(vID), fs.Field(wID)
 	b.T, b.P, b.Wmix = fs.Field(tID), fs.Field(pID), fs.Field(wmixID)
@@ -606,8 +614,12 @@ func (b *Block) registerFields() {
 		b.Y[n] = fs.Field(yID[n])
 	}
 	b.scratchF = fs.Field(scratchID)
-	b.gradSrc = append([]*grid.Field3{b.U, b.V, b.W, b.T, b.Wmix}, b.Y...)
+	// Registration order makes the group {U, V, W, T, Wmix, Y…}.
+	b.gradSrc = fs.Group(haloGroupPrimitive)
 	b.normalSrc = append([]*grid.Field3{b.Rho, b.P, b.U, b.V, b.W}, b.Y...)
+	for _, a := range b.active {
+		b.haloQ[a], b.haloPrim[a] = b.Q, b.gradSrc
+	}
 }
 
 // isActive reports whether the block has more than one point along axis a.

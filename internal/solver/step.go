@@ -251,10 +251,13 @@ func (b *Block) ApplyFilter() {
 }
 
 // RefreshPrimitives recomputes the primitive fields from the current
-// conserved state (for diagnostics between steps).
+// conserved state: recovery over the interior, then the primitive halo
+// exchange, which fills the ghost face slabs the flux stage reads with the
+// owner's values. The RHS begins with it; between steps it serves
+// diagnostics.
 func (b *Block) RefreshPrimitives() {
-	b.exchangeHalos(b.haloQ, tagConserved)
 	b.computePrimitives()
+	b.exchangeHalos(b.haloPrim, tagPrimitive)
 }
 
 // GlobalDt returns the acoustic time step reduced across all ranks.
