@@ -240,6 +240,17 @@ if [ "$(printf '%s\n' "$regs" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$regs" |
 	exit 1
 fi
 
+# Row-transport lint: the flux row evaluates μ, λ and Dₙ for a whole x-row
+# with one Model.MixtureRow call (diffusivityRows), one batch exponential
+# over every fit of the row, so non-test internal/solver code makes no
+# per-point Mixture call, which would bring back a batch of n + n(n−1)/2
+# lanes per point.
+echo "== row-transport lint (no .Mixture( call in non-test internal/solver code)"
+if grep -rn '\.Mixture(' --include='*.go' internal/solver | grep -v '_test\.go:'; then
+	echo "a per-point transport call is back in the solver (see above): evaluate a row with Model.MixtureRow" >&2
+	exit 1
+fi
+
 # Copied-ghosts lint: a ghost primitive is a copy of its owner's value. The RHS
 # recovers primitives over the interior and exchanges the primitive halo
 # group, so in non-test internal/solver code the conserved registers are

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"github.com/s3dgo/s3d/internal/chem"
@@ -44,14 +43,18 @@ func h2BlobConfig(t *testing.T, constLewis float64) *Block {
 }
 
 // diffusivities returns Dₙ at interior point (i, j, k), evaluated as the
-// flux row evaluates them (transportAt) from the point's primitives.
+// flux row evaluates them (diffusivityRows) over the point's x-row.
 func diffusivities(b *Block, i, j, k int) []float64 {
-	x := b.Rho.Idx(i, j, k)
-	y := make([]float64, b.ns)
-	for n := range y {
-		y[n] = b.Y[n].Data[x]
+	d := make([][]float64, b.ns)
+	for n := range d {
+		d[n] = make([]float64, b.G.Nx)
 	}
-	return slices.Clone(b.transportAt(&b.ws[0], b.T.Data[x], b.P.Data[x], b.Rho.Data[x], y))
+	b.diffusivityRows(&b.ws[0], b.Rho.Idx(0, j, k), b.G.Nx, d)
+	out := make([]float64, b.ns)
+	for n := range d {
+		out[n] = d[n][i]
+	}
+	return out
 }
 
 // h2SpreadRate measures the initial diffusive spreading rate of the H2 blob

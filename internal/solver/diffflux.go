@@ -76,8 +76,8 @@ type DiffFluxStudy struct {
 }
 
 // NewDiffFluxStudy prepares the study on b: the RHS stages the kernel reads
-// (PrepareDiffFluxInputs), then Dₙ at every interior point — the flux row's
-// transport evaluation, transportAt — and ∂Yₙ and ∂W along every active
+// (PrepareDiffFluxInputs), then Dₙ over every interior row — the flux row's
+// transport evaluation, diffusivityRows — and ∂Yₙ and ∂W along every active
 // axis into the study's own arrays.
 func (b *Block) NewDiffFluxStudy() *DiffFluxStudy {
 	b.PrepareDiffFluxInputs()
@@ -87,16 +87,16 @@ func (b *Block) NewDiffFluxStudy() *DiffFluxStudy {
 	for range b.ns {
 		s.d = append(s.d, make([]float64, size))
 	}
-	ws := &b.ws[0]
-	b.Rho.Each(func(i, j, k int, rho float64) {
-		p := b.Rho.Idx(i, j, k)
-		for n, y := range b.Y {
-			ws.yw[n] = y.Data[p]
+	d := make([][]float64, b.ns)
+	for k := range b.G.Nz {
+		for j := range b.G.Ny {
+			p := b.Rho.Idx(0, j, k)
+			for n := range d {
+				d[n] = s.d[n][p : p+b.G.Nx]
+			}
+			b.diffusivityRows(&b.ws[0], p, b.G.Nx, d)
 		}
-		for n, d := range b.transportAt(ws, b.T.Data[p], b.P.Data[p], rho, ws.yw) {
-			s.d[n][p] = d
-		}
-	})
+	}
 	for w := range s.views {
 		s.views[w] = [2][][]float64{make([][]float64, b.ns), make([][]float64, b.ns)}
 	}

@@ -247,54 +247,57 @@ func stressRows(rs *rowScratch, w int) {
 // the w points from flat index p0 into the rows the flux stage reads: μ and
 // λ, and per species (−ρ)·Dₙ, Yₙ/W and hₙ(T) — formed once per point and
 // reused by every direction — and views of the Yₙ rows. On the final RK
-// stage of an armed step it also stores max(μ/ρ, maxₙ Dₙ) for the
-// watchdog's diffusion number (diff_max).
+// stage of an armed step the same pass over the Dₙ rows stores
+// max(μ/ρ, maxₙ Dₙ) for the watchdog's diffusion number (diff_max).
 func (b *Block) transportRows(ws *kernScratch, p0, w int) {
-	rs, yw, sp := &ws.rows, ws.yw, b.mech.Set.Species
-	T, p := b.T.Data[p0:p0+w], b.P.Data[p0:p0+w]
-	rho, wmix := b.Rho.Data[p0:p0+w], b.Wmix.Data[p0:p0+w]
-	cutRows(rs.y, b.Y, p0, p0+w)
+	rs, sp := &ws.rows, b.mech.Set.Species
+	T, rho, wmix := b.T.Data[p0:p0+w], b.Rho.Data[p0:p0+w], b.Wmix.Data[p0:p0+w]
+	b.diffusivityRows(ws, p0, w, rs.negRhoD)
 	var diffMax []float64
 	if b.diffDue {
 		diffMax = b.diffMax.Data[p0 : p0+w]
+		mu := rs.mu[:w]
+		for i := range diffMax {
+			diffMax[i] = mu[i] / rho[i]
+		}
 	}
-	for i := range T {
-		for n, y := range rs.y {
-			yw[n] = y[i]
-		}
-		d := b.transportAt(ws, T[i], p[i], rho[i], yw)
-		rs.mu[i], rs.lam[i] = ws.props.Mu, ws.props.Lambda
-		for n, dn := range d {
-			rs.negRhoD[n][i] = -rho[i] * dn
-			rs.yOverW[n][i] = yw[n] / wmix[i]
-			rs.h[n][i] = sp[n].H(T[i])
-		}
-		if diffMax != nil {
-			m := rs.mu[i] / rho[i]
-			for _, dn := range d {
-				if dn > m {
-					m = dn
-				}
+	for n, d := range rs.negRhoD {
+		d, y, yOverW, h := d[:w], rs.y[n], rs.yOverW[n][:w], rs.h[n][:w]
+		for i, m := range diffMax {
+			if d[i] > m {
+				diffMax[i] = d[i]
 			}
-			diffMax[i] = m
+		}
+		for i := range d {
+			d[i] = -rho[i] * d[i]
+			yOverW[i] = y[i] / wmix[i]
+			h[i] = sp[n].H(T[i])
 		}
 	}
 }
 
-// transportAt evaluates the transport model at one point through the
-// worker's clone into ws.props and returns the species diffusivities Dₙ:
-// the mixture-averaged Dmix, or under the constant-Lewis ablation
-// D = λ/(ρ·cp·Le) for every species (no differential diffusion).
-func (b *Block) transportAt(ws *kernScratch, T, p, rho float64, y []float64) []float64 {
-	ws.trans.Mixture(T, p, y, &ws.props)
-	d := ws.props.Dmix
+// diffusivityRows evaluates the transport model at the w points from flat
+// index p0 with one MixtureRow call through the worker's clone: μ and λ into
+// the worker's rows, views of the Yₙ rows into rs.y, and into d the Dₙ rows —
+// mixture-averaged, or under the constant-Lewis ablation D = λ/(ρ·cp·Le)
+// for every species (no differential diffusion).
+func (b *Block) diffusivityRows(ws *kernScratch, p0, w int, d [][]float64) {
+	rs := &ws.rows
+	T, lam := b.T.Data[p0:p0+w], rs.lam[:w]
+	cutRows(rs.y, b.Y, p0, p0+w)
+	ws.trans.MixtureRow(T, b.P.Data[p0:p0+w], b.Wmix.Data[p0:p0+w], rs.y, rs.mu, lam, d)
 	if le := b.cfg.ConstLewis; le > 0 {
-		dl := ws.props.Lambda / (rho * ws.mech.Set.CpMass(T, y) * le)
-		for n := range d {
-			d[n] = dl
+		rho, yw := b.Rho.Data[p0:p0+w], ws.yw
+		for i := range T {
+			for n, y := range rs.y {
+				yw[n] = y[i]
+			}
+			dl := lam[i] / (rho[i] * ws.mech.Set.CpMass(T[i], yw) * le)
+			for _, dn := range d {
+				dn[i] = dl
+			}
 		}
 	}
-	return d
 }
 
 // PrepareAssembleInputs runs the RHS stages the flux stage depends on, so

@@ -291,7 +291,6 @@ type Block struct {
 // concurrent use).
 type kernScratch struct {
 	yw, cw, wdot, hw []float64
-	props            transport.Props
 	mech             *chem.Mechanism
 	trans            *transport.Model
 
@@ -447,7 +446,6 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 		b.ws[w] = kernScratch{
 			yw: make([]float64, ns), cw: make([]float64, ns),
 			wdot: make([]float64, ns), hw: make([]float64, ns),
-			props:  transport.Props{Dmix: make([]float64, ns)},
 			mech:   cfg.Mech.Clone(),
 			trans:  cfg.Trans.Clone(),
 			nvOut:  make([]float64, b.nvar),

@@ -14,6 +14,7 @@ package transport
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/s3dgo/s3d/internal/thermo"
 	"github.com/s3dgo/s3d/internal/vexp"
@@ -48,8 +49,8 @@ var ljParams = map[string]struct{ eps, sigma float64 }{
 // Model evaluates transport properties for a species set. Construct one per
 // solver rank (it holds scratch) with New. Following the CHEMKIN TRANSPORT
 // design, the kinetic-theory expressions are fitted once at construction to
-// cubic polynomials in ln T, so the per-point Mixture evaluation needs one
-// exp per species/pair instead of repeated collision-integral fits.
+// cubic polynomials in ln T, so a mixture evaluation needs one exp per
+// species/pair instead of repeated collision-integral fits.
 type Model struct {
 	Set *thermo.Set
 
@@ -58,14 +59,17 @@ type Model struct {
 	wPhi       [][]float64 // 1/√(8(1+Wi/Wj)), Wilke denominator factor
 
 	// Fitted property polynomials: value = exp(c0 + c1·lnT + c2·lnT² + c3·lnT³).
-	muFit   [][4]float64   // per species: ln μ(T)
-	dFit    [][][4]float64 // per ordered pair: ln D_ij(T) at p = 1 atm
-	pairFit [][4]float64   // dFit[i][j], i < j, in the order (0,1), (0,2), …, (1,2), …
+	muFit [][4]float64   // per species: ln μ(T)
+	dFit  [][][4]float64 // per ordered pair: ln D_ij(T) at p = 1 atm
+	fits  [][4]float64   // muFit, then dFit[i][j], i < j: (0,1), (0,2), …, (1,2), …
 
-	x []float64 // scratch: mole fractions
-	// fit is Mixture's exponential batch: the n viscosity fits, then the
-	// D_ij fit of every unordered pair with a species present.
-	fit []float64
+	// MixtureRow's row scratch, strided by the current row's width: the
+	// mole-fraction rows, the exponential block (a row per fit) and the ln T,
+	// 101325/p and two accumulator rows; Mixture's length-1 views of Y and
+	// Dmix and its T, p, W, μ, λ.
+	x, fit, acc []float64
+	yPt, dPt    [][]float64
+	pt          [5]float64
 }
 
 // New builds a transport model for the species set. Species missing from
@@ -76,8 +80,8 @@ func New(set *thermo.Set) (*Model, error) {
 		Set:   set,
 		eps:   make([]float64, n),
 		sigma: make([]float64, n),
-		x:     make([]float64, n),
-		fit:   make([]float64, n+n*(n-1)/2),
+		yPt:   make([][]float64, n),
+		dPt:   make([][]float64, n),
 	}
 	for i, sp := range set.Species {
 		lj, ok := ljParams[sp.Name]
@@ -125,8 +129,9 @@ func (m *Model) buildFits() {
 			}
 			m.dFit[i][j] = fitCubic(lnT, vals)
 		}
-		m.pairFit = append(m.pairFit, m.dFit[i][i+1:]...)
+		m.fits = append(m.fits, m.dFit[i][i+1:]...)
 	}
+	m.fits = append(slices.Clip(m.muFit), m.fits...)
 }
 
 // fitCubic least-squares fits y ≈ c0 + c1·x + c2·x² + c3·x³.
@@ -199,8 +204,8 @@ func MustNew(set *thermo.Set) *Model {
 // private scratch, for concurrent solver ranks.
 func (m *Model) Clone() *Model {
 	c := *m
-	c.x = make([]float64, len(m.x))
-	c.fit = make([]float64, len(m.fit))
+	c.x, c.fit, c.acc = nil, nil, nil
+	c.yPt, c.dPt = make([][]float64, len(m.yPt)), make([][]float64, len(m.dPt))
 	return &c
 }
 
@@ -287,102 +292,119 @@ type Props struct {
 
 // Mixture evaluates μ, λ and D_i^mix for mass fractions Y at temperature T
 // and pressure p, writing D into props.Dmix (which must have species
-// length). Not safe for concurrent use on one Model: use Clone per rank.
+// length): MixtureRow over a row of one point, with W = MeanW(Y). Not safe
+// for concurrent use on one Model: use Clone per rank.
 func (m *Model) Mixture(T, p float64, Y []float64, props *Props) {
-	n := m.Set.Len()
-	m.Set.MoleFractions(Y, m.x)
-	// Guard against round-off negative fractions.
-	for i := range m.x {
-		if m.x[i] < 0 {
-			m.x[i] = 0
-		}
+	for i := range m.yPt {
+		m.yPt[i], m.dPt[i] = Y[i:i+1], props.Dmix[i:i+1]
 	}
-	// Every exponential of the call has an argument that depends on ln T
-	// alone, so the arguments come first, one batch exponential takes them
-	// all, and the consumers below read the results in the order they always
-	// did: the n viscosity fits, then — the fit tables being bitwise
-	// symmetric (dFit[i][j] == dFit[j][i]) — the D_ij fit once per unordered
-	// pair with a species present.
-	lnT := math.Log(clampFitT(T))
-	for i := 0; i < n; i++ {
-		m.fit[i] = fitArg(m.muFit[i], lnT)
-	}
-	k, pair := n, 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if m.x[i] != 0 || m.x[j] != 0 {
-				m.fit[k] = fitArg(m.pairFit[pair], lnT)
-				k++
-			}
-			pair++
-		}
-	}
-	vexp.Exp(m.fit[:k], m.fit[:k])
-	mu := m.fit[:n]
+	pt := &m.pt
+	pt[0], pt[1], pt[2] = T, p, m.Set.MeanW(Y)
+	m.MixtureRow(pt[0:1], pt[1:2], pt[2:3], m.yPt, pt[3:4], pt[4:5], m.dPt)
+	props.Mu, props.Lambda = pt[3], pt[4]
+}
 
-	// Wilke mixture viscosity.
-	var muMix float64
-	for i := 0; i < n; i++ {
-		if m.x[i] == 0 {
-			continue
-		}
-		var denom float64
-		for j := 0; j < n; j++ {
-			if m.x[j] == 0 {
-				continue
-			}
-			r := math.Sqrt(mu[i]/mu[j]) * m.w4[i][j]
-			denom += m.x[j] * (1 + r) * (1 + r) * m.wPhi[i][j]
-		}
-		muMix += m.x[i] * mu[i] / denom
+// MixtureRow evaluates μ, λ and D_i^mix at the len(T) points of a row from
+// T (K), p (Pa), W = MeanW(Y) (kg/mol) and the mass-fraction rows Y[i]; the
+// outputs are at least len(T) long. Every fit argument depends on ln T
+// alone, so one batch exponential takes the whole row's; the mixing sums
+// then run point-innermost, visiting species and pairs in the one-point
+// order, so each point's sums round as they always did. Not safe for
+// concurrent use on one Model: use Clone per rank.
+func (m *Model) MixtureRow(T, p, W []float64, Y [][]float64, mu, lam []float64, D [][]float64) {
+	n, w := m.Set.Len(), len(T)
+	if len(m.acc) < 4*w {
+		m.x, m.fit, m.acc = make([]float64, n*w), make([]float64, len(m.fits)*w), make([]float64, 4*w)
 	}
-	props.Mu = muMix
+	p, W, mu, lam = p[:w], W[:w], mu[:w], lam[:w]
+	row := func(buf []float64, a int) []float64 { return buf[a*w : (a+1)*w] }
+	lnT, pScale, denom, inv := row(m.acc, 0), row(m.acc, 1), row(m.acc, 2), row(m.acc, 3)
 
-	// Mathur–Saxena conductivity: ½(Σxλ + (Σx/λ)⁻¹), each λᵢ by the modified
-	// Eucken correction μᵢ·(cp,ᵢ + 1.25·Ru/Wᵢ).
-	var sum, inv float64
-	for i, sp := range m.Set.Species {
-		lam := mu[i] * (sp.Cp(T) + 1.25*thermo.R/sp.W)
-		sum += m.x[i] * lam
-		if m.x[i] > 0 {
-			inv += m.x[i] / lam
+	// Mole fractions X_i = Y_i·W/W_i (paper eq. 9), round-off negatives
+	// clipped; ln T over the fits' range and the pressure scaling of the
+	// 1 atm D_ij fits; the μ, λ, Σx/λ and D sums start from +0.
+	for a, sp := range m.Set.Species {
+		xa, ya := row(m.x, a), Y[a][:w]
+		for i := range xa {
+			xa[i] = ya[i] * W[i] / sp.W
+			if xa[i] < 0 {
+				xa[i] = 0
+			}
+		}
+		clear(D[a][:w])
+	}
+	for i := range lnT {
+		lnT[i], pScale[i] = math.Log(clampFitT(T[i])), 101325/p[i]
+		mu[i], lam[i], inv[i] = 0, 0, 0
+	}
+
+	// The n viscosity fits, then — the fit tables being bitwise symmetric
+	// (dFit[i][j] == dFit[j][i]) — the D_ij fit once per unordered pair.
+	fit := m.fit[:len(m.fits)*w]
+	for k, c := range m.fits {
+		fk := row(fit, k)
+		for i := range fk {
+			fk[i] = fitArg(c, lnT[i])
 		}
 	}
-	props.Lambda = 0.5 * (sum + 1/inv)
+	vexp.Exp(fit, fit)
+
+	// Wilke viscosity; Mathur–Saxena conductivity ½(Σxλ + (Σx/λ)⁻¹), each λᵢ
+	// by the modified Eucken correction μᵢ·(cp,ᵢ + 1.25·Ru/Wᵢ).
+	for a, sp := range m.Set.Species {
+		xa, mua := row(m.x, a), row(fit, a)
+		clear(denom)
+		for b := 0; b < n; b++ {
+			xb, mub, w4, phi := row(m.x, b), row(fit, b), m.w4[a][b], m.wPhi[a][b]
+			for i := range denom {
+				if xa[i] == 0 || xb[i] == 0 {
+					continue
+				}
+				r := math.Sqrt(mua[i]/mub[i]) * w4
+				denom[i] += xb[i] * (1 + r) * (1 + r) * phi
+			}
+		}
+		for i := range mu {
+			if xa[i] != 0 {
+				mu[i] += xa[i] * mua[i] / denom[i]
+			}
+			l := mua[i] * (sp.Cp(T[i]) + 1.25*thermo.R/sp.W)
+			lam[i] += xa[i] * l
+			if xa[i] > 0 {
+				inv[i] += xa[i] / l
+			}
+		}
+	}
+	for i := range lam {
+		lam[i] = 0.5 * (lam[i] + 1/inv[i])
+	}
 
 	// Mixture-averaged diffusion (paper eq. 17), with the pure-species limit
 	// D_i^mix → D_ii' (self/trace value) as X_i → 1. The denominators
-	// Σ_{j≠i, X_j≠0} X_j/D_ij accumulate in props.Dmix in the one loop over
-	// present pairs: it reaches row i's pairs (a, i), a < i, in increasing a
-	// before its pairs (i, b), b > i, in increasing b, so each row gets its
-	// terms in increasing j from +0 — the order, so the bits, of the sum.
-	pScale := 101325 / p
-	dmix := props.Dmix[:n]
-	clear(dmix)
-	k = n
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if m.x[i] != 0 || m.x[j] != 0 {
-				d := m.fit[k] * pScale
-				k++
-				if m.x[j] != 0 {
-					dmix[i] += m.x[j] / d
+	// Σ_{j≠i, X_j≠0} X_j/D_ij accumulate in D over the pairs in order, so row
+	// i gets its terms in increasing j — the bits of the sum over j — and is
+	// complete when the loop leaves a = i.
+	k := n
+	for a := 0; a < n; a++ {
+		xa, da := row(m.x, a), D[a][:w]
+		for b := a + 1; b < n; b++ {
+			xb, db, fk := row(m.x, b), D[b][:w], row(fit, k)
+			k++
+			for i := range fk {
+				d := fk[i] * pScale[i]
+				if xb[i] != 0 {
+					da[i] += xb[i] / d
 				}
-				if m.x[i] != 0 {
-					dmix[j] += m.x[i] / d
+				if xa[i] != 0 {
+					db[i] += xa[i] / d
 				}
 			}
 		}
-	}
-	for i, denom := range dmix {
-		if denom < 1e-30 {
-			// Pure species: use the self-collision estimate.
-			dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
-			continue
-		}
-		dmix[i] = (1 - m.x[i]) / denom
-		if dmix[i] <= 0 {
-			dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
+		for i, s := range da {
+			da[i] = (1 - xa[i]) / s
+			if s < 1e-30 || da[i] <= 0 { // pure species: the self-collision estimate
+				da[i] = evalFit(m.dFit[a][a], lnT[i]) * pScale[i]
+			}
 		}
 	}
 }

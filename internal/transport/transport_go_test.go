@@ -8,6 +8,7 @@ import (
 
 	"github.com/s3dgo/s3d/internal/chem"
 	"github.com/s3dgo/s3d/internal/thermo"
+	"github.com/s3dgo/s3d/internal/vexp"
 )
 
 func airModel(t testing.TB) (*Model, []float64) {
@@ -354,13 +355,269 @@ func TestMixtureDmixMatchesOrderedPairLoop(t *testing.T) {
 	}
 }
 
-func BenchmarkMixtureH2Air(b *testing.B) {
-	set := thermo.MustSet("H2", "O2", "O", "OH", "H2O", "H", "HO2", "H2O2", "N2")
-	m := MustNew(set)
-	Y := []float64{0.02, 0.2, 0.001, 0.002, 0.05, 0.0005, 0.0002, 0.0001, 0.7262}
-	p := &Props{Dmix: make([]float64, set.Len())}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Mixture(1200, 101325, Y, p)
+// mixturePoint is the one-point evaluation Mixture ran before the row
+// kernel: mole fractions from MeanW(Y), one batch exponential over the n
+// viscosity fits and the D_ij fit of every unordered pair with a species
+// present, then the Wilke, Mathur–Saxena and diffusion sums of the point.
+// MixtureRow must return its bits at every point of a row.
+func mixturePoint(m *Model, T, p float64, Y []float64, props *Props) {
+	n := m.Set.Len()
+	x := make([]float64, n)
+	fit := make([]float64, len(m.fits))
+	m.Set.MoleFractions(Y, x)
+	for i := range x {
+		if x[i] < 0 {
+			x[i] = 0
+		}
+	}
+	lnT := math.Log(clampFitT(T))
+	for i := 0; i < n; i++ {
+		fit[i] = fitArg(m.muFit[i], lnT)
+	}
+	k, pair := n, n
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if x[i] != 0 || x[j] != 0 {
+				fit[k] = fitArg(m.fits[pair], lnT)
+				k++
+			}
+			pair++
+		}
+	}
+	vexp.Exp(fit[:k], fit[:k])
+	mu := fit[:n]
+
+	var muMix float64
+	for i := 0; i < n; i++ {
+		if x[i] == 0 {
+			continue
+		}
+		var denom float64
+		for j := 0; j < n; j++ {
+			if x[j] == 0 {
+				continue
+			}
+			r := math.Sqrt(mu[i]/mu[j]) * m.w4[i][j]
+			denom += x[j] * (1 + r) * (1 + r) * m.wPhi[i][j]
+		}
+		muMix += x[i] * mu[i] / denom
+	}
+	props.Mu = muMix
+
+	var sum, inv float64
+	for i, sp := range m.Set.Species {
+		lam := mu[i] * (sp.Cp(T) + 1.25*thermo.R/sp.W)
+		sum += x[i] * lam
+		if x[i] > 0 {
+			inv += x[i] / lam
+		}
+	}
+	props.Lambda = 0.5 * (sum + 1/inv)
+
+	pScale := 101325 / p
+	dmix := props.Dmix[:n]
+	clear(dmix)
+	k = n
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if x[i] != 0 || x[j] != 0 {
+				d := fit[k] * pScale
+				k++
+				if x[j] != 0 {
+					dmix[i] += x[j] / d
+				}
+				if x[i] != 0 {
+					dmix[j] += x[i] / d
+				}
+			}
+		}
+	}
+	for i, denom := range dmix {
+		if denom < 1e-30 {
+			dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
+			continue
+		}
+		dmix[i] = (1 - x[i]) / denom
+		if dmix[i] <= 0 {
+			dmix[i] = evalFit(m.dFit[i][i], lnT) * pScale
+		}
+	}
+}
+
+// transportSets are the species sets the row kernel is held to: the
+// benchmark box's two-species air, the H2 and the CH4 mechanisms.
+func transportSets() map[string]*thermo.Set {
+	return map[string]*thermo.Set{
+		"air2": thermo.MustSet("O2", "N2"),
+		"h2":   chem.H2Air().Set,
+		"ch4":  chem.CH4Skeletal().Set,
+	}
+}
+
+// rowState fills point i of a row with a state of the given kind: some
+// species absent, a pure species, T below and above the fit range,
+// everything present; p varies from point to point.
+func rowState(rng *rand.Rand, kind, i int, T, p []float64, Y [][]float64) {
+	n := len(Y)
+	for a := range Y {
+		Y[a][i] = 0
+	}
+	switch kind % 5 {
+	case 0: // a pure species: the self-diffusion fallback
+		Y[rng.Intn(n)][i] = 1
+	case 1, 2: // a random subset: the x = 0 skips
+		for a := range Y {
+			if rng.Intn(3) > 0 {
+				Y[a][i] = rng.Float64()
+			}
+		}
+	default: // every species
+		for a := range Y {
+			Y[a][i] = rng.Float64() + 1e-3
+		}
+	}
+	var sum float64
+	for a := range Y {
+		sum += Y[a][i]
+	}
+	if sum == 0 {
+		Y[n-1][i], sum = 1, 1
+	}
+	for a := range Y {
+		Y[a][i] /= sum
+	}
+	T[i] = 250 + 3250*rng.Float64()
+	switch kind % 7 {
+	case 3:
+		T[i] = 100 + 140*rng.Float64() // below the fits' 250 K
+	case 5:
+		T[i] = 3600 + 2000*rng.Float64() // above their 3500 K
+	}
+	p[i] = 101325 * (0.5 + 2*rng.Float64())
+}
+
+// TestMixtureRowBits: at row widths that end in every vexp tail (1, 3, 4,
+// 5, 17, 32), over rows that mix absent species, pure species, clamped
+// temperatures and non-uniform pressure, MixtureRow returns at every point
+// the bits of the one-point evaluation it replaced (mixturePoint): μ, λ and
+// every Dₙ. One model serves every width in turn, up and down, so scratch
+// left by a wider or narrower row would show; the outputs start as NaN, so
+// a value the kernel failed to write would too.
+func TestMixtureRowBits(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for name, set := range transportSets() {
+		m := MustNew(set)
+		n := set.Len()
+		rng := rand.New(rand.NewSource(38))
+		want := &Props{Dmix: make([]float64, n)}
+		yPt := make([]float64, n)
+		for round := 0; round < 8; round++ {
+			for _, w := range []int{1, 3, 4, 5, 17, 32} {
+				T, p, W := make([]float64, w), make([]float64, w), make([]float64, w)
+				mu, lam := make([]float64, w), make([]float64, w)
+				Y, D := make([][]float64, n), make([][]float64, n)
+				for a := range Y {
+					Y[a], D[a] = make([]float64, w), make([]float64, w)
+				}
+				for i := range T {
+					rowState(rng, i+round, i, T, p, Y)
+					for a := range Y {
+						yPt[a] = Y[a][i]
+						D[a][i] = math.NaN()
+					}
+					W[i] = set.MeanW(yPt)
+					mu[i], lam[i] = math.NaN(), math.NaN()
+				}
+				m.MixtureRow(T, p, W, Y, mu, lam, D)
+				for i := range T {
+					for a := range Y {
+						yPt[a] = Y[a][i]
+					}
+					mixturePoint(m, T[i], p[i], yPt, want)
+					if !same(mu[i], want.Mu) || !same(lam[i], want.Lambda) {
+						t.Fatalf("%s w=%d point %d: mu %x lambda %x, one-point %x %x (T=%v Y=%v)", name, w, i,
+							math.Float64bits(mu[i]), math.Float64bits(lam[i]),
+							math.Float64bits(want.Mu), math.Float64bits(want.Lambda), T[i], yPt)
+					}
+					for a := range D {
+						if !same(D[a][i], want.Dmix[a]) {
+							t.Fatalf("%s w=%d point %d species %d: D %x, one-point %x (T=%v Y=%v)", name, w, i, a,
+								math.Float64bits(D[a][i]), math.Float64bits(want.Dmix[a]), T[i], yPt)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// benchRow is a 32-point row of the benchmark states of one species set.
+type benchRow struct {
+	T, p, W, mu, lam []float64
+	Y, D             [][]float64
+}
+
+func newBenchRow(set *thermo.Set) *benchRow {
+	const w = 32
+	n := set.Len()
+	r := &benchRow{T: make([]float64, w), p: make([]float64, w), W: make([]float64, w),
+		mu: make([]float64, w), lam: make([]float64, w), Y: make([][]float64, n), D: make([][]float64, n)}
+	for a := range r.Y {
+		r.Y[a], r.D[a] = make([]float64, w), make([]float64, w)
+	}
+	rng := rand.New(rand.NewSource(1))
+	y := make([]float64, n)
+	for i := range r.T {
+		var sum float64
+		for a := range y {
+			y[a] = rng.Float64() + 1e-3
+			sum += y[a]
+		}
+		for a := range y {
+			r.Y[a][i] = y[a] / sum
+			y[a] = r.Y[a][i]
+		}
+		r.T[i], r.p[i], r.W[i] = 300+2000*rng.Float64(), 101325, set.MeanW(y)
+	}
+	return r
+}
+
+// BenchmarkMixtureRow times MixtureRow over a 32-point row of states with
+// every species present; ns/point is the cost per grid point.
+func BenchmarkMixtureRow(b *testing.B) {
+	for _, name := range []string{"air2", "h2", "ch4"} {
+		set := transportSets()[name]
+		b.Run(name, func(b *testing.B) {
+			m, r := MustNew(set), newBenchRow(set)
+			for range b.N {
+				m.MixtureRow(r.T, r.p, r.W, r.Y, r.mu, r.lam, r.D)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(r.T)), "ns/point")
+		})
+	}
+}
+
+// BenchmarkMixture times the one-point call over the same 32 states, one
+// Mixture call per point.
+func BenchmarkMixture(b *testing.B) {
+	for _, name := range []string{"air2", "h2", "ch4"} {
+		set := transportSets()[name]
+		b.Run(name, func(b *testing.B) {
+			m, r := MustNew(set), newBenchRow(set)
+			ys := make([][]float64, len(r.T))
+			for i := range ys {
+				ys[i] = make([]float64, set.Len())
+				for a := range r.Y {
+					ys[i][a] = r.Y[a][i]
+				}
+			}
+			props := &Props{Dmix: make([]float64, set.Len())}
+			for range b.N {
+				for i, y := range ys {
+					m.Mixture(r.T[i], r.p[i], y, props)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(r.T)), "ns/point")
+		})
 	}
 }
