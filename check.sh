@@ -251,6 +251,17 @@ if grep -rn '\.Mixture(' --include='*.go' internal/solver | grep -v '_test\.go:'
 	exit 1
 fi
 
+# Row-chemistry lint: the chemistry sweep evaluates ω̇ₙ for a whole x-row with
+# one Mechanism.ProductionRatesRow call (chemTileSweep), one batch exponential
+# over every rate argument of the row, so non-test internal/solver code makes
+# no per-point ProductionRates call (that one-point body serves the 0-D
+# reactor, which cannot batch points).
+echo "== row-chemistry lint (no .ProductionRates( call in non-test internal/solver code)"
+if grep -rn '\.ProductionRates(' --include='*.go' internal/solver | grep -v '_test\.go:'; then
+	echo "a per-point chemistry call is back in the solver (see above): evaluate a row with Mechanism.ProductionRatesRow" >&2
+	exit 1
+fi
+
 # Copied-ghosts lint: a ghost primitive is a copy of its owner's value. The RHS
 # recovers primitives over the interior and exchanges the primitive halo
 # group, so in non-test internal/solver code the conserved registers are
@@ -281,12 +292,13 @@ if grep -rnE 'deriv\.DiffRange\(|ScaleRange\(' --include='*.go' internal/solver 
 	exit 1
 fi
 
-# Pointwise-row lint: the primitives and transport sweeps cut each field's
-# segment of a row once and index the points along it, so non-test
-# internal/solver/primitives.go makes no per-point field call (.At, .Set,
-# .Add), each of which re-derives the flat index of its point.
-echo "== pointwise-row lint (no .At(, .Set( or .Add( field calls in internal/solver/primitives.go)"
-if grep -nE '\.(At|Set|Add)\(' internal/solver/primitives.go; then
+# Pointwise-row lint: the primitives, transport and chemistry sweeps cut each
+# field's segment of a row once and index the points along it, so non-test
+# internal/solver/primitives.go and rhs.go (the flux stage, the divergence and
+# the chemistry sweep) make no per-point field call (.At, .Set, .Add), each of
+# which re-derives the flat index of its point.
+echo "== pointwise-row lint (no .At(, .Set( or .Add( field calls in internal/solver/primitives.go and rhs.go)"
+if grep -nE '\.(At|Set|Add)\(' internal/solver/primitives.go internal/solver/rhs.go; then
 	echo "a per-point field access is back in the pointwise sweeps (see above): cut the row once (Field3.Idx, Data[p0:p1])" >&2
 	exit 1
 fi

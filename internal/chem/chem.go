@@ -124,6 +124,11 @@ type Mechanism struct {
 	expArg []float64
 	// Precomputed ln A of the forward and low-pressure rate constants.
 	lnAf, lnAlow []float64
+	// row is ProductionRatesRow's scratch, strided by the current row's
+	// width: rowWork per-point and working rows, a g/RT row per species and
+	// the exponential block (a row per argument). Grown to the widest row;
+	// Clone leaves it behind.
+	row []float64
 }
 
 // NewMechanism wires reactions to a species set and finalises derived data.
@@ -172,7 +177,8 @@ func NewMechanism(name string, set *thermo.Set, reactions []*Reaction) *Mechanis
 }
 
 // Clone returns a Mechanism sharing the immutable reaction data but owning
-// private scratch, for use by concurrent solver ranks.
+// private scratch (the row scratch starts empty), for use by concurrent
+// solver ranks.
 func (m *Mechanism) Clone() *Mechanism {
 	return &Mechanism{
 		Name: m.Name, Set: m.Set, Reactions: m.Reactions,
@@ -212,9 +218,23 @@ func (m *Mechanism) Concentrations(rho float64, Y, C []float64) {
 	}
 }
 
+// ConcentrationsRow fills the concentration rows C[i] (mol/m³) at the
+// len(rho) points of a row from density (kg/m³) and the mass-fraction rows
+// Y[i]: Concentrations point by point.
+func (m *Mechanism) ConcentrationsRow(rho []float64, Y, C [][]float64) {
+	for i, sp := range m.Set.Species {
+		y, c := Y[i][:len(rho)], C[i][:len(rho)]
+		for p := range c {
+			c[p] = rho[p] * y[p] / sp.W
+		}
+	}
+}
+
 // ProductionRates evaluates the molar production rate ω̇ᵢ of every species
 // at temperature T (K) given concentrations C (mol/m³), accumulating into
-// wdot (which is zeroed first). Units: mol/(m³·s).
+// wdot (which is zeroed first). Units: mol/(m³·s). ProductionRatesRow
+// returns these bits at every point of a row; this one-point body stays for
+// the callers that cannot batch points (the 0-D reactor's integrator).
 func (m *Mechanism) ProductionRates(T float64, C, wdot []float64) {
 	for i := range wdot {
 		wdot[i] = 0
@@ -362,14 +382,272 @@ func (m *Mechanism) ProductionRates(T float64, C, wdot []float64) {
 	}
 }
 
-// HeatReleaseRate returns −Σᵢ ω̇ᵢ·hᵢ(T) in W/m³ (positive for exothermic
-// states), the diagnostic used for the flame-thickness measure δ_H.
-func (m *Mechanism) HeatReleaseRate(T float64, wdot []float64) float64 {
-	var q float64
-	for i, sp := range m.Set.Species {
-		q -= wdot[i] * sp.HMolar(T)
+// rowWork counts ProductionRatesRow's per-point and working rows: ln T, the
+// fits' ln T, 1/(Ru·T), ln c0 and the total concentration; then kf, [M],
+// Pr, the broadening factor, its exponential arguments, q_f and q_r.
+const rowWork = 12
+
+// ProductionRatesRow evaluates ω̇ᵢ at the len(T) points of a row: T (K) and
+// the concentration rows C[i] (mol/m³) in, the rate rows wdot[i] out (zeroed
+// first; at least len(T) long). Each point gets exactly the bits
+// ProductionRates returns for it. The per-point rows (ln T, 1/(Ru·T), ln c0,
+// Σc) and a g/RT row per species come first; then every exponential argument
+// of the row — per reaction ln k, ln k0, the Troe centring terms (unless
+// every point has the constant Fcent) and ln Kc (unless shared) — goes into
+// one block and one batch exponential; then the rate loops run reaction
+// by reaction, each over the whole row, in the one-point operation order.
+// Troe's 10^y takes a second batch exponential per reaction where pow10
+// takes math.Exp. Not safe for concurrent use on one Mechanism: use Clone.
+func (m *Mechanism) ProductionRatesRow(T []float64, C, wdot [][]float64) {
+	w, ns := len(T), m.Set.Len()
+	if need := (rowWork + ns + cap(m.expArg)) * w; len(m.row) < need {
+		m.row = make([]float64, need)
 	}
-	return q
+	row := func(a int) []float64 { return m.row[a*w:][:w] }
+	lnT, lnTFit, invRT, logC0, cTot := row(0), row(1), row(2), row(3), row(4)
+	kfBuf, cm, pr, f, arg, qf, qr := row(5), row(6), row(7), row(8), row(9), row(10), row(11)
+	gRT := func(i int) []float64 { return row(rowWork + i) }
+	ex := m.row[(rowWork+ns)*w:]
+	k := 0 // next exponential row
+	next := func() []float64 {
+		k++
+		return ex[(k-1)*w:][:w]
+	}
+
+	allConst := true // every point in the constant-Fcent range
+	for i, t := range T {
+		lnT[i] = math.Log(t)
+		lnTFit[i] = lnT[i]
+		if t < thermo.TMin || t > thermo.TMax {
+			lnTFit[i] = thermo.LnT(t)
+		}
+		invRT[i] = 1 / (thermo.R * t)
+		logC0[i] = lnStdConc - lnT[i]
+		cTot[i] = 0
+		if !(t >= troeConstLo && t <= troeConstHi) {
+			allConst = false
+		}
+	}
+	for s, sp := range m.Set.Species {
+		g, c := gRT(s), C[s][:w]
+		for i, t := range T {
+			g[i] = sp.GRTLn(t, lnTFit[i])
+			cTot[i] += c[i]
+		}
+		clear(wdot[s][:w])
+	}
+
+	// The exponential arguments, a row each, in the order the rate loops
+	// consume them.
+	for ri, r := range m.Reactions {
+		if !r.Fwd.constant() {
+			a, lnA := next(), m.lnAf[ri]
+			for i := range a {
+				a[i] = r.Fwd.lnK(lnA, lnT[i], invRT[i])
+			}
+		}
+		if fo := r.Falloff; fo != nil {
+			if !fo.Low.constant() {
+				a, lnA := next(), m.lnAlow[ri]
+				for i := range a {
+					a[i] = fo.Low.lnK(lnA, lnT[i], invRT[i])
+				}
+			}
+			if tr := fo.TroeF; tr != nil && !(r.constLogFc && allConst) {
+				a3, a1 := next(), next()
+				for i, t := range T {
+					a3[i], a1[i] = -t/tr.T3, -t/tr.T1
+				}
+				if tr.T2 != 0 {
+					a2 := next()
+					for i, t := range T {
+						a2[i] = -tr.T2 / t
+					}
+				}
+			}
+		}
+		if r.Reversible && !r.sameKc {
+			a := next()
+			clear(a)
+			for _, p := range r.Products {
+				nu, g := float64(p.Nu), gRT(p.Index)
+				for i := range a {
+					a[i] += nu * g[i]
+				}
+			}
+			for _, rc := range r.Reactants {
+				nu, g := float64(rc.Nu), gRT(rc.Index)
+				for i := range a {
+					a[i] -= nu * g[i]
+				}
+			}
+			dNu := float64(r.dNu)
+			for i := range a {
+				a[i] = -a[i] + dNu*logC0[i]
+				if a[i] > 230 { // the one-point clamp
+					a[i] = 230
+				}
+			}
+		}
+	}
+	vexp.Exp(ex[:k*w], ex[:k*w])
+
+	k = 0
+	var kc []float64 // exp(ln Kc) of the latest reversible reaction
+	for _, r := range m.Reactions {
+		kf := kfBuf
+		if r.Fwd.constant() {
+			fill(kf, r.Fwd.A)
+		} else {
+			kf = next()
+		}
+
+		// Third-body concentration.
+		if r.ThirdBody || r.Falloff != nil {
+			copy(cm, cTot)
+			for _, e := range r.effList {
+				c, ec := C[e.Index][:w], e.C-1
+				for i := range cm {
+					cm[i] += ec * c[i]
+				}
+			}
+			for i := range cm {
+				if cm[i] < 0 {
+					cm[i] = 0
+				}
+			}
+		}
+
+		// Pressure falloff blending; [M] is then inside kf.
+		if fo := r.Falloff; fo != nil {
+			k0 := pr // a constant k0 fills pr's row: each point reads its own first
+			if fo.Low.constant() {
+				fill(k0, fo.Low.A)
+			} else {
+				k0 = next()
+			}
+			for i := range pr {
+				pr[i] = k0[i] * cm[i] / kf[i]
+			}
+			if tr := fo.TroeF; tr == nil {
+				for i := range kf {
+					kf[i] *= pr[i] / (1 + pr[i])
+				}
+			} else {
+				// log10 F into f, 0 where F is 1, then F = 10^f.
+				var e3, e1, e2 []float64
+				if !(r.constLogFc && allConst) {
+					e3, e1 = next(), next()
+					if tr.T2 != 0 {
+						e2 = next()
+					}
+				}
+				for i, t := range T {
+					f[i] = 0
+					if r.constLogFc && (allConst || t >= troeConstLo && t <= troeConstHi) {
+						if pr[i] > 0 {
+							f[i] = troeLogF(r.logFc, pr[i])
+						}
+						continue
+					}
+					// Fcent = (1−α)·exp(−T/T3) + α·exp(−T/T1) [+ exp(−T2/T)]
+					fc := (1-tr.Alpha)*e3[i] + tr.Alpha*e1[i]
+					if e2 != nil {
+						fc += e2[i]
+					}
+					if pr[i] > 0 && !(fc <= 0) {
+						f[i] = troeLogF(math.Log10(fc), pr[i])
+					}
+				}
+				pow10Row(f, arg)
+				for i := range kf {
+					kf[i] *= pr[i] / (1 + pr[i]) * f[i]
+				}
+			}
+		}
+
+		// Forward and reverse progress, then the rate of progress.
+		copy(qf, kf)
+		for _, rc := range r.Reactants {
+			mulPowInt(qf, C[rc.Index][:w], rc.Nu)
+		}
+		if r.Reversible {
+			if !r.sameKc {
+				kc = next()
+			}
+			for i := range qr {
+				qr[i] = kf[i] / kc[i]
+			}
+			for _, p := range r.Products {
+				mulPowInt(qr, C[p.Index][:w], p.Nu)
+			}
+			for i := range qf {
+				qf[i] -= qr[i]
+			}
+		}
+		if r.ThirdBody && r.Falloff == nil {
+			for i := range qf {
+				qf[i] *= cm[i]
+			}
+		}
+		for _, rc := range r.Reactants {
+			nu, d := float64(rc.Nu), wdot[rc.Index][:w]
+			for i := range d {
+				d[i] -= nu * qf[i]
+			}
+		}
+		for _, p := range r.Products {
+			nu, d := float64(p.Nu), wdot[p.Index][:w]
+			for i := range d {
+				d[i] += nu * qf[i]
+			}
+		}
+	}
+}
+
+// HeatReleaseRow sets q[i] = −Σₙ ω̇ₙ·hₙ(T) in W/m³ (positive for exothermic
+// states) at the len(T) points of a row from the rate rows wdot[n] — the
+// diagnostic behind the heat-release field and integral and the
+// flame-thickness measure δ_H.
+func (m *Mechanism) HeatReleaseRow(T []float64, wdot [][]float64, q []float64) {
+	q = q[:len(T)]
+	clear(q)
+	for n, sp := range m.Set.Species {
+		wd := wdot[n][:len(T)]
+		for i, t := range T {
+			q[i] -= wd[i] * sp.HMolar(t)
+		}
+	}
+}
+
+// fill sets every element of r to v.
+func fill(r []float64, v float64) {
+	for i := range r {
+		r[i] = v
+	}
+}
+
+// mulPowInt multiplies q[i] by powInt(c[i], n), point by point.
+func mulPowInt(q, c []float64, n int) {
+	c = c[:len(q)]
+	switch n {
+	case 1:
+		for i := range q {
+			q[i] *= c[i]
+		}
+	case 2:
+		for i := range q {
+			q[i] *= c[i] * c[i]
+		}
+	case 3:
+		for i := range q {
+			q[i] *= c[i] * c[i] * c[i]
+		}
+	default:
+		for i := range q {
+			q[i] *= powInt(c[i], n)
+		}
+	}
 }
 
 // lnStdConc is ln(P0/Ru): the standard concentration c0 = P0/(Ru·T) has
@@ -399,14 +677,17 @@ func troeConstant(tr *Troe) bool {
 
 // troeBroadening is the broadening factor F for a centring factor with
 // log10(Fcent) = logFc at reduced pressure pr.
-func troeBroadening(logFc, pr float64) float64 {
+func troeBroadening(logFc, pr float64) float64 { return pow10(troeLogF(logFc, pr)) }
+
+// troeLogF is log10 of the broadening factor F for a centring factor with
+// log10(Fcent) = logFc at reduced pressure pr.
+func troeLogF(logFc, pr float64) float64 {
 	c := -0.4 - 0.67*logFc
 	n := 0.75 - 1.27*logFc
 	const d = 0.14
 	logPr := math.Log10(pr)
 	x := (logPr + c) / (n - d*(logPr+c))
-	logF := logFc / (1 + x*x)
-	return pow10(logF)
+	return logFc / (1 + x*x)
 }
 
 // pow10 is math.Pow(10, y) bit for bit: for 0 < |y| < 0.5 that is
@@ -420,6 +701,29 @@ func pow10(y float64) float64 {
 		return math.Exp(a * math.Ln10)
 	}
 	return math.Pow(10, y)
+}
+
+// pow10Row sets y[i] = pow10(y[i]) for every i, the exponentials of pow10's
+// Exp branch taken in one batch through the scratch row arg.
+func pow10Row(y, arg []float64) {
+	arg = arg[:len(y)]
+	for i, v := range y {
+		arg[i] = 0
+		if a := math.Abs(v); a > 0 && a < 0.5 {
+			arg[i] = a * math.Ln10
+		}
+	}
+	vexp.Exp(arg, arg)
+	for i, v := range y {
+		switch a := math.Abs(v); {
+		case !(a > 0 && a < 0.5):
+			y[i] = math.Pow(10, v)
+		case v < 0:
+			y[i] = 1 / arg[i]
+		default:
+			y[i] = arg[i]
+		}
+	}
 }
 
 // powInt computes cⁿ for small positive integer n without math.Pow.

@@ -70,6 +70,34 @@ func TestCloneProductionRatesIdentical(t *testing.T) {
 	if cap(c.expArg) != cap(m.expArg) {
 		t.Fatalf("exponential batch capacity %d, clone's %d", cap(m.expArg), cap(c.expArg))
 	}
+
+	// The row scratch: a clone starts without it, even of a mechanism that
+	// has grown its own, and grows a private one whose use leaves the
+	// other's rates alone.
+	T, C, r1, r2 := []float64{1600, 900, 2200}, rows(ns, 3), rows(ns, 3), rows(ns, 3)
+	for n := range C {
+		for i := range T {
+			C[n][i] = conc[n] * float64(i+1)
+		}
+	}
+	m.ProductionRatesRow(T, C, r1)
+	c2 := m.Clone()
+	if c2.row != nil {
+		t.Fatal("clone copied the row scratch")
+	}
+	c2.ProductionRatesRow(T[:1], C, r2)
+	if &m.row[0] == &c2.row[0] {
+		t.Fatal("clone shares the row scratch")
+	}
+	m.ProductionRatesRow(T, C, r1)
+	c2.ProductionRatesRow(T, C, r2)
+	for n := range r1 {
+		for i := range T {
+			if math.Float64bits(r1[n][i]) != math.Float64bits(r2[n][i]) {
+				t.Fatalf("clone row rates differ at species %d point %d: %g vs %g", n, i, r1[n][i], r2[n][i])
+			}
+		}
+	}
 }
 
 // Rates must be smooth in T (no branch discontinuities in the fast path).

@@ -122,8 +122,11 @@ func Solve(cfg Config) (Properties, error) {
 		jfl[i] = make([]float64, ns)
 	}
 	qface := make([]float64, nx)
-	c := make([]float64, ns)
-	wdot := make([]float64, nx*0+ns)
+	// Concentration and rate rows over the interior points 1..nx−2.
+	c, wdot := make([][]float64, ns), make([][]float64, ns)
+	for n := range c {
+		c[n], wdot[n] = make([]float64, nx-2), make([]float64, nx-2)
+	}
 	hrr := make([]float64, nx)
 	props := transport.Props{Dmix: make([]float64, ns)}
 
@@ -179,26 +182,25 @@ func Solve(cfg Config) (Properties, error) {
 			qface[i] = -lamF * (T[i+1] - T[i]) / h
 		}
 
-		// Reaction rates, material derivatives, velocity divergence.
+		// Reaction rates and heat release over the interior in one row call
+		// each, then material derivatives, velocity divergence.
+		for i := 1; i < nx-1; i++ {
+			for n := 0; n < ns; n++ {
+				c[n][i-1] = rho[i] * Y[i][n] / set.Species[n].W
+			}
+		}
+		m.ProductionRatesRow(T[1:nx-1], c, wdot)
+		m.HeatReleaseRow(T[1:nx-1], wdot, hrr[1:nx-1])
 		var sc float64
 		maxRate := 0.0
 		for i := 1; i < nx-1; i++ {
-			for n := 0; n < ns; n++ {
-				c[n] = rho[i] * Y[i][n] / set.Species[n].W
-			}
-			m.ProductionRates(T[i], c, wdot)
-			var q float64
-			for n := 0; n < ns; n++ {
-				q -= set.Species[n].HMolar(T[i]) * wdot[n]
-			}
-			hrr[i] = q
-			sc -= set.Species[iFuel].W * wdot[iFuel] * h
+			sc -= set.Species[iFuel].W * wdot[iFuel][i-1] * h
 
 			invRho := 1 / rho[i]
 			for n := 0; n < ns; n++ {
-				dYdt[i][n] = (-(jfl[i][n]-jfl[i-1][n])/h + set.Species[n].W*wdot[n]) * invRho
+				dYdt[i][n] = (-(jfl[i][n]-jfl[i-1][n])/h + set.Species[n].W*wdot[n][i-1]) * invRho
 			}
-			dTdt[i] = (-(qface[i]-qface[i-1])/h + q) * invRho / cp[i]
+			dTdt[i] = (-(qface[i]-qface[i-1])/h + hrr[i]) * invRho / cp[i]
 			if r := math.Abs(dTdt[i]) / T[i]; r > maxRate {
 				maxRate = r
 			}

@@ -56,6 +56,7 @@ func TestBunsenReferenceFlame(t *testing.T) {
 	}
 	t.Logf("SL=%.3g m/s δL=%.3g mm δH=%.3g mm τf=%.3g ms Tb=%.0f K",
 		p.SL, p.DeltaL*1e3, p.DeltaH*1e3, p.TauF*1e3, p.Tburnt)
+	pinProperties(t, "CH4", p, [5]uint64{0x3ff4edfd77706977, 0x3f3f36f1cae74e34, 0x3f25efcdf4f22938, 0x3f37dccdb1f70393, 0x40a4b8b689e3946a})
 	if p.SL < 0.3 || p.SL > 8 {
 		t.Fatalf("S_L = %g m/s, expected O(1.8)", p.SL)
 	}
@@ -89,9 +90,22 @@ func TestH2FlameFasterThanCH4(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("H2 flame: SL=%.3g m/s δL=%.3g mm", ph.SL, ph.DeltaL*1e3)
+	pinProperties(t, "H2", ph, [5]uint64{0x40058d76b34f2f16, 0x3f45a1bd4504ec00, 0x3f3c848bbe6e0262, 0x3f300f0d52c42075, 0x40a67c467dcdfe30})
 	// Stoichiometric H2/air burns at ≈ 2–3 m/s at 300 K; far faster than
 	// ambient methane (≈ 0.4 m/s).
 	if ph.SL < 0.8 || ph.SL > 10 {
 		t.Fatalf("H2 S_L = %g m/s, expected O(2)", ph.SL)
+	}
+}
+
+// pinProperties holds S_L, δ_L, δ_H, τ_f and T_b to recorded bits: those of
+// a reaction loop making one ProductionRates call per point, which the row
+// call over the interior must reproduce.
+func pinProperties(t *testing.T, name string, p Properties, want [5]uint64) {
+	t.Helper()
+	for i, v := range [5]float64{p.SL, p.DeltaL, p.DeltaH, p.TauF, p.Tburnt} {
+		if got := math.Float64bits(v); got != want[i] {
+			t.Errorf("%s flame: property %d (S_L, δ_L, δ_H, τ_f, T_b) = %#x, recorded %#x", name, i, got, want[i])
+		}
 	}
 }

@@ -89,8 +89,9 @@ func (b *Block) assembleFluxes() {
 	})
 }
 
-// rowScratch is one worker's x-row scratch for the flux stage, the NSCBC
-// planes (normalRows) and the figure-4 study; every row is one x-row long.
+// rowScratch is one worker's x-row scratch for the flux stage, the
+// chemistry sweep, the NSCBC planes (normalRows) and the figure-4 study;
+// every row is one x-row long.
 type rowScratch struct {
 	du                 [3][3][]float64 // ∂u_c/∂x_d; a zero row along an inactive d
 	dT, dW             [3][]float64
@@ -102,6 +103,8 @@ type rowScratch struct {
 	negRhoD, yOverW, h [][]float64     // (−ρ)·Dₙ, Yₙ/W and hₙ(T) per species
 	y                  [][]float64     // views of the Yₙ rows (no storage of their own)
 	sum                []float64       // Σₙ J*ₙ
+	c, wdot            [][]float64     // chemistry: concentrations and ω̇ₙ per species
+	hrr                []float64       // chemistry: heat-release rate
 	drho, dp           []float64       // NSCBC: normal derivatives of ρ and p
 	// gradDst[d] and normalDst[d] are the rows above that one DiffRows call
 	// along d fills, in the order of Block.gradSrc and Block.normalSrc.
@@ -133,6 +136,7 @@ func newRowScratch(nx, ns int, active []int) rowScratch {
 		rs.normalDst[d] = append([][]float64{rs.drho, rs.dp, rs.du[0][d], rs.du[1][d], rs.du[2][d]}, rs.dY[d]...)
 	}
 	rs.negRhoD, rs.yOverW, rs.h = rows(ns), rows(ns), rows(ns)
+	rs.c, rs.wdot, rs.hrr = rows(ns), rows(ns), row()
 	rs.y = make([][]float64, ns)
 	return rs
 }
@@ -380,27 +384,33 @@ func (b *Block) chemSource() {
 	})
 }
 
-// chemTileSweep evaluates the chemistry kernel over one tile: production
-// rates added to the species equations, plus (flagged) the heat-release
-// integrand sum.
+// chemTileSweep evaluates the chemistry kernel over one tile, one x-row at
+// a time: the concentration rows, one ProductionRatesRow call, Wₙ·ω̇ₙ added
+// to the species rhs rows, plus (flagged) the heat-release integrand sum
+// from one HeatReleaseRow call, in point order.
 func (b *Block) chemTileSweep(t par.Tile, worker int, collect bool) (hrr float64) {
-	ns := b.ns
-	species := b.mech.Set.Species
 	ws := &b.ws[worker]
+	rs, species := &ws.rows, b.mech.Set.Species
+	x0, x1 := t.Lo[0], t.Hi[0]
+	w := x1 - x0
 	for k := t.Lo[2]; k < t.Hi[2]; k++ {
 		for j := t.Lo[1]; j < t.Hi[1]; j++ {
-			for i := t.Lo[0]; i < t.Hi[0]; i++ {
-				rho := b.Rho.At(i, j, k)
-				T := b.T.At(i, j, k)
-				for n := 0; n < ns; n++ {
-					ws.cw[n] = rho * b.Y[n].At(i, j, k) / species[n].W
+			p0 := b.Rho.Idx(x0, j, k)
+			T := b.T.Data[p0 : p0+w]
+			cutRows(rs.y, b.Y, p0, p0+w)
+			ws.mech.ConcentrationsRow(b.Rho.Data[p0:p0+w], rs.y, rs.c)
+			ws.mech.ProductionRatesRow(T, rs.c, rs.wdot)
+			for n := 0; n < b.ns-1; n++ {
+				r, wd, wn := b.rhs[iY0+n].Data[p0:p0+w], rs.wdot[n][:w], species[n].W
+				for i := range r {
+					r[i] += wn * wd[i]
 				}
-				ws.mech.ProductionRates(T, ws.cw, ws.wdot)
-				for n := 0; n < ns-1; n++ {
-					b.rhs[iY0+n].Add(i, j, k, species[n].W*ws.wdot[n])
-				}
-				if collect {
-					hrr += ws.mech.HeatReleaseRate(T, ws.wdot) * b.cellVol(i, j, k)
+			}
+			if collect {
+				q := rs.hrr[:w]
+				ws.mech.HeatReleaseRow(T, rs.wdot, q)
+				for i := range q {
+					hrr += q[i] * b.cellVol(x0+i, j, k)
 				}
 			}
 		}

@@ -290,9 +290,9 @@ type Block struct {
 // models (Mechanism and Model carry internal buffers and are not safe for
 // concurrent use).
 type kernScratch struct {
-	yw, cw, wdot, hw []float64
-	mech             *chem.Mechanism
-	trans            *transport.Model
+	yw, cw, hw []float64
+	mech       *chem.Mechanism
+	trans      *transport.Model
 
 	// NSCBC per-point buffers (normalInviscidDeriv result and flux stencil).
 	nvOut, nvFlux []float64
@@ -444,8 +444,7 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 	b.ws = make([]kernScratch, b.plan.Workers())
 	for w := range b.ws {
 		b.ws[w] = kernScratch{
-			yw: make([]float64, ns), cw: make([]float64, ns),
-			wdot: make([]float64, ns), hw: make([]float64, ns),
+			yw: make([]float64, ns), cw: make([]float64, ns), hw: make([]float64, ns),
 			mech:   cfg.Mech.Clone(),
 			trans:  cfg.Trans.Clone(),
 			nvOut:  make([]float64, b.nvar),

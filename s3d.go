@@ -362,26 +362,27 @@ func (s *Simulation) Field(name string) ([]float64, [3]int, error) {
 	return out, dims, nil
 }
 
-// heatRelease evaluates −Σ ω̇ᵢhᵢ pointwise.
+// heatRelease evaluates −Σ ω̇ᵢhᵢ over the interior, one row call of the
+// chemistry kernel per x-row.
 func (s *Simulation) heatRelease() []float64 {
 	nx, ny, nz := s.Dims()
 	m := s.mech.chem.Clone()
 	ns := m.NumSpecies()
-	C := make([]float64, ns)
-	wdot := make([]float64, ns)
-	Y := make([]float64, ns)
-	out := make([]float64, 0, nx*ny*nz)
+	y, C, wdot := make([][]float64, ns), make([][]float64, ns), make([][]float64, ns)
+	for n := range C {
+		C[n], wdot[n] = make([]float64, nx), make([]float64, nx)
+	}
+	out := make([]float64, nx*ny*nz)
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				for n := 0; n < ns; n++ {
-					Y[n] = s.blk.Y[n].At(i, j, k)
-				}
-				T := s.blk.T.At(i, j, k)
-				m.Concentrations(s.blk.Rho.At(i, j, k), Y, C)
-				m.ProductionRates(T, C, wdot)
-				out = append(out, m.HeatReleaseRate(T, wdot))
+			for n := range y {
+				y[n] = s.blk.Y[n].Row(j, k)
 			}
+			T := s.blk.T.Row(j, k)
+			m.ConcentrationsRow(s.blk.Rho.Row(j, k), y, C)
+			m.ProductionRatesRow(T, C, wdot)
+			o := (k*ny + j) * nx
+			m.HeatReleaseRow(T, wdot, out[o:o+nx])
 		}
 	}
 	return out
