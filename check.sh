@@ -262,6 +262,27 @@ if grep -rn '\.ProductionRates(' --include='*.go' internal/solver | grep -v '_te
 	exit 1
 fi
 
+# One-pass lint: every job runs once, on the storage it already has. The
+# filter writes through the rhs bank (dead between steps) instead of a
+# scratch field, the x-min inflow target is a worker's scratch target like
+# every other face's, a fault cell is an interior cell (no wrap to undo),
+# and the health row and the analysis products come from one step-end sweep
+# (stepEndRow). So outside test files and the frozen benchmark module
+# filter_scratch, scratchF, inflowTargets, wrapCell and analysisRow stay
+# deleted. And the solver owns every chemistry sweep: Field("hrr") runs the
+# solver's chemistry rows (Block.HeatReleaseField), so the root package's
+# non-test code calls no row chemistry kernel.
+echo "== one-pass lint (no filter scratch, inflow cache, wrapCell or analysisRow; no chemistry rows in the root package)"
+if grep -rnE 'filter_scratch|scratchF|inflowTargets|wrapCell|analysisRow' --include='*.go' . \
+	| grep -v '^\./benchmark/' | grep -v '_test\.go:'; then
+	echo "a second pass or its buffer is back (see above)" >&2
+	exit 1
+fi
+if grep -nE '\.(ProductionRatesRow|HeatReleaseRow|ConcentrationsRow)\(' ./*.go | grep -v '_test\.go:'; then
+	echo "a chemistry sweep in the root package (see above): ask the solver (Block.HeatReleaseField)" >&2
+	exit 1
+fi
+
 # Copied-ghosts lint: a ghost primitive is a copy of its owner's value. The RHS
 # recovers primitives over the interior and exchanges the primitive halo
 # group, so in non-test internal/solver code the conserved registers are

@@ -106,10 +106,15 @@ func Solve(cfg Config) (Properties, error) {
 	// Work arrays.
 	rho := make([]float64, nx)
 	cp := make([]float64, nx)
-	lam := make([]float64, nx)
-	dmix := make([][]float64, nx)
-	for i := range dmix {
-		dmix[i] = make([]float64, ns)
+	// Transport in MixtureRow's layout: μ, λ, the pressure and mean molar
+	// mass rows, and per species the Yₙ and Dₙ rows.
+	mu, lam, pRow, wRow := make([]float64, nx), make([]float64, nx), make([]float64, nx), make([]float64, nx)
+	yRows, dmix := make([][]float64, ns), make([][]float64, ns)
+	for n := range dmix {
+		yRows[n], dmix[n] = make([]float64, nx), make([]float64, nx)
+	}
+	for i := range pRow {
+		pRow[i] = cfg.P
 	}
 	dTdt := make([]float64, nx)
 	dYdt := make([][]float64, nx)
@@ -128,7 +133,6 @@ func Solve(cfg Config) (Properties, error) {
 		c[n], wdot[n] = make([]float64, nx-2), make([]float64, nx-2)
 	}
 	hrr := make([]float64, nx)
-	props := transport.Props{Dmix: make([]float64, ns)}
 
 	iFuel := fuelIndex(m)
 	if iFuel < 0 {
@@ -144,10 +148,12 @@ func Solve(cfg Config) (Properties, error) {
 		for i := 0; i < nx; i++ {
 			rho[i] = set.Density(cfg.P, T[i], Y[i])
 			cp[i] = set.CpMass(T[i], Y[i])
-			tr.Mixture(T[i], cfg.P, Y[i], &props)
-			lam[i] = props.Lambda
-			copy(dmix[i], props.Dmix)
+			wRow[i] = set.MeanW(Y[i])
+			for n, y := range Y[i] {
+				yRows[n][i] = y
+			}
 		}
+		tr.MixtureRow(T, pRow, wRow, yRows, mu, lam, dmix)
 	}
 	updateProps()
 
@@ -169,7 +175,7 @@ func Solve(cfg Config) (Properties, error) {
 			var sum float64
 			rhoF := 0.5 * (rho[i] + rho[i+1])
 			for n := 0; n < ns; n++ {
-				dF := 0.5 * (dmix[i][n] + dmix[i+1][n])
+				dF := 0.5 * (dmix[n][i] + dmix[n][i+1])
 				jfl[i][n] = -rhoF * dF * (Y[i+1][n] - Y[i][n]) / h
 				sum += jfl[i][n]
 			}

@@ -1,88 +1,30 @@
 package solver
 
 // The solver side of the in-situ analysis pipeline (internal/insitu): the
-// registered operators run as one fused sweep over the interior — one tile
-// pass, one flat index shared by every registered field — into ordered
-// per-tile accumulator rows the owner merges in ascending tile order; the
-// end-of-step fold (step.go) reduces the rows cross-rank in ascending rank
-// order beside the health row. The statistics are therefore bitwise
-// identical for any worker count and any rank count, the same contract the
-// health sweep keeps.
+// registered operators' kernels run in the step-end sweep (step.go) — one
+// tile pass shared with the health row, one flat index shared by every
+// registered field — into ordered per-tile accumulator rows the owner
+// merges in ascending tile order; the end-of-step fold reduces the rows
+// cross-rank in ascending rank order beside the health row. The statistics
+// are therefore bitwise identical for any worker count and any rank count,
+// the same contract the health row keeps.
 
 import (
 	"github.com/s3dgo/s3d/internal/deriv"
 	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/insitu"
-	"github.com/s3dgo/s3d/internal/par"
 )
 
 // InstallAnalysis attaches a fully registered pipeline to the block. Call
-// after every Register; the slot layout is frozen here (per-tile rows; the
-// end-of-step fold carries the merged vector with a trailing heat-release
-// slot). Pass nil to detach. In decomposed runs every rank must install an
-// identically configured pipeline at the same point: a due step's products
-// ride the end-of-step fold, whose layout must match across ranks.
-func (b *Block) InstallAnalysis(p *insitu.Pipeline) {
-	b.analysis = p
-	b.aSlots, b.aSub = nil, nil
-	if p == nil {
-		return
-	}
-	n := b.plan.Slots(b.interior())
-	total := p.TotalSlots()
-	ops := p.Ops()
-	b.aSlots = make([][]float64, n)
-	b.aSub = make([][][]float64, n)
-	for t := 0; t < n; t++ {
-		row := make([]float64, total)
-		b.aSlots[t] = row
-		sub := make([][]float64, len(ops))
-		for oi, bo := range ops {
-			sub[oi] = row[bo.Off:bo.End]
-		}
-		b.aSub[t] = sub
-	}
-}
+// after every Register: a due step's fold row carries the pipeline's
+// accumulator vector with a trailing heat-release slot. Pass nil to detach.
+// In decomposed runs every rank must install an identically configured
+// pipeline at the same point: a due step's products ride the end-of-step
+// fold, whose layout must match across ranks.
+func (b *Block) InstallAnalysis(p *insitu.Pipeline) { b.analysis = p }
 
 // Analysis returns the installed pipeline (nil when none).
 func (b *Block) Analysis() *insitu.Pipeline { return b.analysis }
-
-// analysisRow runs the fused reduction sweep of a due step into row
-// (TotalSlots+1 slots): tile pass, ordered tile merge, then this step's
-// heat-release integral in the trailing slot.
-func (b *Block) analysisRow(row []float64) {
-	p := b.analysis
-	r := b.interior()
-	ops := p.Ops()
-	wx, wy, wz := b.volW[0], b.volW[1], b.volW[2]
-	b.plan.RunSlots("ANALYSIS", r, func(t par.Tile, _ int) {
-		sub := b.aSub[t.Index]
-		for oi := range ops {
-			ops[oi].Op.Init(sub[oi])
-		}
-		for k := t.Lo[2]; k < t.Hi[2]; k++ {
-			for j := t.Lo[1]; j < t.Hi[1]; j++ {
-				idx := b.Rho.Idx(t.Lo[0], j, k)
-				wyz := wy[j] * wz[k]
-				for i := t.Lo[0]; i < t.Hi[0]; i++ {
-					vol := wx[i] * wyz
-					for oi := range ops {
-						ops[oi].Kern(sub[oi], idx, vol)
-					}
-					idx++
-				}
-			}
-		}
-	})
-
-	// Merge in ascending tile order (bitwise-deterministic sums).
-	total := p.TotalSlots()
-	copy(row[:total], b.aSlots[0])
-	for _, s := range b.aSlots[1:] {
-		p.MergeVec(row[:total], s)
-	}
-	row[total] = b.hrrAcc
-}
 
 // publishAnalysis finishes the run's folded analysis row into the step's
 // record.

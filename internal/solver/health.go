@@ -1,18 +1,17 @@
 package solver
 
-// The solver side of the run-health watchdog (internal/health): a fused
-// interior sweep fills a health row per step from fields the RHS already
-// computed, tiled kernels record would-be panics as structured faults
-// instead of killing pool workers, and the ranks' rows fold into the run's
-// sample in the step's one ordered collective, so every rank reaches the
-// same verdict on the same step and none is left blocked in a halo
+// The solver side of the run-health watchdog (internal/health): the
+// step-end sweep (step.go) fills a health row per step from fields the RHS
+// already computed, tiled kernels record would-be panics as structured
+// faults instead of killing pool workers, and the ranks' rows fold into the
+// run's sample in the step's one ordered collective, so every rank reaches
+// the same verdict on the same step and none is left blocked in a halo
 // exchange its neighbour will never complete.
 
 import (
 	"math"
 
 	"github.com/s3dgo/s3d/internal/health"
-	"github.com/s3dgo/s3d/internal/par"
 )
 
 // Rank returns this block's rank (0 for serial runs).
@@ -31,11 +30,9 @@ func (b *Block) Ranks() int { return b.cart.Comm.Size() }
 // ranks.
 func (b *Block) InstallWatchdog(w *health.Watchdog) {
 	b.watch = w
-	if w == nil {
-		return
+	if w != nil {
+		w.SetSliceSource(b.healthSlice)
 	}
-	b.hSlots = make([]hRow, b.plan.Slots(b.interior()))
-	w.SetSliceSource(b.healthSlice)
 }
 
 // Watchdog returns the installed watchdog (nil when none).
@@ -49,21 +46,15 @@ func (b *Block) watchArmed() bool { return b.watch != nil && b.watch.Armed() }
 // recordFault captures the first would-be panic of a tiled kernel as a
 // structured violation. Workers record under a mutex; the owner reads
 // b.fault without locking after the kernel's WaitGroup barrier
-// (happens-before), so the healthy path never touches the lock.
-// Primitive sweeps cover ghost layers, so the first cell to fault may be a
-// periodic (or halo) image of the bad cell; the global coordinates wrap to
-// the owning interior cell.
+// (happens-before), so the healthy path never touches the lock. Every
+// tiled kernel sweeps the interior, so the local cell maps to the global
+// one by the block's offset.
 func (b *Block) recordFault(check, quantity string, value float64, i, j, k int, msg string) {
 	step := b.Step
 	if b.inStep {
 		step++ // the step being computed, matching the end-of-step sample
 	}
-	g := b.cfg.Grid
-	cell := [3]int{
-		wrapCell(i+b.i0, g.Nx),
-		wrapCell(j+b.j0, g.Ny),
-		wrapCell(k+b.k0, g.Nz),
-	}
+	cell := [3]int{i + b.i0, j + b.j0, k + b.k0}
 	b.faultMu.Lock()
 	if b.fault == nil {
 		b.fault = &health.Violation{
@@ -73,19 +64,6 @@ func (b *Block) recordFault(check, quantity string, value float64, i, j, k int, 
 		}
 	}
 	b.faultMu.Unlock()
-}
-
-// wrapCell maps a global coordinate that may lie in a ghost image back into
-// [0, n).
-func wrapCell(x, n int) int {
-	if n <= 0 {
-		return x
-	}
-	x %= n
-	if x < 0 {
-		x += n
-	}
-	return x
 }
 
 // nanInjection is the test hook behind InjectNaNAt.
@@ -164,112 +142,98 @@ func (b *Block) conservedQuantity(v int) string {
 	return b.fs.Meta(v).Ckpt
 }
 
-// healthRow runs the fused health sweep over the interior into row (hLen
-// slots): NaN scan of the conserved state, primitive extrema with
-// locations, unclipped mass-fraction bounds, the CFL signal speeds and the
-// conserved volume integrals, then this rank's fault word. Primitives are
-// sampled as the final RK stage left them (the same convention as the
-// telemetry extrema), and so is the diffusivity max(μ/ρ, maxₙ Dₙ) that
-// stage's flux rows stored (diff_max); the NaN scan and the integrals see
-// the end-of-step conserved state.
-func (b *Block) healthRow(row []float64) {
-	r := b.interior()
-	rank := float64(b.Rank())
-	slots := b.hSlots // one per partition plane of the interior (InstallWatchdog)
-	qr, qe := b.Q[iRho].Data, b.Q[iRhoE].Data
-	ur, vr, wr, pr, tr := b.U.Data, b.V.Data, b.W.Data, b.P.Data, b.T.Data
-	ns, nvar := b.ns, b.nvar
-	// Hoist the per-variable data slices out of the per-cell loops: the
-	// sweep reads every conserved field at every cell, and the armed
-	// watchdog budget is 2% of a full step.
-	qd := make([][]float64, nvar)
-	for v := 0; v < nvar; v++ {
-		qd[v] = b.Q[v].Data
+// healthCells is what the health cell body reads: the data slices of the
+// conserved variables and of the primitives, hoisted out of the step-end
+// sweep's cell loop (the armed watchdog budget is 2% of a full step).
+// Primitives are sampled as the final RK stage left them (the same
+// convention as the telemetry extrema), and so is the diffusivity
+// max(μ/ρ, maxₙ Dₙ) that stage's flux rows stored (diff_max); the NaN scan
+// and the integrals see the end-of-step conserved state.
+type healthCells struct {
+	q                   [][]float64 // the conserved variables
+	u, v, w, p, t, dmax []float64
+	ns                  int
+}
+
+func (b *Block) healthCells() healthCells {
+	c := healthCells{q: make([][]float64, b.nvar), ns: b.ns,
+		u: b.U.Data, v: b.V.Data, w: b.W.Data, p: b.P.Data, t: b.T.Data, dmax: b.diffMax.Data}
+	for v, f := range b.Q {
+		c.q[v] = f.Data
 	}
-	dm := b.diffMax.Data
-	wx, wy, wz := b.volW[0], b.volW[1], b.volW[2]
-	b.plan.RunSlots("HEALTH", r, func(t par.Tile, _ int) {
-		a := &slots[t.Index]
-		*a = hRow{hNaNVar: -1, hNaNRank: rank}
-		for e, o := 0, hExt; e < nExt; e, o = e+1, o+5 {
-			if e < eYClip { // minima from +Inf, their maxima from -Inf
-				a[o] = math.Inf(1 - 2*(e/eRhoMax))
-			}
-			a[o+4] = rank
+	return c
+}
+
+// reset starts a tile's health row on rank: no non-finite cell, every
+// minimum at +Inf, its maximum at −Inf, the clip, speed and diffusivity
+// maxima at 0.
+func (a *hRow) reset(rank float64) {
+	*a = hRow{hNaNVar: -1, hNaNRank: rank}
+	for e, o := 0, hExt; e < nExt; e, o = e+1, o+5 {
+		if e < eYClip { // minima from +Inf, their maxima from -Inf
+			a[o] = math.Inf(1 - 2*(e/eRhoMax))
 		}
-		for k := t.Lo[2]; k < t.Hi[2]; k++ {
-			for j := t.Lo[1]; j < t.Hi[1]; j++ {
-				idx := b.Rho.Idx(t.Lo[0], j, k)
-				wyz := wy[j] * wz[k]
-				for i := t.Lo[0]; i < t.Hi[0]; i++ {
-					gc := [3]float64{float64(i + b.i0), float64(j + b.j0), float64(k + b.k0)}
-
-					// NaN/Inf scan of every conserved variable: x−x is 0
-					// for finite x, NaN for NaN and ±Inf.
-					for v := 0; v < nvar; v++ {
-						val := qd[v][idx]
-						if val-val != 0 {
-							if a[hNaN] == 0 {
-								copy(a[hNaNCell:hNaNVar], gc[:])
-								a[hNaNVar] = float64(v)
-							}
-							a[hNaN]++
-						}
-					}
-
-					rho := qr[idx]
-					a.take(eRhoMin, rho, &gc)
-					a.take(eRhoMax, rho, &gc)
-					T := tr[idx]
-					a.take(eTMin, T, &gc)
-					a.take(eTMax, T, &gc)
-					p := pr[idx]
-					a.take(ePMin, p, &gc)
-					a.take(ePMax, p, &gc)
-
-					vol := wx[i] * wyz
-					a[hMass] += rho * vol
-					a[hEnergy] += qe[idx] * vol
-
-					if rho > 0 {
-						inv := 1 / rho
-						sum, clip := 0.0, 0.0
-						for nsp := 0; nsp < ns-1; nsp++ {
-							y := qd[iY0+nsp][idx] * inv
-							a.take(eYMin, y, &gc)
-							a.take(eYMax, y, &gc)
-							sum += y
-							if y < 0 {
-								clip -= y
-							}
-						}
-						yLast := 1 - sum
-						a.take(eYMin, yLast, &gc)
-						a.take(eYMax, yLast, &gc)
-						if yLast < 0 {
-							clip -= yLast
-						}
-						a.take(eYClip, clip, &gc)
-
-						if p > 0 {
-							s := math.Abs(ur[idx]) + math.Abs(vr[idx]) + math.Abs(wr[idx]) +
-								math.Sqrt(health.AcousticGamma*p*inv)
-							a.take(eSpeed, s, &gc)
-							a.take(eDiff, dm[idx], &gc)
-						}
-					}
-					idx++
-				}
-			}
-		}
-	})
-
-	copy(row, slots[0][:])
-	for t := 1; t < len(slots); t++ {
-		mergeHealth(row, slots[t][:])
+		a[o+4] = rank
 	}
-	if b.fault != nil {
-		row[hFault] = rank + 1
+}
+
+// add folds the cell at flat index idx — global cell gc, quadrature volume
+// vol — into a: NaN scan of the conserved state, primitive extrema with
+// locations, unclipped mass-fraction bounds, the CFL signal speed and
+// diffusivity, and the conserved volume integrals.
+func (c *healthCells) add(a *hRow, idx int, gc *[3]float64, vol float64) {
+	// NaN/Inf scan of every conserved variable: x−x is 0 for finite x, NaN
+	// for NaN and ±Inf.
+	for v, q := range c.q {
+		if val := q[idx]; val-val != 0 {
+			if a[hNaN] == 0 {
+				copy(a[hNaNCell:hNaNVar], gc[:])
+				a[hNaNVar] = float64(v)
+			}
+			a[hNaN]++
+		}
+	}
+
+	rho := c.q[iRho][idx]
+	a.take(eRhoMin, rho, gc)
+	a.take(eRhoMax, rho, gc)
+	T := c.t[idx]
+	a.take(eTMin, T, gc)
+	a.take(eTMax, T, gc)
+	p := c.p[idx]
+	a.take(ePMin, p, gc)
+	a.take(ePMax, p, gc)
+
+	a[hMass] += rho * vol
+	a[hEnergy] += c.q[iRhoE][idx] * vol
+
+	if rho <= 0 {
+		return
+	}
+	inv := 1 / rho
+	sum, clip := 0.0, 0.0
+	for n := 0; n < c.ns-1; n++ {
+		y := c.q[iY0+n][idx] * inv
+		a.take(eYMin, y, gc)
+		a.take(eYMax, y, gc)
+		sum += y
+		if y < 0 {
+			clip -= y
+		}
+	}
+	yLast := 1 - sum
+	a.take(eYMin, yLast, gc)
+	a.take(eYMax, yLast, gc)
+	if yLast < 0 {
+		clip -= yLast
+	}
+	a.take(eYClip, clip, gc)
+
+	if p > 0 {
+		s := math.Abs(c.u[idx]) + math.Abs(c.v[idx]) + math.Abs(c.w[idx]) +
+			math.Sqrt(health.AcousticGamma*p*inv)
+		a.take(eSpeed, s, gc)
+		a.take(eDiff, c.dmax[idx], gc)
 	}
 }
 

@@ -125,7 +125,10 @@ func (b *Block) charFace(a, side int, t float64) {
 							l1 = kp * (p - b.cfg.PInf)
 						}
 					case InflowNSCBC:
-						tgt := b.inflowTarget(ws, a, side, j, k, t)
+						// The target's normal component is U whatever the
+						// face axis.
+						tgt := &ws.tgt
+						b.cfg.Inflow(b.G.Yc[j], b.G.Zc[k], t, tgt)
 						ku := etaIn * rho * c * c * oneM2 / L
 						kt := etaIn * c / L
 						if side == 0 {
@@ -221,23 +224,6 @@ func (b *Block) normalRows(rs *rowScratch, a, x0, x1, j, k int) {
 func tangentialTargets(a int, tgt *InflowState) (float64, float64) {
 	v := [3]float64{tgt.U, tgt.V, tgt.W}
 	return v[(a+1)%3], v[(a+2)%3]
-}
-
-// inflowTarget returns the relaxation target at a face point. The normal
-// component of the target is stored in U regardless of the face axis. The
-// x-min face uses the per-(j,k) cache (distinct slots, safe under tiling);
-// other faces evaluate into the worker's scratch target. Either way the
-// user's InflowFunc may be called from several workers at once for
-// different points, so it must be safe for concurrent use (pure functions
-// of their arguments are; closures over read-only captured data are too).
-func (b *Block) inflowTarget(ws *kernScratch, a, side, j, k int, t float64) *InflowState {
-	if a == 0 && side == 0 && b.inflowTargets != nil {
-		tgt := &b.inflowTargets[k*b.G.Ny+j]
-		b.cfg.Inflow(b.G.Yc[j], b.G.Zc[k], t, tgt)
-		return tgt
-	}
-	b.cfg.Inflow(b.G.Yc[j], b.G.Zc[k], t, &ws.tgt)
-	return &ws.tgt
 }
 
 // normalInviscidDeriv computes ∂φ_inv/∂n for every conserved variable at a

@@ -385,9 +385,9 @@ func (b *Block) chemSource() {
 }
 
 // chemTileSweep evaluates the chemistry kernel over one tile, one x-row at
-// a time: the concentration rows, one ProductionRatesRow call, Wₙ·ω̇ₙ added
-// to the species rhs rows, plus (flagged) the heat-release integrand sum
-// from one HeatReleaseRow call, in point order.
+// a time: the rates of chemRow, Wₙ·ω̇ₙ added to the species rhs rows, plus
+// (flagged) the heat-release integrand sum from one HeatReleaseRow call, in
+// point order.
 func (b *Block) chemTileSweep(t par.Tile, worker int, collect bool) (hrr float64) {
 	ws := &b.ws[worker]
 	rs, species := &ws.rows, b.mech.Set.Species
@@ -395,11 +395,7 @@ func (b *Block) chemTileSweep(t par.Tile, worker int, collect bool) (hrr float64
 	w := x1 - x0
 	for k := t.Lo[2]; k < t.Hi[2]; k++ {
 		for j := t.Lo[1]; j < t.Hi[1]; j++ {
-			p0 := b.Rho.Idx(x0, j, k)
-			T := b.T.Data[p0 : p0+w]
-			cutRows(rs.y, b.Y, p0, p0+w)
-			ws.mech.ConcentrationsRow(b.Rho.Data[p0:p0+w], rs.y, rs.c)
-			ws.mech.ProductionRatesRow(T, rs.c, rs.wdot)
+			p0, T := b.chemRow(ws, x0, x1, j, k)
 			for n := 0; n < b.ns-1; n++ {
 				r, wd, wn := b.rhs[iY0+n].Data[p0:p0+w], rs.wdot[n][:w], species[n].W
 				for i := range r {
@@ -416,4 +412,38 @@ func (b *Block) chemTileSweep(t par.Tile, worker int, collect bool) (hrr float64
 		}
 	}
 	return hrr
+}
+
+// chemRow evaluates ω̇ₙ at the points [x0, x1) of row (j, k) into the
+// worker's wdot rows — the species rows cut from the primitives, one
+// ConcentrationsRow and one ProductionRatesRow call — and returns the row's
+// flat start index and temperature row.
+func (b *Block) chemRow(ws *kernScratch, x0, x1, j, k int) (p0 int, T []float64) {
+	rs := &ws.rows
+	p0 = b.Rho.Idx(x0, j, k)
+	p1 := p0 + x1 - x0
+	T = b.T.Data[p0:p1]
+	cutRows(rs.y, b.Y, p0, p1)
+	ws.mech.ConcentrationsRow(b.Rho.Data[p0:p1], rs.y, rs.c)
+	ws.mech.ProductionRatesRow(T, rs.c, rs.wdot)
+	return p0, T
+}
+
+// HeatReleaseField fills dst (interior order, x fastest) with the heat-release
+// rate −Σ ω̇ₙhₙ (W/m³) of the current primitives: chemRow and one
+// HeatReleaseRow call per x-row, tiled over the plan. Owner goroutine only,
+// between steps (it uses the workers' chemistry scratch).
+func (b *Block) HeatReleaseField(dst []float64) {
+	nx, ny := b.G.Nx, b.G.Ny
+	b.plan.Run("REACTION_RATE_BOUNDS", b.interior(), func(t par.Tile, worker int) {
+		ws := &b.ws[worker]
+		x0, x1 := t.Lo[0], t.Hi[0]
+		for k := t.Lo[2]; k < t.Hi[2]; k++ {
+			for j := t.Lo[1]; j < t.Hi[1]; j++ {
+				_, T := b.chemRow(ws, x0, x1, j, k)
+				o := (k*ny + j) * nx
+				ws.mech.HeatReleaseRow(T, ws.rows.wdot, dst[o+x0:o+x1])
+			}
+		}
+	})
 }

@@ -47,7 +47,10 @@ type InflowState struct {
 }
 
 // InflowFunc returns the inflow target at transverse position (y, z) and
-// time t. The returned Y slice must have species length and sum to one.
+// time t. It must set every member of target — U, V, W, T and every Yₙ:
+// the target is a worker's scratch, holding whatever the previous call at
+// any face point left. The returned Y slice must have species length and
+// sum to one.
 // The boundary planes run tiled over the worker pool, so the function may
 // be called concurrently for different (y, z) points; it must be safe for
 // concurrent use (pure functions of their arguments qualify, as do closures
@@ -205,8 +208,7 @@ type Block struct {
 
 	// pointwise scratch for the serial AcousticDt sweep; tiled kernels use
 	// the per-worker sets in ws instead.
-	yw       []float64
-	scratchF *grid.Field3
+	yw []float64
 
 	// The Q/dQ/rhs registers are registered consecutively, so each bank is
 	// one contiguous arena run: the RK 2N update and register zeroing are
@@ -230,9 +232,6 @@ type Block struct {
 	slab                           slabJob
 	wrapItem, packItem, unpackItem func(item, worker int)
 
-	// inflow target cache per (j,k) on the x-min face
-	inflowTargets []InflowState
-
 	Timers *perf.Timers
 	Step   int
 	Time   float64
@@ -254,17 +253,16 @@ type Block struct {
 	watch   *health.Watchdog
 	faultMu sync.Mutex
 	fault   *health.Violation
-	hSlots  []hRow // ordered per-tile health rows
-	inStep  bool   // true while StepChecked is advancing (fault step index)
+	inStep  bool // true while StepChecked is advancing (fault step index)
 	inj     *nanInjection
-	fold    []float64 // the end-of-step fold's vector (see foldStep)
+	// fold is the end-of-step fold's row followed by the step-end sweep's
+	// per-tile rows in tile order (see stepEndRow).
+	fold []float64
 
 	// In-situ analysis pipeline (see analysis.go). analysis may stay nil;
 	// a disabled pipeline costs StepChecked one atomic load per step.
 	analysis *insitu.Pipeline
-	aSlots   [][]float64   // ordered per-tile accumulator rows
-	aSub     [][][]float64 // aSub[tile][op] = that op's slot window in the row
-	aDue     bool          // this step's fold carries the analysis products
+	aDue     bool // this step's fold carries the analysis products
 
 	// Cost-attribution sampler (see cost.go). costC may stay nil; a
 	// disabled collector costs StepChecked one atomic load per step.
@@ -296,7 +294,7 @@ type kernScratch struct {
 
 	// NSCBC per-point buffers (normalInviscidDeriv result and flux stencil).
 	nvOut, nvFlux []float64
-	// inflow target for faces without the per-(j,k) cache
+	// inflow target of the NSCBC planes
 	tgt InflowState
 	// x-row scratch of the pencil-fused flux stage and the NSCBC planes
 	rows rowScratch
@@ -479,12 +477,6 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 		b.loGhost[a] = perio || b.interiorF[a][0]
 		b.hiGhost[a] = perio || b.interiorF[a][1]
 	}
-	if b.faceBC[0][0] == InflowNSCBC && !b.interiorF[0][0] {
-		b.inflowTargets = make([]InflowState, b.G.Ny*b.G.Nz)
-		for i := range b.inflowTargets {
-			b.inflowTargets[i].Y = make([]float64, ns)
-		}
-	}
 	return b
 }
 
@@ -583,8 +575,6 @@ func (b *Block) registerFields() {
 
 	diffMaxID := fs.Register(grid.FieldMeta{Name: "diff_max", Role: grid.RoleTransport, Species: -1})
 
-	scratchID := fs.Register(grid.FieldMeta{Name: "filter_scratch", Role: grid.RoleScratch, Species: -1})
-
 	fs.Build()
 
 	b.Q = make([]*grid.Field3, b.nvar)
@@ -610,7 +600,6 @@ func (b *Block) registerFields() {
 	for n := 0; n < ns; n++ {
 		b.Y[n] = fs.Field(yID[n])
 	}
-	b.scratchF = fs.Field(scratchID)
 	// Registration order makes the group {U, V, W, T, Wmix, Y…}.
 	b.gradSrc = fs.Group(haloGroupPrimitive)
 	b.normalSrc = append([]*grid.Field3{b.Rho, b.P, b.U, b.V, b.W}, b.Y...)

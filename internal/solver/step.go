@@ -8,6 +8,7 @@ import (
 	"github.com/s3dgo/s3d/internal/deriv"
 	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/health"
+	"github.com/s3dgo/s3d/internal/insitu"
 	"github.com/s3dgo/s3d/internal/par"
 	"github.com/s3dgo/s3d/internal/rk"
 )
@@ -125,12 +126,12 @@ func (b *Block) StepChecked(dt float64) error {
 }
 
 // foldStep ends an armed or analysed step in its one collective: the
-// watchdog's health row and a due analysis step's products (with the
-// heat-release slot) fold over the ranks in ascending rank order, every
-// rank grades the run's sample — the same verdict, the same step to return
-// from — and the analysis record publishes only after a clean verdict. The
-// fold is charged to HEALTH when the watchdog is armed, to ANALYSIS
-// otherwise.
+// step-end sweep's row — the watchdog's health row and a due analysis
+// step's products with the heat-release slot — folds over the ranks in
+// ascending rank order, every rank grades the run's sample — the same
+// verdict, the same step to return from — and the analysis record
+// publishes only after a clean verdict. The sweep and the fold are charged
+// to HEALTH when the watchdog is armed, to ANALYSIS otherwise.
 func (b *Block) foldStep(dt float64) error {
 	armed, due := b.watch != nil && b.watch.Armed(), b.aDue
 	b.aDue = false
@@ -144,23 +145,13 @@ func (b *Block) foldStep(dt float64) error {
 	if n == 0 {
 		return nil
 	}
-	if cap(b.fold) < n {
-		b.fold = make([]float64, n)
+	region := "HEALTH"
+	if !armed {
+		region = "ANALYSIS"
 	}
-	row, region := b.fold[:n], "HEALTH"
-	if due {
-		reg := b.beginRegion("ANALYSIS")
-		b.analysisRow(row[nh:])
-		reg.End()
-		if !armed {
-			region = "ANALYSIS"
-		}
-	}
-	reg := b.beginRegion(region)
-	if armed {
-		b.healthRow(row[:nh])
-	}
-	if err := b.cart.Comm.AllreduceOrdered(row, func(dst, src []float64) {
+	// merge folds row src into dst: tiles in ascending tile order, ranks in
+	// ascending rank order.
+	merge := func(dst, src []float64) {
 		if armed {
 			mergeHealth(dst[:nh], src[:nh])
 		}
@@ -169,7 +160,10 @@ func (b *Block) foldStep(dt float64) error {
 			b.analysis.MergeVec(dst[nh:t], src[nh:t])
 			dst[t] += src[t]
 		}
-	}); err != nil {
+	}
+	reg := b.beginRegion(region)
+	row := b.stepEndRow(region, nh, n, merge)
+	if err := b.cart.Comm.AllreduceOrdered(row, merge); err != nil {
 		panic(err) // converted to a Run error by comm's rank recovery
 	}
 	var viol *health.Violation
@@ -186,6 +180,73 @@ func (b *Block) foldStep(dt float64) error {
 		reg.End()
 	}
 	return nil
+}
+
+// stepEndRow runs the step-end sweep and returns this rank's fold row of n
+// slots: one RunSlots pass over the interior whose cell loop adds every
+// cell to its tile's health row (the first nh slots; nh is 0 when the
+// watchdog is disarmed) and to its tile's analysis accumulators (the slots
+// up to the last, when the step is due), then one merge of the tile rows in
+// ascending tile order. The fault word and the heat-release slot are set
+// last: this rank's kernel fault and the final RK stage's integral.
+func (b *Block) stepEndRow(label string, nh, n int, merge func(dst, src []float64)) []float64 {
+	r := b.interior()
+	tiles := b.plan.Slots(r)
+	if cap(b.fold) < n*(1+tiles) {
+		b.fold = make([]float64, n*(1+tiles))
+	}
+	row, slots := b.fold[:n], b.fold[n:n*(1+tiles)]
+	rank := float64(b.Rank())
+	var hc healthCells
+	if nh > 0 {
+		hc = b.healthCells()
+	}
+	var ops []insitu.BoundOp
+	if n > nh {
+		ops = b.analysis.Ops()
+	}
+	wx, wy, wz := b.volW[0], b.volW[1], b.volW[2]
+	b.plan.RunSlots(label, r, func(t par.Tile, _ int) {
+		tr := slots[t.Index*n : (t.Index+1)*n]
+		var h *hRow
+		if nh > 0 {
+			h = (*hRow)(tr[:nh])
+			h.reset(rank)
+		}
+		acc := tr[nh:]
+		for _, op := range ops {
+			op.Op.Init(acc[op.Off:op.End])
+		}
+		for k := t.Lo[2]; k < t.Hi[2]; k++ {
+			for j := t.Lo[1]; j < t.Hi[1]; j++ {
+				idx := b.Rho.Idx(t.Lo[0], j, k)
+				wyz := wy[j] * wz[k]
+				for i := t.Lo[0]; i < t.Hi[0]; i++ {
+					vol := wx[i] * wyz
+					if h != nil {
+						gc := [3]float64{float64(i + b.i0), float64(j + b.j0), float64(k + b.k0)}
+						hc.add(h, idx, &gc, vol)
+					}
+					for oi := range ops {
+						ops[oi].Kern(acc[ops[oi].Off:ops[oi].End], idx, vol)
+					}
+					idx++
+				}
+			}
+		}
+	})
+
+	copy(row, slots[:n])
+	for t := 1; t < tiles; t++ {
+		merge(row, slots[t*n:(t+1)*n])
+	}
+	if nh > 0 && b.fault != nil {
+		row[hFault] = rank + 1
+	}
+	if n > nh {
+		row[n-1] = b.hrrAcc
+	}
+	return row
 }
 
 // rkUpdateBank advances the RK 2N registers: dq ← a·dq + dt·rhs and
@@ -219,7 +280,12 @@ func (b *Block) RKUpdateBankOnly(dt float64) { b.rkUpdateBank(-0.7, 0.5, dt) }
 
 // ApplyFilter applies the tenth-order low-pass filter to every conserved
 // field along every active axis (paper §2.6: an eleven-point explicit filter
-// removes spurious high-frequency fluctuations).
+// removes spurious high-frequency fluctuations). Each pass writes through
+// the rhs bank, dead between steps (the next stage's divergence rewrites its
+// interior before anything reads it): a tile filters a variable's box of Q
+// into rhs and copies it straight back. FilterRange and CopyRange touch the
+// tile box alone, so the rhs ghosts stay the exact zeros rkUpdateBank relies
+// on.
 func (b *Block) ApplyFilter() {
 	defer b.beginRegion("FILTER").End()
 	sigma := b.cfg.FilterStrength
@@ -235,18 +301,15 @@ func (b *Block) ApplyFilter() {
 		along[d] = b.haloQ[d]
 		b.exchangeHalos(along, tagConserved)
 		lo, hi := b.lohi(a)
-		for v := 0; v < b.nvar; v++ {
-			// Two tiled passes with a barrier between: the filter reads Q
-			// while writing scratchF, then the copy-back writes Q. Fusing
-			// them would let one tile overwrite Q values a neighbouring
-			// tile's stencil still needs.
-			b.plan.Run("FILTER", r, func(t par.Tile, _ int) {
-				deriv.FilterRange(b.scratchF, b.Q[v], a, sigma, lo, hi, t.Lo, t.Hi)
-			})
-			b.plan.Run("FILTER", r, func(t par.Tile, _ int) {
-				b.Q[v].CopyRange(b.scratchF, t.Lo, t.Hi)
-			})
-		}
+		// Every tile holds whole lines along a, the only axis the stencil
+		// reaches along, so a tile's copy-back overwrites no Q value another
+		// tile still reads.
+		b.plan.RunFrozen("FILTER", r, d, func(t par.Tile, _ int) {
+			for v, q := range b.Q {
+				deriv.FilterRange(b.rhs[v], q, a, sigma, lo, hi, t.Lo, t.Hi)
+				q.CopyRange(b.rhs[v], t.Lo, t.Hi)
+			}
+		})
 	}
 }
 

@@ -187,7 +187,8 @@ type Config struct {
 	// BC[axis][side] with side 0 = low face; defaults to fully periodic.
 	BC [3][2]BC
 	// Inflow supplies the target state at characteristic inflow faces as a
-	// function of transverse position and time.
+	// function of transverse position and time. It must set every member
+	// of s — U, V, W, T and every Y — on every call.
 	Inflow func(y, z, t float64, s *State)
 
 	Pressure float64 // ambient/far-field pressure (Pa)
@@ -362,29 +363,12 @@ func (s *Simulation) Field(name string) ([]float64, [3]int, error) {
 	return out, dims, nil
 }
 
-// heatRelease evaluates −Σ ω̇ᵢhᵢ over the interior, one row call of the
-// chemistry kernel per x-row.
+// heatRelease evaluates −Σ ω̇ᵢhᵢ over the interior with the solver's
+// chemistry rows.
 func (s *Simulation) heatRelease() []float64 {
 	nx, ny, nz := s.Dims()
-	m := s.mech.chem.Clone()
-	ns := m.NumSpecies()
-	y, C, wdot := make([][]float64, ns), make([][]float64, ns), make([][]float64, ns)
-	for n := range C {
-		C[n], wdot[n] = make([]float64, nx), make([]float64, nx)
-	}
 	out := make([]float64, nx*ny*nz)
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			for n := range y {
-				y[n] = s.blk.Y[n].Row(j, k)
-			}
-			T := s.blk.T.Row(j, k)
-			m.ConcentrationsRow(s.blk.Rho.Row(j, k), y, C)
-			m.ProductionRatesRow(T, C, wdot)
-			o := (k*ny + j) * nx
-			m.HeatReleaseRow(T, wdot, out[o:o+nx])
-		}
-	}
+	s.blk.HeatReleaseField(out)
 	return out
 }
 
