@@ -342,6 +342,29 @@ if [ -n "$violations" ]; then
 	exit 1
 fi
 
+# One CPUID gate: internal/vexp decides once, at init, whether its AVX2
+# kernels run (Exp and the row arithmetic alike), and its callers call the
+# kernels without asking. So no assembly file lives outside internal/vexp,
+# and no Go outside it branches on vexp.Kernel(), which names the path for
+# the run manifest only.
+echo "== one-gate lint (no .s file outside internal/vexp; no branch on vexp.Kernel() outside it)"
+violations=$(find . -path ./.git -prune -o -path ./.bench_build -prune -o -name '*.s' -print \
+	| grep -v '^\./internal/vexp/' || true)
+if [ -n "$violations" ]; then
+	echo "assembly outside internal/vexp:" >&2
+	echo "$violations" >&2
+	echo "put the kernel in internal/vexp behind its one arming decision" >&2
+	exit 1
+fi
+violations=$(grep -rnE '(\b(if|switch|case)\b.*vexp\.Kernel\(\))|(vexp\.Kernel\(\) *(==|!=))' --include='*.go' . \
+	| grep -v '^\./internal/vexp/' || true)
+if [ -n "$violations" ]; then
+	echo "a caller branches on the vexp path:" >&2
+	echo "$violations" >&2
+	echo "call the kernel; internal/vexp picks the path" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
@@ -388,18 +411,23 @@ go test -race -timeout 45m ./...
 echo "== S3D_WORKERS=4 go test -race ./internal/par ./internal/solver"
 S3D_WORKERS=4 go test -race -timeout 45m ./internal/par ./internal/solver
 
-# Exponential-kernel gate: internal/vexp promises math.Exp's bits from either
-# of its paths, so the package that makes the promise, its two callers (whose
-# tests hold them to an eager math.Exp reference) and the solver's pinned
-# hashes run once more with the assembly kernel compiled out (-tags purego).
-# The race pass above ran them on the kernel; both must land on the same
-# pinned bytes. go vet ./... above has checked the .s file's frame
-# declarations (asmdecl); the purego build of the package is vetted here.
-echo "== go vet -tags purego ./internal/vexp && go test -tags purego ./internal/vexp ./internal/chem ./internal/transport"
+# Kernel gate: internal/vexp promises math.Exp's bits and the bits of its
+# row loops from either of its paths, so the package that makes the promise,
+# its callers (chem and transport, whose tests hold them to eager one-point
+# references, and flame1d, which calls MixtureRow directly and pins its flame
+# properties), the solver's pinned hashes and TestStepEndBits (the hrr field
+# through HeatReleaseField's chemistry rows) run once more with the assembly
+# compiled out (-tags purego). The race pass above ran them on the kernels;
+# both must land on the same pinned bytes. go vet ./... above has checked the
+# .s files' frame declarations (asmdecl); the purego build of the package is
+# vetted here.
+echo "== go vet -tags purego ./internal/vexp && go test -tags purego ./internal/vexp ./internal/chem ./internal/transport ./internal/flame1d"
 go vet -tags purego ./internal/vexp
-go test -tags purego ./internal/vexp ./internal/chem ./internal/transport
+go test -tags purego ./internal/vexp ./internal/chem ./internal/transport ./internal/flame1d
 echo "== go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility' ./internal/solver"
 go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility' ./internal/solver
+echo "== go test -tags purego -run 'TestStepEndBits' ."
+go test -tags purego -run 'TestStepEndBits' .
 
 # Benchmark-module gate: benchmark/ is a module of its own, which the root
 # ./... patterns do not descend into; it names solver bench hooks and the

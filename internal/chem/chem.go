@@ -470,16 +470,10 @@ func (m *Mechanism) ProductionRatesRow(T []float64, C, wdot [][]float64) {
 			a := next()
 			clear(a)
 			for _, p := range r.Products {
-				nu, g := float64(p.Nu), gRT(p.Index)
-				for i := range a {
-					a[i] += nu * g[i]
-				}
+				vexp.AddMul(a, float64(p.Nu), gRT(p.Index))
 			}
 			for _, rc := range r.Reactants {
-				nu, g := float64(rc.Nu), gRT(rc.Index)
-				for i := range a {
-					a[i] -= nu * g[i]
-				}
+				vexp.SubMul(a, float64(rc.Nu), gRT(rc.Index))
 			}
 			dNu := float64(r.dNu)
 			for i := range a {
@@ -506,10 +500,7 @@ func (m *Mechanism) ProductionRatesRow(T []float64, C, wdot [][]float64) {
 		if r.ThirdBody || r.Falloff != nil {
 			copy(cm, cTot)
 			for _, e := range r.effList {
-				c, ec := C[e.Index][:w], e.C-1
-				for i := range cm {
-					cm[i] += ec * c[i]
-				}
+				vexp.AddMul(cm, e.C-1, C[e.Index])
 			}
 			for i := range cm {
 				if cm[i] < 0 {
@@ -575,9 +566,7 @@ func (m *Mechanism) ProductionRatesRow(T []float64, C, wdot [][]float64) {
 			if !r.sameKc {
 				kc = next()
 			}
-			for i := range qr {
-				qr[i] = kf[i] / kc[i]
-			}
+			vexp.Div(qr, kf, kc)
 			for _, p := range r.Products {
 				mulPowInt(qr, C[p.Index][:w], p.Nu)
 			}
@@ -586,21 +575,13 @@ func (m *Mechanism) ProductionRatesRow(T []float64, C, wdot [][]float64) {
 			}
 		}
 		if r.ThirdBody && r.Falloff == nil {
-			for i := range qf {
-				qf[i] *= cm[i]
-			}
+			vexp.Mul(qf, cm)
 		}
 		for _, rc := range r.Reactants {
-			nu, d := float64(rc.Nu), wdot[rc.Index][:w]
-			for i := range d {
-				d[i] -= nu * qf[i]
-			}
+			vexp.SubMul(wdot[rc.Index][:w], float64(rc.Nu), qf)
 		}
 		for _, p := range r.Products {
-			nu, d := float64(p.Nu), wdot[p.Index][:w]
-			for i := range d {
-				d[i] += nu * qf[i]
-			}
+			vexp.AddMul(wdot[p.Index][:w], float64(p.Nu), qf)
 		}
 	}
 }
@@ -632,13 +613,9 @@ func mulPowInt(q, c []float64, n int) {
 	c = c[:len(q)]
 	switch n {
 	case 1:
-		for i := range q {
-			q[i] *= c[i]
-		}
+		vexp.Mul(q, c)
 	case 2:
-		for i := range q {
-			q[i] *= c[i] * c[i]
-		}
+		vexp.MulSquare(q, c)
 	case 3:
 		for i := range q {
 			q[i] *= c[i] * c[i] * c[i]

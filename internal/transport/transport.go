@@ -307,9 +307,10 @@ func (m *Model) Mixture(T, p float64, Y []float64, props *Props) {
 // MixtureRow evaluates μ, λ and D_i^mix at the len(T) points of a row from
 // T (K), p (Pa), W = MeanW(Y) (kg/mol) and the mass-fraction rows Y[i]; the
 // outputs are at least len(T) long. Every fit argument depends on ln T
-// alone, so one batch exponential takes the whole row's; the mixing sums
-// then run point-innermost, visiting species and pairs in the one-point
-// order, so each point's sums round as they always did. Not safe for
+// alone, so one batch exponential takes the whole row's; the fit arguments
+// and the mixing sums then run as vexp row kernels, point-innermost,
+// visiting species and pairs in the one-point order, so each point's sums
+// round as they always did. Not safe for
 // concurrent use on one Model: use Clone per rank.
 func (m *Model) MixtureRow(T, p, W []float64, Y [][]float64, mu, lam []float64, D [][]float64) {
 	n, w := m.Set.Len(), len(T)
@@ -341,12 +342,7 @@ func (m *Model) MixtureRow(T, p, W []float64, Y [][]float64, mu, lam []float64, 
 	// The n viscosity fits, then — the fit tables being bitwise symmetric
 	// (dFit[i][j] == dFit[j][i]) — the D_ij fit once per unordered pair.
 	fit := m.fit[:len(m.fits)*w]
-	for k, c := range m.fits {
-		fk := row(fit, k)
-		for i := range fk {
-			fk[i] = fitArg(c, lnT[i])
-		}
-	}
+	vexp.Cubic(fit, lnT, m.fits)
 	vexp.Exp(fit, fit)
 
 	// Wilke viscosity; Mathur–Saxena conductivity ½(Σxλ + (Σx/λ)⁻¹), each λᵢ
@@ -354,16 +350,7 @@ func (m *Model) MixtureRow(T, p, W []float64, Y [][]float64, mu, lam []float64, 
 	for a, sp := range m.Set.Species {
 		xa, mua := row(m.x, a), row(fit, a)
 		clear(denom)
-		for b := 0; b < n; b++ {
-			xb, mub, w4, phi := row(m.x, b), row(fit, b), m.w4[a][b], m.wPhi[a][b]
-			for i := range denom {
-				if xa[i] == 0 || xb[i] == 0 {
-					continue
-				}
-				r := math.Sqrt(mua[i]/mub[i]) * w4
-				denom[i] += xb[i] * (1 + r) * (1 + r) * phi
-			}
-		}
+		vexp.WilkeSum(denom, xa, mua, m.x, fit, m.w4[a], m.wPhi[a])
 		for i := range mu {
 			if xa[i] != 0 {
 				mu[i] += xa[i] * mua[i] / denom[i]
@@ -387,19 +374,8 @@ func (m *Model) MixtureRow(T, p, W []float64, Y [][]float64, mu, lam []float64, 
 	k := n
 	for a := 0; a < n; a++ {
 		xa, da := row(m.x, a), D[a][:w]
-		for b := a + 1; b < n; b++ {
-			xb, db, fk := row(m.x, b), D[b][:w], row(fit, k)
-			k++
-			for i := range fk {
-				d := fk[i] * pScale[i]
-				if xb[i] != 0 {
-					da[i] += xb[i] / d
-				}
-				if xa[i] != 0 {
-					db[i] += xa[i] / d
-				}
-			}
-		}
+		vexp.PairSums(D[:n], a, m.x, fit[k*w:], pScale)
+		k += n - 1 - a
 		for i, s := range da {
 			da[i] = (1 - xa[i]) / s
 			if s < 1e-30 || da[i] <= 0 { // pure species: the self-collision estimate

@@ -455,19 +455,38 @@ func transportSets() map[string]*thermo.Set {
 }
 
 // rowState fills point i of a row with a state of the given kind: some
-// species absent, a pure species, T below and above the fit range,
-// everything present; p varies from point to point.
+// species absent, a pure species, round-off negative mass fractions (the
+// clip to x = 0), −0 and denormal ones (absent and present), T below and
+// above the fit range, everything present; p varies from point to point.
 func rowState(rng *rand.Rand, kind, i int, T, p []float64, Y [][]float64) {
 	n := len(Y)
 	for a := range Y {
 		Y[a][i] = 0
 	}
-	switch kind % 5 {
+	switch kind % 8 {
 	case 0: // a pure species: the self-diffusion fallback
 		Y[rng.Intn(n)][i] = 1
 	case 1, 2: // a random subset: the x = 0 skips
 		for a := range Y {
 			if rng.Intn(3) > 0 {
+				Y[a][i] = rng.Float64()
+			}
+		}
+	case 3: // round-off negatives, clipped to x = 0
+		for a := range Y {
+			Y[a][i] = rng.Float64()
+			if rng.Intn(3) == 0 {
+				Y[a][i] = -1e-17 * rng.Float64()
+			}
+		}
+	case 4: // −0 (absent) and denormals (present unless x underflows)
+		for a := range Y {
+			switch rng.Intn(3) {
+			case 0:
+				Y[a][i] = math.Copysign(0, -1)
+			case 1:
+				Y[a][i] = math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+			default:
 				Y[a][i] = rng.Float64()
 			}
 		}
@@ -480,7 +499,7 @@ func rowState(rng *rand.Rand, kind, i int, T, p []float64, Y [][]float64) {
 	for a := range Y {
 		sum += Y[a][i]
 	}
-	if sum == 0 {
+	if !(sum > 1e-300) {
 		Y[n-1][i], sum = 1, 1
 	}
 	for a := range Y {
@@ -496,15 +515,20 @@ func rowState(rng *rand.Rand, kind, i int, T, p []float64, Y [][]float64) {
 	p[i] = 101325 * (0.5 + 2*rng.Float64())
 }
 
-// TestMixtureRowBits: at row widths that end in every vexp tail (1, 3, 4,
-// 5, 17, 32), over rows that mix absent species, pure species, clamped
-// temperatures and non-uniform pressure, MixtureRow returns at every point
-// the bits of the one-point evaluation it replaced (mixturePoint): μ, λ and
-// every Dₙ. One model serves every width in turn, up and down, so scratch
-// left by a wider or narrower row would show; the outputs start as NaN, so
-// a value the kernel failed to write would too.
+// TestMixtureRowBits: at every row width 1…9 (every vexp tail after none,
+// one and two 4-lane blocks), 17, 32 and the benchmark's 96, over rows that
+// mix absent species, pure species, round-off negative, −0 and denormal
+// mass fractions, clamped temperatures and non-uniform pressure, MixtureRow
+// returns at every point the bits of the one-point evaluation it replaced
+// (mixturePoint): μ, λ and every Dₙ. One model serves every width in turn,
+// up and down, so scratch left by a wider or narrower row would show; the
+// outputs start as NaN, so a value the kernel failed to write would too.
+// Then a NaN temperature or mass fraction at one point leaves every other
+// point's bits unchanged, and that point gets mixturePoint's (a NaN for a
+// NaN).
 func TestMixtureRowBits(t *testing.T) {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	sameOrNaN := func(a, b float64) bool { return same(a, b) || a != a && b != b }
 	for name, set := range transportSets() {
 		m := MustNew(set)
 		n := set.Len()
@@ -512,7 +536,7 @@ func TestMixtureRowBits(t *testing.T) {
 		want := &Props{Dmix: make([]float64, n)}
 		yPt := make([]float64, n)
 		for round := 0; round < 8; round++ {
-			for _, w := range []int{1, 3, 4, 5, 17, 32} {
+			for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 32, 96} {
 				T, p, W := make([]float64, w), make([]float64, w), make([]float64, w)
 				mu, lam := make([]float64, w), make([]float64, w)
 				Y, D := make([][]float64, n), make([][]float64, n)
@@ -546,6 +570,50 @@ func TestMixtureRowBits(t *testing.T) {
 						}
 					}
 				}
+
+				// One NaN, in T or in one mass fraction, at one point.
+				keep := append(append([]float64(nil), mu...), lam...)
+				for a := range D {
+					keep = append(keep, D[a]...)
+				}
+				bad, sp := rng.Intn(w), rng.Intn(n)
+				saveT, saveY, saveW := T[bad], Y[sp][bad], W[bad]
+				if round%2 == 0 {
+					T[bad] = math.NaN()
+				} else {
+					Y[sp][bad] = math.NaN()
+					for a := range Y {
+						yPt[a] = Y[a][bad]
+					}
+					W[bad] = set.MeanW(yPt)
+				}
+				m.MixtureRow(T, p, W, Y, mu, lam, D)
+				for a := range Y {
+					yPt[a] = Y[a][bad]
+				}
+				mixturePoint(m, T[bad], p[bad], yPt, want)
+				for i := range T {
+					got := []float64{mu[i], lam[i]}
+					old := []float64{keep[i], keep[w+i]}
+					ref := []float64{want.Mu, want.Lambda}
+					for a := range D {
+						got = append(got, D[a][i])
+						old = append(old, keep[(2+a)*w+i])
+						ref = append(ref, want.Dmix[a])
+					}
+					for j := range got {
+						if i != bad && !same(got[j], old[j]) || i == bad && !sameOrNaN(got[j], ref[j]) {
+							exp := old[j]
+							if i == bad {
+								exp = ref[j]
+							}
+							t.Fatalf("%s w=%d: NaN at point %d (T=%v, Y[%d]=%v): output %d at point %d = %x, want %x",
+								name, w, bad, T[bad], sp, Y[sp][bad], j, i,
+								math.Float64bits(got[j]), math.Float64bits(exp))
+						}
+					}
+				}
+				T[bad], Y[sp][bad], W[bad] = saveT, saveY, saveW
 			}
 		}
 	}

@@ -57,3 +57,11 @@ func TestProbeStandsDownWithoutFMA(t *testing.T) {
 		}
 	}
 }
+
+// scalar runs f with the kernels disarmed, so that every row kernel runs its
+// Go loop over the whole row.
+func scalar(f func()) {
+	defer func(was bool) { armed = was }(armed)
+	armed = false
+	f()
+}

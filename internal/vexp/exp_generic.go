@@ -4,4 +4,4 @@ package vexp
 
 const armed = false
 
-func expVector(dst, src []float64) { panic("vexp: no vector kernel in this build") }
+func expVector(dst, src []float64) { panic(noKernel) }

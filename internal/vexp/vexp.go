@@ -15,6 +15,10 @@
 // init only if it reproduces math.Exp on a probe vector, and TestExpBits
 // compares the two over 10⁷ inputs: a Go release that changes exp_amd64.s
 // fails that test, and the fix is to transcribe the new routine.
+//
+// The package also holds the element-wise row arithmetic of the transport and
+// chemistry row kernels (row.go), which runs on the same decision: packed
+// AVX2 where Exp's kernel is armed, its Go loop everywhere else.
 package vexp
 
 import "math"
@@ -33,7 +37,8 @@ func Exp(dst, src []float64) {
 	}
 }
 
-// Kernel names the path Exp takes in this process: "avx2" or "scalar".
+// Kernel names the path Exp and the row arithmetic take in this process:
+// "avx2" or "scalar".
 func Kernel() string {
 	if armed {
 		return "avx2"
