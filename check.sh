@@ -324,6 +324,28 @@ if grep -nE '\.(At|Set|Add)\(' internal/solver/primitives.go internal/solver/rhs
 	exit 1
 fi
 
+# One-sweep lint: after the flux exchange one plan region per RK stage
+# finishes rhs (finishRHS: divergence, chemistry and the NSCBC faces, tile
+# by tile), and its heat-release fold is an ascending fold of per-tile
+# slots. So outside test files and the frozen benchmark module RunReduce,
+# chemSource and applyNSCBC stay deleted, internal/solver runs no "NSCBC"
+# plan region, and its one "REACTION_RATE_BOUNDS" plan region is
+# HeatReleaseField's (between steps; in a step the chemistry is a share
+# charged out of the sweep).
+echo "== one-sweep lint (no RunReduce, chemSource or applyNSCBC; no NSCBC plan region; one REACTION_RATE_BOUNDS plan region, HeatReleaseField's)"
+if grep -rnE '\b(RunReduce|chemSource|applyNSCBC)\b' --include='*.go' . | grep -v '^\./benchmark/' | grep -v '_test\.go:'; then
+	echo "a separate rhs stage or the plan's reduce is back (see above): finish rhs in finishRHS's one sweep" >&2
+	exit 1
+fi
+runs=$(awk 'FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/\.Run[A-Za-z]*\("(NSCBC|REACTION_RATE_BOUNDS)"/ { print FILENAME ":" FNR ": " fn }' \
+	$(ls internal/solver/*.go | grep -v '_test\.go$'))
+if [ "$(echo "$runs" | grep -c .)" -ne 1 ] || ! echo "$runs" | grep -q ') HeatReleaseField('; then
+	echo "NSCBC / REACTION_RATE_BOUNDS plan regions in internal/solver, want HeatReleaseField's one:" >&2
+	echo "$runs" >&2
+	exit 1
+fi
+
 # Writer lint: a product file — a figure, an in-situ frame, a dashboard
 # document, a log a watcher stages — lands whole or not at all, through
 # sdf.WriteAtomic (a temporary dot-file renamed onto the path). So non-test
@@ -424,8 +446,8 @@ S3D_WORKERS=4 go test -race -timeout 45m ./internal/par ./internal/solver
 echo "== go vet -tags purego ./internal/vexp && go test -tags purego ./internal/vexp ./internal/chem ./internal/transport ./internal/flame1d"
 go vet -tags purego ./internal/vexp
 go test -tags purego ./internal/vexp ./internal/chem ./internal/transport ./internal/flame1d
-echo "== go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility' ./internal/solver"
-go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility' ./internal/solver
+echo "== go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility|TestRHSBits' ./internal/solver"
+go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility|TestRHSBits' ./internal/solver
 echo "== go test -tags purego -run 'TestStepEndBits' ."
 go test -tags purego -run 'TestStepEndBits' .
 

@@ -234,7 +234,12 @@ func (m *Mechanism) ConcentrationsRow(rho []float64, Y, C [][]float64) {
 // at temperature T (K) given concentrations C (mol/m³), accumulating into
 // wdot (which is zeroed first). Units: mol/(m³·s). ProductionRatesRow
 // returns these bits at every point of a row; this one-point body stays for
-// the callers that cannot batch points (the 0-D reactor's integrator).
+// the callers that cannot batch points (the 0-D reactor's integrator). A row
+// of one point is no substitute: it returns the same bits at 3.3–3.7× the
+// cost (H2 and CH4), and the reactor calls this ≈ 5·10⁵ times building the
+// lifted jet's ignition products (EquilibrateAdiabatic: ≈ 1.3·10⁵ RK4
+// steps, nearly all of that problem's set-up), which it would roughly
+// triple.
 func (m *Mechanism) ProductionRates(T float64, C, wdot []float64) {
 	for i := range wdot {
 		wdot[i] = 0

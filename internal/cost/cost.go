@@ -32,11 +32,11 @@ import (
 	"github.com/s3dgo/s3d/internal/par"
 )
 
-// Kernels lists the plan labels a window tracks, in record order: the
+// Kernels lists the kernels a window tracks, in record order: the
 // interior-sweep kernels of the RHS and the filter, then the non-spatial
-// item sweeps (halo pack/unpack and the RK register update). Boundary-only
-// kernels (NSCBC) and the instrumentation layers' own sweeps are not
-// tracked.
+// item sweeps (halo pack/unpack and the RK register update). The chemistry
+// is a share charged out of the solver's DIVERGENCE sweep (region time, no
+// plan runs); NSCBC and the instrumentation layers' sweeps are untracked.
 var Kernels = []string{
 	"COMPUTE_PRIMITIVES",
 	"ASSEMBLE_FLUXES",
@@ -61,10 +61,10 @@ func kernelIndex(label string) int {
 // MeasuredKernel is one kernel's wall-clock statistics over a collection
 // window. Runs and Tiles count every plan run of the window; RegionS is the
 // kernel's exclusive region-timer seconds over the window (exact, from the
-// solver's always-on timers; DIVERGENCE's is the DERIVATIVES timer, which
-// times that sweep alone). The tile-level statistics (MaxTileS, MeanTileS,
-// Imbalance, WorkerS) come from the per-window sample: SampledRuns runs
-// spanning SampledS seconds, SampledTiles tiles wide.
+// solver's always-on timers; DIVERGENCE's is the DERIVATIVES timer, less
+// the shares charged out of it). The tile-level statistics (MaxTileS,
+// MeanTileS, Imbalance, WorkerS) come from the per-window sample:
+// SampledRuns runs spanning SampledS seconds, SampledTiles tiles wide.
 type MeasuredKernel struct {
 	Kernel       string    `json:"kernel"`
 	Runs         int       `json:"runs"`
@@ -212,15 +212,16 @@ func (r *runRec) EndRun() {
 }
 
 // Snapshot renders the current window as a record's rows, in Kernels order;
-// kernels that did not run are omitted. regionS carries each kernel's
-// region-timer seconds over the window (aligned with Kernels) — the exact
-// per-kernel totals the sampled probe deliberately does not re-measure.
+// kernels with neither plan runs nor region time are omitted. regionS
+// carries each kernel's region-timer seconds over the window (aligned with
+// Kernels) — the exact per-kernel totals the sampled probe deliberately does
+// not re-measure.
 // Owner goroutine only, like the probe path that fills the window.
 func (c *Collector) Snapshot(regionS []float64) []MeasuredKernel {
 	var out []MeasuredKernel
 	for i, k := range Kernels {
 		a := &c.window[i]
-		if a.tiles == 0 {
+		if a.tiles == 0 && (i >= len(regionS) || !(regionS[i] > 0)) {
 			continue
 		}
 		mk := MeasuredKernel{

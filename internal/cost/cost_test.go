@@ -142,6 +142,13 @@ func TestCollectorLifecycle(t *testing.T) {
 	if got := c.Snapshot(nil); len(got) != 0 {
 		t.Fatalf("arm did not clear the window: %+v", got)
 	}
+	// A kernel with region time and no plan runs (a share charged out of
+	// another kernel's sweep) keeps its row; one with neither has none.
+	regionS = make([]float64, len(Kernels))
+	regionS[kernelIndex(chemKernel)] = 0.5
+	if got := c.Snapshot(regionS); len(got) != 1 || got[0].Kernel != chemKernel || got[0].RegionS != 0.5 || got[0].Runs != 0 {
+		t.Fatalf("charged-only row wrong: %+v", got)
+	}
 }
 
 // TestMeasuredLabelsLayout: every tracked label has the window slot of its

@@ -14,7 +14,8 @@
 // the owner merges in ascending tile order, and the cross-rank reduction
 // folds rank contributions in ascending rank order, so every statistic is
 // bitwise reproducible for any worker count and any tile schedule — the
-// same ordered-slot discipline as Plan.RunReduce and the health sweep.
+// same ordered-slot discipline as the solver's heat-release fold and the
+// health sweep (per-tile slots of a Plan.RunSlots sweep).
 package insitu
 
 import (

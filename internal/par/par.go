@@ -13,8 +13,9 @@
 //
 // Two grains, kept apart. The partition of a sweep box — one tile per plane
 // along the slowest splittable axis — depends only on the index-space shape,
-// never on the worker count; reductions accumulate per-partition-tile
-// partial sums into ordered slots that are combined in tile order. The
+// never on the worker count; a reduction's RunSlots body writes one partial
+// sum per partition tile into an ordered slot, and the caller folds the
+// slots in tile order. The
 // scheduling grain is coarser: a plan hands the pool blocks of consecutive
 // partition tiles, about four per worker, and a slot-free kernel body (Run)
 // receives each block as one fat tile of many rows. Kernel bodies compute

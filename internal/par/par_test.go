@@ -113,10 +113,24 @@ func TestSweepsCoverBox(t *testing.T) {
 	}
 }
 
-// TestRunReduceDeterministic: the reduction over a fixed box must be
-// bitwise identical for every pool size — the property the solver's
-// heat-release integral depends on.
-func TestRunReduceDeterministic(t *testing.T) {
+// foldSlots runs fn once per partition tile of r through RunSlots, each
+// tile's result into slot Tile.Index, and returns the slots summed in
+// ascending order — the ordered reduction the solver's heat-release
+// integral forms.
+func foldSlots(pl *Plan, label string, r Range, fn func(t Tile) float64) float64 {
+	slots := make([]float64, pl.Slots(r))
+	pl.RunSlots(label, r, func(tl Tile, _ int) { slots[tl.Index] = fn(tl) })
+	var sum float64
+	for _, v := range slots {
+		sum += v
+	}
+	return sum
+}
+
+// TestRunSlotsFoldDeterministic: the ascending fold of the per-tile slots
+// over a fixed box must be bitwise identical for every pool size — the
+// property the solver's heat-release integral depends on.
+func TestRunSlotsFoldDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, r := range append([]Range{Interior(17, 13, 11)}, sweepShapes...) {
 		nx, ny := r.Ext(0), r.Ext(1)
@@ -129,7 +143,7 @@ func TestRunReduceDeterministic(t *testing.T) {
 			pool := NewPool(workers)
 			defer pool.Close()
 			pl := NewPlan(pool)
-			return pl.RunReduce("reduce", r, func(tl Tile, _ int) float64 {
+			return foldSlots(pl, "reduce", r, func(tl Tile) float64 {
 				var s float64
 				for k := tl.Lo[2]; k < tl.Hi[2]; k++ {
 					for j := tl.Lo[1]; j < tl.Hi[1]; j++ {
@@ -178,7 +192,7 @@ func TestConcurrentPlans(t *testing.T) {
 		go func(rk int) {
 			pl := NewPlan(pool)
 			r := Interior(5, 5, 9)
-			got := pl.RunReduce("rank", r, func(tl Tile, _ int) float64 {
+			got := foldSlots(pl, "rank", r, func(tl Tile) float64 {
 				var s float64
 				for k := tl.Lo[2]; k < tl.Hi[2]; k++ {
 					s += float64(rk + 1)

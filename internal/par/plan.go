@@ -29,10 +29,9 @@ func (r Range) Empty() bool {
 }
 
 // Tile is one unit of kernel work handed to a sweep body: a sub-box of the
-// sweep's Range plus an index. For the slot-grained entry points (RunSlots,
-// RunReduce) Index is the tile's position in the deterministic partition
-// order — the reduction-slot index; for Run/RunFrozen it numbers the
-// scheduled blocks.
+// sweep's Range plus an index. For RunSlots Index is the tile's position in
+// the deterministic partition order — the reduction-slot index; for
+// Run/RunFrozen it numbers the scheduled blocks.
 type Tile struct {
 	Range
 	Index int
@@ -105,10 +104,9 @@ type CostProbe interface {
 
 // Plan schedules one block's kernels over a pool. A Plan has a single
 // owner goroutine (the rank driving the block); only the pool behind it is
-// shared. Reduction scratch and metric handles are therefore unguarded.
+// shared. Its metric handles are therefore unguarded.
 type Plan struct {
 	pool *Pool
-	red  []float64 // ordered per-tile reduction slots
 	cost CostProbe
 
 	reg      *obs.Registry
@@ -171,8 +169,8 @@ func slotsOf(r Range, frozen int) (ax, n int) {
 }
 
 // Slots returns the number of partition tiles — ordered reduction slots — a
-// RunSlots or RunReduce sweep of r writes: the plane count along the split
-// axis. Callers size their per-slot accumulators with it.
+// RunSlots sweep of r writes: the plane count along the split axis. Callers
+// size their per-slot accumulators with it.
 func (pl *Plan) Slots(r Range) int {
 	if r.Empty() {
 		return 0
@@ -298,28 +296,6 @@ func (pl *Plan) RunFrozen(label string, r Range, frozen int, fn func(t Tile, wor
 // of tiles into scheduled blocks follows the pool.
 func (pl *Plan) RunSlots(label string, r Range, fn func(t Tile, worker int)) {
 	pl.sweep(label, r, -1, true, fn)
-}
-
-// RunReduce runs fn once per partition tile of r (RunSlots) and returns the
-// sum of the per-tile results, accumulated in ascending tile order through
-// ordered slots. The partition and the combination order are independent of
-// the pool size, so the reduction is bitwise deterministic for any worker
-// count — the property the solver's heat-release integral and conservation
-// diagnostics rely on.
-func (pl *Plan) RunReduce(label string, r Range, fn func(t Tile, worker int) float64) float64 {
-	n := pl.Slots(r)
-	if cap(pl.red) < n {
-		pl.red = make([]float64, n)
-	}
-	slots := pl.red[:n]
-	pl.RunSlots(label, r, func(t Tile, w int) {
-		slots[t.Index] = fn(t, w)
-	})
-	var sum float64
-	for _, v := range slots {
-		sum += v
-	}
-	return sum
 }
 
 // RunItems executes fn for every item index in [0, n) — the degenerate

@@ -210,3 +210,49 @@ func TestDiffFluxModelImproves(t *testing.T) {
 		t.Fatalf("no modelled improvement: %g → %g", before, after)
 	}
 }
+
+// TestTimersCharge: a charge moves exactly d from the innermost open region
+// to the charged one, the exclusive times still sum to the wall, and a
+// charge with no open region sets the sticky error without panicking.
+func TestTimersCharge(t *testing.T) {
+	var now time.Time
+	tm := NewTimersClock(func() time.Time { return now })
+	tm.Start("STEP")
+	now = now.Add(10 * time.Millisecond)
+	tm.Start("DERIVATIVES")
+	now = now.Add(20 * time.Millisecond)
+	tm.Charge("REACTION_RATE_BOUNDS", 7*time.Millisecond)
+	tm.Charge("NSCBC", 3*time.Millisecond)
+	tm.Stop("DERIVATIVES")
+	now = now.Add(10 * time.Millisecond)
+	tm.Stop("STEP")
+	for name, want := range map[string]time.Duration{
+		"STEP": 20 * time.Millisecond, "DERIVATIVES": 10 * time.Millisecond,
+		"REACTION_RATE_BOUNDS": 7 * time.Millisecond, "NSCBC": 3 * time.Millisecond,
+	} {
+		r := tm.Region(name)
+		if r == nil || r.Exclusive != want || r.Calls != 1 {
+			t.Fatalf("%s = %+v, want exclusive %v over one call", name, r, want)
+		}
+	}
+	if r := tm.Region("NSCBC"); r.Inclusive != 3*time.Millisecond {
+		t.Fatalf("NSCBC inclusive = %v", r.Inclusive)
+	}
+	if r := tm.Region("DERIVATIVES"); r.Inclusive != 20*time.Millisecond {
+		t.Fatalf("DERIVATIVES inclusive = %v, want its 20ms wall", r.Inclusive)
+	}
+	if got := tm.Total(); got != 40*time.Millisecond {
+		t.Fatalf("exclusive times sum to %v of a 40ms wall", got)
+	}
+	if err := tm.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	tm.Charge("NSCBC", time.Millisecond) // no open region
+	if err := tm.Err(); err == nil || !strings.Contains(err.Error(), `Charge("NSCBC")`) {
+		t.Fatalf("err = %v", err)
+	}
+	if r := tm.Region("NSCBC"); r.Exclusive != 3*time.Millisecond || r.Calls != 1 {
+		t.Fatalf("a charge with no open region changed NSCBC: %+v", r)
+	}
+}

@@ -52,14 +52,35 @@ func NewTimersClock(now func() time.Time) *Timers {
 	return &Timers{regions: map[string]*Region{}, now: now}
 }
 
-// Start enters a region. Regions may nest but not interleave.
-func (t *Timers) Start(name string) {
+// region returns the named region, creating it on first use.
+func (t *Timers) region(name string) *Region {
 	r := t.regions[name]
 	if r == nil {
 		r = &Region{Name: name}
 		t.regions[name] = r
 	}
-	t.stack = append(t.stack, frame{r: r, start: t.now()})
+	return r
+}
+
+// Start enters a region. Regions may nest but not interleave.
+func (t *Timers) Start(name string) {
+	t.stack = append(t.stack, frame{r: t.region(name), start: t.now()})
+}
+
+// Charge moves d out of the innermost open region into the named one, as if
+// that had run nested in it for d (one call): how one timed sweep reports
+// several regions' work, its exclusive times still summing to the wall.
+// With no open region it records a sticky error (Err) and changes nothing.
+func (t *Timers) Charge(name string, d time.Duration) {
+	if len(t.stack) == 0 {
+		t.fail(fmt.Errorf("perf: Charge(%q) with empty region stack", name))
+		return
+	}
+	r := t.region(name)
+	r.Inclusive += d
+	r.Exclusive += d
+	r.Calls++
+	t.stack[len(t.stack)-1].inner += d
 }
 
 // Stop leaves the innermost region, which must be the named one. A
@@ -151,11 +172,7 @@ func (t *Timers) Snapshot() *Timers {
 // Merge adds other's accumulations into t (for cross-rank averaging).
 func (t *Timers) Merge(other *Timers) {
 	for name, r := range other.regions {
-		dst := t.regions[name]
-		if dst == nil {
-			dst = &Region{Name: name}
-			t.regions[name] = dst
-		}
+		dst := t.region(name)
 		dst.Exclusive += r.Exclusive
 		dst.Inclusive += r.Inclusive
 		dst.Calls += r.Calls

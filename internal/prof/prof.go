@@ -175,15 +175,21 @@ func (t *Track) BeginArgs(name string, args map[string]string) Span {
 		parent = t.stack[n-1]
 	}
 	t.mu.Lock()
+	id := t.node(parent, name)
+	t.mu.Unlock()
+	t.stack = append(t.stack, id)
+	return Span{t: t, path: id, start: Now(), args: args}
+}
+
+// node interns the call-path node name under parent. Callers hold t.mu.
+func (t *Track) node(parent int32, name string) int32 {
 	id, ok := t.children[childKey{parent, name}]
 	if !ok {
 		id = int32(len(t.nodes))
 		t.nodes = append(t.nodes, pathNode{name: name, parent: parent})
 		t.children[childKey{parent, name}] = id
 	}
-	t.mu.Unlock()
-	t.stack = append(t.stack, id)
-	return Span{t: t, path: id, start: Now(), args: args}
+	return id
 }
 
 // Span is one open region on a track. The zero Span (from a nil or disabled
@@ -212,6 +218,19 @@ func (s Span) End() {
 	}
 	t.mu.Lock()
 	t.events = append(t.events, Event{Path: s.path, Start: s.start, Dur: end - s.start, Args: s.args})
+	t.mu.Unlock()
+}
+
+// Child records a completed child span of the open span s, [start,
+// start+dur) on the Now clock, which the caller places inside s and after
+// the track's last event end. A no-op on the zero Span.
+func (s Span) Child(name string, start, dur int64) {
+	if s.t == nil {
+		return
+	}
+	t := s.t
+	t.mu.Lock()
+	t.events = append(t.events, Event{Path: t.node(s.path, name), Start: start, Dur: dur})
 	t.mu.Unlock()
 }
 

@@ -272,3 +272,46 @@ func TestUnbalancedInnerSpanRecovers(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanChild: completed child spans placed at the end of an open span
+// get their own call paths under it, the parent's exclusive time is what
+// they leave, and the track's event end times stay monotone.
+func TestSpanChild(t *testing.T) {
+	p := New()
+	tr := p.NewTrack(GroupRank, "rank0")
+	step := tr.Begin("STEP")
+	div := tr.Begin("DIVERGENCE")
+	time.Sleep(3 * time.Millisecond)
+	now := Now()
+	ms := time.Millisecond.Nanoseconds()
+	div.Child("REACTION_RATE_BOUNDS", now-2*ms, ms)
+	div.Child("NSCBC", now-ms, ms)
+	div.End()
+	step.End()
+	Span{}.Child("NSCBC", now, ms) // the zero Span records nothing
+
+	snap := tr.Snapshot()
+	if len(snap.Events) != 4 {
+		t.Fatalf("events = %d, want 4", len(snap.Events))
+	}
+	for i := 1; i < len(snap.Events); i++ {
+		a, b := snap.Events[i-1], snap.Events[i]
+		if a.Start+a.Dur > b.Start+b.Dur {
+			t.Fatalf("event %d ends at %d after event %d's %d", i-1, a.Start+a.Dur, i, b.Start+b.Dur)
+		}
+	}
+	paths := map[string]*PathStats{}
+	for _, ps := range Build(p).Paths {
+		paths[ps.Path] = ps
+	}
+	d, c, n := paths["STEP/DIVERGENCE"], paths["STEP/DIVERGENCE/REACTION_RATE_BOUNDS"], paths["STEP/DIVERGENCE/NSCBC"]
+	if d == nil || c == nil || n == nil {
+		t.Fatalf("paths = %v", paths)
+	}
+	if c.Incl != 1e-3 || n.Incl != 1e-3 || c.Calls != 1 || n.Calls != 1 {
+		t.Fatalf("children %+v, %+v: want 1ms over one call each", c, n)
+	}
+	if got := d.Excl + c.Excl + n.Excl; abs(got-d.Incl) > 1e-12 {
+		t.Fatalf("exclusive times sum to %.9fs of the %.9fs parent span", got, d.Incl)
+	}
+}

@@ -44,10 +44,13 @@ func oracleChemTileSweep(b *Block, m *chem.Mechanism, rhs []*grid.Field3, t par.
 
 // TestChemSourceMatchesPerPointOracle: on a reacting 2-D H2 jet whose x
 // extent (17) is no multiple of the batch exponential's four lanes, at one
-// and two workers, chemSource leaves in every species rhs the bits of the
-// per-point oracle, without and with the heat-release fold, and the folded
-// integral equals the oracle's through the same ordered reduction.
+// and two workers, the chemistry part of the rhs sweep leaves in every
+// species rhs the bits of the per-point oracle, without and with the
+// heat-release fold, and the folded integral equals the oracle's through
+// the same ordered reduction. The sweep runs without the block's NSCBC
+// faces, so its rhs is the divergence plus the chemistry alone.
 func TestChemSourceMatchesPerPointOracle(t *testing.T) {
+	const tRHS = 2 * degDt
 	for _, workers := range []int{1, 2} {
 		pool := par.NewPool(workers)
 		b, err := NewSerial(degenerateCase{nx: 17, ny: 12, nz: 1, jet: true}.config(pool))
@@ -57,8 +60,15 @@ func TestChemSourceMatchesPerPointOracle(t *testing.T) {
 		}
 		degenerateIC(b)
 		b.Advance(2, degDt)
-		b.EvalRHS(2 * degDt)
+		b.EvalRHS(tRHS)
 
+		// The divergence alone: the sweep with chemistry off and every face
+		// marked periodic, so it applies no NSCBC face (the derivative
+		// closures, fixed at construction, stay one-sided).
+		b.faceBC = [3][2]BCType{}
+		b.cfg.ChemistryOff = true
+		b.finishRHS(tRHS)
+		b.cfg.ChemistryOff = false
 		start := make([]*grid.Field3, b.nvar)
 		for v := range start {
 			start[v] = b.rhs[v].Clone()
@@ -70,14 +80,18 @@ func TestChemSourceMatchesPerPointOracle(t *testing.T) {
 		for _, collect := range []bool{false, true} {
 			want := make([]*grid.Field3, b.nvar)
 			for v := range want {
-				copy(b.rhs[v].Data, start[v].Data)
 				want[v] = start[v].Clone()
 			}
-			wantHRR := b.plan.RunReduce("oracle", b.interior(), func(tl par.Tile, w int) float64 {
-				return oracleChemTileSweep(b, mechs[w], want, tl, collect)
+			slots := make([]float64, b.plan.Slots(b.interior()))
+			b.plan.RunSlots("oracle", b.interior(), func(tl par.Tile, w int) {
+				slots[tl.Index] = oracleChemTileSweep(b, mechs[w], want, tl, collect)
 			})
+			var wantHRR float64
+			for _, v := range slots {
+				wantHRR += v
+			}
 			b.collectHRR, b.hrrAcc = collect, 0
-			b.chemSource()
+			b.finishRHS(tRHS)
 			b.collectHRR = false
 			for v := range want {
 				if i, j, k, ok := interiorDiff(b.rhs[v], want[v]); !ok {

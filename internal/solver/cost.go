@@ -26,8 +26,9 @@ func (b *Block) InstallCost(c *cost.Collector) {
 func (b *Block) Cost() *cost.Collector { return b.costC }
 
 // costRegionSeconds fills out (aligned with cost.Kernels) with each
-// kernel's exclusive region-timer seconds so far. The divergence sweep runs
-// under the DERIVATIVES timer, the one sweep it times.
+// kernel's exclusive region-timer seconds so far. The DIVERGENCE sweep runs
+// under the DERIVATIVES timer, which keeps what the sweep does not charge
+// to REACTION_RATE_BOUNDS and NSCBC.
 func (b *Block) costRegionSeconds(out []float64) {
 	for i, k := range cost.Kernels {
 		if k == "DIVERGENCE" {

@@ -11,7 +11,7 @@ import (
 // Navier–Stokes characteristic boundary conditions (paper §2.6, citing
 // Poinsot-Lele-style non-reflecting inflow/outflow as refined by Yoo et
 // al.). The interior discretisation already used one-sided stencils at
-// physical faces; applyNSCBC replaces the *normal inviscid* part of the
+// physical faces; the correction replaces the *normal inviscid* part of the
 // right-hand side on each boundary plane with its characteristic (LODI)
 // form, in which outgoing wave amplitudes are taken from the interior and
 // incoming ones are prescribed:
@@ -20,14 +20,29 @@ import (
 //     p∞ with strength σ·c·(1−M²)/L;
 //   - non-reflecting inflow: incoming acoustic, entropy, shear and species
 //     waves relax u, T, (v,w) and Y toward the target inflow state.
-func (b *Block) applyNSCBC(t float64) {
-	defer b.beginRegion("NSCBC").End()
+
+// nscbcTileSweep applies every physical, non-periodic face to the rows it
+// shares with a tile, faces in x-low, x-high, …, z-high order (so an edge or
+// corner point takes its faces' corrections in that order): an x-face
+// corrects a row's end point, a y- or z-face its plane's whole row.
+func (b *Block) nscbcTileSweep(ws *kernScratch, tl par.Tile, t float64) {
 	for _, a := range b.active {
 		for side := 0; side < 2; side++ {
 			if b.interiorF[a][side] || b.faceBC[a][side] == Periodic {
 				continue
 			}
-			b.charFace(a, side, t)
+			// r: the tile's rows on the face plane, at index bi along a.
+			bi := side * (b.G.Dim(grid.Axis(a)) - 1)
+			r := tl.Range
+			r.Lo[a], r.Hi[a] = max(r.Lo[a], bi), min(r.Hi[a], bi+1)
+			if r.Empty() {
+				continue
+			}
+			for k := r.Lo[2]; k < r.Hi[2]; k++ {
+				for j := r.Lo[1]; j < r.Hi[1]; j++ {
+					b.charRow(ws, a, side, r.Lo[0], r.Hi[0], j, k, t)
+				}
+			}
 		}
 	}
 }
@@ -51,16 +66,9 @@ func (b *Block) domainLength(a int) float64 {
 	}
 }
 
-// charFace applies the characteristic treatment on one boundary plane. The
-// plane tiles over the pool like any other kernel: every point updates only
-// its own rhs entries, and each worker carries its own wave-amplitude and
-// stencil scratch.
-func (b *Block) charFace(a, side int, t float64) {
-	n := b.G.Dim(grid.Axis(a)) // points along the normal axis
-	bi := 0                    // boundary index along the axis
-	if side == 1 {
-		bi = n - 1
-	}
+// charRow applies face (a, side) at the points [x0, x1) of row (j, k) on its
+// plane; each point updates only its own rhs entries.
+func (b *Block) charRow(ws *kernScratch, a, side, x0, x1, j, k int, t float64) {
 	bc := b.faceBC[a][side]
 	L := b.domainLength(a)
 	set := b.mech.Set
@@ -69,143 +77,131 @@ func (b *Block) charFace(a, side int, t float64) {
 	t1a := (a + 1) % 3 // first tangential axis
 	t2a := (a + 2) % 3
 	vel := [3]*grid.Field3{b.U, b.V, b.W}
+	rs := &ws.rows
 
-	// The plane box: unit extent along the normal axis, full interior on the
-	// two tangential axes (the tiler never splits a unit axis).
-	plane := b.interior()
-	plane.Lo[a], plane.Hi[a] = bi, bi+1
-	b.plan.Run("NSCBC", plane, func(tl par.Tile, worker int) {
-		ws := &b.ws[worker]
-		rs := &ws.rows
-		x0, x1 := tl.Lo[0], tl.Hi[0]
-		for k := tl.Lo[2]; k < tl.Hi[2]; k++ {
-			for j := tl.Lo[1]; j < tl.Hi[1]; j++ {
-				b.normalRows(rs, a, x0, x1, j, k)
-				for i := x0; i < x1; i++ {
-					r := i - x0
-					rho := b.Rho.At(i, j, k)
-					p := b.P.At(i, j, k)
-					T := b.T.At(i, j, k)
-					b.gatherYInto(ws.yw, i, j, k)
-					c := set.SoundSpeed(T, ws.yw)
-					un := vel[a].At(i, j, k)
-					ut1 := vel[t1a].At(i, j, k)
-					ut2 := vel[t2a].At(i, j, k)
-					mach := math.Abs(un) / c
-					oneM2 := 1 - mach*mach
-					if oneM2 < 0.05 {
-						oneM2 = 0.05
-					}
+	b.normalRows(rs, a, x0, x1, j, k)
+	for i := x0; i < x1; i++ {
+		r := i - x0
+		rho := b.Rho.At(i, j, k)
+		p := b.P.At(i, j, k)
+		T := b.T.At(i, j, k)
+		b.gatherYInto(ws.yw, i, j, k)
+		c := set.SoundSpeed(T, ws.yw)
+		un := vel[a].At(i, j, k)
+		ut1 := vel[t1a].At(i, j, k)
+		ut2 := vel[t2a].At(i, j, k)
+		mach := math.Abs(un) / c
+		oneM2 := 1 - mach*mach
+		if oneM2 < 0.05 {
+			oneM2 = 0.05
+		}
 
-					// One-sided normal derivatives from the plane row's scratch.
-					dp := rs.dp[r]
-					drho := rs.drho[r]
-					dun := rs.du[a][a][r]
-					dut1 := rs.du[t1a][a][r]
-					dut2 := rs.du[t2a][a][r]
+		// One-sided normal derivatives from the plane row's scratch.
+		dp := rs.dp[r]
+		drho := rs.drho[r]
+		dun := rs.du[a][a][r]
+		dut1 := rs.du[t1a][a][r]
+		dut2 := rs.du[t2a][a][r]
 
-					// Wave amplitudes from the interior (outgoing values).
-					l1 := (un - c) * (dp - rho*c*dun)
-					l2 := un * (c*c*drho - dp)
-					l3 := un * dut1
-					l4 := un * dut2
-					l5 := (un + c) * (dp + rho*c*dun)
-					lY := ws.hw // scratch: species wave amplitudes
-					for sp := 0; sp < ns; sp++ {
-						lY[sp] = un * rs.dY[a][sp][r]
-					}
+		// Wave amplitudes from the interior (outgoing values).
+		l1 := (un - c) * (dp - rho*c*dun)
+		l2 := un * (c*c*drho - dp)
+		l3 := un * dut1
+		l4 := un * dut2
+		l5 := (un + c) * (dp + rho*c*dun)
+		lY := ws.hw // scratch: species wave amplitudes
+		for sp := 0; sp < ns; sp++ {
+			lY[sp] = un * rs.dY[a][sp][r]
+		}
 
-					// Override incoming amplitudes per boundary type.
-					switch bc {
-					case OutflowNSCBC:
-						kp := sigmaOut * c * oneM2 / L
-						if side == 0 {
-							l5 = kp * (p - b.cfg.PInf) // incoming at a low face travels +n
-						} else {
-							l1 = kp * (p - b.cfg.PInf)
-						}
-					case InflowNSCBC:
-						// The target's normal component is U whatever the
-						// face axis.
-						tgt := &ws.tgt
-						b.cfg.Inflow(b.G.Yc[j], b.G.Zc[k], t, tgt)
-						ku := etaIn * rho * c * c * oneM2 / L
-						kt := etaIn * c / L
-						if side == 0 {
-							l5 = ku * (un - tgt.U)
-						} else {
-							l1 = -ku * (un - tgt.U)
-						}
-						l2 = -etaIn * (c / L) * rho * c * c * (T - tgt.T) / T
-						tgtT1, tgtT2 := tangentialTargets(a, tgt)
-						l3 = kt * (ut1 - tgtT1)
-						l4 = kt * (ut2 - tgtT2)
-						for sp := 0; sp < ns; sp++ {
-							lY[sp] = kt * (ws.yw[sp] - tgt.Y[sp])
-						}
-					}
-
-					// LODI d-vector.
-					d1 := (l2 + 0.5*(l5+l1)) / (c * c)
-					d2 := 0.5 * (l5 + l1)
-					d3 := (l5 - l1) / (2 * rho * c)
-					d4 := l3
-					d5 := l4
-
-					// Primitive time derivatives from the characteristic normal terms.
-					drhoDt := -d1
-					dpDt := -d2
-					duDt := [3]float64{}
-					duDt[a] = -d3
-					duDt[t1a] = -d4
-					duDt[t2a] = -d5
-					dYDt := ws.cw // scratch
-					for sp := 0; sp < ns; sp++ {
-						dYDt[sp] = -lY[sp]
-					}
-
-					// Mixture quantities for the energy conversion.
-					W := b.Wmix.At(i, j, k)
-					cp := set.CpMass(T, ws.yw)
-					var dWDt float64
-					for sp := 0; sp < ns; sp++ {
-						dWDt += dYDt[sp] / species[sp].W
-					}
-					dWDt *= -W * W
-					dTDt := T * (dpDt/p - drhoDt/rho + dWDt/W)
-					var dhDt float64
-					var hMix float64
-					for sp := 0; sp < ns; sp++ {
-						hsp := species[sp].H(T)
-						hMix += ws.yw[sp] * hsp
-						dhDt += hsp * dYDt[sp]
-					}
-					dhDt += cp * dTDt
-
-					uVec := [3]float64{b.U.At(i, j, k), b.V.At(i, j, k), b.W.At(i, j, k)}
-					ke := 0.5 * (uVec[0]*uVec[0] + uVec[1]*uVec[1] + uVec[2]*uVec[2])
-					dRhoE := hMix*drhoDt + rho*dhDt - dpDt + ke*drhoDt +
-						rho*(uVec[0]*duDt[0]+uVec[1]*duDt[1]+uVec[2]*duDt[2])
-
-					// Conventional normal inviscid flux derivative at this point, to
-					// be removed from the RHS (the divergence already subtracted it).
-					dphi := b.normalInviscidDeriv(ws, a, side, i, j, k)
-
-					// rhs_new = rhs_old + ∂φ_inv/∂n + ddt_char.
-					b.rhs[iRho].Add(i, j, k, dphi[iRho]+drhoDt)
-					for comp := 0; comp < 3; comp++ {
-						b.rhs[iRhoU+comp].Add(i, j, k,
-							dphi[iRhoU+comp]+uVec[comp]*drhoDt+rho*duDt[comp])
-					}
-					b.rhs[iRhoE].Add(i, j, k, dphi[iRhoE]+dRhoE)
-					for sp := 0; sp < ns-1; sp++ {
-						b.rhs[iY0+sp].Add(i, j, k,
-							dphi[iY0+sp]+ws.yw[sp]*drhoDt+rho*dYDt[sp])
-					}
-				}
+		// Override incoming amplitudes per boundary type.
+		switch bc {
+		case OutflowNSCBC:
+			kp := sigmaOut * c * oneM2 / L
+			if side == 0 {
+				l5 = kp * (p - b.cfg.PInf) // incoming at a low face travels +n
+			} else {
+				l1 = kp * (p - b.cfg.PInf)
+			}
+		case InflowNSCBC:
+			// The target's normal component is U whatever the
+			// face axis.
+			tgt := &ws.tgt
+			b.cfg.Inflow(b.G.Yc[j], b.G.Zc[k], t, tgt)
+			ku := etaIn * rho * c * c * oneM2 / L
+			kt := etaIn * c / L
+			if side == 0 {
+				l5 = ku * (un - tgt.U)
+			} else {
+				l1 = -ku * (un - tgt.U)
+			}
+			l2 = -etaIn * (c / L) * rho * c * c * (T - tgt.T) / T
+			tgtT1, tgtT2 := tangentialTargets(a, tgt)
+			l3 = kt * (ut1 - tgtT1)
+			l4 = kt * (ut2 - tgtT2)
+			for sp := 0; sp < ns; sp++ {
+				lY[sp] = kt * (ws.yw[sp] - tgt.Y[sp])
 			}
 		}
-	})
+
+		// LODI d-vector.
+		d1 := (l2 + 0.5*(l5+l1)) / (c * c)
+		d2 := 0.5 * (l5 + l1)
+		d3 := (l5 - l1) / (2 * rho * c)
+		d4 := l3
+		d5 := l4
+
+		// Primitive time derivatives from the characteristic normal terms.
+		drhoDt := -d1
+		dpDt := -d2
+		duDt := [3]float64{}
+		duDt[a] = -d3
+		duDt[t1a] = -d4
+		duDt[t2a] = -d5
+		dYDt := ws.cw // scratch
+		for sp := 0; sp < ns; sp++ {
+			dYDt[sp] = -lY[sp]
+		}
+
+		// Mixture quantities for the energy conversion.
+		W := b.Wmix.At(i, j, k)
+		cp := set.CpMass(T, ws.yw)
+		var dWDt float64
+		for sp := 0; sp < ns; sp++ {
+			dWDt += dYDt[sp] / species[sp].W
+		}
+		dWDt *= -W * W
+		dTDt := T * (dpDt/p - drhoDt/rho + dWDt/W)
+		var dhDt float64
+		var hMix float64
+		for sp := 0; sp < ns; sp++ {
+			hsp := species[sp].H(T)
+			hMix += ws.yw[sp] * hsp
+			dhDt += hsp * dYDt[sp]
+		}
+		dhDt += cp * dTDt
+
+		uVec := [3]float64{b.U.At(i, j, k), b.V.At(i, j, k), b.W.At(i, j, k)}
+		ke := 0.5 * (uVec[0]*uVec[0] + uVec[1]*uVec[1] + uVec[2]*uVec[2])
+		dRhoE := hMix*drhoDt + rho*dhDt - dpDt + ke*drhoDt +
+			rho*(uVec[0]*duDt[0]+uVec[1]*duDt[1]+uVec[2]*duDt[2])
+
+		// Conventional normal inviscid flux derivative at this point, to
+		// be removed from the RHS (the divergence already subtracted it).
+		dphi := b.normalInviscidDeriv(ws, a, side, i, j, k)
+
+		// rhs_new = rhs_old + ∂φ_inv/∂n + ddt_char.
+		b.rhs[iRho].Add(i, j, k, dphi[iRho]+drhoDt)
+		for comp := 0; comp < 3; comp++ {
+			b.rhs[iRhoU+comp].Add(i, j, k,
+				dphi[iRhoU+comp]+uVec[comp]*drhoDt+rho*duDt[comp])
+		}
+		b.rhs[iRhoE].Add(i, j, k, dphi[iRhoE]+dRhoE)
+		for sp := 0; sp < ns-1; sp++ {
+			b.rhs[iY0+sp].Add(i, j, k,
+				dphi[iY0+sp]+ws.yw[sp]*drhoDt+rho*dYDt[sp])
+		}
+	}
 }
 
 // normalRows differentiates ρ, p, u, v, w and every Yₙ (normalSrc) along the

@@ -25,21 +25,17 @@ const (
 // exchange of the primitives the flux stage differentiates, the
 // pencil-fused flux stage (transport properties, derivatives, diffusive
 // fluxes and the convective + viscous + diffusive flux assembly, one x-row
-// at a time), a second ghost exchange of the fluxes, flux divergence,
-// chemical source terms and NSCBC boundary corrections. No stage reads a
-// ghost cell of Q. Every stage with interior extent runs tiled over the
-// block's worker-pool plan.
+// at a time), a second ghost exchange of the fluxes, and one sweep that
+// finishes rhs: flux divergence, chemical source terms and NSCBC boundary
+// corrections. No stage reads a ghost cell of Q. Every stage with interior
+// extent runs tiled over the block's worker-pool plan.
 func (b *Block) computeRHS(t float64) {
 	b.RefreshPrimitives()
 	b.assembleFluxes()
 
 	b.exchangeHalos(b.haloFlux, tagFlux)
 
-	b.divergence()
-	if !b.cfg.ChemistryOff {
-		b.chemSource()
-	}
-	b.applyNSCBC(t)
+	b.finishRHS(t)
 }
 
 // EvalRHS runs one full right-hand-side evaluation at simulation time t
@@ -312,46 +308,85 @@ func (b *Block) PrepareAssembleInputs() { b.PrepareDiffFluxInputs() }
 // have been prepared by PrepareAssembleInputs.
 func (b *Block) AssembleFluxesOnly() { b.assembleFluxes() }
 
-// divergence sets rhs[v] = −Σ_d ∂flux[v][d]/∂x_d over the interior, d over
-// the active axes, finishing one x-row of rhs[v] at a time: the x derivative
+// finishRHS completes rhs in one sweep over the partition tiles (RunSlots).
+// A tile sets rhs[v] = −∇·flux[v] (divTileSweep), adds Wₙ·ω̇ₙ unless
+// ChemistryOff (chemTileSweep), then applies the NSCBC faces that touch it
+// (nscbcTileSweep): each point adds to its own rhs entries in the order of
+// three separate sweeps, and the heat-release integral (collectHRR) is one
+// slot per tile folded in ascending order, so no bit follows the worker
+// count. region.charge reports the chemistry and NSCBC shares the workers
+// clock out of the sweep's DERIVATIVES region; an injected straggler delay
+// sleeps in a REACTION_RATE_BOUNDS region of its own (critpath's blame).
+func (b *Block) finishRHS(t float64) {
+	reg := b.beginRegionNamed("DERIVATIVES", "DIVERGENCE")
+	defer reg.End()
+	chem := !b.cfg.ChemistryOff
+	if d := b.stragglerDelay; d > 0 && chem {
+		sl := b.beginRegion("REACTION_RATE_BOUNDS")
+		time.Sleep(d)
+		sl.End()
+	}
+	start := time.Now()
+	b.plan.RunSlots("DIVERGENCE", b.interior(), func(tl par.Tile, worker int) {
+		ws := &b.ws[worker]
+		t0 := time.Now()
+		b.divTileSweep(tl)
+		t1 := time.Now()
+		if chem {
+			b.hrrSlots[tl.Index] = b.chemTileSweep(tl, worker, b.collectHRR)
+		}
+		t2 := time.Now()
+		b.nscbcTileSweep(ws, tl, t)
+		ws.clk[0] += t1.Sub(t0)
+		ws.clk[1] += t2.Sub(t1)
+		ws.clk[2] += time.Since(t2)
+	})
+	if b.collectHRR { // with chemistry off every slot holds +0
+		b.hrrAcc = 0
+		for _, v := range b.hrrSlots {
+			b.hrrAcc += v
+		}
+	}
+	parts := [3]string{1: "REACTION_RATE_BOUNDS", 2: "NSCBC"}
+	if !chem {
+		parts[1] = ""
+	}
+	reg.charge(time.Since(start), parts)
+}
+
+// divTileSweep sets rhs[v] = −Σ_d ∂flux[v][d]/∂x_d over one tile, d over the
+// active axes, finishing one x-row of rhs[v] at a time: the x derivative
 // lands with OpSet (along a one-point x axis the row starts from +0), y and
 // z accumulate with OpAdd, and the row is scaled by −1 (minusOne). Per point
 // that is the set, add, add, scale of the whole-tile passes the row loop
 // replaced, and DiffRow's bits are DiffRange's for any tiling.
-func (b *Block) divergence() {
-	defer b.beginRegionNamed("DERIVATIVES", "DIVERGENCE").End()
+func (b *Block) divTileSweep(t par.Tile) {
+	x0, x1 := t.Lo[0], t.Hi[0]
 	xActive := b.isActive(0)
-	var lo, hi [3]deriv.BC
-	var met [3][]float64
-	for _, d := range b.active {
-		lo[d], hi[d] = b.lohi(grid.Axis(d))
-		met[d] = b.G.Metric(grid.Axis(d))
-	}
-	b.plan.Run("DIVERGENCE", b.interior(), func(t par.Tile, _ int) {
-		x0, x1 := t.Lo[0], t.Hi[0]
-		neg := minusOne
-		for v := 0; v < b.nvar; v++ {
-			rhs, flux := b.rhs[v], &b.flux[v]
-			for k := t.Lo[2]; k < t.Hi[2]; k++ {
-				for j := t.Lo[1]; j < t.Hi[1]; j++ {
-					p := rhs.Idx(x0, j, k)
-					r := rhs.Data[p : p+x1-x0]
-					op := deriv.OpSet
-					if !xActive {
-						clear(r)
-						op = deriv.OpAdd
-					}
-					for _, d := range b.active {
-						deriv.DiffRow(r, flux[d], grid.Axis(d), met[d], lo[d], hi[d], x0, x1, j, k, op)
-						op = deriv.OpAdd
-					}
-					for i := range r {
-						r[i] *= neg
-					}
+	neg := minusOne
+	for v := 0; v < b.nvar; v++ {
+		rhs, flux := b.rhs[v], &b.flux[v]
+		for k := t.Lo[2]; k < t.Hi[2]; k++ {
+			for j := t.Lo[1]; j < t.Hi[1]; j++ {
+				p := rhs.Idx(x0, j, k)
+				r := rhs.Data[p : p+x1-x0]
+				op := deriv.OpSet
+				if !xActive {
+					clear(r)
+					op = deriv.OpAdd
+				}
+				for _, d := range b.active {
+					a := grid.Axis(d)
+					lo, hi := b.lohi(a)
+					deriv.DiffRow(r, flux[d], a, b.G.Metric(a), lo, hi, x0, x1, j, k, op)
+					op = deriv.OpAdd
+				}
+				for i := range r {
+					r[i] *= neg
 				}
 			}
 		}
-	})
+	}
 }
 
 // minusOne negates a divergence row. It is a variable so that the compiler
@@ -359,35 +394,11 @@ func (b *Block) divergence() {
 // which flips a NaN's sign bit where the multiply keeps it.
 var minusOne = -1.0
 
-// chemSource adds the chemical production terms Wₙ·ω̇ₙ to the species
-// equations (paper eq. 4). Total energy needs no source: the enthalpy in e₀
-// already carries the chemical contribution. Each worker evaluates rates
-// through its own mechanism clone; on telemetry steps the heat-release
-// integral accumulates through the plan's ordered reduction slots, so the
-// sum is bitwise identical for any worker count.
-func (b *Block) chemSource() {
-	defer b.beginRegion("REACTION_RATE_BOUNDS").End()
-	if d := b.stragglerDelay; d > 0 {
-		// Injected slowdown (SetStragglerDelay): charged inside the
-		// chemistry region so the critpath analyzer blames the right kernel.
-		time.Sleep(d)
-	}
-	// The heat-release fold writes ordered slots and so sweeps partition
-	// tile by partition tile; every other stage takes the plan's fat tiles.
-	if b.collectHRR {
-		b.hrrAcc = b.plan.RunReduce("REACTION_RATE_BOUNDS", b.interior(),
-			func(t par.Tile, w int) float64 { return b.chemTileSweep(t, w, true) })
-		return
-	}
-	b.plan.Run("REACTION_RATE_BOUNDS", b.interior(), func(t par.Tile, w int) {
-		b.chemTileSweep(t, w, false)
-	})
-}
-
-// chemTileSweep evaluates the chemistry kernel over one tile, one x-row at
-// a time: the rates of chemRow, Wₙ·ω̇ₙ added to the species rhs rows, plus
-// (flagged) the heat-release integrand sum from one HeatReleaseRow call, in
-// point order.
+// chemTileSweep evaluates the chemistry kernel (paper eq. 4) over one tile,
+// one x-row at a time: the rates of chemRow, Wₙ·ω̇ₙ added to the species rhs
+// rows, plus (flagged) the heat-release integrand sum from one
+// HeatReleaseRow call, in point order. Total energy needs no source: the
+// enthalpy in e₀ already carries the chemical contribution.
 func (b *Block) chemTileSweep(t par.Tile, worker int, collect bool) (hrr float64) {
 	ws := &b.ws[worker]
 	rs, species := &ws.rows, b.mech.Set.Species

@@ -244,6 +244,7 @@ type Block struct {
 	collectHRR  bool         // true during the final RK stage when telemetry is on
 	diffDue     bool         // true during the final RK stage when the watchdog is armed
 	hrrAcc      float64      // heat-release integral of the last step (W)
+	hrrSlots    []float64    // its per-tile partial sums, in tile order
 	volW        [3][]float64 // per-axis quadrature widths (see cellVol)
 
 	// Run-health watchdog (see health.go). watch may stay nil; the only
@@ -294,12 +295,14 @@ type kernScratch struct {
 
 	// NSCBC per-point buffers (normalInviscidDeriv result and flux stencil).
 	nvOut, nvFlux []float64
-	// inflow target of the NSCBC planes
+	// inflow target of the NSCBC faces
 	tgt InflowState
-	// x-row scratch of the pencil-fused flux stage and the NSCBC planes
+	// x-row scratch of the pencil-fused flux stage and the NSCBC faces
 	rows rowScratch
 	// species row segments a pointwise sweep reads and writes (primitives.go)
 	yIn, yOut [][]float64
+	// time clocked in the divergence, chemistry and NSCBC parts of finishRHS
+	clk [3]time.Duration
 }
 
 // NewSerial builds a single-block (serial) simulation over the whole grid:
@@ -477,6 +480,7 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 		b.loGhost[a] = perio || b.interiorF[a][0]
 		b.hiGhost[a] = perio || b.interiorF[a][1]
 	}
+	b.hrrSlots = make([]float64, b.plan.Slots(b.interior()))
 	return b
 }
 

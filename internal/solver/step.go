@@ -88,9 +88,6 @@ func (b *Block) StepChecked(dt float64) error {
 		// heat release requests the same collection.
 		b.collectHRR = (b.telemetryOn || (b.aDue && b.analysis.WantHeatRelease())) &&
 			rhsCall == nStages
-		if b.collectHRR {
-			b.hrrAcc = 0
-		}
 		// An armed watchdog grades the final stage's diffusivities.
 		b.diffDue = rhsCall == nStages && b.watch != nil && b.watch.Armed()
 		rhsSpan := b.profT.Begin("RHS")

@@ -123,8 +123,7 @@ func TestProbeTraceEndToEnd(t *testing.T) {
 	// records, one each.
 	m := done.Metrics
 	for _, name := range []string{"solver.steps", "par.tiles_total", "par.tiles.ASSEMBLE_FLUXES",
-		"par.tiles.COMPUTE_PRIMITIVES", "par.tiles.DIVERGENCE",
-		"par.tiles.NSCBC", "par.tiles.REACTION_RATE_BOUNDS", "par.tiles.RK_UPDATE"} {
+		"par.tiles.COMPUTE_PRIMITIVES", "par.tiles.DIVERGENCE", "par.tiles.RK_UPDATE"} {
 		if _, ok := m.Counters[name]; !ok {
 			t.Errorf("run_done lacks counter %s", name)
 		}
