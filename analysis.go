@@ -94,7 +94,7 @@ type AnalysisSpec struct {
 	// ReactionZone requests the reaction-zone volume fraction.
 	ReactionZone *ReactionZoneSpec
 	// HeatRelease requests the global heat-release integral (W), collected
-	// by piggybacking on the final RK stage's chemistry sweep.
+	// by piggybacking on the final RK stage's chemistry (in the flux sweep).
 	HeatRelease bool
 }
 

@@ -251,8 +251,8 @@ if grep -rn '\.Mixture(' --include='*.go' internal/solver | grep -v '_test\.go:'
 	exit 1
 fi
 
-# Row-chemistry lint: the chemistry sweep evaluates ω̇ₙ for a whole x-row with
-# one Mechanism.ProductionRatesRow call (chemTileSweep), one batch exponential
+# Row-chemistry lint: the flux row evaluates ω̇ₙ for a whole x-row with
+# one Mechanism.ProductionRatesRow call (chemRow), one batch exponential
 # over every rate argument of the row, so non-test internal/solver code makes
 # no per-point ProductionRates call (that one-point body serves the 0-D
 # reactor, which cannot batch points).
@@ -313,27 +313,36 @@ if grep -rnE 'deriv\.DiffRange\(|ScaleRange\(' --include='*.go' internal/solver 
 	exit 1
 fi
 
-# Pointwise-row lint: the primitives, transport and chemistry sweeps cut each
-# field's segment of a row once and index the points along it, so non-test
-# internal/solver/primitives.go and rhs.go (the flux stage, the divergence and
-# the chemistry sweep) make no per-point field call (.At, .Set, .Add), each of
-# which re-derives the flat index of its point.
-echo "== pointwise-row lint (no .At(, .Set( or .Add( field calls in internal/solver/primitives.go and rhs.go)"
+# Pointwise-row lint: the primitives sweep and the flux row (transport and
+# chemistry) cut each field's segment of a row once and index the points
+# along it, so non-test internal/solver/primitives.go and rhs.go (the flux
+# stage and its chemistry, the divergence) make no per-point field call
+# (.At, .Set, .Add), each of which re-derives the flat index of its point.
+# And the row's species enthalpies come from its one hₙ/RT row (hrtRow,
+# thermo.Set.HRTRow), shared by the heat flux, the rates and the heat
+# release, so rhs.go makes no per-point .H(, .HMolar( or .GRTLn( call, each
+# of which would evaluate hₙ/RT again.
+echo "== pointwise-row lint (no .At(, .Set( or .Add( field calls in internal/solver/primitives.go and rhs.go; no .H(, .HMolar( or .GRTLn( in rhs.go)"
 if grep -nE '\.(At|Set|Add)\(' internal/solver/primitives.go internal/solver/rhs.go; then
 	echo "a per-point field access is back in the pointwise sweeps (see above): cut the row once (Field3.Idx, Data[p0:p1])" >&2
 	exit 1
 fi
+if grep -nE '\.(H|HMolar|GRTLn)\(' internal/solver/rhs.go; then
+	echo "a per-point enthalpy evaluation is back in the flux row (see above): read the row's hₙ/RT (hrtRow)" >&2
+	exit 1
+fi
 
-# One-sweep lint: after the flux exchange one plan region per RK stage
-# finishes rhs (finishRHS: divergence, chemistry and the NSCBC faces, tile
-# by tile), and its heat-release fold is an ascending fold of per-tile
-# slots. So outside test files and the frozen benchmark module RunReduce,
-# chemSource and applyNSCBC stay deleted, internal/solver runs no "NSCBC"
-# plan region, and its one "REACTION_RATE_BOUNDS" plan region is
-# HeatReleaseField's (between steps; in a step the chemistry is a share
-# charged out of the sweep).
-echo "== one-sweep lint (no RunReduce, chemSource or applyNSCBC; no NSCBC plan region; one REACTION_RATE_BOUNDS plan region, HeatReleaseField's)"
-if grep -rnE '\b(RunReduce|chemSource|applyNSCBC)\b' --include='*.go' . | grep -v '^\./benchmark/' | grep -v '_test\.go:'; then
+# One-sweep lint: the chemistry runs in the flux row (fluxRow, on the row's
+# hₙ/RT rows), whose sweep folds the heat-release integral's per-tile slots
+# in ascending order, and after the flux exchange one plan region per RK
+# stage finishes rhs (finishRHS: divergence and the NSCBC faces, tile by
+# tile). So outside test files and the frozen benchmark module RunReduce,
+# chemSource, applyNSCBC and chemTileSweep stay deleted, internal/solver
+# runs no "NSCBC" plan region, and its one "REACTION_RATE_BOUNDS" plan
+# region is HeatReleaseField's (between steps; in a step the chemistry is a
+# share charged out of the flux sweep, ASSEMBLE_FLUXES).
+echo "== one-sweep lint (no RunReduce, chemSource, applyNSCBC or chemTileSweep; no NSCBC plan region; one REACTION_RATE_BOUNDS plan region, HeatReleaseField's)"
+if grep -rnE '\b(RunReduce|chemSource|applyNSCBC|chemTileSweep)\b' --include='*.go' . | grep -v '^\./benchmark/' | grep -v '_test\.go:'; then
 	echo "a separate rhs stage or the plan's reduce is back (see above): finish rhs in finishRHS's one sweep" >&2
 	exit 1
 fi

@@ -222,8 +222,9 @@ func TestCostLiveEndpoints(t *testing.T) {
 	// region-timer totals for every kernel (DIVERGENCE's from the DERIVATIVES
 	// timer) plus sampled per-tile detail from the probe for every kernel
 	// that ran plan regions. A row without plan runs holds region time
-	// alone: the chemistry's share, charged out of the DIVERGENCE sweep it
-	// runs in, or a halo exchange with no halo items on this jet.
+	// alone: the chemistry's share, charged out of the ASSEMBLE_FLUXES sweep
+	// it runs in. The serial jet has no periodic axis, so no halo exchange
+	// and no GHOST_EXCHANGE row.
 	if len(live.Kernels) == 0 {
 		t.Fatal("no kernels in the live record")
 	}
@@ -237,6 +238,9 @@ func TestCostLiveEndpoints(t *testing.T) {
 		}
 		if mk.RegionS <= 0 {
 			t.Fatalf("kernel %s has no region time: %+v", mk.Kernel, mk)
+		}
+		if mk.Kernel == "GHOST_EXCHANGE" {
+			t.Fatalf("the serial jet reports a halo exchange: %+v", mk)
 		}
 	}
 	for _, k := range []string{"COMPUTE_PRIMITIVES", "ASSEMBLE_FLUXES", "DIVERGENCE", "RK_UPDATE"} {

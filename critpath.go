@@ -77,7 +77,7 @@ func ReadCritPath(path string) ([]CritPathRecord, error) {
 	return readLayer[CritPathRecord](path, obs.KindCritPath)
 }
 
-// InjectStraggler artificially slows this rank's chemistry sweep by d per
+// InjectStraggler artificially slows this rank's chemistry by d per
 // RK stage (zero disables) — a validation hook: the slowed rank must
 // surface as the critical-path owner, with its peers in late-sender waits
 // and the chemistry region blamed. Exposed publicly because straggler

@@ -392,18 +392,18 @@ func (m *Mechanism) ProductionRates(T float64, C, wdot []float64) {
 // Pr, the broadening factor, its exponential arguments, q_f and q_r.
 const rowWork = 12
 
-// ProductionRatesRow evaluates ω̇ᵢ at the len(T) points of a row: T (K) and
-// the concentration rows C[i] (mol/m³) in, the rate rows wdot[i] out (zeroed
-// first; at least len(T) long). Each point gets exactly the bits
-// ProductionRates returns for it. The per-point rows (ln T, 1/(Ru·T), ln c0,
-// Σc) and a g/RT row per species come first; then every exponential argument
-// of the row — per reaction ln k, ln k0, the Troe centring terms (unless
-// every point has the constant Fcent) and ln Kc (unless shared) — goes into
-// one block and one batch exponential; then the rate loops run reaction
-// by reaction, each over the whole row, in the one-point operation order.
-// Troe's 10^y takes a second batch exponential per reaction where pow10
+// ProductionRatesRow evaluates ω̇ᵢ at the len(T) points of a row: T (K), its
+// hᵢ/RT rows hrt[i] (thermo.Set.HRTRow) and the concentration rows C[i]
+// (mol/m³) in, the rate rows wdot[i] out (zeroed first; at least len(T) long),
+// each point with the bits of ProductionRates. The per-point rows (ln T,
+// 1/(Ru·T), ln c0, Σc) and g/RT = hrt − SRLn rows come first; then every
+// exponential argument of the row — per reaction ln k, ln k0, the Troe centring
+// terms (unless every point has the constant Fcent) and ln Kc (unless shared) —
+// goes into one block and one batch exponential; then the rate loops run
+// reaction by reaction, each over the whole row, in the one-point operation
+// order. Troe's 10^y takes a second batch exponential per reaction where pow10
 // takes math.Exp. Not safe for concurrent use on one Mechanism: use Clone.
-func (m *Mechanism) ProductionRatesRow(T []float64, C, wdot [][]float64) {
+func (m *Mechanism) ProductionRatesRow(T []float64, hrt, C, wdot [][]float64) {
 	w, ns := len(T), m.Set.Len()
 	if need := (rowWork + ns + cap(m.expArg)) * w; len(m.row) < need {
 		m.row = make([]float64, need)
@@ -434,9 +434,9 @@ func (m *Mechanism) ProductionRatesRow(T []float64, C, wdot [][]float64) {
 		}
 	}
 	for s, sp := range m.Set.Species {
-		g, c := gRT(s), C[s][:w]
+		g, h, c := gRT(s), hrt[s][:w], C[s][:w]
 		for i, t := range T {
-			g[i] = sp.GRTLn(t, lnTFit[i])
+			g[i] = h[i] - sp.SRLn(t, lnTFit[i])
 			cTot[i] += c[i]
 		}
 		clear(wdot[s][:w])
@@ -592,16 +592,16 @@ func (m *Mechanism) ProductionRatesRow(T []float64, C, wdot [][]float64) {
 }
 
 // HeatReleaseRow sets q[i] = −Σₙ ω̇ₙ·hₙ(T) in W/m³ (positive for exothermic
-// states) at the len(T) points of a row from the rate rows wdot[n] — the
-// diagnostic behind the heat-release field and integral and the
-// flame-thickness measure δ_H.
-func (m *Mechanism) HeatReleaseRow(T []float64, wdot [][]float64, q []float64) {
+// states), hₙ = hrt·R·T from the hₙ/RT rows hrt[n] (thermo.Set.HRTRow), at
+// the len(T) points of a row from the rate rows wdot[n] — the diagnostic
+// behind the heat-release field and integral and the flame-thickness δ_H.
+func (m *Mechanism) HeatReleaseRow(T []float64, hrt, wdot [][]float64, q []float64) {
 	q = q[:len(T)]
 	clear(q)
-	for n, sp := range m.Set.Species {
-		wd := wdot[n][:len(T)]
+	for n := range hrt[:m.Set.Len()] {
+		h, wd := hrt[n][:len(T)], wdot[n][:len(T)]
 		for i, t := range T {
-			q[i] -= wd[i] * sp.HMolar(t)
+			q[i] -= wd[i] * (h[i] * thermo.R * t)
 		}
 	}
 }

@@ -332,7 +332,7 @@ func TestHeatReleaseSignForBurning(t *testing.T) {
 	wdot := make([]float64, ns)
 	m.ProductionRates(T, C, wdot)
 	q := make([]float64, 1)
-	m.HeatReleaseRow([]float64{T}, columns(wdot), q)
+	m.HeatReleaseRow([]float64{T}, hrtRows(m, []float64{T}), columns(wdot), q)
 	if q[0] <= 0 {
 		t.Fatalf("heat release for burning H2/air = %g, want > 0", q[0])
 	}

@@ -80,17 +80,18 @@ func TestCloneProductionRatesIdentical(t *testing.T) {
 			C[n][i] = conc[n] * float64(i+1)
 		}
 	}
-	m.ProductionRatesRow(T, C, r1)
+	hrt := hrtRows(m, T)
+	m.ProductionRatesRow(T, hrt, C, r1)
 	c2 := m.Clone()
 	if c2.row != nil {
 		t.Fatal("clone copied the row scratch")
 	}
-	c2.ProductionRatesRow(T[:1], C, r2)
+	c2.ProductionRatesRow(T[:1], hrt, C, r2)
 	if &m.row[0] == &c2.row[0] {
 		t.Fatal("clone shares the row scratch")
 	}
-	m.ProductionRatesRow(T, C, r1)
-	c2.ProductionRatesRow(T, C, r2)
+	m.ProductionRatesRow(T, hrt, C, r1)
+	c2.ProductionRatesRow(T, hrt, C, r2)
 	for n := range r1 {
 		for i := range T {
 			if math.Float64bits(r1[n][i]) != math.Float64bits(r2[n][i]) {

@@ -27,17 +27,26 @@ func rows(n, w int) [][]float64 {
 	return out
 }
 
+// hrtRows returns the hₙ/RT rows of T, filled by thermo.Set.HRTRow as the
+// solver's and flame1d's are.
+func hrtRows(m *Mechanism, T []float64) [][]float64 {
+	hrt := rows(m.NumSpecies(), len(T))
+	m.Set.HRTRow(T, hrt)
+	return hrt
+}
+
 // sameBits reports bitwise equality, NaN matching any NaN.
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
 }
 
 // TestProductionRatesRowMatchesReference: at every point of a row,
-// ProductionRatesRow returns the bits of the un-batched reference and of
-// the one-point ProductionRates — for H2, CH4 and the reaction-free air
-// set, at widths that leave every count of batch-exponential tail lanes,
-// over rows that mix temperatures below and above the fit range and
-// outside the constant-Fcent range, absent species, and negative
+// ProductionRatesRow on hₙ/RT rows from thermo.Set.HRTRow returns the bits
+// of the un-batched reference and of the one-point ProductionRates — for
+// H2, CH4 and the reaction-free air set, at widths that leave every count
+// of batch-exponential tail lanes, over rows that mix temperatures below
+// and above the fit range (down to 0.5 K and up to 2·10⁶ K, both clamped)
+// and outside the constant-Fcent range, absent species, and negative
 // concentrations that clamp the third-body sum at 0. A NaN temperature or
 // concentration at one point leaves the other points' bits unchanged.
 func TestProductionRatesRowMatchesReference(t *testing.T) {
@@ -77,7 +86,7 @@ func TestProductionRatesRowMatchesReference(t *testing.T) {
 					// Every special temperature in one row, as far as it reaches.
 					copy(T, special)
 				}
-				m.ProductionRatesRow(T, C, wdot)
+				m.ProductionRatesRow(T, hrtRows(m, T), C, wdot)
 				for i := range T {
 					for n := range c {
 						c[n] = C[n][i]
@@ -109,7 +118,7 @@ func TestProductionRatesRowMatchesReference(t *testing.T) {
 				} else {
 					C[ns-1][bad] = math.NaN()
 				}
-				m.ProductionRatesRow(T, C, wdot)
+				m.ProductionRatesRow(T, hrtRows(m, T), C, wdot)
 				for n := range c {
 					c[n] = C[n][bad]
 				}
@@ -136,21 +145,23 @@ func TestProductionRatesRowMatchesReference(t *testing.T) {
 	}
 }
 
-// TestHeatReleaseRowMatchesPointSum: HeatReleaseRow is −Σₙ ω̇ₙ·hₙ(T) summed
-// point by point in species order, inside and outside the fit range.
+// TestHeatReleaseRowMatchesPointSum: HeatReleaseRow on hₙ/RT rows from
+// thermo.Set.HRTRow is −Σₙ ω̇ₙ·HMolar(T) summed point by point in species
+// order, inside and outside the fit range (0.5 K and 2·10⁶ K clamped).
 func TestHeatReleaseRowMatchesPointSum(t *testing.T) {
 	m := H2Air()
 	ns := m.NumSpecies()
-	T := []float64{150, 300, 1234.5, 2100, 4000}
+	T := []float64{150, 300, 1234.5, 2100, 4000, 0.5, 2e6}
 	C, wdot := rows(ns, len(T)), rows(ns, len(T))
 	for n := range C {
 		for i := range T {
 			C[n][i] = 0.1 + float64(n+i)
 		}
 	}
-	m.ProductionRatesRow(T, C, wdot)
+	hrt := hrtRows(m, T)
+	m.ProductionRatesRow(T, hrt, C, wdot)
 	q := make([]float64, len(T))
-	m.HeatReleaseRow(T, wdot, q)
+	m.HeatReleaseRow(T, hrt, wdot, q)
 	for i, temp := range T {
 		var want float64
 		for n, sp := range m.Set.Species {
@@ -171,9 +182,10 @@ func benchmarkProductionRatesRow(b *testing.B, m *Mechanism, w int) {
 			C[n][i] = 2.0
 		}
 	}
+	hrt := hrtRows(m, T)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ProductionRatesRow(T, C, wdot)
+		m.ProductionRatesRow(T, hrt, C, wdot)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w), "ns/pt")
 }

@@ -35,8 +35,8 @@ import (
 // Kernels lists the kernels a window tracks, in record order: the
 // interior-sweep kernels of the RHS and the filter, then the non-spatial
 // item sweeps (halo pack/unpack and the RK register update). The chemistry
-// is a share charged out of the solver's DIVERGENCE sweep (region time, no
-// plan runs); NSCBC and the instrumentation layers' sweeps are untracked.
+// is a share charged out of the solver's ASSEMBLE_FLUXES sweep (region time,
+// no plan runs); NSCBC and the instrumentation layers' sweeps are untracked.
 var Kernels = []string{
 	"COMPUTE_PRIMITIVES",
 	"ASSEMBLE_FLUXES",
@@ -61,8 +61,8 @@ func kernelIndex(label string) int {
 // MeasuredKernel is one kernel's wall-clock statistics over a collection
 // window. Runs and Tiles count every plan run of the window; RegionS is the
 // kernel's exclusive region-timer seconds over the window (exact, from the
-// solver's always-on timers; DIVERGENCE's is the DERIVATIVES timer, less
-// the shares charged out of it). The tile-level statistics (MaxTileS,
+// solver's always-on timers, less the shares charged out of them;
+// DIVERGENCE's is the DERIVATIVES timer). The tile-level statistics (MaxTileS,
 // MeanTileS, Imbalance, WorkerS) come from the per-window sample:
 // SampledRuns runs spanning SampledS seconds, SampledTiles tiles wide.
 type MeasuredKernel struct {

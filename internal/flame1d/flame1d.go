@@ -127,10 +127,10 @@ func Solve(cfg Config) (Properties, error) {
 		jfl[i] = make([]float64, ns)
 	}
 	qface := make([]float64, nx)
-	// Concentration and rate rows over the interior points 1..nx−2.
-	c, wdot := make([][]float64, ns), make([][]float64, ns)
+	// hₙ/RT, concentration and rate rows over the interior points 1..nx−2.
+	hrt, c, wdot := make([][]float64, ns), make([][]float64, ns), make([][]float64, ns)
 	for n := range c {
-		c[n], wdot[n] = make([]float64, nx-2), make([]float64, nx-2)
+		hrt[n], c[n], wdot[n] = make([]float64, nx-2), make([]float64, nx-2), make([]float64, nx-2)
 	}
 	hrr := make([]float64, nx)
 
@@ -189,14 +189,15 @@ func Solve(cfg Config) (Properties, error) {
 		}
 
 		// Reaction rates and heat release over the interior in one row call
-		// each, then material derivatives, velocity divergence.
+		// each (on one hₙ/RT row), then material derivatives, velocity div.
 		for i := 1; i < nx-1; i++ {
 			for n := 0; n < ns; n++ {
 				c[n][i-1] = rho[i] * Y[i][n] / set.Species[n].W
 			}
 		}
-		m.ProductionRatesRow(T[1:nx-1], c, wdot)
-		m.HeatReleaseRow(T[1:nx-1], wdot, hrr[1:nx-1])
+		set.HRTRow(T[1:nx-1], hrt)
+		m.ProductionRatesRow(T[1:nx-1], hrt, c, wdot)
+		m.HeatReleaseRow(T[1:nx-1], hrt, wdot, hrr[1:nx-1])
 		var sc float64
 		maxRate := 0.0
 		for i := 1; i < nx-1; i++ {

@@ -120,7 +120,7 @@ func setGauges(reg *obs.Registry, rec *Record) {
 }
 
 // SetHeatRelease requests the heat-release volume integral as an extra
-// scalar product (the host piggybacks it on the chemistry sweep).
+// scalar product (the host piggybacks it on its chemistry rows).
 func (p *Pipeline) SetHeatRelease(on bool) { p.wantHRR = on }
 
 // WantHeatRelease reports whether the heat-release scalar was requested.

@@ -60,7 +60,7 @@ func diffusivities(b *Block, i, j, k int) []float64 {
 // h2SpreadRate measures the initial diffusive spreading rate of the H2 blob
 // by the species-equation RHS magnitude at the blob flank.
 func h2SpreadRate(b *Block) float64 {
-	b.computeRHS(0)
+	b.EvalRHS(0)
 	iH2 := b.mech.Set.Index("H2")
 	var m float64
 	for i := 0; i < b.G.Nx; i++ {

@@ -44,11 +44,16 @@ func oracleChemTileSweep(b *Block, m *chem.Mechanism, rhs []*grid.Field3, t par.
 
 // TestChemSourceMatchesPerPointOracle: on a reacting 2-D H2 jet whose x
 // extent (17) is no multiple of the batch exponential's four lanes, at one
-// and two workers, the chemistry part of the rhs sweep leaves in every
-// species rhs the bits of the per-point oracle, without and with the
-// heat-release fold, and the folded integral equals the oracle's through
-// the same ordered reduction. The sweep runs without the block's NSCBC
-// faces, so its rhs is the divergence plus the chemistry alone.
+// and two workers, EvalRHS with chemistry on leaves in every species rhs
+// the bits of EvalRHS with chemistry off plus the per-point oracle, without
+// and with the heat-release fold, and the folded integral equals the
+// oracle's through the same ordered reduction. The block runs without its
+// NSCBC faces, so its rhs is the divergence plus the chemistry alone. A
+// NaN-payload lane checks how the divergence adds the parked chemistry:
+// where a divergence NaN meets a parked NaN the sum keeps the chemistry
+// NaN's payload, as the separate chemistry pass's rhs += Wₙ·ω̇ₙ did (x86's
+// ADDSD keeps its register operand's NaN, and that pass held Wₙ·ω̇ₙ in the
+// register).
 func TestChemSourceMatchesPerPointOracle(t *testing.T) {
 	const tRHS = 2 * degDt
 	for _, workers := range []int{1, 2} {
@@ -60,14 +65,31 @@ func TestChemSourceMatchesPerPointOracle(t *testing.T) {
 		}
 		degenerateIC(b)
 		b.Advance(2, degDt)
-		b.EvalRHS(tRHS)
+		// An off-centre radical seed: 1.5× the H partial density below a
+		// third of the height, so the per-tile heat-release slots are no
+		// mirror image of each other and their fold order shows in the bits.
+		h := iY0 + b.cfg.Mech.Set.Index("H")
+		for j := 0; j < b.G.Ny/3; j++ {
+			r := b.Q[h].Row(j, 0)
+			for i := range r {
+				r[i] *= 1.5
+			}
+		}
+		// Each primitive recovery starts its temperature iteration from the
+		// same guess, so every evaluation below sees the same primitives.
+		guess := b.T.Clone()
+		refresh := func() {
+			copy(b.T.Data, guess.Data)
+			b.RefreshPrimitives()
+		}
 
-		// The divergence alone: the sweep with chemistry off and every face
-		// marked periodic, so it applies no NSCBC face (the derivative
-		// closures, fixed at construction, stay one-sided).
+		// Every face marked periodic, so no NSCBC face applies (the
+		// derivative closures, fixed at construction, stay one-sided); then
+		// the divergence alone: EvalRHS with chemistry off.
 		b.faceBC = [3][2]BCType{}
 		b.cfg.ChemistryOff = true
-		b.finishRHS(tRHS)
+		copy(b.T.Data, guess.Data)
+		b.EvalRHS(tRHS)
 		b.cfg.ChemistryOff = false
 		start := make([]*grid.Field3, b.nvar)
 		for v := range start {
@@ -91,7 +113,8 @@ func TestChemSourceMatchesPerPointOracle(t *testing.T) {
 				wantHRR += v
 			}
 			b.collectHRR, b.hrrAcc = collect, 0
-			b.finishRHS(tRHS)
+			copy(b.T.Data, guess.Data)
+			b.EvalRHS(tRHS)
 			b.collectHRR = false
 			for v := range want {
 				if i, j, k, ok := interiorDiff(b.rhs[v], want[v]); !ok {
@@ -106,6 +129,40 @@ func TestChemSourceMatchesPerPointOracle(t *testing.T) {
 			if collect && !(wantHRR > 0) {
 				t.Fatalf("workers=%d: heat-release integral %g: the jet is not reacting", workers, wantHRR)
 			}
+		}
+
+		// The NaN-payload lane: a NaN with payload A in the first species'
+		// x flux at (8, 6) reaches the divergence of its x neighbours, and
+		// a parked NaN with payload B waits at (9, 6).
+		nanA, nanB := math.Float64frombits(0x7ff80000000000a1), math.Float64frombits(0x7ff80000000000b2)
+		rhsPoked := func(chemOff bool) (parked *grid.Field3) {
+			b.cfg.ChemistryOff = chemOff
+			refresh()
+			b.assembleFluxes()
+			b.flux[iY0][0].Set(8, 6, 0, nanA)
+			b.rhs[iY0].Set(9, 6, 0, nanB)
+			parked = b.rhs[iY0].Clone()
+			b.exchangeHalos(b.haloFlux, tagFlux)
+			b.finishRHS(tRHS)
+			b.cfg.ChemistryOff = false
+			return parked
+		}
+		rhsPoked(true)
+		want := b.rhs[iY0].Clone()
+		parked := rhsPoked(false)
+		for k := 0; k < b.G.Nz; k++ {
+			for j := 0; j < b.G.Ny; j++ {
+				for i := 0; i < b.G.Nx; i++ {
+					want.Add(i, j, k, parked.At(i, j, k))
+				}
+			}
+		}
+		if got := b.rhs[iY0].At(9, 6, 0); math.Float64bits(got) != math.Float64bits(nanB) {
+			t.Fatalf("workers=%d: NaN lane rhs = %x, want the parked payload %x", workers, math.Float64bits(got), math.Float64bits(nanB))
+		}
+		if i, j, k, ok := interiorDiff(b.rhs[iY0], want); !ok {
+			t.Fatalf("workers=%d: NaN lane rhs at (%d,%d,%d) = %x, oracle %x", workers, i, j, k,
+				math.Float64bits(b.rhs[iY0].At(i, j, k)), math.Float64bits(want.At(i, j, k)))
 		}
 		pool.Close()
 	}

@@ -27,8 +27,8 @@ func (b *Block) Cost() *cost.Collector { return b.costC }
 
 // costRegionSeconds fills out (aligned with cost.Kernels) with each
 // kernel's exclusive region-timer seconds so far. The DIVERGENCE sweep runs
-// under the DERIVATIVES timer, which keeps what the sweep does not charge
-// to REACTION_RATE_BOUNDS and NSCBC.
+// under the DERIVATIVES timer; each fused sweep's timer keeps what it does
+// not charge to REACTION_RATE_BOUNDS (flux sweep) or NSCBC (divergence).
 func (b *Block) costRegionSeconds(out []float64) {
 	for i, k := range cost.Kernels {
 		if k == "DIVERGENCE" {

@@ -80,7 +80,7 @@ func (b *Block) critStep() {
 }
 
 // SetStragglerDelay injects an artificial per-stage delay into this rank's
-// chemistry sweep (zero disables) — the validation hook for the critpath
+// chemistry (zero disables) — the validation hook for the critpath
 // analyzer: a slowed rank must show up as the critical-path owner with its
 // peers in late-sender waits (and in its own cost record's chemistry row).
 func (b *Block) SetStragglerDelay(d time.Duration) { b.stragglerDelay = d }

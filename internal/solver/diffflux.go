@@ -55,7 +55,7 @@ func jRow(j, dY, negRhoD, yOverW, y [][]float64, dW, sum []float64) {
 func (b *Block) PrepareDiffFluxInputs() { b.RefreshPrimitives() }
 
 // DiffFluxKernelOnly invokes the pencil-fused flux stage, which forms the
-// diffusive fluxes; inputs must have been prepared by PrepareDiffFluxInputs.
+// diffusive fluxes (and the chemistry); inputs come from PrepareDiffFluxInputs.
 func (b *Block) DiffFluxKernelOnly() { b.assembleFluxes() }
 
 // DiffFluxStudy is the figure-4/5 kernel study: the diffusive-flux loop nest

@@ -165,8 +165,9 @@ func interiorDiff(got, want *grid.Field3) (i, j, k int, ok bool) {
 // divergence — on the periodic 3-D air box, the reacting 2-D H2 jet with
 // NSCBC faces, a block whose x axis has one point (the divergence starts
 // from +0 and adds y and z), at one worker and at three over extents no
-// tiling divides evenly. The rhs oracle re-runs the chemistry and NSCBC
-// parts of the block's rhs sweep on top of the oracle divergence.
+// tiling divides evenly. On top of the oracle divergence the rhs oracle adds
+// the per-point chemistry oracle (oracleChemTileSweep) and re-runs the
+// NSCBC part of the block's rhs sweep.
 func TestFluxRowsMatchPerPointOracle(t *testing.T) {
 	airBox := func(pool *par.Pool) *Config {
 		cfg := airConfig(13, 11, 7, 0.004)
@@ -237,7 +238,7 @@ func TestFluxRowsMatchPerPointOracle(t *testing.T) {
 			}
 			b.plan.RunSlots("oracle", b.interior(), func(tl par.Tile, w int) {
 				if !cfg.ChemistryOff {
-					b.chemTileSweep(tl, w, false)
+					oracleChemTileSweep(b, b.ws[w].mech, b.rhs, tl, false)
 				}
 				b.nscbcTileSweep(&b.ws[w], tl, tRHS)
 			})

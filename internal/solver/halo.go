@@ -49,16 +49,17 @@ type haloLists [3][]*grid.Field3
 // S3D's aggregated ~80 kB neighbour messages. Per-field work — the periodic
 // wraps and the slab pack/unpack — runs as pool items: each field owns a
 // disjoint ghost region or buffer segment, so fields proceed concurrently
-// while the buffer layout stays field-major.
+// while the buffer layout stays field-major; with no such axis, no region.
 func (b *Block) exchangeHalos(fields haloLists, tagBase int) {
-	defer b.beginRegion("GHOST_EXCHANGE").End()
+	open := false
 	for a := 0; a < 3; a++ {
 		axis := grid.Axis(a)
-		if len(fields[a]) == 0 {
+		if len(fields[a]) == 0 || !b.loGhost[a] && !b.hiGhost[a] {
 			continue
 		}
-		if !b.loGhost[a] && !b.hiGhost[a] {
-			continue
+		if !open {
+			open = true
+			defer b.beginRegion("GHOST_EXCHANGE").End()
 		}
 		loNb := b.cart.Neighbor(a, -1)
 		hiNb := b.cart.Neighbor(a, +1)

@@ -7,7 +7,7 @@ import (
 
 // computePrimitives recovers ρ, u, v, w, Y, T, p, W from the conserved
 // fields over the block interior. Ghost cells are not recovered here: the
-// primitive halo exchange that follows (computeRHS, RefreshPrimitives)
+// primitive halo exchange that follows (EvalRHS, RefreshPrimitives)
 // copies the owner's values into the face slabs the flux stage reads, so
 // every point's primitives are computed once, by the rank that owns it.
 // Temperature Newton iteration warm-starts from the previous value stored in

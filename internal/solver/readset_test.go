@@ -93,24 +93,24 @@ func sameBits(what string, got, want []uint64) error {
 	return nil
 }
 
-// checkReadSet proves on one block that computeRHS and ApplyFilter read no
+// checkReadSet proves on one block that EvalRHS and ApplyFilter read no
 // ghost cell outside the read-set: both must reproduce their interior
 // results bit for bit, and finite, with every other ghost cell set to NaN —
 // for the RHS, every ghost cell of Q included.
 func checkReadSet(b *Block) error {
 	hotSpotIC(b)
-	b.computeRHS(0) // fills every field once
+	b.EvalRHS(0) // fills every field once
 	// Both compared evaluations restart the temperature Newton iteration
 	// from the same seeds.
 	seedT := append([]float64(nil), b.T.Data...)
-	b.computeRHS(0)
+	b.EvalRHS(0)
 	want, err := interiorBits("rhs", b.rhs)
 	if err != nil {
 		return err
 	}
 	copy(b.T.Data, seedT)
 	poisonUnreadGhosts(b)
-	b.computeRHS(0)
+	b.EvalRHS(0)
 	got, err := interiorBits("rhs", b.rhs)
 	if err != nil {
 		return err

@@ -47,36 +47,24 @@ func (r region) End() {
 	r.b.Timers.Stop(r.timer)
 }
 
-// charge reports the parts of a fused sweep out of the open region r that
-// timed it (wall). Part i, which the workers clocked in ws[·].clk[i]
-// (cleared here), goes to region parts[i] ("" keeps it in r) as
-// d·min(1, wall/Σ all parts) — exact at one worker — through Timers.Charge
-// and as child spans back to back at the end of r's span.
-func (r region) charge(wall time.Duration, parts [3]string) {
-	var clk [3]time.Duration
+// charge reports a part of a fused sweep out of the open region r that
+// timed it (wall). The workers clock their tiles in ws[·].clk[0] and the
+// part in ws[·].clk[1] (both cleared here); the part goes to region name
+// ("" keeps it in r) as d·min(1, wall/Σ tiles) — exact at one worker —
+// through Timers.Charge and as a child span at the end of r's span.
+func (r region) charge(wall time.Duration, name string) {
+	var total, part time.Duration
 	for w := range r.b.ws {
-		for i, d := range r.b.ws[w].clk {
-			clk[i] += d
-		}
-		r.b.ws[w].clk = [3]time.Duration{}
+		ws := &r.b.ws[w]
+		total, part = total+ws.clk[0], part+ws.clk[1]
+		ws.clk = [2]time.Duration{}
 	}
-	scale := 1.0
-	if total := clk[0] + clk[1] + clk[2]; total > wall {
-		scale = float64(wall) / float64(total)
+	if name == "" {
+		return
 	}
-	var sum time.Duration
-	for i, name := range parts {
-		clk[i] = time.Duration(float64(clk[i]) * scale)
-		if name != "" {
-			sum += clk[i]
-		}
+	if total > wall {
+		part = time.Duration(float64(part) * (float64(wall) / float64(total)))
 	}
-	start := prof.Now() - sum.Nanoseconds()
-	for i, name := range parts {
-		if name != "" {
-			r.b.Timers.Charge(name, clk[i])
-			r.sp.Child(name, start, clk[i].Nanoseconds())
-			start += clk[i].Nanoseconds()
-		}
-	}
+	r.b.Timers.Charge(name, part)
+	r.sp.Child(name, prof.Now()-part.Nanoseconds(), part.Nanoseconds())
 }

@@ -20,28 +20,22 @@ const (
 	tagPrimitive = 200
 )
 
-// computeRHS evaluates dQ/dt into b.rhs at simulation time t. It performs
+// EvalRHS evaluates dQ/dt into b.rhs at simulation time t: what an RK stage
+// costs, and what benchmark/'s solver.rhs_us_per_gp times. It performs
 // the full S3D right-hand side: primitive recovery over the interior, ghost
 // exchange of the primitives the flux stage differentiates, the
 // pencil-fused flux stage (transport properties, derivatives, diffusive
-// fluxes and the convective + viscous + diffusive flux assembly, one x-row
-// at a time), a second ghost exchange of the fluxes, and one sweep that
-// finishes rhs: flux divergence, chemical source terms and NSCBC boundary
-// corrections. No stage reads a ghost cell of Q. Every stage with interior
-// extent runs tiled over the block's worker-pool plan.
-func (b *Block) computeRHS(t float64) {
+// fluxes, the convective + viscous + diffusive flux assembly and the
+// chemical source terms, one x-row at a time), a second ghost exchange of
+// the fluxes, and one sweep that finishes rhs: flux divergence and NSCBC
+// boundary corrections. No stage reads a ghost cell of Q. Every stage with
+// interior extent runs tiled over the block's worker-pool plan.
+func (b *Block) EvalRHS(t float64) {
 	b.RefreshPrimitives()
 	b.assembleFluxes()
-
 	b.exchangeHalos(b.haloFlux, tagFlux)
-
 	b.finishRHS(t)
 }
-
-// EvalRHS runs one full right-hand-side evaluation at simulation time t
-// (benchmark hook: benchmark/'s solver.rhs_us_per_gp times exactly what an RK
-// stage costs).
-func (b *Block) EvalRHS(t float64) { b.computeRHS(t) }
 
 // lohi returns the derivative closures for an axis.
 func (b *Block) lohi(a grid.Axis) (deriv.BC, deriv.BC) {
@@ -69,39 +63,63 @@ func (b *Block) interior() par.Range {
 //	species:   ρY_n·u_d + J_nd                           (paper eq. 4)
 //
 // with q = −λ∇T + Σ hₙ·Jₙ, one interior x-row at a time in the worker's row
-// scratch (fluxRow): derivative rows, then transport and diffusive-flux
-// rows, then the flux rows — the only values stored, because the flux halo
-// exchange and the divergence read them. No gradient, transport or J field
-// exists.
+// scratch (fluxRow): derivative rows, transport, hₙ/RT and diffusive-flux
+// rows, the chemistry unless ChemistryOff, then the flux rows — the only
+// values stored, because the flux halo exchange and the divergence read
+// them. The heat-release integral (collectHRR) is one slot per partition
+// tile (RunSlots) folded in ascending order, so no bit follows the worker
+// count. region.charge reports the chemistry share out of ASSEMBLE_FLUXES;
+// a straggler delay sleeps in a REACTION_RATE_BOUNDS region (critpath).
 func (b *Block) assembleFluxes() {
-	defer b.beginRegion("ASSEMBLE_FLUXES").End()
-	b.plan.Run("ASSEMBLE_FLUXES", b.interior(), func(t par.Tile, worker int) {
-		ws := &b.ws[worker]
+	reg := b.beginRegion("ASSEMBLE_FLUXES")
+	defer reg.End()
+	part := "REACTION_RATE_BOUNDS"
+	if b.cfg.ChemistryOff {
+		part = ""
+	} else if d := b.stragglerDelay; d > 0 {
+		sl := b.beginRegion(part)
+		time.Sleep(d)
+		sl.End()
+	}
+	start := time.Now()
+	b.plan.RunSlots("ASSEMBLE_FLUXES", b.interior(), func(t par.Tile, worker int) {
+		ws, t0 := &b.ws[worker], time.Now()
+		ws.hrr = 0
 		for k := t.Lo[2]; k < t.Hi[2]; k++ {
 			for j := t.Lo[1]; j < t.Hi[1]; j++ {
 				b.fluxRow(ws, t.Lo[0], t.Hi[0], j, k)
 			}
 		}
+		b.hrrSlots[t.Index] = ws.hrr
+		ws.clk[0] += time.Since(t0)
 	})
+	if b.collectHRR { // with chemistry off every slot holds +0
+		b.hrrAcc = 0
+		for _, v := range b.hrrSlots {
+			b.hrrAcc += v
+		}
+	}
+	reg.charge(time.Since(start), part)
 }
 
-// rowScratch is one worker's x-row scratch for the flux stage, the
-// chemistry sweep, the NSCBC planes (normalRows) and the figure-4 study;
-// every row is one x-row long.
+// rowScratch is one worker's x-row scratch for the flux stage and its
+// chemistry, the divergence, the NSCBC planes (normalRows) and the figure-4
+// study; every row is one x-row long.
 type rowScratch struct {
-	du                 [3][3][]float64 // ∂u_c/∂x_d; a zero row along an inactive d
-	dT, dW             [3][]float64
-	dY                 [3][][]float64  // ∂Yₙ/∂x_d: [dir][species]
-	j                  [3][][]float64  // Jₙ along d: [dir][species]
-	q                  [3][]float64    // heat flux along d
-	tau                [3][3][]float64 // τ_cd; τ_dc is the same row
-	mu, lam            []float64       // μ and λ
-	negRhoD, yOverW, h [][]float64     // (−ρ)·Dₙ, Yₙ/W and hₙ(T) per species
-	y                  [][]float64     // views of the Yₙ rows (no storage of their own)
-	sum                []float64       // Σₙ J*ₙ
-	c, wdot            [][]float64     // chemistry: concentrations and ω̇ₙ per species
-	hrr                []float64       // chemistry: heat-release rate
-	drho, dp           []float64       // NSCBC: normal derivatives of ρ and p
+	du              [3][3][]float64 // ∂u_c/∂x_d; a zero row along an inactive d
+	dT, dW          [3][]float64
+	dY              [3][][]float64  // ∂Yₙ/∂x_d: [dir][species]
+	j               [3][][]float64  // Jₙ along d: [dir][species]
+	q               [3][]float64    // heat flux along d
+	tau             [3][3][]float64 // τ_cd; τ_dc is the same row
+	mu, lam         []float64       // μ and λ
+	negRhoD, yOverW [][]float64     // (−ρ)·Dₙ and Yₙ/W per species
+	h, hrt          [][]float64     // hₙ(T) and hₙ/RT per species
+	y               [][]float64     // views of the Yₙ rows (no storage of their own)
+	sum             []float64       // Σₙ J*ₙ
+	c, wdot         [][]float64     // chemistry: concentrations and ω̇ₙ per species
+	hrr, div        []float64       // heat-release rate; a parked species row's divergence
+	drho, dp        []float64       // NSCBC: normal derivatives of ρ and p
 	// gradDst[d] and normalDst[d] are the rows above that one DiffRows call
 	// along d fills, in the order of Block.gradSrc and Block.normalSrc.
 	gradDst, normalDst [3][][]float64
@@ -124,14 +142,14 @@ func newRowScratch(nx, ns int, active []int) rowScratch {
 			rs.tau[d][c] = rs.tau[c][d]
 		}
 	}
-	rs.sum, rs.drho, rs.dp, rs.mu, rs.lam = row(), row(), row(), row(), row()
+	rs.sum, rs.drho, rs.dp, rs.mu, rs.lam, rs.div = row(), row(), row(), row(), row(), row()
 	for _, d := range active {
 		rs.dT[d], rs.dW[d], rs.q[d] = row(), row(), row()
 		rs.dY[d], rs.j[d] = rows(ns), rows(ns)
 		rs.gradDst[d] = append([][]float64{rs.du[0][d], rs.du[1][d], rs.du[2][d], rs.dT[d], rs.dW[d]}, rs.dY[d]...)
 		rs.normalDst[d] = append([][]float64{rs.drho, rs.dp, rs.du[0][d], rs.du[1][d], rs.du[2][d]}, rs.dY[d]...)
 	}
-	rs.negRhoD, rs.yOverW, rs.h = rows(ns), rows(ns), rows(ns)
+	rs.negRhoD, rs.yOverW, rs.h, rs.hrt = rows(ns), rows(ns), rows(ns), rows(ns)
 	rs.c, rs.wdot, rs.hrr = rows(ns), rows(ns), row()
 	rs.y = make([][]float64, ns)
 	return rs
@@ -158,6 +176,24 @@ func (b *Block) fluxRow(ws *kernScratch, x0, x1, j, k int) {
 	b.transportRows(ws, p0, w)
 	for _, d := range b.active {
 		jRow(rs.j[d], rs.dY[d], rs.negRhoD, rs.yOverW, rs.y, rs.dW[d], rs.sum[:w])
+	}
+
+	// (2b) Chemistry (eq. 4): Wₙ·ω̇ₙ parked in the species rhs rows, dead
+	// until divTileSweep adds it, and, collecting, the heat-release integrand
+	// added to the tile's sum. e₀'s enthalpy carries the chemical energy.
+	if !b.cfg.ChemistryOff {
+		c0 := time.Now()
+		q := b.chemRow(ws, p0, w, b.collectHRR)
+		for n := 0; n < ns-1; n++ {
+			r, wd, wn := b.rhs[iY0+n].Data[p0:p0+w], rs.wdot[n][:w], b.mech.Set.Species[n].W
+			for i := range r {
+				r[i] = wn * wd[i]
+			}
+		}
+		for i, v := range q {
+			ws.hrr += v * b.cellVol(x0+i, j, k)
+		}
+		ws.clk[1] += time.Since(c0)
 	}
 
 	// (3) Flux rows: the heat flux (eq. 20), the stress tensor, then mass,
@@ -245,13 +281,14 @@ func stressRows(rs *rowScratch, w int) {
 
 // transportRows evaluates the transport model and the species enthalpies at
 // the w points from flat index p0 into the rows the flux stage reads: μ and
-// λ, and per species (−ρ)·Dₙ, Yₙ/W and hₙ(T) — formed once per point and
-// reused by every direction — and views of the Yₙ rows. On the final RK
+// λ, per species (−ρ)·Dₙ, Yₙ/W, hₙ/RT and hₙ(T) — once per point, for every
+// direction and the chemistry — and views of the Yₙ rows. On the final RK
 // stage of an armed step the same pass over the Dₙ rows stores
 // max(μ/ρ, maxₙ Dₙ) for the watchdog's diffusion number (diff_max).
 func (b *Block) transportRows(ws *kernScratch, p0, w int) {
 	rs, sp := &ws.rows, b.mech.Set.Species
 	T, rho, wmix := b.T.Data[p0:p0+w], b.Rho.Data[p0:p0+w], b.Wmix.Data[p0:p0+w]
+	b.mech.Set.HRTRow(T, rs.hrt)
 	b.diffusivityRows(ws, p0, w, rs.negRhoD)
 	var diffMax []float64
 	if b.diffDue {
@@ -262,7 +299,7 @@ func (b *Block) transportRows(ws *kernScratch, p0, w int) {
 		}
 	}
 	for n, d := range rs.negRhoD {
-		d, y, yOverW, h := d[:w], rs.y[n], rs.yOverW[n][:w], rs.h[n][:w]
+		d, y, yOverW, h, hrt, wn := d[:w], rs.y[n], rs.yOverW[n][:w], rs.h[n][:w], rs.hrt[n][:w], sp[n].W
 		for i, m := range diffMax {
 			if d[i] > m {
 				diffMax[i] = d[i]
@@ -271,7 +308,7 @@ func (b *Block) transportRows(ws *kernScratch, p0, w int) {
 		for i := range d {
 			d[i] = -rho[i] * d[i]
 			yOverW[i] = y[i] / wmix[i]
-			h[i] = sp[n].H(T[i])
+			h[i] = hrt[i] * gasR * T[i] / wn
 		}
 	}
 }
@@ -304,54 +341,30 @@ func (b *Block) diffusivityRows(ws *kernScratch, p0, w int, d [][]float64) {
 // the stage can be benchmarked in isolation.
 func (b *Block) PrepareAssembleInputs() { b.PrepareDiffFluxInputs() }
 
-// AssembleFluxesOnly invokes just the pencil-fused flux stage; inputs must
-// have been prepared by PrepareAssembleInputs.
+// AssembleFluxesOnly invokes just the pencil-fused flux stage and its
+// chemistry; inputs must have been prepared by PrepareAssembleInputs.
 func (b *Block) AssembleFluxesOnly() { b.assembleFluxes() }
 
-// finishRHS completes rhs in one sweep over the partition tiles (RunSlots).
-// A tile sets rhs[v] = −∇·flux[v] (divTileSweep), adds Wₙ·ω̇ₙ unless
-// ChemistryOff (chemTileSweep), then applies the NSCBC faces that touch it
-// (nscbcTileSweep): each point adds to its own rhs entries in the order of
-// three separate sweeps, and the heat-release integral (collectHRR) is one
-// slot per tile folded in ascending order, so no bit follows the worker
-// count. region.charge reports the chemistry and NSCBC shares the workers
-// clock out of the sweep's DERIVATIVES region; an injected straggler delay
-// sleeps in a REACTION_RATE_BOUNDS region of its own (critpath's blame).
+// finishRHS completes rhs in one sweep over the interior tiles. A tile
+// sets rhs[v] = −∇·flux[v], adding the Wₙ·ω̇ₙ the flux stage parked in a
+// species row unless ChemistryOff (divTileSweep), then applies the NSCBC
+// faces that touch it (nscbcTileSweep): each point adds to its own rhs
+// entries in the order of separate sweeps. region.charge reports the NSCBC
+// share the workers clock out of the sweep's DERIVATIVES region.
 func (b *Block) finishRHS(t float64) {
 	reg := b.beginRegionNamed("DERIVATIVES", "DIVERGENCE")
 	defer reg.End()
-	chem := !b.cfg.ChemistryOff
-	if d := b.stragglerDelay; d > 0 && chem {
-		sl := b.beginRegion("REACTION_RATE_BOUNDS")
-		time.Sleep(d)
-		sl.End()
-	}
 	start := time.Now()
-	b.plan.RunSlots("DIVERGENCE", b.interior(), func(tl par.Tile, worker int) {
+	b.plan.Run("DIVERGENCE", b.interior(), func(tl par.Tile, worker int) {
 		ws := &b.ws[worker]
 		t0 := time.Now()
-		b.divTileSweep(tl)
+		b.divTileSweep(ws, tl)
 		t1 := time.Now()
-		if chem {
-			b.hrrSlots[tl.Index] = b.chemTileSweep(tl, worker, b.collectHRR)
-		}
-		t2 := time.Now()
 		b.nscbcTileSweep(ws, tl, t)
-		ws.clk[0] += t1.Sub(t0)
-		ws.clk[1] += t2.Sub(t1)
-		ws.clk[2] += time.Since(t2)
+		ws.clk[0] += time.Since(t0)
+		ws.clk[1] += time.Since(t1)
 	})
-	if b.collectHRR { // with chemistry off every slot holds +0
-		b.hrrAcc = 0
-		for _, v := range b.hrrSlots {
-			b.hrrAcc += v
-		}
-	}
-	parts := [3]string{1: "REACTION_RATE_BOUNDS", 2: "NSCBC"}
-	if !chem {
-		parts[1] = ""
-	}
-	reg.charge(time.Since(start), parts)
+	reg.charge(time.Since(start), "NSCBC")
 }
 
 // divTileSweep sets rhs[v] = −Σ_d ∂flux[v][d]/∂x_d over one tile, d over the
@@ -359,30 +372,45 @@ func (b *Block) finishRHS(t float64) {
 // lands with OpSet (along a one-point x axis the row starts from +0), y and
 // z accumulate with OpAdd, and the row is scaled by −1 (minusOne). Per point
 // that is the set, add, add, scale of the whole-tile passes the row loop
-// replaced, and DiffRow's bits are DiffRange's for any tiling.
-func (b *Block) divTileSweep(t par.Tile) {
+// replaced, and DiffRow's bits are DiffRange's for any tiling. Unless
+// ChemistryOff a species row r holds Wₙ·ω̇ₙ: its divergence s is formed in
+// the worker's div row and added, r += s. Of two NaNs x86's ADDSD returns
+// its register operand's, here r's, so a NaN keeps the chemistry's payload,
+// which TestChemSourceMatchesPerPointOracle's NaN lane pins (s + r would
+// keep the divergence's).
+func (b *Block) divTileSweep(ws *kernScratch, t par.Tile) {
 	x0, x1 := t.Lo[0], t.Hi[0]
 	xActive := b.isActive(0)
 	neg := minusOne
 	for v := 0; v < b.nvar; v++ {
 		rhs, flux := b.rhs[v], &b.flux[v]
+		add := !b.cfg.ChemistryOff && v >= iY0
 		for k := t.Lo[2]; k < t.Hi[2]; k++ {
 			for j := t.Lo[1]; j < t.Hi[1]; j++ {
 				p := rhs.Idx(x0, j, k)
 				r := rhs.Data[p : p+x1-x0]
+				s := r
+				if add {
+					s = ws.rows.div[:len(r)]
+				}
 				op := deriv.OpSet
 				if !xActive {
-					clear(r)
+					clear(s)
 					op = deriv.OpAdd
 				}
 				for _, d := range b.active {
 					a := grid.Axis(d)
 					lo, hi := b.lohi(a)
-					deriv.DiffRow(r, flux[d], a, b.G.Metric(a), lo, hi, x0, x1, j, k, op)
+					deriv.DiffRow(s, flux[d], a, b.G.Metric(a), lo, hi, x0, x1, j, k, op)
 					op = deriv.OpAdd
 				}
-				for i := range r {
-					r[i] *= neg
+				for i := range s {
+					s[i] *= neg
+				}
+				if add {
+					for i := range r {
+						r[i] += s[i]
+					}
 				}
 			}
 		}
@@ -394,56 +422,27 @@ func (b *Block) divTileSweep(t par.Tile) {
 // which flips a NaN's sign bit where the multiply keeps it.
 var minusOne = -1.0
 
-// chemTileSweep evaluates the chemistry kernel (paper eq. 4) over one tile,
-// one x-row at a time: the rates of chemRow, Wₙ·ω̇ₙ added to the species rhs
-// rows, plus (flagged) the heat-release integrand sum from one
-// HeatReleaseRow call, in point order. Total energy needs no source: the
-// enthalpy in e₀ already carries the chemical contribution.
-func (b *Block) chemTileSweep(t par.Tile, worker int, collect bool) (hrr float64) {
-	ws := &b.ws[worker]
-	rs, species := &ws.rows, b.mech.Set.Species
-	x0, x1 := t.Lo[0], t.Hi[0]
-	w := x1 - x0
-	for k := t.Lo[2]; k < t.Hi[2]; k++ {
-		for j := t.Lo[1]; j < t.Hi[1]; j++ {
-			p0, T := b.chemRow(ws, x0, x1, j, k)
-			for n := 0; n < b.ns-1; n++ {
-				r, wd, wn := b.rhs[iY0+n].Data[p0:p0+w], rs.wdot[n][:w], species[n].W
-				for i := range r {
-					r[i] += wn * wd[i]
-				}
-			}
-			if collect {
-				q := rs.hrr[:w]
-				ws.mech.HeatReleaseRow(T, rs.wdot, q)
-				for i := range q {
-					hrr += q[i] * b.cellVol(x0+i, j, k)
-				}
-			}
-		}
-	}
-	return hrr
-}
-
-// chemRow evaluates ω̇ₙ at the points [x0, x1) of row (j, k) into the
-// worker's wdot rows — the species rows cut from the primitives, one
-// ConcentrationsRow and one ProductionRatesRow call — and returns the row's
-// flat start index and temperature row.
-func (b *Block) chemRow(ws *kernScratch, x0, x1, j, k int) (p0 int, T []float64) {
-	rs := &ws.rows
-	p0 = b.Rho.Idx(x0, j, k)
-	p1 := p0 + x1 - x0
-	T = b.T.Data[p0:p1]
+// chemRow evaluates ω̇ₙ at the w points from flat index p0 into the worker's
+// wdot rows from the species rows cut from the primitives and the row's
+// hₙ/RT rows (as transportRows fills them): one ConcentrationsRow and one
+// ProductionRatesRow call. With hrr set it returns the heat-release row of
+// one HeatReleaseRow call (nil otherwise).
+func (b *Block) chemRow(ws *kernScratch, p0, w int, hrr bool) (q []float64) {
+	rs, p1 := &ws.rows, p0+w
 	cutRows(rs.y, b.Y, p0, p1)
 	ws.mech.ConcentrationsRow(b.Rho.Data[p0:p1], rs.y, rs.c)
-	ws.mech.ProductionRatesRow(T, rs.c, rs.wdot)
-	return p0, T
+	ws.mech.ProductionRatesRow(b.T.Data[p0:p1], rs.hrt, rs.c, rs.wdot)
+	if hrr {
+		q = rs.hrr[:w]
+		ws.mech.HeatReleaseRow(b.T.Data[p0:p1], rs.hrt, rs.wdot, q)
+	}
+	return q
 }
 
 // HeatReleaseField fills dst (interior order, x fastest) with the heat-release
-// rate −Σ ω̇ₙhₙ (W/m³) of the current primitives: chemRow and one
-// HeatReleaseRow call per x-row, tiled over the plan. Owner goroutine only,
-// between steps (it uses the workers' chemistry scratch).
+// rate −Σ ω̇ₙhₙ (W/m³) of the current primitives: per x-row the flux stage's
+// hₙ/RT rows and chemRow, tiled over the plan. Owner goroutine only, between
+// steps (it uses the workers' chemistry scratch).
 func (b *Block) HeatReleaseField(dst []float64) {
 	nx, ny := b.G.Nx, b.G.Ny
 	b.plan.Run("REACTION_RATE_BOUNDS", b.interior(), func(t par.Tile, worker int) {
@@ -451,9 +450,9 @@ func (b *Block) HeatReleaseField(dst []float64) {
 		x0, x1 := t.Lo[0], t.Hi[0]
 		for k := t.Lo[2]; k < t.Hi[2]; k++ {
 			for j := t.Lo[1]; j < t.Hi[1]; j++ {
-				_, T := b.chemRow(ws, x0, x1, j, k)
-				o := (k*ny + j) * nx
-				ws.mech.HeatReleaseRow(T, ws.rows.wdot, dst[o+x0:o+x1])
+				p0, o := b.Rho.Idx(x0, j, k), (k*ny+j)*nx
+				b.mech.Set.HRTRow(b.T.Data[p0:p0+x1-x0], ws.rows.hrt)
+				copy(dst[o+x0:o+x1], b.chemRow(ws, p0, x1-x0, true))
 			}
 		}
 	})

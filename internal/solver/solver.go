@@ -279,8 +279,8 @@ type Block struct {
 	critDue   bool  // this step ends in a critpath deposit
 	critStart int64 // step-window open on the analyzer clock
 
-	// stragglerDelay artificially slows this rank's chemistry sweep (one
-	// sleep per RK stage) — the injection hook for critpath validation.
+	// stragglerDelay artificially slows this rank's chemistry (one sleep per
+	// RK stage) — the injection hook for critpath validation.
 	stragglerDelay time.Duration
 }
 
@@ -301,8 +301,8 @@ type kernScratch struct {
 	rows rowScratch
 	// species row segments a pointwise sweep reads and writes (primitives.go)
 	yIn, yOut [][]float64
-	// time clocked in the divergence, chemistry and NSCBC parts of finishRHS
-	clk [3]time.Duration
+	clk       [2]time.Duration // a fused sweep's tile and charged-part time (region.charge)
+	hrr       float64          // the flux stage tile's heat-release integrand sum
 }
 
 // NewSerial builds a single-block (serial) simulation over the whole grid:

@@ -48,7 +48,7 @@ func TestQuiescentStateIsSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiescent(cfg, b, 300)
-	b.computeRHS(0)
+	b.EvalRHS(0)
 	for v := 0; v < b.nvar; v++ {
 		_, maxAbs := b.rhs[v].MinMax()
 		min, _ := b.rhs[v].MinMax()

@@ -84,14 +84,14 @@ func (b *Block) StepChecked(dt float64) error {
 		rhsCall++
 		b.critStage(rhsCall)
 		// The heat-release integral piggybacks on the final stage's
-		// chemistry sweep (see telemetry.go); a due analysis step needing
-		// heat release requests the same collection.
+		// chemistry in the flux sweep (see telemetry.go); a due analysis
+		// step needing heat release requests the same collection.
 		b.collectHRR = (b.telemetryOn || (b.aDue && b.analysis.WantHeatRelease())) &&
 			rhsCall == nStages
 		// An armed watchdog grades the final stage's diffusivities.
 		b.diffDue = rhsCall == nStages && b.watch != nil && b.watch.Armed()
 		rhsSpan := b.profT.Begin("RHS")
-		b.computeRHS(stageTime)
+		b.EvalRHS(stageTime)
 		rhsSpan.End()
 	}, func(stage int, a, bb, _ float64) {
 		reg := b.beginRegion("RK_UPDATE")

@@ -48,7 +48,7 @@ func TestStretchedMeshQuiescentSteady(t *testing.T) {
 		s.T = 500
 		copy(s.Y, y)
 	}, nil)
-	b.computeRHS(0)
+	b.EvalRHS(0)
 	for v := 0; v < b.nvar; v++ {
 		lo, hi := b.rhs[v].MinMax()
 		if math.Max(math.Abs(lo), math.Abs(hi)) > 1e-3 {

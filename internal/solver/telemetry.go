@@ -4,7 +4,7 @@ package solver
 // needs is left where the step put it — the per-stage wall clocks (two
 // time.Now calls per RK stage), the extrema of the primitives as the final
 // RK stage left them, and the heat-release integral, which piggybacks on the
-// production rates the rhs sweep (finishRHS) already computes and
+// production rates the flux sweep (assembleFluxes) already computes and
 // accumulates only during the final stage of a step. Nothing here forces an
 // extra primitive-recovery or chemistry sweep, and nothing here publishes:
 // the telemetry probe (the root package's Probe) reads these after each

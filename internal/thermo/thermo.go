@@ -150,6 +150,17 @@ func (s *Set) Index(name string) int {
 	return -1
 }
 
+// HRTRow sets hrt[n][i] = HRT(T[i]) of species n at the len(T) points of a
+// row, the one evaluation that H (hrt·R·T/W), GRTLn and HMolar rows share.
+func (s *Set) HRTRow(T []float64, hrt [][]float64) {
+	for n := range s.tab {
+		sp, h := &s.tab[n], hrt[n][:len(T)]
+		for i, t := range T {
+			h[i] = sp.hRT(clampT(t))
+		}
+	}
+}
+
 // MeanW returns the mixture molecular weight W = (Σ Yᵢ/Wᵢ)⁻¹ (paper eq. 8)
 // in kg/mol.
 func (s *Set) MeanW(Y []float64) float64 {
