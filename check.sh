@@ -131,6 +131,15 @@ if grep -rnE "$deleted" --include='*.go' . | grep -v '^\./benchmark/'; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
 fi
+# ... and so does the second clock around a plan's units: par stamps every
+# unit once, and the cost record, the fused sweeps' charge and the worker
+# tracks all read those stamps, so the opt-in cost probe, its per-run
+# recorder and the annotated worker span stay deleted.
+clocks='\b(CostProbe|RunRecorder|SetCost|BeginArgs|BeginRun|sampleRuns)\b'
+if grep -rnE "$clocks" --include='*.go' . | grep -v '^\./benchmark/' | grep -v '_test\.go:'; then
+	echo "a second clock around plan units is back (see above): read the plan's ledger" >&2
+	exit 1
+fi
 # ... and so does the second run of the lifted jet: figures 14 and 15 are
 # drawn from cmd/liftedflame's run, in its armed loop.
 if [ -e cmd/s3dviz ]; then

@@ -3,8 +3,8 @@ package s3d
 // Cost maps: the public face of the spatial cost-attribution sampler
 // (internal/cost). EnableCostMaps installs a per-block collector that, on
 // every due step, records what the step measured: each tracked kernel's
-// exclusive region-timer seconds over the step plus run and tile counts
-// and a per-tile wall-clock sample from the kernel plan's probe. The record
+// exclusive region-timer seconds over the step plus its run and unit counts
+// and unit times, as the kernel plan timed every unit. The record
 // is the publishing rank's own window — no collective — and carries
 // wall-clock, so it varies run to run. It streams to the run trace's cost
 // records, GET /cost, the cost_* gauges and the workflow dashboard's balance

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -220,21 +221,26 @@ func TestCostLiveEndpoints(t *testing.T) {
 	}
 	// The record carries real wall-clock timings for the step it closed:
 	// region-timer totals for every kernel (DIVERGENCE's from the DERIVATIVES
-	// timer) plus sampled per-tile detail from the probe for every kernel
-	// that ran plan regions. A row without plan runs holds region time
-	// alone: the chemistry's share, charged out of the ASSEMBLE_FLUXES sweep
-	// it runs in. The serial jet has no periodic axis, so no halo exchange
-	// and no GHOST_EXCHANGE row.
+	// timer) plus, for every kernel that ran plan regions, the times of all
+	// its units, as the plan measured them. A row without plan runs holds
+	// region time alone: the chemistry's share, charged out of the
+	// ASSEMBLE_FLUXES sweep it runs in. The serial jet has no periodic axis,
+	// so no halo exchange and no GHOST_EXCHANGE row.
 	if len(live.Kernels) == 0 {
 		t.Fatal("no kernels in the live record")
 	}
-	sampled := map[string]bool{}
+	measured := map[string]bool{}
 	for _, mk := range live.Kernels {
 		if mk.Runs > 0 {
-			sampled[mk.Kernel] = true
-		}
-		if mk.Runs > 0 && (mk.Tiles == 0 || mk.SampledTiles == 0 || mk.SampledS <= 0) {
-			t.Fatalf("kernel %s has no timings: %+v", mk.Kernel, mk)
+			measured[mk.Kernel] = true
+			var busy float64
+			for _, w := range mk.WorkerS {
+				busy += w
+			}
+			if mk.Tiles == 0 || mk.MeanTileS <= 0 || mk.MaxTileS < mk.MeanTileS || len(mk.WorkerS) == 0 ||
+				math.Abs(busy-float64(mk.Tiles)*mk.MeanTileS) > 1e-9*busy {
+				t.Fatalf("kernel %s has no consistent unit times: %+v", mk.Kernel, mk)
+			}
 		}
 		if mk.RegionS <= 0 {
 			t.Fatalf("kernel %s has no region time: %+v", mk.Kernel, mk)
@@ -244,8 +250,8 @@ func TestCostLiveEndpoints(t *testing.T) {
 		}
 	}
 	for _, k := range []string{"COMPUTE_PRIMITIVES", "ASSEMBLE_FLUXES", "DIVERGENCE", "RK_UPDATE"} {
-		if !sampled[k] {
-			t.Fatalf("kernel %s has no sampled plan runs in %+v", k, live.Kernels)
+		if !measured[k] {
+			t.Fatalf("kernel %s has no measured plan runs in %+v", k, live.Kernels)
 		}
 	}
 

@@ -6,9 +6,12 @@ import (
 	"math"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/s3dgo/s3d/internal/obs"
+	"github.com/s3dgo/s3d/internal/par"
 )
 
 const chemKernel = "REACTION_RATE_BOUNDS"
@@ -41,9 +44,18 @@ func TestStoreRoundtrip(t *testing.T) {
 	}
 }
 
-// TestCollectorLifecycle covers the probe contract: cadence, the armed
-// window, tracked-vs-untracked labels, the measured snapshot and the live
-// handler.
+// runPlan runs the kernel label once on pl over n items, each busy for
+// about d.
+func runPlan(pl *par.Plan, label string, n int, d time.Duration) {
+	pl.RunItems(label, n, func(int, int) {
+		for t0 := time.Now(); time.Since(t0) < d; {
+		}
+	})
+}
+
+// TestCollectorLifecycle covers the window contract: cadence, a window of
+// plan runs opened by ResetLedger — every run and unit measured, untracked
+// labels without a row — the snapshot's statistics and the live handler.
 func TestCollectorLifecycle(t *testing.T) {
 	c := NewCollector(2)
 	if c.Due(2) {
@@ -53,9 +65,6 @@ func TestCollectorLifecycle(t *testing.T) {
 	if c.Due(0) || c.Due(1) || !c.Due(2) || c.Due(3) || !c.Due(4) {
 		t.Fatal("cadence wrong for every=2")
 	}
-	if c.Armed() {
-		t.Fatal("armed before Arm(true)")
-	}
 
 	// Before any reduction the endpoint answers {}, not 404.
 	rr := httptest.NewRecorder()
@@ -64,57 +73,36 @@ func TestCollectorLifecycle(t *testing.T) {
 		t.Fatalf("GET /cost before first record = %d %q", rr.Code, rr.Body.String())
 	}
 
-	c.Arm(true)
-	if !c.Armed() {
-		t.Fatal("not armed")
-	}
-	if rec := c.BeginRun("COST", 4); rec != nil {
-		t.Fatal("untracked label must not be timed")
-	}
-	// The first sampleRuns runs of a kernel carry the per-tile sample;
-	// runs past the budget are counted but get no recorder at all.
-	run := c.BeginRun(chemKernel, 2)
-	if run == nil {
-		t.Fatal("first run must carry the per-tile sample")
-	}
-	run.Tile(0, 0, 0.25)
-	run.Tile(1, 1, 0.75)
-	run.EndRun()
-	run = c.BeginRun(chemKernel, 3)
-	if run == nil {
-		t.Fatal("second run must carry the per-tile sample")
-	}
-	run.Tile(0, 0, 0.5)
-	run.Tile(1, 0, 0.5)
-	run.Tile(2, 1, 1.0)
-	run.EndRun()
-	if rec := c.BeginRun(chemKernel, 4); rec != nil {
-		t.Fatal("run past the sample budget must be count-only (nil recorder)")
-	}
+	pool := par.NewPool(2)
+	defer pool.Close()
+	pl := par.NewPlan(pool)
+	runPlan(pl, chemKernel, 4, time.Millisecond) // before the window
+	pl.ResetLedger()
+	runPlan(pl, "COST", 4, 0)
+	runPlan(pl, chemKernel, 2, time.Millisecond)
+	runPlan(pl, chemKernel, 3, 2*time.Millisecond)
+	runPlan(pl, chemKernel, 4, time.Millisecond)
 	regionS := make([]float64, len(Kernels))
-	regionS[kernelIndex(chemKernel)] = 7.5
-	meas := c.Snapshot(regionS)
+	regionS[slices.Index(Kernels, chemKernel)] = 7.5
+	meas := c.Snapshot(pl, regionS)
 	if len(meas) != 1 || meas[0].Kernel != chemKernel {
 		t.Fatalf("measured snapshot wrong: %+v", meas)
 	}
 	m := meas[0]
-	// Runs and Tiles count every run; RegionS passes through from the
-	// solver's region timers; the tile statistics come from the two sampled
-	// runs — five tiles totalling 3.0 s of synthetic time (SampledS is the
-	// real recorder span, so only its sign is pinnable).
+	// Runs and Tiles count every run of the window; RegionS passes through
+	// from the solver's region timers; the unit statistics are the plan's
+	// own times, so only their relations are pinnable.
 	if m.Runs != 3 || m.Tiles != 9 || m.RegionS != 7.5 {
 		t.Fatalf("measured run stats wrong: %+v", m)
 	}
-	if m.SampledRuns != 2 || m.SampledTiles != 5 || m.SampledS <= 0 {
-		t.Fatalf("measured sample counts wrong: %+v", m)
+	var busy float64
+	for _, w := range m.WorkerS {
+		busy += w
 	}
-	if m.MaxTileS != 1.0 || m.MeanTileS != 0.6 {
-		t.Fatalf("measured sample stats wrong: %+v", m)
+	if len(m.WorkerS) != 2 || m.MeanTileS < 1e-3 || m.MaxTileS < 2e-3 || m.MaxTileS < m.MeanTileS ||
+		math.Abs(busy-9*m.MeanTileS) > 1e-9 || math.Abs(m.Imbalance-m.MaxTileS/m.MeanTileS) > 1e-15 {
+		t.Fatalf("measured unit stats wrong: %+v", m)
 	}
-	if math.Abs(m.Imbalance-1.0/0.6) > 1e-15 || !reflect.DeepEqual(m.WorkerS, []float64{1.25, 1.75}) {
-		t.Fatalf("measured imbalance/worker split wrong: %+v", m)
-	}
-	c.Arm(false)
 
 	var seen []int
 	c.Subscribe(func(r Record) { seen = append(seen, r.Step) })
@@ -137,34 +125,36 @@ func TestCollectorLifecycle(t *testing.T) {
 		t.Fatalf("live record %+v differs from the published one %+v", live, *c.Latest())
 	}
 
-	// Re-arming clears the measured window for the next due step.
-	c.Arm(true)
-	if got := c.Snapshot(nil); len(got) != 0 {
-		t.Fatalf("arm did not clear the window: %+v", got)
-	}
-	// A kernel with region time and no plan runs (a share charged out of
+	// Resetting the ledger opens an empty window for the next due step. A
+	// kernel with region time and no plan runs (a share charged out of
 	// another kernel's sweep) keeps its row; one with neither has none.
+	pl.ResetLedger()
+	if got := c.Snapshot(pl, make([]float64, len(Kernels))); len(got) != 0 {
+		t.Fatalf("reset did not clear the window: %+v", got)
+	}
 	regionS = make([]float64, len(Kernels))
-	regionS[kernelIndex(chemKernel)] = 0.5
-	if got := c.Snapshot(regionS); len(got) != 1 || got[0].Kernel != chemKernel || got[0].RegionS != 0.5 || got[0].Runs != 0 {
+	regionS[slices.Index(Kernels, chemKernel)] = 0.5
+	if got := c.Snapshot(pl, regionS); len(got) != 1 || got[0].Kernel != chemKernel || got[0].RegionS != 0.5 || got[0].Runs != 0 {
 		t.Fatalf("charged-only row wrong: %+v", got)
 	}
 }
 
-// TestMeasuredLabelsLayout: every tracked label has the window slot of its
-// position in Kernels — the item sweeps included — and nothing else has one.
+// TestMeasuredLabelsLayout: every tracked kernel that ran — the item sweeps
+// included — has a row, in Kernels order, and an untracked label none.
 func TestMeasuredLabelsLayout(t *testing.T) {
-	for i, k := range Kernels {
-		if kernelIndex(k) != i {
-			t.Fatalf("kernel %s at window slot %d, want %d", k, kernelIndex(k), i)
-		}
+	pl := par.NewPlan(par.NewPool(1))
+	runPlan(pl, "NO_SUCH_KERNEL", 1, 0)
+	for i := len(Kernels) - 1; i >= 0; i-- {
+		runPlan(pl, Kernels[i], 1, 0)
 	}
-	for _, k := range []string{"GHOST_EXCHANGE", "RK_UPDATE"} {
-		if kernelIndex(k) < 0 {
-			t.Fatalf("item sweep %s is not tracked", k)
+	var got []string
+	for _, mk := range NewCollector(1).Snapshot(pl, make([]float64, len(Kernels))) {
+		if mk.Runs != 1 || mk.Tiles != 1 {
+			t.Fatalf("row %+v, want one run of one unit", mk)
 		}
+		got = append(got, mk.Kernel)
 	}
-	if kernelIndex("NO_SUCH_KERNEL") != -1 {
-		t.Fatal("unknown label has a window slot")
+	if !slices.Equal(got, Kernels) {
+		t.Fatalf("rows %v, want %v", got, Kernels)
 	}
 }

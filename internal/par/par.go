@@ -22,6 +22,12 @@
 // each point identically whatever tile it arrives in, so the block grouping
 // — the one thing that follows the pool size — cannot reach a result bit.
 //
+// Measurement: every unit is timed once, by two prof.Now stamps around its
+// body, and each run is booked to its kernel's Ledger on the plan. The
+// plan's consumers (the cost record, the solver's fused-sweep charge, the
+// pool workers' profiler tracks) all read those stamps; none clocks a unit
+// again.
+//
 // Determinism contract: solutions and every ordered reduction are bitwise
 // identical for any pool size, which keeps restart files, regression
 // baselines and the paper-reproduction numbers stable whatever hardware the
@@ -66,9 +72,9 @@ type Pool struct {
 	tilesC atomic.Pointer[obs.Counter]
 
 	// Per-worker profiler tracks (AttachProfiler): each worker records one
-	// busy span per scheduled block, labelled by the kernel, on its own
-	// timeline — gaps between spans are idle time. Attached once per
-	// profiler.
+	// busy span per unit it ran, labelled by the kernel and timed by the
+	// unit's stamps, on its own timeline — gaps between spans are idle
+	// time. Attached once per profiler.
 	profTracks atomic.Pointer[[]*prof.Track]
 	profMu     sync.Mutex
 	profOwner  *prof.Profiler
@@ -131,12 +137,13 @@ func (p *Pool) AttachMetrics(reg *obs.Registry) {
 }
 
 // AttachProfiler gives every pool worker its own timeline track
-// (prof.GroupWorker) on which the worker records one busy span per
-// executed tile, labelled by the kernel. Safe to call more than once with
-// the same profiler (ranks sharing a pool attach the same one): only the
-// first call creates tracks. Single-worker pools execute tiles inline on
-// the submitting rank's goroutine, so their work already appears inside
-// the rank's own spans and no worker tracks are created.
+// (prof.GroupWorker) on which the worker records one busy span per unit it
+// ran, labelled by the kernel and timed by the unit's own stamps. Safe to
+// call more than once with the same profiler (ranks sharing a pool attach
+// the same one): only the first call creates tracks. Single-worker pools
+// execute tiles inline on the submitting rank's goroutine, so their work
+// already appears inside the rank's own spans and no worker tracks are
+// created.
 func (p *Pool) AttachProfiler(pr *prof.Profiler) {
 	if pr == nil || p.n <= 1 {
 		return
@@ -164,22 +171,11 @@ func (p *Pool) worker(id int) {
 		if g := p.pendG.Load(); g != nil {
 			g.Set(float64(len(p.tasks)))
 		}
-		var sp prof.Span
-		if ts := p.profTracks.Load(); ts != nil {
-			tr := (*ts)[id]
-			if tr.Recording() {
-				// Tag the span with the tile's coordinates so the timeline
-				// cross-references the spatial cost maps.
-				box := t.rg.box(t.i)
-				sp = tr.BeginArgs(t.rg.label, map[string]string{
-					"tile": fmt.Sprintf("%d", t.i),
-					"lo":   fmt.Sprintf("%d,%d,%d", box.Lo[0], box.Lo[1], box.Lo[2]),
-					"hi":   fmt.Sprintf("%d,%d,%d", box.Hi[0], box.Hi[1], box.Hi[2]),
-				})
-			}
-		}
 		t.rg.unit(t.i, id)
-		sp.End()
+		if ts := p.profTracks.Load(); ts != nil {
+			s := t.rg.stamps[t.i]
+			(*ts)[id].Record(t.rg.label, s.t0, s.t1-s.t0)
+		}
 		nb = p.busy.Add(-1)
 		if g := p.busyG.Load(); g != nil {
 			g.Set(float64(nb))

@@ -3,8 +3,10 @@ package par
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/s3dgo/s3d/internal/obs"
 )
@@ -271,4 +273,57 @@ func TestDefaultPoolConfig(t *testing.T) {
 		t.Fatal("Default() not stable")
 	}
 	SetDefaultWorkers(0) // restore NumCPU default for other tests
+}
+
+// TestLedger: at every pool size, each Run, RunSlots and RunItems run is
+// booked to its kernel once — runs and units counted, the per-worker busy
+// times summing exactly to the busy time, no unit longer than the busy time
+// and the run's busy time kept — a reset zeroes the entry, and a warm plan
+// run allocates nothing.
+func TestLedger(t *testing.T) {
+	r := Interior(8, 6, 5)
+	for _, workers := range []int{1, 2, 3} {
+		pool := NewPool(workers)
+		pl := NewPlan(pool)
+		blocks := blockCount(r.Ext(2), workers)
+		sweeps := []struct {
+			label string
+			units int
+			run   func()
+		}{
+			{"run", blocks, func() { pl.Run("run", r, func(Tile, int) {}) }},
+			{"slots", blocks, func() { pl.RunSlots("slots", r, func(Tile, int) {}) }},
+			{"items", 7, func() { pl.RunItems("items", 7, func(int, int) {}) }},
+		}
+		for _, sw := range sweeps {
+			for run := 1; run <= 3; run++ {
+				sw.run()
+				e := pl.Ledger(sw.label)
+				if e == nil || e.Runs != run || e.Units != run*sw.units || len(e.WorkerBusy) != workers {
+					t.Fatalf("workers=%d %s run %d: ledger %+v, want %d runs of %d units over %d workers",
+						workers, sw.label, run, e, run, sw.units, workers)
+				}
+				var sum time.Duration
+				for _, d := range e.WorkerBusy {
+					sum += d
+				}
+				if sum != e.Busy || e.Busy <= 0 || e.MaxUnit <= 0 || e.MaxUnit > e.Busy ||
+					pl.LastBusy() <= 0 || pl.LastBusy() > e.Busy {
+					t.Fatalf("workers=%d %s run %d: Σ worker busy %v, busy %v, max unit %v, last run %v",
+						workers, sw.label, run, sum, e.Busy, e.MaxUnit, pl.LastBusy())
+				}
+			}
+			if n := testing.AllocsPerRun(20, sw.run); n != 0 {
+				t.Errorf("workers=%d %s: %v allocations per warm run", workers, sw.label, n)
+			}
+		}
+		pl.ResetLedger()
+		for _, sw := range sweeps {
+			if e := pl.Ledger(sw.label); e.Runs != 0 || e.Units != 0 || e.Busy != 0 || e.MaxUnit != 0 ||
+				len(e.WorkerBusy) != workers || slices.ContainsFunc(e.WorkerBusy, func(d time.Duration) bool { return d != 0 }) {
+				t.Fatalf("workers=%d %s: ledger after reset %+v", workers, sw.label, e)
+			}
+		}
+		pool.Close()
+	}
 }

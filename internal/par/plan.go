@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/s3dgo/s3d/internal/obs"
+	"github.com/s3dgo/s3d/internal/prof"
 )
 
 // Range is a half-open 3-D index box [Lo, Hi) in (i, j, k) order, matching
@@ -81,36 +82,39 @@ func blockCount(n, workers int) int { return min(n, blocksPerWorker*workers) }
 
 func blockSpan(b, nb, n int) (lo, hi int) { return b * n / nb, (b + 1) * n / nb }
 
-// RunRecorder receives the per-tile timings of one plan run. Tile is called
-// concurrently from pool workers (tile indices within a run are distinct, so
-// implementations may write disjoint slots without locking); EndRun is called
-// on the owner goroutine after the run's barrier.
-type RunRecorder interface {
-	Tile(idx, worker int, seconds float64)
-	EndRun()
+// Ledger is one kernel's measured execution on a plan since the last
+// ResetLedger: every unit of every run (a scheduled block or an item), each
+// timed once by the two prof.Now stamps the unit takes around its body.
+// Busy is the units' summed wall time, WorkerBusy its split over the pool's
+// workers (one entry per worker) and MaxUnit the longest unit.
+type Ledger struct {
+	Runs, Units   int
+	Busy, MaxUnit time.Duration
+	WorkerBusy    []time.Duration
+
+	tiles *obs.Counter // par.tiles.<kernel>; nil without a registry
 }
 
-// CostProbe attributes per-tile kernel cost (the hook the cost-map sampler
-// installs via SetCost). Armed is the fast path — a single atomic load when
-// the sampler is installed but idle; BeginRun opens a recorder for one run of
-// n tiles under the kernel label, or returns nil to skip that run. Timing a
-// tile costs ~three monotonic clock reads, so probes decline runs they do
-// not need tile detail from (the cost sampler caps tile-timed runs per
-// kernel per window): a declined run executes completely unwrapped.
-type CostProbe interface {
-	Armed() bool
-	BeginRun(label string, tiles int) RunRecorder
+// stamp is one unit's measurement: its start and end on the prof.Now clock
+// and the worker that ran it.
+type stamp struct {
+	t0, t1 int64
+	worker int
 }
 
 // Plan schedules one block's kernels over a pool. A Plan has a single
 // owner goroutine (the rank driving the block); only the pool behind it is
-// shared. Its metric handles are therefore unguarded.
+// shared, and its runs never nest. Its ledger, stamp buffer, barrier and
+// metric handles are therefore unguarded: the workers write disjoint stamp
+// slots, which the owner reads after the barrier.
 type Plan struct {
 	pool *Pool
-	cost CostProbe
 
 	reg      *obs.Registry
-	counters map[string]*obs.Counter // per-kernel tile counters, lazy
+	ledger   map[string]*Ledger // per kernel label, lazy
+	stamps   []stamp            // the run in flight's unit stamps, grown on demand
+	lastBusy time.Duration
+	wg       sync.WaitGroup // the run in flight's barrier
 }
 
 // NewPlan builds a plan over the given pool (nil selects Default()).
@@ -134,29 +138,37 @@ func (pl *Plan) Workers() int { return pl.pool.n }
 // other Plan method.
 func (pl *Plan) AttachMetrics(reg *obs.Registry) {
 	pl.reg = reg
-	pl.counters = nil
+	for label, e := range pl.ledger {
+		e.tiles = pl.counter(label)
+	}
 }
 
-// SetCost installs (or, with nil, removes) the plan's cost probe. Owner-
-// goroutine only; the probe's Armed gate keeps the disabled overhead to one
-// atomic load per run.
-func (pl *Plan) SetCost(p CostProbe) { pl.cost = p }
-
-// count bumps the kernel's tile counter (no-op without a registry).
-func (pl *Plan) count(label string, tiles int) {
+// counter is the kernel's tile counter in the attached registry (nil
+// without one).
+func (pl *Plan) counter(label string) *obs.Counter {
 	if pl.reg == nil {
-		return
+		return nil
 	}
-	c := pl.counters[label]
-	if c == nil {
-		if pl.counters == nil {
-			pl.counters = map[string]*obs.Counter{}
-		}
-		c = pl.reg.Counter("par.tiles." + label)
-		pl.counters[label] = c
-	}
-	c.Add(int64(tiles))
+	return pl.reg.Counter("par.tiles." + label)
 }
+
+// Ledger returns the kernel's ledger entry, nil when no run of it has been
+// booked on the plan. The entry is read-only to callers and changes with
+// the kernel's next run; owner goroutine only.
+func (pl *Plan) Ledger(label string) *Ledger { return pl.ledger[label] }
+
+// ResetLedger zeroes every kernel's entry, keeping its buffers and counter
+// handle, so the ledger covers the runs from now on.
+func (pl *Plan) ResetLedger() {
+	for _, e := range pl.ledger {
+		clear(e.WorkerBusy)
+		*e = Ledger{WorkerBusy: e.WorkerBusy, tiles: e.tiles}
+	}
+}
+
+// LastBusy returns the busy time, summed over its units, of the plan's
+// last run.
+func (pl *Plan) LastBusy() time.Duration { return pl.lastBusy }
 
 // slotsOf resolves the partition of a sweep box: one plane per slot along
 // ax, or a single tile (ax = -1) when no axis can be split. n is the slot
@@ -181,10 +193,10 @@ func (pl *Plan) Slots(r Range) int {
 
 // region is one parallel region in flight, by value (tasks carry a copy, so
 // starting a region allocates nothing): its units of work execute as
-// unit(i, worker).
+// unit(i, worker), each writing its stamp to stamps[i].
 type region struct {
-	label string
-	rec   RunRecorder // non-nil: the cost probe times every unit
+	label  string
+	stamps []stamp
 
 	item func(item, worker int) // RunItems: unit i is item i
 
@@ -199,10 +211,7 @@ type region struct {
 }
 
 func (rg *region) unit(i, worker int) {
-	var start time.Time
-	if rg.rec != nil {
-		start = time.Now()
-	}
+	t0 := prof.Now()
 	if rg.item != nil {
 		rg.item(i, worker)
 	} else {
@@ -215,44 +224,58 @@ func (rg *region) unit(i, worker int) {
 			rg.tile(planesOf(rg.r, rg.ax, lo, hi, i), worker)
 		}
 	}
-	if rg.rec != nil {
-		rg.rec.Tile(i, worker, time.Since(start).Seconds())
-	}
-}
-
-// box is the index box unit i is labelled with on the profiler timeline
-// (zero for items).
-func (rg *region) box(i int) Range {
-	if rg.item != nil {
-		return Range{}
-	}
-	lo, hi := blockSpan(i, rg.nb, rg.n)
-	return planesOf(rg.r, rg.ax, lo, hi, i).Range
+	rg.stamps[i] = stamp{t0: t0, t1: prof.Now(), worker: worker}
 }
 
 // execute runs the region's units [0, units) and blocks until all complete:
 // inline on the owner when the pool has one worker or there is a single
-// unit (the serial fast path), one pool task each otherwise. It is where
-// every run meets the tile counters and the cost probe.
+// unit (the serial fast path), one pool task each otherwise. Then it books
+// the run (book).
 func (pl *Plan) execute(rg region, units int) {
-	pl.count(rg.label, units)
-	if pl.cost != nil && pl.cost.Armed() {
-		if rg.rec = pl.cost.BeginRun(rg.label, units); rg.rec != nil {
-			defer rg.rec.EndRun()
-		}
+	if cap(pl.stamps) < units {
+		pl.stamps = make([]stamp, units)
 	}
+	rg.stamps = pl.stamps[:units]
 	if pl.pool.n == 1 || units == 1 {
 		for i := 0; i < units; i++ {
 			rg.unit(i, 0)
 		}
-		return
+	} else {
+		pl.wg.Add(units)
+		for i := 0; i < units; i++ {
+			pl.pool.submit(task{rg: rg, i: i, wg: &pl.wg})
+		}
+		pl.wg.Wait()
 	}
-	var wg sync.WaitGroup
-	wg.Add(units)
-	for i := 0; i < units; i++ {
-		pl.pool.submit(task{rg: rg, i: i, wg: &wg})
+	pl.book(rg.label, rg.stamps)
+}
+
+// book folds one run's unit stamps into the kernel's ledger entry, created
+// on the kernel's first run, and its tile counter, and keeps the run's busy
+// time for LastBusy.
+func (pl *Plan) book(label string, st []stamp) {
+	e := pl.ledger[label]
+	if e == nil {
+		if pl.ledger == nil {
+			pl.ledger = map[string]*Ledger{}
+		}
+		e = &Ledger{WorkerBusy: make([]time.Duration, pl.pool.n), tiles: pl.counter(label)}
+		pl.ledger[label] = e
 	}
-	wg.Wait()
+	var busy time.Duration
+	for _, s := range st {
+		d := time.Duration(s.t1 - s.t0)
+		busy += d
+		e.MaxUnit = max(e.MaxUnit, d)
+		e.WorkerBusy[s.worker] += d
+	}
+	e.Runs++
+	e.Units += len(st)
+	e.Busy += busy
+	pl.lastBusy = busy
+	if e.tiles != nil {
+		e.tiles.Add(int64(len(st)))
+	}
 }
 
 // sweep is the body of Run, RunFrozen and RunSlots: it schedules the
@@ -275,8 +298,8 @@ func (pl *Plan) sweep(label string, r Range, frozen int, perSlot bool, fn func(t
 // index; tiles write disjoint outputs, so no ordering is imposed between
 // them. The block count follows the pool size, so fn must not accumulate
 // anything whose bits matter per tile: bodies that fill ordered slots use
-// RunSlots. label names the kernel for the pool's per-worker timers and the
-// tile counters.
+// RunSlots. label names the kernel for the plan's ledger, the tile counters
+// and the worker tracks.
 func (pl *Plan) Run(label string, r Range, fn func(t Tile, worker int)) {
 	pl.sweep(label, r, -1, false, fn)
 }
@@ -300,10 +323,9 @@ func (pl *Plan) RunSlots(label string, r Range, fn func(t Tile, worker int)) {
 
 // RunItems executes fn for every item index in [0, n) — the degenerate
 // 1-D decomposition used for per-field work such as halo pack/unpack,
-// where each item already writes a disjoint region. Item sweeps route
-// through the cost probe like tiled runs do, so halo pack/unpack and
-// RK-update work has rows in the cost record instead of being invisible to
-// the sampler.
+// where each item already writes a disjoint region. Each item is one unit:
+// timed and booked like a block, so halo pack/unpack and the RK update have
+// ledger entries (and rows in the cost record) like the tiled sweeps.
 func (pl *Plan) RunItems(label string, n int, fn func(item, worker int)) {
 	if n > 0 {
 		pl.execute(region{label: label, item: fn}, n)

@@ -5,6 +5,8 @@
 // timeline event attributed to an interned call path ("STEP/RHS/MPI_WAIT"),
 // so blocked communication time is charged to the call path that blocked,
 // exactly as TAU attributed S3D's MPI_WAIT to the ghost-zone exchange.
+// A pool worker's track holds one span per unit it ran, recorded (Record)
+// from the two stamps internal/par takes around every unit.
 //
 // The profiler aggregates per-rank inclusive/exclusive call-path trees with
 // cross-rank imbalance statistics (aggregate.go), exports Chrome
@@ -106,8 +108,8 @@ type pathNode struct {
 
 // Event is one completed span on a track's timeline. Start is on the Now
 // clock; Path indexes the track's node table. Args are optional key/value
-// annotations (tile coordinates on worker spans) carried through to the
-// Chrome trace exporter; nil for plain spans.
+// annotations carried through to the Chrome trace exporter (the critical-
+// path overlay's step and message on each segment); spans leave them nil.
 type Event struct {
 	Path  int32
 	Start int64
@@ -150,35 +152,40 @@ func (t *Track) Profiler() *Profiler {
 // Group returns the track's layout group (GroupRank or GroupWorker).
 func (t *Track) Group() string { return t.group }
 
-// Recording reports whether spans begun now would record: the track is
-// attached to an enabled profiler. Callers building span annotations
-// (BeginArgs) should gate the allocation on it.
-func (t *Track) Recording() bool {
-	return t != nil && t.p.on.Load()
-}
-
 // Begin opens a nested span named after a region. It is safe (and free) on
 // a nil track; with a disabled profiler it costs one atomic load. The
 // returned Span must be closed with End on the same goroutine.
 func (t *Track) Begin(name string) Span {
-	return t.BeginArgs(name, nil)
-}
-
-// BeginArgs is Begin with key/value annotations attached to the recorded
-// event (rendered as the args field of the Chrome trace span).
-func (t *Track) BeginArgs(name string, args map[string]string) Span {
 	if t == nil || !t.p.on.Load() {
 		return Span{}
 	}
-	parent := int32(0)
-	if n := len(t.stack); n > 0 {
-		parent = t.stack[n-1]
-	}
 	t.mu.Lock()
-	id := t.node(parent, name)
+	id := t.node(t.open(), name)
 	t.mu.Unlock()
 	t.stack = append(t.stack, id)
-	return Span{t: t, path: id, start: Now(), args: args}
+	return Span{t: t, path: id, start: Now()}
+}
+
+// Record records a span its caller timed, [start, start+dur) on the Now
+// clock, under the track's open call path: a pool worker records each unit
+// it ran from the two stamps par took around it. Like Begin it is free on a
+// nil track and one atomic load on a disabled profiler.
+func (t *Track) Record(name string, start, dur int64) {
+	if t == nil || !t.p.on.Load() {
+		return
+	}
+	t.mu.Lock()
+	t.events = append(t.events, Event{Path: t.node(t.open(), name), Start: start, Dur: dur})
+	t.mu.Unlock()
+}
+
+// open returns the innermost open span's call-path node, the root (0) when
+// none is open. Owner goroutine only, like the stack.
+func (t *Track) open() int32 {
+	if n := len(t.stack); n > 0 {
+		return t.stack[n-1]
+	}
+	return 0
 }
 
 // node interns the call-path node name under parent. Callers hold t.mu.
@@ -198,7 +205,6 @@ type Span struct {
 	t     *Track
 	path  int32
 	start int64
-	args  map[string]string
 }
 
 // End closes the span and records its timeline event. Unbalanced inner
@@ -217,7 +223,7 @@ func (s Span) End() {
 		}
 	}
 	t.mu.Lock()
-	t.events = append(t.events, Event{Path: s.path, Start: s.start, Dur: end - s.start, Args: s.args})
+	t.events = append(t.events, Event{Path: s.path, Start: s.start, Dur: end - s.start})
 	t.mu.Unlock()
 }
 

@@ -315,3 +315,38 @@ func TestSpanChild(t *testing.T) {
 		t.Fatalf("exclusive times sum to %.9fs of the %.9fs parent span", got, d.Incl)
 	}
 }
+
+// TestTrackRecord: a span its caller timed lands as one event with the
+// caller's start and duration, under the track's open call path; a nil
+// track and a disabled profiler record nothing.
+func TestTrackRecord(t *testing.T) {
+	var none *Track
+	none.Record("X", 1, 2)
+	p := New()
+	tr := p.NewTrack(GroupWorker, "worker0")
+	p.SetEnabled(false)
+	tr.Record("OFF", 1, 2)
+	p.SetEnabled(true)
+	tr.Record("FLUX", 100, 40)
+	sp := tr.Begin("STEP")
+	tr.Record("FLUX", 200, 50)
+	sp.End()
+	s := tr.Snapshot()
+	if len(s.Events) != 3 {
+		t.Fatalf("%d events, want 3: %+v", len(s.Events), s.Events)
+	}
+	path := func(id int32) string {
+		if n := s.Nodes[id]; n.Parent > 0 {
+			return s.Nodes[n.Parent].Name + "/" + n.Name
+		}
+		return s.Nodes[id].Name
+	}
+	for i, want := range []struct {
+		path       string
+		start, dur int64
+	}{{"FLUX", 100, 40}, {"STEP/FLUX", 200, 50}} {
+		if ev := s.Events[i]; path(ev.Path) != want.path || ev.Start != want.start || ev.Dur != want.dur {
+			t.Fatalf("event %d = %s %+v, want %+v", i, path(ev.Path), ev, want)
+		}
+	}
+}

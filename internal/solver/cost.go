@@ -1,25 +1,20 @@
 package solver
 
-// The solver side of the cost-attribution sampler (internal/cost): a due
-// step opens a collection window — the plan's probe counts and samples the
-// tracked kernels' tiles, the always-on region timers are baselined — and
-// costStep closes it and publishes what was measured. Nothing here feeds
-// the state, and a record is this rank's own window: publishing needs no
-// collective.
+// The solver side of the cost-attribution layer (internal/cost): a due
+// step opens a collection window — the plan's ledger is reset, the
+// always-on region timers are baselined — and costStep closes it and
+// publishes what was measured. Nothing here feeds the state, and a record
+// is this rank's own window: publishing needs no collective.
 
 import "github.com/s3dgo/s3d/internal/cost"
 
-// InstallCost attaches a cost collector to the block and its kernel plan
-// (pass nil to detach).
+// InstallCost attaches a cost collector to the block (pass nil to detach).
 func (b *Block) InstallCost(c *cost.Collector) {
 	b.costC = c
 	b.cRegionBase = nil
-	if c == nil {
-		b.plan.SetCost(nil)
-		return
+	if c != nil {
+		b.cRegionBase = make([]float64, len(cost.Kernels))
 	}
-	b.plan.SetCost(c)
-	b.cRegionBase = make([]float64, len(cost.Kernels))
 }
 
 // Cost returns the installed collector (nil when none).
@@ -41,12 +36,12 @@ func (b *Block) costRegionSeconds(out []float64) {
 	}
 }
 
-// costArm opens the collection window for the step about to run: it arms
-// the plan probe and baselines the always-on region timers, so costStep can
-// hand the collector exact per-kernel wall totals for the window without
-// the probe re-measuring them.
+// costArm opens the collection window for the step about to run: it
+// resets the plan's ledger and baselines the always-on region timers, so
+// costStep can hand the collector the window's unit times and exact
+// per-kernel region totals.
 func (b *Block) costArm() {
-	b.costC.Arm(true)
+	b.plan.ResetLedger()
 	b.costRegionSeconds(b.cRegionBase)
 }
 
@@ -65,8 +60,7 @@ func (b *Block) costStep() {
 	for i := range regionS {
 		regionS[i] -= b.cRegionBase[i]
 	}
-	rows := c.Snapshot(regionS)
-	c.Arm(false)
+	rows := c.Snapshot(b.plan, regionS)
 	c.Publish(cost.Record{Step: b.Step, Time: b.Time, Kernels: rows})
 	reg.End()
 }

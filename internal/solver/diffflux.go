@@ -48,15 +48,19 @@ func jRow(j, dY, negRhoD, yOverW, y [][]float64, dW, sum []float64) {
 	}
 }
 
-// PrepareDiffFluxInputs runs exactly the RHS stages the flux stage depends
-// on (ghost fill, primitives: the stage evaluates transport in its rows), so
-// benchmarks can time the stage in isolation (the figure-4 methodology:
-// HPCToolkit pinned one loop nest).
-func (b *Block) PrepareDiffFluxInputs() { b.RefreshPrimitives() }
+// PrepareDiffFluxInputs runs exactly PrepareAssembleInputs.
+//
+// Deprecated: the diffusive fluxes are formed in the flux row, so there is
+// no separate diffusive-flux stage to prepare. The method remains only
+// because the frozen benchmark/probes.go names it.
+func (b *Block) PrepareDiffFluxInputs() { b.PrepareAssembleInputs() }
 
-// DiffFluxKernelOnly invokes the pencil-fused flux stage, which forms the
-// diffusive fluxes (and the chemistry); inputs come from PrepareDiffFluxInputs.
-func (b *Block) DiffFluxKernelOnly() { b.assembleFluxes() }
+// DiffFluxKernelOnly runs exactly AssembleFluxesOnly.
+//
+// Deprecated: the diffusive fluxes are formed in the flux row, so timing
+// this times the whole flux stage, as AssembleFluxesOnly does. The method
+// remains only because the frozen benchmark/probes.go names it.
+func (b *Block) DiffFluxKernelOnly() { b.AssembleFluxesOnly() }
 
 // DiffFluxStudy is the figure-4/5 kernel study: the diffusive-flux loop nest
 // alone, in its Fortran-90 array-statement form (Naive) and the
@@ -76,11 +80,11 @@ type DiffFluxStudy struct {
 }
 
 // NewDiffFluxStudy prepares the study on b: the RHS stages the kernel reads
-// (PrepareDiffFluxInputs), then Dₙ over every interior row — the flux row's
+// (PrepareAssembleInputs), then Dₙ over every interior row — the flux row's
 // transport evaluation, diffusivityRows — and ∂Yₙ and ∂W along every active
 // axis into the study's own arrays.
 func (b *Block) NewDiffFluxStudy() *DiffFluxStudy {
-	b.PrepareDiffFluxInputs()
+	b.PrepareAssembleInputs()
 	size := b.fs.FieldLen()
 	s := &DiffFluxStudy{b: b, t1: make([]float64, size), t2: make([]float64, size),
 		views: make([][2][][]float64, len(b.ws))}

@@ -48,22 +48,22 @@ func (r region) End() {
 }
 
 // charge reports a part of a fused sweep out of the open region r that
-// timed it (wall). The workers clock their tiles in ws[·].clk[0] and the
-// part in ws[·].clk[1] (both cleared here); the part goes to region name
-// ("" keeps it in r) as d·min(1, wall/Σ tiles) — exact at one worker —
-// through Timers.Charge and as a child span at the end of r's span.
-func (r region) charge(wall time.Duration, name string) {
-	var total, part time.Duration
+// timed it (wall). The workers clock the part in ws[·].clk (cleared here);
+// busy is the sweep's units summed, as the plan timed them (Plan.LastBusy).
+// The part goes to region name ("" keeps it in r) as d·min(1, wall/busy) —
+// exact at one worker — through Timers.Charge and as a child span at the
+// end of r's span.
+func (r region) charge(wall, busy time.Duration, name string) {
+	var part time.Duration
 	for w := range r.b.ws {
-		ws := &r.b.ws[w]
-		total, part = total+ws.clk[0], part+ws.clk[1]
-		ws.clk = [2]time.Duration{}
+		part += r.b.ws[w].clk
+		r.b.ws[w].clk = 0
 	}
 	if name == "" {
 		return
 	}
-	if total > wall {
-		part = time.Duration(float64(part) * (float64(wall) / float64(total)))
+	if busy > wall {
+		part = time.Duration(float64(part) * (float64(wall) / float64(busy)))
 	}
 	r.b.Timers.Charge(name, part)
 	r.sp.Child(name, prof.Now()-part.Nanoseconds(), part.Nanoseconds())

@@ -11,9 +11,10 @@ import (
 
 // TestRegionCharge: each fused sweep of an RK stage — the flux stage with
 // its chemistry, then the divergence with its NSCBC faces — charges its
-// part's clocked time when the workers' clocks sum to no more than the wall
-// (one worker) and the part's share of the wall otherwise, out of the open
-// region on both the perf timers and the profiler track.
+// part's clocked time when the sweep's busy time (its units summed, as the
+// plan timed them) is no more than the wall (one worker) and the part's
+// share of the wall otherwise, out of the open region on both the perf
+// timers and the profiler track.
 func TestRegionCharge(t *testing.T) {
 	const ms = time.Millisecond
 	sweeps := []struct{ timer, span, part string }{
@@ -33,15 +34,14 @@ func TestRegionCharge(t *testing.T) {
 		b := &Block{Timers: perf.NewTimersClock(func() time.Time { return now }), ws: make([]kernScratch, 2)}
 		b.profT = p.NewTrack(prof.GroupRank, "rank0")
 		for _, sw := range sweeps {
-			// The tiles and the part split unevenly over two workers' clocks.
-			b.ws[0].clk = [2]time.Duration{tc.total / 3, tc.part}
-			b.ws[1].clk = [2]time.Duration{tc.total - tc.total/3, 0}
+			// The part splits unevenly over two workers' clocks.
+			b.ws[0].clk, b.ws[1].clk = tc.part/3, tc.part-tc.part/3
 			reg := b.beginRegionNamed(sw.timer, sw.span)
 			time.Sleep(tc.wall)
 			now = now.Add(tc.wall)
-			reg.charge(tc.wall, sw.part)
+			reg.charge(tc.wall, tc.total, sw.part)
 			reg.End()
-			if b.ws[0].clk != ([2]time.Duration{}) || b.ws[1].clk != ([2]time.Duration{}) {
+			if b.ws[0].clk != 0 || b.ws[1].clk != 0 {
 				t.Fatalf("%s %s: worker clocks not cleared: %v %v", tc.name, sw.span, b.ws[0].clk, b.ws[1].clk)
 			}
 		}
@@ -96,8 +96,8 @@ func TestRegionCharge(t *testing.T) {
 
 	// A charge with no open region records the timers' sticky error.
 	b := &Block{Timers: perf.NewTimers(), ws: make([]kernScratch, 1)}
-	b.ws[0].clk[1] = ms
-	region{b: b}.charge(ms, "NSCBC")
+	b.ws[0].clk = ms
+	region{b: b}.charge(ms, ms, "NSCBC")
 	if b.Timers.Err() == nil {
 		t.Fatal("a charge with no open region set no error")
 	}

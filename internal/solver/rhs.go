@@ -83,7 +83,7 @@ func (b *Block) assembleFluxes() {
 	}
 	start := time.Now()
 	b.plan.RunSlots("ASSEMBLE_FLUXES", b.interior(), func(t par.Tile, worker int) {
-		ws, t0 := &b.ws[worker], time.Now()
+		ws := &b.ws[worker]
 		ws.hrr = 0
 		for k := t.Lo[2]; k < t.Hi[2]; k++ {
 			for j := t.Lo[1]; j < t.Hi[1]; j++ {
@@ -91,7 +91,6 @@ func (b *Block) assembleFluxes() {
 			}
 		}
 		b.hrrSlots[t.Index] = ws.hrr
-		ws.clk[0] += time.Since(t0)
 	})
 	if b.collectHRR { // with chemistry off every slot holds +0
 		b.hrrAcc = 0
@@ -99,7 +98,7 @@ func (b *Block) assembleFluxes() {
 			b.hrrAcc += v
 		}
 	}
-	reg.charge(time.Since(start), part)
+	reg.charge(time.Since(start), b.plan.LastBusy(), part)
 }
 
 // rowScratch is one worker's x-row scratch for the flux stage and its
@@ -193,7 +192,7 @@ func (b *Block) fluxRow(ws *kernScratch, x0, x1, j, k int) {
 		for i, v := range q {
 			ws.hrr += v * b.cellVol(x0+i, j, k)
 		}
-		ws.clk[1] += time.Since(c0)
+		ws.clk += time.Since(c0)
 	}
 
 	// (3) Flux rows: the heat flux (eq. 20), the stress tensor, then mass,
@@ -337,9 +336,11 @@ func (b *Block) diffusivityRows(ws *kernScratch, p0, w int, d [][]float64) {
 	}
 }
 
-// PrepareAssembleInputs runs the RHS stages the flux stage depends on, so
-// the stage can be benchmarked in isolation.
-func (b *Block) PrepareAssembleInputs() { b.PrepareDiffFluxInputs() }
+// PrepareAssembleInputs runs exactly the RHS stages the flux stage depends
+// on (ghost fill, primitives: the stage evaluates transport in its rows), so
+// benchmarks can time the stage in isolation (the figure-4 methodology:
+// HPCToolkit pinned one loop nest).
+func (b *Block) PrepareAssembleInputs() { b.RefreshPrimitives() }
 
 // AssembleFluxesOnly invokes just the pencil-fused flux stage and its
 // chemistry; inputs must have been prepared by PrepareAssembleInputs.
@@ -357,14 +358,12 @@ func (b *Block) finishRHS(t float64) {
 	start := time.Now()
 	b.plan.Run("DIVERGENCE", b.interior(), func(tl par.Tile, worker int) {
 		ws := &b.ws[worker]
-		t0 := time.Now()
 		b.divTileSweep(ws, tl)
 		t1 := time.Now()
 		b.nscbcTileSweep(ws, tl, t)
-		ws.clk[0] += time.Since(t0)
-		ws.clk[1] += time.Since(t1)
+		ws.clk += time.Since(t1)
 	})
-	reg.charge(time.Since(start), "NSCBC")
+	reg.charge(time.Since(start), b.plan.LastBusy(), "NSCBC")
 }
 
 // divTileSweep sets rhs[v] = −Σ_d ∂flux[v][d]/∂x_d over one tile, d over the

@@ -14,7 +14,9 @@ import (
 // rhsPinCase is one geometry of TestRHSBits: a configuration, its initial
 // condition and the hashes of one EvalRHS recorded before divergence,
 // chemistry and the NSCBC faces ran as one sweep (each stage was its own
-// plan region then, the NSCBC faces one plane region each).
+// plan region then, the NSCBC faces one plane region each). The seeded jet's
+// hashes were recorded later, on the fused sweep: they hold the order of the
+// heat-release fold, which the near mirror-symmetric states cannot show.
 type rhsPinCase struct {
 	name    string
 	config  func(*par.Pool) *Config
@@ -25,6 +27,19 @@ type rhsPinCase struct {
 var rhsPinCases = []rhsPinCase{
 	{name: "jet25x17x1", config: degenerateCase{nx: 25, ny: 17, nz: 1, jet: true}.config, ic: degenerateIC,
 		off: 0xab10e6c3f9f67bf8, on: 0xd336548dba3cd4b0},
+	{name: "jetseed25x17x1", config: degenerateCase{nx: 25, ny: 17, nz: 1, jet: true}.config, ic: func(b *Block) {
+		// The off-centre radical seed of TestChemSourceMatchesPerPointOracle:
+		// the per-tile heat-release slots are no mirror image of each other,
+		// so the order of their fold shows in the bits.
+		degenerateIC(b)
+		h := iY0 + b.cfg.Mech.Set.Index("H")
+		for j := 0; j < b.G.Ny/3; j++ {
+			r := b.Q[h].Row(j, 0)
+			for i := range r {
+				r[i] *= 1.5
+			}
+		}
+	}, off: 0x4eb0aae00d6d62cf, on: 0x4fbf4db2fc5f4e3a},
 	{name: "block11x9x7", config: func(pool *par.Pool) *Config {
 		// NSCBC on every face: the corrections of the x, y and z faces meet
 		// on the block's edges and corners.

@@ -301,8 +301,8 @@ type kernScratch struct {
 	rows rowScratch
 	// species row segments a pointwise sweep reads and writes (primitives.go)
 	yIn, yOut [][]float64
-	clk       [2]time.Duration // a fused sweep's tile and charged-part time (region.charge)
-	hrr       float64          // the flux stage tile's heat-release integrand sum
+	clk       time.Duration // a fused sweep's charged-part time (region.charge)
+	hrr       float64       // the flux stage tile's heat-release integrand sum
 }
 
 // NewSerial builds a single-block (serial) simulation over the whole grid:

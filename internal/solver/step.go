@@ -48,8 +48,8 @@ func (b *Block) StepChecked(dt float64) error {
 	b.inStep = true
 	// One atomic load per step when analysis is installed but disabled.
 	b.aDue = b.analysis != nil && b.analysis.Due(b.Step+1)
-	// Likewise for the cost sampler; a due step opens the wall-clock
-	// collection window so the plan's probe samples this step's tiles.
+	// Likewise for the cost layer; a due step opens the collection window:
+	// the plan's ledger then holds this step's runs.
 	b.costDue = b.costC != nil && b.costC.Due(b.Step+1)
 	if b.costDue {
 		b.costArm()

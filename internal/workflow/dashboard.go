@@ -167,7 +167,7 @@ func analysisLane(recs []insitu.Record) *AnalysisLane {
 // BalanceKernel is one kernel's row in the balance lane.
 type BalanceKernel struct {
 	Kernel    string  `json:"kernel"`
-	Imbalance float64 `json:"imbalance"` // sampled max/mean tile seconds
+	Imbalance float64 `json:"imbalance"` // max/mean unit seconds
 	RegionS   float64 `json:"region_s"`  // exclusive region seconds of the window
 }
 
@@ -178,7 +178,7 @@ type BalanceLane struct {
 	Records  int             `json:"records"`
 	LastStep int             `json:"last_step"`
 	Kernels  []BalanceKernel `json:"kernels,omitempty"`
-	// WorstKernel is the kernel with the highest sampled tile imbalance.
+	// WorstKernel is the kernel with the highest unit imbalance.
 	WorstKernel string `json:"worst_kernel,omitempty"`
 }
 
