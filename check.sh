@@ -140,6 +140,28 @@ if grep -rnE "$clocks" --include='*.go' . | grep -v '^\./benchmark/' | grep -v '
 	echo "a second clock around plan units is back (see above): read the plan's ledger" >&2
 	exit 1
 fi
+# ... and so does a second clock around a region: prof.Now is the one clock,
+# and every timed interval is stamped once. A solver region's span opens and
+# closes on its perf timer's stamps, a fused sweep's parts and the halo's
+# MPI_WAIT are charged from stamps already taken, comm records its MPI_*
+# spans from its counters' stamps, and the root's TryAdvance stamps a step
+# only for a probe. So non-test internal/solver and internal/comm read no
+# time.Now or time.Since, internal/comm opens no span (no .Begin(), Span.Child
+# stays deleted, and TryAdvance calls no time.Now.
+echo "== one-clock lint (no time.Now/time.Since in internal/solver and internal/comm, no .Begin( in internal/comm, no Span.Child, no time.Now in TryAdvance)"
+violations=$({
+	grep -rnE 'time\.(Now|Since)\(' --include='*.go' internal/solver internal/comm
+	grep -rn '\.Begin(' --include='*.go' internal/comm
+	grep -rnE 'Span\) Child\(|\.Child\(' --include='*.go' . | grep -v '^\./benchmark/'
+	awk 'FNR == 1 { fn = "" } /^func / { fn = $0 }
+		fn ~ /\) TryAdvance\(/ && /time\.Now\(/ { print FILENAME ":" FNR ": " $0 }' $(ls ./*.go)
+} | grep -v '_test\.go:' || true)
+if [ -n "$violations" ]; then
+	echo "a second clock around a timed interval:" >&2
+	echo "$violations" >&2
+	echo "stamp on prof.Now once and hand the stamps on (perf.Timers Start/Stop, prof.Track BeginAt/EndAt/Record)" >&2
+	exit 1
+fi
 # ... and so does the second run of the lifted jet: figures 14 and 15 are
 # drawn from cmd/liftedflame's run, in its armed loop.
 if [ -e cmd/s3dviz ]; then

@@ -3,6 +3,7 @@ package s3d
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -328,5 +329,51 @@ func TestSubscribeCritPathBeforeEnableErrors(t *testing.T) {
 	}
 	if err := sim.EnableCritPath(nil); err == nil {
 		t.Fatal("EnableCritPath(nil) must fail")
+	}
+}
+
+// TestTrackEventEndsMonotone: Track.SnapshotRange, and through it the
+// critpath blame, walks each track back from its tail and stops at the first
+// event that ended before the window, so every track must append its events
+// in non-decreasing end time — also where comm records a span from stamps
+// taken before its bookkeeping finished and a fused sweep records its
+// charged part at its own end. Checked on every rank and worker track of a
+// profiled, critpath-armed 2×1×1 run of the reacting jet.
+func TestTrackEventEndsMonotone(t *testing.T) {
+	SetWorkers(2)
+	defer SetWorkers(0)
+	p, err := LiftedJetProblem(LiftedJetOptions{Nx: 32, Ny: 24, Nz: 1, IgnitionKernel: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := NewProfiler()
+	a := NewCritPathAnalyzer(CritPathSpec{Every: 1})
+	err = RunDecomposed(p.Config, [3]int{2, 1, 1}, func(r *RankSim) {
+		r.SetInitial(p.Initial, p.InitPressure)
+		r.EnableProfiling(pr, fmt.Sprintf("rank%d", r.Rank))
+		if err := r.EnableCritPath(a); err != nil {
+			panic(err)
+		}
+		r.Advance(2, 0.4*r.StableDt())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := map[string]int{}
+	for _, tr := range pr.Snapshot() {
+		groups[tr.Group]++
+		if len(tr.Events) == 0 {
+			t.Fatalf("track %s recorded nothing", tr.Name)
+		}
+		for i := 1; i < len(tr.Events); i++ {
+			a, b := tr.Events[i-1], tr.Events[i]
+			if a.Start+a.Dur > b.Start+b.Dur {
+				t.Fatalf("track %s: event %d (%s) ends at %d, after event %d (%s) at %d", tr.Name,
+					i-1, tr.Nodes[a.Path].Name, a.Start+a.Dur, i, tr.Nodes[b.Path].Name, b.Start+b.Dur)
+			}
+		}
+	}
+	if groups["rank"] != 2 || groups["worker"] != 2 {
+		t.Fatalf("tracks by group = %v, want two rank and two worker tracks", groups)
 	}
 }

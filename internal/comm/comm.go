@@ -93,15 +93,17 @@ func NewWorld(n int) *World {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.n }
 
-// WaitByPeer returns rank r's cumulative point-to-point blocked time in
-// nanoseconds, split by the peer rank the wait was matched against. The
-// counters accumulate whether or not an event trace is armed.
-func (w *World) WaitByPeer(r int) []int64 {
-	out := make([]int64, w.n)
+// WaitByPeer appends to dst[:0] rank r's cumulative point-to-point blocked
+// time in nanoseconds, split by the peer rank the wait was matched against,
+// and returns it: a dst of the world's size is reused, so a per-step reader
+// allocates nothing. The counters accumulate whether or not an event trace
+// is armed.
+func (w *World) WaitByPeer(r int, dst []int64) []int64 {
+	dst = dst[:0]
 	for p := 0; p < w.n; p++ {
-		out[p] = w.waitPeerNs[r*w.n+p].Load()
+		dst = append(dst, w.waitPeerNs[r*w.n+p].Load())
 	}
-	return out
+	return dst
 }
 
 // RankStats is the cumulative communication telemetry of one rank, in the
@@ -249,8 +251,9 @@ type Comm struct {
 	rank  int
 
 	// prof, when attached, records MPI_* spans on the rank's profiler
-	// track, so blocked time is charged to the call path that blocked
-	// (nil-track Begin is free).
+	// track, so blocked time is charged to the call path that blocked. A
+	// span is recorded from the stamps the call takes for its counters and
+	// trace events (a nil track's Record is free).
 	prof *prof.Track
 
 	// Step context, stamped onto message envelopes and trace events. Owned
@@ -269,8 +272,11 @@ type Comm struct {
 
 // AttachProfiler records this rank's communication calls (MPI_ISEND,
 // MPI_WAIT, MPI_ALLREDUCE, MPI_BARRIER, and MPI_ALLGATHER for
-// AllreduceOrdered) as spans on tr. The track must be the calling rank's:
-// spans land on whatever call path the rank currently has open.
+// AllreduceOrdered) as spans on tr, each from the stamps the call already
+// takes: a send is the instant it posts (buffered, it completes there), a
+// wait its blocked interval, a collective its enter-to-exit interval. The
+// track must be the calling rank's: spans land on whatever call path the
+// rank currently has open.
 func (c *Comm) AttachProfiler(tr *prof.Track) { c.prof = tr }
 
 // WithoutProfiler returns a handle on the same world and rank that records
@@ -524,8 +530,6 @@ func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 	if dst < 0 || dst >= c.world.n {
 		panic(fmt.Sprintf("comm: rank %d Isend to invalid rank %d", c.rank, dst))
 	}
-	sp := c.prof.Begin("MPI_ISEND")
-	defer sp.End()
 	now := prof.Now()
 	env := envelope{postNs: now, step: c.step, stage: c.stage, n: len(data)}
 	box := c.world.boxes[dst]
@@ -553,6 +557,7 @@ func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 			Bytes: bytes, Step: c.step, Stage: c.stage,
 			PostNs: now, StartNs: now, DoneNs: now})
 	}
+	c.prof.Record("MPI_ISEND", now, 0)
 	return sent
 }
 
@@ -580,21 +585,20 @@ func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 	return r
 }
 
-// Wait blocks until the request completes. A receive completes once a send
-// has matched it (see Isend and Irecv); a length mismatch panics here, on
-// the receiving rank, as MPI would raise a truncation error. The blocked
-// interval — from Wait's entry stamp to its completion stamp, exactly the
-// StartNs…DoneNs of the traced receive event — is charged to the posting
-// rank's wait counter for the peer; a receive matched before its Wait has
-// none. If the world aborts while blocked, Wait unwinds with the abort
-// sentinel instead of parking forever.
-func (r *Request) Wait() {
+// Wait blocks until the request completes and returns the nanoseconds it
+// was blocked. A receive completes once a send has matched it (see Isend
+// and Irecv); a length mismatch panics here, on the receiving rank, as MPI
+// would raise a truncation error. The blocked interval — from Wait's entry
+// stamp to its completion stamp, exactly the StartNs…DoneNs of the traced
+// receive event and of the MPI_WAIT span — is charged to the posting rank's
+// wait counter for the peer; a receive matched before its Wait has none. If
+// the world aborts while blocked, Wait unwinds with the abort sentinel
+// instead of parking forever.
+func (r *Request) Wait() int64 {
 	if r.done {
-		return
+		return 0
 	}
 	c, w := r.c, r.c.world
-	sp := c.prof.Begin("MPI_WAIT")
-	defer sp.End()
 	startNs := prof.Now()
 	doneNs := startNs
 	if !w.boxes[c.rank].await(w, r) {
@@ -616,6 +620,8 @@ func (r *Request) Wait() {
 			PostNs: r.postNs, StartNs: startNs, DoneNs: doneNs,
 			SendPostNs: r.env.postNs, SendStep: r.env.step, SendStage: r.env.stage})
 	}
+	c.prof.Record("MPI_WAIT", startNs, doneNs-startNs)
+	return doneNs - startNs
 }
 
 // await blocks until r is matched and reports whether it already was.
@@ -630,11 +636,14 @@ func (m *mailbox) await(w *World, r *Request) (already bool) {
 	return already
 }
 
-// WaitAll completes every request.
-func WaitAll(reqs ...*Request) {
+// WaitAll completes every request and returns the nanoseconds it was
+// blocked: the sum of the waits' blocked intervals.
+func WaitAll(reqs ...*Request) int64 {
+	var ns int64
 	for _, r := range reqs {
-		r.Wait()
+		ns += r.Wait()
 	}
+	return ns
 }
 
 // RecvAny blocks until a message with any of the given tags arrives from
@@ -775,12 +784,13 @@ func (c *Comm) chargeColl(bytes int) {
 // bitwise-identical result whatever order the ranks arrived in. bytes is
 // what the call is charged as having sent; it is counted as one allreduce
 // and traced as kind, and the gather's enter-to-exit interval is charged to
-// the rank's collective-time counter. A length mismatch is an error on
-// every rank.
-func (c *Comm) reduce(vals []float64, combine func(dst, src []float64), kind string, bytes int) error {
+// the rank's collective-time counter and recorded as the span named span. A
+// length mismatch is an error on every rank.
+func (c *Comm) reduce(vals []float64, combine func(dst, src []float64), kind, span string, bytes int) error {
 	enterNs := prof.Now()
 	slots := c.gather(vals)
 	exitNs := prof.Now()
+	c.prof.Record(span, enterNs, exitNs-enterNs)
 	c.world.collNs[c.rank].Add(exitNs - enterNs)
 	c.world.allreduces[c.rank].Add(1)
 	c.chargeColl(bytes)
@@ -806,19 +816,15 @@ func (c *Comm) reduce(vals []float64, combine func(dst, src []float64), kind str
 // must call with equal lengths; a mismatch panics. Charged as a tree
 // allreduce, O(2·len) per rank.
 func (c *Comm) Allreduce(op Op, vals []float64) {
-	sp := c.prof.Begin("MPI_ALLREDUCE")
-	defer sp.End()
-	if err := c.reduce(vals, op.combine, KindAllreduce, 16*len(vals)); err != nil {
+	if err := c.reduce(vals, op.combine, KindAllreduce, "MPI_ALLREDUCE", 16*len(vals)); err != nil {
 		panic(err)
 	}
 }
 
 // Barrier blocks until all ranks arrive: a zero-length reduce.
 func (c *Comm) Barrier() {
-	sp := c.prof.Begin("MPI_BARRIER")
-	defer sp.End()
 	c.world.barriers[c.rank].Add(1)
-	if err := c.reduce(nil, nil, KindBarrier, 16); err != nil {
+	if err := c.reduce(nil, nil, KindBarrier, "MPI_BARRIER", 16); err != nil {
 		panic(err)
 	}
 }
@@ -828,7 +834,5 @@ func (c *Comm) Barrier() {
 // the caller decides whether it is fatal. A zero-length payload is a pure
 // synchronization point and succeeds.
 func (c *Comm) AllreduceOrdered(vals []float64, combine func(dst, src []float64)) error {
-	sp := c.prof.Begin("MPI_ALLGATHER")
-	defer sp.End()
-	return c.reduce(vals, combine, KindAllreduceOrdered, 8*len(vals))
+	return c.reduce(vals, combine, KindAllreduceOrdered, "MPI_ALLGATHER", 8*len(vals))
 }

@@ -102,7 +102,7 @@ func TestRequestTimestampsPersist(t *testing.T) {
 			}
 			traced += ev.DoneNs - ev.StartNs
 		}
-		for _, ns := range w.WaitByPeer(r) {
+		for _, ns := range w.WaitByPeer(r, nil) {
 			counted += ns
 		}
 		if traced != counted {
@@ -130,7 +130,7 @@ func TestWaitByPeerAccumulates(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	byPeer := w.WaitByPeer(1)
+	byPeer := w.WaitByPeer(1, nil)
 	if len(byPeer) != 2 {
 		t.Fatalf("WaitByPeer length %d, want world size", len(byPeer))
 	}

@@ -9,9 +9,9 @@ import (
 
 func TestTimersExclusiveNesting(t *testing.T) {
 	// Injected clock: each call advances 1 ms.
-	now := time.Unix(0, 0)
-	clk := func() time.Time {
-		now = now.Add(time.Millisecond)
+	var now int64
+	clk := func() int64 {
+		now += int64(time.Millisecond)
 		return now
 	}
 	tm := NewTimersClock(clk)
@@ -61,9 +61,9 @@ func TestTimersStopEmptyStackRecordsError(t *testing.T) {
 }
 
 func TestTimersSnapshotIsImmutableCopy(t *testing.T) {
-	now := time.Unix(0, 0)
-	clk := func() time.Time {
-		now = now.Add(time.Millisecond)
+	var now int64
+	clk := func() int64 {
+		now += int64(time.Millisecond)
 		return now
 	}
 	tm := NewTimersClock(clk)
@@ -211,28 +211,39 @@ func TestDiffFluxModelImproves(t *testing.T) {
 	}
 }
 
-// TestTimersCharge: a charge moves exactly d from the innermost open region
-// to the charged one, the exclusive times still sum to the wall, and a
-// charge with no open region sets the sticky error without panicking.
+// TestTimersCharge: Start and Stop return the stamps they took; a charge
+// moves exactly d from the region it names — open (a halo wait out of its
+// exchange) or already stopped (a fused sweep's part, charged once the
+// sweep's wall is known) — to the charged one, the exclusive times still sum
+// to the wall, and a charge out of a region never entered sets the sticky
+// error without panicking.
 func TestTimersCharge(t *testing.T) {
-	var now time.Time
-	tm := NewTimersClock(func() time.Time { return now })
-	tm.Start("STEP")
-	now = now.Add(10 * time.Millisecond)
+	const ms = int64(time.Millisecond)
+	var now int64
+	tm := NewTimersClock(func() int64 { return now })
+	if got := tm.Start("STEP"); got != 0 {
+		t.Fatalf("Start returned %d, want the clock's 0", got)
+	}
+	now += 10 * ms
+	tm.Start("GHOST_EXCHANGE")
+	now += 5 * ms
+	tm.Charge("GHOST_EXCHANGE", "MPI_WAIT", 2*ms) // open
+	tm.Stop("GHOST_EXCHANGE")
 	tm.Start("DERIVATIVES")
-	now = now.Add(20 * time.Millisecond)
-	tm.Charge("REACTION_RATE_BOUNDS", 7*time.Millisecond)
-	tm.Charge("NSCBC", 3*time.Millisecond)
-	tm.Stop("DERIVATIVES")
-	now = now.Add(10 * time.Millisecond)
+	now += 20 * ms
+	if got := tm.Stop("DERIVATIVES"); got != now {
+		t.Fatalf("Stop returned %d, want the clock's %d", got, now)
+	}
+	tm.Charge("DERIVATIVES", "NSCBC", 3*ms) // stopped
+	now += 5 * ms
 	tm.Stop("STEP")
-	for name, want := range map[string]time.Duration{
-		"STEP": 20 * time.Millisecond, "DERIVATIVES": 10 * time.Millisecond,
-		"REACTION_RATE_BOUNDS": 7 * time.Millisecond, "NSCBC": 3 * time.Millisecond,
+	for name, want := range map[string]int64{
+		"STEP": 15 * ms, "GHOST_EXCHANGE": 3 * ms, "MPI_WAIT": 2 * ms,
+		"DERIVATIVES": 17 * ms, "NSCBC": 3 * ms,
 	} {
 		r := tm.Region(name)
-		if r == nil || r.Exclusive != want || r.Calls != 1 {
-			t.Fatalf("%s = %+v, want exclusive %v over one call", name, r, want)
+		if r == nil || int64(r.Exclusive) != want || r.Calls != 1 {
+			t.Fatalf("%s = %+v, want exclusive %v over one call", name, r, time.Duration(want))
 		}
 	}
 	if r := tm.Region("NSCBC"); r.Inclusive != 3*time.Millisecond {
@@ -248,11 +259,11 @@ func TestTimersCharge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tm.Charge("NSCBC", time.Millisecond) // no open region
-	if err := tm.Err(); err == nil || !strings.Contains(err.Error(), `Charge("NSCBC")`) {
+	tm.Charge("FILTER", "NSCBC", ms) // never entered
+	if err := tm.Err(); err == nil || !strings.Contains(err.Error(), `Charge("FILTER", "NSCBC")`) {
 		t.Fatalf("err = %v", err)
 	}
 	if r := tm.Region("NSCBC"); r.Exclusive != 3*time.Millisecond || r.Calls != 1 {
-		t.Fatalf("a charge with no open region changed NSCBC: %+v", r)
+		t.Fatalf("a charge out of a region never entered changed NSCBC: %+v", r)
 	}
 }

@@ -21,17 +21,21 @@ import (
 // aggregation, each rank calls Snapshot on its own timer set and hands the
 // immutable copy to the aggregator, which Merges the snapshots into a fresh
 // Timers it owns; the live per-rank timer sets are never shared.
+//
+// The clock is an int64 nanosecond count (the solver passes prof.Now, the
+// profiler's clock), and Start and Stop return the stamp they took, so a
+// caller that also keeps a timeline span opens and closes it on the same
+// two stamps instead of reading a clock of its own.
 type Timers struct {
 	regions map[string]*Region
 	stack   []frame // by value: entering a region allocates nothing once warm
-	now     func() time.Time
+	now     func() int64
 	err     error // first Start/Stop misuse (sticky; see Err)
 }
 
 type frame struct {
-	r     *Region
-	start time.Time
-	inner time.Duration
+	r            *Region
+	start, inner int64
 }
 
 // Region is one instrumented code region.
@@ -42,13 +46,17 @@ type Region struct {
 	Calls     int64
 }
 
-// NewTimers returns an empty timer set.
+// origin is the zero of NewTimers' monotonic clock.
+var origin = time.Now()
+
+// NewTimers returns an empty timer set on a monotonic nanosecond clock of
+// its own.
 func NewTimers() *Timers {
-	return &Timers{regions: map[string]*Region{}, now: time.Now}
+	return NewTimersClock(func() int64 { return int64(time.Since(origin)) })
 }
 
-// NewTimersClock returns a timer set with an injected clock, for tests.
-func NewTimersClock(now func() time.Time) *Timers {
+// NewTimersClock returns a timer set on the given nanosecond clock.
+func NewTimersClock(now func() int64) *Timers {
 	return &Timers{regions: map[string]*Region{}, now: now}
 }
 
@@ -62,49 +70,58 @@ func (t *Timers) region(name string) *Region {
 	return r
 }
 
-// Start enters a region. Regions may nest but not interleave.
-func (t *Timers) Start(name string) {
-	t.stack = append(t.stack, frame{r: t.region(name), start: t.now()})
+// Start enters a region and returns its entry stamp. Regions may nest but
+// not interleave.
+func (t *Timers) Start(name string) int64 {
+	now := t.now()
+	t.stack = append(t.stack, frame{r: t.region(name), start: now})
+	return now
 }
 
-// Charge moves d out of the innermost open region into the named one, as if
-// that had run nested in it for d (one call): how one timed sweep reports
-// several regions' work, its exclusive times still summing to the wall.
-// With no open region it records a sticky error (Err) and changes nothing.
-func (t *Timers) Charge(name string, d time.Duration) {
-	if len(t.stack) == 0 {
-		t.fail(fmt.Errorf("perf: Charge(%q) with empty region stack", name))
+// Charge moves d nanoseconds of region from's exclusive time into the named
+// region, as if that had run nested in from for d (one call): how one timed
+// sweep reports several regions' work, its exclusive times still summing to
+// the wall. from may be open or already stopped; its inclusive time, and so
+// every enclosing region's, is unchanged. A from never entered records a
+// sticky error (Err) and changes nothing.
+func (t *Timers) Charge(from, name string, d int64) {
+	f := t.regions[from]
+	if f == nil {
+		t.fail(fmt.Errorf("perf: Charge(%q, %q) out of a region never entered", from, name))
 		return
 	}
+	f.Exclusive -= time.Duration(d)
 	r := t.region(name)
-	r.Inclusive += d
-	r.Exclusive += d
+	r.Inclusive += time.Duration(d)
+	r.Exclusive += time.Duration(d)
 	r.Calls++
-	t.stack[len(t.stack)-1].inner += d
 }
 
-// Stop leaves the innermost region, which must be the named one. A
-// mismatched or unbalanced Stop does not panic: it records a descriptive
-// sticky error (retrievable via Err) and leaves the accumulated timings
-// untouched, so a monitoring bug cannot take a production run down.
-func (t *Timers) Stop(name string) {
+// Stop leaves the innermost region, which must be the named one, and
+// returns its exit stamp. A mismatched or unbalanced Stop does not panic:
+// it records a descriptive sticky error (retrievable via Err) and leaves the
+// accumulated timings untouched, so a monitoring bug cannot take a
+// production run down.
+func (t *Timers) Stop(name string) int64 {
+	now := t.now()
 	if len(t.stack) == 0 {
 		t.fail(fmt.Errorf("perf: Stop(%q) with empty region stack", name))
-		return
+		return now
 	}
 	f := t.stack[len(t.stack)-1]
 	if f.r.Name != name {
 		t.fail(fmt.Errorf("perf: Stop(%q) does not match open region %q", name, f.r.Name))
-		return
+		return now
 	}
 	t.stack = t.stack[:len(t.stack)-1]
-	d := t.now().Sub(f.start)
-	f.r.Inclusive += d
-	f.r.Exclusive += d - f.inner
+	d := now - f.start
+	f.r.Inclusive += time.Duration(d)
+	f.r.Exclusive += time.Duration(d - f.inner)
 	f.r.Calls++
 	if len(t.stack) > 0 {
 		t.stack[len(t.stack)-1].inner += d
 	}
+	return now
 }
 
 // fail records the first misuse error.

@@ -5,8 +5,14 @@
 // timeline event attributed to an interned call path ("STEP/RHS/MPI_WAIT"),
 // so blocked communication time is charged to the call path that blocked,
 // exactly as TAU attributed S3D's MPI_WAIT to the ghost-zone exchange.
-// A pool worker's track holds one span per unit it ran, recorded (Record)
-// from the two stamps internal/par takes around every unit.
+//
+// Now is the one clock, and every span is the difference of two Now stamps
+// taken once per interval by whoever times it: a solver region opens and
+// closes its span on the stamps its figure-2 timer takes (BeginAt, EndAt),
+// a fused sweep's charged parts are recorded (Record) at the sweep's end,
+// comm records its MPI_* spans (Record) from the post, wait, enter and exit
+// stamps its counters and trace events take, and a pool worker records one
+// span per unit it ran from the two stamps internal/par takes around it.
 //
 // The profiler aggregates per-rank inclusive/exclusive call-path trees with
 // cross-rank imbalance statistics (aggregate.go), exports Chrome
@@ -15,9 +21,11 @@
 // compares measured kernel rates against the internal/perf analytic
 // roofline (roofline.go).
 //
-// Cost contract: with no profiler attached a Begin/End pair is two nil
-// checks; with a profiler attached but disabled it is two atomic loads.
-// Spans are region-grained (dozens per time step), so the enabled path's
+// Cost contract: no call here reads a clock unless it records. With no
+// profiler attached, a Begin/End pair is two nil checks, and BeginAt/EndAt
+// and Record take stamps the caller took for its own timer or counter; with
+// a profiler attached but disabled each call is one atomic load. Spans are
+// region-grained (dozens per time step), so the enabled path's
 // mutex-guarded event append stays far below the ≤5% overhead budget
 // guarded by BenchmarkProfOverhead.
 package prof
@@ -152,10 +160,21 @@ func (t *Track) Profiler() *Profiler {
 // Group returns the track's layout group (GroupRank or GroupWorker).
 func (t *Track) Group() string { return t.group }
 
-// Begin opens a nested span named after a region. It is safe (and free) on
-// a nil track; with a disabled profiler it costs one atomic load. The
-// returned Span must be closed with End on the same goroutine.
+// Begin opens a nested span named after a region, stamped now. It is safe
+// (and free: no clock read) on a nil track; with a disabled profiler it costs
+// one atomic load. The returned Span must be closed with End on the same
+// goroutine.
 func (t *Track) Begin(name string) Span {
+	if t == nil || !t.p.on.Load() {
+		return Span{}
+	}
+	return t.BeginAt(name, Now())
+}
+
+// BeginAt is Begin on a stamp the caller took on the Now clock: a solver
+// region opens its span on the stamp its figure-2 timer took, so the one
+// interval is read off one clock once.
+func (t *Track) BeginAt(name string, start int64) Span {
 	if t == nil || !t.p.on.Load() {
 		return Span{}
 	}
@@ -163,7 +182,7 @@ func (t *Track) Begin(name string) Span {
 	id := t.node(t.open(), name)
 	t.mu.Unlock()
 	t.stack = append(t.stack, id)
-	return Span{t: t, path: id, start: Now()}
+	return Span{t: t, path: id, start: start}
 }
 
 // Record records a span its caller timed, [start, start+dur) on the Now
@@ -207,15 +226,22 @@ type Span struct {
 	start int64
 }
 
-// End closes the span and records its timeline event. Unbalanced inner
-// spans (a missed End below this frame) are discarded rather than left to
-// corrupt the stack.
+// End closes the span, stamped now, and records its timeline event.
 func (s Span) End() {
-	if s.t == nil {
+	if s.t != nil {
+		s.EndAt(Now())
+	}
+}
+
+// EndAt closes the span on a stamp the caller took on the Now clock and
+// records its timeline event. Unbalanced inner spans (a missed End below
+// this frame) are discarded rather than left to corrupt the stack. A no-op
+// on the zero Span.
+func (s Span) EndAt(end int64) {
+	t := s.t
+	if t == nil {
 		return
 	}
-	t := s.t
-	end := Now()
 	for n := len(t.stack); n > 0; n-- {
 		if t.stack[n-1] == s.path {
 			t.stack = t.stack[:n-1]
@@ -224,19 +250,6 @@ func (s Span) End() {
 	}
 	t.mu.Lock()
 	t.events = append(t.events, Event{Path: s.path, Start: s.start, Dur: end - s.start})
-	t.mu.Unlock()
-}
-
-// Child records a completed child span of the open span s, [start,
-// start+dur) on the Now clock, which the caller places inside s and after
-// the track's last event end. A no-op on the zero Span.
-func (s Span) Child(name string, start, dur int64) {
-	if s.t == nil {
-		return
-	}
-	t := s.t
-	t.mu.Lock()
-	t.events = append(t.events, Event{Path: t.node(s.path, name), Start: start, Dur: dur})
 	t.mu.Unlock()
 }
 

@@ -273,31 +273,63 @@ func TestUnbalancedInnerSpanRecovers(t *testing.T) {
 	}
 }
 
-// TestSpanChild: completed child spans placed at the end of an open span
-// get their own call paths under it, the parent's exclusive time is what
-// they leave, and the track's event end times stay monotone.
-func TestSpanChild(t *testing.T) {
+// TestTrackRecord: a span its caller timed lands as one event with the
+// caller's start and duration, under the track's open call path; a span
+// opened and closed on the caller's stamps (BeginAt/EndAt) spans exactly
+// them; parts recorded at the end of an open span — a fused sweep's charged
+// parts — get their own call paths under it, the parent's exclusive time is
+// what they leave, and the track's event end times stay monotone. A nil
+// track, a disabled profiler and the zero Span record nothing.
+func TestTrackRecord(t *testing.T) {
+	var none *Track
+	none.Record("X", 1, 2)
+	none.BeginAt("X", 1).EndAt(2)
 	p := New()
 	tr := p.NewTrack(GroupRank, "rank0")
-	step := tr.Begin("STEP")
-	div := tr.Begin("DIVERGENCE")
-	time.Sleep(3 * time.Millisecond)
-	now := Now()
-	ms := time.Millisecond.Nanoseconds()
-	div.Child("REACTION_RATE_BOUNDS", now-2*ms, ms)
-	div.Child("NSCBC", now-ms, ms)
-	div.End()
-	step.End()
-	Span{}.Child("NSCBC", now, ms) // the zero Span records nothing
+	p.SetEnabled(false)
+	tr.Record("OFF", 1, 2)
+	tr.BeginAt("OFF", 1).EndAt(2)
+	p.SetEnabled(true)
+	Span{}.EndAt(3)
 
-	snap := tr.Snapshot()
-	if len(snap.Events) != 4 {
-		t.Fatalf("events = %d, want 4", len(snap.Events))
+	const ms = int64(time.Millisecond)
+	tr.Record("FLUX", 100, 40)
+	step := tr.BeginAt("STEP", 200)
+	tr.Record("FLUX", 200, 50)
+	div := tr.BeginAt("DIVERGENCE", 300)
+	tr.Record("REACTION_RATE_BOUNDS", 300+3*ms-2*ms, ms)
+	tr.Record("NSCBC", 300+3*ms-ms, ms)
+	div.EndAt(300 + 3*ms)
+	step.EndAt(300 + 4*ms)
+
+	s := tr.Snapshot()
+	path := func(id int32) string {
+		name := s.Nodes[id].Name
+		for p := s.Nodes[id].Parent; p > 0; p = s.Nodes[p].Parent {
+			name = s.Nodes[p].Name + "/" + name
+		}
+		return name
 	}
-	for i := 1; i < len(snap.Events); i++ {
-		a, b := snap.Events[i-1], snap.Events[i]
-		if a.Start+a.Dur > b.Start+b.Dur {
-			t.Fatalf("event %d ends at %d after event %d's %d", i-1, a.Start+a.Dur, i, b.Start+b.Dur)
+	want := []struct {
+		path       string
+		start, dur int64
+	}{
+		{"FLUX", 100, 40}, {"STEP/FLUX", 200, 50},
+		{"STEP/DIVERGENCE/REACTION_RATE_BOUNDS", 300 + ms, ms},
+		{"STEP/DIVERGENCE/NSCBC", 300 + 2*ms, ms},
+		{"STEP/DIVERGENCE", 300, 3 * ms}, {"STEP", 200, 100 + 4*ms},
+	}
+	if len(s.Events) != len(want) {
+		t.Fatalf("%d events, want %d: %+v", len(s.Events), len(want), s.Events)
+	}
+	for i, w := range want {
+		if ev := s.Events[i]; path(ev.Path) != w.path || ev.Start != w.start || ev.Dur != w.dur {
+			t.Fatalf("event %d = %s %+v, want %+v", i, path(ev.Path), ev, w)
+		}
+		if i > 0 {
+			if a, b := s.Events[i-1], s.Events[i]; a.Start+a.Dur > b.Start+b.Dur {
+				t.Fatalf("event %d ends at %d after event %d's %d", i-1, a.Start+a.Dur, i, b.Start+b.Dur)
+			}
 		}
 	}
 	paths := map[string]*PathStats{}
@@ -313,40 +345,5 @@ func TestSpanChild(t *testing.T) {
 	}
 	if got := d.Excl + c.Excl + n.Excl; abs(got-d.Incl) > 1e-12 {
 		t.Fatalf("exclusive times sum to %.9fs of the %.9fs parent span", got, d.Incl)
-	}
-}
-
-// TestTrackRecord: a span its caller timed lands as one event with the
-// caller's start and duration, under the track's open call path; a nil
-// track and a disabled profiler record nothing.
-func TestTrackRecord(t *testing.T) {
-	var none *Track
-	none.Record("X", 1, 2)
-	p := New()
-	tr := p.NewTrack(GroupWorker, "worker0")
-	p.SetEnabled(false)
-	tr.Record("OFF", 1, 2)
-	p.SetEnabled(true)
-	tr.Record("FLUX", 100, 40)
-	sp := tr.Begin("STEP")
-	tr.Record("FLUX", 200, 50)
-	sp.End()
-	s := tr.Snapshot()
-	if len(s.Events) != 3 {
-		t.Fatalf("%d events, want 3: %+v", len(s.Events), s.Events)
-	}
-	path := func(id int32) string {
-		if n := s.Nodes[id]; n.Parent > 0 {
-			return s.Nodes[n.Parent].Name + "/" + n.Name
-		}
-		return s.Nodes[id].Name
-	}
-	for i, want := range []struct {
-		path       string
-		start, dur int64
-	}{{"FLUX", 100, 40}, {"STEP/FLUX", 200, 50}} {
-		if ev := s.Events[i]; path(ev.Path) != want.path || ev.Start != want.start || ev.Dur != want.dur {
-			t.Fatalf("event %d = %s %+v, want %+v", i, path(ev.Path), ev, want)
-		}
 	}
 }

@@ -2,8 +2,9 @@
 // integrator used by S3D. The solution is advanced through a six-stage
 // fourth-order explicit Runge–Kutta method in 2N (two-register) form
 // (paper §2.6, citing Kennedy & Carpenter's low-storage schemes). Drive runs
-// it on the solver's fields; Step runs it on plain slices, the oracle Drive
-// is tested against.
+// the stage sequence; the caller evaluates the right-hand side and applies
+// each stage's 2N update to its own registers (the solver's conserved
+// fields, a test's plain slices).
 package rk
 
 // Scheme holds the 2N-storage coefficients of an explicit Runge–Kutta
@@ -55,73 +56,9 @@ var RK46NL = &Scheme{
 	Order: 4,
 }
 
-// State is the minimal interface a time-integrated system exposes to the
-// scheme: a flat view of the solution register and a matching scratch
-// register. The solver's conserved-variable fields satisfy it through thin
-// adapters; plain []float64 systems use VecState.
-type State interface {
-	// Len returns the number of degrees of freedom.
-	Len() int
-	// Q returns the solution register.
-	Q() []float64
-	// DQ returns the accumulation register (same length as Q).
-	DQ() []float64
-}
-
-// RHS evaluates dst = F(q, t). dst aliases nothing in q.
-type RHS func(t float64, q []float64, dst []float64)
-
-// VecState is a State over plain slices.
-type VecState struct {
-	QV, DQV []float64
-}
-
-// Len returns the system size.
-func (v *VecState) Len() int { return len(v.QV) }
-
-// Q returns the solution register.
-func (v *VecState) Q() []float64 { return v.QV }
-
-// DQ returns the accumulation register.
-func (v *VecState) DQ() []float64 { return v.DQV }
-
-// NewVecState allocates a VecState of length n.
-func NewVecState(n int) *VecState {
-	return &VecState{QV: make([]float64, n), DQV: make([]float64, n)}
-}
-
-// Step advances the state by one step of size dt using the 2N-storage
-// update, allocating a single temporary for the RHS evaluation.
-func (s *Scheme) Step(st State, t, dt float64, f RHS) {
-	q, dq := st.Q(), st.DQ()
-	for i := range dq {
-		dq[i] = 0
-	}
-	tmp := make([]float64, len(q))
-	s.StepScratch(st, t, dt, f, tmp)
-}
-
-// StepScratch is Step with a caller-provided RHS buffer, so a time loop can
-// run allocation-free.
-func (s *Scheme) StepScratch(st State, t, dt float64, f RHS, tmp []float64) {
-	q, dq := st.Q(), st.DQ()
-	for i := range dq {
-		dq[i] = 0
-	}
-	for stage := 0; stage < s.Stages(); stage++ {
-		f(t+s.C[stage]*dt, q, tmp)
-		a, b := s.A[stage], s.B[stage]
-		for i := range q {
-			dq[i] = a*dq[i] + dt*tmp[i]
-			q[i] += b * dq[i]
-		}
-	}
-}
-
-// StageFunc is the field-based stage update used by the PDE solver, which
-// stores its registers as structured fields rather than flat vectors:
-// given the stage coefficients it must perform
-// dq ← a·dq + dt·rhs and q ← q + b·dq over all degrees of freedom.
+// StageFunc is the caller's stage update: given the stage coefficients it
+// must perform dq ← a·dq + dt·rhs and q ← q + b·dq over all degrees of
+// freedom, on registers it owns (the PDE solver's are structured fields).
 type StageFunc func(stage int, a, b, cdt float64)
 
 // Drive runs the 2N stage sequence through a caller-supplied stage update.

@@ -5,17 +5,35 @@ import (
 	"testing"
 )
 
+// rhsFunc evaluates dst = F(t, y) for a plain-slice test system.
+type rhsFunc func(t float64, y, dst []float64)
+
+// step advances y by one step of size dt through Drive, with the 2N update
+// over plain slices: dq ← a·dq + dt·F, y ← y + b·dq, dq zeroed first.
+func step(s *Scheme, y, dq, tmp []float64, t, dt float64, f rhsFunc) {
+	for i := range dq {
+		dq[i] = 0
+	}
+	s.Drive(t, dt, func(stageTime float64) {
+		f(stageTime, y, tmp)
+	}, func(_ int, a, b, _ float64) {
+		for i := range y {
+			dq[i] = a*dq[i] + dt*tmp[i]
+			y[i] += b * dq[i]
+		}
+	})
+}
+
 // integrate advances y' = f(t, y) from y0 over [0, T] in n steps and
 // returns y(T).
-func integrate(s *Scheme, y0 []float64, T float64, n int, f RHS) []float64 {
-	st := NewVecState(len(y0))
-	copy(st.QV, y0)
+func integrate(s *Scheme, y0 []float64, T float64, n int, f rhsFunc) []float64 {
+	y := append([]float64(nil), y0...)
+	dq, tmp := make([]float64, len(y)), make([]float64, len(y))
 	dt := T / float64(n)
-	tmp := make([]float64, len(y0))
 	for i := 0; i < n; i++ {
-		s.StepScratch(st, float64(i)*dt, dt, f, tmp)
+		step(s, y, dq, tmp, float64(i)*dt, dt, f)
 	}
-	return st.QV
+	return y
 }
 
 func TestSchemesAreConsistent(t *testing.T) {
@@ -77,37 +95,6 @@ func TestOscillatorEnergyNearlyConserved(t *testing.T) {
 	}
 }
 
-func TestDriveMatchesStep(t *testing.T) {
-	// The field-style Drive hook must perform the identical update to Step.
-	f := func(tt float64, y []float64, d []float64) {
-		d[0] = -2*y[0] + math.Sin(tt)
-		d[1] = y[0] - y[1]
-	}
-	s := RK46NL
-	a := NewVecState(2)
-	a.QV[0], a.QV[1] = 0.3, -0.7
-	b := NewVecState(2)
-	copy(b.QV, a.QV)
-	dt := 0.01
-	a.QV = append([]float64(nil), a.QV...)
-	s.Step(a, 0.5, dt, f)
-
-	rhs := make([]float64, 2)
-	s.Drive(0.5, dt, func(stageTime float64) {
-		f(stageTime, b.QV, rhs)
-	}, func(stage int, aa, bb, _ float64) {
-		for i := range b.QV {
-			b.DQV[i] = aa*b.DQV[i] + dt*rhs[i]
-			b.QV[i] += bb * b.DQV[i]
-		}
-	})
-	for i := range a.QV {
-		if math.Abs(a.QV[i]-b.QV[i]) > 1e-15 {
-			t.Fatalf("Drive diverges from Step at %d: %g vs %g", i, a.QV[i], b.QV[i])
-		}
-	}
-}
-
 func TestStabilityOnAdvectionSpectrum(t *testing.T) {
 	// RK46-NL is built for convective spectra: a pure-imaginary eigenvalue
 	// iλ with |λ·dt| = 1 must not amplify.
@@ -124,11 +111,10 @@ func TestStabilityOnAdvectionSpectrum(t *testing.T) {
 
 func BenchmarkStep1M(b *testing.B) {
 	n := 1 << 20
-	st := NewVecState(n)
-	for i := range st.QV {
-		st.QV[i] = float64(i%7) * 0.1
+	y, dq, tmp := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range y {
+		y[i] = float64(i%7) * 0.1
 	}
-	tmp := make([]float64, n)
 	f := func(_ float64, y []float64, d []float64) {
 		for i := range y {
 			d[i] = -y[i]
@@ -137,6 +123,6 @@ func BenchmarkStep1M(b *testing.B) {
 	b.SetBytes(int64(8 * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RK46NL.StepScratch(st, 0, 1e-3, f, tmp)
+		step(RK46NL, y, dq, tmp, 0, 1e-3, f)
 	}
 }

@@ -85,9 +85,9 @@ func (b *Block) critStep() {
 // peers in late-sender waits (and in its own cost record's chemistry row).
 func (b *Block) SetStragglerDelay(d time.Duration) { b.stragglerDelay = d }
 
-// CommWaitByPeer returns this rank's cumulative Wait-blocked nanoseconds by
-// peer rank. The counters accumulate whether or not the critpath analyzer
-// is armed.
-func (b *Block) CommWaitByPeer() []int64 {
-	return b.cart.Comm.World().WaitByPeer(b.Rank())
+// CommWaitByPeer appends to dst[:0] this rank's cumulative Wait-blocked
+// nanoseconds by peer rank (comm.World.WaitByPeer). The counters accumulate
+// whether or not the critpath analyzer is armed.
+func (b *Block) CommWaitByPeer(dst []int64) []int64 {
+	return b.cart.Comm.World().WaitByPeer(b.Rank(), dst)
 }

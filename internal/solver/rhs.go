@@ -6,6 +6,7 @@ import (
 	"github.com/s3dgo/s3d/internal/deriv"
 	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/par"
+	"github.com/s3dgo/s3d/internal/prof"
 	"github.com/s3dgo/s3d/internal/thermo"
 )
 
@@ -68,11 +69,10 @@ func (b *Block) interior() par.Range {
 // values stored, because the flux halo exchange and the divergence read
 // them. The heat-release integral (collectHRR) is one slot per partition
 // tile (RunSlots) folded in ascending order, so no bit follows the worker
-// count. region.charge reports the chemistry share out of ASSEMBLE_FLUXES;
-// a straggler delay sleeps in a REACTION_RATE_BOUNDS region (critpath).
+// count. region.endCharged reports the chemistry share out of
+// ASSEMBLE_FLUXES; a straggler delay sleeps in a REACTION_RATE_BOUNDS region
+// just before it (critpath), so the sleep is no part of the sweep's wall.
 func (b *Block) assembleFluxes() {
-	reg := b.beginRegion("ASSEMBLE_FLUXES")
-	defer reg.End()
 	part := "REACTION_RATE_BOUNDS"
 	if b.cfg.ChemistryOff {
 		part = ""
@@ -81,7 +81,7 @@ func (b *Block) assembleFluxes() {
 		time.Sleep(d)
 		sl.End()
 	}
-	start := time.Now()
+	reg := b.beginRegion("ASSEMBLE_FLUXES")
 	b.plan.RunSlots("ASSEMBLE_FLUXES", b.interior(), func(t par.Tile, worker int) {
 		ws := &b.ws[worker]
 		ws.hrr = 0
@@ -98,7 +98,7 @@ func (b *Block) assembleFluxes() {
 			b.hrrAcc += v
 		}
 	}
-	reg.charge(time.Since(start), b.plan.LastBusy(), part)
+	reg.endCharged(b.plan.LastBusy(), part)
 }
 
 // rowScratch is one worker's x-row scratch for the flux stage and its
@@ -181,7 +181,7 @@ func (b *Block) fluxRow(ws *kernScratch, x0, x1, j, k int) {
 	// until divTileSweep adds it, and, collecting, the heat-release integrand
 	// added to the tile's sum. e₀'s enthalpy carries the chemical energy.
 	if !b.cfg.ChemistryOff {
-		c0 := time.Now()
+		c0 := prof.Now()
 		q := b.chemRow(ws, p0, w, b.collectHRR)
 		for n := 0; n < ns-1; n++ {
 			r, wd, wn := b.rhs[iY0+n].Data[p0:p0+w], rs.wdot[n][:w], b.mech.Set.Species[n].W
@@ -192,7 +192,7 @@ func (b *Block) fluxRow(ws *kernScratch, x0, x1, j, k int) {
 		for i, v := range q {
 			ws.hrr += v * b.cellVol(x0+i, j, k)
 		}
-		ws.clk += time.Since(c0)
+		ws.clk += prof.Now() - c0
 	}
 
 	// (3) Flux rows: the heat flux (eq. 20), the stress tensor, then mass,
@@ -350,20 +350,18 @@ func (b *Block) AssembleFluxesOnly() { b.assembleFluxes() }
 // sets rhs[v] = −∇·flux[v], adding the Wₙ·ω̇ₙ the flux stage parked in a
 // species row unless ChemistryOff (divTileSweep), then applies the NSCBC
 // faces that touch it (nscbcTileSweep): each point adds to its own rhs
-// entries in the order of separate sweeps. region.charge reports the NSCBC
-// share the workers clock out of the sweep's DERIVATIVES region.
+// entries in the order of separate sweeps. region.endCharged reports the
+// NSCBC share the workers clock out of the sweep's DERIVATIVES region.
 func (b *Block) finishRHS(t float64) {
 	reg := b.beginRegionNamed("DERIVATIVES", "DIVERGENCE")
-	defer reg.End()
-	start := time.Now()
 	b.plan.Run("DIVERGENCE", b.interior(), func(tl par.Tile, worker int) {
 		ws := &b.ws[worker]
 		b.divTileSweep(ws, tl)
-		t1 := time.Now()
+		t1 := prof.Now()
 		b.nscbcTileSweep(ws, tl, t)
-		ws.clk += time.Since(t1)
+		ws.clk += prof.Now() - t1
 	})
-	reg.charge(time.Since(start), b.plan.LastBusy(), "NSCBC")
+	reg.endCharged(b.plan.LastBusy(), "NSCBC")
 }
 
 // divTileSweep sets rhs[v] = −Σ_d ∂flux[v][d]/∂x_d over one tile, d over the

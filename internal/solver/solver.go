@@ -301,8 +301,8 @@ type kernScratch struct {
 	rows rowScratch
 	// species row segments a pointwise sweep reads and writes (primitives.go)
 	yIn, yOut [][]float64
-	clk       time.Duration // a fused sweep's charged-part time (region.charge)
-	hrr       float64       // the flux stage tile's heat-release integrand sum
+	clk       int64   // a fused sweep's charged-part ns (region.endCharged)
+	hrr       float64 // the flux stage tile's heat-release integrand sum
 }
 
 // NewSerial builds a single-block (serial) simulation over the whole grid:
@@ -428,7 +428,7 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 		cart: cart,
 		i0:   i0, j0: j0, k0: k0,
 		ns: ns, nvar: cfg.nVar(),
-		Timers: perf.NewTimers(),
+		Timers: perf.NewTimersClock(prof.Now),
 	}
 	for a := 0; a < 3; a++ {
 		if local.Dim(grid.Axis(a)) > 1 {

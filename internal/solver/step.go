@@ -2,7 +2,6 @@ package solver
 
 import (
 	"math"
-	"time"
 
 	"github.com/s3dgo/s3d/internal/comm"
 	"github.com/s3dgo/s3d/internal/deriv"
@@ -10,6 +9,7 @@ import (
 	"github.com/s3dgo/s3d/internal/health"
 	"github.com/s3dgo/s3d/internal/insitu"
 	"github.com/s3dgo/s3d/internal/par"
+	"github.com/s3dgo/s3d/internal/prof"
 	"github.com/s3dgo/s3d/internal/rk"
 )
 
@@ -65,7 +65,7 @@ func (b *Block) StepChecked(dt float64) error {
 	if len(b.StageWall) != nStages {
 		b.StageWall = make([]float64, nStages)
 	}
-	var stageStart time.Time
+	var stageStart int64
 	rhsCall := 0
 	stepSpan := b.profT.Begin("STEP")
 	stepOpen := true
@@ -80,7 +80,7 @@ func (b *Block) StepChecked(dt float64) error {
 		b.dqBank[i] = 0
 	}
 	scheme.Drive(b.Time, dt, func(stageTime float64) {
-		stageStart = time.Now()
+		stageStart = prof.Now()
 		rhsCall++
 		b.critStage(rhsCall)
 		// The heat-release integral piggybacks on the final stage's
@@ -90,14 +90,13 @@ func (b *Block) StepChecked(dt float64) error {
 			rhsCall == nStages
 		// An armed watchdog grades the final stage's diffusivities.
 		b.diffDue = rhsCall == nStages && b.watch != nil && b.watch.Armed()
-		rhsSpan := b.profT.Begin("RHS")
+		rhsSpan := b.profT.BeginAt("RHS", stageStart)
 		b.EvalRHS(stageTime)
 		rhsSpan.End()
 	}, func(stage int, a, bb, _ float64) {
 		reg := b.beginRegion("RK_UPDATE")
 		b.rkUpdateBank(a, bb, dt)
-		reg.End()
-		b.StageWall[stage] = time.Since(stageStart).Seconds()
+		b.StageWall[stage] = float64(reg.End()-stageStart) / 1e9
 	})
 	b.collectHRR, b.diffDue = false, false
 	b.Step++

@@ -1,14 +1,16 @@
 package solver
 
 // Telemetry: the solver measures, the probe publishes. What a step record
-// needs is left where the step put it — the per-stage wall clocks (two
-// time.Now calls per RK stage), the extrema of the primitives as the final
-// RK stage left them, and the heat-release integral, which piggybacks on the
-// production rates the flux sweep (assembleFluxes) already computes and
-// accumulates only during the final stage of a step. Nothing here forces an
-// extra primitive-recovery or chemistry sweep, and nothing here publishes:
-// the telemetry probe (the root package's Probe) reads these after each
-// step, builds the one step record and sets every metric from it.
+// needs is left where the step put it — the per-stage wall clocks (a
+// prof.Now stamp at the stage's start, on which its RHS span opens, and
+// RK_UPDATE's exit stamp at its end), the extrema of the primitives as the
+// final RK stage left them, and the heat-release integral, which piggybacks
+// on the production rates the flux sweep (assembleFluxes) already computes
+// and accumulates only during the final stage of a step. Nothing here
+// forces an extra primitive-recovery or chemistry sweep, and nothing here
+// publishes: the telemetry probe (the root package's Probe) reads these
+// after each step, builds the one step record and sets every metric from
+// it.
 
 import "github.com/s3dgo/s3d/internal/comm"
 

@@ -64,6 +64,10 @@ type Probe struct {
 	acousticDt float64 // most recently evaluated stable dt
 	start      time.Time
 	last       obs.StepEvent
+	// waits and waitG are the per-peer blocked times read each step and
+	// their gauges, made the first time a peer's wait is non-zero.
+	waits []int64
+	waitG []*obs.Gauge
 	// detached (set by Close, or by a StartTelemetry replacing the probe)
 	// stops layer records, published on any rank's goroutine, reaching the trace.
 	detached atomic.Bool
@@ -210,19 +214,33 @@ func (p *Probe) observe(dt, wall float64) {
 	r.Gauge("solver.mass_drift").Set(float64(ev.MassDrift))
 	r.Gauge("comm.bytes_sent").Set(float64(ev.Comm.BytesSent))
 	r.Gauge("comm.wait_sec").Set(ev.Comm.WaitSec)
-	// Per-neighbor blocked time, maintained by comm.Wait whether or not the
-	// critpath analyzer is armed: who this rank habitually waits on.
-	for peer, ns := range blk.CommWaitByPeer() {
-		if ns > 0 {
-			r.Gauge(fmt.Sprintf("comm.wait_ns.%d", peer)).Set(float64(ns))
-		}
-	}
+	p.publishWaits()
 
 	if p.opt.Trace != nil {
 		p.opt.Trace.Step(ev)
 	}
 	if p.mon != nil {
 		p.mon.Observe(ev)
+	}
+}
+
+// publishWaits sets the per-neighbour blocked time, maintained by comm.Wait
+// whether or not the critpath analyzer is armed: who this rank habitually
+// waits on. A peer's gauge comm.wait_ns.<peer> appears once its wait is
+// non-zero; after that a step allocates nothing here.
+func (p *Probe) publishWaits() {
+	p.waits = p.sim.blk.CommWaitByPeer(p.waits)
+	if len(p.waitG) != len(p.waits) { // once: the world's size is fixed
+		p.waitG = make([]*obs.Gauge, len(p.waits))
+	}
+	for peer, ns := range p.waits {
+		if ns == 0 {
+			continue
+		}
+		if p.waitG[peer] == nil {
+			p.waitG[peer] = p.reg.Gauge(fmt.Sprintf("comm.wait_ns.%d", peer))
+		}
+		p.waitG[peer].Set(float64(ns))
 	}
 }
 

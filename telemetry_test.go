@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/s3dgo/s3d/internal/obs"
 )
@@ -201,7 +202,9 @@ func TestOneLoopEmitsStepRecords(t *testing.T) {
 }
 
 // TestProbeDecomposedCommBytes checks that a decomposed run's trace carries
-// real communication counters from the halo exchange.
+// real communication counters from the halo exchange, and that the probe's
+// per-peer wait gauges exist for exactly the peers waited on and cost no
+// allocation per step once they do.
 func TestProbeDecomposedCommBytes(t *testing.T) {
 	mech := HydrogenAir()
 	yAir := make([]float64, mech.NumSpecies())
@@ -216,6 +219,7 @@ func TestProbeDecomposedCommBytes(t *testing.T) {
 	var traceBuf bytes.Buffer
 	tr := obs.NewTrace(&traceBuf)
 	const dt = 1e-8
+	var probe0 *Probe
 	err := RunDecomposed(cfg, [3]int{2, 1, 1}, func(r *RankSim) {
 		r.SetInitial(func(x, y, z float64, s *State) {
 			s.U = 3 * math.Sin(2*math.Pi*x/0.01)
@@ -228,10 +232,12 @@ func TestProbeDecomposedCommBytes(t *testing.T) {
 				panic(err)
 			}
 			probe.Advance(3, dt)
+			probe0 = probe
 			if err := probe.Close(""); err != nil {
 				panic(err)
 			}
 		} else {
+			time.Sleep(50 * time.Millisecond) // rank 0 blocks on rank 1
 			r.Advance(3, dt)
 		}
 	})
@@ -260,5 +266,18 @@ func TestProbeDecomposedCommBytes(t *testing.T) {
 	}
 	if len(last.StageWallSec) != 6 {
 		t.Fatalf("stage walls: %v", last.StageWallSec)
+	}
+
+	waits := probe0.sim.blk.CommWaitByPeer(nil)
+	if len(waits) != 2 || waits[1] == 0 {
+		t.Fatalf("rank 0's waits by peer = %v, want a non-zero wait on rank 1", waits)
+	}
+	for peer, ns := range waits {
+		if g := probe0.waitG[peer]; (g != nil) != (ns > 0) {
+			t.Fatalf("peer %d waited %d ns, gauge %v: want a gauge iff the wait is non-zero", peer, ns, g)
+		}
+	}
+	if a := testing.AllocsPerRun(100, probe0.publishWaits); a != 0 {
+		t.Fatalf("publishing the per-peer waits allocates %v times per step, want 0", a)
 	}
 }
