@@ -273,13 +273,55 @@ func TestUnbalancedInnerSpanRecovers(t *testing.T) {
 	}
 }
 
+// TestSpanChild: parts recorded at the end of an open span — a fused
+// sweep's charged parts — get their own call paths under it, each with the
+// caller's duration over one call, and the parent's exclusive time is what
+// they leave; the track's event end times stay monotone.
+func TestSpanChild(t *testing.T) {
+	p := New()
+	tr := p.NewTrack(GroupRank, "rank0")
+	step := tr.Begin("STEP")
+	div := tr.Begin("DIVERGENCE")
+	time.Sleep(3 * time.Millisecond)
+	now := Now()
+	ms := time.Millisecond.Nanoseconds()
+	tr.Record("REACTION_RATE_BOUNDS", now-2*ms, ms)
+	tr.Record("NSCBC", now-ms, ms)
+	div.EndAt(now)
+	step.End()
+
+	snap := tr.Snapshot()
+	if len(snap.Events) != 4 {
+		t.Fatalf("events = %d, want 4", len(snap.Events))
+	}
+	for i := 1; i < len(snap.Events); i++ {
+		a, b := snap.Events[i-1], snap.Events[i]
+		if a.Start+a.Dur > b.Start+b.Dur {
+			t.Fatalf("event %d ends at %d after event %d's %d", i-1, a.Start+a.Dur, i, b.Start+b.Dur)
+		}
+	}
+	paths := map[string]*PathStats{}
+	for _, ps := range Build(p).Paths {
+		paths[ps.Path] = ps
+	}
+	d, c, n := paths["STEP/DIVERGENCE"], paths["STEP/DIVERGENCE/REACTION_RATE_BOUNDS"], paths["STEP/DIVERGENCE/NSCBC"]
+	if d == nil || c == nil || n == nil {
+		t.Fatalf("paths = %v", paths)
+	}
+	if c.Incl != 1e-3 || n.Incl != 1e-3 || c.Calls != 1 || n.Calls != 1 {
+		t.Fatalf("children %+v, %+v: want 1ms over one call each", c, n)
+	}
+	if got := d.Excl + c.Excl + n.Excl; abs(got-d.Incl) > 1e-12 {
+		t.Fatalf("exclusive times sum to %.9fs of the %.9fs parent span", got, d.Incl)
+	}
+}
+
 // TestTrackRecord: a span its caller timed lands as one event with the
 // caller's start and duration, under the track's open call path; a span
 // opened and closed on the caller's stamps (BeginAt/EndAt) spans exactly
-// them; parts recorded at the end of an open span — a fused sweep's charged
-// parts — get their own call paths under it, the parent's exclusive time is
-// what they leave, and the track's event end times stay monotone. A nil
-// track, a disabled profiler and the zero Span record nothing.
+// them, parts recorded at the end of an open span nest under it, and the
+// track's event end times stay monotone. A nil track, a disabled profiler
+// and the zero Span record nothing.
 func TestTrackRecord(t *testing.T) {
 	var none *Track
 	none.Record("X", 1, 2)
@@ -331,19 +373,5 @@ func TestTrackRecord(t *testing.T) {
 				t.Fatalf("event %d ends at %d after event %d's %d", i-1, a.Start+a.Dur, i, b.Start+b.Dur)
 			}
 		}
-	}
-	paths := map[string]*PathStats{}
-	for _, ps := range Build(p).Paths {
-		paths[ps.Path] = ps
-	}
-	d, c, n := paths["STEP/DIVERGENCE"], paths["STEP/DIVERGENCE/REACTION_RATE_BOUNDS"], paths["STEP/DIVERGENCE/NSCBC"]
-	if d == nil || c == nil || n == nil {
-		t.Fatalf("paths = %v", paths)
-	}
-	if c.Incl != 1e-3 || n.Incl != 1e-3 || c.Calls != 1 || n.Calls != 1 {
-		t.Fatalf("children %+v, %+v: want 1ms over one call each", c, n)
-	}
-	if got := d.Excl + c.Excl + n.Excl; abs(got-d.Incl) > 1e-12 {
-		t.Fatalf("exclusive times sum to %.9fs of the %.9fs parent span", got, d.Incl)
 	}
 }

@@ -1,16 +1,19 @@
 package solver
 
 import (
-	"runtime/metrics"
+	"runtime"
 	"testing"
-	"time"
 )
 
 // heapAllocated is the process's cumulative heap allocation in bytes.
+// ReadMemStats flushes every P's allocation cache first, so the count is
+// exact at the call; /gc/heap/allocs:bytes counts a small object only once
+// its cached span is refilled, which lets allocations made before a
+// measurement land inside it.
 func heapAllocated() uint64 {
-	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(s)
-	return s[0].Value.Uint64()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }
 
 // TestExchangeHalosAllocs: once warm, a 2×1×1 exchange of the conserved
@@ -24,16 +27,23 @@ func TestExchangeHalosAllocs(t *testing.T) {
 	var perRound uint64
 	if err := RunParallel(reactiveConfig(), [3]int{2, 1, 1}, func(b *Block) {
 		for i := 0; i < warm; i++ {
-			// In the first two rounds one rank is late, so both messages
-			// of a round reach its mailbox before its receives are posted
-			// and each free list ends up holding the two buffers the
-			// steady state can need at once.
-			if i == b.Rank() {
-				time.Sleep(5 * time.Millisecond)
-			}
 			b.exchangeHalos(b.haloQ, tagConserved)
 		}
+		// When one rank runs a round ahead, its two slabs of the next
+		// round reach the peer's mailbox before the peer posts their
+		// receives. Queue two slab-sized messages in each mailbox before
+		// any receive is posted for them, so each free list holds the two
+		// buffers the steady state can need at once however the ranks are
+		// scheduled.
 		c := b.cart.Comm
+		const tagSeed = 1000
+		slab := b.haloBuf[2][:cap(b.haloBuf[2])]
+		peer := 1 - b.Rank()
+		c.Send(peer, tagSeed, slab)
+		c.Send(peer, tagSeed, slab)
+		c.Barrier()
+		c.Recv(peer, tagSeed, slab)
+		c.Recv(peer, tagSeed, slab)
 		c.Barrier()
 		before := heapAllocated()
 		for i := 0; i < rounds; i++ {
