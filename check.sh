@@ -433,20 +433,20 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-# Bounds-check gate: the derivative row kernels (internal/deriv/kernels.go,
-# which holds nothing else) must compile with no index check in their loop
-# bodies. The compiler's check_bce report names every check it kept; the
-# IsSliceInBounds entries are the once-per-row slice cuts — the safety check
-# that stays — so any other entry for that file fails the gate. An empty
-# report means the flag stopped reporting, which fails it too.
-echo "== bounds-check gate (no IsInBounds in internal/deriv/kernels.go)"
-bce=$(go build -gcflags=-d=ssa/check_bce/debug=1 ./internal/deriv 2>&1 | grep 'kernels\.go' || true)
+# Bounds-check gate: the stencil rows' Go definitions (internal/vexp/
+# stencil.go, which holds nothing else) must compile with no index check in
+# their loop bodies. The compiler's check_bce report names every check it
+# kept; the IsSliceInBounds entries are the once-per-row slice cuts — the
+# safety check that stays — so any other entry for that file fails the gate.
+# An empty report means the flag stopped reporting, which fails it too.
+echo "== bounds-check gate (no IsInBounds in internal/vexp/stencil.go)"
+bce=$(go build -gcflags=-d=ssa/check_bce/debug=1 ./internal/vexp 2>&1 | grep 'stencil\.go' || true)
 if [ -z "$bce" ]; then
-	echo "check_bce reported nothing for internal/deriv/kernels.go" >&2
+	echo "check_bce reported nothing for internal/vexp/stencil.go" >&2
 	exit 1
 fi
 if echo "$bce" | grep -v 'IsSliceInBounds'; then
-	echo "bounds checks inside the row kernels (see above)" >&2
+	echo "bounds checks inside the stencil rows (see above)" >&2
 	exit 1
 fi
 
@@ -474,18 +474,19 @@ echo "== S3D_WORKERS=4 go test -race ./internal/par ./internal/solver"
 S3D_WORKERS=4 go test -race -timeout 45m ./internal/par ./internal/solver
 
 # Kernel gate: internal/vexp promises math.Exp's bits and the bits of its
-# row loops from either of its paths, so the package that makes the promise,
-# its callers (chem and transport, whose tests hold them to eager one-point
-# references, and flame1d, which calls MixtureRow directly and pins its flame
-# properties), the solver's pinned hashes and TestStepEndBits (the hrr field
-# through HeatReleaseField's chemistry rows) run once more with the assembly
-# compiled out (-tags purego). The race pass above ran them on the kernels;
+# row and stencil loops from either of its paths, so the package that makes
+# the promise, its callers (chem and transport, whose tests hold them to
+# eager one-point references, flame1d, which calls MixtureRow directly and
+# pins its flame properties, and deriv, whose TestStencilDigest pins the
+# derivative and filter rows' bits), the solver's pinned hashes and
+# TestStepEndBits (the hrr field through HeatReleaseField's chemistry rows)
+# run once more with the assembly compiled out (-tags purego). The race pass above ran them on the kernels;
 # both must land on the same pinned bytes. go vet ./... above has checked the
 # .s files' frame declarations (asmdecl); the purego build of the package is
 # vetted here.
-echo "== go vet -tags purego ./internal/vexp && go test -tags purego ./internal/vexp ./internal/chem ./internal/transport ./internal/flame1d"
+echo "== go vet -tags purego ./internal/vexp && go test -tags purego ./internal/vexp ./internal/chem ./internal/transport ./internal/flame1d ./internal/deriv"
 go vet -tags purego ./internal/vexp
-go test -tags purego ./internal/vexp ./internal/chem ./internal/transport ./internal/flame1d
+go test -tags purego ./internal/vexp ./internal/chem ./internal/transport ./internal/flame1d ./internal/deriv
 echo "== go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility|TestRHSBits' ./internal/solver"
 go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility|TestRHSBits' ./internal/solver
 echo "== go test -tags purego -run 'TestStepEndBits' ."

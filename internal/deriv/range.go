@@ -1,6 +1,9 @@
 package deriv
 
-import "github.com/s3dgo/s3d/internal/grid"
+import (
+	"github.com/s3dgo/s3d/internal/grid"
+	"github.com/s3dgo/s3d/internal/vexp"
+)
 
 // Op selects how DiffRow writes its result into dst.
 type Op int
@@ -79,9 +82,8 @@ func DiffRows(dst [][]float64, src []*grid.Field3, a grid.Axis, met []float64, l
 	}
 	stride, p := strideOf(f, a), f.Idx(x0, j, k)
 	l1, h0, s := segments(a, n, 4, lo, hi, x0, x1, j, k)
-	var v rowNbrs
 	for m, g := range src {
-		runRow(dst[m][:w], g.Data, &v, p, stride, n, a, met, x0, x1, l1, h0, s, OpSet)
+		runRow(dst[m][:w], g.Data, p, stride, n, a, met, x0, x1, l1, h0, s, OpSet)
 	}
 }
 
@@ -90,28 +92,20 @@ func DiffRows(dst [][]float64, src []*grid.Field3, a grid.Axis, met []float64, l
 func diffRow(dst []float64, f *grid.Field3, a grid.Axis, met []float64, lo, hi BC, x0, x1, j, k int, op Op) {
 	n := dimOf(f, a)
 	l1, h0, s := segments(a, n, 4, lo, hi, x0, x1, j, k)
-	var v rowNbrs
-	runRow(dst, f.Data, &v, f.Idx(x0, j, k), strideOf(f, a), n, a, met, x0, x1, l1, h0, s, op)
+	runRow(dst, f.Data, f.Idx(x0, j, k), strideOf(f, a), n, a, met, x0, x1, l1, h0, s, op)
 }
 
 // runRow is one classified row of diffRow over src, the row starting at flat
-// index p on a line of n points: the full-stencil run [l1, h0) through the
-// row kernels of kernels.go (the neighbours are shifted views of the row along
-// x, the rows ±1…±4 strides away along y and z, cut into v), the closure
-// points through closeRow.
-func runRow(dst, src []float64, v *rowNbrs, p, stride, n int, a grid.Axis, met []float64, x0, x1, l1, h0, s int, op Op) {
+// index p on a line of n points: the full-stencil run [l1, h0) through one
+// vexp stencil row (the neighbours ±1…±4 strides away: points of the row
+// along x, whose metric varies per point, the rows around it along y and z,
+// which share one), the closure points through closeRow.
+func runRow(dst, src []float64, p, stride, n int, a grid.Axis, met []float64, x0, x1, l1, h0, s int, op Op) {
 	if c0, c1 := l1-x0, h0-x0; c1 > c0 {
-		v.cut(src, p+c0, c1-c0, stride)
-		d := dst[c0:c1]
-		switch {
-		case a == grid.X && op == OpAdd:
-			rowAdd(d, v, met[l1:h0])
-		case a == grid.X:
-			rowSet(d, v, met[l1:h0])
-		case op == OpAdd:
-			rowAddScalar(d, v, met[s])
-		default:
-			rowSetScalar(d, v, met[s])
+		if a == grid.X {
+			vexp.Diff8(dst[c0:c1], src, p+c0, stride, &c8, met[l1:h0], op == OpAdd)
+		} else {
+			vexp.Diff8Scalar(dst[c0:c1], src, p+c0, stride, &c8, met[s], op == OpAdd)
 		}
 	}
 	if a != grid.X { // the row shares s: one closure run
@@ -183,41 +177,16 @@ func segments(a grid.Axis, n, cw int, lo, hi BC, x0, x1, j, k int) (l1, h0, s in
 // — and any deeper point of a line too short for the full stencil — the
 // sixth-order.
 func closeRow(dst, src []float64, p, stride, r int, high bool, met float64, op Op) {
-	switch {
-	case r >= 3:
-		for i := range dst {
-			q := p + i
-			d := c6[0]*(src[q+stride]-src[q-stride]) +
-				c6[1]*(src[q+2*stride]-src[q-2*stride]) +
-				c6[2]*(src[q+3*stride]-src[q-3*stride])
-			store(dst, i, d*met, op)
-		}
-	case r == 2:
-		for i := range dst {
-			q := p + i
-			d := c4[0]*(src[q+stride]-src[q-stride]) + c4[1]*(src[q+2*stride]-src[q-2*stride])
-			store(dst, i, d*met, op)
-		}
+	add := op == OpAdd
+	switch r {
+	case 0:
+		vexp.OneSided5(dst, src, p, stride, &OneSided4, 0, high, met, add)
+	case 1:
+		vexp.OneSided5(dst, src, p, stride, &b1, 1, high, met, add)
+	case 2:
+		vexp.Diff4(dst, src, p, stride, &c4, met, add)
 	default:
-		// One-sided weights over offsets −r…4−r, towards the interior.
-		wts := &OneSided4
-		if r == 1 {
-			wts = &b1
-		}
-		for i := range dst {
-			q := p + i
-			var d float64
-			if high {
-				for m, wt := range wts {
-					d -= wt * src[q-(m-r)*stride]
-				}
-			} else {
-				for m, wt := range wts {
-					d += wt * src[q+(m-r)*stride]
-				}
-			}
-			store(dst, i, d*met, op)
-		}
+		vexp.Diff6(dst, src, p, stride, &c6, met, add)
 	}
 }
 
@@ -234,7 +203,9 @@ func FilterRange(dst, f *grid.Field3, a grid.Axis, sigma float64, lo, hi BC, box
 	dd, src := dst.Data, f.Data
 	eachRow(f, a, boxLo, boxHi, func(p, x0, x1, j, k int) {
 		l1, h0, s := segments(a, n, 5, lo, hi, x0, x1, j, k)
-		filterRow(dd, src, p+l1-x0, h0-l1, stride, sigma/1024.0)
+		if q := p + l1 - x0; h0 > l1 {
+			vexp.Filter10(dd[q:q+h0-l1], src, q, stride, &filter10, sigma/1024.0)
+		}
 		for i := x0; i < x1; i++ {
 			if a == grid.X {
 				s = i
@@ -246,19 +217,6 @@ func FilterRange(dst, f *grid.Field3, a grid.Axis, sigma float64, lo, hi BC, box
 			}
 		}
 	})
-}
-
-// filterRow applies the 10th-order interior filter to the w unit-stride
-// points starting at flat index p, stencil neighbours stride apart:
-// dst[q] = src[q] − scale·Σ filter10[l+5]·src[q+l·stride].
-func filterRow(dst, src []float64, p, w, stride int, scale float64) {
-	for q := p; q < p+w; q++ {
-		var acc float64
-		for l := -5; l <= 5; l++ {
-			acc += filter10[l+5] * src[q+l*stride]
-		}
-		dst[q] = src[q] - scale*acc
-	}
 }
 
 // filterBoundaryPoint applies the order-2d symmetric filter at flat index
@@ -279,15 +237,6 @@ func filterBoundaryPoint(dst, src []float64, p, stride, d int, sigma float64) {
 		acc += w * src[p+l*stride]
 	}
 	dst[p] = src[p] - scale*acc
-}
-
-// store writes v into dst[i] under op.
-func store(dst []float64, i int, v float64, op Op) {
-	if op == OpAdd {
-		dst[i] += v
-	} else {
-		dst[i] = v
-	}
 }
 
 // copyRange is the unit-extent filter (identity) over the box.

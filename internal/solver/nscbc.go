@@ -28,7 +28,7 @@ import (
 func (b *Block) nscbcTileSweep(ws *kernScratch, tl par.Tile, t float64) {
 	for _, a := range b.active {
 		for side := 0; side < 2; side++ {
-			if b.interiorF[a][side] || b.faceBC[a][side] == Periodic {
+			if !b.nscbcFace(a, side) {
 				continue
 			}
 			// r: the tile's rows on the face plane, at index bi along a.
@@ -45,6 +45,12 @@ func (b *Block) nscbcTileSweep(ws *kernScratch, tl par.Tile, t float64) {
 			}
 		}
 	}
+}
+
+// nscbcFace reports whether face side of axis a is a physical NSCBC face of
+// the block: on the domain boundary and not periodic.
+func (b *Block) nscbcFace(a, side int) bool {
+	return !b.interiorF[a][side] && b.faceBC[a][side] != Periodic
 }
 
 // NSCBC relaxation strengths (dimensionless): σ at outflows, η at inflows.

@@ -7,6 +7,7 @@ import (
 	"github.com/s3dgo/s3d/internal/par"
 	"github.com/s3dgo/s3d/internal/perf"
 	"github.com/s3dgo/s3d/internal/prof"
+	"github.com/s3dgo/s3d/internal/rk"
 )
 
 // inclusiveGain returns what region name's inclusive time gained from
@@ -110,5 +111,78 @@ func TestHaloWaitOneClock(t *testing.T) {
 		if g[0] != g[1] || g[1] != g[2] {
 			t.Errorf("rank %d: MPI_WAIT timer %d ns, spans under GHOST_EXCHANGE %d ns, comm wait counters %d ns; want one number", r, g[0], g[1], g[2])
 		}
+	}
+}
+
+// TestNSCBCRegionOnlyWithFaces: figure 2 lists an NSCBC region only for a
+// block that has an NSCBC face. Over one profiled step of the fully periodic
+// 2×1×1 box neither rank's timers nor its rank track hold NSCBC, and the
+// DIVERGENCE sweep still runs once per RK stage; the 25×17 jet, whose
+// inflow and outflow faces are NSCBC, still charges its NSCBC part on every
+// stage, each as a child span of DIVERGENCE lasting what the timer gained.
+func TestNSCBCRegionOnlyWithFaces(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	nscbcSpans := func(b *Block) (calls int, ns int64, underDiv bool) {
+		snap := b.profT.Snapshot()
+		underDiv = true
+		for _, ev := range snap.Events {
+			if n := snap.Nodes[ev.Path]; n.Name == "NSCBC" {
+				calls++
+				ns += ev.Dur
+				underDiv = underDiv && snap.Nodes[n.Parent].Name == "DIVERGENCE"
+			}
+		}
+		return calls, ns, underDiv
+	}
+
+	cfg := reactiveConfig()
+	cfg.Pool = pool
+	var (
+		mu  sync.Mutex
+		box [2][3]int
+	)
+	err := RunParallel(cfg, [3]int{2, 1, 1}, func(b *Block) {
+		hotSpotIC(b)
+		b.EnableProfiling(prof.New().NewTrack(prof.GroupRank, "rank"))
+		b.StepOnce(2e-8)
+		if err := b.Timers.Err(); err != nil {
+			panic(err)
+		}
+		calls, _, _ := nscbcSpans(b)
+		timer := 0
+		if r := b.Timers.Region("NSCBC"); r != nil {
+			timer = int(r.Calls)
+		}
+		mu.Lock()
+		box[b.Rank()] = [3]int{timer, calls, int(b.Timers.Region("DERIVATIVES").Calls)}
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := rk.RK46NL.Stages()
+	for r, g := range box {
+		if g[0] != 0 || g[1] != 0 || g[2] != stages {
+			t.Errorf("periodic box rank %d: NSCBC timer calls %d, NSCBC spans %d, DERIVATIVES calls %d; want 0, 0, %d",
+				r, g[0], g[1], g[2], stages)
+		}
+	}
+
+	b, err := NewSerial(degenerateCase{nx: 25, ny: 17, nz: 1, jet: true}.config(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	degenerateIC(b)
+	b.EnableProfiling(prof.New().NewTrack(prof.GroupRank, "rank0"))
+	b.StepOnce(degDt)
+	if err := b.Timers.Err(); err != nil {
+		t.Fatal(err)
+	}
+	calls, ns, underDiv := nscbcSpans(b)
+	r := b.Timers.Region("NSCBC")
+	if r == nil || int(r.Calls) != rk.RK46NL.Stages() || int64(calls) != r.Calls || ns != int64(r.Inclusive) || !underDiv {
+		t.Fatalf("jet: NSCBC region %+v; %d spans of %d ns (under DIVERGENCE: %v); want one per RK stage on the timer's time",
+			r, calls, ns, underDiv)
 	}
 }

@@ -351,17 +351,24 @@ func (b *Block) AssembleFluxesOnly() { b.assembleFluxes() }
 // species row unless ChemistryOff (divTileSweep), then applies the NSCBC
 // faces that touch it (nscbcTileSweep): each point adds to its own rhs
 // entries in the order of separate sweeps. region.endCharged reports the
-// NSCBC share the workers clock out of the sweep's DERIVATIVES region.
+// NSCBC share the workers clock out of the sweep's DERIVATIVES region; a
+// block with no NSCBC face (b.nscbc) clocks none and has no NSCBC region.
 func (b *Block) finishRHS(t float64) {
 	reg := b.beginRegionNamed("DERIVATIVES", "DIVERGENCE")
 	b.plan.Run("DIVERGENCE", b.interior(), func(tl par.Tile, worker int) {
 		ws := &b.ws[worker]
 		b.divTileSweep(ws, tl)
-		t1 := prof.Now()
-		b.nscbcTileSweep(ws, tl, t)
-		ws.clk += prof.Now() - t1
+		if b.nscbc {
+			t1 := prof.Now()
+			b.nscbcTileSweep(ws, tl, t)
+			ws.clk += prof.Now() - t1
+		}
 	})
-	reg.endCharged(b.plan.LastBusy(), "NSCBC")
+	if b.nscbc {
+		reg.endCharged(b.plan.LastBusy(), "NSCBC")
+	} else {
+		reg.End()
+	}
 }
 
 // divTileSweep sets rhs[v] = −Σ_d ∂flux[v][d]/∂x_d over one tile, d over the

@@ -193,6 +193,9 @@ type Block struct {
 	// (with a neighbouring rank) behave like UseGhosts.
 	faceBC    [3][2]BCType
 	interiorF [3][2]bool // true when the face adjoins another rank
+	// nscbc: some face of the block is a physical NSCBC face (nscbcFace),
+	// decided at construction; without one finishRHS clocks no NSCBC part.
+	nscbc bool
 
 	// ghostValid[axis] reports whether ghost layers along the axis hold
 	// valid data (periodic wrap or halo exchange); when false, one-sided
@@ -479,6 +482,9 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 		perio := cfg.BC[a][0] == Periodic
 		b.loGhost[a] = perio || b.interiorF[a][0]
 		b.hiGhost[a] = perio || b.interiorF[a][1]
+	}
+	for _, a := range b.active {
+		b.nscbc = b.nscbc || b.nscbcFace(a, 0) || b.nscbcFace(a, 1)
 	}
 	b.hrrSlots = make([]float64, b.plan.Slots(b.interior()))
 	return b

@@ -87,7 +87,8 @@ func checkRow(t *testing.T, ki int, rows [][]float64, s *[4]float64, alias int) 
 // input at every such length; and more than 10⁶ lanes per kernel drawn from
 // a mix of zeros of both signs, the edge list, raw bit patterns and normals
 // over twenty decades, so that every mask pattern — x_a alone zero, x_b
-// alone zero, both, neither — occurs in every block position.
+// alone zero, both, neither — occurs in every block position. The stencil
+// rows are held to their Go loops the same way (testStencilBits).
 func TestRowKernelBits(t *testing.T) {
 	if kernelExpected() && Kernel() != "avx2" {
 		t.Fatalf("host has AVX2 and FMA but the kernels are disarmed (Kernel() = %q)", Kernel())
@@ -162,4 +163,5 @@ func TestRowKernelBits(t *testing.T) {
 		}
 		t.Logf("%s: %d lanes", k.name, lanes)
 	}
+	testStencilBits(t, draw)
 }

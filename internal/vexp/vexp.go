@@ -17,8 +17,11 @@
 // fails that test, and the fix is to transcribe the new routine.
 //
 // The package also holds the element-wise row arithmetic of the transport and
-// chemistry row kernels (row.go), which runs on the same decision: packed
-// AVX2 where Exp's kernel is armed, its Go loop everywhere else.
+// chemistry row kernels (row.go) and the stencil rows of internal/deriv
+// (stencil.go): the eighth-order derivative row with a per-point or a
+// row-scalar metric, the sixth- and fourth-order and one-sided closure rows
+// and the tenth-order filter row. Both run on the same decision: packed AVX2
+// where Exp's kernel is armed, their Go loops everywhere else.
 package vexp
 
 import "math"
@@ -37,8 +40,8 @@ func Exp(dst, src []float64) {
 	}
 }
 
-// Kernel names the path Exp and the row arithmetic take in this process:
-// "avx2" or "scalar".
+// Kernel names the path Exp, the row arithmetic and the stencil rows take in
+// this process: "avx2" or "scalar".
 func Kernel() string {
 	if armed {
 		return "avx2"
