@@ -474,21 +474,24 @@ echo "== S3D_WORKERS=4 go test -race ./internal/par ./internal/solver"
 S3D_WORKERS=4 go test -race -timeout 45m ./internal/par ./internal/solver
 
 # Kernel gate: internal/vexp promises math.Exp's bits and the bits of its
-# row and stencil loops from either of its paths, so the package that makes
-# the promise, its callers (chem and transport, whose tests hold them to
-# eager one-point references, flame1d, which calls MixtureRow directly and
-# pins its flame properties, and deriv, whose TestStencilDigest pins the
-# derivative and filter rows' bits), the solver's pinned hashes and
-# TestStepEndBits (the hrr field through HeatReleaseField's chemistry rows)
-# run once more with the assembly compiled out (-tags purego). The race pass above ran them on the kernels;
+# row, stencil and thermo loops from either of its paths, so the package
+# that makes the promise, its callers (chem and transport, whose tests hold
+# them to eager one-point references, flame1d, which calls MixtureRow
+# directly and pins its flame properties, deriv, whose TestStencilDigest
+# pins the derivative and filter rows' bits, and thermo, whose tests hold
+# HRTRow and TFromERow to HRT and the eager TFromE on rows that mix every
+# edge case into 4-point blocks), the solver's pinned hashes, its fault
+# tests around the primitives sweep's row inversion and TestStepEndBits
+# (the hrr field through HeatReleaseField's chemistry rows) run once more
+# with the assembly compiled out (-tags purego). The race pass above ran them on the kernels;
 # both must land on the same pinned bytes. go vet ./... above has checked the
 # .s files' frame declarations (asmdecl); the purego build of the package is
 # vetted here.
-echo "== go vet -tags purego ./internal/vexp && go test -tags purego ./internal/vexp ./internal/chem ./internal/transport ./internal/flame1d ./internal/deriv"
+echo "== go vet -tags purego ./internal/vexp && go test -tags purego ./internal/vexp ./internal/chem ./internal/transport ./internal/flame1d ./internal/deriv ./internal/thermo"
 go vet -tags purego ./internal/vexp
-go test -tags purego ./internal/vexp ./internal/chem ./internal/transport ./internal/flame1d ./internal/deriv
-echo "== go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility|TestRHSBits' ./internal/solver"
-go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility|TestRHSBits' ./internal/solver
+go test -tags purego ./internal/vexp ./internal/chem ./internal/transport ./internal/flame1d ./internal/deriv ./internal/thermo
+echo "== go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility|TestRHSBits|TestPrimitivesFaultKeepsCell|TestPrimitivesFaultsShareBlock' ./internal/solver"
+go test -tags purego -run 'TestArenaLayoutBitCompatibility|TestDegenerateAxisBitCompatibility|TestRHSBits|TestPrimitivesFaultKeepsCell|TestPrimitivesFaultsShareBlock' ./internal/solver
 echo "== go test -tags purego -run 'TestStepEndBits' ."
 go test -tags purego -run 'TestStepEndBits' .
 

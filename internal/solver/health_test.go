@@ -173,6 +173,66 @@ func TestPrimitivesFaultKeepsCell(t *testing.T) {
 	}
 }
 
+// TestPrimitivesFaultsShareBlock puts a failed temperature inversion and a
+// non-positive density into one 4-point block of a row (points 8–11 of a
+// row starting at i = 0), in either order, under an armed watchdog. The
+// row's inversion runs as one call between a scalar pass and a commit pass,
+// so the reported fault must still be the earlier point's, both faulted
+// cells must keep every primitive's bits, and every other point of the row
+// — the two other lanes of the block included — must carry the bits a
+// fault-free twin's sweep writes.
+func TestPrimitivesFaultsShareBlock(t *testing.T) {
+	const j, k = 6, 4
+	const poison = -123.25
+	prims := func(b *Block) []*grid.Field3 {
+		return append([]*grid.Field3{b.Rho, b.U, b.V, b.W, b.T, b.P, b.Wmix}, b.Y...)
+	}
+	type fault struct {
+		check string
+		q     int
+		value float64
+	}
+	inversion := fault{"temperature_inversion", iRhoE, math.NaN()}
+	density := fault{"density", iRho, -1}
+	for _, order := range [][2]fault{{inversion, density}, {density, inversion}} {
+		t.Run(order[0].check+"_first", func(t *testing.T) {
+			ref := newReactiveSerial(t)
+			ref.RefreshPrimitives()
+			ref.computePrimitives()
+
+			b := newReactiveSerial(t)
+			w := health.New(health.Defaults())
+			b.InstallWatchdog(w)
+			w.Arm()
+			b.RefreshPrimitives()
+			faulted := [2]int{9, 10}
+			for n, f := range order {
+				b.Q[f.q].Set(faulted[n], j, k, f.value)
+				for _, p := range prims(b) {
+					p.Set(faulted[n], j, k, poison)
+				}
+			}
+			b.computePrimitives()
+
+			if v := b.fault; v == nil || v.Check != order[0].check || v.Cell != [3]int{faulted[0], j, k} {
+				t.Fatalf("fault = %+v, want %s at i=%d", v, order[0].check, faulted[0])
+			}
+			want := prims(ref)
+			for n, f := range prims(b) {
+				for i := 0; i < b.G.Nx; i++ {
+					got, w := f.At(i, j, k), want[n].At(i, j, k)
+					if i == faulted[0] || i == faulted[1] {
+						w = poison
+					}
+					if math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("primitive %d at i=%d = %v, want %v", n, i, got, w)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestStepCheckedSerialTrip drives the armed serial path: healthy steps
 // return nil (a true untyped nil, not a typed-nil error), the injected NaN
 // turns into a returned violation at the right step, and the flight

@@ -209,9 +209,9 @@ type Block struct {
 	plan *par.Plan
 	ws   []kernScratch
 
-	// pointwise scratch for the serial AcousticDt sweep; tiled kernels use
-	// the per-worker sets in ws instead.
-	yw []float64
+	// dtSlots holds the AcousticDt sweep's per-tile largest speeds, in
+	// tile order.
+	dtSlots []float64
 
 	// The Q/dQ/rhs registers are registered consecutively, so each bank is
 	// one contiguous arena run: the RK 2N update and register zeroing are
@@ -302,8 +302,10 @@ type kernScratch struct {
 	tgt InflowState
 	// x-row scratch of the pencil-fused flux stage and the NSCBC faces
 	rows rowScratch
-	// species row segments a pointwise sweep reads and writes (primitives.go)
+	// species row segments a pointwise sweep reads and writes, and the
+	// primitives sweep's row scratch (primitives.go)
 	yIn, yOut [][]float64
+	prim      primRows
 	clk       int64   // a fused sweep's charged-part ns (region.endCharged)
 	hrr       float64 // the flux stage tile's heat-release integrand sum
 }
@@ -439,7 +441,6 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 		}
 	}
 	b.registerFields()
-	b.yw = make([]float64, ns)
 	// T initial guess for Newton inversion.
 	b.T.Fill(300)
 
@@ -457,6 +458,7 @@ func newBlock(cfg *Config, local *grid.Grid, cart *comm.Cart, i0, j0, k0 int) *B
 			rows:   newRowScratch(local.Nx, ns, b.active),
 			yIn:    make([][]float64, ns),
 			yOut:   make([][]float64, ns),
+			prim:   newPrimRows(local.Nx, ns),
 		}
 	}
 
@@ -675,27 +677,59 @@ func (b *Block) MinMaxT() (float64, float64) { return b.T.MinMax() }
 // per cell; used by conservation tests on uniform grids).
 func (b *Block) TotalMass() float64 { return b.Q[iRho].SumInterior() }
 
-// AcousticDt returns the acoustic CFL time-step limit for the block.
+// AcousticDt returns the acoustic CFL time-step limit for the block,
+// CFL·h/max(|u|+|v|+|w|+c) over the interior. One RunSlots row sweep keeps
+// each tile's largest speed by the rule s > max (a NaN speed is passed
+// over) in the tile's slot, and the slots are folded in ascending order by
+// the same rule: the maximum of a set of numbers is one number whichever
+// way it is grouped, so the result is the point-by-point loop's at every
+// worker count.
 func (b *Block) AcousticDt() float64 {
 	h := b.G.MinSpacing()
+	r := b.interior()
+	n := b.plan.Slots(r)
+	if cap(b.dtSlots) < n {
+		b.dtSlots = make([]float64, n)
+	}
+	b.dtSlots = b.dtSlots[:n]
+	b.plan.RunSlots("ACOUSTIC_DT", r, b.speedTile)
 	maxSpeed := 0.0
-	set := b.mech.Set
-	for k := 0; k < b.G.Nz; k++ {
-		for j := 0; j < b.G.Ny; j++ {
-			for i := 0; i < b.G.Nx; i++ {
-				b.gatherYInto(b.yw, i, j, k)
-				c := set.SoundSpeed(b.T.At(i, j, k), b.yw)
-				s := math.Abs(b.U.At(i, j, k)) + math.Abs(b.V.At(i, j, k)) + math.Abs(b.W.At(i, j, k)) + c
-				if s > maxSpeed {
-					maxSpeed = s
-				}
-			}
+	for _, s := range b.dtSlots {
+		if s > maxSpeed {
+			maxSpeed = s
 		}
 	}
 	if maxSpeed == 0 {
 		return math.Inf(1)
 	}
 	return b.CFL() * h / maxSpeed
+}
+
+// speedTile stores the largest |u|+|v|+|w|+c of one tile, one x-row at a
+// time, in the tile's AcousticDt slot.
+func (b *Block) speedTile(t par.Tile, worker int) {
+	set, ws := b.mech.Set, &b.ws[worker]
+	yw, yR := ws.yw, ws.yOut[:b.ns]
+	maxSpeed := 0.0
+	for k := t.Lo[2]; k < t.Hi[2]; k++ {
+		for j := t.Lo[1]; j < t.Hi[1]; j++ {
+			p0 := b.T.Idx(t.Lo[0], j, k)
+			p1 := p0 + t.Hi[0] - t.Lo[0]
+			tR, uR, vR, wR := b.T.Data[p0:p1], b.U.Data[p0:p1], b.V.Data[p0:p1], b.W.Data[p0:p1]
+			cutRows(yR, b.Y, p0, p1)
+			for i, T := range tR {
+				for n, y := range yR {
+					yw[n] = y[i]
+				}
+				c := set.SoundSpeed(T, yw)
+				s := math.Abs(uR[i]) + math.Abs(vR[i]) + math.Abs(wR[i]) + c
+				if s > maxSpeed {
+					maxSpeed = s
+				}
+			}
+		}
+	}
+	b.dtSlots[t.Index] = maxSpeed
 }
 
 // CFL returns the acoustic CFL number AcousticDt applies: Config.CFL, or

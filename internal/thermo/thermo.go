@@ -20,6 +20,8 @@ package thermo
 import (
 	"fmt"
 	"math"
+
+	"github.com/s3dgo/s3d/internal/vexp"
 )
 
 // R is the universal gas constant in J/(mol·K).
@@ -107,11 +109,14 @@ func clampT(T float64) float64 {
 // Set is an ordered collection of species forming the thermodynamic state
 // space of a mechanism. Mass-fraction slices are indexed consistently with
 // Set.Species. tab holds the same species by value, so a TFromE iterate
-// walks one contiguous table instead of following ns pointers.
+// walks one contiguous table instead of following ns pointers, and fits
+// holds their enthalpy and heat-capacity fits as the packed row kernels
+// read them (HRTRow, TFromERow).
 type Set struct {
 	Species []*Species
 	index   map[string]int
 	tab     []Species
+	fits    *vexp.Fits
 }
 
 // NewSet builds a Set from the named species in the package database,
@@ -127,6 +132,11 @@ func NewSet(names ...string) (*Set, error) {
 		s.Species = append(s.Species, sp)
 		s.tab = append(s.tab, *sp)
 	}
+	f := make([]vexp.Fit, len(s.tab))
+	for n, sp := range s.tab {
+		f[n] = vexp.Fit{A: [6]float64(sp.a[:6]), HQ: sp.hq, W: sp.W}
+	}
+	s.fits = vexp.NewFits(f)
 	return s, nil
 }
 
@@ -152,11 +162,14 @@ func (s *Set) Index(name string) int {
 
 // HRTRow sets hrt[n][i] = HRT(T[i]) of species n at the len(T) points of a
 // row, the one evaluation that H (hrt·R·T/W), GRTLn and HMolar rows share.
+// The whole 4-point blocks of each species' row go to the packed kernel
+// (vexp.HRT) where it is armed; this loop is the definition and does the
+// rest.
 func (s *Set) HRTRow(T []float64, hrt [][]float64) {
 	for n := range s.tab {
 		sp, h := &s.tab[n], hrt[n][:len(T)]
-		for i, t := range T {
-			h[i] = sp.hRT(clampT(t))
+		for i := vexp.HRT(h, T, s.fits, n); i < len(T); i++ {
+			h[i] = sp.hRT(clampT(T[i]))
 		}
 	}
 }
@@ -302,6 +315,36 @@ func (s *Set) TFromEW(e float64, Y []float64, W, Tg float64) (float64, bool) {
 		return Ts, true
 	}
 	return T, false
+}
+
+// TFromERow is TFromE over a row of w = len(e) points: for every i it sets
+// W[i] = MeanW(yᵢ) and (T[i], ok[i]) = TFromEW(e[i], yᵢ, W[i], Tg[i]), where
+// yᵢ is point i's mass-fraction vector, Y[n·w+i] for species n (Y holds the
+// species' rows end to end). The whole 4-point blocks go to the packed
+// Newton (vexp.TNewton) where it is armed, which hands back every lane that
+// would reach TFromEW's saturation check or fail — a lane within satBand of
+// a bound, a NaN lane, a lane still iterating at the 50th iterate — and
+// TFromEW runs those from Tg[i], the tail of the row and, where the kernel
+// is not armed, every point: it is the one definition of each case. yp is
+// a scratch vector of Len() elements; T, W, ok and Tg must be at least w
+// long, and T must not overlap Tg.
+func (s *Set) TFromERow(T, W []float64, ok []bool, e, Y, Tg, yp []float64) {
+	w := len(e)
+	T, W, ok, Tg, yp = T[:w], W[:w], ok[:w], Tg[:w], yp[:len(s.tab)]
+	k := vexp.TNewton(T, W, e, Tg, Y, s.fits)
+	for i := range T {
+		if i < k && !math.IsNaN(T[i]) {
+			ok[i] = true
+			continue
+		}
+		for n := range yp {
+			yp[n] = Y[n*w+i]
+		}
+		if i >= k {
+			W[i] = s.MeanW(yp)
+		}
+		T[i], ok[i] = s.TFromEW(e[i], yp, W[i], Tg[i])
+	}
 }
 
 // satBand is how close (K) to TMin/TMax a Newton iterate must land before

@@ -240,6 +240,7 @@ func TestTFromELazyBoundsMatchEager(t *testing.T) {
 		normalize([]float64{0, 0.233, 0, 0, 0, 0, 0, 0, 0.767}),
 		normalize([]float64{1, 0, 0, 0, 0, 0, 0, 0, 0}),
 	}
+	var cases []rowCase
 	for i := 0; i < 20; i++ {
 		Y := make([]float64, 9)
 		for n := range Y {
@@ -269,6 +270,7 @@ func TestTFromELazyBoundsMatchEager(t *testing.T) {
 		for _, e := range energies {
 			for _, Tg := range guesses {
 				wantT, wantOK := tFromEEager(s, e, Y, Tg)
+				cases = append(cases, rowCase{Y: Y, e: e, Tg: Tg, T: wantT, ok: wantOK})
 				gotT, gotOK := s.TFromE(e, Y, Tg)
 				if math.Float64bits(gotT) != math.Float64bits(wantT) || gotOK != wantOK {
 					t.Fatalf("TFromE(e=%g, Tg=%g) = (%v, %v), eager reference (%v, %v) [eLo=%g eHi=%g]",
@@ -278,6 +280,89 @@ func TestTFromELazyBoundsMatchEager(t *testing.T) {
 				if math.Float64bits(gotT) != math.Float64bits(wantT) || gotOK != wantOK {
 					t.Fatalf("TFromEW(e=%g, W=MeanW(Y), Tg=%g) = (%v, %v), eager reference (%v, %v) [eLo=%g eHi=%g]",
 						e, Tg, gotT, gotOK, wantT, wantOK, eLo, eHi)
+				}
+			}
+		}
+	}
+	checkTFromERow(t, s, cases, rng)
+}
+
+// rowCase is one point of TFromERow's check: its mixture, energy and guess,
+// and the eager reference's answer.
+type rowCase struct {
+	Y        []float64
+	e, Tg, T float64
+	ok       bool
+}
+
+// checkTFromERow shuffles the cases into rows of 37 points, so saturating,
+// NaN and out-of-range lanes share 4-point blocks with ordinary ones and
+// every row ends in a one-point tail, and requires TFromERow's T, ok and W
+// to be bit-equal to the eager reference and to MeanW at every point. The
+// guess row must come back unchanged.
+func checkTFromERow(t *testing.T, s *Set, cases []rowCase, rng *rand.Rand) {
+	t.Helper()
+	rng.Shuffle(len(cases), func(i, j int) { cases[i], cases[j] = cases[j], cases[i] })
+	const w = 37
+	ns := s.Len()
+	T, W, e, Tg, Tg0 := make([]float64, w), make([]float64, w), make([]float64, w), make([]float64, w), make([]float64, w)
+	Y, yp, ok := make([]float64, ns*w), make([]float64, ns), make([]bool, w)
+	for r0 := 0; r0 < len(cases); r0 += w {
+		row := cases[r0:min(r0+w, len(cases))]
+		n := len(row)
+		for i, c := range row {
+			e[i], Tg[i] = c.e, c.Tg
+			for sp := 0; sp < ns; sp++ {
+				Y[sp*n+i] = c.Y[sp]
+			}
+		}
+		copy(Tg0, Tg)
+		s.TFromERow(T, W, ok, e[:n], Y[:ns*n], Tg, yp)
+		for i, c := range row {
+			if math.Float64bits(T[i]) != math.Float64bits(c.T) || ok[i] != c.ok {
+				t.Fatalf("TFromERow point %d of %d (e=%g, Tg=%g) = (%v, %v), eager reference (%v, %v)",
+					i, n, c.e, c.Tg, T[i], ok[i], c.T, c.ok)
+			}
+			if wm := s.MeanW(c.Y); math.Float64bits(W[i]) != math.Float64bits(wm) {
+				t.Fatalf("TFromERow point %d of %d: W = %x, MeanW %x", i, n, math.Float64bits(W[i]), math.Float64bits(wm))
+			}
+			if math.Float64bits(Tg[i]) != math.Float64bits(Tg0[i]) {
+				t.Fatalf("TFromERow point %d of %d wrote the guess row", i, n)
+			}
+		}
+	}
+}
+
+// TestHRTRowMatchesHRT holds HRTRow bit for bit against HRT point by point
+// for every species of the H2 set, rows of every length from 0 to 13, with
+// NaN, ±Inf, out-of-range and bound temperatures at every position of a
+// block and of a tail among in-range ones.
+func TestHRTRowMatchesHRT(t *testing.T) {
+	s := MustSet("H2", "O2", "O", "OH", "H2O", "H", "HO2", "H2O2", "N2")
+	rng := rand.New(rand.NewSource(5))
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 150, TMin, TMax, 4000, math.Nextafter(TMax, 5000)}
+	hrt := make([][]float64, s.Len())
+	for n := range hrt {
+		hrt[n] = make([]float64, 13)
+	}
+	for w := 0; w <= 13; w++ {
+		for pos := 0; pos < max(w, 1); pos++ {
+			for _, v := range odd {
+				T := make([]float64, w)
+				for i := range T {
+					T[i] = TMin + (TMax-TMin)*rng.Float64()
+				}
+				if w > 0 {
+					T[pos] = v
+				}
+				s.HRTRow(T, hrt)
+				for n, sp := range s.Species {
+					for i, x := range T {
+						if got, want := hrt[n][i], sp.HRT(x); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s: HRTRow at T=%g (point %d of %d) = %x, HRT %x",
+								sp.Name, x, i, w, math.Float64bits(got), math.Float64bits(want))
+						}
+					}
 				}
 			}
 		}
@@ -360,4 +445,25 @@ func BenchmarkTFromE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.TFromE(e, Y, 1400)
 	}
+}
+
+func BenchmarkTFromERow(b *testing.B) {
+	s := MustSet("H2", "O2", "O", "OH", "H2O", "H", "HO2", "H2O2", "N2")
+	Y0 := normalize([]float64{1, 2, 0.1, 0.1, 3, 0.05, 0.02, 0.01, 10})
+	const w = 48
+	ns := s.Len()
+	T, W, e, Tg := make([]float64, w), make([]float64, w), make([]float64, w), make([]float64, w)
+	Y, yp, ok := make([]float64, ns*w), make([]float64, ns), make([]bool, w)
+	for i := range e {
+		e[i] = s.EMass(1500+float64(i), Y0)
+		Tg[i] = 1400 + float64(i)
+		for n := range Y0 {
+			Y[n*w+i] = Y0[n]
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.TFromERow(T, W, ok, e, Y, Tg, yp)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w), "ns/pt")
 }

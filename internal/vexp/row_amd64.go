@@ -50,3 +50,12 @@ func oneSidedAVX2(dst, s []float64, first, step int, w *[5]float64, high bool, m
 
 //go:noescape
 func filter10AVX2(dst, s []float64, stride int, w *[11]float64, scale float64)
+
+// The packed thermo rows of thermo.go, in thermo_amd64.s. Each takes the
+// leading len(d)&^3 (len(T)&^3) points of its row; f points at a Fits entry.
+
+//go:noescape
+func hrtAVX2(d, x []float64, f *float64)
+
+//go:noescape
+func tNewtonAVX2(T, W, e, Tg, Y []float64, w int, f *float64, ns int)

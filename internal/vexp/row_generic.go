@@ -26,3 +26,6 @@ func oneSidedAVX2(dst, s []float64, first, step int, w *[5]float64, high bool, m
 	panic(noKernel)
 }
 func filter10AVX2(dst, s []float64, stride int, w *[11]float64, scale float64) { panic(noKernel) }
+
+func hrtAVX2(d, x []float64, f *float64)                              { panic(noKernel) }
+func tNewtonAVX2(T, W, e, Tg, Y []float64, w int, f *float64, ns int) { panic(noKernel) }

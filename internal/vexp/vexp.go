@@ -22,6 +22,14 @@
 // row-scalar metric, the sixth- and fourth-order and one-sided closure rows
 // and the tenth-order filter row. Both run on the same decision: packed AVX2
 // where Exp's kernel is armed, their Go loops everywhere else.
+//
+// The thermo rows of internal/thermo (thermo.go) ride the same decision: the
+// species h/RT row (HRT) and the temperature Newton with its MeanW (TNewton),
+// packed transcriptions of thermo's hRT, MeanW and TFromEW. Their
+// definitions stay in thermo, which this package cannot import, so each
+// takes only the whole 4-lane blocks, reports how many points it set, and
+// leaves the rest, and every Newton lane it hands back, to thermo's scalar
+// functions.
 package vexp
 
 import "math"
