@@ -119,14 +119,15 @@ imports_none ./cmd/s3d pario comm
 # publishes, so the solver keeps no metrics registry (no internal/obs); comm
 # clocks a blocking call once, on the prof.Now stamps its trace events carry
 # (no time package); and the views, off-switches and wrappers only tests
-# called stay deleted.
+# called stay deleted, as do the register banks the RK update swept and
+# deriv's second copy routine (Field3.CopyRange is the one).
 echo "== layering lint (solver does not import obs, comm does not import time, deleted names stay gone)"
 imports_none ./internal/solver obs
 if go list -f '{{join .Imports "\n"}}' ./internal/comm | grep -x time; then
 	echo "internal/comm imports time: clock a blocking call on prof.Now alone" >&2
 	exit 1
 fi
-deleted='recordStepMetrics|TelemetryEnabled|Watchdog\) (Violation|Rank)\(|Recorder\) Len\(|Lane\[R\]\) Enabled\(|Timers\) Time\(|World\) (BytesSent|MessagesSent|TotalBytes|TotalStats)\(|Request\) (PostNs|CompleteNs)\(|CompleteNs|Comm\) Allgather\(|KindAllgather|waitNs|Snapshot\) Merge\(|Trace\) RunStart\(|Histogram\) Mean\(|Lane\[R\]\) Disable\(|Watchdog\) Disarm\(|Armed\) (Advance|Close)\(|FuncActor|InitVec|\.AXPY|\) AXPY|Field3\) (CopyFrom|Scale)\(|\.SumRange|\) SumRange|FieldSet\) Names\(|CK45|Species\) (SR|GRT)\(|Probe\) Metrics\(|Store\[T\]\) (Sink|Err)\(|mixfracField|toField\(|stats\.Scatter'
+deleted='recordStepMetrics|TelemetryEnabled|Watchdog\) (Violation|Rank)\(|Recorder\) Len\(|Lane\[R\]\) Enabled\(|Timers\) Time\(|World\) (BytesSent|MessagesSent|TotalBytes|TotalStats)\(|Request\) (PostNs|CompleteNs)\(|CompleteNs|Comm\) Allgather\(|KindAllgather|waitNs|Snapshot\) Merge\(|Trace\) RunStart\(|Histogram\) Mean\(|Lane\[R\]\) Disable\(|Watchdog\) Disarm\(|Armed\) (Advance|Close)\(|FuncActor|InitVec|\.AXPY|\) AXPY|Field3\) (CopyFrom|Scale)\(|\.SumRange|\) SumRange|FieldSet\) Names\(|CK45|Species\) (SR|GRT)\(|Probe\) Metrics\(|Store\[T\]\) (Sink|Err)\(|mixfracField|toField\(|stats\.Scatter|qBank|dqBank|rhsBank|FieldSet\) Span\(|copyRange\('
 if grep -rnE "$deleted" --include='*.go' . | grep -v '^\./benchmark/'; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
@@ -294,7 +295,7 @@ if grep -rn '\.ProductionRates(' --include='*.go' internal/solver | grep -v '_te
 fi
 
 # One-pass lint: every job runs once, on the storage it already has. The
-# filter writes through the rhs bank (dead between steps) instead of a
+# filter writes through the rhs registers (dead between steps) instead of a
 # scratch field, the x-min inflow target is a worker's scratch target like
 # every other face's, a fault cell is an interior cell (no wrap to undo),
 # and the health row and the analysis products come from one step-end sweep

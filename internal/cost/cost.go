@@ -26,10 +26,12 @@ import (
 )
 
 // Kernels lists the kernels a window tracks, in record order: the
-// interior-sweep kernels of the RHS and the filter, then the non-spatial
-// item sweeps (halo pack/unpack and the RK register update). The chemistry
-// is a share charged out of the solver's ASSEMBLE_FLUXES sweep (region time,
-// no plan runs); NSCBC and the instrumentation layers' sweeps are untracked.
+// interior-sweep kernels of the RHS and the filter, the halo exchange's
+// item sweeps (wrap and pack/unpack, one unit per field), then the RK
+// register update, an interior row sweep whose ledger counts scheduled
+// blocks (tiles) like the RHS's. The chemistry is a share charged out of the
+// solver's ASSEMBLE_FLUXES sweep (region time, no plan runs); NSCBC and the
+// instrumentation layers' sweeps are untracked.
 var Kernels = []string{
 	"COMPUTE_PRIMITIVES",
 	"ASSEMBLE_FLUXES",

@@ -196,7 +196,7 @@ func closeRow(dst, src []float64, p, stride, r int, high bool, met float64, op O
 func FilterRange(dst, f *grid.Field3, a grid.Axis, sigma float64, lo, hi BC, boxLo, boxHi [3]int) {
 	n := dimOf(f, a)
 	if n == 1 {
-		copyRange(dst, f, boxLo, boxHi)
+		dst.CopyRange(f, boxLo, boxHi)
 		return
 	}
 	stride := strideOf(f, a)
@@ -237,16 +237,4 @@ func filterBoundaryPoint(dst, src []float64, p, stride, d int, sigma float64) {
 		acc += w * src[p+l*stride]
 	}
 	dst[p] = src[p] - scale*acc
-}
-
-// copyRange is the unit-extent filter (identity) over the box.
-func copyRange(dst, src *grid.Field3, boxLo, boxHi [3]int) {
-	n := boxHi[0] - boxLo[0]
-	for k := boxLo[2]; k < boxHi[2]; k++ {
-		for j := boxLo[1]; j < boxHi[1]; j++ {
-			rs := src.Idx(boxLo[0], j, k)
-			rd := dst.Idx(boxLo[0], j, k)
-			copy(dst.Data[rd:rd+n], src.Data[rs:rs+n])
-		}
-	}
 }

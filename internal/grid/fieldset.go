@@ -9,10 +9,7 @@ import "fmt"
 // FieldSet recovers that property: each field is registered exactly once with
 // metadata (stable name, role, species index, halo-exchange group, checkpoint
 // inclusion), and Build carves every Field3's backing storage out of one
-// contiguous arena in registration order. Fields registered consecutively
-// therefore occupy consecutive arena runs — a bank — and bank-wide operations
-// (the RK register update, conservation sums) become single stride-1 loops
-// over Span instead of per-field calls.
+// contiguous arena in registration order.
 //
 // Registration order is ABI: it fixes the arena layout, the halo-group pack
 // order and the checkpoint variable order. Consumers resolve fields by name
@@ -26,7 +23,6 @@ type FieldSet struct {
 	byName map[string]int
 	groups map[string][]int // halo group → ids in registration order
 
-	arena []float64 // non-nil once Build has run
 	built bool
 }
 
@@ -125,19 +121,18 @@ func (s *FieldSet) Register(m FieldMeta) int {
 // Build allocates the arena and carves one zeroed Field3 per registered
 // field, in registration order. Each Field3's backing slice is a length- and
 // capacity-limited view of the arena, so per-field operations cannot overrun
-// into a neighbour while bank operations over Span see the underlying
-// contiguous run.
+// into a neighbour.
 func (s *FieldSet) Build() {
 	if s.built {
 		panic("grid: FieldSet.Build called twice")
 	}
 	per := s.lay.size
-	s.arena = make([]float64, per*len(s.metas))
+	arena := make([]float64, per*len(s.metas))
 	s.fields = make([]*Field3, len(s.metas))
 	for id := range s.metas {
 		lo := id * per
 		s.fields[id] = &Field3{Nx: s.nx, Ny: s.ny, Nz: s.nz, G: s.ghost, layout: s.lay,
-			Data: s.arena[lo : lo+per : lo+per]}
+			Data: arena[lo : lo+per : lo+per]}
 	}
 	s.built = true
 }
@@ -187,23 +182,6 @@ func (s *FieldSet) Group(name string) []*Field3 {
 		out[i] = s.fields[id]
 	}
 	return out
-}
-
-// Span returns the contiguous arena run backing count consecutively
-// registered fields starting at firstID — a bank. Bank-wide stride-1 loops
-// over the span are bitwise-equivalent to per-field full-storage loops in
-// registration order.
-func (s *FieldSet) Span(firstID, count int) []float64 {
-	s.mustBuilt()
-	if firstID < 0 || count < 0 || firstID+count > len(s.metas) {
-		panic(fmt.Sprintf("grid: FieldSet.Span(%d,%d) outside %d fields", firstID, count, len(s.metas)))
-	}
-	if count == 0 {
-		return nil
-	}
-	lo := firstID * s.lay.size
-	hi := lo + count*s.lay.size
-	return s.arena[lo:hi:hi]
 }
 
 // Checkpointed returns the ids of checkpoint-included fields (Ckpt != "")

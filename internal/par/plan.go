@@ -322,10 +322,11 @@ func (pl *Plan) RunSlots(label string, r Range, fn func(t Tile, worker int)) {
 }
 
 // RunItems executes fn for every item index in [0, n) — the degenerate
-// 1-D decomposition used for per-field work such as halo pack/unpack,
-// where each item already writes a disjoint region. Each item is one unit:
-// timed and booked like a block, so halo pack/unpack and the RK update have
-// ledger entries (and rows in the cost record) like the tiled sweeps.
+// 1-D decomposition used for per-field work such as the halo's periodic
+// wrap and pack/unpack, where each item already writes a disjoint region.
+// Each item is one unit: timed and booked like a block, so the halo
+// exchange has ledger entries (and a row in the cost record) like the tiled
+// sweeps.
 func (pl *Plan) RunItems(label string, n int, fn func(item, worker int)) {
 	if n > 0 {
 		pl.execute(region{label: label, item: fn}, n)

@@ -212,8 +212,9 @@ func TestRejectedCheckpointLeavesBlock(t *testing.T) {
 // TestLoadUniformGhostCheckpoint: a checkpoint of a 2-D block written when
 // one-point axes still carried ghost planes holds T_guess_halo in that wider
 // layout. Loading it must restore the same Newton seeds — interior and ghost
-// face slabs — so the restarted trajectory matches the uninterrupted one bit
-// for bit (the block is periodic: the ghost seeds are read on the first step).
+// face slabs — and the restarted trajectory must match the uninterrupted one
+// bit for bit (only the interior seeds matter to it: no ghost cell runs the
+// temperature inversion, see SaveCheckpoint).
 func TestLoadUniformGhostCheckpoint(t *testing.T) {
 	dt := 3e-7
 	cont, err := NewSerial(checkpointConfig())

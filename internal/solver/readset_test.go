@@ -3,15 +3,16 @@ package solver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/s3dgo/s3d/internal/grid"
 	"github.com/s3dgo/s3d/internal/par"
 )
 
-// poisonGhosts writes NaN into every ghost cell of f except the face slabs
+// setGhosts writes x into every ghost cell of f except the face slabs
 // (exactly one index outside the interior) on the sides marked in keep.
-func poisonGhosts(f *grid.Field3, keep [3][2]bool) {
+func setGhosts(f *grid.Field3, keep [3][2]bool, x float64) {
 	n := [3]int{f.Nx, f.Ny, f.Nz}
 	g := f.Ghosts()
 	var p [3]int
@@ -31,35 +32,52 @@ func poisonGhosts(f *grid.Field3, keep [3][2]bool) {
 				if outside == 0 || (outside == 1 && keep[axis][side]) {
 					continue
 				}
-				f.Set(p[0], p[1], p[2], math.NaN())
+				f.Set(p[0], p[1], p[2], x)
 			}
 		}
 	}
+}
+
+// strayGhost returns the first ghost cell of f whose bits differ from x's,
+// and false when every ghost cell holds x.
+func strayGhost(f *grid.Field3, x float64) ([3]int, bool) {
+	g := f.Ghosts()
+	for k := -g[2]; k < f.Nz+g[2]; k++ {
+		for j := -g[1]; j < f.Ny+g[1]; j++ {
+			for i := -g[0]; i < f.Nx+g[0]; i++ {
+				inside := i >= 0 && i < f.Nx && j >= 0 && j < f.Ny && k >= 0 && k < f.Nz
+				if !inside && math.Float64bits(f.At(i, j, k)) != math.Float64bits(x) {
+					return [3]int{i, j, k}, true
+				}
+			}
+		}
+	}
+	return [3]int{}, false
 }
 
 // poisonUnreadGhosts poisons everything the read-set rule (halo.go) says the
 // RHS does not read: every ghost cell of the conserved registers (the RHS
 // reads Q in the interior alone; only the filter exchanges it), of ρ and of
 // p, the edge and corner ghosts of the exchanged primitives and the face
-// slabs of a physical (one-sided) face, and the ghost cells of flux[v][d]
-// along the axes other than d. The rhs/dQ banks stay untouched: rkUpdateBank
-// relies on their ghosts being exact zeros.
+// slabs of a physical (one-sided) face, the ghost cells of flux[v][d]
+// along the axes other than d, and every ghost cell of the dQ and rhs
+// registers.
 func poisonUnreadGhosts(b *Block) {
 	var faces [3][2]bool
 	for a := 0; a < 3; a++ {
 		faces[a] = [2]bool{b.loGhost[a], b.hiGhost[a]}
 	}
-	for _, f := range append([]*grid.Field3{b.Rho, b.P}, b.Q...) {
-		poisonGhosts(f, [3][2]bool{})
+	for _, f := range slices.Concat([]*grid.Field3{b.Rho, b.P}, b.Q, b.dQ, b.rhs) {
+		setGhosts(f, [3][2]bool{}, math.NaN())
 	}
 	for _, f := range b.gradSrc {
-		poisonGhosts(f, faces)
+		setGhosts(f, faces, math.NaN())
 	}
 	for v := range b.flux {
 		for _, d := range b.active {
 			var along [3][2]bool
 			along[d] = faces[d]
-			poisonGhosts(b.flux[v][d], along)
+			setGhosts(b.flux[v][d], along, math.NaN())
 		}
 	}
 }
@@ -120,28 +138,23 @@ func checkReadSet(b *Block) error {
 	}
 	// Nor does the RHS exchange Q: its ghost cells still hold the poison.
 	for v, f := range b.Q {
-		g := f.Ghosts()
-		for k := -g[2]; k < f.Nz+g[2]; k++ {
-			for j := -g[1]; j < f.Ny+g[1]; j++ {
-				for i := -g[0]; i < f.Nx+g[0]; i++ {
-					inside := i >= 0 && i < f.Nx && j >= 0 && j < f.Ny && k >= 0 && k < f.Nz
-					if !inside && !math.IsNaN(f.At(i, j, k)) {
-						return fmt.Errorf("the RHS wrote ghost cell (%d,%d,%d) of Q[%d]: only the filter exchanges Q", i, j, k, v)
-					}
-				}
-			}
+		if p, ok := strayGhost(f, math.NaN()); ok {
+			return fmt.Errorf("the RHS wrote ghost cell %v of Q[%d]: only the filter exchanges Q", p, v)
 		}
 	}
 
 	// The filter refills the ghosts it reads itself, one axis per pass.
-	q0 := append([]float64(nil), b.qBank...)
+	q0 := make([][]float64, len(b.Q))
+	for v, f := range b.Q {
+		q0[v] = slices.Clone(f.Data)
+	}
 	b.ApplyFilter()
 	if want, err = interiorBits("filtered Q", b.Q); err != nil {
 		return err
 	}
-	copy(b.qBank, q0)
-	for _, f := range b.Q {
-		poisonGhosts(f, [3][2]bool{})
+	for v, f := range b.Q {
+		copy(f.Data, q0[v])
+		setGhosts(f, [3][2]bool{}, math.NaN())
 	}
 	b.ApplyFilter()
 	if got, err = interiorBits("filtered Q", b.Q); err != nil {
@@ -204,5 +217,93 @@ func TestGhostReadSet(t *testing.T) {
 			}
 		}
 		pool.Close()
+	}
+}
+
+// TestRKUpdateLeavesGhosts: the RK update reads and writes the registers'
+// interior alone. With every ghost cell of Q, dQ and rhs set to a finite
+// sentinel, two unfiltered steps leave interior Q bit-equal to an unmarked
+// twin's and every one of those ghost cells holding the sentinel — on a
+// serial periodic box, on each rank of the box cut 2×1×1 and on a jet with
+// characteristic inflow and outflow faces.
+func TestRKUpdateLeavesGhosts(t *testing.T) {
+	const sentinel = 7.25
+	for _, c := range []struct {
+		name string
+		jet  bool
+		dims [3]int
+	}{
+		{"periodic", false, [3]int{1, 1, 1}},
+		{"periodic 2x1x1", false, [3]int{2, 1, 1}},
+		{"jet", true, [3]int{1, 1, 1}},
+	} {
+		run := func(mark bool) ([][]uint64, error) {
+			cfg := reactiveConfig()
+			cfg.FilterEvery = 0
+			if c.jet {
+				cfg.BC = [3][2]BCType{{InflowNSCBC, OutflowNSCBC}, {OutflowNSCBC, OutflowNSCBC}, {Periodic, Periodic}}
+				yIn := degenerateY(cfg, 0)
+				cfg.Inflow = func(y, z, t float64, tgt *InflowState) {
+					tgt.U, tgt.V, tgt.W = 2, 0, 0
+					tgt.T = 700
+					copy(tgt.Y, yIn)
+				}
+			}
+			bits := make([][]uint64, c.dims[0]*c.dims[1]*c.dims[2])
+			body := func(b *Block) error {
+				hotSpotIC(b)
+				regs := slices.Concat(b.Q, b.dQ, b.rhs)
+				if mark {
+					for _, f := range regs {
+						setGhosts(f, [3][2]bool{}, sentinel)
+					}
+				}
+				for s := 0; s < 2; s++ {
+					if err := b.StepChecked(2e-8); err != nil {
+						return err
+					}
+				}
+				q, err := interiorBits("Q", b.Q)
+				if err != nil {
+					return err
+				}
+				bits[b.Rank()] = q
+				if !mark {
+					return nil
+				}
+				for id, f := range regs {
+					if p, ok := strayGhost(f, sentinel); ok {
+						return fmt.Errorf("rank %d: ghost cell %v of %s[%d] holds %g, not the sentinel",
+							b.Rank(), p, [3]string{"Q", "dQ", "rhs"}[id/b.nvar], id%b.nvar, f.At(p[0], p[1], p[2]))
+					}
+				}
+				return nil
+			}
+			if c.dims == [3]int{1, 1, 1} {
+				b, err := NewSerial(cfg)
+				if err != nil {
+					return nil, err
+				}
+				return bits, body(b)
+			}
+			return bits, RunParallel(cfg, c.dims, func(b *Block) {
+				if err := body(b); err != nil {
+					panic(err)
+				}
+			})
+		}
+		want, err := run(false)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, err := run(true)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for r := range want {
+			if err := sameBits(fmt.Sprintf("%s rank %d: interior Q", c.name, r), got[r], want[r]); err != nil {
+				t.Error(err)
+			}
+		}
 	}
 }

@@ -265,8 +265,8 @@ func decomposedCheckpointRoundTrip(t *testing.T, cfg *Config, dims [3]int) {
 }
 
 // TestBlockRegistryInventory sanity-checks the registry threading: named
-// struct fields alias registry storage, groups match the hoisted halo
-// lists, and the conserved bank spans alias the Q registers.
+// struct fields alias registry storage and groups match the hoisted halo
+// lists.
 func TestBlockRegistryInventory(t *testing.T) {
 	b, err := NewSerial(checkpointConfig())
 	if err != nil {
@@ -304,21 +304,15 @@ func TestBlockRegistryInventory(t *testing.T) {
 				a, len(b.haloQ[a]), len(b.haloPrim[a]), len(b.haloFlux[a]), want, min(want, 1)*(b.nvar+1), want)
 		}
 	}
-	// Bank span aliasing: writes through Q land in qBank.
-	b.Q[iRhoE].Set(1, 2, 0, 12345)
-	off := iRhoE*fs.FieldLen() + b.Q[iRhoE].Idx(1, 2, 0)
-	if b.qBank[off] != 12345 {
-		t.Fatal("qBank does not alias the Q registers")
-	}
 	// Every field is arena-backed: no stray NewField3 allocations remain.
 	if fs.Len() == 0 || fs.FieldLen() != len(b.T.Data) {
 		t.Fatal("registry arena shape inconsistent")
 	}
-	// The filter writes through the rhs bank: the block registers no
+	// The filter writes through the rhs registers: the block registers no
 	// scratch field.
 	for id := 0; id < fs.Len(); id++ {
 		if m := fs.Meta(id); m.Role == grid.RoleScratch {
-			t.Fatalf("field %s is scratch storage: the filter writes through the rhs bank", m.Name)
+			t.Fatalf("field %s is scratch storage: the filter writes through the rhs registers", m.Name)
 		}
 	}
 }

@@ -213,11 +213,6 @@ type Block struct {
 	// tile order.
 	dtSlots []float64
 
-	// The Q/dQ/rhs registers are registered consecutively, so each bank is
-	// one contiguous arena run: the RK 2N update and register zeroing are
-	// single stride-1 loops over these spans instead of per-field calls.
-	qBank, dqBank, rhsBank []float64
-
 	// Per-axis halo-exchange field lists — the members of the registry groups
 	// "conserved", "primitive" and "flux" by the axis they travel along, see
 	// halo.go: the conserved registers (the filter's exchange) and the
@@ -518,9 +513,9 @@ func (b *Block) conservedNames() []string {
 // registerFields declares every field of the block in the registry and
 // carves their storage from one arena. Registration order is ABI:
 //
-//   - Q, dQ and rhs are registered as three consecutive per-register banks,
-//     so the RK 2N update and register zeroing run as stride-1 loops over
-//     contiguous arena spans (the S3D "small number of big arrays" layout);
+//   - Q, dQ and rhs come first, nvar registers each; their order is pinned
+//     by the name inventory (registryNamesHash3D) and the checkpoint order,
+//     not by the RK update, which sweeps each register's interior rows;
 //   - the flux components follow in (var, dir) order, fixing the packed
 //     field-major layout of the flux halo-exchange messages;
 //   - the per-direction fields — the fluxes, the one family the RHS stores —
@@ -601,9 +596,6 @@ func (b *Block) registerFields() {
 			b.haloFlux[d] = append(b.haloFlux[d], b.flux[v][d])
 		}
 	}
-	b.qBank = fs.Span(qID[0], b.nvar)
-	b.dqBank = fs.Span(dqID[0], b.nvar)
-	b.rhsBank = fs.Span(rhsID[0], b.nvar)
 
 	b.Rho, b.U, b.V, b.W = fs.Field(rhoID), fs.Field(uID), fs.Field(vID), fs.Field(wID)
 	b.T, b.P, b.Wmix = fs.Field(tID), fs.Field(pID), fs.Field(wmixID)

@@ -74,11 +74,6 @@ func (b *Block) StepChecked(dt float64) error {
 			stepSpan.End()
 		}
 	}()
-	// Zero the 2N accumulation registers: the dQ bank is one contiguous
-	// arena run, so this is a single stride-1 sweep.
-	for i := range b.dqBank {
-		b.dqBank[i] = 0
-	}
 	scheme.Drive(b.Time, dt, func(stageTime float64) {
 		stageStart = prof.Now()
 		rhsCall++
@@ -95,7 +90,7 @@ func (b *Block) StepChecked(dt float64) error {
 		rhsSpan.End()
 	}, func(stage int, a, bb, _ float64) {
 		reg := b.beginRegion("RK_UPDATE")
-		b.rkUpdateBank(a, bb, dt)
+		b.rkUpdate(a, bb, dt, stage == 0)
 		b.StageWall[stage] = float64(reg.End()-stageStart) / 1e9
 	})
 	b.collectHRR, b.diffDue = false, false
@@ -245,24 +240,31 @@ func (b *Block) stepEndRow(label string, nh, n int, merge func(dst, src []float6
 	return row
 }
 
-// rkUpdateBank advances the RK 2N registers: dq ← a·dq + dt·rhs and
-// q ← q + bb·dq. The Q/dQ/rhs banks are per-register arena runs, so the
-// update is one stride-1 loop per register over the full storage — no tile
-// bookkeeping, no per-field indexing. Covering the ghost layers is bitwise
-// safe: rhs ghosts are never written (they hold exact zeros from
-// allocation), so dq stays zero there and q is unchanged; interior points
-// see exactly the per-point arithmetic of the former interior-tiled update,
-// which no chunking can alter.
-func (b *Block) rkUpdateBank(a, bb, dt float64) {
-	per := b.fs.FieldLen()
-	b.plan.RunItems("RK_UPDATE", b.nvar, func(v, _ int) {
-		lo := v * per
-		rkUpdateRegister(b.qBank[lo:lo+per], b.dqBank[lo:lo+per], b.rhsBank[lo:lo+per], a, bb, dt)
+// rkUpdate advances the RK 2N registers over the interior, one x-row of
+// one register at a time: dq ← a·dq + dt·rhs and q ← q + bb·dq. No ghost
+// cell is read or written. first marks the step's first stage, whose rows
+// clear dq right before the update: the step's reset of the 2N
+// accumulation register, folded into the sweep.
+func (b *Block) rkUpdate(a, bb, dt float64, first bool) {
+	b.plan.Run("RK_UPDATE", b.interior(), func(t par.Tile, _ int) {
+		n := t.Hi[0] - t.Lo[0]
+		for v, q := range b.Q {
+			dq, r := b.dQ[v].Data, b.rhs[v].Data
+			for k := t.Lo[2]; k < t.Hi[2]; k++ {
+				for j := t.Lo[1]; j < t.Hi[1]; j++ {
+					p := q.Idx(t.Lo[0], j, k)
+					if first {
+						clear(dq[p : p+n])
+					}
+					rkUpdateRegister(q.Data[p:p+n], dq[p:p+n], r[p:p+n], a, bb, dt)
+				}
+			}
+		}
 	})
 }
 
-// rkUpdateRegister advances one register: dq[i] = a·dq[i] + dt·r[i];
-// q[i] += b·dq[i], for i over its full storage. q, dq, r have equal length.
+// rkUpdateRegister advances one register row: dq[i] = a·dq[i] + dt·r[i];
+// q[i] += b·dq[i]. q, dq, r have equal length.
 func rkUpdateRegister(q, dq, r []float64, a, b, dt float64) {
 	for i := range dq {
 		dq[i] = a*dq[i] + dt*r[i]
@@ -270,18 +272,17 @@ func rkUpdateRegister(q, dq, r []float64, a, b, dt float64) {
 	}
 }
 
-// RKUpdateBankOnly runs one register update with representative RK46NL
-// coefficients (benchmark hook for benchmark/'s solver.rk_update_us_per_gp).
-func (b *Block) RKUpdateBankOnly(dt float64) { b.rkUpdateBank(-0.7, 0.5, dt) }
+// RKUpdateBankOnly runs one register update of a stage after the first
+// with representative RK46NL coefficients (benchmark hook for benchmark/'s
+// solver.rk_update_us_per_gp).
+func (b *Block) RKUpdateBankOnly(dt float64) { b.rkUpdate(-0.7, 0.5, dt, false) }
 
 // ApplyFilter applies the tenth-order low-pass filter to every conserved
 // field along every active axis (paper §2.6: an eleven-point explicit filter
 // removes spurious high-frequency fluctuations). Each pass writes through
-// the rhs bank, dead between steps (the next stage's divergence rewrites its
-// interior before anything reads it): a tile filters a variable's box of Q
-// into rhs and copies it straight back. FilterRange and CopyRange touch the
-// tile box alone, so the rhs ghosts stay the exact zeros rkUpdateBank relies
-// on.
+// the rhs registers, dead between steps (the next stage's divergence
+// rewrites their interior before anything reads it): a tile filters a
+// variable's box of Q into rhs and copies it straight back.
 func (b *Block) ApplyFilter() {
 	defer b.beginRegion("FILTER").End()
 	sigma := b.cfg.FilterStrength
